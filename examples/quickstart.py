@@ -62,26 +62,21 @@ def standalone_demo() -> None:
 # 2) The shared-library wrapper: tick/reset + struct exchange.
 # ---------------------------------------------------------------------------
 
-COUNTER_IN = StructSpec("ctr_in", [Field("event_in", 1), Field("clear", 1)])
+COUNTER_IN = StructSpec("ctr_in", [Field("event", 1), Field("clear", 1)])
 COUNTER_OUT = StructSpec("ctr_out", [Field("count", 16), Field("saturated", 1)])
 
 
 class CounterLibrary(RTLSharedLibrary):
+    """The wrapper is a table: which pin each struct field lands on.
+    Fields default to the signal of their own name, so only renames
+    are listed (an array field may also name one pin per element)."""
+
     input_spec = COUNTER_IN
     output_spec = COUNTER_OUT
+    pins = {"event": "event_in"}
 
     def __init__(self) -> None:
         super().__init__(compile_verilog(COUNTER_V, params={"W": 16}))
-
-    def drive(self, inputs: dict) -> None:
-        self.sim.poke("event_in", inputs["event_in"])
-        self.sim.poke("clear", inputs["clear"])
-
-    def collect(self) -> dict:
-        return {
-            "count": self.sim.peek("count"),
-            "saturated": self.sim.peek("saturated"),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +113,7 @@ class CounterRTLObject(RTLObject):
                 self.respond_cpu(
                     pkt, self.last_count.to_bytes(pkt.size, "little")
                 )
-        return self.library.input_spec.pack(event_in=event, clear=clear)
+        return self.library.input_spec.pack(event=event, clear=clear)
 
     def consume_output(self, outputs: dict) -> None:
         self.last_count = outputs["count"]

@@ -109,6 +109,8 @@ class RTLObject(SimObject):
         # Coalesced busy/batched window for the Chrome tracer:
         # (kind, start_tick, end_tick) of the span being extended.
         self._span: Optional[tuple[str, int, int]] = None
+        # Last output struct decoded, as (bytes, fields).
+        self._decoded: tuple[bytes, dict] = (b"", {})
 
         s = self.stats
         self.st_ticks = s.scalar("ticks", "RTL model clock ticks executed")
@@ -154,25 +156,19 @@ class RTLObject(SimObject):
         Split from :meth:`_tick` so the bulk-synchronous scheduler
         (:mod:`repro.rtl.parallel.sched`) can run every group member's
         input phase before any model ticks; the serial path above is
-        behaviourally identical to the pre-split code.
+        behaviourally identical to the pre-split code.  Tracing costs
+        nothing beyond its two tests while it is off.
         """
-        if n > 1:
-            if FLAG_RTL_BATCH.enabled:
-                tracepoint(
-                    FLAG_RTL_BATCH, self.name,
-                    "quiescent: advancing %d RTL cycles in one pop",
-                    n, tick=self.now,
-                )
-        elif FLAG_RTL_BATCH.enabled and self.batch_cycles > 1:
-            tracepoint(
-                FLAG_RTL_BATCH, self.name,
-                "batching off this pop (quiescence bound or event horizon)",
-                tick=self.now,
+        if FLAG_RTL_BATCH.enabled:
+            self._trace_batch(n)
+        tracer = get_chrome_tracer()
+        if tracer is not None and tracer.enabled:
+            now = self.sim.eventq.cur_tick
+            self._note_window(
+                "batched" if n > 1 else "busy", now, now + n * self.clock.period
             )
-        self._note_window(
-            "batched" if n > 1 else "busy",
-            self.now, self.now + n * self.clock.period,
-        )
+        else:
+            self._span = None
         return self.build_input()
 
     def _tick_epilogue(self, n: int, out_bytes: bytes) -> None:
@@ -180,18 +176,44 @@ class RTLObject(SimObject):
         if n > 1:
             self.st_batched_ticks.inc(n)
         self.st_ticks.inc(n)
-        self.consume_output(self.library.output_spec.unpack(out_bytes))
+        # Decoding is a pure function of the bytes, and a quiet model
+        # returns the same struct for thousands of ticks: keep the last
+        # (bytes, fields) pair.  Consumers must not modify the fields.
+        last = self._decoded
+        if out_bytes != last[0]:
+            last = self._decoded = (
+                out_bytes, self.library.output_spec.unpack(out_bytes)
+            )
+        self.consume_output(last[1])
         if self._running:
-            self.schedule_cycles(self._tick_event, n, EventPriority.CLOCK)
+            # schedule_cycles(event, n), inlined
+            eventq = self.sim.eventq
+            period = self.clock.period
+            edge = eventq.cur_tick
+            if edge % period:
+                edge += period - edge % period
+            eventq.schedule(
+                self._tick_event, edge + n * period, EventPriority.CLOCK
+            )
+
+    def _trace_batch(self, n: int) -> None:
+        if n > 1:
+            tracepoint(
+                FLAG_RTL_BATCH, self.name,
+                "quiescent: advancing %d RTL cycles in one pop",
+                n, tick=self.now,
+            )
+        elif self.batch_cycles > 1:
+            tracepoint(
+                FLAG_RTL_BATCH, self.name,
+                "batching off this pop (quiescence bound or event horizon)",
+                tick=self.now,
+            )
 
     # -- Chrome busy/idle windows ------------------------------------------
 
     def _note_window(self, kind: str, start: int, end: int) -> None:
         """Extend or flush the coalesced busy/batched span for Perfetto."""
-        tracer = get_chrome_tracer()
-        if tracer is None or not tracer.enabled:
-            self._span = None
-            return
         span = self._span
         if span is not None and span[0] == kind and span[2] == start:
             self._span = (kind, span[1], end)
@@ -233,6 +255,8 @@ class RTLObject(SimObject):
         observed, including entries it is still holding in a capture
         buffer.
         """
+        if self.batch_cycles <= 1:
+            return 1
         limit = min(self.batch_cycles, self.idle_cycles())
         if limit <= 1:
             return 1
@@ -249,7 +273,11 @@ class RTLObject(SimObject):
         return self.library.input_spec.zeros()
 
     def consume_output(self, outputs: dict) -> None:
-        """Act on the output struct from this tick (override per model)."""
+        """Act on the output struct from this tick (override per model).
+
+        *outputs* is read-only: while the model's output bytes do not
+        change, every tick is handed the same decoded dict.
+        """
 
     def idle_cycles(self) -> int:
         """Upper bound on cycles this model may advance per input struct.

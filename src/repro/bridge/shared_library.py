@@ -11,20 +11,27 @@ wrapper exposing exactly two entry points to gem5:
 :class:`SharedLibrary` is that contract.  :class:`RTLSharedLibrary` is
 the common implementation for models compiled by our HDL frontends: it
 owns the :class:`~repro.rtl.RTLSimulator`, supports waveform tracing
-with runtime enable/disable (Table 2's knob), and leaves two hooks —
-``drive``/``collect`` — for the model-specific wrapper (PMU, NVDLA, …)
-to move struct fields onto RTL pins and back.
+with runtime enable/disable (Table 2's knob), and moves struct fields
+onto RTL pins and back.  What a Verilator wrapper writes by hand around
+``eval()`` — one assignment per struct member — the model-specific
+wrapper (PMU, RTL cache, …) *declares* as a pin map, and the exchange is
+generated from it.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional, TextIO
+from typing import Optional, Sequence, TextIO, Union
 
+from ..rtl.codegen import PinSlot
 from ..rtl.kernel import RTLModule
 from ..rtl.simulator import RTLSimulator
 from ..rtl.vcd import VCDWriter
 from .structs import StructSpec
+
+#: one struct on the pins: per field, its name, element count and the
+#: pin location of each element
+_Wiring = list[tuple[str, int, list[PinSlot]]]
 
 
 class SharedLibrary(abc.ABC):
@@ -77,15 +84,35 @@ class SharedLibrary(abc.ABC):
 class RTLSharedLibrary(SharedLibrary):
     """Wrapper base for models produced by the HDL toolflows.
 
-    Subclasses implement:
+    A subclass names its two structs and, in :attr:`pins`, the fields
+    that are not wired to the signal of their own name::
 
-    * :meth:`drive` — move unpacked input-struct fields onto RTL inputs
-      (via ``self.sim.poke``);
-    * :meth:`collect` — read RTL outputs and return output-struct fields.
+        class CacheLibrary(RTLSharedLibrary):
+            input_spec = CACHE_IN        # req_valid, ..., fill_data[8]
+            output_spec = CACHE_OUT      # resp_valid, ..., hits
+            pins = {"hits": "hit_count"}
+
+    A field maps to one signal, or an array field to one signal per
+    element (``"data": ("d0", ..., "d7")``); an array field on a single
+    signal is its elements concatenated little-endian (eight 64-bit
+    ``fill_data`` lanes on one 512-bit pin).  A key may be qualified
+    with the struct's name (``"bitonic_in.data"``) where both structs
+    have a field of that name on different pins.
+
+    On the codegen backend the whole tick is one generated function
+    (:func:`repro.rtl.codegen.build_exchange`).  :meth:`drive` and
+    :meth:`collect` are the same map interpreted field by field around
+    the public ``unpack``/``settle``/``tick``/``pack``: the reference
+    the generated exchange is tested against, and the path taken
+    whenever it cannot serve — the interpreter backend, or a VCD writer
+    that is enabled and must sample every cycle.
     """
 
     #: name of the design's reset input (asserted by :meth:`reset`)
     reset_signal: str = "rst"
+
+    #: struct field -> RTL signal name(s); default: the field's own name
+    pins: dict[str, Union[str, Sequence[str]]] = {}
 
     def __init__(
         self,
@@ -104,6 +131,73 @@ class RTLSharedLibrary(SharedLibrary):
         self.module = module
         self.sim = RTLSimulator(module, trace=trace, backend=backend)
         self.ticks = 0
+        stray = set(self.pins) - {
+            key
+            for spec in (self.input_spec, self.output_spec)
+            for field in spec
+            for key in (field.name, f"{spec.name}.{field.name}")
+        }
+        if stray:
+            raise ValueError(
+                f"{type(self).__name__}.pins names no struct field: "
+                f"{sorted(stray)}"
+            )
+        self._driven = self._wire(self.input_spec, inputs=True)
+        self._collected = self._wire(self.output_spec, inputs=False)
+        self._exchange = self.sim.build_exchange(
+            self.input_spec.struct,
+            [slot for _, _, lanes in self._driven for slot in lanes],
+            self.output_spec.struct,
+            [slot for _, _, lanes in self._collected for slot in lanes],
+            self.input_spec.size_error,
+        )
+
+    def _wire(self, spec: StructSpec, inputs: bool) -> _Wiring:
+        """Resolve *spec*'s fields through :attr:`pins`."""
+        who = type(self).__name__
+        wiring: _Wiring = []
+        driven: set[str] = set()
+        for field in spec:
+            names = self.pins.get(
+                f"{spec.name}.{field.name}",
+                self.pins.get(field.name, field.name),
+            )
+            if isinstance(names, str):
+                names = (names,)
+            if len(names) not in (1, field.count):
+                raise ValueError(
+                    f"{who}: field {field.name!r} of {spec.name!r} has "
+                    f"{field.count} elements but {len(names)} pins"
+                )
+            missing = [n for n in names if n not in self.module.signals]
+            if missing:
+                raise ValueError(
+                    f"{who}: field {field.name!r} of {spec.name!r} is wired "
+                    f"to {missing}, not signals of {self.module.name!r}"
+                )
+            sigs = [self.module.signals[n] for n in names]
+            if inputs:
+                # the exchange stores straight into the value array;
+                # only module inputs may be written without dropping
+                # the activity-cone keys, and only one field per input
+                for sig in sigs:
+                    if not sig.is_input or sig.name in driven:
+                        raise ValueError(
+                            f"{who}: input field {field.name!r} must drive "
+                            "a module input nothing else drives, not "
+                            f"{sig.name!r}"
+                        )
+                    driven.add(sig.name)
+            if len(sigs) == 1:
+                # an array on one wide signal: lanes little-endian
+                pairs = [(sigs[0], i * field.width) for i in range(field.count)]
+            else:
+                pairs = [(sig, 0) for sig in sigs]
+            wiring.append((field.name, field.count, [
+                (sig.index, shift, field.mask & (sig.mask >> shift))
+                for sig, shift in pairs
+            ]))
+        return wiring
 
     # -- waveform control (runtime toggling, as in the paper) ---------------
 
@@ -125,32 +219,58 @@ class RTLSharedLibrary(SharedLibrary):
     # -- the contract -----------------------------------------------------------
 
     def tick(self, input_bytes: bytes) -> bytes:
-        inputs = self.input_spec.unpack(input_bytes)
-        self.drive(inputs)
-        self.sim.settle()
-        self.sim.tick()
-        self.ticks += 1
-        outputs = self.collect()
-        return self.output_spec.pack(**outputs)
+        return self.tick_batch(input_bytes, 1)
 
     def tick_batch(self, input_bytes: bytes, cycles: int) -> bytes:
-        """Fused batch: unpack/drive/collect once, run all cycles inside
-        the RTL kernel (one generated loop on the codegen backend).
+        """*cycles* ticks on one input struct, the last output returned.
 
-        Equivalent to *cycles* sequential :meth:`tick` calls with the
+        Equivalent to that many sequential :meth:`tick` calls with the
         same input: re-driving identical pin values and re-settling an
-        already-settled netlist are no-ops, so only the final collect
-        differs — which is exactly what the caller asked for.
+        already-settled netlist are no-ops, so the pins are driven once
+        and all cycles run inside the RTL kernel (one generated loop on
+        the codegen backend).
         """
         if cycles < 1:
             raise ValueError(f"cannot batch {cycles} cycles")
-        inputs = self.input_spec.unpack(input_bytes)
-        self.drive(inputs)
-        self.sim.settle()
-        self.sim.run_cycles(cycles)
+        sim = self.sim
+        trace = sim.trace
+        if self._exchange is None or (trace is not None and trace.enabled):
+            self.drive(self.input_spec.unpack(input_bytes))
+            sim.settle()
+            sim.tick(cycles)
+            out = self.output_spec.pack(**self.collect())
+        else:
+            out = self._exchange(input_bytes, sim.values, sim.mems, cycles)
+            sim.cycle += cycles
         self.ticks += cycles
-        outputs = self.collect()
-        return self.output_spec.pack(**outputs)
+        return out
+
+    def drive(self, inputs: dict) -> None:
+        """Apply unpacked input fields to the RTL model's input signals
+        (module inputs, so plain stores: there is nothing to invalidate)."""
+        v = self.sim.values
+        for name, count, lanes in self._driven:
+            if count == 1:
+                idx, _, mask = lanes[0]
+                v[idx] = inputs[name] & mask
+                continue
+            for idx, _, _ in lanes:
+                v[idx] = 0
+            for x, (idx, shift, mask) in zip(inputs[name], lanes):
+                v[idx] |= (x & mask) << shift
+
+    def collect(self) -> dict:
+        """Read the RTL model's outputs into output-struct fields."""
+        v = self.sim.values
+        outputs: dict = {}
+        for name, count, lanes in self._collected:
+            if count == 1:
+                idx, shift, mask = lanes[0]
+                outputs[name] = v[idx] >> shift & mask
+            else:
+                outputs[name] = [v[idx] >> shift & mask
+                                 for idx, shift, mask in lanes]
+        return outputs
 
     def reset(self) -> None:
         self.sim.reset(self.reset_signal)
@@ -186,16 +306,6 @@ class RTLSharedLibrary(SharedLibrary):
             mems=[list(m) for m in state["mems"]],
         )
         self.restore_checkpoint((ckpt, state["ticks"]))
-
-    # -- model-specific hooks ------------------------------------------------------
-
-    @abc.abstractmethod
-    def drive(self, inputs: dict) -> None:
-        """Apply unpacked input fields to the RTL model's input signals."""
-
-    @abc.abstractmethod
-    def collect(self) -> dict:
-        """Read the RTL model's outputs into output-struct fields."""
 
 
 class BehavioralSharedLibrary(SharedLibrary):

@@ -8,9 +8,12 @@ actually crosses the boundary as *packed bytes* — the gem5 side never
 reaches into the RTL model's state, and vice versa.
 
 Like a C struct, every field occupies a power-of-two slot (1/2/4/8
-bytes per element) so the codec compiles to one :class:`struct.Struct`
-format — this layer runs once per simulated RTL clock cycle, so it is
-deliberately cheap.
+bytes per element) so the layout is one :class:`struct.Struct` format.
+This layer runs once per simulated RTL clock cycle, so the codec is
+*generated* once per layout, the way :mod:`repro.rtl.codegen`
+specialises a netlist: ``pack``/``unpack`` are straight-line functions
+with the field names as parameters and the masks, slot positions and
+array slices as constants around a single ``struct.Struct`` call.
 
 Example::
 
@@ -26,9 +29,10 @@ Example::
 
 from __future__ import annotations
 
+import keyword
 import struct
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 def _slot_for(width: int) -> tuple[int, str]:
@@ -44,13 +48,27 @@ def _slot_for(width: int) -> tuple[int, str]:
 
 @dataclass(frozen=True)
 class Field:
-    """One fixed-width unsigned field; ``count > 1`` makes it an array."""
+    """One fixed-width unsigned field; ``count > 1`` makes it an array.
+
+    The name becomes a parameter of the generated ``pack``, so it must
+    be a plain identifier that is not a Python keyword; a leading
+    underscore is reserved for the generated code's own locals.
+    """
 
     name: str
     width: int          # bits
     count: int = 1
 
     def __post_init__(self) -> None:
+        if (
+            not self.name.isidentifier()
+            or keyword.iskeyword(self.name)
+            or self.name.startswith("_")
+        ):
+            raise ValueError(
+                f"field {self.name!r}: name must be an identifier that is "
+                "not a Python keyword and does not start with '_'"
+            )
         if self.width <= 0 or self.width > 64:
             raise ValueError(f"field {self.name!r}: width must be in 1..64")
         if self.count <= 0:
@@ -66,85 +84,117 @@ class Field:
 
 
 class StructSpec:
-    """An ordered, fixed-layout struct definition shared by both sides."""
+    """An ordered, fixed-layout struct definition shared by both sides.
+
+    ``pack(**values) -> bytes`` takes ints (lists for array fields) by
+    keyword, or positionally in field order.  Unspecified fields default
+    to zero and values are masked to their declared width, matching
+    hardware truncation; an unknown field raises :class:`KeyError`, a
+    wrong array length :class:`ValueError`.
+
+    ``unpack(data) -> {field: int | list[int]}`` decodes exactly
+    :attr:`size` bytes and raises :class:`ValueError` otherwise.
+
+    Both are generated for this layout at construction
+    (:attr:`codec_source` keeps the text for inspection).
+    """
+
+    pack: Callable[..., bytes]
+    unpack: Callable[[bytes], dict]
 
     def __init__(self, name: str, fields: list[Field]) -> None:
         self.name = name
         self.fields = list(fields)
         seen: set[str] = set()
+        fmt = "<"
         for f in self.fields:
             if f.name in seen:
                 raise ValueError(f"duplicate field {f.name!r} in struct {name!r}")
             seen.add(f.name)
-
-        # compiled layout: one flat little-endian struct format
-        fmt = "<"
-        self._layout: list[tuple[str, int, int, int]] = []  # name,count,mask,pos
-        pos = 0
-        for f in self.fields:
-            _, code = _slot_for(f.width)
-            fmt += code * f.count
-            self._layout.append((f.name, f.count, f.mask, pos))
-            pos += f.count
-        self._struct = struct.Struct(fmt)
-        self._nvalues = pos
-        self._offsets = {f.name: i for i, f in enumerate(self.fields)}
-        self.size = self._struct.size
+            fmt += _slot_for(f.width)[1] * f.count
+        self._names = seen
+        #: the flat little-endian layout: one slot per field element
+        self.struct = struct.Struct(fmt)
+        self.size = self.struct.size
         self._zeros = b"\0" * self.size
+        self.codec_source = self._codec_source()
+        namespace = {
+            "_name": name,
+            "_pack": self.struct.pack,
+            "_unpack": self.struct.unpack,
+            "_size_error": self.size_error,
+            # pack's parameters are the field names and may shadow these
+            "_len": len, "_int": int, "_sorted": sorted,
+            "_KeyError": KeyError, "_TypeError": TypeError,
+            "_ValueError": ValueError,
+        }
+        exec(  # noqa: S102 - executing our own generated code
+            compile(self.codec_source, f"<struct:{name}>", "exec"), namespace
+        )
+        self.pack = namespace["pack"]
+        self.unpack = namespace["unpack"]
+
+    def _codec_source(self) -> str:
+        """Source of ``pack``/``unpack`` specialised to this layout."""
+        params: list[str] = []    # pack's signature
+        checks: list[str] = []    # array length checks, field order
+        encode: list[tuple[str, int]] = []   # (value, mask) per slot
+        slots: list[str] = []     # unpack's slot locals
+        decode: list[str] = []    # one dict item per field
+        for f in self.fields:
+            first = len(slots)
+            names = [f"_{first + i}" for i in range(f.count)]
+            slots += names
+            # a full-width slot is its own mask on the way out
+            full = f.width == 8 * _slot_for(f.width)[0]
+            masked = names if full else [f"{n} & {f.mask}" for n in names]
+            if f.count == 1:
+                params.append(f"{f.name}=0")
+                encode.append((f.name, f.mask))
+                decode.append(f"{f.name!r}: {masked[0]}")
+                continue
+            params.append(f"{f.name}={(0,) * f.count!r}")
+            checks += [
+                f"    if _len({f.name}) != {f.count}:",
+                f"        raise _ValueError(f\"field {f.name!r} expects {f.count} "
+                f"elements, got {{_len({f.name})}}\")",
+                f"    [{', '.join(names)}] = {f.name}",
+            ]
+            encode += [(n, f.mask) for n in names]
+            decode.append(f"{f.name!r}: [{', '.join(masked)}]")
+        return "\n".join([
+            f"def pack({', '.join(params + ['**_unknown'])}):",
+            "    if _unknown:",
+            "        raise _KeyError("
+            "f\"struct {_name!r} has no fields {_sorted(_unknown)}\")",
+            *checks,
+            # ints, bools and numpy ints mask directly; anything else
+            # int() accepts (a float, a numeric string) is coerced first
+            "    try:",
+            f"        return _pack({', '.join(f'{v} & {m}' for v, m in encode)})",
+            "    except _TypeError:",
+            "        return _pack("
+            f"{', '.join(f'_int({v}) & {m}' for v, m in encode)})",
+            "",
+            "def unpack(data):",
+            f"    if _len(data) != {self.size}:",
+            "        raise _size_error(_len(data))",
+            f"    [{', '.join(slots)}] = _unpack(data)",
+            f"    return {{{', '.join(decode)}}}",
+            "",
+        ])
+
+    def size_error(self, nbytes: int) -> ValueError:
+        """What decoding *nbytes* bytes (not :attr:`size`) raises."""
+        return ValueError(
+            f"struct {self.name!r} expects {self.size} bytes, got {nbytes}"
+        )
 
     def __contains__(self, name: str) -> bool:
-        return name in self._offsets
+        return name in self._names
 
     def __iter__(self) -> Iterator[Field]:
         return iter(self.fields)
-
-    # -- packing -------------------------------------------------------------
-
-    def pack(self, **values) -> bytes:
-        """Pack keyword values (ints, or lists for array fields) to bytes.
-
-        Unspecified fields default to zero.  Values are masked to their
-        declared width, matching hardware truncation semantics.
-        """
-        flat = [0] * self._nvalues
-        taken = 0
-        for fname, count, mask, pos in self._layout:
-            if fname not in values:
-                continue
-            taken += 1
-            value = values[fname]
-            if count == 1:
-                flat[pos] = int(value) & mask
-            else:
-                if len(value) != count:
-                    raise ValueError(
-                        f"field {fname!r} expects {count} elements, "
-                        f"got {len(value)}"
-                    )
-                for i, elem in enumerate(value):
-                    flat[pos + i] = int(elem) & mask
-        if taken != len(values):
-            unknown = set(values) - {f.name for f in self.fields}
-            raise KeyError(
-                f"struct {self.name!r} has no fields {sorted(unknown)}"
-            )
-        return self._struct.pack(*flat)
-
-    def unpack(self, data: bytes) -> dict:
-        """Decode bytes into ``{field: int | list[int]}``."""
-        if len(data) != self.size:
-            raise ValueError(
-                f"struct {self.name!r} expects {self.size} bytes, "
-                f"got {len(data)}"
-            )
-        flat = self._struct.unpack(data)
-        out: dict = {}
-        for fname, count, mask, pos in self._layout:
-            if count == 1:
-                out[fname] = flat[pos] & mask
-            else:
-                out[fname] = [flat[pos + i] & mask for i in range(count)]
-        return out
 
     def zeros(self) -> bytes:
         return self._zeros

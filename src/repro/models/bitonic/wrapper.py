@@ -47,6 +47,11 @@ class BitonicSharedLibrary(RTLSharedLibrary):
 
     input_spec = BITONIC_INPUT
     output_spec = BITONIC_OUTPUT
+    # both structs call their lanes ``data``: qualify by struct name
+    pins = {
+        "bitonic_in.data": tuple(f"d{i}" for i in range(LANES)),
+        "bitonic_out.data": tuple(f"q{i}" for i in range(LANES)),
+    }
 
     def __init__(
         self,
@@ -65,17 +70,6 @@ class BitonicSharedLibrary(RTLSharedLibrary):
         super().__init__(rtl, trace_stream=trace_stream,
                          trace_enabled=trace_enabled, backend=backend)
         self.width = width
-
-    def drive(self, inputs: dict) -> None:
-        self.sim.poke("valid_in", inputs["valid_in"])
-        for i, value in enumerate(inputs["data"]):
-            self.sim.poke(f"d{i}", value)
-
-    def collect(self) -> dict:
-        return {
-            "valid_out": self.sim.peek("valid_out"),
-            "data": [self.sim.peek(f"q{i}") for i in range(LANES)],
-        }
 
     # -- convenience -------------------------------------------------------
 

@@ -137,14 +137,18 @@ class PMURTLObject(RTLObject):
             if lane.is_clock:
                 events |= 1 << lane.base
                 continue
-            assert lane.wire is not None
-            pulses = lane.wire.drain(lane.lanes)
-            if lane.wire.count:
+            wire = lane.wire
+            assert wire is not None
+            if not wire.count:
+                continue
+            pulses = wire.drain(lane.lanes)
+            if wire.count:
                 # more pulses arrived this PMU cycle than lanes exist;
                 # they remain queued for the next tick
-                self.st_events_dropped.inc(lane.wire.count)
-            for i in range(pulses):
-                events |= 1 << (lane.base + i)
+                self.st_events_dropped.inc(wire.count)
+            events |= ((1 << pulses) - 1) << lane.base
+        if not self.cpu_req_queue:
+            return self.library.input_spec.pack(events=events)
 
         fields = {"events": events}
         # One configuration write and one read may be in flight per cycle.

@@ -66,7 +66,11 @@ def load_pmu_source() -> str:
 
 
 class PMUSharedLibrary(RTLSharedLibrary):
-    """tick/reset wrapper around the compiled PMU."""
+    """tick/reset wrapper around the compiled PMU.
+
+    Every struct field is wired to the ``pmu.v`` port of its own name,
+    so the pin map is empty.
+    """
 
     input_spec = PMU_INPUT
     output_spec = PMU_OUTPUT
@@ -84,29 +88,6 @@ class PMUSharedLibrary(RTLSharedLibrary):
         super().__init__(rtl, trace_stream=trace_stream,
                          trace_enabled=trace_enabled, backend=backend)
         self.n_counters = n_counters
-        # pin indices resolved once: drive/collect run every RTL cycle
-        sigs = rtl.signals
-        self._in_pins = [
-            (sigs[n].index, sigs[n].mask)
-            for n in ("events", "awvalid", "awaddr", "wdata",
-                      "arvalid", "araddr")
-        ]
-        self._out_pins = [sigs[n].index for n in ("rvalid", "rdata", "irq")]
-
-    def drive(self, inputs: dict) -> None:
-        v = self.sim.values
-        pins = self._in_pins
-        v[pins[0][0]] = inputs["events"] & pins[0][1]
-        v[pins[1][0]] = inputs["awvalid"] & 1
-        v[pins[2][0]] = inputs["awaddr"] & pins[2][1]
-        v[pins[3][0]] = inputs["wdata"] & pins[3][1]
-        v[pins[4][0]] = inputs["arvalid"] & 1
-        v[pins[5][0]] = inputs["araddr"] & pins[5][1]
-
-    def collect(self) -> dict:
-        v = self.sim.values
-        rvalid, rdata, irq = self._out_pins
-        return {"rvalid": v[rvalid], "rdata": v[rdata], "irq": v[irq]}
 
     # -- debug/verification helpers (bypass the struct boundary) ----------
 

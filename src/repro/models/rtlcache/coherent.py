@@ -86,6 +86,7 @@ class RTLCacheCohSharedLibrary(RTLCacheSharedLibrary):
 
     input_spec = RTLCACHE_COH_INPUT
     output_spec = RTLCACHE_COH_OUTPUT
+    pins = {**RTLCacheSharedLibrary.pins, "snoops": "snoop_count"}
 
     def __init__(
         self,
@@ -101,20 +102,6 @@ class RTLCacheCohSharedLibrary(RTLCacheSharedLibrary):
         RTLSharedLibrary.__init__(self, rtl, trace_stream=trace_stream,
                                   trace_enabled=trace_enabled, backend=backend)
         self.lines = 1 << idxw
-
-    def drive(self, inputs: dict) -> None:
-        super().drive(inputs)
-        poke = self.sim.poke
-        poke("snoop_valid", inputs["snoop_valid"])
-        poke("snoop_addr", inputs["snoop_addr"])
-
-    def collect(self) -> dict:
-        out = super().collect()
-        peek = self.sim.peek
-        out["snoop_ack"] = peek("snoop_ack")
-        out["snoop_hit"] = peek("snoop_hit")
-        out["snoops"] = peek("snoop_count")
-        return out
 
 
 class RTLCoherentCacheObject(RTLCacheObject):

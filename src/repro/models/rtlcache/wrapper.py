@@ -77,6 +77,8 @@ class RTLCacheSharedLibrary(RTLSharedLibrary):
 
     input_spec = RTLCACHE_INPUT
     output_spec = RTLCACHE_OUTPUT
+    # fill_data: the eight 64-bit lanes land on the one 512-bit pin
+    pins = {"hits": "hit_count", "misses": "miss_count"}
 
     def __init__(
         self,
@@ -91,33 +93,6 @@ class RTLCacheSharedLibrary(RTLSharedLibrary):
         super().__init__(rtl, trace_stream=trace_stream,
                          trace_enabled=trace_enabled, backend=backend)
         self.lines = 1 << idxw
-
-    def drive(self, inputs: dict) -> None:
-        poke = self.sim.poke
-        poke("req_valid", inputs["req_valid"])
-        poke("req_write", inputs["req_write"])
-        poke("req_addr", inputs["req_addr"])
-        poke("req_wdata", inputs["req_wdata"])
-        poke("fill_valid", inputs["fill_valid"])
-        line = 0
-        for i, word in enumerate(inputs["fill_data"]):
-            line |= word << (64 * i)
-        poke("fill_data", line)
-
-    def collect(self) -> dict:
-        peek = self.sim.peek
-        return {
-            "resp_valid": peek("resp_valid"),
-            "resp_rdata": peek("resp_rdata"),
-            "resp_was_hit": peek("resp_was_hit"),
-            "miss_valid": peek("miss_valid"),
-            "miss_addr": peek("miss_addr"),
-            "wt_valid": peek("wt_valid"),
-            "wt_addr": peek("wt_addr"),
-            "wt_data": peek("wt_data"),
-            "hits": peek("hit_count"),
-            "misses": peek("miss_count"),
-        }
 
 
 class RTLCacheECCSharedLibrary(RTLCacheSharedLibrary):
@@ -144,11 +119,6 @@ class RTLCacheECCSharedLibrary(RTLCacheSharedLibrary):
         RTLSharedLibrary.__init__(self, rtl, trace_stream=trace_stream,
                                   trace_enabled=trace_enabled, backend=backend)
         self.lines = 1 << idxw
-
-    def collect(self) -> dict:
-        out = super().collect()
-        out["corrections"] = self.sim.peek("corrections")
-        return out
 
 
 class RTLCacheObject(RTLObject):

@@ -35,6 +35,13 @@ the generated namespace and invoked directly.  Semantic equivalence with
 the interpreter is enforced by the differential test suite
 (``tests/rtl/test_differential.py``).
 
+A third function is generated on request for the bridge
+(:func:`build_exchange`): the per-cycle struct exchange of a
+shared-library wrapper — packed bytes in, pin stores, ``settle``,
+``tick_batch``, output pins packed back to bytes — the direct
+struct-member <-> pin assignments a Verilator wrapper makes around
+``eval()``.
+
 Designs that need the iterative fixpoint fallback (word-level comb
 cycles) are *not* codegen-eligible —
 :class:`~repro.rtl.simulator.RTLSimulator` falls back to the interpreter
@@ -44,7 +51,8 @@ for them automatically.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 from .kernel import CombProcess, Edge, RTLModule, SyncProcess
@@ -211,6 +219,9 @@ class CodegenProgram:
     reset_state: Callable = _no_state
     guarded_cones: int = 0   # cones the settle code guards
     quiescence: bool = False  # tick_batch has the early-exit fast path
+    #: globals of the generated functions; :func:`build_exchange` emits
+    #: into it so its settle call shares the activity-cone keys
+    namespace: dict = field(default_factory=dict, repr=False)
 
 
 class _Emitter:
@@ -529,4 +540,64 @@ def build_program(
         reset_state=reset_state,
         guarded_cones=len(guarded),
         quiescence=quiesce,
+        namespace=em.namespace,
     )
+
+
+#: where one struct slot lives on the pins: (signal index, bit shift,
+#: mask) — the slot's value occupies ``mask`` bits of the signal
+#: starting at ``shift``
+PinSlot = tuple[int, int, int]
+
+
+def build_exchange(
+    program: CodegenProgram,
+    in_struct: struct.Struct,
+    in_slots: Sequence[PinSlot],
+    out_struct: struct.Struct,
+    out_slots: Sequence[PinSlot],
+    size_error: Callable[[int], Exception],
+) -> Callable:
+    """Generate ``exchange(data, v, m, n) -> bytes`` for *program*.
+
+    One call is one wrapper ``tick``: check the length of *data*
+    (raising ``size_error(len(data))``), decode it with *in_struct*,
+    store slot ``i`` onto the pins at ``in_slots[i]`` (slots sharing a
+    signal are OR-ed together at their shifts), settle, advance *n*
+    cycles, and return *out_struct* packed from the pins at
+    *out_slots*.  The settle and the cycles are *calls* to the
+    program's own compiled functions — the cycle body is not emitted a
+    second time — and every call runs the whole sequence: nothing about
+    the previous inputs is remembered, so state changed behind the
+    generated code's back (pokes, reset, restore) is seen exactly as a
+    ``poke``/``settle``/``tick`` sequence would see it.
+    """
+    by_signal: dict[int, list[str]] = {}
+    for i, (idx, shift, mask) in enumerate(in_slots):
+        term = f"(_i{i} & {mask})" + (f" << {shift}" if shift else "")
+        by_signal.setdefault(idx, []).append(term)
+    loads = [
+        f"v[{idx}] >> {shift} & {mask}" if shift else f"v[{idx}] & {mask}"
+        for idx, shift, mask in out_slots
+    ]
+    # The codecs are bound as closure cells, not globals: a second
+    # exchange built on this program must not rebind the first's.
+    lines = [
+        "def _bind(_decode, _encode, _size_error):",
+        "    def _exchange(data, v, m, n):",
+        f"        if len(data) != {in_struct.size}:",
+        "            raise _size_error(len(data))",
+        f"        [{', '.join(f'_i{i}' for i in range(len(in_slots)))}]"
+        " = _decode(data)",
+        *(f"        v[{idx}] = {' | '.join(terms)}"
+          for idx, terms in by_signal.items()),
+        "        _settle(v, m)",
+        "        _tick_batch(v, m, n)",
+        f"        return _encode({', '.join(loads)})",
+        "    return _exchange",
+    ]
+    namespace = program.namespace
+    exec(  # noqa: S102 - executing our own generated code
+        compile("\n".join(lines), "<codegen:exchange>", "exec"), namespace
+    )
+    return namespace.pop("_bind")(in_struct.unpack, out_struct.pack, size_error)

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .codegen import CodegenProgram, build_program
+from .codegen import CodegenProgram, build_exchange, build_program
 from .kernel import CombLoopError, Edge, RTLModule, Signal
 from .vcd import VCDWriter
 
@@ -267,6 +267,24 @@ class RTLSimulator:
                 if clk is not None:
                     v[clk.index] = 0
                 self.trace.sample(self.cycle * 2, v)
+
+    def build_exchange(
+        self, in_struct, in_slots, out_struct, out_slots, size_error
+    ) -> Optional[Callable]:
+        """Generated struct exchange over this design's compiled code
+        (arguments and result as :func:`repro.rtl.codegen.build_exchange`),
+        or None on the interpreter backend.
+
+        The function takes ``values``/``mems`` per call because reset
+        and restore rebind them, and leaves advancing :attr:`cycle` to
+        the caller; VCD sampling happens only in :meth:`tick`.
+        """
+        if self._codegen is None:
+            return None
+        return build_exchange(
+            self._codegen, in_struct, in_slots, out_struct, out_slots,
+            size_error,
+        )
 
     @staticmethod
     def _apply_nba(v: list[int], nba: list) -> None:

@@ -156,16 +156,17 @@ class EventQueue:
                 f"cannot schedule {event.name} at {tick} "
                 f"(current tick {self.cur_tick})"
             )
-        if event.scheduled:
+        entry = event._entry
+        if entry is not None and entry.alive:
             raise RuntimeError(f"{event.name} is already scheduled")
-        handle = _Handle(tick, event.callback, event.name)
-        event._entry = handle
-        if self._defer is not None:
-            self._defer.append((tick, priority, handle))
-        else:
-            heapq.heappush(self._heap, (tick, priority, self._seq, handle))
-            self._seq += 1
+        handle = event._entry = _Handle(tick, event.callback, event.name)
         self._live += 1
+        if self._defer is None:
+            seq = self._seq
+            self._seq = seq + 1
+            heapq.heappush(self._heap, (tick, priority, seq, handle))
+        else:
+            self._defer.append((tick, priority, handle))
         return event
 
     def schedule_fn(

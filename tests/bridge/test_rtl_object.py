@@ -86,6 +86,34 @@ class TestLifecycle:
         assert obj.seen
         assert all(o["x"] == 0x5A for o in obj.seen)
 
+    def test_output_decoded_only_when_its_bytes_change(self, sim):
+        """Decoding is a pure function of the bytes: a model that holds
+        its outputs is decoded once, one that moves them every time —
+        and the consumer runs on every tick either way."""
+        class Steady(BehavioralSharedLibrary):
+            input_spec = StructSpec("i", [Field("x", 8)])
+            output_spec = StructSpec("o", [Field("x", 8)])
+
+            def step(self, inputs):
+                return {"x": inputs["x"]}
+
+        for library, moves in ((Steady(), False), (EchoLibrary(), True)):
+            obj = Probe(Simulation(), "rtl", library)
+            spec, decodes = library.output_spec, []
+            library.output_spec = StructSpec(spec.name, spec.fields)
+            library.output_spec.unpack = (
+                lambda data: decodes.append(data) or spec.unpack(data))
+            obj.x_in = 7
+            obj.sim.run(until=10_000)
+            ticks = obj.st_ticks.value()
+            assert ticks >= 10 and len(obj.seen) == ticks
+            assert len(decodes) == (ticks if moves else 1)
+            obj.x_in = 9            # the bytes move: decoded again, once
+            obj.sim.run(until=20_000)
+            assert len(obj.seen) == obj.st_ticks.value() > ticks
+            assert obj.seen[-1]["x"] == 9 and obj.seen[ticks - 1]["x"] == 7
+            assert len(decodes) == (obj.st_ticks.value() if moves else 2)
+
     def test_port_counts_match_paper(self, sim):
         obj = Probe(sim, "rtl", EchoLibrary())
         assert len(obj.cpu_side) == CPU_SIDE_PORTS == 2

@@ -234,12 +234,6 @@ class TestIntegration:
             input_spec = StructSpec("i", [Field("x", 1)])
             output_spec = StructSpec("o", [Field("x", 1)])
 
-            def drive(self, inputs):
-                self.sim.poke("x", inputs["x"])
-
-            def collect(self):
-                return {"x": self.sim.peek("x")}
-
         lib = Lib(m, trace_stream=io.StringIO(), trace_enabled=True)
         lib.reset()
         lib.tick(lib.input_spec.pack(x=1))
