@@ -313,7 +313,9 @@ class BehavioralSharedLibrary(SharedLibrary):
 
     Used for large IP where gate-level simulation is impractical in this
     substrate (our NVDLA-class accelerator).  Subclasses implement
-    :meth:`step` with the same tick-in/tick-out semantics.
+    :meth:`step` with the same tick-in/tick-out semantics.  A step names
+    the output fields it sets; the rest of the struct is zero, and a
+    step that sets nothing costs no packing at all.
     """
 
     def __init__(self) -> None:
@@ -323,11 +325,13 @@ class BehavioralSharedLibrary(SharedLibrary):
         inputs = self.input_spec.unpack(input_bytes)
         outputs = self.step(inputs)
         self.ticks += 1
+        if not outputs:
+            return self.output_spec.zeros()
         return self.output_spec.pack(**outputs)
 
     @abc.abstractmethod
     def step(self, inputs: dict) -> dict:
-        """Advance one cycle; return output-struct fields."""
+        """Advance one cycle; return the output-struct fields it set."""
 
     def reset(self) -> None:
         self.ticks = 0

@@ -34,6 +34,14 @@ class NVDLASystem:
     #: tier-(a) group scheduler when ``rtl_jobs > 1`` wired one, else None
     parallel: Optional["ParallelTickScheduler"] = None
 
+    def __post_init__(self) -> None:
+        # The workload ends the run: whichever of "last command played"
+        # and "last CSB write delivered" happens last requests the exit.
+        for host in self.hosts:
+            host.on_done(self._exit_if_complete)
+        for io in {host.io for host in self.hosts}:
+            io.on_drain(self._exit_if_complete)
+
     def close(self) -> None:
         """Tear down the parallel scheduler, if any (idempotent).
 
@@ -44,28 +52,46 @@ class NVDLASystem:
             self.parallel.close()
             self.parallel = None
 
+    @property
+    def complete(self) -> bool:
+        """Every trace played to its end and every CSB write delivered.
+
+        ``done`` alone is too early: the trace's last command
+        (``IRQ_CLEAR``) is posted by the same call that sets it and
+        still has to cross the IOMaster to the accelerator.
+        """
+        return all(h.done and not h.io.busy for h in self.hosts)
+
+    def _exit_if_complete(self) -> None:
+        if self.complete:
+            self.soc.sim.request_exit()
+
     def run_to_completion(self, max_ticks: int = 10**12) -> int:
-        """Start all host apps and run until every one completes."""
+        """Start all host apps and run until the workload ends the run.
+
+        Returns the tick at which the last CSB write was delivered — a
+        property of the simulated system, so a run restored from a
+        checkpoint stops where the uninterrupted one does.
+        """
+        sim = self.soc.sim
         try:
             for host in self.hosts:
                 host.start()
-            sim = self.soc.sim
             sim.startup()
-            step = sim.default_clock.cycles_to_ticks(20_000)
-            deadline = sim.now + max_ticks
-            # boundaries aligned to absolute multiples of *step* so
-            # resumed runs stop the RTL at the same tick as
-            # uninterrupted ones
-            while not all(h.done for h in self.hosts):
-                if sim.now >= deadline:
-                    raise TimeoutError("NVDLA workload did not complete")
-                boundary = (sim.now // step + 1) * step
-                sim.run(until=min(boundary, deadline))
-            for rtl in self.rtls:
-                rtl.stop()
-            return sim.now
+            # restored from a checkpoint taken in the completing tick:
+            # the request is not saved, the state that made it is
+            self._exit_if_complete()
+            sim.run(until=sim.now + max_ticks)
         finally:
             self.close()
+        if not self.complete:
+            raise TimeoutError(
+                f"NVDLA workload did not complete within {max_ticks} ticks ("
+                + "; ".join(host.progress() for host in self.hosts) + ")"
+            )
+        for rtl in self.rtls:
+            rtl.stop()
+        return sim.now
 
 
 def build_nvdla_system(

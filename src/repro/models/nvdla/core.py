@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 # -- CSB register map (byte offsets) ----------------------------------------
 
@@ -55,6 +56,16 @@ BLOCK = 64
 #: hardware parameters of the modelled configuration (nv_full)
 NV_FULL_MACS = 2048
 NV_FULL_BUFFER_BYTES = 512 * 1024
+
+#: request lanes per direction of the AXI-side struct: the most reads,
+#: and the most writes, the engine may emit in one cycle
+REQ_LANES = 4
+
+#: one cycle's requests: reads as (seq, addr, port), write addresses, irq
+StepResult = tuple[Sequence[tuple[int, int, int]], Sequence[int], int]
+
+#: what :meth:`NVDLACore.step` returns while the engine is idle
+_QUIET: StepResult = ((), (), 0)
 
 
 @dataclass
@@ -177,6 +188,11 @@ class NVDLACore:
         self.perf_cycles = 0
         self.perf_stalls = 0
 
+    @property
+    def consumed(self) -> int:
+        """Blocks of the current layer the MAC pipeline has consumed."""
+        return self._consumed
+
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> dict:
@@ -234,9 +250,9 @@ class NVDLACore:
     def step(
         self,
         credit: int,
-        rd_resp_seqs: list[int],
+        rd_resp_seqs: Sequence[int],
         wr_acks: int,
-    ) -> dict:
+    ) -> StepResult:
         """Advance one accelerator cycle.
 
         Parameters mirror the input struct: how many new memory requests
@@ -244,83 +260,88 @@ class NVDLACore:
         will accept this cycle, which read responses arrived (by
         sequence tag), and how many write acks arrived.
 
-        Returns the output-struct fields: lists of read requests
-        ``(seq, addr, port)``, write request addresses, and the irq
-        pulse.  Output writes are drained before new reads are issued so
-        the write queue can never wedge the pipeline.
+        Returns ``(reads, writes, irq)``: read requests as
+        ``(seq, addr, port)``, write request addresses — at most
+        :data:`REQ_LANES` of each, what the output struct can carry —
+        and the irq pulse.  Output writes are drained before new reads
+        are issued so the write queue can never wedge the pipeline.
         """
+        if rd_resp_seqs:
+            self._arrived.update(rd_resp_seqs)
+        self._writes_acked += wr_acks
+        if not self.busy:
+            return _QUIET
+
         out_reads: list[tuple[int, int, int]] = []
         out_writes: list[int] = []
         irq = 0
+        self.perf_cycles += 1
+        cfg = self.cfg
+        budget = credit
 
-        for seq in rd_resp_seqs:
-            self._arrived.add(seq)
-        self._writes_acked += wr_acks
+        # 1) drain output writes first (they unblock compute)
+        while (
+            self._writes_pending
+            and budget > 0
+            and len(out_writes) < REQ_LANES
+        ):
+            out_idx = self._writes_pending.popleft()
+            out_writes.append(cfg.out_addr + out_idx * BLOCK)
+            self._writes_issued += 1
+            budget -= 1
 
-        if self.busy:
-            self.perf_cycles += 1
-            cfg = self.cfg
-            budget = credit
+        # 2) issue new read requests
+        issued = 0
+        while (
+            budget > 0
+            and issued < self.READS_PER_CYCLE
+            and self._next_read_seq < cfg.total_blocks
+        ):
+            addr, port = self._block_addr(self._next_read_seq)
+            out_reads.append((self._next_read_seq, addr, port))
+            self._next_read_seq += 1
+            issued += 1
+            budget -= 1
 
-            # 1) drain output writes first (they unblock compute)
-            while self._writes_pending and budget > 0:
-                out_idx = self._writes_pending.popleft()
-                out_writes.append(cfg.out_addr + out_idx * BLOCK)
-                self._writes_issued += 1
-                budget -= 1
-
-            # 2) issue new read requests
-            issued = 0
-            while (
-                budget > 0
-                and issued < self.READS_PER_CYCLE
-                and self._next_read_seq < cfg.total_blocks
-            ):
-                addr, port = self._block_addr(self._next_read_seq)
-                out_reads.append((self._next_read_seq, addr, port))
-                self._next_read_seq += 1
-                issued += 1
-                budget -= 1
-
-            # 3) compute: consume arrived blocks in order
-            self._compute_credit += 16
-            progressed = False
-            while (
-                self._compute_credit >= self._compute_debt
-                and self._consumed < cfg.total_blocks
-                and self._consumed in self._arrived
-                and len(self._writes_pending) < self.WRITE_QUEUE_DEPTH
-            ):
-                self._compute_credit -= self._compute_debt
-                self._arrived.discard(self._consumed)
-                self._consumed += 1
-                progressed = True
-                self._blocks_since_out += 1
-                if (
-                    self._blocks_since_out >= cfg.blocks_per_out
-                    or self._consumed == cfg.total_blocks
-                ):
-                    self._writes_pending.append(self._outputs_total)
-                    self._outputs_total += 1
-                    self._blocks_since_out = 0
+        # 3) compute: consume arrived blocks in order
+        self._compute_credit += 16
+        progressed = False
+        while (
+            self._compute_credit >= self._compute_debt
+            and self._consumed < cfg.total_blocks
+            and self._consumed in self._arrived
+            and len(self._writes_pending) < self.WRITE_QUEUE_DEPTH
+        ):
+            self._compute_credit -= self._compute_debt
+            self._arrived.discard(self._consumed)
+            self._consumed += 1
+            progressed = True
+            self._blocks_since_out += 1
             if (
-                not progressed
-                and self._consumed < cfg.total_blocks
-                and self._compute_credit >= self._compute_debt
+                self._blocks_since_out >= cfg.blocks_per_out
+                or self._consumed == cfg.total_blocks
             ):
-                # compute was ready but data (or write space) was not
-                self.perf_stalls += 1
-                # credits don't bank while stalled on memory
-                self._compute_credit = min(self._compute_credit, 16 * 4)
+                self._writes_pending.append(self._outputs_total)
+                self._outputs_total += 1
+                self._blocks_since_out = 0
+        if (
+            not progressed
+            and self._consumed < cfg.total_blocks
+            and self._compute_credit >= self._compute_debt
+        ):
+            # compute was ready but data (or write space) was not
+            self.perf_stalls += 1
+            # credits don't bank while stalled on memory
+            self._compute_credit = min(self._compute_credit, 16 * 4)
 
-            # 4) completion
-            if (
-                self._consumed == cfg.total_blocks
-                and not self._writes_pending
-                and self._writes_acked >= self._writes_issued
-            ):
-                self.busy = False
-                self.irq_pending = True
-                irq = 1
+        # 4) completion
+        if (
+            self._consumed == cfg.total_blocks
+            and not self._writes_pending
+            and self._writes_acked >= self._writes_issued
+        ):
+            self.busy = False
+            self.irq_pending = True
+            irq = 1
 
-        return {"reads": out_reads, "writes": out_writes, "irq": irq}
+        return out_reads, out_writes, irq

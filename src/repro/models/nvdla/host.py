@@ -16,7 +16,7 @@ Two load modes:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ...soc.cpu import alu, store
 from ...soc.cpu.core import OoOCore
@@ -60,7 +60,17 @@ class NVDLAHostApp:
         self._cmd_index = 0
         self._waiting_irq = False
         self._started_app = False
+        self._done_handlers: list[Callable[[], None]] = []
         rtl.on_interrupt(self._on_irq)
+
+    def on_done(self, handler: Callable[[], None]) -> None:
+        """Call *handler* when the last command has been played.
+
+        Structural, like :meth:`NVDLARTLObject.on_interrupt`: register
+        at build time; checkpoints do not carry it.  The last commands
+        may still be queued in the IOMaster when it runs.
+        """
+        self._done_handlers.append(handler)
 
     # -- phase 1: trace load --------------------------------------------------
 
@@ -125,6 +135,8 @@ class NVDLAHostApp:
                 return
         self.done = True
         self.finish_tick = self.soc.sim.now
+        for handler in self._done_handlers:
+            handler()
 
     def _on_irq(self, tick: int) -> None:
         if self._waiting_irq:
@@ -156,6 +168,17 @@ class NVDLAHostApp:
         self._started_app = state["started_app"]
 
     # -- results ------------------------------------------------------------------
+
+    def progress(self) -> str:
+        """Where playback and the engine stand (timeout reports)."""
+        rtl, core = self.rtl, self.rtl.core
+        return (
+            f"{rtl.name}: command {self._cmd_index}/{len(self._commands)}, "
+            f"waiting_irq={self._waiting_irq}, busy={core.busy}, "
+            f"blocks {core.consumed}/{core.cfg.total_blocks}, "
+            f"inflight={rtl.inflight}, "
+            f"csb_pending={len(rtl.cpu_req_queue)}"
+        )
 
     def exec_ticks(self) -> int:
         """Doorbell-to-completion time (the DSE metric)."""

@@ -26,7 +26,7 @@ from ...soc.event import ClockDomain
 from ...soc.packet import Packet
 from ...soc.simobject import SimObject, Simulation
 from ...soc.tlb import TLB
-from .wrapper import NVDLASharedLibrary, RESP_LANES
+from .wrapper import CREDIT_ONLY_INPUT, NVDLASharedLibrary, RESP_LANES
 
 DBBIF_PORT = 0
 SRAMIF_PORT = 1
@@ -81,7 +81,21 @@ class NVDLARTLObject(RTLObject):
     # -- struct exchange ------------------------------------------------------
 
     def build_input(self) -> bytes:
-        fields: dict = {}
+        # in-flight budget
+        credit = (
+            self.max_inflight - self.inflight
+            if self.max_inflight is not None
+            else 255
+        )
+        if credit <= 0:
+            self.st_credit_stalls.inc()
+            credit = 0
+        elif credit > 255:
+            credit = 255
+        if not self.cpu_req_queue and not self.mem_resp_queue:
+            return CREDIT_ONLY_INPUT[credit]
+
+        fields: dict = {"credit": credit}
 
         # CSB: one operation per tick.
         if self._pending_csb_read is None and self.cpu_req_queue:
@@ -96,17 +110,6 @@ class NVDLARTLObject(RTLObject):
                 self.respond_cpu(pkt)
             else:
                 self._pending_csb_read = pkt
-
-        # in-flight budget
-        credit = (
-            self.max_inflight - self.inflight
-            if self.max_inflight is not None
-            else 255
-        )
-        if credit <= 0:
-            self.st_credit_stalls.inc()
-            credit = 0
-        fields["credit"] = min(credit, 255)
 
         # deliver up to RESP_LANES read responses + count write acks
         seqs: list[int] = []
@@ -142,27 +145,31 @@ class NVDLARTLObject(RTLObject):
             data = int(outputs["csb_rdata"]).to_bytes(4, "little")[: pkt.size]
             self.respond_cpu(pkt, data.ljust(pkt.size, b"\0"))
 
-        for i in range(outputs["rd_count"]):
-            ok = self.send_mem_read(
-                outputs["rd_addrs"][i], 64,
-                port_idx=outputs["rd_ports"][i],
-                translate=self.translate,
-                seq=outputs["rd_seqs"][i],
+        rd_count = outputs["rd_count"]
+        if rd_count:
+            addrs, ports, seqs = (
+                outputs["rd_addrs"], outputs["rd_ports"], outputs["rd_seqs"]
             )
-            if not ok:
-                raise RuntimeError(
-                    f"{self.name}: engine exceeded its credit (read)"
+            for i in range(rd_count):
+                ok = self.send_mem_read(
+                    addrs[i], 64, port_idx=ports[i],
+                    translate=self.translate, seq=seqs[i],
                 )
-        for i in range(outputs["wr_count"]):
-            addr = outputs["wr_addrs"][i]
-            ok = self.send_mem_write(
-                addr, 64, data=output_pattern(addr),
-                port_idx=DBBIF_PORT, translate=self.translate,
-            )
-            if not ok:
-                raise RuntimeError(
-                    f"{self.name}: engine exceeded its credit (write)"
+                if not ok:
+                    raise RuntimeError(
+                        f"{self.name}: engine exceeded its credit (read)"
+                    )
+        wr_count = outputs["wr_count"]
+        if wr_count:
+            for addr in outputs["wr_addrs"][:wr_count]:
+                ok = self.send_mem_write(
+                    addr, 64, data=output_pattern(addr),
+                    port_idx=DBBIF_PORT, translate=self.translate,
                 )
+                if not ok:
+                    raise RuntimeError(
+                        f"{self.name}: engine exceeded its credit (write)"
+                    )
 
         if outputs["irq"]:
             self.st_irqs.inc()

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from ...bridge.shared_library import BehavioralSharedLibrary
 from ...bridge.structs import Field, StructSpec
-from .core import NVDLACore
+from .core import NVDLACore, REQ_LANES
 
 #: max read responses / acks the bridge delivers per accelerator cycle
 RESP_LANES = 4
-#: max requests the engine can emit per cycle (writes + reads)
-REQ_LANES = 4
 
 NVDLA_INPUT = StructSpec(
     "nvdla_in",
@@ -31,6 +29,11 @@ NVDLA_INPUT = StructSpec(
         Field("wr_acks", 3),
     ],
 )
+
+#: The input struct of a cycle with no CSB operation, response or ack,
+#: indexed by its credit: most cycles' input.  An encoding table — the
+#: bytes are a pure function of the credit — not a memo of model state.
+CREDIT_ONLY_INPUT = tuple(NVDLA_INPUT.pack(credit=c) for c in range(256))
 
 NVDLA_OUTPUT = StructSpec(
     "nvdla_out",
@@ -69,37 +72,40 @@ class NVDLASharedLibrary(BehavioralSharedLibrary):
         self.core.load_state(state)
 
     def step(self, inputs: dict) -> dict:
+        """One cycle; names only the output fields this cycle set (the
+        rest of the struct is zero, so a quiet cycle returns ``{}``)."""
         core = self.core
+        out: dict = {}
 
         # CSB wrapper: one operation per cycle, same-cycle read data.
-        csb_rvalid = 0
-        csb_rdata = 0
         if inputs["csb_valid"]:
             if inputs["csb_write"]:
                 core.csb_write(inputs["csb_addr"], inputs["csb_wdata"])
             else:
-                csb_rdata = core.csb_read(inputs["csb_addr"])
-                csb_rvalid = 1
+                out["csb_rvalid"] = 1
+                out["csb_rdata"] = core.csb_read(inputs["csb_addr"])
 
         # AXI responder wrapper: deliver responses, collect requests.
-        resp_seqs = inputs["rd_resp_seqs"][: inputs["rd_resp_count"]]
-        result = core.step(inputs["credit"], resp_seqs, inputs["wr_acks"])
-
-        reads = result["reads"][:REQ_LANES]
-        writes = result["writes"][:REQ_LANES]
-        pad = [0] * REQ_LANES
-        rd_seqs = [r[0] for r in reads] + pad
-        rd_addrs = [r[1] for r in reads] + pad
-        rd_ports = [r[2] for r in reads] + pad
-        wr_addrs = list(writes) + pad
-        return {
-            "csb_rvalid": csb_rvalid,
-            "csb_rdata": csb_rdata,
-            "rd_count": len(reads),
-            "rd_seqs": rd_seqs[:REQ_LANES],
-            "rd_addrs": rd_addrs[:REQ_LANES],
-            "rd_ports": rd_ports[:REQ_LANES],
-            "wr_count": len(writes),
-            "wr_addrs": wr_addrs[:REQ_LANES],
-            "irq": result["irq"],
-        }
+        resp_count = inputs["rd_resp_count"]
+        reads, writes, irq = core.step(
+            inputs["credit"],
+            inputs["rd_resp_seqs"][:resp_count] if resp_count else (),
+            inputs["wr_acks"],
+        )
+        if len(reads) > REQ_LANES or len(writes) > REQ_LANES:
+            raise RuntimeError(
+                f"engine emitted {len(reads)} reads and {len(writes)} writes "
+                f"in one cycle; the output struct has {REQ_LANES} lanes each"
+            )
+        if reads:
+            pad = [0] * (REQ_LANES - len(reads))
+            out["rd_count"] = len(reads)
+            out["rd_seqs"] = [r[0] for r in reads] + pad
+            out["rd_addrs"] = [r[1] for r in reads] + pad
+            out["rd_ports"] = [r[2] for r in reads] + pad
+        if writes:
+            out["wr_count"] = len(writes)
+            out["wr_addrs"] = writes + [0] * (REQ_LANES - len(writes))
+        if irq:
+            out["irq"] = 1
+        return out

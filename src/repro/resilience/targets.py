@@ -49,6 +49,11 @@ def run_on_grid(
     restored from a checkpoint observes the same boundaries (and hence
     the same event interleavings) as an uninterrupted one.  The cycle
     budget is likewise absolute — counted from reset, not from restore.
+
+    Deliberately a polling grid and not ``Simulation.request_exit``: a
+    campaign classifies an experiment by state read after the run (the
+    PMU's cycle counter among it), so the cycles between completion and
+    the next boundary are part of every pinned report.
     """
     sim.startup()
     clock = sim.default_clock

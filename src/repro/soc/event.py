@@ -60,7 +60,6 @@ class EventPriority:
     CLOCK = -20          # clock-edge events (RTL ticks, CPU cycles)
     DEFAULT = 0
     STATS = 50           # stat dump / visitors
-    EXIT = 90            # simulation-exit events
     MAXIMUM = 100
 
 
@@ -127,6 +126,8 @@ class EventQueue:
         # dispatcher can replay the serial interleaving exactly (see the
         # "same-timestamp group dispatch" section below).
         self._defer: Optional[list[tuple[int, int, _Handle]]] = None
+        # Tick after which run() returns (see request_exit), else None.
+        self._exit_after: Optional[int] = None
         self.cur_tick = 0
         # Number of callbacks actually executed (dead entries excluded).
         self.executed = 0
@@ -231,6 +232,7 @@ class EventQueue:
             entry[3].alive = False
         self._heap.clear()
         self._live = 0
+        self._exit_after = None
 
     def restore_entry(
         self, event: Event, tick: int, priority: int, seq: int
@@ -353,6 +355,21 @@ class EventQueue:
 
     # -- main loop -------------------------------------------------------
 
+    def request_exit(self) -> None:
+        """End the run at the current tick (gem5's ``exitSimLoop``).
+
+        :meth:`run` returns once every event of the current tick, at
+        every priority, has fired — a same-timestamp group dispatch
+        always completes — with ``cur_tick`` left at this tick, not at
+        ``until``.  Later events stay queued and the next :meth:`run`
+        resumes with them.  The request is a value the loop compares
+        with, not an event: there is nothing in the queue for a
+        checkpoint to serialize, and :meth:`service_one` (the checkpoint
+        engine's stepping) neither consumes it nor stops for it, so a
+        request made there ends the enclosing or the next :meth:`run`.
+        """
+        self._exit_after = self.cur_tick
+
     def service_one(self) -> bool:
         """Pop and run the next live event.  Returns False if none remain."""
         heap = self._heap
@@ -375,8 +392,9 @@ class EventQueue:
         return False
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, *until* is reached, or
-        *max_events* callbacks have executed.  Returns the current tick.
+        """Run events until the queue drains, *until* is reached, an
+        event calls :meth:`request_exit`, or *max_events* callbacks have
+        executed.  Returns the current tick.
 
         When ``until`` is given, events scheduled exactly at ``until`` are
         *not* executed; the queue is left positioned at ``until`` so the
@@ -389,6 +407,10 @@ class EventQueue:
             if not handle.alive:
                 heapq.heappop(heap)
                 continue
+            exit_after = self._exit_after
+            if exit_after is not None and tick > exit_after:
+                self._exit_after = None
+                return self.cur_tick
             if until is not None and tick >= until:
                 self.cur_tick = until
                 return self.cur_tick
@@ -407,7 +429,9 @@ class EventQueue:
                 t0 = perf_counter()
                 handle.callback()
                 prof.host_event(handle.name, tick, t0, perf_counter() - t0)
-        if until is not None and until > self.cur_tick:
+        if self._exit_after is not None:
+            self._exit_after = None
+        elif until is not None and until > self.cur_tick:
             self.cur_tick = until
         return self.cur_tick
 

@@ -35,6 +35,7 @@ class IOMaster(SimObject):
         )
         self._queue: deque[tuple[Packet, Optional[Callable]]] = deque()
         self._outstanding: Optional[tuple[Packet, Optional[Callable]]] = None
+        self._drain_handlers: list[Callable[[], None]] = []
         self.st_reads = self.stats.scalar("reads", "MMIO reads issued")
         self.st_writes = self.stats.scalar("writes", "MMIO writes issued")
 
@@ -63,6 +64,15 @@ class IOMaster(SimObject):
     @property
     def busy(self) -> bool:
         return self._outstanding is not None or bool(self._queue)
+
+    def on_drain(self, handler: Callable[[], None]) -> None:
+        """Call *handler* whenever the last pending request completes.
+
+        Part of the system's structure, like an interrupt handler:
+        register it when the system is built.  It is not per-request
+        state, so it neither vetoes a checkpoint nor is saved in one.
+        """
+        self._drain_handlers.append(handler)
 
     # -- internals --------------------------------------------------------
 
@@ -104,6 +114,9 @@ class IOMaster(SimObject):
         if callback is not None:
             callback(pkt)
         self._try_issue()
+        if not self.busy:
+            for handler in self._drain_handlers:
+                handler()
         return True
 
     # -- checkpointing ----------------------------------------------------

@@ -29,44 +29,45 @@ class MemCmd(enum.Enum):
     SnoopReq = enum.auto()         # directory-originated probe (inv/share)
     SnoopResp = enum.auto()
 
-    @property
-    def is_read(self) -> bool:
-        return self in (MemCmd.ReadReq, MemCmd.ReadResp,
-                        MemCmd.PrefetchReq, MemCmd.PrefetchResp,
-                        MemCmd.ReadExReq, MemCmd.ReadExResp)
-
-    @property
-    def is_write(self) -> bool:
-        return self in (MemCmd.WriteReq, MemCmd.WriteResp, MemCmd.WritebackDirty)
-
-    @property
-    def is_request(self) -> bool:
-        return self in (MemCmd.ReadReq, MemCmd.WriteReq,
-                        MemCmd.WritebackDirty, MemCmd.PrefetchReq,
-                        MemCmd.ReadExReq, MemCmd.UpgradeReq, MemCmd.SnoopReq)
-
-    @property
-    def is_response(self) -> bool:
-        return self in (MemCmd.ReadResp, MemCmd.WriteResp, MemCmd.PrefetchResp,
-                        MemCmd.ReadExResp, MemCmd.UpgradeResp, MemCmd.SnoopResp)
-
-    @property
-    def needs_response(self) -> bool:
-        return self in (MemCmd.ReadReq, MemCmd.WriteReq, MemCmd.PrefetchReq,
-                        MemCmd.ReadExReq, MemCmd.UpgradeReq)
+    # Classification: plain per-member attributes, filled from the
+    # table below the class (an Enum body cannot name its own members).
+    is_read: bool
+    is_write: bool
+    is_request: bool
+    is_response: bool
+    needs_response: bool
+    #: the command that answers this one; None if it takes no response
+    response: Optional["MemCmd"]
 
     def response_for(self) -> "MemCmd":
-        table = {
-            MemCmd.ReadReq: MemCmd.ReadResp,
-            MemCmd.WriteReq: MemCmd.WriteResp,
-            MemCmd.PrefetchReq: MemCmd.PrefetchResp,
-            MemCmd.ReadExReq: MemCmd.ReadExResp,
-            MemCmd.UpgradeReq: MemCmd.UpgradeResp,
-            MemCmd.SnoopReq: MemCmd.SnoopResp,
-        }
-        if self not in table:
+        if self.response is None:
             raise ValueError(f"{self} does not take a response")
-        return table[self]
+        return self.response
+
+
+# One row per command: (is_read, is_write, is_request, needs_response,
+# response).  Every command is a request or a response.  A snoop names
+# its response but needs none routed back: probes are express, answered
+# in place while the directory's send_snoop call is still on the stack.
+for _cmd, _row in {
+    MemCmd.ReadReq:        (True,  False, True,  True,  MemCmd.ReadResp),
+    MemCmd.ReadResp:       (True,  False, False, False, None),
+    MemCmd.WriteReq:       (False, True,  True,  True,  MemCmd.WriteResp),
+    MemCmd.WriteResp:      (False, True,  False, False, None),
+    MemCmd.WritebackDirty: (False, True,  True,  False, None),
+    MemCmd.PrefetchReq:    (True,  False, True,  True,  MemCmd.PrefetchResp),
+    MemCmd.PrefetchResp:   (True,  False, False, False, None),
+    MemCmd.ReadExReq:      (True,  False, True,  True,  MemCmd.ReadExResp),
+    MemCmd.ReadExResp:     (True,  False, False, False, None),
+    MemCmd.UpgradeReq:     (False, False, True,  True,  MemCmd.UpgradeResp),
+    MemCmd.UpgradeResp:    (False, False, False, False, None),
+    MemCmd.SnoopReq:       (False, False, True,  False, MemCmd.SnoopResp),
+    MemCmd.SnoopResp:      (False, False, False, False, None),
+}.items():
+    (_cmd.is_read, _cmd.is_write, _cmd.is_request,
+     _cmd.needs_response, _cmd.response) = _row
+    _cmd.is_response = not _cmd.is_request
+del _cmd, _row
 
 
 # Process-wide packet id counter.  A plain int (not itertools.count) so

@@ -84,6 +84,12 @@ class Simulation:
         self.startup()
         return self.eventq.run(until=until, max_events=max_events)
 
+    def request_exit(self) -> None:
+        """Let the workload end the run: :meth:`run` returns once the
+        current tick's events have all fired (see
+        :meth:`EventQueue.request_exit`)."""
+        self.eventq.request_exit()
+
     def run_cycles(self, cycles: int, clock: Optional[ClockDomain] = None) -> int:
         clk = clock or self.default_clock
         return self.run(until=self.now + clk.cycles_to_ticks(cycles))

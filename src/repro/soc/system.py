@@ -308,6 +308,11 @@ class SoC:
         # Step boundaries are aligned to absolute multiples of *step* so
         # a run resumed from a checkpoint observes the same boundaries
         # (and hence the same stop ticks) as an uninterrupted run.
+        # Deliberately a polling grid and not Simulation.request_exit
+        # (which the NVDLA system uses): the cycles between a core's
+        # last µop and the next boundary are observable — the PMU keeps
+        # sampling through them, so Fig. 5's window count and the pinned
+        # result digests include them.
         while not all(c.done for c in watch):
             if self.sim.now >= deadline:
                 progress = "; ".join(

@@ -2,7 +2,8 @@
 
 The contract under test: running N NVDLA instances through the worker
 pool (``rtl_jobs > 1``) produces the same end tick, the same stats
-counters, and byte-identical mid-run checkpoints as the serial path.
+counters, and byte-identical mid-run and end-of-run checkpoints as the
+serial path.
 """
 
 import hashlib
@@ -22,11 +23,13 @@ pytestmark = pytest.mark.skipif(
 SCALE = 0.2  # shrink sanity3 so the suite stays fast
 
 
-def _run(n_nvdla, rtl_jobs, until=None, ckpt_path=None):
+def _run(n_nvdla, rtl_jobs, until=None, ckpt_path=None, end_ckpt_path=None):
     """One full run; returns (end_tick, stats, ckpt_tick).
 
-    The packet-id counter is process-global and serialized raw into
-    checkpoints, so it is re-seeded per run to keep runs comparable.
+    With *ckpt_path*, a checkpoint is saved at *until* on the way; with
+    *end_ckpt_path*, one is saved where the run ended.  The packet-id
+    counter is process-global and serialized raw into checkpoints, so
+    it is re-seeded per run to keep runs comparable.
     """
     set_next_packet_id(0)
     system = build_nvdla_system(
@@ -40,23 +43,24 @@ def _run(n_nvdla, rtl_jobs, until=None, ckpt_path=None):
         assert system.parallel is None
     ckpt_tick = None
     try:
-        if ckpt_path is None:
-            end = system.run_to_completion()
-        else:
+        sim = system.soc.sim
+        if ckpt_path is not None:
             for host in system.hosts:
                 host.start()
-            sim = system.soc.sim
             sim.startup()
             sim.run(until=until)
             ckpt_tick = sim.save_checkpoint(ckpt_path)
-            step = sim.default_clock.cycles_to_ticks(20_000)
-            while not all(h.done for h in system.hosts):
-                boundary = (sim.now // step + 1) * step
-                sim.run(until=boundary)
-            for rtl in system.rtls:
-                rtl.stop()
-            end = sim.now
-        stats = system.soc.sim.stats_dump()
+        end = system.run_to_completion()
+        assert end == sim.now
+        # the run ended where the last CSB write (IRQ_CLEAR) landed: a
+        # few cycles after the last interrupt, not on a polling grid
+        last_irq = max(h.finish_tick for h in system.hosts)
+        assert last_irq < end <= last_irq + 10 * system.rtls[0].clock.period
+        assert not any(r.core.irq_pending or r.core.busy for r in system.rtls)
+        assert not system.soc.iomaster.busy
+        stats = sim.stats_dump()
+        if end_ckpt_path is not None:
+            assert sim.save_checkpoint(end_ckpt_path) == end
     finally:
         system.close()
     return end, stats, ckpt_tick
@@ -95,6 +99,16 @@ class TestBitIdentical:
         assert stats_p == stats_s
         assert (hashlib.sha256(a.read_bytes()).hexdigest()
                 == hashlib.sha256(b.read_bytes()).hexdigest())
+
+    @pytest.mark.parametrize("n_nvdla", [1, 4])
+    def test_run_ends_at_the_same_tick_and_state(self, tmp_path, n_nvdla):
+        a = tmp_path / "serial.ckpt"
+        b = tmp_path / "parallel.ckpt"
+        end_s, stats_s, _ = _run(n_nvdla, 1, end_ckpt_path=str(a))
+        end_p, stats_p, _ = _run(n_nvdla, 2, end_ckpt_path=str(b))
+        assert end_p == end_s
+        assert stats_p == stats_s
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestSchedulerLifecycle:

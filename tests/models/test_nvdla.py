@@ -1,11 +1,14 @@
 """NVDLA engine + wrapper: CSB, streaming, credits, completion."""
 
+import random
+
 import pytest
 
-from repro.models.nvdla import NVDLACore, NVDLASharedLibrary
+from repro.models.nvdla import NVDLACore, NVDLARTLObject, NVDLASharedLibrary
 from repro.models.nvdla.core import (
     LayerConfig,
     NVDLA_ID_VALUE,
+    REG_BLOCKS_PER_OUT,
     REG_COMPUTE_X16,
     REG_ID,
     REG_IN_BLOCKS,
@@ -15,9 +18,13 @@ from repro.models.nvdla.core import (
     REG_OUT_ADDR_LO,
     REG_PERF_CYCLES,
     REG_PERF_STALLS,
+    REG_SRAM_MODE,
     REG_STATUS,
+    REG_W_ADDR_LO,
     REG_W_BLOCKS,
+    REQ_LANES,
 )
+from repro.models.nvdla.wrapper import CREDIT_ONLY_INPUT, NVDLA_INPUT
 
 
 def configured_core(in_blocks=32, w_blocks=4, compute_x16=16,
@@ -37,8 +44,8 @@ def run_zero_latency(core: NVDLACore, credit=255, max_cycles=100_000) -> int:
     pending: list[int] = []
     cycles = 0
     while core.busy and cycles < max_cycles:
-        out = core.step(credit, pending, wr_acks=0)
-        pending = [r[0] for r in out["reads"]]
+        reads, _writes, _irq = core.step(credit, pending, wr_acks=0)
+        pending = [r[0] for r in reads]
         core._writes_acked = core._writes_issued
         cycles += 1
     assert not core.busy, "engine did not finish"
@@ -77,25 +84,25 @@ class TestStreaming:
         seqs = []
         pending = []
         while core.busy:
-            out = core.step(255, pending, wr_acks=0)
-            seqs.extend(r[0] for r in out["reads"])
-            pending = [r[0] for r in out["reads"]]
+            reads, _writes, _irq = core.step(255, pending, wr_acks=0)
+            seqs.extend(r[0] for r in reads)
+            pending = [r[0] for r in reads]
             core._writes_acked = core._writes_issued
         assert seqs == list(range(13))
 
     def test_weights_then_activations_addressing(self):
         core = configured_core(in_blocks=2, w_blocks=2)
-        out = core.step(255, [], 0)
-        (s0, a0, p0), (s1, a1, p1) = out["reads"]
+        reads, _writes, _irq = core.step(255, [], 0)
+        (s0, a0, p0), (s1, a1, p1) = reads
         assert a0 == 0x2000_0000 and a1 == 0x2000_0040  # weights first
-        out = core.step(255, [0, 1], 0)
-        (s2, a2, _), (s3, a3, _) = out["reads"]
+        reads, _writes, _irq = core.step(255, [0, 1], 0)
+        (s2, a2, _), (s3, a3, _) = reads
         assert a2 == 0x1000_0000 and a3 == 0x1000_0040
 
     def test_sram_mode_routes_activations_to_port1(self):
         core = configured_core(in_blocks=2, w_blocks=1, sram=1)
-        out = core.step(255, [], 0)
-        ports = [r[2] for r in out["reads"]]
+        reads, _writes, _irq = core.step(255, [], 0)
+        ports = [r[2] for r in reads]
         assert ports[0] == 0      # weight via DBBIF
         assert ports[1] == 1      # activation via SRAMIF
 
@@ -104,9 +111,9 @@ class TestStreaming:
         writes = []
         pending = []
         while core.busy:
-            out = core.step(255, pending, wr_acks=0)
-            writes.extend(out["writes"])
-            pending = [r[0] for r in out["reads"]]
+            reads, new_writes, _irq = core.step(255, pending, wr_acks=0)
+            writes.extend(new_writes)
+            pending = [r[0] for r in reads]
             core._writes_acked = core._writes_issued
         assert len(writes) == 4
         assert writes[0] == 0x3000_0000 and writes[1] == 0x3000_0040
@@ -115,8 +122,8 @@ class TestStreaming:
         core = configured_core(in_blocks=4, w_blocks=0)
         pending = []
         for _ in range(1000):
-            out = core.step(255, pending, wr_acks=0)
-            pending = [r[0] for r in out["reads"]]
+            reads, _writes, _irq = core.step(255, pending, wr_acks=0)
+            pending = [r[0] for r in reads]
             if not core.busy:
                 break
         assert core.busy  # writes never acked -> still busy
@@ -148,18 +155,18 @@ class TestComputeRate:
 class TestCredits:
     def test_zero_credit_issues_nothing(self):
         core = configured_core()
-        out = core.step(0, [], 0)
-        assert out["reads"] == [] and out["writes"] == []
+        reads, writes, irq = core.step(0, [], 0)
+        assert not reads and not writes and not irq
 
     def test_credit_one_serializes(self):
         core = configured_core(in_blocks=8, w_blocks=0, blocks_per_out=100)
         total = 0
         pending = []
         for _ in range(200):
-            out = core.step(1, pending, 0)
-            assert len(out["reads"]) + len(out["writes"]) <= 1
-            total += len(out["reads"])
-            pending = [r[0] for r in out["reads"]]
+            reads, writes, _irq = core.step(1, pending, 0)
+            assert len(reads) + len(writes) <= 1
+            total += len(reads)
+            pending = [r[0] for r in reads]
             core._writes_acked = core._writes_issued
             if not core.busy:
                 break
@@ -212,3 +219,192 @@ class TestWrapper:
         )))
         assert out["csb_rvalid"] == 1
         assert out["csb_rdata"] == NVDLA_ID_VALUE
+
+
+def csb_write(lib, addr, value) -> bytes:
+    return lib.tick(lib.input_spec.pack(
+        csb_valid=1, csb_write=1, csb_addr=addr, csb_wdata=value
+    ))
+
+
+class TestWriteLanes:
+    def test_write_burst_wider_than_the_struct_still_completes(self):
+        """Reads race ahead while credit is open, then responses arrive
+        four a cycle with credit shut three cycles in four: up to eight
+        output writes queue up behind each open cycle, and the struct
+        carries four.  Every write must cross the boundary."""
+        lib = NVDLASharedLibrary()
+        lib.reset()
+        for addr, value in (
+            (REG_IN_ADDR_LO, 0x1000), (REG_OUT_ADDR_LO, 0x8000),
+            (REG_IN_BLOCKS, 64), (REG_W_BLOCKS, 0),
+            (REG_COMPUTE_X16, 1), (REG_BLOCKS_PER_OUT, 1),
+            (REG_OP_ENABLE, 1),
+        ):
+            csb_write(lib, addr, value)
+        pack, unpack = lib.input_spec.pack, lib.output_spec.unpack
+        outstanding: list[int] = []
+        writes: list[int] = []
+        unacked = 0
+        for cycle in range(5_000):
+            if cycle < 20:
+                fields = {"credit": 255}
+            else:
+                seqs, outstanding = outstanding[:4], outstanding[4:]
+                acks = min(unacked, 7)
+                unacked -= acks
+                fields = {
+                    "credit": 255 if cycle % 4 == 0 else 0,
+                    "rd_resp_count": len(seqs),
+                    "rd_resp_seqs": seqs + [0] * (4 - len(seqs)),
+                    "wr_acks": acks,
+                }
+            out = unpack(lib.tick(pack(**fields)))
+            assert out["wr_count"] <= REQ_LANES
+            outstanding += out["rd_seqs"][: out["rd_count"]]
+            writes += out["wr_addrs"][: out["wr_count"]]
+            unacked += out["wr_count"]
+            if out["irq"]:
+                break
+        else:
+            pytest.fail(f"no IRQ; the bridge saw {len(writes)} of 64 writes")
+        assert writes == [0x8000 + 64 * i for i in range(64)]
+
+    def test_wrapper_rejects_more_requests_than_lanes(self):
+        lib = NVDLASharedLibrary()
+        lib.reset()
+        lib.core.step = lambda credit, seqs, acks: ([], [0] * (REQ_LANES + 1), 0)
+        with pytest.raises(RuntimeError, match="lanes"):
+            lib.tick(lib.input_spec.zeros())
+
+
+class DenseReference(NVDLASharedLibrary):
+    """The exchange as it was before it went sparse: all nine output
+    fields packed every cycle, lists padded then sliced."""
+
+    def tick(self, input_bytes: bytes) -> bytes:
+        inputs = self.input_spec.unpack(input_bytes)
+        core = self.core
+        csb_rvalid = csb_rdata = 0
+        if inputs["csb_valid"]:
+            if inputs["csb_write"]:
+                core.csb_write(inputs["csb_addr"], inputs["csb_wdata"])
+            else:
+                csb_rdata = core.csb_read(inputs["csb_addr"])
+                csb_rvalid = 1
+        resp_seqs = inputs["rd_resp_seqs"][: inputs["rd_resp_count"]]
+        reads, writes, irq = core.step(
+            inputs["credit"], resp_seqs, inputs["wr_acks"]
+        )
+        reads = list(reads)[:REQ_LANES]
+        writes = list(writes)[:REQ_LANES]
+        pad = [0] * REQ_LANES
+        self.ticks += 1
+        return self.output_spec.pack(
+            csb_rvalid=csb_rvalid,
+            csb_rdata=csb_rdata,
+            rd_count=len(reads),
+            rd_seqs=([r[0] for r in reads] + pad)[:REQ_LANES],
+            rd_addrs=([r[1] for r in reads] + pad)[:REQ_LANES],
+            rd_ports=([r[2] for r in reads] + pad)[:REQ_LANES],
+            wr_count=len(writes),
+            wr_addrs=(writes + pad)[:REQ_LANES],
+            irq=irq,
+        )
+
+
+class TestSparseExchange:
+    LAYERS = (
+        {REG_IN_ADDR_LO: 0x10_0000, REG_W_ADDR_LO: 0x20_0000,
+         REG_OUT_ADDR_LO: 0x30_0000, REG_IN_BLOCKS: 900, REG_W_BLOCKS: 120,
+         REG_COMPUTE_X16: 24, REG_BLOCKS_PER_OUT: 3, REG_SRAM_MODE: 0},
+        {REG_IN_ADDR_LO: 0x40_0000, REG_W_ADDR_LO: 0x50_0000,
+         REG_OUT_ADDR_LO: 0x60_0000, REG_IN_BLOCKS: 800, REG_W_BLOCKS: 0,
+         REG_COMPUTE_X16: 6, REG_BLOCKS_PER_OUT: 1, REG_SRAM_MODE: 1},
+    )
+    READABLE = (REG_ID, REG_STATUS, REG_IN_BLOCKS, REG_PERF_CYCLES,
+                REG_PERF_STALLS, REG_OUT_ADDR_LO, 0xFFC)
+
+    def test_random_legal_stream_is_byte_identical_to_the_dense_exchange(self):
+        rng = random.Random(20211)
+        lib, ref = NVDLASharedLibrary(), DenseReference()
+        lib.reset()
+        ref.reset()
+        pack, unpack = lib.input_spec.pack, lib.output_spec.unpack
+        outstanding: list[int] = []     # read tags awaiting a response
+        unacked = 0                     # writes awaiting an ack
+        cycles = quiet = 0
+
+        def cycle(write=None) -> tuple[dict, bool]:
+            """One random legal cycle; *write* is a CSB write to play,
+            which a random CSB read may displace (then False returns)."""
+            nonlocal cycles, quiet, unacked
+            rng.shuffle(outstanding)    # responses return out of order
+            count = rng.randint(0, min(4, len(outstanding)))
+            seqs = [outstanding.pop() for _ in range(count)]
+            acks = rng.randint(0, min(7, unacked))
+            unacked -= acks
+            csb, played = {}, False
+            if rng.random() < 0.15:
+                csb = {"csb_valid": 1, "csb_addr": rng.choice(self.READABLE)}
+            elif write is not None:
+                csb = {"csb_valid": 1, "csb_write": 1,
+                       "csb_addr": write[0], "csb_wdata": write[1]}
+                played = True
+            in_bytes = pack(
+                credit=rng.choice((0, 0, 1, 2, 5, 255, rng.randrange(256))),
+                rd_resp_count=count, rd_resp_seqs=seqs + [0] * (4 - count),
+                wr_acks=acks, **csb,
+            )
+            got, want = lib.tick(in_bytes), ref.tick(in_bytes)
+            assert got == want, f"cycle {cycles}: {unpack(got)} != {unpack(want)}"
+            out = unpack(want)
+            outstanding.extend(out["rd_seqs"][: out["rd_count"]])
+            unacked += out["wr_count"]
+            cycles += 1
+            quiet += want == lib.output_spec.zeros()
+            return out, played
+
+        def play(addr: int, value: int) -> None:
+            while not cycle((addr, value))[1]:
+                pass
+
+        for layer in self.LAYERS:
+            for addr, value in layer.items():
+                play(addr, value)
+            play(REG_OP_ENABLE, 1)
+            while not cycle()[0]["irq"]:
+                assert cycles < 50_000
+            assert not outstanding and not unacked
+            for _ in range(rng.randint(5, 40)):    # idle between layers
+                cycle()
+            play(REG_IRQ_CLEAR, 1)
+        assert cycles >= 2_000 and 0 < quiet < cycles
+        assert lib.core.csb_read(REG_STATUS) == 0
+        assert lib.checkpoint_state() == ref.checkpoint_state()
+
+
+class TestCreditOnlyInput:
+    def test_table_is_pack_of_the_credit_alone(self):
+        assert list(CREDIT_ONLY_INPUT) == [
+            NVDLA_INPUT.pack(credit=c) for c in range(256)
+        ]
+
+    def test_build_input_takes_it_for_every_credit_and_counts_stalls(self, sim):
+        rtl = NVDLARTLObject(sim, "nvdla", max_inflight=255)
+        for credit in range(256):
+            rtl.inflight = 255 - credit
+            assert rtl.build_input() == NVDLA_INPUT.pack(credit=credit)
+        assert rtl.st_credit_stalls.value() == 1
+        rtl.inflight = 300              # over the cap: still a stall, not < 0
+        assert rtl.build_input() == NVDLA_INPUT.pack(credit=0)
+        assert rtl.st_credit_stalls.value() == 2
+
+    def test_budget_above_the_field_saturates(self, sim):
+        wide = NVDLARTLObject(sim, "wide", max_inflight=1000)
+        assert wide.build_input() == NVDLA_INPUT.pack(credit=255)
+        uncapped = NVDLARTLObject(sim, "uncapped", max_inflight=None)
+        uncapped.inflight = 5000
+        assert uncapped.build_input() == NVDLA_INPUT.pack(credit=255)
+        assert wide.st_credit_stalls.value() == 0
+        assert uncapped.st_credit_stalls.value() == 0

@@ -53,3 +53,68 @@ class TestLifecycle:
         core = system.rtls[0].core
         assert not core.busy
         assert not core.irq_pending  # cleared by the trace's final command
+
+
+class TestRunEndsWithTheWorkload:
+    """``run_to_completion``: the system requests the exit itself."""
+
+    @pytest.mark.parametrize("n_nvdla", [1, 4])
+    def test_ends_when_the_last_csb_write_lands(self, n_nvdla):
+        system = build_nvdla_system("sanity3", n_nvdla, "DDR4-4ch", scale=0.1)
+        end = system.run_to_completion()
+        sim = system.soc.sim
+        assert end == sim.now
+        last_irq = max(h.finish_tick for h in system.hosts)
+        # IRQ_CLEAR crosses the IOMaster and the bus in a few cycles;
+        # the run does not go on to some polling boundary after it
+        assert last_irq < end <= last_irq + 10 * system.rtls[0].clock.period
+        assert not system.soc.iomaster.busy
+        for rtl, host in zip(system.rtls, system.hosts):
+            assert not rtl.core.busy and not rtl.core.irq_pending
+            assert not rtl._tick_event.scheduled
+            # the DSE metric is still doorbell to interrupt
+            assert host.exec_ticks() == host.finish_tick - host.start_tick
+
+    def test_ends_at_the_interrupt_when_nothing_follows_it(self):
+        system = build_nvdla_system("sanity3", 1, "ideal", scale=0.1)
+        host = system.hosts[0]
+        host._commands = host._commands[:-1]      # drop IRQ_CLEAR
+        end = system.run_to_completion()
+        assert end == host.finish_tick
+        assert system.rtls[0].core.irq_pending
+
+    def test_second_call_returns_at_once(self):
+        system = build_nvdla_system("sanity3", 1, "ideal", scale=0.1)
+        end = system.run_to_completion()
+        executed = system.soc.sim.eventq.executed
+        assert system.run_to_completion() == end
+        assert system.soc.sim.eventq.executed == executed
+
+    def test_later_events_stay_queued_for_a_following_run(self):
+        system = build_nvdla_system("sanity3", 1, "DDR4-1ch", scale=0.1)
+        end = system.run_to_completion()
+        sim = system.soc.sim
+        # the DRAM is still draining its write queue: those events are
+        # neither run nor dropped by the exit
+        pending = len(sim.eventq)
+        assert pending > 0
+        executed = sim.eventq.executed
+        assert sim.run(until=end + 1_000_000) == end + 1_000_000
+        assert sim.eventq.executed >= executed + pending
+
+    def test_timeout_reports_where_each_instance_stands(self):
+        system = build_nvdla_system("sanity3", 2, "DDR4-1ch", scale=0.1)
+        with pytest.raises(TimeoutError) as err:
+            system.run_to_completion(max_ticks=200_000)
+        message = str(err.value)
+        assert "within 200000 ticks" in message
+        for rtl, host in zip(system.rtls, system.hosts):
+            assert host.progress() in message
+            assert f"{rtl.name}: command 13/14, waiting_irq=True, busy=True" \
+                in message
+        assert "blocks " in message and "inflight=" in message \
+            and "csb_pending=0" in message
+        assert system.soc.sim.now == 200_000
+        # the partial run can be picked up again and finishes
+        system.run_to_completion()
+        assert all(h.done for h in system.hosts)

@@ -61,9 +61,13 @@ def restore(path):
     soc.restore(path)
 
 def run_to_end(end):
-    system.run_to_completion()
+    # where the workload ended the run is part of the contract: the
+    # stop tick is a property of the simulation, not of a polling grid
+    done_tick = system.run_to_completion()
     soc.sim.run(until=end)
-    return soc.sim.stats_dump()
+    stats = soc.sim.stats_dump()
+    stats["run_to_completion"] = done_tick
+    return stats
 """
 
 CHILD_TEMPLATE = """
@@ -121,3 +125,30 @@ def test_fresh_process_restore_is_bit_identical(tmp_path, setup,
                 for k, v in expected.items() if out["stats"].get(k) != v}
     assert not mismatch, f"stats diverged after restore: {mismatch}"
     assert len(out["stats"]) == len(expected)
+
+
+def test_nvdla_restore_between_irq_and_csb_drain(tmp_path):
+    """The narrowest window: the host app is done (it saw the IRQ and
+    posted IRQ_CLEAR) but the write has not reached the accelerator.
+    The restored run must still deliver it and end where the
+    uninterrupted run did."""
+    end = 12_000_000
+    ref = _exec_setup(NVDLA_SETUP)
+    expected = ref["run_to_end"](end)
+    irq_tick = ref["system"].hosts[0].finish_tick
+    done_tick = expected["run_to_completion"]
+    assert irq_tick + 1 < done_tick
+
+    saver = _exec_setup(NVDLA_SETUP)
+    ckpt = tmp_path / "draining.ckpt"
+    saved_tick = saver["save_at"](irq_tick + 1, ckpt)
+    assert irq_tick < saved_tick < done_tick
+    assert saver["system"].hosts[0].done
+    assert saver["soc"].iomaster.busy
+    assert saver["system"].rtls[0].core.irq_pending
+
+    out = _restore_in_fresh_process(NVDLA_SETUP, ckpt, end,
+                                    tmp_path / "out.json")
+    assert out["stats"]["run_to_completion"] == done_tick
+    assert out["stats"] == expected
+    assert out["now"] == ref["soc"].sim.now

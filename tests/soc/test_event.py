@@ -429,6 +429,115 @@ class TestRunUntil:
         assert q.executed == 4
 
 
+class TestExitRequest:
+    """``request_exit``: the run ends after the current tick's events."""
+
+    def test_same_tick_events_of_every_priority_run_first(self):
+        q = EventQueue()
+        fired = []
+        q.schedule_fn(lambda: fired.append("clock"), 10, EventPriority.CLOCK)
+
+        def requester():
+            fired.append("requester")
+            q.request_exit()
+            # scheduled *after* the request, for this very tick
+            q.schedule_fn(lambda: fired.append("late"), 10,
+                          EventPriority.MINIMUM)
+
+        q.schedule_fn(requester, 10, EventPriority.DEFAULT)
+        q.schedule_fn(lambda: fired.append("default"), 10)
+        q.schedule_fn(lambda: fired.append("stats"), 10, EventPriority.STATS)
+        q.schedule_fn(lambda: fired.append("max"), 10, EventPriority.MAXIMUM)
+        q.schedule_fn(lambda: fired.append("next"), 11, EventPriority.MINIMUM)
+        assert q.run(until=1000) == 10
+        assert fired == ["clock", "requester", "late", "default", "stats",
+                         "max"]
+
+    def test_cur_tick_is_the_exit_tick_not_until(self):
+        q = EventQueue()
+        q.schedule_fn(q.request_exit, 40)
+        q.schedule_fn(lambda: None, 5000)
+        assert q.run(until=1000) == 40
+        assert q.cur_tick == 40
+
+    def test_cur_tick_is_the_exit_tick_when_the_queue_drains(self):
+        q = EventQueue()
+        q.schedule_fn(q.request_exit, 40)
+        assert q.run(until=1000) == 40
+        # the request was consumed: an empty run advances to until again
+        assert q.run(until=1000) == 1000
+
+    def test_later_events_survive_and_the_next_run_continues(self):
+        q = EventQueue()
+        fired = []
+        q.schedule_fn(q.request_exit, 10)
+        for t in (20, 30):
+            q.schedule_fn(lambda t=t: fired.append(t), t)
+        q.run(until=100)
+        assert fired == [] and len(q) == 2
+        assert q.run(until=100) == 100
+        assert fired == [20, 30]
+
+    def test_request_survives_a_max_events_return(self):
+        q = EventQueue()
+        fired = []
+        q.schedule_fn(q.request_exit, 10)
+        q.schedule_fn(lambda: fired.append("same"), 10)
+        q.schedule_fn(lambda: fired.append("later"), 20)
+        q.run(max_events=1)
+        assert fired == []
+        assert q.run(until=100) == 10
+        assert fired == ["same"]
+
+    def test_request_inside_nested_service_one_ends_the_enclosing_run(self):
+        # the checkpoint engine steps the queue with service_one from
+        # inside an event; a request made there must end the outer run
+        q = EventQueue()
+        fired = []
+
+        def stepper():
+            assert q.service_one()      # runs the requester
+            fired.append("stepper")
+
+        q.schedule_fn(stepper, 10)
+        q.schedule_fn(q.request_exit, 10)
+        q.schedule_fn(lambda: fired.append("same"), 10, EventPriority.STATS)
+        q.schedule_fn(lambda: fired.append("later"), 20)
+        assert q.run(until=100) == 10
+        assert fired == ["stepper", "same"]
+
+    def test_request_from_service_one_outside_run_ends_the_next_run(self):
+        q = EventQueue()
+        fired = []
+        q.schedule_fn(q.request_exit, 10)
+        q.schedule_fn(lambda: fired.append("same"), 10)
+        q.schedule_fn(lambda: fired.append("later"), 20)
+        assert q.service_one()
+        assert q.service_one() and fired == ["same"]   # not stopped by it
+        assert q.run(until=100) == 10
+        assert fired == ["same"]
+        assert q.run(until=100) == 100 and fired == ["same", "later"]
+
+    def test_request_leaves_nothing_in_the_queue(self):
+        q = EventQueue()
+        q.schedule_fn(lambda: None, 20)
+        q.request_exit()
+        assert len(q) == 1 and [e[3].name for e in q.live_entries()] == ["fn"]
+
+    def test_clear_drops_a_pending_request(self):
+        q = EventQueue()
+        q.request_exit()
+        q.clear()
+        q.schedule_fn(lambda: None, 20)
+        assert q.run(until=100) == 100
+
+    def test_simulation_delegates(self, sim):
+        sim.eventq.schedule_fn(sim.request_exit, 30)
+        sim.eventq.schedule_fn(lambda: None, 60)
+        assert sim.run(until=1000) == 30
+        assert sim.now == 30
+
+
 class TestClockDomain:
     def test_2ghz_period(self):
         assert frequency_to_period(2e9) == 500

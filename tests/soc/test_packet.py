@@ -27,6 +27,46 @@ class TestMemCmd:
             MemCmd.WritebackDirty.response_for()
 
 
+class TestMemCmdTable:
+    """Every member against the membership lists written out here."""
+
+    M = MemCmd
+    MEMBERS = {
+        "is_read": [M.ReadReq, M.ReadResp, M.PrefetchReq, M.PrefetchResp,
+                    M.ReadExReq, M.ReadExResp],
+        "is_write": [M.WriteReq, M.WriteResp, M.WritebackDirty],
+        "is_request": [M.ReadReq, M.WriteReq, M.WritebackDirty,
+                       M.PrefetchReq, M.ReadExReq, M.UpgradeReq, M.SnoopReq],
+        "is_response": [M.ReadResp, M.WriteResp, M.PrefetchResp,
+                        M.ReadExResp, M.UpgradeResp, M.SnoopResp],
+        "needs_response": [M.ReadReq, M.WriteReq, M.PrefetchReq,
+                           M.ReadExReq, M.UpgradeReq],
+    }
+    RESPONSES = {
+        M.ReadReq: M.ReadResp,
+        M.WriteReq: M.WriteResp,
+        M.PrefetchReq: M.PrefetchResp,
+        M.ReadExReq: M.ReadExResp,
+        M.UpgradeReq: M.UpgradeResp,
+        M.SnoopReq: M.SnoopResp,
+    }
+
+    @pytest.mark.parametrize("cmd", list(MemCmd), ids=lambda c: c.name)
+    def test_predicates(self, cmd):
+        for predicate, members in self.MEMBERS.items():
+            assert getattr(cmd, predicate) is (cmd in members), predicate
+            pkt = Packet(cmd, 0x40, 64)
+            assert getattr(pkt, predicate) is (cmd in members), predicate
+
+    @pytest.mark.parametrize("cmd", list(MemCmd), ids=lambda c: c.name)
+    def test_response_for(self, cmd):
+        if cmd in self.RESPONSES:
+            assert cmd.response_for() is self.RESPONSES[cmd]
+        else:
+            with pytest.raises(ValueError, match="does not take a response"):
+                cmd.response_for()
+
+
 class TestPacket:
     def test_ids_are_unique(self):
         a = Packet(MemCmd.ReadReq, 0, 8)
