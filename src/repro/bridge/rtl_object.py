@@ -106,9 +106,6 @@ class RTLObject(SimObject):
 
         self._tick_event = Event(self._tick, f"{name}.tick")
         self._running = True
-        # Coalesced busy/batched window for the Chrome tracer:
-        # (kind, start_tick, end_tick) of the span being extended.
-        self._span: Optional[tuple[str, int, int]] = None
         # Last output struct decoded, as (bytes, fields).
         self._decoded: tuple[bytes, dict] = (b"", {})
 
@@ -135,7 +132,6 @@ class RTLObject(SimObject):
     def stop(self) -> None:
         """Stop ticking (end of workload)."""
         self._running = False
-        self._flush_span()
         if self._tick_event.scheduled:
             self.sim.eventq.deschedule(self._tick_event)
 
@@ -143,38 +139,23 @@ class RTLObject(SimObject):
 
     def _tick(self) -> None:
         n = self._batch_window()
-        in_bytes = self._tick_prologue(n)
-        if n > 1:
-            out_bytes = self.library.tick_batch(in_bytes, n)
-        else:
-            out_bytes = self.library.tick(in_bytes)
-        self._tick_epilogue(n, out_bytes)
-
-    def _tick_prologue(self, n: int) -> bytes:
-        """Everything before the model call: tracing + input packing.
-
-        Split from :meth:`_tick` so the bulk-synchronous scheduler
-        (:mod:`repro.rtl.parallel.sched`) can run every group member's
-        input phase before any model ticks; the serial path above is
-        behaviourally identical to the pre-split code.  Tracing costs
-        nothing beyond its two tests while it is off.
-        """
+        # Tracing costs nothing beyond its two tests while it is off.
         if FLAG_RTL_BATCH.enabled:
             self._trace_batch(n)
         tracer = get_chrome_tracer()
         if tracer is not None and tracer.enabled:
             now = self.sim.eventq.cur_tick
-            self._note_window(
-                "batched" if n > 1 else "busy", now, now + n * self.clock.period
+            period = self.clock.period
+            tracer.window(
+                "rtl batched" if n > 1 else "rtl busy", f"rtl:{self.name}",
+                now, now + n * period, period,
             )
-        else:
-            self._span = None
-        return self.build_input()
-
-    def _tick_epilogue(self, n: int, out_bytes: bytes) -> None:
-        """Everything after the model call: stats, output, reschedule."""
+        in_bytes = self.build_input()
         if n > 1:
+            out_bytes = self.library.tick_batch(in_bytes, n)
             self.st_batched_ticks.inc(n)
+        else:
+            out_bytes = self.library.tick(in_bytes)
         self.st_ticks.inc(n)
         # Decoding is a pure function of the bytes, and a quiet model
         # returns the same struct for thousands of ticks: keep the last
@@ -210,35 +191,7 @@ class RTLObject(SimObject):
                 tick=self.now,
             )
 
-    # -- Chrome busy/idle windows ------------------------------------------
-
-    def _note_window(self, kind: str, start: int, end: int) -> None:
-        """Extend or flush the coalesced busy/batched span for Perfetto."""
-        span = self._span
-        if span is not None and span[0] == kind and span[2] == start:
-            self._span = (kind, span[1], end)
-            return
-        self._flush_span()
-        self._span = (kind, start, end)
-
-    def _flush_span(self) -> None:
-        span = self._span
-        self._span = None
-        if span is None:
-            return
-        tracer = get_chrome_tracer()
-        if tracer is None:
-            return
-        kind, start, end = span
-        tracer.span(
-            f"rtl {kind}", f"rtl:{self.name}", start, end,
-            args={"cycles": (end - start) // self.clock.period},
-        )
-
-    #: sentinel: _batch_window should ask the event queue for a horizon
-    _QUEUE_HORIZON = object()
-
-    def _batch_window(self, horizon: object = _QUEUE_HORIZON) -> int:
+    def _batch_window(self) -> int:
         """RTL cycles to advance on this event-queue pop.
 
         The window is the model's own quiescence bound
@@ -249,19 +202,13 @@ class RTLObject(SimObject):
         exactly as in the unbatched schedule.  This keeps the paper's
         frequency-ratio semantics: batched or not, edge k is simulated
         at tick ``k * period``.
-
-        *horizon* overrides the event-queue query (``None`` = unbounded)
-        — the group scheduler passes the horizon a serial run would have
-        observed, including entries it is still holding in a capture
-        buffer.
         """
         if self.batch_cycles <= 1:
             return 1
         limit = min(self.batch_cycles, self.idle_cycles())
         if limit <= 1:
             return 1
-        if horizon is RTLObject._QUEUE_HORIZON:
-            horizon = self.sim.eventq.next_event_tick()
+        horizon = self.sim.eventq.next_event_tick()
         if horizon is not None:
             limit = min(limit, (horizon - self.now) // self.clock.period)
         return max(1, limit)
@@ -476,5 +423,4 @@ class RTLObject(SimObject):
         )
         self.inflight = state["inflight"]
         self._running = state["running"]
-        self._span = None
         self.library.load_checkpoint_state(state["library"])

@@ -271,7 +271,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
         jobs=args.jobs, cache=cache,
         point_timeout=args.point_timeout, keep_going=args.keep_going,
         progress=_progress(n_points, "dse"), stats=stats,
-        rtl_jobs=args.rtl_jobs,
     )
     _report_run_stats(stats)
     print(render_dse(result, inflight_sweep=inflight))
@@ -289,8 +288,7 @@ def cmd_table3(args: argparse.Namespace) -> int:
 
     stats = _setup_resilience(args)
     rows = run_table3(jobs=args.jobs, point_timeout=args.point_timeout,
-                      keep_going=args.keep_going, stats=stats,
-                      rtl_jobs=args.rtl_jobs)
+                      keep_going=args.keep_going, stats=stats)
     _report_run_stats(stats)
     print(render_table3(rows))
     return 0
@@ -508,10 +506,8 @@ def cmd_verify_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_equiv(args: argparse.Namespace) -> int:
-    from .rtl.parallel.partition import PartitionError
-    from .verify import EquivResult, check_equivalence, load_corpus
+    from .verify import check_equivalence, load_corpus
 
-    rtl_jobs = getattr(args, "rtl_jobs", 1)
     status = 0
     for design in _verify_targets(args.design):
         corpus = []
@@ -525,28 +521,13 @@ def cmd_verify_equiv(args: argparse.Namespace) -> int:
         make_ref = None
         if args.opt_level:
             make_ref = lambda: design.make_sim(backend="interp")  # noqa: B023,E731
-
-        def make(backend: str, design=design):
-            # --rtl-jobs N>1 swaps the fast path under test for the
-            # tier-(b) partitioned simulator; the interpreter reference
-            # is untouched, so the lockstep compare gates the cut.
-            if backend == "codegen" and rtl_jobs > 1:
-                return design.make_sim(backend="partitioned",
-                                       opt_level=args.opt_level,
-                                       parts=rtl_jobs)
-            return design.make_sim(backend=backend,
-                                   opt_level=args.opt_level)
-
-        try:
-            result = check_equivalence(
-                make,
-                design=design.name, stimuli=corpus, seed=args.seed,
-                random_runs=args.runs, cycles=args.cycles,
-                make_ref=make_ref,
-            )
-        except PartitionError as err:
-            result = EquivResult(design.name, 0, 0,
-                                 skipped=f"not partitionable: {err}")
+        result = check_equivalence(
+            lambda backend: design.make_sim(backend=backend,
+                                            opt_level=args.opt_level),
+            design=design.name, stimuli=corpus, seed=args.seed,
+            random_runs=args.runs, cycles=args.cycles,
+            make_ref=make_ref,
+        )
         print(result.format())
         if not result.ok:
             status = 1
@@ -566,7 +547,6 @@ def cmd_verify_coherence(args: argparse.Namespace) -> int:
         try:
             result = run_sharing_stress(
                 cores=n, ops=args.ops, seed=args.seed, rtl=args.rtl,
-                rtl_jobs=args.rtl_jobs,
             )
         except (ProtocolError, TimeoutError) as err:
             print(f"sharers={n}: FAIL: {err}")
@@ -714,12 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fan independent simulations over N "
                             "worker processes (default 1 = serial)")
 
-    def add_rtl_jobs(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--rtl-jobs", type=int, default=1, metavar="N",
-                       help="tick RTL instances *within* one simulation "
-                            "over N pool workers (bit-identical results; "
-                            "default 1 = serial)")
-
     def add_trace_opts(p: argparse.ArgumentParser) -> None:
         g = p.add_argument_group("tracing (repro.trace)")
         g.add_argument("--debug-flags", default=None,
@@ -805,14 +779,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ignore and do not write the on-disk point cache "
                         "(benchmarks/out/cache)")
     add_jobs(p)
-    add_rtl_jobs(p)
     add_trace_opts(p)
     add_resilience_opts(p)
     p.set_defaults(fn=cmd_dse)
 
     p = sub.add_parser("table3", help="full-system vs standalone overhead")
     add_jobs(p)
-    add_rtl_jobs(p)
     add_trace_opts(p)
     add_resilience_opts(p)
     p.set_defaults(fn=cmd_table3)
@@ -935,10 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "benchmarks", "out", "corpus"),
                     metavar="DIR",
                     help="replay persisted fuzz corpora from here")
-    vp.add_argument("--rtl-jobs", type=int, default=1, metavar="N",
-                    help="compare the tier-(b) partitioned simulator "
-                         "(cut into N parts) against the interpreter "
-                         "instead of the fused codegen kernel")
     add_opt_level(vp)
     vp.set_defaults(fn=cmd_verify_equiv)
 
@@ -954,9 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--rtl", action="store_true",
                     help="include the RTL cache as an extra coherence "
                          "participant (lockstep-checked)")
-    vp.add_argument("--rtl-jobs", type=int, default=1, metavar="N",
-                    help="run the RTL participant through the pooled "
-                         "same-timestamp tick engine")
     vp.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="also fan the sweep over N pool workers and "
                          "require bit-identical results")

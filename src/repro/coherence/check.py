@@ -240,9 +240,9 @@ def build_sharing_system(
     """N private L1s (plus optional RTL write-through participants)
     behind a coherent crossbar and a snooping directory.
 
-    *rtl* is a participant count (``True`` means one); two or more give
-    the tier-(a) parallel tick engine multiple same-timestamp RTL
-    instances to pool.
+    *rtl* is a participant count (``True`` means one); two or more
+    write-through RTL caches invalidate each other through the
+    directory.
     """
     from ..soc.interconnect import CoherentXbar
     from ..soc.mem import IdealMemory
@@ -360,7 +360,6 @@ def run_sharing_stress(
     seed: int = 0,
     rtl: bool | int = False,
     paranoid: bool = True,
-    rtl_jobs: int = 1,
     check_every: int = 2_000,
     max_cycles: int = 4_000_000,
     **build_kwargs,
@@ -371,13 +370,6 @@ def run_sharing_stress(
     system = build_sharing_system(cores=cores, ops=ops, seed=seed, rtl=rtl,
                                   paranoid=paranoid, **build_kwargs)
     sim = system.sim
-    sched = None
-    if rtl_jobs > 1:
-        from ..bridge.rtl_object import RTLObject
-        from ..rtl.parallel.sched import attach_parallel_rtl
-
-        rtl_objs = [o for o in sim.objects if isinstance(o, RTLObject)]
-        sched = attach_parallel_rtl(sim, rtl_objs, rtl_jobs)
     sim.startup()
 
     clock = sim.default_clock
@@ -393,20 +385,16 @@ def run_sharing_stress(
             return False
         return system.directory.quiet
 
-    try:
-        while not quiet():
-            if sim.now >= end:
-                raise TimeoutError(
-                    f"sharing stress did not converge within {max_cycles} "
-                    f"cycles "
-                    f"({sum(d.responses for d in system.drivers)} responses)"
-                )
-            sim.run(until=sim.now + step)
-            check_coherence_invariants(system)
+    while not quiet():
+        if sim.now >= end:
+            raise TimeoutError(
+                f"sharing stress did not converge within {max_cycles} "
+                f"cycles "
+                f"({sum(d.responses for d in system.drivers)} responses)"
+            )
+        sim.run(until=sim.now + step)
         check_coherence_invariants(system)
-    finally:
-        if sched is not None:
-            sched.close()
+    check_coherence_invariants(system)
 
     # golden data-integrity: sync dirty lines, then the memory image
     # must equal the replayed write sets exactly
@@ -444,10 +432,3 @@ def run_sharing_stress(
         "checksums": [d.checksum for d in system.drivers],
         "stats": sim.stats_dump(),
     }
-
-
-def _stress_point(point) -> dict:
-    """Module-level worker for pool-mode fan-out (picklable)."""
-    cores, ops, seed, rtl = point
-    return run_sharing_stress(cores=int(cores), ops=int(ops), seed=int(seed),
-                              rtl=bool(rtl))

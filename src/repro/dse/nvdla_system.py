@@ -16,7 +16,6 @@ from ..models.nvdla import (
     NVDLASharedLibrary,
     for_instance,
 )
-from ..rtl.parallel.sched import ParallelTickScheduler, attach_parallel_rtl
 from ..soc.interconnect.xbar import AddrRange
 from ..soc.system import SoC, SoCConfig
 
@@ -31,8 +30,6 @@ class NVDLASystem:
     soc: SoC
     rtls: list[NVDLARTLObject]
     hosts: list[NVDLAHostApp]
-    #: tier-(a) group scheduler when ``rtl_jobs > 1`` wired one, else None
-    parallel: Optional["ParallelTickScheduler"] = None
 
     def __post_init__(self) -> None:
         # The workload ends the run: whichever of "last command played"
@@ -41,16 +38,6 @@ class NVDLASystem:
             host.on_done(self._exit_if_complete)
         for io in {host.io for host in self.hosts}:
             io.on_drain(self._exit_if_complete)
-
-    def close(self) -> None:
-        """Tear down the parallel scheduler, if any (idempotent).
-
-        Worker model state is synced back into the local libraries so
-        post-run checkpoints and inspection see the real thing.
-        """
-        if self.parallel is not None:
-            self.parallel.close()
-            self.parallel = None
 
     @property
     def complete(self) -> bool:
@@ -74,16 +61,13 @@ class NVDLASystem:
         checkpoint stops where the uninterrupted one does.
         """
         sim = self.soc.sim
-        try:
-            for host in self.hosts:
-                host.start()
-            sim.startup()
-            # restored from a checkpoint taken in the completing tick:
-            # the request is not saved, the state that made it is
-            self._exit_if_complete()
-            sim.run(until=sim.now + max_ticks)
-        finally:
-            self.close()
+        for host in self.hosts:
+            host.start()
+        sim.startup()
+        # restored from a checkpoint taken in the completing tick:
+        # the request is not saved, the state that made it is
+        self._exit_if_complete()
+        sim.run(until=sim.now + max_ticks)
         if not self.complete:
             raise TimeoutError(
                 f"NVDLA workload did not complete within {max_ticks} ticks ("
@@ -103,7 +87,6 @@ def build_nvdla_system(
     scale: float = 1.0,
     soc_cfg: Optional[SoCConfig] = None,
     use_sram_scratchpad: bool = False,
-    rtl_jobs: int = 1,
 ) -> NVDLASystem:
     """Assemble the DSE system.
 
@@ -112,9 +95,7 @@ def build_nvdla_system(
     request cap, applied per NVDLA instance.  ``use_sram_scratchpad``
     hooks the SRAMIF to a private ideal scratchpad instead of main
     memory (the extension the paper suggests), used by the ablation
-    bench.  ``rtl_jobs > 1`` ticks the NVDLA instances through the
-    tier-(a) worker pool (bit-identical results by contract; falls back
-    to serial when fork is unavailable or there is only one instance).
+    bench.
     """
     if n_nvdla < 1:
         raise ValueError("need at least one NVDLA instance")
@@ -158,8 +139,4 @@ def build_nvdla_system(
         rtls.append(rtl)
         hosts.append(host)
 
-    # Wire the group scheduler before startup: tick events must not be
-    # scheduled yet, and the fork must happen while the libraries still
-    # hold their pristine (pre-reset) state.
-    parallel = attach_parallel_rtl(soc.sim, rtls, jobs=rtl_jobs)
-    return NVDLASystem(soc, rtls, hosts, parallel=parallel)
+    return NVDLASystem(soc, rtls, hosts)

@@ -39,17 +39,11 @@ def measure_exec_ticks(
     memory: str,
     max_inflight: int,
     scale: float,
-    rtl_jobs: int = 1,
 ) -> int:
-    """One DSE point: slowest instance's doorbell-to-IRQ time.
-
-    ``rtl_jobs > 1`` ticks the NVDLA instances through the tier-(a)
-    worker pool; the returned tick count is bit-identical either way
-    (which is why it is *not* part of the point cache key).
-    """
+    """One DSE point: slowest instance's doorbell-to-IRQ time."""
     system = build_nvdla_system(
         workload, n_nvdla=n_nvdla, memory=memory,
-        max_inflight=max_inflight, scale=scale, rtl_jobs=rtl_jobs,
+        max_inflight=max_inflight, scale=scale,
     )
     system.run_to_completion()
     return max(host.exec_ticks() for host in system.hosts)
@@ -97,12 +91,9 @@ def _dse_point(point: tuple) -> dict:
     deterministic tick count plus the (host-dependent, never cached
     *into* the tick data) wall cost of producing it.
     """
-    # legacy 5-tuple points (no rtl_jobs element) still measure serially
-    workload, n_nvdla, memory, inflight, scale, *rest = point
-    rtl_jobs = rest[0] if rest else 1
+    workload, n_nvdla, memory, inflight, scale = point
     t0 = time.perf_counter()
-    ticks = measure_exec_ticks(workload, n_nvdla, memory, inflight, scale,
-                               rtl_jobs=rtl_jobs)
+    ticks = measure_exec_ticks(workload, n_nvdla, memory, inflight, scale)
     return {"ticks": ticks, "seconds": time.perf_counter() - t0}
 
 
@@ -118,18 +109,15 @@ def run_dse(
     keep_going: bool = False,
     progress=None,
     stats=None,
-    rtl_jobs: int = 1,
 ) -> DSEResult:
     """Regenerate one subfigure of Fig. 6 (googlenet) / Fig. 7 (sanity3).
 
     ``jobs > 1`` fans the points over worker processes; ``cache``
     short-circuits points already simulated by this code version.
-    ``rtl_jobs > 1`` additionally parallelises *within* each multi-NVDLA
-    point via the tier-(a) RTL worker pool.  Results are bit-identical
-    regardless of any of these options (rtl_jobs is therefore excluded
-    from the cache key).  With ``keep_going=True`` a failed point shows
-    up as NaN in the normalised sweep instead of aborting it (the
-    ideal-memory baseline is the one point that must succeed).
+    Results are bit-identical regardless of either option.  With
+    ``keep_going=True`` a failed point shows up as NaN in the
+    normalised sweep instead of aborting it (the ideal-memory baseline
+    is the one point that must succeed).
     """
     from ..parallel import PointFailure
     if scale is None:
@@ -137,10 +125,10 @@ def run_dse(
     t0 = time.perf_counter()
     # Point 0 is the ideal-memory normalisation baseline.
     points: list[tuple] = [
-        (workload, n_nvdla, "ideal", max(inflight_sweep), scale, rtl_jobs)
+        (workload, n_nvdla, "ideal", max(inflight_sweep), scale)
     ]
     points += [
-        (workload, n_nvdla, memory, inflight, scale, rtl_jobs)
+        (workload, n_nvdla, memory, inflight, scale)
         for memory in memories
         for inflight in inflight_sweep
     ]
@@ -337,13 +325,11 @@ def run_standalone(workload: str, scale: float) -> float:
     return time.perf_counter() - t0
 
 
-def run_full_system(
-    workload: str, memory: str, scale: float, rtl_jobs: int = 1
-) -> float:
+def run_full_system(workload: str, memory: str, scale: float) -> float:
     """gem5+NVDLA wall time, including the timed trace-load phase."""
     system = build_nvdla_system(
         workload, n_nvdla=1, memory=memory, max_inflight=240,
-        timed_load=True, scale=scale, rtl_jobs=rtl_jobs,
+        timed_load=True, scale=scale,
     )
     t0 = time.perf_counter()
     system.run_to_completion()
@@ -354,11 +340,10 @@ def _table3_row(point: tuple) -> Table3Result:
     """Worker: one Table 3 row.  The three timed runs stay inside one
     worker so their *ratio* (the reported result) is taken on a single,
     equally loaded core."""
-    workload, scale, *rest = point
-    rtl_jobs = rest[0] if rest else 1
+    workload, scale = point
     t_alone = run_standalone(workload, scale)
-    t_perfect = run_full_system(workload, "ideal", scale, rtl_jobs)
-    t_ddr4 = run_full_system(workload, "DDR4-4ch", scale, rtl_jobs)
+    t_perfect = run_full_system(workload, "ideal", scale)
+    t_ddr4 = run_full_system(workload, "DDR4-4ch", scale)
     return Table3Result(workload, t_alone, t_perfect, t_ddr4)
 
 
@@ -370,7 +355,6 @@ def run_table3(
     keep_going: bool = False,
     progress=None,
     stats=None,
-    rtl_jobs: int = 1,
 ) -> list[Table3Result]:
     """Reproduce Table 3: full-system overhead vs standalone simulation.
 
@@ -382,7 +366,7 @@ def run_table3(
     from ..parallel import PointFailure
 
     scales = scales or DEFAULT_SCALES
-    points = [(w, scales.get(w, 1.0), rtl_jobs) for w in workloads]
+    points = [(w, scales.get(w, 1.0)) for w in workloads]
     rows = run_points(points, _table3_row, jobs=jobs,
                       point_timeout=point_timeout, keep_going=keep_going,
                       progress=progress, stats=stats)

@@ -121,11 +121,6 @@ class EventQueue:
         self._heap: list[tuple[int, int, int, _Handle]] = []
         self._seq = 0
         self._live = 0
-        # When not None, schedule() routes new entries here instead of
-        # the heap; seq numbers are assigned at flush time so a group
-        # dispatcher can replay the serial interleaving exactly (see the
-        # "same-timestamp group dispatch" section below).
-        self._defer: Optional[list[tuple[int, int, _Handle]]] = None
         # Tick after which run() returns (see request_exit), else None.
         self._exit_after: Optional[int] = None
         self.cur_tick = 0
@@ -162,12 +157,9 @@ class EventQueue:
             raise RuntimeError(f"{event.name} is already scheduled")
         handle = event._entry = _Handle(tick, event.callback, event.name)
         self._live += 1
-        if self._defer is None:
-            seq = self._seq
-            self._seq = seq + 1
-            heapq.heappush(self._heap, (tick, priority, seq, handle))
-        else:
-            self._defer.append((tick, priority, handle))
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (tick, priority, seq, handle))
         return event
 
     def schedule_fn(
@@ -276,94 +268,16 @@ class EventQueue:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
 
-    # -- same-timestamp group dispatch (parallel RTL) --------------------
-    #
-    # The bulk-synchronous RTL scheduler (repro.rtl.parallel.sched) runs
-    # several clock-edge events that landed on one timestamp as a single
-    # group: peel the remaining members off the heap top, run all their
-    # input phases, barrier on the worker pool, run all their output
-    # phases.  Checkpoints serialize raw seq numbers and the executed
-    # counter, so the group path must be indistinguishable from serial
-    # pops: peel_group accounts each member exactly like the run loop
-    # would, and schedule() calls made inside a capture window are
-    # buffered and flushed in the serial phase interleaving so they
-    # receive the exact seq values a serial run would have assigned.
-
-    def peel_group(
-        self, tick: int, priority: int, handles
-    ) -> list[_Handle]:
-        """Pop adjacent live entries at (*tick*, *priority*) found in *handles*.
-
-        Stops at the first entry that is at a different time/priority or
-        is not a group member.  Dead entries on the way are discarded
-        exactly as the main loop would discard them.  Each peeled member
-        is marked fired (``executed``/live-count updated as if popped by
-        :meth:`run`); returns the peeled handles in firing (seq) order.
-        """
-        heap = self._heap
-        out: list[_Handle] = []
-        while heap:
-            top = heap[0]
-            if not top[3].alive:
-                heapq.heappop(heap)
-                continue
-            if top[0] != tick or top[1] != priority or top[3] not in handles:
-                break
-            heapq.heappop(heap)
-            handle = top[3]
-            handle.alive = False
-            self._live -= 1
-            self.executed += 1
-            out.append(handle)
-        return out
-
-    def begin_capture(self) -> None:
-        """Route subsequent :meth:`schedule` calls into a buffer.
-
-        Handles are created and live-count accounting happens as usual
-        (``Event.scheduled``/``len()`` stay truthful); only the heap
-        insertion and seq assignment are deferred to
-        :meth:`flush_captured`.
-        """
-        if self._defer is not None:
-            raise RuntimeError("a capture window is already active")
-        self._defer = []
-
-    def end_capture(self) -> list[tuple[int, int, _Handle]]:
-        """Close the capture window, returning its buffered entries."""
-        buf = self._defer
-        if buf is None:
-            raise RuntimeError("no capture window is active")
-        self._defer = None
-        return buf
-
-    def flush_captured(
-        self, entries: list[tuple[int, int, _Handle]]
-    ) -> None:
-        """Push captured entries, assigning consecutive seq numbers.
-
-        The caller concatenates its capture buffers in the order a
-        serial run would have issued the schedule() calls, so seq
-        allocation — and therefore checkpoint bytes — match the serial
-        schedule exactly.  Entries descheduled while buffered are pushed
-        too (dead), mirroring the lazy-cancellation path.
-        """
-        heap = self._heap
-        for tick, priority, handle in entries:
-            heapq.heappush(heap, (tick, priority, self._seq, handle))
-            self._seq += 1
-
     # -- main loop -------------------------------------------------------
 
     def request_exit(self) -> None:
         """End the run at the current tick (gem5's ``exitSimLoop``).
 
         :meth:`run` returns once every event of the current tick, at
-        every priority, has fired — a same-timestamp group dispatch
-        always completes — with ``cur_tick`` left at this tick, not at
-        ``until``.  Later events stay queued and the next :meth:`run`
-        resumes with them.  The request is a value the loop compares
-        with, not an event: there is nothing in the queue for a
+        every priority, has fired, with ``cur_tick`` left at this tick,
+        not at ``until``.  Later events stay queued and the next
+        :meth:`run` resumes with them.  The request is a value the loop
+        compares with, not an event: there is nothing in the queue for a
         checkpoint to serialize, and :meth:`service_one` (the checkpoint
         engine's stepping) neither consumes it nor stops for it, so a
         request made there ends the enclosing or the next :meth:`run`.

@@ -50,6 +50,9 @@ class ChromeTracer:
         self.events: list[dict] = []
         self.host_totals: dict[str, list] = {}  # name -> [count, seconds]
         self._tids: dict[tuple[int, str], int] = {}
+        # Coalesced windows (RTL busy/batched): per track, the span being
+        # extended, as (name, start_tick, end_tick, period).
+        self._windows: dict[str, tuple[str, int, int, int]] = {}
         self._host_t0 = time.perf_counter()
         self._host_recorded = 0
         self._finished = False
@@ -104,6 +107,34 @@ class ChromeTracer:
             "args": args or {},
         })
 
+    def window(self, name: str, track: str, start_tick: int, end_tick: int,
+               period: int) -> None:
+        """Extend *track*'s open window, or emit it and open a new one.
+
+        Back-to-back windows of one name coalesce into a single span
+        whose ``cycles`` argument counts *period* ticks.  The open span
+        is held here, not by the caller, so that whoever ends tracing
+        (:meth:`close_windows`) can emit it.
+        """
+        if not self.enabled:
+            return
+        cur = self._windows.get(track)
+        if cur is not None and cur[0] == name and cur[2] == start_tick:
+            start_tick = cur[1]
+        elif cur is not None:
+            self.span(cur[0], track, cur[1], cur[2],
+                      args={"cycles": (cur[2] - cur[1]) // cur[3]})
+        self._windows[track] = (name, start_tick, end_tick, period)
+
+    def close_windows(self, tick: Optional[int] = None) -> None:
+        """Emit every open window, ending no later than *tick*."""
+        for track, (name, start, end, period) in self._windows.items():
+            if tick is not None and tick < end:
+                end = tick
+            self.span(name, track, start, end,
+                      args={"cycles": (end - start) // period})
+        self._windows.clear()
+
     def counter(self, name: str, tick: int, values: dict) -> None:
         if not self.enabled:
             return
@@ -155,6 +186,7 @@ class ChromeTracer:
         if self._finished:
             return self.path
         self._finished = True
+        self.close_windows()
         text = self.to_json()
         if self.stream is not None:
             self.stream.write(text)

@@ -164,6 +164,9 @@ class TraceWindow:
             disable(name)
         tracer = get_chrome_tracer()
         if tracer is not None:
+            # first, while the tracer still accepts spans: a busy window
+            # left open would be refused once ``enabled`` is False
+            tracer.close_windows(self.sim.now)
             tracer.instant("trace window close", "trace", self.sim.now)
             tracer.enabled = False
         for writer in _vcd_writers:

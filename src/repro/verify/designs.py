@@ -74,22 +74,8 @@ class Design:
         instrument: Optional[CoverageOptions] = None,
         opt_level: int = 0,
         options: Optional[ElabOptions] = None,
-        parts: int = 2,
     ):
-        """A fresh simulator for this design.
-
-        ``backend="partitioned"`` returns a tier-(b)
-        :class:`~repro.rtl.parallel.partition.PartitionedSimulator` cut
-        into *parts* sub-graphs (raises
-        :class:`~repro.rtl.parallel.partition.PartitionError` for
-        ineligible designs — callers surface it as a skip).
-        """
-        if backend == "partitioned":
-            from ..rtl.parallel.partition import PartitionedSimulator
-
-            return PartitionedSimulator(
-                self.compile(instrument, opt_level, options), parts=parts
-            )
+        """A fresh simulator for this design."""
         return RTLSimulator(
             self.compile(instrument, opt_level, options), backend=backend
         )

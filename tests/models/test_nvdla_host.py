@@ -1,10 +1,13 @@
 """NVDLA host application unit behaviour (trace load, CSB playback)."""
 
+import hashlib
+
 import pytest
 
 from repro.dse.nvdla_system import build_nvdla_system
 from repro.models.nvdla.host import TRACE_CMD_BASE, NVDLAHostApp
 from repro.models.nvdla.trace import MAGIC
+from repro.soc.packet import set_next_packet_id
 
 
 class TestLoadPhase:
@@ -101,6 +104,26 @@ class TestRunEndsWithTheWorkload:
         executed = sim.eventq.executed
         assert sim.run(until=end + 1_000_000) == end + 1_000_000
         assert sim.eventq.executed >= executed + pending
+
+    def test_rerun_is_bit_identical(self, tmp_path):
+        def run(tag):
+            # the packet-id counter is process-global and checkpointed raw
+            set_next_packet_id(0)
+            system = build_nvdla_system("sanity3", 2, "DDR4-4ch", scale=0.2)
+            sim = system.soc.sim
+            for host in system.hosts:
+                host.start()
+            sim.startup()
+            sim.run(until=500_000)
+            mid, last = tmp_path / f"{tag}.mid", tmp_path / f"{tag}.end"
+            assert sim.save_checkpoint(str(mid)) == 500_000
+            end = system.run_to_completion()
+            assert end > 500_000 and sim.save_checkpoint(str(last)) == end
+            return (end, sim.stats_dump(),
+                    hashlib.sha256(mid.read_bytes()).hexdigest(),
+                    hashlib.sha256(last.read_bytes()).hexdigest())
+
+        assert run("a") == run("b")
 
     def test_timeout_reports_where_each_instance_stands(self):
         system = build_nvdla_system("sanity3", 2, "DDR4-1ch", scale=0.1)

@@ -70,6 +70,11 @@ def run_to_end(end):
     return stats
 """
 
+# Four instances on one clock: four tick events share every timestamp,
+# so their raw seq numbers cross the restore too.
+NVDLA4_SETUP = NVDLA_SETUP.replace("n_nvdla=1,", "n_nvdla=4, scale=0.2,")
+assert NVDLA4_SETUP != NVDLA_SETUP
+
 CHILD_TEMPLATE = """
 import json, sys
 {setup}
@@ -103,6 +108,7 @@ def _restore_in_fresh_process(setup, ckpt_path, end, out_path):
     [
         pytest.param(PMU_SETUP, 300_000, 80_000_000, id="pmu"),
         pytest.param(NVDLA_SETUP, 200_000, 12_000_000, id="nvdla"),
+        pytest.param(NVDLA4_SETUP, 200_000, 12_000_000, id="nvdla4"),
     ],
 )
 def test_fresh_process_restore_is_bit_identical(tmp_path, setup,

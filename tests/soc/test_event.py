@@ -192,9 +192,9 @@ class TestCompaction:
 
 
 class TestSameTimestampOrdering:
-    """Same-tick CLOCK events (RTL tick groups) fire in insertion order
-    under the tuple-heap fast path — the invariant the parallel RTL
-    scheduler's peel/flush protocol must reproduce exactly."""
+    """Same-tick CLOCK events (the tick events of several RTL models on
+    one clock) fire in insertion order under the tuple-heap fast path —
+    the order multi-NVDLA results and checkpoint bytes depend on."""
 
     def test_same_tick_clock_events_fire_in_insertion_order(self):
         q = EventQueue()
@@ -242,148 +242,6 @@ class TestSameTimestampOrdering:
         assert q.compactions > 0
         q.run()
         assert fired == [0, 1, 2, 3, 4]
-
-
-class TestGroupDispatch:
-    """peel_group / begin_capture / flush_captured — the seam the
-    parallel RTL scheduler uses must account events exactly like
-    serial pops and replay serial seq allocation."""
-
-    def _group(self, q, n, tick=100):
-        evs = [Event(lambda: None, f"rtl{i}") for i in range(n)]
-        for ev in evs:
-            q.schedule(ev, tick, EventPriority.CLOCK)
-        return evs
-
-    def test_peel_pops_members_in_seq_order(self):
-        q = EventQueue()
-        evs = self._group(q, 3)
-        order = []
-
-        def lead():
-            handles = {ev._entry: i for i, ev in enumerate(evs)}
-            order.extend(
-                handles[h]
-                for h in q.peel_group(q.cur_tick, EventPriority.CLOCK,
-                                      handles)
-            )
-
-        q.schedule_fn(lead, 100, EventPriority.MINIMUM)
-        q.run()
-        assert order == [0, 1, 2]
-
-    def test_peel_accounts_executed_and_live_like_serial(self):
-        q = EventQueue()
-        evs = self._group(q, 3)
-        counts = {}
-
-        def lead():
-            handles = {ev._entry for ev in evs}
-            q.peel_group(q.cur_tick, EventPriority.CLOCK, handles)
-            counts["executed"] = q.executed
-            counts["live"] = len(q)
-
-        q.schedule_fn(lead, 100, EventPriority.MINIMUM)
-        q.run()
-        # lead + 3 peeled members, nothing left live
-        assert q.executed == 4
-        assert counts["executed"] == 4  # members counted inside the peel
-        assert counts["live"] == 0
-        assert all(not ev.scheduled for ev in evs)
-
-    def test_peel_stops_at_non_member_and_later_tick(self):
-        q = EventQueue()
-        evs = self._group(q, 2)
-        outsider = Event(lambda: None, "dram")
-        q.schedule(outsider, 100, EventPriority.CLOCK)  # after the group
-        later = Event(lambda: None, "rtl-later")
-        q.schedule(later, 200, EventPriority.CLOCK)
-        peeled = {}
-
-        def lead():
-            handles = {ev._entry for ev in evs}
-            handles.add(later._entry)  # member, but at a later tick
-            peeled["n"] = len(
-                q.peel_group(q.cur_tick, EventPriority.CLOCK, handles)
-            )
-
-        q.schedule_fn(lead, 100, EventPriority.MINIMUM)
-        q.run()
-        assert peeled["n"] == 2            # stopped at the outsider
-        assert not outsider.scheduled      # ran normally afterwards
-        assert q.executed == 5
-
-    def test_peel_discards_dead_tops(self):
-        q = EventQueue()
-        evs = self._group(q, 3)
-        q.deschedule(evs[0])
-        n = {}
-
-        def lead():
-            handles = {ev._entry for ev in evs[1:]}
-            n["peeled"] = len(
-                q.peel_group(q.cur_tick, EventPriority.CLOCK, handles)
-            )
-
-        q.schedule_fn(lead, 100, EventPriority.MINIMUM)
-        q.run()
-        assert n["peeled"] == 2
-
-    def test_capture_flush_matches_serial_seq_allocation(self):
-        # Two queues receive the same schedule() calls; one through a
-        # capture window flushed in the same order.  Their live entries
-        # must carry identical (tick, priority, seq) triples — the raw
-        # values checkpoints serialize.
-        serial, grouped = EventQueue(), EventQueue()
-        for target in (serial, grouped):
-            target.schedule_fn(lambda: None, 50)  # pre-existing seq drift
-        serial.schedule_fn(lambda: None, 110, name="a")
-        serial.schedule_fn(lambda: None, 105, name="b")
-        grouped.begin_capture()
-        grouped.schedule_fn(lambda: None, 110, name="a")
-        grouped.schedule_fn(lambda: None, 105, name="b")
-        buf = grouped.end_capture()
-        grouped.flush_captured(buf)
-        key = lambda q: [(e[0], e[1], e[2], e[3].name)  # noqa: E731
-                         for e in q.live_entries()]
-        assert key(serial) == key(grouped)
-        assert serial._seq == grouped._seq
-
-    def test_capture_keeps_scheduled_and_len_truthful(self):
-        q = EventQueue()
-        q.begin_capture()
-        ev = q.schedule_fn(lambda: None, 10)
-        assert ev.scheduled
-        assert len(q) == 1
-        q.flush_captured(q.end_capture())
-        q.run()
-        assert q.executed == 1
-
-    def test_deschedule_while_buffered_flushes_dead_entry(self):
-        # Heap composition parity: the dead handle still lands in the
-        # heap (and is skipped at pop), exactly like lazy cancellation.
-        q = EventQueue()
-        fired = []
-        q.begin_capture()
-        ev = q.schedule_fn(lambda: fired.append(1), 10)
-        q.deschedule(ev)
-        q.flush_captured(q.end_capture())
-        assert len(q._heap) == 1
-        assert len(q) == 0
-        q.run()
-        assert fired == []
-
-    def test_nested_capture_rejected(self):
-        q = EventQueue()
-        q.begin_capture()
-        with pytest.raises(RuntimeError):
-            q.begin_capture()
-        q.flush_captured(q.end_capture())
-
-    def test_end_capture_without_begin_rejected(self):
-        q = EventQueue()
-        with pytest.raises(RuntimeError):
-            q.end_capture()
 
 
 class TestRunUntil:

@@ -69,6 +69,41 @@ class TestTraceWindow:
         sim.run(until=25 * period)
         assert not tracer.enabled and not window.active
 
+    @pytest.mark.parametrize(
+        "windows,spans",
+        [
+            # (start_cycle, end_cycle) -> (first cycle, cycles) per span
+            pytest.param([(None, None)], [(1, 99)], id="whole-run"),
+            pytest.param([(10, None)], [(11, 89)], id="opens"),
+            pytest.param([(10, 50)], [(11, 39)], id="opens-and-closes"),
+            pytest.param([(10, 50), (70, None)], [(11, 39), (71, 29)],
+                         id="reopens"),
+        ],
+    )
+    def test_rtl_busy_span_ends_with_the_window(self, windows, spans):
+        # An always-busy model (the PMU ticks every cycle) coalesces
+        # into one span per window; the span open when a window closes
+        # is emitted, cut at the close tick.
+        from repro.bridge import RTLObject
+        from repro.models.pmu import PMUSharedLibrary
+
+        sim = Simulation()
+        dut = RTLObject(sim, "dut", PMUSharedLibrary())
+        tracer = ChromeTracer()
+        tracer.enabled = False
+        set_chrome_tracer(tracer)
+        period = sim.default_clock.period
+        for start, end in windows:
+            TraceWindow(sim, [], start_cycle=start, end_cycle=end)
+        sim.startup()
+        sim.run(until=100 * period)
+        dut.stop()
+        tracer.finish()
+        got = [(e["name"], e["ts"], e["dur"], e["args"]["cycles"])
+               for e in tracer.events if e["name"].startswith("rtl ")]
+        assert got == [("rtl busy", first * period / 1e6, n * period / 1e6, n)
+                       for first, n in spans]
+
     def test_flips_registered_vcd_writers(self):
         sim = Simulation()
         vcd = FakeVCD()
