@@ -65,8 +65,8 @@ class RTLObject(SimObject):
         self.library = library
         self.tlb = tlb
         self.max_inflight = max_inflight
-        #: upper bound on RTL cycles advanced per event-queue pop when
-        #: the model is quiescent (1 = batching off)
+        #: upper bound on RTL cycles advanced per event-queue pop while
+        #: the model's inputs hold still (1 = run-ahead off)
         self.batch_cycles = batch_cycles
 
         # CPU-side: the SoC masters us (config writes, register reads).
@@ -106,8 +106,15 @@ class RTLObject(SimObject):
 
         self._tick_event = Event(self._tick, f"{name}.tick")
         self._running = True
-        # Last output struct decoded, as (bytes, fields).
-        self._decoded: tuple[bytes, dict] = (b"", {})
+        # Last output struct consumed, packed and decoded: what a
+        # run-ahead window holds the pins against.  All-zero (nothing
+        # valid, nothing raised) until the first one is.
+        self._last_bytes = library.output_spec.zeros()
+        #: the output struct consumed last; read-only, as in
+        #: :meth:`consume_output`
+        self.last_output: dict = library.output_spec.unpack(self._last_bytes)
+        # Output a run-ahead window stopped on, until its own edge.
+        self._held_output: Optional[bytes] = None
 
         s = self.stats
         self.st_ticks = s.scalar("ticks", "RTL model clock ticks executed")
@@ -138,77 +145,119 @@ class RTLObject(SimObject):
     # -- the tick ----------------------------------------------------------
 
     def _tick(self) -> None:
-        n = self._batch_window()
-        # Tracing costs nothing beyond its two tests while it is off.
-        if FLAG_RTL_BATCH.enabled:
-            self._trace_batch(n)
-        tracer = get_chrome_tracer()
-        if tracer is not None and tracer.enabled:
-            now = self.sim.eventq.cur_tick
-            period = self.clock.period
-            tracer.window(
-                "rtl batched" if n > 1 else "rtl busy", f"rtl:{self.name}",
-                now, now + n * period, period,
-            )
-        in_bytes = self.build_input()
-        if n > 1:
-            out_bytes = self.library.tick_batch(in_bytes, n)
-            self.st_batched_ticks.inc(n)
+        eventq = self.sim.eventq
+        period = self.clock.period
+        out_bytes = self._held_output
+        if out_bytes is not None:
+            # The cycle a window stopped on already ran; this is its
+            # edge, where a single-stepped model would produce what the
+            # window produced early.  Nothing fired in between.
+            self._held_output = None
+            ran = 1
         else:
-            out_bytes = self.library.tick(in_bytes)
-        self.st_ticks.inc(n)
+            n = self._batch_window()
+            in_bytes = self.build_input()
+            if n > 1:
+                library = self.library
+                before = library.ticks
+                out_bytes = library.tick_batch(in_bytes, n, self._last_bytes)
+                ran = library.ticks - before
+                self.st_batched_ticks.inc(ran)
+                # cycles 1..ran-1 left the outputs as last consumed
+                held = ran > 1 and out_bytes != self._last_bytes
+            else:
+                out_bytes = self.library.tick(in_bytes)
+                ran = 1
+                held = False
+            self.st_ticks.inc(ran)
+            # Tracing costs nothing beyond its two tests while it is off.
+            if FLAG_RTL_BATCH.enabled:
+                self._trace_batch(n, ran, held)
+            tracer = get_chrome_tracer()
+            if tracer is not None and tracer.enabled:
+                now = eventq.cur_tick
+                track = f"rtl:{self.name}"
+                tracer.window(
+                    "rtl batched" if ran > 1 else "rtl busy", track,
+                    now, now + ran * period, period,
+                )
+                if held:
+                    tracer.instant(
+                        "rtl output moved", track, now + (ran - 1) * period
+                    )
+            if held:
+                # Consume it where a single-stepped model would.
+                self._held_output = out_bytes
+                eventq.schedule(
+                    self._tick_event, eventq.cur_tick + (ran - 1) * period,
+                    EventPriority.CLOCK,
+                )
+                return
         # Decoding is a pure function of the bytes, and a quiet model
         # returns the same struct for thousands of ticks: keep the last
-        # (bytes, fields) pair.  Consumers must not modify the fields.
-        last = self._decoded
-        if out_bytes != last[0]:
-            last = self._decoded = (
-                out_bytes, self.library.output_spec.unpack(out_bytes)
-            )
-        self.consume_output(last[1])
+        # bytes and fields.  Consumers must not modify the fields.
+        if out_bytes != self._last_bytes:
+            self._last_bytes = out_bytes
+            self.last_output = self.library.output_spec.unpack(out_bytes)
+        self.consume_output(self.last_output)
         if self._running:
-            # schedule_cycles(event, n), inlined
-            eventq = self.sim.eventq
-            period = self.clock.period
+            # schedule_cycles(event, ran), inlined
             edge = eventq.cur_tick
             if edge % period:
                 edge += period - edge % period
             eventq.schedule(
-                self._tick_event, edge + n * period, EventPriority.CLOCK
+                self._tick_event, edge + ran * period, EventPriority.CLOCK
             )
 
-    def _trace_batch(self, n: int) -> None:
-        if n > 1:
+    def _trace_batch(self, n: int, ran: int, held: bool) -> None:
+        if ran > 1:
             tracepoint(
                 FLAG_RTL_BATCH, self.name,
-                "quiescent: advancing %d RTL cycles in one pop",
+                "inputs steady: advanced %d RTL cycles in one pop%s",
+                ran,
+                f" (of {n}: an output moved at the last)" if held else "",
+                tick=self.now,
+            )
+        elif n > 1:
+            tracepoint(
+                FLAG_RTL_BATCH, self.name,
+                "window of %d cut at its first cycle: an output moved",
                 n, tick=self.now,
             )
         elif self.batch_cycles > 1:
             tracepoint(
                 FLAG_RTL_BATCH, self.name,
-                "batching off this pop (quiescence bound or event horizon)",
+                "no window this pop (inputs busy, event horizon or end "
+                "of run)",
                 tick=self.now,
             )
 
     def _batch_window(self) -> int:
-        """RTL cycles to advance on this event-queue pop.
+        """Upper bound on the RTL cycles to advance on this pop.
 
-        The window is the model's own quiescence bound
-        (:meth:`idle_cycles`), clamped so no foreign event fires before
-        the next sample: any event strictly before our next edge could
-        change the inputs we would have sampled.  Events *at* the next
-        edge are fine — clock-priority ticks run first at a given tick,
-        exactly as in the unbatched schedule.  This keeps the paper's
-        frequency-ratio semantics: batched or not, edge k is simulated
-        at tick ``k * period``.
+        The model's own bound (:meth:`idle_cycles`: how long its inputs
+        hold still), clamped so no foreign event fires before the next
+        sample — any event strictly before our next edge could change
+        the inputs we would have sampled — and so the window stops short
+        of the ``until`` of the run in progress: what is read when the
+        run returns must not be ahead of it.  Events *at* the next edge
+        are fine — clock-priority ticks run first at a given tick,
+        exactly as in the single-stepped schedule.  This keeps the
+        paper's frequency-ratio semantics: in a window or not, edge k is
+        simulated at tick ``k * period``.  The library ends the window
+        earlier, after the first cycle that moves an output
+        (:meth:`SharedLibrary.tick_batch`).
         """
         if self.batch_cycles <= 1:
             return 1
         limit = min(self.batch_cycles, self.idle_cycles())
         if limit <= 1:
             return 1
-        horizon = self.sim.eventq.next_event_tick()
+        eventq = self.sim.eventq
+        horizon = eventq.next_event_tick()
+        until = eventq.until
+        if until is not None and (horizon is None or until < horizon):
+            horizon = until
         if horizon is not None:
             limit = min(limit, (horizon - self.now) // self.clock.period)
         return max(1, limit)
@@ -229,11 +278,14 @@ class RTLObject(SimObject):
     def idle_cycles(self) -> int:
         """Upper bound on cycles this model may advance per input struct.
 
-        Override per model: return > 1 only when (a) the inputs packed
-        by :meth:`build_input` would be byte-identical for that many
-        cycles and (b) every intermediate output is ignorable — no
-        response, interrupt or memory request pulse can be missed.  The
-        default is the always-safe single cycle.
+        Override per model: return > 1 only when the inputs packed by
+        :meth:`build_input` would be byte-identical for that many cycles
+        and packing them has no side effect, and :attr:`last_output` was
+        inert — consuming it again would do nothing.  The bridge holds
+        the outputs against that struct and ends the window at the first
+        cycle that moves one, so nothing is promised about what the
+        model will *produce*.  The default is the always-safe single
+        cycle.
         """
         return 1
 
@@ -393,8 +445,16 @@ class RTLObject(SimObject):
     def ckpt_named_events(self):
         return {"tick": self._tick_event}
 
+    def ckpt_veto(self) -> Optional[str]:
+        # Cannot happen between the events of a run (a window ends
+        # before the next queued one); a run cut by max_events can.
+        if self._held_output is not None:
+            return "run-ahead output waiting for its edge"
+        return None
+
     def serialize(self, ctx) -> dict:
         return {
+            "last_output": ctx.pack(self._last_bytes),
             "cpu_req_queue": [ctx.pack(p) for p in self.cpu_req_queue],
             "blocked_resps": [
                 [ctx.pack(p) for p in q] for q in self._blocked_resps
@@ -424,3 +484,6 @@ class RTLObject(SimObject):
         self.inflight = state["inflight"]
         self._running = state["running"]
         self.library.load_checkpoint_state(state["library"])
+        self._last_bytes = ctx.unpack(state["last_output"])
+        self.last_output = self.library.output_spec.unpack(self._last_bytes)
+        self._held_output = None

@@ -41,25 +41,37 @@ class SharedLibrary(abc.ABC):
     input_spec: StructSpec
     output_spec: StructSpec
 
+    #: cycles advanced since :meth:`reset`; every tick of every
+    #: implementation counts here, so a caller of :meth:`tick_batch`
+    #: reads how far the model actually went off its delta
+    ticks: int = 0
+
     @abc.abstractmethod
     def tick(self, input_bytes: bytes) -> bytes:
         """Advance the model one cycle of its own clock."""
 
-    def tick_batch(self, input_bytes: bytes, cycles: int) -> bytes:
-        """Advance *cycles* clock cycles holding one input struct steady.
+    def tick_batch(
+        self, input_bytes: bytes, cycles: int, steady: Optional[bytes] = None
+    ) -> bytes:
+        """Advance up to *cycles* clock cycles holding one input struct
+        steady; returns the last output.
 
-        Semantically identical to calling :meth:`tick` *cycles* times
-        with the same bytes and discarding all but the last output — the
-        caller (an RTLObject whose I/O is quiescent) guarantees the
-        intermediate outputs are ignorable.  The default implementation
-        does exactly that; RTL-backed libraries override it with a fused
-        batch that drives the pins once.
+        Without *steady* this is :meth:`tick` called *cycles* times with
+        the same bytes, all outputs but the last discarded.  With
+        *steady* — the output struct the caller consumed last — the
+        batch also ends after the first cycle whose output differs from
+        it, so no output is discarded that the caller has not already
+        seen; :attr:`ticks` tells how many cycles ran.  The default
+        implementation does exactly that; RTL-backed libraries override
+        it with a fused batch that drives the pins once.
         """
         if cycles < 1:
             raise ValueError(f"cannot batch {cycles} cycles")
         out = b""
         for _ in range(cycles):
             out = self.tick(input_bytes)
+            if steady is not None and out != steady:
+                break
         return out
 
     @abc.abstractmethod
@@ -99,7 +111,8 @@ class RTLSharedLibrary(SharedLibrary):
     with the struct's name (``"bitonic_in.data"``) where both structs
     have a field of that name on different pins.
 
-    On the codegen backend the whole tick is one generated function
+    On the codegen backend the whole tick — and a whole run-ahead
+    window, its pin test included — is one generated function
     (:func:`repro.rtl.codegen.build_exchange`).  :meth:`drive` and
     :meth:`collect` are the same map interpreted field by field around
     the public ``unpack``/``settle``/``tick``/``pack``: the reference
@@ -194,7 +207,11 @@ class RTLSharedLibrary(SharedLibrary):
             else:
                 pairs = [(sig, 0) for sig in sigs]
             wiring.append((field.name, field.count, [
-                (sig.index, shift, field.mask & (sig.mask >> shift))
+                # a collected slot that is all of its signal needs no
+                # mask (-1: the value array holds nothing wider)
+                (sig.index, shift,
+                 -1 if not inputs and not shift and field.mask >= sig.mask
+                 else field.mask & (sig.mask >> shift))
                 for sig, shift in pairs
             ]))
         return wiring
@@ -219,29 +236,53 @@ class RTLSharedLibrary(SharedLibrary):
     # -- the contract -----------------------------------------------------------
 
     def tick(self, input_bytes: bytes) -> bytes:
-        return self.tick_batch(input_bytes, 1)
+        sim = self.sim
+        trace = sim.trace
+        if self._exchange is None or (trace is not None and trace.enabled):
+            return self.tick_batch(input_bytes, 1)
+        # tick_batch(input_bytes, 1), minus the hop: this is the call
+        # every busy model makes every cycle
+        _, out = self._exchange(input_bytes, sim.values, sim.mems, 1, None)
+        sim.cycle += 1
+        self.ticks += 1
+        return out
 
-    def tick_batch(self, input_bytes: bytes, cycles: int) -> bytes:
-        """*cycles* ticks on one input struct, the last output returned.
+    def tick_batch(
+        self, input_bytes: bytes, cycles: int, steady: Optional[bytes] = None
+    ) -> bytes:
+        """Up to *cycles* ticks on one input struct, the last output
+        returned; with *steady*, ends after the first cycle whose output
+        pins differ from it (see :meth:`SharedLibrary.tick_batch`).
 
         Equivalent to that many sequential :meth:`tick` calls with the
         same input: re-driving identical pin values and re-settling an
         already-settled netlist are no-ops, so the pins are driven once
-        and all cycles run inside the RTL kernel (one generated loop on
-        the codegen backend).
+        and all cycles, and the test of the output pins after each, run
+        inside the RTL kernel (one generated loop on the codegen
+        backend).
         """
         if cycles < 1:
             raise ValueError(f"cannot batch {cycles} cycles")
         sim = self.sim
         trace = sim.trace
-        if self._exchange is None or (trace is not None and trace.enabled):
+        if self._exchange is not None and (trace is None or not trace.enabled):
+            cycles, out = self._exchange(
+                input_bytes, sim.values, sim.mems, cycles, steady
+            )
+            sim.cycle += cycles
+        else:
             self.drive(self.input_spec.unpack(input_bytes))
             sim.settle()
-            sim.tick(cycles)
-            out = self.output_spec.pack(**self.collect())
-        else:
-            out = self._exchange(input_bytes, sim.values, sim.mems, cycles)
-            sim.cycle += cycles
+            if steady is None:
+                sim.tick(cycles)
+                out = self.output_spec.pack(**self.collect())
+            else:
+                for ran in range(1, cycles + 1):
+                    sim.tick()
+                    out = self.output_spec.pack(**self.collect())
+                    if out != steady:
+                        break
+                cycles = ran
         self.ticks += cycles
         return out
 

@@ -17,8 +17,6 @@ int8 data.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .trace import LayerDesc, Trace
 
 BLOCK = 64
@@ -38,6 +36,10 @@ def _blocks(nbytes: int) -> int:
 
 
 def _image(addr: int, nbytes: int, seed: int) -> tuple[int, bytes]:
+    # imported here: every process imports this module (via repro.dse),
+    # only the ones that build an NVDLA image need numpy's ~130 ms
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return addr, rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
 

@@ -115,20 +115,23 @@ class PMURTLObject(RTLObject):
     # -- struct exchange ----------------------------------------------------------
 
     def idle_cycles(self) -> int:
-        """Batch only when the PMU provably sits still.
+        """Run ahead while the input struct would repeat itself.
 
-        Counters move solely on event bits, and ``irq``/``rvalid`` are
-        registered pulses, so with ``events == 0`` and no AXI traffic
-        the model's outputs are zero for every skipped cycle.  A
-        clock-wired lane pulses every cycle, so it pins us to
-        single-step; so do queued wire pulses, pending MMIO requests
-        and outstanding reads.
+        A clock-wired lane is the same bit every cycle; a tapped wire is
+        a zero bit while it has no pulses queued, and nothing can queue
+        one inside a window (the bridge ends it before the next event).
+        A pending MMIO request changes the AXI fields, and a read
+        response or an interrupt just consumed may repeat bit for bit
+        next cycle, which the bridge could not tell from no change.
         """
-        if self.cpu_req_queue or self._pending_reads:
+        if self.cpu_req_queue:
             return 1
         for lane in self._lanes:
-            if lane.is_clock or (lane.wire is not None and lane.wire.count):
+            if lane.wire is not None and lane.wire.count:
                 return 1
+        last = self.last_output
+        if last["rvalid"] or last["irq"]:
+            return 1
         return self.batch_cycles
 
     def build_input(self) -> bytes:

@@ -255,7 +255,10 @@ class RTLCoherentCacheObject(RTLCacheObject):
                 and not self._waiting_fill and self._fill_words is None
                 and not self.mem_resp_queue and not self._pending_snoops
                 and self._pin_snoop is None):
-            return self.batch_cycles
+            last = self.last_output
+            if not (last["resp_valid"] or last["miss_valid"]
+                    or last["wt_valid"] or last["snoop_ack"]):
+                return self.batch_cycles
         return 1
 
     def build_input(self) -> bytes:

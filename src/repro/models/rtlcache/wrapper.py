@@ -155,16 +155,16 @@ class RTLCacheObject(RTLObject):
     # -- struct exchange ---------------------------------------------------
 
     def idle_cycles(self) -> int:
-        """Batch freely while no request, fill or response is in play.
-
-        With ``req_valid``/``fill_valid`` both low the cache RTL holds
-        its state, so every intermediate output struct is all-zero and
-        skipping it is exact.
-        """
+        """Run ahead while no request, fill or response is in play:
+        ``req_valid``/``fill_valid`` stay low, and the last output
+        consumed announced nothing that could repeat unnoticed."""
         if (self._current is None and not self.cpu_req_queue
                 and not self._waiting_fill and self._fill_words is None
                 and not self.mem_resp_queue):
-            return self.batch_cycles
+            last = self.last_output
+            if not (last["resp_valid"] or last["miss_valid"]
+                    or last["wt_valid"]):
+                return self.batch_cycles
         return 1
 
     def build_input(self) -> bytes:

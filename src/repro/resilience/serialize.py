@@ -5,7 +5,7 @@ Format
 A checkpoint is one gzipped JSON document::
 
     {
-      "version":  1,
+      "version":  2,
       "meta":     {"tick", "structure", "next_pkt_id", "saved_name"},
       "eventq":   {"cur_tick", "seq", "executed", "compactions"},
       "stats":    <root StatGroup state_dict>,
@@ -14,9 +14,11 @@ A checkpoint is one gzipped JSON document::
       "packets":  [<encoded Packet>, ...]
     }
 
-``version`` gates the whole layout; ``meta.structure`` is a digest over
-the object tree (paths + types) so a checkpoint can only be restored
-onto an identically built system.
+``version`` gates the whole layout (2: a core's stall window being
+stepped over and an RTLObject's last consumed output struct joined the
+object state; a version-1 file is refused, not misread);
+``meta.structure`` is a digest over the object tree (paths + types) so a
+checkpoint can only be restored onto an identically built system.
 
 Bit-identical continuation
 --------------------------
@@ -56,7 +58,7 @@ from typing import Any, Optional
 
 from ..soc.packet import MemCmd, Packet, peek_packet_id, set_next_packet_id
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 __all__ = [
     "CHECKPOINT_VERSION",

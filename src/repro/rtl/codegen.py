@@ -35,12 +35,14 @@ the generated namespace and invoked directly.  Semantic equivalence with
 the interpreter is enforced by the differential test suite
 (``tests/rtl/test_differential.py``).
 
-A third function is generated on request for the bridge
+Two more functions are generated on request for the bridge
 (:func:`build_exchange`): the per-cycle struct exchange of a
 shared-library wrapper — packed bytes in, pin stores, ``settle``,
 ``tick_batch``, output pins packed back to bytes — the direct
 struct-member <-> pin assignments a Verilator wrapper makes around
-``eval()``.
+``eval()``; and ``run_ahead``, the cycle loop of ``tick_batch`` emitted
+once more with a test of the wrapper's output pins after every cycle,
+which returns as soon as one of them has moved.
 
 Designs that need the iterative fixpoint fallback (word-level comb
 cycles) are *not* codegen-eligible —
@@ -214,6 +216,11 @@ class CodegenProgram:
     source: str           # full generated source, for inspection/debugging
     inlined: int          # processes fused by source inlining
     called: int           # processes bound as direct calls (no source)
+    #: ``run_ahead_source(params, moved)``: source of ``_run_ahead(v, m,
+    #: n<params>)`` — ``_tick_batch``'s loop, returning the cycles run,
+    #: and returning early after the first cycle for which the
+    #: expression *moved* (over ``v`` and the extra *params*) holds
+    run_ahead_source: Callable[[str, str], str] = field(repr=False)
     #: drop cached activity-cone keys (call after any state mutation
     #: that bypasses the generated code: reset, restore, pokes)
     reset_state: Callable = _no_state
@@ -451,15 +458,21 @@ def build_program(
             for proc in procs:
                 em.emit_proc(proc, "(v, m)", depth + 1)
 
+    cycles: dict[int, list[str]] = {}  # depth -> one cycle, as emitted
+
     def emit_cycle(depth: int) -> None:
-        if not (pos or neg or levelized):
-            em.emit("pass", depth)
-        if pos:
-            em.emit_sync_section(pos, depth)
-        emit_comb(depth)
-        if neg:
-            em.emit_sync_section(neg, depth)
+        if depth not in cycles:
+            saved, em.lines = em.lines, []
+            if not (pos or neg or levelized):
+                em.emit("pass", depth)
+            if pos:
+                em.emit_sync_section(pos, depth)
             emit_comb(depth)
+            if neg:
+                em.emit_sync_section(neg, depth)
+                emit_comb(depth)
+            cycles[depth], em.lines = em.lines, saved
+        em.lines.extend(cycles[depth])
 
     em.emit("def _settle(v, m):", 0)
     if levelized:
@@ -468,54 +481,86 @@ def build_program(
     else:
         em.emit("pass", 1)
 
-    em.emit("", 0)
-    em.emit("def _tick_batch(v, m, n):", 0)
-    em.emit_prologue(1)
-    if quiesce:
-        # Small batches (and the coverage collector's single ticks) take
-        # a plain loop with zero bookkeeping; the quiescence machinery
-        # only engages once a batch is long enough to reach the first
-        # snapshot point anyway.
-        em.emit("if n < 16:", 1)
-        em.emit("for _ in range(n):", 2)
-        emit_cycle(3)
-        em.emit("return", 2)
-        # Doubling check schedule: long batches snapshot O(log n) times.
-        em.emit("_i = 0", 1)
-        em.emit("_chk = 16", 1)
-        em.emit("while _i < n:", 1)
-        em.emit("if _i == _chk and n - _i > 1:", 2)
-        em.emit("_sv = v[:]", 3)
-        em.emit("_sm = [_x[:] for _x in m]", 3)
-        em.emit("else:", 2)
-        em.emit("_sv = None", 3)
-        emit_cycle(2)
-        cov = [pt.index for pt in module.coverage_points]
-        em.emit("_i = _i + 1", 2)
-        em.emit("if _sv is not None:", 2)
-        em.emit("_chk = _chk + _chk", 3)
-        if cov:
-            # Counters advance every cycle by design; judge the
-            # fixpoint on real state and extrapolate them exactly
-            # (each remaining cycle repeats the same increments).
-            em.namespace["_VIS"] = tuple(
-                s.index for s in module.visible_signals()
-            )
-            em.emit(
-                "if all(v[_j] == _sv[_j] for _j in _VIS) and m == _sm:", 3
-            )
-            em.emit("_rem = n - _i", 4)
-            for idx in cov:
-                em.emit(
-                    f"v[{idx}] = v[{idx}] + (v[{idx}] - _sv[{idx}]) * _rem",
-                    4,
+    def emit_tick(name: str, params: str = "", moved: str | None = None) -> None:
+        """``def name(v, m, n<params>)``: *n* cycles; with *moved*, the
+        loop counts, ends after the first cycle for which the expression
+        holds, and the function returns the cycles run."""
+        var = "_" if moved is None else "_i"
+
+        def emit_exit(depth: int, ran: str) -> None:
+            if moved is not None:
+                em.emit(f"if {moved}:", depth)
+                em.emit(f"return {ran}", depth + 1)
+
+        em.emit(f"def {name}(v, m, n{params}):", 0)
+        em.emit_prologue(1)
+        if quiesce:
+            # Small batches (and the coverage collector's single ticks)
+            # take a plain loop with zero bookkeeping; the quiescence
+            # machinery only engages once a batch is long enough to
+            # reach the first snapshot point anyway.
+            em.emit("if n < 16:", 1)
+            em.emit(f"for {var} in range(n):", 2)
+            emit_cycle(3)
+            emit_exit(3, "_i + 1")
+            em.emit("return" if moved is None else "return n", 2)
+            # Doubling check schedule: long batches snapshot O(log n)
+            # times.
+            em.emit("_i = 0", 1)
+            em.emit("_chk = 16", 1)
+            em.emit("while _i < n:", 1)
+            em.emit("if _i == _chk and n - _i > 1:", 2)
+            em.emit("_sv = v[:]", 3)
+            em.emit("_sm = [_x[:] for _x in m]", 3)
+            em.emit("else:", 2)
+            em.emit("_sv = None", 3)
+            emit_cycle(2)
+            cov = [pt.index for pt in module.coverage_points]
+            em.emit("_i = _i + 1", 2)
+            emit_exit(2, "_i")
+            em.emit("if _sv is not None:", 2)
+            em.emit("_chk = _chk + _chk", 3)
+            if cov:
+                # Counters advance every cycle by design; judge the
+                # fixpoint on real state and extrapolate them exactly
+                # (each remaining cycle repeats the same increments).
+                em.namespace["_VIS"] = tuple(
+                    s.index for s in module.visible_signals()
                 )
+                em.emit(
+                    "if all(v[_j] == _sv[_j] for _j in _VIS) and m == _sm:",
+                    3,
+                )
+                em.emit("_rem = n - _i", 4)
+                for idx in cov:
+                    em.emit(
+                        f"v[{idx}] = v[{idx}] + (v[{idx}] - _sv[{idx}]) * _rem",
+                        4,
+                    )
+            else:
+                em.emit("if v == _sv and m == _sm:", 3)
+            # a fixed point: the pins cannot move in what is left of n
+            em.emit("break", 4)
         else:
-            em.emit("if v == _sv and m == _sm:", 3)
-        em.emit("break", 4)
-    else:
-        em.emit("for _ in range(n):", 1)
-        emit_cycle(2)
+            em.emit(f"for {var} in range(n):", 1)
+            emit_cycle(2)
+            emit_exit(2, "_i + 1")
+        if moved is not None:
+            em.emit("return n", 1)
+
+    def finish(lines: list[str]) -> str:
+        return "\n".join(
+            _hoist_memories(_unroll_loops(_simplify_conditions(lines)), nmem)
+        )
+
+    def run_ahead_source(params: str, moved: str) -> str:
+        saved, em.lines = em.lines, []
+        emit_tick("_run_ahead", params, moved)
+        lines, em.lines = em.lines, saved
+        return finish(lines)
+
+    em.emit("", 0)
+    emit_tick("_tick_batch")
 
     if guarded:
         act = [None] * nslots
@@ -527,8 +572,7 @@ def build_program(
     else:
         reset_state = _no_state
 
-    lines = _hoist_memories(_unroll_loops(_simplify_conditions(em.lines)), nmem)
-    source = "\n".join(lines)
+    source = finish(em.lines)
     code = compile(source, f"<codegen:{module.name}>", "exec")
     exec(code, em.namespace)  # noqa: S102 - executing our own generated code
     return CodegenProgram(
@@ -537,6 +581,7 @@ def build_program(
         source=source,
         inlined=em.inlined,
         called=em.called,
+        run_ahead_source=run_ahead_source,
         reset_state=reset_state,
         guarded_cones=len(guarded),
         quiescence=quiesce,
@@ -546,7 +591,7 @@ def build_program(
 
 #: where one struct slot lives on the pins: (signal index, bit shift,
 #: mask) — the slot's value occupies ``mask`` bits of the signal
-#: starting at ``shift``
+#: starting at ``shift``; mask -1 on an output slot: all of the signal
 PinSlot = tuple[int, int, int]
 
 
@@ -558,33 +603,47 @@ def build_exchange(
     out_slots: Sequence[PinSlot],
     size_error: Callable[[int], Exception],
 ) -> Callable:
-    """Generate ``exchange(data, v, m, n) -> bytes`` for *program*.
+    """Generate ``exchange(data, v, m, n, steady) -> (ran, bytes)`` for
+    *program*.
 
-    One call is one wrapper ``tick``: check the length of *data*
+    One call is one wrapper ``tick_batch``: check the length of *data*
     (raising ``size_error(len(data))``), decode it with *in_struct*,
     store slot ``i`` onto the pins at ``in_slots[i]`` (slots sharing a
     signal are OR-ed together at their shifts), settle, advance *n*
-    cycles, and return *out_struct* packed from the pins at
-    *out_slots*.  The settle and the cycles are *calls* to the
-    program's own compiled functions — the cycle body is not emitted a
-    second time — and every call runs the whole sequence: nothing about
-    the previous inputs is remembered, so state changed behind the
-    generated code's back (pokes, reset, restore) is seen exactly as a
-    ``poke``/``settle``/``tick`` sequence would see it.
+    cycles, and return how many ran with *out_struct* packed from the
+    pins at *out_slots*.  With *steady* None all *n* run.  Otherwise
+    *steady* is an output struct, and the cycles end after the first
+    one that leaves any pin of *out_slots* different from its slot in
+    it: that loop is the program's cycle loop emitted once more
+    (:attr:`CodegenProgram.run_ahead_source`) with the pin test inside
+    it, so a window costs no call, no pack and no compare of structs per
+    cycle.  The settle and the plain cycles are *calls* to the
+    program's own compiled functions, and every call runs the whole
+    sequence: nothing about the previous inputs is remembered, so state
+    changed behind the generated code's back (pokes, reset, restore) is
+    seen exactly as a ``poke``/``settle``/``tick`` sequence would see
+    it.
     """
     by_signal: dict[int, list[str]] = {}
     for i, (idx, shift, mask) in enumerate(in_slots):
         term = f"(_i{i} & {mask})" + (f" << {shift}" if shift else "")
         by_signal.setdefault(idx, []).append(term)
     loads = [
-        f"v[{idx}] >> {shift} & {mask}" if shift else f"v[{idx}] & {mask}"
+        f"v[{idx}] >> {shift} & {mask}" if shift
+        else f"v[{idx}]" if mask == -1 else f"v[{idx}] & {mask}"
         for idx, shift, mask in out_slots
     ]
-    # The codecs are bound as closure cells, not globals: a second
-    # exchange built on this program must not rebind the first's.
+    # one tuple compare per cycle, against the unpacked *steady* struct
+    run_ahead = program.run_ahead_source(
+        ", _w", f"({', '.join(loads)},) != _w" if loads else "False"
+    )
+    # The codecs and the run-ahead loop are bound as closure cells, not
+    # globals: a second exchange built on this program must not rebind
+    # the first's.
     lines = [
-        "def _bind(_decode, _encode, _size_error):",
-        "    def _exchange(data, v, m, n):",
+        "def _bind(_decode, _encode, _steady, _size_error):",
+        *("    " + line for line in run_ahead.splitlines()),
+        "    def _exchange(data, v, m, n, steady):",
         f"        if len(data) != {in_struct.size}:",
         "            raise _size_error(len(data))",
         f"        [{', '.join(f'_i{i}' for i in range(len(in_slots)))}]"
@@ -592,12 +651,20 @@ def build_exchange(
         *(f"        v[{idx}] = {' | '.join(terms)}"
           for idx, terms in by_signal.items()),
         "        _settle(v, m)",
-        "        _tick_batch(v, m, n)",
-        f"        return _encode({', '.join(loads)})",
+        "        if steady is None:",
+        "            _tick_batch(v, m, n)",
+        "        else:",
+        "            n = _run_ahead(v, m, n, _steady(steady))",
+        f"        return n, _encode({', '.join(loads)})",
         "    return _exchange",
     ]
     namespace = program.namespace
+    source = "\n".join(lines)
     exec(  # noqa: S102 - executing our own generated code
-        compile("\n".join(lines), "<codegen:exchange>", "exec"), namespace
+        compile(source, "<codegen:exchange>", "exec"), namespace
     )
-    return namespace.pop("_bind")(in_struct.unpack, out_struct.pack, size_error)
+    exchange = namespace.pop("_bind")(
+        in_struct.unpack, out_struct.pack, out_struct.unpack, size_error
+    )
+    exchange.source = source  # for inspection, as CodegenProgram.source
+    return exchange

@@ -23,6 +23,7 @@ from ..event import Event, EventPriority
 from ..packet import MemCmd, Packet
 from ..ports import RequestPort
 from ..simobject import SimObject, Simulation
+from ..stats import Scalar
 from . import uop as U
 from .uop import UopStream
 
@@ -59,6 +60,30 @@ class _RobEntry:
     def __init__(self, kind: int) -> None:
         self.kind = kind
         self.done = False
+
+
+class _EdgeCounter(Scalar):
+    """A counter of clock edges, exact at every read.
+
+    The core counts the edges of a stall window it stepped over when it
+    next runs; a read, reset or checkpoint in between first calls
+    *settle*, which counts the ones passed so far."""
+
+    def __init__(self, name: str, desc: str, settle: Callable[[], None]):
+        super().__init__(name, desc)
+        self._settle = settle
+
+    def value(self):
+        self._settle()
+        return self._value
+
+    def reset(self) -> None:
+        self._settle()
+        self._value = 0
+
+    def state_dict(self) -> dict:
+        self._settle()
+        return {"value": self._value}
 
 
 class OoOCore(SimObject):
@@ -122,18 +147,24 @@ class OoOCore(SimObject):
 
         self._cycle = 0
         self._cycle_event = Event(self._do_cycle, f"{name}.cycle")
+        # Stall window being stepped over: the tick of its first edge
+        # not counted yet (0: none) and of the edge the cycle event is
+        # armed for, which ends it.
+        self._skip_from = 0
+        self._skip_end = 0
 
         s = self.stats
-        self.st_cycles = s.scalar("cycles", "core cycles (including sleep)")
+        self.st_cycles = s.add(_EdgeCounter(
+            "cycles", "core cycles (including sleep)", self._count_skipped))
         self.st_committed = s.scalar("committed", "committed instructions")
         self.st_loads = s.scalar("loads", "load µops issued")
         self.st_stores = s.scalar("stores", "store µops issued")
         self.st_branches = s.scalar("branches", "branch µops")
         self.st_mispredicts = s.scalar("mispredicts", "mispredicted branches")
         self.st_sleep_cycles = s.scalar("sleep_cycles", "cycles spent sleeping")
-        self.st_issue_stalls = s.scalar(
-            "issue_stalls", "cycles with zero issue while runnable"
-        )
+        self.st_issue_stalls = s.add(_EdgeCounter(
+            "issue_stalls", "cycles with zero issue while runnable",
+            self._count_skipped))
         self.st_interrupts = s.scalar(
             "interrupts", "interrupts taken (handler activations)"
         )
@@ -164,11 +195,14 @@ class OoOCore(SimObject):
 
     @property
     def cycle(self) -> int:
+        self._count_skipped()
         return self._cycle
 
     # -- pipeline ------------------------------------------------------------
 
     def _do_cycle(self) -> None:
+        if self._skip_from:
+            self._count_skipped()  # what is left of the window: all < now
         self._cycle += 1
         self.st_cycles.inc()
         self._commit()
@@ -184,7 +218,71 @@ class OoOCore(SimObject):
             return
         if self._sleeping:
             return  # wake event will restart cycling
-        self.schedule_cycles(self._cycle_event, 1, EventPriority.CLOCK)
+        skip = 0
+        if self._cycle + 1 < self._stall_until:
+            skip = self._stall_window()
+            if skip:
+                period = self.clock.period
+                self._skip_from = self.now + period
+                self._skip_end = self._skip_from + skip * period
+        self.schedule_cycles(self._cycle_event, 1 + skip, EventPriority.CLOCK)
+
+    def _stall_window(self) -> int:
+        """Edges after this one at which nothing can happen: the cycle
+        event is armed past them, and they are counted, not dispatched.
+
+        Inside a front-end stall (``_cycle < _stall_until``) with
+        nothing in flight and no finished ROB head, a cycle commits
+        nothing, issues nothing and looks at no interrupt; it adds one
+        to ``cycles`` and, over a non-empty ROB, to ``issue_stalls``.
+        That lasts until the stall ends or an ALU µop completes.  The
+        window also ends at the first edge a queued clock-priority event
+        could share (:meth:`EventQueue.next_clock_tick`) and before the
+        ``until`` of the run in progress, so whoever reads this core,
+        at whatever tick, finds the edges up to that tick counted.
+        """
+        if (
+            self._inflight
+            or self._fetch_outstanding is not None
+            or self._mem_blocked_pkt is not None
+            or (self._rob and self._rob[0].done)
+        ):
+            return 0
+        wake = self._stall_until
+        for cyc, _entry in self._alu_done:
+            if cyc < wake:
+                wake = cyc
+        cycles = wake - self._cycle
+        if cycles < 2:
+            return 0  # the very next edge: nothing to scan the queue for
+        eventq = self.sim.eventq
+        now = eventq.cur_tick
+        horizon = eventq.next_clock_tick(now)
+        until = eventq.until
+        if until is not None and (horizon is None or until < horizon):
+            horizon = until
+        if horizon is not None:
+            cycles = min(cycles, (horizon - now) // self.clock.period)
+        return max(0, cycles - 1)
+
+    def _count_skipped(self) -> None:
+        """Count the stepped-over edges that lie at or before now.
+
+        A reader at an edge's own tick comes after it: the cycle event
+        is armed before anything else that fires there at clock
+        priority, and everything else fires later in the tick."""
+        first = self._skip_from
+        now = self.sim.eventq.cur_tick
+        if not first or now < first:
+            return
+        period = self.clock.period
+        passed = (min(now, self._skip_end - period) - first) // period + 1
+        self._cycle += passed
+        self.st_cycles.inc(passed)
+        if self._rob:
+            self.st_issue_stalls.inc(passed)
+        first += passed * period
+        self._skip_from = first if first < self._skip_end else 0
 
     def _commit(self) -> None:
         rob = self._rob
@@ -416,6 +514,7 @@ class OoOCore(SimObject):
         return None
 
     def serialize(self, ctx) -> dict:
+        self._count_skipped()
         # ROB entries are shared between _rob, _inflight and _alu_done;
         # the index into _rob is the canonical reference.
         rob = list(self._rob)
@@ -435,6 +534,7 @@ class OoOCore(SimObject):
             "sleeping": self._sleeping,
             "done": self.done,
             "cycle": self._cycle,
+            "skip": [self._skip_from, self._skip_end],
             "draining_for_irq": self._draining_for_irq,
             "pending_irqs": ctx.pack([list(h) for h in self._pending_irqs]),
             "has_stream": self.stream is not None,
@@ -459,6 +559,7 @@ class OoOCore(SimObject):
         self._sleeping = state["sleeping"]
         self.done = state["done"]
         self._cycle = state["cycle"]
+        self._skip_from, self._skip_end = state["skip"]
         self._draining_for_irq = state["draining_for_irq"]
         self._pending_irqs = deque(ctx.unpack(state["pending_irqs"]))
         self._stream_stack = []

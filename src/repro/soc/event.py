@@ -123,6 +123,14 @@ class EventQueue:
         self._live = 0
         # Tick after which run() returns (see request_exit), else None.
         self._exit_after: Optional[int] = None
+        #: read-only to clients: the first tick the run() in progress
+        #: will *not* execute (its ``until``); None when it has no bound
+        #: and while events are stepped with service_one() outside a
+        #: run.  An object that advances its own state past ``cur_tick``
+        #: — an RTLObject running ahead, a core stepping over a stall —
+        #: stops short of it, so that whoever regains control when the
+        #: run returns finds every object at the tick the run ended on.
+        self.until: Optional[int] = None
         self.cur_tick = 0
         # Number of callbacks actually executed (dead entries excluded).
         self.executed = 0
@@ -268,6 +276,26 @@ class EventQueue:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
 
+    def next_clock_tick(self, after: int) -> Optional[int]:
+        """Tick of the earliest live event later than *after* that fires
+        no later in its tick than a clock edge (priority ``CLOCK`` or
+        earlier), or None.
+
+        For a clocked object stepping over its own edges: such an event
+        is already queued, so it precedes any edge event the object arms
+        now for that tick — as it precedes the one the object would arm
+        a cycle before — and it may read the object's state.  The object
+        therefore dispatches that edge for real.  A scan of the heap,
+        O(n): call it once per window, not per cycle.
+        """
+        best = None
+        clock = EventPriority.CLOCK
+        for tick, priority, _seq, handle in self._heap:
+            if (priority <= clock and tick > after and handle.alive
+                    and (best is None or tick < best)):
+                best = tick
+        return best
+
     # -- main loop -------------------------------------------------------
 
     def request_exit(self) -> None:
@@ -314,6 +342,14 @@ class EventQueue:
         *not* executed; the queue is left positioned at ``until`` so the
         simulation can be resumed (gem5's ``simulate(n)`` semantics).
         """
+        outer = self.until
+        self.until = until
+        try:
+            return self._run(until, max_events)
+        finally:
+            self.until = outer
+
+    def _run(self, until: Optional[int], max_events: Optional[int]) -> int:
         executed = 0
         heap = self._heap
         while heap:

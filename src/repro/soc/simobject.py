@@ -131,6 +131,8 @@ class SimObject:
         self.sim = sim
         self.name = name
         self.parent = parent
+        # name and parent are fixed here, and so is the dotted path
+        self._path = f"{parent.path()}.{name}" if parent else name
         self.clock = clock or (parent.clock if parent else sim.default_clock)
         parent_group = parent.stats if parent else sim.root_stats
         self.stats = StatGroup(name, parent_group)
@@ -142,12 +144,7 @@ class SimObject:
     # -- naming ------------------------------------------------------------
 
     def path(self) -> str:
-        parts = []
-        node: Optional[SimObject] = self
-        while node is not None:
-            parts.append(node.name)
-            node = node.parent
-        return ".".join(reversed(parts))
+        return self._path
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.path()}>"

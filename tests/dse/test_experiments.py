@@ -1,6 +1,8 @@
 """Experiment harness: tiny-configuration runs of every paper experiment
 (the full-size regenerations live in benchmarks/)."""
 
+import dataclasses
+
 import pytest
 
 from repro.dse import (
@@ -45,6 +47,33 @@ class TestFig5:
     def test_render(self, result):
         text = render_fig5(result, max_rows=5)
         assert "PMU IPC" in text and "gem5 IPC" in text
+
+    def test_windows_are_pinned(self):
+        """Every field of every window at the benchmark's smoke size.
+
+        ``gem5_ipc`` divides by ``core.st_cycles`` read from the PMU's
+        interrupt, in the middle of whatever the core is doing: a core
+        that counts the cycles of a stall it steps over has to count
+        them by then (DESIGN.md, the exact-read rule).
+        """
+        result = run_fig5(n_sort=12, interval_cycles=2000, sleep_cycles=2000)
+        assert [dataclasses.astuple(w) for w in result.windows] == [
+            (0.0010085, 0.6665, 0.6658341658341659,
+             90.77269317329332, 90.77269317329332, 1333, 1333),
+            (0.0020085, 0.5555, 0.559, 0.0, 0.0, 1111, 1118),
+            (0.0030085, 0.505, 0.509, 0.0, 0.0, 1010, 1018),
+            (0.0040085, 0.475, 0.478, 0.0, 0.0, 950, 956),
+            (0.0050085, 0.4025, 0.21825503355704698, 0.0, 0.0, 805, 813),
+            (0.0060085, 0.1115, 0.8109090909090909,
+             264.5739910313901, 264.5739910313901, 223, 223),
+            (0.0070085, 0.0135, 0.017909002904162634, 0.0, 0.0, 27, 37),
+            (0.0080085, 0.272, 0.8932676518883416,
+             158.08823529411765, 158.08823529411765, 544, 544),
+            (0.0090085, 0.0, 0.0, 0.0, 0.0, 0, 0),
+            (0.0100085, 0.0, 0.0, 0.0, 0.0, 0, 0),
+        ]
+        assert (result.total_committed, result.total_cycles,
+                result.pmu_total_commits) == (6042, 14677, 6003)
 
 
 class TestDSE:

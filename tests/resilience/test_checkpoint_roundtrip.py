@@ -6,6 +6,7 @@ for rebuilding an identical system.  The resumed run's final statistics
 must be bit-identical to an uninterrupted run's.
 """
 
+import gzip
 import json
 import os
 import subprocess
@@ -74,6 +75,23 @@ def run_to_end(end):
 # so their raw seq numbers cross the restore too.
 NVDLA4_SETUP = NVDLA_SETUP.replace("n_nvdla=1,", "n_nvdla=4, scale=0.2,")
 assert NVDLA4_SETUP != NVDLA_SETUP
+
+# The checkpoint is taken by an event of the run, the way
+# --checkpoint-every takes them: only such a save can land among cycles
+# the core is stepping over (a run() that returns never ends inside a
+# window).
+PMU_INSIDE_SETUP = PMU_SETUP + """
+from repro.soc.event import EventPriority
+
+def save_at(tick, path):
+    saved = []
+    soc.sim.startup()
+    soc.sim.eventq.schedule_fn(
+        lambda: saved.append(soc.save_checkpoint(path)), tick,
+        EventPriority.STATS)
+    soc.sim.run(until=tick + 100_000)
+    return saved[0]
+"""
 
 CHILD_TEMPLATE = """
 import json, sys
@@ -158,3 +176,57 @@ def test_nvdla_restore_between_irq_and_csb_drain(tmp_path):
     assert out["stats"]["run_to_completion"] == done_tick
     assert out["stats"] == expected
     assert out["now"] == ref["soc"].sim.now
+
+
+@pytest.mark.parametrize(
+    "save_tick",
+    [pytest.param(1_361_000, id="on-an-edge"),
+     pytest.param(1_374_750, id="between-edges")],
+)
+def test_restore_among_stepped_over_cycles(tmp_path, save_tick):
+    """Both ticks lie inside an 8-cycle mispredict stall the core steps
+    over, with the PMU running ahead beside it in the uninterrupted run:
+    the core's pending window crosses the restore in the checkpoint;
+    the PMU's never does (a window ends before the next queued event,
+    here the save)."""
+    end = 80_000_000
+    ref = _exec_setup(PMU_SETUP)
+    expected = ref["run_to_end"](end)
+
+    saver = _exec_setup(PMU_INSIDE_SETUP)
+    ckpt = tmp_path / "inside.ckpt"
+    assert saver["save_at"](save_tick, ckpt) == save_tick
+    doc = json.loads(gzip.open(ckpt).read())
+    skip_from, skip_end = doc["objects"]["cpu0"]["state"]["skip"]
+    assert save_tick < skip_from < skip_end, "not inside a window"
+
+    out = _restore_in_fresh_process(PMU_SETUP, ckpt, end,
+                                    tmp_path / "out.json")
+    assert out["now"] == ref["soc"].sim.now
+    # batched_ticks counts the mechanism, not the model: the save event
+    # cut a window the uninterrupted run took whole
+    for stats in (expected, out["stats"]):
+        stats.pop("system.pmu.batched_ticks")
+    assert out["stats"] == expected
+
+
+def test_parent_format_checkpoint_is_refused(tmp_path):
+    """Version 1 knew neither the core's pending window nor the RTL
+    object's last consumed output; restoring one as if it were current
+    would resume mid-stall with the wrong cycle count."""
+    saver = _exec_setup(PMU_SETUP)
+    ckpt = tmp_path / "v1.ckpt"
+    saver["save_at"](300_000, ckpt)
+    doc = json.loads(gzip.open(ckpt).read())
+    assert doc["version"] == 2
+    doc["version"] = 1
+    del doc["objects"]["cpu0"]["state"]["skip"]
+    del doc["objects"]["pmu"]["state"]["last_output"]
+    with gzip.open(ckpt, "wb") as fh:
+        fh.write(json.dumps(doc).encode())
+    fresh = _exec_setup(PMU_SETUP)
+    from repro.resilience import CheckpointError
+
+    with pytest.raises(CheckpointError,
+                       match="version 1 != supported version 2"):
+        fresh["restore"](ckpt)

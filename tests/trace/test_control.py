@@ -104,6 +104,52 @@ class TestTraceWindow:
         assert got == [("rtl busy", first * period / 1e6, n * period / 1e6, n)
                        for first, n in spans]
 
+    def test_batched_span_and_tracepoint_say_what_ran(self):
+        # A clock-wired PMU interrupting every 41 cycles asks for 64
+        # cycles per window and gets 41: the span is as long as the
+        # window ran, an instant marks the edge the interrupt is
+        # consumed at, and RTL.Batch says the window was cut.
+        import io
+
+        from repro.models.pmu import PMURTLObject, PMUSharedLibrary
+        from repro.models.pmu.wrapper import REG_ENABLE, threshold_addr
+        from repro.soc.packet import MemCmd, Packet
+        from repro.trace.flags import set_flags, set_sink
+
+        sim = Simulation()
+        dut = PMURTLObject(sim, "dut", PMUSharedLibrary(), batch_cycles=64)
+        dut.connect_clock_event(5)
+        dut.respond_cpu = lambda pkt, data=None: None
+        for offset, value in ((threshold_addr(5), 41), (REG_ENABLE, 1 << 5)):
+            pkt = Packet(MemCmd.WriteReq, dut.mmio_base + offset, 4,
+                         data=value.to_bytes(4, "little"))
+            pkt.dest_port = 0
+            dut.cpu_req_queue.append(pkt)
+        irqs = []
+        dut.on_interrupt(irqs.append)
+        tracer = ChromeTracer()
+        set_chrome_tracer(tracer)
+        log = io.StringIO()
+        set_sink(log)
+        set_flags(["RTL.Batch"])
+        period = sim.default_clock.period
+        sim.run(until=200 * period)
+        dut.stop()
+        tracer.finish()
+        spans = [(e["name"], round(e["ts"] * 1e6) // period,
+                  e["args"]["cycles"])
+                 for e in tracer.events if e["name"].startswith("rtl b")]
+        moved = [round(e["ts"] * 1e6) for e in tracer.events
+                 if e["name"] == "rtl output moved"]
+        assert len(irqs) == 4 and moved == irqs
+        assert sum(cycles for *_, cycles in spans) == dut.st_ticks.value()
+        # each 41-cycle period: 40 cycles in one window (the one that
+        # moved irq is its last), then the pulse's own single step
+        assert ("rtl batched", irqs[0] // period + 2, 40) in spans
+        text = log.getvalue()
+        assert "advanced 40 RTL cycles in one pop (of 64: an output " \
+               "moved at the last)" in text
+
     def test_flips_registered_vcd_writers(self):
         sim = Simulation()
         vcd = FakeVCD()
