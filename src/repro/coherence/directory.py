@@ -26,10 +26,11 @@ checks cheap — any S/E copy anywhere must equal memory exactly.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Optional
 
 from ..soc.cache.cache import BLOCK
+from ..soc.cache.sets import SparseSets
 from ..soc.event import EventPriority
 from ..soc.packet import MemCmd, Packet
 from ..soc.ports import RequestPort, ResponsePort
@@ -85,9 +86,7 @@ class DirectoryController(SimObject):
         #: every participant ever granted a line (flip-target universe)
         self._known: set[str] = set()
         # non-inclusive L2 tags, LRU per set (timing only)
-        self._l2: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        self._l2 = SparseSets(self.num_sets, assoc)
 
         self.cpu_side = ResponsePort(
             f"{name}.cpu_side",
@@ -514,7 +513,7 @@ class DirectoryController(SimObject):
                 for block, e in sorted(self._entries.items())
             ],
             "known": sorted(self._known),
-            "l2": [list(tags.keys()) for tags in self._l2],
+            "l2": self._l2.state(lambda present: ()),
             "inq": [ctx.pack(p) for p in self._inq],
             "busy": self._busy,
             "waiting": [
@@ -534,8 +533,7 @@ class DirectoryController(SimObject):
             entry.owner = owner
             self._entries[block] = entry
         self._known = set(state["known"])
-        self._l2 = [OrderedDict((tag, True) for tag in tags)
-                    for tags in state["l2"]]
+        self._l2.load(state["l2"], lambda: True, f"{self.path()}.l2")
         self._inq = deque(ctx.unpack(p) for p in state["inq"])
         self._busy = state["busy"]
         self._waiting = {

@@ -17,10 +17,11 @@ that serialized before it.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Iterator, Optional
 
 from ..soc.cache.cache import BLOCK
+from ..soc.cache.sets import SparseSets
 from ..soc.event import EventPriority
 from ..soc.packet import MemCmd, Packet
 from ..soc.ports import RequestPort, ResponsePort
@@ -93,9 +94,7 @@ class CoherentL1Cache(SimObject):
 
         # sets[set] = OrderedDict(tag -> CacheLine); LRU = insertion order.
         # A line that would be INVALID is simply absent.
-        self._sets: list[OrderedDict[int, CacheLine]] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        self._sets = SparseSets(self.num_sets, assoc)
         self._mshrs: dict[int, CohMSHR] = {}
 
         self.cpu_side = ResponsePort(
@@ -161,8 +160,8 @@ class CoherentL1Cache(SimObject):
         return line.state if line is not None else _I
 
     def iter_lines(self) -> Iterator[tuple[int, State, bytes]]:
-        """(block_addr, state, data) for every resident line."""
-        for set_idx, tags in enumerate(self._sets):
+        """(block_addr, state, data) for every resident line, by set."""
+        for set_idx, tags in self._sets.occupied():
             for tag, line in tags.items():
                 block = (tag * self.num_sets + set_idx) * BLOCK
                 yield block, line.state, bytes(line.data)
@@ -498,11 +497,9 @@ class CoherentL1Cache(SimObject):
 
     def serialize(self, ctx) -> dict:
         return {
-            "sets": [
-                [[tag, line.state.value, ctx.pack(bytes(line.data))]
-                 for tag, line in tags.items()]
-                for tags in self._sets
-            ],
+            "sets": self._sets.state(
+                lambda line: (line.state.value, ctx.pack(bytes(line.data)))
+            ),
             "mshrs": [
                 {
                     "block_addr": m.block_addr,
@@ -520,13 +517,11 @@ class CoherentL1Cache(SimObject):
         }
 
     def unserialize(self, state: dict, ctx) -> None:
-        self._sets = [
-            OrderedDict(
-                (tag, CacheLine(State(st), ctx.unpack(data)))
-                for tag, st, data in pairs
-            )
-            for pairs in state["sets"]
-        ]
+        self._sets.load(
+            state["sets"],
+            lambda st, data: CacheLine(State(st), ctx.unpack(data)),
+            f"{self.path()}.sets",
+        )
         self._mshrs = {}
         for mstate in state["mshrs"]:
             m = CohMSHR(mstate["block_addr"], MemCmd[mstate["cmd"]],

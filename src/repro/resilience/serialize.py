@@ -5,7 +5,7 @@ Format
 A checkpoint is one gzipped JSON document::
 
     {
-      "version":  2,
+      "version":  3,
       "meta":     {"tick", "structure", "next_pkt_id", "saved_name"},
       "eventq":   {"cur_tick", "seq", "executed", "compactions"},
       "stats":    <root StatGroup state_dict>,
@@ -16,9 +16,27 @@ A checkpoint is one gzipped JSON document::
 
 ``version`` gates the whole layout (2: a core's stall window being
 stepped over and an RTLObject's last consumed output struct joined the
-object state; a version-1 file is refused, not misread);
-``meta.structure`` is a digest over the object tree (paths + types) so a
-checkpoint can only be restored onto an identically built system.
+object state; 3: tag arrays are sparse, below; an older file is
+refused, not misread); ``meta.structure`` is a digest over the object
+tree (paths + types) so a checkpoint can only be restored onto an
+identically built system.
+
+Tag arrays
+----------
+Every set-associative array (``Cache`` tags, ``CoherentL1Cache`` sets,
+the directory's L2 tags) is one
+:class:`~repro.soc.cache.sets.SparseSets` and serialises as::
+
+    {"num_sets", "assoc", "lines": [[set_idx, [[tag, line...], ...]], ...]}
+
+Only occupied sets are written, in ascending set index, the ways of a
+set in LRU order (victim first).  An empty set is not state: a lookup
+miss allocates one, a restored run never had it, and both must write
+the same bytes at the next checkpoint.  The digest above does not see
+sizes, so ``load`` compares the recorded geometry with the built one
+and refuses (:class:`CheckpointError` naming the object) a file whose
+tags were computed for a cache of another shape, as it does a set index
+or way count that does not fit.
 
 Bit-identical continuation
 --------------------------
@@ -58,7 +76,7 @@ from typing import Any, Optional
 
 from ..soc.packet import MemCmd, Packet, peek_packet_id, set_next_packet_id
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -399,7 +417,8 @@ def restore_checkpoint(sim, path) -> None:
             "rebuild with the same configuration to restore"
         )
 
-    missing = [p for p in doc["objects"] if not _has_object(sim, p)]
+    by_path = {obj.path(): obj for obj in sim.objects}
+    missing = [p for p in doc["objects"] if p not in by_path]
     if missing:
         raise CheckpointError(f"objects missing from system: {missing[:5]}")
 
@@ -419,7 +438,6 @@ def restore_checkpoint(sim, path) -> None:
 
     sim.root_stats.load_state(doc["stats"])
 
-    by_path = {obj.path(): obj for obj in sim.objects}
     for obj_path, section in doc["objects"].items():
         obj = by_path[obj_path]
         obj.unserialize(section["state"], ctx)
@@ -446,11 +464,3 @@ def restore_checkpoint(sim, path) -> None:
         sim.extras[name].unserialize(state, ctx)
 
     set_next_packet_id(doc["meta"]["next_pkt_id"])
-
-
-def _has_object(sim, path: str) -> bool:
-    try:
-        sim.find(path)
-    except KeyError:
-        return False
-    return True

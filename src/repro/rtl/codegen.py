@@ -55,6 +55,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 from .kernel import CombProcess, Edge, RTLModule, SyncProcess
@@ -201,6 +202,21 @@ def _hoist_memories(lines: list[str], nmem: int) -> list[str]:
         needle, repl = f"m[{mi}][", f"_m{mi}["
         lines = [line.replace(needle, repl) for line in lines]
     return lines
+
+
+@lru_cache(maxsize=64)
+def _compile(source: str, filename: str):
+    """``compile()`` once per process per generated text.
+
+    A campaign rig or a DSE point rebuilds the same design again and
+    again and generates byte-identical source each time.  Code objects
+    are immutable, so sharing one is invisible: every program still
+    ``exec``s it into its own namespace, where guard slots, value arrays
+    and bound codecs live.  The key is the text itself, so two opt
+    levels or two parameterisations of a design cannot meet; bounded,
+    as ``repro serve`` is long-lived.
+    """
+    return compile(source, filename, "exec")
 
 
 def _no_state() -> None:
@@ -573,7 +589,7 @@ def build_program(
         reset_state = _no_state
 
     source = finish(em.lines)
-    code = compile(source, f"<codegen:{module.name}>", "exec")
+    code = _compile(source, f"<codegen:{module.name}>")
     exec(code, em.namespace)  # noqa: S102 - executing our own generated code
     return CodegenProgram(
         settle=em.namespace["_settle"],
@@ -661,7 +677,7 @@ def build_exchange(
     namespace = program.namespace
     source = "\n".join(lines)
     exec(  # noqa: S102 - executing our own generated code
-        compile(source, "<codegen:exchange>", "exec"), namespace
+        _compile(source, "<codegen:exchange>"), namespace
     )
     exchange = namespace.pop("_bind")(
         in_struct.unpack, out_struct.pack, out_struct.unpack, size_error

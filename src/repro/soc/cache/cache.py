@@ -14,7 +14,7 @@ functionally when the response is produced.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Optional
 
 from ...trace import packets as pkttrace
@@ -23,6 +23,7 @@ from ..event import EventPriority
 from ..packet import MemCmd, Packet
 from ..ports import RequestPort, ResponsePort
 from ..simobject import SimObject, Simulation
+from .sets import SparseSets
 
 BLOCK = 64
 
@@ -76,9 +77,7 @@ class Cache(SimObject):
             prefetcher.attach(self)
 
         # tags[set] = OrderedDict(tag -> dirty); LRU order = insertion order
-        self._tags: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        self._tags = SparseSets(self.num_sets, assoc)
         self._mshrs: dict[int, MSHR] = {}
 
         self.cpu_side = ResponsePort(
@@ -360,7 +359,7 @@ class Cache(SimObject):
     # -- introspection ------------------------------------------------------------------------
 
     def occupancy(self) -> int:
-        return sum(len(t) for t in self._tags)
+        return sum(len(ways) for _, ways in self._tags.occupied())
 
     def mshr_occupancy(self) -> int:
         return len(self._mshrs)
@@ -377,9 +376,7 @@ class Cache(SimObject):
 
     def serialize(self, ctx) -> dict:
         state = {
-            # per-set [tag, dirty] pairs in LRU order (insertion order)
-            "tags": [[[tag, dirty] for tag, dirty in tags.items()]
-                     for tags in self._tags],
+            "tags": self._tags.state(lambda dirty: (dirty,)),
             "mshrs": [
                 {
                     "block_addr": mshr.block_addr,
@@ -399,10 +396,9 @@ class Cache(SimObject):
         return state
 
     def unserialize(self, state: dict, ctx) -> None:
-        self._tags = [
-            OrderedDict((tag, dirty) for tag, dirty in pairs)
-            for pairs in state["tags"]
-        ]
+        self._tags.load(
+            state["tags"], lambda dirty: dirty, f"{self.path()}.tags"
+        )
         self._mshrs = {}
         for mstate in state["mshrs"]:
             mshr = MSHR(mstate["block_addr"], mstate["is_prefetch"],

@@ -176,6 +176,27 @@ def test_exchange_shares_activity_cone_keys(monkeypatch):
     _assert_same(libs, "after the comb-wire upset")
 
 
+def test_second_library_shares_exchange_code_not_state():
+    """The exchange text of one design is compiled once per process;
+    each library binds it to its own simulator, codecs and cone keys."""
+    first, second = PMUSharedLibrary(), PMUSharedLibrary()
+    assert first._exchange.source == second._exchange.source
+    assert first._exchange.__code__ is second._exchange.__code__
+    assert first._exchange is not second._exchange
+    assert first._exchange.__globals__ is not second._exchange.__globals__
+    for lib in (first, second):
+        lib.reset()
+    idle = list(second.sim.values), second.sim.cycle
+    busy = first.input_spec.pack(events=0b1011)
+    for _ in range(50):
+        first.tick(busy)
+    assert (second.sim.values, second.sim.cycle) == idle
+    fresh = PMUSharedLibrary()
+    fresh.reset()
+    assert second.tick(busy) == fresh.tick(busy)
+    assert second.sim.values == fresh.sim.values
+
+
 def test_exchange_errors_match_reference():
     fused, interp = PMUSharedLibrary(), PMUSharedLibrary(backend="interp")
     for lib in (fused, interp):

@@ -211,22 +211,28 @@ def test_restore_among_stepped_over_cycles(tmp_path, save_tick):
 
 
 def test_parent_format_checkpoint_is_refused(tmp_path):
-    """Version 1 knew neither the core's pending window nor the RTL
-    object's last consumed output; restoring one as if it were current
-    would resume mid-stall with the wrong cycle count."""
+    """Version 2 wrote every tag array densely, one list per set; read
+    as version 3 its ``tags`` would be taken for ``[set_idx, ways]``
+    pairs.  The version check refuses the file before any object sees
+    it."""
     saver = _exec_setup(PMU_SETUP)
-    ckpt = tmp_path / "v1.ckpt"
+    ckpt = tmp_path / "v2.ckpt"
     saver["save_at"](300_000, ckpt)
     doc = json.loads(gzip.open(ckpt).read())
-    assert doc["version"] == 2
-    doc["version"] = 1
-    del doc["objects"]["cpu0"]["state"]["skip"]
-    del doc["objects"]["pmu"]["state"]["last_output"]
+    assert doc["version"] == 3
+    doc["version"] = 2
+    for path in ("l1d0", "llc"):
+        sparse = doc["objects"][path]["state"]["tags"]
+        dense = [[] for _ in range(sparse["num_sets"])]
+        for set_idx, ways in sparse["lines"]:
+            dense[set_idx] = ways
+        doc["objects"][path]["state"]["tags"] = dense
     with gzip.open(ckpt, "wb") as fh:
         fh.write(json.dumps(doc).encode())
     fresh = _exec_setup(PMU_SETUP)
     from repro.resilience import CheckpointError
 
     with pytest.raises(CheckpointError,
-                       match="version 1 != supported version 2"):
+                       match="version 2 != supported version 3"):
         fresh["restore"](ckpt)
+    assert fresh["soc"].llc.occupancy() == 0

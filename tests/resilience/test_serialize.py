@@ -12,9 +12,13 @@ from repro.resilience.serialize import (
     checkpoint_blockers,
     structure_digest,
 )
+from repro.dse.pmu_experiment import build_pmu_system
+from repro.soc.cache import SparseSets
 from repro.soc.cpu.uop import alu, load, store
 from repro.soc.event import Event
-from repro.soc.system import SoC, SoCConfig
+from repro.soc.system import CacheConfig, SoC, SoCConfig
+from repro.workloads.sharing import sharing_benchmark
+from repro.workloads.sorting import sort_benchmark
 
 
 def _workload(n=600):
@@ -34,6 +38,43 @@ def _build(num_cores=1):
 
 
 END = 6_000_000  # ticks; past the workload for a 1-core DDR4-1ch system
+
+
+def _build_pmu():
+    return build_pmu_system(n_sort=12)[0]
+
+
+def _build_coherent(**caches):
+    soc = SoC(SoCConfig(num_cores=2, memory="DDR4-1ch", coherent=True,
+                        **caches))
+    for core, stream in zip(soc.cores, sharing_benchmark(2, iters=60)):
+        core.run_stream(stream)
+    return soc
+
+
+def _build_sort(llc_size=16 << 20):
+    soc = SoC(SoCConfig(num_cores=1,
+                        llc=CacheConfig(llc_size, 16, 20, 256)))
+    soc.cores[0].run_stream(sort_benchmark(12))
+    return soc
+
+
+def _tag_arrays(soc):
+    """Every SparseSets of the system, whichever model owns it."""
+    return [
+        value
+        for obj in soc.sim.objects
+        for value in vars(obj).values()
+        if isinstance(value, SparseSets)
+    ]
+
+
+def _checkpoint_json(soc, path) -> bytes:
+    soc.save_checkpoint(path)
+    return gzip.open(path).read()
+
+
+CYCLE_6000 = 6_000 * 500  # ticks at the 2 GHz core clock
 
 
 class TestRoundTrip:
@@ -60,6 +101,44 @@ class TestRoundTrip:
         assert resumed.sim.now == ref.sim.now
         assert resumed.sim.stats_dump() == expected
 
+    @pytest.mark.parametrize(
+        "build,t1,t2",
+        [
+            # T1 while the caches are still filling (both workloads
+            # are over their misses by tick 600 000)
+            pytest.param(_build_pmu, 150_000, CYCLE_6000, id="pmu"),
+            pytest.param(_build_coherent, 300_000, 700_000, id="coherent"),
+        ],
+    )
+    def test_next_checkpoint_of_a_restored_run_is_byte_identical(
+            self, tmp_path, build, t1, t2):
+        """A at T1, run on, B at T2; a fresh twin restores A, runs on
+        and writes B' at T2: B == B'.  The restored twin never had the
+        sets the saver touched and emptied (or only missed in) before
+        T1, and it is made to miss in yet more, from the top down —
+        none of that is state."""
+        saver = build()
+        saver.sim.startup()
+        saver.sim.run(until=t1)
+        saver.save_checkpoint(tmp_path / "a.ckpt")
+        saver.sim.run(until=t2)
+        saver.save_checkpoint(tmp_path / "b.ckpt")
+
+        resumed = build()
+        resumed.restore(tmp_path / "a.ckpt")
+        for store in _tag_arrays(resumed):
+            for set_idx in range(store.num_sets - 1, 0, -7):
+                assert not store[set_idx].get(-1)
+        resumed.sim.run(until=t2)
+        resumed.save_checkpoint(tmp_path / "b2.ckpt")
+
+        assert all(len(store) > len(store.occupied())
+                   for store in _tag_arrays(resumed))
+        assert (tmp_path / "a.ckpt").read_bytes() != \
+            (tmp_path / "b.ckpt").read_bytes()
+        assert (tmp_path / "b.ckpt").read_bytes() == \
+            (tmp_path / "b2.ckpt").read_bytes()
+
     def test_checkpoint_includes_save_tick(self, tmp_path):
         soc = _build()
         soc.sim.startup()
@@ -79,6 +158,41 @@ class TestRoundTrip:
             (tmp_path / "b.ckpt").read_bytes()
 
 
+class TestCostsWhatTheRunTouched:
+    """Deterministic counts, not timings: state is O(touched)."""
+
+    def test_pmu_checkpoint_is_small(self, tmp_path):
+        soc = _build_pmu()
+        soc.sim.startup()
+        soc.sim.run(until=CYCLE_6000)
+        doc = _checkpoint_json(soc, tmp_path / "a.ckpt")
+        assert len(doc) < 16 * 1024  # 78 763 B with dense tag arrays
+        llc = json.loads(doc)["objects"]["llc"]["state"]["tags"]
+        assert 0 < len(llc["lines"]) == len(soc.llc._tags.occupied())
+
+    def test_checkpoint_size_does_not_grow_with_capacity(self, tmp_path):
+        sizes = {}
+        for llc_size in (16 << 20, 64 << 20):
+            soc = _build_sort(llc_size)
+            soc.sim.startup()
+            soc.sim.run(until=CYCLE_6000)
+            doc = json.loads(_checkpoint_json(soc, tmp_path / "a.ckpt"))
+            tags = doc["objects"]["llc"]["state"]["tags"]
+            # what is left once the resident lines are taken out: the
+            # recorded geometry, whose digits are all that may differ
+            tags["lines"] = []
+            sizes[llc_size] = (soc.llc.occupancy(), len(json.dumps(tags)))
+        (lines_a, fixed_a), (lines_b, fixed_b) = sizes.values()
+        assert lines_a == lines_b > 0
+        assert abs(fixed_a - fixed_b) <= len("65536") - len("16384") + 1
+
+    def test_construction_allocates_no_set(self):
+        soc = _build_sort()
+        assert all(len(store) == 0 for store in _tag_arrays(soc))
+        coherent = _build_coherent()
+        assert all(len(store) == 0 for store in _tag_arrays(coherent))
+
+
 class TestValidation:
     def test_structure_digest_depends_on_topology(self):
         assert structure_digest(_build(1).sim) != \
@@ -91,6 +205,47 @@ class TestValidation:
         saver.save_checkpoint(path)
         other = _build(num_cores=2)
         with pytest.raises(CheckpointError, match="differently built"):
+            other.restore(path)
+
+    def test_restore_rejects_different_cache_geometry(self, tmp_path):
+        """The structure digest sees paths and types, not sizes: a
+        checkpoint of a 16 MiB LLC used to restore onto a 1 MiB one,
+        its lines filed under tags computed for the other geometry."""
+        saver = _build_sort(16 << 20)
+        saver.sim.startup()
+        saver.sim.run(until=CYCLE_6000)
+        path = tmp_path / "big.ckpt"
+        saver.save_checkpoint(path)
+        assert saver.llc.occupancy() > 0
+        other = _build_sort(1 << 20)
+        with pytest.raises(CheckpointError,
+                           match=r"llc\.tags: checkpoint holds 16384 sets "
+                                 r"x 16 ways.* 1024 x 16"):
+            other.restore(path)
+        assert other.llc.num_sets == 1024
+        assert other.llc.occupancy() == 0
+
+    @pytest.mark.parametrize(
+        "caches,where",
+        [
+            pytest.param({"l1d": CacheConfig(32 * 1024, 4, 2, 24)},
+                         r"cpu0\.l1d\.sets", id="coherent-l1"),
+            pytest.param({"l1d": CacheConfig(64 * 1024, 8, 2, 24)},
+                         r"cpu0\.l1d\.sets", id="coherent-l1-ways"),
+            pytest.param({"l2": CacheConfig(128 * 1024, 8, 9, 24)},
+                         r"l2dir\.l2", id="directory-l2"),
+        ],
+    )
+    def test_restore_rejects_different_coherent_geometry(
+            self, tmp_path, caches, where):
+        saver = _build_coherent()
+        saver.sim.startup()
+        saver.sim.run(until=1_500_000)
+        path = tmp_path / "coh.ckpt"
+        saver.save_checkpoint(path)
+        other = _build_coherent(**caches)
+        with pytest.raises(CheckpointError,
+                           match=where + ": checkpoint holds"):
             other.restore(path)
 
     def test_restore_rejects_unknown_version(self, tmp_path):

@@ -256,3 +256,83 @@ endmodule
             sim.tick(3)
         assert sims[0].peek("y") == sims[1].peek("y")
         assert sims[0].peek("r") == sims[1].peek("r")
+
+
+class TestCompiledOncePerProcess:
+    """Generated text is compiled once per process; every simulator
+    still executes it in a namespace of its own."""
+
+    CHAIN = "\n".join(
+        f"  wire [7:0] t{i};\n"
+        f"  assign t{i} = t{i-1} ^ (t{i-1} + 8'd{i});"
+        for i in range(1, 20)
+    )
+    SOURCE = f"""
+module fatmem(input clk, input rst, input [7:0] x,
+              output reg [7:0] r, output [7:0] y);
+  reg [7:0] ram [0:3];
+  wire [7:0] t0;
+  assign t0 = x + 8'd1;
+{CHAIN}
+  assign y = t19 ^ r;
+  always @(posedge clk) begin
+    if (rst) r <= 8'd0; else r <= r + x;
+    ram[r[1:0]] <= y;
+  end
+endmodule
+"""
+
+    def _sim(self, opt_level):
+        from repro.hdl.common import ElabOptions
+        from repro.hdl.verilog import compile_verilog
+
+        module = compile_verilog(
+            self.SOURCE, top="fatmem",
+            options=ElabOptions(opt_level=opt_level),
+        )
+        return RTLSimulator(module, backend="codegen")
+
+    @staticmethod
+    def _snapshot(sim):
+        return (list(sim.values), [list(mem) for mem in sim.mems],
+                sim.cycle, list(sim._codegen.namespace["_act"]))
+
+    def test_one_design_shares_code_objects_and_no_state(self):
+        sim_a, sim_b = self._sim(2), self._sim(2)
+        assert sim_a._codegen.guarded_cones > 0
+        assert sim_a._codegen.source == sim_b._codegen.source
+        for fn in ("tick_batch", "settle"):
+            a, b = getattr(sim_a._codegen, fn), getattr(sim_b._codegen, fn)
+            assert a.__code__ is b.__code__
+            assert a is not b and a.__globals__ is not b.__globals__
+
+        before = self._snapshot(sim_b)
+        sim_a.poke("x", 5)
+        sim_a.tick(100)
+        assert self._snapshot(sim_a) != before
+        assert self._snapshot(sim_b) == before
+
+        fresh = self._sim(2)
+        for sim in (sim_b, fresh):
+            sim.poke("x", 9)
+            sim.tick()
+        assert self._snapshot(sim_b) == self._snapshot(fresh)
+
+    def test_opt_levels_do_not_share(self):
+        sim_o0, sim_o2 = self._sim(0), self._sim(2)
+        assert sim_o0._codegen.source != sim_o2._codegen.source
+        assert (sim_o0._codegen.tick_batch.__code__
+                is not sim_o2._codegen.tick_batch.__code__)
+        assert sim_o0._codegen.guarded_cones == 0
+
+    def test_second_build_compiles_nothing(self, monkeypatch):
+        import builtins
+
+        self._sim(2)
+        calls = []
+        real = builtins.compile
+        monkeypatch.setattr(
+            builtins, "compile",
+            lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+        self._sim(2)
+        assert not [name for name in calls if name.startswith("<codegen:")]

@@ -3,7 +3,8 @@ prefetching.  Uses an IdealMemory downstream so timing is deterministic."""
 
 import pytest
 
-from repro.soc.cache import BLOCK, Cache, StridePrefetcher
+from repro.resilience import CheckpointError
+from repro.soc.cache import BLOCK, Cache, SparseSets, StridePrefetcher
 from repro.soc.mem import IdealMemory, PhysicalMemory
 from repro.soc.packet import MemCmd, Packet
 from repro.soc.ports import RequestPort
@@ -162,6 +163,22 @@ class TestEviction:
         assert cache.contains(a) and cache.contains(c)
         assert not cache.contains(b)
 
+    def test_lru_victim_selection_across_a_state_round_trip(self, rig):
+        """The same victim when the tags go through state()/load()
+        between the touch and the fill that evicts."""
+        sim, cache, h, _ = rig
+        sets = cache.num_sets
+        a, b, c = (i * sets * BLOCK for i in range(3))
+        h.read(a); h.drain()
+        h.read(b); h.drain()
+        h.read(a); h.drain()   # touch a: b becomes LRU
+        state = cache._tags.state(lambda dirty: (dirty,))
+        assert state["lines"] == [[0, [[1, False], [0, False]]]]
+        cache._tags.load(state, bool, "c.tags")
+        h.read(c); h.drain()   # evicts b
+        assert cache.contains(a) and cache.contains(c)
+        assert not cache.contains(b)
+
     def test_dirty_eviction_emits_writeback(self, rig):
         sim, cache, h, mem = rig
         sets = cache.num_sets
@@ -251,6 +268,66 @@ class TestMissListeners:
         assert len(events) == 2
 
 
+class TestSparseSets:
+    def test_a_set_exists_from_its_first_touch(self):
+        store = SparseSets(num_sets=1 << 18, assoc=16)
+        assert len(store) == 0
+        assert 7 not in store[1234]
+        assert len(store) == 1
+        assert store[1234] is store[1234]
+
+    def test_occupied_ascends_whatever_the_touch_order(self):
+        store = SparseSets(num_sets=64, assoc=2)
+        for set_idx in (41, 3, 63, 0, 17):
+            store[set_idx][set_idx * 10] = True
+        assert list(store) == [41, 3, 63, 0, 17]
+        assert [i for i, _ in store.occupied()] == [0, 3, 17, 41, 63]
+        assert [i for i, _ in store.state(lambda _: ())["lines"]] == \
+            [0, 3, 17, 41, 63]
+
+    def test_an_empty_set_is_not_state(self):
+        store = SparseSets(num_sets=64, assoc=2)
+        before = store.state(lambda line: (line,))
+        store[9][1] = "x"
+        store[5].get(1)            # a miss: allocated, never filled
+        del store[9][1]            # an invalidation: filled, then emptied
+        assert len(store) == 2
+        assert store.occupied() == []
+        assert store.state(lambda line: (line,)) == before
+
+    def test_state_keeps_lru_order_within_a_set(self):
+        store = SparseSets(num_sets=4, assoc=4)
+        for tag in (5, 9, 2):
+            store[1][tag] = tag % 2 == 0
+        store[1].move_to_end(5)
+        state = store.state(lambda dirty: (dirty,))
+        assert state == {"num_sets": 4, "assoc": 4,
+                         "lines": [[1, [[9, False], [2, True], [5, False]]]]}
+        twin = SparseSets(num_sets=4, assoc=4)
+        twin[3][1] = True          # replaced, not merged
+        twin.load(state, bool, "twin")
+        assert list(twin) == [1]
+        assert list(twin[1].items()) == [(9, False), (2, True), (5, False)]
+        assert twin[1].popitem(last=False) == store[1].popitem(last=False)
+
+    @pytest.mark.parametrize(
+        "state,why",
+        [
+            ({"num_sets": 8, "assoc": 4, "lines": []}, "holds 8 sets x 4"),
+            ({"num_sets": 4, "assoc": 2, "lines": []}, "holds 4 sets x 2"),
+            ({"num_sets": 4, "assoc": 4, "lines": [[4, [[0]]]]}, "set 4 "),
+            ({"num_sets": 4, "assoc": 4, "lines": [[-1, [[0]]]]}, "set -1 "),
+            ({"num_sets": 4, "assoc": 4,
+              "lines": [[0, [[t] for t in range(5)]]]}, "with 5 lines"),
+            ({"num_sets": 4, "assoc": 4, "lines": [[0, []]]}, "with 0 lines"),
+        ],
+    )
+    def test_load_refuses_what_does_not_fit(self, state, why):
+        store = SparseSets(num_sets=4, assoc=4)
+        with pytest.raises(CheckpointError, match="sys.llc.tags: .*" + why):
+            store.load(state, lambda: True, "sys.llc.tags")
+
+
 class TestGeometry:
     def test_bad_size_rejected(self):
         sim = Simulation()
@@ -262,3 +339,11 @@ class TestGeometry:
         h.read(0); h.read(BLOCK)
         h.drain()
         assert cache.occupancy() == 2
+
+    def test_construction_allocates_no_set(self):
+        cache = Cache(Simulation(), "llc", size=16 << 20, assoc=16,
+                      latency_cycles=20, mshrs=256)
+        assert cache.num_sets == 16384
+        assert len(cache._tags) == 0
+        assert not cache.contains(0x1234_0000)
+        assert cache.occupancy() == 0
