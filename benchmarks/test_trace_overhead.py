@@ -40,7 +40,7 @@ FLAG_SITES = [
     ("repro.soc.ports", "FLAG_PORTS"),
     ("repro.soc.tlb", "FLAG_TLB"),
     ("repro.soc.cache.cache", "FLAG_CACHE"),
-    ("repro.soc.cache.cache", "FLAG_MSHR"),
+    ("repro.soc.cache.core", "FLAG_MSHR"),
     ("repro.soc.interconnect.xbar", "FLAG_XBAR"),
     ("repro.soc.mem.dram", "FLAG_DRAM"),
     ("repro.soc.cpu.core", "FLAG_CPU"),

@@ -74,7 +74,6 @@ class RTLObject(SimObject):
             ResponsePort(
                 f"{name}.cpu_side{i}",
                 recv_timing_req=self._make_cpu_req_handler(i),
-                recv_resp_retry=self._make_cpu_resp_retry(i),
                 recv_functional=self._recv_functional,
             )
             for i in range(CPU_SIDE_PORTS)
@@ -84,7 +83,6 @@ class RTLObject(SimObject):
             RequestPort(
                 f"{name}.mem_side{i}",
                 recv_timing_resp=self._recv_mem_resp,
-                recv_req_retry=self._make_mem_retry(i),
                 recv_snoop=self.recv_snoop_mem,
             )
             for i in range(MEM_SIDE_PORTS)
@@ -92,14 +90,6 @@ class RTLObject(SimObject):
 
         # Inbound CPU-side requests awaiting processing by the RTL model.
         self.cpu_req_queue: deque[Packet] = deque()
-        # Responses we produced but whose port was busy.
-        self._blocked_resps: list[deque[Packet]] = [
-            deque() for _ in range(CPU_SIDE_PORTS)
-        ]
-        # Memory-side requests awaiting port acceptance, per port.
-        self._mem_req_queue: list[deque[Packet]] = [
-            deque() for _ in range(MEM_SIDE_PORTS)
-        ]
         # Responses from memory, delivered into the next input struct.
         self.mem_resp_queue: deque[Packet] = deque()
         self.inflight = 0
@@ -307,17 +297,6 @@ class RTLObject(SimObject):
 
         return handler
 
-    def _make_cpu_resp_retry(self, port_idx: int):
-        def handler() -> None:
-            queue = self._blocked_resps[port_idx]
-            while queue:
-                pkt = queue.popleft()
-                if not self.cpu_side[port_idx].send_timing_resp(pkt):
-                    queue.appendleft(pkt)
-                    return
-
-        return handler
-
     def _recv_functional(self, pkt: Packet) -> None:
         raise NotImplementedError(
             f"{self.name}: functional access to RTL state is model-specific"
@@ -336,10 +315,7 @@ class RTLObject(SimObject):
                 "cpu_side%d respond %s #%d addr=%#x",
                 port_idx, pkt.cmd.name, pkt.pkt_id, pkt.addr, tick=self.now,
             )
-        if self._blocked_resps[port_idx] or not self.cpu_side[
-            port_idx
-        ].send_timing_resp(pkt):
-            self._blocked_resps[port_idx].append(pkt)
+        self.cpu_side[port_idx].send(pkt)
 
     # -- memory-side plumbing -------------------------------------------------------
 
@@ -393,22 +369,9 @@ class RTLObject(SimObject):
             )
         if pkttrace.FLAG_PACKET.enabled:
             pkt.record_hop(self.name, self.now)
-        queue = self._mem_req_queue[port_idx]
-        if queue or not self.mem_side[port_idx].send_timing_req(pkt):
-            queue.append(pkt)
+        if not self.mem_side[port_idx].send(pkt):
             self.st_stalled_reqs.inc()
         return True
-
-    def _make_mem_retry(self, port_idx: int):
-        def handler() -> None:
-            queue = self._mem_req_queue[port_idx]
-            while queue:
-                pkt = queue.popleft()
-                if not self.mem_side[port_idx].send_timing_req(pkt):
-                    queue.appendleft(pkt)
-                    return
-
-        return handler
 
     def recv_snoop_mem(self, pkt: Packet) -> None:
         """Express coherence probe arriving on a mem-side port.
@@ -456,12 +419,8 @@ class RTLObject(SimObject):
         return {
             "last_output": ctx.pack(self._last_bytes),
             "cpu_req_queue": [ctx.pack(p) for p in self.cpu_req_queue],
-            "blocked_resps": [
-                [ctx.pack(p) for p in q] for q in self._blocked_resps
-            ],
-            "mem_req_queue": [
-                [ctx.pack(p) for p in q] for q in self._mem_req_queue
-            ],
+            "blocked_resps": [p.queue_state(ctx) for p in self.cpu_side],
+            "mem_req_queue": [p.queue_state(ctx) for p in self.mem_side],
             "mem_resp_queue": [ctx.pack(p) for p in self.mem_resp_queue],
             "inflight": self.inflight,
             "running": self._running,
@@ -472,12 +431,10 @@ class RTLObject(SimObject):
         self.cpu_req_queue = deque(
             ctx.unpack(p) for p in state["cpu_req_queue"]
         )
-        self._blocked_resps = [
-            deque(ctx.unpack(p) for p in q) for q in state["blocked_resps"]
-        ]
-        self._mem_req_queue = [
-            deque(ctx.unpack(p) for p in q) for q in state["mem_req_queue"]
-        ]
+        for port, queued in zip(self.cpu_side, state["blocked_resps"]):
+            port.load_queue(queued, ctx)
+        for port, queued in zip(self.mem_side, state["mem_req_queue"]):
+            port.load_queue(queued, ctx)
         self.mem_resp_queue = deque(
             ctx.unpack(p) for p in state["mem_resp_queue"]
         )

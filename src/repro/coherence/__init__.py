@@ -1,7 +1,8 @@
 """MESI cache coherence (multi-core sharing with a snooping directory).
 
 The protocol engine (:mod:`.protocol`) is an explicit state table;
-:mod:`.l1` holds the per-core private caches, :mod:`.directory` the
+:mod:`.l1` holds the per-core private caches (the MESI policy over
+:class:`repro.soc.cache.CacheCore`), :mod:`.directory` the
 shared-L2 snooping directory that serializes every transaction, and
 :mod:`.check` the protocol-invariant harness behind
 ``repro verify coherence``.  The RTL write-through cache joins the same
@@ -21,13 +22,12 @@ from .directory import (
     DirectoryController,
     DirEntry,
 )
-from .l1 import CacheLine, CoherentL1Cache, CohMSHR
+from .l1 import CacheLine, CoherentL1Cache
 from .protocol import EVENTS, TRANSITIONS, ProtocolError, State, next_state
 
 __all__ = [
     "CacheLine",
     "CoherentL1Cache",
-    "CohMSHR",
     "DIR_STATE_DEPTH",
     "DIR_STATE_WIDTH",
     "DirEntry",

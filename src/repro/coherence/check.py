@@ -29,10 +29,10 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..soc.cache.cache import BLOCK
+from ..soc.cache.sets import BLOCK
 from ..soc.event import Event
 from ..soc.packet import MemCmd, Packet
-from ..soc.ports import RequestPortWithRetry
+from ..soc.ports import RequestPort
 from ..soc.simobject import SimObject, Simulation
 from .directory import DirectoryController
 from .l1 import CoherentL1Cache
@@ -131,7 +131,7 @@ class SharingDriver(SimObject):
         self.seed = seed
         self.gap_cycles = gap_cycles
         self.layout = layout
-        self.port = RequestPortWithRetry(
+        self.port = RequestPort(
             f"{name}.port", recv_timing_resp=self._on_resp)
         self._event = Event(self._step, f"{name}.step")
         self._outstanding = False
@@ -160,7 +160,7 @@ class SharingDriver(SimObject):
             pkt = Packet(MemCmd.ReadReq, addr, 8, requestor=self.name)
         self.issued += 1
         self._outstanding = True
-        self.port.try_send(pkt)  # parks itself and resends on retry
+        self.port.send(pkt)  # waits in the port if the L1 is busy
 
     def _on_resp(self, pkt: Packet) -> bool:
         self._outstanding = False

@@ -29,12 +29,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from ..soc.cache.cache import BLOCK
-from ..soc.cache.sets import SparseSets
+from ..soc.cache.sets import BLOCK, SparseSets
 from ..soc.event import EventPriority
 from ..soc.packet import MemCmd, Packet
 from ..soc.ports import RequestPort, ResponsePort
 from ..soc.simobject import SimObject, Simulation
+from ..trace import packets as pkttrace
 from ..trace.flags import tracepoint
 from .l1 import FLAG_COH
 from .protocol import ProtocolError
@@ -70,14 +70,8 @@ class DirectoryController(SimObject):
         parent: Optional[SimObject] = None,
     ) -> None:
         super().__init__(sim, name, parent)
-        if size % (assoc * BLOCK) != 0:
-            raise ValueError(
-                f"{name}: size {size} not divisible by assoc*block"
-            )
         self.latency_cycles = latency_cycles
         self.inq_depth = inq_depth
-        self.num_sets = size // (assoc * BLOCK)
-        self.assoc = assoc
 
         #: block -> DirEntry; complete (never silently dropped), so a
         #: lost entry here is a lost invalidation — which is exactly why
@@ -86,25 +80,21 @@ class DirectoryController(SimObject):
         #: every participant ever granted a line (flip-target universe)
         self._known: set[str] = set()
         # non-inclusive L2 tags, LRU per set (timing only)
-        self._l2 = SparseSets(self.num_sets, assoc)
+        self._l2 = SparseSets.sized(name, size, assoc)
 
         self.cpu_side = ResponsePort(
             f"{name}.cpu_side",
             recv_timing_req=self._recv_req,
-            recv_resp_retry=self._resp_retry,
             recv_functional=self._functional,
         )
         self.mem_side = RequestPort(
             f"{name}.mem_side",
             recv_timing_resp=self._recv_fill,
-            recv_req_retry=self._req_retry,
         )
         self._inq: deque[Packet] = deque()
         self._busy = False
         #: block -> [[resp_pkt, data], ...] parked behind an L2 fill
         self._waiting: dict[int, list] = {}
-        self._resp_q: deque[Packet] = deque()
-        self._downstream_q: deque[Packet] = deque()
         self._need_retry = False
 
         s = self.stats
@@ -128,10 +118,6 @@ class DirectoryController(SimObject):
         self.st_l2_misses = s.scalar("l2_misses", "L2 tag misses (fills)")
 
     # -- bookkeeping helpers -----------------------------------------------
-
-    def _set_and_tag(self, block: int) -> tuple[int, int]:
-        idx = block // BLOCK
-        return idx % self.num_sets, idx // self.num_sets
 
     def entry_view(self) -> dict[int, tuple[list[str], Optional[str]]]:
         """Snapshot for invariant checkers: block -> (sharers, owner)."""
@@ -174,6 +160,8 @@ class DirectoryController(SimObject):
         if len(self._inq) >= self.inq_depth:
             self._need_retry = True
             return False
+        if pkttrace.FLAG_PACKET.enabled:
+            pkt.record_hop(self.name, self.now)
         self._inq.append(pkt)
         self._kick()
         return True
@@ -293,7 +281,7 @@ class DirectoryController(SimObject):
             self._entries[block] = fresh
             self._grant(pkt, origin, "M", self._read_mem(block))
         self._touch_l2(block)
-        self._queue_resp(pkt.make_response())
+        self.cpu_side.send(pkt.make_response())
 
     def _handle_wt_write(self, pkt: Packet) -> None:
         """Write-through store from an RTL participant (8 bytes)."""
@@ -330,7 +318,7 @@ class DirectoryController(SimObject):
         self.st_wt_writes.inc()
         self._known.add(origin)
         self._touch_l2(block)  # write-no-allocate: touch, never fill
-        self._queue_resp(pkt.make_response())
+        self.cpu_side.send(pkt.make_response())
 
     # -- express snoop / grant machinery ------------------------------------
 
@@ -393,7 +381,7 @@ class DirectoryController(SimObject):
     # -- L2 tag timing -------------------------------------------------------
 
     def _touch_l2(self, block: int) -> bool:
-        set_idx, tag = self._set_and_tag(block)
+        set_idx, tag = self._l2.split(block)
         tags = self._l2[set_idx]
         if tag in tags:
             tags.move_to_end(tag)
@@ -402,16 +390,16 @@ class DirectoryController(SimObject):
 
     def _finish_data_resp(self, pkt: Packet, block: int,
                           data: bytes) -> None:
-        set_idx, tag = self._set_and_tag(block)
+        set_idx, tag = self._l2.split(block)
         tags = self._l2[set_idx]
         if tag in tags and block not in self._waiting:
             tags.move_to_end(tag)
             self.st_l2_hits.inc()
-            self._queue_resp(pkt.make_response(data))
+            self.cpu_side.send(pkt.make_response(data))
             return
         self.st_l2_misses.inc()
         if tag not in tags:
-            if len(tags) >= self.assoc:
+            if len(tags) >= self._l2.assoc:
                 tags.popitem(last=False)  # tags only: nothing to write back
             tags[tag] = True
         waiting = self._waiting.setdefault(block, [])
@@ -419,39 +407,15 @@ class DirectoryController(SimObject):
         if len(waiting) == 1:
             fill = Packet(MemCmd.ReadReq, block, BLOCK, requestor=self.name)
             fill.meta["l2_fill"] = True
-            self._send_downstream(fill)
+            self.mem_side.send(fill)
 
     def _recv_fill(self, pkt: Packet) -> bool:
         if not pkt.meta.get("l2_fill"):
             raise RuntimeError(f"{self.name}: unexpected response {pkt!r}")
         block = pkt.block_addr(BLOCK)
         for req, data in self._waiting.pop(block, ()):
-            self._queue_resp(req.make_response(data))
+            self.cpu_side.send(req.make_response(data))
         return True
-
-    # -- queued sends --------------------------------------------------------
-
-    def _send_downstream(self, pkt: Packet) -> None:
-        if self._downstream_q or not self.mem_side.send_timing_req(pkt):
-            self._downstream_q.append(pkt)
-
-    def _req_retry(self) -> None:
-        while self._downstream_q:
-            pkt = self._downstream_q.popleft()
-            if not self.mem_side.send_timing_req(pkt):
-                self._downstream_q.appendleft(pkt)
-                return
-
-    def _queue_resp(self, pkt: Packet) -> None:
-        if self._resp_q or not self.cpu_side.send_timing_resp(pkt):
-            self._resp_q.append(pkt)
-
-    def _resp_retry(self) -> None:
-        while self._resp_q:
-            pkt = self._resp_q.popleft()
-            if not self.cpu_side.send_timing_resp(pkt):
-                self._resp_q.appendleft(pkt)
-                return
 
     def _functional(self, pkt: Packet) -> None:
         self.mem_side.send_functional(pkt)
@@ -459,7 +423,7 @@ class DirectoryController(SimObject):
     @property
     def quiet(self) -> bool:
         return (not self._inq and not self._busy and not self._waiting
-                and not self._resp_q and not self._downstream_q)
+                and not self.cpu_side.queue and not self.mem_side.queue)
 
     # -- fault-campaign hook --------------------------------------------------
 
@@ -520,8 +484,8 @@ class DirectoryController(SimObject):
                 [block, [[ctx.pack(p), ctx.pack(d)] for p, d in parked]]
                 for block, parked in sorted(self._waiting.items())
             ],
-            "resp_q": [ctx.pack(p) for p in self._resp_q],
-            "downstream_q": [ctx.pack(p) for p in self._downstream_q],
+            "resp_q": self.cpu_side.queue_state(ctx),
+            "downstream_q": self.mem_side.queue_state(ctx),
             "need_retry": self._need_retry,
         }
 
@@ -540,7 +504,6 @@ class DirectoryController(SimObject):
             block: [[ctx.unpack(p), ctx.unpack(d)] for p, d in parked]
             for block, parked in state["waiting"]
         }
-        self._resp_q = deque(ctx.unpack(p) for p in state["resp_q"])
-        self._downstream_q = deque(
-            ctx.unpack(p) for p in state["downstream_q"])
+        self.cpu_side.load_queue(state["resp_q"], ctx)
+        self.mem_side.load_queue(state["downstream_q"], ctx)
         self._need_retry = state["need_retry"]

@@ -5,6 +5,10 @@ coherent L1 holds the actual 64-byte line data: intervention
 (dirty-owner forwarding) and the "no stale-S reads" invariant are only
 meaningful when the bytes a cache serves can differ from memory.
 
+This module is the MESI policy over
+:class:`~repro.soc.cache.core.CacheCore`, which the classic cache also
+stands on: ports, tag array, MSHR file and the shared statistics.
+
 Ordering model — *grant/response split*.  The directory is the single
 serialization point: every protocol side effect (directory bookkeeping,
 remote snoops, and this cache's line install) happens atomically inside
@@ -17,14 +21,11 @@ that serialized before it.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator, Optional
 
-from ..soc.cache.cache import BLOCK
-from ..soc.cache.sets import SparseSets
-from ..soc.event import EventPriority
+from ..soc.cache.core import MSHR, CacheCore
+from ..soc.cache.sets import BLOCK
 from ..soc.packet import MemCmd, Packet
-from ..soc.ports import RequestPort, ResponsePort
 from ..soc.simobject import SimObject, Simulation
 from ..trace.flags import debug_flag, tracepoint
 from .protocol import ProtocolError, State, next_state
@@ -49,22 +50,7 @@ class CacheLine:
         self.data = bytearray(data)
 
 
-class CohMSHR:
-    """One outstanding coherence miss and its coalesced targets."""
-
-    __slots__ = ("block_addr", "cmd", "targets", "ready", "granted",
-                 "issued_tick")
-
-    def __init__(self, block_addr: int, cmd: MemCmd, now: int) -> None:
-        self.block_addr = block_addr
-        self.cmd = cmd                      # ReadReq | ReadExReq | UpgradeReq
-        self.targets: list[Packet] = []     # CPU packets awaiting the grant
-        self.ready: list = []               # (pkt, data|None) captured at grant
-        self.granted = False
-        self.issued_tick = now
-
-
-class CoherentL1Cache(SimObject):
+class CoherentL1Cache(CacheCore):
     """Set-associative private L1 participating in the MESI protocol."""
 
     def __init__(
@@ -78,49 +64,13 @@ class CoherentL1Cache(SimObject):
         parent: Optional[SimObject] = None,
         paranoid: bool = False,
     ) -> None:
-        super().__init__(sim, name, parent)
-        if size % (assoc * BLOCK) != 0:
-            raise ValueError(
-                f"{name}: size {size} not divisible by assoc*block "
-                f"({assoc}*{BLOCK})"
-            )
-        self.size = size
-        self.assoc = assoc
-        self.latency_cycles = latency_cycles
-        self.num_sets = size // (assoc * BLOCK)
-        self.mshr_cap = mshrs
+        # a line is a CacheLine; one that would be INVALID is simply absent
+        super().__init__(sim, name, size, assoc, latency_cycles, mshrs,
+                         parent)
         #: compare clean-line bytes against memory on every hit (verify mode)
         self.paranoid = paranoid
 
-        # sets[set] = OrderedDict(tag -> CacheLine); LRU = insertion order.
-        # A line that would be INVALID is simply absent.
-        self._sets = SparseSets(self.num_sets, assoc)
-        self._mshrs: dict[int, CohMSHR] = {}
-
-        self.cpu_side = ResponsePort(
-            f"{name}.cpu_side",
-            recv_timing_req=self._recv_req,
-            recv_resp_retry=self._resp_retry,
-            recv_functional=self._functional,
-        )
-        self.mem_side = RequestPort(
-            f"{name}.mem_side",
-            recv_timing_resp=self._recv_resp,
-            recv_req_retry=self._req_retry,
-            recv_snoop=self._recv_snoop,
-        )
-        self._downstream_q: deque[Packet] = deque()
-        self._blocked_resps: deque[Packet] = deque()
-        self._need_retry = False
-
-        s = self.stats
-        self.st_hits = s.scalar("hits", "demand hits")
-        self.st_misses = s.scalar("misses", "demand misses")
-        self.st_coalesced = s.scalar("mshr_hits", "misses coalesced into MSHRs")
-        self.st_evictions = s.scalar("evictions", "lines evicted")
-        self.st_writebacks = s.scalar("writebacks", "dirty lines written back")
-        self.st_mshr_rejects = s.scalar(
-            "mshr_rejects", "requests rejected: MSHRs full or block pending")
+    def _policy_stats(self, s) -> None:
         self.st_upgrade_misses = s.scalar(
             "upgrade_misses", "stores that hit in S and had to upgrade")
         self.st_invalidations = s.scalar(
@@ -129,8 +79,6 @@ class CoherentL1Cache(SimObject):
             "interventions", "dirty lines forwarded to snoops (M owner)")
         self.st_snoops = s.scalar(
             "snoops", "coherence probes observed on the snoop channel")
-        self.st_miss_latency = s.distribution(
-            "miss_latency_cycles", 0, 1000, 25, "demand miss latency")
 
     # -- identity & lookup -------------------------------------------------
 
@@ -139,21 +87,17 @@ class CoherentL1Cache(SimObject):
         """Stable participant name the directory tracks (full path)."""
         return self.path()
 
-    def _set_and_tag(self, addr: int) -> tuple[int, int]:
-        block = addr // BLOCK
-        return block % self.num_sets, block // self.num_sets
-
     def _find(self, addr: int) -> Optional[CacheLine]:
-        set_idx, tag = self._set_and_tag(addr)
-        return self._sets[set_idx].get(tag)
+        set_idx, tag = self._tags.split(addr)
+        return self._tags[set_idx].get(tag)
 
     def _touch(self, addr: int) -> None:
-        set_idx, tag = self._set_and_tag(addr)
-        self._sets[set_idx].move_to_end(tag)
+        set_idx, tag = self._tags.split(addr)
+        self._tags[set_idx].move_to_end(tag)
 
     def _drop(self, addr: int) -> None:
-        set_idx, tag = self._set_and_tag(addr)
-        del self._sets[set_idx][tag]
+        set_idx, tag = self._tags.split(addr)
+        del self._tags[set_idx][tag]
 
     def state_of(self, addr: int) -> State:
         line = self._find(addr)
@@ -161,25 +105,20 @@ class CoherentL1Cache(SimObject):
 
     def iter_lines(self) -> Iterator[tuple[int, State, bytes]]:
         """(block_addr, state, data) for every resident line, by set."""
-        for set_idx, tags in self._sets.occupied():
+        for set_idx, tags in self._tags.occupied():
             for tag, line in tags.items():
-                block = (tag * self.num_sets + set_idx) * BLOCK
+                block = self._tags.block_addr(set_idx, tag)
                 yield block, line.state, bytes(line.data)
 
     # -- request path (from the core) --------------------------------------
 
-    def _recv_req(self, pkt: Packet) -> bool:
-        if pkt.addr // BLOCK != (pkt.addr + pkt.size - 1) // BLOCK:
-            raise ValueError(
-                f"{self.name}: request {pkt!r} crosses a cache-line boundary"
-            )
+    def _access(self, pkt: Packet) -> bool:
         if pkt.cmd not in (MemCmd.ReadReq, MemCmd.WriteReq):
             raise ValueError(
                 f"{self.name}: coherent L1 only accepts ReadReq/WriteReq, "
                 f"got {pkt.cmd.name}"
             )
         block = pkt.block_addr(BLOCK)
-        delay = self.clock.cycles_to_ticks(self.latency_cycles)
         line = self._find(block)
         mshr = self._mshrs.get(block)
 
@@ -188,9 +127,7 @@ class CoherentL1Cache(SimObject):
             # still in flight; a new transaction on the block would need
             # a second MSHR slot for the same key.  Stall until the
             # response pops the MSHR.
-            self.st_mshr_rejects.inc()
-            self._need_retry = True
-            return False
+            return self._mshr_reject(pkt, "granted, response in flight")
 
         # -- hits (line present and the state allows the access) -----------
         if line is not None:
@@ -203,9 +140,7 @@ class CoherentL1Cache(SimObject):
                     self._check_clean(block, line)
                 off = pkt.addr - block
                 data = bytes(line.data[off:off + pkt.size])
-                self.sched_ckpt("hit_resp", [pkt, data], self.now + delay,
-                                EventPriority.DEFAULT,
-                                name=f"{self.name}.hit_resp")
+                self._sched_after_lookup("hit_resp", [pkt, data])
                 return True
             if line.state in (_M, _E):
                 line.state = next_state(line.state, "write_hit",
@@ -213,22 +148,17 @@ class CoherentL1Cache(SimObject):
                 self._write_line(line, pkt)
                 self._touch(block)
                 self.st_hits.inc()
-                self.sched_ckpt("hit_resp", [pkt, None], self.now + delay,
-                                EventPriority.DEFAULT,
-                                name=f"{self.name}.hit_resp")
+                self._sched_after_lookup("hit_resp", [pkt, None])
                 return True
             # store hit in S: upgrade miss through the directory
             if mshr is not None:
-                mshr.targets.append(pkt)
-                self.st_coalesced.inc()
+                self._mshr_coalesce(mshr, pkt)
                 return True
             if len(self._mshrs) >= self.mshr_cap:
-                self.st_mshr_rejects.inc()
-                self._need_retry = True
-                return False
+                return self._mshr_reject(pkt, "all MSHRs busy")
             self.st_upgrade_misses.inc()
             self.st_misses.inc()
-            self._allocate_miss(MemCmd.UpgradeReq, block, pkt, delay)
+            self._allocate_miss(MemCmd.UpgradeReq, block, pkt)
             return True
 
         # -- misses --------------------------------------------------------
@@ -237,34 +167,27 @@ class CoherentL1Cache(SimObject):
                 # A store cannot ride a plain GetS (it would be granted a
                 # read-only copy); make the core retry once the read
                 # completes and take the write-miss path cleanly.
-                self.st_mshr_rejects.inc()
-                self._need_retry = True
-                return False
-            mshr.targets.append(pkt)
-            self.st_coalesced.inc()
+                return self._mshr_reject(pkt, "store behind a GetS")
+            self._mshr_coalesce(mshr, pkt)
             return True
         if len(self._mshrs) >= self.mshr_cap:
-            self.st_mshr_rejects.inc()
-            self._need_retry = True
-            return False
+            return self._mshr_reject(pkt, "all MSHRs busy")
         self.st_misses.inc()
         cmd = MemCmd.ReadExReq if pkt.is_write else MemCmd.ReadReq
-        self._allocate_miss(cmd, block, pkt, delay)
+        self._allocate_miss(cmd, block, pkt)
         return True
 
-    def _allocate_miss(self, cmd: MemCmd, block: int, pkt: Packet,
-                       delay: int) -> None:
-        mshr = CohMSHR(block, cmd, self.now)
+    def _allocate_miss(self, cmd: MemCmd, block: int, pkt: Packet) -> None:
+        mshr = self._mshr_allocate(block)
+        mshr.cmd = cmd                      # ReadReq | ReadExReq | UpgradeReq
         mshr.targets.append(pkt)
-        self._mshrs[block] = mshr
         size = BLOCK if cmd in (MemCmd.ReadReq, MemCmd.ReadExReq) else 8
         req = Packet(cmd, block, size, requestor=self.coh_id)
         req.meta["coh_origin"] = self.coh_id
         if FLAG_COH.enabled:
             tracepoint(FLAG_COH, self.name, "miss %s block=%#x",
                        cmd.name, block, tick=self.now)
-        self.sched_ckpt("miss_req", req, self.now + delay,
-                        EventPriority.DEFAULT, name=f"{self.name}.miss_req")
+        self._sched_after_lookup("miss_req", req)
 
     def _write_line(self, line: CacheLine, pkt: Packet) -> None:
         """Apply a store's bytes; timing-only stores (data=None) just dirty."""
@@ -378,11 +301,11 @@ class CoherentL1Cache(SimObject):
 
     def _install(self, block: int, state: State, data: bytes,
                  grant_pkt: Packet) -> CacheLine:
-        set_idx, tag = self._set_and_tag(block)
-        tags = self._sets[set_idx]
-        if len(tags) >= self.assoc:
+        set_idx, tag = self._tags.split(block)
+        tags = self._tags[set_idx]
+        if len(tags) >= self._tags.assoc:
             victim_tag, victim = tags.popitem(last=False)
-            victim_addr = (victim_tag * self.num_sets + set_idx) * BLOCK
+            victim_addr = self._tags.block_addr(set_idx, victim_tag)
             next_state(victim.state, "evict", cache=self.coh_id,
                        block=victim_addr)
             dirty = victim.state is _M
@@ -401,7 +324,7 @@ class CoherentL1Cache(SimObject):
                 wb = Packet(MemCmd.WritebackDirty, victim_addr, BLOCK,
                             requestor=self.coh_id)
                 wb.meta["coh_accounted"] = True
-                self._send_downstream(wb)
+                self.mem_side.send(wb)
         line = CacheLine(state, data)
         tags[tag] = line
         return line
@@ -409,47 +332,21 @@ class CoherentL1Cache(SimObject):
     # -- response path (timing echo of the grant) --------------------------
 
     def _recv_resp(self, pkt: Packet) -> bool:
-        block = pkt.block_addr(BLOCK)
-        mshr = self._mshrs.pop(block, None)
+        mshr = self._mshr_pop(pkt)
         if mshr is None or not mshr.granted:
             raise RuntimeError(
                 f"{self.name}: response {pkt!r} matches no granted miss"
             )
-        latency = (self.now - mshr.issued_tick) // self.clock.period
-        self.st_miss_latency.sample(latency)
         for target, data in mshr.ready:
             self._respond(target, data)
-        if self._need_retry:
-            self._need_retry = False
-            self.cpu_side.send_retry_req()
+        self._mshr_released()
         return True
-
-    # -- downstream / upstream plumbing ------------------------------------
-
-    def _send_downstream(self, pkt: Packet) -> None:
-        if self._downstream_q or not self.mem_side.send_timing_req(pkt):
-            self._downstream_q.append(pkt)
-
-    def _req_retry(self) -> None:
-        while self._downstream_q:
-            pkt = self._downstream_q.popleft()
-            if not self.mem_side.send_timing_req(pkt):
-                self._downstream_q.appendleft(pkt)
-                return
 
     def _respond(self, pkt: Packet, data: Optional[bytes]) -> None:
         if not pkt.needs_response:
             return
         pkt.make_response(data)
-        if self._blocked_resps or not self.cpu_side.send_timing_resp(pkt):
-            self._blocked_resps.append(pkt)
-
-    def _resp_retry(self) -> None:
-        while self._blocked_resps:
-            pkt = self._blocked_resps.popleft()
-            if not self.cpu_side.send_timing_resp(pkt):
-                self._blocked_resps.appendleft(pkt)
-                return
+        self.cpu_side.send(pkt)
 
     def _functional(self, pkt: Packet) -> None:
         """Functional accesses stay coherent with resident dirty lines."""
@@ -470,8 +367,8 @@ class CoherentL1Cache(SimObject):
 
     @property
     def quiet(self) -> bool:
-        return (not self._mshrs and not self._downstream_q
-                and not self._blocked_resps)
+        return (not self._mshrs and not self.mem_side.queue
+                and not self.cpu_side.queue)
 
     def flush_dirty(self) -> int:
         """Functionally write every M line back to memory (golden compare)."""
@@ -488,51 +385,29 @@ class CoherentL1Cache(SimObject):
 
     def ckpt_dispatch(self, kind: str, payload) -> None:
         if kind == "miss_req":
-            self._send_downstream(payload)
+            self.mem_side.send(payload)
         elif kind == "hit_resp":
             pkt, data = payload
             self._respond(pkt, data)
         else:
             super().ckpt_dispatch(kind, payload)
 
-    def serialize(self, ctx) -> dict:
+    def _mshr_policy_state(self, mshr: MSHR, ctx) -> dict:
         return {
-            "sets": self._sets.state(
-                lambda line: (line.state.value, ctx.pack(bytes(line.data)))
-            ),
-            "mshrs": [
-                {
-                    "block_addr": m.block_addr,
-                    "cmd": m.cmd.name,
-                    "targets": [ctx.pack(t) for t in m.targets],
-                    "ready": [[ctx.pack(p), ctx.pack(d)] for p, d in m.ready],
-                    "granted": m.granted,
-                    "issued_tick": m.issued_tick,
-                }
-                for m in self._mshrs.values()
-            ],
-            "downstream_q": [ctx.pack(p) for p in self._downstream_q],
-            "blocked_resps": [ctx.pack(p) for p in self._blocked_resps],
-            "need_retry": self._need_retry,
+            "cmd": mshr.cmd.name,
+            "ready": [[ctx.pack(p), ctx.pack(d)] for p, d in mshr.ready],
+            "granted": mshr.granted,
         }
 
-    def unserialize(self, state: dict, ctx) -> None:
-        self._sets.load(
-            state["sets"],
+    def _mshr_load_policy(self, mshr: MSHR, state: dict, ctx) -> None:
+        mshr.cmd = MemCmd[state["cmd"]]
+        mshr.ready = [[ctx.unpack(p), ctx.unpack(d)]
+                      for p, d in state["ready"]]
+        mshr.granted = state["granted"]
+
+    def _line_codec(self, ctx):
+        return (
+            "sets",
+            lambda line: (line.state.value, ctx.pack(bytes(line.data))),
             lambda st, data: CacheLine(State(st), ctx.unpack(data)),
-            f"{self.path()}.sets",
         )
-        self._mshrs = {}
-        for mstate in state["mshrs"]:
-            m = CohMSHR(mstate["block_addr"], MemCmd[mstate["cmd"]],
-                        mstate["issued_tick"])
-            m.targets = [ctx.unpack(t) for t in mstate["targets"]]
-            m.ready = [[ctx.unpack(p), ctx.unpack(d)]
-                       for p, d in mstate["ready"]]
-            m.granted = mstate["granted"]
-            self._mshrs[m.block_addr] = m
-        self._downstream_q = deque(
-            ctx.unpack(p) for p in state["downstream_q"])
-        self._blocked_resps = deque(
-            ctx.unpack(p) for p in state["blocked_resps"])
-        self._need_retry = state["need_retry"]

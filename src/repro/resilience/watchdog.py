@@ -210,7 +210,7 @@ class Watchdog(SimObject):
 
     def _scan(self):
         from ..bridge.rtl_object import RTLObject
-        from ..soc.cache.cache import Cache
+        from ..soc.cache.core import CacheCore
         from ..soc.cpu.core import OoOCore
         from ..soc.interconnect.xbar import Crossbar
         from ..soc.iomaster import IOMaster
@@ -220,7 +220,7 @@ class Watchdog(SimObject):
         for obj in self.sim.objects:
             if isinstance(obj, OoOCore):
                 cores.append(obj)
-            elif isinstance(obj, Cache):
+            elif isinstance(obj, CacheCore):
                 caches.append(obj)
             elif isinstance(obj, RTLObject):
                 rtls.append(obj)
@@ -245,8 +245,14 @@ class Watchdog(SimObject):
         return tuple(sig)
 
     def _outstanding_work(self, cores, caches, rtls, ios) -> bool:
+        # Only the tag-only Cache counts, as it always has (the report
+        # lists every CacheCore): the coherence campaign rig has no core
+        # in the progress vector, so an occupied coherent-L1 MSHR there
+        # is healthy traffic, not a stall.
+        from ..soc.cache.cache import Cache
+
         for cache in caches:
-            if cache.mshr_occupancy():
+            if isinstance(cache, Cache) and cache.mshr_occupancy():
                 return True
         for rtl in rtls:
             if rtl.inflight:
@@ -335,17 +341,20 @@ class Watchdog(SimObject):
         for cache in caches:
             if not cache.mshr_occupancy():
                 continue
-            mshr_counts[cache.name] = cache.mshr_occupancy()
+            # the path, not the name: every core's coherent L1 is "l1d"
+            # (cpu0.l1d, cpu1.l1d); a top-level cache's path is its name
+            where = cache.path()
+            mshr_counts[where] = cache.mshr_occupancy()
             for mshr in cache._mshrs.values():
                 age = now - mshr.issued_tick
-                pkts = mshr.targets or []
+                pkts = mshr.waiting()
                 if pkts:
                     for pkt in pkts:
                         stalled_packets.append(StalledPacket(
                             pkt_id=pkt.pkt_id,
                             cmd=pkt.cmd.name,
                             addr=pkt.addr,
-                            where=cache.name,
+                            where=where,
                             age_ticks=age,
                             requestor=pkt.requestor,
                             hops=list(pkt.hops) if pkt.hops else None,
@@ -355,7 +364,7 @@ class Watchdog(SimObject):
                         pkt_id=-1,
                         cmd="Fill",
                         addr=mshr.block_addr,
-                        where=cache.name,
+                        where=where,
                         age_ticks=age,
                     ))
         stalled_packets.sort(key=lambda p: -p.age_ticks)

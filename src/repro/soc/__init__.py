@@ -6,7 +6,7 @@ plus the event queue, SimObject model, ports/packets and statistics.
 
 from .event import ClockDomain, Event, EventPriority, EventQueue
 from .packet import MemCmd, Packet
-from .ports import RequestPort, RequestPortWithRetry, ResponsePort
+from .ports import RequestPort, ResponsePort
 from .simobject import SimObject, Simulation
 from .power import PowerCoefficients, PowerReport, estimate_power
 from .stats import StatGroup
@@ -15,6 +15,6 @@ from .tlb import TLB, PageTable
 __all__ = [
     "ClockDomain", "Event", "EventPriority", "EventQueue", "MemCmd",
     "Packet", "PageTable", "PowerCoefficients", "PowerReport",
-    "RequestPort", "RequestPortWithRetry", "ResponsePort", "SimObject",
-    "Simulation", "StatGroup", "TLB", "estimate_power",
+    "RequestPort", "ResponsePort", "SimObject", "Simulation", "StatGroup",
+    "TLB", "estimate_power",
 ]

@@ -4,7 +4,8 @@ Mirrors gem5's classic cache at the granularity the paper's experiments
 need: hit/miss timing, a bounded MSHR file with target coalescing
 (Table 1: 8–32 MSHRs per cache), write-back with dirty-victim traffic,
 LRU replacement, and an optional prefetcher hook (the L2 carries a
-stride prefetcher in Table 1).
+stride prefetcher in Table 1).  This module is the tag-only write-back
+policy; ports, tag array and MSHR file are :class:`.core.CacheCore`'s.
 
 Timing/functional split: the cache tracks *tags only*; data always lives
 in the functional backing store behind the memory controller.  Writes
@@ -14,38 +15,18 @@ functionally when the response is produced.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
-from ...trace import packets as pkttrace
 from ...trace.flags import debug_flag, tracepoint
-from ..event import EventPriority
 from ..packet import MemCmd, Packet
-from ..ports import RequestPort, ResponsePort
 from ..simobject import SimObject, Simulation
-from .sets import SparseSets
-
-BLOCK = 64
+from .core import MSHR, CacheCore
+from .sets import BLOCK
 
 FLAG_CACHE = debug_flag("Cache", "cache accesses: hits, misses, fills")
-FLAG_MSHR = debug_flag(
-    "Cache.MSHR", "MSHR allocation, coalescing and capacity rejects"
-)
 
 
-class MSHR:
-    """One outstanding block fill plus its coalesced targets."""
-
-    __slots__ = ("block_addr", "targets", "is_prefetch", "issued_tick")
-
-    def __init__(self, block_addr: int, is_prefetch: bool, now: int) -> None:
-        self.block_addr = block_addr
-        self.targets: list[Packet] = []
-        self.is_prefetch = is_prefetch
-        self.issued_tick = now
-
-
-class Cache(SimObject):
+class Cache(CacheCore):
     """A single cache level (used for L1I/L1D/L2 and the shared LLC)."""
 
     def __init__(
@@ -60,118 +41,52 @@ class Cache(SimObject):
         prefetcher: Optional["BasePrefetcher"] = None,
         writeback: bool = True,
     ) -> None:
-        super().__init__(sim, name, parent)
-        if size % (assoc * BLOCK) != 0:
-            raise ValueError(
-                f"{name}: size {size} not divisible by assoc*block "
-                f"({assoc}*{BLOCK})"
-            )
-        self.size = size
-        self.assoc = assoc
-        self.latency_cycles = latency_cycles
-        self.num_sets = size // (assoc * BLOCK)
-        self.mshr_cap = mshrs
+        # a line of the tag array is its dirty bit
+        super().__init__(sim, name, size, assoc, latency_cycles, mshrs,
+                         parent)
         self.writeback = writeback
         self.prefetcher = prefetcher
         if prefetcher is not None:
             prefetcher.attach(self)
-
-        # tags[set] = OrderedDict(tag -> dirty); LRU order = insertion order
-        self._tags = SparseSets(self.num_sets, assoc)
-        self._mshrs: dict[int, MSHR] = {}
-
-        self.cpu_side = ResponsePort(
-            f"{name}.cpu_side",
-            recv_timing_req=self._recv_req,
-            recv_resp_retry=self._resp_retry,
-            recv_functional=self._functional,
-        )
-        self.mem_side = RequestPort(
-            f"{name}.mem_side",
-            recv_timing_resp=self._recv_fill,
-            recv_req_retry=self._req_retry,
-        )
-        self._downstream_q: deque[Packet] = deque()
-        self._blocked_resps: deque[Packet] = deque()
-        self._need_retry = False
-
-        s = self.stats
-        self.st_hits = s.scalar("hits", "demand hits")
-        self.st_misses = s.scalar("misses", "demand misses")
-        self.st_coalesced = s.scalar("mshr_hits", "misses coalesced into MSHRs")
-        self.st_evictions = s.scalar("evictions", "lines evicted")
-        self.st_writebacks = s.scalar("writebacks", "dirty lines written back")
-        self.st_mshr_rejects = s.scalar("mshr_rejects", "requests rejected: MSHRs full")
-        self.st_prefetches = s.scalar("prefetches", "prefetch fills issued")
-        self.st_prefetch_hits = s.scalar("prefetch_hits", "hits on prefetched lines")
-        self.st_miss_latency = s.distribution(
-            "miss_latency_cycles", 0, 1000, 25, "demand miss latency"
-        )
         # lines brought in by prefetch and not yet demanded
         self._prefetched: set[int] = set()
 
         #: callback fired on every demand miss (PMU event wiring)
         self.miss_listeners: list = []
 
+    def _policy_stats(self, s) -> None:
+        self.st_prefetches = s.scalar("prefetches", "prefetch fills issued")
+        self.st_prefetch_hits = s.scalar("prefetch_hits", "hits on prefetched lines")
+
     # -- lookup helpers --------------------------------------------------------
 
-    def _set_and_tag(self, addr: int) -> tuple[int, int]:
-        block = addr // BLOCK
-        return block % self.num_sets, block // self.num_sets
-
-    def lookup(self, addr: int) -> bool:
-        set_idx, tag = self._set_and_tag(addr)
-        tags = self._tags[set_idx]
-        if tag in tags:
-            tags.move_to_end(tag)
-            return True
-        return False
-
     def contains(self, addr: int) -> bool:
-        set_idx, tag = self._set_and_tag(addr)
+        set_idx, tag = self._tags.split(addr)
         return tag in self._tags[set_idx]
 
     # -- request path -------------------------------------------------------------
 
-    def _recv_req(self, pkt: Packet) -> bool:
+    def _access(self, pkt: Packet) -> bool:
         """Tag/MSHR decisions happen at accept time; the lookup latency
         applies to when the response (or downstream fill) is sent."""
-        if pkt.addr // BLOCK != (pkt.addr + pkt.size - 1) // BLOCK:
-            raise ValueError(
-                f"{self.name}: request {pkt!r} crosses a cache-line boundary"
-            )
         block_addr = pkt.block_addr(BLOCK)
-        delay = self.clock.cycles_to_ticks(self.latency_cycles)
-        if pkttrace.FLAG_PACKET.enabled:
-            pkt.record_hop(self.name, self.now)
+        set_idx, tag = self._tags.split(pkt.addr)
+        tags = self._tags[set_idx]
 
         if pkt.cmd is MemCmd.WritebackDirty:
             # Absorb an upstream writeback: mark dirty if present, else
             # forward it toward memory (no allocation on writeback).
-            set_idx, tag = self._set_and_tag(pkt.addr)
-            if tag in self._tags[set_idx]:
-                self._tags[set_idx][tag] = True
-                self._tags[set_idx].move_to_end(tag)
+            if tag in tags:
+                tags[tag] = True
+                tags.move_to_end(tag)
             else:
-                self.sched_ckpt(
-                    "wb_fwd", pkt, self.now + delay,
-                    EventPriority.DEFAULT, name=f"{self.name}.wb_fwd",
-                )
+                self._sched_after_lookup("wb_fwd", pkt)
             return True
 
-        hit = self.contains(pkt.addr)
-        if not hit and block_addr not in self._mshrs:
-            if len(self._mshrs) >= self.mshr_cap:
-                self.st_mshr_rejects.inc()
-                self._need_retry = True
-                if FLAG_MSHR.enabled:
-                    tracepoint(
-                        FLAG_MSHR, self.name,
-                        "reject %s addr=%#x: all %d MSHRs busy",
-                        pkt.cmd.name, pkt.addr, self.mshr_cap,
-                        tick=self.now,
-                    )
-                return False
+        hit = tag in tags
+        if (not hit and block_addr not in self._mshrs
+                and len(self._mshrs) >= self.mshr_cap):
+            return self._mshr_reject(pkt, "all MSHRs busy")
 
         # Writes update the functional image as soon as they are seen.
         if pkt.is_write and pkt.data is not None:
@@ -186,18 +101,14 @@ class Cache(SimObject):
                     FLAG_CACHE, self.name, "hit %s #%d addr=%#x",
                     pkt.cmd.name, pkt.pkt_id, pkt.addr, tick=self.now,
                 )
-            self.lookup(pkt.addr)  # LRU update
+            tags.move_to_end(tag)  # LRU update
             self.st_hits.inc()
             if block_addr in self._prefetched:
                 self._prefetched.discard(block_addr)
                 self.st_prefetch_hits.inc()
             if pkt.is_write:
-                set_idx, tag = self._set_and_tag(pkt.addr)
-                self._tags[set_idx][tag] = True
-            self.sched_ckpt(
-                "hit_resp", pkt, self.now + delay,
-                EventPriority.DEFAULT, name=f"{self.name}.hit_resp",
-            )
+                tags[tag] = True
+            self._sched_after_lookup("hit_resp", pkt)
             return True
 
         # Miss.
@@ -214,34 +125,20 @@ class Cache(SimObject):
             self.prefetcher.notify_miss(pkt.addr)
         mshr = self._mshrs.get(block_addr)
         if mshr is not None:
-            self.st_coalesced.inc()
-            if FLAG_MSHR.enabled:
-                tracepoint(
-                    FLAG_MSHR, self.name,
-                    "coalesce #%d into MSHR block=%#x (%d targets)",
-                    pkt.pkt_id, block_addr, len(mshr.targets) + 1,
-                    tick=self.now,
-                )
-            mshr.targets.append(pkt)
+            self._mshr_coalesce(mshr, pkt)
             if not pkt.is_read:
                 mshr.is_prefetch = False
             return True
-        mshr = MSHR(block_addr, pkt.cmd is MemCmd.PrefetchReq, self.now)
+        mshr = self._mshr_allocate(block_addr)
+        mshr.is_prefetch = pkt.cmd is MemCmd.PrefetchReq
         mshr.targets.append(pkt)
-        self._mshrs[block_addr] = mshr
-        if FLAG_MSHR.enabled:
-            tracepoint(
-                FLAG_MSHR, self.name,
-                "allocate MSHR block=%#x (%d/%d busy)",
-                block_addr, len(self._mshrs), self.mshr_cap, tick=self.now,
-            )
+        self._sched_after_lookup("fill_req", self._fill_packet(block_addr))
+        return True
+
+    def _fill_packet(self, block_addr: int) -> Packet:
         fill = Packet(MemCmd.ReadReq, block_addr, BLOCK, requestor=self.name)
         fill.meta["fill_for"] = self.name
-        self.sched_ckpt(
-            "fill_req", fill, self.now + delay,
-            EventPriority.DEFAULT, name=f"{self.name}.fill_req",
-        )
-        return True
+        return fill
 
     def issue_prefetch(self, addr: int) -> bool:
         """Bring a block in without an upstream requestor (prefetcher API)."""
@@ -250,23 +147,20 @@ class Cache(SimObject):
             return False
         if len(self._mshrs) >= self.mshr_cap:
             return False
-        mshr = MSHR(block_addr, True, self.now)
-        self._mshrs[block_addr] = mshr
+        self._mshr_allocate(block_addr).is_prefetch = True
         self.st_prefetches.inc()
-        fill = Packet(MemCmd.ReadReq, block_addr, BLOCK, requestor=self.name)
-        fill.meta["fill_for"] = self.name
-        self._send_downstream(fill)
+        self.mem_side.send(self._fill_packet(block_addr))
         return True
 
     # -- fill path -------------------------------------------------------------------
 
-    def _recv_fill(self, pkt: Packet) -> bool:
-        block_addr = pkt.block_addr(BLOCK)
-        mshr = self._mshrs.pop(block_addr, None)
+    def _recv_resp(self, pkt: Packet) -> bool:
+        mshr = self._mshr_pop(pkt)
         if mshr is None:
             # A response to a forwarded (uncacheable/writeback) request.
-            self._respond(pkt, already_response=True)
+            self.cpu_side.send(pkt)
             return True
+        block_addr = mshr.block_addr
         if FLAG_CACHE.enabled:
             tracepoint(
                 FLAG_CACHE, self.name,
@@ -275,143 +169,84 @@ class Cache(SimObject):
                 ", prefetch" if mshr.is_prefetch else "",
                 tick=self.now,
             )
-        if pkttrace.FLAG_PACKET.enabled and pkt.hops:
-            # the cache-issued fill request terminates here
-            pkttrace.finish(pkt, self.sim, self.now, self.name)
-        self._insert(block_addr, prefetched=mshr.is_prefetch)
-        latency = (self.now - mshr.issued_tick) // self.clock.period
-        if not mshr.is_prefetch:
-            self.st_miss_latency.sample(latency)
+        tags, tag = self._insert(block_addr, prefetched=mshr.is_prefetch)
         for target in mshr.targets:
-            if target.is_write:
-                set_idx, tag = self._set_and_tag(target.addr)
-                if tag in self._tags[set_idx]:
-                    self._tags[set_idx][tag] = True
+            if target.is_write and tag in tags:
+                tags[tag] = True
             self._respond(target)
-        if self._need_retry:
-            self._need_retry = False
-            self.cpu_side.send_retry_req()
+        self._mshr_released()
         return True
 
-    def _insert(self, block_addr: int, prefetched: bool) -> None:
-        set_idx, tag = self._set_and_tag(block_addr)
+    def _insert(self, block_addr: int, prefetched: bool):
+        """Make *block_addr* resident; returns its set and its tag."""
+        set_idx, tag = self._tags.split(block_addr)
         tags = self._tags[set_idx]
         if tag in tags:
             tags.move_to_end(tag)
-            return
-        if len(tags) >= self.assoc:
+            return tags, tag
+        if len(tags) >= self._tags.assoc:
             victim_tag, dirty = tags.popitem(last=False)
             self.st_evictions.inc()
-            victim_addr = (victim_tag * self.num_sets + set_idx) * BLOCK
+            victim_addr = self._tags.block_addr(set_idx, victim_tag)
             self._prefetched.discard(victim_addr)
             if dirty and self.writeback:
                 self.st_writebacks.inc()
-                wb = Packet(
+                self.mem_side.send(Packet(
                     MemCmd.WritebackDirty, victim_addr, BLOCK,
                     requestor=self.name,
-                )
-                self._send_downstream(wb)
+                ))
         tags[tag] = False
         if prefetched:
             self._prefetched.add(block_addr)
-
-    # -- downstream with retry ----------------------------------------------------------
-
-    def _send_downstream(self, pkt: Packet) -> None:
-        if self._downstream_q or not self.mem_side.send_timing_req(pkt):
-            self._downstream_q.append(pkt)
-
-    def _req_retry(self) -> None:
-        while self._downstream_q:
-            pkt = self._downstream_q.popleft()
-            if not self.mem_side.send_timing_req(pkt):
-                self._downstream_q.appendleft(pkt)
-                return
+        return tags, tag
 
     # -- upstream responses ----------------------------------------------------------------
 
-    def _respond(self, pkt: Packet, already_response: bool = False) -> None:
-        if not already_response:
-            if not pkt.needs_response:
-                return
-            if pkt.is_read:
-                data_pkt = Packet(MemCmd.ReadReq, pkt.addr, pkt.size,
-                                  requestor=self.name)
-                self.mem_side.send_functional(data_pkt)
-                pkt.make_response(data_pkt.data)
-            else:
-                pkt.make_response()
-        if self._blocked_resps or not self.cpu_side.send_timing_resp(pkt):
-            self._blocked_resps.append(pkt)
-
-    def _resp_retry(self) -> None:
-        while self._blocked_resps:
-            pkt = self._blocked_resps.popleft()
-            if not self.cpu_side.send_timing_resp(pkt):
-                self._blocked_resps.appendleft(pkt)
-                return
-
-    # -- functional ------------------------------------------------------------------------
-
-    def _functional(self, pkt: Packet) -> None:
-        self.mem_side.send_functional(pkt)
+    def _respond(self, pkt: Packet) -> None:
+        if not pkt.needs_response:
+            return
+        if pkt.is_read:
+            data_pkt = Packet(MemCmd.ReadReq, pkt.addr, pkt.size,
+                              requestor=self.name)
+            self.mem_side.send_functional(data_pkt)
+            pkt.make_response(data_pkt.data)
+        else:
+            pkt.make_response()
+        self.cpu_side.send(pkt)
 
     # -- introspection ------------------------------------------------------------------------
 
     def occupancy(self) -> int:
         return sum(len(ways) for _, ways in self._tags.occupied())
 
-    def mshr_occupancy(self) -> int:
-        return len(self._mshrs)
-
     # -- checkpointing -------------------------------------------------------------------------
 
     def ckpt_dispatch(self, kind: str, payload) -> None:
         if kind in ("wb_fwd", "fill_req"):
-            self._send_downstream(payload)
+            self.mem_side.send(payload)
         elif kind == "hit_resp":
             self._respond(payload)
         else:
             super().ckpt_dispatch(kind, payload)
 
+    def _mshr_policy_state(self, mshr: MSHR, ctx) -> dict:
+        return {"is_prefetch": mshr.is_prefetch}
+
+    def _mshr_load_policy(self, mshr: MSHR, state: dict, ctx) -> None:
+        mshr.is_prefetch = state["is_prefetch"]
+
+    def _line_codec(self, ctx):
+        return "tags", (lambda dirty: (dirty,)), (lambda dirty: dirty)
+
     def serialize(self, ctx) -> dict:
-        state = {
-            "tags": self._tags.state(lambda dirty: (dirty,)),
-            "mshrs": [
-                {
-                    "block_addr": mshr.block_addr,
-                    "targets": [ctx.pack(t) for t in mshr.targets],
-                    "is_prefetch": mshr.is_prefetch,
-                    "issued_tick": mshr.issued_tick,
-                }
-                for mshr in self._mshrs.values()
-            ],
-            "downstream_q": [ctx.pack(p) for p in self._downstream_q],
-            "blocked_resps": [ctx.pack(p) for p in self._blocked_resps],
-            "need_retry": self._need_retry,
-            "prefetched": sorted(self._prefetched),
-        }
+        state = super().serialize(ctx)
+        state["prefetched"] = sorted(self._prefetched)
         if self.prefetcher is not None:
             state["prefetcher"] = self.prefetcher.state_dict()
         return state
 
     def unserialize(self, state: dict, ctx) -> None:
-        self._tags.load(
-            state["tags"], lambda dirty: dirty, f"{self.path()}.tags"
-        )
-        self._mshrs = {}
-        for mstate in state["mshrs"]:
-            mshr = MSHR(mstate["block_addr"], mstate["is_prefetch"],
-                        mstate["issued_tick"])
-            mshr.targets = [ctx.unpack(t) for t in mstate["targets"]]
-            self._mshrs[mstate["block_addr"]] = mshr
-        self._downstream_q = deque(
-            ctx.unpack(p) for p in state["downstream_q"]
-        )
-        self._blocked_resps = deque(
-            ctx.unpack(p) for p in state["blocked_resps"]
-        )
-        self._need_retry = state["need_retry"]
+        super().unserialize(state, ctx)
         self._prefetched = set(state["prefetched"])
         if self.prefetcher is not None:
             self.prefetcher.load_state(state["prefetcher"])

@@ -1,4 +1,4 @@
-"""Sparse set store: the tag array behind every set-associative model.
+"""Sparse set store: every set-associative model's tag array and geometry.
 
 ``store[set_idx]`` is that set's ``OrderedDict(tag -> line)`` in LRU
 order (insertion order, victim first), created the first time the set
@@ -23,6 +23,9 @@ from collections import OrderedDict
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
+#: cache line size, bytes
+BLOCK = 64
+
 _SET_INDEX = itemgetter(0)
 
 
@@ -36,9 +39,28 @@ class SparseSets(dict):
         self.num_sets = num_sets
         self.assoc = assoc
 
+    @classmethod
+    def sized(cls, owner: str, size: int, assoc: int) -> "SparseSets":
+        """The array of a *size*-byte, *assoc*-way cache called *owner*."""
+        if size % (assoc * BLOCK) != 0:
+            raise ValueError(
+                f"{owner}: size {size} not divisible by assoc*block "
+                f"({assoc}*{BLOCK})"
+            )
+        return cls(size // (assoc * BLOCK), assoc)
+
     def __missing__(self, set_idx: int) -> OrderedDict:
         ways = self[set_idx] = OrderedDict()
         return ways
+
+    def split(self, addr: int) -> tuple[int, int]:
+        """``(set_idx, tag)`` of the line holding *addr*."""
+        block = addr // BLOCK
+        return block % self.num_sets, block // self.num_sets
+
+    def block_addr(self, set_idx: int, tag: int) -> int:
+        """Inverse of :meth:`split`: the line's first byte address."""
+        return (tag * self.num_sets + set_idx) * BLOCK
 
     def occupied(self) -> list[tuple[int, OrderedDict]]:
         """``(set_idx, ways)`` of every non-empty set, ascending."""

@@ -281,16 +281,12 @@ class DRAMController(SimObject):
             ResponsePort(
                 f"{name}.port{i}",
                 recv_timing_req=lambda pkt, i=i: self._recv_req(pkt, i),
-                recv_resp_retry=lambda i=i: self._resp_retry(i),
                 recv_functional=self.functional_access,
             )
             for i in range(cfg.channels)
         ]
         self._retry_pending: set[int] = set()
         self._retry_rejected = False
-        self._blocked_resps: list[deque[Packet]] = [
-            deque() for _ in range(cfg.channels)
-        ]
         # fault injection (repro.resilience): consulted before a read
         # completes; a hook returning True swallows the completion
         self.fault_hook = None
@@ -364,8 +360,9 @@ class DRAMController(SimObject):
                 self.physmem.write(pkt.addr, pkt.data)
             ch.enqueue(pkt)
             if pkt.needs_response:
-                resp = pkt.make_response()
-                self._send_resp(resp)
+                pkt.make_response()
+                pkt.resp_tick = self.now
+                self.ports[port_idx].send(pkt)
         return True
 
     def complete_read(self, pkt: Packet) -> None:
@@ -384,22 +381,8 @@ class DRAMController(SimObject):
         pkt.data = self.physmem.read(pkt.addr, pkt.size)
         if pkt.needs_response:
             pkt.make_response()
-            self._send_resp(pkt)
-
-    def _send_resp(self, pkt: Packet) -> None:
-        pkt.resp_tick = self.now
-        port_idx = pkt.meta.get("dram_port", 0)
-        blocked = self._blocked_resps[port_idx]
-        if blocked or not self.ports[port_idx].send_timing_resp(pkt):
-            blocked.append(pkt)
-
-    def _resp_retry(self, port_idx: int) -> None:
-        blocked = self._blocked_resps[port_idx]
-        while blocked:
-            pkt = blocked.popleft()
-            if not self.ports[port_idx].send_timing_resp(pkt):
-                blocked.appendleft(pkt)
-                return
+            pkt.resp_tick = self.now
+            self.ports[pkt.meta.get("dram_port", 0)].send(pkt)
 
     def notify_slot_free(self) -> None:
         """A queue slot freed; let rejected requesters retry.
@@ -452,8 +435,7 @@ class DRAMController(SimObject):
             # ints depends only on its contents, not insertion order
             "retry_pending": sorted(self._retry_pending),
             "retry_rejected": self._retry_rejected,
-            "blocked_resps": [[ctx.pack(p) for p in q]
-                              for q in self._blocked_resps],
+            "blocked_resps": [port.queue_state(ctx) for port in self.ports],
         }
 
     def unserialize(self, state: dict, ctx) -> None:
@@ -468,6 +450,5 @@ class DRAMController(SimObject):
             ch._scheduled = cstate["scheduled"]
         self._retry_pending = set(state["retry_pending"])
         self._retry_rejected = state["retry_rejected"]
-        self._blocked_resps = [
-            deque(ctx.unpack(p) for p in q) for q in state["blocked_resps"]
-        ]
+        for port, queued in zip(self.ports, state["blocked_resps"]):
+            port.load_queue(queued, ctx)

@@ -41,12 +41,10 @@ class IdealMemory(SimObject):
             ResponsePort(
                 f"{name}.port{i}",
                 recv_timing_req=self._recv_req,
-                recv_resp_retry=lambda i=i: self._resp_retry(i),
                 recv_functional=self.functional_access,
             )
             for i in range(channels)
         ]
-        self._blocked: list[list[Packet]] = [[] for _ in range(channels)]
         self.st_reads = self.stats.scalar("reads", "read requests served")
         self.st_writes = self.stats.scalar("writes", "write requests served")
         self.st_bytes = self.stats.scalar("bytes", "bytes transferred")
@@ -86,17 +84,7 @@ class IdealMemory(SimObject):
         if not pkt.needs_response:
             return
         pkt.make_response()
-        i = self._port_of(pkt)
-        if self._blocked[i] or not self.ports[i].send_timing_resp(pkt):
-            self._blocked[i].append(pkt)
-
-    def _resp_retry(self, i: int) -> None:
-        blocked = self._blocked[i]
-        while blocked:
-            pkt = blocked.pop(0)
-            if not self.ports[i].send_timing_resp(pkt):
-                blocked.insert(0, pkt)
-                return
+        self.ports[self._port_of(pkt)].send(pkt)
 
     # -- functional --------------------------------------------------------
 
@@ -115,8 +103,8 @@ class IdealMemory(SimObject):
             super().ckpt_dispatch(kind, payload)
 
     def serialize(self, ctx) -> dict:
-        return {"blocked": [[ctx.pack(p) for p in q] for q in self._blocked]}
+        return {"blocked": [port.queue_state(ctx) for port in self.ports]}
 
     def unserialize(self, state: dict, ctx) -> None:
-        self._blocked = [[ctx.unpack(p) for p in q]
-                         for q in state["blocked"]]
+        for port, queued in zip(self.ports, state["blocked"]):
+            port.load_queue(queued, ctx)

@@ -12,12 +12,18 @@ classic three-call handshake:
 * ``send_functional(pkt)`` performs an immediate, timing-free access
   (used for loading NVDLA traces into memory, debugging, etc.).
 
+A packet the peer refused waits in the port, not in each owner (gem5's
+``QueuedPort``): ``port.send(pkt)`` delivers now or appends to
+``port.queue``; the peer's retry drains the queue in order before the
+owner hears of it, and the owner's checkpoint carries ``queue_state``.
+
 Owners implement the ``recv_*`` hooks by passing callbacks or by
 subclassing :class:`PortOwner`.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Optional, Protocol
 
 from ..trace.flags import debug_flag, tracepoint
@@ -35,12 +41,15 @@ class PortOwner(Protocol):  # pragma: no cover - structural typing only
 
 
 class _Port:
-    """Common binding logic for both port directions."""
+    """Binding and the refused-packet queue, common to both directions."""
 
     def __init__(self, name: str, owner=None) -> None:
         self.name = name
         self.owner = owner
         self.peer: Optional[_Port] = None
+        #: packets the peer refused, or that arrived behind one; oldest
+        #: first.  Part of the owner's checkpoint.
+        self.queue: deque[Packet] = deque()
 
     @property
     def connected(self) -> bool:
@@ -50,6 +59,38 @@ class _Port:
         if self.peer is None:
             raise RuntimeError(f"port {self.name} is not connected")
         return self.peer
+
+    def send(self, pkt: Packet) -> bool:
+        """Deliver *pkt* now, or queue it behind what already waits for
+        the peer's retry.  ``True`` iff it went out at once."""
+        if self.queue or not self._deliver(pkt):
+            self.queue.append(pkt)
+            return False
+        return True
+
+    def _retried(self, handler: Optional[Callable[[], None]]) -> None:
+        """The peer takes packets again: resend :attr:`queue` in order,
+        stopping if it refuses once more; only when nothing waits does
+        the owner's *handler*, if it has one, hear the retry.  The head
+        is peeked, not popped: while it is being delivered the queue is
+        not empty, so a handler that sends on this port from inside the
+        delivery lines up behind what waits instead of overtaking it."""
+        queue = self.queue
+        queued = bool(queue)
+        while queue:
+            if not self._deliver(queue[0]):
+                return
+            queue.popleft()
+        if handler is not None:
+            handler()
+        elif not queued:
+            raise RuntimeError(f"port {self.name} has no retry handler")
+
+    def queue_state(self, ctx) -> list:
+        return [ctx.pack(pkt) for pkt in self.queue]
+
+    def load_queue(self, state: list, ctx) -> None:
+        self.queue = deque(ctx.unpack(pkt) for pkt in state)
 
     def __repr__(self) -> str:  # pragma: no cover
         peer = self.peer.name if self.peer else "unbound"
@@ -100,6 +141,8 @@ class RequestPort(_Port):
             )
         return accepted
 
+    _deliver = send_timing_req
+
     def send_functional(self, pkt: Packet) -> None:
         peer = self._require_peer()
         assert isinstance(peer, ResponsePort)
@@ -122,12 +165,10 @@ class RequestPort(_Port):
 
     def handle_req_retry(self) -> None:
         self._waiting_retry = False
-        if self._recv_req_retry is not None:
-            self._recv_req_retry()
-        elif self.owner is not None:
-            self.owner.recv_req_retry()
-        else:
-            raise RuntimeError(f"port {self.name} has no retry handler")
+        handler = self._recv_req_retry
+        if handler is None and self.owner is not None:
+            handler = self.owner.recv_req_retry
+        self._retried(handler)
 
     def handle_snoop(self, pkt: Packet) -> None:
         """Deliver a coherence probe travelling *against* the request flow.
@@ -188,6 +229,8 @@ class ResponsePort(_Port):
             )
         return accepted
 
+    _deliver = send_timing_resp
+
     def send_retry_req(self) -> None:
         """Tell the requester a previously-rejected request may be resent."""
         peer = self._require_peer()
@@ -211,12 +254,10 @@ class ResponsePort(_Port):
 
     def handle_resp_retry(self) -> None:
         self._resp_waiting_retry = False
-        if self._recv_resp_retry is not None:
-            self._recv_resp_retry()
-        elif self.owner is not None:
-            self.owner.recv_resp_retry()
-        else:
-            raise RuntimeError(f"port {self.name} has no resp-retry handler")
+        handler = self._recv_resp_retry
+        if handler is None and self.owner is not None:
+            handler = self.owner.recv_resp_retry
+        self._retried(handler)
 
     def handle_functional(self, pkt: Packet) -> None:
         if self._recv_functional is not None:
@@ -229,50 +270,3 @@ class ResponsePort(_Port):
     @property
     def resp_waiting_retry(self) -> bool:
         return self._resp_waiting_retry
-
-
-class RequestPortWithRetry(RequestPort):
-    """RequestPort plus a one-deep retry buffer.
-
-    Many components want "send this packet; if rejected, resend on retry"
-    without writing the state machine each time.  ``try_send`` does that.
-    """
-
-    def __init__(self, name: str, owner=None, **kwargs) -> None:
-        super().__init__(name, owner, **kwargs)
-        self._blocked_pkt: Optional[Packet] = None
-        if self._recv_req_retry is None:
-            self._recv_req_retry = self._retry_blocked
-        self._after_unblock: Optional[Callable[[], None]] = None
-
-    @property
-    def blocked(self) -> bool:
-        return self._blocked_pkt is not None
-
-    def try_send(self, pkt: Packet) -> bool:
-        """Send now or park the packet until the peer's retry. Returns
-        True iff the packet was accepted immediately."""
-        if self.blocked:
-            raise RuntimeError(
-                f"port {self.name} already has a parked packet; "
-                "caller must respect .blocked"
-            )
-        if self.send_timing_req(pkt):
-            return True
-        self._blocked_pkt = pkt
-        return False
-
-    def on_unblock(self, fn: Callable[[], None]) -> None:
-        """Register a callback invoked after a parked packet finally sends."""
-        self._after_unblock = fn
-
-    def _retry_blocked(self) -> None:
-        pkt = self._blocked_pkt
-        if pkt is None:
-            return
-        self._blocked_pkt = None
-        if not self.send_timing_req(pkt):
-            self._blocked_pkt = pkt
-            return
-        if self._after_unblock is not None:
-            self._after_unblock()

@@ -76,6 +76,14 @@ class TestDumpCollisionRegression:
             root.dump()
 
 
+def _mean_mpki(stats: dict, cores: int) -> float:
+    return sum(
+        1000.0 * stats[f"system.cpu{c}.l1d.misses"]
+        / stats[f"system.cpu{c}.committed"]
+        for c in range(cores)
+    ) / cores
+
+
 class TestSnoopScaling:
     def test_invalidations_appear_only_with_sharers(self):
         one = _run_coherent(1)
@@ -83,6 +91,9 @@ class TestSnoopScaling:
         assert one["system.cpu0.l1d.invalidations"] == 0
         assert two["system.cpu0.l1d.invalidations"] > 0
         assert two["system.l2dir.snoops_sent"] > one["system.l2dir.snoops_sent"]
+        # the coherence signature: each core's working set is the same
+        # size, yet per-core MPKI rises once somebody invalidates it
+        assert _mean_mpki(two, 2) > _mean_mpki(one, 1)
 
     def test_snoop_traffic_grows_with_sharer_count(self):
         two = _run_coherent(2)

@@ -310,3 +310,61 @@ class TestBlockers:
         sim.eventq.schedule(ev, sim.now + 500)
         tick = sim.save_checkpoint(tmp_path / "later.ckpt")
         assert fired and tick >= 500
+
+
+class TestFormatThreeKeys:
+    """What each memory-system component writes under ``state`` is the
+    format: a refactor may move where the data lives in the process (a
+    refused packet waits in its port, both caches stand on one core),
+    never what the file calls it."""
+
+    CACHE_CORE = {"mshrs", "downstream_q", "blocked_resps", "need_retry"}
+    STATE = {
+        "Cache": CACHE_CORE | {"tags", "prefetched"},
+        "CoherentL1Cache": CACHE_CORE | {"sets"},
+        "DirectoryController": {
+            "entries", "known", "l2", "inq", "busy", "waiting", "resp_q",
+            "downstream_q", "need_retry",
+        },
+        "DRAMController": {
+            "channels", "retry_pending", "retry_rejected", "blocked_resps",
+        },
+        "IdealMemory": {"blocked"},
+        # RTLObject's own; the PMU subclass adds its two on top
+        "PMURTLObject": {
+            "last_output", "cpu_req_queue", "blocked_resps",
+            "mem_req_queue", "mem_resp_queue", "inflight", "running",
+            "library",
+        } | {"pending_reads", "lane_counts"},
+    }
+    MSHR = {
+        "Cache": {"block_addr", "targets", "is_prefetch", "issued_tick"},
+        "CoherentL1Cache": {"block_addr", "cmd", "targets", "ready",
+                            "granted", "issued_tick"},
+    }
+
+    def test_state_and_mshr_key_sets_are_pinned(self, tmp_path):
+        ideal = SoC(SoCConfig(num_cores=1, memory="ideal"))
+        ideal.cores[0].run_stream(sort_benchmark(12))
+        seen, mshrs_seen = set(), set()
+        for i, (soc, tick) in enumerate([(_build_coherent(), 300_000),
+                                         (_build_pmu(), 150_000),
+                                         (ideal, 150_000)]):
+            soc.sim.startup()
+            soc.sim.run(until=tick)
+            doc = json.loads(_checkpoint_json(soc, tmp_path / f"{i}.ckpt"))
+            assert doc["version"] == 3
+            for obj in soc.sim.objects:
+                kind = type(obj).__name__
+                if kind not in self.STATE:
+                    continue
+                state = doc["objects"][obj.path()]["state"]
+                # a cache with a prefetcher carries its state too
+                assert set(state) - {"prefetcher"} == self.STATE[kind], \
+                    obj.path()
+                seen.add(kind)
+                for mshr in state.get("mshrs", ()):
+                    assert set(mshr) == self.MSHR[kind], obj.path()
+                    mshrs_seen.add(kind)
+        assert seen == set(self.STATE)
+        assert mshrs_seen == set(self.MSHR)

@@ -17,9 +17,10 @@ def _mem_heavy_workload(n=2000):
     return uops
 
 
-def _build(plan=None, check_cycles=2_000, stall_checks=3):
-    soc = SoC(SoCConfig(num_cores=1, memory="DDR4-1ch"))
-    soc.cores[0].run_stream(iter(_mem_heavy_workload()))
+def _build(plan=None, check_cycles=2_000, stall_checks=3, **cfg):
+    soc = SoC(SoCConfig(**{"num_cores": 1, "memory": "DDR4-1ch", **cfg}))
+    for core in soc.cores:
+        core.run_stream(iter(_mem_heavy_workload()))
     if plan is not None:
         FaultInjector(soc.sim, plan)  # registers itself on soc.sim
     soc.attach_watchdog(check_cycles=check_cycles, stall_checks=stall_checks)
@@ -47,6 +48,25 @@ class TestDetection:
         held_by = {p.where for p in report.stalled_packets}
         assert held_by & {"l1d0", "l2_0", "llc"}, report.format()
         assert report.mshr_counts
+
+    def test_coherent_hang_names_the_l1_mshr(self):
+        """In a coherent SoC the core's own load sits in its L1's MSHR
+        (granted, its response parked behind the directory's fill that
+        never returns).  Both cores' L1s are called ``l1d``: the report
+        names them by path."""
+        soc = _build(FaultPlan.parse(["dram-drop@20"]),
+                     num_cores=2, coherent=True)
+        with pytest.raises(SimulationHang) as err:
+            soc.run_until_done(max_ticks=10**9)
+        report = err.value.report
+        assert report.kind == "deadlock"
+        l1_held = [p for p in report.stalled_packets
+                   if p.where in ("cpu0.l1d", "cpu1.l1d")]
+        assert l1_held, report.format()
+        assert all(p.requestor == p.where.split(".")[0] and p.pkt_id >= 0
+                   for p in l1_held), report.format()
+        assert report.mshr_counts.keys() >= {p.where for p in l1_held}
+        assert "llc" in report.mshr_counts  # the plain caches, as before
 
     def test_detection_latency_is_bounded(self):
         """The hang is reported within stall_checks+1 check intervals of

@@ -45,13 +45,35 @@ class Harness:
         self.sim.run(until=self.sim.now + ticks)
 
 
-@pytest.fixture
-def rig():
+def _plain_rig():
     sim = Simulation()
     cache = Cache(sim, "c", size=4 * 1024, assoc=2, latency_cycles=2, mshrs=4)
     mem = IdealMemory(sim, "mem", latency_cycles=5)
     cache.mem_side.connect(mem.port)
     return sim, cache, Harness(sim, cache), mem
+
+
+def _coherent_rig():
+    """The other policy over the same core: one MESI L1 (same geometry,
+    same four MSHRs) under a directory."""
+    from repro.coherence import CoherentL1Cache, DirectoryController
+    from repro.soc.interconnect import CoherentXbar
+
+    sim = Simulation()
+    cache = CoherentL1Cache(sim, "c", size=4 * 1024, assoc=2,
+                            latency_cycles=2, mshrs=4)
+    xbar = CoherentXbar(sim, "cohbus")
+    directory = DirectoryController(sim, "l2dir", latency_cycles=4)
+    mem = IdealMemory(sim, "mem", latency_cycles=5)
+    cache.mem_side.connect(xbar.new_cpu_port())
+    xbar.new_mem_port().connect(directory.cpu_side)
+    directory.mem_side.connect(mem.port)
+    return sim, cache, Harness(sim, cache), mem
+
+
+@pytest.fixture
+def rig():
+    return _plain_rig()
 
 
 class TestHitMiss:
@@ -124,14 +146,25 @@ class TestMSHR:
         h.drain()
         assert len(h.responses) == 4
 
-    def test_retry_sent_after_fill(self, rig):
-        sim, cache, h, _ = rig
-        retried = []
-        h.port._recv_req_retry = lambda: retried.append(True)
-        for i in range(5):
-            h.read(i * BLOCK)
-        h.drain()
-        assert retried, "cache must send a retry once an MSHR frees"
+    def test_retry_sent_after_fill(self):
+        """The MSHR file's contract, once for both policies that stand
+        on it: the request that finds every MSHR busy is refused and
+        counted, and the requester hears a retry when one is released —
+        not before, and once."""
+        for make_rig in (_plain_rig, _coherent_rig):
+            sim, cache, h, _ = make_rig()
+            kind = type(cache).__name__
+            retried = []
+            h.port._recv_req_retry = lambda: retried.append(
+                cache.mshr_occupancy())
+            accepted = [h.read(i * BLOCK) for i in range(5)]
+            assert accepted == [True] * 4 + [False], kind
+            assert cache.st_mshr_rejects.value() == 1, kind
+            assert cache.mshr_occupancy() == 4 and not retried, kind
+            h.drain()
+            assert retried == [3], (
+                f"{kind} must send one retry once an MSHR frees")
+            assert len(h.responses) == 4, kind
 
     def test_mshr_occupancy_tracks_outstanding(self, rig):
         sim, cache, h, _ = rig

@@ -1,9 +1,10 @@
-"""Timing ports: binding, the three-call retry protocol, functional path."""
+"""Timing ports: binding, the three-call retry protocol, functional path,
+and the queue a refused packet waits in."""
 
 import pytest
 
 from repro.soc.packet import MemCmd, Packet
-from repro.soc.ports import RequestPort, RequestPortWithRetry, ResponsePort
+from repro.soc.ports import RequestPort, ResponsePort
 
 
 def _pkt() -> Packet:
@@ -96,57 +97,118 @@ class TestProtocol:
         assert log == [("func", pkt)]
 
 
-class TestRequestPortWithRetry:
-    def _sink(self, accept_first_n: int):
-        """A ResponsePort that rejects after the first N requests."""
-        state = {"accepted": 0}
-        received = []
+class _Gate:
+    """The far end of a port pair: accepts while ``budget`` lasts,
+    logs every delivery attempt and runs ``on_accept`` inside the
+    accepting call (where a real peer would act on the packet)."""
 
-        def recv(pkt):
-            if state["accepted"] < accept_first_n:
-                state["accepted"] += 1
-                received.append(pkt)
-                return True
+    def __init__(self, budget: int = 0) -> None:
+        self.budget = budget
+        self.attempts: list[Packet] = []
+        self.accepted: list[Packet] = []
+        self.on_accept = lambda pkt: None
+
+    def recv(self, pkt: Packet) -> bool:
+        self.attempts.append(pkt)
+        if self.budget <= 0:
             return False
+        self.budget -= 1
+        self.accepted.append(pkt)
+        self.on_accept(pkt)
+        return True
 
-        resp = ResponsePort("sink", recv_timing_req=recv)
-        return resp, received, state
 
-    def test_try_send_immediate(self):
-        resp, received, _ = self._sink(10)
-        port = RequestPortWithRetry("p")
-        port.connect(resp)
-        assert port.try_send(_pkt())
-        assert not port.blocked
-        assert len(received) == 1
+def _request_side(gate, retry=None):
+    """(sending port, the peer's retry) with *gate* receiving requests."""
+    port = RequestPort("sender", recv_req_retry=retry)
+    peer = ResponsePort("gate", recv_timing_req=gate.recv)
+    port.connect(peer)
+    return port, peer.send_retry_req
 
-    def test_try_send_parks_on_reject(self):
-        resp, received, state = self._sink(0)
-        port = RequestPortWithRetry("p")
-        port.connect(resp)
-        assert not port.try_send(_pkt())
-        assert port.blocked
-        # unblock the sink and retry
-        state["accepted"] = -10
-        resp.send_retry_req()
-        assert not port.blocked
-        assert len(received) == 1
 
-    def test_try_send_while_blocked_rejected(self):
-        resp, _, _ = self._sink(0)
-        port = RequestPortWithRetry("p")
-        port.connect(resp)
-        port.try_send(_pkt())
-        with pytest.raises(RuntimeError):
-            port.try_send(_pkt())
+def _response_side(gate, retry=None):
+    """(sending port, the peer's retry) with *gate* receiving responses."""
+    port = ResponsePort("sender", recv_resp_retry=retry)
+    peer = RequestPort("gate", recv_timing_resp=gate.recv)
+    port.connect(peer)
+    return port, peer.send_retry_resp
 
-    def test_on_unblock_callback(self):
-        resp, _, state = self._sink(0)
-        port = RequestPortWithRetry("p")
-        port.connect(resp)
-        fired = []
-        port.on_unblock(lambda: fired.append(True))
-        port.try_send(_pkt())
-        state["accepted"] = -10
-        resp.send_retry_req()
-        assert fired == [True]
+
+@pytest.mark.parametrize("side", [_request_side, _response_side],
+                         ids=["requests", "responses"])
+class TestQueuedSend:
+    def test_accepted_at_once_queues_nothing(self, side):
+        gate = _Gate(budget=1)
+        port, _ = side(gate)
+        pkt = _pkt()
+        assert port.send(pkt) is True
+        assert gate.accepted == [pkt] and not port.queue
+
+    def test_no_overtaking_and_order_survives_the_drain(self, side):
+        gate = _Gate(budget=0)
+        port, retry = side(gate)
+        a, b, c = _pkt(), _pkt(), _pkt()
+        assert port.send(a) is False
+        gate.budget = 10   # the peer could take b now: it must not be asked
+        assert port.send(b) is False and port.send(c) is False
+        assert gate.attempts == [a]
+        assert list(port.queue) == [a, b, c]
+        retry()
+        assert gate.accepted == [a, b, c] and not port.queue
+
+    def test_drain_stops_at_a_re_rejection(self, side):
+        gate = _Gate(budget=0)
+        port, retry = side(gate)
+        a, b, c = _pkt(), _pkt(), _pkt()
+        for pkt in (a, b, c):
+            port.send(pkt)
+        gate.budget = 1
+        retry()
+        assert gate.accepted == [a]
+        assert gate.attempts == [a, a, b]   # c was not offered
+        assert list(port.queue) == [b, c]
+        gate.budget = 5
+        retry()
+        assert gate.accepted == [a, b, c]
+
+    def test_owner_hears_the_retry_only_once_the_queue_is_empty(self, side):
+        gate = _Gate(budget=0)
+        heard = []
+        port, retry = side(gate, retry=lambda: heard.append(len(port.queue)))
+        port.send(_pkt())
+        port.send(_pkt())
+        gate.budget = 1
+        retry()
+        assert heard == []          # one still waits: not yet
+        gate.budget = 1
+        retry()
+        assert heard == [0]         # after the queue emptied, once
+        retry()                     # nothing queued: straight through
+        assert heard == [0, 0]
+
+    def test_send_from_inside_a_drain_lands_behind_the_queue(self, side):
+        gate = _Gate(budget=0)
+        port, retry = side(gate)
+        a, b, late = _pkt(), _pkt(), _pkt()
+        port.send(a)
+        port.send(b)
+        # while the peer is taking ``a`` it provokes another send on the
+        # same port (a fill answering a request makes the owner send)
+        gate.on_accept = lambda pkt: pkt is a and port.send(late)
+        gate.budget = 10
+        retry()
+        assert gate.accepted == [a, b, late]
+        assert not port.queue
+
+    def test_retry_with_nothing_queued_and_no_handler_raises(self, side):
+        port, retry = side(_Gate())
+        with pytest.raises(RuntimeError, match="retry handler"):
+            retry()
+
+    def test_drained_queue_needs_no_handler(self, side):
+        gate = _Gate(budget=0)
+        port, retry = side(gate)
+        port.send(_pkt())
+        gate.budget = 1
+        retry()                     # no handler, but it had work: fine
+        assert not port.queue

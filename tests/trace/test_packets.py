@@ -90,3 +90,32 @@ class TestEndToEnd:
         assert any("hop_cpu0" in k for k in hop_keys)
         counts = [flat[k] for k in hop_keys if k.endswith("::count")]
         assert sum(counts) > 0
+
+    def test_coherent_run_records_the_l1_and_the_directory(self):
+        """The coherence layer is on the packet's path like any other:
+        a core's access is stamped by its L1D (the shared cache core's
+        accept prologue) and the L1's miss by the directory — and with
+        the flag off nothing about the run moves."""
+        from repro.soc.system import SoC, SoCConfig
+        from repro.workloads.sharing import sharing_benchmark
+
+        def run():
+            soc = SoC(SoCConfig(num_cores=2, memory="DDR4-1ch",
+                                coherent=True))
+            for core, stream in zip(soc.cores, sharing_benchmark(2, iters=20)):
+                core.run_stream(stream)
+            soc.run_until_done()
+            return soc.sim.stats_dump()
+
+        plain = run()
+        assert not any(".pkttrace." in k for k in plain)
+
+        enable("Packet")
+        traced = run()
+        hops = {k.split(".pkttrace.hop_")[1].split("::")[0]
+                for k in traced if ".pkttrace.hop_" in k}
+        assert {"cpu0", "cpu1", "l1d", "l2dir"} <= hops, sorted(hops)
+        assert traced["system.pkttrace.hop_l1d::count"] > 0
+        assert traced["system.pkttrace.hop_l2dir::count"] > 0
+        assert {k: v for k, v in traced.items()
+                if ".pkttrace." not in k} == plain
