@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..parallel import ResultCache, run_points
+from ..parallel import PointFailure, ResultCache, run_points
 from .nvdla_system import build_nvdla_system
 
 #: the paper's x-axis
@@ -84,6 +84,38 @@ class DSEResult:
         return self.point_seconds / self.wall_seconds if self.wall_seconds else 0.0
 
 
+def _run_cached(points, worker, cache, experiment, names, *, progress,
+                **run_kwargs) -> tuple[list, int]:
+    """Look every point up in *cache*, run the misses, store what succeeded.
+
+    A point's cache key is *experiment* plus its tuple elements under
+    *names*.  ``progress`` is ticked once per point whichever way it
+    was served — a hit here, a miss by ``run_points`` — so a reporter
+    sized to ``len(points)`` ends at ``done == total``.  Returns
+    ``(measured, misses)``; failure sentinels are never cached.
+    """
+    measured: list = [None] * len(points)
+    keys: list[Optional[str]] = [None] * len(points)
+    todo: list[int] = []
+    for i, point in enumerate(points):
+        if cache is not None:
+            keys[i] = cache.key(experiment=experiment,
+                                **dict(zip(names, point)))
+            measured[i] = cache.get(keys[i])
+        if measured[i] is None:
+            todo.append(i)
+        elif progress is not None:
+            progress.update()
+
+    fresh = run_points([points[i] for i in todo], worker,
+                       progress=progress, **run_kwargs)
+    for i, value in zip(todo, fresh):
+        measured[i] = value
+        if cache is not None and not isinstance(value, PointFailure):
+            cache.put(keys[i], value, meta={"point": list(points[i])})
+    return measured, len(todo)
+
+
 def _dse_point(point: tuple) -> dict:
     """Worker: one simulation point -> {ticks, seconds}.
 
@@ -119,7 +151,6 @@ def run_dse(
     normalised sweep instead of aborting it (the ideal-memory baseline
     is the one point that must succeed).
     """
-    from ..parallel import PointFailure
     if scale is None:
         scale = DEFAULT_SCALES.get(workload, 1.0)
     t0 = time.perf_counter()
@@ -133,32 +164,12 @@ def run_dse(
         for inflight in inflight_sweep
     ]
 
-    measured: list[Optional[dict]] = [None] * len(points)
-    keys: list[Optional[str]] = [None] * len(points)
-    todo: list[int] = []
-    for i, point in enumerate(points):
-        if cache is not None:
-            keys[i] = cache.key(
-                experiment="dse_point",
-                workload=point[0], n_nvdla=point[1], memory=point[2],
-                inflight=point[3], scale=point[4],
-            )
-            measured[i] = cache.get(keys[i])
-        if measured[i] is None:
-            todo.append(i)
-
-    fresh = run_points(
-        [points[i] for i in todo], _dse_point, jobs=jobs,
-        point_timeout=point_timeout, keep_going=keep_going,
+    measured, misses = _run_cached(
+        points, _dse_point, cache, "dse_point",
+        ("workload", "n_nvdla", "memory", "inflight", "scale"),
+        jobs=jobs, point_timeout=point_timeout, keep_going=keep_going,
         progress=progress, stats=stats,
     )
-    for i, value in zip(todo, fresh):
-        measured[i] = value
-        if isinstance(value, PointFailure):
-            continue  # never cache a failure sentinel
-        if cache is not None and keys[i] is not None:
-            cache.put(keys[i], value, meta={"point": list(points[i])})
-
     if isinstance(measured[0], PointFailure):
         raise measured[0]  # nothing to normalise against
     ideal = measured[0]["ticks"]
@@ -177,8 +188,8 @@ def run_dse(
         m["seconds"] for m in measured if not isinstance(m, PointFailure)
     )
     result.wall_seconds = time.perf_counter() - t0
-    result.cache_misses = len(todo)
-    result.cache_hits = len(points) - len(todo)
+    result.cache_misses = misses
+    result.cache_hits = len(points) - misses
     return result
 
 
@@ -227,34 +238,13 @@ def run_coherence_sweep(
     Returns ``{sharers: result_dict}``; a failed point (only possible
     with ``keep_going=True``) is reported as ``None``.
     """
-    from ..parallel import PointFailure
-
     points = [(n, ops, seed, rtl) for n in sharers]
-    measured: list[Optional[dict]] = [None] * len(points)
-    keys: list[Optional[str]] = [None] * len(points)
-    todo: list[int] = []
-    for i, point in enumerate(points):
-        if cache is not None:
-            keys[i] = cache.key(
-                experiment="coherence_point",
-                sharers=point[0], ops=point[1], seed=point[2], rtl=point[3],
-            )
-            measured[i] = cache.get(keys[i])
-        if measured[i] is None:
-            todo.append(i)
-
-    fresh = run_points(
-        [points[i] for i in todo], _coherence_point, jobs=jobs,
-        point_timeout=point_timeout, keep_going=keep_going,
+    measured, _ = _run_cached(
+        points, _coherence_point, cache, "coherence_point",
+        ("sharers", "ops", "seed", "rtl"),
+        jobs=jobs, point_timeout=point_timeout, keep_going=keep_going,
         progress=progress, stats=stats,
     )
-    for i, value in zip(todo, fresh):
-        measured[i] = value
-        if isinstance(value, PointFailure):
-            continue  # never cache a failure sentinel
-        if cache is not None and keys[i] is not None:
-            cache.put(keys[i], value, meta={"point": list(points[i])})
-
     return {
         n: (None if isinstance(m, PointFailure) else m)
         for n, m in zip(sharers, measured)
@@ -363,8 +353,6 @@ def run_table3(
     remain honest — all three timings share one worker's core).  With
     ``keep_going=True`` failed rows are dropped from the result.
     """
-    from ..parallel import PointFailure
-
     scales = scales or DEFAULT_SCALES
     points = [(w, scales.get(w, 1.0)) for w in workloads]
     rows = run_points(points, _table3_row, jobs=jobs,

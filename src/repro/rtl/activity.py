@@ -47,11 +47,11 @@ MAX_CONE_INPUTS = 8
 MIN_CONE_LINES = 2
 
 #: required body-lines-per-key-input ratio.  A guard that always misses
-#: still pays its compare chain every settle; the ``-O2`` never-slower
-#: bench gate (benchmarks/test_rtl_opt.py) only holds if a guarded
-#: body dwarfs its key, so thin cones (e.g. sorting-network
-#: compare-exchange stages) run unguarded and rely on batch quiescence
-#: for their idle-time win.
+#: still pays its compare chain every settle, so ``-O2`` stays no slower
+#: than ``-O0`` on an always-busy design (``coherence_stress`` phase
+#: ``rtl`` in ``bench/``) only if a guarded body dwarfs its key; thin
+#: cones (e.g. sorting-network compare-exchange stages) run unguarded
+#: and rely on batch quiescence for their idle-time win.
 GUARD_BODY_FACTOR = 8
 
 _VREF_RE = re.compile(r"v\[(\d+)\]")

@@ -6,12 +6,14 @@ normalised floats — so figures regenerated in parallel are the paper's
 figures, just sooner.
 """
 
+import io
+
 import pytest
 
 import repro.parallel.cache as cache_mod
 from repro.dse import render_dse, run_dse
 from repro.dse.sweep import _dse_point
-from repro.parallel import ResultCache
+from repro.parallel import ProgressReporter, ResultCache
 
 # Shrunk grid: 5 simulations per sweep, small enough for the test tier.
 SWEEP = dict(inflight_sweep=(1, 16), memories=("DDR4-1ch", "HBM"), scale=0.1)
@@ -48,6 +50,21 @@ class TestCacheIntegration:
         # aggregate point time is preserved from the cold measurements
         assert warm.point_seconds > 0
         assert warm.wall_seconds < cold.wall_seconds
+
+    def test_partially_warm_sweep_finishes_its_progress_line(self, tmp_path):
+        """The CLI sizes the reporter to every point, so a point served
+        from the cache must tick it like one that ran: two hits and one
+        miss end at 3/3 with the terminating newline, not at 1/3."""
+        cache = ResultCache(tmp_path)
+        tiny = dict(memories=("HBM",), scale=0.1, cache=cache)
+        run_dse("sanity3", 1, inflight_sweep=(8,), **tiny)
+        stream = io.StringIO()
+        progress = ProgressReporter(3, label="dse", stream=stream)
+        warm = run_dse("sanity3", 1, inflight_sweep=(4, 8),
+                       progress=progress, **tiny)
+        assert (warm.cache_hits, warm.cache_misses) == (2, 1)
+        assert progress.done == progress.total == 3
+        assert stream.getvalue().endswith("\n")
 
     def test_code_change_invalidates(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)

@@ -13,6 +13,7 @@ import pytest
 from repro.hdl.common import CoverageOptions
 from repro.hdl.verilog import compile_verilog
 from repro.rtl import RTLSimulator
+from repro.rtl.codegen import build_program
 from repro.verify import CoverageCollector, Stimulus, design_names, get_design
 
 
@@ -53,6 +54,30 @@ def test_uninstrumented_design_has_no_points():
     assert module.coverage_points == []
     assert all(not s.name.startswith("__cov__")
                for s in module.signals.values())
+
+
+@pytest.mark.parametrize("name", ("rtlcache", "pmu"))
+def test_coverage_off_compiles_the_uninstrumented_kernel(name):
+    """Coverage that is not asked for costs nothing by construction: an
+    all-off ``CoverageOptions`` yields the uninstrumented compile's
+    fused kernel byte for byte (and no hidden signals); counters enter
+    the source only when instrumentation is on."""
+    def fused_source(module) -> str:
+        return build_program(module, module.levelize()).source
+
+    design = get_design(name)
+    plain = design.compile()
+    disabled = design.compile(
+        CoverageOptions(statement=False, toggle=False, fsm=False)
+    )
+    instrumented = design.compile(CoverageOptions())
+    for module in (plain, disabled):
+        assert module.coverage_points == []
+        assert not any(s.name.startswith("__cov__")
+                       for s in module.signals.values())
+    assert instrumented.coverage_points
+    assert fused_source(plain) == fused_source(disabled)
+    assert fused_source(plain) != fused_source(instrumented)
 
 
 FSM_V = """
