@@ -100,9 +100,9 @@ class RTLObject(SimObject):
         # run-ahead window holds the pins against.  All-zero (nothing
         # valid, nothing raised) until the first one is.
         self._last_bytes = library.output_spec.zeros()
-        #: the output struct consumed last; read-only, as in
-        #: :meth:`consume_output`
-        self.last_output: dict = library.output_spec.unpack(self._last_bytes)
+        #: the output struct consumed last, as :meth:`decode_output`
+        #: decodes it; read-only, as in :meth:`consume_output`
+        self.last_output = self.decode_output(self._last_bytes)
         # Output a run-ahead window stopped on, until its own edge.
         self._held_output: Optional[bytes] = None
 
@@ -137,13 +137,21 @@ class RTLObject(SimObject):
     def _tick(self) -> None:
         eventq = self.sim.eventq
         period = self.clock.period
+        ran = 1
         out_bytes = self._held_output
         if out_bytes is not None:
             # The cycle a window stopped on already ran; this is its
             # edge, where a single-stepped model would produce what the
             # window produced early.  Nothing fired in between.
             self._held_output = None
-            ran = 1
+        elif self.batch_cycles <= 1:
+            # Single-stepped: no window to size, nothing to hold, and
+            # nothing RTL.Batch would say.
+            out_bytes = self.library.tick(self.build_input())
+            self.st_ticks.inc()
+            tracer = get_chrome_tracer()
+            if tracer is not None and tracer.enabled:
+                self._trace_window(tracer, 1, False)
         else:
             n = self._batch_window()
             in_bytes = self.build_input()
@@ -157,7 +165,6 @@ class RTLObject(SimObject):
                 held = ran > 1 and out_bytes != self._last_bytes
             else:
                 out_bytes = self.library.tick(in_bytes)
-                ran = 1
                 held = False
             self.st_ticks.inc(ran)
             # Tracing costs nothing beyond its two tests while it is off.
@@ -165,16 +172,7 @@ class RTLObject(SimObject):
                 self._trace_batch(n, ran, held)
             tracer = get_chrome_tracer()
             if tracer is not None and tracer.enabled:
-                now = eventq.cur_tick
-                track = f"rtl:{self.name}"
-                tracer.window(
-                    "rtl batched" if ran > 1 else "rtl busy", track,
-                    now, now + ran * period, period,
-                )
-                if held:
-                    tracer.instant(
-                        "rtl output moved", track, now + (ran - 1) * period
-                    )
+                self._trace_window(tracer, ran, held)
             if held:
                 # Consume it where a single-stepped model would.
                 self._held_output = out_bytes
@@ -188,7 +186,7 @@ class RTLObject(SimObject):
         # bytes and fields.  Consumers must not modify the fields.
         if out_bytes != self._last_bytes:
             self._last_bytes = out_bytes
-            self.last_output = self.library.output_spec.unpack(out_bytes)
+            self.last_output = self.decode_output(out_bytes)
         self.consume_output(self.last_output)
         if self._running:
             # schedule_cycles(event, ran), inlined
@@ -198,6 +196,15 @@ class RTLObject(SimObject):
             eventq.schedule(
                 self._tick_event, edge + ran * period, EventPriority.CLOCK
             )
+
+    def _trace_window(self, tracer, ran: int, held: bool) -> None:
+        now, period, track = self.now, self.clock.period, f"rtl:{self.name}"
+        tracer.window(
+            "rtl batched" if ran > 1 else "rtl busy", track,
+            now, now + ran * period, period,
+        )
+        if held:
+            tracer.instant("rtl output moved", track, now + (ran - 1) * period)
 
     def _trace_batch(self, n: int, ran: int, held: bool) -> None:
         if ran > 1:
@@ -214,7 +221,7 @@ class RTLObject(SimObject):
                 "window of %d cut at its first cycle: an output moved",
                 n, tick=self.now,
             )
-        elif self.batch_cycles > 1:
+        else:
             tracepoint(
                 FLAG_RTL_BATCH, self.name,
                 "no window this pop (inputs busy, event horizon or end "
@@ -238,8 +245,6 @@ class RTLObject(SimObject):
         earlier, after the first cycle that moves an output
         (:meth:`SharedLibrary.tick_batch`).
         """
-        if self.batch_cycles <= 1:
-            return 1
         limit = min(self.batch_cycles, self.idle_cycles())
         if limit <= 1:
             return 1
@@ -258,11 +263,16 @@ class RTLObject(SimObject):
         """Pack the input struct for this tick (override per model)."""
         return self.library.input_spec.zeros()
 
-    def consume_output(self, outputs: dict) -> None:
+    def decode_output(self, out_bytes: bytes):
+        """Decode an output struct for :meth:`consume_output`: the field
+        dict, unless the model overrides both with its own form."""
+        return self.library.output_spec.unpack(out_bytes)
+
+    def consume_output(self, outputs) -> None:
         """Act on the output struct from this tick (override per model).
 
         *outputs* is read-only: while the model's output bytes do not
-        change, every tick is handed the same decoded dict.
+        change, every tick is handed the same decoded object.
         """
 
     def idle_cycles(self) -> int:
@@ -324,10 +334,11 @@ class RTLObject(SimObject):
 
     def send_mem_read(
         self, addr: int, size: int, port_idx: int = 0, translate: bool = False,
-        **meta,
+        meta: Optional[dict] = None,
     ) -> bool:
         pkt = Packet(MemCmd.ReadReq, addr, size, requestor=self.name)
-        pkt.meta.update(meta)
+        if meta:
+            pkt.meta.update(meta)
         return self._issue_mem(pkt, port_idx, translate)
 
     def send_mem_write(
@@ -337,10 +348,11 @@ class RTLObject(SimObject):
         data: Optional[bytes] = None,
         port_idx: int = 0,
         translate: bool = False,
-        **meta,
+        meta: Optional[dict] = None,
     ) -> bool:
         pkt = Packet(MemCmd.WriteReq, addr, size, data=data, requestor=self.name)
-        pkt.meta.update(meta)
+        if meta:
+            pkt.meta.update(meta)
         return self._issue_mem(pkt, port_idx, translate)
 
     def _issue_mem(self, pkt: Packet, port_idx: int, translate: bool) -> bool:
@@ -442,5 +454,5 @@ class RTLObject(SimObject):
         self._running = state["running"]
         self.library.load_checkpoint_state(state["library"])
         self._last_bytes = ctx.unpack(state["last_output"])
-        self.last_output = self.library.output_spec.unpack(self._last_bytes)
+        self.last_output = self.decode_output(self._last_bytes)
         self._held_output = None

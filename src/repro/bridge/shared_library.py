@@ -354,9 +354,11 @@ class BehavioralSharedLibrary(SharedLibrary):
 
     Used for large IP where gate-level simulation is impractical in this
     substrate (our NVDLA-class accelerator).  Subclasses implement
-    :meth:`step` with the same tick-in/tick-out semantics.  A step names
-    the output fields it sets; the rest of the struct is zero, and a
-    step that sets nothing costs no packing at all.
+    :meth:`step` with the same tick-in/tick-out semantics: a step names
+    the output fields it sets, the rest of the struct is zero, and a
+    step that sets nothing costs no packing at all.  A model that ticks
+    often enough for the two dicts to show overrides :meth:`tick` itself
+    around :meth:`StructSpec.lane_codec` or positional ``pack``.
     """
 
     def __init__(self) -> None:
@@ -370,9 +372,11 @@ class BehavioralSharedLibrary(SharedLibrary):
             return self.output_spec.zeros()
         return self.output_spec.pack(**outputs)
 
-    @abc.abstractmethod
     def step(self, inputs: dict) -> dict:
         """Advance one cycle; return the output-struct fields it set."""
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither step nor tick"
+        )
 
     def reset(self) -> None:
         self.ticks = 0

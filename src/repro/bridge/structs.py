@@ -93,14 +93,17 @@ class StructSpec:
     wrong array length :class:`ValueError`.
 
     ``unpack(data) -> {field: int | list[int]}`` decodes exactly
-    :attr:`size` bytes and raises :class:`ValueError` otherwise.
+    :attr:`size` bytes and raises :class:`ValueError` otherwise;
+    ``values(data)`` is the same decode without the dict, a tuple in
+    field order (array fields as tuples): what positional ``pack`` takes.
 
-    Both are generated for this layout at construction
+    All three are generated for this layout at construction
     (:attr:`codec_source` keeps the text for inspection).
     """
 
     pack: Callable[..., bytes]
     unpack: Callable[[bytes], dict]
+    values: Callable[[bytes], tuple]
 
     def __init__(self, name: str, fields: list[Field]) -> None:
         self.name = name
@@ -133,14 +136,16 @@ class StructSpec:
         )
         self.pack = namespace["pack"]
         self.unpack = namespace["unpack"]
+        self.values = namespace["values"]
 
     def _codec_source(self) -> str:
-        """Source of ``pack``/``unpack`` specialised to this layout."""
+        """Source of ``pack``/``unpack``/``values`` for this layout."""
         params: list[str] = []    # pack's signature
         checks: list[str] = []    # array length checks, field order
         encode: list[tuple[str, int]] = []   # (value, mask) per slot
         slots: list[str] = []     # unpack's slot locals
         decode: list[str] = []    # one dict item per field
+        flat: list[str] = []      # values' tuple items
         for f in self.fields:
             first = len(slots)
             names = [f"_{first + i}" for i in range(f.count)]
@@ -152,6 +157,7 @@ class StructSpec:
                 params.append(f"{f.name}=0")
                 encode.append((f.name, f.mask))
                 decode.append(f"{f.name!r}: {masked[0]}")
+                flat.append(masked[0])
                 continue
             params.append(f"{f.name}={(0,) * f.count!r}")
             checks += [
@@ -162,6 +168,12 @@ class StructSpec:
             ]
             encode += [(n, f.mask) for n in names]
             decode.append(f"{f.name!r}: [{', '.join(masked)}]")
+            flat.append(f"({', '.join(masked)},)")
+        slots_of_data = [   # the top of both decoders
+            f"    if _len(data) != {self.size}:",
+            "        raise _size_error(_len(data))",
+            f"    [{', '.join(slots)}] = _unpack(data)",
+        ]
         return "\n".join([
             f"def pack({', '.join(params + ['**_unknown'])}):",
             "    if _unknown:",
@@ -177,10 +189,12 @@ class StructSpec:
             f"{', '.join(f'_int({v}) & {m}' for v, m in encode)})",
             "",
             "def unpack(data):",
-            f"    if _len(data) != {self.size}:",
-            "        raise _size_error(_len(data))",
-            f"    [{', '.join(slots)}] = _unpack(data)",
+            *slots_of_data,
             f"    return {{{', '.join(decode)}}}",
+            "",
+            "def values(data):",
+            *slots_of_data,
+            f"    return ({''.join(item + ', ' for item in flat)})",
             "",
         ])
 

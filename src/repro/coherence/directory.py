@@ -30,7 +30,6 @@ from collections import deque
 from typing import Optional
 
 from ..soc.cache.sets import BLOCK, SparseSets
-from ..soc.event import EventPriority
 from ..soc.packet import MemCmd, Packet
 from ..soc.ports import RequestPort, ResponsePort
 from ..soc.simobject import SimObject, Simulation
@@ -171,8 +170,7 @@ class DirectoryController(SimObject):
             return
         self._busy = True
         delay = self.clock.cycles_to_ticks(self.latency_cycles)
-        self.sched_ckpt("process", None, self.now + delay,
-                        EventPriority.DEFAULT, name=f"{self.name}.process")
+        self.sched_ckpt("process", None, self.now + delay)
 
     def _process(self) -> None:
         self._busy = False

@@ -277,6 +277,7 @@ class NVDLACore:
         irq = 0
         self.perf_cycles += 1
         cfg = self.cfg
+        total_blocks = cfg.total_blocks
         budget = credit
 
         # 1) drain output writes first (they unblock compute)
@@ -295,7 +296,7 @@ class NVDLACore:
         while (
             budget > 0
             and issued < self.READS_PER_CYCLE
-            and self._next_read_seq < cfg.total_blocks
+            and self._next_read_seq < total_blocks
         ):
             addr, port = self._block_addr(self._next_read_seq)
             out_reads.append((self._next_read_seq, addr, port))
@@ -308,7 +309,7 @@ class NVDLACore:
         progressed = False
         while (
             self._compute_credit >= self._compute_debt
-            and self._consumed < cfg.total_blocks
+            and self._consumed < total_blocks
             and self._consumed in self._arrived
             and len(self._writes_pending) < self.WRITE_QUEUE_DEPTH
         ):
@@ -319,14 +320,14 @@ class NVDLACore:
             self._blocks_since_out += 1
             if (
                 self._blocks_since_out >= cfg.blocks_per_out
-                or self._consumed == cfg.total_blocks
+                or self._consumed == total_blocks
             ):
                 self._writes_pending.append(self._outputs_total)
                 self._outputs_total += 1
                 self._blocks_since_out = 0
         if (
             not progressed
-            and self._consumed < cfg.total_blocks
+            and self._consumed < total_blocks
             and self._compute_credit >= self._compute_debt
         ):
             # compute was ready but data (or write space) was not
@@ -336,7 +337,7 @@ class NVDLACore:
 
         # 4) completion
         if (
-            self._consumed == cfg.total_blocks
+            self._consumed == total_blocks
             and not self._writes_pending
             and self._writes_acked >= self._writes_issued
         ):

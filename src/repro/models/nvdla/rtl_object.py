@@ -23,10 +23,16 @@ from typing import Callable, Optional
 
 from ...bridge.rtl_object import RTLObject
 from ...soc.event import ClockDomain
-from ...soc.packet import Packet
+from ...soc.packet import MemCmd, Packet
 from ...soc.simobject import SimObject, Simulation
 from ...soc.tlb import TLB
-from .wrapper import CREDIT_ONLY_INPUT, NVDLASharedLibrary, RESP_LANES
+from .wrapper import (
+    CREDIT_ONLY_INPUT,
+    MAX_WR_ACKS,
+    NVDLA_OUTPUT,
+    NVDLASharedLibrary,
+    RESP_LANES,
+)
 
 DBBIF_PORT = 0
 SRAMIF_PORT = 1
@@ -95,83 +101,78 @@ class NVDLARTLObject(RTLObject):
         if not self.cpu_req_queue and not self.mem_resp_queue:
             return CREDIT_ONLY_INPUT[credit]
 
-        fields: dict = {"credit": credit}
-
         # CSB: one operation per tick.
+        csb_valid = csb_write = csb_addr = csb_wdata = 0
         if self._pending_csb_read is None and self.cpu_req_queue:
             pkt = self.cpu_req_queue.popleft()
-            fields["csb_valid"] = 1
-            fields["csb_addr"] = (pkt.addr - self.mmio_base) & 0xFFF
+            csb_valid = 1
+            csb_addr = pkt.addr - self.mmio_base
             if pkt.is_write:
-                fields["csb_write"] = 1
-                fields["csb_wdata"] = int.from_bytes(
+                csb_write = 1
+                csb_wdata = int.from_bytes(
                     (pkt.data or b"\0\0\0\0")[:4], "little"
                 )
                 self.respond_cpu(pkt)
             else:
                 self._pending_csb_read = pkt
 
-        # deliver up to RESP_LANES read responses + count write acks
+        # deliver up to RESP_LANES read responses + count write acks;
+        # what finds its lanes full stays at the head, in order
         seqs: list[int] = []
         wr_acks = 0
         remaining: list[Packet] = []
-        while self.mem_resp_queue and (len(seqs) < RESP_LANES or wr_acks < 7):
-            pkt = self.mem_resp_queue.popleft()
-            if pkt.is_read:
-                if len(seqs) >= RESP_LANES:
-                    remaining.append(pkt)
-                    continue
+        queue = self.mem_resp_queue
+        while queue and (len(seqs) < RESP_LANES or wr_acks < MAX_WR_ACKS):
+            pkt = queue.popleft()
+            if pkt.is_read and len(seqs) < RESP_LANES:
                 seqs.append(pkt.meta["seq"])
-            else:
-                if wr_acks >= 7:
-                    remaining.append(pkt)
-                    continue
+            elif not pkt.is_read and wr_acks < MAX_WR_ACKS:
                 wr_acks += 1
-        for pkt in reversed(remaining):
-            self.mem_resp_queue.appendleft(pkt)
-        if seqs:
-            fields["rd_resp_count"] = len(seqs)
-            fields["rd_resp_seqs"] = seqs + [0] * (RESP_LANES - len(seqs))
-        if wr_acks:
-            fields["wr_acks"] = wr_acks
-        return self.library.input_spec.pack(**fields)
+            else:
+                remaining.append(pkt)
+        queue.extendleft(reversed(remaining))
+        count = len(seqs)
+        return self.library.input_spec.pack(
+            csb_valid, csb_write, csb_addr, csb_wdata, credit,
+            count, seqs + [0] * (RESP_LANES - count), wr_acks,
+        )
 
-    def consume_output(self, outputs: dict) -> None:
-        if outputs["csb_rvalid"]:
+    #: no dict: the generated tuple of the struct's fields, in order
+    decode_output = staticmethod(NVDLA_OUTPUT.values)
+    _QUIET = NVDLA_OUTPUT.values(NVDLA_OUTPUT.zeros())
+
+    def consume_output(self, outputs: tuple) -> None:
+        if outputs == self._QUIET:
+            return
+        (csb_rvalid, csb_rdata, rd_count, seqs, addrs, ports,
+         wr_count, wr_addrs, irq) = outputs
+        if csb_rvalid:
             pkt = self._pending_csb_read
             if pkt is None:
                 raise RuntimeError(f"{self.name}: CSB read data with no reader")
             self._pending_csb_read = None
-            data = int(outputs["csb_rdata"]).to_bytes(4, "little")[: pkt.size]
+            data = csb_rdata.to_bytes(4, "little")[: pkt.size]
             self.respond_cpu(pkt, data.ljust(pkt.size, b"\0"))
 
-        rd_count = outputs["rd_count"]
-        if rd_count:
-            addrs, ports, seqs = (
-                outputs["rd_addrs"], outputs["rd_ports"], outputs["rd_seqs"]
+        # one output struct's burst: lanes straight to packets
+        for i in range(rd_count):
+            pkt = Packet(MemCmd.ReadReq, addrs[i], 64, requestor=self.name)
+            pkt.meta["seq"] = seqs[i]
+            if not self._issue_mem(pkt, ports[i], self.translate):
+                raise RuntimeError(
+                    f"{self.name}: engine exceeded its credit (read)"
+                )
+        for addr in wr_addrs[:wr_count]:
+            pkt = Packet(
+                MemCmd.WriteReq, addr, 64, data=output_pattern(addr),
+                requestor=self.name,
             )
-            for i in range(rd_count):
-                ok = self.send_mem_read(
-                    addrs[i], 64, port_idx=ports[i],
-                    translate=self.translate, seq=seqs[i],
+            if not self._issue_mem(pkt, DBBIF_PORT, self.translate):
+                raise RuntimeError(
+                    f"{self.name}: engine exceeded its credit (write)"
                 )
-                if not ok:
-                    raise RuntimeError(
-                        f"{self.name}: engine exceeded its credit (read)"
-                    )
-        wr_count = outputs["wr_count"]
-        if wr_count:
-            for addr in outputs["wr_addrs"][:wr_count]:
-                ok = self.send_mem_write(
-                    addr, 64, data=output_pattern(addr),
-                    port_idx=DBBIF_PORT, translate=self.translate,
-                )
-                if not ok:
-                    raise RuntimeError(
-                        f"{self.name}: engine exceeded its credit (write)"
-                    )
 
-        if outputs["irq"]:
+        if irq:
             self.st_irqs.inc()
             for handler in self._irq_handlers:
                 handler(self.now)

@@ -13,8 +13,9 @@ from ...bridge.shared_library import BehavioralSharedLibrary
 from ...bridge.structs import Field, StructSpec
 from .core import NVDLACore, REQ_LANES
 
-#: max read responses / acks the bridge delivers per accelerator cycle
+#: max read responses / write acks the bridge delivers per accelerator cycle
 RESP_LANES = 4
+MAX_WR_ACKS = 7
 
 NVDLA_INPUT = StructSpec(
     "nvdla_in",
@@ -26,7 +27,7 @@ NVDLA_INPUT = StructSpec(
         Field("credit", 8),                 # in-flight budget this cycle
         Field("rd_resp_count", 3),
         Field("rd_resp_seqs", 32, count=RESP_LANES),
-        Field("wr_acks", 3),
+        Field("wr_acks", MAX_WR_ACKS.bit_length()),
     ],
 )
 
@@ -51,6 +52,11 @@ NVDLA_OUTPUT = StructSpec(
 )
 
 
+#: the unused lanes of a cycle's reads (seq, addr, port) and writes
+_NO_READS = ((0, 0, 0),) * REQ_LANES
+_NO_WRITES = (0,) * REQ_LANES
+
+
 class NVDLASharedLibrary(BehavioralSharedLibrary):
     """tick/reset wrapper around :class:`NVDLACore`."""
 
@@ -71,41 +77,33 @@ class NVDLASharedLibrary(BehavioralSharedLibrary):
     def load_model_state(self, state: dict) -> None:
         self.core.load_state(state)
 
-    def step(self, inputs: dict) -> dict:
-        """One cycle; names only the output fields this cycle set (the
-        rest of the struct is zero, so a quiet cycle returns ``{}``)."""
+    def tick(self, input_bytes: bytes) -> bytes:
+        """One cycle, bytes to bytes with no dict in between: the
+        generated ``values`` in, positional ``pack`` out, and a cycle
+        that produced nothing answers the cached all-zero struct."""
+        (valid, write, addr, wdata, credit, resp_count, resp_seqs, wr_acks
+         ) = self.input_spec.values(input_bytes)
         core = self.core
-        out: dict = {}
-
+        rvalid = rdata = 0
         # CSB wrapper: one operation per cycle, same-cycle read data.
-        if inputs["csb_valid"]:
-            if inputs["csb_write"]:
-                core.csb_write(inputs["csb_addr"], inputs["csb_wdata"])
+        if valid:
+            if write:
+                core.csb_write(addr, wdata)
             else:
-                out["csb_rvalid"] = 1
-                out["csb_rdata"] = core.csb_read(inputs["csb_addr"])
-
+                rvalid = 1
+                rdata = core.csb_read(addr)
         # AXI responder wrapper: deliver responses, collect requests.
-        resp_count = inputs["rd_resp_count"]
-        reads, writes, irq = core.step(
-            inputs["credit"],
-            inputs["rd_resp_seqs"][:resp_count] if resp_count else (),
-            inputs["wr_acks"],
-        )
+        reads, writes, irq = core.step(credit, resp_seqs[:resp_count], wr_acks)
+        self.ticks += 1
+        if not (reads or writes or irq or rvalid):
+            return self.output_spec.zeros()
         if len(reads) > REQ_LANES or len(writes) > REQ_LANES:
             raise RuntimeError(
                 f"engine emitted {len(reads)} reads and {len(writes)} writes "
                 f"in one cycle; the output struct has {REQ_LANES} lanes each"
             )
-        if reads:
-            pad = [0] * (REQ_LANES - len(reads))
-            out["rd_count"] = len(reads)
-            out["rd_seqs"] = [r[0] for r in reads] + pad
-            out["rd_addrs"] = [r[1] for r in reads] + pad
-            out["rd_ports"] = [r[2] for r in reads] + pad
-        if writes:
-            out["wr_count"] = len(writes)
-            out["wr_addrs"] = writes + [0] * (REQ_LANES - len(writes))
-        if irq:
-            out["irq"] = 1
-        return out
+        seqs, addrs, ports = zip(*reads, *_NO_READS[len(reads):])
+        return self.output_spec.pack(
+            rvalid, rdata, len(reads), seqs, addrs, ports,
+            len(writes), (*writes, *_NO_WRITES[len(writes):]), irq,
+        )

@@ -332,8 +332,10 @@ class RTLCoherentCacheObject(RTLCacheObject):
 
         if outputs["miss_valid"]:
             self._waiting_fill = True
-            self.send_mem_read(outputs["miss_addr"], LINE_BYTES,
-                               coh_origin=self.coh_id, wt_participant=True)
+            self.send_mem_read(
+                outputs["miss_addr"], LINE_BYTES,
+                meta={"coh_origin": self.coh_id, "wt_participant": True},
+            )
 
         if outputs["wt_valid"]:
             addr = int(outputs["wt_addr"])

@@ -391,12 +391,10 @@ class FaultInjector(SimObject):
                 when = self.now + fault.trigger * self.clock.period
             if fault.kind == "retry-storm":
                 self.sched_ckpt("storm_on", fault.arg, when,
-                                EventPriority.CLOCK,
-                                name=f"{self.name}.storm_on")
+                                EventPriority.CLOCK)
             elif fault.kind == "rtl-flip":
                 self.sched_ckpt("flip", (fault.signal, fault.arg), when,
-                                EventPriority.CLOCK,
-                                name=f"{self.name}.flip")
+                                EventPriority.CLOCK)
 
     # -- DRAM faults (counter-triggered via the controller hook) -----------
 
@@ -413,7 +411,6 @@ class FaultInjector(SimObject):
             self.sched_ckpt(
                 "dram_redo", (ctrl.path(), pkt),
                 self.now + delay * self.clock.period,
-                EventPriority.DEFAULT, name=f"{self.name}.dram_redo",
             )
             return True
         return False
@@ -438,13 +435,12 @@ class FaultInjector(SimObject):
                 self.sched_ckpt(
                     "storm_off", None,
                     self.now + payload * self.clock.period,
-                    EventPriority.CLOCK, name=f"{self.name}.storm_off",
+                    EventPriority.CLOCK,
                 )
             # first kick this very cycle: storm_off at T+D precedes the
             # kick at T+D (earlier seq), so a D-cycle storm kicks D times
             self.sched_ckpt("storm_kick", None, self.now,
-                            EventPriority.CLOCK,
-                            name=f"{self.name}.storm_kick")
+                            EventPriority.CLOCK)
         elif kind == "storm_kick":
             if not self._storming:
                 return
@@ -453,8 +449,7 @@ class FaultInjector(SimObject):
                 xbar._issue_retries()
             self.sched_ckpt("storm_kick", None,
                             self.now + self.clock.period,
-                            EventPriority.CLOCK,
-                            name=f"{self.name}.storm_kick")
+                            EventPriority.CLOCK)
         elif kind == "storm_off":
             self._storming = False
             for xbar in self._crossbars():

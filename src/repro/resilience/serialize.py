@@ -48,9 +48,11 @@ make their transient events visible through two SimObject hooks:
 
 * ``ckpt_named_events()`` — long-lived re-armable events (cycle/tick
   events), re-scheduled as the same objects on restore;
-* ``sched_ckpt(kind, payload, ...)`` — tagged one-shots whose
-  ``(kind, payload)`` pair is serialized and re-created through
-  ``ckpt_dispatch`` on restore.
+* ``sched_ckpt(kind, payload, ...)`` — tagged one-shots.  Each is its
+  heap entry and nothing else: the engine reads ``(owner, kind,
+  payload)`` off ``eventq.live_entries()``, which it walks anyway, and
+  restore pushes the same entry back through
+  ``EventQueue.schedule_tagged``.
 
 An event the engine cannot attribute to either hook (a bare closure),
 or a component veto (``ckpt_veto``), makes the current instant
@@ -235,19 +237,6 @@ def structure_digest(sim) -> str:
 # -- checkpointability -------------------------------------------------------
 
 
-def _claimed_handles(sim) -> dict[int, tuple]:
-    """Map ``id(handle)`` → owner info for every claimed live event."""
-    claimed: dict[int, tuple] = {}
-    for obj in sim.objects:
-        for ev in obj.ckpt_named_events().values():
-            if ev.scheduled:
-                claimed[id(ev._entry)] = (obj, ev)
-        for _kind, _payload, ev in obj.ckpt_events():
-            if ev.scheduled:
-                claimed[id(ev._entry)] = (obj, ev)
-    return claimed
-
-
 def checkpoint_blockers(sim) -> list[str]:
     """Why the simulation cannot be checkpointed *right now* (empty if
     it can): component vetoes plus unclaimed in-flight events."""
@@ -256,9 +245,14 @@ def checkpoint_blockers(sim) -> list[str]:
         veto = obj.ckpt_veto()
         if veto:
             problems.append(f"{obj.path()}: {veto}")
-    claimed = _claimed_handles(sim)
+    named = {
+        id(ev._entry)
+        for obj in sim.objects
+        for ev in obj.ckpt_named_events().values()
+        if ev.scheduled
+    }
     for tick, _pri, _seq, handle in sim.eventq.live_entries():
-        if id(handle) not in claimed:
+        if handle.owner is None and id(handle) not in named:
             problems.append(
                 f"unclaimed event {handle.name!r} at tick {tick}"
             )
@@ -296,10 +290,16 @@ def save_checkpoint(sim, path, max_wait: int = 10**9) -> int:
 
     ctx = SerializationContext()
     eventq = sim.eventq
-    entries = {
-        id(handle): (tick, pri, seq)
-        for tick, pri, seq, handle in eventq.live_entries()
-    }
+    live = eventq.live_entries()
+    entries = {id(handle): (tick, pri, seq) for tick, pri, seq, handle in live}
+    # Each owner's tagged one-shots in scheduling order: packing a
+    # payload numbers the packets it is first to mention, and an
+    # uninterrupted run and a restored one must number them alike.
+    tagged_of: dict[int, list] = {}
+    for entry in sorted(live, key=lambda e: e[2]):
+        owner = entry[3].owner
+        if owner is not None:
+            tagged_of.setdefault(id(owner), []).append(entry)
 
     objects: dict[str, dict] = {}
     for obj in sim.objects:
@@ -310,17 +310,15 @@ def save_checkpoint(sim, path, max_wait: int = 10**9) -> int:
             else:
                 named[name] = None
         tagged = []
-        for kind, payload, ev in obj.ckpt_events():
-            if not ev.scheduled:
-                continue
-            tick, pri, seq = entries[id(ev._entry)]
+        for tick, pri, seq, handle in tagged_of.get(id(obj), ()):
+            kind, payload = handle.callback.args
             tagged.append({
                 "kind": kind,
                 "payload": ctx.pack(payload),
                 "tick": tick,
                 "priority": pri,
                 "seq": seq,
-                "name": ev.name,
+                "name": handle.name,
             })
         # Deterministic file contents: tagged order follows the heap key.
         tagged.sort(key=lambda t: (t["tick"], t["priority"], t["seq"]))
@@ -427,8 +425,6 @@ def restore_checkpoint(sim, path) -> None:
 
     # Drop everything startup scheduled; the checkpoint replaces it all.
     eventq.clear()
-    for obj in sim.objects:
-        obj._ckpt_pending.clear()
 
     eq = doc["eventq"]
     eventq.cur_tick = eq["cur_tick"]
@@ -451,11 +447,9 @@ def restore_checkpoint(sim, path) -> None:
                 tick, pri, seq = entry
                 eventq.restore_entry(named[name], tick, pri, seq)
         for tev in section["tagged_events"]:
-            event = obj.make_ckpt_event(
-                tev["kind"], ctx.unpack(tev["payload"]), tev["name"]
-            )
-            eventq.restore_entry(
-                event, tev["tick"], tev["priority"], tev["seq"]
+            eventq.schedule_tagged(
+                obj, tev["kind"], ctx.unpack(tev["payload"]),
+                tev["tick"], tev["priority"], tev["name"], tev["seq"],
             )
 
     for name, state in doc["extras"].items():

@@ -25,7 +25,6 @@ from typing import Optional
 
 from ...trace import packets as pkttrace
 from ...trace.flags import debug_flag, tracepoint
-from ..event import EventPriority
 from ..packet import Packet
 from ..ports import RequestPort, ResponsePort
 from ..simobject import SimObject, Simulation
@@ -132,8 +131,7 @@ class CacheCore(SimObject):
     def _sched_after_lookup(self, kind: str, payload) -> None:
         """Dispatch *kind* (see ``ckpt_dispatch``) one lookup latency on."""
         when = self.now + self.clock.cycles_to_ticks(self.latency_cycles)
-        self.sched_ckpt(kind, payload, when, EventPriority.DEFAULT,
-                        name=f"{self.name}.{kind}")
+        self.sched_ckpt(kind, payload, when)
 
     # -- the MSHR file ---------------------------------------------------------
 

@@ -484,7 +484,6 @@ class OoOCore(SimObject):
             None,
             self.now + self.clock.cycles_to_ticks(cycles),
             EventPriority.CLOCK,
-            name=f"{self.name}.wake",
         )
 
     def _finish(self) -> None:

@@ -28,6 +28,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -68,17 +69,24 @@ class _Handle:
 
     The heap orders on (tick, priority, seq); ``seq`` is unique so a
     comparison never falls through to the handle.
+
+    A *tagged* one-shot (:meth:`EventQueue.schedule_tagged`) is nothing
+    but its handle: ``owner`` (None for every other event) is the
+    SimObject it fires on, and the checkpoint engine reads ``(kind,
+    payload)`` back off ``callback.args``.
     """
 
-    __slots__ = ("tick", "callback", "alive", "name")
+    __slots__ = ("tick", "callback", "alive", "name", "owner")
 
     def __init__(
-        self, tick: int, callback: Callable[[], None], name: str = "event"
+        self, tick: int, callback: Callable[[], None], name: str = "event",
+        owner=None,
     ) -> None:
         self.tick = tick
         self.callback = callback
         self.alive = True
         self.name = name
+        self.owner = owner
 
 
 class Event:
@@ -179,6 +187,32 @@ class EventQueue:
     ) -> Event:
         """Convenience: wrap *callback* in a fresh :class:`Event`."""
         return self.schedule(Event(callback, name), tick, priority)
+
+    def schedule_tagged(
+        self, owner, kind: str, payload, tick: int, priority: int, name: str,
+        seq: Optional[int] = None,
+    ) -> None:
+        """Push a one-shot firing ``owner.ckpt_dispatch(kind, payload)``.
+
+        There is no :class:`Event`: the heap entry is the only place the
+        one-shot lives, so once it fired or :meth:`clear` dropped it
+        nothing refers to it.  With *seq* (checkpoint restore) the entry
+        takes its checkpointed position, as in :meth:`restore_entry`.
+        """
+        if seq is None:
+            if tick < self.cur_tick:
+                raise ValueError(
+                    f"cannot schedule {name} at {tick} "
+                    f"(current tick {self.cur_tick})"
+                )
+            seq = self._seq
+        if seq >= self._seq:
+            self._seq = seq + 1
+        self._live += 1
+        callback = partial(owner.ckpt_dispatch, kind, payload)
+        heapq.heappush(
+            self._heap, (tick, priority, seq, _Handle(tick, callback, name, owner))
+        )
 
     def deschedule(self, event: Event) -> None:
         if not event.scheduled:

@@ -16,7 +16,6 @@ from typing import Optional
 
 from ...trace import packets as pkttrace
 from ...trace.flags import debug_flag, tracepoint
-from ..event import EventPriority
 from ..packet import Packet
 from ..ports import RequestPort, ResponsePort
 from ..simobject import SimObject, Simulation
@@ -68,7 +67,10 @@ class Crossbar(SimObject):
         self.queue_depth = queue_depth
         self.cpu_ports: list[ResponsePort] = []
         self.mem_ports: list[RequestPort] = []
-        self.ranges: list[AddrRange] = []
+        # The routing table: (start, end, intlv_count, port per
+        # intlv_match) in port order, consecutive ports interleaving one
+        # span folded into one row, so first-match order is the ports'.
+        self._routes: list[tuple[int, int, int, list[Optional[int]]]] = []
         # per-downstream-port request queues, per-upstream response queues
         self._req_q: list[deque[Packet]] = []
         self._resp_q: list[deque[Packet]] = []
@@ -111,15 +113,23 @@ class Crossbar(SimObject):
             recv_req_retry=lambda i=idx: self._drain_req(i),
         )
         self.mem_ports.append(port)
-        self.ranges.append(addr_range or _ALL)
+        rng = addr_range or _ALL
+        span = (rng.start, rng.end, rng.intlv_count)
+        if not self._routes or self._routes[-1][:3] != span:
+            self._routes.append((*span, [None] * rng.intlv_count))
+        slots = self._routes[-1][3]
+        if slots[rng.intlv_match] is None:
+            slots[rng.intlv_match] = idx
         self._req_q.append(deque())
         self._req_busy.append(False)
         return port
 
     def route(self, addr: int) -> int:
-        for i, rng in enumerate(self.ranges):
-            if rng.contains(addr):
-                return i
+        for start, end, count, ports in self._routes:
+            if start <= addr < end:
+                idx = ports[addr // 64 % count]
+                if idx is not None:
+                    return idx
         raise ValueError(f"{self.name}: no route for address {addr:#x}")
 
     # -- request path ---------------------------------------------------------
@@ -165,10 +175,7 @@ class Crossbar(SimObject):
         # exceeds the serialisation time.
         occupancy = max(1, (pkt.size + self.WIDTH_BYTES - 1) // self.WIDTH_BYTES)
         delay = self.clock.cycles_to_ticks(max(self.latency_cycles, occupancy))
-        self.sched_ckpt(
-            "fwd_req", mem_idx, self.now + delay,
-            EventPriority.DEFAULT, name=f"{self.name}.fwd_req",
-        )
+        self.sched_ckpt("fwd_req", mem_idx, self.now + delay)
 
     def _forward_req(self, mem_idx: int) -> None:
         self._req_busy[mem_idx] = False
@@ -229,10 +236,7 @@ class Crossbar(SimObject):
         pkt = self._resp_q[cpu_idx][0]
         occupancy = max(1, (pkt.size + self.WIDTH_BYTES - 1) // self.WIDTH_BYTES)
         delay = self.clock.cycles_to_ticks(max(self.latency_cycles, occupancy))
-        self.sched_ckpt(
-            "fwd_resp", cpu_idx, self.now + delay,
-            EventPriority.DEFAULT, name=f"{self.name}.fwd_resp",
-        )
+        self.sched_ckpt("fwd_resp", cpu_idx, self.now + delay)
 
     def _forward_resp(self, cpu_idx: int) -> None:
         self._resp_busy[cpu_idx] = False

@@ -138,6 +138,13 @@ class _Channel:
         self.bus_busy_until = 0
         self.draining_writes = False
         self._scheduled = False
+        self._event_name = f"{ctrl.name}.ch{index}"
+        # the config is frozen: its timings in ticks, converted once
+        cfg = self.cfg
+        self._t_hit = _ns(cfg.t_cas)
+        self._t_miss = _ns(cfg.t_rp + cfg.t_rcd + cfg.t_cas)
+        self._t_burst = _ns(cfg.burst_ns)
+        self._t_frontend = _ns(cfg.frontend_ns)
 
     # -- geometry ------------------------------------------------------------
 
@@ -172,19 +179,23 @@ class _Channel:
         when = max(self.ctrl.now, self.bus_busy_until)
         self.ctrl.sched_ckpt(
             "ch_service", self.index, when, EventPriority.DEFAULT,
-            name=f"{self.ctrl.name}.ch{self.index}",
+            self._event_name,
         )
 
-    def _pick(self, queue: deque[Packet]) -> Packet:
-        """FR-FCFS: oldest row hit within the window, else the oldest."""
-        window = min(len(queue), self.cfg.fr_fcfs_window)
-        for i in range(window):
+    def _pick(self, queue: deque[Packet]) -> tuple[Packet, tuple[int, int]]:
+        """FR-FCFS: oldest row hit within the window, else the oldest;
+        with the packet, its ``(bank, row)``."""
+        oldest = None
+        for i in range(min(len(queue), self.cfg.fr_fcfs_window)):
             pkt = queue[i]
-            bank, row = self.decode(pkt.addr)
-            if self.banks[bank].open_row == row:
+            where = self.decode(pkt.addr)
+            if self.banks[where[0]].open_row == where[1]:
                 del queue[i]
-                return pkt
-        return queue.popleft()
+                return pkt, where
+            if oldest is None:
+                oldest = where
+        pkt = queue.popleft()
+        return pkt, oldest or self.decode(pkt.addr)
 
     def _service(self) -> None:
         self._scheduled = False
@@ -205,10 +216,9 @@ class _Channel:
             queue = self.read_q if use_writes else self.write_q
             if not queue:
                 return
-        pkt = self._pick(queue)
+        pkt, (bank_no, row) = self._pick(queue)
 
         now = self.ctrl.now
-        bank_no, row = self.decode(pkt.addr)
         bank = self.banks[bank_no]
         # The controller pipelines commands: CAS latency overlaps other
         # banks' (and the same open row's) bursts, so a request's data
@@ -219,42 +229,33 @@ class _Channel:
         # saturates the bus at one burst per burst-time.
         enq = pkt.meta.get("dram_enq", now)
         if bank.open_row == row:
-            data_ready = enq + _ns(cfg.t_cas)
+            data_ready = enq + self._t_hit
             self.ctrl.st_row_hits.inc()
         else:
             act_start = max(enq, bank.busy_until)
-            data_ready = act_start + _ns(cfg.t_rp + cfg.t_rcd + cfg.t_cas)
+            data_ready = act_start + self._t_miss
             # earliest next activation of this bank (tRC approximation)
-            bank.busy_until = act_start + _ns(
-                cfg.t_rp + cfg.t_rcd + cfg.t_cas
-            )
+            bank.busy_until = data_ready
             bank.open_row = row
             self.ctrl.st_row_conflicts.inc()
         bursts = max(1, (pkt.size + BLOCK - 1) // BLOCK)
-        burst_time = bursts * _ns(cfg.burst_ns)
+        burst_time = bursts * self._t_burst
         data_start = max(now, data_ready, self.bus_busy_until)
         done = data_start + burst_time
         self.bus_busy_until = done
 
         self.ctrl.st_bytes.inc(pkt.size)
         if pkt.is_read:
-            self.ctrl.sched_ckpt(
-                "rd_done", pkt, done + _ns(cfg.frontend_ns),
-                EventPriority.DEFAULT, name=f"{self.ctrl.name}.rd_done",
-            )
+            self.ctrl.sched_ckpt("rd_done", pkt, done + self._t_frontend)
         else:
             self.ctrl.st_writes_drained.inc()
         # Queue slot frees when the burst completes (backpressure).
-        self.ctrl.sched_ckpt(
-            "slot_free", None, done, EventPriority.DEFAULT,
-            name=f"{self.ctrl.name}.slot_free",
-        )
+        self.ctrl.sched_ckpt("slot_free", None, done)
         if self.read_q or self.write_q:
             self._scheduled = True
             self.ctrl.sched_ckpt(
                 "ch_service", self.index, max(data_start, now + 1000),
-                EventPriority.DEFAULT,
-                name=f"{self.ctrl.name}.ch{self.index}",
+                EventPriority.DEFAULT, self._event_name,
             )
 
 

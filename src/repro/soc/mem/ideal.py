@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..event import EventPriority
 from ..packet import Packet
 from ..ports import ResponsePort
 from ..simobject import SimObject, Simulation
@@ -70,10 +69,7 @@ class IdealMemory(SimObject):
             self.st_writes.inc()
         self.st_bytes.inc(pkt.size)
         delay = self.clock.cycles_to_ticks(self.latency_cycles)
-        self.sched_ckpt(
-            "resp", pkt, self.now + delay,
-            EventPriority.DEFAULT, name=f"{self.name}.resp",
-        )
+        self.sched_ckpt("resp", pkt, self.now + delay)
         return True
 
     def _port_of(self, pkt: Packet) -> int:

@@ -136,9 +136,9 @@ class SimObject:
         self.clock = clock or (parent.clock if parent else sim.default_clock)
         parent_group = parent.stats if parent else sim.root_stats
         self.stats = StatGroup(name, parent_group)
-        # Checkpoint-tracked one-shot events (see sched_ckpt).
-        self._ckpt_pending: dict = {}
-        self._ckpt_next_token = 0
+        # kind -> event name of this object's tagged one-shots (see
+        # sched_ckpt): constants, built on a kind's first use
+        self._ckpt_names: dict[str, str] = {}
         sim.register(self)
 
     # -- naming ------------------------------------------------------------
@@ -196,8 +196,9 @@ class SimObject:
     # * *tagged* one-shots — transient callbacks that would otherwise be
     #   closures (a cache fill completing, a DRAM read returning).
     #   Schedule them with :meth:`sched_ckpt` and route the firing
-    #   through :meth:`ckpt_dispatch`; the (kind, payload) pair is what
-    #   gets serialized, and restore re-creates the event from it.
+    #   through :meth:`ckpt_dispatch`; the engine reads the (owner,
+    #   kind, payload) of each off the event queue's live entries, and
+    #   restore pushes the same entry back.
     #
     # Anything still scheduled through a bare closure is invisible to the
     # engine, which then refuses to checkpoint (NotCheckpointable).
@@ -209,31 +210,20 @@ class SimObject:
         when: int,
         priority: int = EventPriority.DEFAULT,
         name: Optional[str] = None,
-    ) -> Event:
+    ) -> None:
         """Schedule a checkpoint-aware one-shot event.
 
         The callback is ``self.ckpt_dispatch(kind, payload)``; *payload*
         must be serializable by the checkpoint engine (JSON scalars,
-        lists, dicts, and Packet references).
+        lists, dicts, and Packet references).  *name* (default
+        ``<self.name>.<kind>``) is serialized and is what host-time
+        profilers aggregate by: pass a constant, not one built per call.
         """
-        event = self.make_ckpt_event(kind, payload, name)
-        self.sim.eventq.schedule(event, when, priority)
-        return event
-
-    def make_ckpt_event(
-        self, kind: str, payload, name: Optional[str] = None
-    ) -> Event:
-        """Create (without scheduling) a tagged event; restore path."""
-        token = self._ckpt_next_token
-        self._ckpt_next_token += 1
-
-        def fire() -> None:
-            self._ckpt_pending.pop(token, None)
-            self.ckpt_dispatch(kind, payload)
-
-        event = Event(fire, name or f"{self.name}.{kind}")
-        self._ckpt_pending[token] = (kind, payload, event)
-        return event
+        if name is None:
+            name = self._ckpt_names.get(kind)
+            if name is None:
+                name = self._ckpt_names[kind] = f"{self.name}.{kind}"
+        self.sim.eventq.schedule_tagged(self, kind, payload, when, priority, name)
 
     def ckpt_dispatch(self, kind: str, payload) -> None:
         """Run the action behind a :meth:`sched_ckpt` event."""
@@ -241,11 +231,6 @@ class SimObject:
             f"{type(self).__name__} got ckpt event {kind!r} "
             "but does not implement ckpt_dispatch"
         )
-
-    def ckpt_events(self):
-        """Yield (kind, payload, event) for every pending tagged event."""
-        for kind, payload, event in self._ckpt_pending.values():
-            yield kind, payload, event
 
     def ckpt_named_events(self) -> dict[str, Event]:
         """Long-lived re-armable events, keyed by a stable name."""

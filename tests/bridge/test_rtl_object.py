@@ -196,9 +196,19 @@ class TestMemSide:
     def test_meta_travels_with_response(self, sim):
         obj, _ = self._rig(sim)
         sim.startup()
-        obj.send_mem_read(0x40, 64, seq=1234)
+        obj.send_mem_read(0x40, 64, meta={"seq": 1234, "addr": "any key"})
         sim.run(until=sim.now + 10**6)
-        assert obj.mem_resp_queue[0].meta["seq"] == 1234
+        meta = obj.mem_resp_queue[0].meta
+        assert meta["seq"] == 1234 and meta["addr"] == "any key"
+
+    def test_unknown_keyword_is_an_error_not_metadata(self, sim):
+        obj, _ = self._rig(sim)
+        sim.startup()
+        with pytest.raises(TypeError, match="port_index"):
+            obj.send_mem_read(0x40, 64, port_index=1)
+        with pytest.raises(TypeError, match="seq"):
+            obj.send_mem_write(0x40, 8, data=bytes(8), seq=1)
+        assert obj.inflight == 0
 
 
 class TestTLBIntegration:

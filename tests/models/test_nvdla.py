@@ -24,7 +24,15 @@ from repro.models.nvdla.core import (
     REG_W_BLOCKS,
     REQ_LANES,
 )
-from repro.models.nvdla.wrapper import CREDIT_ONLY_INPUT, NVDLA_INPUT
+from repro.models.nvdla.rtl_object import DBBIF_PORT, output_pattern
+from repro.models.nvdla.wrapper import (
+    CREDIT_ONLY_INPUT,
+    NVDLA_INPUT,
+    NVDLA_OUTPUT,
+)
+from repro.soc.packet import MemCmd, Packet, set_next_packet_id
+from repro.soc.ports import RequestPort, ResponsePort
+from repro.soc.simobject import Simulation
 
 
 def configured_core(in_blocks=32, w_blocks=4, compute_x16=16,
@@ -384,6 +392,189 @@ class TestSparseExchange:
         assert lib.checkpoint_state() == ref.checkpoint_state()
 
 
+    def test_hostile_input_is_masked_as_unpack_masks_it(self):
+        """Bits above a field's width in its slot: the exchange and the
+        dense reference (which goes through ``unpack``) must read the
+        same struct out of the same bytes."""
+        lib, ref = NVDLASharedLibrary(), DenseReference()
+        raw = NVDLA_INPUT.struct.pack
+        for lib_ in (lib, ref):
+            lib_.reset()
+            for addr, value in self.LAYERS[0].items():
+                csb_write(lib_, addr, value)
+            csb_write(lib_, REG_OP_ENABLE, 1)
+        stream = [
+            # csb_valid slot 0xFF -> 1, csb_write slot 0xFE -> 0: a read
+            # of csb_addr 0xF000 | REG_IN_BLOCKS -> REG_IN_BLOCKS
+            raw(0xFF, 0xFE, 0xF000 | REG_IN_BLOCKS, 0, 255, 0, 0, 0, 0, 0, 0),
+            # rd_resp_count slot 0xFA -> 2 responses, wr_acks 0xF8 -> 0
+            raw(0, 0, 0, 0, 255, 0xFA, 0, 1, 7, 9, 0xF8),
+            # rd_resp_count 7 > RESP_LANES: the four lanes, no more
+            raw(0, 0, 0, 0, 3, 7, 2, 3, 4, 5, 0),
+            # csb_write slot 0xFF -> a write of csb_addr >= 2**12
+            raw(1, 0xFF, 0x1000 | REG_IRQ_CLEAR, 1, 0, 0, 0, 0, 0, 0, 0),
+        ]
+        outs = [lib.tick(in_bytes) for in_bytes in stream]
+        assert outs == [ref.tick(in_bytes) for in_bytes in stream]
+        first = NVDLA_OUTPUT.unpack(outs[0])
+        assert (first["csb_rvalid"], first["csb_rdata"]) == (1, 900)
+        # both bursts landed: two tags, then four (not seven)
+        assert lib.core.consumed + len(lib.core._arrived) == 6
+        assert lib.checkpoint_state() == ref.checkpoint_state()
+
+    def test_wrong_length_input_raises_the_specs_size_error(self):
+        lib = NVDLASharedLibrary()
+        lib.reset()
+        for bad in (b"", NVDLA_INPUT.zeros()[:-1], NVDLA_INPUT.zeros() + b"\0"):
+            with pytest.raises(ValueError) as err:
+                lib.tick(bad)
+            assert str(err.value) == str(NVDLA_INPUT.size_error(len(bad)))
+        assert lib.ticks == 0
+
+    def test_wrapper_rejects_more_reads_than_lanes(self):
+        lib = NVDLASharedLibrary()
+        lib.reset()
+        five = [(i, 64 * i, 0) for i in range(REQ_LANES + 1)]
+        lib.core.step = lambda credit, seqs, acks: (five, [], 0)
+        with pytest.raises(RuntimeError, match="lanes"):
+            lib.tick(lib.input_spec.zeros())
+
+
+class ScriptedLibrary(NVDLASharedLibrary):
+    """Answers a fixed list of output structs, whatever it is fed."""
+
+    def __init__(self, script):
+        super().__init__()
+        self.script = list(script)
+
+    def tick(self, input_bytes: bytes) -> bytes:
+        self.ticks += 1
+        return self.script.pop(0) if self.script else self.output_spec.zeros()
+
+
+class DictConsume(NVDLARTLObject):
+    """The gem5 side as it was before the scatter: the output struct
+    decoded to a dict, one ``send_mem_*`` call per beat."""
+
+    def decode_output(self, out_bytes):
+        return self.library.output_spec.unpack(out_bytes)
+
+    def consume_output(self, outputs: dict) -> None:
+        if outputs["csb_rvalid"]:
+            pkt = self._pending_csb_read
+            if pkt is None:
+                raise RuntimeError(f"{self.name}: CSB read data with no reader")
+            self._pending_csb_read = None
+            data = int(outputs["csb_rdata"]).to_bytes(4, "little")[: pkt.size]
+            self.respond_cpu(pkt, data.ljust(pkt.size, b"\0"))
+        rd_count = outputs["rd_count"]
+        if rd_count:
+            addrs, ports, seqs = (
+                outputs["rd_addrs"], outputs["rd_ports"], outputs["rd_seqs"]
+            )
+            for i in range(rd_count):
+                ok = self.send_mem_read(
+                    addrs[i], 64, port_idx=ports[i],
+                    translate=self.translate, meta={"seq": seqs[i]},
+                )
+                if not ok:
+                    raise RuntimeError(
+                        f"{self.name}: engine exceeded its credit (read)"
+                    )
+        wr_count = outputs["wr_count"]
+        if wr_count:
+            for addr in outputs["wr_addrs"][:wr_count]:
+                ok = self.send_mem_write(
+                    addr, 64, data=output_pattern(addr),
+                    port_idx=DBBIF_PORT, translate=self.translate,
+                )
+                if not ok:
+                    raise RuntimeError(
+                        f"{self.name}: engine exceeded its credit (write)"
+                    )
+        if outputs["irq"]:
+            self.st_irqs.inc()
+            for handler in self._irq_handlers:
+                handler(self.now)
+
+
+class TestOutputScatter:
+    """``NVDLARTLObject.consume_output`` against :class:`DictConsume`."""
+
+    @staticmethod
+    def _script():
+        """Every rd_count x wr_count x irq x csb_rvalid, the lanes past
+        a count holding junk that must never reach a port."""
+        out, n = [], 0
+        for rd in range(REQ_LANES + 1):
+            for wr in range(REQ_LANES + 1):
+                for irq in (0, 1):
+                    for rvalid in (0, 1):
+                        n += 1
+                        out.append(NVDLA_OUTPUT.pack(
+                            csb_rvalid=rvalid, csb_rdata=0xC0DE0000 + n,
+                            rd_count=rd, wr_count=wr, irq=irq,
+                            rd_seqs=[1000 * n + i for i in range(REQ_LANES)],
+                            rd_addrs=[(n << 16) + 64 * i for i in range(REQ_LANES)],
+                            rd_ports=[(n + i) & 1 for i in range(REQ_LANES)],
+                            wr_addrs=[(n << 24) + 64 * i for i in range(REQ_LANES)],
+                        ))
+        return out
+
+    @staticmethod
+    def _drive(cls, script, max_inflight=None):
+        set_next_packet_id(0)
+        sim = Simulation()
+        rtl = cls(sim, "nvdla", library=ScriptedLibrary(script),
+                  max_inflight=max_inflight)
+        log: list[tuple] = []
+
+        def sink(port):
+            def recv(pkt: Packet) -> bool:
+                log.append((port, pkt.cmd, pkt.addr, pkt.size,
+                            pkt.meta.get("seq"), pkt.data, pkt.pkt_id))
+                return True
+            return recv
+
+        for i, port in enumerate(rtl.mem_side):
+            port.connect(ResponsePort(f"sink{i}", recv_timing_req=sink(i)))
+        csb = RequestPort(
+            "csb", recv_timing_resp=lambda pkt: log.append(
+                ("csb", pkt.cmd, pkt.addr, pkt.size, None, pkt.data,
+                 pkt.pkt_id)) or True)
+        csb.connect(rtl.cpu_side[0])
+        rtl.on_interrupt(lambda tick: log.append(("irq", tick)))
+        sim.startup()
+        sim.run(until=rtl.clock.period)     # up to, not into, the first tick
+        for out_bytes in script:
+            if NVDLA_OUTPUT.unpack(out_bytes)["csb_rvalid"]:
+                csb.send_timing_req(Packet(MemCmd.ReadReq, rtl.mmio_base + 4, 4))
+            sim.run(until=sim.now + rtl.clock.period)
+        assert not rtl.library.script
+        return log, sim.stats_dump(), sim.now
+
+    def test_every_burst_shape_issues_the_same_packets_and_stats(self):
+        script = self._script()
+        got = self._drive(NVDLARTLObject, script)
+        want = self._drive(DictConsume, script)
+        assert got == want
+        log = got[0]
+        assert sum(e[1] is MemCmd.ReadReq and e[0] != "csb" for e in log) == 200
+        assert sum(e[1] is MemCmd.WriteReq for e in log) == 200
+        assert sum(e[0] == "irq" for e in log) == 50
+        assert sum(e[0] == "csb" for e in log) == 50
+
+    @pytest.mark.parametrize("fields,which", [
+        ({"rd_count": 3}, "read"), ({"wr_count": 3}, "write"),
+    ])
+    def test_exceeding_the_credit_still_raises(self, fields, which):
+        script = [NVDLA_OUTPUT.pack(**fields)]
+        for cls in (NVDLARTLObject, DictConsume):
+            with pytest.raises(RuntimeError,
+                               match=rf"exceeded its credit \({which}\)"):
+                self._drive(cls, script, max_inflight=2)
+
+
 class TestCreditOnlyInput:
     def test_table_is_pack_of_the_credit_alone(self):
         assert list(CREDIT_ONLY_INPUT) == [
@@ -408,3 +599,37 @@ class TestCreditOnlyInput:
         assert uncapped.build_input() == NVDLA_INPUT.pack(credit=255)
         assert wide.st_credit_stalls.value() == 0
         assert uncapped.st_credit_stalls.value() == 0
+
+
+def test_python_calls_per_nvdla_tick_stay_in_budget():
+    """A count, not a timer: Python-level calls for one small DSE point,
+    per NVDLA tick, on the second of two identical runs (the first pays
+    the lazy imports).  51 210 calls / 915 ticks = 56.0 when the one-shots
+    moved into their heap entries and the exchange lost its dicts
+    (65 074 = 71.1 before); 5 % headroom, so neither path can quietly
+    grow back."""
+    import sys
+
+    from repro.dse.nvdla_system import build_nvdla_system
+
+    def point():
+        return build_nvdla_system("sanity3", n_nvdla=1, memory="DDR4-4ch",
+                                  max_inflight=240, scale=0.2)
+
+    point().run_to_completion()
+    system = point()
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        system.run_to_completion()
+    finally:
+        sys.setprofile(outer)
+    ticks = system.rtls[0].st_ticks.value()
+    assert ticks == 915
+    assert calls <= 51_210 * 1.05, f"{calls / ticks:.1f} calls per tick"

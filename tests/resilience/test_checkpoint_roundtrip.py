@@ -7,6 +7,7 @@ must be bit-identical to an uninterrupted run's.
 """
 
 import gzip
+import hashlib
 import json
 import os
 import subprocess
@@ -149,6 +150,43 @@ def test_fresh_process_restore_is_bit_identical(tmp_path, setup,
                 for k, v in expected.items() if out["stats"].get(k) != v}
     assert not mismatch, f"stats diverged after restore: {mismatch}"
     assert len(out["stats"]) == len(expected)
+
+
+@pytest.mark.parametrize(
+    "setup,save_tick,digest",
+    [
+        pytest.param(
+            PMU_SETUP, 300_000,
+            "0653b1ecdefcd07aa8cbba14f8939f3a85185fe4cad9e79686b91d7ab493ad71",
+            id="pmu",
+        ),
+        pytest.param(
+            NVDLA_SETUP, 200_000,
+            "770dcf1873e46bd605399367ce4fc82f7936a053614e990b34513078d3248120",
+            id="nvdla",
+        ),
+        pytest.param(
+            NVDLA4_SETUP, 200_000,
+            "725af4406e5b5249656affdfe8cd49d752b82c3f05bbb89822e9f3322f211825",
+            id="nvdla4",
+        ),
+    ],
+)
+def test_mid_run_checkpoint_bytes_are_pinned(tmp_path, setup, save_tick,
+                                             digest):
+    """The three mid-run checkpoints above, byte for byte: every event
+    name, ``seq``, ``executed`` and packet number in them is part of the
+    format, so a change to how events are scheduled or named shows here
+    (or bumps ``CHECKPOINT_VERSION``).  Hashed uncompressed — the gzip
+    container depends on the zlib build — with the process-wide packet
+    counter re-seeded, which earlier tests have advanced."""
+    from repro.soc.packet import set_next_packet_id
+
+    set_next_packet_id(0)
+    ckpt = tmp_path / "mid.ckpt"
+    _exec_setup(setup)["save_at"](save_tick, ckpt)
+    with gzip.open(ckpt) as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 def test_nvdla_restore_between_irq_and_csb_drain(tmp_path):

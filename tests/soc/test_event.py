@@ -10,6 +10,7 @@ from repro.soc.event import (
     EventQueue,
     frequency_to_period,
 )
+from repro.soc.simobject import SimObject
 
 
 class TestScheduling:
@@ -394,6 +395,126 @@ class TestExitRequest:
         sim.eventq.schedule_fn(lambda: None, 60)
         assert sim.run(until=1000) == 30
         assert sim.now == 30
+
+
+class TestTaggedEvents:
+    """``SimObject.sched_ckpt``: a tagged one-shot is its heap entry and
+    nothing else, so whatever ends it ends every reference to it."""
+
+    class Payload:
+        pass
+
+    class Recorder(SimObject):
+        def __init__(self, sim, name):
+            super().__init__(sim, name)
+            self.fired = []
+
+        def ckpt_dispatch(self, kind, payload):
+            self.fired.append((kind, payload, self.now))
+
+    def _recorder(self, sim):
+        return self.Recorder(sim, "rec")
+
+    @staticmethod
+    def _tagged(sim):
+        return [(e[3].owner, *e[3].callback.args, e[3].name)
+                for e in sim.eventq.live_entries() if e[3].owner is not None]
+
+    def test_refused_schedule_leaves_nothing_pending(self, sim):
+        import gc
+        import weakref
+
+        from repro.resilience.serialize import checkpoint_blockers
+
+        obj = self._recorder(sim)
+        payload = self.Payload()
+        gone = weakref.ref(payload)
+        sim.eventq.cur_tick = 100
+        with pytest.raises(ValueError, match="cannot schedule rec.k at 50"):
+            obj.sched_ckpt("k", payload, 50)
+        del payload
+        gc.collect()
+        assert gone() is None, "the refused one-shot is still held somewhere"
+        assert len(sim.eventq) == 0 and self._tagged(sim) == []
+        assert checkpoint_blockers(sim) == []
+
+    def test_fired_or_cleared_one_shots_are_not_reported(self, sim):
+        import gc
+        import weakref
+
+        obj = self._recorder(sim)
+        first, second = self.Payload(), self.Payload()
+        refs = [weakref.ref(first), weakref.ref(second)]
+        obj.sched_ckpt("a", first, 10)
+        obj.sched_ckpt("b", second, 20, EventPriority.CLOCK, "rec.custom")
+        assert self._tagged(sim) == [
+            (obj, "a", first, "rec.a"), (obj, "b", second, "rec.custom")]
+        sim.eventq.run(until=15)
+        assert obj.fired == [("a", first, 10)]
+        assert self._tagged(sim) == [(obj, "b", second, "rec.custom")]
+        sim.eventq.clear()
+        assert self._tagged(sim) == [] and len(sim.eventq) == 0
+        sim.eventq.run()
+        assert len(obj.fired) == 1
+        obj.fired.clear()
+        del first, second
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    def test_blockers_name_bare_closures_and_claim_every_tagged(self, sim):
+        from repro.resilience.serialize import checkpoint_blockers
+
+        obj = self._recorder(sim)
+        for tick in (5, 5, 9):
+            obj.sched_ckpt("k", tick, tick)
+        assert checkpoint_blockers(sim) == []
+        sim.eventq.schedule_fn(lambda: None, 7, name="anonymous")
+        assert checkpoint_blockers(sim) == [
+            "unclaimed event 'anonymous' at tick 7"]
+
+    def test_restored_one_shot_fires_at_its_original_position(self, sim):
+        """Same tick, same priority: only ``seq`` orders them, and a
+        restored entry keeps the one it was saved with."""
+        obj = self._recorder(sim)
+        q = sim.eventq
+
+        def named(tag):
+            return Event(lambda: obj.fired.append(("named", tag, q.cur_tick)), tag)
+
+        q.restore_entry(named("seq3"), 40, 0, 3)
+        q.schedule_tagged(obj, "k", "seq2", 40, 0, "rec.k", seq=2)
+        q.restore_entry(named("seq1"), 40, 0, 1)
+        q.schedule_tagged(obj, "k", "clock", 40, EventPriority.CLOCK, "rec.k", seq=9)
+        q.run()
+        assert [p for _kind, p, _tick in obj.fired] == [
+            "clock", "seq1", "seq2", "seq3"]
+        assert q.cur_tick == 40
+        obj.sched_ckpt("k", "next", 50)     # numbering resumes past seq 9
+        assert q.live_entries()[0][2] == 10
+
+
+    def test_no_call_site_builds_an_event_name_per_call(self):
+        """Names are serialized and aggregated by: constants, one per
+        object and kind, so no ``sched_ckpt(...)`` argument under
+        ``src/repro`` may be an f-string."""
+        import ast
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).resolve().parent
+        calls = offenders = 0
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "sched_ckpt"):
+                    calls += 1
+                    args = [*node.args, *(k.value for k in node.keywords)]
+                    offenders += any(
+                        isinstance(sub, ast.JoinedStr)
+                        for arg in args for sub in ast.walk(arg))
+        assert calls >= 16 and offenders == 0
 
 
 class TestClockDomain:
