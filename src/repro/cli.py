@@ -67,7 +67,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
             print(f"    {pname}: {detail}")
     if args.show_code:
         print("\n-- generated model code " + "-" * 40)
-        print(getattr(rtl, "generated_source", "<none>"))
+        print(rtl.generated_source or "<none>")
     if args.area:
         from .rtl.synth import estimate_area
 

@@ -2,10 +2,11 @@
 
 This plays Verilator's role in the paper: the design hierarchy is
 flattened, parameters are folded, and every process (``assign`` /
-``always`` / VHDL process) is compiled into a *generated Python function*
-operating on the module's flat value arrays — the direct analogue of the
-C++ ``eval`` functions Verilator emits.  The generated source is kept on
-``RTLModule.generated_source`` for inspection/debugging.
+``always`` / VHDL process) is compiled into a body tree
+(:mod:`repro.rtl.ir`) operating on the module's flat value arrays; the
+tree is printed as a *generated Python function* — the direct analogue
+of the C++ ``eval`` functions Verilator emits.  The printed model is
+``RTLModule.generated_source``, for inspection/debugging.
 
 Semantics notes (documented deviations, all standard co-sim compromises):
 
@@ -32,6 +33,7 @@ from typing import Optional, Union
 
 from . import ast
 from .common import CoverageOptions, ElabError, ElabOptions, Loc
+from ..rtl import ir
 from ..rtl.kernel import FSMInfo, Memory, RTLModule, Signal, mask_for
 
 
@@ -62,26 +64,13 @@ class _Scope:
         raise ElabError(f"unknown identifier {name!r}", loc)
 
 
-class _CodeBuf:
-    """Indentation-aware line accumulator for one generated function."""
-
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.indent = 1
-
-    def emit(self, line: str) -> None:
-        self.lines.append("    " * self.indent + line)
-
-    def push(self) -> None:
-        self.indent += 1
-
-    def pop(self) -> None:
-        self.indent -= 1
-
-
-def _body_source(buf: _CodeBuf) -> str:
-    """The function body as stored on processes for codegen fusion."""
-    return "\n".join(buf.lines or ["    pass"])
+#: unary HDL operator -> (0/1 wrapper or None, repro.rtl.ir operator)
+_UNARY = {
+    "~": (None, "~"), "-": (None, "neg"),
+    "^": (None, "parity"), "^~": (None, "nparity"),
+    "!": ("nbool", "truth"), "|": ("bool", "truth"), "~|": ("nbool", "truth"),
+    "&": ("bool", "ones"), "~&": ("nbool", "ones"),
+}
 
 
 class Elaborator:
@@ -101,9 +90,7 @@ class Elaborator:
         self.top_params = dict(params or {})
         self.instrument = instrument
         self.rtl = RTLModule(top)
-        self._proc_counter = 0
-        self._sources: list[str] = []
-        self._namespace: dict = {}
+        self._line = 0
         # statement-coverage emission state, active only while compiling
         # an always/process body with instrument.statement on
         self._cov_stmt = False
@@ -112,10 +99,8 @@ class Elaborator:
     # -- public -------------------------------------------------------------
 
     def elaborate(self) -> RTLModule:
-        scope = self._elaborate_module(self.modules[self.top], "", self.top_params,
-                                       is_top=True)
-        _ = scope
-        self.rtl.generated_source = "\n\n".join(self._sources)  # type: ignore[attr-defined]
+        self._elaborate_module(self.modules[self.top], "", self.top_params,
+                               is_top=True)
         return self.rtl
 
     # -- module instantiation -------------------------------------------------
@@ -288,206 +273,154 @@ class Elaborator:
 
     def _const_expr(self, expr: ast.Expr, scope: _Scope) -> int:
         """Evaluate a compile-time-constant expression (params, literals)."""
-        code, _w, reads, _mem = self._compile_expr(expr, scope, const_only=True)
-        if reads:
+        value = ir.evaluate(self._compile_expr(expr, scope))
+        if value is None:
             raise ElabError("expression must be constant", expr.loc)
-        return eval(code, {}, {})  # noqa: S307 - generated constant expression
+        return value
 
     # -- expression compilation ---------------------------------------------------
 
-    def _compile_expr(
-        self,
-        expr: ast.Expr,
-        scope: _Scope,
-        const_only: bool = False,
-        reads: Optional[set[int]] = None,
-    ) -> tuple[str, int, set[int], bool]:
-        """Returns ``(python_code, width, read_signal_indices, touches_mem)``."""
-        if reads is None:
-            reads = set()
-        touches_mem = False
-
-        def rec(e: ast.Expr) -> tuple[str, int]:
-            nonlocal touches_mem
-            if isinstance(e, ast.WildcardLiteral):
+    def _compile_expr(self, e: ast.Expr, scope: _Scope) -> ir.Expr:
+        """*e* as an :mod:`repro.rtl.ir` node carrying its width."""
+        rec = self._compile_expr
+        if isinstance(e, ast.WildcardLiteral):
+            raise ElabError(
+                "wildcard pattern is only valid as a case-item match", e.loc
+            )
+        if isinstance(e, ast.Literal):
+            width = e.width if e.width is not None else max(32, e.value.bit_length())
+            return ir.Const(e.value & mask_for(width), width)
+        if isinstance(e, ast.Ident):
+            ref = scope.lookup(e.name, e.loc)
+            if isinstance(ref, int):
+                width = max(32, ref.bit_length()) if ref >= 0 else 32
+                return ir.Const(ref & mask_for(width), width)
+            if isinstance(ref, _MemRef):
+                raise ElabError(f"memory {e.name!r} needs an index", e.loc)
+            return ir.Sig(ref.sig.index, ref.sig.width)
+        if isinstance(e, ast.Index):
+            ref = scope.lookup(e.name, e.loc)
+            index = rec(e.index, scope)
+            if isinstance(ref, _MemRef):
+                return ir.MemRead(ref.mem.index, ref.mem.depth, index,
+                                  ref.mem.width)
+            if isinstance(ref, int):
+                raise ElabError(f"cannot index parameter {e.name!r}", e.loc)
+            return ir.Op("bit", (ir.Sig(ref.sig.index, ref.sig.width), index), 1)
+        if isinstance(e, ast.Slice):
+            ref = scope.lookup(e.name, e.loc)
+            if not isinstance(ref, _SigRef):
+                raise ElabError(f"can only part-select signals: {e.name!r}", e.loc)
+            msb = self._const_expr(e.msb, scope)
+            lsb = self._const_expr(e.lsb, scope)
+            if msb < lsb or msb >= ref.sig.width:
                 raise ElabError(
-                    "wildcard pattern is only valid as a case-item match",
+                    f"bad part-select {e.name}[{msb}:{lsb}] of width "
+                    f"{ref.sig.width}",
                     e.loc,
                 )
-            if isinstance(e, ast.Literal):
-                width = e.width if e.width is not None else max(32, e.value.bit_length())
-                return (str(e.value & mask_for(width)), width)
-            if isinstance(e, ast.Ident):
-                ref = scope.lookup(e.name, e.loc)
-                if isinstance(ref, int):
-                    width = max(32, ref.bit_length()) if ref >= 0 else 32
-                    return (str(ref & mask_for(width)), width)
-                if isinstance(ref, _MemRef):
-                    raise ElabError(f"memory {e.name!r} needs an index", e.loc)
-                if const_only:
-                    reads.add(ref.sig.index)
-                    return ("0", ref.sig.width)
-                reads.add(ref.sig.index)
-                return (f"v[{ref.sig.index}]", ref.sig.width)
-            if isinstance(e, ast.Index):
-                ref = scope.lookup(e.name, e.loc)
-                idx_code, _ = rec(e.index)
-                if isinstance(ref, _MemRef):
-                    touches_mem = True
-                    return (
-                        f"m[{ref.mem.index}][({idx_code}) % {ref.mem.depth}]",
-                        ref.mem.width,
-                    )
-                if isinstance(ref, int):
-                    raise ElabError(f"cannot index parameter {e.name!r}", e.loc)
-                reads.add(ref.sig.index)
-                return (f"((v[{ref.sig.index}] >> ({idx_code})) & 1)", 1)
-            if isinstance(e, ast.Slice):
-                ref = scope.lookup(e.name, e.loc)
-                if not isinstance(ref, _SigRef):
-                    raise ElabError(f"can only part-select signals: {e.name!r}", e.loc)
-                msb = self._const_expr(e.msb, scope)
-                lsb = self._const_expr(e.lsb, scope)
-                if msb < lsb or msb >= ref.sig.width:
-                    raise ElabError(
-                        f"bad part-select {e.name}[{msb}:{lsb}] of width "
-                        f"{ref.sig.width}",
-                        e.loc,
-                    )
-                width = msb - lsb + 1
-                reads.add(ref.sig.index)
-                return (
-                    f"((v[{ref.sig.index}] >> {lsb}) & {mask_for(width)})",
-                    width,
-                )
-            if isinstance(e, ast.Concat):
-                total_code = None
-                total_width = 0
-                for part in e.parts:  # MSB first
-                    code, w = rec(part)
-                    if total_code is None:
-                        total_code, total_width = code, w
-                    else:
-                        total_code = f"((({total_code}) << {w}) | ({code}))"
-                        total_width += w
-                assert total_code is not None
-                return (total_code, total_width)
-            if isinstance(e, ast.Repeat):
-                count = self._const_expr(e.count, scope)
-                if count <= 0:
-                    raise ElabError("replication count must be positive", e.loc)
-                code, w = rec(e.value)
-                pieces = [f"(({code}) << {i * w})" for i in range(count)]
-                return ("(" + " | ".join(pieces) + ")", w * count)
-            if isinstance(e, ast.Unary):
-                code, w = rec(e.operand)
-                mask = mask_for(w)
-                table = {
-                    "~": (f"((~({code})) & {mask})", w),
-                    "!": (f"(0 if ({code}) else 1)", 1),
-                    "-": (f"((-({code})) & {mask})", w),
-                    "&": (f"(1 if ({code}) == {mask} else 0)", 1),
-                    "|": (f"(1 if ({code}) else 0)", 1),
-                    "^": (f"((({code})).bit_count() & 1)", 1),
-                    "~&": (f"(0 if ({code}) == {mask} else 1)", 1),
-                    "~|": (f"(0 if ({code}) else 1)", 1),
-                    "^~": (f"(((({code})).bit_count() & 1) ^ 1)", 1),
-                }
-                if e.op not in table:
-                    raise ElabError(f"unsupported unary operator {e.op!r}", e.loc)
-                return table[e.op]
-            if isinstance(e, ast.Binary):
-                lc, lw = rec(e.left)
-                rc, rw = rec(e.right)
-                w = max(lw, rw)
-                mask = mask_for(w)
-                op = e.op
-                if op in ("+", "-", "*"):
-                    return (f"((({lc}) {op} ({rc})) & {mask})", w)
-                if op == "/":
-                    return (f"((({lc}) // ({rc})) if ({rc}) else 0)", w)
-                if op == "%":
-                    return (f"((({lc}) % ({rc})) if ({rc}) else 0)", w)
-                if op == "<<":
-                    return (f"((({lc}) << ({rc})) & {mask_for(lw)})", lw)
-                if op == ">>":
-                    return (f"(({lc}) >> ({rc}))", lw)
-                if op in ("<", ">", "<=", ">=", "==", "!="):
-                    return (f"(1 if ({lc}) {op} ({rc}) else 0)", 1)
-                if op in ("&", "|", "^"):
-                    return (f"(({lc}) {op} ({rc}))", w)
-                if op == "^~":
-                    return (f"((~(({lc}) ^ ({rc}))) & {mask})", w)
-                if op == "&&":
-                    return (f"(1 if ({lc}) and ({rc}) else 0)", 1)
-                if op == "||":
-                    return (f"(1 if ({lc}) or ({rc}) else 0)", 1)
-                raise ElabError(f"unsupported binary operator {op!r}", e.loc)
-            if isinstance(e, ast.Ternary):
-                cc, _ = rec(e.cond)
-                tc, tw = rec(e.then)
-                fc, fw = rec(e.other)
-                return (f"(({tc}) if ({cc}) else ({fc}))", max(tw, fw))
-            raise ElabError(f"unsupported expression {type(e).__name__}", e.loc)
-
-        code, width = rec(expr)
-        return code, width, reads, touches_mem
+            width = msb - lsb + 1
+            return ir.Op("slice", (ir.Sig(ref.sig.index, ref.sig.width),),
+                         width, (lsb, mask_for(width)))
+        if isinstance(e, ast.Concat):
+            total = None
+            for part in e.parts:  # MSB first
+                node = rec(part, scope)
+                total = node if total is None else ir.Op(
+                    "cat", (total, node), total.width + node.width,
+                    (node.width,))
+            assert total is not None
+            return total
+        if isinstance(e, ast.Repeat):
+            count = self._const_expr(e.count, scope)
+            if count <= 0:
+                raise ElabError("replication count must be positive", e.loc)
+            node = rec(e.value, scope)
+            return ir.Op("rep", (node,), node.width * count,
+                         (count, node.width))
+        if isinstance(e, ast.Unary):
+            node = rec(e.operand, scope)
+            w = node.width
+            if e.op not in _UNARY:
+                raise ElabError(f"unsupported unary operator {e.op!r}", e.loc)
+            wrap, op = _UNARY[e.op]
+            masked = op in ("~", "neg", "ones")
+            node = ir.Op(op, (node,), w if op in ("~", "neg") else 1,
+                         (mask_for(w),) if masked else ())
+            return node if wrap is None else ir.Op(wrap, (node,), 1)
+        if isinstance(e, ast.Binary):
+            left, right = rec(e.left, scope), rec(e.right, scope)
+            w = max(left.width, right.width)
+            op = e.op
+            if op in ("+", "-", "*", "^~"):
+                return ir.Op(op, (left, right), w, (mask_for(w),))
+            if op in ("/", "%", "&", "|", "^"):
+                return ir.Op(op, (left, right), w)
+            if op == "<<":
+                return ir.Op(op, (left, right), left.width,
+                             (mask_for(left.width),))
+            if op == ">>":
+                return ir.Op(op, (left, right), left.width)
+            if op in ("<", ">", "<=", ">=", "==", "!="):
+                return ir.Op("bool", (ir.Op(op, (left, right), 1),), 1)
+            if op in ("&&", "||"):
+                test = ir.Op("and" if op == "&&" else "or", (left, right), 1)
+                return ir.Op("bool", (test,), 1)
+            raise ElabError(f"unsupported binary operator {op!r}", e.loc)
+        if isinstance(e, ast.Ternary):
+            cond = rec(e.cond, scope)
+            then, other = rec(e.then, scope), rec(e.other, scope)
+            return ir.Op("?:", (cond, then, other),
+                         max(then.width, other.width))
+        raise ElabError(f"unsupported expression {type(e).__name__}", e.loc)
 
     # -- statement compilation -----------------------------------------------------
+    #
+    # ``out`` is the suite being built.  A temporary is named after its
+    # process's ordinal and the line it is set on — those names are in
+    # every generated text — so ``self._line`` counts the lines the
+    # process prints so far.
+
+    @property
+    def _ordinal(self) -> int:
+        return len(self.rtl.listing) + 1
+
+    def _emit(self, out: list, stmt: ir.Stmt) -> None:
+        out.append(stmt)
+        self._line += 1
 
     def _compile_store(
         self,
         lhs: ast.Lvalue,
-        rhs_code: str,
-        rhs_width: int,
+        rhs: ir.Expr,
         scope: _Scope,
-        buf: _CodeBuf,
-        writes: set[int],
-        reads: set[int],
+        out: list,
         nonblocking: bool,
     ) -> None:
+        mode = ir.NBA if nonblocking else ir.BLOCKING
         if isinstance(lhs, ast.LvId):
             ref = scope.lookup(lhs.name, lhs.loc)
             if isinstance(ref, _MemRef):
                 raise ElabError(f"memory {lhs.name!r} needs an index", lhs.loc)
             if isinstance(ref, int):
                 raise ElabError(f"cannot assign to parameter {lhs.name!r}", lhs.loc)
-            idx, mask = ref.sig.index, ref.sig.mask
-            writes.add(idx)
-            val = rhs_code if rhs_width <= ref.sig.width else f"(({rhs_code}) & {mask})"
-            if nonblocking:
-                buf.emit(f"nba.append(({idx}, {val}))")
-            else:
-                buf.emit(f"v[{idx}] = {val}")
+            if rhs.width > ref.sig.width:
+                rhs = ir.Op("mask", (rhs,), ref.sig.width, (ref.sig.mask,))
+            self._emit(out, ir.Store(ref.sig.index, rhs, mode))
             return
         if isinstance(lhs, ast.LvIndex):
             ref = scope.lookup(lhs.name, lhs.loc)
-            idx_code, _, r2, _ = self._compile_expr(lhs.index, scope)
-            reads.update(r2)
+            index = self._compile_expr(lhs.index, scope)
             if isinstance(ref, _MemRef):
-                mi, mask, depth = ref.mem.index, ref.mem.mask, ref.mem.depth
-                val = f"(({rhs_code}) & {mask})"
-                if nonblocking:
-                    buf.emit(f"nbm.append(({mi}, ({idx_code}) % {depth}, {val}))")
-                else:
-                    buf.emit(f"m[{mi}][({idx_code}) % {depth}] = {val}")
+                val = ir.Op("mask", (rhs,), ref.mem.width, (ref.mem.mask,))
+                self._emit(out, ir.MemStore(ref.mem.index, ref.mem.depth,
+                                            index, val, mode))
                 return
             if isinstance(ref, int):
                 raise ElabError(f"cannot assign to parameter {lhs.name!r}", lhs.loc)
-            idx = ref.sig.index
-            writes.add(idx)
-            if nonblocking:
-                # partial (masked) NBA: merges with other bit writes
-                buf.emit(
-                    f"nba.append(({idx}, (({rhs_code}) & 1) << ({idx_code}), "
-                    f"1 << ({idx_code})))"
-                )
-            else:
-                reads.add(idx)  # read-modify-write
-                buf.emit(
-                    f"v[{idx}] = ((v[{idx}] & ~(1 << ({idx_code}))) | "
-                    f"((({rhs_code}) & 1) << ({idx_code})))"
-                )
+            # non-blocking: a partial (masked) NBA, merging with other
+            # bit writes; blocking: a read-modify-write
+            self._emit(out, ir.BitStore(ref.sig.index, index, rhs, mode))
             return
         if isinstance(lhs, ast.LvSlice):
             ref = scope.lookup(lhs.name, lhs.loc)
@@ -497,33 +430,19 @@ class Elaborator:
             lsb = self._const_expr(lhs.lsb, scope)
             if msb < lsb or msb >= ref.sig.width:
                 raise ElabError(f"bad part-select on {lhs.name!r}", lhs.loc)
-            fmask = mask_for(msb - lsb + 1)
-            idx = ref.sig.index
-            writes.add(idx)
-            if nonblocking:
-                buf.emit(
-                    f"nba.append(({idx}, (({rhs_code}) & {fmask}) << {lsb}, "
-                    f"{fmask << lsb}))"
-                )
-            else:
-                reads.add(idx)
-                buf.emit(
-                    f"v[{idx}] = ((v[{idx}] & ~{fmask << lsb}) | "
-                    f"((({rhs_code}) & {fmask}) << {lsb}))"
-                )
+            self._emit(out, ir.SliceStore(
+                ref.sig.index, lsb, mask_for(msb - lsb + 1), rhs, mode))
             return
         if isinstance(lhs, ast.LvConcat):
             # Split RHS (held in a temp) across the parts, MSB first.
-            tmp = f"_t{self._proc_counter}_{len(buf.lines)}"
-            buf.emit(f"{tmp} = {rhs_code}")
+            tmp = ir.Temp(f"_t{self._ordinal}_{self._line}", rhs.width)
+            self._emit(out, ir.SetTemp(tmp.name, rhs))
             widths = [self._lvalue_width(p, scope) for p in lhs.parts]
             offset = sum(widths)
             for part, w in zip(lhs.parts, widths):
                 offset -= w
-                code = f"(({tmp} >> {offset}) & {mask_for(w)})"
-                self._compile_store(
-                    part, code, w, scope, buf, writes, reads, nonblocking
-                )
+                field_ = ir.Op("slice", (tmp,), w, (offset, mask_for(w)))
+                self._compile_store(part, field_, scope, out, nonblocking)
             return
         raise ElabError(f"unsupported lvalue {type(lhs).__name__}", lhs.loc)
 
@@ -548,93 +467,86 @@ class Elaborator:
             return sum(self._lvalue_width(p, scope) for p in lhs.parts)
         raise ElabError("unsupported lvalue", lhs.loc)
 
+    def _compile_suite(
+        self, stmt: ast.Stmt, scope: _Scope, in_sync: bool
+    ) -> ir.Suite:
+        out: list = []
+        self._compile_stmt(stmt, scope, out, in_sync)
+        return tuple(out)
+
     def _compile_stmt(
         self,
         stmt: ast.Stmt,
         scope: _Scope,
-        buf: _CodeBuf,
-        writes: set[int],
-        reads: set[int],
+        out: list,
         in_sync: bool,
     ) -> None:
         if isinstance(stmt, ast.Block):
             if not stmt.stmts:
-                buf.emit("pass")
+                self._emit(out, ir.Pass())
             for s in stmt.stmts:
-                self._compile_stmt(s, scope, buf, writes, reads, in_sync)
+                self._compile_stmt(s, scope, out, in_sync)
             return
         if isinstance(stmt, ast.Null):
-            buf.emit("pass")
+            self._emit(out, ir.Pass())
             return
         if isinstance(stmt, ast.Assign):
             if self._cov_stmt:
                 # Statement coverage: a hidden counter incremented right
                 # before the assignment.  The increment is part of the
-                # process *source*, so the codegen backend inlines the
+                # process *body*, so the codegen backend inlines the
                 # identical instrumentation — both backends count the
-                # same executions by construction.  The line shape is
-                # deliberately inert under every codegen rewrite.
+                # same executions by construction.
                 cov = self.rtl.add_coverage_point(
                     self._cov_label, stmt.loc.filename, stmt.loc.line,
                     stmt.loc.col,
                 )
-                buf.emit(f"v[{cov.index}] = v[{cov.index}] + 1")
-            code, width, r, _ = self._compile_expr(stmt.rhs, scope)
-            reads.update(r)
+                self._emit(out, ir.Cover(cov.index))
+            rhs = self._compile_expr(stmt.rhs, scope)
             nonblocking = (not stmt.blocking) and in_sync
-            self._compile_store(
-                stmt.lhs, code, width, scope, buf, writes, reads, nonblocking
-            )
+            self._compile_store(stmt.lhs, rhs, scope, out, nonblocking)
             return
         if isinstance(stmt, ast.If):
-            code, _, r, _ = self._compile_expr(stmt.cond, scope)
-            reads.update(r)
-            buf.emit(f"if {code}:")
-            buf.push()
-            self._compile_stmt(stmt.then, scope, buf, writes, reads, in_sync)
-            buf.pop()
+            cond = self._compile_expr(stmt.cond, scope)
+            self._line += 1
+            then = self._compile_suite(stmt.then, scope, in_sync)
+            other = None
             if stmt.other is not None:
-                buf.emit("else:")
-                buf.push()
-                self._compile_stmt(stmt.other, scope, buf, writes, reads, in_sync)
-                buf.pop()
+                self._line += 1
+                other = self._compile_suite(stmt.other, scope, in_sync)
+            out.append(ir.If(cond, then, other))
             return
         if isinstance(stmt, ast.Case):
-            subj_code, _, r, _ = self._compile_expr(stmt.subject, scope)
-            reads.update(r)
-            tmp = f"_s{self._proc_counter}_{len(buf.lines)}"
-            buf.emit(f"{tmp} = {subj_code}")
-            first = True
+            subject = self._compile_expr(stmt.subject, scope)
+            tmp = ir.Temp(f"_s{self._ordinal}_{self._line}", subject.width)
+            self._emit(out, ir.SetTemp(tmp.name, subject))
+            arms: list[tuple[ir.Expr, ir.Suite]] = []
             default: Optional[ast.Stmt] = None
             for item in stmt.items:
                 if item.matches is None:
                     default = item.body
                     continue
-                conds = []
-                for match in item.matches:
-                    if isinstance(match, ast.WildcardLiteral):
-                        # casez: compare only the cared-about bits
-                        conds.append(
-                            f"({tmp} & {match.care_mask}) == {match.value}"
-                        )
-                        continue
-                    mcode, _, mr, _ = self._compile_expr(match, scope)
-                    reads.update(mr)
-                    conds.append(f"{tmp} == ({mcode})")
-                kw = "if" if first else "elif"
-                first = False
-                buf.emit(f"{kw} {' or '.join(conds)}:")
-                buf.push()
-                self._compile_stmt(item.body, scope, buf, writes, reads, in_sync)
-                buf.pop()
+                conds = tuple(
+                    # casez: compare only the cared-about bits
+                    ir.Op("casez", (tmp,), 1, (match.care_mask, match.value))
+                    if isinstance(match, ast.WildcardLiteral)
+                    else ir.Op("is", (tmp, self._compile_expr(match, scope)), 1)
+                    for match in item.matches
+                )
+                self._line += 1
+                arms.append((ir.Op("any", conds, 1),
+                             self._compile_suite(item.body, scope, in_sync)))
+            if not arms:
+                if default is not None:
+                    self._compile_stmt(default, scope, out, in_sync)
+                return
+            other, chain = None, False
             if default is not None:
-                if first:
-                    self._compile_stmt(default, scope, buf, writes, reads, in_sync)
-                else:
-                    buf.emit("else:")
-                    buf.push()
-                    self._compile_stmt(default, scope, buf, writes, reads, in_sync)
-                    buf.pop()
+                self._line += 1
+                other = self._compile_suite(default, scope, in_sync)
+            for cond, body in reversed(arms):
+                other, chain = (ir.If(cond, body, other, chain),), True
+            out.extend(other)
             return
         if isinstance(stmt, ast.For):
             ref = scope.lookup(stmt.var, stmt.loc)
@@ -643,29 +555,18 @@ class Elaborator:
                     f"for-loop variable {stmt.var!r} must be an integer/reg",
                     stmt.loc,
                 )
-            vidx, vmask = ref.sig.index, ref.sig.mask
-            writes.add(vidx)
-            reads.add(vidx)
-            init_code, _, r1, _ = self._compile_expr(stmt.init, scope)
-            cond_code, _, r2, _ = self._compile_expr(stmt.cond, scope)
-            step_code, _, r3, _ = self._compile_expr(stmt.step, scope)
-            reads.update(r1, r2, r3)
-            buf.emit(f"v[{vidx}] = ({init_code}) & {vmask}")
-            buf.emit(f"while {cond_code}:")
-            buf.push()
-            self._compile_stmt(stmt.body, scope, buf, writes, reads, in_sync)
-            buf.emit(f"v[{vidx}] = ({step_code}) & {vmask}")
-            buf.pop()
+            init = self._compile_expr(stmt.init, scope)
+            cond = self._compile_expr(stmt.cond, scope)
+            step = self._compile_expr(stmt.step, scope)
+            self._line += 2
+            body = self._compile_suite(stmt.body, scope, in_sync)
+            self._line += 1
+            out.append(ir.Loop(ref.sig.index, ref.sig.mask, init, cond, step,
+                               body))
             return
         raise ElabError(f"unsupported statement {type(stmt).__name__}", stmt.loc)
 
     # -- process materialisation ------------------------------------------------
-
-    def _materialize(self, name: str, header: str, buf: _CodeBuf):
-        src = header + "\n" + "\n".join(buf.lines or ["    pass"])
-        self._sources.append(f"# {name}\n{src}")
-        exec(src, self._namespace)  # noqa: S102 - compiling generated HDL code
-        return self._namespace[header.split()[1].split("(")[0]]
 
     def _compile_cont_assign(self, item: ast.ContAssign, scope: _Scope) -> None:
         self._compile_cont_assign_scoped(
@@ -680,70 +581,40 @@ class Elaborator:
         rhs_scope: _Scope,
         name: str,
     ) -> None:
-        self._proc_counter += 1
-        fname = f"_comb_{self._proc_counter}"
-        buf = _CodeBuf()
-        writes: set[int] = set()
-        reads: set[int] = set()
-        code, width, r, _ = self._compile_expr(rhs, rhs_scope)
-        reads.update(r)
-        self._compile_store(
-            lhs, code, width, lhs_scope, buf, writes, reads, nonblocking=False
-        )
-        fn = self._materialize(name, f"def {fname}(v, m):", buf)
-        self.rtl.add_comb(fn, reads, writes, name=f"{lhs_scope.prefix}{name}",
-                          source=_body_source(buf))
+        self._line = 0
+        out: list = []
+        self._compile_store(lhs, self._compile_expr(rhs, rhs_scope), lhs_scope,
+                            out, nonblocking=False)
+        proc = self.rtl.add_comb(None, (), (), name=f"{lhs_scope.prefix}{name}",
+                                 body=tuple(out))
+        self.rtl.listing.append((name, proc))
 
     def _compile_always(self, item: ast.AlwaysBlock, scope: _Scope) -> None:
-        self._proc_counter += 1
-        buf = _CodeBuf()
-        writes: set[int] = set()
-        reads: set[int] = set()
-        instrument_stmts = bool(self.instrument and self.instrument.statement)
-        if item.sensitivity is None:
-            fname = f"_comb_{self._proc_counter}"
-            name = f"{scope.prefix}comb@{item.loc.line}"
-            self._cov_stmt, self._cov_label = instrument_stmts, name
-            try:
-                self._compile_stmt(item.body, scope, buf, writes, reads,
-                                   in_sync=False)
-            finally:
-                self._cov_stmt = False
-            fn = self._materialize(
-                f"always@* {item.loc}", f"def {fname}(v, m):", buf
-            )
-            self.rtl.add_comb(fn, reads, writes, name=name,
-                              source=_body_source(buf))
-            return
-        # Clocked process: first edge item is the clock.
-        clock_item = item.sensitivity[0]
-        ref = scope.lookup(clock_item.name, item.loc)
-        if not isinstance(ref, _SigRef):
-            raise ElabError(f"clock {clock_item.name!r} is not a signal", item.loc)
-        fname = f"_sync_{self._proc_counter}"
-        name = f"{scope.prefix}sync@{item.loc.line}"
-        if self.instrument and self.instrument.fsm:
-            self._detect_fsms(item.body, scope)
-        self._cov_stmt, self._cov_label = instrument_stmts, name
+        self._line = 0
+        sync = item.sensitivity is not None
+        if sync:
+            # Clocked process: first edge item is the clock.
+            clock_item = item.sensitivity[0]
+            ref = scope.lookup(clock_item.name, item.loc)
+            if not isinstance(ref, _SigRef):
+                raise ElabError(f"clock {clock_item.name!r} is not a signal", item.loc)
+            if self.instrument and self.instrument.fsm:
+                self._detect_fsms(item.body, scope)
+        name = f"{scope.prefix}{'sync' if sync else 'comb'}@{item.loc.line}"
+        self._cov_stmt = bool(self.instrument and self.instrument.statement)
+        self._cov_label = name
         try:
-            self._compile_stmt(item.body, scope, buf, writes, reads,
-                               in_sync=True)
+            body = self._compile_suite(item.body, scope, in_sync=sync)
         finally:
             self._cov_stmt = False
-        fn = self._materialize(
-            f"always@({clock_item.edge}edge {clock_item.name}) {item.loc}",
-            f"def {fname}(v, m, nba, nbm):",
-            buf,
-        )
-        self.rtl.add_sync(
-            fn,
-            ref.sig,
-            edge=clock_item.edge or "pos",
-            reads=reads,
-            writes=writes,
-            name=name,
-            source=_body_source(buf),
-        )
+        if sync:
+            proc = self.rtl.add_sync(None, ref.sig, edge=clock_item.edge or "pos",
+                                     name=name, body=body)
+            what = f"always@({clock_item.edge}edge {clock_item.name}) {item.loc}"
+        else:
+            proc = self.rtl.add_comb(None, (), (), name=name, body=body)
+            what = f"always@* {item.loc}"
+        self.rtl.listing.append((what, proc))
 
     # -- FSM detection ---------------------------------------------------------
 

@@ -15,7 +15,7 @@ static structure that lets the codegen backend act on that observation:
   values as the previous evaluation — its outputs are provably already
   correct (the *activity-cone invariant*);
 * a cone is only **guarded** when skipping is provably safe *and*
-  profitable: every process must carry generated source, none may touch
+  profitable: every process must carry a body tree, none may touch
   a memory (memory state is not captured by the input key), none may
   read cone-internal state before it is written in levelized order
   (the cone would not be a pure function of its inputs), none may
@@ -34,9 +34,9 @@ This is the RTL analogue of the event queue's idle fast path.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
+from . import ir
 from .kernel import CombLoopError, RTLModule
 
 #: a cone whose key would exceed this many signals is not worth
@@ -53,8 +53,6 @@ MIN_CONE_LINES = 2
 #: cones (e.g. sorting-network compare-exchange stages) run unguarded
 #: and rely on batch quiescence for their idle-time win.
 GUARD_BODY_FACTOR = 8
-
-_VREF_RE = re.compile(r"v\[(\d+)\]")
 
 
 @dataclass(frozen=True)
@@ -89,25 +87,19 @@ class ActivityPlan:
         }
 
 
-def _mentions_coverage(source: str, cov_indices: set[int]) -> bool:
-    if not cov_indices:
-        return False
-    return any(
-        int(m.group(1)) in cov_indices for m in _VREF_RE.finditer(source)
-    )
-
-
 def _cone_eligibility(
-    module: RTLModule, order: list[int], cov_indices: set[int],
-    sync_writes: set[int],
+    module: RTLModule, order: list[int], sync_writes: set[int],
 ) -> tuple[bool, str]:
     """Is the cone (procs *order*, levelized) safe + worth guarding?"""
     procs = [module.comb_procs[i] for i in order]
-    if any(p.source is None for p in procs):
+    if any(p.body is None for p in procs):
         return False, "handwritten process (no source)"
-    if any("m[" in p.source for p in procs):
+    kinds = {type(s) for p in procs for s in ir.walk(p.body)}
+    if ir.MemStore in kinds or any(
+        type(leaf) is ir.MemRead for p in procs for leaf in ir.operands(p.body)
+    ):
         return False, "touches a memory"
-    if any(_mentions_coverage(p.source, cov_indices) for p in procs):
+    if ir.Cover in kinds:
         return False, "contains coverage counters"
     internal: set[int] = set()
     for p in procs:
@@ -132,7 +124,7 @@ def _cone_eligibility(
     ext -= internal
     if len(ext) > MAX_CONE_INPUTS:
         return False, f"key too wide ({len(ext)} inputs)"
-    lines = sum(len(p.source.splitlines()) for p in procs)
+    lines = sum(len(ir.render(p.body)) for p in procs)
     # A guard that always misses still pays one compare per input;
     # demand the body outweigh the key by a wide margin, not just exist.
     if lines < max(MIN_CONE_LINES, GUARD_BODY_FACTOR * len(ext)):
@@ -187,7 +179,6 @@ def plan_activity(
     for i in level_order:  # levelized order within each cone
         by_root.setdefault(find(i), []).append(i)
 
-    cov_indices = {pt.index for pt in module.coverage_points}
     sync_writes: set[int] = set()
     for sp in module.sync_procs:
         sync_writes |= sp.writes
@@ -198,9 +189,7 @@ def plan_activity(
         for i in order:
             internal |= procs[i].writes
             reads |= procs[i].reads
-        guarded, reason = _cone_eligibility(
-            module, order, cov_indices, sync_writes
-        )
+        guarded, reason = _cone_eligibility(module, order, sync_writes)
         cones.append(Cone(
             procs=tuple(order),
             inputs=tuple(sorted(reads - internal)),
@@ -213,7 +202,7 @@ def plan_activity(
     # arrays — handwritten (sourceless) processes may close over host
     # state the snapshot cannot see.
     all_sourced = all(
-        p.source is not None
+        p.body is not None
         for p in list(module.comb_procs) + list(module.sync_procs)
     )
     return ActivityPlan(

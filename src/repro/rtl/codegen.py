@@ -12,27 +12,26 @@ sync processes into two functions compiled once per design:
 * ``tick_batch(v, m, n)`` — ``n`` full clock cycles (posedge sample,
   NBA/NBM commit, settle, negedge section) in one compiled loop.
 
-Processes elaborated from HDL carry their generated body source
-(:attr:`~repro.rtl.kernel.CombProcess.source`); those bodies are inlined
-verbatim — signal indices and masks already constant-folded into the
-text — and then optimised source-to-source:
+Processes elaborated from HDL carry their body as a tree
+(:attr:`~repro.rtl.kernel.CombProcess.body`, :mod:`repro.rtl.ir`), signal
+indices and masks already constants in it.  Each body is rewritten tree
+to tree, once (:func:`_fused`), and its print inlined at every depth:
 
-* ``nba.append((idx, val))`` full-register NBAs become sentinel-guarded
-  staging locals committed after sampling (no tuples, no apply loop);
-  registers that also receive *partial* (bit/part-select) NBAs keep the
-  list-based path so apply-time merge semantics stay exact;
-* ``nbm.append((mi, addr, val))`` memory NBAs become per-memory staging
-  dicts (last-write-wins per address, same final state as the ordered
-  list apply);
-* ``if/while (1 if cond else 0):`` headers drop the redundant ternary;
+* an ``if``/``while`` over a 0/1 wrapper tests what is under it;
+* literal-bound for-loops unroll, the variable a constant in each copy;
+* full-register NBAs become sentinel-guarded staging locals committed
+  after sampling (no tuples, no apply loop), memory NBAs per-memory
+  staging dicts (last-write-wins per address, same final state as the
+  ordered list apply);
 * memory base lists are hoisted into locals (``_m0 = m[0]``).
 
-Every rewrite is pattern-guarded: a line mentioning ``nba.append`` /
-``nbm.append`` that does not match the elaborator's emission pattern
-makes the whole section fall back to the generic staging path, and
-handwritten kernel-level processes (no source) are bound as constants in
-the generated namespace and invoked directly.  Semantic equivalence with
-the interpreter is enforced by the differential test suite
+The interpreter-shaped lists remain for two structural reasons: a
+register that also receives *partial* (bit/part-select) NBAs keeps the
+ordered list so apply-time merging stays exact, and a handwritten
+kernel-level process (no body) is bound as a constant in the generated
+namespace and called, its edge staging through ``nba``/``nbm``.
+Equivalence with the interpreter, which runs the plain print of the
+un-rewritten bodies, is enforced by the differential test suite
 (``tests/rtl/test_differential.py``).
 
 Two more functions are generated on request for the bridge
@@ -52,156 +51,92 @@ for them automatically.
 
 from __future__ import annotations
 
-import re
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence, Union
 
+from . import ir
 from .kernel import CombProcess, Edge, RTLModule, SyncProcess
 
 _Proc = Union[CombProcess, SyncProcess]
-
-#: ``if``/``elif``/``while`` headers whose condition is a generated
-#: 0/1 ternary — the wrapper is redundant in boolean context
-_COND_RE = re.compile(r"^(\s*)(if|elif|while) \(1 if (.*) else 0\):$")
-_NBA_RE = re.compile(r"^(\s*)nba\.append\(\((\d+), (.*)\)\)\s*$")
-_NBM_RE = re.compile(r"^(\s*)nbm\.append\(\((\d+), (.*)\)\)\s*$")
-
-
-def _split_top(s: str) -> list[str]:
-    """Split *s* on commas at parenthesis depth zero."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(s[start:i].strip())
-            start = i + 1
-    parts.append(s[start:].strip())
-    return parts
-
-
-def _balanced(s: str) -> bool:
-    return s.count("(") == s.count(")")
-
-
-def _simplify_conditions(lines: list[str]) -> list[str]:
-    out = []
-    for line in lines:
-        match = _COND_RE.match(line)
-        if match and _balanced(match.group(3)):
-            out.append(f"{match.group(1)}{match.group(2)} {match.group(3)}:")
-        else:
-            out.append(line)
-    return out
-
-
-# The elaborator compiles a Verilog/VHDL for-loop into exactly this
-# shape: literal-init assignment, a while over the loop signal, and a
-# literal-step assignment as the last body line.
-_INIT_RE = re.compile(r"^(\s*)v\[(\d+)\] = \((\d+)\) & (\d+)$")
-_WHILE_RE = re.compile(r"^(\s*)while \(v\[(\d+)\]\) (<|<=) \((\d+)\):$")
-_STEP_RE = re.compile(
-    r"^(\s*)v\[(\d+)\] = \(\(\(\(v\[(\d+)\]\) \+ \((\d+)\)\) & (\d+)\)\) & (\d+)$"
-)
 
 _MAX_UNROLL_ITERS = 64
 _MAX_UNROLL_LINES = 20_000
 
 
-def _unroll_once(lines: list[str]) -> list[str]:
-    """Unroll literal-bound for-loops, folding the loop variable.
+def _lower(s: ir.Stmt) -> ir.Suite:
+    """Per-statement rewrite of a body on its way into the fused
+    program: conditions lose their 0/1 wrapper, literal-bound loops
+    unroll (see :func:`_unroll`)."""
+    if type(s) in (ir.If, ir.Loop) and type(s.cond) is ir.Op \
+            and s.cond.op == "bool":
+        s = s._replace(cond=s.cond.args[0])
+    return _unroll(s) if type(s) is ir.Loop else (s,)
 
-    Each iteration's body is emitted with ``v[i]`` replaced by that
-    iteration's constant — CPython's AST optimizer then folds the
-    surrounding arithmetic (``(17) % 20`` → ``17``), so memory indexing
-    and shift amounts become constants and the loop-variable bookkeeping
-    disappears.  The loop signal's final value is stored once at the end
-    (it is architectural state the differential suite checks).
+
+def _unroll(loop: ir.Loop) -> ir.Suite:
+    """Unroll a literal-bound for-loop, folding the loop variable.
+
+    The shape is the one a Verilog/VHDL ``for (i = K; i < N; i = i + S)``
+    elaborates to.  Each iteration's body is emitted with the variable's
+    reads replaced by that iteration's constant — CPython's AST
+    optimizer then folds the surrounding arithmetic (``(17) % 20`` →
+    ``17``), so memory indexing and shift amounts become constants and
+    the loop-variable bookkeeping disappears.  The loop signal's final
+    value is stored once at the end (it is architectural state the
+    differential suite checks).
     """
-    out: list[str] = []
-    i = 0
-    while i < len(lines):
-        init_m = _INIT_RE.match(lines[i])
-        while_m = _WHILE_RE.match(lines[i + 1]) if (
-            init_m and i + 1 < len(lines)
-        ) else None
+    var, init, cond, step = loop.index, loop.init, loop.cond, loop.step
+
+    def is_var(e: ir.Expr) -> bool:
+        return type(e) is ir.Sig and e.index == var
+
+    if not (
+        type(init) is ir.Const
+        and type(cond) is ir.Op and cond.op in ("<", "<=")
+        and is_var(cond.args[0]) and type(cond.args[1]) is ir.Const
+        and type(step) is ir.Op and step.op == "+"
+        and is_var(step.args[0]) and type(step.args[1]) is ir.Const
+    ) or var in ir.writes(loop.body):
+        return (loop,)
+    # simulate the loop counter
+    limit, inc = cond.args[1].value, step.args[1].value
+    ks: list[int] = []
+    k = init.value & loop.mask
+    while (k <= limit) if cond.op == "<=" else (k < limit):
+        ks.append(k)
+        k = ((k + inc) & step.imm[0]) & loop.mask
+        if len(ks) > _MAX_UNROLL_ITERS or k <= ks[-1]:
+            return (loop,)
+    out: list[ir.Stmt] = []
+    for kval in ks:
+        # a nested loop bounded by this variable is literal-bound now
+        out.extend(ir.rewrite(loop.body, expr=ir.folding({var: kval}),
+                              stmt=_lower))
+    out.append(ir.Store(var, ir.Const(k, init.width)))
+    if len(ir.render(out)) > _MAX_UNROLL_LINES:
+        return (loop,)
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _fused(body: ir.Suite, list_regs: frozenset[int] | None) -> tuple[str, ...]:
+    """A body as it enters the fused program, printed at depth 1: with
+    *list_regs* (a staged section's registers that keep the ordered
+    list) every other NBA is staged, then each statement is lowered.
+    A pure function of the tree, so — like :func:`_compile` — shared by
+    every program a rig or sweep builds from one design; bounded."""
+    def stage(s: ir.Stmt) -> ir.Suite:
         if (
-            while_m is None
-            or while_m.group(2) != init_m.group(2)
-            or while_m.group(1) != init_m.group(1)
-        ):
-            out.append(lines[i])
-            i += 1
-            continue
-        ind, var = while_m.group(1), while_m.group(2)
-        # collect the while body (everything indented deeper)
-        j = i + 2
-        inner = ind + "    "
-        while j < len(lines) and lines[j].startswith(inner):
-            j += 1
-        body = lines[i + 2 : j]
-        step_m = _STEP_RE.match(body[-1]) if body else None
-        var_write = re.compile(rf"^\s*v\[{var}\] =")
-        if (
-            step_m is None
-            or step_m.group(1) != inner
-            or step_m.group(2) != var
-            or step_m.group(3) != var
-            or any(var_write.match(line) for line in body[:-1])
-        ):
-            out.append(lines[i])
-            i += 1
-            continue
-        # simulate the loop counter
-        init = int(init_m.group(3)) & int(init_m.group(4))
-        limit, step = int(while_m.group(4)), int(step_m.group(4))
-        m1, m2 = int(step_m.group(5)), int(step_m.group(6))
-        less_eq = while_m.group(3) == "<="
-        ks: list[int] = []
-        k = init
-        while (k <= limit) if less_eq else (k < limit):
-            ks.append(k)
-            k = ((k + step) & m1) & m2
-            if len(ks) > _MAX_UNROLL_ITERS or (ks and k <= ks[-1]):
-                break
-        else:
-            # converged without tripping a guard: expand
-            var_read = re.compile(rf"v\[{var}\]")
-            expansion: list[str] = []
-            for kval in ks:
-                for line in body[:-1]:
-                    expansion.append(var_read.sub(f"({kval})", line[4:]))
-            expansion.append(f"{ind}v[{var}] = {k}")
-            if len(out) + len(expansion) + (len(lines) - j) <= _MAX_UNROLL_LINES:
-                out.extend(expansion)
-                i = j
-                continue
-        out.append(lines[i])
-        i += 1
-    return out
+            type(s) is ir.Store and s.index not in list_regs
+            or type(s) is ir.MemStore
+        ) and s.mode == ir.NBA:
+            s = s._replace(mode=ir.STAGED)
+        return _lower(s)
 
-
-def _unroll_loops(lines: list[str]) -> list[str]:
-    """Run :func:`_unroll_once` to a fixpoint (handles nested loops)."""
-    for _ in range(4):
-        new = _unroll_once(lines)
-        if new == lines:
-            break
-        lines = new
-    return lines
-
-
-def _hoist_memories(lines: list[str], nmem: int) -> list[str]:
-    if nmem == 0:
-        return lines
-    for mi in range(nmem):
-        needle, repl = f"m[{mi}][", f"_m{mi}["
-        lines = [line.replace(needle, repl) for line in lines]
-    return lines
+    body = ir.rewrite(body, stmt=_lower if list_regs is None else stage)
+    return tuple(ir.render(body, 1, "_m%d"))
 
 
 @lru_cache(maxsize=64)
@@ -262,10 +197,14 @@ class _Emitter:
     def emit(self, line: str, depth: int) -> None:
         self.lines.append("    " * depth + line)
 
-    def emit_proc(self, proc: _Proc, call_args: str, depth: int) -> None:
-        """Inline *proc*'s body at *depth*, or bind and call its fn."""
-        if proc.source is not None:
-            self.lines.extend(_inline_body(proc, depth))
+    def emit_proc(self, proc: _Proc, call_args: str, depth: int,
+                  list_regs: frozenset[int] | None = None) -> None:
+        """Inline *proc*'s body (:func:`_fused`) at *depth*, or bind and
+        call its fn."""
+        if proc.body is not None:
+            pad = "    " * (depth - 1)
+            self.lines.extend(
+                [pad + line for line in _fused(proc.body, list_regs)])
             self.inlined += 1
             return
         ref = f"_fn{self._next_ref}"
@@ -287,14 +226,11 @@ class _Emitter:
     def emit_sync_section(self, procs: Sequence[SyncProcess], depth: int) -> None:
         """One edge: sample all procs, commit NBAs/NBMs.
 
-        Prefers the staged rewrite (locals + dicts); falls back to the
-        interpreter-shaped list path when a process has no source or a
-        staging line doesn't match the elaborator's pattern.
+        Staged (locals + dicts) when every process has a body; the
+        interpreter-shaped list path when one is handwritten.
         """
-        staged = self._staged_section(procs, depth)
-        if staged is not None:
-            self.lines.extend(staged)
-            self.inlined += len(procs)
+        if all(p.body is not None for p in procs):
+            self._emit_staged_section(procs, depth)
             return
         self.emit("nba = []", depth)
         self.emit("nbm = []", depth)
@@ -319,72 +255,31 @@ class _Emitter:
             self.emit("for _me in nbm:", depth)
             self.emit("m[_me[0]][_me[1]] = _me[2]", depth + 1)
 
-    def _staged_section(
+    def _emit_staged_section(
         self, procs: Sequence[SyncProcess], depth: int
-    ) -> list[str] | None:
-        """Build the staged-rewrite section, or None to fall back."""
-        if any(p.source is None for p in procs):
-            return None
-        body: list[str] = []
-        for p in procs:
-            body.extend(_inline_body(p, depth))
-
-        # Pass 1 — classify: registers with any partial (3-tuple) NBA
-        # keep the ordered-list path; everything else stages.
-        full_regs: set[int] = set()
-        partial_regs: set[int] = set()
-        mems: set[int] = set()
-        for line in body:
-            if "nba.append" in line:
-                m = _NBA_RE.match(line)
-                if m is None or not _balanced(m.group(3)):
-                    return None
-                idx, parts = int(m.group(2)), _split_top(m.group(3))
-                if len(parts) == 1:
-                    full_regs.add(idx)
-                elif len(parts) == 2:
-                    partial_regs.add(idx)
-                else:
-                    return None
-            elif "nbm.append" in line:
-                m = _NBM_RE.match(line)
-                if m is None or not _balanced(m.group(3)):
-                    return None
-                if len(_split_top(m.group(3))) != 2:
-                    return None
-                mems.add(int(m.group(2)))
-        staged_regs = sorted(full_regs - partial_regs)
-        list_regs = partial_regs
-
-        # Pass 2 — rewrite appends in place.
-        out: list[str] = []
-        pad = "    " * depth
+    ) -> None:
+        # Classify: registers with any partial NBA keep the ordered-list
+        # path; everything else stages.
+        nbas = [s for p in procs for s in ir.walk(p.body)
+                if getattr(s, "mode", None) == ir.NBA]
+        full_regs = {s.index for s in nbas if type(s) is ir.Store}
+        mems = {s.mem for s in nbas if type(s) is ir.MemStore}
+        list_regs = {s.index for s in nbas
+                     if type(s) in (ir.BitStore, ir.SliceStore)}
+        staged_regs = sorted(full_regs - list_regs)
         if list_regs:
-            out.append(f"{pad}nba = []")
+            self.emit("nba = []", depth)
         for idx in staged_regs:
-            out.append(f"{pad}_r{idx} = _sent")
+            self.emit(f"_r{idx} = _sent", depth)
         for mi in sorted(mems):
-            out.append(f"{pad}_nbm{mi} = {{}}")
-        for line in body:
-            if "nba.append" in line:
-                m = _NBA_RE.match(line)
-                idx = int(m.group(2))
-                if idx in staged_regs:
-                    out.append(f"{m.group(1)}_r{idx} = {m.group(3)}")
-                else:
-                    out.append(line)
-            elif "nbm.append" in line:
-                m = _NBM_RE.match(line)
-                addr, val = _split_top(m.group(3))
-                out.append(f"{m.group(1)}_nbm{m.group(2)}[{addr}] = {val}")
-            else:
-                out.append(line)
+            self.emit(f"_nbm{mi} = {{}}", depth)
+        for p in procs:
+            self.emit_proc(p, "(v, m, nba, nbm)", depth,
+                           frozenset(list_regs))
 
-        # Pass 3 — commit.  Staged registers, list-class registers and
-        # memory slots are disjoint, so commit order between the groups
-        # is free; within each group program order is preserved.
-        saved = self.lines
-        self.lines = out
+        # Commit.  Staged registers, list-class registers and memory
+        # slots are disjoint, so commit order between the groups is
+        # free; within each group program order is preserved.
         if list_regs:
             self._emit_list_apply(depth, regs=list_regs)
         for idx in staged_regs:
@@ -393,15 +288,6 @@ class _Emitter:
         for mi in sorted(mems):
             self.emit(f"for _a, _x in _nbm{mi}.items():", depth)
             self.emit(f"_m{mi}[_a] = _x", depth + 1)
-        out, self.lines = self.lines, saved
-        return out
-
-
-def _inline_body(proc: _Proc, depth: int) -> list[str]:
-    """Re-anchor a body stored at base indent 1 to *depth*."""
-    pad = "    " * (depth - 1)
-    assert proc.source is not None
-    return [pad + line for line in proc.source.splitlines()]
 
 
 def build_program(
@@ -564,16 +450,11 @@ def build_program(
         if moved is not None:
             em.emit("return n", 1)
 
-    def finish(lines: list[str]) -> str:
-        return "\n".join(
-            _hoist_memories(_unroll_loops(_simplify_conditions(lines)), nmem)
-        )
-
     def run_ahead_source(params: str, moved: str) -> str:
         saved, em.lines = em.lines, []
         emit_tick("_run_ahead", params, moved)
         lines, em.lines = em.lines, saved
-        return finish(lines)
+        return "\n".join(lines)
 
     em.emit("", 0)
     emit_tick("_tick_batch")
@@ -588,7 +469,7 @@ def build_program(
     else:
         reset_state = _no_state
 
-    source = finish(em.lines)
+    source = "\n".join(em.lines)
     code = _compile(source, f"<codegen:{module.name}>")
     exec(code, em.namespace)  # noqa: S102 - executing our own generated code
     return CodegenProgram(

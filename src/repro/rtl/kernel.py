@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from . import ir
+
 
 def mask_for(width: int) -> int:
     if width <= 0:
@@ -77,10 +79,10 @@ COVERAGE_PREFIX = "__cov__"
 class CoveragePoint:
     """One statement-coverage point: a hidden counter at ``index``.
 
-    The elaborator compiles ``v[index] = v[index] + 1`` into the
-    generated process source right before the covered statement, so the
+    The elaborator puts an :class:`repro.rtl.ir.Cover` statement into
+    the process body right before the covered statement, so the
     interpreter and the codegen fast path (which inlines the same
-    source) count identically by construction.
+    body) count identically by construction.
     """
 
     label: str       # e.g. "u0.sync@47"
@@ -102,25 +104,49 @@ class FSMInfo:
     line: int
 
 
+class _Process:
+    """A process elaborated from HDL has a ``body`` (:mod:`repro.rtl.ir`),
+    and ``fn``, ``reads`` and ``writes`` follow from it, here and nowhere
+    else; a handwritten kernel-level process has none and brings its own."""
+
+    _kind: str
+    _params: str
+
+    def __post_init__(self) -> None:
+        if self.body is not None:
+            self.rebuild(self.body)
+
+    def rebuild(self, body: ir.Suite) -> None:
+        """Make *body* the process: compile ``fn``, derive both sets."""
+        self.body = body
+        self.fn = ir.compile_fn(body, self._params)
+        self.reads, self.writes = ir.reads(body), ir.writes(body)
+
+    @property
+    def source(self) -> str | None:
+        """The body as the Python the interpreter runs: a printed view
+        for inspection, which nothing reads back."""
+        return None if self.body is None else "\n".join(ir.render(self.body))
+
+
 @dataclass
-class CombProcess:
+class CombProcess(_Process):
     """Combinational logic: runs whenever any read signal may have changed.
 
-    ``source`` optionally carries the function's body as generated Python
-    source (one statement per line, base indent of one level, operating on
-    ``v``/``m``).  When present, the codegen backend can inline the body
-    into a fused evaluation function instead of calling ``fn``.
+    With a ``body`` the codegen backend inlines the process into a fused
+    evaluation function instead of calling ``fn``.
     """
 
     fn: Callable  # fn(values, mems) -> None
     reads: frozenset[int]
     writes: frozenset[int]
     name: str = "comb"
-    source: str | None = None
+    body: ir.Suite | None = None
+    _kind, _params = "comb", "v, m"
 
 
 @dataclass
-class SyncProcess:
+class SyncProcess(_Process):
     """Clocked logic: runs on an edge of ``clock``; NBA writes staged.
 
     ``fn(values, mems, nba, nbm)`` — non-blocking signal writes append
@@ -135,8 +161,8 @@ class SyncProcess:
     reads: frozenset[int] = frozenset()
     writes: frozenset[int] = frozenset()
     name: str = "sync"
-    #: generated body source for codegen fusion (see CombProcess.source)
-    source: str | None = None
+    body: ir.Suite | None = None
+    _kind, _params = "sync", "v, m, nba, nbm"
 
 
 class RTLModule:
@@ -162,6 +188,9 @@ class RTLModule:
         self.opt_stats: dict = {}
         #: the resolved ElabOptions the optimiser ran with (None = -O0)
         self.opt_options = None
+        #: ``(what it was, process)`` per elaborated process, in
+        #: elaboration order: what :attr:`generated_source` prints
+        self.listing: list[tuple[str, _Process]] = []
 
     # -- construction -----------------------------------------------------
 
@@ -196,9 +225,9 @@ class RTLModule:
         reads: frozenset[int] | set[int],
         writes: frozenset[int] | set[int],
         name: str = "comb",
-        source: str | None = None,
+        body: ir.Suite | None = None,
     ) -> CombProcess:
-        proc = CombProcess(fn, frozenset(reads), frozenset(writes), name, source)
+        proc = CombProcess(fn, frozenset(reads), frozenset(writes), name, body)
         self.comb_procs.append(proc)
         return proc
 
@@ -210,11 +239,11 @@ class RTLModule:
         reads: frozenset[int] | set[int] = frozenset(),
         writes: frozenset[int] | set[int] = frozenset(),
         name: str = "sync",
-        source: str | None = None,
+        body: ir.Suite | None = None,
     ) -> SyncProcess:
         clk_idx = clock.index if isinstance(clock, Signal) else clock
         proc = SyncProcess(fn, clk_idx, edge, frozenset(reads), frozenset(writes),
-                           name, source)
+                           name, body)
         self.sync_procs.append(proc)
         return proc
 
@@ -229,6 +258,17 @@ class RTLModule:
         return sig
 
     # -- introspection ------------------------------------------------------
+
+    @property
+    def generated_source(self) -> str:
+        """The model code as it stands: every elaborated process still
+        in the design, printed from its live body."""
+        live = {id(p) for p in self.comb_procs + self.sync_procs}
+        return "\n\n".join(
+            f"# {what}\ndef _{proc._kind}_{n}({proc._params}):\n{proc.source}"
+            for n, (what, proc) in enumerate(self.listing, 1)
+            if id(proc) in live
+        )
 
     def visible_signals(self) -> list[Signal]:
         """Signals excluding hidden instrumentation counters."""

@@ -1,9 +1,10 @@
 """Netlist optimisation pipeline: rewrite the elaborated design in place.
 
 Runs between :mod:`repro.hdl.elaborator` and :mod:`repro.rtl.codegen`,
-on the *generated process source* — the netlist representation both
-execution backends share.  Because passes rewrite the source (and
-recompile the interpreter functions from it), an optimised design is
+on the *process body trees* (:mod:`repro.rtl.ir`) — the netlist
+representation both execution backends share.  Because passes replace
+bodies (and the interpreter function is recompiled from each new one),
+an optimised design is
 faster under **both** backends and, crucially, stays a single design:
 the interpreter, the codegen fast path, the VCD writer and the coverage
 collector all see the same optimised processes, so the PR 5 equivalence
@@ -18,12 +19,11 @@ Passes (canonical order, selected by :class:`~repro.hdl.common.ElabOptions`):
     side folds to a literal become literal drivers, which can cascade
     (a tied input constant-folds the mux it feeds, and so on to a
     fixpoint).  The folded literal is exactly what the interpreter
-    would have computed — the pass evaluates the generated source text
-    itself.
+    would have computed (:func:`repro.rtl.ir.evaluate`).
 
 ``dedup``
     Structural hashing of single-statement combinational drivers: two
-    processes computing the byte-identical right-hand side keep one
+    processes computing equal right-hand-side trees keep one
     evaluation; the duplicate becomes a copy (``v[b] = v[a]``).  Both
     signals remain in the design with identical values, so waveforms
     and equivalence are unaffected.
@@ -52,48 +52,22 @@ away at ``-O1``+.
 
 from __future__ import annotations
 
-import re
 from typing import Optional
 
 from ..hdl.common import ElabOptions
+from . import ir
 from .activity import plan_activity
-from .kernel import CombLoopError, CombProcess, RTLModule, SyncProcess
-
-#: a whole single-statement comb body: ``    v[K] = RHS``
-_SINGLE_RE = re.compile(r"^    v\[(\d+)\] = (.+)$")
-
-#: a literal right-hand side, possibly parenthesised (``(7)`` / ``7``)
-_LIT_RE = re.compile(r"^\(*(\d+)\)*$")
-
-_VREF_RE = re.compile(r"v\[(\d+)\]")
+from .kernel import CombLoopError, CombProcess, RTLModule
 
 
-def _recompile(proc) -> None:
-    """Regenerate ``proc.fn`` from its (rewritten) source."""
-    header = (
-        "def _f(v, m):" if isinstance(proc, CombProcess)
-        else "def _f(v, m, nba, nbm):"
-    )
-    ns: dict = {}
-    exec(header + "\n" + proc.source, ns)  # noqa: S102 - our generated code
-    proc.fn = ns["_f"]
-
-
-def _rhs_reads(rhs: str) -> set[int]:
-    return {int(m.group(1)) for m in _VREF_RE.finditer(rhs)}
-
-
-def _single_assign(proc: CombProcess) -> Optional[tuple[int, str]]:
+def _single_assign(proc: CombProcess) -> Optional[tuple[int, ir.Expr]]:
     """``(target, rhs)`` if *proc* is one plain ``v[K] = RHS`` statement."""
-    if proc.source is None or "\n" in proc.source:
+    if proc.body is None or len(proc.body) != 1:
         return None
-    m = _SINGLE_RE.match(proc.source)
-    if m is None:
+    stmt = proc.body[0]
+    if type(stmt) is not ir.Store:
         return None
-    target = int(m.group(1))
-    if proc.writes != frozenset((target,)):
-        return None
-    return target, m.group(2)
+    return stmt.index, stmt.value
 
 
 class _Netlist:
@@ -137,20 +111,14 @@ def _substitute(net: _Netlist, known: dict[int, int],
     """Replace reads of *pending* constants with literals, everywhere."""
     replaced = 0
     for proc in list(net.module.comb_procs) + list(net.module.sync_procs):
-        if proc.source is None:
+        if proc.body is None:
             continue
         # never touch a proc's own targets (left-hand sides / RMW reads)
         live = pending & proc.reads - proc.writes
         if not live:
             continue
-
-        def repl(m, live=live):
-            idx = int(m.group(1))
-            return f"({known[idx]})" if idx in live else m.group(0)
-
-        proc.source = _VREF_RE.sub(repl, proc.source)
-        proc.reads = proc.reads - live
-        _recompile(proc)
+        proc.rebuild(ir.rewrite(
+            proc.body, expr=ir.folding({i: known[i] for i in live})))
         replaced += len(live)
     return replaced
 
@@ -179,18 +147,17 @@ def _const_fold(net: _Netlist) -> dict:
                 target in known
                 or net.writers.get(target) != 1
                 or not net.foldable(target)
-                or "v[" in rhs
-                or "m[" in rhs
             ):
                 continue
-            # The RHS is the very text the interpreter executes, so
-            # evaluating it yields the exact value every settle stores.
-            value = eval(rhs, {})  # noqa: S307 - generated literal arithmetic
+            # The value of a closed RHS is the value of its print — the
+            # very text the interpreter executes — so it is exactly
+            # what every settle stores.
+            value = ir.evaluate(rhs)
+            if value is None:
+                continue
             known[target] = value
             pending.add(target)
-            proc.source = f"    v[{target}] = {value}"
-            proc.reads = frozenset()
-            _recompile(proc)
+            proc.rebuild((ir.Store(target, ir.Const(value, rhs.width)),))
             stats["folded_procs"] += 1
             progress = True
         if not pending and not progress:
@@ -205,7 +172,7 @@ def _dedup(net: _Netlist) -> dict:
     stats = {"merged": 0}
     if not net.levelizable:
         return stats
-    canonical: dict[str, int] = {}
+    canonical: dict[ir.Expr, int] = {}
     for proc in net.module.comb_procs:
         sa = _single_assign(proc)
         if sa is None:
@@ -214,19 +181,17 @@ def _dedup(net: _Netlist) -> dict:
         if (
             net.writers.get(target) != 1
             or not net.foldable(target)
-            or "m[" in rhs
-            or target in _rhs_reads(rhs)
+            or target in proc.reads
+            or any(type(leaf) is ir.MemRead for leaf in ir.leaves(rhs))
         ):
             continue
         first = canonical.get(rhs)
         if first is None or first == target:
             canonical[rhs] = target
             continue
-        # identical text ⇒ identical value once the canonical driver
-        # has run; levelize orders the copy after it via the new read
-        proc.source = f"    v[{target}] = v[{first}]"
-        proc.reads = frozenset((first,))
-        _recompile(proc)
+        # equal nodes ⇒ equal value once the canonical driver has run;
+        # levelize orders the copy after it via the new read
+        proc.rebuild((ir.Store(target, ir.Sig(first, rhs.width)),))
         stats["merged"] += 1
     return stats
 
@@ -238,23 +203,17 @@ def _dce(net: _Netlist) -> dict:
     module = net.module
     kept: list[CombProcess] = []
     for proc in module.comb_procs:
-        sa = _single_assign(proc)
-        removable = False
-        if sa is not None:
-            target, rhs = sa
-            lit = _LIT_RE.match(rhs)
-            if (
-                lit is not None
-                and net.writers.get(target) == 1
-                and net.foldable(target)
-            ):
-                value = int(lit.group(1))
-                if value:
-                    module.initial_values[target] = value
-                else:
-                    module.initial_values.pop(target, None)
-                removable = True
-        if removable:
+        target, rhs = _single_assign(proc) or (None, None)
+        if (
+            type(rhs) is ir.Const
+            and net.writers.get(target) == 1
+            and net.foldable(target)
+        ):
+            value = rhs.value
+            if value:
+                module.initial_values[target] = value
+            else:
+                module.initial_values.pop(target, None)
             net.writers[target] -= 1
             stats["removed_procs"] += 1
         else:

@@ -64,6 +64,22 @@ class TestCompileCommand:
         assert rc == 0
         assert "def _sync" in capsys.readouterr().out
 
+    def test_show_code_prints_the_processes_it_counted(self, tmp_path, capsys):
+        """--show-code at -O2 is the model that runs, not the -O0 one."""
+        src = tmp_path / "t.v"
+        src.write_text(
+            "module t(input [3:0] a, output [3:0] y);\n"
+            "  wire [3:0] k; wire [3:0] z;\n"
+            "  assign k = 4'd3; assign z = k + 4'd1; assign y = a & z;\n"
+            "endmodule\n"
+        )
+        assert main(["compile", str(src), "--opt-level", "2",
+                     "--show-code"]) == 0
+        out = capsys.readouterr().out
+        assert "processes  : 1 comb, 0 sync" in out
+        assert out.count("def _comb_") == 1
+        assert "& ((4)))" in out and "+ (1)" not in out
+
 
 class TestExperimentCommands:
     def test_tiny_dse(self, capsys):
