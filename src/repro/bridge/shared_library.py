@@ -358,7 +358,9 @@ class BehavioralSharedLibrary(SharedLibrary):
     the output fields it sets, the rest of the struct is zero, and a
     step that sets nothing costs no packing at all.  A model that ticks
     often enough for the two dicts to show overrides :meth:`tick` itself
-    around :meth:`StructSpec.lane_codec` or positional ``pack``.
+    around the spec's generated ``values`` decode and positional
+    ``pack``, as :class:`~repro.models.nvdla.wrapper.NVDLASharedLibrary`
+    does.
     """
 
     def __init__(self) -> None:

@@ -328,7 +328,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         report = run_campaign(
             args.target, params=overrides, budget=args.budget,
             seed=args.seed, jobs=args.jobs, cache=cache,
-            use_cache=not args.no_cache,
             checkpoint_every=args.checkpoint_every,
             max_cycles=args.max_cycles,
             watchdog_interval=args.watchdog_interval,

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..parallel import PointFailure, ResultCache, run_points
+from ..parallel import PointFailure, ResultCache, cached_run, run_points
 from .nvdla_system import build_nvdla_system
 
 #: the paper's x-axis
@@ -84,36 +84,9 @@ class DSEResult:
         return self.point_seconds / self.wall_seconds if self.wall_seconds else 0.0
 
 
-def _run_cached(points, worker, cache, experiment, names, *, progress,
-                **run_kwargs) -> tuple[list, int]:
-    """Look every point up in *cache*, run the misses, store what succeeded.
-
-    A point's cache key is *experiment* plus its tuple elements under
-    *names*.  ``progress`` is ticked once per point whichever way it
-    was served — a hit here, a miss by ``run_points`` — so a reporter
-    sized to ``len(points)`` ends at ``done == total``.  Returns
-    ``(measured, misses)``; failure sentinels are never cached.
-    """
-    measured: list = [None] * len(points)
-    keys: list[Optional[str]] = [None] * len(points)
-    todo: list[int] = []
-    for i, point in enumerate(points):
-        if cache is not None:
-            keys[i] = cache.key(experiment=experiment,
-                                **dict(zip(names, point)))
-            measured[i] = cache.get(keys[i])
-        if measured[i] is None:
-            todo.append(i)
-        elif progress is not None:
-            progress.update()
-
-    fresh = run_points([points[i] for i in todo], worker,
-                       progress=progress, **run_kwargs)
-    for i, value in zip(todo, fresh):
-        measured[i] = value
-        if cache is not None and not isinstance(value, PointFailure):
-            cache.put(keys[i], value, meta={"point": list(points[i])})
-    return measured, len(todo)
+def _point_fields(experiment: str, names: tuple[str, ...]):
+    """Cache-key fields: *experiment* plus the point's items by *names*."""
+    return lambda point: {"experiment": experiment, **dict(zip(names, point))}
 
 
 def _dse_point(point: tuple) -> dict:
@@ -164,12 +137,16 @@ def run_dse(
         for inflight in inflight_sweep
     ]
 
-    measured, misses = _run_cached(
-        points, _dse_point, cache, "dse_point",
-        ("workload", "n_nvdla", "memory", "inflight", "scale"),
-        jobs=jobs, point_timeout=point_timeout, keep_going=keep_going,
-        progress=progress, stats=stats,
+    found = cached_run(
+        cache, points,
+        _point_fields("dse_point",
+                      ("workload", "n_nvdla", "memory", "inflight", "scale")),
+        lambda todo: run_points(
+            todo, _dse_point, jobs=jobs, point_timeout=point_timeout,
+            keep_going=keep_going, progress=progress, stats=stats),
+        progress=progress,
     )
+    measured = found.results
     if isinstance(measured[0], PointFailure):
         raise measured[0]  # nothing to normalise against
     ideal = measured[0]["ticks"]
@@ -188,8 +165,8 @@ def run_dse(
         m["seconds"] for m in measured if not isinstance(m, PointFailure)
     )
     result.wall_seconds = time.perf_counter() - t0
-    result.cache_misses = misses
-    result.cache_hits = len(points) - misses
+    result.cache_misses = len(found.executed)
+    result.cache_hits = len(found.hits)
     return result
 
 
@@ -239,15 +216,17 @@ def run_coherence_sweep(
     with ``keep_going=True``) is reported as ``None``.
     """
     points = [(n, ops, seed, rtl) for n in sharers]
-    measured, _ = _run_cached(
-        points, _coherence_point, cache, "coherence_point",
-        ("sharers", "ops", "seed", "rtl"),
-        jobs=jobs, point_timeout=point_timeout, keep_going=keep_going,
-        progress=progress, stats=stats,
+    found = cached_run(
+        cache, points,
+        _point_fields("coherence_point", ("sharers", "ops", "seed", "rtl")),
+        lambda todo: run_points(
+            todo, _coherence_point, jobs=jobs, point_timeout=point_timeout,
+            keep_going=keep_going, progress=progress, stats=stats),
+        progress=progress,
     )
     return {
         n: (None if isinstance(m, PointFailure) else m)
-        for n, m in zip(sharers, measured)
+        for n, m in zip(sharers, found.results)
     }
 
 

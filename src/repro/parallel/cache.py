@@ -13,6 +13,10 @@ is the canonical JSON of the point's parameters plus
 Only *deterministic* measurements belong here (tick counts, event
 totals).  Wall-clock timings (Table 2/3 overheads) are never cached —
 they are measurements of the host, not of the simulated system.
+
+Every sweep reaches the cache through one loop, :func:`cached_run`.  A
+caller that runs the misses elsewhere (the serve scheduler, on its
+executor) calls its halves, :func:`look_up` and :meth:`CachedRun.record`.
 """
 
 from __future__ import annotations
@@ -24,9 +28,12 @@ import pathlib
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Sequence
 
-__all__ = ["CacheStats", "ResultCache", "code_version", "default_cache_dir"]
+from .runner import PointFailure
+
+__all__ = ["CacheStats", "CachedRun", "ResultCache", "cached_run",
+           "code_version", "default_cache_dir", "look_up"]
 
 _PACKAGE_ROOT = pathlib.Path(__file__).resolve().parents[1]   # src/repro
 _CODE_VERSION: dict[str, str] = {}
@@ -192,3 +199,55 @@ class ResultCache:
                     path.unlink(missing_ok=True)
                     removed += 1
         return removed
+
+
+@dataclass
+class CachedRun:
+    """A point list resolved through a (possibly absent) cache: point
+    *i*'s result is ``results[i]``, and ``hits``/``executed`` say where
+    each came from.  An executed failure is returned, never stored."""
+
+    cache: Optional[ResultCache]
+    results: list
+    fields: list            # per point: its key fields (None: no cache)
+    hits: list[int] = field(default_factory=list)
+    executed: list[int] = field(default_factory=list)
+
+    def record(self, fresh: Sequence) -> "CachedRun":
+        """Take the executed points' results, in order, and store every
+        success with its key fields as ``meta``."""
+        for i, value in zip(self.executed, fresh):
+            self.results[i] = value
+            if self.cache is not None and not isinstance(value, PointFailure):
+                self.cache.put(self.cache.key(**self.fields[i]), value,
+                               meta=self.fields[i])
+        return self
+
+
+def look_up(cache: Optional[ResultCache], points: Sequence,
+            fields: Callable[[Any], dict], progress=None) -> CachedRun:
+    """Key each point by ``fields(point)`` and fill in the cache hits,
+    ticking ``progress`` once per hit (the run of the misses ticks the
+    rest).  Without a cache every point is a miss."""
+    found = CachedRun(cache, [None] * len(points), [None] * len(points))
+    for i, point in enumerate(points):
+        if cache is not None:
+            found.fields[i] = fields(point)
+            found.results[i] = cache.get(cache.key(**found.fields[i]))
+        if found.results[i] is None:
+            found.executed.append(i)
+        else:
+            found.hits.append(i)
+            if progress is not None:
+                progress.update()
+    return found
+
+
+def cached_run(cache: Optional[ResultCache], points: Sequence,
+               fields: Callable[[Any], dict],
+               run: Callable[[list], Sequence], progress=None) -> CachedRun:
+    """Look *points* up, hand the misses to ``run`` (one result each, in
+    order: a :func:`~repro.parallel.run_points` call and its retry
+    policy) and record what it returns."""
+    found = look_up(cache, points, fields, progress)
+    return found.record(run([points[i] for i in found.executed]))

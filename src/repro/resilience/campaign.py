@@ -22,8 +22,8 @@ this hardware block flips under real traffic?*  The flow:
    (observables match and a detection counter moved), ``detected_hang``
    (watchdog report / budget trip), or ``crash`` (the simulated system
    raised).  Infrastructure failures (worker death, host OOM) are
-   retried with bounded backoff and reported as ``infra`` — never
-   miscounted as simulated crashes, never cached.
+   retried by the runner and reported as ``infra`` if they persist —
+   never miscounted as simulated crashes, never cached.
 
 Experiments fan out through :func:`repro.parallel.run_points`; each
 result is content-addressed in the :class:`~repro.parallel.ResultCache`
@@ -34,6 +34,7 @@ The per-signal vulnerability report carries AVF estimates with Wilson
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -44,7 +45,7 @@ import tempfile
 import time
 from typing import Callable, Optional
 
-from ..parallel.cache import ResultCache, code_version
+from ..parallel.cache import ResultCache, cached_run, code_version
 from ..parallel.runner import PointFailure, RunStats, run_points
 from .control import PeriodicCheckpointer
 from .faults import Fault, FaultInjector, FaultPlan, flip_targets
@@ -472,13 +473,10 @@ def run_campaign(
     seed: int = 0,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    use_cache: bool = True,
     checkpoint_every: Optional[int] = None,
     max_cycles: Optional[int] = None,
     watchdog_interval: int = 2_000,
     wall_timeout: float = 600.0,
-    infra_attempts: int = 3,
-    infra_backoff: float = 0.5,
     point_timeout: Optional[float] = None,
     progress=None,
     on_experiment: Optional[Callable[[int, tuple, dict], None]] = None,
@@ -486,10 +484,11 @@ def run_campaign(
 ) -> dict:
     """Run a full campaign; returns the vulnerability report dict.
 
-    *on_experiment*, if given, receives ``(index, point, result)`` for
-    every experiment in index order once all experiments resolve.
-    Infra failures surviving *infra_attempts* rounds of bounded-backoff
-    retry are reported with outcome ``infra`` and are never cached.
+    Experiments resolve through *cache* (none: all run) and the default
+    retry policy of :func:`~repro.parallel.run_points`; what still fails
+    is reported with outcome ``infra`` and never cached.  *on_experiment*,
+    if given, receives ``(index, point, result)`` for every experiment
+    in index order once all experiments resolve.
     """
     cfg = campaign_config(
         target_name, params=params, budget=budget, seed=seed,
@@ -503,54 +502,18 @@ def run_campaign(
     golden = ensure_golden(root, target, cfg["params"],
                            cfg["checkpoint_every"], cfg["max_cycles"])
 
-    if use_cache and cache is None:
-        cache = ResultCache()
-    keys = [
-        cache.key(**campaign_point_fields(cfg, point)) if cache else None
-        for point in points
+    found = cached_run(
+        cache, points, functools.partial(campaign_point_fields, cfg),
+        lambda todo: run_points(
+            todo, run_experiment, jobs=jobs, keep_going=True,
+            point_timeout=point_timeout, progress=progress, stats=stats),
+        progress=progress,
+    )
+    results = [  # a failure the runner's retries could not heal is infra
+        {"signal": p[2], "bit": p[3], "cycle": p[4], "outcome": "infra",
+         "error": res.last_error} if isinstance(res, PointFailure) else res
+        for p, res in zip(points, found.results)
     ]
-    resolved: list[Optional[dict]] = [None] * len(points)
-    if cache:
-        for idx, key in enumerate(keys):
-            hit = cache.get(key)
-            if hit is not None:
-                resolved[idx] = hit
-                if progress is not None:
-                    progress.update()
-
-    pending = [idx for idx, res in enumerate(resolved) if res is None]
-    last_error: dict[int, str] = {}
-    for attempt in range(max(1, infra_attempts)):
-        if not pending:
-            break
-        if attempt:
-            time.sleep(min(infra_backoff * (2 ** (attempt - 1)), 30.0))
-        round_results = run_points(
-            [points[idx] for idx in pending], run_experiment,
-            jobs=jobs, max_attempts=1, keep_going=True,
-            point_timeout=point_timeout, progress=progress, stats=stats,
-        )
-        still = []
-        for idx, res in zip(pending, round_results):
-            if isinstance(res, PointFailure):
-                still.append(idx)
-                last_error[idx] = res.last_error
-            else:
-                resolved[idx] = res
-                if cache:
-                    cache.put(keys[idx], res,
-                              meta=campaign_point_fields(cfg, points[idx]))
-        pending = still
-    for idx in pending:  # infra failures that survived every retry round
-        signal, bit, cycle = points[idx][2:5]
-        resolved[idx] = {
-            "signal": signal, "bit": bit, "cycle": cycle,
-            "outcome": "infra",
-            "error": last_error.get(idx, "worker failed"),
-        }
-
-    results = [res for res in resolved if res is not None]
-    assert len(results) == len(points)
     if on_experiment is not None:
         for idx, (point, res) in enumerate(zip(points, results)):
             on_experiment(idx, point, res)

@@ -45,7 +45,7 @@ import shutil
 import time
 from typing import Any, Optional
 
-from ..parallel import PointFailure, ResultCache, RunStats, run_points
+from ..parallel import PointFailure, ResultCache, RunStats, look_up, run_points
 from .kinds import JobKind, get_kind
 from .tenants import QuotaExceeded, TenantRegistry
 
@@ -449,15 +449,13 @@ class Scheduler:
         return os.path.join(self.checkpoint_root, job.id,
                             f"shard-{shard_index:04d}")
 
-    def _point_key(self, job: Job, index: int) -> Optional[str]:
-        if self.cache is None or not job.kind.cacheable:
-            return None
-        # the kind's own fields win: a kind that names its experiment
-        # (e.g. pmu_fig5's "fig5_point") shares cache entries with any
-        # other path that keys the same way
+    @staticmethod
+    def _point_fields(job: Job, point) -> dict:
+        # the kind's own fields win: campaign's "campaign_point" entries
+        # are shared with `repro campaign`; no other path keys the rest
         fields = {"experiment": "serve_point", "kind": job.kind.name}
-        fields.update(job.kind.point_fields(job.params, job.points[index]))
-        return self.cache.key(**fields)
+        fields.update(job.kind.point_fields(job.params, point))
+        return fields
 
     async def _run_job(self, job: Job) -> None:
         try:
@@ -479,28 +477,22 @@ class Scheduler:
                 self._park_preempted(job)
                 return
             shard_index = job.shard_cursor
-            shard = job.shards[shard_index]
-            # per-point dedup through the shared cache first
-            todo: list[int] = []
-            fresh: set[int] = set()   # resolved this shard (hit or executed)
-            for idx in shard:
-                if job.point_results[idx] is not None:
-                    continue
-                key = self._point_key(job, idx)
-                if key is not None:
-                    hit = self.cache.get(key)
-                    if hit is not None:
-                        job.point_results[idx] = hit
-                        job.cache_hits += 1
-                        fresh.add(idx)
-                        continue
-                todo.append(idx)
-            if todo:
+            shard = [idx for idx in job.shards[shard_index]
+                     if job.point_results[idx] is None]
+            # per-point dedup through the shared cache first, on the
+            # loop: a warm shard never reaches the executor
+            found = look_up(self.cache if job.kind.cacheable else None,
+                            [job.points[idx] for idx in shard],
+                            functools.partial(self._point_fields, job))
+            for i in found.hits:
+                job.point_results[shard[i]] = found.results[i]
+            job.cache_hits += len(found.hits)
+            if found.executed:
                 stats = RunStats()
                 ckpt_dir = self._shard_ckpt_dir(job, shard_index)
                 call = functools.partial(
                     run_points,
-                    [job.points[i] for i in todo],
+                    [job.points[shard[i]] for i in found.executed],
                     job.kind.worker,
                     jobs=self.worker_jobs,
                     max_attempts=self.max_attempts,
@@ -509,22 +501,17 @@ class Scheduler:
                     checkpoint_dir=ckpt_dir,
                     stats=stats,
                 )
-                results = await loop.run_in_executor(self._executor, call)
+                found.record(await loop.run_in_executor(self._executor, call))
                 self._account_shard(job, stats)
                 failures: list[dict] = []
-                for idx, value in zip(todo, results):
+                for i in found.executed:
+                    value = found.results[i]
                     if isinstance(value, PointFailure):
-                        failures.append(_failure_summary(value, idx))
+                        failures.append(_failure_summary(value, shard[i]))
                         continue
-                    job.point_results[idx] = value
+                    job.point_results[shard[i]] = value
                     job.executed_points += 1
                     self.executed_points += 1
-                    fresh.add(idx)
-                    key = self._point_key(job, idx)
-                    if key is not None:
-                        self.cache.put(key, value,
-                                       meta={"job": job.id,
-                                             "kind": job.kind.name})
                 if failures:
                     job.error = (
                         f"{len(failures)} point(s) exhausted their retry "
@@ -542,8 +529,6 @@ class Scheduler:
                 # stream per-point triage in index order, cache hits
                 # and fresh executions alike, before the progress event
                 for idx in shard:
-                    if idx not in fresh:
-                        continue
                     event = job.kind.point_event(
                         job.params, job.points[idx], job.point_results[idx]
                     )

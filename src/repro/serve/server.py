@@ -22,8 +22,11 @@ Endpoints
                                  requeue (operator-driven migration)
 ``POST /shutdown``               clean shutdown (drains running shards)
 
-Error statuses: 400 bad request/unknown kind, 404 unknown job or
-route, 409 result not ready, 429 quota exceeded, 503 shutting down.
+Error statuses: 400 bad request/unknown kind (including a negative
+Content-Length and a request or header line over the stream's 64 KiB
+line limit), 404 unknown job or route, 408 request not received within
+``_READ_TIMEOUT_S``, 409 result not ready, 429 quota exceeded, 503
+shutting down.
 """
 
 from __future__ import annotations
@@ -41,10 +44,14 @@ __all__ = ["ServeServer"]
 
 _MAX_BODY = 4 * 1024 * 1024
 _MAX_HEADER_LINES = 100
+#: a request (line, headers and body) must arrive within this many
+#: seconds, so a stalled client cannot hold its connection forever
+_READ_TIMEOUT_S = 30.0
 
 _STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not "
-    "Allowed", 409: "Conflict", 413: "Payload Too Large",
+    "Allowed", 408: "Request Timeout", 409: "Conflict",
+    413: "Payload Too Large",
     429: "Too Many Requests", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -104,10 +111,17 @@ class ServeServer:
     ) -> None:
         try:
             try:
-                method, path, query, body = await self._read_request(reader)
+                method, path, query, body = await asyncio.wait_for(
+                    self._read_request(reader), _READ_TIMEOUT_S)
             except _HTTPError as err:
                 await self._respond(writer, err.status,
                                     {"error": str(err)})
+                return
+            except asyncio.TimeoutError:
+                await self._respond(writer, 408, {
+                    "error": f"request not received within "
+                             f"{_READ_TIMEOUT_S}s",
+                })
                 return
             try:
                 await self._route(writer, method, path, query, body)
@@ -127,8 +141,15 @@ class ServeServer:
             except (ConnectionError, OSError):
                 pass
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> str:
+        try:
+            return (await reader.readline()).decode("latin-1")
+        except ValueError:   # the line outran the stream's limit
+            raise _HTTPError(400, "request or header line too long") from None
+
     async def _read_request(self, reader: asyncio.StreamReader):
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        request_line = (await self._read_line(reader)).strip()
         if not request_line:
             raise _HTTPError(400, "empty request")
         parts = request_line.split()
@@ -138,7 +159,7 @@ class ServeServer:
         split = urlsplit(target)
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADER_LINES):
-            line = (await reader.readline()).decode("latin-1")
+            line = await self._read_line(reader)
             if line in ("\r\n", "\n", ""):
                 break
             name, _, value = line.partition(":")
@@ -151,7 +172,9 @@ class ServeServer:
             try:
                 n = int(length)
             except ValueError:
-                raise _HTTPError(400, "bad Content-Length") from None
+                n = -1
+            if n < 0:
+                raise _HTTPError(400, "bad Content-Length")
             if n > _MAX_BODY:
                 raise _HTTPError(413, "request body too large")
             body = await reader.readexactly(n)

@@ -106,11 +106,11 @@ def apply_waivers(
     *sources* maps filename -> source text, used to scan for the
     ``repro-lint: waive`` comment on the finding's line or the one above.
     """
-    line_cache: dict[str, list[str]] = {
+    source_lines: dict[str, list[str]] = {
         name: text.splitlines() for name, text in sources.items()
     }
     for finding in findings:
-        lines = line_cache.get(finding.file, [])
+        lines = source_lines.get(finding.file, [])
         for ln in (finding.line, finding.line - 1):
             if not (1 <= ln <= len(lines)):
                 continue

@@ -31,6 +31,25 @@ from repro.resilience.targets import get_target, normalize_params
 BUDGET = 24
 SEED = 3
 
+#: marker file whose creation makes :func:`_die_once_on_busy` kill a worker
+_DIE_MARKER_ENV = "CAMPAIGN_TEST_DIE_MARKER"
+
+
+def _die_once_on_busy(point):
+    """Stand-in experiment (module level, so pool workers unpickle it):
+    the first ``busy`` point takes its whole worker process down — a
+    host failure, not a simulated one — and every later call is real."""
+    if point[2] == "busy":
+        try:
+            fd = os.open(os.environ[_DIE_MARKER_ENV],
+                         os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            pass
+        else:
+            os.close(fd)
+            os._exit(1)
+    return run_experiment(point)
+
 
 @pytest.fixture
 def camp_env(tmp_path, monkeypatch):
@@ -135,10 +154,13 @@ class TestTriage:
 
         monkeypatch.setattr(campaign_mod, "run_experiment", flaky)
         cache = ResultCache(root=camp_env / "cache")
+        stats = RunStats()
         report = run_campaign("rtlcache", budget=6, seed=1, jobs=1,
-                              cache=cache, infra_attempts=2,
-                              infra_backoff=0.01)
-        assert len(attempts) == 2         # bounded backoff, then give up
+                              cache=cache, stats=stats)
+        assert len(attempts) == 3         # the runner's attempts, then give up
+        # one run_points call: nothing overwritten by a retry round
+        assert (stats.points, stats.completed, stats.failed,
+                stats.soft_retries) == (6, 5, 1, 2)
         assert report["histogram"]["infra"] == 1
         infra = [e for e in report["experiments"]
                  if e["outcome"] == "infra"]
@@ -152,6 +174,22 @@ class TestTriage:
                               cache=cache, stats=stats)
         assert stats.completed == 1       # only the infra point re-ran
         assert healed["histogram"]["infra"] == 0
+
+    def test_worker_death_rebuilds_the_pool(self, camp_env, monkeypatch):
+        import repro.resilience.campaign as campaign_mod
+
+        clean = _campaign(camp_env, budget=6, seed=1, jobs=2,
+                          cache_dir="cache-clean")
+        marker = camp_env / "worker-died"
+        monkeypatch.setenv(_DIE_MARKER_ENV, str(marker))
+        monkeypatch.setattr(campaign_mod, "run_experiment", _die_once_on_busy)
+        stats = RunStats()
+        report = _campaign(camp_env, budget=6, seed=1, jobs=2,
+                           cache_dir="cache-dying", stats=stats)
+        assert marker.exists()
+        assert stats.pool_restarts == 1
+        assert report["histogram"]["infra"] == 0
+        assert render_report(report) == render_report(clean)
 
 
 class TestCampaign:

@@ -13,6 +13,7 @@ import asyncio
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -142,6 +143,67 @@ class TestProtocol:
         while client.healthy():
             assert time.monotonic() < deadline, "server ignored shutdown"
             time.sleep(0.1)
+
+
+def _raw_exchange(client: ServeClient, request: bytes,
+                  timeout: float = 10.0) -> bytes:
+    """Send *request* bytes on a fresh socket to *client*'s server and
+    read the whole reply."""
+    address = (client.host, client.port)
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+def _status(reply: bytes) -> int:
+    return int(reply.split(b" ", 2)[1])
+
+
+class TestHostileInput:
+    """Malformed or stalled requests get an HTTP answer, and the server
+    keeps serving afterwards."""
+
+    def test_negative_content_length_is_400(self, serve):
+        client = serve()
+        reply = _raw_exchange(
+            client,
+            b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        )
+        assert _status(reply) == 400
+        assert b"Content-Length" in reply
+        assert client.healthy()
+
+    def test_overlong_request_line_is_400(self, serve):
+        client = serve()
+        path = b"/" + b"a" * (70 * 1024)
+        reply = _raw_exchange(client,
+                              b"GET " + path + b" HTTP/1.1\r\n\r\n")
+        assert _status(reply) == 400
+        assert client.healthy()
+
+    def test_overlong_header_line_is_400(self, serve):
+        client = serve()
+        reply = _raw_exchange(
+            client,
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"b" * (70 * 1024)
+            + b"\r\n\r\n",
+        )
+        assert _status(reply) == 400
+        assert client.healthy()
+
+    def test_stalled_request_times_out_with_408(self, serve, monkeypatch):
+        from repro.serve import server as server_mod
+
+        monkeypatch.setattr(server_mod, "_READ_TIMEOUT_S", 0.2)
+        client = serve()
+        t0 = time.monotonic()
+        reply = _raw_exchange(client, b"GET /healthz HT")
+        assert _status(reply) == 408
+        assert time.monotonic() - t0 < 5.0
+        assert client.healthy()
 
 
 class TestEndToEnd:
