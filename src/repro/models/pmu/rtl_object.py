@@ -21,20 +21,20 @@ from ...soc.cpu.core import EventWire
 from ...soc.event import ClockDomain
 from ...soc.packet import Packet
 from ...soc.simobject import SimObject, Simulation
-from .wrapper import PMUSharedLibrary
+from .wrapper import PMU_OUTPUT, PMUSharedLibrary
 
 
 class _EventLane:
-    """One PMU event input: either a wire tap or the free-running clock."""
+    """Event inputs [base, base+lanes) tapping one wire, or the clock
+    (no wire, one lane)."""
 
-    __slots__ = ("wire", "lanes", "base", "is_clock")
+    __slots__ = ("wire", "lanes", "base")
 
     def __init__(self, base: int, wire: Optional[EventWire],
-                 lanes: int, is_clock: bool) -> None:
+                 lanes: int) -> None:
         self.base = base
         self.wire = wire
         self.lanes = lanes
-        self.is_clock = is_clock
 
 
 class PMURTLObject(RTLObject):
@@ -54,6 +54,10 @@ class PMURTLObject(RTLObject):
                          batch_cycles=batch_cycles, parent=parent)
         self.mmio_base = mmio_base
         self._lanes: list[_EventLane] = []
+        #: the lanes tapping a wire, in wiring order
+        self._wired: list[_EventLane] = []
+        #: the clock-wired lanes: the same input bits every cycle
+        self._clock_events = 0
         self._pending_reads: deque[Packet] = deque()
         self._interrupt_handlers: list[Callable[[int], None]] = []
         self.st_interrupts = self.stats.scalar("interrupts", "PMU interrupts seen")
@@ -68,12 +72,15 @@ class PMURTLObject(RTLObject):
                       lanes: int = 1) -> None:
         """Tap *wire* onto event inputs [base_index, base_index+lanes)."""
         self._check_lane_range(base_index, lanes)
-        self._lanes.append(_EventLane(base_index, wire, lanes, False))
+        lane = _EventLane(base_index, wire, lanes)
+        self._lanes.append(lane)
+        self._wired.append(lane)
 
     def connect_clock_event(self, index: int) -> None:
         """Wire the PMU clock itself to event input *index*."""
         self._check_lane_range(index, 1)
-        self._lanes.append(_EventLane(index, None, 1, True))
+        self._lanes.append(_EventLane(index, None, 1))
+        self._clock_events |= 1 << index
 
     def _check_lane_range(self, base: int, lanes: int) -> None:
         n = self.library.n_counters
@@ -114,6 +121,9 @@ class PMURTLObject(RTLObject):
 
     # -- struct exchange ----------------------------------------------------------
 
+    #: no dict: the generated tuple ``(rvalid, rdata, irq)``
+    decode_output = staticmethod(PMU_OUTPUT.values)
+
     def idle_cycles(self) -> int:
         """Run ahead while the input struct would repeat itself.
 
@@ -126,22 +136,18 @@ class PMURTLObject(RTLObject):
         """
         if self.cpu_req_queue:
             return 1
-        for lane in self._lanes:
-            if lane.wire is not None and lane.wire.count:
+        for lane in self._wired:
+            if lane.wire.count:
                 return 1
-        last = self.last_output
-        if last["rvalid"] or last["irq"]:
+        rvalid, _, irq = self.last_output
+        if rvalid or irq:
             return 1
         return self.batch_cycles
 
     def build_input(self) -> bytes:
-        events = 0
-        for lane in self._lanes:
-            if lane.is_clock:
-                events |= 1 << lane.base
-                continue
+        events = self._clock_events
+        for lane in self._wired:
             wire = lane.wire
-            assert wire is not None
             if not wire.count:
                 continue
             pulses = wire.drain(lane.lanes)
@@ -150,10 +156,10 @@ class PMURTLObject(RTLObject):
                 # they remain queued for the next tick
                 self.st_events_dropped.inc(wire.count)
             events |= ((1 << pulses) - 1) << lane.base
+        pack = self.library.input_spec.pack
         if not self.cpu_req_queue:
-            return self.library.input_spec.pack(events=events)
+            return pack(events)
 
-        fields = {"events": events}
         # One configuration write and one read may be in flight per cycle.
         write_pkt = None
         read_pkt = None
@@ -165,30 +171,32 @@ class PMURTLObject(RTLObject):
                 read_pkt = self.cpu_req_queue.popleft()
             else:
                 break
+        awvalid = awaddr = wdata = arvalid = araddr = 0
         if write_pkt is not None:
-            fields["awvalid"] = 1
-            fields["awaddr"] = (write_pkt.addr - self.mmio_base) & 0xFFF
-            fields["wdata"] = int.from_bytes(
+            awvalid = 1
+            awaddr = (write_pkt.addr - self.mmio_base) & 0xFFF
+            wdata = int.from_bytes(
                 (write_pkt.data or b"\0\0\0\0")[:4], "little"
             )
             # writes complete at this edge
             self.respond_cpu(write_pkt)
         if read_pkt is not None:
-            fields["arvalid"] = 1
-            fields["araddr"] = (read_pkt.addr - self.mmio_base) & 0xFFF
+            arvalid = 1
+            araddr = (read_pkt.addr - self.mmio_base) & 0xFFF
             self._pending_reads.append(read_pkt)
-        return self.library.input_spec.pack(**fields)
+        return pack(events, awvalid, awaddr, wdata, arvalid, araddr)
 
-    def consume_output(self, outputs: dict) -> None:
-        if outputs["rvalid"]:
+    def consume_output(self, outputs: tuple) -> None:
+        rvalid, rdata, irq = outputs
+        if rvalid:
             if not self._pending_reads:
                 raise RuntimeError(f"{self.name}: rvalid with no pending read")
             pkt = self._pending_reads.popleft()
-            data = int(outputs["rdata"]).to_bytes(4, "little")
+            data = rdata.to_bytes(4, "little")
             if pkt.size != 4:
                 data = data[: pkt.size].ljust(pkt.size, b"\0")
             self.respond_cpu(pkt, data)
-        if outputs["irq"]:
+        if irq:
             self.st_interrupts.inc()
             for handler in self._interrupt_handlers:
                 handler(self.now)
@@ -200,9 +208,7 @@ class PMURTLObject(RTLObject):
         state["pending_reads"] = [ctx.pack(p) for p in self._pending_reads]
         # pending pulse counts per wired lane, in wiring order (wires such
         # as the external L1D-miss tap have no other serialization owner)
-        state["lane_counts"] = [
-            lane.wire.count for lane in self._lanes if lane.wire is not None
-        ]
+        state["lane_counts"] = [lane.wire.count for lane in self._wired]
         return state
 
     def unserialize(self, state: dict, ctx) -> None:
@@ -210,7 +216,7 @@ class PMURTLObject(RTLObject):
         self._pending_reads = deque(
             ctx.unpack(p) for p in state["pending_reads"]
         )
-        wired = [lane for lane in self._lanes if lane.wire is not None]
+        wired = self._wired
         counts = state["lane_counts"]
         if len(wired) != len(counts):
             raise ValueError(

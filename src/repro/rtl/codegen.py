@@ -14,25 +14,46 @@ sync processes into two functions compiled once per design:
 
 Processes elaborated from HDL carry their body as a tree
 (:attr:`~repro.rtl.kernel.CombProcess.body`, :mod:`repro.rtl.ir`), signal
-indices and masks already constants in it.  Each body is rewritten tree
-to tree, once (:func:`_fused`), and its print inlined at every depth:
+indices and masks already constants in it.  Each body is lowered tree
+to tree, once (:func:`_fused`), and its print inlined at every depth.
+The lowerings are codegen's alone and run at every opt level; the
+fused cycle then pays for what the netlist does:
 
-* an ``if``/``while`` over a 0/1 wrapper tests what is under it;
-* literal-bound for-loops unroll, the variable a constant in each copy;
-* full-register NBAs become sentinel-guarded staging locals committed
-  after sampling (no tuples, no apply loop), memory NBAs per-memory
-  staging dicts (last-write-wins per address, same final state as the
-  ordered list apply);
-* memory base lists are hoisted into locals (``_m0 = m[0]``).
+* (a) **set bits** — a literal-bound for-loop whose body is one ``if``
+  without ``else``, guarded by a conjunction of ``sig[i]`` bits of
+  signals the body does not write, becomes one word AND (masked to the
+  iteration range) whose set bits are visited lowest first, the loop
+  variable a local.  A ``Cover``, a blocking store, an ``else`` or a
+  guard term that does not depend on the variable refuses it; such a
+  loop unrolls as every other literal-bound loop does, the variable a
+  constant in each copy;
+* (b) **truth and bits** — a 0/1 wrapper is dropped wherever Python
+  truth suffices (an ``if``/``while`` condition, under ``and``/``or``,
+  the test of ``?:``); a mask, slice or bit-select that cannot change
+  its operand's value (the operand's width says so) is dropped, double
+  masks merge, and a memory index provably below the depth loses its
+  modulo;
+* (c) **common subexpressions** — a pure subexpression used again before
+  anything it reads is written is computed once into a local;
+* (d) **memory NBAs** append ``(addr, value)`` to a per-edge list,
+  committed in order (the final state is the interpreter's: last write
+  wins); full-register NBAs stage in locals committed after sampling
+  (no tuples, no apply loop);
+* (e) a staged register assigned on every path commits without a
+  sentinel test;
+* (f) the struct exchange does not call an empty ``settle``.
 
-The interpreter-shaped lists remain for two structural reasons: a
+Memory base lists are hoisted into locals (``_m0 = m[0]``).  The
+interpreter-shaped lists remain for two structural reasons: a
 register that also receives *partial* (bit/part-select) NBAs keeps the
 ordered list so apply-time merging stays exact, and a handwritten
 kernel-level process (no body) is bound as a constant in the generated
 namespace and called, its edge staging through ``nba``/``nbm``.
 Equivalence with the interpreter, which runs the plain print of the
 un-rewritten bodies, is enforced by the differential test suite
-(``tests/rtl/test_differential.py``).
+(``tests/rtl/test_differential.py``), and every rewrite a lowering makes
+is checked on its own (:data:`REWRITE_HOOK`,
+``tests/rtl/test_lowering_checked.py``).
 
 Two more functions are generated on request for the bridge
 (:func:`build_exchange`): the per-cycle struct exchange of a
@@ -52,9 +73,10 @@ for them automatically.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import ir
 from .kernel import CombProcess, Edge, RTLModule, SyncProcess
@@ -64,28 +86,211 @@ _Proc = Union[CombProcess, SyncProcess]
 _MAX_UNROLL_ITERS = 64
 _MAX_UNROLL_LINES = 20_000
 
+#: Test hook, not an option: when set, every rewrite a lowering makes is
+#: reported as ``REWRITE_HOOK(old, new, how)``.  *how* is ``"value"`` or
+#: ``"truth"`` for two expressions that must agree as numbers or as
+#: Python truth values wherever the first stood, ``"stmt"`` for a
+#: statement or body and the suite that stands in its place.
+REWRITE_HOOK: Optional[Callable[[object, object, str], None]] = None
+
+
+def _report(old, new, how: str) -> None:
+    if REWRITE_HOOK is not None:
+        REWRITE_HOOK(old, new, how)
+
+
+# -- (b) truth and bits ---------------------------------------------------
+
+
+def _bits(e: ir.Expr) -> Optional[int]:
+    """How many low bits of *e*'s value can be set; None for a truth
+    value.  A signal or memory word never holds more than its width,
+    and every node's width bounds its value (the elaborator narrows a
+    store on exactly that rule)."""
+    t = type(e)
+    if t is ir.Const:
+        return e.value.bit_length() if e.value >= 0 else None
+    if t is ir.Op and e.op in ir.TESTS:
+        return None
+    return e.width
+
+
+def _ones(mask: int) -> bool:
+    """*mask* is ``2**n - 1``."""
+    return not mask & (mask + 1)
+
+
+def _fits(e: ir.Expr, mask: int) -> bool:
+    """``e & mask == e`` for every value *e* can take."""
+    bits = _bits(e)
+    return _ones(mask) and bits is not None and bits <= mask.bit_length()
+
+
+def _inside(access: Union[ir.MemRead, ir.MemStore]) -> bool:
+    """A memory access whose index is always below the depth."""
+    if type(access.addr) is ir.Const:
+        return 0 <= access.addr.value < access.depth
+    bits = _bits(access.addr)
+    return bits is not None and 1 << bits <= access.depth
+
+
+def _truth(e: ir.Expr) -> ir.Expr:
+    """*e* where only its Python truth is used: without a 0/1 wrapper."""
+    if type(e) is ir.Op and e.op in ("bool", "nbool"):
+        x = e.args[0]
+        if e.op == "bool":
+            return x
+        if type(x) is ir.Op and x.op == "not":
+            return x.args[0]
+        return ir.Op("not", (x,), 1)
+    return e
+
+
+def _simpler(e: ir.Expr) -> ir.Expr:
+    t = type(e)
+    if t is ir.MemRead:
+        return e._replace(wrap=False) if e.wrap and _inside(e) else e
+    if t is not ir.Op:
+        return e
+    op, args = e.op, e.args
+    if op in ("and", "or", "?:"):
+        n = 1 if op == "?:" else 2
+        new = tuple(_truth(a) for a in args[:n]) + args[n:]
+        if any(a is not b for a, b in zip(new, args)):
+            return e._replace(args=new)
+    elif op in ("bool", "nbool"):
+        x = _truth(args[0])
+        if type(x) is ir.Op and x.op == "not":
+            x, op = x.args[0], "nbool" if op == "bool" else "bool"
+        if op == "bool" and _fits(x, 1):
+            return x
+        if x is not args[0] or op != e.op:
+            return ir.Op(op, (x,), 1)
+    elif op == "mask" or op == "slice" and not e.imm[0]:
+        x, mask = args[0], e.imm[-1]
+        if type(x) is ir.Op and x.op == "mask":
+            x, mask = x.args[0], mask & x.imm[0]
+        if _fits(x, mask):
+            return x
+        if op == "slice" or x is not args[0]:
+            return ir.Op("mask", (x,), e.width, (mask,))
+    elif op == "slice":
+        x, (shift, mask) = args[0], e.imm
+        bits = _bits(x)
+        if _ones(mask) and bits is not None \
+                and bits - shift <= mask.bit_length():
+            return ir.Op(">>", (x, ir.Const(shift, 32)), e.width)
+    elif op == "bit" and type(args[1]) is ir.Const:
+        bits = _bits(args[0])
+        if bits is not None and bits <= args[1].value + 1:
+            return ir.Op(">>", args, 1) if args[1].value else args[0]
+    elif op == "&":
+        for x, c in (args, args[::-1]):
+            if type(c) is ir.Const and _fits(x, c.value):
+                return x
+    return e
+
+
+def _simplify(e: ir.Expr) -> ir.Expr:
+    """(b) as an ``Expr -> Expr`` pass for :func:`ir.rewrite` (bottom-up,
+    so an operand is already as simple as it gets)."""
+    new = _simpler(e)
+    if new is not e:
+        test = type(e) is ir.Op and e.op in ir.TESTS
+        _report(e, new, "truth" if test else "value")
+    return new
+
+
+# -- (a) set bits, and the unroll it stands beside ------------------------
+
 
 def _lower(s: ir.Stmt) -> ir.Suite:
-    """Per-statement rewrite of a body on its way into the fused
-    program: conditions lose their 0/1 wrapper, literal-bound loops
-    unroll (see :func:`_unroll`)."""
-    if type(s) in (ir.If, ir.Loop) and type(s.cond) is ir.Op \
-            and s.cond.op == "bool":
-        s = s._replace(cond=s.cond.args[0])
-    return _unroll(s) if type(s) is ir.Loop else (s,)
+    """Per-statement lowering of a body on its way into the fused
+    program: a condition is tested for its truth, a memory store inside
+    its memory loses the modulo (b), and a literal-bound loop iterates
+    set bits (a) or unrolls (:func:`_unroll`)."""
+    t = type(s)
+    if t is ir.If or t is ir.Loop:
+        cond = _truth(s.cond)
+        if cond is not s.cond:
+            _report(s.cond, cond, "truth")
+            s = s._replace(cond=cond)
+    elif t is ir.MemStore and s.wrap and _inside(s):
+        read = ir.MemRead(s.mem, s.depth, s.addr, s.value.width)
+        _report(read, read._replace(wrap=False), "value")
+        s = s._replace(wrap=False)
+    return _unroll(s) if t is ir.Loop else (s,)
+
+
+def _word(sigs: Sequence[ir.Sig], ks: Sequence[int]) -> ir.Expr:
+    """The iterations of a set-bit loop: the AND of the guard's signals,
+    masked to the bits the loop variable visits."""
+    word = sigs[0]
+    for sig in sigs[1:]:
+        word = ir.Op("&", (word, sig), min(word.width, sig.width))
+    span = sum(1 << k for k in ks)
+    return _simplify(ir.Op("&", (word, ir.Const(span, span.bit_length())),
+                           min(word.width, span.bit_length())))
+
+
+def _set_bits(loop: ir.Loop, ks: Sequence[int]) -> Optional[ir.Suite]:
+    """(a): *loop*, whose variable takes the values *ks*, as one
+    :class:`ir.Bits` loop over the set bits of its guard, or None."""
+    var, body = loop.index, loop.body
+    if len(body) != 1 or type(body[0]) is not ir.If \
+            or body[0].other is not None or ks[-1] >= 1 << 10:
+        return None
+    guard = body[0]
+    for s in ir.walk(guard.then):
+        t = type(s)
+        if t in (ir.Cover, ir.Loop, ir.Bits) \
+                or getattr(s, "mode", ir.NBA) == ir.BLOCKING:
+            return None
+    terms, sigs = [guard.cond], []
+    while terms:
+        term = terms.pop()
+        if type(term) is not ir.Op:
+            return None
+        if term.op == "and":
+            terms += term.args[::-1]
+            continue
+        x, at = (term.args + (None,))[:2]
+        if term.op != "bit" or type(x) is not ir.Sig \
+                or type(at) is not ir.Sig or at.index != var:
+            return None
+        sigs.append(x)
+    if {x.index for x in sigs} & (ir.writes(body) | {var}):
+        return None
+    k = ir.Temp(f"_k{var}", loop.init.width)
+
+    def local(e: ir.Expr) -> ir.Expr:
+        if type(e) is ir.Sig and e.index == var:
+            return k
+        if type(e) is ir.MemRead and e.addr == k and ks[-1] < e.depth:
+            return e._replace(wrap=False)
+        return e
+
+    def store(s: ir.Stmt) -> ir.Suite:
+        if type(s) is ir.MemStore and s.addr == k and ks[-1] < s.depth:
+            s = s._replace(wrap=False)
+        return (s,)
+
+    then = ir.rewrite(guard.then, expr=local, stmt=store)
+    return (ir.Bits(k.name, _word(sigs, ks), then),)
 
 
 def _unroll(loop: ir.Loop) -> ir.Suite:
-    """Unroll a literal-bound for-loop, folding the loop variable.
+    """A literal-bound for-loop as set-bit iteration (:func:`_set_bits`)
+    or unrolled, folding the loop variable.
 
     The shape is the one a Verilog/VHDL ``for (i = K; i < N; i = i + S)``
-    elaborates to.  Each iteration's body is emitted with the variable's
-    reads replaced by that iteration's constant — CPython's AST
-    optimizer then folds the surrounding arithmetic (``(17) % 20`` →
-    ``17``), so memory indexing and shift amounts become constants and
-    the loop-variable bookkeeping disappears.  The loop signal's final
-    value is stored once at the end (it is architectural state the
-    differential suite checks).
+    elaborates to.  Unrolled, each iteration's body is emitted with the
+    variable's reads replaced by that iteration's constant — CPython's
+    AST optimizer then folds the surrounding arithmetic, so memory
+    indexing and shift amounts become constants and the loop-variable
+    bookkeeping disappears.  Either way the loop signal's final value is
+    stored once at the end (it is architectural state the differential
+    suite checks).
     """
     var, init, cond, step = loop.index, loop.init, loop.cond, loop.step
 
@@ -109,24 +314,199 @@ def _unroll(loop: ir.Loop) -> ir.Suite:
         k = ((k + inc) & step.imm[0]) & loop.mask
         if len(ks) > _MAX_UNROLL_ITERS or k <= ks[-1]:
             return (loop,)
+    done = ir.Store(var, ir.Const(k, init.width))
+    if not ks:
+        return (done,)
+    bits = _set_bits(loop, ks)
+    if bits is not None:
+        _report(loop, bits + (done,), "stmt")
+        return bits + (done,)
     out: list[ir.Stmt] = []
     for kval in ks:
         # a nested loop bounded by this variable is literal-bound now
-        out.extend(ir.rewrite(loop.body, expr=ir.folding({var: kval}),
+        fold = ir.folding({var: kval})
+        out.extend(ir.rewrite(loop.body, expr=lambda e: _simplify(fold(e)),
                               stmt=_lower))
-    out.append(ir.Store(var, ir.Const(k, init.width)))
+    out.append(done)
     if len(ir.render(out)) > _MAX_UNROLL_LINES:
         return (loop,)
     return tuple(out)
 
 
-@lru_cache(maxsize=1024)
-def _fused(body: ir.Suite, list_regs: frozenset[int] | None) -> tuple[str, ...]:
-    """A body as it enters the fused program, printed at depth 1: with
-    *list_regs* (a staged section's registers that keep the ordered
-    list) every other NBA is staged, then each statement is lowered.
-    A pure function of the tree, so — like :func:`_compile` — shared by
-    every program a rig or sweep builds from one design; bounded."""
+# -- (c) common subexpressions --------------------------------------------
+
+
+#: what a statement evaluates once, before anything it runs
+_OWN = {ir.If: ("cond",), ir.Loop: ("init",), ir.Bits: ("word",)}
+
+
+def _changes(stmts: Sequence[ir.Stmt]) -> set:
+    """What running *stmts* can change before the edge commits: blocking
+    stores, loop variables and locals.  Staged and listed NBAs wait for
+    the commit; coverage counters are read by nothing."""
+    out: set = set()
+    for s in ir.walk(stmts):
+        t = type(s)
+        if t is ir.SetTemp or t is ir.Bits:
+            out.add(("t", s.name))
+        elif t is ir.MemStore:
+            if s.mode == ir.BLOCKING:
+                out.add(("m", s.mem))
+        elif t is ir.Loop or t in (ir.Store, ir.BitStore, ir.SliceStore) \
+                and s.mode == ir.BLOCKING:
+            out.add(("v", s.index))
+    return out
+
+
+def _cse(body: ir.Suite) -> ir.Suite:
+    """(c) A pure subexpression that a statement evaluates, and that is
+    evaluated again — inside the statement or after it — before anything
+    it reads changes, is computed once into a local ``_c<n>`` just before
+    the statement, when that saves bytecodes.  Hoisting one out of a lazy
+    position (``and``, ``?:``, a branch) is safe because no candidate can
+    raise or blow up: tests are never candidates, and neither is a shift
+    by a variable amount."""
+    reads_memo: dict = {}
+    price_memo: dict = {}
+    names = iter(range(1 << 30))
+
+    def reads(e: ir.Expr) -> frozenset:
+        """("v", i), ("m", i) and ("t", name) for what *e* reads."""
+        r = reads_memo.get(e)
+        if r is None:
+            t = type(e)
+            if t is ir.Sig:
+                r = frozenset({("v", e.index)})
+            elif t is ir.Temp:
+                r = frozenset({("t", e.name)})
+            elif t is ir.MemRead:
+                r = reads(e.addr) | {("m", e.mem)}
+            elif t is ir.Op:
+                r = frozenset().union(*map(reads, e.args))
+            else:
+                r = frozenset()
+            reads_memo[e] = r
+        return r
+
+    def price(e: ir.Expr) -> int:
+        """Bytecodes to evaluate *e*, roughly; 0 if it is no candidate."""
+        p = price_memo.get(e)
+        if p is None:
+            t = type(e)
+            if t is ir.Sig:
+                p = 3
+            elif t is ir.MemRead:
+                p = price(e.addr) and 3 + price(e.addr) + 2 * e.wrap
+            elif t is not ir.Op:
+                p = 1
+            elif e.op == "<<" and type(e.args[1]) is not ir.Const:
+                p = 0
+            else:
+                parts = [price(a) for a in e.args]
+                p = 0 if 0 in parts else 2 + len(e.imm) + sum(parts)
+            price_memo[e] = p
+        return p
+
+    def count(e: ir.Expr, avail: dict, into: Counter) -> None:
+        if e in avail:
+            return
+        t = type(e)
+        if t is not ir.Const and t is not ir.Temp and price(e) and reads(e) \
+                and not (t is ir.Op and e.op in ir.TESTS):
+            into[e] += 1
+        for a in e.args if t is ir.Op else (e.addr,) if t is ir.MemRead \
+                else ():
+            count(a, avail, into)
+
+    def count_stmts(stmts: Sequence[ir.Stmt], avail: dict,
+                    into: Counter) -> None:
+        for s in ir.walk(stmts):
+            for name in s.EXPRS:
+                count(getattr(s, name), avail, into)
+
+    def sub(e: ir.Expr, avail: dict) -> ir.Expr:
+        if e in avail:
+            return avail[e]
+        if type(e) is ir.Op:
+            args = tuple(sub(a, avail) for a in e.args)
+            if any(a is not b for a, b in zip(args, e.args)):
+                return e._replace(args=args)
+        elif type(e) is ir.MemRead:
+            addr = sub(e.addr, avail)
+            if addr is not e.addr:
+                return e._replace(addr=addr)
+        return e
+
+    def hoist(s: ir.Stmt, later: Sequence[ir.Stmt], avail: dict,
+              out: list) -> None:
+        """Temps for what *s* evaluates, into *out* and *avail*."""
+        own = _OWN.get(type(s), s.EXPRS)
+        dead = _changes((s,))
+        while True:
+            here: Counter = Counter()
+            for name in own:
+                count(getattr(s, name), avail, here)
+            if not here:
+                return
+            # uses after this point, each only while what it reads holds
+            uses = Counter(here)
+            seen: Counter = Counter()
+            for name in s.SUITES:
+                count_stmts(getattr(s, name) or (), avail, seen)
+            gone = set(dead)
+            for t in later:
+                uses.update({e: n for e, n in seen.items()
+                             if not reads(e) & gone})
+                seen = Counter()
+                count_stmts((t,), avail, seen)
+                gone |= _changes((t,))
+            uses.update({e: n for e, n in seen.items()
+                         if not reads(e) & gone})
+            # the biggest saving first; what it holds is counted again
+            e = max(here, key=lambda e: (uses[e] - 1) * price(e) - uses[e])
+            if (uses[e] - 1) * price(e) - uses[e] <= 1:
+                return
+            temp = ir.Temp(f"_c{next(names)}", e.width)
+            out.append(ir.SetTemp(temp.name, sub(e, avail)))
+            avail[e] = temp
+
+    def suite(stmts: Sequence[ir.Stmt], avail: dict) -> ir.Suite:
+        out: list[ir.Stmt] = []
+        for i, s in enumerate(stmts):
+            hoist(s, stmts[i + 1:], avail, out)
+            t = type(s)
+            new = {name: sub(getattr(s, name), avail)
+                   for name in _OWN.get(t, s.EXPRS)}
+            dead = _changes((s,))
+            if t is ir.If:
+                new["then"] = suite(s.then, dict(avail))
+                if s.other is not None:
+                    other = new["other"] = suite(s.other, dict(avail))
+                    # a temp in front of an ``elif`` makes it an ``else``
+                    new["chain"] = s.chain and len(other) == 1
+            elif t is ir.Loop or t is ir.Bits:
+                inner = {e: x for e, x in avail.items()
+                         if not reads(e) & dead}
+                if t is ir.Loop:
+                    new["cond"] = sub(s.cond, inner)
+                    new["step"] = sub(s.step, inner)
+                new["body"] = suite(s.body, inner)
+            out.append(s._replace(**new))
+            for e in [e for e in avail if reads(e) & dead]:
+                del avail[e]
+        return tuple(out)
+
+    new = suite(body, {})
+    if new != body:
+        _report(body, new, "stmt")
+    return new
+
+
+def _lowered(body: ir.Suite,
+             list_regs: Optional[frozenset[int]]) -> ir.Suite:
+    """*body* as it enters the fused program: with *list_regs* (a staged
+    section's registers that keep the ordered list) every other NBA is
+    staged, then every expression and statement is lowered."""
     def stage(s: ir.Stmt) -> ir.Suite:
         if (
             type(s) is ir.Store and s.index not in list_regs
@@ -135,8 +515,16 @@ def _fused(body: ir.Suite, list_regs: frozenset[int] | None) -> tuple[str, ...]:
             s = s._replace(mode=ir.STAGED)
         return _lower(s)
 
-    body = ir.rewrite(body, stmt=_lower if list_regs is None else stage)
-    return tuple(ir.render(body, 1, "_m%d"))
+    return _cse(ir.rewrite(body, expr=_simplify,
+                           stmt=_lower if list_regs is None else stage))
+
+
+@lru_cache(maxsize=1024)
+def _fused(body: ir.Suite, list_regs: frozenset[int] | None) -> tuple[str, ...]:
+    """:func:`_lowered`, printed at depth 1.  A pure function of the
+    tree, so — like :func:`_compile` — shared by every program a rig or
+    sweep builds from one design; bounded."""
+    return tuple(ir.render(_lowered(body, list_regs), 1, "_m%d"))
 
 
 @lru_cache(maxsize=64)
@@ -177,6 +565,7 @@ class CodegenProgram:
     reset_state: Callable = _no_state
     guarded_cones: int = 0   # cones the settle code guards
     quiescence: bool = False  # tick_batch has the early-exit fast path
+    settles: bool = True     # settle does anything (the design has comb logic)
     #: globals of the generated functions; :func:`build_exchange` emits
     #: into it so its settle call shares the activity-cone keys
     namespace: dict = field(default_factory=dict, repr=False)
@@ -226,8 +615,8 @@ class _Emitter:
     def emit_sync_section(self, procs: Sequence[SyncProcess], depth: int) -> None:
         """One edge: sample all procs, commit NBAs/NBMs.
 
-        Staged (locals + dicts) when every process has a body; the
-        interpreter-shaped list path when one is handwritten.
+        Staged (locals + per-memory lists) when every process has a
+        body; the interpreter-shaped list path when one is handwritten.
         """
         if all(p.body is not None for p in procs):
             self._emit_staged_section(procs, depth)
@@ -243,8 +632,8 @@ class _Emitter:
 
         With *regs* (the list-class register set of a staged section) the
         nbm loop is skipped — staged sections route all memory writes
-        through dicts.  3-tuple entries are masked partial writes that
-        merge in program order.
+        through per-memory lists.  3-tuple entries are masked partial
+        writes that merge in program order.
         """
         self.emit("for _e in nba:", depth)
         self.emit("if len(_e) == 2:", depth + 1)
@@ -258,36 +647,62 @@ class _Emitter:
     def _emit_staged_section(
         self, procs: Sequence[SyncProcess], depth: int
     ) -> None:
-        # Classify: registers with any partial NBA keep the ordered-list
-        # path; everything else stages.
-        nbas = [s for p in procs for s in ir.walk(p.body)
-                if getattr(s, "mode", None) == ir.NBA]
-        full_regs = {s.index for s in nbas if type(s) is ir.Store}
-        mems = {s.mem for s in nbas if type(s) is ir.MemStore}
-        list_regs = {s.index for s in nbas
-                     if type(s) in (ir.BitStore, ir.SliceStore)}
-        staged_regs = sorted(full_regs - list_regs)
+        list_regs = _list_regs(procs)
+        staged_regs = sorted({
+            s.index for p in procs for s in ir.walk(p.body)
+            if type(s) is ir.Store and s.mode == ir.NBA
+        } - list_regs)
+        mems = sorted({s.mem for p in procs for s in ir.walk(p.body)
+                       if type(s) is ir.MemStore and s.mode == ir.NBA})
+        # (e) a register some process assigns on every path needs no
+        # sentinel: its local is set before the commit in every cycle
+        always = {idx for idx in staged_regs
+                  if any(_always(p.body, idx) for p in procs)}
         if list_regs:
             self.emit("nba = []", depth)
         for idx in staged_regs:
-            self.emit(f"_r{idx} = _sent", depth)
-        for mi in sorted(mems):
-            self.emit(f"_nbm{mi} = {{}}", depth)
+            if idx not in always:
+                self.emit(f"_r{idx} = _sent", depth)
+        for mi in mems:
+            self.emit(f"_nbm{mi} = []", depth)
         for p in procs:
-            self.emit_proc(p, "(v, m, nba, nbm)", depth,
-                           frozenset(list_regs))
+            self.emit_proc(p, "(v, m, nba, nbm)", depth, list_regs)
 
-        # Commit.  Staged registers, list-class registers and memory
-        # slots are disjoint, so commit order between the groups is
-        # free; within each group program order is preserved.
+        # Commit.  Staged registers, list-class registers and memories
+        # are disjoint, so commit order between the groups is free;
+        # within each group program order is preserved.
         if list_regs:
             self._emit_list_apply(depth, regs=list_regs)
         for idx in staged_regs:
+            if idx in always:
+                self.emit(f"v[{idx}] = _r{idx}", depth)
+                continue
             self.emit(f"if _r{idx} is not _sent:", depth)
             self.emit(f"v[{idx}] = _r{idx}", depth + 1)
-        for mi in sorted(mems):
-            self.emit(f"for _a, _x in _nbm{mi}.items():", depth)
+        for mi in mems:
+            self.emit(f"for _a, _x in _nbm{mi}:", depth)
             self.emit(f"_m{mi}[_a] = _x", depth + 1)
+
+
+def _list_regs(procs: Sequence[SyncProcess]) -> frozenset[int]:
+    """The registers of one edge's staged section that keep the ordered
+    ``nba`` list: those taking a partial (bit/part-select) NBA."""
+    return frozenset(
+        s.index for p in procs for s in ir.walk(p.body)
+        if type(s) in (ir.BitStore, ir.SliceStore) and s.mode == ir.NBA
+    )
+
+
+def _always(stmts: Sequence[ir.Stmt], idx: int) -> bool:
+    """Whether every path through *stmts* stores all of signal *idx*
+    non-blocking (a loop may not run: it does not count)."""
+    for s in stmts:
+        if type(s) is ir.Store and s.index == idx and s.mode == ir.NBA:
+            return True
+        if type(s) is ir.If and s.other is not None \
+                and _always(s.then, idx) and _always(s.other, idx):
+            return True
+    return False
 
 
 def build_program(
@@ -301,8 +716,8 @@ def build_program(
     last evaluation, so its outputs are already correct — and
     ``tick_batch`` gets the quiescence fast path: once a full cycle
     leaves all non-counter state fixed, the remaining cycles of the
-    batch are replayed algebraically.  Without a plan the emitted
-    source is byte-identical to what this function always produced.
+    batch are replayed algebraically.  Without a plan neither guard nor
+    snapshot code is emitted.
     """
     nmem = len(module.memories)
     plan = module.activity_plan
@@ -482,6 +897,7 @@ def build_program(
         reset_state=reset_state,
         guarded_cones=len(guarded),
         quiescence=quiesce,
+        settles=bool(levelized),
         namespace=em.namespace,
     )
 
@@ -506,7 +922,8 @@ def build_exchange(
     One call is one wrapper ``tick_batch``: check the length of *data*
     (raising ``size_error(len(data))``), decode it with *in_struct*,
     store slot ``i`` onto the pins at ``in_slots[i]`` (slots sharing a
-    signal are OR-ed together at their shifts), settle, advance *n*
+    signal are OR-ed together at their shifts), settle (unless the
+    design has no comb logic to settle), advance *n*
     cycles, and return how many ran with *out_struct* packed from the
     pins at *out_slots*.  With *steady* None all *n* run.  Otherwise
     *steady* is an output struct, and the cycles end after the first
@@ -547,7 +964,7 @@ def build_exchange(
         " = _decode(data)",
         *(f"        v[{idx}] = {' | '.join(terms)}"
           for idx, terms in by_signal.items()),
-        "        _settle(v, m)",
+        *(["        _settle(v, m)"] if program.settles else []),
         "        if steady is None:",
         "            _tick_batch(v, m, n)",
         "        else:",

@@ -13,11 +13,15 @@ cheap to define — and the set is closed.  An expression carries the
 ``width`` the elaborator worked out for it.  Equal nodes print the same
 Python and therefore compute the same value (what ``dedup`` merges on).
 Always tell kinds apart by ``type(node) is Kind``: a node is a tuple,
-a suite is a tuple of nodes.
+a suite is a tuple of nodes.  Only codegen's lowering makes a
+:class:`Bits` loop, a ``not`` or a memory access without ``wrap``; what
+the elaborator and the optimiser build, and so the plain print the
+interpreter runs, never holds one.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 # -- expressions ----------------------------------------------------------
@@ -45,12 +49,15 @@ class Temp(NamedTuple):
 
 
 class MemRead(NamedTuple):
-    """Read of memory *mem* at ``addr % depth``."""
+    """Read of memory *mem* at ``addr % depth``; without *wrap* (codegen's
+    lowering, where the address is known to be below *depth*) at
+    ``addr``."""
 
     mem: int
     depth: int
     addr: Expr
     width: int
+    wrap: bool = True
 
 
 class Op(NamedTuple):
@@ -86,12 +93,21 @@ _FMT = {
     "bool": "(1 if {0} else 0)",
     "nbool": "(0 if {0} else 1)",
     "truth": "({0})",
+    "not": "(not {0})",
     "ones": "({0}) == {1}",
     **{op: f"({{0}}) {op} ({{1}})"
        for op in ("<", ">", "<=", ">=", "==", "!=", "and", "or")},
     "is": "{0} == ({1})",            # a case item's match ...
     "casez": "({0} & {1}) == {2}",   # ... with don't-care bits
 }
+
+#: the operators whose value is a Python truth value, not a number
+TESTS = frozenset(list(_FMT)[list(_FMT).index("truth"):]) | {"any"}
+
+
+def _at(e: Union[MemRead, MemStore], addr: str) -> str:
+    """The word index of a memory access, *addr* printed."""
+    return f"({addr}) % {e.depth}" if e.wrap else addr
 
 
 def text(e: Expr, mem: str = "m[%d]") -> str:
@@ -112,7 +128,7 @@ def text(e: Expr, mem: str = "m[%d]") -> str:
         return f"({e.value})" if e.folded else str(e.value)
     if t is Temp:
         return e.name
-    return f"{mem % e.mem}[({text(e.addr, mem)}) % {e.depth}]"
+    return f"{mem % e.mem}[{_at(e, text(e.addr, mem))}]"
 
 
 def map_expr(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
@@ -127,7 +143,7 @@ def map_expr(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
     elif t is MemRead:
         addr = map_expr(e.addr, fn)
         if addr is not e.addr:
-            e = MemRead(e.mem, e.depth, addr, e.width)
+            e = e._replace(addr=addr)
     return fn(e)
 
 
@@ -156,14 +172,24 @@ def leaves(e: Expr) -> Iterator[Expr]:
         yield e
 
 
-def evaluate(e: Expr) -> Optional[int]:
+@lru_cache(maxsize=256)
+def _compiled(source: str):
+    return compile(source, "<ir>", "eval")
+
+
+def evaluate(e: Expr, state: Optional[dict] = None) -> Optional[int]:
     """The value of *e* if nothing in it reads state, else None: the
-    value of its print, so by construction what the interpreter stores."""
-    if type(e) is Const:
-        return e.value
-    if any(type(leaf) is not Const for leaf in leaves(e)):
-        return None
-    return eval(text(e), {})  # noqa: S307 - closed generated arithmetic
+    value of its print, so by construction what the interpreter stores.
+    With *state* — the names that print reads: ``v``, ``m`` and any
+    locals — its value over that state (the print compiled once)."""
+    if state is None:
+        if type(e) is Const:
+            return e.value
+        if any(type(leaf) is not Const for leaf in leaves(e)):
+            return None
+    return eval(  # noqa: S307 - generated arithmetic over the given names
+        text(e) if state is None else _compiled(text(e)),
+        {} if state is None else state)
 
 
 # -- statements -----------------------------------------------------------
@@ -205,13 +231,15 @@ class SliceStore(NamedTuple):
 
 
 class MemStore(NamedTuple):
-    """Word ``addr % depth`` of memory *mem*; non-blocking, an NBM."""
+    """Word ``addr % depth`` of memory *mem* (``addr`` without *wrap*, as
+    :class:`MemRead`); non-blocking, an NBM."""
 
     mem: int
     depth: int
     addr: Expr
     value: Expr
     mode: str = BLOCKING
+    wrap: bool = True
     EXPRS, SUITES = ("addr", "value"), ()
 
 
@@ -244,6 +272,18 @@ class Loop(NamedTuple):
     EXPRS, SUITES = ("init", "cond", "step"), ("body",)
 
 
+class Bits(NamedTuple):
+    """Codegen's lowering of a loop that acts only on the set bits of
+    *word*: *body* once per set bit, lowest first, with the bit's
+    position in the local *name* (and what is left of the word in
+    ``<name>_w``)."""
+
+    name: str
+    word: Expr
+    body: Suite
+    EXPRS, SUITES = ("word",), ("body",)
+
+
 class Cover(NamedTuple):
     """Statement-coverage counter: ``v[index] += 1``.  Its own kind, and
     in neither :func:`reads` nor :func:`writes`: no pass can schedule
@@ -258,7 +298,7 @@ class Pass(NamedTuple):
 
 
 Stmt = Union[Store, BitStore, SliceStore, MemStore, SetTemp, If, Loop,
-             Cover, Pass]
+             Bits, Cover, Pass]
 Suite = tuple[Stmt, ...]
 
 
@@ -330,8 +370,8 @@ def rewrite(
 
 
 #: Python line of each simple statement, by (kind, mode): its fields by
-#: name, expressions printed; ``{words}`` a memory's word list and
-#: ``{smask}`` a part-select's mask in place
+#: name, expressions printed; ``{words}`` a memory's word list, ``{at}``
+#: the word index and ``{smask}`` a part-select's mask in place
 _LINE = {
     (Store, BLOCKING): "v[{index}] = {value}",
     (Store, NBA): "nba.append(({index}, {value}))",
@@ -344,9 +384,9 @@ _LINE = {
                             "((({value}) & {fmask}) << {lsb}))",
     (SliceStore, NBA): "nba.append(({index}, (({value}) & {fmask}) << {lsb}, "
                        "{smask}))",
-    (MemStore, BLOCKING): "{words}[({addr}) % {depth}] = {value}",
-    (MemStore, NBA): "nbm.append(({mem}, ({addr}) % {depth}, {value}))",
-    (MemStore, STAGED): "_nbm{mem}[({addr}) % {depth}] = {value}",
+    (MemStore, BLOCKING): "{words}[{at}] = {value}",
+    (MemStore, NBA): "nbm.append(({mem}, {at}, {value}))",
+    (MemStore, STAGED): "_nbm{mem}.append(({at}, {value}))",
     (SetTemp, BLOCKING): "{name} = {value}",
     (Cover, BLOCKING): "v[{index}] = v[{index}] + 1",
     (Pass, BLOCKING): "pass",
@@ -381,6 +421,13 @@ def render(stmts: Sequence[Stmt], depth: int = 1,
                 suite(s.body, pad + "    ")
                 out.append(
                     f"{pad}    v[{i}] = ({text(s.step, mem)}) & {s.mask}")
+            elif t is Bits:
+                k, w = s.name, s.name + "_w"
+                out.append(f"{pad}{w} = {text(s.word, mem)}")
+                out.append(f"{pad}while {w}:")
+                out.append(f"{pad}    {k} = ({w} & -{w}).bit_length() - 1")
+                out.append(f"{pad}    {w} &= {w} - 1")
+                suite(s.body, pad + "    ")
             else:
                 f = s._asdict()
                 for name in s.EXPRS:
@@ -389,6 +436,7 @@ def render(stmts: Sequence[Stmt], depth: int = 1,
                     f["smask"] = s.fmask << s.lsb
                 elif t is MemStore:
                     f["words"] = mem % s.mem
+                    f["at"] = _at(s, f["addr"])
                 out.append(
                     pad + _LINE[t, f.get("mode", BLOCKING)].format(**f))
 

@@ -169,7 +169,7 @@ class TestPMUIdleCycles:
         obj = self._pmu(sim)
         spec = obj.library.output_spec
         for raised in ({"irq": 1}, {"rvalid": 1, "rdata": 7}):
-            obj.last_output = spec.unpack(spec.pack(**raised))
+            obj.last_output = obj.decode_output(spec.pack(**raised))
             assert obj.idle_cycles() == 1
 
     def test_queued_wire_pulses_pin_to_single_step(self, sim):

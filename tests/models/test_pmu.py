@@ -1,6 +1,7 @@
 """PMU: RTL-level behaviour of pmu.v and the wrapper contract."""
 
 import io
+import sys
 
 import pytest
 
@@ -175,3 +176,60 @@ class TestWaveforms:
         axi_write(lib, REG_ENABLE, 1)
         tick(lib, events=0b1)
         assert len(stream.getvalue()) == size
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="bytecode counts are pinned on CPython 3.11; another "
+           "interpreter compiles the generated code to other bytecode",
+)
+def test_generated_bytecodes_per_pmu_cycle_stay_in_budget():
+    """A count, not a timer: bytecodes run inside the PMU's generated
+    code (``<codegen:...>``), wired as Fig. 5 wires it (lanes 0-5
+    enabled, the clock lane's threshold armed).  One run-ahead cycle
+    with only the clock lane set is 133 (335 when every lane was tested
+    as ``(v[11] >> k) & 1`` and the memories staged in dicts); one
+    single tick with four commits and the clock is 423 (541).  5 %
+    headroom, so neither can quietly grow back."""
+    def generated_bytecodes(call) -> int:
+        count = 0
+
+        def trace(frame, event, arg):
+            if not frame.f_code.co_filename.startswith("<codegen:"):
+                return None
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+            return opcode
+
+        def opcode(frame, event, arg):
+            nonlocal count
+            count += event == "opcode"
+            return opcode
+
+        outer = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            call()
+        finally:
+            sys.settrace(outer)
+        return count
+
+    lib = PMUSharedLibrary()
+    lib.reset()
+    pack = lib.input_spec.pack
+    axi_write(lib, threshold_addr(5), 4000)
+    axi_write(lib, REG_ENABLE, 0b111111)
+    tick(lib)
+    armed = lib.save_checkpoint()
+    clock, steady = pack(events=1 << 5), lib.output_spec.zeros()
+    windows = []
+    for cycles in (8, 9):
+        lib.restore_checkpoint(armed)
+        windows.append(generated_bytecodes(
+            lambda: lib.tick_batch(clock, cycles, steady)))
+        assert lib.peek_counter(5) == cycles
+    busy = pack(events=0b101111)
+    single = generated_bytecodes(lambda: lib.tick(busy))
+    assert [lib.peek_counter(i) for i in range(6)] == [1, 1, 1, 1, 0, 10]
+    assert windows[1] - windows[0] <= 133 * 1.05, windows
+    assert single <= 423 * 1.05, single

@@ -222,7 +222,7 @@ class TestTheListPathHasTwoReasons:
         assert f"nba.append(({bits}, " in prog.source
         assert f"_r{q} = " in prog.source
         assert f"nba.append(({q}, " not in prog.source
-        assert "_nbm0[" in prog.source
+        assert "_nbm0.append((" in prog.source
 
     def test_a_handwritten_process_is_called_on_the_list_path(
             self, monkeypatch):

@@ -1,0 +1,352 @@
+"""Every rewrite codegen's lowering makes is checked, not trusted.
+
+The interpreter runs the plain print of a body; the fused program runs
+its lowering (:mod:`repro.rtl.codegen`, lowerings (a)–(f)).  The
+differential suites compare the two on the states their stimulus
+reaches.  This file checks the rewrites themselves, for the five bundled
+designs x ``-O0/1/2`` x {plain, instrumented}, with
+:data:`repro.rtl.codegen.REWRITE_HOOK` installed (a test hook, not an
+option):
+
+* every expression pair is evaluated with :func:`repro.rtl.ir.evaluate`
+  after its free leaves are replaced by constants — every assignment
+  when they total at most 16 bits, else 4 096 seeded vectors biased to
+  0, all-ones, single bits and width boundaries (a memory word is read
+  from a random image at the address the leaves give; an index the
+  rewrite left unwrapped must be below the depth).  A ``"truth"`` pair
+  must agree as Python truth values, a ``"value"`` pair as numbers of
+  one type;
+* the statement rewrites (set bits, common subexpressions, list staging,
+  the commits without a sentinel) are checked as the cycle they build:
+  the old cycle — the plain print, as the interpreter runs it — and the
+  new fused cycle step from the same 2 000 seeded random ``(v, m)``
+  states and must agree on ``v``, ``m`` and the cycles run (a run-ahead
+  window that ends when an output moves).
+
+A disagreement is a :class:`Finding` naming the design, the process and
+the inputs.  Two seeded wrong rewrites — a dropped mask, set-bit
+iteration over ``a | b`` instead of ``a & b`` — must each produce one.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from dataclasses import dataclass
+from typing import Iterator, Optional
+
+import pytest
+
+from repro.hdl.common import CoverageOptions
+from repro.rtl import RTLSimulator, codegen, ir
+from repro.rtl.kernel import Edge
+from repro.verify.designs import DESIGNS
+
+INSTRUMENTED = CoverageOptions(statement=True, toggle=False, fsm=True)
+LEVELS = (0, 1, 2)
+CELLS = [
+    pytest.param(name, level, instr,
+                 id=f"{name}-O{level}-{'instr' if instr else 'plain'}")
+    for name in sorted(DESIGNS) for level in LEVELS
+    for instr in (None, INSTRUMENTED)
+]
+VECTORS = 4096
+EXHAUSTIVE_BITS = 16
+STATES = 2000
+WINDOW = 4   # cycles a run-ahead window may run from one state
+
+
+@dataclass
+class Finding:
+    """One rewrite that does not hold, and where it fails."""
+
+    design: str
+    process: str
+    what: str
+    inputs: str
+
+    def __str__(self) -> str:
+        return f"{self.design}: {self.process}: {self.what} at {self.inputs}"
+
+
+@pytest.fixture
+def fresh_lowering(monkeypatch):
+    """Lower from scratch (nothing served from the memo) and forget what
+    was lowered afterwards: a seeded wrong rewrite must not outlive its
+    test."""
+    codegen._fused.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    codegen._fused.cache_clear()
+
+
+# -- the rewrites of one design ------------------------------------------
+
+
+def _rewrites(rtl, monkeypatch) -> list[tuple[str, object, object, str]]:
+    """``(process, old, new, how)`` for every rewrite lowering *rtl*
+    reports, processes lowered as :func:`codegen.build_program` lowers
+    them."""
+    pairs: list = []
+    current = [""]
+    monkeypatch.setattr(
+        codegen, "REWRITE_HOOK",
+        lambda old, new, how: pairs.append((current[0], old, new, how)))
+    for proc in rtl.comb_procs:
+        current[0] = _label(rtl, proc)
+        codegen._lowered(proc.body, None)
+    for edge in (Edge.POS, Edge.NEG):
+        procs = [p for p in rtl.sync_procs if p.edge == edge]
+        regs = codegen._list_regs(procs)
+        for proc in procs:
+            current[0] = _label(rtl, proc)
+            codegen._lowered(proc.body, regs)
+    monkeypatch.setattr(codegen, "REWRITE_HOOK", None)
+    return pairs
+
+
+def _label(rtl, proc) -> str:
+    """A process by its name and the signals it drives."""
+    driven = sorted(s.name for s in rtl.signals.values()
+                    if s.index in proc.writes)
+    return f"{proc.name} -> {', '.join(driven) or 'memories'}"
+
+
+# -- expression pairs -----------------------------------------------------
+
+
+def _biased(width: int, rng: random.Random) -> int:
+    """Half uniform; else 0, all-ones, a single bit or the all-ones
+    just below one (a width boundary)."""
+    pick = rng.getrandbits(3)
+    if pick < 4:
+        return rng.getrandbits(width)
+    if pick == 4:
+        return 0
+    if pick == 5:
+        return (1 << width) - 1
+    bit = 1 << rng.getrandbits(16) % width
+    return bit if pick == 6 else bit - 1
+
+
+def _vectors(widths: list, rng: random.Random) -> Iterator[tuple]:
+    if sum(widths) <= EXHAUSTIVE_BITS:
+        yield from itertools.product(*(range(1 << w) for w in widths))
+        return
+    for _ in range(VECTORS):
+        yield tuple(_biased(w, rng) for w in widths)
+
+
+class _Image(list):
+    """A memory's words, remembering which were read."""
+
+    def __init__(self, words) -> None:
+        super().__init__(words)
+        self.read: set = set()
+
+    def __getitem__(self, addr):
+        self.read.add(addr)
+        return super().__getitem__(addr)
+
+
+def _canonical(old: ir.Expr, new: ir.Expr) -> tuple:
+    """The pair over ``v[0..]`` and ``m[0..]``: its signal and local reads
+    and its memories renumbered in order of appearance, so a rewrite met
+    again on other signals (another lane, level or design) is checked
+    once; and what each number stood for."""
+    reads: dict = {}
+    mems: dict = {}
+
+    def rename(x: ir.Expr) -> ir.Expr:
+        t = type(x)
+        if t is ir.Sig or t is ir.Temp:
+            return ir.Sig(reads.setdefault(x, len(reads)), x.width)
+        if t is ir.MemRead:
+            return x._replace(mem=mems.setdefault(
+                x.mem, (len(mems), x.depth, x.width))[0])
+        return x
+
+    pair = ir.map_expr(old, rename), ir.map_expr(new, rename)
+    return pair, list(reads), sorted(mems.items(), key=lambda i: i[1][0])
+
+
+def _check_expr(old: ir.Expr, new: ir.Expr, how: str, widths: list,
+                shapes: list) -> Optional[tuple]:
+    """``(v, m, old value, new value)`` for a state over which *new* does
+    not stand for *old*, or None.  Both sides are evaluated with
+    :func:`ir.evaluate` over ``v`` (the leaves, by number) and ``m`` (a
+    random image of each memory)."""
+    rng = random.Random(0)
+    for values in _vectors(widths, rng):
+        m = [_Image(_biased(w, rng) for _ in range(depth))
+             for depth, w in shapes]
+        a = b = None
+        try:
+            a = ir.evaluate(old, {"v": values, "m": m})
+            b = ir.evaluate(new, {"v": values, "m": m})
+        except IndexError:   # an index left unwrapped ran past its memory
+            return values, m, a, "index out of range"
+        agree = bool(a) == bool(b) if how == "truth" \
+            else a == b and type(a) is type(b)
+        if not agree:
+            return values, m, a, b
+    return None
+
+
+#: the verdict on each canonical pair, kept across cells
+_VERDICTS: dict = {}
+
+
+def _expression_findings(name: str, rtl, pairs) -> list[Finding]:
+    names = {s.index: s.name for s in rtl.signals.values()}
+    memories = {mem.index: mem.name for mem in rtl.memories.values()}
+    findings = []
+    for process, old, new, how in pairs:
+        if how == "stmt":
+            continue
+        (cold, cnew), reads, mems = _canonical(old, new)
+        key = (cold, cnew, how)
+        if key not in _VERDICTS:
+            _VERDICTS[key] = _check_expr(
+                cold, cnew, how, [x.width for x in reads],
+                [(depth, w) for _, (_, depth, w) in mems])
+        if _VERDICTS[key] is None:
+            continue
+        values, m, a, b = _VERDICTS[key]
+        shown = [f"{names[x.index] if type(x) is ir.Sig else x.name}"
+                 f"={value:#x}" for x, value in zip(reads, values)]
+        shown += [f"{memories[mi]}[{addr}]={image[addr]:#x}"
+                  for (mi, _), image in zip(mems, m)
+                  for addr in sorted(image.read)
+                  if addr < len(image)]
+        findings.append(Finding(
+            name, process, f"{ir.text(old)} -> {ir.text(new)}",
+            f"{', '.join(shown) or 'no inputs'} ({a!r} vs {b!r})"))
+    return findings
+
+
+# -- statement rewrites: the cycle they build -----------------------------
+
+
+def _random_state(widths, depths, rng: random.Random) -> tuple[list, list]:
+    values = [_biased(w, rng) for w in widths]
+    mems = [[_biased(w, rng) for _ in range(depth)] for depth, w in depths]
+    return values, mems
+
+
+def _cycle_findings(name: str, rtl, states: int = STATES) -> list[Finding]:
+    """Old (interpreter) and new (fused) cycles from random states."""
+    new = RTLSimulator(rtl)
+    old = RTLSimulator(rtl, backend="interp")
+    assert new.backend == "codegen"
+    program = new._codegen
+    outs = [s.index for s in rtl.signals.values() if s.is_output]
+    moved = "(" + "".join(f"v[{i}], " for i in outs) + ") != _w"
+    namespace = program.namespace
+    exec(compile(program.run_ahead_source(", _w", moved),  # noqa: S102
+                 "<check>", "exec"), namespace)
+    run_ahead = namespace["_run_ahead"]
+    processes = list(rtl.comb_procs) + list(rtl.sync_procs)
+    widths = [1] * len(rtl.fresh_values())
+    for sig in rtl.signals.values():
+        widths[sig.index] = sig.width
+    depths = [(mem.depth, mem.width) for mem in
+              sorted(rtl.memories.values(), key=lambda mem: mem.index)]
+    rng = random.Random(f"{name}-cycles")
+    for trial in range(states):
+        values, mems = _random_state(widths, depths, rng)
+        steady = tuple(values[i] for i in outs)
+        old.values, old.mems = list(values), [list(w) for w in mems]
+        ran = 0
+        while ran < WINDOW:
+            old.tick()
+            ran += 1
+            if tuple(old.values[i] for i in outs) != steady:
+                break
+        v, m = list(values), [list(w) for w in mems]
+        program.reset_state()
+        got = run_ahead(v, m, WINDOW, steady)
+        if (got, v, m) == (ran, old.values, old.mems):
+            continue
+        kind, what = _first_difference(rtl, v, m, old.values, old.mems)
+        if kind == "signal":
+            index = rtl.signals[what].index
+            writers = [p for p in processes if index in p.writes]
+        elif kind == "memory":
+            index = rtl.memories[what].index
+            writers = [p for p in processes if any(
+                type(s) is ir.MemStore and s.mem == index
+                for s in ir.walk(p.body))]
+        else:
+            writers = list(rtl.sync_procs)
+        read = set().union(*(p.reads for p in writers))
+        shown = ", ".join(f"{s.name}={values[s.index]:#x}"
+                          for s in rtl.signals.values()
+                          if s.is_input or s.index in read)
+        return [Finding(
+            name, "; ".join(_label(rtl, p) for p in writers),
+            f"{kind} {what} differs after {got} vs {ran} cycles",
+            f"state {trial}: {shown}")]
+    return []
+
+
+def _first_difference(rtl, v, m, ref_v, ref_m) -> tuple[str, object]:
+    for sig in rtl.signals.values():
+        if v[sig.index] != ref_v[sig.index]:
+            return "signal", sig.name
+    for mem in rtl.memories.values():
+        if m[mem.index] != ref_m[mem.index]:
+            return "memory", mem.name
+    return "cycles run", None
+
+
+# -- the checks -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,level,instr", CELLS)
+def test_every_lowering_holds(name, level, instr, fresh_lowering):
+    rtl = DESIGNS[name].compile(instrument=instr, opt_level=level)
+    pairs = _rewrites(rtl, fresh_lowering)
+    findings = _expression_findings(name, rtl, pairs) \
+        + _cycle_findings(name, rtl)
+    assert not findings, "\n".join(map(str, findings))
+    assert any(how != "stmt" for *_, how in pairs)
+    # (a) fires on the PMU's counting loop, and a Cover refuses it
+    set_bits = [new for _, old, new, how in pairs
+                if how == "stmt" and type(old) is ir.Loop]
+    assert bool(set_bits) == (name == "pmu" and instr is None)
+    assert all(type(new[0]) is ir.Bits for new in set_bits)
+
+
+def test_a_dropped_mask_is_caught(fresh_lowering):
+    """Every wide mask taken for one that cannot change its operand:
+    ``enable <= wdata[19:0]`` loses its slice."""
+    fits = codegen._fits
+    fresh_lowering.setattr(codegen, "_fits",
+                           lambda e, mask: mask > 1 or fits(e, mask))
+    rtl = DESIGNS["pmu"].compile()
+    (finding,) = _expression_findings("pmu", rtl,
+                                      _rewrites(rtl, fresh_lowering))
+    assert finding.design == "pmu"
+    assert finding.process.startswith("sync@") and "enable" in finding.process
+    assert finding.what == "((v[5] >> 0) & 1048575) -> v[5]"
+    assert finding.inputs.startswith("wdata=0x"), finding
+
+
+def test_set_bits_over_an_or_is_caught(fresh_lowering):
+    """A counter enabled *or* pulsed counts: the counters move where
+    the interpreter's do not."""
+    def word_or(sigs, ks):
+        word = sigs[0]
+        for sig in sigs[1:]:
+            word = ir.Op("|", (word, sig), max(word.width, sig.width))
+        return word
+
+    fresh_lowering.setattr(codegen, "_word", word_or)
+    rtl = DESIGNS["pmu"].compile()
+    assert "_k12_w = ((v[11]) | (v[2]))" in RTLSimulator(rtl)._codegen.source
+    (finding,) = _cycle_findings("pmu", rtl)
+    assert finding.design == "pmu"
+    assert finding.process.startswith("sync@") and "irq" in finding.process
+    assert finding.what.startswith("memory counters differs")
+    assert "enable=0x" in finding.inputs and "events=0x" in finding.inputs
