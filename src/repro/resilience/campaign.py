@@ -6,17 +6,23 @@ this hardware block flips under real traffic?*  The flow:
 
 1. **Golden run** — the target rig runs fault-free once per
    ``(target, params)`` configuration, recording its architectural
-   observables digest and a ladder of periodic checkpoints (with the
+   observables digest, a ladder of periodic checkpoints (with the
    *actual* save ticks — IO vetoes can slide a save past its nominal
-   cycle).
+   cycle) with the canonical state digest of each rung
+   (:func:`~repro.resilience.serialize.canonical_digest`), and where
+   its last grid window without watchdog progress ends.
 2. **Fault-space enumeration** — every flip target is a
    ``(signal, bit, cycle)`` triple drawn from the elaborated design's
    signal table (:func:`~repro.resilience.faults.flip_targets`), so a
    sample resolves to the same flop on every backend and ``-O`` level.
 3. **Experiments** — each sampled fault restores the newest golden
    checkpoint strictly before its injection cycle, fast-forwards,
-   flips, and runs to completion under a hang watchdog, a simulated
-   cycle budget, and a host wall-clock backstop.
+   flips, and runs under a hang watchdog, a simulated cycle budget, and
+   a host wall-clock backstop — to completion, or to the first rung
+   after the flip whose digest equals golden's while the watchdog
+   provably cannot trip (:func:`_rejoin_check`).  From there the run
+   would be golden's, so it ends ``masked`` with golden's detection
+   counters: exactly what running on would report.
 4. **Triage** — outcomes are classified as ``masked`` (observables
    match golden), ``sdc`` (they diverge), ``detected_corrected``
    (observables match and a detection counter moved), ``detected_hang``
@@ -40,7 +46,6 @@ import json
 import math
 import os
 import random
-import shutil
 import tempfile
 import time
 from typing import Callable, Optional
@@ -49,7 +54,10 @@ from ..parallel.cache import ResultCache, cached_run, code_version
 from ..parallel.runner import PointFailure, RunStats, run_points
 from .control import PeriodicCheckpointer
 from .faults import Fault, FaultInjector, FaultPlan, flip_targets
+from .serialize import canonical_digest
 from .targets import (
+    GRID_DRAIN_CYCLES,
+    GRID_STEP_CYCLES,
     CampaignTarget,
     CycleBudgetExceeded,
     WallClockExceeded,
@@ -57,6 +65,9 @@ from .targets import (
     normalize_params,
 )
 from .watchdog import SimulationHang, Watchdog
+
+#: test hook: False runs every experiment to its end, rejoined or not
+STOP_AT_CONVERGENCE = True
 
 #: triage classes, in report order
 OUTCOMES = (
@@ -161,16 +172,30 @@ def _read_golden(root: str) -> Optional[dict]:
         return None
 
 
+def _last_stall_end(progress: list) -> int:
+    """End tick of the last grid window across which the watchdog's
+    progress vector did not change (0: none) — the earliest tick from
+    which an experiment may stop (:func:`_rejoin_check`)."""
+    end = 0
+    for (_t0, before), (t1, after) in zip(progress, progress[1:]):
+        if before == after:
+            end = t1
+    return end
+
+
 def _run_golden(root: str, target: CampaignTarget, params: dict,
                 checkpoint_every: int, max_cycles: int) -> dict:
     rig = target.build(params)
     try:
+        digests: list[str] = []
+        progress: list = []
         ckpt = PeriodicCheckpointer(
             rig.sim, every_cycles=checkpoint_every,
             directory=os.path.join(root, "ckpt"),
+            on_rung=lambda doc: digests.append(canonical_digest(doc)),
         )
         try:
-            end_tick = rig.run(max_cycles)
+            end_tick = rig.run(max_cycles, progress=progress)
         except Exception as err:
             raise RuntimeError(
                 f"golden run of target {target.name!r} did not complete: "
@@ -183,6 +208,8 @@ def _run_golden(root: str, target: CampaignTarget, params: dict,
             "detection": rig.detection(),
             "end_cycle": end_tick // rig.sim.default_clock.period,
             "checkpoints": [[path, tick] for path, tick in ckpt.manifest],
+            "digests": digests,
+            "last_stall_end": _last_stall_end(progress),
         }
     finally:
         rig.finish()
@@ -249,8 +276,45 @@ def _best_checkpoint(golden: dict, inject_tick: int) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
+class _Rejoined(Exception):
+    """Raised at the rung where an experiment's state is golden's again;
+    ``args[0]`` is the rung's tick."""
+
+
+def _rejoin_check(golden: dict, inject_tick: int, watchdog: Watchdog,
+                  observers: tuple) -> Optional[Callable[[dict], None]]:
+    """The experiment checkpointer's ``on_rung``, or None if no rung of
+    this campaign may end an experiment.
+
+    A rung ends it (raises :class:`_Rejoined`) when (i) it is after the
+    injection, (ii) its canonical digest equals golden's at the same
+    tick, and (iii) the watchdog has no strikes and golden's progress
+    vector changed across every grid window that ends after the rung.
+    (iii) proves the watchdog cannot trip on the rest of the run only
+    while the grid relations below hold (DESIGN.md "A masked flip ends
+    where it rejoins golden"); otherwise nothing stops early.
+    """
+    span = (watchdog.stall_checks - 1) * watchdog.check_cycles
+    if not (STOP_AT_CONVERGENCE
+            and 2 * GRID_STEP_CYCLES <= span
+            and GRID_STEP_CYCLES + GRID_DRAIN_CYCLES < span):
+        return None
+    rungs = {tick: digest for (_path, tick), digest
+             in zip(golden["checkpoints"], golden["digests"])}
+    quiet_from = max(inject_tick + 1, golden["last_stall_end"])
+
+    def on_rung(doc: dict) -> None:
+        tick = doc["meta"]["tick"]
+        if (tick >= quiet_from and watchdog.strikes == 0
+                and rungs.get(tick) == canonical_digest(doc, observers)):
+            raise _Rejoined(tick)
+
+    return on_rung
+
+
 def run_experiment(point: tuple) -> dict:
-    """Restore, fast-forward, inject one flip, run to completion, triage."""
+    """Restore, fast-forward, inject one flip, run until the outcome is
+    decided, triage."""
     (target_name, params_json, signal, bit, cycle, root,
      checkpoint_every, max_cycles, watchdog_interval, wall_timeout) = point
     target = get_target(target_name)
@@ -260,15 +324,14 @@ def run_experiment(point: tuple) -> dict:
         time.monotonic() + wall_timeout if wall_timeout else None
     )
     result = {"signal": signal, "bit": bit, "cycle": cycle}
-    scratch = tempfile.mkdtemp(prefix="campaign-exp-")
     rig = None
     try:
         rig = target.build(params)
         # Same object tree as the golden run (rig + checkpointer), so
-        # golden checkpoints restore cleanly; experiment-side saves go
-        # to a scratch directory, not the shared golden ladder.
-        PeriodicCheckpointer(rig.sim, every_cycles=checkpoint_every,
-                             directory=scratch)
+        # golden checkpoints restore cleanly; the experiment's rungs are
+        # compared with golden's, not written.
+        ckpt = PeriodicCheckpointer(rig.sim, every_cycles=checkpoint_every,
+                                    directory=None)
         rig.sim.startup()
         inject_tick = cycle * rig.sim.default_clock.period
         resume = _best_checkpoint(golden, inject_tick)
@@ -277,14 +340,20 @@ def run_experiment(point: tuple) -> dict:
         # Observers attach after the restore (they are not part of the
         # checkpointed tree), in a fixed order.
         plan = FaultPlan([Fault("rtl-flip", cycle, bit, signal=signal)])
-        for obj in (
-            Watchdog(rig.sim, check_cycles=watchdog_interval),
-            FaultInjector(rig.sim, plan, absolute_cycles=True),
-        ):
+        watchdog = Watchdog(rig.sim, check_cycles=watchdog_interval)
+        injector = FaultInjector(rig.sim, plan, absolute_cycles=True)
+        for obj in (watchdog, injector):
             obj.init()
             obj.startup()
+        ckpt.on_rung = _rejoin_check(golden, inject_tick, watchdog,
+                                     (watchdog.path(), injector.path()))
         try:
             rig.run(max_cycles, wall_deadline=wall_deadline)
+        except _Rejoined:
+            result["outcome"] = "masked"
+            if golden["detection"]:
+                result["detection"] = golden["detection"]
+            return result
         except SimulationHang as hang:
             result.update(
                 outcome="detected_hang",
@@ -325,7 +394,6 @@ def run_experiment(point: tuple) -> dict:
                 rig.finish()
             except Exception:
                 pass
-        shutil.rmtree(scratch, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------

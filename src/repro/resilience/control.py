@@ -15,11 +15,12 @@ structure digest matches as long as the same flags are passed.
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Callable, Optional
 
 from ..soc.event import Event, EventPriority
 from ..soc.simobject import SimObject, Simulation
 from .faults import FaultInjector, FaultPlan
+from .serialize import checkpoint_document, write_checkpoint
 from .watchdog import Watchdog
 
 _pending_plan: Optional[FaultPlan] = None
@@ -139,21 +140,27 @@ def enable_point_checkpoints(sim: Simulation,
 
 
 class PeriodicCheckpointer(SimObject):
-    """Saves ``ckpt-NNNN.ckpt`` into a directory every N cycles."""
+    """Takes a checkpoint every N cycles: saves ``ckpt-NNNN.ckpt`` into
+    *directory*, and hands each document to *on_rung* if given.  With
+    no directory nothing is written (a campaign experiment only digests
+    its rungs), but the object, its event and its count are the same, so
+    the object tree matches the run that wrote them."""
 
     def __init__(
         self,
         sim: Simulation,
         every_cycles: int,
-        directory: str,
+        directory: Optional[str],
         name: str = "checkpointer",
         parent: Optional[SimObject] = None,
+        on_rung: Optional[Callable[[dict], None]] = None,
     ) -> None:
         super().__init__(sim, name, parent)
         if every_cycles <= 0:
             raise ValueError("checkpoint interval must be positive")
         self.every_cycles = every_cycles
-        self.directory = os.fspath(directory)
+        self.directory = None if directory is None else os.fspath(directory)
+        self.on_rung = on_rung
         self._event = Event(self._take, f"{name}.ckpt")
         self._index = 0
         self._saving = False
@@ -162,10 +169,11 @@ class PeriodicCheckpointer(SimObject):
         # save past its nominal cycle, so campaign restores must consult
         # the recorded tick, not ``index * every_cycles``.
         self.manifest: list[tuple[str, int]] = []
-        self.st_saved = self.stats.scalar("saved", "checkpoints written")
+        self.st_saved = self.stats.scalar("saved", "checkpoints taken")
 
     def startup(self) -> None:
-        os.makedirs(self.directory, exist_ok=True)
+        if self.directory is not None:
+            os.makedirs(self.directory, exist_ok=True)
         self.schedule_cycles(self._event, self.every_cycles,
                              EventPriority.STATS)
 
@@ -186,16 +194,24 @@ class PeriodicCheckpointer(SimObject):
             # save here recurses until the host stack blows — skip, the
             # outer save is still hunting for the same instant.
             return
-        path = os.path.join(self.directory, f"ckpt-{self._index:04d}.ckpt")
+        index = self._index
         self._index += 1
+        # Counted before the document is built: the count it holds
+        # includes this save, so a run restored from it counts as the
+        # uninterrupted run does.
+        self.st_saved.inc()
         self._saving = True
         try:
-            tick = self.sim.save_checkpoint(path)
+            doc = checkpoint_document(self.sim)
         finally:
             self._saving = False
-        self.last_checkpoint_path = path
-        self.manifest.append((path, tick))
-        self.st_saved.inc()
+        if self.directory is not None:
+            path = os.path.join(self.directory, f"ckpt-{index:04d}.ckpt")
+            write_checkpoint(doc, path)
+            self.last_checkpoint_path = path
+            self.manifest.append((path, doc["meta"]["tick"]))
+        if self.on_rung is not None:
+            self.on_rung(doc)
 
     # -- checkpointing (of the checkpointer itself) ------------------------
 

@@ -86,9 +86,12 @@ __all__ = [
     "DeserializationContext",
     "NotCheckpointable",
     "SerializationContext",
+    "canonical_digest",
+    "checkpoint_document",
     "restore_checkpoint",
     "save_checkpoint",
     "structure_digest",
+    "write_checkpoint",
 ]
 
 
@@ -271,6 +274,14 @@ def save_checkpoint(sim, path, max_wait: int = 10**9) -> int:
     forward is safe for bit-identity: the uninterrupted run executes
     the very same events.
     """
+    doc = checkpoint_document(sim, max_wait)
+    write_checkpoint(doc, path)
+    return doc["meta"]["tick"]
+
+
+def checkpoint_document(sim, max_wait: int = 10**9) -> dict:
+    """The checkpoint of *sim* as a document, stepping to a
+    checkpointable instant first (see :func:`save_checkpoint`)."""
     sim.startup()
     start = sim.now
     while True:
@@ -332,7 +343,7 @@ def save_checkpoint(sim, path, max_wait: int = 10**9) -> int:
         name: extra.serialize(ctx) for name, extra in sim.extras.items()
     }
 
-    doc = {
+    return {
         "version": CHECKPOINT_VERSION,
         "meta": {
             "tick": sim.now,
@@ -352,6 +363,9 @@ def save_checkpoint(sim, path, max_wait: int = 10**9) -> int:
         "packets": ctx.encode_packets(),
     }
 
+
+def write_checkpoint(doc: dict, path) -> None:
+    """Write a :func:`checkpoint_document` to *path* (atomically)."""
     path = os.fspath(path)
     parent = os.path.dirname(path) or "."
     os.makedirs(parent, exist_ok=True)
@@ -368,7 +382,87 @@ def save_checkpoint(sim, path, max_wait: int = 10**9) -> int:
         except OSError:
             pass
         raise
-    return sim.now
+
+
+# -- canonical state ---------------------------------------------------------
+
+
+#: path of the ``PeriodicCheckpointer`` whose file names a digest drops
+_CHECKPOINTER = "checkpointer"
+
+
+def canonical_digest(doc: dict, observers=()) -> str:
+    """sha256 of the simulated state a checkpoint document holds.
+
+    Two runs whose digests are equal at one tick produce the same
+    observables from there on.  What a document holds beyond that state
+    is removed or renumbered (DESIGN.md "A masked flip ends where it
+    rejoins golden" says why none of it is observable):
+
+    * the objects named in *observers* (attached after a restore, so
+      absent from the run compared against) and their stats;
+    * the periodic checkpointer's file paths and manifest;
+    * ``meta`` and the event queue's counters (``cur_tick`` stays);
+    * every event ``seq``, replaced by its rank among the kept events;
+    * every packet id — the packet table's ``pkt_id`` and the keys of
+      an ``inflight`` map (``OoOCore``'s) — replaced by its rank;
+    * ``batched_ticks``, the RTL bridge's tally of run-ahead cycles.
+    """
+    dropped = set(observers)
+    kept = {p: s for p, s in doc["objects"].items() if p not in dropped}
+    seqs = []
+    pkt_ids = {pkt["pkt_id"] for pkt in doc["packets"]}
+    for section in kept.values():
+        seqs += [e[2] for e in section["named_events"].values() if e]
+        seqs += [t["seq"] for t in section["tagged_events"]]
+        inflight = section["state"].get("inflight")
+        if isinstance(inflight, dict):
+            pkt_ids.update(int(k) for k in inflight)
+    seq_rank = {seq: i for i, seq in enumerate(sorted(seqs))}
+    pkt_rank = {pkt: i for i, pkt in enumerate(sorted(pkt_ids))}
+
+    objects = {}
+    for obj_path, section in kept.items():
+        state = section["state"]
+        if obj_path == _CHECKPOINTER:
+            state = {k: v for k, v in state.items()
+                     if k not in ("last_path", "manifest")}
+        elif isinstance(state.get("inflight"), dict):
+            state = dict(state, inflight={
+                str(pkt_rank[int(k)]): v for k, v in state["inflight"].items()
+            })
+        objects[obj_path] = {
+            "state": state,
+            "named_events": {
+                name: None if e is None else [e[0], e[1], seq_rank[e[2]]]
+                for name, e in section["named_events"].items()
+            },
+            "tagged_events": [dict(t, seq=seq_rank[t["seq"]])
+                              for t in section["tagged_events"]],
+        }
+
+    def stats(group: dict, prefix: str) -> dict:
+        return {
+            "stats": {k: v for k, v in group["stats"].items()
+                      if k != "batched_ticks"},
+            "children": {
+                name: stats(child, prefix + name + ".")
+                for name, child in group["children"].items()
+                if prefix + name not in dropped
+            },
+        }
+
+    canon = {
+        "version": doc["version"],
+        "eventq": {"cur_tick": doc["eventq"]["cur_tick"]},
+        "stats": stats(doc["stats"], ""),
+        "objects": objects,
+        "extras": doc["extras"],
+        "packets": [dict(pkt, pkt_id=pkt_rank[pkt["pkt_id"]])
+                    for pkt in doc["packets"]],
+    }
+    text = json.dumps(canon, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # -- restore -----------------------------------------------------------------

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 from ..soc.event import Event
 from ..soc.simobject import SimObject, Simulation
+from .watchdog import Watchdog
 
 
 class CycleBudgetExceeded(TimeoutError):
@@ -35,13 +36,19 @@ class WallClockExceeded(TimeoutError):
     """The experiment's host wall-clock backstop ran out."""
 
 
+#: cycles between the polls of :func:`run_on_grid`, and after completion
+GRID_STEP_CYCLES = 2_000
+GRID_DRAIN_CYCLES = 500
+
+
 def run_on_grid(
     sim: Simulation,
     done: Callable[[], bool],
     max_cycles: int,
     wall_deadline: Optional[float] = None,
-    step_cycles: int = 2_000,
-    drain_cycles: int = 500,
+    step_cycles: int = GRID_STEP_CYCLES,
+    drain_cycles: int = GRID_DRAIN_CYCLES,
+    progress: Optional[list] = None,
 ) -> int:
     """Run *sim* until ``done()``, then a fixed drain; returns the end tick.
 
@@ -54,12 +61,19 @@ def run_on_grid(
     campaign classifies an experiment by state read after the run (the
     PMU's cycle counter among it), so the cycles between completion and
     the next boundary are part of every pinned report.
+
+    *progress*, if given, receives ``[tick, Watchdog.progress_vector]``
+    at the start and at every boundary up to completion.
     """
     sim.startup()
     clock = sim.default_clock
     step = clock.cycles_to_ticks(step_cycles)
     end = clock.cycles_to_ticks(max_cycles)
-    while not done():
+    while True:
+        if progress is not None:
+            progress.append([sim.now, Watchdog.progress_vector(sim)])
+        if done():
+            break
         if sim.now >= end:
             raise CycleBudgetExceeded(
                 f"no completion within {max_cycles} cycles"
@@ -179,7 +193,16 @@ class CacheTrafficDriver(SimObject):
 # ---------------------------------------------------------------------------
 
 
-class PMURig:
+class _GridRig:
+    """A rig's run: its ``sim`` on the grid until its ``done()``."""
+
+    def run(self, max_cycles: int, wall_deadline: Optional[float] = None,
+            progress: Optional[list] = None) -> int:
+        return run_on_grid(self.sim, self.done, max_cycles, wall_deadline,
+                           progress=progress)
+
+
+class PMURig(_GridRig):
     """PMU counting a sort workload's commits, misses, and cycles.
 
     The PMU is programmed over callback-free MMIO and left passive (no
@@ -207,10 +230,6 @@ class PMURig:
     def done(self) -> bool:
         return self.core.done and not self.soc.iomaster.busy
 
-    def run(self, max_cycles: int,
-            wall_deadline: Optional[float] = None) -> int:
-        return run_on_grid(self.sim, self.done, max_cycles, wall_deadline)
-
     def observables(self) -> dict:
         rtl = self.pmu.library.sim
         obs = {
@@ -230,7 +249,7 @@ class PMURig:
         self.pmu.stop()
 
 
-class CacheRig:
+class CacheRig(_GridRig):
     """RTL cache (plain or parity-protected) under deterministic traffic.
 
     Observables are the traffic checksum and a digest of backing memory
@@ -276,10 +295,6 @@ class CacheRig:
     def done(self) -> bool:
         return self.drv.done and not self.io.busy and not self.rtlc.inflight
 
-    def run(self, max_cycles: int,
-            wall_deadline: Optional[float] = None) -> int:
-        return run_on_grid(self.sim, self.done, max_cycles, wall_deadline)
-
     def observables(self) -> dict:
         memory = hashlib.sha256(
             self.mem.physmem.read(self.BASE_ADDR, self._span)
@@ -300,7 +315,7 @@ class CacheRig:
         self.rtlc.stop()
 
 
-class CoherenceRig:
+class CoherenceRig(_GridRig):
     """Sharing drivers over MESI L1s, a snooping directory, and the RTL
     write-through cache as a coherence participant.
 
@@ -338,10 +353,6 @@ class CoherenceRig:
         if system.rtl is not None and system.rtl.inflight:
             return False
         return system.directory.quiet
-
-    def run(self, max_cycles: int,
-            wall_deadline: Optional[float] = None) -> int:
-        return run_on_grid(self.sim, self.done, max_cycles, wall_deadline)
 
     def observables(self) -> dict:
         system = self.system

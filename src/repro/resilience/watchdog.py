@@ -206,9 +206,23 @@ class Watchdog(SimObject):
         if self._event.scheduled:
             self.sim.eventq.deschedule(self._event)
 
+    @property
+    def strikes(self) -> int:
+        """Consecutive checks that saw work outstanding and no progress."""
+        return self._strikes
+
     # -- sampling ----------------------------------------------------------
 
-    def _scan(self):
+    @classmethod
+    def progress_vector(cls, sim: Simulation) -> tuple:
+        """What a check of *sim* compares, with or without a watchdog:
+        per-core commits and completion, per-RTL-bridge memory responses
+        and CPU-side requests.  Every entry only ever grows."""
+        cores, _caches, rtls, _ios, _drams, _xbars = cls._scan(sim)
+        return cls._vector(cores, rtls)
+
+    @staticmethod
+    def _scan(sim: Simulation):
         from ..bridge.rtl_object import RTLObject
         from ..soc.cache.core import CacheCore
         from ..soc.cpu.core import OoOCore
@@ -217,7 +231,7 @@ class Watchdog(SimObject):
         from ..soc.mem.dram import DRAMController
 
         cores, caches, rtls, ios, drams, xbars = [], [], [], [], [], []
-        for obj in self.sim.objects:
+        for obj in sim.objects:
             if isinstance(obj, OoOCore):
                 cores.append(obj)
             elif isinstance(obj, CacheCore):
@@ -232,7 +246,8 @@ class Watchdog(SimObject):
                 xbars.append(obj)
         return cores, caches, rtls, ios, drams, xbars
 
-    def _progress_vector(self, cores, rtls) -> tuple:
+    @staticmethod
+    def _vector(cores, rtls) -> tuple:
         sig = []
         for core in cores:
             sig.append((core.name, int(core.st_committed.value()), core.done))
@@ -270,8 +285,8 @@ class Watchdog(SimObject):
 
     def _check(self) -> None:
         self.st_checks.inc()
-        cores, caches, rtls, ios, drams, xbars = self._scan()
-        sig = self._progress_vector(cores, rtls)
+        cores, caches, rtls, ios, drams, xbars = self._scan(self.sim)
+        sig = self._vector(cores, rtls)
         rejects = self._total_rejects(xbars)
         stalled = (
             sig == self._last_progress

@@ -8,6 +8,7 @@ thousand cycles, so a whole campaign costs well under a second.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro.parallel import ResultCache, RunStats
 from repro.resilience import HangReport
+from repro.resilience.serialize import canonical_digest, load_checkpoint_doc
 from repro.resilience.campaign import (
     OUTCOMES,
     campaign_config,
@@ -274,3 +276,24 @@ class TestGolden:
         for path, tick in golden["checkpoints"]:
             assert os.path.exists(path)
             assert tick > 0
+        # one canonical digest per rung, of the bytes on disk
+        assert len(golden["digests"]) == len(golden["checkpoints"])
+        for (path, _tick), digest in zip(golden["checkpoints"],
+                                         golden["digests"]):
+            assert canonical_digest(load_checkpoint_doc(path)) == digest
+
+
+@pytest.mark.parametrize("target,sha", [
+    ("rtlcache",
+     "7604038aaac1fa058d79bcf112869f8880b3cb939476ed2fa23ec4cac7c1cfdc"),
+    ("rtlcache_ecc",
+     "2e3e907ade7448be16cb62c1ad1dd676e554d7da191c886335f053c8dcf08f69"),
+    ("coherence",
+     "50c84e42641b2be4dd1ed79be7ba0329a905721530dda8a523c7b9cf49410ae0"),
+])
+def test_report_bytes_are_pinned(camp_env, target, sha):
+    """``repro campaign <target> --budget 8 --seed 0 --report`` bytes: a
+    change to sampling, triage or any simulated cycle shows here."""
+    report = run_campaign(target, budget=8, seed=0, jobs=1)
+    text = render_report(report)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha

@@ -46,10 +46,11 @@ class TestPeriodicCheckpointer:
 
     def test_snapshot_resumes_with_checkpointing_armed(self, tmp_path):
         """The snapshot contains the checkpointer's own next event, so a
-        restored run keeps producing checkpoints (index continues)."""
+        restored run keeps producing checkpoints (index continues), and
+        counts them as the uninterrupted run does."""
         soc = _build()
-        PeriodicCheckpointer(soc.sim, every_cycles=5_000,
-                             directory=tmp_path / "a")
+        ckpt_a = PeriodicCheckpointer(soc.sim, every_cycles=5_000,
+                                      directory=tmp_path / "a")
         soc.sim.startup()
         step = soc.sim.default_clock.cycles_to_ticks(5_000)
         soc.sim.run(until=2 * step + 1)
@@ -61,6 +62,10 @@ class TestPeriodicCheckpointer:
         resumed.sim.run(until=4 * step + 1)
         assert ckpt_b._index > 2
         assert (tmp_path / "a" / "ckpt-0003.ckpt").exists()
+        # the save a file holds is counted in it, so the restored count
+        # does not lag the uninterrupted one at the same tick
+        soc.sim.run(until=4 * step + 1)
+        assert ckpt_b.st_saved.value() == ckpt_a.st_saved.value() == 4
 
     def test_rejects_bad_interval(self, sim, tmp_path):
         with pytest.raises(ValueError):
