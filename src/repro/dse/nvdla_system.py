@@ -2,7 +2,7 @@
 
 Builds the Table 1 SoC with 1/2/4 NVDLA instances, each with its own
 CSB MMIO window, DBBIF/SRAMIF hookup to the memory bus, host
-application and workload copy.
+application and workload copy, all on one 1 GHz clock domain.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from ..models.nvdla import (
     NVDLASharedLibrary,
     for_instance,
 )
+from ..soc.event import ClockDomain
 from ..soc.interconnect.xbar import AddrRange
 from ..soc.system import SoC, SoCConfig
 
@@ -105,11 +106,13 @@ def build_nvdla_system(
 
     rtls: list[NVDLARTLObject] = []
     hosts: list[NVDLAHostApp] = []
+    # one clock: its one edge event ticks the instances in index order
+    clock = ClockDomain(1e9, "nvdla_clk")
     for i in range(n_nvdla):
         mmio = NVDLA_MMIO_BASE + i * NVDLA_MMIO_STRIDE
         rtl = NVDLARTLObject(
             soc.sim, f"nvdla{i}", NVDLASharedLibrary(),
-            max_inflight=max_inflight, mmio_base=mmio,
+            max_inflight=max_inflight, mmio_base=mmio, clock=clock,
         )
         soc.attach_rtl_cpu_side(
             rtl, io_range=AddrRange(mmio, mmio + NVDLA_MMIO_STRIDE)
