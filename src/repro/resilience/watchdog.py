@@ -392,7 +392,7 @@ class Watchdog(SimObject):
                 "ticks": int(rtl.st_ticks.value()),
             }
             for rtl in rtls
-            if rtl.inflight or rtl._running
+            if rtl.inflight or rtl.running
         ]
         dram_entries = []
         for dram in drams:
