@@ -25,14 +25,54 @@ import sys
 from typing import Optional
 
 
-def _parse_params(pairs: list[str]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise SystemExit(f"bad --param {pair!r}; expected NAME=INT")
-        name, _, value = pair.partition("=")
-        out[name] = int(value, 0)
-    return out
+# argparse ``type=`` converters: a malformed value exits 2 with a usage
+# line instead of a traceback from inside a command.
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """``"60,150,300"`` -> ``(60, 150, 300)``; blank items are skipped."""
+    try:
+        values = tuple(int(item) for item in text.split(",") if item.strip())
+    except ValueError:
+        values = ()
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers")
+    return values
+
+
+def _name_int(pair: str) -> tuple[str, int]:
+    """``"W=0x10"`` -> ``("W", 16)``."""
+    name, _, value = pair.partition("=")
+    try:
+        return name, int(value, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad --param {pair!r}; expected NAME=INT") from None
+
+
+def _memory_list(text: str) -> tuple[str, ...]:
+    """Comma-separated memory preset names, each checked."""
+    from .soc.mem import MEMORY_PRESETS
+
+    names = tuple(text.split(","))
+    for name in names:
+        if name not in MEMORY_PRESETS:
+            raise argparse.ArgumentTypeError(
+                f"unknown memory {name!r}; presets: "
+                f"{', '.join(MEMORY_PRESETS)}")
+    return names
+
+
+def _json_object(text: str) -> dict:
+    import json
+
+    try:
+        value = json.loads(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"not valid JSON: {err}") from None
+    if not isinstance(value, dict):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a JSON object")
+    return value
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -41,7 +81,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
     with open(args.file, "r", encoding="utf-8") as fh:
         source = fh.read()
-    params = _parse_params(args.param)
+    params = dict(args.param)
     if args.file.endswith((".vhd", ".vhdl")):
         from .hdl.vhdl import compile_vhdl as compile_fn
 
@@ -222,7 +262,7 @@ def _report_run_stats(stats) -> None:
 def cmd_fig5(args: argparse.Namespace) -> int:
     from .dse import render_fig5, run_fig5, run_fig5_series
 
-    intervals = tuple(int(x) for x in args.intervals.split(","))
+    intervals = args.intervals
     stats = _setup_resilience(args)
     if len(intervals) == 1:
         results = {intervals[0]: run_fig5(n_sort=args.n,
@@ -245,7 +285,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
     from .dse import render_table2
     from .dse.pmu_experiment import run_table2
 
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    sizes = args.sizes
     stats = _setup_resilience(args)
     rows = run_table2(sizes=sizes, jobs=args.jobs,
                       point_timeout=args.point_timeout,
@@ -260,8 +300,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
     from .dse import render_dse, run_dse
     from .parallel import ResultCache
 
-    inflight = tuple(int(x) for x in args.inflight.split(","))
-    memories = tuple(args.memories.split(","))
+    inflight, memories = args.inflight, args.memories
     cache = None if args.no_cache else ResultCache()
     n_points = len(inflight) * len(memories) + 1
     stats = _setup_resilience(args)
@@ -537,12 +576,9 @@ def cmd_verify_coherence(args: argparse.Namespace) -> int:
     """MESI invariants under seeded random sharing, serial vs pooled."""
     from .coherence import ProtocolError, run_sharing_stress
 
-    sharers = [int(s) for s in args.sharers.split(",") if s.strip()]
-    if not sharers:
-        raise SystemExit("--sharers needs at least one count")
     status = 0
     serial: dict[int, dict] = {}
-    for n in sharers:
+    for n in args.sharers:
         try:
             result = run_sharing_stress(
                 cores=n, ops=args.ops, seed=args.seed, rtl=args.rtl,
@@ -624,7 +660,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
     params: dict = {}
     if args.params_json:
-        params.update(_json.loads(args.params_json))
+        params.update(args.params_json)
     for pair in args.param:
         if "=" not in pair:
             raise SystemExit(f"bad --param {pair!r}; expected NAME=VALUE")
@@ -673,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile an HDL file")
     p.add_argument("file", help=".v/.sv or .vhd/.vhdl source")
     p.add_argument("--top", default=None, help="top module/entity")
-    p.add_argument("--param", action="append", default=[],
+    p.add_argument("--param", action="append", default=[], type=_name_int,
                    metavar="NAME=INT", help="parameter/generic override")
     p.add_argument("--ticks", type=int, default=0,
                    help="free-run N cycles after reset")
@@ -751,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig5", help="PMU vs gem5 IPC series")
     p.add_argument("--n", type=int, default=200, help="sort size")
     p.add_argument("--intervals", "--interval", default="10000",
-                   dest="intervals", metavar="CYC[,CYC...]",
+                   type=_int_list, dest="intervals", metavar="CYC[,CYC...]",
                    help="sampling interval(s); several run in parallel")
     p.add_argument("--rows", type=int, default=40)
     add_jobs(p)
@@ -760,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fig5)
 
     p = sub.add_parser("table2", help="PMU/waveform overheads")
-    p.add_argument("--sizes", default="60,150,300")
+    p.add_argument("--sizes", default="60,150,300", type=_int_list)
     add_jobs(p)
     add_trace_opts(p)
     add_resilience_opts(p)
@@ -770,9 +806,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", choices=("sanity3", "googlenet"),
                    default="sanity3")
     p.add_argument("--nvdla", type=int, default=1)
-    p.add_argument("--inflight", default="1,4,8,16,32,64,128,240")
+    p.add_argument("--inflight", default="1,4,8,16,32,64,128,240",
+                   type=_int_list)
     p.add_argument("--memories",
-                   default="DDR4-1ch,DDR4-2ch,DDR4-4ch,GDDR5,HBM")
+                   default="DDR4-1ch,DDR4-2ch,DDR4-4ch,GDDR5,HBM",
+                   type=_memory_list)
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and do not write the on-disk point cache "
@@ -913,7 +951,8 @@ def build_parser() -> argparse.ArgumentParser:
         "coherence",
         help="MESI protocol invariants under seeded random sharing",
     )
-    vp.add_argument("--sharers", default="2,4", metavar="LIST",
+    vp.add_argument("--sharers", default="2,4", type=_int_list,
+                    metavar="LIST",
                     help="comma-separated sharer counts (default 2,4)")
     vp.add_argument("--ops", type=int, default=400,
                     help="random sharing ops per driver")
@@ -972,7 +1011,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME=VALUE",
                    help="job parameter (JSON value, bare string, or "
                         "comma list; repeatable)")
-    p.add_argument("--params-json", default=None, metavar="JSON",
+    p.add_argument("--params-json", default=None, type=_json_object,
+                   metavar="JSON",
                    help="job parameters as one JSON object")
     p.add_argument("--priority", type=int, default=0)
     p.add_argument("--wait", action="store_true",

@@ -99,10 +99,6 @@ class CoherentL1Cache(CacheCore):
         set_idx, tag = self._tags.split(addr)
         del self._tags[set_idx][tag]
 
-    def state_of(self, addr: int) -> State:
-        line = self._find(addr)
-        return line.state if line is not None else _I
-
     def iter_lines(self) -> Iterator[tuple[int, State, bytes]]:
         """(block_addr, state, data) for every resident line, by set."""
         for set_idx, tags in self._tags.occupied():

@@ -60,15 +60,3 @@ def compile_verilog(
         ELAB_CACHE.key("verilog", source, top, params, instrument, options),
         build,
     )
-
-
-def compile_verilog_file(
-    path: str,
-    top: Optional[str] = None,
-    params: Optional[dict[str, int]] = None,
-    instrument: Optional[CoverageOptions] = None,
-    options: Optional[ElabOptions] = None,
-) -> RTLModule:
-    with open(path, "r", encoding="utf-8") as fh:
-        return compile_verilog(fh.read(), top, params, filename=path,
-                               instrument=instrument, options=options)

@@ -59,15 +59,3 @@ def compile_vhdl(
         ELAB_CACHE.key("vhdl", source, top, params, instrument, options),
         build,
     )
-
-
-def compile_vhdl_file(
-    path: str,
-    top: Optional[str] = None,
-    params: Optional[dict[str, int]] = None,
-    instrument: Optional[CoverageOptions] = None,
-    options: Optional[ElabOptions] = None,
-) -> RTLModule:
-    with open(path, "r", encoding="utf-8") as fh:
-        return compile_vhdl(fh.read(), top, params, filename=path,
-                            instrument=instrument, options=options)

@@ -85,9 +85,6 @@ class Trace:
 
     # -- size accounting -----------------------------------------------------
 
-    def image_bytes(self) -> int:
-        return sum(len(data) for _addr, data in self.mem_image)
-
     def total_read_blocks(self) -> int:
         return sum(l.in_blocks + l.w_blocks for l in self.layers)
 

@@ -93,6 +93,3 @@ class PMUSharedLibrary(RTLSharedLibrary):
 
     def peek_counter(self, index: int) -> int:
         return self.sim.peek_mem("counters", index)
-
-    def peek_enable(self) -> int:
-        return self.sim.peek("enable")

@@ -5,7 +5,6 @@ from .coherent import (
     RTLCACHE_COH_OUTPUT,
     RTLCacheCohSharedLibrary,
     RTLCoherentCacheObject,
-    load_rtl_cache_coh_source,
 )
 from .wrapper import (
     FILL_LANES,
@@ -16,7 +15,6 @@ from .wrapper import (
     RTLCacheECCSharedLibrary,
     RTLCacheObject,
     RTLCacheSharedLibrary,
-    load_rtl_cache_ecc_source,
     load_rtl_cache_source,
 )
 
@@ -33,7 +31,5 @@ __all__ = [
     "RTLCacheObject",
     "RTLCacheSharedLibrary",
     "RTLCoherentCacheObject",
-    "load_rtl_cache_coh_source",
-    "load_rtl_cache_ecc_source",
     "load_rtl_cache_source",
 ]

@@ -35,14 +35,11 @@ Translation contract (see DESIGN.md):
 
 from __future__ import annotations
 
-import importlib.resources
 from collections import deque
-from typing import Iterator, Optional, TextIO, Tuple
+from typing import Iterator, Optional, Tuple
 
-from ...bridge.shared_library import RTLSharedLibrary
 from ...bridge.structs import Field, StructSpec
 from ...coherence.protocol import ProtocolError, State
-from ...hdl.verilog import compile_verilog
 from ...soc.event import ClockDomain
 from ...soc.packet import MemCmd, Packet
 from ...soc.simobject import SimObject, Simulation
@@ -73,35 +70,14 @@ RTLCACHE_COH_OUTPUT = StructSpec(
 )
 
 
-def load_rtl_cache_coh_source() -> str:
-    return (
-        importlib.resources.files("repro.models.rtlcache")
-        .joinpath("rtl_cache_coh.v")
-        .read_text(encoding="utf-8")
-    )
-
-
 class RTLCacheCohSharedLibrary(RTLCacheSharedLibrary):
     """tick/reset wrapper around the compiled rtl_cache_coh design."""
 
+    source_file = "rtl_cache_coh.v"
+    top = "rtl_cache_coh"
     input_spec = RTLCACHE_COH_INPUT
     output_spec = RTLCACHE_COH_OUTPUT
     pins = {**RTLCacheSharedLibrary.pins, "snoops": "snoop_count"}
-
-    def __init__(
-        self,
-        idxw: int = 6,
-        trace_stream: Optional[TextIO] = None,
-        trace_enabled: bool = False,
-        backend: str = "codegen",
-    ) -> None:
-        rtl = compile_verilog(
-            load_rtl_cache_coh_source(), top="rtl_cache_coh",
-            params={"IDXW": idxw},
-        )
-        RTLSharedLibrary.__init__(self, rtl, trace_stream=trace_stream,
-                                  trace_enabled=trace_enabled, backend=backend)
-        self.lines = 1 << idxw
 
 
 class RTLCoherentCacheObject(RTLCacheObject):

@@ -56,25 +56,25 @@ RTLCACHE_ECC_OUTPUT = StructSpec(
 )
 
 
-def load_rtl_cache_source() -> str:
+def load_rtl_cache_source(filename: str = "rtl_cache.v") -> str:
+    """Text of one of the bundled RTL cache designs."""
     return (
         importlib.resources.files("repro.models.rtlcache")
-        .joinpath("rtl_cache.v")
-        .read_text(encoding="utf-8")
-    )
-
-
-def load_rtl_cache_ecc_source() -> str:
-    return (
-        importlib.resources.files("repro.models.rtlcache")
-        .joinpath("rtl_cache_ecc.v")
+        .joinpath(filename)
         .read_text(encoding="utf-8")
     )
 
 
 class RTLCacheSharedLibrary(RTLSharedLibrary):
-    """tick/reset wrapper around the compiled rtl_cache design."""
+    """tick/reset wrapper around the compiled rtl_cache design.
 
+    A variant names its own source file, top module and structs; the
+    constructor is shared.
+    """
+
+    #: bundled Verilog file and its top module
+    source_file = "rtl_cache.v"
+    top = "rtl_cache"
     input_spec = RTLCACHE_INPUT
     output_spec = RTLCACHE_OUTPUT
     # fill_data: the eight 64-bit lanes land on the one 512-bit pin
@@ -88,7 +88,8 @@ class RTLCacheSharedLibrary(RTLSharedLibrary):
         backend: str = "codegen",
     ) -> None:
         rtl = compile_verilog(
-            load_rtl_cache_source(), top="rtl_cache", params={"IDXW": idxw}
+            load_rtl_cache_source(self.source_file), top=self.top,
+            params={"IDXW": idxw},
         )
         super().__init__(rtl, trace_stream=trace_stream,
                          trace_enabled=trace_enabled, backend=backend)
@@ -103,22 +104,9 @@ class RTLCacheECCSharedLibrary(RTLCacheSharedLibrary):
     memory instead of serving corrupted data.
     """
 
+    source_file = "rtl_cache_ecc.v"
+    top = "rtl_cache_ecc"
     output_spec = RTLCACHE_ECC_OUTPUT
-
-    def __init__(
-        self,
-        idxw: int = 6,
-        trace_stream: Optional[TextIO] = None,
-        trace_enabled: bool = False,
-        backend: str = "codegen",
-    ) -> None:
-        rtl = compile_verilog(
-            load_rtl_cache_ecc_source(), top="rtl_cache_ecc",
-            params={"IDXW": idxw},
-        )
-        RTLSharedLibrary.__init__(self, rtl, trace_stream=trace_stream,
-                                  trace_enabled=trace_enabled, backend=backend)
-        self.lines = 1 << idxw
 
 
 class RTLCacheObject(RTLObject):

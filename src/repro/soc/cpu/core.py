@@ -362,8 +362,8 @@ class OoOCore(SimObject):
                         self._finish()
                 break
             if kind == U.FETCH:
-                # front-end: block until the i-line arrives (cold lines
-                # only; the ISA layer models a resident i-buffer)
+                # front-end: block until the i-line arrives (the stream
+                # emits a FETCH only for a line it wants timed)
                 if self._fetch_outstanding is not None:
                     break
                 self.stream.pop()
@@ -419,8 +419,8 @@ class OoOCore(SimObject):
         if addr % 64 > 56:
             addr -= addr % 8
         # µop stores are timing-only (no payload): functional memory
-        # state belongs to the workload layer (ISA interpreter, host
-        # apps), which has already applied the architectural effect.
+        # state belongs to the workload layer (generators, host apps),
+        # which has already applied the architectural effect.
         pkt = Packet(cmd, addr, size, requestor=self.name)
         if FLAG_CPU.enabled:
             tracepoint(

@@ -163,18 +163,10 @@ class SimObject:
     def now(self) -> int:
         return self.sim.eventq.cur_tick
 
-    def cur_cycle(self) -> int:
-        return self.clock.ticks_to_cycles(self.now)
-
     def schedule(
         self, event: Event, when: int, priority: int = EventPriority.DEFAULT
     ) -> Event:
         return self.sim.eventq.schedule(event, when, priority)
-
-    def schedule_in(
-        self, event: Event, delta: int, priority: int = EventPriority.DEFAULT
-    ) -> Event:
-        return self.sim.eventq.schedule(event, self.now + delta, priority)
 
     def schedule_cycles(
         self, event: Event, cycles: int, priority: int = EventPriority.DEFAULT

@@ -36,7 +36,7 @@ from .mem import (
     PhysicalMemory,
 )
 from .simobject import Simulation
-from .tlb import TLB, PageTable
+from .tlb import PageTable
 
 
 @dataclass
@@ -263,9 +263,6 @@ class SoC:
             )
         rtl_obj.mem_side[port_idx].connect(self.cohbus.new_cpu_port())
         self.l1ds.append(rtl_obj)
-
-    def new_tlb(self, name: str = "dev_tlb") -> TLB:
-        return TLB(self.sim, name, page_table=self.page_table)
 
     # -- resilience ----------------------------------------------------------
 

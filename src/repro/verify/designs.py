@@ -18,16 +18,13 @@ rtlcache_coh  verilog  rtlcache + coherence probe (snoop) interface
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from ..hdl.common import CoverageOptions, ElabOptions
 from ..models.bitonic.wrapper import load_bitonic_source
 from ..models.pmu.wrapper import load_pmu_source
-from ..models.rtlcache.coherent import load_rtl_cache_coh_source
-from ..models.rtlcache.wrapper import (
-    load_rtl_cache_ecc_source,
-    load_rtl_cache_source,
-)
+from ..models.rtlcache.wrapper import load_rtl_cache_source
 from ..rtl.simulator import RTLSimulator
 
 
@@ -92,11 +89,11 @@ DESIGNS: dict[str, Design] = {
                "src/repro/models/rtlcache/rtl_cache.v",
                params={"IDXW": 4}),
         Design("rtlcache_ecc", "verilog", "rtl_cache_ecc",
-               load_rtl_cache_ecc_source,
+               partial(load_rtl_cache_source, "rtl_cache_ecc.v"),
                "src/repro/models/rtlcache/rtl_cache_ecc.v",
                params={"IDXW": 4}),
         Design("rtlcache_coh", "verilog", "rtl_cache_coh",
-               load_rtl_cache_coh_source,
+               partial(load_rtl_cache_source, "rtl_cache_coh.v"),
                "src/repro/models/rtlcache/rtl_cache_coh.v",
                params={"IDXW": 4}),
     )

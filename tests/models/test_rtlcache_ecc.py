@@ -9,7 +9,7 @@ from repro.models.rtlcache import (
     RTLCACHE_ECC_OUTPUT,
     RTLCACHE_OUTPUT,
     RTLCacheECCSharedLibrary,
-    load_rtl_cache_ecc_source,
+    load_rtl_cache_source,
 )
 
 
@@ -43,7 +43,7 @@ def corrupt_word(lib, addr, word, bit):
 
 class TestEccBehaviour:
     def test_source_is_real_verilog(self):
-        src = load_rtl_cache_ecc_source()
+        src = load_rtl_cache_source("rtl_cache_ecc.v")
         assert "module rtl_cache_ecc" in src
         assert "corrections" in src
 

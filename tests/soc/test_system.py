@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.soc.cpu import alu, load, store
+from repro.soc.cpu import alu, load, store, uop
 from repro.soc.system import SoC, SoCConfig
 
 
@@ -107,3 +107,18 @@ class TestExecution:
         assert any("cpu0" in k for k in flat)
         assert any("l1d0" in k for k in flat)
         assert any("mem" in k for k in flat)
+
+    def test_fetch_uops_go_through_the_l1i(self, small_soc):
+        """No bundled workload emits FETCH µops; a hand-written stream
+        still drives the core's icache port and the L1I behind it."""
+        soc = small_soc
+        lines = [0x1000, 0x1040, 0x1000, 0x1080, 0x1040]
+        stream = []
+        for line in lines:
+            stream += [uop.fetch(line), alu(1), alu(1)]
+        soc.cores[0].run_stream(stream)
+        soc.run_until_done()
+        assert soc.cores[0].st_fetches.value() == len(lines)
+        assert soc.l1is[0].st_misses.value() == len(set(lines))
+        assert soc.l1is[0].st_hits.value() == len(lines) - len(set(lines))
+        assert soc.cores[0].st_committed.value() == 2 * len(lines)

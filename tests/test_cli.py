@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from repro.cli import _parse_params, build_parser, main
+from repro.cli import _name_int, build_parser, main
 
 PMU_V = pathlib.Path("src/repro/models/pmu/pmu.v")
 BITONIC_VHDL = pathlib.Path("src/repro/models/bitonic/bitonic.vhdl")
@@ -12,11 +12,34 @@ BITONIC_VHDL = pathlib.Path("src/repro/models/bitonic/bitonic.vhdl")
 
 class TestParamParsing:
     def test_basic(self):
-        assert _parse_params(["W=8", "N=0x10"]) == {"W": 8, "N": 16}
+        assert [_name_int(p) for p in ("W=8", "N=0x10")] == [("W", 8),
+                                                            ("N", 16)]
 
     def test_missing_equals_rejected(self):
         with pytest.raises(SystemExit):
-            _parse_params(["W8"])
+            build_parser().parse_args(["compile", "x.v", "--param", "W8"])
+
+
+class TestMalformedArguments:
+    """A bad value exits 2 through argparse, before any command runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", str(PMU_V), "--param", "IDXW=abc"],
+        ["fig5", "--intervals", "x"],
+        ["table2", "--sizes", "5,x"],
+        ["dse", "--inflight", "1,x"],
+        ["dse", "--memories", "BOGUS"],
+        ["verify", "coherence", "--sharers", "x"],
+        ["submit", "--tenant", "t", "--kind", "pmu_fig5",
+         "--params-json", "{bad"],
+    ], ids=lambda argv: argv[0] + argv[-2])
+    def test_exits_2_without_traceback(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: argument" in err.splitlines()[-1]
 
 
 class TestParser:
@@ -112,7 +135,7 @@ class TestExperimentCommands:
         assert args.jobs == 4 and args.no_cache
         args = parser.parse_args(["fig5", "--intervals", "4000,8000",
                                   "--jobs", "2"])
-        assert args.intervals == "4000,8000" and args.jobs == 2
+        assert args.intervals == (4000, 8000) and args.jobs == 2
         args = parser.parse_args(["table3", "--jobs", "2"])
         assert args.jobs == 2
 

@@ -1,6 +1,8 @@
 """The example applications must run end-to-end (they assert internally)."""
 
+import inspect
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -41,3 +43,11 @@ class TestExamples:
     def test_nvdla_dse_small(self):
         out = run_example("nvdla_dse.py", "sanity3", "1", timeout=600)
         assert "normalized to ideal" in out
+
+
+def test_every_example_is_run():
+    """An example no test runs rots unnoticed: each file in examples/
+    must be the subject of a TestExamples case."""
+    run = set(re.findall(r'run_example\(\s*"([^"]+)"',
+                         inspect.getsource(TestExamples)))
+    assert sorted(p.name for p in EXAMPLES.glob("*.py")) == sorted(run)
