@@ -76,11 +76,9 @@ def _json_object(text: str) -> dict:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    from .hdl.common import ElabOptions
+    from .hdl.common import HDLError
     from .rtl import RTLSimulator, VCDWriter
 
-    with open(args.file, "r", encoding="utf-8") as fh:
-        source = fh.read()
     params = dict(args.param)
     if args.file.endswith((".vhd", ".vhdl")):
         from .hdl.vhdl import compile_vhdl as compile_fn
@@ -90,9 +88,14 @@ def cmd_compile(args: argparse.Namespace) -> int:
         from .hdl.verilog import compile_verilog as compile_fn
 
         flow = "Verilog (Verilator-equivalent)"
-    rtl = compile_fn(source, top=args.top, params=params or None,
-                     filename=args.file,
-                     options=ElabOptions(opt_level=args.opt_level))
+    try:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            source = fh.read()
+        rtl = compile_fn(source, top=args.top, params=params or None,
+                         filename=args.file)
+    except (HDLError, OSError) as err:
+        print(f"repro compile: error: {err}", file=sys.stderr)
+        return 2
     print(f"compiled {args.file} with the {flow} flow")
     print(f"  top module : {rtl.name}")
     print(f"  signals    : {len(rtl.signals)} "
@@ -100,11 +103,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
     print(f"  memories   : {len(rtl.memories)}")
     print(f"  processes  : {len(rtl.comb_procs)} comb, "
           f"{len(rtl.sync_procs)} sync")
-    if rtl.opt_stats:
-        print(f"  optimised  : -O{args.opt_level}")
-        for pname, pstats in rtl.opt_stats.items():
-            detail = ", ".join(f"{k}={v}" for k, v in pstats.items())
-            print(f"    {pname}: {detail}")
     if args.show_code:
         print("\n-- generated model code " + "-" * 40)
         print(rtl.generated_source or "<none>")
@@ -467,13 +465,11 @@ def cmd_verify_lint(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def _covered_report(design, backend: str, seed: int, cycles: int,
-                    opt_level: int = 0):
+def _covered_report(design, backend: str, seed: int, cycles: int):
     from .hdl.common import CoverageOptions
     from .verify import CoverageCollector, Stimulus
 
-    sim = design.make_sim(backend=backend, instrument=CoverageOptions(),
-                          opt_level=opt_level)
+    sim = design.make_sim(backend=backend, instrument=CoverageOptions())
     collector = CoverageCollector(sim)
     Stimulus("uniform", seed, cycles).apply(sim, collector)
     return collector.report()
@@ -486,10 +482,9 @@ def cmd_verify_cover(args: argparse.Namespace) -> int:
     docs = []
     for design in _verify_targets(args.design):
         if args.backend == "both":
-            interp = _covered_report(design, "interp", args.seed, args.cycles,
-                                     args.opt_level)
+            interp = _covered_report(design, "interp", args.seed, args.cycles)
             report = _covered_report(design, "codegen", args.seed,
-                                     args.cycles, args.opt_level)
+                                     args.cycles)
             a, b = interp.to_dict(), report.to_dict()
             a.pop("backend"), b.pop("backend")
             if a != b:
@@ -500,7 +495,7 @@ def cmd_verify_cover(args: argparse.Namespace) -> int:
             print(f"{design.name}: interp and codegen coverage identical")
         else:
             report = _covered_report(design, args.backend, args.seed,
-                                     args.cycles, args.opt_level)
+                                     args.cycles)
         print(report.format_text())
         docs.append(report.to_dict())
     _write_json(args.json, _json.dumps(docs, indent=2, sort_keys=True))
@@ -517,8 +512,7 @@ def cmd_verify_fuzz(args: argparse.Namespace) -> int:
     docs = []
     for design in _verify_targets(args.design):
         result = fuzz(
-            lambda: design.make_sim(instrument=CoverageOptions(),
-                                    opt_level=args.opt_level),
+            lambda: design.make_sim(instrument=CoverageOptions()),
             seed=args.seed, runs=args.runs, cycles=args.cycles,
         )
         stmt = result.summary["statement"]
@@ -553,18 +547,9 @@ def cmd_verify_equiv(args: argparse.Namespace) -> int:
             path = os.path.join(args.corpus_dir, f"{design.name}.json")
             if os.path.exists(path):
                 corpus = load_corpus(path)
-        # At -O1/-O2 the reference is an *unoptimized* interpreter
-        # build, so the lockstep compare gates the optimisation passes
-        # themselves, not just the codegen emission.
-        make_ref = None
-        if args.opt_level:
-            make_ref = lambda: design.make_sim(backend="interp")  # noqa: B023,E731
         result = check_equivalence(
-            lambda backend: design.make_sim(backend=backend,
-                                            opt_level=args.opt_level),
-            design=design.name, stimuli=corpus, seed=args.seed,
-            random_runs=args.runs, cycles=args.cycles,
-            make_ref=make_ref,
+            design.make_sim, design=design.name, stimuli=corpus,
+            seed=args.seed, random_runs=args.runs, cycles=args.cycles,
         )
         print(result.format())
         if not result.ok:
@@ -718,10 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the generated model code")
     p.add_argument("--area", action="store_true",
                    help="print a structural LUT/FF area estimate")
-    p.add_argument("--opt-level", "-O", type=int, default=0,
-                   choices=(0, 1, 2), metavar="N",
-                   help="netlist optimisation level (0=off, 1=structural "
-                        "passes, 2=+activity-driven evaluation)")
     p.set_defaults(fn=cmd_compile)
 
     def add_jobs(p: argparse.ArgumentParser) -> None:
@@ -880,12 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bundled design name(s): pmu, bitonic, "
                              "rtlcache (default: all)")
 
-    def add_opt_level(vp: argparse.ArgumentParser) -> None:
-        vp.add_argument("--opt-level", "-O", type=int, default=0,
-                        choices=(0, 1, 2), metavar="N",
-                        help="compile the design at this netlist "
-                             "optimisation level (default 0)")
-
     vp = vsub.add_parser("lint", help="static lint (waivable findings)")
     add_design_arg(vp)
     vp.add_argument("--file", action="append", default=[], metavar="PATH",
@@ -908,7 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--cycles", type=int, default=256,
                     help="stimulus length in clock cycles")
-    add_opt_level(vp)
     vp.add_argument("--json", default=None, metavar="PATH")
     vp.set_defaults(fn=cmd_verify_cover)
 
@@ -928,7 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--min-statement", type=float, default=None,
                     metavar="PCT",
                     help="fail unless statement coverage reaches PCT%%")
-    add_opt_level(vp)
     vp.add_argument("--json", default=None, metavar="PATH")
     vp.set_defaults(fn=cmd_verify_fuzz)
 
@@ -944,7 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "benchmarks", "out", "corpus"),
                     metavar="DIR",
                     help="replay persisted fuzz corpora from here")
-    add_opt_level(vp)
     vp.set_defaults(fn=cmd_verify_equiv)
 
     vp = vsub.add_parser(

@@ -4,10 +4,8 @@ Both compile into :class:`repro.rtl.RTLModule` via the shared elaborator.
 """
 
 from .common import (
-    OPT_PASSES,
     CoverageOptions,
     ElabError,
-    ElabOptions,
     HDLError,
     HDLSyntaxError,
     LexError,
@@ -17,10 +15,8 @@ from .common import (
 __all__ = [
     "CoverageOptions",
     "ElabError",
-    "ElabOptions",
     "HDLError",
     "HDLSyntaxError",
     "LexError",
-    "OPT_PASSES",
     "ParseError",
 ]

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -97,78 +95,6 @@ class CoverageOptions:
     def cache_token(self) -> tuple:
         """Hashable identity for the elaboration cache key."""
         return tuple(getattr(self, f.name) for f in fields(self))
-
-
-#: optimisation passes in canonical pipeline order
-OPT_PASSES = ("const_fold", "dedup", "dce", "activity")
-
-#: which passes each ``-O`` level enables by default
-_LEVEL_PASSES = {
-    0: (),
-    1: ("const_fold", "dedup", "dce"),
-    2: OPT_PASSES,
-}
-
-
-@dataclass(frozen=True)
-class ElabOptions:
-    """Netlist-optimisation options threaded from the CLI to elaboration.
-
-    ``opt_level`` selects a default pass set (``-O0`` none, ``-O1`` the
-    structural passes, ``-O2`` adds activity-driven evaluation); the
-    per-pass booleans override the level in either direction, which is
-    how the benchmark ablations toggle one pass at a time.  Every pass
-    is **value-preserving**: an optimised design produces bit-identical
-    visible signals, memories and coverage counts, so the lockstep
-    equivalence checker and the cross-backend coverage identity tests
-    gate the whole pipeline.
-
-    Like :class:`CoverageOptions`, the resolved configuration joins the
-    elaboration-cache key — an ``-O2`` build must never be served for an
-    ``-O0`` compile of the same source.
-    """
-
-    opt_level: int = 0
-    const_fold: Optional[bool] = None
-    dedup: Optional[bool] = None
-    dce: Optional[bool] = None
-    activity: Optional[bool] = None
-
-    def __post_init__(self) -> None:
-        if self.opt_level not in _LEVEL_PASSES:
-            raise ValueError(
-                f"opt_level must be one of {sorted(_LEVEL_PASSES)}, "
-                f"got {self.opt_level!r}"
-            )
-
-    def wants(self, pass_name: str) -> bool:
-        if pass_name not in OPT_PASSES:
-            raise ValueError(f"unknown optimisation pass {pass_name!r}")
-        override = getattr(self, pass_name)
-        if override is not None:
-            return override
-        return pass_name in _LEVEL_PASSES[self.opt_level]
-
-    def passes(self) -> tuple[str, ...]:
-        """The resolved pass pipeline, in canonical order."""
-        return tuple(p for p in OPT_PASSES if self.wants(p))
-
-    def cache_token(self) -> tuple:
-        """Hashable identity for the elaboration cache key.
-
-        Keyed on the *resolved* pass set (plus the level itself), so
-        ``-O1`` and ``-O2 --no-activity``-style configurations that run
-        identical pipelines still key separately only via the level.
-        """
-        return (self.opt_level,) + self.passes()
-
-    @staticmethod
-    def resolve(options: "Optional[ElabOptions]") -> "ElabOptions":
-        """Default missing options from ``REPRO_OPT_LEVEL`` (default 0)."""
-        if options is not None:
-            return options
-        raw = os.environ.get("REPRO_OPT_LEVEL", "").strip()
-        return ElabOptions(opt_level=int(raw)) if raw else ElabOptions()
 
 
 class TokenStream:

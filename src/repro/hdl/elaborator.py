@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import ast
-from .common import CoverageOptions, ElabError, ElabOptions, Loc
+from .common import CoverageOptions, ElabError, Loc
 from ..rtl import ir
 from ..rtl.kernel import FSMInfo, Memory, RTLModule, Signal, mask_for
 
@@ -742,23 +742,15 @@ class ElabCache:
         top: Optional[str],
         params: Optional[dict[str, int]],
         instrument: Optional[CoverageOptions] = None,
-        options: Optional[ElabOptions] = None,
     ) -> tuple:
         digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
         folded = tuple(sorted((params or {}).items()))
         # Instrumentation changes the elaborated design (extra hidden
         # counter signals, different process code), so it must be part
         # of the identity — an instrumented build must never be served
-        # for a plain compile of the same source, or vice versa.  The
-        # same holds for netlist optimisation: passes rewrite process
-        # code in place, so an -O2 build must never be served for an
-        # -O0 compile (ElabOptions() and None key identically — both
-        # mean "no optimisation").
+        # for a plain compile of the same source, or vice versa.
         token = instrument.cache_token() if instrument is not None else None
-        opt_token = options.cache_token() if options is not None else None
-        if opt_token == (0,):  # resolved -O0 ≡ no options at all
-            opt_token = None
-        return (frontend, digest, top, folded, token, opt_token)
+        return (frontend, digest, top, folded, token)
 
     def get_or_build(self, key: tuple, build) -> RTLModule:
         """Return the cached design for *key*, building it on a miss.

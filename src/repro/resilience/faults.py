@@ -19,11 +19,10 @@ Simulation-side faults (applied by :class:`FaultInjector`, a SimObject):
 * ``rtl-flip@T:NAME.B`` — at cycle T, flip bit B of the named flop
   signal (``busy.0``) or memory word (``counters[3].7``) in every
   RTL-backed model that has it.  Targets resolve by *name*, so the same
-  spec lands on the same state bit on every backend and at every
-  ``-O`` level;
+  spec lands on the same state bit on every backend;
 * ``rtl-flip@T:B`` — legacy bare-index form: B indexes (modulo) the
-  name-sorted flop-signal bit space — again backend/opt-level
-  invariant, unlike the old raw-state-vector modulo.
+  name-sorted flop-signal bit space — again backend invariant, unlike
+  the old raw-state-vector modulo.
 
 Worker-side faults (applied by :func:`apply_worker_faults` inside a
 parallel sweep worker):
@@ -182,11 +181,9 @@ def validate_flip_target(module, signal: str, bit: int) -> None:
 def flip_targets(module, include_memories: bool = False) -> list:
     """Flippable state targets of *module*, as ``(name, width)`` pairs.
 
-    The list is ordered by name, independent of elaboration order,
-    backend and optimisation level (the signal table is invariant
-    across ``-O`` levels by the PR 6 contract) — this is the resolution
-    space for bare-index ``rtl-flip`` faults and the enumeration space
-    for fault-injection campaigns.
+    The list is ordered by name, independent of elaboration order and
+    backend — this is the resolution space for bare-index ``rtl-flip``
+    faults and the enumeration space for fault-injection campaigns.
 
     Signals are *flops*: visible (no coverage counters), non-input
     signals written by a synchronous process.  With *include_memories*
@@ -518,17 +515,10 @@ class FaultInjector(SimObject):
                 return False
             rtl_sim.poke_mem(mem_name, word,
                              rtl_sim.peek_mem(mem_name, word) ^ (1 << bit))
-            # poke_mem does not invalidate cached activity-cone keys the
-            # way an internal-signal poke does; a skipped cone must not
-            # un-flip the corrupted word
-            if getattr(rtl_sim, "_invalidates", False):
-                rtl_sim._codegen.reset_state()
             return True
         sig = module.signals.get(signal)
         if sig is None or not 0 <= bit < sig.width:
             return False
-        # poke() masks the value and drops cached cone keys for
-        # internal signals, so the corruption survives the fast path
         rtl_sim.poke(signal, rtl_sim.peek(signal) ^ (1 << bit))
         return True
 

@@ -5,7 +5,6 @@ Public surface::
     from repro.rtl import RTLModule, RTLSimulator, VCDWriter
 """
 
-from .activity import ActivityPlan, Cone, plan_activity
 from .codegen import CodegenProgram, build_program
 from .kernel import (
     COVERAGE_PREFIX,
@@ -20,18 +19,15 @@ from .kernel import (
     SyncProcess,
     mask_for,
 )
-from .opt import optimize
 from .simulator import BACKENDS, RTLCheckpoint, RTLSimulator
 from .synth import AreaReport, estimate_area, estimate_verilog
 from .vcd import VCDWriter
 
 __all__ = [
-    "ActivityPlan",
     "AreaReport",
     "BACKENDS",
     "COVERAGE_PREFIX",
     "CodegenProgram",
-    "Cone",
     "CombLoopError",
     "CombProcess",
     "CoveragePoint",
@@ -48,6 +44,4 @@ __all__ = [
     "estimate_area",
     "estimate_verilog",
     "mask_for",
-    "optimize",
-    "plan_activity",
 ]

@@ -16,8 +16,8 @@ Processes elaborated from HDL carry their body as a tree
 (:attr:`~repro.rtl.kernel.CombProcess.body`, :mod:`repro.rtl.ir`), signal
 indices and masks already constants in it.  Each body is lowered tree
 to tree, once (:func:`_fused`), and its print inlined at every depth.
-The lowerings are codegen's alone and run at every opt level; the
-fused cycle then pays for what the netlist does:
+The lowerings are codegen's alone; the fused cycle then pays for what
+the netlist does:
 
 * (a) **set bits** — a literal-bound for-loop whose body is one ``if``
   without ``else``, guarded by a conjunction of ``sig[i]`` bits of
@@ -534,16 +534,12 @@ def _compile(source: str, filename: str):
     A campaign rig or a DSE point rebuilds the same design again and
     again and generates byte-identical source each time.  Code objects
     are immutable, so sharing one is invisible: every program still
-    ``exec``s it into its own namespace, where guard slots, value arrays
-    and bound codecs live.  The key is the text itself, so two opt
-    levels or two parameterisations of a design cannot meet; bounded,
-    as ``repro serve`` is long-lived.
+    ``exec``s it into its own namespace, where bound codecs live.  The
+    key is the text itself, so two parameterisations or two
+    instrumentations of a design cannot meet; bounded, as ``repro
+    serve`` is long-lived.
     """
     return compile(source, filename, "exec")
-
-
-def _no_state() -> None:
-    """Default ``reset_state`` for programs without activity guards."""
 
 
 @dataclass
@@ -560,25 +556,19 @@ class CodegenProgram:
     #: and returning early after the first cycle for which the
     #: expression *moved* (over ``v`` and the extra *params*) holds
     run_ahead_source: Callable[[str, str], str] = field(repr=False)
-    #: drop cached activity-cone keys (call after any state mutation
-    #: that bypasses the generated code: reset, restore, pokes)
-    reset_state: Callable = _no_state
-    guarded_cones: int = 0   # cones the settle code guards
-    quiescence: bool = False  # tick_batch has the early-exit fast path
     settles: bool = True     # settle does anything (the design has comb logic)
     #: globals of the generated functions; :func:`build_exchange` emits
-    #: into it so its settle call shares the activity-cone keys
+    #: into it, beside the ``_settle`` and ``_tick_batch`` it calls
     namespace: dict = field(default_factory=dict, repr=False)
 
 
 class _Emitter:
     """Accumulates fused source and the namespace of bound callables."""
 
-    def __init__(self, nmem: int, guards: bool = False) -> None:
+    def __init__(self, nmem: int) -> None:
         self.lines: list[str] = []
         self.namespace: dict = {"_S": object()}  # NBA staging sentinel
         self.nmem = nmem
-        self.guards = guards
         self.inlined = 0
         self.called = 0
         self._next_ref = 0
@@ -605,8 +595,6 @@ class _Emitter:
     def emit_prologue(self, depth: int) -> None:
         """Hoist memory base lists (and the sentinel) into locals."""
         self.emit("_sent = _S", depth)
-        if self.guards:
-            self.emit("_A = _act", depth)
         for mi in range(self.nmem):
             self.emit(f"_m{mi} = m[{mi}]", depth)
 
@@ -708,72 +696,14 @@ def _always(stmts: Sequence[ir.Stmt], idx: int) -> bool:
 def build_program(
     module: RTLModule, levelized: Sequence[CombProcess]
 ) -> CodegenProgram:
-    """Fuse *module*'s processes (comb order given by *levelized*).
-
-    When the optimiser attached an activity plan
-    (:mod:`repro.rtl.activity`), eligible input cones get change
-    guards — a skipped cone's external inputs are unchanged since its
-    last evaluation, so its outputs are already correct — and
-    ``tick_batch`` gets the quiescence fast path: once a full cycle
-    leaves all non-counter state fixed, the remaining cycles of the
-    batch are replayed algebraically.  Without a plan neither guard nor
-    snapshot code is emitted.
-    """
-    nmem = len(module.memories)
-    plan = module.activity_plan
-    guarded = (
-        [c for c in plan.cones if c.guarded] if plan is not None else []
-    )
-    quiesce = bool(plan is not None and plan.quiescence)
-    em = _Emitter(nmem, guards=bool(guarded))
+    """Fuse *module*'s processes (comb order given by *levelized*)."""
+    em = _Emitter(len(module.memories))
     pos = [p for p in module.sync_procs if p.edge == Edge.POS]
     neg = [p for p in module.sync_procs if p.edge == Edge.NEG]
 
-    # Guarded cones cache input values in flat slots of one shared list
-    # (``_A``): scalar int compares, no per-settle tuple allocation, so
-    # a guard that always misses costs only its short-circuited compare
-    # chain.  ``base`` maps cone index -> first slot.
-    base: dict[int, int] = {}
-    nslots = 0
-    if plan is not None:
-        for ci, cone in enumerate(plan.cones):
-            if cone.guarded:
-                base[ci] = nslots
-                nslots += len(cone.inputs)
-
     def emit_comb(depth: int) -> None:
-        if not guarded:
-            for proc in levelized:
-                em.emit_proc(proc, "(v, m)", depth)
-            return
-        # Cones are independent (no comb-driven signal crosses cones),
-        # so emitting whole cones in first-appearance order — keeping
-        # levelized order inside each — is still a topological order.
-        pos_of = {id(p): i for i, p in enumerate(levelized)}
-        indexed = sorted(
-            enumerate(plan.cones),
-            key=lambda e: min(pos_of[id(module.comb_procs[i])]
-                              for i in e[1].procs),
-        )
-        for ci, cone in indexed:
-            procs = sorted(
-                (module.comb_procs[i] for i in cone.procs),
-                key=lambda p: pos_of[id(p)],
-            )
-            if not cone.guarded:
-                for proc in procs:
-                    em.emit_proc(proc, "(v, m)", depth)
-                continue
-            b = base[ci]
-            check = " or ".join(
-                f"_A[{b + k}] != v[{i}]"
-                for k, i in enumerate(cone.inputs)
-            )
-            em.emit(f"if {check}:", depth)
-            for k, i in enumerate(cone.inputs):
-                em.emit(f"_A[{b + k}] = v[{i}]", depth + 1)
-            for proc in procs:
-                em.emit_proc(proc, "(v, m)", depth + 1)
+        for proc in levelized:
+            em.emit_proc(proc, "(v, m)", depth)
 
     cycles: dict[int, list[str]] = {}  # depth -> one cycle, as emitted
 
@@ -802,67 +732,13 @@ def build_program(
         """``def name(v, m, n<params>)``: *n* cycles; with *moved*, the
         loop counts, ends after the first cycle for which the expression
         holds, and the function returns the cycles run."""
-        var = "_" if moved is None else "_i"
-
-        def emit_exit(depth: int, ran: str) -> None:
-            if moved is not None:
-                em.emit(f"if {moved}:", depth)
-                em.emit(f"return {ran}", depth + 1)
-
         em.emit(f"def {name}(v, m, n{params}):", 0)
         em.emit_prologue(1)
-        if quiesce:
-            # Small batches (and the coverage collector's single ticks)
-            # take a plain loop with zero bookkeeping; the quiescence
-            # machinery only engages once a batch is long enough to
-            # reach the first snapshot point anyway.
-            em.emit("if n < 16:", 1)
-            em.emit(f"for {var} in range(n):", 2)
-            emit_cycle(3)
-            emit_exit(3, "_i + 1")
-            em.emit("return" if moved is None else "return n", 2)
-            # Doubling check schedule: long batches snapshot O(log n)
-            # times.
-            em.emit("_i = 0", 1)
-            em.emit("_chk = 16", 1)
-            em.emit("while _i < n:", 1)
-            em.emit("if _i == _chk and n - _i > 1:", 2)
-            em.emit("_sv = v[:]", 3)
-            em.emit("_sm = [_x[:] for _x in m]", 3)
-            em.emit("else:", 2)
-            em.emit("_sv = None", 3)
-            emit_cycle(2)
-            cov = [pt.index for pt in module.coverage_points]
-            em.emit("_i = _i + 1", 2)
-            emit_exit(2, "_i")
-            em.emit("if _sv is not None:", 2)
-            em.emit("_chk = _chk + _chk", 3)
-            if cov:
-                # Counters advance every cycle by design; judge the
-                # fixpoint on real state and extrapolate them exactly
-                # (each remaining cycle repeats the same increments).
-                em.namespace["_VIS"] = tuple(
-                    s.index for s in module.visible_signals()
-                )
-                em.emit(
-                    "if all(v[_j] == _sv[_j] for _j in _VIS) and m == _sm:",
-                    3,
-                )
-                em.emit("_rem = n - _i", 4)
-                for idx in cov:
-                    em.emit(
-                        f"v[{idx}] = v[{idx}] + (v[{idx}] - _sv[{idx}]) * _rem",
-                        4,
-                    )
-            else:
-                em.emit("if v == _sv and m == _sm:", 3)
-            # a fixed point: the pins cannot move in what is left of n
-            em.emit("break", 4)
-        else:
-            em.emit(f"for {var} in range(n):", 1)
-            emit_cycle(2)
-            emit_exit(2, "_i + 1")
+        em.emit(f"for {'_' if moved is None else '_i'} in range(n):", 1)
+        emit_cycle(2)
         if moved is not None:
+            em.emit(f"if {moved}:", 2)
+            em.emit("return _i + 1", 3)
             em.emit("return n", 1)
 
     def run_ahead_source(params: str, moved: str) -> str:
@@ -874,16 +750,6 @@ def build_program(
     em.emit("", 0)
     emit_tick("_tick_batch")
 
-    if guarded:
-        act = [None] * nslots
-        em.namespace["_act"] = act
-
-        def reset_state(_act=act) -> None:
-            for i in range(len(_act)):
-                _act[i] = None
-    else:
-        reset_state = _no_state
-
     source = "\n".join(em.lines)
     code = _compile(source, f"<codegen:{module.name}>")
     exec(code, em.namespace)  # noqa: S102 - executing our own generated code
@@ -894,9 +760,6 @@ def build_program(
         inlined=em.inlined,
         called=em.called,
         run_ahead_source=run_ahead_source,
-        reset_state=reset_state,
-        guarded_cones=len(guarded),
-        quiescence=quiesce,
         settles=bool(levelized),
         namespace=em.namespace,
     )

@@ -1,8 +1,8 @@
 """Process bodies as trees: the one representation between the
-elaborator, the optimiser and both execution backends.
+elaborator and both execution backends.
 
-The elaborator builds a body out of the nodes below; the optimiser and
-the codegen backend rewrite it (:func:`rewrite`) and ask it questions
+The elaborator builds a body out of the nodes below; the codegen
+backend rewrites it (:func:`rewrite`) and asks it questions
 (:func:`walk`, :func:`reads`); *one* printer (:func:`render`) turns it
 into the Python that runs — the interpreter's per-process function
 (:func:`compile_fn`), the fused program, the ``source`` view kept for
@@ -11,12 +11,11 @@ inspection.  Nothing parses that text again.
 Nodes are named tuples — immutable, hashed and compared at C speed,
 cheap to define — and the set is closed.  An expression carries the
 ``width`` the elaborator worked out for it.  Equal nodes print the same
-Python and therefore compute the same value (what ``dedup`` merges on).
-Always tell kinds apart by ``type(node) is Kind``: a node is a tuple,
-a suite is a tuple of nodes.  Only codegen's lowering makes a
-:class:`Bits` loop, a ``not`` or a memory access without ``wrap``; what
-the elaborator and the optimiser build, and so the plain print the
-interpreter runs, never holds one.
+Python and therefore compute the same value.  Always tell kinds apart
+by ``type(node) is Kind``: a node is a tuple, a suite is a tuple of
+nodes.  Only codegen's lowering makes a :class:`Bits` loop, a ``not``
+or a memory access without ``wrap``; what the elaborator builds, and so
+the plain print the interpreter runs, never holds one.
 """
 
 from __future__ import annotations
@@ -149,8 +148,7 @@ def map_expr(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
 
 def folding(values: dict[int, int]) -> Callable[[Expr], Expr]:
     """For :func:`rewrite`: reads of the signals in *values* become
-    those constants (const_fold's tied-off nets, an unrolled loop's
-    variable)."""
+    those constants (an unrolled loop's variable)."""
     def fold(e: Expr) -> Expr:
         if type(e) is Sig and e.index in values:
             return Const(values[e.index], e.width, folded=True)

@@ -180,14 +180,6 @@ class RTLModule:
         self.coverage_points: list[CoveragePoint] = []
         #: state registers inferred during elaboration (case subjects)
         self.fsm_infos: list[FSMInfo] = []
-        #: activity analysis (repro.rtl.activity) attached by the
-        #: optimiser; the codegen backend emits cone guards and the
-        #: quiescence fast path from it, the interpreter ignores it
-        self.activity_plan = None
-        #: per-pass statistics recorded by repro.rtl.opt (empty = -O0)
-        self.opt_stats: dict = {}
-        #: the resolved ElabOptions the optimiser ran with (None = -O0)
-        self.opt_options = None
         #: ``(what it was, process)`` per elaborated process, in
         #: elaboration order: what :attr:`generated_source` prints
         self.listing: list[tuple[str, _Process]] = []
@@ -261,13 +253,11 @@ class RTLModule:
 
     @property
     def generated_source(self) -> str:
-        """The model code as it stands: every elaborated process still
-        in the design, printed from its live body."""
-        live = {id(p) for p in self.comb_procs + self.sync_procs}
+        """The model code: every elaborated process, printed from its
+        body."""
         return "\n\n".join(
             f"# {what}\ndef _{proc._kind}_{n}({proc._params}):\n{proc.source}"
             for n, (what, proc) in enumerate(self.listing, 1)
-            if id(proc) in live
         )
 
     def visible_signals(self) -> list[Signal]:

@@ -89,13 +89,6 @@ class RTLSimulator:
         #: backend actually in effect ("codegen" falls back to "interp"
         #: when the design needs iterative fixpoint settling)
         self.backend = "codegen" if self._codegen is not None else "interp"
-        # Cached activity-cone keys only exist when the optimiser
-        # emitted guarded cones; at -O0/-O1 ``reset_state`` is the no-op
-        # default and invoking it on every internal poke would tax the
-        # hottest driver loop for nothing.
-        self._invalidates = (
-            self._codegen is not None and self._codegen.guarded_cones > 0
-        )
         self.cycle = 0
         self.trace = trace
         self._clock_sig: Optional[Signal] = module.signals.get(clock)
@@ -129,11 +122,6 @@ class RTLSimulator:
         """Drive a signal (typically a module input)."""
         sig = self._sig(name)
         self.values[sig.index] = value & sig.mask
-        if not sig.is_input and self._invalidates:
-            # Input changes are caught by the activity-cone key compare;
-            # a poked *internal* signal would be silently un-poked by a
-            # skipped cone, so drop the cached cone keys.
-            self._codegen.reset_state()
 
     def peek(self, name: str) -> int:
         return self.values[self._sig(name).index]
@@ -184,8 +172,6 @@ class RTLSimulator:
         wrapper must expose.  Designs without a reset input are simply
         re-initialised.
         """
-        if self._invalidates:
-            self._codegen.reset_state()
         if reset_signal in self.module.signals:
             self.poke(reset_signal, 1)
             self.settle()
@@ -317,6 +303,3 @@ class RTLSimulator:
         self.cycle = ckpt.cycle
         self.values = list(ckpt.values)
         self.mems = copy.deepcopy(ckpt.mems)
-        if self._invalidates:
-            # cached activity-cone keys describe the pre-restore state
-            self._codegen.reset_state()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
-from ..hdl.common import CoverageOptions, ElabOptions
+from ..hdl.common import CoverageOptions
 from ..models.bitonic.wrapper import load_bitonic_source
 from ..models.pmu.wrapper import load_pmu_source
 from ..models.rtlcache.wrapper import load_rtl_cache_source
@@ -42,40 +42,28 @@ class Design:
     def source(self) -> str:
         return self.loader()
 
-    def compile(
-        self,
-        instrument: Optional[CoverageOptions] = None,
-        opt_level: int = 0,
-        options: Optional[ElabOptions] = None,
-    ):
-        """Compile at *opt_level* (or with explicit pass *options*)."""
-        if options is None:
-            options = ElabOptions(opt_level=opt_level)
+    def compile(self, instrument: Optional[CoverageOptions] = None):
+        """The elaborated design, with *instrument*'s coverage counters
+        compiled in."""
         if self.frontend == "vhdl":
             from ..hdl.vhdl import compile_vhdl
             return compile_vhdl(
                 self.source(), top=self.top, params=self.params,
                 filename=self.filename, instrument=instrument,
-                options=options,
             )
         from ..hdl.verilog import compile_verilog
         return compile_verilog(
             self.source(), top=self.top, params=self.params,
             filename=self.filename, instrument=instrument,
-            options=options,
         )
 
     def make_sim(
         self,
         backend: str = "codegen",
         instrument: Optional[CoverageOptions] = None,
-        opt_level: int = 0,
-        options: Optional[ElabOptions] = None,
     ):
         """A fresh simulator for this design."""
-        return RTLSimulator(
-            self.compile(instrument, opt_level, options), backend=backend
-        )
+        return RTLSimulator(self.compile(instrument), backend=backend)
 
 
 DESIGNS: dict[str, Design] = {

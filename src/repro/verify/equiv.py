@@ -133,19 +133,12 @@ def check_equivalence(
     seed: int = 0,
     random_runs: int = 4,
     cycles: int = 64,
-    make_ref: Optional[Callable[[], object]] = None,
 ) -> EquivResult:
     """Run corners + *stimuli* + seeded randoms through both backends.
 
     *make_sim* takes a backend name (``"interp"`` / ``"codegen"``) and
     returns a fresh simulator.  Fresh simulators per stimulus keep runs
     independent (and coverage counters out of the comparison baseline).
-
-    *make_ref* optionally supplies the reference simulator instead of
-    ``make_sim("interp")``.  The optimizer's differential battery uses
-    this to compare, say, ``-O2`` codegen against an unoptimized
-    interpreter build — any reference works as long as the two designs
-    share a signal table (netlist optimisation never changes it).
     """
     if make_sim("codegen").backend != "codegen":
         return EquivResult(
@@ -153,15 +146,13 @@ def check_equivalence(
             skipped="design needs iterative settling; codegen backend "
                     "falls back to the interpreter (nothing to compare)",
         )
-    if make_ref is None:
-        make_ref = lambda: make_sim("interp")  # noqa: E731
     plan = list(corner_stimuli(cycles)) + list(stimuli)
     master = random.Random(seed)
     for _ in range(random_runs):
         plan.append(Stimulus("uniform", master.getrandbits(32), cycles))
     total_cycles = 0
     for stim in plan:
-        pair = _LockstepPair(make_ref(), make_sim("codegen"))
+        pair = _LockstepPair(make_sim("interp"), make_sim("codegen"))
         try:
             stim.apply(pair)
         except _DivergenceFound as d:

@@ -38,7 +38,7 @@ WRAPPERS = [
 
 STEPS = 520
 #: cycles per call, cycled through: single ticks dominate, the batches
-#: straddle the generated loop's n < 16 plain path and its snapshots
+#: run the generated loop
 BATCHES = (1, 1, 1, 1, 15, 1, 1, 16, 1, 1, 64, 1)
 
 
@@ -46,8 +46,7 @@ def _forbidden(*_args):
     raise AssertionError("the generated exchange took the reference path")
 
 
-def _trio(cls, monkeypatch, opt_level: int):
-    monkeypatch.setenv("REPRO_OPT_LEVEL", str(opt_level))
+def _trio(cls):
     fused = cls()
     interp = cls(backend="interp")
     traced = cls(trace_stream=io.StringIO(), trace_enabled=True)
@@ -120,19 +119,16 @@ def _lockstep(libs, rng: random.Random, flops: list, others: list) -> None:
     assert libs[0].ticks == libs[0].sim.cycle - 2  # reset's two cycles
 
 
-@pytest.mark.parametrize("opt_level", [0, 2])
 @pytest.mark.parametrize("cls", WRAPPERS, ids=lambda c: c.__name__)
-def test_exchange_matches_reference(cls, opt_level, monkeypatch):
-    libs = _trio(cls, monkeypatch, opt_level)
+def test_exchange_matches_reference(cls):
+    libs = _trio(cls)
     module = libs[0].module
     flops = flip_targets(module)
     words = flip_targets(module, include_memories=True)[len(flops):]
-    _lockstep(libs, random.Random(f"{cls.__name__}/{opt_level}"), flops, words)
+    _lockstep(libs, random.Random(cls.__name__), flops, words)
 
 
-#: a register feeding a long comb chain: at -O2 the chain is one
-#: activity-guarded cone keyed on ``r`` (none of the bundled designs
-#: gets a guarded cone)
+#: the pin-map tests' design: a register feeding a long comb chain
 FATCONE_V = """
 module fatcone(input clk, input rst, input [7:0] x,
                output reg [7:0] r, output [7:0] y);
@@ -150,35 +146,9 @@ endmodule
 )
 
 
-class FatConeLibrary(RTLSharedLibrary):
-    input_spec = StructSpec("fat_in", [Field("x", 8)])
-    output_spec = StructSpec("fat_out", [Field("r", 8), Field("y", 8)])
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(compile_verilog(FATCONE_V, top="fatcone"), **kwargs)
-
-
-def test_exchange_shares_activity_cone_keys(monkeypatch):
-    """A poked comb wire is recomputed by the next settle only because
-    the poke drops the cone keys the exchange's settle call compares:
-    an exchange with keys of its own would keep the corrupted value."""
-    libs = _trio(FatConeLibrary, monkeypatch, 2)
-    assert libs[0].sim._codegen.guarded_cones > 0
-    _lockstep(libs, random.Random("fatcone"), [("r", 8)], [("t5", 8)])
-
-    hold = FatConeLibrary.input_spec.pack(x=0)   # r, the cone's key, rests
-    for lib in libs:
-        lib.tick(hold)
-        assert FaultInjector._flip_on(lib.sim, "t5", 0)
-    clean = libs[1].sim.peek("t5") ^ 1
-    assert len({lib.tick(hold) for lib in libs}) == 1
-    assert [lib.sim.peek("t5") for lib in libs] == [clean] * 3
-    _assert_same(libs, "after the comb-wire upset")
-
-
 def test_second_library_shares_exchange_code_not_state():
     """The exchange text of one design is compiled once per process;
-    each library binds it to its own simulator, codecs and cone keys."""
+    each library binds it to its own simulator and codecs."""
     first, second = PMUSharedLibrary(), PMUSharedLibrary()
     assert first._exchange.source == second._exchange.source
     assert first._exchange.__code__ is second._exchange.__code__

@@ -117,79 +117,6 @@ class TestInstrumentationKeying:
         assert plain != cov
 
 
-class TestOptimisationKeying:
-    """Optimized builds must never collide with unoptimized ones.
-
-    Mirrors :class:`TestInstrumentationKeying`: the optimiser rewrites
-    process code in place, so (source, top, params) alone is no longer
-    the design's identity once ``opt_level``/pass toggles enter play.
-    """
-
-    def test_opt_levels_do_not_share(self):
-        from repro.hdl.common import ElabOptions
-
-        o0 = compile_verilog(COUNTER_V, top="ctr")
-        o2 = compile_verilog(COUNTER_V, top="ctr",
-                             options=ElabOptions(opt_level=2))
-        assert o0 is not o2
-        assert o0.opt_stats == {}
-        assert o2.opt_stats
-
-    def test_same_opt_level_shares(self):
-        from repro.hdl.common import ElabOptions
-
-        a = compile_verilog(COUNTER_V, top="ctr",
-                            options=ElabOptions(opt_level=2))
-        b = compile_verilog(COUNTER_V, top="ctr",
-                            options=ElabOptions(opt_level=2))
-        assert a is b
-
-    def test_explicit_o0_equals_no_options(self):
-        """-O0 and 'no options' are the same (unoptimized) build."""
-        from repro.hdl.common import ElabOptions
-
-        a = compile_verilog(COUNTER_V, top="ctr")
-        b = compile_verilog(COUNTER_V, top="ctr",
-                            options=ElabOptions(opt_level=0))
-        assert a is b
-
-    def test_pass_toggle_changes_key(self):
-        from repro.hdl.common import ElabOptions
-
-        full = compile_verilog(COUNTER_V, top="ctr",
-                               options=ElabOptions(opt_level=2))
-        ablated = compile_verilog(
-            COUNTER_V, top="ctr",
-            options=ElabOptions(opt_level=2, activity=False),
-        )
-        assert full is not ablated
-
-    def test_key_includes_opt_token(self):
-        from repro.hdl.common import ElabOptions
-
-        plain = ELAB_CACHE.key("verilog", COUNTER_V, "ctr", None)
-        opt = ELAB_CACHE.key("verilog", COUNTER_V, "ctr", None, None,
-                             ElabOptions(opt_level=1))
-        assert plain != opt
-
-    def test_key_orthogonal_to_instrumentation(self):
-        from repro.hdl.common import CoverageOptions, ElabOptions
-
-        cov = ELAB_CACHE.key("verilog", COUNTER_V, "ctr", None,
-                             CoverageOptions())
-        cov_opt = ELAB_CACHE.key("verilog", COUNTER_V, "ctr", None,
-                                 CoverageOptions(), ElabOptions(opt_level=2))
-        assert cov != cov_opt
-
-    def test_env_default_joins_key(self, monkeypatch):
-        """REPRO_OPT_LEVEL changes what a bare compile() builds."""
-        plain = compile_verilog(COUNTER_V, top="ctr")
-        monkeypatch.setenv("REPRO_OPT_LEVEL", "2")
-        opt = compile_verilog(COUNTER_V, top="ctr")
-        assert plain is not opt
-        assert opt.opt_stats
-
-
 class TestSharedSimulation:
     def test_shared_design_simulates_independently(self):
         from repro.rtl import RTLSimulator

@@ -320,7 +320,7 @@ class TestHierarchy:
             compile_verilog(src, top="t")
 
     def test_top_ambiguity_requires_explicit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ElabError, match="multiple modules"):
             compile_verilog(self.SRC)
 
 

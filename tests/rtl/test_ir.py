@@ -1,11 +1,12 @@
 """The body tree (repro.rtl.ir) as the one format between the
-elaborator, the optimiser and both backends: structure tests.
+elaborator and both backends: structure tests.
 
 What the differential suites cannot see — *how* a body gets from the
 elaborator to the generated program — is pinned here: nothing re-parses
 printed Python, one place compiles a process ``fn``, the read/write sets
 are the tree's, and the list path of the codegen backend is reached for
-two structural reasons only.
+two structural reasons only.  The listing, the fused program and the
+struct exchange of every bundled design are pinned byte for byte.
 """
 
 from __future__ import annotations
@@ -17,21 +18,28 @@ import random
 
 import pytest
 
-from repro.hdl.common import CoverageOptions, ElabOptions
+from repro.hdl.common import CoverageOptions
 from repro.hdl.verilog import compile_verilog
+from repro.models.bitonic import BitonicSharedLibrary
+from repro.models.pmu import PMUSharedLibrary
+from repro.models.rtlcache.coherent import RTLCacheCohSharedLibrary
+from repro.models.rtlcache.wrapper import (
+    RTLCacheECCSharedLibrary,
+    RTLCacheSharedLibrary,
+)
 from repro.rtl import RTLSimulator, ir
 from repro.rtl.codegen import build_program
 from repro.verify.designs import DESIGNS
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
-TOOLCHAIN = ("hdl/elaborator.py", "rtl/opt.py", "rtl/codegen.py",
-             "rtl/activity.py", "rtl/ir.py", "rtl/kernel.py")
+TOOLCHAIN = ("hdl/elaborator.py", "rtl/codegen.py", "rtl/ir.py",
+             "rtl/kernel.py")
 INSTRUMENTED = CoverageOptions(statement=True, toggle=False, fsm=True)
+#: ``-O0`` in an id: the HDL as written, as the listing pins below call it
 CELLS = [
-    pytest.param(name, level, instr,
-                 id=f"{name}-O{level}-{'instr' if instr else 'plain'}")
-    for name in sorted(DESIGNS) for level in (0, 1, 2)
-    for instr in (None, INSTRUMENTED)
+    pytest.param(name, instr,
+                 id=f"{name}-O0-{'instr' if instr else 'plain'}")
+    for name in sorted(DESIGNS) for instr in (None, INSTRUMENTED)
 ]
 
 
@@ -63,8 +71,8 @@ class TestNothingReparsesGeneratedPython:
         ``exec``s run whole fused programs, never a process."""
         execs = {p: _calls(p).count("exec") for p in TOOLCHAIN}
         assert execs == {
-            "hdl/elaborator.py": 0, "rtl/opt.py": 0, "rtl/activity.py": 0,
-            "rtl/kernel.py": 0, "rtl/ir.py": 1, "rtl/codegen.py": 2,
+            "hdl/elaborator.py": 0, "rtl/kernel.py": 0, "rtl/ir.py": 1,
+            "rtl/codegen.py": 2,
         }
         callers = [p for p in TOOLCHAIN if "ir.compile_fn" in _calls(p)]
         assert callers == ["rtl/kernel.py"]
@@ -74,9 +82,9 @@ class TestNothingReparsesGeneratedPython:
 
 
 class TestSetsAreTheTrees:
-    @pytest.mark.parametrize("name,level,instr", CELLS)
-    def test_reads_writes_and_print(self, name, level, instr):
-        rtl = DESIGNS[name].compile(instrument=instr, opt_level=level)
+    @pytest.mark.parametrize("name,instr", CELLS)
+    def test_reads_writes_and_print(self, name, instr):
+        rtl = DESIGNS[name].compile(instrument=instr)
         counters = {pt.index for pt in rtl.coverage_points}
         assert bool(counters) == (instr is not None)
         covered = set()
@@ -158,9 +166,8 @@ endmodule
 
 
 class TestLoopsUnrollOnTheTree:
-    @pytest.mark.parametrize("level", (0, 2))
-    def test_triangular_nest_unrolls_and_matches_interp(self, level):
-        rtl = compile_verilog(SHAPES_V, options=ElabOptions(opt_level=level))
+    def test_triangular_nest_unrolls_and_matches_interp(self):
+        rtl = compile_verilog(SHAPES_V)
         cg = RTLSimulator(rtl)
         it = RTLSimulator(rtl, backend="interp")
         source = cg._codegen.source
@@ -177,7 +184,7 @@ class TestLoopsUnrollOnTheTree:
         assert f"    v[{sig['l'].index}] = 8\n" in settle
         # the interpreter runs the plain, un-rewritten print
         assert it.module.comb_procs[0].source.count("while ") == 4
-        rng = random.Random(level)
+        rng = random.Random(0)
         for sim in (cg, it):
             sim.reset()
         for cycle in range(200):
@@ -204,9 +211,9 @@ class TestTheListPathHasTwoReasons:
             if type(s) in (ir.BitStore, ir.SliceStore) and s.mode == ir.NBA
         }
 
-    @pytest.mark.parametrize("name,level,instr", CELLS)
-    def test_bundled_designs_fuse_without_calls(self, name, level, instr):
-        rtl = DESIGNS[name].compile(instrument=instr, opt_level=level)
+    @pytest.mark.parametrize("name,instr", CELLS)
+    def test_bundled_designs_fuse_without_calls(self, name, instr):
+        rtl = DESIGNS[name].compile(instrument=instr)
         prog = build_program(rtl, rtl.levelize())
         assert prog.called == 0
         assert "nbm = []" not in prog.source
@@ -264,13 +271,6 @@ class TestTheListPathHasTwoReasons:
         assert cg.peek("spy") == cg.peek("a") ^ 0xFF
 
 
-FOLD_V = """
-module t(input [3:0] a, output [3:0] y);
-  wire [3:0] k; wire [3:0] z;
-  assign k = 4'd3; assign z = k + 4'd1; assign y = a & z;
-endmodule
-"""
-
 #: sha256 of ``generated_source`` at -O0 as the text-based elaborator
 #: (PR 21) printed it; re-pin only with a change to the design's HDL
 O0_LISTING = {
@@ -279,23 +279,51 @@ O0_LISTING = {
     "rtlcache_ecc": "2c59cb8eedd1fec9",
 }
 
+#: sha256 of the fused program (``CodegenProgram.source``) per design and
+#: instrumentation, and of each bundled wrapper's generated struct
+#: exchange; re-pin only with a change to a design's HDL or to a codegen
+#: lowering
+PROGRAM = {
+    "bitonic-plain": "7208c38e2f6a6f2d", "bitonic-instr": "6c8b22dbd7e54511",
+    "pmu-plain": "f451e39e7a45ebe5", "pmu-instr": "555f44abe92d682c",
+    "rtlcache-plain": "13bb456930a58875",
+    "rtlcache-instr": "e4088bc0527f59d6",
+    "rtlcache_coh-plain": "59e37ae32e9409de",
+    "rtlcache_coh-instr": "c9baaea861b9ae87",
+    "rtlcache_ecc-plain": "ef6d3f059b577520",
+    "rtlcache_ecc-instr": "371800d15d496d22",
+}
+EXCHANGE = {
+    BitonicSharedLibrary: "d2dfb07999cc61d2",
+    PMUSharedLibrary: "713fcaa93e8ec4f0",
+    RTLCacheSharedLibrary: "2424f6710219ae3c",
+    RTLCacheECCSharedLibrary: "679cbf30984fda2d",
+    RTLCacheCohSharedLibrary: "a5eb649aa3f131df",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
 
 class TestGeneratedSourceIsTheLiveBodies:
-    def test_o2_dump_shows_what_runs(self):
-        plain = compile_verilog(FOLD_V)
-        assert plain.generated_source.count("def _comb_") == 3
-        rtl = compile_verilog(FOLD_V, options=ElabOptions(opt_level=2))
-        assert len(rtl.comb_procs) == 1
-        y, a = rtl.signals["y"].index, rtl.signals["a"].index
-        assert rtl.generated_source == (
-            f"# assign\ndef _comb_3(v, m):\n    v[{y}] = ((v[{a}]) & ((4)))"
-        )
-        assert rtl.generated_source.endswith(rtl.comb_procs[0].source)
-
     @pytest.mark.parametrize("name", sorted(DESIGNS))
     def test_o0_dump_is_what_it_always_was(self, name, monkeypatch):
         # the listing names the file, which the cache key does not hold
         monkeypatch.setenv("REPRO_ELAB_CACHE", "0")
         text = DESIGNS[name].compile().generated_source
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
-            O0_LISTING[name]
+        assert _sha(text) == O0_LISTING[name]
+
+    @pytest.mark.parametrize("name,instr", CELLS)
+    def test_fused_program_is_what_it_always_was(self, name, instr,
+                                                 monkeypatch):
+        monkeypatch.setenv("REPRO_ELAB_CACHE", "0")
+        rtl = DESIGNS[name].compile(instrument=instr)
+        source = build_program(rtl, rtl.levelize()).source
+        tag = "instr" if instr else "plain"
+        assert _sha(source) == PROGRAM[f"{name}-{tag}"]
+
+    @pytest.mark.parametrize("cls", EXCHANGE, ids=lambda c: c.__name__)
+    def test_exchange_is_what_it_always_was(self, cls, monkeypatch):
+        monkeypatch.setenv("REPRO_ELAB_CACHE", "0")
+        assert _sha(cls()._exchange.source) == EXCHANGE[cls]

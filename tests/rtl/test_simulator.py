@@ -167,97 +167,6 @@ class TestMemoryPokes:
         assert sim.peek_mem("ram", 0) == 0xF
 
 
-class TestResetStateInvalidation:
-    """``reset_state`` must be a no-op path when the optimiser emitted
-    zero guarded cones — internal pokes on -O0/-O1 builds used to pay
-    a useless invalidation call in the hottest driver loop."""
-
-    FAT_CONE = None  # built lazily (long assign chain)
-
-    @classmethod
-    def _fat_cone_source(cls):
-        if cls.FAT_CONE is None:
-            chain = "\n".join(
-                f"  wire [7:0] t{i};\n"
-                f"  assign t{i} = t{i-1} ^ (t{i-1} + 8'd{i});"
-                for i in range(1, 20)
-            )
-            cls.FAT_CONE = f"""
-module fatcone(input clk, input rst, input [7:0] x,
-               output reg [7:0] r, output [7:0] y);
-  wire [7:0] t0;
-  assign t0 = r + 8'd1;
-{chain}
-  assign y = t19;
-  always @(posedge clk) begin
-    if (rst) r <= 8'd0; else r <= r + x;
-  end
-endmodule
-"""
-        return cls.FAT_CONE
-
-    def _compile(self, opt_level):
-        from repro.hdl.common import ElabOptions
-        from repro.hdl.verilog import compile_verilog
-
-        return compile_verilog(
-            self._fat_cone_source(), top="fatcone",
-            options=ElabOptions(opt_level=opt_level),
-        )
-
-    def _count_calls(self, sim):
-        calls = {"n": 0}
-        orig = sim._codegen.reset_state
-
-        def counted():
-            calls["n"] += 1
-            orig()
-
-        sim._codegen.reset_state = counted
-        return calls
-
-    def test_unguarded_build_never_invalidates(self):
-        sim = RTLSimulator(self._compile(0), backend="codegen")
-        assert sim._codegen.guarded_cones == 0
-        assert not sim._invalidates
-        calls = self._count_calls(sim)
-        sim.reset()
-        for _ in range(5):
-            sim.poke("r", 3)          # internal register
-            sim.poke("x", 1)          # input
-            sim.tick()
-        sim.restore_checkpoint(sim.save_checkpoint())
-        assert calls["n"] == 0
-
-    def test_guarded_build_invalidates_exactly_per_mutation(self):
-        sim = RTLSimulator(self._compile(2), backend="codegen")
-        assert sim._codegen.guarded_cones > 0
-        assert sim._invalidates
-        calls = self._count_calls(sim)
-        sim.poke("x", 1)              # input poke: key compare handles it
-        assert calls["n"] == 0
-        sim.poke("r", 3)              # internal poke: must invalidate
-        assert calls["n"] == 1
-        sim.reset()
-        assert calls["n"] == 2
-        sim.restore_checkpoint(sim.save_checkpoint())
-        assert calls["n"] == 3
-
-    def test_guarded_and_unguarded_builds_agree(self):
-        sims = [
-            RTLSimulator(self._compile(0), backend="codegen"),
-            RTLSimulator(self._compile(2), backend="codegen"),
-        ]
-        for sim in sims:
-            sim.reset()
-            sim.poke("x", 5)
-            sim.tick(9)
-            sim.poke("r", 0x2A)       # bypasses generated code
-            sim.tick(3)
-        assert sims[0].peek("y") == sims[1].peek("y")
-        assert sims[0].peek("r") == sims[1].peek("r")
-
-
 class TestCompiledOncePerProcess:
     """Generated text is compiled once per process; every simulator
     still executes it in a namespace of its own."""
@@ -282,24 +191,19 @@ module fatmem(input clk, input rst, input [7:0] x,
 endmodule
 """
 
-    def _sim(self, opt_level):
-        from repro.hdl.common import ElabOptions
+    def _sim(self):
         from repro.hdl.verilog import compile_verilog
 
-        module = compile_verilog(
-            self.SOURCE, top="fatmem",
-            options=ElabOptions(opt_level=opt_level),
-        )
+        module = compile_verilog(self.SOURCE, top="fatmem")
         return RTLSimulator(module, backend="codegen")
 
     @staticmethod
     def _snapshot(sim):
         return (list(sim.values), [list(mem) for mem in sim.mems],
-                sim.cycle, list(sim._codegen.namespace["_act"]))
+                sim.cycle)
 
     def test_one_design_shares_code_objects_and_no_state(self):
-        sim_a, sim_b = self._sim(2), self._sim(2)
-        assert sim_a._codegen.guarded_cones > 0
+        sim_a, sim_b = self._sim(), self._sim()
         assert sim_a._codegen.source == sim_b._codegen.source
         for fn in ("tick_batch", "settle"):
             a, b = getattr(sim_a._codegen, fn), getattr(sim_b._codegen, fn)
@@ -312,27 +216,20 @@ endmodule
         assert self._snapshot(sim_a) != before
         assert self._snapshot(sim_b) == before
 
-        fresh = self._sim(2)
+        fresh = self._sim()
         for sim in (sim_b, fresh):
             sim.poke("x", 9)
             sim.tick()
         assert self._snapshot(sim_b) == self._snapshot(fresh)
 
-    def test_opt_levels_do_not_share(self):
-        sim_o0, sim_o2 = self._sim(0), self._sim(2)
-        assert sim_o0._codegen.source != sim_o2._codegen.source
-        assert (sim_o0._codegen.tick_batch.__code__
-                is not sim_o2._codegen.tick_batch.__code__)
-        assert sim_o0._codegen.guarded_cones == 0
-
     def test_second_build_compiles_nothing(self, monkeypatch):
         import builtins
 
-        self._sim(2)
+        self._sim()
         calls = []
         real = builtins.compile
         monkeypatch.setattr(
             builtins, "compile",
             lambda *a, **k: calls.append(a[1]) or real(*a, **k))
-        self._sim(2)
+        self._sim()
         assert not [name for name in calls if name.startswith("<codegen:")]

@@ -42,6 +42,35 @@ class TestMalformedArguments:
         assert "error: argument" in err.splitlines()[-1]
 
 
+class TestCompileErrors:
+    """A bad HDL input ends in one line on stderr and exit 2."""
+
+    FILES = {
+        "broken.v": "module t(input a;\nendmodule\n",
+        "two.v": "module a(); endmodule\nmodule b(); endmodule\n",
+    }
+
+    @pytest.mark.parametrize("args, message", [
+        ([str(BITONIC_VHDL)], "multiple entities ['bitonic8', 'ce']"),
+        (["{tmp}/two.v"], "multiple modules ['a', 'b']"),
+        ([str(PMU_V), "--top", "nosuch"], "top module 'nosuch' not found"),
+        ([str(PMU_V), "--param", "NOPE=3"], "unknown parameter 'NOPE'"),
+        (["{tmp}/broken.v"], "broken.v:1:17: expected ')'"),
+        (["{tmp}/missing.v"], "No such file or directory"),
+    ], ids=["ambiguous-vhdl-top", "ambiguous-verilog-top", "unknown-top",
+            "unknown-param", "syntax-error", "missing-file"])
+    def test_exits_2_in_one_line(self, args, message, tmp_path, capsys):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        argv = ["compile"] + [a.format(tmp=tmp_path) for a in args]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("repro compile: error: ")
+        assert message in line
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -88,7 +117,8 @@ class TestCompileCommand:
         assert "def _sync" in capsys.readouterr().out
 
     def test_show_code_prints_the_processes_it_counted(self, tmp_path, capsys):
-        """--show-code at -O2 is the model that runs, not the -O0 one."""
+        """--show-code prints every process the summary counts, as
+        written: a constant net stays a process of its own."""
         src = tmp_path / "t.v"
         src.write_text(
             "module t(input [3:0] a, output [3:0] y);\n"
@@ -96,12 +126,11 @@ class TestCompileCommand:
             "  assign k = 4'd3; assign z = k + 4'd1; assign y = a & z;\n"
             "endmodule\n"
         )
-        assert main(["compile", str(src), "--opt-level", "2",
-                     "--show-code"]) == 0
+        assert main(["compile", str(src), "--show-code"]) == 0
         out = capsys.readouterr().out
-        assert "processes  : 1 comb, 0 sync" in out
-        assert out.count("def _comb_") == 1
-        assert "& ((4)))" in out and "+ (1)" not in out
+        assert "processes  : 3 comb, 0 sync" in out
+        assert out.count("def _comb_") == 3
+        assert "+ (1)" in out
 
 
 class TestExperimentCommands:

@@ -115,40 +115,3 @@ class TestEquivCommand:
                      "--cycles", "16", "--corpus-dir", str(corpus)]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
-
-
-class TestOptLevelFlag:
-    """``--opt-level`` threads through the whole verify family."""
-
-    def test_cover_identity_at_o2(self, capsys):
-        assert main(["verify", "cover", "pmu", "--cycles", "32",
-                     "--opt-level", "2"]) == 0
-        assert "identical" in capsys.readouterr().out
-
-    def test_fuzz_at_o2_matches_o0_corpus(self, tmp_path):
-        """Optimisation must not change what the fuzz loop discovers:
-        same seed, same corpus, at any level."""
-        d0, d2 = tmp_path / "c0", tmp_path / "c2"
-        assert main(["verify", "fuzz", "pmu", "--seed", "5",
-                     "--runs", "6", "--cycles", "16",
-                     "--corpus-dir", str(d0)]) == 0
-        assert main(["verify", "fuzz", "pmu", "--seed", "5",
-                     "--runs", "6", "--cycles", "16",
-                     "--opt-level", "2", "--corpus-dir", str(d2)]) == 0
-        assert (d0 / "pmu.json").read_text() == \
-               (d2 / "pmu.json").read_text()
-
-    def test_equiv_at_o2_uses_unoptimized_reference(self, capsys):
-        assert main(["verify", "equiv", "pmu", "--runs", "1",
-                     "--cycles", "16", "--opt-level", "2",
-                     "--corpus-dir", ""]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_compile_reports_opt_stats(self, capsys):
-        from repro.verify.designs import DESIGNS
-
-        src = DESIGNS["pmu"]
-        assert main(["compile", "--top", "pmu", "-O", "2",
-                     src.filename]) == 0
-        out = capsys.readouterr().out
-        assert "-O2" in out
