@@ -119,13 +119,14 @@ def _lockstep(libs, rng: random.Random, flops: list, others: list) -> None:
     assert libs[0].ticks == libs[0].sim.cycle - 2  # reset's two cycles
 
 
+@pytest.mark.parametrize("seed", [0])
 @pytest.mark.parametrize("cls", WRAPPERS, ids=lambda c: c.__name__)
-def test_exchange_matches_reference(cls):
+def test_exchange_matches_reference(cls, seed):
     libs = _trio(cls)
     module = libs[0].module
     flops = flip_targets(module)
     words = flip_targets(module, include_memories=True)[len(flops):]
-    _lockstep(libs, random.Random(cls.__name__), flops, words)
+    _lockstep(libs, random.Random(f"{cls.__name__}/{seed}"), flops, words)
 
 
 #: the pin-map tests' design: a register feeding a long comb chain
