@@ -33,10 +33,15 @@ from ..soc.event import ClockDomain, Event, EventPriority
 from ..soc.packet import MemCmd, Packet
 from ..soc.ports import RequestPort, ResponsePort
 from ..soc.simobject import SimObject, Simulation
+from ..soc.stats import SettledScalar
 from ..soc.tlb import TLB
 from ..trace import packets as pkttrace
 from ..trace.flags import debug_flag, get_chrome_tracer, tracepoint
 from .shared_library import SharedLibrary
+
+#: most edges one lag spans, whatever the model proves: a bound on the
+#: cycles and the log one catch-up holds
+LAG_LIMIT = 1 << 14
 
 #: number of ports on each side, per the paper
 CPU_SIDE_PORTS = 2
@@ -115,9 +120,19 @@ class RTLObject(SimObject):
         self.last_output = self.decode_output(self._last_bytes)
         # Output a run-ahead window stopped on, until its own edge.
         self._held_output: Optional[bytes] = None
+        # A lag (see :meth:`lag_cycles`): the last edge consumed, the
+        # seq of the event armed for the edge that ends it, and whether
+        # clock-priority events precede our edges at a shared tick.
+        self._lagging = False
+        self._lag_edge = 0
+        self._lag_seq = 0
+        self._lag_after_clock = False
+        self._lags = (batch_cycles > 1
+                      and type(self).lag_cycles is not RTLObject.lag_cycles)
 
         s = self.stats
-        self.st_ticks = s.scalar("ticks", "RTL model clock ticks executed")
+        self.st_ticks = s.add(SettledScalar(
+            "ticks", "RTL model clock ticks executed", self.catch_up))
         self.st_mem_reads = s.scalar("mem_reads", "memory-side read requests")
         self.st_mem_writes = s.scalar("mem_writes", "memory-side write requests")
         self.st_mem_resps = s.scalar("mem_resps", "memory-side responses")
@@ -141,6 +156,7 @@ class RTLObject(SimObject):
 
     def stop(self) -> None:
         """Stop ticking (end of workload)."""
+        self.catch_up(end=True)
         self.running = False
         if self._domain_member:
             self.clock.release()
@@ -167,6 +183,10 @@ class RTLObject(SimObject):
         """The own event of a model that may run ahead."""
         eventq = self.sim.eventq
         period = self.clock.period
+        if self._lagging:
+            # The edge a lag was armed for: run the edges it owes first.
+            self._lag_to(eventq.cur_tick - period)
+            self._end_lag()
         ran = 1
         out_bytes = self._held_output
         if out_bytes is not None:
@@ -215,9 +235,9 @@ class RTLObject(SimObject):
             edge = eventq.cur_tick
             if edge % period:
                 edge += period - edge % period
-            eventq.schedule(
-                self._tick_event, edge + ran * period, EventPriority.CLOCK
-            )
+            edge += ran * period
+            if not (self._lags and self._start_lag(edge - period)):
+                eventq.schedule(self._tick_event, edge, EventPriority.CLOCK)
 
     def _trace_window(self, tracer, ran: int, held: bool) -> None:
         now, period, track = self.now, self.clock.period, f"rtl:{self.name}"
@@ -279,6 +299,124 @@ class RTLObject(SimObject):
             limit = min(limit, (horizon - self.now) // self.clock.period)
         return max(1, limit)
 
+    # -- lagging behind the queue ---------------------------------------------
+
+    def _start_lag(self, last: int) -> bool:
+        """After the edge at tick *last* was consumed: lag, if the model
+        proves edges it can skip (:meth:`lag_cycles`), with the event
+        armed for the first edge whose outputs could move, or the last
+        edge before the ``until`` of the run in progress, whichever
+        comes first.  False: step as before."""
+        h = self.lag_cycles()
+        if h < 1:
+            return False
+        eventq = self.sim.eventq
+        period = self.clock.period
+        arm = last + (min(h, LAG_LIMIT) + 1) * period
+        until = eventq.until
+        if until is not None:
+            arm = min(arm, (until - 1) // period * period)
+        if arm <= last + period:
+            return False
+        self._lagging = True
+        self._lag_edge = last
+        # A clock-priority event at one of our edges is a core's cycle.
+        # Single-stepped, we re-arm one period of ours ahead and the core
+        # one of its own: at our clock or faster the core's event is
+        # older and fires first, on a slower clock ours does.
+        self._lag_after_clock = period <= self.sim.default_clock.period
+        self._lag_seq = eventq.next_seq
+        eventq.schedule(self._tick_event, arm, self._lag_priority())
+        self.begin_lag()
+        if FLAG_RTL_BATCH.enabled:
+            tracepoint(
+                FLAG_RTL_BATCH, self.name,
+                "outputs proven still for %d edges: lagging to tick %d",
+                (arm - last) // period - 1, arm, tick=self.now,
+            )
+        return True
+
+    def _lag_priority(self) -> int:
+        # just after the clock band, or in it, ahead of every clock event
+        # armed since the lag began
+        if self._lag_after_clock:
+            return EventPriority.CLOCK + 1
+        return EventPriority.CLOCK
+
+    def lag_open_edge(self) -> int:
+        """While lagging: the first of our edges that has not fired yet
+        in the single-stepped schedule, as seen by the event being
+        dispatched — the edge an input arriving now is sampled at."""
+        eventq = self.sim.eventq
+        now = eventq.cur_tick
+        period = self.clock.period
+        edge = now + (-now) % period
+        if edge == now:
+            cur = eventq.current
+            if cur is not None:
+                priority = cur[1]
+                if priority != EventPriority.CLOCK:
+                    passed = priority > EventPriority.CLOCK
+                else:
+                    passed = (not self._lag_after_clock
+                              and cur[2] > self._lag_seq)
+                if passed:
+                    edge += period
+        return max(edge, self._lag_edge + period)
+
+    def catch_up(self, end: bool = False) -> None:
+        """Run the edges a lagging model owes the caller: every edge
+        that precedes the event being dispatched.  With *end*, the lag
+        ends too, and the tick is armed for the next edge, where the
+        model steps as before; the entry point for whatever changes
+        the model's inputs or state mid-lag (a CPU-side request, a fault
+        flip, a checkpoint, :meth:`stop`).  Does nothing while not
+        lagging."""
+        if not self._lagging:
+            return
+        edge = self.lag_open_edge()
+        self._lag_to(edge - self.clock.period)
+        if not end:
+            return
+        self._end_lag()
+        event = self._tick_event
+        if event.when() != edge:
+            eventq = self.sim.eventq
+            eventq.deschedule(event)
+            if self._lag_after_clock:
+                eventq.schedule(event, edge, self._lag_priority())
+            else:
+                eventq.restore_entry(event, edge, EventPriority.CLOCK,
+                                     self._lag_seq)
+
+    def _lag_to(self, last: int) -> None:
+        """Run the lagged edges up to and including *last*."""
+        cycles = (last - self._lag_edge) // self.clock.period
+        if cycles <= 0:
+            return
+        in_bytes, field, values = self.lagged_inputs(last)
+        library = self.library
+        before = library.ticks
+        out = library.tick_varying(in_bytes, field, values, self._last_bytes)
+        ran = library.ticks - before
+        if ran != cycles or out != self._last_bytes:
+            raise RuntimeError(
+                f"{self.name}: an output moved at lagged edge {ran} of "
+                f"{cycles} after tick {self._lag_edge}, inside the horizon "
+                "lag_cycles() proved"
+            )
+        self.st_ticks.inc(ran)
+        tracer = get_chrome_tracer()
+        if tracer is not None and tracer.enabled:
+            period = self.clock.period
+            tracer.window("rtl lagged", f"rtl:{self.name}",
+                          self._lag_edge + period, last + period, period)
+        self._lag_edge = last
+
+    def _end_lag(self) -> None:
+        self._lagging = False
+        self.end_lag()
+
     # -- hooks for model-specific subclasses ----------------------------------
 
     def build_input(self) -> bytes:
@@ -311,10 +449,44 @@ class RTLObject(SimObject):
         """
         return 1
 
+    def lag_cycles(self) -> int:
+        """Edges after the one just consumed at which provably no output
+        moves, given that the only inputs that change meanwhile are the
+        ones :meth:`begin_lag` taps (0: none, do not lag).
+
+        Override per model, with :meth:`begin_lag`, :meth:`end_lag` and
+        :meth:`lagged_inputs`.  The bridge then arms the tick for the
+        edge after them and lets the model lag behind the event queue
+        until then: nothing is dispatched for the edges in between, and
+        whatever must see the model at an edge in between calls
+        :meth:`catch_up` first.  The lagged edges run at once through
+        :meth:`RTLSharedLibrary.tick_varying`, and an output that moves in
+        them raises: the horizon is checked, not assumed.  Only models
+        that run ahead (``batch_cycles > 1``) lag.
+        """
+        return 0
+
+    def begin_lag(self) -> None:
+        """Start logging the tapped inputs against the edges that will
+        consume them (:meth:`lag_open_edge`)."""
+        raise NotImplementedError
+
+    def end_lag(self) -> None:
+        """Stop logging; what is still logged belongs to the next edge."""
+        raise NotImplementedError
+
+    def lagged_inputs(self, last: int):
+        """``(input_bytes, field, values)`` for the lagged edges up to
+        *last*: one value of *field* per edge, as
+        :meth:`RTLSharedLibrary.tick_varying` takes them."""
+        raise NotImplementedError
+
     # -- CPU-side plumbing ------------------------------------------------------
 
     def _make_cpu_req_handler(self, port_idx: int):
         def handler(pkt: Packet) -> bool:
+            if self._lagging:
+                self.catch_up(end=True)
             pkt.dest_port = port_idx
             if FLAG_RTL.enabled:
                 tracepoint(
@@ -481,3 +653,6 @@ class RTLObject(SimObject):
         self._last_bytes = ctx.unpack(state["last_output"])
         self.last_output = self.decode_output(self._last_bytes)
         self._held_output = None
+        # a checkpoint ends every lag before it is taken
+        if self._lagging:
+            self._end_lag()

@@ -164,6 +164,8 @@ class RTLSharedLibrary(SharedLibrary):
             [slot for _, _, lanes in self._collected for slot in lanes],
             self.input_spec.size_error,
         )
+        #: field -> generated replay (:meth:`tick_varying`), on first use
+        self._replays: dict = {}
 
     def _wire(self, spec: StructSpec, inputs: bool) -> _Wiring:
         """Resolve *spec*'s fields through :attr:`pins`."""
@@ -285,6 +287,70 @@ class RTLSharedLibrary(SharedLibrary):
                 cycles = ran
         self.ticks += cycles
         return out
+
+    def tick_varying(
+        self, input_bytes: bytes, field: str, values: Sequence[int],
+        steady: bytes,
+    ) -> bytes:
+        """One cycle per element of *values*, on the input struct
+        *input_bytes* with its scalar *field* set to that element;
+        returns the last output (*steady* if *values* is empty).
+
+        Ends after the first cycle whose output differs from *steady*,
+        as :meth:`tick_batch` does; :attr:`ticks` tells how many ran.
+        For a model that lagged behind one of its inputs and runs the
+        cycles it owes at once (:meth:`RTLObject.lag_cycles
+        <repro.bridge.rtl_object.RTLObject.lag_cycles>`).  On the
+        codegen backend one generated loop
+        (:func:`repro.rtl.codegen.build_replay`), otherwise
+        :meth:`drive`/``settle``/``tick``/:meth:`collect` per cycle, on
+        the paths :meth:`tick_batch` takes.
+        """
+        sim = self.sim
+        trace = sim.trace
+        if self._exchange is not None and (trace is None or not trace.enabled):
+            replay = self._replays.get(field)
+            if replay is None:
+                replay = self._replays[field] = self._build_replay(field)
+            ran, out = replay(input_bytes, sim.values, sim.mems, values,
+                              steady)
+            sim.cycle += ran
+            self.ticks += ran
+            return out
+        fields = self.input_spec.unpack(input_bytes)
+        out = steady
+        for value in values:
+            fields[field] = value
+            self.drive(fields)
+            sim.settle()
+            sim.tick()
+            self.ticks += 1
+            out = self.output_spec.pack(**self.collect())
+            if out != steady:
+                break
+        return out
+
+    def _build_replay(self, field: str):
+        slot = 0
+        for name, count, lanes in self._driven:
+            if name == field:
+                if count != 1:
+                    raise ValueError(
+                        f"{type(self).__name__}: cannot vary array field "
+                        f"{field!r}"
+                    )
+                break
+            slot += len(lanes)
+        else:
+            raise KeyError(f"no input field {field!r}")
+        return self.sim.build_replay(
+            self.input_spec.struct,
+            [pin for _, _, lanes in self._driven for pin in lanes],
+            self.output_spec.struct,
+            [pin for _, _, lanes in self._collected for pin in lanes],
+            self.input_spec.size_error,
+            slot,
+        )
 
     def drive(self, inputs: dict) -> None:
         """Apply unpacked input fields to the RTL model's input signals

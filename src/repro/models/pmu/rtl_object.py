@@ -16,11 +16,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from ...bridge.rtl_object import RTLObject
+from ...bridge.rtl_object import LAG_LIMIT, RTLObject
 from ...soc.cpu.core import EventWire
 from ...soc.event import ClockDomain
 from ...soc.packet import Packet
 from ...soc.simobject import SimObject, Simulation
+from ...soc.stats import SettledScalar
 from .wrapper import PMU_OUTPUT, PMUSharedLibrary
 
 
@@ -58,13 +59,21 @@ class PMURTLObject(RTLObject):
         self._wired: list[_EventLane] = []
         #: the clock-wired lanes: the same input bits every cycle
         self._clock_events = 0
+        #: every lane wired to something: the ones that can count
+        self._tapped = 0
         self._pending_reads: deque[Packet] = deque()
         self._interrupt_handlers: list[Callable[[int], None]] = []
-        self.st_interrupts = self.stats.scalar("interrupts", "PMU interrupts seen")
-        self.st_events_dropped = self.stats.scalar(
+        s = self.stats
+        # a lag holds no interrupt: only what it defers is owed to a read
+        self.st_interrupts = s.scalar("interrupts", "PMU interrupts seen")
+        self.st_events_deferred = s.add(SettledScalar(
             "events_deferred",
             "event pulses deferred to a later PMU tick (rate mismatch)",
-        )
+            self.catch_up,
+        ))
+        #: while lagging: ``(edge tick, wire, pulses)`` in arrival order
+        self._log: list[tuple[int, EventWire, int]] = []
+        self._quiet_input = library.input_spec.zeros()
 
     # -- wiring ------------------------------------------------------------
 
@@ -75,12 +84,14 @@ class PMURTLObject(RTLObject):
         lane = _EventLane(base_index, wire, lanes)
         self._lanes.append(lane)
         self._wired.append(lane)
+        self._tapped |= ((1 << lanes) - 1) << base_index
 
     def connect_clock_event(self, index: int) -> None:
         """Wire the PMU clock itself to event input *index*."""
         self._check_lane_range(index, 1)
         self._lanes.append(_EventLane(index, None, 1))
         self._clock_events |= 1 << index
+        self._tapped |= 1 << index
 
     def _check_lane_range(self, base: int, lanes: int) -> None:
         n = self.library.n_counters
@@ -144,7 +155,9 @@ class PMURTLObject(RTLObject):
             return 1
         return self.batch_cycles
 
-    def build_input(self) -> bytes:
+    def _events(self) -> int:
+        """The ``events`` word of one edge, taking the pulses it consumes
+        off the wires."""
         events = self._clock_events
         for lane in self._wired:
             wire = lane.wire
@@ -154,8 +167,12 @@ class PMURTLObject(RTLObject):
             if wire.count:
                 # more pulses arrived this PMU cycle than lanes exist;
                 # they remain queued for the next tick
-                self.st_events_dropped.inc(wire.count)
+                self.st_events_deferred.inc(wire.count)
             events |= ((1 << pulses) - 1) << lane.base
+        return events
+
+    def build_input(self) -> bytes:
+        events = self._events()
         pack = self.library.input_spec.pack
         if not self.cpu_req_queue:
             return pack(events)
@@ -185,6 +202,90 @@ class PMURTLObject(RTLObject):
             araddr = (read_pkt.addr - self.mmio_base) & 0xFFF
             self._pending_reads.append(read_pkt)
         return pack(events, awvalid, awaddr, wdata, arvalid, araddr)
+
+    # -- lagging behind the core ---------------------------------------
+
+    def lag_cycles(self) -> int:
+        """The horizon: edges after the one just consumed at which no
+        output can move while only the event lanes change.
+
+        ``rvalid`` follows ``arvalid``, which only an MMIO request sets
+        (and a request ends a lag).  ``irq`` rises only at an edge where
+        an enabled lane with a non-zero threshold counts its way to it,
+        and a counter gains at most one per edge (``pmu.v``): a lane at
+        ``counter`` of ``threshold`` cannot raise it in the next
+        ``threshold - counter - 1`` edges.  Only lanes that can see an
+        event — wired to a wire or to the clock — count; with none
+        thresholded the horizon is unbounded.  It is read off the
+        kernel's ``counters``, ``thresholds`` and ``enable`` after every
+        window, so a write or a fault flip (both end a lag first) is
+        seen.  An output consumed last that was not inert, a pending
+        request or a VCD writer that samples every cycle: no lag.
+        """
+        if self.cpu_req_queue or self._pending_reads:
+            return 0
+        rvalid, _, irq = self.last_output
+        library = self.library
+        if rvalid or irq or library.tracing:
+            return 0
+        sim = library.sim
+        memories = library.module.memories
+        counters = sim.mems[memories["counters"].index]
+        thresholds = sim.mems[memories["thresholds"].index]
+        lanes = sim.peek("enable") & self._tapped
+        horizon = LAG_LIMIT
+        while lanes:
+            i = (lanes & -lanes).bit_length() - 1
+            lanes &= lanes - 1
+            threshold = thresholds[i]
+            if threshold:
+                horizon = min(horizon, threshold - counters[i] - 1)
+        return horizon
+
+    def begin_lag(self) -> None:
+        log_pulse = self._log_pulse
+        for lane in self._wired:
+            lane.wire.lag = log_pulse
+
+    def _log_pulse(self, wire: EventWire, n: int) -> None:
+        self._log.append((self.lag_open_edge(), wire, n))
+
+    def end_lag(self) -> None:
+        # what is still logged is for the next edge: pulses, as before
+        for lane in self._wired:
+            lane.wire.lag = None
+        for _edge, wire, n in self._log:
+            wire.count += n
+        self._log.clear()
+
+    def lagged_inputs(self, last: int):
+        """One ``events`` word per lagged edge up to *last*: the clock
+        lanes, plus the logged pulses of that edge and those the lane
+        cap deferred to it, as :meth:`build_input` takes them."""
+        period = self.clock.period
+        clock = self._clock_events
+        log = self._log
+        words: list[int] = []
+        edge = self._lag_edge + period
+        end = last + period
+        i, logged = 0, len(log)
+        while edge < end:
+            while i < logged and log[i][0] == edge:
+                _edge, wire, n = log[i]
+                wire.count += n
+                i += 1
+            word = self._events()
+            words.append(word)
+            edge += period
+            if word == clock:
+                # nothing pulsed, nothing carried: the clock lanes alone
+                # until the next logged edge
+                quiet = (min(log[i][0] if i < logged else end, end)
+                         - edge) // period
+                words += [clock] * quiet
+                edge += quiet * period
+        del log[:i]
+        return self._quiet_input, "events", words
 
     def consume_output(self, outputs: tuple) -> None:
         rvalid, rdata, irq = outputs

@@ -494,6 +494,9 @@ class FaultInjector(SimObject):
             rtl_sim = getattr(obj.library, "sim", None)
             if rtl_sim is None:
                 continue  # behavioural model: no flop state to corrupt
+            # a lagging model runs the edges before the flip and steps
+            # from the next one, which proves a horizon from the new state
+            obj.catch_up(end=True)
             if self._flip_on(rtl_sim, signal, bit):
                 self.st_flips.inc()
 

@@ -300,6 +300,14 @@ def checkpoint_document(sim, max_wait: int = 10**9) -> dict:
                 + "; ".join(problems[:5])
             )
 
+    # A model lagging behind the queue runs the edges it owes and steps
+    # from the next one: no lag crosses a checkpoint.
+    from ..bridge.rtl_object import RTLObject
+
+    for obj in sim.objects:
+        if isinstance(obj, RTLObject):
+            obj.catch_up(end=True)
+
     ctx = SerializationContext()
     eventq = sim.eventq
     live = eventq.live_entries()

@@ -62,7 +62,10 @@ shared-library wrapper — packed bytes in, pin stores, ``settle``,
 struct-member <-> pin assignments a Verilator wrapper makes around
 ``eval()``; and ``run_ahead``, the cycle loop of ``tick_batch`` emitted
 once more with a test of the wrapper's output pins after every cycle,
-which returns as soon as one of them has moved.
+which returns as soon as one of them has moved.  A third, ``replay``
+(:func:`build_replay`), is that loop again with one input slot stored
+from a list before every cycle: the cycles a model that lagged behind
+one of its inputs owes, run at once.
 
 Designs that need the iterative fixpoint fallback (word-level comb
 cycles) are *not* codegen-eligible —
@@ -556,6 +559,11 @@ class CodegenProgram:
     #: and returning early after the first cycle for which the
     #: expression *moved* (over ``v`` and the extra *params*) holds
     run_ahead_source: Callable[[str, str], str] = field(repr=False)
+    #: ``replay_source(store, moved)``: source of ``_replay(v, m, words,
+    #: _rest, _w)`` — the same loop over the elements of *words*, the
+    #: statement *store* (over ``_x``, the element, and ``_rest``)
+    #: driving the pins and the netlist settled before every cycle
+    replay_source: Callable[[str, str], str] = field(repr=False)
     settles: bool = True     # settle does anything (the design has comb logic)
     #: globals of the generated functions; :func:`build_exchange` emits
     #: into it, beside the ``_settle`` and ``_tick_batch`` it calls
@@ -747,6 +755,21 @@ def build_program(
         lines, em.lines = em.lines, saved
         return "\n".join(lines)
 
+    def replay_source(store: str, moved: str) -> str:
+        saved, em.lines = em.lines, []
+        em.emit("def _replay(v, m, words, _rest, _w):", 0)
+        em.emit_prologue(1)
+        em.emit("for _i, _x in enumerate(words):", 1)
+        em.emit(store, 2)
+        if levelized:
+            em.emit("_settle(v, m)", 2)
+        emit_cycle(2)
+        em.emit(f"if {moved}:", 2)
+        em.emit("return _i + 1", 3)
+        em.emit("return len(words)", 1)
+        lines, em.lines = em.lines, saved
+        return "\n".join(lines)
+
     em.emit("", 0)
     emit_tick("_tick_batch")
 
@@ -760,6 +783,7 @@ def build_program(
         inlined=em.inlined,
         called=em.called,
         run_ahead_source=run_ahead_source,
+        replay_source=replay_source,
         settles=bool(levelized),
         namespace=em.namespace,
     )
@@ -769,6 +793,36 @@ def build_program(
 #: mask) — the slot's value occupies ``mask`` bits of the signal
 #: starting at ``shift``; mask -1 on an output slot: all of the signal
 PinSlot = tuple[int, int, int]
+
+
+def _pin_text(in_slots: Sequence[PinSlot], out_slots: Sequence[PinSlot]):
+    """The exchange's pin text: per input signal, the terms of the slots
+    ``_i<k>`` stored on it; per output slot, the expression loading it."""
+    by_signal: dict[int, list[str]] = {}
+    for i, (idx, shift, mask) in enumerate(in_slots):
+        term = f"(_i{i} & {mask})" + (f" << {shift}" if shift else "")
+        by_signal.setdefault(idx, []).append(term)
+    loads = [
+        f"v[{idx}] >> {shift} & {mask}" if shift
+        else f"v[{idx}]" if mask == -1 else f"v[{idx}] & {mask}"
+        for idx, shift, mask in out_slots
+    ]
+    return by_signal, loads
+
+
+def _bind(program: CodegenProgram, lines: list[str], *cells):
+    """Exec *lines* (``def _bind(...)`` returning one function) into
+    *program*'s namespace and call it with *cells*.  The cells are
+    closure variables, not globals: a second function built on this
+    program must not rebind the first's."""
+    namespace = program.namespace
+    source = "\n".join(lines)
+    exec(  # noqa: S102 - executing our own generated code
+        _compile(source, "<codegen:exchange>"), namespace
+    )
+    fn = namespace.pop("_bind")(*cells)
+    fn.source = source  # for inspection, as CodegenProgram.source
+    return fn
 
 
 def build_exchange(
@@ -801,22 +855,11 @@ def build_exchange(
     seen exactly as a ``poke``/``settle``/``tick`` sequence would see
     it.
     """
-    by_signal: dict[int, list[str]] = {}
-    for i, (idx, shift, mask) in enumerate(in_slots):
-        term = f"(_i{i} & {mask})" + (f" << {shift}" if shift else "")
-        by_signal.setdefault(idx, []).append(term)
-    loads = [
-        f"v[{idx}] >> {shift} & {mask}" if shift
-        else f"v[{idx}]" if mask == -1 else f"v[{idx}] & {mask}"
-        for idx, shift, mask in out_slots
-    ]
+    by_signal, loads = _pin_text(in_slots, out_slots)
     # one tuple compare per cycle, against the unpacked *steady* struct
     run_ahead = program.run_ahead_source(
         ", _w", f"({', '.join(loads)},) != _w" if loads else "False"
     )
-    # The codecs and the run-ahead loop are bound as closure cells, not
-    # globals: a second exchange built on this program must not rebind
-    # the first's.
     lines = [
         "def _bind(_decode, _encode, _steady, _size_error):",
         *("    " + line for line in run_ahead.splitlines()),
@@ -835,13 +878,55 @@ def build_exchange(
         f"        return n, _encode({', '.join(loads)})",
         "    return _exchange",
     ]
-    namespace = program.namespace
-    source = "\n".join(lines)
-    exec(  # noqa: S102 - executing our own generated code
-        _compile(source, "<codegen:exchange>"), namespace
+    return _bind(program, lines, in_struct.unpack, out_struct.pack,
+                 out_struct.unpack, size_error)
+
+
+def build_replay(
+    program: CodegenProgram,
+    in_struct: struct.Struct,
+    in_slots: Sequence[PinSlot],
+    out_struct: struct.Struct,
+    out_slots: Sequence[PinSlot],
+    size_error: Callable[[int], Exception],
+    vary: int,
+) -> Callable:
+    """Generate ``replay(data, v, m, words, steady) -> (ran, bytes)``:
+    one cycle per element of *words*, the input struct *data* on the
+    pins with slot *vary* replaced by that element.
+
+    The pins are stored as :func:`build_exchange` stores them; then, per
+    element, the signal of slot *vary* is stored again (its other
+    slots' terms computed once), the netlist settled, one cycle run and
+    the output pins compared with the unpacked *steady* struct: the
+    loop returns after the first cycle that moved one.  It is the
+    program's cycle text emitted a third time
+    (:attr:`CodegenProgram.replay_source`), for a model that lagged
+    behind its inputs and runs the logged cycles at once.
+    """
+    by_signal, loads = _pin_text(in_slots, out_slots)
+    idx, shift, mask = in_slots[vary]
+    term = f"(_i{vary} & {mask})" + (f" << {shift}" if shift else "")
+    rest = [t for t in by_signal[idx] if t != term]
+    store = f"(_x & {mask})" + (f" << {shift}" if shift else "")
+    replay = program.replay_source(
+        f"v[{idx}] = {store} | _rest",
+        f"({', '.join(loads)},) != _w" if loads else "False",
     )
-    exchange = namespace.pop("_bind")(
-        in_struct.unpack, out_struct.pack, out_struct.unpack, size_error
-    )
-    exchange.source = source  # for inspection, as CodegenProgram.source
-    return exchange
+    lines = [
+        "def _bind(_decode, _encode, _steady, _size_error):",
+        *("    " + line for line in replay.splitlines()),
+        "    def _replay_words(data, v, m, words, steady):",
+        f"        if len(data) != {in_struct.size}:",
+        "            raise _size_error(len(data))",
+        f"        [{', '.join(f'_i{i}' for i in range(len(in_slots)))}]"
+        " = _decode(data)",
+        *(f"        v[{i}] = {' | '.join(terms)}"
+          for i, terms in by_signal.items()),
+        f"        n = _replay(v, m, words, {' | '.join(rest) or '0'},"
+        " _steady(steady))",
+        f"        return n, _encode({', '.join(loads)})",
+        "    return _replay_words",
+    ]
+    return _bind(program, lines, in_struct.unpack, out_struct.pack,
+                 out_struct.unpack, size_error)

@@ -34,7 +34,9 @@ import copy
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .codegen import CodegenProgram, build_exchange, build_program
+from .codegen import (
+    CodegenProgram, build_exchange, build_program, build_replay,
+)
 from .kernel import CombLoopError, Edge, RTLModule, Signal
 from .vcd import VCDWriter
 
@@ -270,6 +272,20 @@ class RTLSimulator:
         return build_exchange(
             self._codegen, in_struct, in_slots, out_struct, out_slots,
             size_error,
+        )
+
+    def build_replay(
+        self, in_struct, in_slots, out_struct, out_slots, size_error, vary
+    ) -> Optional[Callable]:
+        """Generated replay over this design's compiled code (as
+        :func:`repro.rtl.codegen.build_replay`), or None on the
+        interpreter backend; :attr:`cycle` is the caller's, as in
+        :meth:`build_exchange`."""
+        if self._codegen is None:
+            return None
+        return build_replay(
+            self._codegen, in_struct, in_slots, out_struct, out_slots,
+            size_error, vary,
         )
 
     @staticmethod

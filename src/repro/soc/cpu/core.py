@@ -23,7 +23,7 @@ from ..event import Event, EventPriority
 from ..packet import MemCmd, Packet
 from ..ports import RequestPort
 from ..simobject import SimObject, Simulation
-from ..stats import Scalar
+from ..stats import SettledScalar
 from . import uop as U
 from .uop import UopStream
 
@@ -33,16 +33,25 @@ FLAG_CPU = debug_flag(
 
 
 class EventWire:
-    """An accumulating pulse counter connecting producers to the PMU."""
+    """An accumulating pulse counter connecting producers to the PMU.
 
-    __slots__ = ("name", "count")
+    While a consumer lags behind the event queue it sets :attr:`lag` to
+    a callable that takes each pulse as ``lag(wire, n)`` and logs it
+    against the edge that will consume it; otherwise pulses add to
+    :attr:`count`, the ones not consumed yet."""
+
+    __slots__ = ("name", "count", "lag")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
+        self.lag: Optional[Callable[["EventWire", int], None]] = None
 
     def pulse(self, n: int = 1) -> None:
-        self.count += n
+        if self.lag is None:
+            self.count += n
+        else:
+            self.lag(self, n)
 
     def drain(self, limit: Optional[int] = None) -> int:
         """Take up to *limit* pulses (all if None)."""
@@ -60,30 +69,6 @@ class _RobEntry:
     def __init__(self, kind: int) -> None:
         self.kind = kind
         self.done = False
-
-
-class _EdgeCounter(Scalar):
-    """A counter of clock edges, exact at every read.
-
-    The core counts the edges of a stall window it stepped over when it
-    next runs; a read, reset or checkpoint in between first calls
-    *settle*, which counts the ones passed so far."""
-
-    def __init__(self, name: str, desc: str, settle: Callable[[], None]):
-        super().__init__(name, desc)
-        self._settle = settle
-
-    def value(self):
-        self._settle()
-        return self._value
-
-    def reset(self) -> None:
-        self._settle()
-        self._value = 0
-
-    def state_dict(self) -> dict:
-        self._settle()
-        return {"value": self._value}
 
 
 class OoOCore(SimObject):
@@ -154,7 +139,7 @@ class OoOCore(SimObject):
         self._skip_end = 0
 
         s = self.stats
-        self.st_cycles = s.add(_EdgeCounter(
+        self.st_cycles = s.add(SettledScalar(
             "cycles", "core cycles (including sleep)", self._count_skipped))
         self.st_committed = s.scalar("committed", "committed instructions")
         self.st_loads = s.scalar("loads", "load µops issued")
@@ -162,7 +147,7 @@ class OoOCore(SimObject):
         self.st_branches = s.scalar("branches", "branch µops")
         self.st_mispredicts = s.scalar("mispredicts", "mispredicted branches")
         self.st_sleep_cycles = s.scalar("sleep_cycles", "cycles spent sleeping")
-        self.st_issue_stalls = s.add(_EdgeCounter(
+        self.st_issue_stalls = s.add(SettledScalar(
             "issue_stalls", "cycles with zero issue while runnable",
             self._count_skipped))
         self.st_interrupts = s.scalar(

@@ -140,6 +140,13 @@ class EventQueue:
         #: run returns finds every object at the tick the run ended on.
         self.until: Optional[int] = None
         self.cur_tick = 0
+        #: read-only to clients: the heap entry ``(tick, priority, seq,
+        #: handle)`` of the event being (or last) dispatched at
+        #: ``cur_tick``; None while nothing at ``cur_tick`` has run (a
+        #: run that returned at its ``until``).  Says where in its tick
+        #: the caller stands, for an object that lags behind the queue
+        #: and must tell which of its own edges at ``cur_tick`` came first.
+        self.current: Optional[tuple] = None
         # Number of callbacks actually executed (dead entries excluded).
         self.executed = 0
         # Number of threshold-triggered heap compactions (observability).
@@ -152,6 +159,11 @@ class EventQueue:
 
     def __len__(self) -> int:
         return self._live
+
+    @property
+    def next_seq(self) -> int:
+        """The ``seq`` the next :meth:`schedule` takes."""
+        return self._seq
 
     def empty(self) -> bool:
         return self._live == 0
@@ -267,6 +279,7 @@ class EventQueue:
         self._heap.clear()
         self._live = 0
         self._exit_after = None
+        self.current = None
 
     def restore_entry(
         self, event: Event, tick: int, priority: int, seq: int
@@ -350,12 +363,14 @@ class EventQueue:
         """Pop and run the next live event.  Returns False if none remain."""
         heap = self._heap
         while heap:
-            tick, _priority, _seq, handle = heapq.heappop(heap)
+            entry = heapq.heappop(heap)
+            tick, _priority, _seq, handle = entry
             if not handle.alive:
                 continue
             handle.alive = False
             self._live -= 1
             self.cur_tick = tick
+            self.current = entry
             self.executed += 1
             prof = self.profiler
             if prof is None:
@@ -396,11 +411,13 @@ class EventQueue:
                 self._exit_after = None
                 return self.cur_tick
             if until is not None and tick >= until:
+                if until != self.cur_tick:
+                    self.current = None
                 self.cur_tick = until
                 return self.cur_tick
             if max_events is not None and executed >= max_events:
                 return self.cur_tick
-            heapq.heappop(heap)
+            self.current = heapq.heappop(heap)
             handle.alive = False
             self._live -= 1
             self.cur_tick = tick
@@ -417,6 +434,7 @@ class EventQueue:
             self._exit_after = None
         elif until is not None and until > self.cur_tick:
             self.cur_tick = until
+            self.current = None
         return self.cur_tick
 
 

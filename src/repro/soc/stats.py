@@ -75,6 +75,31 @@ class Scalar(Stat):
         self._value = state["value"]
 
 
+class SettledScalar(Scalar):
+    """A counter whose owner may run ahead of or behind its reads.
+
+    An object that steps over cycles or lags behind the event queue
+    counts what it owes when it next runs; a read, reset or checkpoint
+    in between first calls *settle*, which brings the count up to the
+    current tick (gem5's ``updateCycleCounters``)."""
+
+    def __init__(self, name: str, desc: str, settle: Callable[[], None]):
+        super().__init__(name, desc)
+        self._settle = settle
+
+    def value(self):
+        self._settle()
+        return self._value
+
+    def reset(self) -> None:
+        self._settle()
+        self._value = 0
+
+    def state_dict(self) -> dict:
+        self._settle()
+        return {"value": self._value}
+
+
 class Vector(Stat):
     """A fixed-length vector of counters (e.g. per-bank, per-port)."""
 

@@ -246,8 +246,8 @@ def _clock_wired_pmu(batch, backend="codegen", vcd=None):
     def mmio(cmd, offset, value=None):
         data = None if value is None else value.to_bytes(4, "little")
         pkt = Packet(cmd, obj.mmio_base + offset, 4, data=data)
-        pkt.dest_port = 0
-        obj.cpu_req_queue.append(pkt)
+        # through the port's handler, as traffic arrives: it ends a lag
+        obj.cpu_side[0]._recv_timing_req(pkt)
 
     def write(offset, value):
         return lambda: mmio(MemCmd.WriteReq, offset, value)

@@ -120,7 +120,7 @@ class TestWiring:
         soc.sim.run(until=soc.sim.now + 10**6)
         pmu.stop()
         assert values[0] == 10
-        assert pmu.st_events_dropped.value() > 0
+        assert pmu.st_events_deferred.value() > 0
 
 
 class TestCoreHandler:

@@ -108,16 +108,22 @@ class TestTraceWindow:
         # A clock-wired PMU interrupting every 41 cycles asks for 64
         # cycles per window and gets 41: the span is as long as the
         # window ran, an instant marks the edge the interrupt is
-        # consumed at, and RTL.Batch says the window was cut.
+        # consumed at, and RTL.Batch says the window was cut.  (The
+        # PMU lags instead of running windows when it can; this one is
+        # kept from lagging, test_lagged_span_says_what_ran has the lag.)
         import io
 
+        from repro.bridge import RTLObject
         from repro.models.pmu import PMURTLObject, PMUSharedLibrary
         from repro.models.pmu.wrapper import REG_ENABLE, threshold_addr
         from repro.soc.packet import MemCmd, Packet
         from repro.trace.flags import set_flags, set_sink
 
+        class WindowedPMU(PMURTLObject):
+            lag_cycles = RTLObject.lag_cycles
+
         sim = Simulation()
-        dut = PMURTLObject(sim, "dut", PMUSharedLibrary(), batch_cycles=64)
+        dut = WindowedPMU(sim, "dut", PMUSharedLibrary(), batch_cycles=64)
         dut.connect_clock_event(5)
         dut.respond_cpu = lambda pkt, data=None: None
         for offset, value in ((threshold_addr(5), 41), (REG_ENABLE, 1 << 5)):
@@ -149,6 +155,41 @@ class TestTraceWindow:
         text = log.getvalue()
         assert "advanced 40 RTL cycles in one pop (of 64: an output " \
                "moved at the last)" in text
+
+    def test_lagged_span_says_what_ran(self):
+        # The same PMU, lagging: the 39 edges before each interrupt's
+        # run at once in one "rtl lagged" span when the edge that raises
+        # it fires; that edge and the next, where irq falls, are stepped
+        # (one busy span); every cycle is in exactly one span.
+        from repro.models.pmu import PMURTLObject, PMUSharedLibrary
+        from repro.models.pmu.wrapper import REG_ENABLE, threshold_addr
+        from repro.soc.packet import MemCmd, Packet
+
+        sim = Simulation()
+        dut = PMURTLObject(sim, "dut", PMUSharedLibrary(), batch_cycles=64)
+        dut.connect_clock_event(5)
+        dut.respond_cpu = lambda pkt, data=None: None
+        for offset, value in ((threshold_addr(5), 41), (REG_ENABLE, 1 << 5)):
+            pkt = Packet(MemCmd.WriteReq, dut.mmio_base + offset, 4,
+                         data=value.to_bytes(4, "little"))
+            dut.cpu_side[0]._recv_timing_req(pkt)
+        irqs = []
+        dut.on_interrupt(irqs.append)
+        tracer = ChromeTracer()
+        set_chrome_tracer(tracer)
+        period = sim.default_clock.period
+        sim.run(until=200 * period)
+        dut.stop()
+        tracer.finish()
+        spans = [(e["name"], round(e["ts"] * 1e6) // period,
+                  e["args"]["cycles"])
+                 for e in tracer.events if e["name"].startswith("rtl ")]
+        assert len(irqs) == 4
+        assert sum(cycles for *_, cycles in spans) == dut.st_ticks.value()
+        for irq in irqs[1:]:
+            edge = irq // period
+            assert ("rtl lagged", edge - 39, 39) in spans
+            assert ("rtl busy", edge, 2) in spans
 
     def test_flips_registered_vcd_writers(self):
         sim = Simulation()
