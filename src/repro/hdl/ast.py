@@ -9,8 +9,9 @@ of C/C++ model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+import operator
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .common import Loc
 
@@ -278,8 +279,30 @@ class GenerateFor:
     items: list = field(default_factory=list)
 
 
+@dataclass
+class GenerateBlock:
+    """``begin : label … end`` as a generate-if arm: names created inside
+    get a ``label.`` prefix."""
+
+    loc: Loc
+    label: str
+    items: list = field(default_factory=list)
+
+
+@dataclass
+class GenerateIf:
+    """``if (cond) … [else …]`` at module scope: only the arm the
+    constant condition selects exists.  An arm is a list of items; a
+    labelled arm is one :class:`GenerateBlock`."""
+
+    loc: Loc
+    cond: Expr
+    then: list = field(default_factory=list)
+    other: list = field(default_factory=list)
+
+
 Item = Union[NetDecl, ParamDecl, ContAssign, AlwaysBlock, Instance,
-             GenerateFor]
+             GenerateFor, GenerateBlock, GenerateIf]
 
 
 @dataclass
@@ -294,3 +317,115 @@ class ModuleDecl:
             for it in self.items
             if isinstance(it, NetDecl) and it.direction is not None
         ]
+
+
+# ---------------------------------------------------------------------------
+# Traversal and constant conditions: the rules every AST consumer applies
+# ---------------------------------------------------------------------------
+
+
+def walk(stmt: Optional[Stmt]) -> Iterator[Stmt]:
+    """Pre-order traversal of a statement tree."""
+    if stmt is None:
+        return
+    yield stmt
+    if isinstance(stmt, Block):
+        for s in stmt.stmts:
+            yield from walk(s)
+    elif isinstance(stmt, If):
+        yield from walk(stmt.then)
+        yield from walk(stmt.other)
+    elif isinstance(stmt, Case):
+        for item in stmt.items:
+            yield from walk(item.body)
+    elif isinstance(stmt, For):
+        yield from walk(stmt.body)
+
+
+#: a consumer's constant evaluator: an expression's value, or None when
+#: it cannot fold it (the elaborator raises instead)
+Fold = Callable[[Expr], Optional[int]]
+
+
+_FOLD_BINARY: dict[str, Callable[[int, int], int]] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": lambda a, b: a // b if b else 0,
+    "%": lambda a, b: a % b if b else 0,
+    "<<": operator.lshift, ">>": operator.rshift,
+    "&": operator.and_, "|": operator.or_, "^": operator.xor,
+    "==": lambda a, b: int(a == b), "!=": lambda a, b: int(a != b),
+    "<": lambda a, b: int(a < b), "<=": lambda a, b: int(a <= b),
+    ">": lambda a, b: int(a > b), ">=": lambda a, b: int(a >= b),
+    "&&": lambda a, b: int(bool(a and b)),
+    "||": lambda a, b: int(bool(a or b)),
+}
+_FOLD_UNARY: dict[str, Callable[[int], int]] = {
+    "-": operator.neg, "+": operator.pos, "!": lambda v: int(not v),
+}
+
+
+def fold(expr: Optional[Expr], params: dict[str, int]) -> Optional[int]:
+    """Evaluate *expr* using parameter values only; None if not constant."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Ident):
+        return params.get(expr.name)
+    if isinstance(expr, Unary) and expr.op in _FOLD_UNARY:
+        v = fold(expr.operand, params)
+        return None if v is None else _FOLD_UNARY[expr.op](v)
+    if isinstance(expr, Binary) and expr.op in _FOLD_BINARY:
+        lv, rv = fold(expr.left, params), fold(expr.right, params)
+        if lv is None or rv is None:
+            return None
+        try:
+            return _FOLD_BINARY[expr.op](lv, rv)
+        except (ValueError, OverflowError):  # pragma: no cover - defensive
+            return None
+    if isinstance(expr, Ternary):
+        c = fold(expr.cond, params)
+        if c is None:
+            return None
+        return fold(expr.then if c else expr.other, params)
+    return None
+
+
+def generate_items(items: Iterable, fold_cond: Fold) -> Iterator:
+    """*items* with every :class:`GenerateIf` replaced by its taken arm.
+
+    An unlabelled arm is spliced in place, so its names join the
+    enclosing scope; a labelled arm stays one :class:`GenerateBlock`.
+    Lazy: a condition is folded when reached, after the parameters
+    declared before it.  A static consumer that cannot fold a condition
+    (a genvar it does not unroll) sees both arms.
+    """
+    for item in items:
+        if not isinstance(item, GenerateIf):
+            yield item
+            continue
+        value = fold_cond(item.cond)
+        if value is None or value:
+            yield from generate_items(item.then, fold_cond)
+        if not value:
+            yield from generate_items(item.other, fold_cond)
+
+
+def prune_if(stmt: Stmt, fold_cond: Fold) -> Stmt:
+    """*stmt* with every ``if`` whose condition folds replaced by the arm
+    it takes (a :class:`Null` for a missing ``else``) — procedural
+    code's generate-if."""
+    def sub(s: Optional[Stmt]) -> Optional[Stmt]:
+        return None if s is None else prune_if(s, fold_cond)
+
+    if isinstance(stmt, If):
+        value = fold_cond(stmt.cond)
+        if value is None:
+            return replace(stmt, then=sub(stmt.then), other=sub(stmt.other))
+        return sub(stmt.then if value else stmt.other) or Null(stmt.loc)
+    if isinstance(stmt, Block):
+        return replace(stmt, stmts=[sub(s) for s in stmt.stmts])
+    if isinstance(stmt, Case):
+        return replace(stmt, items=[CaseItem(it.matches, sub(it.body))
+                                    for it in stmt.items])
+    if isinstance(stmt, For):
+        return replace(stmt, body=sub(stmt.body))
+    return stmt

@@ -56,6 +56,12 @@ class _Scope:
     params: dict[str, int] = field(default_factory=dict)
     names: dict[str, Union[_SigRef, _MemRef]] = field(default_factory=dict)
 
+    def nested(self, suffix: str, **params: int) -> "_Scope":
+        """A generate scope: sees this scope's names and parameters, and
+        prefixes its own names with *suffix*."""
+        return _Scope(self.prefix + suffix, {**self.params, **params},
+                      dict(self.names))
+
     def lookup(self, name: str, loc: Loc) -> Union[int, _SigRef, _MemRef]:
         if name in self.params:
             return self.params[name]
@@ -114,8 +120,11 @@ class Elaborator:
     ) -> _Scope:
         scope = _Scope(prefix)
 
-        # Pass 1: parameters (in order; later ones may use earlier ones).
-        for item in mod.items:
+        # Pass 1: parameters (in order; later ones may use earlier ones),
+        # which also settles every generate-if condition.
+        items = []
+        for item in ast.generate_items(mod.items, self._folder(scope)):
+            items.append(item)
             if isinstance(item, ast.ParamDecl):
                 if not item.is_local and item.name in param_over:
                     scope.params[item.name] = param_over[item.name]
@@ -128,21 +137,49 @@ class Elaborator:
                 )
 
         # Pass 2: nets / regs / memories.
-        for item in mod.items:
+        for item in items:
             if isinstance(item, ast.NetDecl):
                 self._declare_net(item, scope, is_top)
 
         # Pass 3: behaviour + children.
-        for item in mod.items:
-            if isinstance(item, ast.ContAssign):
-                self._compile_cont_assign(item, scope)
-            elif isinstance(item, ast.AlwaysBlock):
-                self._compile_always(item, scope)
-            elif isinstance(item, ast.Instance):
-                self._elaborate_instance(item, mod, scope)
-            elif isinstance(item, ast.GenerateFor):
-                self._elaborate_generate(item, scope)
+        for item in items:
+            self._elaborate_item(item, scope)
         return scope
+
+    def _folder(self, scope: _Scope):
+        """Folds a generate-if condition over *scope*'s parameters."""
+        params = _Scope(scope.prefix, scope.params)
+
+        def fold(cond: ast.Expr) -> int:
+            try:
+                return self._const_expr(cond, params)
+            except ElabError:
+                raise ElabError("generate-if condition must be constant",
+                                cond.loc) from None
+
+        return fold
+
+    def _elaborate_item(self, item, scope: _Scope) -> None:
+        """One behavioural or structural item; declarations are not."""
+        if isinstance(item, ast.ContAssign):
+            self._compile_cont_assign(item, scope)
+        elif isinstance(item, ast.AlwaysBlock):
+            self._compile_always(item, scope)
+        elif isinstance(item, ast.Instance):
+            self._elaborate_instance(item, scope)
+        elif isinstance(item, ast.GenerateFor):
+            self._elaborate_generate(item, scope)
+        elif isinstance(item, ast.GenerateBlock):
+            self._elaborate_body(item.items, scope.nested(f"{item.label}."))
+
+    def _elaborate_body(self, items: list, scope: _Scope) -> None:
+        """A generate scope's items, in one pass in source order."""
+        for item in ast.generate_items(items, self._folder(scope)):
+            if isinstance(item, ast.NetDecl):
+                self._declare_net(item, scope, is_top=False)
+            elif isinstance(item, ast.ParamDecl):
+                scope.params[item.name] = self._const_expr(item.value, scope)
+            self._elaborate_item(item, scope)
 
     def _elaborate_generate(self, gen: ast.GenerateFor, scope: _Scope) -> None:
         """Unroll a generate-for: each iteration elaborates its items in
@@ -150,33 +187,11 @@ class Elaborator:
         a ``label[i].`` prefix (matching Verilog's generate naming)."""
         value = self._const_expr(gen.init, scope)
         for _guard in range(100_000):
-            iter_scope = _Scope(
-                prefix=f"{scope.prefix}{gen.label}[{value}].",
-                params={**scope.params, gen.var: value},
-                names=dict(scope.names),
-            )
+            iter_scope = scope.nested(f"{gen.label}[{value}].",
+                                      **{gen.var: value})
             if not self._const_expr(gen.cond, iter_scope):
                 return
-            for item in gen.items:
-                if isinstance(item, ast.NetDecl):
-                    self._declare_net(item, iter_scope, is_top=False)
-                elif isinstance(item, ast.ParamDecl):
-                    iter_scope.params[item.name] = self._const_expr(
-                        item.value, iter_scope
-                    )
-                elif isinstance(item, ast.ContAssign):
-                    self._compile_cont_assign(item, iter_scope)
-                elif isinstance(item, ast.AlwaysBlock):
-                    self._compile_always(item, iter_scope)
-                elif isinstance(item, ast.Instance):
-                    self._elaborate_instance(item, None, iter_scope)
-                elif isinstance(item, ast.GenerateFor):
-                    self._elaborate_generate(item, iter_scope)
-                else:  # pragma: no cover - parser restricts items
-                    raise ElabError(
-                        f"unsupported generate item {type(item).__name__}",
-                        gen.loc,
-                    )
+            self._elaborate_body(gen.items, iter_scope)
             value = self._const_expr(gen.step, iter_scope)
         raise ElabError(
             f"generate-for {gen.label!r} exceeded 100000 iterations", gen.loc
@@ -221,9 +236,7 @@ class Elaborator:
             raise ElabError(f"descending range required, got [{msb}:{lsb}]", loc)
         return msb - lsb + 1
 
-    def _elaborate_instance(
-        self, inst: ast.Instance, parent: ast.ModuleDecl, scope: _Scope
-    ) -> None:
+    def _elaborate_instance(self, inst: ast.Instance, scope: _Scope) -> None:
         if inst.module not in self.modules:
             raise ElabError(f"unknown module {inst.module!r}", inst.loc)
         child_decl = self.modules[inst.module]
@@ -592,6 +605,9 @@ class Elaborator:
     def _compile_always(self, item: ast.AlwaysBlock, scope: _Scope) -> None:
         self._line = 0
         sync = item.sensitivity is not None
+        # an ``if`` on a constant compiles only its taken arm
+        tree = ast.prune_if(
+            item.body, lambda e: ir.evaluate(self._compile_expr(e, scope)))
         if sync:
             # Clocked process: first edge item is the clock.
             clock_item = item.sensitivity[0]
@@ -599,12 +615,12 @@ class Elaborator:
             if not isinstance(ref, _SigRef):
                 raise ElabError(f"clock {clock_item.name!r} is not a signal", item.loc)
             if self.instrument and self.instrument.fsm:
-                self._detect_fsms(item.body, scope)
+                self._detect_fsms(tree, scope)
         name = f"{scope.prefix}{'sync' if sync else 'comb'}@{item.loc.line}"
         self._cov_stmt = bool(self.instrument and self.instrument.statement)
         self._cov_label = name
         try:
-            body = self._compile_suite(item.body, scope, in_sync=sync)
+            body = self._compile_suite(tree, scope, in_sync=sync)
         finally:
             self._cov_stmt = False
         if sync:
@@ -625,28 +641,15 @@ class Elaborator:
         case_states: dict[str, set[int]] = {}
         const_assigns: dict[str, set[int]] = {}
 
-        def walk(s: ast.Stmt) -> None:
-            if isinstance(s, ast.Block):
-                for sub in s.stmts:
-                    walk(sub)
-            elif isinstance(s, ast.If):
-                walk(s.then)
-                if s.other is not None:
-                    walk(s.other)
-            elif isinstance(s, ast.For):
-                walk(s.body)
-            elif isinstance(s, ast.Case):
+        for s in ast.walk(body):
+            if isinstance(s, ast.Case):
                 self._collect_case_states(s, scope, case_states)
-                for it in s.items:
-                    walk(it.body)
             elif isinstance(s, ast.Assign) and isinstance(s.lhs, ast.LvId):
                 try:
                     value = self._const_expr(s.rhs, scope)
                 except ElabError:
-                    return
+                    continue
                 const_assigns.setdefault(s.lhs.name, set()).add(value)
-
-        walk(body)
         for name, states in case_states.items():
             ref = scope.names.get(name)
             if not isinstance(ref, _SigRef):

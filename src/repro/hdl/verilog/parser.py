@@ -5,7 +5,8 @@ parameters, ``wire``/``reg``/``integer`` declarations (including memory
 arrays), ``assign``, ``always @(*)`` / ``always @(posedge …)`` blocks with
 ``begin/end``, ``if``/``else``, ``case``/``casez``, ``for`` loops,
 blocking and non-blocking assignments, the full operator set of
-:mod:`repro.hdl.ast`, and named-port module instantiation.
+:mod:`repro.hdl.ast`, named-port module instantiation, and generate-for
+and generate-if.
 
 The parser lowers everything into the language-neutral AST shared with
 the VHDL frontend.
@@ -117,6 +118,8 @@ def _parse_item(ts: TokenStream, mod) -> None:
         ts.expect_kw("endgenerate")
     elif tok.is_kw("for"):
         mod.items.append(_parse_generate_for(ts))
+    elif tok.is_kw("if"):
+        mod.items.append(_parse_generate_if(ts))
     elif tok.is_kw("wire", "reg", "integer"):
         _parse_net_decl(ts, mod)
     elif tok.is_kw("parameter", "localparam"):
@@ -196,18 +199,46 @@ def _parse_generate_for(ts: TokenStream) -> ast.GenerateFor:
     ts.expect_op("=")
     step = _parse_expr(ts)
     ts.expect_op(")")
-    ts.expect_kw("begin")
-    label = ""
-    if ts.accept_op(":"):
-        label = ts.expect_id().text
-    if not label:
+    body = _parse_generate_block(ts)
+    if not body.label:
         _gen_counter += 1
-        label = f"genblk{_gen_counter}"
-    gen = ast.GenerateFor(kw.loc, var, init, cond, step, label)
+        body.label = f"genblk{_gen_counter}"
+    return ast.GenerateFor(kw.loc, var, init, cond, step, body.label,
+                           body.items)
+
+
+def _parse_generate_block(ts: TokenStream) -> ast.GenerateBlock:
+    """``begin [: label] … end`` in a generate region."""
+    block = ast.GenerateBlock(ts.expect_kw("begin").loc, "")
+    if ts.accept_op(":"):
+        block.label = ts.expect_id().text
     while not ts.peek().is_kw("end"):
-        _parse_item(ts, gen)
+        _parse_item(ts, block)
     ts.expect_kw("end")
-    return gen
+    return block
+
+
+def _parse_generate_if(ts: TokenStream) -> ast.GenerateIf:
+    """``if (cond) arm [else arm]`` at module scope (inside or outside a
+    generate region); ``else if`` chains nest."""
+    kw = ts.expect_kw("if")
+    ts.expect_op("(")
+    cond = _parse_expr(ts)
+    ts.expect_op(")")
+    then = _parse_generate_arm(ts)
+    other = _parse_generate_arm(ts) if ts.accept_kw("else") else []
+    return ast.GenerateIf(kw.loc, cond, then, other)
+
+
+def _parse_generate_arm(ts: TokenStream) -> list:
+    """One item or a block; a labelled block stays one
+    :class:`ast.GenerateBlock`, an unlabelled one is its bare items."""
+    if ts.peek().is_kw("begin"):
+        arm = _parse_generate_block(ts)
+        return [arm] if arm.label else arm.items
+    arm = ast.GenerateBlock(ts.peek().loc, "")
+    _parse_item(ts, arm)
+    return arm.items
 
 
 def _parse_always(ts: TokenStream) -> ast.AlwaysBlock:

@@ -1,8 +1,9 @@
 """The RTL cache as a MESI coherence participant.
 
-:class:`RTLCoherentCacheObject` places the ``rtl_cache_coh`` design
-beside behavioral :class:`~repro.coherence.l1.CoherentL1Cache` instances
-under the same snooping directory.  The design is write-through, so the
+:class:`RTLCoherentCacheObject` places the ``SNOOP`` configuration of
+``rtl_cache.v`` beside behavioral
+:class:`~repro.coherence.l1.CoherentL1Cache` instances under the same
+snooping directory.  The design is write-through, so the
 bridge maps it onto a strict subset of MESI: every resident line is S,
 misses are GetS requests (``wt_participant`` grants are always S),
 stores are 8-byte coherent write-throughs serialized at the directory,
@@ -71,17 +72,17 @@ RTLCACHE_COH_OUTPUT = StructSpec(
 
 
 class RTLCacheCohSharedLibrary(RTLCacheSharedLibrary):
-    """tick/reset wrapper around the compiled rtl_cache_coh design."""
+    """tick/reset wrapper around the coherent (``SNOOP``) configuration."""
 
-    source_file = "rtl_cache_coh.v"
-    top = "rtl_cache_coh"
     input_spec = RTLCACHE_COH_INPUT
     output_spec = RTLCACHE_COH_OUTPUT
     pins = {**RTLCacheSharedLibrary.pins, "snoops": "snoop_count"}
+    params = {"ECC": 0, "SNOOP": 1}
 
 
 class RTLCoherentCacheObject(RTLCacheObject):
-    """rtl_cache_coh bridged into the MESI directory as an S-only L1.
+    """The coherent RTL cache bridged into the MESI directory as an
+    S-only L1.
 
     cpu_side[0] accepts 8-byte reads/writes; mem_side[0] issues coherent
     GetS fills and write-throughs and answers the directory's express

@@ -56,11 +56,11 @@ RTLCACHE_ECC_OUTPUT = StructSpec(
 )
 
 
-def load_rtl_cache_source(filename: str = "rtl_cache.v") -> str:
-    """Text of one of the bundled RTL cache designs."""
+def load_rtl_cache_source() -> str:
+    """Text of the bundled RTL cache design, ``rtl_cache.v``."""
     return (
         importlib.resources.files("repro.models.rtlcache")
-        .joinpath(filename)
+        .joinpath("rtl_cache.v")
         .read_text(encoding="utf-8")
     )
 
@@ -68,17 +68,15 @@ def load_rtl_cache_source(filename: str = "rtl_cache.v") -> str:
 class RTLCacheSharedLibrary(RTLSharedLibrary):
     """tick/reset wrapper around the compiled rtl_cache design.
 
-    A variant names its own source file, top module and structs; the
-    constructor is shared.
+    A configuration names its structs, its pins and the ``ECC``/``SNOOP``
+    parameters of ``rtl_cache.v`` it drives; the constructor is shared.
     """
 
-    #: bundled Verilog file and its top module
-    source_file = "rtl_cache.v"
-    top = "rtl_cache"
     input_spec = RTLCACHE_INPUT
     output_spec = RTLCACHE_OUTPUT
     # fill_data: the eight 64-bit lanes land on the one 512-bit pin
     pins = {"hits": "hit_count", "misses": "miss_count"}
+    params = {"ECC": 0, "SNOOP": 0}
 
     def __init__(
         self,
@@ -88,8 +86,8 @@ class RTLCacheSharedLibrary(RTLSharedLibrary):
         backend: str = "codegen",
     ) -> None:
         rtl = compile_verilog(
-            load_rtl_cache_source(self.source_file), top=self.top,
-            params={"IDXW": idxw},
+            load_rtl_cache_source(), top="rtl_cache",
+            params={"IDXW": idxw, **self.params},
         )
         super().__init__(rtl, trace_stream=trace_stream,
                          trace_enabled=trace_enabled, backend=backend)
@@ -97,16 +95,15 @@ class RTLCacheSharedLibrary(RTLSharedLibrary):
 
 
 class RTLCacheECCSharedLibrary(RTLCacheSharedLibrary):
-    """tick/reset wrapper around the parity-protected cache variant.
+    """tick/reset wrapper around the parity-protected configuration.
 
     Same port discipline as the base cache plus a ``corrections``
     counter — a parity mismatch on a read hit refetches the line from
     memory instead of serving corrupted data.
     """
 
-    source_file = "rtl_cache_ecc.v"
-    top = "rtl_cache_ecc"
     output_spec = RTLCACHE_ECC_OUTPUT
+    params = {"ECC": 1, "SNOOP": 0}
 
 
 class RTLCacheObject(RTLObject):
@@ -134,8 +131,8 @@ class RTLCacheObject(RTLObject):
             "rtl_hits", lambda: self.library.sim.peek("hit_count"))
         self.st_rtl_misses = self.stats.formula(
             "rtl_misses", lambda: self.library.sim.peek("miss_count"))
-        if "corrections" in self.library.sim.module.signals:
-            # parity-protected variant: detected-and-corrected upsets
+        if self.library.params["ECC"]:
+            # detected-and-corrected upsets
             self.st_rtl_corrections = self.stats.formula(
                 "rtl_corrections",
                 lambda: self.library.sim.peek("corrections"))

@@ -306,9 +306,9 @@ class CacheRig(_GridRig):
         }
 
     def detection(self) -> dict:
-        rtl = self.rtlc.library.sim
-        if "corrections" in rtl.module.signals:
-            return {"corrections": int(rtl.peek("corrections"))}
+        library = self.rtlc.library
+        if library.params["ECC"]:
+            return {"corrections": int(library.sim.peek("corrections"))}
         return {}
 
     def finish(self) -> None:

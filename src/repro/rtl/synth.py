@@ -77,36 +77,12 @@ class _Estimator:
 
     # -- parameter-aware width resolution (best effort) ---------------------
 
-    def _const(self, expr: ast.Expr, env: dict[str, int]) -> int | None:
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.Ident):
-            return env.get(expr.name)
-        if isinstance(expr, ast.Binary):
-            left = self._const(expr.left, env)
-            right = self._const(expr.right, env)
-            if left is None or right is None:
-                return None
-            try:
-                return {
-                    "+": left + right, "-": left - right, "*": left * right,
-                    "/": left // right if right else 0,
-                    "%": left % right if right else 0,
-                    "<<": left << right, ">>": left >> right,
-                    "<": int(left < right), "<=": int(left <= right),
-                    ">": int(left > right), ">=": int(left >= right),
-                    "==": int(left == right), "!=": int(left != right),
-                }.get(expr.op)
-            except (ValueError, OverflowError):  # pragma: no cover
-                return None
-        return None
-
     def _width_of_range(self, rng: ast.Range | None,
                         env: dict[str, int]) -> int:
         if rng is None:
             return 1
-        msb = self._const(rng.msb, env)
-        lsb = self._const(rng.lsb, env)
+        msb = ast.fold(rng.msb, env)
+        lsb = ast.fold(rng.lsb, env)
         if msb is None or lsb is None:
             return 8  # unknown parameterisation: assume a byte
         return abs(msb - lsb) + 1
@@ -121,66 +97,59 @@ class _Estimator:
                 if not item.is_local and item.name in overrides:
                     env[item.name] = overrides[item.name]
                 else:
-                    value = self._const(item.value, env)
+                    value = ast.fold(item.value, env)
                     env[item.name] = 0 if value is None else value
 
+        items = list(ast.generate_items(mod.items,
+                                        lambda e: ast.fold(e, env)))
         widths: dict[str, int] = {}
-        for item in mod.items:
+        for item in items:
             if isinstance(item, ast.NetDecl):
                 width = self._width_of_range(item.rng, env)
                 widths[item.name] = width
                 if item.mem_range is not None:
                     depth = self._width_of_range(item.mem_range, env)
                     self.report.ram_bits += width * depth
-                elif item.kind in ("reg", "integer") and item.direction is None:
-                    # registers resolved at the always-block walk below;
-                    # here we only track widths
-                    pass
 
-        for item in mod.items:
-            if isinstance(item, ast.ContAssign):
-                self._expr(item.rhs, widths, env)
-            elif isinstance(item, ast.AlwaysBlock):
-                self._always(item, widths, env)
-            elif isinstance(item, ast.Instance):
-                child = self.modules.get(item.module)
-                if child is None:
-                    continue
-                child_over = {
-                    k: v
-                    for k, v in (
-                        (name, self._const(e, env))
-                        for name, e in item.params.items()
-                    )
-                    if v is not None
-                }
-                self._estimate_module(child, child_over)
-            elif isinstance(item, ast.GenerateFor):
-                self._generate(item, widths, env)
+        for item in items:
+            self._item(item, widths, env)
+
+    def _item(self, item, widths: dict[str, int],
+              env: dict[str, int]) -> None:
+        """One behavioural item of a module or generate scope."""
+        if isinstance(item, ast.Instance):
+            child = self.modules.get(item.module)
+            if child is not None:
+                self._estimate_module(child, {
+                    name: value for name, e in item.params.items()
+                    if (value := ast.fold(e, env)) is not None
+                })
+        elif isinstance(item, ast.ContAssign):
+            self._expr(item.rhs, widths, env)
+        elif isinstance(item, ast.AlwaysBlock):
+            self._always(item, widths, env)
+        elif isinstance(item, ast.GenerateFor):
+            self._generate(item, widths, env)
+        elif isinstance(item, ast.GenerateBlock):
+            for sub in ast.generate_items(item.items,
+                                          lambda e: ast.fold(e, env)):
+                self._item(sub, widths, env)
 
     def _generate(self, gen: ast.GenerateFor, widths: dict[str, int],
                   env: dict[str, int]) -> None:
         # count iterations with the same const-eval machinery
-        value = self._const(gen.init, env)
+        value = ast.fold(gen.init, env)
         if value is None:
             return
         for _ in range(100_000):
             ienv = {**env, gen.var: value}
-            cond = self._const(gen.cond, ienv)
+            cond = ast.fold(gen.cond, ienv)
             if not cond:
                 return
-            for item in gen.items:
-                if isinstance(item, ast.ContAssign):
-                    self._expr(item.rhs, widths, ienv)
-                elif isinstance(item, ast.AlwaysBlock):
-                    self._always(item, widths, ienv)
-                elif isinstance(item, ast.Instance):
-                    child = self.modules.get(item.module)
-                    if child is not None:
-                        self._estimate_module(child, {})
-                elif isinstance(item, ast.GenerateFor):
-                    self._generate(item, widths, ienv)
-            step = self._const(gen.step, ienv)
+            for item in ast.generate_items(gen.items,
+                                           lambda e: ast.fold(e, ienv)):
+                self._item(item, widths, ienv)
+            step = ast.fold(gen.step, ienv)
             if step is None:
                 return
             value = step
@@ -191,7 +160,8 @@ class _Estimator:
                 env: dict[str, int]) -> None:
         is_sync = block.sensitivity is not None
         assigned: set[str] = set()
-        self._stmt(block.body, widths, env, assigned, mux_depth=0)
+        body = ast.prune_if(block.body, lambda e: ast.fold(e, env))
+        self._stmt(body, widths, env, assigned, mux_depth=0)
         if is_sync:
             for name in assigned:
                 self.report.ffs += widths.get(name, 1)
@@ -234,9 +204,9 @@ class _Estimator:
 
     def _loop_trip_count(self, stmt: ast.For, env: dict[str, int]) -> int:
         # best effort: constant bounds give the true count, else 8
-        init = self._const(stmt.init, env)
+        init = ast.fold(stmt.init, env)
         if isinstance(stmt.cond, ast.Binary):
-            bound = self._const(stmt.cond.right, env)
+            bound = ast.fold(stmt.cond.right, env)
             if init is not None and bound is not None and bound > init:
                 return bound - init
         return 8

@@ -10,21 +10,28 @@ name          frontend shape
 pmu           verilog  memories, address-mapped regs, single always
 bitonic       vhdl     deep comb instance tree + registered stages
 rtlcache      verilog  wide datapaths, miss FSM-ish busy flag
-rtlcache_ecc  verilog  rtlcache + per-word parity and refetch path
-rtlcache_coh  verilog  rtlcache + coherence probe (snoop) interface
+rtlcache_ecc  verilog  rtlcache, ECC=1: per-word parity, refetch path
+rtlcache_coh  verilog  rtlcache, SNOOP=1: coherence probe (snoop) port
 ============= ======== =============================================
+
+The ``rtlcache`` rows are one file, ``rtl_cache.v``, under the
+``ECC``/``SNOOP`` pair of the library class that drives each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 from ..hdl.common import CoverageOptions
 from ..models.bitonic.wrapper import load_bitonic_source
 from ..models.pmu.wrapper import load_pmu_source
-from ..models.rtlcache.wrapper import load_rtl_cache_source
+from ..models.rtlcache import (
+    RTLCacheCohSharedLibrary,
+    RTLCacheECCSharedLibrary,
+    RTLCacheSharedLibrary,
+    load_rtl_cache_source,
+)
 from ..rtl.simulator import RTLSimulator
 
 
@@ -73,17 +80,15 @@ DESIGNS: dict[str, Design] = {
                "src/repro/models/pmu/pmu.v"),
         Design("bitonic", "vhdl", "bitonic8", load_bitonic_source,
                "src/repro/models/bitonic/bitonic.vhdl", params={"W": 16}),
-        Design("rtlcache", "verilog", "rtl_cache", load_rtl_cache_source,
+    ) + tuple(
+        Design(name, "verilog", "rtl_cache", load_rtl_cache_source,
                "src/repro/models/rtlcache/rtl_cache.v",
-               params={"IDXW": 4}),
-        Design("rtlcache_ecc", "verilog", "rtl_cache_ecc",
-               partial(load_rtl_cache_source, "rtl_cache_ecc.v"),
-               "src/repro/models/rtlcache/rtl_cache_ecc.v",
-               params={"IDXW": 4}),
-        Design("rtlcache_coh", "verilog", "rtl_cache_coh",
-               partial(load_rtl_cache_source, "rtl_cache_coh.v"),
-               "src/repro/models/rtlcache/rtl_cache_coh.v",
-               params={"IDXW": 4}),
+               params={"IDXW": 4, **library.params})
+        for name, library in (
+            ("rtlcache", RTLCacheSharedLibrary),
+            ("rtlcache_ecc", RTLCacheECCSharedLibrary),
+            ("rtlcache_coh", RTLCacheCohSharedLibrary),
+        )
     )
 }
 

@@ -3,7 +3,8 @@
 Because both frontends lower to one AST (:mod:`repro.hdl.ast`), a single
 rule set serves Verilog and VHDL designs alike — the same way the
 elaborator serves both.  The pipeline is deliberately *static*: it folds
-parameters with their declared defaults, resolves declared widths, and
+parameters (their declared defaults unless overridden), keeps the taken
+arm of each generate-if and constant ``if``, resolves declared widths, and
 never needs to elaborate (so it can diagnose designs the elaborator
 would reject).
 
@@ -36,6 +37,7 @@ Every rule is exercised positively and negatively by
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Iterator, Optional
 
 from ..hdl import ast
@@ -82,97 +84,37 @@ _MAX_CASE_WIDTH = 20
 # ---------------------------------------------------------------------------
 
 
-def _fold(expr: Optional[ast.Expr], params: dict[str, int]) -> Optional[int]:
-    """Evaluate *expr* using parameter values only; None if not constant."""
-    if expr is None:
-        return None
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.Ident):
-        return params.get(expr.name)
-    if isinstance(expr, ast.Unary):
-        v = _fold(expr.operand, params)
-        if v is None:
-            return None
-        if expr.op == "-":
-            return -v
-        if expr.op == "+":
-            return v
-        if expr.op == "!":
-            return 0 if v else 1
-        return None
-    if isinstance(expr, ast.Binary):
-        lv = _fold(expr.left, params)
-        rv = _fold(expr.right, params)
-        if lv is None or rv is None:
-            return None
-        op = expr.op
-        try:
-            if op == "+":
-                return lv + rv
-            if op == "-":
-                return lv - rv
-            if op == "*":
-                return lv * rv
-            if op == "/":
-                return lv // rv if rv else 0
-            if op == "%":
-                return lv % rv if rv else 0
-            if op == "<<":
-                return lv << rv
-            if op == ">>":
-                return lv >> rv
-            if op == "==":
-                return 1 if lv == rv else 0
-            if op == "!=":
-                return 1 if lv != rv else 0
-            if op == "<":
-                return 1 if lv < rv else 0
-            if op == "<=":
-                return 1 if lv <= rv else 0
-            if op == ">":
-                return 1 if lv > rv else 0
-            if op == ">=":
-                return 1 if lv >= rv else 0
-            if op == "&":
-                return lv & rv
-            if op == "|":
-                return lv | rv
-            if op == "^":
-                return lv ^ rv
-        except (ValueError, OverflowError):  # pragma: no cover - defensive
-            return None
-        return None
-    if isinstance(expr, ast.Ternary):
-        c = _fold(expr.cond, params)
-        if c is None:
-            return None
-        return _fold(expr.then if c else expr.other, params)
-    return None
-
-
 class _ModuleInfo:
-    """Folded parameters and declared widths for one module."""
+    """Folded parameters, declared widths and, in :attr:`items`, the
+    module items that exist under those parameters; :attr:`modules` is
+    the parsed file, for instances."""
 
     def __init__(self, mod: ast.ModuleDecl,
-                 param_over: Optional[dict[str, int]] = None) -> None:
+                 param_over: Optional[dict[str, int]] = None,
+                 modules: Optional[dict[str, ast.ModuleDecl]] = None) -> None:
         self.mod = mod
+        self.modules = modules or {}
         self.params: dict[str, int] = {}
         self.widths: dict[str, Optional[int]] = {}
         self.mem_widths: dict[str, Optional[int]] = {}
         self.kinds: dict[str, str] = {}
         self.dirs: dict[str, Optional[str]] = {}
         self.decl_locs: dict[str, ast.Loc] = {}
-        for item in mod.items:
+        self.items: list = []
+        for item in ast.generate_items(mod.items, self.fold):
+            self.items.append(item)
             if isinstance(item, ast.ParamDecl):
                 if param_over and not item.is_local and item.name in param_over:
                     self.params[item.name] = param_over[item.name]
                     continue
-                v = _fold(item.value, self.params)
+                v = ast.fold(item.value, self.params)
                 if v is not None:
                     self.params[item.name] = v
             elif isinstance(item, ast.NetDecl):
                 self._declare(item)
+
+    def fold(self, expr: Optional[ast.Expr]) -> Optional[int]:
+        return ast.fold(expr, self.params)
 
     def _declare(self, decl: ast.NetDecl) -> None:
         if decl.kind == "integer":
@@ -180,8 +122,8 @@ class _ModuleInfo:
         elif decl.rng is None:
             width = 1
         else:
-            msb = _fold(decl.rng.msb, self.params)
-            lsb = _fold(decl.rng.lsb, self.params)
+            msb = ast.fold(decl.rng.msb, self.params)
+            lsb = ast.fold(decl.rng.lsb, self.params)
             width = (msb - lsb + 1) if (msb is not None and lsb is not None
                                         and msb >= lsb) else None
         self.kinds[decl.name] = decl.kind
@@ -206,8 +148,8 @@ class _ModuleInfo:
                 return self.mem_widths[e.name]
             return 1
         if isinstance(e, ast.Slice):
-            msb = _fold(e.msb, self.params)
-            lsb = _fold(e.lsb, self.params)
+            msb = ast.fold(e.msb, self.params)
+            lsb = ast.fold(e.lsb, self.params)
             if msb is None or lsb is None or msb < lsb:
                 return None
             return msb - lsb + 1
@@ -217,7 +159,7 @@ class _ModuleInfo:
                 return None
             return sum(widths)  # type: ignore[arg-type]
         if isinstance(e, ast.Repeat):
-            count = _fold(e.count, self.params)
+            count = ast.fold(e.count, self.params)
             w = self.expr_width(e.value)
             if count is None or w is None:
                 return None
@@ -252,8 +194,8 @@ class _ModuleInfo:
                 return self.mem_widths[lv.name]
             return 1
         if isinstance(lv, ast.LvSlice):
-            msb = _fold(lv.msb, self.params)
-            lsb = _fold(lv.lsb, self.params)
+            msb = ast.fold(lv.msb, self.params)
+            lsb = ast.fold(lv.lsb, self.params)
             if msb is None or lsb is None or msb < lsb:
                 return None
             return msb - lsb + 1
@@ -268,24 +210,6 @@ class _ModuleInfo:
 # ---------------------------------------------------------------------------
 # AST walking helpers
 # ---------------------------------------------------------------------------
-
-
-def _walk_stmts(stmt: Optional[ast.Stmt]) -> Iterator[ast.Stmt]:
-    """Pre-order traversal of a statement tree."""
-    if stmt is None:
-        return
-    yield stmt
-    if isinstance(stmt, ast.Block):
-        for s in stmt.stmts:
-            yield from _walk_stmts(s)
-    elif isinstance(stmt, ast.If):
-        yield from _walk_stmts(stmt.then)
-        yield from _walk_stmts(stmt.other)
-    elif isinstance(stmt, ast.Case):
-        for item in stmt.items:
-            yield from _walk_stmts(item.body)
-    elif isinstance(stmt, ast.For):
-        yield from _walk_stmts(stmt.body)
 
 
 def _expr_reads(e: Optional[ast.Expr], out: set[str]) -> None:
@@ -345,7 +269,7 @@ def _lvalue_reads(lv: ast.Lvalue, out: set[str]) -> None:
 
 
 def _stmt_reads(stmt: ast.Stmt, out: set[str]) -> None:
-    for s in _walk_stmts(stmt):
+    for s in ast.walk(stmt):
         if isinstance(s, ast.Assign):
             _expr_reads(s.rhs, out)
             _lvalue_reads(s.lhs, out)
@@ -364,7 +288,7 @@ def _stmt_reads(stmt: ast.Stmt, out: set[str]) -> None:
 
 def _stmt_writes(stmt: ast.Stmt) -> list[tuple[str, bool, ast.Loc]]:
     out: list[tuple[str, bool, ast.Loc]] = []
-    for s in _walk_stmts(stmt):
+    for s in ast.walk(stmt):
         if isinstance(s, ast.Assign):
             for name, full in _lvalue_targets(s.lhs):
                 out.append((name, full, s.loc))
@@ -373,18 +297,20 @@ def _stmt_writes(stmt: ast.Stmt) -> list[tuple[str, bool, ast.Loc]]:
     return out
 
 
-def _behavioral_items(
-    mod: ast.ModuleDecl,
-) -> Iterator[ast.Item]:
-    """Module items including those inside generate loops (un-unrolled)."""
+def _behavioral_items(info: _ModuleInfo) -> Iterator[ast.Item]:
+    """Module items including those inside generate scopes (loops
+    un-unrolled); an always block's ``if`` on a constant keeps only its
+    taken arm."""
     def rec(items: Iterable) -> Iterator[ast.Item]:
         for item in items:
-            if isinstance(item, ast.GenerateFor):
-                yield from rec(item.items)
+            if isinstance(item, (ast.GenerateFor, ast.GenerateBlock)):
+                yield from rec(ast.generate_items(item.items, info.fold))
+            elif isinstance(item, ast.AlwaysBlock):
+                yield replace(item, body=ast.prune_if(item.body, info.fold))
             else:
                 yield item
 
-    yield from rec(mod.items)
+    yield from rec(info.items)
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +323,13 @@ def _finding(rule: str, loc: ast.Loc, message: str) -> Finding:
     return Finding(rule, severity, message, loc.filename, loc.line, loc.col)
 
 
-def _pass_multidriven(
-    info: _ModuleInfo, modules: dict[str, ast.ModuleDecl]
-) -> list[Finding]:
+def _pass_multidriven(info: _ModuleInfo) -> list[Finding]:
     cont_full: dict[str, list[ast.Loc]] = {}
     cont_partial: dict[str, list[ast.Loc]] = {}
     always_drv: dict[str, list[ast.Loc]] = {}
     inst_drv: dict[str, list[ast.Loc]] = {}
 
-    for item in _behavioral_items(info.mod):
+    for item in _behavioral_items(info):
         if isinstance(item, ast.ContAssign):
             for name, full in _lvalue_targets(item.lhs):
                 (cont_full if full else cont_partial).setdefault(
@@ -417,7 +341,7 @@ def _pass_multidriven(
             for name in block_targets:
                 always_drv.setdefault(name, []).append(item.loc)
         elif isinstance(item, ast.Instance):
-            child = modules.get(item.module)
+            child = info.modules.get(item.module)
             if child is None:
                 continue
             out_ports = {p.name for p in child.ports()
@@ -499,7 +423,7 @@ def _assign_paths(stmt: ast.Stmt) -> tuple[set[str], set[str]]:
 
 def _pass_latch(info: _ModuleInfo) -> list[Finding]:
     findings: list[Finding] = []
-    for item in _behavioral_items(info.mod):
+    for item in _behavioral_items(info):
         if not isinstance(item, ast.AlwaysBlock) or item.sensitivity is not None:
             continue
         always, sometimes = _assign_paths(item.body)
@@ -512,9 +436,7 @@ def _pass_latch(info: _ModuleInfo) -> list[Finding]:
     return findings
 
 
-def _pass_width(
-    info: _ModuleInfo, modules: dict[str, ast.ModuleDecl]
-) -> list[Finding]:
+def _pass_width(info: _ModuleInfo) -> list[Finding]:
     findings: list[Finding] = []
 
     def check_assign(lhs: ast.Lvalue, rhs: ast.Expr, loc: ast.Loc) -> None:
@@ -527,19 +449,19 @@ def _pass_width(
             f"{rw}-bit expression implicitly truncated to {lw}-bit target",
         ))
 
-    for item in _behavioral_items(info.mod):
+    for item in _behavioral_items(info):
         if isinstance(item, ast.ContAssign):
             check_assign(item.lhs, item.rhs, item.loc)
         elif isinstance(item, ast.AlwaysBlock):
-            for s in _walk_stmts(item.body):
+            for s in ast.walk(item.body):
                 if isinstance(s, ast.Assign):
                     check_assign(s.lhs, s.rhs, s.loc)
         elif isinstance(item, ast.Instance):
-            child = modules.get(item.module)
+            child = info.modules.get(item.module)
             if child is None:
                 continue
             over = {name: v for name, expr in item.params.items()
-                    if (v := _fold(expr, info.params)) is not None}
+                    if (v := ast.fold(expr, info.params)) is not None}
             child_info = _ModuleInfo(child, over)
             for port_decl in child.ports():
                 conn = item.conns.get(port_decl.name)
@@ -559,10 +481,10 @@ def _pass_width(
 
 def _pass_case(info: _ModuleInfo) -> list[Finding]:
     findings: list[Finding] = []
-    for item in _behavioral_items(info.mod):
+    for item in _behavioral_items(info):
         if not isinstance(item, ast.AlwaysBlock):
             continue
-        for s in _walk_stmts(item.body):
+        for s in ast.walk(item.body):
             if not isinstance(s, ast.Case):
                 continue
             if any(it.matches is None for it in s.items):
@@ -575,7 +497,7 @@ def _pass_case(info: _ModuleInfo) -> list[Finding]:
                     if isinstance(m, ast.WildcardLiteral):
                         exact = False
                         continue
-                    v = _fold(m, info.params)
+                    v = ast.fold(m, info.params)
                     if v is None:
                         exact = False
                     else:
@@ -595,12 +517,10 @@ def _pass_case(info: _ModuleInfo) -> list[Finding]:
     return findings
 
 
-def _module_reads_writes(
-    info: _ModuleInfo, modules: dict[str, ast.ModuleDecl]
-) -> tuple[set[str], set[str]]:
+def _module_reads_writes(info: _ModuleInfo) -> tuple[set[str], set[str]]:
     reads: set[str] = set()
     writes: set[str] = set()
-    for item in _behavioral_items(info.mod):
+    for item in _behavioral_items(info):
         if isinstance(item, ast.ContAssign):
             _expr_reads(item.rhs, reads)
             _lvalue_reads(item.lhs, reads)
@@ -611,7 +531,7 @@ def _module_reads_writes(
             _stmt_reads(item.body, reads)
             writes.update(n for n, _f, _l in _stmt_writes(item.body))
         elif isinstance(item, ast.Instance):
-            child = modules.get(item.module)
+            child = info.modules.get(item.module)
             out_ports = (
                 {p.name for p in child.ports()
                  if p.direction == ast.DIR_OUTPUT}
@@ -636,10 +556,8 @@ def _module_reads_writes(
     return reads, writes
 
 
-def _pass_unused_undriven(
-    info: _ModuleInfo, modules: dict[str, ast.ModuleDecl]
-) -> list[Finding]:
-    reads, writes = _module_reads_writes(info, modules)
+def _pass_unused_undriven(info: _ModuleInfo) -> list[Finding]:
+    reads, writes = _module_reads_writes(info)
     findings: list[Finding] = []
     declared = sorted(set(info.widths) | set(info.mem_widths))
     for name in declared:
@@ -679,7 +597,7 @@ def _cond_polarity(cond: ast.Expr, name: str) -> Optional[str]:
 def _pass_async_reset(info: _ModuleInfo) -> list[Finding]:
     findings: list[Finding] = []
     styles: dict[str, set[str]] = {}
-    for item in _behavioral_items(info.mod):
+    for item in _behavioral_items(info):
         if not isinstance(item, ast.AlwaysBlock) or not item.sensitivity:
             continue
         if len(item.sensitivity) < 2:
@@ -731,7 +649,7 @@ def _pass_snoopdrive(info: _ModuleInfo) -> list[Finding]:
     its previous value on the others, so a coherence participant polling
     it can see a stale acknowledge or hit flag from an earlier probe."""
     findings: list[Finding] = []
-    for item in _behavioral_items(info.mod):
+    for item in _behavioral_items(info):
         if not isinstance(item, ast.AlwaysBlock) or not item.sensitivity:
             continue
         always, sometimes = _assign_paths(item.body)
@@ -765,17 +683,17 @@ _PASSES = (
 )
 
 
-def lint_modules(modules: dict[str, ast.ModuleDecl]) -> list[Finding]:
-    """Run every pass over every module; deterministic ordering."""
+def lint_modules(
+    modules: dict[str, ast.ModuleDecl],
+    params: Optional[dict[str, int]] = None,
+) -> list[Finding]:
+    """Run every pass over every module, each with the *params* it
+    declares overridden; deterministic ordering."""
     findings: list[Finding] = []
     for name in sorted(modules):
-        info = _ModuleInfo(modules[name])
+        info = _ModuleInfo(modules[name], params, modules)
         for rule_pass in _PASSES:
-            if rule_pass in (_pass_multidriven, _pass_width,
-                             _pass_unused_undriven):
-                findings.extend(rule_pass(info, modules))
-            else:
-                findings.extend(rule_pass(info))
+            findings.extend(rule_pass(info))
     findings.sort(key=lambda f: (f.file, f.line, f.rule, f.message))
     return findings
 
@@ -791,8 +709,10 @@ def lint_source(
     filename: str = "<hdl>",
     frontend: Optional[str] = None,
     waivers: Iterable[WaiverEntry] = (),
+    params: Optional[dict[str, int]] = None,
 ) -> LintReport:
-    """Lint one source file; syntax errors become SYNTAX findings."""
+    """Lint one source file under *params*; syntax errors become SYNTAX
+    findings."""
     fe = _frontend_for(filename, frontend)
     if fe == "vhdl":
         from ..hdl.vhdl.parser import parse
@@ -811,6 +731,6 @@ def lint_source(
         report = LintReport([finding])
         apply_waivers(report.findings, {filename: source}, list(waivers))
         return report
-    findings = lint_modules(modules)
+    findings = lint_modules(modules, params)
     apply_waivers(findings, {filename: source}, list(waivers))
     return LintReport(findings)

@@ -33,9 +33,15 @@ STRATEGIES = ("uniform", "onehot", "weighted", "range", "reset_pulse")
 
 
 def _drivable(sim) -> list:
+    """Inputs to draw for: not the clock or reset, nor one no process
+    reads (a union port), whose draws would only shift later cycles."""
+    module = sim.module
+    read = set().union(*(p.reads for p in module.comb_procs),
+                       *(p.reads for p in module.sync_procs))
     return [
-        s for s in sim.module.inputs
+        s for s in module.inputs
         if s.name not in CLOCK_NAMES and s.name not in RESET_NAMES
+        and s.index in read
     ]
 
 

@@ -1,11 +1,12 @@
-"""Verilog generate-for: structural unrolling, naming, nesting."""
+"""Verilog generate-for and generate-if: structural unrolling, the taken
+arm, naming, nesting."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hdl.common import ElabError
 from repro.hdl.verilog import compile_verilog
-from repro.rtl import CombLoopError, RTLSimulator
+from repro.rtl import CombLoopError, RTLSimulator, ir
 
 RIPPLE = """
 module fa (input a, input b, input cin, output s, output cout);
@@ -138,6 +139,81 @@ class TestGenerateFor:
         """
         with pytest.raises(ElabError, match="iterations"):
             compile_verilog(src)
+
+
+SELECT = """
+module t #(parameter P = 1) (input [3:0] a, output [3:0] y);
+    if (P) begin
+        wire [3:0] fwd;
+        assign fwd = a;
+        assign y = fwd;
+    end else begin : inv
+        wire [3:0] fwd;
+        assign fwd = ~a;
+        assign y = fwd;
+    end
+endmodule
+"""
+
+
+def _settled(src, a, **params):
+    sim = RTLSimulator(compile_verilog(src, top="t", params=params))
+    sim.poke("a", a)
+    sim.settle()
+    return sim
+
+
+class TestGenerateIf:
+    def test_only_the_taken_arm_exists_and_labels_prefix(self):
+        taken = _settled(SELECT, 0b0101, P=1)
+        assert "fwd" in taken.module.signals  # unlabelled: no prefix
+        assert not any(n.startswith("inv.") for n in taken.module.signals)
+        other = _settled(SELECT, 0b0101, P=0)
+        assert "inv.fwd" in other.module.signals
+        assert "fwd" not in other.module.signals
+        assert (taken.peek("y"), other.peek("y")) == (0b0101, 0b1010)
+
+    def test_nests_in_and_around_generate_for(self):
+        src = """
+        module t #(parameter N = 4) (input [3:0] a, output [3:0] y);
+            genvar i;
+            if (N == 4) begin : wide
+                for (i = 0; i < N; i = i + 1) begin : g
+                    if (i % 2 == 0) assign y[i] = a[i];
+                    else begin : odd
+                        wire b;
+                        assign b = ~a[i];
+                        assign y[i] = b;
+                    end
+                end
+            end else assign y = ~a;
+        endmodule
+        """
+        sim = _settled(src, 0b0000)
+        names = set(sim.module.signals)
+        assert {"wide.g[1].odd.b", "wide.g[3].odd.b"} <= names
+        assert sim.peek("y") == 0b1010
+        assert _settled(src, 0b0001, N=2).peek("y") == 0b1110
+
+    def test_non_constant_condition_is_an_error_at_its_location(self):
+        src = "module t (input a, output y);\n if (a) assign y = 1;\nendmodule"
+        with pytest.raises(ElabError, match="must be constant") as err:
+            compile_verilog(src, top="t", filename="c.v")
+        assert (err.value.loc.filename, err.value.loc.line) == ("c.v", 2)
+
+    def test_procedural_constant_if_compiles_one_arm(self):
+        src = """
+        module t #(parameter P = 1) (input clk, input [3:0] a,
+                                     output reg [3:0] q);
+            always @(posedge clk) if (P) q <= a; else q <= ~a;
+        endmodule
+        """
+        for p, want in ((1, 0b0101), (0, 0b1010)):
+            sim = _settled(src, 0b0101, P=p)
+            body = sim.module.sync_procs[0].body
+            assert [type(stmt) for stmt in body] == [ir.Store]
+            sim.tick()
+            assert sim.peek("q") == want
 
 
 class TestIterativeSettle:

@@ -4,6 +4,8 @@ in-system integration with real data flowing through the hardware model."""
 import pytest
 
 from repro.models.rtlcache import (
+    RTLCacheCohSharedLibrary,
+    RTLCacheECCSharedLibrary,
     RTLCacheObject,
     RTLCacheSharedLibrary,
     load_rtl_cache_source,
@@ -86,6 +88,20 @@ class TestStandaloneRTL:
         lib.reset()
         out = tick(lib, req_valid=1, req_addr=0x5000)
         assert out["miss_valid"] == 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: the tag is req_addr[31:12], so below IDXW=6 lines "
+    "1 KiB apart alias (ROADMAP item 1 re-pins the fix)"))
+@pytest.mark.parametrize("cls", [
+    RTLCacheSharedLibrary, RTLCacheECCSharedLibrary, RTLCacheCohSharedLibrary,
+], ids=lambda cls: cls.__name__)
+def test_lines_one_kib_apart_do_not_alias(cls):
+    lib = cls(idxw=4)
+    lib.reset()
+    fill_line(lib, 0x0)
+    out = tick(lib, req_valid=1, req_addr=0x400)  # same index, same tag
+    assert out["resp_was_hit"] == 0 and out["miss_valid"] == 1
 
 
 class TestInSystem:

@@ -1,7 +1,7 @@
-"""Parity-protected RTL cache variant: a single-bit upset in the data
-or parity store becomes a detected-and-corrected refetch, never silent
-corruption.  This is the hardened endpoint the fault campaign compares
-against the plain cache."""
+"""Parity-protected RTL cache configuration (``ECC``): a single-bit
+upset in the data or parity store becomes a detected-and-corrected
+refetch, never silent corruption.  This is the hardened endpoint the
+fault campaign compares against the plain cache."""
 
 import pytest
 
@@ -43,9 +43,9 @@ def corrupt_word(lib, addr, word, bit):
 
 class TestEccBehaviour:
     def test_source_is_real_verilog(self):
-        src = load_rtl_cache_source("rtl_cache_ecc.v")
-        assert "module rtl_cache_ecc" in src
-        assert "corrections" in src
+        src = load_rtl_cache_source()
+        assert "module rtl_cache" in src
+        assert "parameter ECC = 0" in src and "corrections" in src
 
     def test_output_spec_extends_plain_cache(self):
         plain = {f.name for f in RTLCACHE_OUTPUT.fields}

@@ -161,6 +161,13 @@ def test_rtlcache_differential():
     run_differential(module, cycles=3000, seed=3)
 
 
+@pytest.mark.parametrize("config", ["ECC", "SNOOP"])
+def test_rtlcache_configuration_differential(config):
+    module = compile_verilog(load_rtl_cache_source(), top="rtl_cache",
+                             params={"IDXW": 4, config: 1})
+    run_differential(module, cycles=3000, seed=3)
+
+
 def test_bitonic_differential():
     module = compile_vhdl(load_bitonic_source(), top="bitonic8",
                           params={"W": 16})

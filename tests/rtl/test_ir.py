@@ -276,8 +276,8 @@ class TestTheListPathHasTwoReasons:
 #: (PR 21) printed it; re-pin only with a change to the design's HDL
 O0_LISTING = {
     "bitonic": "fcda515e1f3c9891", "pmu": "e1a7a044240671bf",
-    "rtlcache": "7e5b604176ca90a9", "rtlcache_coh": "614273e87ee4a319",
-    "rtlcache_ecc": "2c59cb8eedd1fec9",
+    "rtlcache": "af59a2e2c93ae9ec", "rtlcache_coh": "2e16d5d9bfbda45a",
+    "rtlcache_ecc": "8db86e1a1072e021",
 }
 
 #: sha256 of the fused program (``CodegenProgram.source``) per design and
@@ -287,19 +287,19 @@ O0_LISTING = {
 PROGRAM = {
     "bitonic-plain": "7208c38e2f6a6f2d", "bitonic-instr": "6c8b22dbd7e54511",
     "pmu-plain": "f451e39e7a45ebe5", "pmu-instr": "555f44abe92d682c",
-    "rtlcache-plain": "13bb456930a58875",
-    "rtlcache-instr": "e4088bc0527f59d6",
-    "rtlcache_coh-plain": "59e37ae32e9409de",
-    "rtlcache_coh-instr": "c9baaea861b9ae87",
-    "rtlcache_ecc-plain": "ef6d3f059b577520",
-    "rtlcache_ecc-instr": "371800d15d496d22",
+    "rtlcache-plain": "f2b8800d189fe581",
+    "rtlcache-instr": "5f22089c9569ddbc",
+    "rtlcache_coh-plain": "afb6411c2c42140c",
+    "rtlcache_coh-instr": "727f563705fcf152",
+    "rtlcache_ecc-plain": "2f1e77c009080ab5",
+    "rtlcache_ecc-instr": "6afce55f1c3cf59a",
 }
 EXCHANGE = {
     BitonicSharedLibrary: "d2dfb07999cc61d2",
     PMUSharedLibrary: "713fcaa93e8ec4f0",
-    RTLCacheSharedLibrary: "2424f6710219ae3c",
-    RTLCacheECCSharedLibrary: "679cbf30984fda2d",
-    RTLCacheCohSharedLibrary: "a5eb649aa3f131df",
+    RTLCacheSharedLibrary: "c15efaae6978a1ad",
+    RTLCacheECCSharedLibrary: "94359155002616f6",
+    RTLCacheCohSharedLibrary: "e6f5933f500da5dd",
 }
 
 

@@ -156,3 +156,13 @@ class TestSynthEstimator:
         text = estimate_verilog(load_rtl_cache_source(),
                                 top="rtl_cache").format_text()
         assert "LUTs" in text and "RAM bits" in text
+
+    def test_ecc_configuration_costs_flops_and_ram(self):
+        from repro.models.rtlcache import load_rtl_cache_source
+        from repro.rtl.synth import estimate_verilog
+
+        plain, ecc = (estimate_verilog(load_rtl_cache_source(),
+                                       params={"IDXW": 4, "ECC": e})
+                      for e in (0, 1))
+        assert ecc.ffs > plain.ffs  # the correction counter
+        assert ecc.ram_bits == plain.ram_bits + 8 * 16  # parity memory

@@ -56,6 +56,20 @@ class TestMultiDriven:
         """
         assert RULE_MULTIDRIVEN not in rules_of(src)
 
+    def test_generate_if_arms_are_one_driver_but_not_with_another(self):
+        src = """
+        module m #(parameter P = 0) (input a, input b, output x);
+            if (P) assign x = a; else assign x = b;
+            {}
+        endmodule
+        """
+        for p in (0, 1):
+            for extra, fires in (("", False), ("assign x = a & b;", True)):
+                report = lint_source(src.format(extra), "t.v",
+                                     params={"P": p})
+                rules = {f.rule for f in report.findings}
+                assert (RULE_MULTIDRIVEN in rules) == fires, (p, extra)
+
     def test_shared_loop_variable_is_clean(self):
         """A loop index reused across blocks is idiomatic, not a bug."""
         src = """
@@ -446,5 +460,9 @@ class TestSnoopDrive:
         from repro.verify.designs import get_design
 
         design = get_design("rtlcache_coh")
-        report = lint_source(design.source(), design.filename)
+        report = lint_source(design.source(), design.filename,
+                             params=design.params)
         assert not [f for f in report.findings if not f.waived]
+        # the snoop ports are live in this configuration: nothing about
+        # them needed a waiver
+        assert not [f for f in report.findings if "snoop" in f.message]
