@@ -14,6 +14,7 @@ from typing import Optional, TextIO
 from ...bridge.shared_library import RTLSharedLibrary
 from ...bridge.structs import Field, StructSpec
 from ...hdl.verilog import compile_verilog
+from ...rtl.kernel import RTLModule
 
 N_COUNTERS = 20
 
@@ -82,12 +83,18 @@ class PMUSharedLibrary(RTLSharedLibrary):
         trace_enabled: bool = False,
         backend: str = "codegen",
     ) -> None:
-        rtl = compile_verilog(
-            load_pmu_source(), top="pmu", params={"NCOUNTERS": n_counters}
-        )
-        super().__init__(rtl, trace_stream=trace_stream,
+        super().__init__(self.design(n_counters), trace_stream=trace_stream,
                          trace_enabled=trace_enabled, backend=backend)
         self.n_counters = n_counters
+
+    @staticmethod
+    def design(n_counters: int = N_COUNTERS) -> RTLModule:
+        """The elaborated ``pmu.v``, without building a simulator
+        (identical calls share one design through the elaboration
+        cache)."""
+        return compile_verilog(
+            load_pmu_source(), top="pmu", params={"NCOUNTERS": n_counters}
+        )
 
     # -- debug/verification helpers (bypass the struct boundary) ----------
 

@@ -15,6 +15,7 @@ from ...bridge.rtl_object import RTLObject
 from ...bridge.shared_library import RTLSharedLibrary
 from ...bridge.structs import Field, StructSpec
 from ...hdl.verilog import compile_verilog
+from ...rtl.kernel import RTLModule
 from ...soc.event import ClockDomain
 from ...soc.packet import Packet
 from ...soc.simobject import SimObject, Simulation
@@ -85,13 +86,19 @@ class RTLCacheSharedLibrary(RTLSharedLibrary):
         trace_enabled: bool = False,
         backend: str = "codegen",
     ) -> None:
-        rtl = compile_verilog(
-            load_rtl_cache_source(), top="rtl_cache",
-            params={"IDXW": idxw, **self.params},
-        )
-        super().__init__(rtl, trace_stream=trace_stream,
+        super().__init__(self.design(idxw), trace_stream=trace_stream,
                          trace_enabled=trace_enabled, backend=backend)
         self.lines = 1 << idxw
+
+    @classmethod
+    def design(cls, idxw: int = 6) -> RTLModule:
+        """This configuration's elaborated ``rtl_cache.v``, without
+        building a simulator (identical calls share one design through
+        the elaboration cache)."""
+        return compile_verilog(
+            load_rtl_cache_source(), top="rtl_cache",
+            params={"IDXW": idxw, **cls.params},
+        )
 
 
 class RTLCacheECCSharedLibrary(RTLCacheSharedLibrary):

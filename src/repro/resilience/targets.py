@@ -409,7 +409,7 @@ def _pmu_build(params: dict) -> PMURig:
 def _pmu_module(params: dict):
     from ..models.pmu import PMUSharedLibrary
 
-    return PMUSharedLibrary(backend="interp").sim.module
+    return PMUSharedLibrary.design()
 
 
 def _cache_build(params: dict) -> CacheRig:
@@ -422,7 +422,7 @@ def _cache_module(params: dict):
     )
 
     cls = RTLCacheECCSharedLibrary if params["ecc"] else RTLCacheSharedLibrary
-    return cls(idxw=params["idxw"], backend="interp").sim.module
+    return cls.design(idxw=params["idxw"])
 
 
 class _DirStatePseudoMem:
@@ -465,9 +465,7 @@ def _coherence_module(params: dict):
 
     # idxw is pinned to the testbench's participant geometry (see
     # build_sharing_system), not a campaign parameter
-    return _CoherenceFaultSpace(
-        RTLCacheCohSharedLibrary(idxw=4, backend="interp").sim.module
-    )
+    return _CoherenceFaultSpace(RTLCacheCohSharedLibrary.design(idxw=4))
 
 
 _CACHE_DEFAULTS = {

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from typing import Any, Iterator, Optional
 from urllib.parse import urlsplit
@@ -25,8 +26,16 @@ class ServeError(RuntimeError):
 
 
 class ServeClient:
-    """One server endpoint; every call opens a fresh connection (the
-    server speaks one request per connection)."""
+    """One server endpoint.
+
+    Each thread keeps one persistent HTTP/1.1 connection and sends its
+    calls over it; :meth:`events` streams on a connection of its own.
+    The server closes a connection only at a request boundary (idle
+    timeout, shutdown, an error answer), so a call on a kept connection
+    that fails before any response byte arrives was never read: it is
+    retried once on a fresh connection.  :meth:`close` closes the
+    calling thread's connection.
+    """
 
     def __init__(self, url: str = "http://127.0.0.1:8321",
                  timeout: float = 300.0) -> None:
@@ -36,6 +45,7 @@ class ServeClient:
         self.host = split.hostname or "127.0.0.1"
         self.port = split.port or 8321
         self.timeout = timeout
+        self._local = threading.local()
 
     # -- transport ---------------------------------------------------------
 
@@ -46,20 +56,37 @@ class ServeClient:
 
     def _request(self, method: str, path: str,
                  body: Optional[dict] = None) -> Any:
-        conn = self._connect()
+        payload = None
+        headers = {}
+        if body is not None:
+            payload = json.dumps(body).encode()
+            headers["Content-Type"] = "application/json"
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect()
+        reused = conn.sock is not None
         try:
-            payload = None
-            headers = {}
-            if body is not None:
-                payload = json.dumps(body).encode()
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=payload, headers=headers)
-            resp = conn.getresponse()
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                resp = conn.getresponse()
+            except ConnectionError:   # RemoteDisconnected among them
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, path, body=payload, headers=headers)
+                resp = conn.getresponse()
             doc = json.loads(resp.read().decode("utf-8"))
-            if resp.status >= 400:
-                raise ServeError(resp.status, doc.get("error", "unknown"))
-            return doc
-        finally:
+        except BaseException:
+            conn.close()   # a half-used connection carries no next call
+            raise
+        if resp.status >= 400:
+            raise ServeError(resp.status, doc.get("error", "unknown"))
+        return doc
+
+    def close(self) -> None:
+        """Close the calling thread's kept connection, if any."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
             conn.close()
 
     # -- API ---------------------------------------------------------------

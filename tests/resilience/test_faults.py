@@ -154,6 +154,58 @@ class TestRtlFlip:
         pmu.stop()
 
 
+def _target_library(name: str):
+    """The shared library a campaign target's rig runs, built on the
+    interpreter backend."""
+    from repro.models.pmu import PMUSharedLibrary
+    from repro.models.rtlcache import (
+        RTLCacheCohSharedLibrary, RTLCacheECCSharedLibrary,
+        RTLCacheSharedLibrary,
+    )
+
+    return {
+        "pmu": lambda: PMUSharedLibrary(backend="interp"),
+        "rtlcache": lambda: RTLCacheSharedLibrary(idxw=4, backend="interp"),
+        "rtlcache_ecc": lambda: RTLCacheECCSharedLibrary(
+            idxw=4, backend="interp"),
+        "coherence": lambda: RTLCacheCohSharedLibrary(
+            idxw=4, backend="interp"),
+    }[name]()
+
+
+class TestTargetFaultSpace:
+    """A target's ``module()`` is the elaborated design, read without
+    building a simulator, and spans the same flip targets as the
+    simulator its rig runs."""
+
+    NAMES = ["pmu", "rtlcache", "rtlcache_ecc", "coherence"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_flip_targets_match_the_simulated_design(self, name):
+        from repro.resilience.faults import flip_targets
+        from repro.resilience.targets import get_target, normalize_params
+
+        target = get_target(name)
+        module = target.module(normalize_params(target))
+        reference = _target_library(name).sim.module
+        got = flip_targets(module, include_memories=True)
+        if name == "coherence":   # the directory's words are not RTL state
+            got = [t for t in got if not t[0].startswith("dir_state[")]
+        assert got == flip_targets(reference, include_memories=True)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_module_builds_no_simulator(self, name, monkeypatch):
+        from repro.resilience.targets import get_target, normalize_params
+        from repro.rtl.simulator import RTLSimulator
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("module() built an RTLSimulator")
+
+        monkeypatch.setattr(RTLSimulator, "__init__", refuse)
+        target = get_target(name)
+        assert target.module(normalize_params(target)).memories
+
+
 class TestNamedFlipSpecs:
     """Named ``rtl-flip`` targets: parse, validate, round-trip, digest."""
 
