@@ -180,7 +180,7 @@ class StructSpec:
             "        raise _KeyError("
             "f\"struct {_name!r} has no fields {_sorted(_unknown)}\")",
             *checks,
-            # ints, bools and numpy ints mask directly; anything else
+            # ints and bools mask directly; anything else
             # int() accepts (a float, a numeric string) is coerced first
             "    try:",
             f"        return _pack({', '.join(f'{v} & {m}' for v, m in encode)})",

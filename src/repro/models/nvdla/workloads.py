@@ -17,6 +17,9 @@ int8 data.
 
 from __future__ import annotations
 
+import functools
+import struct
+
 from .trace import LayerDesc, Trace
 
 BLOCK = 64
@@ -35,13 +38,97 @@ def _blocks(nbytes: int) -> int:
     return -(-nbytes // BLOCK)
 
 
-def _image(addr: int, nbytes: int, seed: int) -> tuple[int, bytes]:
-    # imported here: every process imports this module (via repro.dse),
-    # only the ones that build an NVDLA image need numpy's ~130 ms
-    import numpy as np
+# -- the image stream ------------------------------------------------------
+#
+# Images are numpy's ``default_rng(seed).integers(0, 256, n, dtype=uint8)``,
+# reproduced byte for byte without numpy (DESIGN.md "Why there is no
+# numpy"): SeedSequence expands the seed into four 64-bit words, PCG64 is
+# seeded from them, and each XSL-RR output supplies eight bytes, low byte
+# first.  Checkpoints hash the physmem frames the images land in, so any
+# change to this stream moves pinned bytes.
 
-    rng = np.random.default_rng(seed)
-    return addr, rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
+_MASK32 = 0xFFFF_FFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+# numpy.random.SeedSequence's hash constants (a 32-bit hash by M. O'Neill)
+_INIT_A = 0x43B0_D7E5
+_MULT_A = 0x931E_8875
+_INIT_B = 0x8B51_F9DD
+_MULT_B = 0x58F3_8DED
+_MIX_MULT_L = 0xCA01_F9DD
+_MIX_MULT_R = 0x4973_F715
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)``."""
+    if seed < 0:
+        raise ValueError(f"expected non-negative integer seed, got {seed}")
+    entropy = [seed & _MASK32]         # 32-bit words, least significant first
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    padded = entropy + [0] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(word) for word in padded[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):                 # four uint64s as eight uint32s
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+# more than the six images of the largest workload; bounded because a
+# long-lived worker may be asked for any number of scales
+@functools.lru_cache(maxsize=16)
+def _stream(seed: int, nbytes: int) -> bytes:
+    """*nbytes* uniform bytes of ``default_rng(seed)``, as numpy draws them.
+
+    A pure function of its arguments and the same for every instance of
+    every design point, so each process draws it once.
+    """
+    s0, s1, s2, s3 = _seed_words(seed)
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    # pcg_setseq_128_srandom_r: step from 0, add the initial state, step
+    state = (inc + (s0 << 64 | s1)) * _PCG_MULT + inc & _MASK128
+    words = []
+    append = words.append
+    for _ in range(-(-nbytes // 8)):
+        state = state * _PCG_MULT + inc & _MASK128
+        x = (state >> 64 ^ state) & _MASK64
+        append(((x << 64 | x) >> (state >> 122)) & _MASK64)   # rotate right
+    # integers(0, 256, dtype=uint8) takes each output as two uint32 halves,
+    # low half first, and each half's bytes low byte first
+    return struct.pack(f"<{len(words)}Q", *words)[:nbytes]
+
+
+def _image(addr: int, nbytes: int, seed: int) -> tuple[int, bytes]:
+    return addr, _stream(seed, nbytes)
 
 
 def sanity3(base: int = DATA_BASE, scale: float = 1.0) -> Trace:
