@@ -34,7 +34,7 @@ def artifact():
 
 def dse_grid():
     """(inflight_sweep, memories, nvdla_counts) for the DSE figures."""
-    from repro.dse import INFLIGHT_SWEEP, MEMORIES, NVDLA_COUNTS
+    from repro.dse.sweep import INFLIGHT_SWEEP, MEMORIES, NVDLA_COUNTS
 
     if FAST:
         return (4, 32, 240), ("DDR4-1ch", "DDR4-4ch", "HBM"), (1, 2)

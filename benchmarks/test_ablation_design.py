@@ -14,7 +14,7 @@ from conftest import FAST, write_artifact
 from repro.dse.nvdla_system import build_nvdla_system
 from repro.soc.mem.dram import ddr4_2400
 from repro.soc.system import SoC, SoCConfig
-from repro.soc.cpu import alu, load
+from repro.soc.cpu.uop import alu, load
 
 
 def test_ablation_fr_fcfs_window(benchmark, artifact):
@@ -77,7 +77,8 @@ def test_ablation_l2_prefetcher(benchmark, artifact):
 
 def test_ablation_rtl_frequency_ratio(benchmark, artifact):
     """Halving the RTL clock halves its tick count (and its cost)."""
-    from repro.models.pmu import PMURTLObject, PMUSharedLibrary
+    from repro.models.pmu.rtl_object import PMURTLObject
+    from repro.models.pmu.wrapper import PMUSharedLibrary
     from repro.soc.event import ClockDomain
 
     def run_freq(freq_hz: float):

@@ -9,7 +9,7 @@ introduction motivates (performance + area + power from one framework).
 
 from conftest import FAST, write_artifact
 
-from repro.models.pmu import load_pmu_source
+from repro.models.pmu.wrapper import load_pmu_source
 from repro.rtl.synth import estimate_verilog
 from repro.soc.power import estimate_power
 

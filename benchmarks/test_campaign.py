@@ -12,7 +12,7 @@ import json
 
 from conftest import FAST, write_artifact
 
-from repro.parallel import ResultCache
+from repro.parallel.cache import ResultCache
 from repro.resilience.campaign import render_report, run_campaign
 
 BUDGET = 16 if FAST else 48

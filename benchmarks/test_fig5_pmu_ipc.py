@@ -8,7 +8,8 @@ quantified.
 
 from conftest import FAST, write_artifact
 
-from repro.dse import render_fig5, run_fig5
+from repro.dse.pmu_experiment import run_fig5
+from repro.dse.render import render_fig5
 
 
 def _run():

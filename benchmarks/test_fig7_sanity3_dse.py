@@ -7,7 +7,8 @@ window and the memory technology than GoogleNet (Fig. 6).
 import pytest
 from conftest import dse_grid, workload_scale, write_artifact
 
-from repro.dse import render_dse, run_dse
+from repro.dse.render import render_dse
+from repro.dse.sweep import run_dse
 
 INFLIGHT, MEMORIES, COUNTS = dse_grid()
 SUB = {1: "a", 2: "b", 4: "c"}

@@ -9,7 +9,7 @@ multiplicative waveform cost.
 
 from conftest import sort_sizes, write_artifact
 
-from repro.dse import render_table2
+from repro.dse.render import render_table2
 from repro.dse.pmu_experiment import run_table2
 
 

@@ -9,7 +9,8 @@ relative overhead (the paper's 3.12x vs GoogleNet's 1.54x).
 
 from conftest import workload_scale, write_artifact
 
-from repro.dse import render_table3, run_table3
+from repro.dse.render import render_table3
+from repro.dse.sweep import run_table3
 
 
 def test_table3_simulation_overhead(benchmark, artifact):

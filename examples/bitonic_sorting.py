@@ -12,7 +12,7 @@ Run:  python examples/bitonic_sorting.py
 
 import random
 
-from repro.models.bitonic import (
+from repro.models.bitonic.wrapper import (
     BitonicSharedLibrary,
     PIPELINE_DEPTH,
     load_bitonic_source,

@@ -11,8 +11,9 @@ Run:  python examples/nvdla_dse.py [workload] [n_nvdla] [jobs]
 
 import sys
 
-from repro.dse import run_dse, render_dse
-from repro.parallel import ProgressReporter
+from repro.dse.render import render_dse
+from repro.dse.sweep import run_dse
+from repro.parallel.progress import ProgressReporter
 
 
 def main() -> None:

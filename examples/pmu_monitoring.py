@@ -14,7 +14,8 @@ Run:  python examples/pmu_monitoring.py [N]
 
 import sys
 
-from repro.dse import render_fig5, run_fig5
+from repro.dse.pmu_experiment import run_fig5
+from repro.dse.render import render_fig5
 
 
 def main() -> None:

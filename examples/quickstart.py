@@ -13,9 +13,12 @@ Walks the three blocks of the gem5+rtl framework (paper Fig. 1):
 Run:  python examples/quickstart.py
 """
 
-from repro.bridge import Field, RTLSharedLibrary, RTLObject, StructSpec
+from repro.bridge.rtl_object import RTLObject
+from repro.bridge.shared_library import RTLSharedLibrary
+from repro.bridge.structs import Field, StructSpec
 from repro.hdl.verilog import compile_verilog
-from repro.rtl import RTLSimulator, VCDWriter
+from repro.rtl.simulator import RTLSimulator
+from repro.rtl.vcd import VCDWriter
 from repro.soc.system import SoC, SoCConfig
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,7 @@ def soc_demo() -> None:
     soc.attach_rtl_cpu_side(ctr)
 
     # a pointer-chasing workload that misses the caches
-    from repro.soc.cpu import alu, load
+    from repro.soc.cpu.uop import alu, load
 
     def workload():
         for i in range(4000):

@@ -14,9 +14,9 @@ Run:  python examples/rtl_cache_in_soc.py
 
 import random
 
-from repro.models.rtlcache import RTLCacheObject
+from repro.models.rtlcache.wrapper import RTLCacheObject
 from repro.soc.iomaster import IOMaster
-from repro.soc.mem import DRAMController, ddr4_2400
+from repro.soc.mem.dram import DRAMController, ddr4_2400
 from repro.soc.simobject import Simulation
 
 

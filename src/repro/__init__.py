@@ -9,7 +9,7 @@ an NVDLA-class accelerator, and a bitonic sorter in VHDL.
 Quick start::
 
     from repro.hdl.verilog import compile_verilog
-    from repro.rtl import RTLSimulator
+    from repro.rtl.simulator import RTLSimulator
 
     rtl = compile_verilog(open("design.v").read())
     sim = RTLSimulator(rtl)
@@ -18,13 +18,12 @@ Quick start::
 Full-system integration::
 
     from repro.soc.system import SoC, SoCConfig
-    from repro.models.pmu import PMURTLObject, PMUSharedLibrary
+    from repro.models.pmu.rtl_object import PMURTLObject
+    from repro.models.pmu.wrapper import PMUSharedLibrary
 
-See examples/ and DESIGN.md.
+Packages re-export nothing: a name is imported from the module that
+defines it, so a process loads only what it runs (DESIGN.md, "A
+process imports what it runs").  See examples/ and DESIGN.md.
 """
 
-from . import bridge, hdl, rtl, soc
-
 __version__ = "1.0.0"
-
-__all__ = ["bridge", "hdl", "rtl", "soc", "__version__"]

@@ -3,27 +3,8 @@
 Three pieces, mirroring Figure 1:
 
 1. RTL models — compiled by :mod:`repro.hdl` (Verilog/VHDL frontends);
-2. the shared library — :class:`SharedLibrary` wrappers exposing
-   ``tick``/``reset`` and exchanging packed structs;
-3. the gem5 side — :class:`RTLObject` with timing ports, TLB hookup and
-   a frequency-ratio tick event.
+2. the shared library — :class:`.shared_library.SharedLibrary`
+   wrappers exposing ``tick``/``reset`` and exchanging packed structs;
+3. the gem5 side — :class:`.rtl_object.RTLObject` with timing ports, TLB
+   hookup and a frequency-ratio tick event.
 """
-
-from .rtl_object import CPU_SIDE_PORTS, MEM_SIDE_PORTS, RTLObject
-from .shared_library import (
-    BehavioralSharedLibrary,
-    RTLSharedLibrary,
-    SharedLibrary,
-)
-from .structs import Field, StructSpec
-
-__all__ = [
-    "BehavioralSharedLibrary",
-    "CPU_SIDE_PORTS",
-    "Field",
-    "MEM_SIDE_PORTS",
-    "RTLObject",
-    "RTLSharedLibrary",
-    "SharedLibrary",
-    "StructSpec",
-]

@@ -583,7 +583,7 @@ class RTLObject(SimObject):
         """Express coherence probe arriving on a mem-side port.
 
         Base RTLObjects are not coherence participants; subclasses that
-        join a :class:`~repro.soc.interconnect.CoherentXbar` (e.g. the
+        join a :class:`~repro.soc.interconnect.coherent.CoherentXbar` (e.g. the
         coherent RTL cache bridge) override this with their snoop
         translation.  Reaching it otherwise means a non-participant was
         wired to a coherent crossbar.

@@ -10,7 +10,7 @@ wrapper exposing exactly two entry points to gem5:
 
 :class:`SharedLibrary` is that contract.  :class:`RTLSharedLibrary` is
 the common implementation for models compiled by our HDL frontends: it
-owns the :class:`~repro.rtl.RTLSimulator`, supports waveform tracing
+owns the :class:`~repro.rtl.simulator.RTLSimulator`, supports waveform tracing
 with runtime enable/disable (Table 2's knob), and moves struct fields
 onto RTL pins and back.  What a Verilator wrapper writes by hand around
 ``eval()`` — one assignment per struct member — the model-specific
@@ -21,17 +21,17 @@ generated from it.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence, TextIO, Union
+from typing import TYPE_CHECKING, Optional, Sequence, TextIO, Union
 
-from ..rtl.codegen import PinSlot
-from ..rtl.kernel import RTLModule
-from ..rtl.simulator import RTLSimulator
-from ..rtl.vcd import VCDWriter
 from .structs import StructSpec
 
-#: one struct on the pins: per field, its name, element count and the
-#: pin location of each element
-_Wiring = list[tuple[str, int, list[PinSlot]]]
+if TYPE_CHECKING:
+    from ..rtl.codegen import PinSlot
+    from ..rtl.kernel import RTLModule
+
+    #: one struct on the pins: per field, its name, element count and
+    #: the pin location of each element
+    _Wiring = list[tuple[str, int, list[PinSlot]]]
 
 
 class SharedLibrary(abc.ABC):
@@ -134,6 +134,11 @@ class RTLSharedLibrary(SharedLibrary):
         trace_enabled: bool = False,
         backend: str = "codegen",
     ) -> None:
+        # the RTL kernel loads with the first RTL model, never with a
+        # behavioural-only system
+        from ..rtl.simulator import RTLSimulator
+        from ..rtl.vcd import VCDWriter
+
         trace = None
         if trace_stream is not None:
             trace = VCDWriter(module, stream=trace_stream, enabled=trace_enabled)

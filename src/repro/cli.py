@@ -52,7 +52,7 @@ def _name_int(pair: str) -> tuple[str, int]:
 
 def _memory_list(text: str) -> tuple[str, ...]:
     """Comma-separated memory preset names, each checked."""
-    from .soc.mem import MEMORY_PRESETS
+    from .soc.mem.dram import MEMORY_PRESETS
 
     names = tuple(text.split(","))
     for name in names:
@@ -94,7 +94,8 @@ class _DesignArg(argparse.Action):
 
 def cmd_compile(args: argparse.Namespace) -> int:
     from .hdl.common import HDLError
-    from .rtl import RTLSimulator, VCDWriter
+    from .rtl.simulator import RTLSimulator
+    from .rtl.vcd import VCDWriter
 
     params = dict(args.param)
     if args.file.endswith((".vhd", ".vhdl")):
@@ -154,7 +155,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _progress(total: int, label: str):
-    from .parallel import ProgressReporter
+    from .parallel.progress import ProgressReporter
 
     return ProgressReporter(total, label=label)
 
@@ -177,7 +178,7 @@ def _list_debug_flags() -> None:
 def _setup_tracing(args: argparse.Namespace):
     """Arm the repro.trace layer from ``--debug-flags``/``--trace-*``.
 
-    Returns the installed :class:`~repro.trace.ChromeTracer`, if any, so
+    Returns the installed :class:`~repro.trace.chrome.ChromeTracer`, if any, so
     the caller can ``finish()`` it once the command completes.
     """
     flag_spec = getattr(args, "debug_flags", None)
@@ -189,7 +190,8 @@ def _setup_tracing(args: argparse.Namespace):
         raise SystemExit(0)
     if not flag_spec and not trace_out and start is None and end is None:
         return None
-    from .trace import ChromeTracer, set_pending_window
+    from .trace.chrome import ChromeTracer
+    from .trace.control import set_pending_window
     from .trace.flags import (
         parse_flags,
         set_chrome_tracer,
@@ -220,11 +222,11 @@ def _setup_resilience(args: argparse.Namespace):
     with :mod:`repro.resilience.control`; the first simulation that starts
     (per process — workers inherit the parked state on fork) arms them.
 
-    Returns the :class:`~repro.parallel.RunStats` instance that sweep
+    Returns the :class:`~repro.parallel.runner.RunStats` instance that sweep
     commands should thread into their runner, so ``--keep-going`` /
     ``--point-timeout`` outcomes can be summarised after the run.
     """
-    from .parallel import RunStats
+    from .parallel.runner import RunStats
 
     inject = getattr(args, "inject", None)
     seed = getattr(args, "inject_seed", None)
@@ -235,7 +237,8 @@ def _setup_resilience(args: argparse.Namespace):
     stats = RunStats()
     if not (inject or seed is not None or watchdog or every or restore):
         return stats
-    from .resilience import FaultPlan, control
+    from .resilience import control
+    from .resilience.faults import FaultPlan
 
     if inject:
         try:
@@ -275,7 +278,8 @@ def _report_run_stats(stats) -> None:
 
 
 def cmd_fig5(args: argparse.Namespace) -> int:
-    from .dse import render_fig5, run_fig5, run_fig5_series
+    from .dse.pmu_experiment import run_fig5, run_fig5_series
+    from .dse.render import render_fig5
 
     intervals = args.intervals
     stats = _setup_resilience(args)
@@ -297,7 +301,7 @@ def cmd_fig5(args: argparse.Namespace) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    from .dse import render_table2
+    from .dse.render import render_table2
     from .dse.pmu_experiment import run_table2
 
     sizes = args.sizes
@@ -312,8 +316,9 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def cmd_dse(args: argparse.Namespace) -> int:
-    from .dse import render_dse, run_dse
-    from .parallel import ResultCache
+    from .dse.render import render_dse
+    from .dse.sweep import run_dse
+    from .parallel.cache import ResultCache
 
     inflight, memories = args.inflight, args.memories
     cache = None if args.no_cache else ResultCache()
@@ -338,7 +343,8 @@ def cmd_dse(args: argparse.Namespace) -> int:
 
 
 def cmd_table3(args: argparse.Namespace) -> int:
-    from .dse import render_table3, run_table3
+    from .dse.render import render_table3
+    from .dse.sweep import run_table3
 
     stats = _setup_resilience(args)
     rows = run_table3(jobs=args.jobs, point_timeout=args.point_timeout,
@@ -349,7 +355,8 @@ def cmd_table3(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    from .parallel import ResultCache, RunStats
+    from .parallel.cache import ResultCache
+    from .parallel.runner import RunStats
     from .resilience.campaign import render_report, run_campaign
     from .resilience.targets import TARGETS
 
@@ -424,7 +431,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 def _verify_targets(names: list[str]):
     """Resolve design-name arguments (empty = every bundled design)."""
-    from .verify import design_names, get_design
+    from .verify.designs import design_names, get_design
 
     if not names:
         names = design_names()
@@ -435,7 +442,7 @@ def _verify_targets(names: list[str]):
 
 
 def _load_waivers(path: Optional[str]):
-    from .verify import parse_waiver_file
+    from .verify.findings import parse_waiver_file
 
     if not path:
         return []
@@ -456,7 +463,8 @@ def _write_json(path: Optional[str], text: str) -> None:
 
 
 def cmd_verify_lint(args: argparse.Namespace) -> int:
-    from .verify import LintReport, lint_source
+    from .verify.findings import LintReport
+    from .verify.lint import lint_source
 
     waivers = _load_waivers(args.waivers)
     findings = []
@@ -485,7 +493,8 @@ def cmd_verify_lint(args: argparse.Namespace) -> int:
 
 def _covered_report(design, backend: str, seed: int, cycles: int):
     from .hdl.common import CoverageOptions
-    from .verify import CoverageCollector, Stimulus
+    from .verify.coverage import CoverageCollector
+    from .verify.stimulus import Stimulus
 
     sim = design.make_sim(backend=backend, instrument=CoverageOptions())
     collector = CoverageCollector(sim)
@@ -524,7 +533,7 @@ def cmd_verify_fuzz(args: argparse.Namespace) -> int:
     import json as _json
 
     from .hdl.common import CoverageOptions
-    from .verify import fuzz, save_corpus
+    from .verify.stimulus import fuzz, save_corpus
 
     status = 0
     docs = []
@@ -556,7 +565,8 @@ def cmd_verify_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_equiv(args: argparse.Namespace) -> int:
-    from .verify import check_equivalence, load_corpus
+    from .verify.equiv import check_equivalence
+    from .verify.stimulus import load_corpus
 
     status = 0
     for design in _verify_targets(args.design):
@@ -577,7 +587,8 @@ def cmd_verify_equiv(args: argparse.Namespace) -> int:
 
 def cmd_verify_coherence(args: argparse.Namespace) -> int:
     """MESI invariants under seeded random sharing, serial vs pooled."""
-    from .coherence import ProtocolError, run_sharing_stress
+    from .coherence.check import run_sharing_stress
+    from .coherence.protocol import ProtocolError
 
     status = 0
     serial: dict[int, dict] = {}
@@ -617,10 +628,19 @@ def cmd_verify_coherence(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import importlib
     import signal
 
-    from .parallel import ResultCache
-    from .serve import Scheduler, ServeServer, TenantRegistry
+    # load the simulator core before announcing the port, so a passing
+    # /healthz means the first job runs at full speed instead of paying
+    # these imports inside its own wall time
+    for mod in ("repro.soc.system", "repro.bridge.rtl_object",
+                "repro.rtl.simulator"):
+        importlib.import_module(mod)
+    from .parallel.cache import ResultCache
+    from .serve.scheduler import Scheduler
+    from .serve.server import ServeServer
+    from .serve.tenants import TenantRegistry
 
     cache = None if args.no_cache else ResultCache()
     tenants = (TenantRegistry.from_file(args.tenants)
@@ -659,7 +679,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_submit(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .serve import ServeClient, ServeError
+    from .serve.client import ServeClient, ServeError
 
     params: dict = {}
     if args.params_json:

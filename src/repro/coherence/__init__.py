@@ -2,11 +2,12 @@
 
 The protocol engine (:mod:`.protocol`) is an explicit state table;
 :mod:`.l1` holds the per-core private caches (the MESI policy over
-:class:`repro.soc.cache.CacheCore`), :mod:`.directory` the
+:class:`repro.soc.cache.core.CacheCore`), :mod:`.directory` the
 shared-L2 snooping directory that serializes every transaction, and
 :mod:`.check` the protocol-invariant harness behind
 ``repro verify coherence``.  The RTL write-through cache joins the same
-protocol through :class:`repro.models.rtlcache.RTLCoherentCacheObject`.
+protocol through
+:class:`repro.models.rtlcache.coherent.RTLCoherentCacheObject`.
 """
 
 from .check import (

@@ -244,8 +244,8 @@ def build_sharing_system(
     write-through RTL caches invalidate each other through the
     directory.
     """
-    from ..soc.interconnect import CoherentXbar
-    from ..soc.mem import IdealMemory
+    from ..soc.interconnect.coherent import CoherentXbar
+    from ..soc.mem.ideal import IdealMemory
 
     sim = Simulation()
     xbar = CoherentXbar(sim, "cohbus")
@@ -279,8 +279,9 @@ def build_sharing_system(
 
     rtl_objs = []
     if n_rtl:
-        from ..models.rtlcache import (
-            RTLCacheCohSharedLibrary, RTLCoherentCacheObject,
+        from ..models.rtlcache.coherent import (
+            RTLCacheCohSharedLibrary,
+            RTLCoherentCacheObject,
         )
 
         for j in range(n_rtl):

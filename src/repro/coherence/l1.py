@@ -1,6 +1,6 @@
 """Private per-core L1 data cache speaking MESI.
 
-Unlike the classic :class:`repro.soc.cache.Cache` (tags only), a
+Unlike the classic :class:`repro.soc.cache.cache.Cache` (tags only), a
 coherent L1 holds the actual 64-byte line data: intervention
 (dirty-owner forwarding) and the "no stale-S reads" invariant are only
 meaningful when the bytes a cache serves can differ from memory.

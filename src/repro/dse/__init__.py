@@ -1,34 +1,2 @@
 """Experiment harness: builders, sweeps and renderers for every table
 and figure in the paper's evaluation (see DESIGN.md experiment index)."""
-
-from .nvdla_system import NVDLASystem, build_nvdla_system
-from .pmu_experiment import (
-    Fig5Result,
-    IPCWindow,
-    Table2Row,
-    build_pmu_system,
-    run_fig5,
-    run_fig5_series,
-    run_table2,
-)
-from .render import render_dse, render_fig5, render_table2, render_table3
-from .sweep import (
-    DSEResult,
-    INFLIGHT_SWEEP,
-    MEMORIES,
-    NVDLA_COUNTS,
-    Table3Result,
-    measure_exec_ticks,
-    run_dse,
-    run_standalone,
-    run_table3,
-)
-
-__all__ = [
-    "DSEResult", "Fig5Result", "INFLIGHT_SWEEP", "IPCWindow", "MEMORIES",
-    "NVDLASystem", "NVDLA_COUNTS", "Table2Row", "Table3Result",
-    "build_nvdla_system", "build_pmu_system", "measure_exec_ticks",
-    "render_dse", "render_fig5", "render_table2", "render_table3",
-    "run_dse", "run_fig5", "run_fig5_series", "run_standalone",
-    "run_table2", "run_table3",
-]

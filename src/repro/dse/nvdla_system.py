@@ -10,12 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..models.nvdla import (
-    NVDLAHostApp,
-    NVDLARTLObject,
-    NVDLASharedLibrary,
-    for_instance,
-)
+from ..models.nvdla.host import NVDLAHostApp
+from ..models.nvdla.rtl_object import NVDLARTLObject
+from ..models.nvdla.workloads import for_instance
+from ..models.nvdla.wrapper import NVDLASharedLibrary
 from ..soc.event import ClockDomain
 from ..soc.interconnect.xbar import AddrRange
 from ..soc.system import SoC, SoCConfig

@@ -18,8 +18,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..models.pmu import PMUDriver, PMURTLObject, PMUSharedLibrary
-from ..parallel import run_points
+from ..models.pmu.driver import PMUDriver
+from ..models.pmu.rtl_object import PMURTLObject
+from ..models.pmu.wrapper import PMUSharedLibrary
 from ..soc.cpu.core import EventWire
 from ..soc.system import SoC, SoCConfig
 from ..workloads.sorting import sort_benchmark
@@ -220,10 +221,10 @@ def run_fig5_series(
 
     With ``keep_going=True`` intervals whose point exhausted its retry
     budget are dropped from the returned dict instead of aborting the
-    series (their :class:`~repro.parallel.PointFailure` is visible via
+    series (their :class:`~repro.parallel.runner.PointFailure` is visible via
     *stats*).
     """
-    from ..parallel import PointFailure
+    from ..parallel.runner import PointFailure, run_points
 
     points = [(n_sort, iv, memory, sleep_cycles) for iv in intervals]
     results = run_points(points, _fig5_point, jobs=jobs,
@@ -309,7 +310,7 @@ def run_table2(
     are wall-clock measurements and are therefore never cached.  With
     ``keep_going=True`` failed rows are dropped from the result.
     """
-    from ..parallel import PointFailure
+    from ..parallel.runner import PointFailure, run_points
 
     points = [(n, memory) for n in sizes]
     rows = run_points(points, _table2_row, jobs=jobs,

@@ -6,9 +6,9 @@ the five memory technologies, normalising each point to the ideal
 1-cycle-memory run — exactly the paper's y-axis.
 
 Every point is an independent full-system simulation, so the sweep
-fans out over :func:`repro.parallel.run_points` process workers
+fans out over :func:`repro.parallel.runner.run_points` process workers
 (``jobs=N``) and the per-point tick counts go through
-:class:`repro.parallel.ResultCache`; the merge is by point index, so a
+:class:`repro.parallel.cache.ResultCache`; the merge is by point index, so a
 parallel run is bit-identical to a serial one.
 """
 
@@ -18,7 +18,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..parallel import PointFailure, ResultCache, cached_run, run_points
+from ..parallel.cache import ResultCache, cached_run
+from ..parallel.runner import PointFailure, run_points
 from .nvdla_system import build_nvdla_system
 
 #: the paper's x-axis
@@ -184,7 +185,7 @@ def _coherence_point(point: tuple) -> dict:
     Module-level so it pickles into pool workers.  The embedded stats
     dump is deterministic, so serial and pooled sweeps merge
     bit-identically (and cache safely)."""
-    from ..coherence import run_sharing_stress
+    from ..coherence.check import run_sharing_stress
 
     sharers, ops, seed, rtl = point
     t0 = time.perf_counter()
@@ -208,7 +209,7 @@ def run_coherence_sweep(
 ) -> dict[int, dict]:
     """Sweep the sharer count through the MESI sharing stress.
 
-    Each point is one :func:`repro.coherence.run_sharing_stress` run
+    Each point is one :func:`repro.coherence.check.run_sharing_stress` run
     (protocol invariants audited throughout, golden memory compared at
     the end); points fan out over ``run_points`` workers and
     short-circuit through *cache* exactly like the NVDLA DSE points.

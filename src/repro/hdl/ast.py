@@ -2,7 +2,7 @@
 
 Both parsers lower their surface syntax into these nodes; a single
 elaborator (:mod:`repro.hdl.elaborator`) then compiles the AST into an
-executable :class:`repro.rtl.RTLModule`.  This mirrors how the paper
+executable :class:`repro.rtl.kernel.RTLModule`.  This mirrors how the paper
 treats Verilator and GHDL as interchangeable producers of the same kind
 of C/C++ model.
 """

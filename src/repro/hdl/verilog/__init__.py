@@ -12,10 +12,9 @@ from typing import Optional
 from ...rtl.kernel import RTLModule
 from ..common import CoverageOptions, ElabError
 from ..elaborator import ELAB_CACHE, elaborate
-from .lexer import tokenize
 from .parser import parse
 
-__all__ = ["compile_verilog", "parse", "tokenize"]
+__all__ = ["compile_verilog"]
 
 
 def compile_verilog(

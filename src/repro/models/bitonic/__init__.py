@@ -1,19 +1,1 @@
 """Bitonic sorter use case: the VHDL/GHDL-flow demonstration."""
-
-from .wrapper import (
-    BITONIC_INPUT,
-    BITONIC_OUTPUT,
-    BitonicSharedLibrary,
-    LANES,
-    PIPELINE_DEPTH,
-    load_bitonic_source,
-)
-
-__all__ = [
-    "BITONIC_INPUT",
-    "BITONIC_OUTPUT",
-    "BitonicSharedLibrary",
-    "LANES",
-    "PIPELINE_DEPTH",
-    "load_bitonic_source",
-]

@@ -1,49 +1,1 @@
 """NVDLA use case (paper §4.2): engine, wrapper, RTLObject, traces, host."""
-
-from .core import (
-    LayerConfig,
-    NVDLACore,
-    NV_FULL_BUFFER_BYTES,
-    NV_FULL_MACS,
-    REG_OP_ENABLE,
-    REG_STATUS,
-)
-from .host import NVDLAHostApp
-from .rtl_object import DBBIF_PORT, NVDLARTLObject, SRAMIF_PORT, output_pattern
-from .trace import LayerDesc, RegWrite, Trace, WaitIrq
-from .workloads import (
-    DATA_BASE,
-    INSTANCE_STRIDE,
-    WORKLOADS,
-    for_instance,
-    googlenet,
-    sanity3,
-)
-from .wrapper import NVDLA_INPUT, NVDLA_OUTPUT, NVDLASharedLibrary
-
-__all__ = [
-    "DATA_BASE",
-    "DBBIF_PORT",
-    "INSTANCE_STRIDE",
-    "LayerConfig",
-    "LayerDesc",
-    "NVDLA_INPUT",
-    "NVDLA_OUTPUT",
-    "NVDLACore",
-    "NVDLAHostApp",
-    "NVDLARTLObject",
-    "NVDLASharedLibrary",
-    "NV_FULL_BUFFER_BYTES",
-    "NV_FULL_MACS",
-    "REG_OP_ENABLE",
-    "REG_STATUS",
-    "RegWrite",
-    "SRAMIF_PORT",
-    "Trace",
-    "WORKLOADS",
-    "WaitIrq",
-    "for_instance",
-    "googlenet",
-    "output_pattern",
-    "sanity3",
-]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ...soc.cpu import alu, store
+from ...soc.cpu.uop import alu, store
 from ...soc.cpu.core import OoOCore
 from ...soc.iomaster import IOMaster
 from .rtl_object import NVDLARTLObject

@@ -25,7 +25,7 @@ Translation contract (see DESIGN.md):
 * **Lockstep.**  Every probe must hit exactly when the bridge's
   pin-view says the line is resident; every response's hit flag and
   read data must match the mirror (posted write-throughs overlaid).
-  Any divergence raises :class:`~repro.coherence.ProtocolError`.
+  Any divergence raises :class:`~repro.coherence.protocol.ProtocolError`.
 * **Posted stores.**  A write hit updates the RTL line at the edge but
   serializes at the directory when the write-through lands; until the
   ack returns, the mirror keeps the pre-store bytes and the in-flight

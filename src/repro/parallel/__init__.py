@@ -16,26 +16,15 @@ on:
   ``benchmarks/out/cache/`` keyed by the point's parameters *and* a
   hash of the simulator's own source, so re-running a figure after a
   code change only re-simulates, and re-running unchanged code only
-  reads; :func:`cached_run` is the one loop every sweep goes through.
-* :class:`ProgressReporter` — wall-clock progress/ETA line for long
-  sweeps.
+  reads; :func:`~repro.parallel.cache.cached_run` is the one loop
+  every sweep goes through.
+* :class:`~repro.parallel.progress.ProgressReporter` — wall-clock
+  progress/ETA line for long sweeps.
 """
 
-from .cache import (CachedRun, ResultCache, cached_run, code_version,
-                    default_cache_dir, look_up)
-from .progress import ProgressReporter
-from .runner import PointFailure, RunStats, WorkerCrashError, run_points
+# the one re-export pair: bench/ imports it from here, and every user of
+# this package loads both modules anyway (cache imports runner)
+from .cache import ResultCache
+from .runner import run_points
 
-__all__ = [
-    "CachedRun",
-    "PointFailure",
-    "ProgressReporter",
-    "ResultCache",
-    "RunStats",
-    "WorkerCrashError",
-    "cached_run",
-    "code_version",
-    "default_cache_dir",
-    "look_up",
-    "run_points",
-]
+__all__ = ["ResultCache", "run_points"]

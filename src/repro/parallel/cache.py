@@ -247,7 +247,7 @@ def cached_run(cache: Optional[ResultCache], points: Sequence,
                fields: Callable[[Any], dict],
                run: Callable[[list], Sequence], progress=None) -> CachedRun:
     """Look *points* up, hand the misses to ``run`` (one result each, in
-    order: a :func:`~repro.parallel.run_points` call and its retry
+    order: a :func:`~repro.parallel.runner.run_points` call and its retry
     policy) and record what it returns."""
     found = look_up(cache, points, fields, progress)
     return found.record(run([points[i] for i in found.executed]))

@@ -103,7 +103,7 @@ def _guarded(worker: Callable, point, env: Optional[dict] = None,
     so a pre-set variable (e.g. an operator-exported
     ``REPRO_POINT_CKPT_DIR`` in a serial run) survives the sweep.
     When *fault_dir* is set, worker-side faults from a parked
-    :class:`~repro.resilience.FaultPlan` (inherited on fork) are
+    :class:`~repro.resilience.faults.FaultPlan` (inherited on fork) are
     applied before the point runs — ``worker-kill``/``worker-hang``
     fire here, once per point across retries.
     """
@@ -113,7 +113,8 @@ def _guarded(worker: Callable, point, env: Optional[dict] = None,
             saved[key] = os.environ.get(key)
             os.environ[key] = value
     if fault_dir is not None and index is not None:
-        from repro.resilience import apply_worker_faults, control
+        from repro.resilience import control
+        from repro.resilience.faults import apply_worker_faults
 
         apply_worker_faults(control.pending_plan(), index, fault_dir)
     try:

@@ -17,59 +17,3 @@ Three cooperating pieces for long-running simulation fleets:
   parallel experiments, outcome triage, per-signal vulnerability
   reports (``repro campaign`` CLI).
 """
-
-from .campaign import (
-    OUTCOMES,
-    run_campaign,
-    run_experiment,
-    sample_faults,
-    vulnerability_report,
-    wilson_interval,
-)
-from .control import PeriodicCheckpointer
-from .faults import (
-    Fault,
-    FaultInjector,
-    FaultPlan,
-    apply_worker_faults,
-    flip_targets,
-    resolve_flip_index,
-    validate_flip_target,
-)
-from .targets import CampaignTarget, get_target, normalize_params
-from .serialize import (
-    CHECKPOINT_VERSION,
-    CheckpointError,
-    NotCheckpointable,
-    restore_checkpoint,
-    save_checkpoint,
-)
-from .watchdog import HangReport, SimulationHang, Watchdog
-
-__all__ = [
-    "CHECKPOINT_VERSION",
-    "CampaignTarget",
-    "CheckpointError",
-    "Fault",
-    "FaultInjector",
-    "FaultPlan",
-    "HangReport",
-    "NotCheckpointable",
-    "OUTCOMES",
-    "PeriodicCheckpointer",
-    "SimulationHang",
-    "Watchdog",
-    "apply_worker_faults",
-    "flip_targets",
-    "get_target",
-    "normalize_params",
-    "resolve_flip_index",
-    "restore_checkpoint",
-    "run_campaign",
-    "run_experiment",
-    "sample_faults",
-    "save_checkpoint",
-    "validate_flip_target",
-    "vulnerability_report",
-    "wilson_interval",
-]

@@ -31,8 +31,8 @@ this hardware block flips under real traffic?*  The flow:
    retried by the runner and reported as ``infra`` if they persist —
    never miscounted as simulated crashes, never cached.
 
-Experiments fan out through :func:`repro.parallel.run_points`; each
-result is content-addressed in the :class:`~repro.parallel.ResultCache`
+Experiments fan out through :func:`repro.parallel.runner.run_points`; each
+result is content-addressed in the :class:`~repro.parallel.cache.ResultCache`
 so a killed campaign resumes without re-executing finished experiments.
 The per-signal vulnerability report carries AVF estimates with Wilson
 95 % confidence intervals.
@@ -553,7 +553,7 @@ def run_campaign(
     """Run a full campaign; returns the vulnerability report dict.
 
     Experiments resolve through *cache* (none: all run) and the default
-    retry policy of :func:`~repro.parallel.run_points`; what still fails
+    retry policy of :func:`~repro.parallel.runner.run_points`; what still fails
     is reported with outcome ``infra`` and never cached.  *on_experiment*,
     if given, receives ``(index, point, result)`` for every experiment
     in index order once all experiments resolve.

@@ -259,7 +259,7 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Build a plan from CLI specs like ``dram-delay@3:200``.
 
-        With *design* (an elaborated :class:`~repro.rtl.RTLModule`),
+        With *design* (an elaborated :class:`~repro.rtl.kernel.RTLModule`),
         named ``rtl-flip`` targets are validated at parse time — an
         unknown signal or out-of-range bit raises ``ValueError`` here
         instead of mid-simulation.

@@ -262,11 +262,13 @@ class CacheRig(_GridRig):
     BASE_ADDR = 0x1_0000
 
     def __init__(self, params: dict) -> None:
-        from ..models.rtlcache import (
-            RTLCacheECCSharedLibrary, RTLCacheObject, RTLCacheSharedLibrary,
+        from ..models.rtlcache.wrapper import (
+            RTLCacheECCSharedLibrary,
+            RTLCacheObject,
+            RTLCacheSharedLibrary,
         )
         from ..soc.iomaster import IOMaster
-        from ..soc.mem import IdealMemory
+        from ..soc.mem.ideal import IdealMemory
 
         sim = Simulation()
         idxw = params["idxw"]
@@ -407,7 +409,7 @@ def _pmu_build(params: dict) -> PMURig:
 
 
 def _pmu_module(params: dict):
-    from ..models.pmu import PMUSharedLibrary
+    from ..models.pmu.wrapper import PMUSharedLibrary
 
     return PMUSharedLibrary.design()
 
@@ -417,8 +419,9 @@ def _cache_build(params: dict) -> CacheRig:
 
 
 def _cache_module(params: dict):
-    from ..models.rtlcache import (
-        RTLCacheECCSharedLibrary, RTLCacheSharedLibrary,
+    from ..models.rtlcache.wrapper import (
+        RTLCacheECCSharedLibrary,
+        RTLCacheSharedLibrary,
     )
 
     cls = RTLCacheECCSharedLibrary if params["ecc"] else RTLCacheSharedLibrary
@@ -461,7 +464,7 @@ def _coherence_build(params: dict) -> CoherenceRig:
 
 
 def _coherence_module(params: dict):
-    from ..models.rtlcache import RTLCacheCohSharedLibrary
+    from ..models.rtlcache.coherent import RTLCacheCohSharedLibrary
 
     # idxw is pinned to the testbench's participant geometry (see
     # build_sharing_system), not a campaign parameter

@@ -1,18 +1,19 @@
 """Simulation-as-a-service: an async job layer over the sweep engine.
 
-``repro.serve`` composes the library pieces the earlier PRs built —
-the parallel sweep runner with crash retry and per-point timeouts
-(PR 2/4), the content-addressed :class:`~repro.parallel.ResultCache`,
-the checkpoint/restore contract (PR 4) and the progress/hang-report
-plumbing (PR 3/4) — into a multi-tenant HTTP service:
+``repro.serve`` composes the library's pieces — the parallel sweep
+runner with crash retry and per-point timeouts, the content-addressed
+:class:`~repro.parallel.cache.ResultCache`, the checkpoint/restore
+contract and the progress/hang-report plumbing — into a multi-tenant
+HTTP service:
 
-* :class:`Scheduler` — priority queues, per-tenant quotas, job dedup
-  keyed by (kind, params, source hash), sharded execution over a
-  bounded worker fleet, shard-boundary preemption with
-  checkpoint-based point resume, per-job event streams.
-* :class:`ServeServer` — stdlib asyncio HTTP+JSON front end
-  (``repro serve``).
-* :class:`ServeClient` — stdlib blocking client (``repro submit``).
+* :class:`~repro.serve.scheduler.Scheduler` — priority queues,
+  per-tenant quotas, job dedup keyed by (kind, params, source hash),
+  sharded execution over a bounded worker fleet, shard-boundary
+  preemption with checkpoint-based point resume, per-job event streams.
+* :class:`~repro.serve.server.ServeServer` — stdlib asyncio HTTP+JSON
+  front end (``repro serve``).
+* :class:`~repro.serve.client.ServeClient` — stdlib blocking client
+  (``repro submit``).
 * :mod:`~repro.serve.kinds` — the registry of runnable sweep types;
   ships ``pmu_fig5``, tests and deployments register more.
 
@@ -20,26 +21,7 @@ Everything is stdlib-only: ``asyncio`` + hand-rolled HTTP/1.1, no new
 dependencies.
 """
 
-from .client import ServeClient, ServeError
-from .kinds import JobKind, UnknownKindError, get_kind, kind_names, register_kind
-from .scheduler import Job, JobEvent, Scheduler, UnknownJobError
-from .server import ServeServer
-from .tenants import QuotaExceeded, TenantQuota, TenantRegistry
+# bench/ imports the client from here; a client process loads nothing else
+from .client import ServeClient
 
-__all__ = [
-    "Job",
-    "JobEvent",
-    "JobKind",
-    "QuotaExceeded",
-    "Scheduler",
-    "ServeClient",
-    "ServeError",
-    "ServeServer",
-    "TenantQuota",
-    "TenantRegistry",
-    "UnknownJobError",
-    "UnknownKindError",
-    "get_kind",
-    "kind_names",
-    "register_kind",
-]
+__all__ = ["ServeClient"]

@@ -6,10 +6,10 @@ A :class:`JobKind` turns a JSON request (``{"kind": ..., "params":
 * a **canonical point list** — ordered, deterministic, so two requests
   with the same normalised params shard and dedup identically;
 * a **picklable worker** (module-level function) that
-  :func:`repro.parallel.run_points` fans over pool processes; the
+  :func:`repro.parallel.runner.run_points` fans over pool processes; the
   worker must return a JSON-serialisable, *deterministic* payload
   (tick counts, not wall clock) or per-point dedup through the shared
-  :class:`~repro.parallel.ResultCache` would be meaningless;
+  :class:`~repro.parallel.cache.ResultCache` would be meaningless;
 * an **assemble** step merging the per-point results into the job's
   response payload.
 

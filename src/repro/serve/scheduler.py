@@ -4,7 +4,7 @@ The scheduler composes the hardened library pieces into a long-lived
 service loop:
 
 * **Sharded execution.** A job's point list is cut into fixed-size
-  shards; each shard is one blocking :func:`repro.parallel.run_points`
+  shards; each shard is one blocking :func:`repro.parallel.runner.run_points`
   call (process-pool fan-out, crash retry, per-point timeouts) pushed
   onto a thread executor so the asyncio loop stays responsive.  Shard
   boundaries are the scheduler's control points: progress events,
@@ -27,7 +27,7 @@ service loop:
 * **Hang reports.** A shard whose :class:`RunStats` shows timeout
   kills, pool restarts or innocent requeues emits a structured
   ``hang`` event on the job's stream; a worker that died of a
-  :class:`~repro.resilience.SimulationHang` has its watchdog report
+  :class:`~repro.resilience.watchdog.SimulationHang` has its watchdog report
   text forwarded verbatim.
 
 Everything here runs on the event loop (single-threaded); only the
@@ -45,7 +45,8 @@ import shutil
 import time
 from typing import Any, Optional
 
-from ..parallel import PointFailure, ResultCache, RunStats, look_up, run_points
+from ..parallel.cache import ResultCache, look_up
+from ..parallel.runner import PointFailure, RunStats, run_points
 from .kinds import JobKind, get_kind
 from .tenants import QuotaExceeded, TenantRegistry
 

@@ -1,13 +1,1 @@
 """Timing CPU cores and the µop stream model."""
-
-from .core import EventWire, OoOCore
-from .uop import (
-    ALU, BRANCH, END, END_UOP, LOAD, SLEEP, STORE,
-    UopStream, alu, branch, count_kinds, load, sleep, store,
-)
-
-__all__ = [
-    "ALU", "BRANCH", "END", "END_UOP", "EventWire", "LOAD", "OoOCore",
-    "SLEEP", "STORE", "UopStream", "alu", "branch", "count_kinds", "load",
-    "sleep", "store",
-]

@@ -1,6 +1,1 @@
 """On-chip interconnect: the coherent crossbar."""
-
-from .coherent import CoherentXbar
-from .xbar import AddrRange, Crossbar
-
-__all__ = ["AddrRange", "CoherentXbar", "Crossbar"]

@@ -16,28 +16,17 @@ A packet the peer refused waits in the port, not in each owner (gem5's
 ``QueuedPort``): ``port.send(pkt)`` delivers now or appends to
 ``port.queue``; the peer's retry drains the queue in order before the
 owner hears of it, and the owner's checkpoint carries ``queue_state``.
-
-Owners implement the ``recv_*`` hooks by passing callbacks or by
-subclassing :class:`PortOwner`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional
 
 from ..trace.flags import debug_flag, tracepoint
 from .packet import Packet
 
 FLAG_PORTS = debug_flag("Ports", "timing-port handshake (send/reject/retry)")
-
-
-class PortOwner(Protocol):  # pragma: no cover - structural typing only
-    def recv_timing_req(self, pkt: Packet) -> bool: ...
-    def recv_timing_resp(self, pkt: Packet) -> bool: ...
-    def recv_req_retry(self) -> None: ...
-    def recv_resp_retry(self) -> None: ...
-    def recv_functional(self, pkt: Packet) -> None: ...
 
 
 class _Port:

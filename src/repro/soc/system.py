@@ -23,18 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .cache import Cache, StridePrefetcher
-from .cpu import OoOCore
+from .cache.cache import Cache, StridePrefetcher
+from .cpu.core import OoOCore
 from .event import ClockDomain
-from .interconnect import Crossbar
+from .interconnect.xbar import Crossbar
 from .iomaster import IOMaster
-from .mem import (
-    DRAMConfig,
-    DRAMController,
-    IdealMemory,
-    MEMORY_PRESETS,
-    PhysicalMemory,
-)
+from .mem.dram import DRAMConfig, DRAMController, MEMORY_PRESETS
+from .mem.ideal import IdealMemory
+from .mem.physmem import PhysicalMemory
 from .simobject import Simulation
 from .tlb import PageTable
 
@@ -151,7 +147,7 @@ class SoC:
         self.l2dir = None
         if cfg.coherent:
             from ..coherence.directory import DirectoryController
-            from .interconnect import CoherentXbar
+            from .interconnect.coherent import CoherentXbar
 
             self.cohbus = CoherentXbar(
                 self.sim, "cohbus", cfg.xbar_latency, cfg.xbar_queue
@@ -255,7 +251,7 @@ class SoC:
 
     def attach_rtl_coherent(self, rtl_obj, port_idx: int = 0) -> None:
         """Attach an RTL coherence participant (e.g.
-        :class:`~repro.models.rtlcache.RTLCoherentCacheObject`) to the
+        :class:`~repro.models.rtlcache.coherent.RTLCoherentCacheObject`) to the
         coherent crossbar, beside the behavioral L1Ds."""
         if self.cohbus is None:
             raise RuntimeError(

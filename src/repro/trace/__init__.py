@@ -16,48 +16,7 @@ The shared observability substrate (gem5's ``--debug-flags`` /
   tracer and every registered ``VCDWriter`` from one switch.
 """
 
-from .chrome import ChromeTracer
-from .control import (
-    TraceWindow,
-    register_coverage,
-    register_vcd,
-    set_pending_window,
-)
-from .flags import (
-    DebugFlag,
-    all_flags,
-    debug_flag,
-    disable,
-    enable,
-    enabled_flags,
-    get_chrome_tracer,
-    parse_flags,
-    reset_flags,
-    set_chrome_tracer,
-    set_default_profiler,
-    set_flags,
-    set_sink,
-    tracepoint,
-)
+# bench/ imports this one name from here; every component loads flags
+from .flags import set_default_profiler
 
-__all__ = [
-    "ChromeTracer",
-    "DebugFlag",
-    "TraceWindow",
-    "all_flags",
-    "debug_flag",
-    "disable",
-    "enable",
-    "enabled_flags",
-    "get_chrome_tracer",
-    "parse_flags",
-    "register_coverage",
-    "register_vcd",
-    "reset_flags",
-    "set_chrome_tracer",
-    "set_default_profiler",
-    "set_flags",
-    "set_pending_window",
-    "set_sink",
-    "tracepoint",
-]
+__all__ = ["set_default_profiler"]

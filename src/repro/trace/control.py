@@ -66,7 +66,7 @@ def registered_vcds() -> list:
 
 def register_coverage(collector) -> None:
     """Make *collector* (anything with ``enable()``/``disable()``, e.g. a
-    :class:`repro.verify.CoverageCollector`) follow trace windows, so
+    :class:`repro.verify.coverage.CoverageCollector`) follow trace windows, so
     coverage is only accumulated while the window is open."""
     _coverage_sinks.add(collector)
 

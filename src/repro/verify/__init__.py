@@ -21,57 +21,3 @@ bundled designs (and any user design):
 
 CLI: ``repro verify {lint,cover,fuzz,equiv}``.
 """
-
-from .coverage import CoverageCollector, CoverageReport
-from .designs import DESIGNS, Design, design_names, get_design
-from .equiv import Divergence, EquivResult, check_equivalence
-from .findings import (
-    SEV_ERROR,
-    SEV_WARNING,
-    Finding,
-    LintReport,
-    WaiverEntry,
-    apply_waivers,
-    parse_waiver_file,
-)
-from .lint import RULES, lint_modules, lint_source
-from .stimulus import (
-    STRATEGIES,
-    FuzzResult,
-    Stimulus,
-    corner_stimuli,
-    fuzz,
-    load_corpus,
-    minimize_corpus,
-    save_corpus,
-)
-
-__all__ = [
-    "CoverageCollector",
-    "CoverageReport",
-    "DESIGNS",
-    "Design",
-    "Divergence",
-    "EquivResult",
-    "Finding",
-    "FuzzResult",
-    "LintReport",
-    "RULES",
-    "SEV_ERROR",
-    "SEV_WARNING",
-    "STRATEGIES",
-    "Stimulus",
-    "WaiverEntry",
-    "apply_waivers",
-    "check_equivalence",
-    "corner_stimuli",
-    "design_names",
-    "fuzz",
-    "get_design",
-    "lint_modules",
-    "lint_source",
-    "load_corpus",
-    "minimize_corpus",
-    "parse_waiver_file",
-    "save_corpus",
-]

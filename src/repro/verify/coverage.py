@@ -18,7 +18,7 @@ Toggle and FSM coverage never look at backend internals — only at
 ``sim.values`` — so the existing differential invariant (both backends
 produce identical values) carries the identity over to them for free.
 
-A collector registers with :func:`repro.trace.register_coverage` so
+A collector registers with :func:`repro.trace.control.register_coverage` so
 trace windows gate coverage accumulation together with text tracing and
 waveforms; statement counters keep incrementing inside the kernel (they
 are baked into the source) but hits accumulated while disabled are
@@ -31,11 +31,12 @@ import json
 from typing import Optional
 
 from ..rtl.kernel import CoveragePoint, FSMInfo
-from ..trace import register_coverage
+from ..trace.control import register_coverage
 
 
 class CoverageCollector:
-    """Accumulates coverage from one :class:`~repro.rtl.RTLSimulator`.
+    """Accumulates coverage from one
+    :class:`~repro.rtl.simulator.RTLSimulator`.
 
     Call :meth:`sample` once after reset and once after every tick;
     statement counters are read live from the simulator state, so only

@@ -26,8 +26,8 @@ from typing import Callable, Optional
 from ..hdl.common import CoverageOptions
 from ..models.bitonic.wrapper import load_bitonic_source
 from ..models.pmu.wrapper import load_pmu_source
-from ..models.rtlcache import (
-    RTLCacheCohSharedLibrary,
+from ..models.rtlcache.coherent import RTLCacheCohSharedLibrary
+from ..models.rtlcache.wrapper import (
     RTLCacheECCSharedLibrary,
     RTLCacheSharedLibrary,
     load_rtl_cache_source,

@@ -77,7 +77,7 @@ class _DivergenceFound(Exception):
 class _LockstepPair:
     """Drives two simulators identically, comparing after every edge.
 
-    Quacks enough like an :class:`~repro.rtl.RTLSimulator` for
+    Quacks enough like an :class:`~repro.rtl.simulator.RTLSimulator` for
     :meth:`Stimulus.apply` to drive it directly.
     """
 

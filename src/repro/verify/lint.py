@@ -28,7 +28,7 @@ Rules
                   not all paths of a clocked block — a coherence probe
                   response must be driven in every FSM state, or a
                   participant can observe a stale acknowledge
-``SYNTAX``        a frontend :class:`~repro.hdl.HDLSyntaxError`,
+``SYNTAX``        a frontend :class:`~repro.hdl.common.HDLSyntaxError`,
                   rendered as a finding instead of a traceback
 
 Every rule is exercised positively and negatively by

@@ -1,22 +1,1 @@
 """Workload generators: µop streams for the host cores."""
-
-from .sharing import false_sharing_uops, sharing_benchmark
-from .sorting import (
-    BranchPredictor,
-    bubblesort_uops,
-    make_array,
-    quicksort_uops,
-    selectionsort_uops,
-    sort_benchmark,
-)
-
-__all__ = [
-    "BranchPredictor",
-    "bubblesort_uops",
-    "false_sharing_uops",
-    "sharing_benchmark",
-    "make_array",
-    "quicksort_uops",
-    "selectionsort_uops",
-    "sort_benchmark",
-]

@@ -17,10 +17,11 @@ import random
 
 import pytest
 
-from repro.bridge import Field, RTLSharedLibrary, StructSpec
+from repro.bridge.shared_library import RTLSharedLibrary
+from repro.bridge.structs import Field, StructSpec
 from repro.hdl.verilog import compile_verilog
-from repro.models.bitonic import BitonicSharedLibrary
-from repro.models.pmu import PMUSharedLibrary
+from repro.models.bitonic.wrapper import BitonicSharedLibrary
+from repro.models.pmu.wrapper import PMUSharedLibrary
 from repro.models.rtlcache.coherent import RTLCacheCohSharedLibrary
 from repro.models.rtlcache.wrapper import (
     RTLCacheECCSharedLibrary,

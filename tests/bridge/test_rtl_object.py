@@ -3,16 +3,11 @@ memory-side issue with in-flight caps, TLB hookup."""
 
 import pytest
 
-from repro.bridge import (
-    BehavioralSharedLibrary,
-    CPU_SIDE_PORTS,
-    Field,
-    MEM_SIDE_PORTS,
-    RTLObject,
-    StructSpec,
-)
+from repro.bridge.rtl_object import CPU_SIDE_PORTS, MEM_SIDE_PORTS, RTLObject
+from repro.bridge.shared_library import BehavioralSharedLibrary
+from repro.bridge.structs import Field, StructSpec
 from repro.soc.event import ClockDomain
-from repro.soc.mem import IdealMemory
+from repro.soc.mem.ideal import IdealMemory
 from repro.soc.packet import MemCmd, Packet
 from repro.soc.ports import RequestPort
 from repro.soc.simobject import Simulation

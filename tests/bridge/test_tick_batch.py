@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from repro.bridge import BehavioralSharedLibrary, Field, StructSpec
+from repro.bridge.shared_library import BehavioralSharedLibrary
+from repro.bridge.structs import Field, StructSpec
 from repro.models.pmu.rtl_object import PMURTLObject
 from repro.models.pmu.wrapper import (
     PMUSharedLibrary, counter_addr, threshold_addr, REG_ENABLE,
@@ -16,7 +17,7 @@ from repro.models.pmu.wrapper import (
 from repro.models.rtlcache.wrapper import RTLCacheObject
 from repro.soc.cpu.core import EventWire
 from repro.soc.event import ClockDomain, Event, EventPriority, EventQueue
-from repro.soc.mem import IdealMemory
+from repro.soc.mem.ideal import IdealMemory
 from repro.soc.packet import MemCmd, Packet
 from repro.soc.ports import RequestPort
 

@@ -31,7 +31,7 @@ class TestFaultSpace:
     def test_dir_state_words_are_flip_targets(self, target):
         module = target.module(normalize_params(target))
         targets = dict(flip_targets(module, include_memories=True))
-        from repro.coherence import DIR_STATE_DEPTH, DIR_STATE_WIDTH
+        from repro.coherence.directory import DIR_STATE_DEPTH, DIR_STATE_WIDTH
 
         for word in range(DIR_STATE_DEPTH):
             assert targets[f"dir_state[{word}]"] == DIR_STATE_WIDTH
@@ -57,7 +57,7 @@ class TestInjection:
             rig.finish()
 
     def test_dir_state_flip_reaches_the_directory(self, target):
-        from repro.coherence import ProtocolError
+        from repro.coherence.protocol import ProtocolError
         from repro.resilience.targets import (
             CycleBudgetExceeded, WallClockExceeded,
         )

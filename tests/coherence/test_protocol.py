@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.coherence import (
+from repro.coherence.protocol import (
     EVENTS,
     TRANSITIONS,
     ProtocolError,

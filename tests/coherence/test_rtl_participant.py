@@ -12,8 +12,7 @@ import hashlib
 
 import pytest
 
-from repro.coherence import run_sharing_stress
-from repro.coherence.check import build_sharing_system
+from repro.coherence.check import build_sharing_system, run_sharing_stress
 from repro.soc.packet import set_next_packet_id
 
 SMALL = dict(l1_size=1024, mshrs=2)  # force evictions and MSHR pressure

@@ -11,9 +11,9 @@ from __future__ import annotations
 import pytest
 
 import repro.dse.sweep as sweep
-from repro.coherence import run_sharing_stress
+from repro.coherence.check import run_sharing_stress
 from repro.dse.sweep import run_coherence_sweep
-from repro.parallel import ResultCache
+from repro.parallel.cache import ResultCache
 
 
 class TestGoldenStress:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.soc.stats import StatGroup
 from repro.soc.system import SoC, SoCConfig
-from repro.workloads import sharing_benchmark
+from repro.workloads.sharing import sharing_benchmark
 
 L1D_STATS = (
     "evictions",

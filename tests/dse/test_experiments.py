@@ -5,17 +5,14 @@ import dataclasses
 
 import pytest
 
-from repro.dse import (
+from repro.dse.pmu_experiment import Table2Row, run_fig5, run_table2
+from repro.dse.render import (
     render_dse,
     render_fig5,
     render_table2,
     render_table3,
-    run_dse,
-    run_fig5,
-    run_standalone,
 )
-from repro.dse.pmu_experiment import Table2Row, run_table2
-from repro.dse.sweep import measure_exec_ticks
+from repro.dse.sweep import measure_exec_ticks, run_dse, run_standalone
 
 
 class TestFig5:

@@ -11,9 +11,10 @@ import io
 import pytest
 
 import repro.parallel.cache as cache_mod
-from repro.dse import render_dse, run_dse
-from repro.dse.sweep import _dse_point
-from repro.parallel import ProgressReporter, ResultCache
+from repro.dse.render import render_dse
+from repro.dse.sweep import _dse_point, run_dse
+from repro.parallel.cache import ResultCache
+from repro.parallel.progress import ProgressReporter
 
 # Shrunk grid: 5 simulations per sweep, small enough for the test tier.
 SWEEP = dict(inflight_sweep=(1, 16), memories=("DDR4-1ch", "HBM"), scale=0.1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hdl.verilog import compile_verilog
 from repro.hdl.vhdl import compile_vhdl
-from repro.rtl import RTLSimulator
+from repro.rtl.simulator import RTLSimulator
 
 ALU_VERILOG = """
 module alu (

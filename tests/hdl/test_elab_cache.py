@@ -119,7 +119,7 @@ class TestInstrumentationKeying:
 
 class TestSharedSimulation:
     def test_shared_design_simulates_independently(self):
-        from repro.rtl import RTLSimulator
+        from repro.rtl.simulator import RTLSimulator
 
         module = compile_verilog(COUNTER_V, top="ctr")
         assert compile_verilog(COUNTER_V, top="ctr") is module

@@ -4,7 +4,7 @@ import pytest
 
 from repro.hdl.common import ElabError
 from repro.hdl.verilog import compile_verilog
-from repro.rtl import RTLSimulator
+from repro.rtl.simulator import RTLSimulator
 
 
 class TestGeneratedSource:

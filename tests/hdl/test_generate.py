@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hdl.common import ElabError
 from repro.hdl.verilog import compile_verilog
-from repro.rtl import CombLoopError, RTLSimulator, ir
+from repro.rtl import ir
+from repro.rtl.kernel import CombLoopError
+from repro.rtl.simulator import RTLSimulator
 
 RIPPLE = """
 module fa (input a, input b, input cin, output s, output cout);

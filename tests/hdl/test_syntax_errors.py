@@ -1,7 +1,7 @@
 """Unified syntax-error shape across both frontends.
 
 Both the Verilog and VHDL frontends raise
-:class:`repro.hdl.HDLSyntaxError` subclasses carrying a structured
+:class:`repro.hdl.common.HDLSyntaxError` subclasses carrying a structured
 ``loc`` (file/line/col) and a bare ``message`` — the contract the lint
 subsystem relies on to render malformed sources as findings.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hdl import HDLError, HDLSyntaxError
+from repro.hdl.common import HDLError, HDLSyntaxError
 from repro.hdl.verilog import compile_verilog
 from repro.hdl.vhdl import compile_vhdl
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hdl.common import ElabError, ParseError
 from repro.hdl.verilog import compile_verilog
-from repro.rtl import CombLoopError, RTLSimulator
+from repro.rtl.kernel import CombLoopError
+from repro.rtl.simulator import RTLSimulator
 
 
 def comb_eval(expr: str, width=8, inputs=("a", "b", "c"), in_width=8, **values):

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.hdl.common import ParseError
+from repro.hdl.common import Loc, ParseError
 from repro.hdl.vhdl import compile_vhdl
 from repro.hdl.vhdl.lexer import parse_bitstring, tokenize
-from repro.hdl.common import Loc
-from repro.rtl import RTLSimulator
+from repro.rtl.simulator import RTLSimulator
 
 
 def vhdl_comb(body: str, decls: str = "", in_width=8, out_width=8):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.models.bitonic import (
+from repro.models.bitonic.wrapper import (
     BitonicSharedLibrary,
     LANES,
     PIPELINE_DEPTH,

@@ -9,14 +9,11 @@ from __future__ import annotations
 
 from repro.cli import main
 from repro.hdl.common import CoverageOptions
-from repro.verify import (
-    CoverageCollector,
-    Stimulus,
-    check_equivalence,
-    fuzz,
-    get_design,
-    lint_source,
-)
+from repro.verify.coverage import CoverageCollector
+from repro.verify.designs import get_design
+from repro.verify.equiv import check_equivalence
+from repro.verify.lint import lint_source
+from repro.verify.stimulus import Stimulus, fuzz
 
 DESIGN = get_design("bitonic")
 

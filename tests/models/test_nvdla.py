@@ -4,15 +4,13 @@ import random
 
 import pytest
 
-from repro.models.nvdla import NVDLACore, NVDLARTLObject, NVDLASharedLibrary
 from repro.models.nvdla.core import (
-    LayerConfig,
     NVDLA_ID_VALUE,
     REG_BLOCKS_PER_OUT,
     REG_COMPUTE_X16,
     REG_ID,
-    REG_IN_BLOCKS,
     REG_IN_ADDR_LO,
+    REG_IN_BLOCKS,
     REG_IRQ_CLEAR,
     REG_OP_ENABLE,
     REG_OUT_ADDR_LO,
@@ -23,12 +21,19 @@ from repro.models.nvdla.core import (
     REG_W_ADDR_LO,
     REG_W_BLOCKS,
     REQ_LANES,
+    LayerConfig,
+    NVDLACore,
 )
-from repro.models.nvdla.rtl_object import DBBIF_PORT, output_pattern
+from repro.models.nvdla.rtl_object import (
+    DBBIF_PORT,
+    NVDLARTLObject,
+    output_pattern,
+)
 from repro.models.nvdla.wrapper import (
     CREDIT_ONLY_INPUT,
     NVDLA_INPUT,
     NVDLA_OUTPUT,
+    NVDLASharedLibrary,
 )
 from repro.soc.packet import MemCmd, Packet, set_next_packet_id
 from repro.soc.ports import RequestPort, ResponsePort

@@ -11,11 +11,13 @@ import json
 
 import pytest
 
-from repro.bridge import BehavioralSharedLibrary, Field, RTLObject, StructSpec
+from repro.bridge.rtl_object import RTLObject
+from repro.bridge.shared_library import BehavioralSharedLibrary
+from repro.bridge.structs import Field, StructSpec
 from repro.dse import nvdla_system
 from repro.dse.nvdla_system import build_nvdla_system
-from repro.models.nvdla import NVDLARTLObject
-from repro.resilience import CheckpointError
+from repro.models.nvdla.rtl_object import NVDLARTLObject
+from repro.resilience.serialize import CheckpointError
 from repro.soc.event import ClockDomain
 from repro.soc.packet import set_next_packet_id
 from repro.soc.simobject import Simulation

@@ -4,7 +4,8 @@ ablation, output payloads."""
 import pytest
 
 from repro.dse.nvdla_system import build_nvdla_system
-from repro.models.nvdla import output_pattern, sanity3
+from repro.models.nvdla.rtl_object import output_pattern
+from repro.models.nvdla.workloads import sanity3
 from repro.models.nvdla.trace import RegWrite, Trace, WaitIrq
 
 

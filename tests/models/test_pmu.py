@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from repro.models.pmu import (
+from repro.models.pmu.wrapper import (
     N_COUNTERS,
     PMUSharedLibrary,
     counter_addr,

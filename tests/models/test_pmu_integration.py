@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.models.pmu import PMUDriver, PMURTLObject, PMUSharedLibrary
-from repro.soc.cpu import alu, branch, load
+from repro.models.pmu.driver import PMUDriver
+from repro.models.pmu.rtl_object import PMURTLObject
+from repro.models.pmu.wrapper import PMUSharedLibrary
+from repro.soc.cpu.uop import alu, branch, load
 from repro.soc.cpu.core import EventWire
 from repro.soc.system import SoC, SoCConfig
 

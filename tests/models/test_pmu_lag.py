@@ -22,7 +22,7 @@ from repro.dse import pmu_experiment
 from repro.dse.pmu_experiment import (
     COMMIT_LANES, CYCLE_LANE, MISS_LANE, build_pmu_system,
 )
-from repro.models.pmu import PMURTLObject
+from repro.models.pmu.rtl_object import PMURTLObject
 from repro.resilience.faults import Fault, FaultInjector, FaultPlan
 from repro.soc.event import EventPriority
 

@@ -3,15 +3,16 @@ in-system integration with real data flowing through the hardware model."""
 
 import pytest
 
-from repro.models.rtlcache import (
-    RTLCacheCohSharedLibrary,
+from repro.models.rtlcache.coherent import RTLCacheCohSharedLibrary
+from repro.models.rtlcache.wrapper import (
     RTLCacheECCSharedLibrary,
     RTLCacheObject,
     RTLCacheSharedLibrary,
     load_rtl_cache_source,
 )
 from repro.soc.iomaster import IOMaster
-from repro.soc.mem import DRAMController, IdealMemory, ddr4_2400
+from repro.soc.mem.dram import DRAMController, ddr4_2400
+from repro.soc.mem.ideal import IdealMemory
 from repro.soc.simobject import Simulation
 
 

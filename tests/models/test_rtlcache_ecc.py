@@ -5,7 +5,7 @@ fault campaign compares against the plain cache."""
 
 import pytest
 
-from repro.models.rtlcache import (
+from repro.models.rtlcache.wrapper import (
     RTLCACHE_ECC_OUTPUT,
     RTLCACHE_OUTPUT,
     RTLCacheECCSharedLibrary,

@@ -4,13 +4,8 @@ to the ResultCache."""
 
 import json
 
-from repro.parallel import (
-    PointFailure,
-    ResultCache,
-    cached_run,
-    look_up,
-    run_points,
-)
+from repro.parallel.cache import ResultCache, cached_run, look_up
+from repro.parallel.runner import PointFailure, run_points
 
 
 class Ticks:

@@ -2,7 +2,7 @@
 
 import io
 
-from repro.parallel import ProgressReporter
+from repro.parallel.progress import ProgressReporter
 
 
 def _last_paint(stream: io.StringIO) -> str:

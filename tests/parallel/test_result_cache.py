@@ -6,8 +6,7 @@ import os
 import time
 
 import repro.parallel.cache as cache_mod
-from repro.parallel import ResultCache, code_version
-from repro.parallel.cache import default_cache_dir
+from repro.parallel.cache import ResultCache, code_version, default_cache_dir
 
 
 class TestCodeVersion:

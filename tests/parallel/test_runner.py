@@ -4,9 +4,9 @@ import os
 
 import pytest
 
-from repro.parallel import (
+from repro.parallel.progress import ProgressReporter
+from repro.parallel.runner import (
     PointFailure,
-    ProgressReporter,
     RunStats,
     WorkerCrashError,
     run_points,

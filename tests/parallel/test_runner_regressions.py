@@ -19,9 +19,13 @@ All scenarios are marker-file driven and use sub-second timeouts.
 import os
 import time
 
-from repro.parallel import RunStats, run_points
+from repro.parallel.runner import (
+    POINT_CKPT_ENV,
+    RunStats,
+    _guarded,
+    run_points,
+)
 from repro.parallel import runner as runner_mod
-from repro.parallel.runner import POINT_CKPT_ENV, _guarded
 
 
 def _sweep_worker(point):

@@ -9,13 +9,13 @@ import time
 
 import pytest
 
-from repro.parallel import (
+from repro.parallel.runner import (
+    POINT_CKPT_ENV,
     PointFailure,
     RunStats,
     WorkerCrashError,
     run_points,
 )
-from repro.parallel.runner import POINT_CKPT_ENV
 
 # Workers are module-level so they pickle into pool processes.
 
@@ -143,7 +143,8 @@ class TestInjectedWorkerFaults:
         control.clear_pending()
 
     def test_worker_kill_restarts_pool_and_converges(self):
-        from repro.resilience import FaultPlan, control
+        from repro.resilience import control
+        from repro.resilience.faults import FaultPlan
 
         control.set_pending_plan(FaultPlan.parse(["worker-kill@1"]))
         stats = RunStats()
@@ -153,7 +154,8 @@ class TestInjectedWorkerFaults:
         assert stats.pool_restarts == 1     # the kill fired exactly once
 
     def test_worker_hang_is_killed_by_point_timeout(self):
-        from repro.resilience import FaultPlan, control
+        from repro.resilience import control
+        from repro.resilience.faults import FaultPlan
 
         control.set_pending_plan(FaultPlan.parse(["worker-hang@1:30"]))
         stats = RunStats()
@@ -164,7 +166,8 @@ class TestInjectedWorkerFaults:
 
     def test_serial_ignores_worker_faults(self):
         # in-process there is no worker to kill; the sweep must survive
-        from repro.resilience import FaultPlan, control
+        from repro.resilience import control
+        from repro.resilience.faults import FaultPlan
 
         control.set_pending_plan(FaultPlan.parse(["worker-kill@0"]))
         assert run_points([0, 1], _square, jobs=1) == [0, 1]

@@ -14,8 +14,9 @@ import os
 
 import pytest
 
-from repro.parallel import ResultCache, RunStats
-from repro.resilience import HangReport
+from repro.parallel.cache import ResultCache
+from repro.parallel.runner import RunStats
+from repro.resilience.watchdog import HangReport
 from repro.resilience.serialize import canonical_digest, load_checkpoint_doc
 from repro.resilience.campaign import (
     OUTCOMES,
@@ -81,7 +82,7 @@ class TestSampling:
         assert a != c
 
     def test_stratified_round_robin_and_in_range(self):
-        from repro.resilience import flip_targets
+        from repro.resilience.faults import flip_targets
 
         _, module = self._module()
         targets = flip_targets(module, include_memories=True)

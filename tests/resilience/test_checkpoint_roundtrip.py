@@ -315,7 +315,7 @@ def test_parent_format_checkpoint_is_refused(tmp_path):
     with gzip.open(ckpt, "wb") as fh:
         fh.write(json.dumps(doc).encode())
     fresh = _exec_setup(PMU_SETUP)
-    from repro.resilience import CheckpointError
+    from repro.resilience.serialize import CheckpointError
 
     with pytest.raises(CheckpointError,
                        match="version 2 != supported version 4"):

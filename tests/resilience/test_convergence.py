@@ -11,8 +11,9 @@ import pytest
 
 import repro.resilience.campaign as campaign
 from repro.dse.pmu_experiment import build_pmu_system
-from repro.parallel import ResultCache
-from repro.resilience import FaultInjector, Watchdog
+from repro.parallel.cache import ResultCache
+from repro.resilience.faults import FaultInjector
+from repro.resilience.watchdog import Watchdog
 from repro.resilience.serialize import canonical_digest, checkpoint_document
 from repro.resilience.targets import get_target
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.resilience import Fault, FaultInjector, FaultPlan
+from repro.resilience.faults import Fault, FaultInjector, FaultPlan
 from repro.soc.cpu.uop import alu, load, store
 from repro.soc.system import SoC, SoCConfig
 
@@ -157,9 +157,10 @@ class TestRtlFlip:
 def _target_library(name: str):
     """The shared library a campaign target's rig runs, built on the
     interpreter backend."""
-    from repro.models.pmu import PMUSharedLibrary
-    from repro.models.rtlcache import (
-        RTLCacheCohSharedLibrary, RTLCacheECCSharedLibrary,
+    from repro.models.pmu.wrapper import PMUSharedLibrary
+    from repro.models.rtlcache.coherent import RTLCacheCohSharedLibrary
+    from repro.models.rtlcache.wrapper import (
+        RTLCacheECCSharedLibrary,
         RTLCacheSharedLibrary,
     )
 
@@ -261,7 +262,7 @@ class TestWorkerFaults:
 
     CHILD = """
 import sys
-from repro.resilience import FaultPlan, apply_worker_faults
+from repro.resilience.faults import FaultPlan, apply_worker_faults
 plan = FaultPlan.parse(["worker-kill@1"])
 apply_worker_faults(plan, int(sys.argv[1]), sys.argv[2])
 sys.exit(0)
@@ -282,7 +283,7 @@ sys.exit(0)
         assert (tmp_path / "worker-kill-1").exists()
 
     def test_no_plan_is_a_noop(self, tmp_path):
-        from repro.resilience import apply_worker_faults
+        from repro.resilience.faults import apply_worker_faults
 
         apply_worker_faults(None, 0, str(tmp_path))
         assert not list(tmp_path.iterdir())

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.resilience import FaultPlan, PeriodicCheckpointer
+from repro.resilience.control import PeriodicCheckpointer
+from repro.resilience.faults import FaultPlan
 from repro.resilience import control
 from repro.soc.cpu.uop import alu, load, store
 from repro.soc.system import SoC, SoCConfig

@@ -13,7 +13,7 @@ from repro.resilience.serialize import (
     structure_digest,
 )
 from repro.dse.pmu_experiment import build_pmu_system
-from repro.soc.cache import SparseSets
+from repro.soc.cache.sets import SparseSets
 from repro.soc.cpu.uop import alu, load, store
 from repro.soc.event import Event
 from repro.soc.system import CacheConfig, SoC, SoCConfig

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.resilience import FaultPlan, FaultInjector, SimulationHang, Watchdog
+from repro.resilience.faults import FaultPlan, FaultInjector
+from repro.resilience.watchdog import SimulationHang, Watchdog
 from repro.soc.cpu.uop import alu, load, store
 from repro.soc.system import SoC, SoCConfig
 

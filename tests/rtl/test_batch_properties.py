@@ -18,7 +18,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.hdl.verilog import compile_verilog
-from repro.rtl import RTLSimulator
+from repro.rtl.simulator import RTLSimulator
 from repro.rtl.vcd import VCDWriter
 
 LCG_V = """

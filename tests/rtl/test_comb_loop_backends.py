@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.rtl import CombLoopError, RTLModule, RTLSimulator
+from repro.rtl.kernel import CombLoopError, RTLModule
+from repro.rtl.simulator import RTLSimulator
 
 
 def make_oscillator():

@@ -20,7 +20,7 @@ from repro.hdl.vhdl import compile_vhdl
 from repro.models.bitonic.wrapper import load_bitonic_source
 from repro.models.pmu.wrapper import load_pmu_source
 from repro.models.rtlcache.wrapper import load_rtl_cache_source
-from repro.rtl import RTLSimulator
+from repro.rtl.simulator import RTLSimulator
 from repro.rtl.vcd import VCDWriter
 
 # Small designs exercising the codegen rewrites individually: part-select

@@ -20,14 +20,15 @@ import pytest
 
 from repro.hdl.common import CoverageOptions
 from repro.hdl.verilog import compile_verilog
-from repro.models.bitonic import BitonicSharedLibrary
-from repro.models.pmu import PMUSharedLibrary
+from repro.models.bitonic.wrapper import BitonicSharedLibrary
+from repro.models.pmu.wrapper import PMUSharedLibrary
 from repro.models.rtlcache.coherent import RTLCacheCohSharedLibrary
 from repro.models.rtlcache.wrapper import (
     RTLCacheECCSharedLibrary,
     RTLCacheSharedLibrary,
 )
-from repro.rtl import RTLSimulator, ir
+from repro.rtl import ir
+from repro.rtl.simulator import RTLSimulator
 from repro.rtl.codegen import build_program
 from repro.verify.designs import DESIGNS
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rtl import CombLoopError, Edge, RTLModule, mask_for
+from repro.rtl.kernel import CombLoopError, Edge, RTLModule, mask_for
 
 
 class TestConstruction:

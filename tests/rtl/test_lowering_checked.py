@@ -38,7 +38,8 @@ from typing import Iterator, Optional
 import pytest
 
 from repro.hdl.common import CoverageOptions
-from repro.rtl import RTLSimulator, codegen, ir
+from repro.rtl import codegen, ir
+from repro.rtl.simulator import RTLSimulator
 from repro.rtl.kernel import Edge
 from repro.verify.designs import DESIGNS
 

@@ -14,7 +14,9 @@ import random
 import pytest
 
 from repro.hdl.common import CoverageOptions
-from repro.verify import CoverageCollector, Stimulus, check_equivalence
+from repro.verify.coverage import CoverageCollector
+from repro.verify.equiv import check_equivalence
+from repro.verify.stimulus import Stimulus
 from repro.verify.designs import DESIGNS
 
 ALL = sorted(DESIGNS)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.rtl import Edge, RTLModule, RTLSimulator
+from repro.rtl.kernel import Edge, RTLModule
+from repro.rtl.simulator import RTLSimulator
 
 
 def make_counter_module():

@@ -2,8 +2,9 @@
 
 import io
 
-from repro.rtl import RTLModule, RTLSimulator, VCDWriter
-from repro.rtl.vcd import _identifier
+from repro.rtl.kernel import RTLModule
+from repro.rtl.simulator import RTLSimulator
+from repro.rtl.vcd import VCDWriter, _identifier
 
 
 class TestIdentifiers:
@@ -223,7 +224,7 @@ class TestIntegration:
         assert "b1 " in text or "b10 " in text
 
     def test_runtime_toggle_through_shared_library_api(self):
-        from repro.bridge import RTLSharedLibrary
+        from repro.bridge.shared_library import RTLSharedLibrary
         from repro.bridge.structs import Field, StructSpec
 
         m = RTLModule("m")

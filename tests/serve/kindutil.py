@@ -11,8 +11,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.serve import JobKind, register_kind
-from repro.serve.kinds import _KINDS
+from repro.serve.kinds import _KINDS, JobKind, register_kind
 
 
 def _mark(marker_dir: str, value) -> None:

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.parallel import ResultCache
+from repro.parallel.cache import ResultCache
 
 from tests.serve.test_scheduler import make_scheduler, run, wait_terminal
 

@@ -14,14 +14,11 @@ import time
 
 import pytest
 
-from repro.parallel import ResultCache, run_points
-from repro.serve import (
-    QuotaExceeded,
-    Scheduler,
-    TenantQuota,
-    TenantRegistry,
-    UnknownKindError,
-)
+from repro.parallel.cache import ResultCache
+from repro.parallel.runner import run_points
+from repro.serve.kinds import UnknownKindError
+from repro.serve.scheduler import Scheduler
+from repro.serve.tenants import QuotaExceeded, TenantQuota, TenantRegistry
 
 from tests.serve import kindutil
 
@@ -93,7 +90,7 @@ class TestBasics:
     def test_bit_identical_vs_direct_run_points(self, tmp_path, kind_name):
         """The serve path must produce byte-for-byte the payload a
         direct run_points call over the same points produces."""
-        from repro.serve import get_kind
+        from repro.serve.kinds import get_kind
 
         kind = get_kind(kind_name)
         params = kind.normalize({"values": [5, 6, 7, 8, 9]})

@@ -21,15 +21,11 @@ import time
 
 import pytest
 
-from repro.parallel import ResultCache
-from repro.serve import (
-    Scheduler,
-    ServeClient,
-    ServeError,
-    ServeServer,
-    TenantQuota,
-    TenantRegistry,
-)
+from repro.parallel.cache import ResultCache
+from repro.serve.client import ServeClient, ServeError
+from repro.serve.scheduler import Scheduler
+from repro.serve.server import ServeServer
+from repro.serve.tenants import TenantQuota, TenantRegistry
 
 from tests.serve import kindutil
 

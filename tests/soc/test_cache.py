@@ -3,9 +3,11 @@ prefetching.  Uses an IdealMemory downstream so timing is deterministic."""
 
 import pytest
 
-from repro.resilience import CheckpointError
-from repro.soc.cache import BLOCK, Cache, SparseSets, StridePrefetcher
-from repro.soc.mem import IdealMemory, PhysicalMemory
+from repro.resilience.serialize import CheckpointError
+from repro.soc.cache.cache import Cache, StridePrefetcher
+from repro.soc.cache.sets import BLOCK, SparseSets
+from repro.soc.mem.ideal import IdealMemory
+from repro.soc.mem.physmem import PhysicalMemory
 from repro.soc.packet import MemCmd, Packet
 from repro.soc.ports import RequestPort
 from repro.soc.simobject import Simulation
@@ -56,8 +58,9 @@ def _plain_rig():
 def _coherent_rig():
     """The other policy over the same core: one MESI L1 (same geometry,
     same four MSHRs) under a directory."""
-    from repro.coherence import CoherentL1Cache, DirectoryController
-    from repro.soc.interconnect import CoherentXbar
+    from repro.coherence.directory import DirectoryController
+    from repro.coherence.l1 import CoherentL1Cache
+    from repro.soc.interconnect.coherent import CoherentXbar
 
     sim = Simulation()
     cache = CoherentL1Cache(sim, "c", size=4 * 1024, assoc=2,

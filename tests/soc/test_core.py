@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.soc.cpu import OoOCore, UopStream, alu, branch, load, sleep, store
-from repro.soc.cpu.core import EventWire
-from repro.soc.mem import IdealMemory
+from repro.soc.cpu.core import EventWire, OoOCore
+from repro.soc.cpu.uop import UopStream, alu, branch, load, sleep, store
+from repro.soc.mem.ideal import IdealMemory
 from repro.soc.simobject import Simulation
 
 

@@ -3,8 +3,8 @@ queue backpressure and write draining."""
 
 import pytest
 
-from repro.soc.interconnect import Crossbar
-from repro.soc.mem import (
+from repro.soc.interconnect.xbar import Crossbar
+from repro.soc.mem.dram import (
     BLOCK,
     DRAMController,
     MEMORY_PRESETS,

@@ -1,7 +1,7 @@
 """IdealMemory: the normalization baseline."""
 
-from repro.soc.interconnect import Crossbar
-from repro.soc.mem import IdealMemory
+from repro.soc.interconnect.xbar import Crossbar
+from repro.soc.mem.ideal import IdealMemory
 from repro.soc.packet import MemCmd, Packet
 from repro.soc.ports import RequestPort
 from repro.soc.simobject import Simulation

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.soc.cpu import OoOCore, alu, load, store
-from repro.soc.mem import IdealMemory
+from repro.soc.cpu.core import OoOCore
+from repro.soc.cpu.uop import alu, load, store
+from repro.soc.mem.ideal import IdealMemory
 from repro.soc.simobject import Simulation
 
 

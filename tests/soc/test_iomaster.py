@@ -1,7 +1,7 @@
 """IOMaster: ordered MMIO with callbacks."""
 
 from repro.soc.iomaster import IOMaster
-from repro.soc.mem import IdealMemory
+from repro.soc.mem.ideal import IdealMemory
 from repro.soc.simobject import Simulation
 
 

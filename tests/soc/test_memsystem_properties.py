@@ -12,10 +12,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.soc.cache import Cache, StridePrefetcher
-from repro.soc.interconnect import Crossbar
+from repro.soc.cache.cache import Cache, StridePrefetcher
+from repro.soc.interconnect.xbar import Crossbar
 from repro.soc.iomaster import IOMaster
-from repro.soc.mem import DRAMController, ddr4_2400
+from repro.soc.mem.dram import DRAMController, ddr4_2400
 from repro.soc.simobject import Simulation
 
 

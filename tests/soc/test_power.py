@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.soc.cpu import alu, load
+from repro.soc.cpu.uop import alu, load
 from repro.soc.power import PowerCoefficients, estimate_power
 from repro.soc.system import SoC, SoCConfig
 
@@ -61,7 +61,8 @@ class TestPowerModel:
         )
 
     def test_rtl_component_uses_area_estimate(self):
-        from repro.models.pmu import PMURTLObject, PMUSharedLibrary, load_pmu_source
+        from repro.models.pmu.rtl_object import PMURTLObject
+        from repro.models.pmu.wrapper import PMUSharedLibrary, load_pmu_source
         from repro.rtl.synth import estimate_verilog
 
         soc = SoC(SoCConfig(num_cores=1, memory="DDR4-1ch"))
@@ -93,7 +94,7 @@ class TestPowerModel:
 class TestSynthEstimator:
     def test_pmu_matches_paper_order_of_magnitude(self):
         """Table 1 footnote: the PMU synthesises to ~5k LUTs on a KC705."""
-        from repro.models.pmu import load_pmu_source
+        from repro.models.pmu.wrapper import load_pmu_source
         from repro.rtl.synth import estimate_verilog
 
         report = estimate_verilog(load_pmu_source(), top="pmu",
@@ -102,7 +103,7 @@ class TestSynthEstimator:
         assert report.ram_bits == 2 * 20 * 32  # counters + thresholds
 
     def test_area_scales_with_parameters(self):
-        from repro.models.pmu import load_pmu_source
+        from repro.models.pmu.wrapper import load_pmu_source
         from repro.rtl.synth import estimate_verilog
 
         small = estimate_verilog(load_pmu_source(), top="pmu",
@@ -150,7 +151,7 @@ class TestSynthEstimator:
         assert large.luts > 2 * small.luts
 
     def test_report_text(self):
-        from repro.models.rtlcache import load_rtl_cache_source
+        from repro.models.rtlcache.wrapper import load_rtl_cache_source
         from repro.rtl.synth import estimate_verilog
 
         text = estimate_verilog(load_rtl_cache_source(),
@@ -158,7 +159,7 @@ class TestSynthEstimator:
         assert "LUTs" in text and "RAM bits" in text
 
     def test_ecc_configuration_costs_flops_and_ram(self):
-        from repro.models.rtlcache import load_rtl_cache_source
+        from repro.models.rtlcache.wrapper import load_rtl_cache_source
         from repro.rtl.synth import estimate_verilog
 
         plain, ecc = (estimate_verilog(load_rtl_cache_source(),

@@ -12,10 +12,10 @@ import random
 import pytest
 
 from repro.soc import system
-from repro.soc.cpu import OoOCore, alu, branch, load, store
-from repro.soc.cpu.core import EventWire
+from repro.soc.cpu.core import EventWire, OoOCore
+from repro.soc.cpu.uop import alu, branch, load, store
 from repro.soc.event import EventPriority
-from repro.soc.mem import IdealMemory
+from repro.soc.mem.ideal import IdealMemory
 from repro.soc.simobject import Simulation
 from repro.workloads.sorting import sort_benchmark
 

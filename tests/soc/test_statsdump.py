@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.soc.cpu import alu
+from repro.soc.cpu.uop import alu
 from repro.soc.statsdump import StatsDumper
 from repro.soc.system import SoC, SoCConfig
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.soc.cpu import alu, load, store, uop
+from repro.soc.cpu import uop
+from repro.soc.cpu.uop import alu, load, store
 from repro.soc.system import SoC, SoCConfig
 
 

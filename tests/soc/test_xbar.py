@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.soc.interconnect import AddrRange, Crossbar
-from repro.soc.mem import IdealMemory
+from repro.soc.interconnect.xbar import AddrRange, Crossbar
+from repro.soc.mem.ideal import IdealMemory
 from repro.soc.packet import MemCmd, Packet
 from repro.soc.ports import RequestPort, ResponsePort
 from repro.soc.simobject import Simulation

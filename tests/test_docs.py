@@ -1,14 +1,20 @@
-"""EXPERIMENTS.md quotes what the checked-in artifacts say.
+"""The docs say what the code does.
 
-Each test parses one ``benchmarks/out/*.txt``, renders its values at
-the precision the prose uses and looks for that sentence in
-EXPERIMENTS.md.  Nothing is simulated: regenerate an artifact without
-updating the prose (or the reverse) and this fails — the drift that let
-Table 3 read 180–250× in one file and 24–32× in the other.
+EXPERIMENTS.md quotes what the checked-in artifacts say: each artifact
+test parses one ``benchmarks/out/*.txt``, renders its values at the
+precision the prose uses and looks for that sentence in EXPERIMENTS.md.
+Nothing is simulated: regenerate an artifact without updating the prose
+(or the reverse) and this fails — the drift that let Table 3 read
+180–250× in one file and 24–32× in the other.
+
+Every ``repro`` import in a Python code block of the docs runs, so a
+moved or renamed name cannot leave a quick start that no longer works.
 """
 
 import pathlib
 import re
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT = ROOT / "benchmarks" / "out"
@@ -59,3 +65,37 @@ def test_fig5_lost_events_are_the_artifact_totals():
     grouped = f"{commits:,}".replace(",", " ")
     assert (f"{lost} of {grouped} commits ({100 * lost / commits:.2f} %)"
             in _prose())
+
+
+def _doc_imports(doc: str) -> list[str]:
+    """The ``from repro… import …`` / ``import repro…`` statements in
+    the ```python blocks of *doc*, parenthesised ones joined."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / doc).read_text(
+        encoding="utf-8"), flags=re.M | re.S)
+    statements = []
+    for block in blocks:
+        lines = iter(block.splitlines())
+        for line in lines:
+            if not re.match(r"(from|import) repro\b", line):
+                continue
+            statement = line
+            if line.rstrip().endswith("("):
+                for more in lines:
+                    statement += "\n" + more
+                    if more.strip().startswith(")"):
+                        break
+            statements.append(statement)
+    return statements
+
+
+@pytest.mark.parametrize("doc", ["README.md", "DESIGN.md", "EXPERIMENTS.md"])
+def test_every_doc_import_runs(doc):
+    for statement in _doc_imports(doc):
+        try:
+            exec(compile(statement, doc, "exec"), {})
+        except ImportError as err:
+            raise AssertionError(f"{doc}: {statement!r}: {err}") from None
+
+
+def test_the_readme_quick_start_imports_are_checked():
+    assert len(_doc_imports("README.md")) >= 8

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.soc.simobject import Simulation
-from repro.trace import ChromeTracer, TraceWindow, register_vcd
+from repro.trace.chrome import ChromeTracer
 from repro.trace.control import (
+    TraceWindow,
     attach_pending,
     clear_pending,
+    register_vcd,
     registered_vcds,
     set_pending_window,
 )
@@ -84,8 +86,8 @@ class TestTraceWindow:
         # An always-busy model (the PMU ticks every cycle) coalesces
         # into one span per window; the span open when a window closes
         # is emitted, cut at the close tick.
-        from repro.bridge import RTLObject
-        from repro.models.pmu import PMUSharedLibrary
+        from repro.bridge.rtl_object import RTLObject
+        from repro.models.pmu.wrapper import PMUSharedLibrary
 
         sim = Simulation()
         dut = RTLObject(sim, "dut", PMUSharedLibrary())
@@ -113,9 +115,13 @@ class TestTraceWindow:
         # kept from lagging, test_lagged_span_says_what_ran has the lag.)
         import io
 
-        from repro.bridge import RTLObject
-        from repro.models.pmu import PMURTLObject, PMUSharedLibrary
-        from repro.models.pmu.wrapper import REG_ENABLE, threshold_addr
+        from repro.bridge.rtl_object import RTLObject
+        from repro.models.pmu.rtl_object import PMURTLObject
+        from repro.models.pmu.wrapper import (
+            REG_ENABLE,
+            PMUSharedLibrary,
+            threshold_addr,
+        )
         from repro.soc.packet import MemCmd, Packet
         from repro.trace.flags import set_flags, set_sink
 
@@ -161,8 +167,12 @@ class TestTraceWindow:
         # run at once in one "rtl lagged" span when the edge that raises
         # it fires; that edge and the next, where irq falls, are stepped
         # (one busy span); every cycle is in exactly one span.
-        from repro.models.pmu import PMURTLObject, PMUSharedLibrary
-        from repro.models.pmu.wrapper import REG_ENABLE, threshold_addr
+        from repro.models.pmu.rtl_object import PMURTLObject
+        from repro.models.pmu.wrapper import (
+            REG_ENABLE,
+            PMUSharedLibrary,
+            threshold_addr,
+        )
         from repro.soc.packet import MemCmd, Packet
 
         sim = Simulation()
@@ -224,9 +234,9 @@ class TestPendingWindow:
     def test_shared_library_registers_its_vcd(self):
         import io
 
-        from repro.bridge import RTLSharedLibrary
+        from repro.bridge.shared_library import RTLSharedLibrary
         from repro.bridge.structs import Field, StructSpec
-        from repro.rtl import RTLModule
+        from repro.rtl.kernel import RTLModule
 
         m = RTLModule("m")
         m.add_signal("clk", 1, is_input=True)

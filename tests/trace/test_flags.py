@@ -131,7 +131,7 @@ class TestTracepoint:
         assert sink.getvalue() == ""
 
     def test_mirrors_into_chrome_tracer(self):
-        from repro.trace import ChromeTracer
+        from repro.trace.chrome import ChromeTracer
 
         flag = debug_flag("T.Mirror")
         enable("T.Mirror")
@@ -145,7 +145,7 @@ class TestTracepoint:
         assert instants[0]["args"]["who"] == "dram0"
 
     def test_tickless_tracepoint_not_mirrored(self):
-        from repro.trace import ChromeTracer
+        from repro.trace.chrome import ChromeTracer
 
         flag = debug_flag("T.NoMirror")
         enable("T.NoMirror")

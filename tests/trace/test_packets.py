@@ -2,7 +2,8 @@
 
 from repro.soc.packet import MemCmd, Packet
 from repro.soc.simobject import Simulation
-from repro.trace import ChromeTracer, packets as pkttrace
+from repro.trace import packets as pkttrace
+from repro.trace.chrome import ChromeTracer
 from repro.trace.flags import enable, set_chrome_tracer
 
 
@@ -71,7 +72,7 @@ class TestFinish:
 
 class TestEndToEnd:
     def test_soc_run_produces_hop_histograms(self):
-        from repro.soc.cpu import load
+        from repro.soc.cpu.uop import load
         from repro.soc.system import SoC, SoCConfig
 
         enable("Packet")

@@ -12,9 +12,11 @@ import pytest
 
 from repro.hdl.common import CoverageOptions
 from repro.hdl.verilog import compile_verilog
-from repro.rtl import RTLSimulator
+from repro.rtl.simulator import RTLSimulator
 from repro.rtl.codegen import build_program
-from repro.verify import CoverageCollector, Stimulus, design_names, get_design
+from repro.verify.coverage import CoverageCollector
+from repro.verify.designs import design_names, get_design
+from repro.verify.stimulus import Stimulus
 
 
 def coverage_for(design, backend: str, stim: Stimulus) -> dict:

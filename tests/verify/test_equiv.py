@@ -5,13 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.verify import (
-    Stimulus,
-    check_equivalence,
-    corner_stimuli,
-    design_names,
-    get_design,
-)
+from repro.verify.designs import design_names, get_design
+from repro.verify.equiv import check_equivalence
+from repro.verify.stimulus import Stimulus, corner_stimuli
 
 
 @pytest.mark.parametrize("name", design_names())
@@ -83,7 +79,7 @@ class TestSkip:
     def test_interp_fallback_design_is_skipped(self):
         """A design the codegen backend can't fuse reports SKIPPED."""
         from repro.hdl.verilog import compile_verilog
-        from repro.rtl import RTLSimulator
+        from repro.rtl.simulator import RTLSimulator
 
         # bit-by-bit self-dependency forces iterative settling, which
         # makes the codegen backend fall back to the interpreter

@@ -5,10 +5,10 @@ from __future__ import annotations
 import json
 
 from repro.hdl.common import CoverageOptions
-from repro.verify import (
+from repro.verify.designs import get_design
+from repro.verify.stimulus import (
     Stimulus,
     fuzz,
-    get_design,
     load_corpus,
     minimize_corpus,
     save_corpus,

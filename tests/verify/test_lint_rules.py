@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.verify import lint_source
 from repro.verify.lint import (
     RULE_ASYNCRESET,
     RULE_CASE,
@@ -13,6 +12,7 @@ from repro.verify.lint import (
     RULE_UNDRIVEN,
     RULE_UNUSED,
     RULE_WIDTH,
+    lint_source,
 )
 
 

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.verify import (
+from repro.verify.findings import (
     Finding,
     WaiverEntry,
     apply_waivers,
-    lint_source,
     parse_waiver_file,
 )
+from repro.verify.lint import lint_source
 
 TRUNCATING = """\
 module m(input [7:0] a, output [3:0] x);
@@ -101,7 +101,7 @@ class TestWaiverFile:
 
 class TestBundledWaivers:
     def test_rtlcache_width_truncations_are_waived_in_source(self):
-        from repro.verify import get_design
+        from repro.verify.designs import get_design
 
         design = get_design("rtlcache")
         report = lint_source(design.source(), design.filename,
