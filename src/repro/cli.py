@@ -15,6 +15,13 @@ Commands
               per-signal vulnerability report (repro.resilience.campaign)
 ``serve``     run the simulation-as-a-service job server (repro.serve)
 ``submit``    submit a job to a running server and optionally wait
+
+The experiments build their :class:`~repro.soc.simobject.Simulation`
+internally, so the tracing and resilience flags cannot attach to it
+here.  They park ``hook(sim)`` callables on
+:data:`repro.soc.simobject.startup_hooks` instead: the trace window in
+:func:`main`, the resilience hooks when a sweep command starts.  The
+first simulation that starts runs them in that order.
 """
 
 from __future__ import annotations
@@ -40,9 +47,18 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def _name_value(pair: str) -> tuple[str, str]:
+    """``"W=0x10"`` -> ``("W", "0x10")``."""
+    name, sep, value = pair.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(
+            f"bad --param {pair!r}; expected NAME=VALUE")
+    return name, value
+
+
 def _name_int(pair: str) -> tuple[str, int]:
     """``"W=0x10"`` -> ``("W", 16)``."""
-    name, _, value = pair.partition("=")
+    name, value = _name_value(pair)
     try:
         return name, int(value, 0)
     except ValueError:
@@ -191,7 +207,6 @@ def _setup_tracing(args: argparse.Namespace):
     if not flag_spec and not trace_out and start is None and end is None:
         return None
     from .trace.chrome import ChromeTracer
-    from .trace.control import set_pending_window
     from .trace.flags import (
         parse_flags,
         set_chrome_tracer,
@@ -211,7 +226,10 @@ def _setup_tracing(args: argparse.Namespace):
     if start is not None or end is not None:
         if tracer is not None and start is not None:
             tracer.enabled = False  # the window's open() flips it on
-        set_pending_window(names, start, end)
+        from .soc.simobject import startup_hooks
+        from .trace.control import TraceWindow
+
+        startup_hooks.append(lambda sim: TraceWindow(sim, names, start, end))
     else:
         set_flags(names)
     return tracer
@@ -219,8 +237,9 @@ def _setup_tracing(args: argparse.Namespace):
 
 def _setup_resilience(args: argparse.Namespace):
     """Park ``--inject``/``--watchdog``/``--checkpoint-*``/``--restore-from``
-    with :mod:`repro.resilience.control`; the first simulation that starts
-    (per process — workers inherit the parked state on fork) arms them.
+    as one :func:`repro.resilience.control.arm` hook on
+    :data:`~repro.soc.simobject.startup_hooks`; the first simulation that
+    starts (per process — workers inherit the list on fork) runs it.
 
     Returns the :class:`~repro.parallel.runner.RunStats` instance that sweep
     commands should thread into their runner, so ``--keep-going`` /
@@ -228,40 +247,40 @@ def _setup_resilience(args: argparse.Namespace):
     """
     from .parallel.runner import RunStats
 
-    inject = getattr(args, "inject", None)
-    seed = getattr(args, "inject_seed", None)
-    watchdog = getattr(args, "watchdog", False)
-    interval = getattr(args, "watchdog_interval", None)
-    every = getattr(args, "checkpoint_every", None)
-    restore = getattr(args, "restore_from", None)
-    stats = RunStats()
-    if not (inject or seed is not None or watchdog or every or restore):
-        return stats
-    from .resilience import control
-    from .resilience.faults import FaultPlan
+    seed = args.inject_seed
+    plan = watchdog = checkpoints = None
+    if args.inject or seed is not None:
+        from .resilience.faults import FaultPlan
 
-    if inject:
-        try:
-            plan = FaultPlan.parse(inject.split(","), seed=seed or 0)
-        except ValueError as err:
-            print(f"repro: --inject: {err}", file=sys.stderr)
-            raise SystemExit(2)
-        control.set_pending_plan(plan)
-    elif seed is not None:
-        plan = FaultPlan.generate(seed)
-        print(f"injecting generated plan (seed={seed}): "
-              f"{', '.join(f.spec() for f in plan.faults)}", file=sys.stderr)
-        control.set_pending_plan(plan)
-    if watchdog or interval is not None:
-        kwargs = {}
-        if interval is not None:
-            kwargs["check_cycles"] = interval
-        control.set_pending_watchdog(**kwargs)
-    if every:
-        control.set_pending_checkpoints(every, args.checkpoint_dir)
-    if restore:
-        control.set_pending_restore(restore)
-    return stats
+        if args.inject:
+            try:
+                plan = FaultPlan.parse(args.inject.split(","), seed=seed or 0)
+            except ValueError as err:
+                print(f"repro: --inject: {err}", file=sys.stderr)
+                raise SystemExit(2)
+        else:
+            plan = FaultPlan.generate(seed)
+            print(f"injecting generated plan (seed={seed}): "
+                  f"{', '.join(f.spec() for f in plan.faults)}",
+                  file=sys.stderr)
+    if args.watchdog or args.watchdog_interval is not None:
+        watchdog = {}
+        if args.watchdog_interval is not None:
+            watchdog["check_cycles"] = args.watchdog_interval
+    if args.checkpoint_every:
+        checkpoints = (args.checkpoint_every, args.checkpoint_dir)
+    if (plan is not None or watchdog is not None or checkpoints
+            or args.restore_from):
+        import functools
+
+        from .resilience import control
+        from .soc.simobject import startup_hooks
+
+        control.worker_plan = plan
+        startup_hooks.append(functools.partial(
+            control.arm, plan=plan, watchdog=watchdog,
+            checkpoints=checkpoints, restore=args.restore_from or None))
+    return RunStats()
 
 
 def _report_run_stats(stats) -> None:
@@ -375,14 +394,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
               "(see --list-targets)", file=sys.stderr)
         return 2
 
-    overrides = {}
-    for pair in args.param:
-        if "=" not in pair:
-            print(f"repro: campaign: bad --param {pair!r}; "
-                  f"expected NAME=VALUE", file=sys.stderr)
-            return 2
-        name, _, value = pair.partition("=")
-        overrides[name] = value
+    overrides = dict(args.param)
     cache = None if args.no_cache else ResultCache()
     stats = RunStats()
     try:
@@ -684,10 +696,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     params: dict = {}
     if args.params_json:
         params.update(args.params_json)
-    for pair in args.param:
-        if "=" not in pair:
-            raise SystemExit(f"bad --param {pair!r}; expected NAME=VALUE")
-        name, _, value = pair.partition("=")
+    for name, value in args.param:
         try:
             params[name] = _json.loads(value)
         except ValueError:
@@ -860,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling seed (same seed => same faults => "
                         "byte-identical report)")
     p.add_argument("--param", action="append", default=[],
-                   metavar="NAME=VALUE",
+                   type=_name_value, metavar="NAME=VALUE",
                    help="target parameter override (repeatable)")
     p.add_argument("--report", default=None, metavar="PATH",
                    help="write the full JSON vulnerability report here")
@@ -996,7 +1005,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "clock; hangs surface as job 'hang' events")
     p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                    help="root for per-shard REPRO_POINT_CKPT_DIR "
-                        "checkpoint dirs (enables timeout-kill resume)")
+                        "checkpoint dirs (no bundled job kind resumes "
+                        "from them yet)")
     p.add_argument("--tenants", default=None, metavar="PATH",
                    help="JSON quota file: {\"default\": {...}, "
                         "\"tenants\": {NAME: {...}}}")
@@ -1017,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    help="job kind, e.g. pmu_fig5 (GET /kinds lists them)")
     p.add_argument("--param", action="append", default=[],
-                   metavar="NAME=VALUE",
+                   type=_name_value, metavar="NAME=VALUE",
                    help="job parameter (JSON value, bare string, or "
                         "comma list; repeatable)")
     p.add_argument("--params-json", default=None, type=_json_object,

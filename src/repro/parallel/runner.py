@@ -102,8 +102,8 @@ def _guarded(worker: Callable, point, env: Optional[dict] = None,
     and the **prior** values — including absence — are restored after,
     so a pre-set variable (e.g. an operator-exported
     ``REPRO_POINT_CKPT_DIR`` in a serial run) survives the sweep.
-    When *fault_dir* is set, worker-side faults from a parked
-    :class:`~repro.resilience.faults.FaultPlan` (inherited on fork) are
+    When *fault_dir* is set, worker-side faults from
+    :data:`repro.resilience.control.worker_plan` (inherited on fork) are
     applied before the point runs — ``worker-kill``/``worker-hang``
     fire here, once per point across retries.
     """
@@ -116,7 +116,7 @@ def _guarded(worker: Callable, point, env: Optional[dict] = None,
         from repro.resilience import control
         from repro.resilience.faults import apply_worker_faults
 
-        apply_worker_faults(control.pending_plan(), index, fault_dir)
+        apply_worker_faults(control.worker_plan, index, fault_dir)
     try:
         return ("ok", worker(point))
     except BaseException:  # noqa: BLE001 - the parent re-raises with context
@@ -143,7 +143,7 @@ def _point_env(checkpoint_dir: Optional[str], i: int) -> Optional[dict]:
 
 
 def _worker_fault_dir() -> Optional[str]:
-    """A run-scoped marker directory iff a parked fault plan carries
+    """A run-scoped marker directory iff the CLI's fault plan carries
     worker-side faults; the markers make each fault fire once per point
     across retries and pool rebuilds.  Pool mode only — in-process a
     ``worker-kill`` would take down the sweep itself."""
@@ -151,7 +151,7 @@ def _worker_fault_dir() -> Optional[str]:
         from repro.resilience import control
     except ImportError:  # pragma: no cover - resilience always ships
         return None
-    plan = control.pending_plan()
+    plan = control.worker_plan
     if plan is None or not plan.worker_faults():
         return None
     import tempfile
@@ -408,8 +408,8 @@ def run_points(
     exhausts its attempts contributes a :class:`PointFailure` instance
     in its result slot instead of aborting the sweep.
     ``point_timeout`` (seconds) kills and retries workers that run too
-    long (pool mode only).  ``checkpoint_dir`` enables per-point
-    checkpoint/resume via the ``REPRO_POINT_CKPT_DIR`` contract.
+    long (pool mode only).  ``checkpoint_dir`` exports a per-point
+    ``REPRO_POINT_CKPT_DIR`` for workers that opt into resume.
     """
     if stats is None:
         stats = RunStats()

@@ -1,10 +1,13 @@
 """CLI glue for the resilience subsystem.
 
 The CLI parses ``--inject`` / ``--watchdog`` / ``--checkpoint-every`` /
-``--restore-from`` before any system exists, so (like the trace-window
-control) it *parks* the request here; :func:`attach_pending` is invoked
-at the end of ``Simulation.startup`` and arms everything against the
-first simulation that starts, then clears the parked state.
+``--restore-from`` before any system exists, so it parks
+``functools.partial(arm, ...)`` on
+:data:`repro.soc.simobject.startup_hooks`; the first simulation that
+starts runs it.  The parsed fault plan is also kept in
+:data:`worker_plan`, where the sweep runner's pool workers (which
+inherit it on fork) look up their ``worker-kill``/``worker-hang``
+faults.
 
 Attachment order matters and is fixed: fault injector, watchdog,
 periodic checkpointer, then restore.  The restoring process re-creates
@@ -23,58 +26,18 @@ from .faults import FaultInjector, FaultPlan
 from .serialize import checkpoint_document, write_checkpoint
 from .watchdog import Watchdog
 
-_pending_plan: Optional[FaultPlan] = None
-_pending_watchdog: Optional[dict] = None
-_pending_checkpoints: Optional[tuple[int, str]] = None
-_pending_restore: Optional[str] = None
+#: the ``--inject`` plan, read by pool workers for worker-side faults
+worker_plan: Optional[FaultPlan] = None
 
 
-def set_pending_plan(plan: FaultPlan) -> None:
-    global _pending_plan
-    _pending_plan = plan
-
-
-def set_pending_watchdog(**kwargs) -> None:
-    global _pending_watchdog
-    _pending_watchdog = kwargs
-
-
-def set_pending_checkpoints(every_cycles: int, directory: str) -> None:
-    global _pending_checkpoints
-    _pending_checkpoints = (every_cycles, directory)
-
-
-def set_pending_restore(path: str) -> None:
-    global _pending_restore
-    _pending_restore = path
-
-
-def pending_plan() -> Optional[FaultPlan]:
-    """The parked fault plan, if any (read by pool workers, which
-    inherit it on fork, to apply worker-side faults)."""
-    return _pending_plan
-
-
-def clear_pending() -> None:
-    global _pending_plan, _pending_watchdog
-    global _pending_checkpoints, _pending_restore
-    _pending_plan = None
-    _pending_watchdog = None
-    _pending_checkpoints = None
-    _pending_restore = None
-
-
-def attach_pending(sim: Simulation) -> None:
-    """Arm parked resilience hooks on *sim* (first started sim wins)."""
-    global _pending_plan, _pending_watchdog
-    global _pending_checkpoints, _pending_restore
-    if (_pending_plan is None and _pending_watchdog is None
-            and _pending_checkpoints is None and _pending_restore is None):
-        return
-    plan, _pending_plan = _pending_plan, None
-    wd_kwargs, _pending_watchdog = _pending_watchdog, None
-    ckpt, _pending_checkpoints = _pending_checkpoints, None
-    restore, _pending_restore = _pending_restore, None
+def arm(sim: Simulation, plan: Optional[FaultPlan],
+        watchdog: Optional[dict], checkpoints: Optional[tuple[int, str]],
+        restore: Optional[str]) -> None:
+    """Attach the CLI's resilience hooks to the started *sim*: a fault
+    injector for *plan*, a :class:`Watchdog` built with the *watchdog*
+    keyword arguments, a :class:`PeriodicCheckpointer` for
+    *checkpoints* ``(every_cycles, directory)``, then a restore from
+    *restore*.  Each ``None`` is skipped."""
 
     # Simulation.startup has already run init()/startup() over the tree,
     # so late-attached objects bring themselves up explicitly.
@@ -84,10 +47,10 @@ def attach_pending(sim: Simulation) -> None:
 
     if plan is not None:
         bring_up(FaultInjector(sim, plan))
-    if wd_kwargs is not None:
-        bring_up(Watchdog(sim, **wd_kwargs))
-    if ckpt is not None:
-        every, directory = ckpt
+    if watchdog is not None:
+        bring_up(Watchdog(sim, **watchdog))
+    if checkpoints is not None:
+        every, directory = checkpoints
         bring_up(PeriodicCheckpointer(sim, every_cycles=every,
                                       directory=directory))
     if restore is not None:

@@ -9,7 +9,7 @@ HTTP service:
 * :class:`~repro.serve.scheduler.Scheduler` — priority queues,
   per-tenant quotas, job dedup keyed by (kind, params, source hash),
   sharded execution over a bounded worker fleet, shard-boundary
-  preemption with checkpoint-based point resume, per-job event streams.
+  preemption, per-job event streams.
 * :class:`~repro.serve.server.ServeServer` — stdlib asyncio HTTP+JSON
   front end (``repro serve``).
 * :class:`~repro.serve.client.ServeClient` — stdlib blocking client

@@ -20,10 +20,10 @@ service loop:
   strictly higher-priority job is waiting and the fleet is full) asks
   a running job to yield; it parks after the in-flight shard, keeps
   every completed point, and re-enters the queue at its own priority.
-  Points interrupted *mid-shard* by a ``point_timeout`` kill resume
-  from their newest periodic checkpoint via the PR 4
-  ``REPRO_POINT_CKPT_DIR`` contract (each shard gets a stable
-  checkpoint directory under ``checkpoint_root``).
+  Points interrupted *mid-shard* by a ``point_timeout`` kill start
+  over on retry.  Each shard gets a stable ``REPRO_POINT_CKPT_DIR``
+  checkpoint directory under ``checkpoint_root``, but no bundled job
+  kind checkpoints there yet.
 * **Hang reports.** A shard whose :class:`RunStats` shows timeout
   kills, pool restarts or innocent requeues emits a structured
   ``hang`` event on the job's stream; a worker that died of a

@@ -27,10 +27,6 @@ SLEEP = 4
 END = 5
 FETCH = 6   # instruction-cache line fetch (front-end, non-committing)
 
-KIND_NAMES = {ALU: "alu", LOAD: "load", STORE: "store",
-              BRANCH: "branch", SLEEP: "sleep", END: "end",
-              FETCH: "fetch"}
-
 Uop = tuple  # (kind, arg)
 
 
@@ -85,11 +81,3 @@ class UopStream:
     def exhausted(self) -> bool:
         return self.peek()[0] == END
 
-
-def count_kinds(uops: Iterable[Uop]) -> dict[str, int]:
-    """Histogram a µop sequence by kind name (test/debug helper)."""
-    out: dict[str, int] = {}
-    for kind, _arg in uops:
-        name = KIND_NAMES[kind]
-        out[name] = out.get(name, 0) + 1
-    return out

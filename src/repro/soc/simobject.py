@@ -14,6 +14,13 @@ from typing import Optional
 from .event import ClockDomain, Event, EventPriority, EventQueue
 from .stats import StatGroup
 
+#: ``hook(sim)`` callables parked by code that cannot reach the
+#: :class:`Simulation` an experiment builds internally (the CLI's trace
+#: window and resilience flags).  The first simulation that starts runs
+#: them in order, after every object's ``startup()``, and empties the
+#: list; forked pool workers inherit whatever is left in it.
+startup_hooks: list = []
+
 
 class Simulation:
     """Top-level container: event queue + object tree + root stats."""
@@ -68,17 +75,10 @@ class Simulation:
         for obj in self.objects:
             obj.startup()
         self._started = True
-        # Arm any trace window parked by the CLI (--trace-start/--end);
-        # no-op unless one is pending.  Imported late: trace.control is
-        # glue above the core and must not be a hard import dependency.
-        from ..trace.control import attach_pending
-
-        attach_pending(self)
-        # Same pattern for parked resilience hooks (--inject /
-        # --watchdog / --checkpoint-every from the CLI).
-        from ..resilience.control import attach_pending as attach_resilience
-
-        attach_resilience(self)
+        hooks = startup_hooks[:]
+        startup_hooks.clear()
+        for hook in hooks:
+            hook(self)
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         self.startup()

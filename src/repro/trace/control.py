@@ -16,9 +16,8 @@ Table 2 quantifies.
 
 The CLI cannot build the window itself (experiment harnesses create
 their :class:`~repro.soc.simobject.Simulation` internally), so it parks
-a pending configuration here; ``Simulation.startup`` calls
-:func:`attach_pending` to arm the window on the first simulation that
-starts.
+a hook that builds one on :data:`repro.soc.simobject.startup_hooks`;
+the first simulation that starts runs it.
 """
 
 from __future__ import annotations
@@ -35,13 +34,10 @@ from .flags import (
 
 __all__ = [
     "TraceWindow",
-    "attach_pending",
-    "clear_pending",
     "register_coverage",
     "register_vcd",
     "registered_coverage",
     "registered_vcds",
-    "set_pending_window",
 ]
 
 #: live VCD writers that want to follow the global trace switch
@@ -49,9 +45,6 @@ _vcd_writers: "weakref.WeakSet" = weakref.WeakSet()
 
 #: live coverage collectors (repro.verify) that want to follow it too
 _coverage_sinks: "weakref.WeakSet" = weakref.WeakSet()
-
-#: (flag_names, start_cycle, end_cycle) parked by the CLI, or None
-_pending: Optional[tuple[list[str], Optional[int], Optional[int]]] = None
 
 
 def register_vcd(writer) -> None:
@@ -73,31 +66,6 @@ def register_coverage(collector) -> None:
 
 def registered_coverage() -> list:
     return list(_coverage_sinks)
-
-
-def set_pending_window(
-    flag_names: Iterable[str],
-    start_cycle: Optional[int] = None,
-    end_cycle: Optional[int] = None,
-) -> None:
-    """Park a window config for the next Simulation that starts up."""
-    global _pending
-    _pending = (list(flag_names), start_cycle, end_cycle)
-
-
-def clear_pending() -> None:
-    global _pending
-    _pending = None
-
-
-def attach_pending(sim) -> Optional["TraceWindow"]:
-    """Arm the parked window (if any) on *sim*; one-shot."""
-    global _pending
-    if _pending is None:
-        return None
-    flag_names, start, end = _pending
-    _pending = None
-    return TraceWindow(sim, flag_names, start_cycle=start, end_cycle=end)
 
 
 class TraceWindow:

@@ -130,46 +130,41 @@ class TestPointTimeout:
 
 
 class TestInjectedWorkerFaults:
-    """A parked FaultPlan's worker-side faults fire inside pool workers
+    """The CLI's FaultPlan's worker-side faults fire inside pool workers
     (fork-inherited), exercising the crash/timeout machinery end to end
     — the same path ``--inject worker-kill@I`` takes from the CLI."""
 
-    @pytest.fixture(autouse=True)
-    def _clean_plan(self):
-        from repro.resilience import control
-
-        control.clear_pending()
-        yield
-        control.clear_pending()
-
-    def test_worker_kill_restarts_pool_and_converges(self):
+    def test_worker_kill_restarts_pool_and_converges(self, monkeypatch):
         from repro.resilience import control
         from repro.resilience.faults import FaultPlan
 
-        control.set_pending_plan(FaultPlan.parse(["worker-kill@1"]))
+        monkeypatch.setattr(control, "worker_plan",
+                            FaultPlan.parse(["worker-kill@1"]))
         stats = RunStats()
         results = run_points([0, 1, 2, 3], _square, jobs=2,
                              max_attempts=3, stats=stats)
         assert results == [0, 1, 4, 9]
         assert stats.pool_restarts == 1     # the kill fired exactly once
 
-    def test_worker_hang_is_killed_by_point_timeout(self):
+    def test_worker_hang_is_killed_by_point_timeout(self, monkeypatch):
         from repro.resilience import control
         from repro.resilience.faults import FaultPlan
 
-        control.set_pending_plan(FaultPlan.parse(["worker-hang@1:30"]))
+        monkeypatch.setattr(control, "worker_plan",
+                            FaultPlan.parse(["worker-hang@1:30"]))
         stats = RunStats()
         results = run_points([0, 1, 2], _square, jobs=2,
                              point_timeout=0.5, max_attempts=3, stats=stats)
         assert results == [0, 1, 4]
         assert stats.timeout_kills == 1
 
-    def test_serial_ignores_worker_faults(self):
+    def test_serial_ignores_worker_faults(self, monkeypatch):
         # in-process there is no worker to kill; the sweep must survive
         from repro.resilience import control
         from repro.resilience.faults import FaultPlan
 
-        control.set_pending_plan(FaultPlan.parse(["worker-kill@0"]))
+        monkeypatch.setattr(control, "worker_plan",
+                            FaultPlan.parse(["worker-kill@0"]))
         assert run_points([0, 1], _square, jobs=1) == [0, 1]
 
 

@@ -1,4 +1,6 @@
-"""Control glue: pending CLI hooks, periodic checkpoints, point resume."""
+"""Control glue: parked CLI hooks, periodic checkpoints, point resume."""
+
+import functools
 
 import pytest
 
@@ -6,14 +8,22 @@ from repro.resilience.control import PeriodicCheckpointer
 from repro.resilience.faults import FaultPlan
 from repro.resilience import control
 from repro.soc.cpu.uop import alu, load, store
+from repro.soc.simobject import startup_hooks
 from repro.soc.system import SoC, SoCConfig
 
 
 @pytest.fixture(autouse=True)
-def _clean_pending():
-    control.clear_pending()
+def _clean_hooks():
+    startup_hooks.clear()
     yield
-    control.clear_pending()
+    startup_hooks.clear()
+
+
+def _park(plan=None, watchdog=None, checkpoints=None, restore=None):
+    """Park what the CLI parks for these resilience flags."""
+    startup_hooks.append(functools.partial(
+        control.arm, plan=plan, watchdog=watchdog,
+        checkpoints=checkpoints, restore=restore))
 
 
 def _workload(n=800):
@@ -90,8 +100,8 @@ class TestPendingHooks:
         from repro.resilience.faults import FaultInjector
         from repro.resilience.watchdog import Watchdog
 
-        control.set_pending_plan(FaultPlan.parse(["dram-delay@5:100"]))
-        control.set_pending_watchdog(check_cycles=10_000)
+        _park(plan=FaultPlan.parse(["dram-delay@5:100"]),
+              watchdog={"check_cycles": 10_000})
         soc = _build()
         soc.sim.startup()
         kinds = {type(o).__name__ for o in soc.sim.objects}
@@ -105,7 +115,7 @@ class TestPendingHooks:
         )
 
     def test_pending_checkpoints(self, tmp_path):
-        control.set_pending_checkpoints(5_000, str(tmp_path))
+        _park(checkpoints=(5_000, str(tmp_path)))
         soc = _build()
         soc.run_until_done(max_ticks=10**9)
         assert list(tmp_path.glob("ckpt-*.ckpt"))
@@ -117,7 +127,7 @@ class TestPendingHooks:
         path = tmp_path / "r.ckpt"
         saver.save_checkpoint(path)
 
-        control.set_pending_restore(str(path))
+        _park(restore=str(path))
         resumed = _build()
         resumed.sim.startup()
         assert resumed.sim.now == saver.sim.now

@@ -87,7 +87,8 @@ def test_pmu_run_loads_no_nvdla_pool_power_or_chrome(tmp_path):
     assert "repro.rtl.simulator" in mods  # the PMU is RTL
     assert not _under(mods, "repro.models.nvdla", "repro.parallel",
                       "multiprocessing", "repro.rtl.synth",
-                      "repro.soc.power", "repro.trace.chrome")
+                      "repro.soc.power", "repro.trace.chrome",
+                      "repro.resilience", "repro.trace.control")
 
 
 @pytest.mark.skipif(not hasattr(os, "kill") or sys.platform == "win32",

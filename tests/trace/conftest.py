@@ -7,6 +7,7 @@ load); every test in this directory gets them reset afterwards.
 
 import pytest
 
+from repro.soc.simobject import startup_hooks
 from repro.trace import control
 from repro.trace.flags import (
     reset_flags,
@@ -23,5 +24,5 @@ def _trace_isolation():
     set_chrome_tracer(None)
     set_default_profiler(None)
     set_sink(None)
-    control.clear_pending()
+    startup_hooks.clear()
     control._vcd_writers.clear()

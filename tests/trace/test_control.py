@@ -2,16 +2,9 @@
 
 import pytest
 
-from repro.soc.simobject import Simulation
+from repro.soc.simobject import SimObject, Simulation, startup_hooks
 from repro.trace.chrome import ChromeTracer
-from repro.trace.control import (
-    TraceWindow,
-    attach_pending,
-    clear_pending,
-    register_vcd,
-    registered_vcds,
-    set_pending_window,
-)
+from repro.trace.control import TraceWindow, register_vcd, registered_vcds
 from repro.trace.flags import debug_flag, set_chrome_tracer
 
 
@@ -215,21 +208,53 @@ class TestTraceWindow:
 class TestPendingWindow:
     def test_attached_on_simulation_startup(self):
         flag = debug_flag("T.Pending")
-        set_pending_window(["T.Pending"], None, None)
+        startup_hooks.append(lambda sim: TraceWindow(sim, ["T.Pending"]))
         sim = Simulation()
         sim.startup()
         assert flag.enabled
 
     def test_one_shot(self):
-        set_pending_window(["T.Once"], 5, None)
-        sim = Simulation()
-        assert attach_pending(sim) is not None
-        assert attach_pending(sim) is None
+        windows = []
+        startup_hooks.append(
+            lambda sim: windows.append(TraceWindow(sim, ["T.Once"], 5)))
+        first = Simulation()
+        first.startup()
+        Simulation().startup()
+        assert [window.sim for window in windows] == [first]
+        assert startup_hooks == []
 
-    def test_clear_pending(self):
-        set_pending_window(["T.Cleared"], None, None)
-        clear_pending()
-        assert attach_pending(Simulation()) is None
+    def test_hooks_run_after_every_startup_in_parked_order_once(self):
+        log = []
+
+        class Probe(SimObject):
+            def startup(self):
+                log.append(self.name)
+
+        sim = Simulation()
+        Probe(sim, "a")
+        Probe(sim, "b")
+        startup_hooks.append(lambda _sim: log.append("hook 1"))
+        startup_hooks.append(lambda _sim: log.append("hook 2"))
+        sim.startup()
+        sim.startup()
+        Simulation().startup()
+        assert log == ["a", "b", "hook 1", "hook 2"]
+
+    def test_cli_parks_trace_window_before_resilience(self, monkeypatch):
+        import repro.cli as cli
+        from repro.resilience import control as resilience
+
+        def fig5(args):
+            cli._setup_resilience(args)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_fig5", fig5)
+        monkeypatch.setattr(resilience, "worker_plan", None)
+        assert cli.main(["fig5", "--trace-start", "5", "--watchdog"]) == 0
+        trace_hook, arm_hook = startup_hooks
+        assert isinstance(trace_hook(Simulation()), TraceWindow)
+        assert arm_hook.func is resilience.arm
+        assert arm_hook.keywords["watchdog"] == {}
 
     def test_shared_library_registers_its_vcd(self):
         import io
