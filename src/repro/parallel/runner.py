@@ -37,10 +37,18 @@ Design notes
   retry/keep-going semantics — this is both the fast path for small
   sweeps and the reference the determinism tests compare against.
   ``point_timeout`` is ignored in-process (there is no one to kill).
+* A point **gives its memory back** before the next one starts: the
+  guard freezes the pre-point heap (``gc.freeze``) and runs one
+  ``gc.collect()`` after the point, which visits only what the point
+  allocated — the simulation's reference cycles are freed at ~0.1–0.5
+  ms per point instead of piling up until a full collection.  Only the
+  outermost guard freezes and unfreezes, so a nested sweep or a caller
+  that froze its own heap keeps its frozen objects.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import shutil
@@ -105,7 +113,8 @@ def _guarded(worker: Callable, point, env: Optional[dict] = None,
     When *fault_dir* is set, worker-side faults from
     :data:`repro.resilience.control.worker_plan` (inherited on fork) are
     applied before the point runs — ``worker-kill``/``worker-hang``
-    fire here, once per point across retries.
+    fire here, once per point across retries.  ``KeyboardInterrupt`` is
+    not a point failure: it propagates, so Ctrl-C stops a serial sweep.
     """
     saved: dict[str, Optional[str]] = {}
     if env:
@@ -117,11 +126,22 @@ def _guarded(worker: Callable, point, env: Optional[dict] = None,
         from repro.resilience.faults import apply_worker_faults
 
         apply_worker_faults(control.worker_plan, index, fault_dir)
+    # Every SimObject sits in reference cycles, so a finished point is
+    # freed only by a full collection; freezing the pre-point heap makes
+    # that collection visit only what the point allocated.
+    outermost = gc.get_freeze_count() == 0
+    if outermost:
+        gc.freeze()
     try:
         return ("ok", worker(point))
+    except KeyboardInterrupt:
+        raise
     except BaseException:  # noqa: BLE001 - the parent re-raises with context
         return ("err", traceback.format_exc())
     finally:
+        gc.collect()
+        if outermost:
+            gc.unfreeze()
         for key, prior in saved.items():
             if prior is None:
                 os.environ.pop(key, None)

@@ -432,8 +432,10 @@ class DRAMController(SimObject):
                 }
                 for ch in self.channels
             ],
-            # sorted for deterministic bytes; pop order of a set of small
-            # ints depends only on its contents, not insertion order
+            # sorted for deterministic bytes only: the pop order of a set
+            # also depends on its history (CPython's hidden pop finger),
+            # so a restored set can pop in another order than the saved
+            # one -- the restore divergence of ROADMAP item 1
             "retry_pending": sorted(self._retry_pending),
             "retry_rejected": self._retry_rejected,
             "blocked_resps": [port.queue_state(ctx) for port in self.ports],

@@ -81,6 +81,23 @@ class TestSerial:
         with pytest.raises(ValueError):
             run_points([1], _square, max_attempts=0)
 
+    def test_keyboard_interrupt_stops_the_sweep(self):
+        """Ctrl-C inside a point is not a soft failure: no retry, no
+        PointFailure sentinel, and no later point runs."""
+        calls = []
+
+        def interrupted(point):
+            calls.append(point)
+            if point == 1:
+                raise KeyboardInterrupt
+            return point
+
+        stats = RunStats()
+        with pytest.raises(KeyboardInterrupt):
+            run_points([0, 1, 2], interrupted, keep_going=True, stats=stats)
+        assert calls == [0, 1]
+        assert (stats.soft_retries, stats.failed) == (0, 0)
+
 
 class TestParallel:
     def test_matches_serial(self):
