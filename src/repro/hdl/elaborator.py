@@ -26,7 +26,6 @@ Semantics notes (documented deviations, all standard co-sim compromises):
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -718,9 +717,6 @@ def elaborate(
 # and never write the module), so identical compilations can share one
 # instance.  Keyed by (frontend, sha256(source), top, params,
 # instrumentation options).
-#
-# Disable with REPRO_ELAB_CACHE=0 (or "off"), e.g. when a test mutates a
-# compiled module in place.
 
 
 class ElabCache:
@@ -731,12 +727,6 @@ class ElabCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-
-    @staticmethod
-    def enabled() -> bool:
-        return os.environ.get("REPRO_ELAB_CACHE", "1").lower() not in (
-            "0", "off", "no", "false",
-        )
 
     @staticmethod
     def key(
@@ -756,14 +746,7 @@ class ElabCache:
         return (frontend, digest, top, folded, token)
 
     def get_or_build(self, key: tuple, build) -> RTLModule:
-        """Return the cached design for *key*, building it on a miss.
-
-        With the cache disabled every call builds; hit/miss counters are
-        only advanced when the cache is live so ``cache_info`` reflects
-        actual sharing.
-        """
-        if not self.enabled():
-            return build()
+        """Return the cached design for *key*, building it on a miss."""
         with self._lock:
             cached = self._designs.get(key)
         if cached is not None:
@@ -786,7 +769,6 @@ class ElabCache:
             "entries": len(self._designs),
             "hits": self.hits,
             "misses": self.misses,
-            "enabled": self.enabled(),
         }
 
 

@@ -33,8 +33,8 @@ def compile_verilog(
     design is the HDL as written: no netlist optimisation runs.
 
     Identical (source, top, params, instrument) compilations share one
-    cached design (disable with ``REPRO_ELAB_CACHE=0``); an elaborated
-    RTLModule is immutable during simulation, so sharing is safe.
+    cached design; an elaborated RTLModule is immutable during
+    simulation, so sharing is safe.
     """
 
     def build() -> RTLModule:

@@ -32,7 +32,7 @@ def compile_vhdl(
     netlist optimisation runs.
 
     Identical (source, top, params, instrument) compilations share one
-    cached design (disable with ``REPRO_ELAB_CACHE=0``).
+    cached design.
     """
     # VHDL is case-insensitive; the parser normalises to lower case.
     top = top.lower() if top is not None else None

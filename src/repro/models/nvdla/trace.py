@@ -128,17 +128,3 @@ class Trace:
             else:
                 raise ValueError(f"unknown opcode {op}")
         return cmds
-
-    def relocate(self, offset: int) -> "Trace":
-        """A copy of this trace with all data addresses shifted by *offset*
-        (used to give each NVDLA instance its own copy of the workload)."""
-        layers = [
-            LayerDesc(
-                l.in_addr + offset, l.w_addr + offset, l.out_addr + offset,
-                l.in_blocks, l.w_blocks, l.compute_x16, l.blocks_per_out,
-                l.sram_mode,
-            )
-            for l in self.layers
-        ]
-        image = [(addr + offset, data) for addr, data in self.mem_image]
-        return Trace(self.name, layers, image)

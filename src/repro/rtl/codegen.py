@@ -33,8 +33,6 @@ the netlist does:
   its operand's value (the operand's width says so) is dropped, double
   masks merge, and a memory index provably below the depth loses its
   modulo;
-* (c) **common subexpressions** — a pure subexpression used again before
-  anything it reads is written is computed once into a local;
 * (d) **memory NBAs** append ``(addr, value)`` to a per-edge list,
   committed in order (the final state is the interpreter's: last write
   wins); full-register NBAs stage in locals committed after sampling
@@ -76,7 +74,6 @@ for them automatically.
 from __future__ import annotations
 
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
@@ -336,175 +333,6 @@ def _unroll(loop: ir.Loop) -> ir.Suite:
     return tuple(out)
 
 
-# -- (c) common subexpressions --------------------------------------------
-
-
-#: what a statement evaluates once, before anything it runs
-_OWN = {ir.If: ("cond",), ir.Loop: ("init",), ir.Bits: ("word",)}
-
-
-def _changes(stmts: Sequence[ir.Stmt]) -> set:
-    """What running *stmts* can change before the edge commits: blocking
-    stores, loop variables and locals.  Staged and listed NBAs wait for
-    the commit; coverage counters are read by nothing."""
-    out: set = set()
-    for s in ir.walk(stmts):
-        t = type(s)
-        if t is ir.SetTemp or t is ir.Bits:
-            out.add(("t", s.name))
-        elif t is ir.MemStore:
-            if s.mode == ir.BLOCKING:
-                out.add(("m", s.mem))
-        elif t is ir.Loop or t in (ir.Store, ir.BitStore, ir.SliceStore) \
-                and s.mode == ir.BLOCKING:
-            out.add(("v", s.index))
-    return out
-
-
-def _cse(body: ir.Suite) -> ir.Suite:
-    """(c) A pure subexpression that a statement evaluates, and that is
-    evaluated again — inside the statement or after it — before anything
-    it reads changes, is computed once into a local ``_c<n>`` just before
-    the statement, when that saves bytecodes.  Hoisting one out of a lazy
-    position (``and``, ``?:``, a branch) is safe because no candidate can
-    raise or blow up: tests are never candidates, and neither is a shift
-    by a variable amount."""
-    reads_memo: dict = {}
-    price_memo: dict = {}
-    names = iter(range(1 << 30))
-
-    def reads(e: ir.Expr) -> frozenset:
-        """("v", i), ("m", i) and ("t", name) for what *e* reads."""
-        r = reads_memo.get(e)
-        if r is None:
-            t = type(e)
-            if t is ir.Sig:
-                r = frozenset({("v", e.index)})
-            elif t is ir.Temp:
-                r = frozenset({("t", e.name)})
-            elif t is ir.MemRead:
-                r = reads(e.addr) | {("m", e.mem)}
-            elif t is ir.Op:
-                r = frozenset().union(*map(reads, e.args))
-            else:
-                r = frozenset()
-            reads_memo[e] = r
-        return r
-
-    def price(e: ir.Expr) -> int:
-        """Bytecodes to evaluate *e*, roughly; 0 if it is no candidate."""
-        p = price_memo.get(e)
-        if p is None:
-            t = type(e)
-            if t is ir.Sig:
-                p = 3
-            elif t is ir.MemRead:
-                p = price(e.addr) and 3 + price(e.addr) + 2 * e.wrap
-            elif t is not ir.Op:
-                p = 1
-            elif e.op == "<<" and type(e.args[1]) is not ir.Const:
-                p = 0
-            else:
-                parts = [price(a) for a in e.args]
-                p = 0 if 0 in parts else 2 + len(e.imm) + sum(parts)
-            price_memo[e] = p
-        return p
-
-    def count(e: ir.Expr, avail: dict, into: Counter) -> None:
-        if e in avail:
-            return
-        t = type(e)
-        if t is not ir.Const and t is not ir.Temp and price(e) and reads(e) \
-                and not (t is ir.Op and e.op in ir.TESTS):
-            into[e] += 1
-        for a in e.args if t is ir.Op else (e.addr,) if t is ir.MemRead \
-                else ():
-            count(a, avail, into)
-
-    def count_stmts(stmts: Sequence[ir.Stmt], avail: dict,
-                    into: Counter) -> None:
-        for s in ir.walk(stmts):
-            for name in s.EXPRS:
-                count(getattr(s, name), avail, into)
-
-    def sub(e: ir.Expr, avail: dict) -> ir.Expr:
-        if e in avail:
-            return avail[e]
-        if type(e) is ir.Op:
-            args = tuple(sub(a, avail) for a in e.args)
-            if any(a is not b for a, b in zip(args, e.args)):
-                return e._replace(args=args)
-        elif type(e) is ir.MemRead:
-            addr = sub(e.addr, avail)
-            if addr is not e.addr:
-                return e._replace(addr=addr)
-        return e
-
-    def hoist(s: ir.Stmt, later: Sequence[ir.Stmt], avail: dict,
-              out: list) -> None:
-        """Temps for what *s* evaluates, into *out* and *avail*."""
-        own = _OWN.get(type(s), s.EXPRS)
-        dead = _changes((s,))
-        while True:
-            here: Counter = Counter()
-            for name in own:
-                count(getattr(s, name), avail, here)
-            if not here:
-                return
-            # uses after this point, each only while what it reads holds
-            uses = Counter(here)
-            seen: Counter = Counter()
-            for name in s.SUITES:
-                count_stmts(getattr(s, name) or (), avail, seen)
-            gone = set(dead)
-            for t in later:
-                uses.update({e: n for e, n in seen.items()
-                             if not reads(e) & gone})
-                seen = Counter()
-                count_stmts((t,), avail, seen)
-                gone |= _changes((t,))
-            uses.update({e: n for e, n in seen.items()
-                         if not reads(e) & gone})
-            # the biggest saving first; what it holds is counted again
-            e = max(here, key=lambda e: (uses[e] - 1) * price(e) - uses[e])
-            if (uses[e] - 1) * price(e) - uses[e] <= 1:
-                return
-            temp = ir.Temp(f"_c{next(names)}", e.width)
-            out.append(ir.SetTemp(temp.name, sub(e, avail)))
-            avail[e] = temp
-
-    def suite(stmts: Sequence[ir.Stmt], avail: dict) -> ir.Suite:
-        out: list[ir.Stmt] = []
-        for i, s in enumerate(stmts):
-            hoist(s, stmts[i + 1:], avail, out)
-            t = type(s)
-            new = {name: sub(getattr(s, name), avail)
-                   for name in _OWN.get(t, s.EXPRS)}
-            dead = _changes((s,))
-            if t is ir.If:
-                new["then"] = suite(s.then, dict(avail))
-                if s.other is not None:
-                    other = new["other"] = suite(s.other, dict(avail))
-                    # a temp in front of an ``elif`` makes it an ``else``
-                    new["chain"] = s.chain and len(other) == 1
-            elif t is ir.Loop or t is ir.Bits:
-                inner = {e: x for e, x in avail.items()
-                         if not reads(e) & dead}
-                if t is ir.Loop:
-                    new["cond"] = sub(s.cond, inner)
-                    new["step"] = sub(s.step, inner)
-                new["body"] = suite(s.body, inner)
-            out.append(s._replace(**new))
-            for e in [e for e in avail if reads(e) & dead]:
-                del avail[e]
-        return tuple(out)
-
-    new = suite(body, {})
-    if new != body:
-        _report(body, new, "stmt")
-    return new
-
-
 def _lowered(body: ir.Suite,
              list_regs: Optional[frozenset[int]]) -> ir.Suite:
     """*body* as it enters the fused program: with *list_regs* (a staged
@@ -518,8 +346,8 @@ def _lowered(body: ir.Suite,
             s = s._replace(mode=ir.STAGED)
         return _lower(s)
 
-    return _cse(ir.rewrite(body, expr=_simplify,
-                           stmt=_lower if list_regs is None else stage))
+    return ir.rewrite(body, expr=_simplify,
+                      stmt=_lower if list_regs is None else stage)
 
 
 @lru_cache(maxsize=1024)

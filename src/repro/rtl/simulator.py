@@ -314,7 +314,8 @@ class RTLSimulator:
         )
 
     def restore_checkpoint(self, ckpt: RTLCheckpoint) -> None:
-        if len(ckpt.values) != len(self.values):
+        if len(ckpt.values) != len(self.values) \
+                or list(map(len, ckpt.mems)) != list(map(len, self.mems)):
             raise ValueError("checkpoint does not match this design")
         self.cycle = ckpt.cycle
         self.values = list(ckpt.values)

@@ -134,15 +134,6 @@ class TestSharedSimulation:
 
 
 class TestKnob:
-    def test_env_knob_disables_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ELAB_CACHE", "0")
-        a = compile_verilog(COUNTER_V, top="ctr")
-        b = compile_verilog(COUNTER_V, top="ctr")
-        assert a is not b
-        info = ELAB_CACHE.info()
-        assert info["enabled"] is False
-        assert info["hits"] == 0 and info["entries"] == 0
-
     def test_clear_resets_counters(self):
         compile_verilog(COUNTER_V, top="ctr")
         compile_verilog(COUNTER_V, top="ctr")

@@ -21,13 +21,6 @@ class TestTrace:
         assert isinstance(cmds[-1], RegWrite)  # IRQ clear
         assert any(isinstance(c, WaitIrq) for c in cmds)
 
-    def test_relocation_shifts_everything(self):
-        trace = sanity3(scale=0.1)
-        moved = trace.relocate(0x100_0000)
-        assert moved.layers[0].in_addr == trace.layers[0].in_addr + 0x100_0000
-        assert moved.mem_image[0][0] == trace.mem_image[0][0] + 0x100_0000
-        assert moved.mem_image[0][1] == trace.mem_image[0][1]
-
     def test_block_accounting(self):
         trace = sanity3(scale=0.25)
         layer = trace.layers[0]

@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro.hdl.common import CoverageOptions
+from repro.hdl.elaborator import ELAB_CACHE
 from repro.hdl.verilog import compile_verilog
 from repro.models.bitonic.wrapper import BitonicSharedLibrary
 from repro.models.pmu.wrapper import PMUSharedLibrary
@@ -235,7 +236,7 @@ class TestTheListPathHasTwoReasons:
 
     def test_a_handwritten_process_is_called_on_the_list_path(
             self, monkeypatch):
-        monkeypatch.setenv("REPRO_ELAB_CACHE", "0")   # the module is edited
+        monkeypatch.setattr(ELAB_CACHE, "_designs", {})   # the module is edited
         rtl = compile_verilog(SHAPES_V)
         fused = build_program(rtl, rtl.levelize())
         assert (fused.inlined, fused.called) == (3, 0)  # settle; sync + comb
@@ -287,20 +288,20 @@ O0_LISTING = {
 #: lowering
 PROGRAM = {
     "bitonic-plain": "7208c38e2f6a6f2d", "bitonic-instr": "6c8b22dbd7e54511",
-    "pmu-plain": "f451e39e7a45ebe5", "pmu-instr": "555f44abe92d682c",
-    "rtlcache-plain": "f2b8800d189fe581",
-    "rtlcache-instr": "5f22089c9569ddbc",
-    "rtlcache_coh-plain": "afb6411c2c42140c",
-    "rtlcache_coh-instr": "727f563705fcf152",
-    "rtlcache_ecc-plain": "2f1e77c009080ab5",
-    "rtlcache_ecc-instr": "6afce55f1c3cf59a",
+    "pmu-plain": "453f694c22cb44c4", "pmu-instr": "f77a65e3171091ed",
+    "rtlcache-plain": "1d3e230060004655",
+    "rtlcache-instr": "8b732c209031dc42",
+    "rtlcache_coh-plain": "50f5cab022b73b89",
+    "rtlcache_coh-instr": "7e8194658f0426cd",
+    "rtlcache_ecc-plain": "3b972d2cbf24e2c4",
+    "rtlcache_ecc-instr": "913ae7080aac1b0b",
 }
 EXCHANGE = {
     BitonicSharedLibrary: "d2dfb07999cc61d2",
-    PMUSharedLibrary: "713fcaa93e8ec4f0",
-    RTLCacheSharedLibrary: "c15efaae6978a1ad",
-    RTLCacheECCSharedLibrary: "94359155002616f6",
-    RTLCacheCohSharedLibrary: "e6f5933f500da5dd",
+    PMUSharedLibrary: "eafe73a8d3abea66",
+    RTLCacheSharedLibrary: "32a610c7ff6e5333",
+    RTLCacheECCSharedLibrary: "4c1ac8791f769efa",
+    RTLCacheCohSharedLibrary: "2bebc1762ed930a1",
 }
 
 
@@ -312,14 +313,14 @@ class TestGeneratedSourceIsTheLiveBodies:
     @pytest.mark.parametrize("name", sorted(DESIGNS))
     def test_o0_dump_is_what_it_always_was(self, name, monkeypatch):
         # the listing names the file, which the cache key does not hold
-        monkeypatch.setenv("REPRO_ELAB_CACHE", "0")
+        monkeypatch.setattr(ELAB_CACHE, "_designs", {})
         text = DESIGNS[name].compile().generated_source
         assert _sha(text) == O0_LISTING[name]
 
     @pytest.mark.parametrize("name,instr", CELLS)
     def test_fused_program_is_what_it_always_was(self, name, instr,
                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_ELAB_CACHE", "0")
+        monkeypatch.setattr(ELAB_CACHE, "_designs", {})
         rtl = DESIGNS[name].compile(instrument=instr)
         source = build_program(rtl, rtl.levelize()).source
         tag = "instr" if instr else "plain"
@@ -327,5 +328,5 @@ class TestGeneratedSourceIsTheLiveBodies:
 
     @pytest.mark.parametrize("cls", EXCHANGE, ids=lambda c: c.__name__)
     def test_exchange_is_what_it_always_was(self, cls, monkeypatch):
-        monkeypatch.setenv("REPRO_ELAB_CACHE", "0")
+        monkeypatch.setattr(ELAB_CACHE, "_designs", {})
         assert _sha(cls()._exchange.source) == EXCHANGE[cls]

@@ -1,10 +1,10 @@
 """Every rewrite codegen's lowering makes is checked, not trusted.
 
 The interpreter runs the plain print of a body; the fused program runs
-its lowering (:mod:`repro.rtl.codegen`, lowerings (a)–(f)).  The
-differential suites compare the two on the states their stimulus
-reaches.  This file checks the rewrites themselves, for the five bundled
-designs x {plain, instrumented}, with
+its lowering (:mod:`repro.rtl.codegen`, lowerings (a), (b) and
+(d)–(f)).  The differential suites compare the two on the states their
+stimulus reaches.  This file checks the rewrites themselves, for the
+five bundled designs x {plain, instrumented}, with
 :data:`repro.rtl.codegen.REWRITE_HOOK` installed (a test hook, not an
 option):
 
@@ -16,12 +16,12 @@ option):
   rewrite left unwrapped must be below the depth).  A ``"truth"`` pair
   must agree as Python truth values, a ``"value"`` pair as numbers of
   one type;
-* the statement rewrites (set bits, common subexpressions, list staging,
-  the commits without a sentinel) are checked as the cycle they build:
-  the old cycle — the plain print, as the interpreter runs it — and the
-  new fused cycle step from the same 2 000 seeded random ``(v, m)``
-  states and must agree on ``v``, ``m`` and the cycles run (a run-ahead
-  window that ends when an output moves).
+* the statement rewrites (set bits, list staging, the commits without
+  a sentinel) are checked as the cycle they build: the old cycle — the
+  plain print, as the interpreter runs it — and the new fused cycle step
+  from the same 2 000 seeded random ``(v, m)`` states and must agree on
+  ``v``, ``m`` and the cycles run (a run-ahead window that ends when an
+  output moves).
 
 A disagreement is a :class:`Finding` naming the design, the process and
 the inputs.  Two seeded wrong rewrites — a dropped mask, set-bit

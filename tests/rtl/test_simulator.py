@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.models.rtlcache.wrapper import RTLCacheSharedLibrary
 from repro.rtl.kernel import Edge, RTLModule
 from repro.rtl.simulator import RTLSimulator
 
@@ -157,6 +158,28 @@ class TestCheckpoint:
         sim2 = RTLSimulator(m2)
         with pytest.raises(ValueError):
             sim2.restore_checkpoint(sim1.save_checkpoint())
+
+    def test_checkpoint_of_other_memory_geometry_rejected(self):
+        # idxw sizes the tag and data arrays, not the signal count
+        small = RTLCacheSharedLibrary(idxw=4)
+        big = RTLCacheSharedLibrary(idxw=6)
+        assert len(small.sim.values) == len(big.sim.values)
+        before = big.save_checkpoint()
+        with pytest.raises(ValueError, match="does not match"):
+            big.load_checkpoint_state(small.checkpoint_state())
+        with pytest.raises(ValueError, match="does not match"):
+            big.restore_checkpoint(small.save_checkpoint())
+        assert big.sim.mems == before[0].mems
+        big.sim.peek_mem("tags", 40)
+
+    def test_checkpoint_of_other_memory_count_rejected(self):
+        m1, m2 = RTLModule("one"), RTLModule("two")
+        for m in (m1, m2):
+            m.add_memory("ram", 8, 4)
+        m2.add_memory("rom", 8, 4)
+        with pytest.raises(ValueError, match="does not match"):
+            RTLSimulator(m1).restore_checkpoint(
+                RTLSimulator(m2).save_checkpoint())
 
 
 class TestMemoryPokes:
