@@ -10,7 +10,8 @@ policy; ports, tag array and MSHR file are :class:`.core.CacheCore`'s.
 Timing/functional split: the cache tracks *tags only*; data always lives
 in the functional backing store behind the memory controller.  Writes
 are applied functionally when first accepted, reads fetch data
-functionally when the response is produced.
+functionally when the response is produced, except for a requester that
+reads no data (its port's ``reads_data`` is ``False``).
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ class Cache(CacheCore):
     def _respond(self, pkt: Packet) -> None:
         if not pkt.needs_response:
             return
-        if pkt.is_read:
+        if pkt.is_read and self.cpu_side.peer.reads_data:
             data_pkt = Packet(MemCmd.ReadReq, pkt.addr, pkt.size,
                               requestor=self.name)
             self.mem_side.send_functional(data_pkt)

@@ -106,6 +106,7 @@ class OoOCore(SimObject):
             recv_timing_resp=self._recv_fetch_resp,
             recv_req_retry=self._fetch_retry,
         )
+        self.dcache_port.reads_data = self.icache_port.reads_data = False
         self._fetch_outstanding: Optional[Packet] = None
         self._fetch_blocked = False
 
@@ -403,9 +404,11 @@ class OoOCore(SimObject):
         # keep accesses inside one cache line
         if addr % 64 > 56:
             addr -= addr % 8
-        # µop stores are timing-only (no payload): functional memory
-        # state belongs to the workload layer (generators, host apps),
-        # which has already applied the architectural effect.
+        # µop accesses are timing-only: a store carries no payload and
+        # no load or fetch response's bytes are read (the ports declare
+        # ``reads_data = False``), because functional memory state
+        # belongs to the workload layer (generators, host apps), which
+        # has already applied the architectural effect.
         pkt = Packet(cmd, addr, size, requestor=self.name)
         if FLAG_CPU.enabled:
             tracepoint(

@@ -89,6 +89,10 @@ class _Port:
 class RequestPort(_Port):
     """Sends requests downstream; receives responses and request-retries."""
 
+    #: whether the owner looks at a read response's bytes; a requester
+    #: that never does sets it ``False``, so a cache need not fetch them
+    reads_data = True
+
     def __init__(
         self,
         name: str,

@@ -239,15 +239,10 @@ class SoC:
             rng = AddrRange(*rng)
         self._io_xbar.new_mem_port(rng).connect(rtl_obj.cpu_side[port_idx])
 
-    def attach_rtl_mem_side(self, rtl_obj, port_idx: int = 0,
-                            via_llc: bool = False) -> None:
-        """Connect an RTLObject memory-side port to the memory system.
-
-        ``via_llc=False`` matches the paper's NVDLA hookup (DBBIF/SRAMIF
-        straight to the memory bus).
-        """
-        bus = self.sysbus if via_llc else self.membus
-        rtl_obj.mem_side[port_idx].connect(bus.new_cpu_port())
+    def attach_rtl_mem_side(self, rtl_obj, port_idx: int = 0) -> None:
+        """Connect an RTLObject memory-side port straight to the memory
+        bus, the paper's NVDLA hookup (DBBIF/SRAMIF)."""
+        rtl_obj.mem_side[port_idx].connect(self.membus.new_cpu_port())
 
     def attach_rtl_coherent(self, rtl_obj, port_idx: int = 0) -> None:
         """Attach an RTL coherence participant (e.g.
@@ -288,9 +283,7 @@ class SoC:
     def run(self, until: Optional[int] = None) -> int:
         return self.sim.run(until=until)
 
-    def run_until_done(
-        self, cores=None, max_ticks: int = 10**12, extra_ticks: int = 0
-    ) -> int:
+    def run_until_done(self, cores=None, max_ticks: int = 10**12) -> int:
         """Run until every core in *cores* finished its µop stream."""
         watch = cores if cores is not None else [
             c for c in self.cores if c.stream is not None
@@ -319,6 +312,4 @@ class SoC:
                 )
             boundary = (self.sim.now // step + 1) * step
             self.sim.run(until=min(boundary, deadline))
-        if extra_ticks:
-            self.sim.run(until=self.sim.now + extra_ticks)
         return self.sim.now

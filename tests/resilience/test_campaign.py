@@ -291,6 +291,8 @@ class TestGolden:
      "2e3e907ade7448be16cb62c1ad1dd676e554d7da191c886335f053c8dcf08f69"),
     ("coherence",
      "50c84e42641b2be4dd1ed79be7ba0329a905721530dda8a523c7b9cf49410ae0"),
+    ("pmu",
+     "aa2d4cf3622cc869f64621e912f71469f3838e8a121a91928cfaab04d2d98059"),
 ])
 def test_report_bytes_are_pinned(camp_env, target, sha):
     """``repro campaign <target> --budget 8 --seed 0 --report`` bytes: a

@@ -204,7 +204,7 @@ def test_fresh_process_restore_is_bit_identical(tmp_path, setup,
     [
         pytest.param(
             PMU_SETUP, 300_000,
-            "f4843871ee9861b2901ef8431dee913f2fe133357e62b6a61d61c5f1c8aac78c",
+            "3b6bd47d434697612c8d9593b75e6687607795b4161bf9cb43d01e578ce61ec0",
             id="pmu",
         ),
         pytest.param(

@@ -6,6 +6,8 @@ import pytest
 from repro.resilience.serialize import CheckpointError
 from repro.soc.cache.cache import Cache, StridePrefetcher
 from repro.soc.cache.sets import BLOCK, SparseSets
+from repro.soc.cpu.core import OoOCore
+from repro.soc.cpu.uop import load, sleep
 from repro.soc.mem.ideal import IdealMemory
 from repro.soc.mem.physmem import PhysicalMemory
 from repro.soc.packet import MemCmd, Packet
@@ -47,11 +49,16 @@ class Harness:
         self.sim.run(until=self.sim.now + ticks)
 
 
-def _plain_rig():
+def _plain_cache():
     sim = Simulation()
     cache = Cache(sim, "c", size=4 * 1024, assoc=2, latency_cycles=2, mshrs=4)
     mem = IdealMemory(sim, "mem", latency_cycles=5)
     cache.mem_side.connect(mem.port)
+    return sim, cache, mem
+
+
+def _plain_rig():
+    sim, cache, mem = _plain_cache()
     return sim, cache, Harness(sim, cache), mem
 
 
@@ -302,6 +309,43 @@ class TestMissListeners:
         h.read(0x100); h.drain()
         h.read(0x100 + BLOCK); h.drain()
         assert len(events) == 2
+
+
+class TestTimingOnlyRequester:
+    """A core reads no response bytes (its ports say ``reads_data =
+    False``): the cache answers its loads without a functional read,
+    and only the block fill reaches memory."""
+
+    def _core_rig(self, uops):
+        sim, cache, mem = _plain_cache()
+        core = OoOCore(sim, "cpu")
+        core.dcache_port.connect(cache.cpu_side)
+        core.run_stream(uops)
+        sim.startup()
+        return sim, core, cache, mem
+
+    def test_core_hits_read_no_memory(self, monkeypatch):
+        # the first load misses; after the fill the rest hit
+        sim, core, cache, mem = self._core_rig(
+            [load(0x100), sleep(100)] + [load(0x108)] * 10)
+        reads = []
+        real_read = mem.physmem.read
+
+        def counted_read(addr, length):
+            reads.append((addr, length))
+            return real_read(addr, length)
+
+        monkeypatch.setattr(mem.physmem, "read", counted_read)
+        sim.run(until=10**8)
+        assert core.done and cache.st_hits.value() == 10
+        assert reads == [(0x100, BLOCK)]  # the fill, nothing per load
+
+    def test_core_load_beyond_memory_still_raises(self):
+        addr = 1 << 41
+        sim, core, cache, mem = self._core_rig([load(addr)])
+        assert addr > mem.physmem.size
+        with pytest.raises(ValueError, match="outside memory"):
+            sim.run(until=10**8)
 
 
 class TestSparseSets:
