@@ -9,14 +9,16 @@ multiplicative waveform cost.
 
 from conftest import sort_sizes, write_artifact
 
+from repro.dse.pmu_experiment import TABLE2, Table2Row
 from repro.dse.render import render_table2
-from repro.dse.pmu_experiment import run_table2
+from repro.experiment import run
 
 
 def test_table2_simulation_overhead(benchmark, artifact):
-    rows = benchmark.pedantic(
-        run_table2, kwargs={"sizes": sort_sizes()}, rounds=1, iterations=1
+    payload = benchmark.pedantic(
+        run, args=(TABLE2, {"sizes": sort_sizes()}), rounds=1, iterations=1
     )
+    rows = [Table2Row(**row) for row in payload]
     lines = [render_table2(rows), "", "absolute seconds:"]
     for r in rows:
         lines.append(

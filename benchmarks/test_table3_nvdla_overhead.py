@@ -10,7 +10,8 @@ relative overhead (the paper's 3.12x vs GoogleNet's 1.54x).
 from conftest import workload_scale, write_artifact
 
 from repro.dse.render import render_table3
-from repro.dse.sweep import run_table3
+from repro.dse.sweep import TABLE3, Table3Result
+from repro.experiment import run
 
 
 def test_table3_simulation_overhead(benchmark, artifact):
@@ -18,9 +19,10 @@ def test_table3_simulation_overhead(benchmark, artifact):
         "sanity3": workload_scale("sanity3"),
         "googlenet": workload_scale("googlenet"),
     }
-    rows = benchmark.pedantic(
-        run_table3, kwargs={"scales": scales}, rounds=1, iterations=1
+    payload = benchmark.pedantic(
+        run, args=(TABLE3, {"scales": scales}), rounds=1, iterations=1
     )
+    rows = [Table3Result(**row) for row in payload]
     lines = [render_table3(rows), "", "absolute seconds:"]
     for r in rows:
         lines.append(

@@ -16,6 +16,9 @@ Commands
 ``serve``     run the simulation-as-a-service job server (repro.serve)
 ``submit``    submit a job to a running server and optionally wait
 
+``fig5``, ``table2``, ``dse``, ``table3`` and ``campaign`` are parse →
+:func:`_run_experiment` (over :func:`repro.experiment.run`) → render.
+
 The experiments build their :class:`~repro.soc.simobject.Simulation`
 internally, so the tracing and resilience flags cannot attach to it
 here.  They park ``hook(sim)`` callables on
@@ -170,12 +173,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _progress(total: int, label: str):
-    from .parallel.progress import ProgressReporter
-
-    return ProgressReporter(total, label=label)
-
-
 def _list_debug_flags() -> None:
     """Print every registered debug flag (``--debug-flags='?'``)."""
     import importlib
@@ -235,18 +232,12 @@ def _setup_tracing(args: argparse.Namespace):
     return tracer
 
 
-def _setup_resilience(args: argparse.Namespace):
+def _setup_resilience(args: argparse.Namespace) -> None:
     """Park ``--inject``/``--watchdog``/``--checkpoint-*``/``--restore-from``
     as one :func:`repro.resilience.control.arm` hook on
     :data:`~repro.soc.simobject.startup_hooks`; the first simulation that
     starts (per process — workers inherit the list on fork) runs it.
-
-    Returns the :class:`~repro.parallel.runner.RunStats` instance that sweep
-    commands should thread into their runner, so ``--keep-going`` /
-    ``--point-timeout`` outcomes can be summarised after the run.
     """
-    from .parallel.runner import RunStats
-
     seed = args.inject_seed
     plan = watchdog = checkpoints = None
     if args.inject or seed is not None:
@@ -280,7 +271,6 @@ def _setup_resilience(args: argparse.Namespace):
         startup_hooks.append(functools.partial(
             control.arm, plan=plan, watchdog=watchdog,
             checkpoints=checkpoints, restore=args.restore_from or None))
-    return RunStats()
 
 
 def _report_run_stats(stats) -> None:
@@ -296,22 +286,58 @@ def _report_run_stats(stats) -> None:
           f"{requeued} innocent requeues", file=sys.stderr)
 
 
+def _run_experiment(args: argparse.Namespace, name: str, params: dict,
+                    points: int, cache: bool = False):
+    """Run experiment *name* for an experiment command; returns the
+    payload and the :class:`~repro.parallel.cache.ResultCache` it went
+    through (None: none).
+
+    Parks the resilience hooks, paints a progress line over *points*
+    points and summarises retries on stderr.  *cache* is the command's
+    default, which ``--no-cache`` turns off.  A run that parked a hook
+    on :data:`~repro.soc.simobject.startup_hooks` (``--inject``,
+    ``--restore-from``, the watchdog, checkpoints, a trace window) is
+    not the clean run its points' cache keys name, so it neither reads
+    nor writes the cache.
+    """
+    from . import experiment
+    from .parallel.cache import ResultCache
+    from .parallel.progress import ProgressReporter
+    from .parallel.runner import RunStats
+    from .soc.simobject import startup_hooks
+
+    if hasattr(args, "inject"):  # campaign's --checkpoint-every is its own
+        _setup_resilience(args)
+    store = None
+    if cache and not args.no_cache and not startup_hooks:
+        store = ResultCache()
+    stats = RunStats()
+    payload = experiment.run(
+        experiment.get(name), params, jobs=args.jobs, cache=store,
+        point_timeout=args.point_timeout,
+        # campaign has no --keep-going: a failed experiment is an infra row
+        keep_going=getattr(args, "keep_going", True),
+        progress=ProgressReporter(points, label=args.command), stats=stats)
+    _report_run_stats(stats)
+    return payload, store
+
+
 def cmd_fig5(args: argparse.Namespace) -> int:
-    from .dse.pmu_experiment import run_fig5, run_fig5_series
+    from .dse.pmu_experiment import Fig5Result, run_fig5
     from .dse.render import render_fig5
 
     intervals = args.intervals
-    stats = _setup_resilience(args)
     if len(intervals) == 1:
+        # in-process: a SimulationHang reaches main() as itself
+        _setup_resilience(args)
         results = {intervals[0]: run_fig5(n_sort=args.n,
                                           interval_cycles=intervals[0])}
     else:
-        results = run_fig5_series(
-            intervals, n_sort=args.n, jobs=args.jobs,
-            point_timeout=args.point_timeout, keep_going=args.keep_going,
-            progress=_progress(len(intervals), "fig5"), stats=stats,
-        )
-        _report_run_stats(stats)
+        payload, _ = _run_experiment(
+            args, "pmu_fig5", {"n": args.n, "intervals": intervals},
+            len(intervals))
+        results = {int(interval): Fig5Result.from_dict(series)
+                   for interval, series in payload["series"].items()}
     for interval, result in results.items():
         if len(results) > 1:
             print(f"\n== sampling interval: {interval} cycles ==")
@@ -320,63 +346,54 @@ def cmd_fig5(args: argparse.Namespace) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
+    from .dse.pmu_experiment import Table2Row
     from .dse.render import render_table2
-    from .dse.pmu_experiment import run_table2
 
-    sizes = args.sizes
-    stats = _setup_resilience(args)
-    rows = run_table2(sizes=sizes, jobs=args.jobs,
-                      point_timeout=args.point_timeout,
-                      keep_going=args.keep_going,
-                      progress=_progress(len(sizes), "table2"), stats=stats)
-    _report_run_stats(stats)
-    print(render_table2(rows))
+    rows, _ = _run_experiment(args, "table2", {"sizes": args.sizes},
+                              len(args.sizes))
+    print(render_table2(Table2Row(**row) for row in rows))
     return 0
 
 
 def cmd_dse(args: argparse.Namespace) -> int:
+    import time
+
     from .dse.render import render_dse
-    from .dse.sweep import run_dse
-    from .parallel.cache import ResultCache
+    from .dse.sweep import DSEResult
 
     inflight, memories = args.inflight, args.memories
-    cache = None if args.no_cache else ResultCache()
     n_points = len(inflight) * len(memories) + 1
-    stats = _setup_resilience(args)
-    result = run_dse(
-        args.workload, args.nvdla, inflight_sweep=inflight,
-        memories=memories, scale=args.scale,
-        jobs=args.jobs, cache=cache,
-        point_timeout=args.point_timeout, keep_going=args.keep_going,
-        progress=_progress(n_points, "dse"), stats=stats,
-    )
-    _report_run_stats(stats)
+    t0 = time.perf_counter()
+    payload, cache = _run_experiment(
+        args, "dse", {"workload": args.workload, "n_nvdla": args.nvdla,
+                      "inflight": inflight, "memories": memories,
+                      "scale": args.scale}, n_points, cache=True)
+    result = DSEResult.from_payload(
+        payload, wall_seconds=time.perf_counter() - t0, jobs=args.jobs,
+        cache_hits=cache.stats.hits if cache is not None else 0)
     print(render_dse(result, inflight_sweep=inflight))
     line = (f"\n({result.wall_seconds:.1f}s wall for {n_points} simulations "
             f"at jobs={args.jobs}")
     if cache is not None:
-        line += (f"; cache: {result.cache_hits} hit(s), "
-                 f"{result.cache_misses} miss(es) under {cache.root}")
+        line += (f"; cache: {cache.stats.hits} hit(s), "
+                 f"{cache.stats.misses} miss(es) under {cache.root}")
     print(line + ")")
     return 0
 
 
 def cmd_table3(args: argparse.Namespace) -> int:
     from .dse.render import render_table3
-    from .dse.sweep import run_table3
+    from .dse.sweep import Table3Result
 
-    stats = _setup_resilience(args)
-    rows = run_table3(jobs=args.jobs, point_timeout=args.point_timeout,
-                      keep_going=args.keep_going, stats=stats)
-    _report_run_stats(stats)
-    print(render_table3(rows))
+    workloads = ["sanity3", "googlenet"]
+    rows, _ = _run_experiment(args, "table3", {"workloads": workloads},
+                              len(workloads))
+    print(render_table3(Table3Result(**row) for row in rows))
     return 0
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    from .parallel.cache import ResultCache
-    from .parallel.runner import RunStats
-    from .resilience.campaign import render_report, run_campaign
+    from .resilience.campaign import render_report
     from .resilience.targets import TARGETS
 
     if args.list_targets:
@@ -394,24 +411,18 @@ def cmd_campaign(args: argparse.Namespace) -> int:
               "(see --list-targets)", file=sys.stderr)
         return 2
 
-    overrides = dict(args.param)
-    cache = None if args.no_cache else ResultCache()
-    stats = RunStats()
     try:
-        report = run_campaign(
-            args.target, params=overrides, budget=args.budget,
-            seed=args.seed, jobs=args.jobs, cache=cache,
-            checkpoint_every=args.checkpoint_every,
-            max_cycles=args.max_cycles,
-            watchdog_interval=args.watchdog_interval,
-            wall_timeout=args.wall_timeout,
-            point_timeout=args.point_timeout,
-            progress=_progress(args.budget, "campaign"), stats=stats,
-        )
+        report, _ = _run_experiment(args, "campaign", {
+            "target": args.target, "params": dict(args.param),
+            "budget": args.budget, "seed": args.seed,
+            "checkpoint_every": args.checkpoint_every,
+            "max_cycles": args.max_cycles,
+            "watchdog_interval": args.watchdog_interval,
+            "wall_timeout": args.wall_timeout,
+        }, args.budget, cache=True)
     except ValueError as err:
         print(f"repro: campaign: {err}", file=sys.stderr)
         return 2
-    _report_run_stats(stats)
 
     hist = report["histogram"]
     parts = ", ".join(f"{name} {hist[name]}" for name in hist if hist[name])
@@ -618,14 +629,14 @@ def cmd_verify_coherence(args: argparse.Namespace) -> int:
         print(f"sharers={n}: invariants ok over {args.ops} ops/driver "
               f"({cycles} cycles), memory {result['memory']}")
     if args.jobs > 1 and serial:
-        from .dse.sweep import run_coherence_sweep
+        from .dse.sweep import COHERENCE
+        from .experiment import run
 
-        pooled = run_coherence_sweep(
-            sharers=tuple(serial), ops=args.ops, seed=args.seed,
-            rtl=args.rtl, jobs=args.jobs, keep_going=True,
-        )
+        pooled = run(COHERENCE, {"sharers": list(serial), "ops": args.ops,
+                                 "seed": args.seed, "rtl": args.rtl},
+                     jobs=args.jobs, keep_going=True)
         for n, want in serial.items():
-            got = pooled.get(n)
+            got = pooled.get(str(n))
             if got is not None:
                 got = {k: v for k, v in got.items() if k != "seconds"}
             if got != want:

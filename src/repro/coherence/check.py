@@ -230,15 +230,13 @@ def build_sharing_system(
     paranoid: bool = True,
     gap_cycles: int = 20,
     l1_size: int = 2048,
-    l1_assoc: int = 2,
-    l1_latency: int = 2,
     mshrs: int = 4,
-    dir_latency: int = 4,
-    mem_latency: int = 20,
     layout: SharingLayout = SharingLayout(),
 ) -> SharingSystem:
     """N private L1s (plus optional RTL write-through participants)
-    behind a coherent crossbar and a snooping directory.
+    behind a coherent crossbar and a snooping directory.  The L1s are
+    2-way with a 2-cycle hit, the directory answers in 4 cycles and
+    memory in 20.
 
     *rtl* is a participant count (``True`` means one); two or more
     write-through RTL caches invalidate each other through the
@@ -249,9 +247,8 @@ def build_sharing_system(
 
     sim = Simulation()
     xbar = CoherentXbar(sim, "cohbus")
-    directory = DirectoryController(
-        sim, "l2dir", latency_cycles=dir_latency)
-    mem = IdealMemory(sim, "mem", latency_cycles=mem_latency)
+    directory = DirectoryController(sim, "l2dir", latency_cycles=4)
+    mem = IdealMemory(sim, "mem", latency_cycles=20)
     xbar.new_mem_port().connect(directory.cpu_side)
     directory.mem_side.connect(mem.port)
     sim.register_extra("physmem", mem.physmem)
@@ -267,8 +264,8 @@ def build_sharing_system(
 
     caches, drivers = [], []
     for c in range(cores):
-        l1 = CoherentL1Cache(sim, f"l1_{c}", size=l1_size, assoc=l1_assoc,
-                             latency_cycles=l1_latency, mshrs=mshrs,
+        l1 = CoherentL1Cache(sim, f"l1_{c}", size=l1_size, assoc=2,
+                             latency_cycles=2, mshrs=mshrs,
                              paranoid=paranoid)
         l1.mem_side.connect(xbar.new_cpu_port())
         drv = SharingDriver(sim, f"drv{c}", core=c, n_ops=ops, seed=seed,

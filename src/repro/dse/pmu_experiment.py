@@ -15,13 +15,15 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
+from ..experiment import Experiment, Params
 from ..models.pmu.driver import PMUDriver
 from ..models.pmu.rtl_object import PMURTLObject
 from ..models.pmu.wrapper import PMUSharedLibrary
 from ..soc.cpu.core import EventWire
+from ..soc.mem.dram import MEMORY_PRESETS
 from ..soc.system import SoC, SoCConfig
 from ..workloads.sorting import sort_benchmark
 
@@ -29,6 +31,9 @@ from ..workloads.sorting import sort_benchmark
 COMMIT_LANES = (0, 1, 2, 3)   # up to 4 commits/cycle -> 4 one-bit events
 MISS_LANE = 4                 # L1D misses: at most one per cycle
 CYCLE_LANE = 5                # the clock, for periodic interrupts
+
+#: memories a PMU experiment accepts
+MEMORIES = ("ideal", *MEMORY_PRESETS)
 
 
 @dataclass
@@ -50,6 +55,13 @@ class Fig5Result:
     total_committed: int = 0
     total_cycles: int = 0
     pmu_total_commits: int = 0
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Fig5Result":
+        """Back from a :func:`fig5_point` dict."""
+        return cls([IPCWindow(**w) for w in doc["windows"]],
+                   doc["total_committed"], doc["total_cycles"],
+                   doc["pmu_total_commits"])
 
     def lost_events(self) -> int:
         """Commits gem5 saw but the PMU missed (reset/delay losses)."""
@@ -196,42 +208,43 @@ def run_fig5(
     return result
 
 
-def _fig5_point(point: tuple) -> Fig5Result:
-    """Worker: one Fig. 5 series at a given sampling interval."""
-    n_sort, interval_cycles, memory, sleep_cycles = point
-    return run_fig5(
-        n_sort=n_sort, interval_cycles=interval_cycles,
-        memory=memory, sleep_cycles=sleep_cycles,
-    )
+def fig5_point(point: tuple) -> dict:
+    """Worker: one Fig. 5 series at a given sampling interval, reduced to
+    its deterministic numbers (tick-derived only: no wall clock, so the
+    result is cacheable and bit-identical across hosts and pool sizes)."""
+    n_sort, interval, memory, sleep_cycles = point
+    result = run_fig5(n_sort=n_sort, interval_cycles=interval,
+                      memory=memory, sleep_cycles=sleep_cycles)
+    return {"interval": interval, **asdict(result)}
 
 
-def run_fig5_series(
-    intervals: tuple[int, ...],
-    n_sort: int = 300,
-    memory: str = "DDR4-2ch",
-    sleep_cycles: int = 20_000,
-    jobs: int = 1,
-    point_timeout: float | None = None,
-    keep_going: bool = False,
-    progress=None,
-    stats=None,
-) -> dict[int, Fig5Result]:
-    """Fig. 5 at several sampling intervals — each series is an
-    independent full-system run, so they fan out over workers.
+def _fig5_params(params: dict) -> dict:
+    p = Params("pmu_fig5", params, n=200, intervals=[10_000],
+               memory="DDR4-2ch", sleep_cycles=20_000)
+    return {"n": p.number("n"),
+            "intervals": p.number("intervals", many=True),
+            "memory": p.choice("memory", MEMORIES),
+            "sleep_cycles": p.number("sleep_cycles", above=-1)}
 
-    With ``keep_going=True`` intervals whose point exhausted its retry
-    budget are dropped from the returned dict instead of aborting the
-    series (their :class:`~repro.parallel.runner.PointFailure` is visible via
-    *stats*).
-    """
-    from ..parallel.runner import PointFailure, run_points
 
-    points = [(n_sort, iv, memory, sleep_cycles) for iv in intervals]
-    results = run_points(points, _fig5_point, jobs=jobs,
-                         point_timeout=point_timeout, keep_going=keep_going,
-                         progress=progress, stats=stats)
-    return {iv: r for iv, r in zip(intervals, results)
-            if not isinstance(r, PointFailure)}
+#: Fig. 5 at several sampling intervals; each series is an independent
+#: full-system run.  The payload's ``series`` maps each interval that
+#: ran to its :func:`fig5_point` dict (a failed one, under
+#: ``keep_going``, is left out).
+FIG5 = Experiment(
+    name="pmu_fig5",
+    normalize=_fig5_params,
+    points=lambda p: [(p["n"], iv, p["memory"], p["sleep_cycles"])
+                      for iv in p["intervals"]],
+    worker=fig5_point,
+    point_fields=lambda p, point: {
+        "design": "pmu", "experiment": "fig5_point",
+        **dict(zip(("n", "interval", "memory", "sleep_cycles"), point))},
+    assemble=lambda p, results: {
+        "kind": "pmu_fig5", "n": p["n"], "memory": p["memory"],
+        "series": {str(r["interval"]): r for r in results
+                   if isinstance(r, dict)}},
+)
 
 
 # ---------------------------------------------------------------------------
@@ -284,36 +297,34 @@ def _timed_run(n_sort: int, with_pmu: bool, waveform: bool,
             os.unlink(waveform_path)
 
 
-def _table2_row(point: tuple) -> Table2Row:
+def _table2_row(point: tuple) -> dict:
     """Worker: one Table 2 row — all three timed configurations run in
     the same worker so the reported *ratios* share one core's load."""
     n, memory = point
     t_plain = _timed_run(n, with_pmu=False, waveform=False, memory=memory)
     t_pmu = _timed_run(n, with_pmu=True, waveform=False, memory=memory)
     t_wave = _timed_run(n, with_pmu=True, waveform=True, memory=memory)
-    return Table2Row(n, t_plain, t_pmu, t_wave)
+    return asdict(Table2Row(n, t_plain, t_pmu, t_wave))
 
 
-def run_table2(
-    sizes: tuple[int, ...] = (100, 200, 400),
-    memory: str = "DDR4-2ch",
-    jobs: int = 1,
-    point_timeout: float | None = None,
-    keep_going: bool = False,
-    progress=None,
-    stats=None,
-) -> list[Table2Row]:
-    """Reproduce Table 2: wall-clock overhead of gem5+PMU and +waveform.
+def _table2_params(params: dict) -> dict:
+    p = Params("table2", params, sizes=[60, 150, 300], memory="DDR4-2ch")
+    return {"sizes": p.number("sizes", many=True),
+            "memory": p.choice("memory", MEMORIES)}
 
-    Sizes are the sort-benchmark N (the paper uses 3k/30k/60k on a
-    C++ simulator; scaled here — the *ratios* are the result).  Rows
-    are wall-clock measurements and are therefore never cached.  With
-    ``keep_going=True`` failed rows are dropped from the result.
-    """
-    from ..parallel.runner import PointFailure, run_points
 
-    points = [(n, memory) for n in sizes]
-    rows = run_points(points, _table2_row, jobs=jobs,
-                      point_timeout=point_timeout, keep_going=keep_going,
-                      progress=progress, stats=stats)
-    return [r for r in rows if not isinstance(r, PointFailure)]
+#: Table 2: wall-clock overhead of gem5+PMU and +waveform.  Sizes are
+#: the sort-benchmark N (the paper uses 3k/30k/60k on a C++ simulator;
+#: scaled here — the *ratios* are the result).  Rows are wall-clock
+#: measurements, so they are never cached; the payload lists the
+#: :class:`Table2Row` fields of every row that ran.
+TABLE2 = Experiment(
+    name="table2",
+    normalize=_table2_params,
+    points=lambda p: [(n, p["memory"]) for n in p["sizes"]],
+    worker=_table2_row,
+    point_fields=lambda p, point: {"experiment": "table2_row",
+                                   "size": point[0], "memory": point[1]},
+    assemble=lambda p, rows: [r for r in rows if isinstance(r, dict)],
+    cacheable=False,
+)

@@ -1,12 +1,13 @@
-"""NVDLA design-space exploration sweeps (Figures 6/7, Table 3).
+"""NVDLA design-space exploration (Figures 6/7, Table 3) and the
+coherence sweep, as :class:`~repro.experiment.Experiment` records.
 
-``run_dse`` regenerates one figure: for a workload and NVDLA count it
+:data:`DSE` regenerates one figure: for a workload and NVDLA count it
 sweeps the maximum in-flight requests {1,4,8,16,32,64,128,240} across
 the five memory technologies, normalising each point to the ideal
 1-cycle-memory run — exactly the paper's y-axis.
 
-Every point is an independent full-system simulation, so the sweep
-fans out over :func:`repro.parallel.runner.run_points` process workers
+Every point is an independent full-system simulation, so
+:func:`repro.experiment.run` fans the points over process workers
 (``jobs=N``) and the per-point tick counts go through
 :class:`repro.parallel.cache.ResultCache`; the merge is by point index, so a
 parallel run is bit-identical to a serial one.
@@ -15,11 +16,11 @@ parallel run is bit-identical to a serial one.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field
 
-from ..parallel.cache import ResultCache, cached_run
-from ..parallel.runner import PointFailure, run_points
+from ..experiment import Experiment, Params, run
+from ..models.nvdla.workloads import WORKLOADS
+from ..soc.mem.dram import MEMORY_PRESETS
 from .nvdla_system import build_nvdla_system
 
 #: the paper's x-axis
@@ -69,25 +70,30 @@ class DSEResult:
     point_seconds: float = 0.0
     jobs: int = 1
     cache_hits: int = 0
-    cache_misses: int = 0
 
-    def series(self, memory: str) -> list[float]:
-        return [self.normalized[memory][m] for m in INFLIGHT_SWEEP]
+    @classmethod
+    def from_payload(cls, payload: dict, **run_facts) -> "DSEResult":
+        """A :data:`DSE` payload, plus how the sweep ran (*run_facts*:
+        ``wall_seconds``, ``jobs``, ``cache_hits``)."""
+        return cls(payload["workload"], payload["n_nvdla"],
+                   payload["ideal_ticks"],
+                   {memory: dict(zip(payload["inflight"], series))
+                    for memory, series in payload["normalized"].items()},
+                   point_seconds=payload["point_seconds"], **run_facts)
 
     @property
     def points(self) -> int:
         return 1 + sum(len(series) for series in self.normalized.values())
 
     @property
+    def cache_misses(self) -> int:
+        return self.points - self.cache_hits
+
+    @property
     def speedup(self) -> float:
         """Aggregate point time over elapsed time (>1 when parallel
         fan-out or cache hits paid off)."""
         return self.point_seconds / self.wall_seconds if self.wall_seconds else 0.0
-
-
-def _point_fields(experiment: str, names: tuple[str, ...]):
-    """Cache-key fields: *experiment* plus the point's items by *names*."""
-    return lambda point: {"experiment": experiment, **dict(zip(names, point))}
 
 
 def _dse_point(point: tuple) -> dict:
@@ -103,72 +109,78 @@ def _dse_point(point: tuple) -> dict:
     return {"ticks": ticks, "seconds": time.perf_counter() - t0}
 
 
-def run_dse(
-    workload: str,
-    n_nvdla: int,
-    inflight_sweep: tuple[int, ...] = INFLIGHT_SWEEP,
-    memories: tuple[str, ...] = MEMORIES,
-    scale: float | None = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    point_timeout: float | None = None,
-    keep_going: bool = False,
-    progress=None,
-    stats=None,
-) -> DSEResult:
-    """Regenerate one subfigure of Fig. 6 (googlenet) / Fig. 7 (sanity3).
+def _dse_params(params: dict) -> dict:
+    p = Params("dse", params, workload="sanity3", n_nvdla=1,
+               inflight=list(INFLIGHT_SWEEP), memories=list(MEMORIES),
+               scale=None)
+    workload = p.choice("workload", WORKLOADS)
+    scale = p.number("scale", float)
+    return {"workload": workload, "n_nvdla": p.number("n_nvdla"),
+            "inflight": p.number("inflight", many=True),
+            "memories": p.choice("memories", MEMORY_PRESETS, many=True),
+            "scale": DEFAULT_SCALES.get(workload, 1.0) if scale is None
+            else scale}
 
-    ``jobs > 1`` fans the points over worker processes; ``cache``
-    short-circuits points already simulated by this code version.
-    Results are bit-identical regardless of either option.  With
-    ``keep_going=True`` a failed point shows up as NaN in the
-    normalised sweep instead of aborting it (the ideal-memory baseline
-    is the one point that must succeed).
-    """
-    if scale is None:
-        scale = DEFAULT_SCALES.get(workload, 1.0)
-    t0 = time.perf_counter()
+
+def _dse_points(p: dict) -> list[tuple]:
+    w, n, scale = p["workload"], p["n_nvdla"], p["scale"]
     # Point 0 is the ideal-memory normalisation baseline.
-    points: list[tuple] = [
-        (workload, n_nvdla, "ideal", max(inflight_sweep), scale)
-    ]
-    points += [
-        (workload, n_nvdla, memory, inflight, scale)
-        for memory in memories
-        for inflight in inflight_sweep
+    return [(w, n, "ideal", max(p["inflight"]), scale)] + [
+        (w, n, memory, inflight, scale)
+        for memory in p["memories"] for inflight in p["inflight"]
     ]
 
-    found = cached_run(
-        cache, points,
-        _point_fields("dse_point",
-                      ("workload", "n_nvdla", "memory", "inflight", "scale")),
-        lambda todo: run_points(
-            todo, _dse_point, jobs=jobs, point_timeout=point_timeout,
-            keep_going=keep_going, progress=progress, stats=stats),
-        progress=progress,
-    )
-    measured = found.results
-    if isinstance(measured[0], PointFailure):
-        raise measured[0]  # nothing to normalise against
-    ideal = measured[0]["ticks"]
-    result = DSEResult(workload, n_nvdla, ideal, jobs=jobs)
-    cursor = 1
-    for memory in memories:
-        result.normalized[memory] = {}
-        for inflight in inflight_sweep:
-            m = measured[cursor]
-            result.normalized[memory][inflight] = (
-                float("nan") if isinstance(m, PointFailure)
-                else ideal / m["ticks"]
-            )
-            cursor += 1
-    result.point_seconds = sum(
-        m["seconds"] for m in measured if not isinstance(m, PointFailure)
-    )
-    result.wall_seconds = time.perf_counter() - t0
-    result.cache_misses = len(found.executed)
-    result.cache_hits = len(found.hits)
-    return result
+
+def _dse_payload(p: dict, measured: list) -> dict:
+    ideal = measured[0]
+    if not isinstance(ideal, dict):
+        raise ideal  # nothing to normalise against
+    width = len(p["inflight"])
+    normalized = {
+        memory: [ideal["ticks"] / m["ticks"] if isinstance(m, dict)
+                 else float("nan")
+                 for m in measured[1 + k * width:1 + (k + 1) * width]]
+        for k, memory in enumerate(p["memories"])
+    }
+    return {"workload": p["workload"], "n_nvdla": p["n_nvdla"],
+            "inflight": p["inflight"], "ideal_ticks": ideal["ticks"],
+            "normalized": normalized,
+            "point_seconds": sum(m["seconds"] for m in measured
+                                 if isinstance(m, dict))}
+
+
+#: One subfigure of Fig. 6 (googlenet) / Fig. 7 (sanity3).  The payload's
+#: ``normalized`` maps each memory to its series in ``inflight`` order; a
+#: point that failed under ``keep_going`` reads NaN (the ideal baseline
+#: is the one point that must succeed).  ``point_seconds`` is the
+#: points' measured wall time, as first simulated.
+DSE = Experiment(
+    name="dse",
+    normalize=_dse_params,
+    points=_dse_points,
+    worker=_dse_point,
+    point_fields=lambda p, point: {"experiment": "dse_point", **dict(zip(
+        ("workload", "n_nvdla", "memory", "inflight", "scale"), point))},
+    assemble=_dse_payload,
+)
+
+
+def run_dse(workload: str, n_nvdla: int,
+            inflight_sweep: tuple[int, ...] = INFLIGHT_SWEEP,
+            memories: tuple[str, ...] = MEMORIES, scale: float | None = None,
+            jobs: int = 1, cache=None, progress=None) -> DSEResult:
+    """:data:`DSE` as a :class:`DSEResult`.  This front exists because
+    ``bench/`` calls it by name and reads the result's ``points``,
+    ``cache_hits``, ``cache_misses``, ``ideal_ticks`` and ``normalized``."""
+    t0 = time.perf_counter()
+    hits = cache.stats.hits if cache is not None else 0
+    payload = run(DSE, {"workload": workload, "n_nvdla": n_nvdla,
+                        "inflight": inflight_sweep, "memories": memories,
+                        "scale": scale}, jobs=jobs, cache=cache,
+                  progress=progress)
+    return DSEResult.from_payload(
+        payload, wall_seconds=time.perf_counter() - t0, jobs=jobs,
+        cache_hits=cache.stats.hits - hits if cache is not None else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,40 +207,31 @@ def _coherence_point(point: tuple) -> dict:
     return result
 
 
-def run_coherence_sweep(
-    sharers: tuple[int, ...] = SHARERS_SWEEP,
-    ops: int = 400,
-    seed: int = 0,
-    rtl: bool = False,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    point_timeout: float | None = None,
-    keep_going: bool = False,
-    progress=None,
-    stats=None,
-) -> dict[int, dict]:
-    """Sweep the sharer count through the MESI sharing stress.
+def _coherence_params(params: dict) -> dict:
+    p = Params("coherence", params, sharers=list(SHARERS_SWEEP), ops=400,
+               seed=0, rtl=False)
+    return {"sharers": p.number("sharers", many=True), "ops": p.number("ops"),
+            "seed": p.number("seed", above=None),
+            "rtl": bool(p.choice("rtl", (False, True)))}
 
-    Each point is one :func:`repro.coherence.check.run_sharing_stress` run
-    (protocol invariants audited throughout, golden memory compared at
-    the end); points fan out over ``run_points`` workers and
-    short-circuit through *cache* exactly like the NVDLA DSE points.
-    Returns ``{sharers: result_dict}``; a failed point (only possible
-    with ``keep_going=True``) is reported as ``None``.
-    """
-    points = [(n, ops, seed, rtl) for n in sharers]
-    found = cached_run(
-        cache, points,
-        _point_fields("coherence_point", ("sharers", "ops", "seed", "rtl")),
-        lambda todo: run_points(
-            todo, _coherence_point, jobs=jobs, point_timeout=point_timeout,
-            keep_going=keep_going, progress=progress, stats=stats),
-        progress=progress,
-    )
-    return {
-        n: (None if isinstance(m, PointFailure) else m)
-        for n, m in zip(sharers, found.results)
-    }
+
+#: The sharer count swept through the MESI sharing stress.  Each point
+#: is one :func:`repro.coherence.check.run_sharing_stress` run (protocol
+#: invariants audited throughout, golden memory compared at the end).
+#: The payload maps ``str(sharers)`` to the point's result dict, or to
+#: None for a point that failed under ``keep_going``.
+COHERENCE = Experiment(
+    name="coherence",
+    normalize=_coherence_params,
+    points=lambda p: [(n, p["ops"], p["seed"], p["rtl"])
+                      for n in p["sharers"]],
+    worker=_coherence_point,
+    point_fields=lambda p, point: {"experiment": "coherence_point", **dict(
+        zip(("sharers", "ops", "seed", "rtl"), point))},
+    assemble=lambda p, results: {
+        str(n): r if isinstance(r, dict) else None
+        for n, r in zip(p["sharers"], results)},
+)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +262,6 @@ def run_standalone(workload: str, scale: float) -> float:
     zero-latency testbench memory — no SoC, no trace-load phase, it
     'reads the trace directly'."""
     from ..models.nvdla.trace import RegWrite, WaitIrq
-    from ..models.nvdla.workloads import WORKLOADS
     from ..models.nvdla.wrapper import NVDLASharedLibrary, RESP_LANES
 
     trace = WORKLOADS[workload](scale=scale)
@@ -306,7 +308,7 @@ def run_full_system(workload: str, memory: str, scale: float) -> float:
     return time.perf_counter() - t0
 
 
-def _table3_row(point: tuple) -> Table3Result:
+def _table3_row(point: tuple) -> dict:
     """Worker: one Table 3 row.  The three timed runs stay inside one
     worker so their *ratio* (the reported result) is taken on a single,
     equally loaded core."""
@@ -314,28 +316,35 @@ def _table3_row(point: tuple) -> Table3Result:
     t_alone = run_standalone(workload, scale)
     t_perfect = run_full_system(workload, "ideal", scale)
     t_ddr4 = run_full_system(workload, "DDR4-4ch", scale)
-    return Table3Result(workload, t_alone, t_perfect, t_ddr4)
+    return asdict(Table3Result(workload, t_alone, t_perfect,
+                                           t_ddr4))
 
 
-def run_table3(
-    workloads: tuple[str, ...] = ("sanity3", "googlenet"),
-    scales: dict[str, float] | None = None,
-    jobs: int = 1,
-    point_timeout: float | None = None,
-    keep_going: bool = False,
-    progress=None,
-    stats=None,
-) -> list[Table3Result]:
-    """Reproduce Table 3: full-system overhead vs standalone simulation.
+def _table3_params(params: dict) -> dict:
+    p = Params("table3", params, workloads=["sanity3", "googlenet"],
+               scales={})
+    workloads = p.choice("workloads", WORKLOADS, many=True)
+    if not isinstance(p["scales"], dict):
+        raise ValueError(f"table3: scales must be an object, got "
+                         f"{p['scales']!r}")
+    scales = Params("table3 scales", p["scales"], **{
+        w: DEFAULT_SCALES.get(w, 1.0) for w in workloads})
+    return {"workloads": workloads,
+            "scales": {w: scales.number(w, float) for w in workloads}}
 
-    Rows are wall-clock measurements, so they are never cached; with
-    ``jobs > 1`` each row runs in its own worker (ratios within a row
-    remain honest — all three timings share one worker's core).  With
-    ``keep_going=True`` failed rows are dropped from the result.
-    """
-    scales = scales or DEFAULT_SCALES
-    points = [(w, scales.get(w, 1.0)) for w in workloads]
-    rows = run_points(points, _table3_row, jobs=jobs,
-                      point_timeout=point_timeout, keep_going=keep_going,
-                      progress=progress, stats=stats)
-    return [r for r in rows if not isinstance(r, PointFailure)]
+
+#: Table 3: full-system overhead vs standalone simulation.  Rows are
+#: wall-clock measurements, so they are never cached; each row runs in
+#: one worker (ratios within a row remain honest — all three timings
+#: share one worker's core).  The payload lists the
+#: :class:`Table3Result` fields of every row that ran.
+TABLE3 = Experiment(
+    name="table3",
+    normalize=_table3_params,
+    points=lambda p: [(w, p["scales"][w]) for w in p["workloads"]],
+    worker=_table3_row,
+    point_fields=lambda p, point: {"experiment": "table3_row",
+                                   "workload": point[0], "scale": point[1]},
+    assemble=lambda p, rows: [r for r in rows if isinstance(r, dict)],
+    cacheable=False,
+)

@@ -4,8 +4,8 @@ process workers with a deterministic merge and an on-disk result cache.
 The experiment layer's unit of work is an *independent full-system
 simulation* (one DSE point, one Table 2/3 row, one Fig. 5 series);
 none of them share state, so they parallelise embarrassingly.  This
-package provides the three pieces the harnesses in ``repro.dse`` build
-on:
+package provides the three pieces that :func:`repro.experiment.run` and
+the serve scheduler build on:
 
 * :func:`run_points` — a process-pool runner whose merged result list
   is ordered by submission index, never by completion order, so a
@@ -16,8 +16,8 @@ on:
   ``benchmarks/out/cache/`` keyed by the point's parameters *and* a
   hash of the simulator's own source, so re-running a figure after a
   code change only re-simulates, and re-running unchanged code only
-  reads; :func:`~repro.parallel.cache.cached_run` is the one loop
-  every sweep goes through.
+  reads; :func:`~repro.parallel.cache.cached_run` is the loop
+  :func:`repro.experiment.run` resolves every point through.
 * :class:`~repro.parallel.progress.ProgressReporter` — wall-clock
   progress/ETA line for long sweeps.
 """

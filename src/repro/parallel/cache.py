@@ -14,9 +14,9 @@ Only *deterministic* measurements belong here (tick counts, event
 totals).  Wall-clock timings (Table 2/3 overheads) are never cached —
 they are measurements of the host, not of the simulated system.
 
-Every sweep reaches the cache through one loop, :func:`cached_run`.  A
-caller that runs the misses elsewhere (the serve scheduler, on its
-executor) calls its halves, :func:`look_up` and :meth:`CachedRun.record`.
+:func:`repro.experiment.run` reaches the cache through one loop,
+:func:`cached_run`.  The serve scheduler, which runs the misses on its
+executor, calls its halves, :func:`look_up` and :meth:`CachedRun.record`.
 """
 
 from __future__ import annotations

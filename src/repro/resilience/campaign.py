@@ -31,16 +31,17 @@ this hardware block flips under real traffic?*  The flow:
    retried by the runner and reported as ``infra`` if they persist —
    never miscounted as simulated crashes, never cached.
 
-Experiments fan out through :func:`repro.parallel.runner.run_points`; each
-result is content-addressed in the :class:`~repro.parallel.cache.ResultCache`
-so a killed campaign resumes without re-executing finished experiments.
+:data:`CAMPAIGN` is the campaign's :class:`~repro.experiment.Experiment`
+record: experiments fan out through :func:`repro.experiment.run` (or a
+serve job); each result is content-addressed in the
+:class:`~repro.parallel.cache.ResultCache` so a killed campaign resumes
+without re-executing finished experiments.
 The per-signal vulnerability report carries AVF estimates with Wilson
 95 % confidence intervals.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -50,8 +51,8 @@ import tempfile
 import time
 from typing import Callable, Optional
 
-from ..parallel.cache import ResultCache, cached_run, code_version
-from ..parallel.runner import PointFailure, RunStats, run_points
+from ..experiment import Experiment, Params, run
+from ..parallel.cache import code_version
 from .control import PeriodicCheckpointer
 from .faults import Fault, FaultInjector, FaultPlan, flip_targets
 from .serialize import canonical_digest
@@ -96,7 +97,6 @@ def sample_faults(
     budget: int,
     seed: int,
     max_cycle: int,
-    min_cycle: int = 1,
 ) -> list[tuple[str, int, int]]:
     """Seeded stratified sample of ``(signal, bit, cycle)`` triples.
 
@@ -104,28 +104,30 @@ def sample_faults(
     (flops and memory words alike), so every signal is visited before
     any is visited twice; bit and cycle within each visit come from a
     single :class:`random.Random` consumed in a fixed order — the
-    sample is a pure function of (design, budget, seed, window).
+    sample is a pure function of (design, budget, seed, max_cycle), and
+    every cycle falls in ``[1, max_cycle)``.
     """
     targets = flip_targets(module, include_memories=True)
     if not targets:
         raise ValueError("design has no flip targets")
     if budget < 1:
         raise ValueError("campaign budget must be >= 1")
-    hi = max(max_cycle, min_cycle + 1)
+    hi = max(max_cycle, 2)
     rng = random.Random(seed)
     samples = []
     for slot in range(budget):
         name, width = targets[slot % len(targets)]
         bit = rng.randrange(width)
-        cycle = rng.randrange(min_cycle, hi)
+        cycle = rng.randrange(1, hi)
         samples.append((name, bit, cycle))
     return samples
 
 
-def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """Wilson score 95 % confidence interval for a binomial proportion."""
     if n <= 0:
         return (0.0, 1.0)
+    z = 1.96
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -401,28 +403,38 @@ def run_experiment(point: tuple) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def campaign_config(
-    target_name: str,
-    params: Optional[dict] = None,
-    budget: int = 32,
-    seed: int = 0,
-    checkpoint_every: Optional[int] = None,
-    max_cycles: Optional[int] = None,
-    watchdog_interval: int = 2_000,
-    wall_timeout: float = 600.0,
-) -> dict:
-    """Canonical campaign configuration (shared by CLI and serve)."""
-    target = get_target(target_name)
+def campaign_config(target: Optional[str] = None, **request) -> dict:
+    """Canonical campaign configuration: :data:`CAMPAIGN`'s normalize,
+    so the CLI, serve and direct callers name a campaign one way."""
+    p = Params("campaign", request, params=None, budget=32, seed=0,
+               checkpoint_every=None, max_cycles=None,
+               watchdog_interval=2_000, wall_timeout=600.0)
+    if target is None:
+        raise ValueError("campaign: 'target' is required")
+    if not isinstance(p["params"], (dict, type(None))):
+        raise ValueError(f"campaign: params must be an object, got "
+                         f"{p['params']!r}")
+    spec = get_target(target)
     return {
-        "target": target_name,
-        "params": normalize_params(target, params),
-        "budget": int(budget),
-        "seed": int(seed),
-        "checkpoint_every": int(checkpoint_every or target.checkpoint_every),
-        "max_cycles": int(max_cycles or target.max_cycles),
-        "watchdog_interval": int(watchdog_interval),
-        "wall_timeout": float(wall_timeout),
+        "target": target,
+        "params": normalize_params(spec, p["params"]),
+        "budget": p.number("budget"),
+        "seed": p.number("seed", above=None),
+        "checkpoint_every": (p.number("checkpoint_every")
+                             or spec.checkpoint_every),
+        "max_cycles": p.number("max_cycles") or spec.max_cycles,
+        "watchdog_interval": p.number("watchdog_interval"),
+        "wall_timeout": p.number("wall_timeout", float),
     }
+
+
+def _golden(cfg: dict) -> tuple[str, dict]:
+    """The configuration's campaign root and golden record."""
+    target = get_target(cfg["target"])
+    root = campaign_root(target, cfg["params"],
+                         cfg["checkpoint_every"], cfg["max_cycles"])
+    return root, ensure_golden(root, target, cfg["params"],
+                               cfg["checkpoint_every"], cfg["max_cycles"])
 
 
 def campaign_points(cfg: dict) -> list[tuple]:
@@ -432,13 +444,9 @@ def campaign_points(cfg: dict) -> list[tuple]:
     :func:`run_experiment`; the sample window is the golden run's own
     length, so injections always land in live execution.
     """
-    target = get_target(cfg["target"])
-    root = campaign_root(target, cfg["params"],
-                         cfg["checkpoint_every"], cfg["max_cycles"])
-    golden = ensure_golden(root, target, cfg["params"],
-                           cfg["checkpoint_every"], cfg["max_cycles"])
+    root, golden = _golden(cfg)
     max_cycle = max(2, int(golden["end_cycle"] * 0.9))
-    module = target.module(cfg["params"])
+    module = get_target(cfg["target"]).module(cfg["params"])
     faults = sample_faults(module, cfg["budget"], cfg["seed"], max_cycle)
     params_json = json.dumps(cfg["params"], sort_keys=True,
                              separators=(",", ":"))
@@ -534,55 +542,40 @@ def render_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def run_campaign(
-    target_name: str,
-    params: Optional[dict] = None,
-    budget: int = 32,
-    seed: int = 0,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    checkpoint_every: Optional[int] = None,
-    max_cycles: Optional[int] = None,
-    watchdog_interval: int = 2_000,
-    wall_timeout: float = 600.0,
-    point_timeout: Optional[float] = None,
-    progress=None,
-    on_experiment: Optional[Callable[[int, tuple, dict], None]] = None,
-    stats: Optional[RunStats] = None,
-) -> dict:
+def _campaign_report(cfg: dict, results: list) -> dict:
+    return vulnerability_report(cfg, _golden(cfg)[1], [
+        # a failure the runner's retries could not heal is infra
+        res if isinstance(res, dict) else {
+            **dict(zip(("signal", "bit", "cycle"), res.point[2:5])),
+            "outcome": "infra", "error": res.last_error}
+        for res in results
+    ])
+
+
+#: A fault campaign: the payload is the vulnerability report.  Points
+#: come from :func:`campaign_points` (which runs, or waits on, the
+#: golden execution).  Every caller runs it with ``keep_going``: what
+#: the runner's retries cannot heal is reported as ``infra``, never
+#: cached.
+CAMPAIGN = Experiment(
+    name="campaign",
+    normalize=lambda request: campaign_config(**request),
+    points=campaign_points,
+    worker=run_experiment,
+    point_fields=campaign_point_fields,
+    assemble=_campaign_report,
+    point_event=lambda cfg, point, result: triage_event(point, result),
+)
+
+
+def run_campaign(target_name: str, *, jobs: int = 1, cache=None,
+                 stats=None, **config) -> dict:
     """Run a full campaign; returns the vulnerability report dict.
 
-    Experiments resolve through *cache* (none: all run) and the default
-    retry policy of :func:`~repro.parallel.runner.run_points`; what still fails
-    is reported with outcome ``infra`` and never cached.  *on_experiment*,
-    if given, receives ``(index, point, result)`` for every experiment
-    in index order once all experiments resolve.
+    *config* holds the rest of a :data:`CAMPAIGN` request (``params``,
+    ``budget``, ``seed``, ``checkpoint_every``, ...).  This front over
+    :func:`~repro.experiment.run` exists because ``bench/`` calls it by
+    name.
     """
-    cfg = campaign_config(
-        target_name, params=params, budget=budget, seed=seed,
-        checkpoint_every=checkpoint_every, max_cycles=max_cycles,
-        watchdog_interval=watchdog_interval, wall_timeout=wall_timeout,
-    )
-    points = campaign_points(cfg)
-    target = get_target(cfg["target"])
-    root = campaign_root(target, cfg["params"],
-                         cfg["checkpoint_every"], cfg["max_cycles"])
-    golden = ensure_golden(root, target, cfg["params"],
-                           cfg["checkpoint_every"], cfg["max_cycles"])
-
-    found = cached_run(
-        cache, points, functools.partial(campaign_point_fields, cfg),
-        lambda todo: run_points(
-            todo, run_experiment, jobs=jobs, keep_going=True,
-            point_timeout=point_timeout, progress=progress, stats=stats),
-        progress=progress,
-    )
-    results = [  # a failure the runner's retries could not heal is infra
-        {"signal": p[2], "bit": p[3], "cycle": p[4], "outcome": "infra",
-         "error": res.last_error} if isinstance(res, PointFailure) else res
-        for p, res in zip(points, found.results)
-    ]
-    if on_experiment is not None:
-        for idx, (point, res) in enumerate(zip(points, results)):
-            on_experiment(idx, point, res)
-    return vulnerability_report(cfg, golden, results)
+    return run(CAMPAIGN, {"target": target_name, **config}, jobs=jobs,
+               cache=cache, keep_going=True, stats=stats)

@@ -1,4 +1,4 @@
-"""Simulation-as-a-service: an async job layer over the sweep engine.
+"""Simulation-as-a-service: an async job layer over the experiment records.
 
 ``repro.serve`` composes the library's pieces — the parallel sweep
 runner with crash retry and per-point timeouts, the content-addressed
@@ -14,8 +14,10 @@ HTTP service:
   front end (``repro serve``).
 * :class:`~repro.serve.client.ServeClient` — stdlib blocking client
   (``repro submit``).
-* :mod:`~repro.serve.kinds` — the registry of runnable sweep types;
-  ships ``pmu_fig5``, tests and deployments register more.
+
+A job's ``kind`` names an :class:`~repro.experiment.Experiment` in
+:mod:`repro.experiment`'s registry: the six experiments the CLI runs
+too (``GET /kinds`` lists them), plus any a test registers.
 
 Everything is stdlib-only: ``asyncio`` + hand-rolled HTTP/1.1, no new
 dependencies.

@@ -16,14 +16,17 @@ service loop:
   resolved with the primary's payload, bit-identically.  Completed
   work dedups through the shared on-disk :class:`ResultCache` at point
   granularity, so even sequential re-submissions cost zero simulation.
+  A point is keyed by its record's ``point_fields`` alone, as
+  :func:`repro.experiment.run` keys it, so the CLI and the service
+  share cache entries.
 * **Preemption.** ``preempt()`` (or the scheduler itself, when a
   strictly higher-priority job is waiting and the fleet is full) asks
   a running job to yield; it parks after the in-flight shard, keeps
   every completed point, and re-enters the queue at its own priority.
   Points interrupted *mid-shard* by a ``point_timeout`` kill start
   over on retry.  Each shard gets a stable ``REPRO_POINT_CKPT_DIR``
-  checkpoint directory under ``checkpoint_root``, but no bundled job
-  kind checkpoints there yet.
+  checkpoint directory under ``checkpoint_root``, but no bundled
+  experiment checkpoints there yet.
 * **Hang reports.** A shard whose :class:`RunStats` shows timeout
   kills, pool restarts or innocent requeues emits a structured
   ``hang`` event on the job's stream; a worker that died of a
@@ -45,9 +48,9 @@ import shutil
 import time
 from typing import Any, Optional
 
+from .. import experiment
 from ..parallel.cache import ResultCache, look_up
 from ..parallel.runner import PointFailure, RunStats, run_points
-from .kinds import JobKind, get_kind
 from .tenants import QuotaExceeded, TenantRegistry
 
 __all__ = ["Job", "JobEvent", "Scheduler", "UnknownJobError"]
@@ -84,7 +87,7 @@ class Job:
         self,
         job_id: str,
         tenant: str,
-        kind: JobKind,
+        kind: experiment.Experiment,
         params: dict,
         points: list,
         shards: list[list[int]],
@@ -280,9 +283,9 @@ class Scheduler:
         possibly a dedup follower of an identical live one."""
         if self._closing:
             raise RuntimeError("scheduler is shutting down")
-        kind = get_kind(kind_name)
+        kind = experiment.get(kind_name)
         canonical = kind.normalize(dict(params or {}))
-        points = kind.build_points(canonical)
+        points = kind.points(canonical)
         if not points:
             raise ValueError(f"{kind_name}: request produced no points")
         self.tenants.admit(tenant, self._active_jobs(tenant),
@@ -450,14 +453,6 @@ class Scheduler:
         return os.path.join(self.checkpoint_root, job.id,
                             f"shard-{shard_index:04d}")
 
-    @staticmethod
-    def _point_fields(job: Job, point) -> dict:
-        # the kind's own fields win: campaign's "campaign_point" entries
-        # are shared with `repro campaign`; no other path keys the rest
-        fields = {"experiment": "serve_point", "kind": job.kind.name}
-        fields.update(job.kind.point_fields(job.params, point))
-        return fields
-
     async def _run_job(self, job: Job) -> None:
         try:
             await self._run_job_inner(job)
@@ -484,7 +479,8 @@ class Scheduler:
             # loop: a warm shard never reaches the executor
             found = look_up(self.cache if job.kind.cacheable else None,
                             [job.points[idx] for idx in shard],
-                            functools.partial(self._point_fields, job))
+                            functools.partial(job.kind.point_fields,
+                                              job.params))
             for i in found.hits:
                 job.point_results[shard[i]] = found.results[i]
             job.cache_hits += len(found.hits)

@@ -30,7 +30,8 @@ Endpoints
 ``GET  /stats``                  scheduler + cache counters, and the
                                  connections accepted and requests
                                  answered
-``GET  /kinds``                  registered job kinds
+``GET  /kinds``                  the runnable experiments
+                                 (:func:`repro.experiment.names`)
 ``POST /jobs``                   submit ``{tenant, kind, params, priority}``
 ``GET  /jobs[?tenant=T]``        list jobs
 ``GET  /jobs/<id>``              job status document
@@ -60,7 +61,7 @@ import re
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
-from .kinds import kind_names
+from .. import experiment
 from .scheduler import Scheduler, UnknownJobError
 from .tenants import QuotaExceeded
 
@@ -332,7 +333,7 @@ class ServeServer:
             return {**sched.stats(), "connections": self.connections,
                     "requests": self.requests}
         if path == "/kinds" and method == "GET":
-            return {"kinds": kind_names()}
+            return {"kinds": experiment.names()}
         if path == "/shutdown" and method == "POST":
             self.request_shutdown()
             return {"shutting_down": True}

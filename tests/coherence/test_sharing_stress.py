@@ -8,11 +8,13 @@ and the worker-pool fan-out is bit-identical to the serial runs.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro.dse.sweep as sweep
 from repro.coherence.check import run_sharing_stress
-from repro.dse.sweep import run_coherence_sweep
+from repro.experiment import run
 from repro.parallel.cache import ResultCache
 
 
@@ -52,25 +54,25 @@ class TestPoolIdentity:
             n: run_sharing_stress(cores=n, ops=200, seed=9)
             for n in (1, 2, 4)
         }
-        pooled = run_coherence_sweep(sharers=(1, 2, 4), ops=200, seed=9,
-                                     jobs=2)
+        pooled = run(sweep.COHERENCE,
+                     {"sharers": [1, 2, 4], "ops": 200, "seed": 9}, jobs=2)
         for n, want in serial.items():
-            got = {k: v for k, v in pooled[n].items() if k != "seconds"}
+            got = {k: v for k, v in pooled[str(n)].items() if k != "seconds"}
             assert got == want, f"pool-mode divergence at sharers={n}"
 
 
 class TestSweepCache:
     def test_resubmit_is_all_cache_hits(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
-        first = run_coherence_sweep(sharers=(1, 2), ops=60, seed=1,
-                                    cache=cache)
+        params = {"sharers": [1, 2], "ops": 60, "seed": 1}
+        first = run(sweep.COHERENCE, params, cache=cache)
 
         def boom(point):
             raise AssertionError(f"cache miss recomputed point {point}")
 
-        monkeypatch.setattr(sweep, "_coherence_point", boom)
-        second = run_coherence_sweep(sharers=(1, 2), ops=60, seed=1,
-                                     cache=cache)
+        monkeypatch.setattr(sweep, "COHERENCE", dataclasses.replace(
+            sweep.COHERENCE, worker=boom))
+        second = run(sweep.COHERENCE, params, cache=cache)
         assert second == first
 
     def test_key_covers_every_axis(self, tmp_path):

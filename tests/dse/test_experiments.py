@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from repro.dse.pmu_experiment import Table2Row, run_fig5, run_table2
+from repro.dse.pmu_experiment import TABLE2, Table2Row, run_fig5
 from repro.dse.render import (
     render_dse,
     render_fig5,
@@ -13,6 +13,7 @@ from repro.dse.render import (
     render_table3,
 )
 from repro.dse.sweep import measure_exec_ticks, run_dse, run_standalone
+from repro.experiment import run
 
 
 class TestFig5:
@@ -114,9 +115,9 @@ class TestTable3:
 
 class TestTable2:
     def test_tiny_overhead_run(self):
-        rows = run_table2(sizes=(25,))
+        rows = run(TABLE2, {"sizes": [25]})
         assert len(rows) == 1
-        row = rows[0]
+        row = Table2Row(**rows[0])
         # adding the PMU cannot speed the simulation up (allow noise)
         assert row.pmu_overhead > 0.8
         # waveform tracing costs more than the bare PMU

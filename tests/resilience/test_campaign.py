@@ -8,6 +8,7 @@ thousand cycles, so a whole campaign costs well under a second.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -146,16 +147,17 @@ class TestTriage:
             self, camp_env, monkeypatch):
         import repro.resilience.campaign as campaign_mod
 
-        real = campaign_mod.run_experiment
+        real = campaign_mod.CAMPAIGN
         attempts = []
 
         def flaky(point):
             if point[2] == "busy":        # first target in table order
                 attempts.append(point[2])
                 raise RuntimeError("synthetic worker loss")
-            return real(point)
+            return run_experiment(point)
 
-        monkeypatch.setattr(campaign_mod, "run_experiment", flaky)
+        monkeypatch.setattr(campaign_mod, "CAMPAIGN",
+                            dataclasses.replace(real, worker=flaky))
         cache = ResultCache(root=camp_env / "cache")
         stats = RunStats()
         report = run_campaign("rtlcache", budget=6, seed=1, jobs=1,
@@ -171,7 +173,7 @@ class TestTriage:
         assert "synthetic worker loss" in infra[0]["error"]
         # infra results were never cached and AVF excludes them
         assert report["valid_samples"] == 5
-        monkeypatch.setattr(campaign_mod, "run_experiment", real)
+        monkeypatch.setattr(campaign_mod, "CAMPAIGN", real)
         stats = RunStats()
         healed = run_campaign("rtlcache", budget=6, seed=1, jobs=1,
                               cache=cache, stats=stats)
@@ -185,7 +187,8 @@ class TestTriage:
                           cache_dir="cache-clean")
         marker = camp_env / "worker-died"
         monkeypatch.setenv(_DIE_MARKER_ENV, str(marker))
-        monkeypatch.setattr(campaign_mod, "run_experiment", _die_once_on_busy)
+        monkeypatch.setattr(campaign_mod, "CAMPAIGN", dataclasses.replace(
+            campaign_mod.CAMPAIGN, worker=_die_once_on_busy))
         stats = RunStats()
         report = _campaign(camp_env, budget=6, seed=1, jobs=2,
                            cache_dir="cache-dying", stats=stats)

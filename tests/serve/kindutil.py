@@ -8,10 +8,12 @@ tests can assert exactly how many times a point actually simulated
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
-from repro.serve.kinds import _KINDS, JobKind, register_kind
+from repro import experiment
+from repro.experiment import Experiment
 
 
 def _mark(marker_dir: str, value) -> None:
@@ -62,15 +64,15 @@ def _make_normalize(marker_dir: str, delay: float):
     return normalize
 
 
-def _build_points(params: dict) -> list:
+def _points(params: dict) -> list:
     return [(v, params["delay"], params["marker_dir"])
             for v in params["values"]]
 
 
-def _point_fields(params: dict, point) -> dict:
+def _point_fields(name: str, params: dict, point) -> dict:
     value, delay, _marker = point
     # marker_dir is host-local scratch, not part of the result identity
-    return {"design": "echo", "value": value, "delay": delay}
+    return {"experiment": name, "value": value, "delay": delay}
 
 
 def _assemble(params: dict, results: list) -> dict:
@@ -78,23 +80,22 @@ def _assemble(params: dict, results: list) -> dict:
 
 
 def register_test_kind(name: str, tmp_path, worker=echo_point,
-                       delay: float = 0.0) -> JobKind:
+                       delay: float = 0.0) -> Experiment:
     """Register (or replace) a throwaway kind writing markers under
     ``tmp_path/markers``."""
     marker_dir = str(tmp_path / "markers")
-    kind = JobKind(
+    return experiment.register(Experiment(
         name=name,
         normalize=_make_normalize(marker_dir, delay),
-        build_points=_build_points,
+        points=_points,
         worker=worker,
-        point_fields=_point_fields,
+        point_fields=functools.partial(_point_fields, name),
         assemble=_assemble,
-    )
-    return register_kind(kind, replace=True)
+    ))
 
 
 def unregister(name: str) -> None:
-    _KINDS.pop(name, None)
+    experiment._REGISTRY.pop(name, None)
 
 
 def executions(tmp_path, value) -> int:

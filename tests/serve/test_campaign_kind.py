@@ -86,6 +86,9 @@ class TestCampaignKind:
                 with pytest.raises(ValueError, match="unknown"):
                     sched.submit("alice", "campaign",
                                  {"target": "rtlcache", "bogus": 1})
+                with pytest.raises(ValueError, match="must be an object"):
+                    sched.submit("alice", "campaign",
+                                 {"target": "rtlcache", "params": [1]})
             finally:
                 await sched.close()
         run(main())

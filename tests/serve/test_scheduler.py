@@ -16,7 +16,7 @@ import pytest
 
 from repro.parallel.cache import ResultCache
 from repro.parallel.runner import run_points
-from repro.serve.kinds import UnknownKindError
+from repro.experiment import UnknownExperiment
 from repro.serve.scheduler import Scheduler
 from repro.serve.tenants import QuotaExceeded, TenantQuota, TenantRegistry
 
@@ -82,7 +82,7 @@ class TestBasics:
     def test_unknown_kind_is_value_error(self, tmp_path):
         async def main():
             sched = make_scheduler(tmp_path)
-            with pytest.raises(UnknownKindError):
+            with pytest.raises(UnknownExperiment):
                 sched.submit("alice", "no_such_kind", {})
             await sched.close()
         run(main())
@@ -90,11 +90,11 @@ class TestBasics:
     def test_bit_identical_vs_direct_run_points(self, tmp_path, kind_name):
         """The serve path must produce byte-for-byte the payload a
         direct run_points call over the same points produces."""
-        from repro.serve.kinds import get_kind
+        from repro.experiment import get
 
-        kind = get_kind(kind_name)
+        kind = get(kind_name)
         params = kind.normalize({"values": [5, 6, 7, 8, 9]})
-        points = kind.build_points(params)
+        points = kind.points(params)
         direct = kind.assemble(params, run_points(points, kind.worker))
 
         async def main():

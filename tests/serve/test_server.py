@@ -99,6 +99,20 @@ class TestProtocol:
         assert stats["running"] == 0
         assert stats["dedup_hits"] == 0
         assert "cache" in stats
+        assert set(kinds) >= {"campaign", "coherence", "dse", "pmu_fig5",
+                              "table2", "table3"}
+
+    @pytest.mark.parametrize("params", [
+        {"memories": ["DDR5"]},
+        {"workload": "sanity3", "bogus": 1},
+        {"n_nvdla": 0},
+    ], ids=["unknown-memory", "extra-key", "zero-nvdla"])
+    def test_malformed_dse_submit_is_400_and_no_job(self, serve, params):
+        client = serve()
+        with pytest.raises(ServeError) as err:
+            client.submit("alice", "dse", params)
+        assert err.value.status == 400
+        assert client.jobs() == []
 
     def test_error_statuses(self, serve, tmp_path, request):
         slow = f"s_{request.node.name[:36]}"

@@ -161,6 +161,28 @@ class TestExperimentCommands:
         second = capsys.readouterr().out
         assert "2 hit(s), 0 miss(es)" in second
 
+    def test_injected_dse_neither_reads_nor_writes_the_cache(
+            self, capsys, monkeypatch, tmp_path):
+        """An injected run is not the clean point its cache key names:
+        it must not store its ticks there, or a later plain run reads
+        a normalised speed above the ideal memory's."""
+        from repro.resilience import control
+        from repro.soc.simobject import startup_hooks
+
+        monkeypatch.setattr(control, "worker_plan", None)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        argv = [
+            "dse", "--workload", "sanity3", "--nvdla", "1",
+            "--inflight", "8", "--memories", "HBM", "--scale", "0.1",
+        ]
+        try:
+            assert main(argv + ["--inject", "retry-storm@200:20000"]) == 0
+        finally:
+            startup_hooks.clear()
+        assert "hit(s)" not in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "0 hit(s), 2 miss(es)" in capsys.readouterr().out
+
     def test_parallel_flags_parse(self):
         parser = build_parser()
         args = parser.parse_args(["dse", "--jobs", "4", "--no-cache"])
