@@ -35,6 +35,7 @@ from ..soc.ports import RequestPort, ResponsePort
 from ..soc.simobject import SimObject, Simulation
 from ..soc.stats import SettledScalar
 from ..soc.tlb import TLB
+from ..trace import flags as trace_flags
 from ..trace import packets as pkttrace
 from ..trace.flags import debug_flag, get_chrome_tracer, tracepoint
 from .shared_library import SharedLibrary
@@ -114,10 +115,11 @@ class RTLObject(SimObject):
         # Last output struct consumed, packed and decoded: what a
         # run-ahead window holds the pins against.  All-zero (nothing
         # valid, nothing raised) until the first one is.
-        self._last_bytes = library.output_spec.zeros()
+        self._last_bytes = self._zero_bytes = library.output_spec.zeros()
         #: the output struct consumed last, as :meth:`decode_output`
         #: decodes it; read-only, as in :meth:`consume_output`
-        self.last_output = self.decode_output(self._last_bytes)
+        self.last_output = self._zero_output = self.decode_output(
+            self._last_bytes)
         # Output a run-ahead window stopped on, until its own edge.
         self._held_output: Optional[bytes] = None
         # A lag (see :meth:`lag_cycles`): the last edge consumed, the
@@ -171,12 +173,16 @@ class RTLObject(SimObject):
         say."""
         out_bytes = self.library.tick(self.build_input())
         self.st_ticks.inc()
-        tracer = get_chrome_tracer()
+        # the tracer as get_chrome_tracer() returns it, read, not called
+        tracer = trace_flags._chrome
         if tracer is not None and tracer.enabled:
             self._trace_window(tracer, 1, False)
         if out_bytes != self._last_bytes:
             self._last_bytes = out_bytes
-            self.last_output = self.decode_output(out_bytes)
+            # a quiet cycle's struct was decoded once, at construction
+            self.last_output = (
+                self._zero_output if out_bytes == self._zero_bytes
+                else self.decode_output(out_bytes))
         self.consume_output(self.last_output)
 
     def _tick(self) -> None:
@@ -558,23 +564,23 @@ class RTLObject(SimObject):
                 raise RuntimeError(f"{self.name}: no TLB configured")
             pkt.vaddr = pkt.addr
             pkt.addr, _walk = self.tlb.translate(pkt.addr)
-        self.inflight += 1
-        if self.inflight > self.st_inflight_peak.value():
-            self.st_inflight_peak.set(self.inflight)
-        if pkt.is_read:
+        self.inflight = inflight = self.inflight + 1
+        if inflight > self.st_inflight_peak.value():
+            self.st_inflight_peak.set(inflight)
+        if pkt.cmd.is_read:
             self.st_mem_reads.inc()
         else:
             self.st_mem_writes.inc()
-        pkt.req_tick = self.now
+        now = pkt.req_tick = self.sim.eventq.cur_tick
         if FLAG_RTL.enabled:
             tracepoint(
                 FLAG_RTL, self.name,
                 "mem_side%d issue %s #%d addr=%#x (inflight %d)",
                 port_idx, pkt.cmd.name, pkt.pkt_id, pkt.addr,
-                self.inflight, tick=self.now,
+                inflight, tick=now,
             )
         if pkttrace.FLAG_PACKET.enabled:
-            pkt.record_hop(self.name, self.now)
+            pkt.record_hop(self.name, now)
         if not self.mem_side[port_idx].send(pkt):
             self.st_stalled_reqs.inc()
         return True
@@ -594,7 +600,7 @@ class RTLObject(SimObject):
         )
 
     def _recv_mem_resp(self, pkt: Packet) -> bool:
-        pkt.resp_tick = self.now
+        now = pkt.resp_tick = self.sim.eventq.cur_tick
         self.inflight -= 1
         self.st_mem_resps.inc()
         if FLAG_RTL.enabled:
@@ -602,10 +608,10 @@ class RTLObject(SimObject):
                 FLAG_RTL, self.name,
                 "mem resp %s #%d addr=%#x (inflight %d)",
                 pkt.cmd.name, pkt.pkt_id, pkt.addr, self.inflight,
-                tick=self.now,
+                tick=now,
             )
         if pkttrace.FLAG_PACKET.enabled and pkt.hops:
-            pkttrace.finish(pkt, self.sim, self.now, self.name)
+            pkttrace.finish(pkt, self.sim, now, self.name)
         self.mem_resp_queue.append(pkt)
         return True
 

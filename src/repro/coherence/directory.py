@@ -172,7 +172,7 @@ class DirectoryController(SimObject):
         delay = self.clock.cycles_to_ticks(self.latency_cycles)
         self.sched_ckpt("process", None, self.now + delay)
 
-    def _process(self) -> None:
+    def _process(self, _payload) -> None:
         self._busy = False
         pkt = self._inq.popleft()
         self.st_requests.inc()
@@ -462,11 +462,8 @@ class DirectoryController(SimObject):
 
     # -- checkpointing --------------------------------------------------------
 
-    def ckpt_dispatch(self, kind: str, payload) -> None:
-        if kind == "process":
-            self._process()
-        else:
-            super().ckpt_dispatch(kind, payload)
+    def ckpt_handlers(self):
+        return {"process": self._process}
 
     def serialize(self, ctx) -> dict:
         return {

@@ -379,14 +379,12 @@ class CoherentL1Cache(CacheCore):
 
     # -- checkpointing -------------------------------------------------------
 
-    def ckpt_dispatch(self, kind: str, payload) -> None:
-        if kind == "miss_req":
-            self.mem_side.send(payload)
-        elif kind == "hit_resp":
-            pkt, data = payload
-            self._respond(pkt, data)
-        else:
-            super().ckpt_dispatch(kind, payload)
+    def ckpt_handlers(self):
+        return {"miss_req": self.mem_side.send, "hit_resp": self._hit_resp}
+
+    def _hit_resp(self, payload: list) -> None:
+        pkt, data = payload
+        self._respond(pkt, data)
 
     def _mshr_policy_state(self, mshr: MSHR, ctx) -> dict:
         return {

@@ -124,9 +124,10 @@ class NVDLARTLObject(RTLObject):
         queue = self.mem_resp_queue
         while queue and (len(seqs) < RESP_LANES or wr_acks < MAX_WR_ACKS):
             pkt = queue.popleft()
-            if pkt.is_read and len(seqs) < RESP_LANES:
+            is_read = pkt.cmd.is_read
+            if is_read and len(seqs) < RESP_LANES:
                 seqs.append(pkt.meta["seq"])
-            elif not pkt.is_read and wr_acks < MAX_WR_ACKS:
+            elif not is_read and wr_acks < MAX_WR_ACKS:
                 wr_acks += 1
             else:
                 remaining.append(pkt)

@@ -35,6 +35,8 @@ NVDLA_INPUT = StructSpec(
 #: indexed by its credit: most cycles' input.  An encoding table — the
 #: bytes are a pure function of the credit — not a memo of model state.
 CREDIT_ONLY_INPUT = tuple(NVDLA_INPUT.pack(credit=c) for c in range(256))
+#: its inverse: the credit of such a struct, which needs no decode
+CREDIT_OF_INPUT = {data: c for c, data in enumerate(CREDIT_ONLY_INPUT)}
 
 NVDLA_OUTPUT = StructSpec(
     "nvdla_out",
@@ -55,6 +57,8 @@ NVDLA_OUTPUT = StructSpec(
 #: the unused lanes of a cycle's reads (seq, addr, port) and writes
 _NO_READS = ((0, 0, 0),) * REQ_LANES
 _NO_WRITES = (0,) * REQ_LANES
+#: the output of a cycle that produced nothing
+_QUIET_OUTPUT = NVDLA_OUTPUT.zeros()
 
 
 class NVDLASharedLibrary(BehavioralSharedLibrary):
@@ -78,25 +82,31 @@ class NVDLASharedLibrary(BehavioralSharedLibrary):
         self.core.load_state(state)
 
     def tick(self, input_bytes: bytes) -> bytes:
-        """One cycle, bytes to bytes with no dict in between: the
-        generated ``values`` in, positional ``pack`` out, and a cycle
-        that produced nothing answers the cached all-zero struct."""
-        (valid, write, addr, wdata, credit, resp_count, resp_seqs, wr_acks
-         ) = self.input_spec.values(input_bytes)
+        """One cycle, bytes to bytes with no dict in between: a
+        credit-only struct looked up, any other decoded by the generated
+        ``values``, positional ``pack`` out, and a cycle that produced
+        nothing answers the cached all-zero struct."""
         core = self.core
         rvalid = rdata = 0
-        # CSB wrapper: one operation per cycle, same-cycle read data.
-        if valid:
-            if write:
-                core.csb_write(addr, wdata)
-            else:
-                rvalid = 1
-                rdata = core.csb_read(addr)
+        credit = CREDIT_OF_INPUT.get(input_bytes)
+        if credit is None:
+            (valid, write, addr, wdata, credit, resp_count, resp_seqs,
+             wr_acks) = self.input_spec.values(input_bytes)
+            # CSB wrapper: one operation per cycle, same-cycle read data.
+            if valid:
+                if write:
+                    core.csb_write(addr, wdata)
+                else:
+                    rvalid = 1
+                    rdata = core.csb_read(addr)
+            resps = resp_seqs[:resp_count]
+        else:
+            resps, wr_acks = (), 0
         # AXI responder wrapper: deliver responses, collect requests.
-        reads, writes, irq = core.step(credit, resp_seqs[:resp_count], wr_acks)
+        reads, writes, irq = core.step(credit, resps, wr_acks)
         self.ticks += 1
         if not (reads or writes or irq or rvalid):
-            return self.output_spec.zeros()
+            return _QUIET_OUTPUT
         if len(reads) > REQ_LANES or len(writes) > REQ_LANES:
             raise RuntimeError(
                 f"engine emitted {len(reads)} reads and {len(writes)} writes "

@@ -412,52 +412,62 @@ class FaultInjector(SimObject):
             return True
         return False
 
-    # -- tagged-event dispatch --------------------------------------------
+    # -- tagged events ---------------------------------------------------
 
-    def ckpt_dispatch(self, kind: str, payload) -> None:
-        if kind == "dram_redo":
-            ctrl_path, pkt = payload
-            ctrl = self._find_object(ctrl_path)
-            # re-deliver without re-counting the completion
-            hook, ctrl.fault_hook = ctrl.fault_hook, None
-            try:
-                ctrl.complete_read(pkt)
-            finally:
-                ctrl.fault_hook = hook
-        elif kind == "storm_on":
-            self._storming = True
-            for xbar in self._crossbars():
-                xbar.fault_reject = True
-            if payload:  # finite duration in cycles
-                self.sched_ckpt(
-                    "storm_off", None,
-                    self.now + payload * self.clock.period,
-                    EventPriority.CLOCK,
-                )
-            # first kick this very cycle: storm_off at T+D precedes the
-            # kick at T+D (earlier seq), so a D-cycle storm kicks D times
-            self.sched_ckpt("storm_kick", None, self.now,
-                            EventPriority.CLOCK)
-        elif kind == "storm_kick":
-            if not self._storming:
-                return
-            self.st_storm_cycles.inc()
-            for xbar in self._crossbars():
-                xbar._issue_retries()
-            self.sched_ckpt("storm_kick", None,
-                            self.now + self.clock.period,
-                            EventPriority.CLOCK)
-        elif kind == "storm_off":
-            self._storming = False
-            for xbar in self._crossbars():
-                xbar.fault_reject = False
-                xbar._issue_retries()
-        elif kind == "flip":
-            if isinstance(payload, int):  # checkpoint from an older plan
-                payload = (None, payload)
-            self._flip_bit(payload[1], signal=payload[0])
-        else:
-            raise ValueError(f"{self.name}: unknown event kind {kind!r}")
+    def ckpt_handlers(self):
+        return {
+            "dram_redo": self._dram_redo,
+            "storm_on": self._storm_on,
+            "storm_kick": self._storm_kick,
+            "storm_off": self._storm_off,
+            "flip": self._flip,
+        }
+
+    def _dram_redo(self, payload) -> None:
+        ctrl_path, pkt = payload
+        ctrl = self._find_object(ctrl_path)
+        # re-deliver without re-counting the completion
+        hook, ctrl.fault_hook = ctrl.fault_hook, None
+        try:
+            ctrl.complete_read(pkt)
+        finally:
+            ctrl.fault_hook = hook
+
+    def _storm_on(self, cycles) -> None:
+        self._storming = True
+        for xbar in self._crossbars():
+            xbar.fault_reject = True
+        if cycles:  # finite duration
+            self.sched_ckpt(
+                "storm_off", None,
+                self.now + cycles * self.clock.period,
+                EventPriority.CLOCK,
+            )
+        # first kick this very cycle: storm_off at T+D precedes the
+        # kick at T+D (earlier seq), so a D-cycle storm kicks D times
+        self.sched_ckpt("storm_kick", None, self.now,
+                        EventPriority.CLOCK)
+
+    def _storm_kick(self, _payload) -> None:
+        if not self._storming:
+            return
+        self.st_storm_cycles.inc()
+        for xbar in self._crossbars():
+            xbar._issue_retries()
+        self.sched_ckpt("storm_kick", None,
+                        self.now + self.clock.period,
+                        EventPriority.CLOCK)
+
+    def _storm_off(self, _payload) -> None:
+        self._storming = False
+        for xbar in self._crossbars():
+            xbar.fault_reject = False
+            xbar._issue_retries()
+
+    def _flip(self, payload) -> None:
+        if isinstance(payload, int):  # checkpoint from an older plan
+            payload = (None, payload)
+        self._flip_bit(payload[1], signal=payload[0])
 
     # -- helpers -----------------------------------------------------------
 

@@ -51,9 +51,10 @@ make their transient events visible through two SimObject hooks:
   events), re-scheduled as the same objects on restore;
 * ``sched_ckpt(kind, payload, ...)`` — tagged one-shots.  Each is its
   heap entry and nothing else: the engine reads ``(owner, kind,
-  payload)`` off ``eventq.live_entries()``, which it walks anyway, and
-  restore pushes the same entry back through
-  ``EventQueue.schedule_tagged``.
+  payload)`` off ``eventq.live_entries()``, which it walks anyway (the
+  handle's ``owner`` and ``kind``, and the payload as the last argument
+  of its callback), and restore pushes the same entry back through
+  ``sched_ckpt`` with its checkpointed ``seq``.
 
 An event the engine cannot attribute to either hook (a bare closure),
 or a component veto (``ckpt_veto``), makes the current instant
@@ -331,7 +332,7 @@ def checkpoint_document(sim, max_wait: int = 10**9) -> dict:
                 named[name] = None
         tagged = []
         for tick, pri, seq, handle in tagged_of.get(id(obj), ()):
-            kind, payload = handle.callback.args
+            kind, payload = handle.kind, handle.callback.args[-1]
             tagged.append({
                 "kind": kind,
                 "payload": ctx.pack(payload),
@@ -550,8 +551,8 @@ def restore_checkpoint(sim, path) -> None:
                 tick, pri, seq = entry
                 eventq.restore_entry(named[name], tick, pri, seq)
         for tev in section["tagged_events"]:
-            eventq.schedule_tagged(
-                obj, tev["kind"], ctx.unpack(tev["payload"]),
+            obj.sched_ckpt(
+                tev["kind"], ctx.unpack(tev["payload"]),
                 tev["tick"], tev["priority"], tev["name"], tev["seq"],
             )
 

@@ -222,13 +222,9 @@ class Cache(CacheCore):
 
     # -- checkpointing -------------------------------------------------------------------------
 
-    def ckpt_dispatch(self, kind: str, payload) -> None:
-        if kind in ("wb_fwd", "fill_req"):
-            self.mem_side.send(payload)
-        elif kind == "hit_resp":
-            self._respond(payload)
-        else:
-            super().ckpt_dispatch(kind, payload)
+    def ckpt_handlers(self):
+        send = self.mem_side.send
+        return {"wb_fwd": send, "fill_req": send, "hit_resp": self._respond}
 
     def _mshr_policy_state(self, mshr: MSHR, ctx) -> dict:
         return {"is_prefetch": mshr.is_prefetch}

@@ -485,12 +485,12 @@ class OoOCore(SimObject):
 
     # -- checkpointing -----------------------------------------------------
 
-    def ckpt_dispatch(self, kind: str, payload) -> None:
-        if kind == "wake":
-            self._sleeping = False
-            self.schedule_cycles(self._cycle_event, 1, EventPriority.CLOCK)
-        else:
-            super().ckpt_dispatch(kind, payload)
+    def ckpt_handlers(self):
+        return {"wake": self._wake}
+
+    def _wake(self, _payload) -> None:
+        self._sleeping = False
+        self.schedule_cycles(self._cycle_event, 1, EventPriority.CLOCK)
 
     def ckpt_named_events(self):
         return {"cycle": self._cycle_event}

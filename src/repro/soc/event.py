@@ -70,23 +70,31 @@ class _Handle:
     The heap orders on (tick, priority, seq); ``seq`` is unique so a
     comparison never falls through to the handle.
 
-    A *tagged* one-shot (:meth:`EventQueue.schedule_tagged`) is nothing
-    but its handle: ``owner`` (None for every other event) is the
-    SimObject it fires on, and the checkpoint engine reads ``(kind,
-    payload)`` back off ``callback.args``.
+    A *tagged* one-shot (:meth:`SimObject.sched_ckpt`) is nothing but its
+    handle: ``owner`` (None for every other event) is the SimObject it
+    fires on, ``kind`` names the action, and the callback is
+    ``partial(handler, payload)``, so the checkpoint engine reads the
+    payload back off ``callback.args[-1]``.
+
+    The two hot schedules (:meth:`EventQueue.schedule` and
+    ``sched_ckpt``) fill a bare ``_Handle.__new__`` instead of calling
+    ``__init__``: one Python frame less per event.
     """
 
-    __slots__ = ("tick", "callback", "alive", "name", "owner")
+    __slots__ = ("tick", "callback", "alive", "name", "owner", "kind")
 
     def __init__(
         self, tick: int, callback: Callable[[], None], name: str = "event",
-        owner=None,
     ) -> None:
         self.tick = tick
         self.callback = callback
         self.alive = True
         self.name = name
-        self.owner = owner
+        self.owner = None
+
+
+#: a ``_Handle`` with no slot filled yet (see the class docstring)
+new_handle = partial(object.__new__, _Handle)
 
 
 class Event:
@@ -183,7 +191,12 @@ class EventQueue:
         entry = event._entry
         if entry is not None and entry.alive:
             raise RuntimeError(f"{event.name} is already scheduled")
-        handle = event._entry = _Handle(tick, event.callback, event.name)
+        handle = event._entry = new_handle()
+        handle.tick = tick
+        handle.callback = event.callback
+        handle.alive = True
+        handle.name = event.name
+        handle.owner = None
         self._live += 1
         seq = self._seq
         self._seq = seq + 1
@@ -199,32 +212,6 @@ class EventQueue:
     ) -> Event:
         """Convenience: wrap *callback* in a fresh :class:`Event`."""
         return self.schedule(Event(callback, name), tick, priority)
-
-    def schedule_tagged(
-        self, owner, kind: str, payload, tick: int, priority: int, name: str,
-        seq: Optional[int] = None,
-    ) -> None:
-        """Push a one-shot firing ``owner.ckpt_dispatch(kind, payload)``.
-
-        There is no :class:`Event`: the heap entry is the only place the
-        one-shot lives, so once it fired or :meth:`clear` dropped it
-        nothing refers to it.  With *seq* (checkpoint restore) the entry
-        takes its checkpointed position, as in :meth:`restore_entry`.
-        """
-        if seq is None:
-            if tick < self.cur_tick:
-                raise ValueError(
-                    f"cannot schedule {name} at {tick} "
-                    f"(current tick {self.cur_tick})"
-                )
-            seq = self._seq
-        if seq >= self._seq:
-            self._seq = seq + 1
-        self._live += 1
-        callback = partial(owner.ckpt_dispatch, kind, payload)
-        heapq.heappush(
-            self._heap, (tick, priority, seq, _Handle(tick, callback, name, owner))
-        )
 
     def deschedule(self, event: Event) -> None:
         if not event.scheduled:

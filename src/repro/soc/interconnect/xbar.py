@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from ...trace import packets as pkttrace
@@ -95,8 +96,8 @@ class Crossbar(SimObject):
         idx = len(self.cpu_ports)
         port = ResponsePort(
             f"{self.name}.cpu{idx}",
-            recv_timing_req=lambda pkt, i=idx: self._recv_req(pkt, i),
-            recv_resp_retry=lambda i=idx: self._drain_resp(i),
+            recv_timing_req=partial(self._recv_req, idx),
+            recv_resp_retry=partial(self._drain_resp, idx),
             recv_functional=self._functional,
         )
         self.cpu_ports.append(port)
@@ -110,7 +111,7 @@ class Crossbar(SimObject):
         port = RequestPort(
             f"{self.name}.mem{idx}",
             recv_timing_resp=self._recv_resp,
-            recv_req_retry=lambda i=idx: self._drain_req(i),
+            recv_req_retry=partial(self._drain_req, idx),
         )
         self.mem_ports.append(port)
         rng = addr_range or _ALL
@@ -134,7 +135,7 @@ class Crossbar(SimObject):
 
     # -- request path ---------------------------------------------------------
 
-    def _recv_req(self, pkt: Packet, cpu_idx: int) -> bool:
+    def _recv_req(self, cpu_idx: int, pkt: Packet) -> bool:
         mem_idx = self.route(pkt.addr)
         queue = self._req_q[mem_idx]
         if self.fault_reject or len(queue) >= self.queue_depth:
@@ -166,16 +167,16 @@ class Crossbar(SimObject):
         return True
 
     def _kick_req(self, mem_idx: int) -> None:
-        if self._req_busy[mem_idx] or not self._req_q[mem_idx]:
+        queue = self._req_q[mem_idx]
+        if self._req_busy[mem_idx] or not queue:
             return
         self._req_busy[mem_idx] = True
-        pkt = self._req_q[mem_idx][0]
         # The layer is pipelined: back-to-back packets are spaced by the
         # datapath occupancy; the port latency only matters when it
         # exceeds the serialisation time.
-        occupancy = max(1, (pkt.size + self.WIDTH_BYTES - 1) // self.WIDTH_BYTES)
-        delay = self.clock.cycles_to_ticks(max(self.latency_cycles, occupancy))
-        self.sched_ckpt("fwd_req", mem_idx, self.now + delay)
+        occupancy = (queue[0].size + self.WIDTH_BYTES - 1) // self.WIDTH_BYTES
+        delay = max(self.latency_cycles, occupancy, 1) * self.clock.period
+        self.sched_ckpt("fwd_req", mem_idx, self.sim.eventq.cur_tick + delay)
 
     def _forward_req(self, mem_idx: int) -> None:
         self._req_busy[mem_idx] = False
@@ -230,13 +231,13 @@ class Crossbar(SimObject):
         return True
 
     def _kick_resp(self, cpu_idx: int) -> None:
-        if self._resp_busy[cpu_idx] or not self._resp_q[cpu_idx]:
+        queue = self._resp_q[cpu_idx]
+        if self._resp_busy[cpu_idx] or not queue:
             return
         self._resp_busy[cpu_idx] = True
-        pkt = self._resp_q[cpu_idx][0]
-        occupancy = max(1, (pkt.size + self.WIDTH_BYTES - 1) // self.WIDTH_BYTES)
-        delay = self.clock.cycles_to_ticks(max(self.latency_cycles, occupancy))
-        self.sched_ckpt("fwd_resp", cpu_idx, self.now + delay)
+        occupancy = (queue[0].size + self.WIDTH_BYTES - 1) // self.WIDTH_BYTES
+        delay = max(self.latency_cycles, occupancy, 1) * self.clock.period
+        self.sched_ckpt("fwd_resp", cpu_idx, self.sim.eventq.cur_tick + delay)
 
     def _forward_resp(self, cpu_idx: int) -> None:
         self._resp_busy[cpu_idx] = False
@@ -263,13 +264,8 @@ class Crossbar(SimObject):
 
     # -- checkpointing -----------------------------------------------------------------
 
-    def ckpt_dispatch(self, kind: str, payload) -> None:
-        if kind == "fwd_req":
-            self._forward_req(payload)
-        elif kind == "fwd_resp":
-            self._forward_resp(payload)
-        else:
-            super().ckpt_dispatch(kind, payload)
+    def ckpt_handlers(self):
+        return {"fwd_req": self._forward_req, "fwd_resp": self._forward_resp}
 
     def serialize(self, ctx) -> dict:
         return {

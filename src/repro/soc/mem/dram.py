@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 from ...trace import packets as pkttrace
@@ -126,7 +127,8 @@ class _Bank:
 
 
 class _Channel:
-    """One DRAM channel: queues, banks, data bus, scheduler."""
+    """One DRAM channel: queues, banks, data bus; the controller's
+    ``_service`` is its scheduler."""
 
     def __init__(self, ctrl: "DRAMController", index: int) -> None:
         self.ctrl = ctrl
@@ -134,6 +136,9 @@ class _Channel:
         self.index = index
         self.read_q: deque[Packet] = deque()
         self.write_q: deque[Packet] = deque()
+        #: ``(bank, row)`` of every queued packet, decoded at admission;
+        #: derived from the queues, so a checkpoint does not carry it
+        self.where: dict[Packet, tuple[int, int]] = {}
         self.banks = [_Bank() for _ in range(self.cfg.banks_per_channel)]
         self.bus_busy_until = 0
         self.draining_writes = False
@@ -156,107 +161,40 @@ class _Channel:
         row = local // (cfg.row_buffer_bytes * cfg.banks_per_channel)
         return bank, row
 
-    # -- queue admission ----------------------------------------------------------
-
-    def can_accept(self, pkt: Packet) -> bool:
-        if pkt.is_read:
-            return len(self.read_q) < self.cfg.read_queue
-        return len(self.write_q) < self.cfg.write_queue
-
-    def enqueue(self, pkt: Packet) -> None:
-        if pkt.is_read:
-            self.read_q.append(pkt)
-        else:
-            self.write_q.append(pkt)
-        self._maybe_schedule()
-
     # -- scheduling ------------------------------------------------------------------
 
-    def _maybe_schedule(self) -> None:
-        if self._scheduled or (not self.read_q and not self.write_q):
-            return
-        self._scheduled = True
-        when = max(self.ctrl.now, self.bus_busy_until)
-        self.ctrl.sched_ckpt(
-            "ch_service", self.index, when, EventPriority.DEFAULT,
-            self._event_name,
-        )
+    def enqueue(self, pkt: Packet, queue: deque[Packet],
+                where: tuple[int, int]) -> None:
+        """Admit *pkt*, at *where*, to *queue* (one of this channel's)."""
+        queue.append(pkt)
+        self.where[pkt] = where
+        if not self._scheduled:
+            self._scheduled = True
+            ctrl = self.ctrl
+            ctrl.sched_ckpt(
+                "ch_service", self.index,
+                max(ctrl.sim.eventq.cur_tick, self.bus_busy_until),
+                EventPriority.DEFAULT, self._event_name,
+            )
 
     def _pick(self, queue: deque[Packet]) -> tuple[Packet, tuple[int, int]]:
         """FR-FCFS: oldest row hit within the window, else the oldest;
         with the packet, its ``(bank, row)``."""
-        oldest = None
+        where, banks = self.where, self.banks
         for i in range(min(len(queue), self.cfg.fr_fcfs_window)):
             pkt = queue[i]
-            where = self.decode(pkt.addr)
-            if self.banks[where[0]].open_row == where[1]:
+            bank, row = where[pkt]
+            if banks[bank].open_row == row:
                 del queue[i]
-                return pkt, where
-            if oldest is None:
-                oldest = where
+                return pkt, where.pop(pkt)
         pkt = queue.popleft()
-        return pkt, oldest or self.decode(pkt.addr)
+        return pkt, where.pop(pkt)
 
-    def _service(self) -> None:
-        self._scheduled = False
-        cfg = self.cfg
-        # Write-drain hysteresis.
-        if self.draining_writes and (
-            len(self.write_q) <= cfg.write_queue * cfg.write_lo_frac
-        ):
-            self.draining_writes = False
-        if not self.draining_writes and (
-            len(self.write_q) >= cfg.write_queue * cfg.write_hi_frac
-        ):
-            self.draining_writes = True
-
-        use_writes = self.draining_writes or not self.read_q
-        queue = self.write_q if use_writes else self.read_q
-        if not queue:
-            queue = self.read_q if use_writes else self.write_q
-            if not queue:
-                return
-        pkt, (bank_no, row) = self._pick(queue)
-
-        now = self.ctrl.now
-        bank = self.banks[bank_no]
-        # The controller pipelines commands: CAS latency overlaps other
-        # banks' (and the same open row's) bursts, so a request's data
-        # could have been ready `tCAS` after it entered the queue; the
-        # shared data bus then serialises the bursts.  Activations are
-        # gated per bank by a tRC-like recovery window.  This keeps
-        # unloaded latency = prep + burst while a queued row-hit stream
-        # saturates the bus at one burst per burst-time.
-        enq = pkt.meta.get("dram_enq", now)
-        if bank.open_row == row:
-            data_ready = enq + self._t_hit
-            self.ctrl.st_row_hits.inc()
-        else:
-            act_start = max(enq, bank.busy_until)
-            data_ready = act_start + self._t_miss
-            # earliest next activation of this bank (tRC approximation)
-            bank.busy_until = data_ready
-            bank.open_row = row
-            self.ctrl.st_row_conflicts.inc()
-        bursts = max(1, (pkt.size + BLOCK - 1) // BLOCK)
-        burst_time = bursts * self._t_burst
-        data_start = max(now, data_ready, self.bus_busy_until)
-        done = data_start + burst_time
-        self.bus_busy_until = done
-
-        self.ctrl.st_bytes.inc(pkt.size)
-        if pkt.is_read:
-            self.ctrl.sched_ckpt("rd_done", pkt, done + self._t_frontend)
-        else:
-            self.ctrl.st_writes_drained.inc()
-        # Queue slot frees when the burst completes (backpressure).
-        self.ctrl.sched_ckpt("slot_free", None, done)
-        if self.read_q or self.write_q:
-            self._scheduled = True
-            self.ctrl.sched_ckpt(
-                "ch_service", self.index, max(data_start, now + 1000),
-                EventPriority.DEFAULT, self._event_name,
-            )
+    def rebuild_where(self) -> None:
+        """Re-derive :attr:`where` from the queues (checkpoint restore)."""
+        self.where = {
+            pkt: self.decode(pkt.addr) for pkt in (*self.read_q, *self.write_q)
+        }
 
 
 class DRAMController(SimObject):
@@ -281,7 +219,7 @@ class DRAMController(SimObject):
         self.ports = [
             ResponsePort(
                 f"{name}.port{i}",
-                recv_timing_req=lambda pkt, i=i: self._recv_req(pkt, i),
+                recv_timing_req=partial(self._recv_req, i),
                 recv_functional=self.functional_access,
             )
             for i in range(cfg.channels)
@@ -325,9 +263,17 @@ class DRAMController(SimObject):
 
     # -- port handlers ----------------------------------------------------------
 
-    def _recv_req(self, pkt: Packet, port_idx: int) -> bool:
-        ch = self.channel_of(pkt.addr)
-        if not ch.can_accept(pkt):
+    def _recv_req(self, port_idx: int, pkt: Packet) -> bool:
+        addr = pkt.addr
+        cfg = self.cfg
+        ch = self.channels[(addr // BLOCK) % cfg.channels]
+        is_read = pkt.cmd.is_read
+        if is_read:
+            queue, room = ch.read_q, cfg.read_queue
+        else:
+            queue, room = ch.write_q, cfg.write_queue
+        now = self.sim.eventq.cur_tick
+        if len(queue) >= room:
             self.st_rejected.inc()
             self._retry_rejected = True
             self._retry_pending.add(port_idx)
@@ -335,57 +281,121 @@ class DRAMController(SimObject):
                 tracepoint(
                     FLAG_DRAM, self.name,
                     "reject %s #%d addr=%#x: ch%d queue full",
-                    pkt.cmd.name, pkt.pkt_id, pkt.addr, ch.index,
-                    tick=self.now,
+                    pkt.cmd.name, pkt.pkt_id, addr, ch.index, tick=now,
                 )
             return False
+        where = ch.decode(addr)
         if FLAG_DRAM.enabled:
-            bank, row = ch.decode(pkt.addr)
             tracepoint(
                 FLAG_DRAM, self.name,
                 "enqueue %s #%d addr=%#x ch%d bank%d row%d (rq=%d wq=%d)",
-                pkt.cmd.name, pkt.pkt_id, pkt.addr, ch.index, bank, row,
-                len(ch.read_q), len(ch.write_q), tick=self.now,
+                pkt.cmd.name, pkt.pkt_id, addr, ch.index, *where,
+                len(ch.read_q), len(ch.write_q), tick=now,
             )
         if pkttrace.FLAG_PACKET.enabled:
-            pkt.record_hop(self.name, self.now)
-        pkt.meta["dram_enq"] = self.now
-        pkt.meta["dram_port"] = port_idx
-        if pkt.is_read:
+            pkt.record_hop(self.name, now)
+        meta = pkt.meta
+        meta["dram_enq"] = now
+        meta["dram_port"] = port_idx
+        if is_read:
             self.st_reads.inc()
-            ch.enqueue(pkt)
+            ch.enqueue(pkt, queue, where)
         else:
             self.st_writes.inc()
             # Writes update functional state now and are acked immediately.
             if pkt.data is not None:
-                self.physmem.write(pkt.addr, pkt.data)
-            ch.enqueue(pkt)
-            if pkt.needs_response:
+                self.physmem.write(addr, pkt.data)
+            ch.enqueue(pkt, queue, where)
+            if pkt.cmd.needs_response:
                 pkt.make_response()
-                pkt.resp_tick = self.now
+                pkt.resp_tick = now
                 self.ports[port_idx].send(pkt)
         return True
+
+    def _service(self, index: int) -> None:
+        """Channel *index*'s scheduler: issue one request to its bus."""
+        ch = self.channels[index]
+        ch._scheduled = False
+        cfg = self.cfg
+        read_q, write_q = ch.read_q, ch.write_q
+        # Write-drain hysteresis.
+        if ch.draining_writes and (
+            len(write_q) <= cfg.write_queue * cfg.write_lo_frac
+        ):
+            ch.draining_writes = False
+        if not ch.draining_writes and (
+            len(write_q) >= cfg.write_queue * cfg.write_hi_frac
+        ):
+            ch.draining_writes = True
+
+        use_writes = ch.draining_writes or not read_q
+        queue = write_q if use_writes else read_q
+        if not queue:
+            queue = read_q if use_writes else write_q
+            if not queue:
+                return
+        pkt, (bank_no, row) = ch._pick(queue)
+
+        now = self.sim.eventq.cur_tick
+        bank = ch.banks[bank_no]
+        # The controller pipelines commands: CAS latency overlaps other
+        # banks' (and the same open row's) bursts, so a request's data
+        # could have been ready `tCAS` after it entered the queue; the
+        # shared data bus then serialises the bursts.  Activations are
+        # gated per bank by a tRC-like recovery window.  This keeps
+        # unloaded latency = prep + burst while a queued row-hit stream
+        # saturates the bus at one burst per burst-time.
+        enq = pkt.meta.get("dram_enq", now)
+        if bank.open_row == row:
+            data_ready = enq + ch._t_hit
+            self.st_row_hits.inc()
+        else:
+            act_start = max(enq, bank.busy_until)
+            data_ready = act_start + ch._t_miss
+            # earliest next activation of this bank (tRC approximation)
+            bank.busy_until = data_ready
+            bank.open_row = row
+            self.st_row_conflicts.inc()
+        size = pkt.size
+        bursts = max(1, (size + BLOCK - 1) // BLOCK)
+        data_start = max(now, data_ready, ch.bus_busy_until)
+        done = data_start + bursts * ch._t_burst
+        ch.bus_busy_until = done
+
+        self.st_bytes.inc(size)
+        if pkt.cmd.is_read:
+            self.sched_ckpt("rd_done", pkt, done + ch._t_frontend)
+        else:
+            self.st_writes_drained.inc()
+        # Queue slot frees when the burst completes (backpressure).
+        self.sched_ckpt("slot_free", None, done)
+        if read_q or write_q:
+            ch._scheduled = True
+            self.sched_ckpt(
+                "ch_service", index, max(data_start, now + 1000),
+                EventPriority.DEFAULT, ch._event_name,
+            )
 
     def complete_read(self, pkt: Packet) -> None:
         if self.fault_hook is not None and self.fault_hook.on_dram_read(self, pkt):
             return  # injected fault swallowed (dropped/delayed) this read
+        now = self.sim.eventq.cur_tick
+        meta = pkt.meta
         if FLAG_DRAM.enabled:
             tracepoint(
                 FLAG_DRAM, self.name,
                 "complete %s #%d addr=%#x after %d ns",
                 pkt.cmd.name, pkt.pkt_id, pkt.addr,
-                (self.now - pkt.meta["dram_enq"]) // 1000, tick=self.now,
+                (now - meta["dram_enq"]) // 1000, tick=now,
             )
-        self.st_read_latency.sample(
-            (self.now - pkt.meta["dram_enq"]) // 1000
-        )
+        self.st_read_latency.sample((now - meta["dram_enq"]) // 1000)
         pkt.data = self.physmem.read(pkt.addr, pkt.size)
-        if pkt.needs_response:
+        if pkt.cmd.needs_response:
             pkt.make_response()
-            pkt.resp_tick = self.now
-            self.ports[pkt.meta.get("dram_port", 0)].send(pkt)
+            pkt.resp_tick = now
+            self.ports[meta.get("dram_port", 0)].send(pkt)
 
-    def notify_slot_free(self) -> None:
+    def notify_slot_free(self, _payload=None) -> None:
         """A queue slot freed; let rejected requesters retry.
 
         Bounded to one pass, stopping on re-rejection, to avoid the
@@ -409,15 +419,12 @@ class DRAMController(SimObject):
 
     # -- checkpointing ------------------------------------------------------------
 
-    def ckpt_dispatch(self, kind: str, payload) -> None:
-        if kind == "ch_service":
-            self.channels[payload]._service()
-        elif kind == "rd_done":
-            self.complete_read(payload)
-        elif kind == "slot_free":
-            self.notify_slot_free()
-        else:
-            super().ckpt_dispatch(kind, payload)
+    def ckpt_handlers(self):
+        return {
+            "ch_service": self._service,
+            "rd_done": self.complete_read,
+            "slot_free": self.notify_slot_free,
+        }
 
     def serialize(self, ctx) -> dict:
         return {
@@ -451,6 +458,7 @@ class DRAMController(SimObject):
             ch.bus_busy_until = cstate["bus_busy_until"]
             ch.draining_writes = cstate["draining_writes"]
             ch._scheduled = cstate["scheduled"]
+            ch.rebuild_where()
         self._retry_pending = set(state["retry_pending"])
         self._retry_rejected = state["retry_rejected"]
         for port, queued in zip(self.ports, state["blocked_resps"]):

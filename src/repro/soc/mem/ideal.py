@@ -63,13 +63,15 @@ class IdealMemory(SimObject):
     # -- timing ----------------------------------------------------------
 
     def _recv_req(self, pkt: Packet) -> bool:
-        if pkt.is_read:
+        if pkt.cmd.is_read:
             self.st_reads.inc()
         else:
             self.st_writes.inc()
         self.st_bytes.inc(pkt.size)
-        delay = self.clock.cycles_to_ticks(self.latency_cycles)
-        self.sched_ckpt("resp", pkt, self.now + delay)
+        self.sched_ckpt(
+            "resp", pkt,
+            self.sim.eventq.cur_tick + self.latency_cycles * self.clock.period,
+        )
         return True
 
     def _port_of(self, pkt: Packet) -> int:
@@ -77,7 +79,7 @@ class IdealMemory(SimObject):
 
     def _respond(self, pkt: Packet) -> None:
         self.functional_access(pkt)
-        if not pkt.needs_response:
+        if not pkt.cmd.needs_response:
             return
         pkt.make_response()
         self.ports[self._port_of(pkt)].send(pkt)
@@ -85,18 +87,15 @@ class IdealMemory(SimObject):
     # -- functional --------------------------------------------------------
 
     def functional_access(self, pkt: Packet) -> None:
-        if pkt.is_read:
+        if pkt.cmd.is_read:
             pkt.data = self.physmem.read(pkt.addr, pkt.size)
         elif pkt.data is not None:
             self.physmem.write(pkt.addr, pkt.data)
 
     # -- checkpointing ------------------------------------------------------
 
-    def ckpt_dispatch(self, kind: str, payload) -> None:
-        if kind == "resp":
-            self._respond(payload)
-        else:
-            super().ckpt_dispatch(kind, payload)
+    def ckpt_handlers(self):
+        return {"resp": self._respond}
 
     def serialize(self, ctx) -> dict:
         return {"blocked": [port.queue_state(ctx) for port in self.ports]}

@@ -76,13 +76,6 @@ del _cmd, _row
 _next_pkt_id = 0
 
 
-def take_packet_id() -> int:
-    global _next_pkt_id
-    pkt_id = _next_pkt_id
-    _next_pkt_id += 1
-    return pkt_id
-
-
 def peek_packet_id() -> int:
     """The id the next packet will receive (checkpointing)."""
     return _next_pkt_id
@@ -116,11 +109,14 @@ class Packet:
             raise ValueError(f"negative address {addr:#x}")
         if size <= 0:
             raise ValueError(f"packet size must be positive, got {size}")
+        global _next_pkt_id
         self.cmd = cmd
         self.addr = addr
         self.size = size
         self.data = data
-        self.pkt_id = take_packet_id()
+        # the next id, taken here: a DSE point makes a packet per access
+        self.pkt_id = _next_pkt_id
+        _next_pkt_id += 1
         self.req_tick: Optional[int] = None
         self.resp_tick: Optional[int] = None
         self.requestor = requestor
@@ -188,7 +184,10 @@ class Packet:
 
     def make_response(self, data: Optional[bytes] = None) -> "Packet":
         """Convert this request in place into its response (gem5 style)."""
-        self.cmd = self.cmd.response_for()
+        response = self.cmd.response
+        if response is None:
+            raise ValueError(f"{self.cmd} does not take a response")
+        self.cmd = response
         if data is not None:
             if len(data) != self.size:
                 raise ValueError(

@@ -21,7 +21,7 @@ owner hears of it, and the owner's checkpoint carries ``queue_state``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 from ..trace.flags import debug_flag, tracepoint
 from .packet import Packet
@@ -46,8 +46,26 @@ class _Port:
 
     def _require_peer(self) -> "_Port":
         if self.peer is None:
-            raise RuntimeError(f"port {self.name} is not connected")
+            self._unconnected()
         return self.peer
+
+    def _unconnected(self, *_args) -> NoReturn:
+        """Refuse to send: this port is not connected (also the timing
+        send of a port until :meth:`RequestPort.connect` binds it)."""
+        raise RuntimeError(f"port {self.name} is not connected")
+
+    def _handler(self, handler, method: str, what: str) -> Callable:
+        """*handler*, else the owner's *method*, else one that raises: a
+        timing receive, resolved when the port is connected."""
+        if handler is None and self.owner is not None:
+            handler = getattr(self.owner, method, None)
+        if handler is not None:
+            return handler
+
+        def missing(pkt: Packet) -> bool:
+            raise RuntimeError(f"port {self.name} has no {what} handler")
+
+        return missing
 
     def send(self, pkt: Packet) -> bool:
         """Deliver *pkt* now, or queue it behind what already waits for
@@ -106,6 +124,8 @@ class RequestPort(_Port):
         self._recv_req_retry = recv_req_retry
         self._recv_snoop = recv_snoop
         self._waiting_retry = False
+        #: the peer's request handler, bound by :meth:`connect`
+        self._send_req: Callable[[Packet], bool] = self._unconnected
 
     def connect(self, peer: "ResponsePort") -> None:
         if not isinstance(peer, ResponsePort):
@@ -117,13 +137,17 @@ class RequestPort(_Port):
             raise RuntimeError(f"port already connected: {self.name} or {peer.name}")
         self.peer = peer
         peer.peer = self
+        # A hop is one call into the receiver: its handler is resolved
+        # here, once, not looked up on every packet.
+        self._send_req = peer._handler(
+            peer._recv_timing_req, "recv_timing_req", "request")
+        peer._send_resp = self._handler(
+            self._recv_timing_resp, "recv_timing_resp", "response")
 
     # requester-side API ----------------------------------------------------
 
     def send_timing_req(self, pkt: Packet) -> bool:
-        peer = self._require_peer()
-        assert isinstance(peer, ResponsePort)
-        accepted = peer.handle_req(pkt)
+        accepted = self._send_req(pkt)
         if not accepted:
             self._waiting_retry = True
         if FLAG_PORTS.enabled:
@@ -148,13 +172,6 @@ class RequestPort(_Port):
         peer.handle_resp_retry()
 
     # called by the peer ------------------------------------------------------
-
-    def handle_resp(self, pkt: Packet) -> bool:
-        if self._recv_timing_resp is not None:
-            return self._recv_timing_resp(pkt)
-        if self.owner is not None:
-            return self.owner.recv_timing_resp(pkt)
-        raise RuntimeError(f"port {self.name} has no response handler")
 
     def handle_req_retry(self) -> None:
         self._waiting_retry = False
@@ -202,6 +219,8 @@ class ResponsePort(_Port):
         self._recv_resp_retry = recv_resp_retry
         self._recv_functional = recv_functional
         self._resp_waiting_retry = False
+        #: the peer's response handler, bound by :meth:`RequestPort.connect`
+        self._send_resp: Callable[[Packet], bool] = self._unconnected
 
     def connect(self, peer: RequestPort) -> None:
         peer.connect(self)
@@ -209,9 +228,7 @@ class ResponsePort(_Port):
     # responder-side API ------------------------------------------------------
 
     def send_timing_resp(self, pkt: Packet) -> bool:
-        peer = self._require_peer()
-        assert isinstance(peer, RequestPort)
-        accepted = peer.handle_resp(pkt)
+        accepted = self._send_resp(pkt)
         if not accepted:
             self._resp_waiting_retry = True
         if FLAG_PORTS.enabled:
@@ -226,8 +243,9 @@ class ResponsePort(_Port):
 
     def send_retry_req(self) -> None:
         """Tell the requester a previously-rejected request may be resent."""
-        peer = self._require_peer()
-        assert isinstance(peer, RequestPort)
+        peer = self.peer
+        if peer is None:
+            self._unconnected()
         peer.handle_req_retry()
 
     def send_snoop(self, pkt: Packet) -> None:
@@ -237,13 +255,6 @@ class ResponsePort(_Port):
         peer.handle_snoop(pkt)
 
     # called by the peer -------------------------------------------------------
-
-    def handle_req(self, pkt: Packet) -> bool:
-        if self._recv_timing_req is not None:
-            return self._recv_timing_req(pkt)
-        if self.owner is not None:
-            return self.owner.recv_timing_req(pkt)
-        raise RuntimeError(f"port {self.name} has no request handler")
 
     def handle_resp_retry(self) -> None:
         self._resp_waiting_retry = False

@@ -9,9 +9,11 @@ components use to schedule their first events.
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from heapq import heappush
+from typing import Callable, Optional
 
-from .event import ClockDomain, Event, EventPriority, EventQueue
+from .event import ClockDomain, Event, EventPriority, EventQueue, new_handle
 from .stats import StatGroup
 
 #: ``hook(sim)`` callables parked by code that cannot reach the
@@ -136,9 +138,10 @@ class SimObject:
         self.clock = clock or (parent.clock if parent else sim.default_clock)
         parent_group = parent.stats if parent else sim.root_stats
         self.stats = StatGroup(name, parent_group)
-        # kind -> event name of this object's tagged one-shots (see
-        # sched_ckpt): constants, built on a kind's first use
-        self._ckpt_names: dict[str, str] = {}
+        # kind -> (event name, handler) of this object's tagged
+        # one-shots (see sched_ckpt): constants, built on a kind's first
+        # use
+        self._ckpt_kinds: dict[str, tuple[str, Callable]] = {}
         sim.register(self)
 
     # -- naming ------------------------------------------------------------
@@ -187,10 +190,10 @@ class SimObject:
     #   and re-schedules the same objects on restore.
     # * *tagged* one-shots — transient callbacks that would otherwise be
     #   closures (a cache fill completing, a DRAM read returning).
-    #   Schedule them with :meth:`sched_ckpt` and route the firing
-    #   through :meth:`ckpt_dispatch`; the engine reads the (owner,
-    #   kind, payload) of each off the event queue's live entries, and
-    #   restore pushes the same entry back.
+    #   Schedule them with :meth:`sched_ckpt`, naming a kind that
+    #   :meth:`ckpt_handlers` maps to the method that runs it; the engine
+    #   reads the (owner, kind, payload) of each off the event queue's
+    #   live entries, and restore pushes the same entry back.
     #
     # Anything still scheduled through a bare closure is invisible to the
     # engine, which then refuses to checkpoint (NotCheckpointable).
@@ -202,27 +205,65 @@ class SimObject:
         when: int,
         priority: int = EventPriority.DEFAULT,
         name: Optional[str] = None,
+        seq: Optional[int] = None,
     ) -> None:
         """Schedule a checkpoint-aware one-shot event.
 
-        The callback is ``self.ckpt_dispatch(kind, payload)``; *payload*
-        must be serializable by the checkpoint engine (JSON scalars,
-        lists, dicts, and Packet references).  *name* (default
+        At *when* it calls ``self.ckpt_handlers()[kind](payload)``;
+        *payload* must be serializable by the checkpoint engine (JSON
+        scalars, lists, dicts, and Packet references).  *name* (default
         ``<self.name>.<kind>``) is serialized and is what host-time
         profilers aggregate by: pass a constant, not one built per call.
-        """
-        if name is None:
-            name = self._ckpt_names.get(kind)
-            if name is None:
-                name = self._ckpt_names[kind] = f"{self.name}.{kind}"
-        self.sim.eventq.schedule_tagged(self, kind, payload, when, priority, name)
+        With *seq* (checkpoint restore) the entry takes its checkpointed
+        position, as :meth:`EventQueue.restore_entry` does for a named
+        event.
 
-    def ckpt_dispatch(self, kind: str, payload) -> None:
-        """Run the action behind a :meth:`sched_ckpt` event."""
-        raise NotImplementedError(
-            f"{type(self).__name__} got ckpt event {kind!r} "
-            "but does not implement ckpt_dispatch"
-        )
+        The heap entry is the only place the one-shot lives, so once it
+        fired or :meth:`EventQueue.clear` dropped it nothing refers to
+        it.  This is the event queue's own push, inlined: a DSE body
+        schedules a one-shot for every two events it runs.
+        """
+        eventq = self.sim.eventq
+        try:
+            default, handler = self._ckpt_kinds[kind]
+        except KeyError:
+            default, handler = self._ckpt_kind(kind)
+        if seq is None:
+            if when < eventq.cur_tick:
+                raise ValueError(
+                    f"cannot schedule {name or default} at {when} "
+                    f"(current tick {eventq.cur_tick})"
+                )
+            seq = eventq._seq
+            eventq._seq = seq + 1
+        elif seq >= eventq._seq:
+            eventq._seq = seq + 1
+        handle = new_handle()
+        handle.tick = when
+        handle.callback = partial(handler, payload)
+        handle.alive = True
+        handle.name = name or default
+        handle.owner = self
+        handle.kind = kind
+        eventq._live += 1
+        heappush(eventq._heap, (when, priority, seq, handle))
+
+    def _ckpt_kind(self, kind: str) -> tuple[str, Callable]:
+        """Resolve *kind* on its first use (see :meth:`sched_ckpt`)."""
+        handler = self.ckpt_handlers().get(kind)
+        if handler is None:
+            raise KeyError(
+                f"{type(self).__name__} {self.name} has no handler for "
+                f"tagged event kind {kind!r} (see ckpt_handlers)"
+            )
+        entry = self._ckpt_kinds[kind] = (f"{self.name}.{kind}", handler)
+        return entry
+
+    def ckpt_handlers(self) -> dict[str, Callable]:
+        """Kind -> the callable that runs a :meth:`sched_ckpt` one-shot
+        of that kind, called with its payload.  Read once per kind, on
+        its first use."""
+        return {}
 
     def ckpt_named_events(self) -> dict[str, Event]:
         """Long-lived re-armable events, keyed by a stable name."""

@@ -606,20 +606,28 @@ class TestCreditOnlyInput:
         assert uncapped.st_credit_stalls.value() == 0
 
 
-def test_python_calls_per_nvdla_tick_stay_in_budget():
-    """A count, not a timer: Python-level calls for one small DSE point,
-    per NVDLA tick, on the second of two identical runs (the first pays
-    the lazy imports).  51 210 calls / 915 ticks = 56.0 when the one-shots
-    moved into their heap entries and the exchange lost its dicts
-    (65 074 = 71.1 before); 5 % headroom, so neither path can quietly
-    grow back."""
+@pytest.mark.parametrize("n_nvdla, ticks, pinned", [
+    pytest.param(1, 915, 29_673, id="1nvdla"),
+    pytest.param(4, 7_744, 159_045, id="4nvdla"),
+])
+def test_python_calls_per_nvdla_tick_stay_in_budget(n_nvdla, ticks, pinned):
+    """A count, not a timer: Python-level calls for one small DSE point
+    (DDR4-4ch, scale 0.2), on the second of two identical runs (the
+    first pays the lazy imports).  The count is exact: the same under
+    any ``PYTHONHASHSEED`` and on CPython 3.10 to 3.12.  Pinned when a
+    quiet edge stopped decoding, DRAM decoded a packet once, a one-shot
+    became one call to schedule and one to fire, and a port hop one
+    call: 29 673 calls for 915 ticks (32.4 per tick) and 159 045 for
+    7 744 (20.5), against 52 124 (57.0) and 275 599 (35.6) before; 5 %
+    headroom, so none of the paths can quietly grow back."""
     import sys
 
     from repro.dse.nvdla_system import build_nvdla_system
 
     def point():
-        return build_nvdla_system("sanity3", n_nvdla=1, memory="DDR4-4ch",
-                                  max_inflight=240, scale=0.2)
+        return build_nvdla_system("sanity3", n_nvdla=n_nvdla,
+                                  memory="DDR4-4ch", max_inflight=240,
+                                  scale=0.2)
 
     point().run_to_completion()
     system = point()
@@ -635,6 +643,5 @@ def test_python_calls_per_nvdla_tick_stay_in_budget():
         system.run_to_completion()
     finally:
         sys.setprofile(outer)
-    ticks = system.rtls[0].st_ticks.value()
-    assert ticks == 915
-    assert calls <= 51_210 * 1.05, f"{calls / ticks:.1f} calls per tick"
+    assert sum(rtl.st_ticks.value() for rtl in system.rtls) == ticks
+    assert calls <= pinned * 1.05, f"{calls / ticks:.1f} calls per tick"

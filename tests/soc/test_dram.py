@@ -197,6 +197,49 @@ class TestBackpressure:
         assert ctrl.st_writes_drained.value() == 110
 
 
+class TestDecodeOnce:
+    """A packet's ``(bank, row)`` is decoded once, when it is admitted;
+    the map is derived from the queues and rebuilt on restore."""
+
+    @staticmethod
+    def _build():
+        sim = Simulation()
+        ctrl = DRAMController(sim, "m", ddr4_2400(1))
+        return sim, ctrl, Driver(sim, ctrl.port)
+
+    def test_queued_packets_carry_their_decode(self):
+        sim, ctrl, drv = self._build()
+        for i in range(30):
+            drv.read(i * 3 * 8192 % (1 << 22))
+            drv.write(i * 5 * 8192 % (1 << 22) + 64, b"\1" * 64)
+        ch = ctrl.channels[0]
+        queued = [*ch.read_q, *ch.write_q]
+        assert queued and set(ch.where) == set(queued)
+        assert all(ch.where[p] == ch.decode(p.addr) for p in queued)
+        drv.drain()
+        assert not ch.read_q and not ch.write_q and ch.where == {}
+
+    def test_restore_rebuilds_the_map(self, tmp_path):
+        sim, ctrl, drv = self._build()
+        for i in range(40):
+            drv.read(i * 3 * 8192 % (1 << 22))
+        sim.run(until=sim.now + 20_000)
+        ch = ctrl.channels[0]
+        saved = [(p.addr, ch.where[p]) for p in ch.read_q]
+        assert saved
+        at = sim.save_checkpoint(tmp_path / "dram.ckpt")
+        drv.drain()
+
+        sim2, ctrl2, drv2 = self._build()
+        sim2.restore(tmp_path / "dram.ckpt")
+        ch2 = ctrl2.channels[0]
+        assert [(p.addr, ch2.where[p]) for p in ch2.read_q] == saved
+        assert set(ch2.where) == set(ch2.read_q)
+        drv2.drain()
+        assert drv2.resp_times == [t for t in drv.resp_times if t > at]
+        assert ctrl2.st_row_hits.value() == ctrl.st_row_hits.value()
+
+
 class TestMultiChannel:
     def test_channels_serve_in_parallel(self):
         """4 channels stream markedly faster than 1 for spread traffic.

@@ -1,5 +1,7 @@
 """Event queue: ordering, priorities, cancellation, run-until semantics."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -409,7 +411,10 @@ class TestTaggedEvents:
             super().__init__(sim, name)
             self.fired = []
 
-        def ckpt_dispatch(self, kind, payload):
+        def ckpt_handlers(self):
+            return {kind: partial(self.fire, kind) for kind in "abk"}
+
+        def fire(self, kind, payload):
             self.fired.append((kind, payload, self.now))
 
     def _recorder(self, sim):
@@ -437,6 +442,12 @@ class TestTaggedEvents:
         assert gone() is None, "the refused one-shot is still held somewhere"
         assert len(sim.eventq) == 0 and self._tagged(sim) == []
         assert checkpoint_blockers(sim) == []
+
+    def test_an_unknown_kind_is_refused_when_scheduled(self, sim):
+        obj = self._recorder(sim)
+        with pytest.raises(KeyError, match="no handler for tagged event kind 'z'"):
+            obj.sched_ckpt("z", None, 10)
+        assert len(sim.eventq) == 0 and sim.eventq.next_seq == 0
 
     def test_fired_or_cleared_one_shots_are_not_reported(self, sim):
         import gc
@@ -482,9 +493,9 @@ class TestTaggedEvents:
             return Event(lambda: obj.fired.append(("named", tag, q.cur_tick)), tag)
 
         q.restore_entry(named("seq3"), 40, 0, 3)
-        q.schedule_tagged(obj, "k", "seq2", 40, 0, "rec.k", seq=2)
+        obj.sched_ckpt("k", "seq2", 40, 0, "rec.k", seq=2)
         q.restore_entry(named("seq1"), 40, 0, 1)
-        q.schedule_tagged(obj, "k", "clock", 40, EventPriority.CLOCK, "rec.k", seq=9)
+        obj.sched_ckpt("k", "clock", 40, EventPriority.CLOCK, "rec.k", seq=9)
         q.run()
         assert [p for _kind, p, _tick in obj.fired] == [
             "clock", "seq1", "seq2", "seq3"]

@@ -40,6 +40,46 @@ class TestBinding:
         with pytest.raises(RuntimeError):
             RequestPort("r").send_timing_req(_pkt())
 
+    def test_unbound_sends_name_the_port(self):
+        with pytest.raises(RuntimeError, match="port r is not connected"):
+            RequestPort("r").send_timing_req(_pkt())
+        with pytest.raises(RuntimeError, match="port s is not connected"):
+            ResponsePort("s").send_timing_resp(_pkt())
+        with pytest.raises(RuntimeError, match="port s is not connected"):
+            ResponsePort("s").send_retry_req()
+
+    def test_handlers_are_bound_at_connect(self):
+        """A hop is one call: the receiver's handler (its own, else its
+        owner's) is resolved when the ports are connected."""
+
+        class Owner:
+            def __init__(self):
+                self.got = []
+
+            def recv_timing_req(self, pkt):
+                self.got.append(("req", pkt))
+                return True
+
+            def recv_timing_resp(self, pkt):
+                self.got.append(("resp", pkt))
+                return False
+
+        owner = Owner()
+        req, resp = RequestPort("r", owner=owner), ResponsePort("s", owner=owner)
+        req.connect(resp)
+        pkt = _pkt()
+        assert req.send_timing_req(pkt) and not req.waiting_retry
+        assert not resp.send_timing_resp(pkt) and resp.resp_waiting_retry
+        assert owner.got == [("req", pkt), ("resp", pkt)]
+
+    def test_a_port_with_no_handler_raises_when_used(self):
+        req, resp = RequestPort("r"), ResponsePort("s")
+        req.connect(resp)
+        with pytest.raises(RuntimeError, match="port s has no request handler"):
+            req.send_timing_req(_pkt())
+        with pytest.raises(RuntimeError, match="port r has no response handler"):
+            resp.send_timing_resp(_pkt())
+
 
 class TestProtocol:
     def _pair(self, accept_req=True, accept_resp=True):
