@@ -13,8 +13,8 @@ exposes the paper's connectivity surface:
   from the cores' (the PMU runs at 1 GHz under 2 GHz cores in the
   paper's Table 1): a single-stepped model is a member of its
   :class:`~repro.soc.event.ClockDomain`, ticked by the domain's one
-  event per edge; a model that runs ahead in windows keeps its own
-  event;
+  event per edge; a model that lags behind the event queue
+  (:meth:`RTLObject.lag_cycles`) keeps its own event;
 * the **struct exchange**: every tick the object packs an input struct,
   calls ``library.tick``, and consumes the output struct.
 
@@ -52,7 +52,7 @@ FLAG_RTL = debug_flag(
     "RTL", "RTLObject: CPU-side traffic, memory-side requests, struct exchange"
 )
 FLAG_RTL_BATCH = debug_flag(
-    "RTL.Batch", "RTLObject batching decisions and quiescence skips"
+    "RTL.Batch", "RTLObject lags: the quiet edges proven and skipped"
 )
 
 
@@ -67,16 +67,12 @@ class RTLObject(SimObject):
         clock: Optional[ClockDomain] = None,
         tlb: Optional[TLB] = None,
         max_inflight: Optional[int] = None,
-        batch_cycles: int = 1,
         parent: Optional[SimObject] = None,
     ) -> None:
         super().__init__(sim, name, parent, clock=clock)
         self.library = library
         self.tlb = tlb
         self.max_inflight = max_inflight
-        #: upper bound on RTL cycles advanced per event-queue pop while
-        #: the model's inputs hold still (1 = run-ahead off)
-        self.batch_cycles = batch_cycles
 
         # CPU-side: the SoC masters us (config writes, register reads).
         self.cpu_side = [
@@ -103,25 +99,23 @@ class RTLObject(SimObject):
         self.mem_resp_queue: deque[Packet] = deque()
         self.inflight = 0
 
-        # A single-stepped model is ticked by its clock domain's event; a
-        # model that runs ahead sizes its windows against its own.
-        self._domain_member = batch_cycles <= 1
+        # A model that can lag keeps its own event, to arm for the edge
+        # that ends a lag; every other is ticked by its clock domain's.
+        self._domain_member = type(self).lag_cycles is RTLObject.lag_cycles
         if self._domain_member:
             self._tick_event = self.clock.add_member(self)
         else:
             self._tick_event = Event(self._tick, f"{name}.tick")
         #: ticked at its clock's edges until :meth:`stop`
         self.running = True
-        # Last output struct consumed, packed and decoded: what a
-        # run-ahead window holds the pins against.  All-zero (nothing
-        # valid, nothing raised) until the first one is.
+        # Last output struct consumed, packed and decoded: what a lag
+        # holds the pins against.  All-zero (nothing valid, nothing
+        # raised) until the first one is.
         self._last_bytes = self._zero_bytes = library.output_spec.zeros()
         #: the output struct consumed last, as :meth:`decode_output`
         #: decodes it; read-only, as in :meth:`consume_output`
         self.last_output = self._zero_output = self.decode_output(
             self._last_bytes)
-        # Output a run-ahead window stopped on, until its own edge.
-        self._held_output: Optional[bytes] = None
         # A lag (see :meth:`lag_cycles`): the last edge consumed, the
         # seq of the event armed for the edge that ends it, and whether
         # clock-priority events precede our edges at a shared tick.
@@ -129,8 +123,6 @@ class RTLObject(SimObject):
         self._lag_edge = 0
         self._lag_seq = 0
         self._lag_after_clock = False
-        self._lags = (batch_cycles > 1
-                      and type(self).lag_cycles is not RTLObject.lag_cycles)
 
         s = self.stats
         self.st_ticks = s.add(SettledScalar(
@@ -143,9 +135,6 @@ class RTLObject(SimObject):
             "stalled_reqs", "memory-side requests delayed by port backpressure"
         )
         self.st_inflight_peak = s.scalar("inflight_peak", "max in-flight mem reqs")
-        self.st_batched_ticks = s.scalar(
-            "batched_ticks", "RTL cycles advanced through the batch fast path"
-        )
 
     # -- lifecycle --------------------------------------------------------
 
@@ -168,15 +157,19 @@ class RTLObject(SimObject):
     # -- the tick ----------------------------------------------------------
 
     def clock_edge(self) -> None:
-        """One cycle of a single-stepped model, at an edge of its domain:
-        no window to size, nothing to hold, and nothing RTL.Batch would
-        say."""
+        """One cycle of the model, at an edge of its clock: pack the
+        inputs, tick the library, consume the outputs."""
         out_bytes = self.library.tick(self.build_input())
         self.st_ticks.inc()
         # the tracer as get_chrome_tracer() returns it, read, not called
         tracer = trace_flags._chrome
         if tracer is not None and tracer.enabled:
-            self._trace_window(tracer, 1, False)
+            now, period = self.now, self.clock.period
+            tracer.window("rtl busy", f"rtl:{self.name}", now, now + period,
+                          period)
+        # Decoding is a pure function of the bytes, and a quiet model
+        # returns the same struct for thousands of ticks: keep the last
+        # bytes and fields.  Consumers must not modify the fields.
         if out_bytes != self._last_bytes:
             self._last_bytes = out_bytes
             # a quiet cycle's struct was decoded once, at construction
@@ -186,124 +179,22 @@ class RTLObject(SimObject):
         self.consume_output(self.last_output)
 
     def _tick(self) -> None:
-        """The own event of a model that may run ahead."""
+        """The own event of a model that can lag: the edges a lag owes,
+        this edge, then the next edge or a new lag."""
         eventq = self.sim.eventq
         period = self.clock.period
         if self._lagging:
             # The edge a lag was armed for: run the edges it owes first.
             self._lag_to(eventq.cur_tick - period)
             self._end_lag()
-        ran = 1
-        out_bytes = self._held_output
-        if out_bytes is not None:
-            # The cycle a window stopped on already ran; this is its
-            # edge, where a single-stepped model would produce what the
-            # window produced early.  Nothing fired in between.
-            self._held_output = None
-        else:
-            n = self._batch_window()
-            in_bytes = self.build_input()
-            if n > 1:
-                library = self.library
-                before = library.ticks
-                out_bytes = library.tick_batch(in_bytes, n, self._last_bytes)
-                ran = library.ticks - before
-                self.st_batched_ticks.inc(ran)
-                # cycles 1..ran-1 left the outputs as last consumed
-                held = ran > 1 and out_bytes != self._last_bytes
-            else:
-                out_bytes = self.library.tick(in_bytes)
-                held = False
-            self.st_ticks.inc(ran)
-            # Tracing costs nothing beyond its two tests while it is off.
-            if FLAG_RTL_BATCH.enabled:
-                self._trace_batch(n, ran, held)
-            tracer = get_chrome_tracer()
-            if tracer is not None and tracer.enabled:
-                self._trace_window(tracer, ran, held)
-            if held:
-                # Consume it where a single-stepped model would.
-                self._held_output = out_bytes
-                eventq.schedule(
-                    self._tick_event, eventq.cur_tick + (ran - 1) * period,
-                    EventPriority.CLOCK,
-                )
-                return
-        # Decoding is a pure function of the bytes, and a quiet model
-        # returns the same struct for thousands of ticks: keep the last
-        # bytes and fields.  Consumers must not modify the fields.
-        if out_bytes != self._last_bytes:
-            self._last_bytes = out_bytes
-            self.last_output = self.decode_output(out_bytes)
-        self.consume_output(self.last_output)
+        self.clock_edge()
         if self.running:
-            # schedule_cycles(event, ran), inlined
             edge = eventq.cur_tick
             if edge % period:
                 edge += period - edge % period
-            edge += ran * period
-            if not (self._lags and self._start_lag(edge - period)):
-                eventq.schedule(self._tick_event, edge, EventPriority.CLOCK)
-
-    def _trace_window(self, tracer, ran: int, held: bool) -> None:
-        now, period, track = self.now, self.clock.period, f"rtl:{self.name}"
-        tracer.window(
-            "rtl batched" if ran > 1 else "rtl busy", track,
-            now, now + ran * period, period,
-        )
-        if held:
-            tracer.instant("rtl output moved", track, now + (ran - 1) * period)
-
-    def _trace_batch(self, n: int, ran: int, held: bool) -> None:
-        if ran > 1:
-            tracepoint(
-                FLAG_RTL_BATCH, self.name,
-                "inputs steady: advanced %d RTL cycles in one pop%s",
-                ran,
-                f" (of {n}: an output moved at the last)" if held else "",
-                tick=self.now,
-            )
-        elif n > 1:
-            tracepoint(
-                FLAG_RTL_BATCH, self.name,
-                "window of %d cut at its first cycle: an output moved",
-                n, tick=self.now,
-            )
-        else:
-            tracepoint(
-                FLAG_RTL_BATCH, self.name,
-                "no window this pop (inputs busy, event horizon or end "
-                "of run)",
-                tick=self.now,
-            )
-
-    def _batch_window(self) -> int:
-        """Upper bound on the RTL cycles to advance on this pop.
-
-        The model's own bound (:meth:`idle_cycles`: how long its inputs
-        hold still), clamped so no foreign event fires before the next
-        sample — any event strictly before our next edge could change
-        the inputs we would have sampled — and so the window stops short
-        of the ``until`` of the run in progress: what is read when the
-        run returns must not be ahead of it.  Events *at* the next edge
-        are fine — clock-priority ticks run first at a given tick,
-        exactly as in the single-stepped schedule.  This keeps the
-        paper's frequency-ratio semantics: in a window or not, edge k is
-        simulated at tick ``k * period``.  The library ends the window
-        earlier, after the first cycle that moves an output
-        (:meth:`SharedLibrary.tick_batch`).
-        """
-        limit = min(self.batch_cycles, self.idle_cycles())
-        if limit <= 1:
-            return 1
-        eventq = self.sim.eventq
-        horizon = eventq.next_event_tick()
-        until = eventq.until
-        if until is not None and (horizon is None or until < horizon):
-            horizon = until
-        if horizon is not None:
-            limit = min(limit, (horizon - self.now) // self.clock.period)
-        return max(1, limit)
+            if not self._start_lag(edge):
+                eventq.schedule(self._tick_event, edge + period,
+                                EventPriority.CLOCK)
 
     # -- lagging behind the queue ---------------------------------------------
 
@@ -375,9 +266,10 @@ class RTLObject(SimObject):
         that precedes the event being dispatched.  With *end*, the lag
         ends too, and the tick is armed for the next edge, where the
         model steps as before; the entry point for whatever changes
-        the model's inputs or state mid-lag (a CPU-side request, a fault
-        flip, a checkpoint, :meth:`stop`).  Does nothing while not
-        lagging."""
+        the model's inputs or state mid-lag (a CPU-side request, a
+        memory-side response, a fault flip, a checkpoint, :meth:`stop`)
+        or must see every edge before it (a trace window).  Does nothing
+        while not lagging."""
         if not self._lagging:
             return
         edge = self.lag_open_edge()
@@ -441,51 +333,39 @@ class RTLObject(SimObject):
         change, every tick is handed the same decoded object.
         """
 
-    def idle_cycles(self) -> int:
-        """Upper bound on cycles this model may advance per input struct.
-
-        Override per model: return > 1 only when the inputs packed by
-        :meth:`build_input` would be byte-identical for that many cycles
-        and packing them has no side effect, and :attr:`last_output` was
-        inert — consuming it again would do nothing.  The bridge holds
-        the outputs against that struct and ends the window at the first
-        cycle that moves one, so nothing is promised about what the
-        model will *produce*.  The default is the always-safe single
-        cycle.
-        """
-        return 1
-
     def lag_cycles(self) -> int:
         """Edges after the one just consumed at which provably no output
         moves, given that the only inputs that change meanwhile are the
         ones :meth:`begin_lag` taps (0: none, do not lag).
 
-        Override per model, with :meth:`begin_lag`, :meth:`end_lag` and
-        :meth:`lagged_inputs`.  The bridge then arms the tick for the
-        edge after them and lets the model lag behind the event queue
-        until then: nothing is dispatched for the edges in between, and
+        A model that overrides this lags; every other is a member of its
+        clock domain.  The bridge arms the model's own tick for the edge
+        after the horizon and lets it lag behind the event queue until
+        then: nothing is dispatched for the edges in between, and
         whatever must see the model at an edge in between calls
-        :meth:`catch_up` first.  The lagged edges run at once through
-        :meth:`RTLSharedLibrary.tick_varying`, and an output that moves in
-        them raises: the horizon is checked, not assumed.  Only models
-        that run ahead (``batch_cycles > 1``) lag.
+        :meth:`catch_up` first.  The lagged edges run at once on
+        :meth:`lagged_inputs` through
+        :meth:`RTLSharedLibrary.tick_varying`, and an output that moves
+        in them raises: the horizon is checked, not assumed.
         """
         return 0
 
     def begin_lag(self) -> None:
         """Start logging the tapped inputs against the edges that will
-        consume them (:meth:`lag_open_edge`)."""
-        raise NotImplementedError
+        consume them (:meth:`lag_open_edge`); by default none are."""
 
     def end_lag(self) -> None:
         """Stop logging; what is still logged belongs to the next edge."""
-        raise NotImplementedError
 
     def lagged_inputs(self, last: int):
         """``(input_bytes, field, values)`` for the lagged edges up to
         *last*: one value of *field* per edge, as
-        :meth:`RTLSharedLibrary.tick_varying` takes them."""
-        raise NotImplementedError
+        :meth:`RTLSharedLibrary.tick_varying` takes them.  By default no
+        input is tapped, and every lagged edge sees the all-zero struct
+        (*field* None): a model whose horizon holds only while nothing
+        drives its pins."""
+        cycles = (last - self._lag_edge) // self.clock.period
+        return self.library.input_spec.zeros(), None, range(cycles)
 
     # -- CPU-side plumbing ------------------------------------------------------
 
@@ -600,6 +480,9 @@ class RTLObject(SimObject):
         )
 
     def _recv_mem_resp(self, pkt: Packet) -> bool:
+        if self._lagging:
+            # the response feeds the input struct of an edge to come
+            self.catch_up(end=True)
         now = pkt.resp_tick = self.sim.eventq.cur_tick
         self.inflight -= 1
         self.st_mem_resps.inc()
@@ -622,13 +505,6 @@ class RTLObject(SimObject):
         if self._domain_member and self.clock.members[0] is not self:
             return {}
         return {"tick": self._tick_event}
-
-    def ckpt_veto(self) -> Optional[str]:
-        # Cannot happen between the events of a run (a window ends
-        # before the next queued one); a run cut by max_events can.
-        if self._held_output is not None:
-            return "run-ahead output waiting for its edge"
-        return None
 
     def serialize(self, ctx) -> dict:
         return {
@@ -658,7 +534,6 @@ class RTLObject(SimObject):
         self.library.load_checkpoint_state(state["library"])
         self._last_bytes = ctx.unpack(state["last_output"])
         self.last_output = self.decode_output(self._last_bytes)
-        self._held_output = None
         # a checkpoint ends every lag before it is taken
         if self._lagging:
             self._end_lag()

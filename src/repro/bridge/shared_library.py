@@ -42,37 +42,14 @@ class SharedLibrary(abc.ABC):
     output_spec: StructSpec
 
     #: cycles advanced since :meth:`reset`; every tick of every
-    #: implementation counts here, so a caller of :meth:`tick_batch`
-    #: reads how far the model actually went off its delta
+    #: implementation counts here, so a caller of
+    #: :meth:`RTLSharedLibrary.tick_varying` reads how far the model
+    #: actually went off its delta
     ticks: int = 0
 
     @abc.abstractmethod
     def tick(self, input_bytes: bytes) -> bytes:
         """Advance the model one cycle of its own clock."""
-
-    def tick_batch(
-        self, input_bytes: bytes, cycles: int, steady: Optional[bytes] = None
-    ) -> bytes:
-        """Advance up to *cycles* clock cycles holding one input struct
-        steady; returns the last output.
-
-        Without *steady* this is :meth:`tick` called *cycles* times with
-        the same bytes, all outputs but the last discarded.  With
-        *steady* — the output struct the caller consumed last — the
-        batch also ends after the first cycle whose output differs from
-        it, so no output is discarded that the caller has not already
-        seen; :attr:`ticks` tells how many cycles ran.  The default
-        implementation does exactly that; RTL-backed libraries override
-        it with a fused batch that drives the pins once.
-        """
-        if cycles < 1:
-            raise ValueError(f"cannot batch {cycles} cycles")
-        out = b""
-        for _ in range(cycles):
-            out = self.tick(input_bytes)
-            if steady is not None and out != steady:
-                break
-        return out
 
     @abc.abstractmethod
     def reset(self) -> None:
@@ -111,9 +88,10 @@ class RTLSharedLibrary(SharedLibrary):
     with the struct's name (``"bitonic_in.data"``) where both structs
     have a field of that name on different pins.
 
-    On the codegen backend the whole tick — and a whole run-ahead
-    window, its pin test included — is one generated function
-    (:func:`repro.rtl.codegen.build_exchange`).  :meth:`drive` and
+    On the codegen backend the whole tick is one generated function
+    (:func:`repro.rtl.codegen.build_exchange`), and so are the cycles a
+    lagging model owes, the pin test after each included
+    (:func:`repro.rtl.codegen.build_replay`).  :meth:`drive` and
     :meth:`collect` are the same map interpreted field by field around
     the public ``unpack``/``settle``/``tick``/``pack``: the reference
     the generated exchange is tested against, and the path taken
@@ -229,17 +207,6 @@ class RTLSharedLibrary(SharedLibrary):
     def tracing(self) -> bool:
         return self.sim.trace is not None and self.sim.trace.enabled
 
-    def enable_waveforms(self) -> None:
-        if self.sim.trace is None:
-            raise RuntimeError(
-                "no trace stream was configured for this shared library"
-            )
-        self.sim.trace.enable()
-
-    def disable_waveforms(self) -> None:
-        if self.sim.trace is not None:
-            self.sim.trace.disable()
-
     # -- the contract -----------------------------------------------------------
 
     def tick(self, input_bytes: bytes) -> bytes:
@@ -249,67 +216,54 @@ class RTLSharedLibrary(SharedLibrary):
             return self.tick_batch(input_bytes, 1)
         # tick_batch(input_bytes, 1), minus the hop: this is the call
         # every busy model makes every cycle
-        _, out = self._exchange(input_bytes, sim.values, sim.mems, 1, None)
+        out = self._exchange(input_bytes, sim.values, sim.mems, 1)
         sim.cycle += 1
         self.ticks += 1
         return out
 
-    def tick_batch(
-        self, input_bytes: bytes, cycles: int, steady: Optional[bytes] = None
-    ) -> bytes:
-        """Up to *cycles* ticks on one input struct, the last output
-        returned; with *steady*, ends after the first cycle whose output
-        pins differ from it (see :meth:`SharedLibrary.tick_batch`).
+    def tick_batch(self, input_bytes: bytes, cycles: int) -> bytes:
+        """*cycles* ticks on one input struct, the last output returned.
 
         Equivalent to that many sequential :meth:`tick` calls with the
         same input: re-driving identical pin values and re-settling an
         already-settled netlist are no-ops, so the pins are driven once
-        and all cycles, and the test of the output pins after each, run
-        inside the RTL kernel (one generated loop on the codegen
-        backend).
+        and all cycles run inside the RTL kernel (one generated loop on
+        the codegen backend).
         """
         if cycles < 1:
             raise ValueError(f"cannot batch {cycles} cycles")
         sim = self.sim
         trace = sim.trace
         if self._exchange is not None and (trace is None or not trace.enabled):
-            cycles, out = self._exchange(
-                input_bytes, sim.values, sim.mems, cycles, steady
-            )
+            out = self._exchange(input_bytes, sim.values, sim.mems, cycles)
             sim.cycle += cycles
         else:
             self.drive(self.input_spec.unpack(input_bytes))
             sim.settle()
-            if steady is None:
-                sim.tick(cycles)
-                out = self.output_spec.pack(**self.collect())
-            else:
-                for ran in range(1, cycles + 1):
-                    sim.tick()
-                    out = self.output_spec.pack(**self.collect())
-                    if out != steady:
-                        break
-                cycles = ran
+            sim.tick(cycles)
+            out = self.output_spec.pack(**self.collect())
         self.ticks += cycles
         return out
 
     def tick_varying(
-        self, input_bytes: bytes, field: str, values: Sequence[int],
+        self, input_bytes: bytes, field: Optional[str], values: Sequence[int],
         steady: bytes,
     ) -> bytes:
         """One cycle per element of *values*, on the input struct
-        *input_bytes* with its scalar *field* set to that element;
+        *input_bytes* with its scalar *field* set to that element (with
+        *field* None, *input_bytes* held and the elements unread);
         returns the last output (*steady* if *values* is empty).
 
-        Ends after the first cycle whose output differs from *steady*,
-        as :meth:`tick_batch` does; :attr:`ticks` tells how many ran.
-        For a model that lagged behind one of its inputs and runs the
-        cycles it owes at once (:meth:`RTLObject.lag_cycles
+        Ends after the first cycle whose output differs from *steady*;
+        :attr:`ticks` tells how many ran.  For a model that lagged
+        behind the event queue and runs the cycles it owes at once
+        (:meth:`RTLObject.lag_cycles
         <repro.bridge.rtl_object.RTLObject.lag_cycles>`).  On the
         codegen backend one generated loop
         (:func:`repro.rtl.codegen.build_replay`), otherwise
         :meth:`drive`/``settle``/``tick``/:meth:`collect` per cycle, on
-        the paths :meth:`tick_batch` takes.
+        the paths :meth:`tick_batch` takes: an enabled VCD writer
+        samples every cycle.
         """
         sim = self.sim
         trace = sim.trace
@@ -325,7 +279,8 @@ class RTLSharedLibrary(SharedLibrary):
         fields = self.input_spec.unpack(input_bytes)
         out = steady
         for value in values:
-            fields[field] = value
+            if field is not None:
+                fields[field] = value
             self.drive(fields)
             sim.settle()
             sim.tick()
@@ -335,19 +290,21 @@ class RTLSharedLibrary(SharedLibrary):
                 break
         return out
 
-    def _build_replay(self, field: str):
-        slot = 0
-        for name, count, lanes in self._driven:
-            if name == field:
-                if count != 1:
-                    raise ValueError(
-                        f"{type(self).__name__}: cannot vary array field "
-                        f"{field!r}"
-                    )
-                break
-            slot += len(lanes)
-        else:
-            raise KeyError(f"no input field {field!r}")
+    def _build_replay(self, field: Optional[str]):
+        slot = None
+        if field is not None:
+            slot = 0
+            for name, count, lanes in self._driven:
+                if name == field:
+                    if count != 1:
+                        raise ValueError(
+                            f"{type(self).__name__}: cannot vary array "
+                            f"field {field!r}"
+                        )
+                    break
+                slot += len(lanes)
+            else:
+                raise KeyError(f"no input field {field!r}")
         return self.sim.build_replay(
             self.input_spec.struct,
             [pin for _, _, lanes in self._driven for pin in lanes],

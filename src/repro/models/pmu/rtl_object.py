@@ -48,11 +48,9 @@ class PMURTLObject(RTLObject):
         library: PMUSharedLibrary,
         mmio_base: int = 0x1000_0000,
         clock: Optional[ClockDomain] = None,
-        batch_cycles: int = 64,
         parent: Optional[SimObject] = None,
     ) -> None:
-        super().__init__(sim, name, library, clock=clock,
-                         batch_cycles=batch_cycles, parent=parent)
+        super().__init__(sim, name, library, clock=clock, parent=parent)
         self.mmio_base = mmio_base
         self._lanes: list[_EventLane] = []
         #: the lanes tapping a wire, in wiring order
@@ -135,26 +133,6 @@ class PMURTLObject(RTLObject):
     #: no dict: the generated tuple ``(rvalid, rdata, irq)``
     decode_output = staticmethod(PMU_OUTPUT.values)
 
-    def idle_cycles(self) -> int:
-        """Run ahead while the input struct would repeat itself.
-
-        A clock-wired lane is the same bit every cycle; a tapped wire is
-        a zero bit while it has no pulses queued, and nothing can queue
-        one inside a window (the bridge ends it before the next event).
-        A pending MMIO request changes the AXI fields, and a read
-        response or an interrupt just consumed may repeat bit for bit
-        next cycle, which the bridge could not tell from no change.
-        """
-        if self.cpu_req_queue:
-            return 1
-        for lane in self._wired:
-            if lane.wire.count:
-                return 1
-        rvalid, _, irq = self.last_output
-        if rvalid or irq:
-            return 1
-        return self.batch_cycles
-
     def _events(self) -> int:
         """The ``events`` word of one edge, taking the pulses it consumes
         off the wires."""
@@ -218,16 +196,17 @@ class PMURTLObject(RTLObject):
         event — wired to a wire or to the clock — count; with none
         thresholded the horizon is unbounded.  It is read off the
         kernel's ``counters``, ``thresholds`` and ``enable`` after every
-        window, so a write or a fault flip (both end a lag first) is
-        seen.  An output consumed last that was not inert, a pending
-        request or a VCD writer that samples every cycle: no lag.
+        stepped edge, so a write or a fault flip (both end a lag first)
+        is seen.  An output consumed last that was not inert, or a
+        pending request: no lag.  An enabled VCD writer does not stop
+        one: the lagged edges then run one by one, each sampled.
         """
         if self.cpu_req_queue or self._pending_reads:
             return 0
         rvalid, _, irq = self.last_output
-        library = self.library
-        if rvalid or irq or library.tracing:
+        if rvalid or irq:
             return 0
+        library = self.library
         sim = library.sim
         memories = library.module.memories
         counters = sim.mems[memories["counters"].index]

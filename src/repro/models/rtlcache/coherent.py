@@ -39,6 +39,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator, Optional, Tuple
 
+from ...bridge.rtl_object import LAG_LIMIT
 from ...bridge.structs import Field, StructSpec
 from ...coherence.protocol import ProtocolError, State
 from ...soc.event import ClockDomain
@@ -95,11 +96,10 @@ class RTLCoherentCacheObject(RTLCacheObject):
         name: str,
         library: Optional[RTLCacheCohSharedLibrary] = None,
         clock: Optional[ClockDomain] = None,
-        batch_cycles: int = 64,
         parent: Optional[SimObject] = None,
     ) -> None:
         super().__init__(sim, name, library or RTLCacheCohSharedLibrary(),
-                         clock=clock, batch_cycles=batch_cycles, parent=parent)
+                         clock=clock, parent=parent)
         self.lines = self.library.lines
         # directory-visible protocol state: idx -> [block, bytearray(64)]
         self._mirror: dict[int, list] = {}
@@ -150,6 +150,8 @@ class RTLCoherentCacheObject(RTLCacheObject):
         kind = pkt.meta.get("snoop")
         if kind == "grant":
             if pkt.meta.get("dest") == self.coh_id:
+                if self._lagging:
+                    self.catch_up(end=True)
                 self._apply_grant(pkt)
             return
         if pkt.meta.get("origin") == self.coh_id:
@@ -174,6 +176,9 @@ class RTLCoherentCacheObject(RTLCacheObject):
                 f"{self.coh_id}: {kind} snoop targets a write-through "
                 f"participant (block {block:#x}); it never owns a line"
             )
+        if self._lagging:
+            # the probe is replayed into the pins at an edge to come
+            self.catch_up(end=True)
         self.st_invalidations.inc()
         del self._mirror[self._idx(block)]
         self._pending_snoops.append(block)
@@ -227,7 +232,11 @@ class RTLCoherentCacheObject(RTLCacheObject):
 
     # -- struct exchange ---------------------------------------------------
 
-    def idle_cycles(self) -> int:
+    def lag_cycles(self) -> int:
+        """As the plain cache's, with ``snoop_valid`` low too: no probe
+        queued or at the pins, and the last output did not ack one.  A
+        probe or a grant ends the lag before it lands
+        (:meth:`recv_snoop_mem`)."""
         if (self._current is None and not self.cpu_req_queue
                 and not self._waiting_fill and self._fill_words is None
                 and not self.mem_resp_queue and not self._pending_snoops
@@ -235,8 +244,8 @@ class RTLCoherentCacheObject(RTLCacheObject):
             last = self.last_output
             if not (last["resp_valid"] or last["miss_valid"]
                     or last["wt_valid"] or last["snoop_ack"]):
-                return self.batch_cycles
-        return 1
+                return LAG_LIMIT
+        return 0
 
     def build_input(self) -> bytes:
         fields: dict = {}

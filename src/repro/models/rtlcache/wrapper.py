@@ -11,7 +11,7 @@ from __future__ import annotations
 import importlib.resources
 from typing import Optional, TextIO
 
-from ...bridge.rtl_object import RTLObject
+from ...bridge.rtl_object import LAG_LIMIT, RTLObject
 from ...bridge.shared_library import RTLSharedLibrary
 from ...bridge.structs import Field, StructSpec
 from ...hdl.verilog import compile_verilog
@@ -126,11 +126,10 @@ class RTLCacheObject(RTLObject):
         name: str,
         library: Optional[RTLCacheSharedLibrary] = None,
         clock: Optional[ClockDomain] = None,
-        batch_cycles: int = 64,
         parent: Optional[SimObject] = None,
     ) -> None:
         super().__init__(sim, name, library or RTLCacheSharedLibrary(),
-                         clock=clock, batch_cycles=batch_cycles, parent=parent)
+                         clock=clock, parent=parent)
         self._current: Optional[Packet] = None   # request held at the pins
         self._waiting_fill = False
         self._fill_words: Optional[list[int]] = None
@@ -146,18 +145,21 @@ class RTLCacheObject(RTLObject):
 
     # -- struct exchange ---------------------------------------------------
 
-    def idle_cycles(self) -> int:
-        """Run ahead while no request, fill or response is in play:
-        ``req_valid``/``fill_valid`` stay low, and the last output
-        consumed announced nothing that could repeat unnoticed."""
+    def lag_cycles(self) -> int:
+        """Lag while no request, fill or response is in play: the input
+        struct stays all-zero (``req_valid`` and ``fill_valid`` low), and
+        with them low the design's outputs cannot move.  The last output
+        consumed must have announced nothing, or it could repeat
+        unnoticed.  A CPU-side request and a memory-side response each
+        end the lag before they land."""
         if (self._current is None and not self.cpu_req_queue
                 and not self._waiting_fill and self._fill_words is None
                 and not self.mem_resp_queue):
             last = self.last_output
             if not (last["resp_valid"] or last["miss_valid"]
                     or last["wt_valid"]):
-                return self.batch_cycles
-        return 1
+                return LAG_LIMIT
+        return 0
 
     def build_input(self) -> bytes:
         fields: dict = {}

@@ -80,7 +80,7 @@ from typing import Any, Optional
 
 from ..soc.packet import MemCmd, Packet, peek_packet_id, set_next_packet_id
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -303,11 +303,8 @@ def checkpoint_document(sim, max_wait: int = 10**9) -> dict:
 
     # A model lagging behind the queue runs the edges it owes and steps
     # from the next one: no lag crosses a checkpoint.
-    from ..bridge.rtl_object import RTLObject
-
     for obj in sim.objects:
-        if isinstance(obj, RTLObject):
-            obj.catch_up(end=True)
+        obj.catch_up(end=True)
 
     ctx = SerializationContext()
     eventq = sim.eventq
@@ -415,8 +412,7 @@ def canonical_digest(doc: dict, observers=()) -> str:
     * ``meta`` and the event queue's counters (``cur_tick`` stays);
     * every event ``seq``, replaced by its rank among the kept events;
     * every packet id — the packet table's ``pkt_id`` and the keys of
-      an ``inflight`` map (``OoOCore``'s) — replaced by its rank;
-    * ``batched_ticks``, the RTL bridge's tally of run-ahead cycles.
+      an ``inflight`` map (``OoOCore``'s) — replaced by its rank.
     """
     dropped = set(observers)
     kept = {p: s for p, s in doc["objects"].items() if p not in dropped}
@@ -453,8 +449,7 @@ def canonical_digest(doc: dict, observers=()) -> str:
 
     def stats(group: dict, prefix: str) -> dict:
         return {
-            "stats": {k: v for k, v in group["stats"].items()
-                      if k != "batched_ticks"},
+            "stats": group["stats"],
             "children": {
                 name: stats(child, prefix + name + ".")
                 for name, child in group["children"].items()

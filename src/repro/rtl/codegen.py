@@ -53,17 +53,17 @@ un-rewritten bodies, is enforced by the differential test suite
 is checked on its own (:data:`REWRITE_HOOK`,
 ``tests/rtl/test_lowering_checked.py``).
 
-Two more functions are generated on request for the bridge
-(:func:`build_exchange`): the per-cycle struct exchange of a
+Two more functions are generated on request for the bridge.
+:func:`build_exchange` is the per-cycle struct exchange of a
 shared-library wrapper — packed bytes in, pin stores, ``settle``,
 ``tick_batch``, output pins packed back to bytes — the direct
 struct-member <-> pin assignments a Verilator wrapper makes around
-``eval()``; and ``run_ahead``, the cycle loop of ``tick_batch`` emitted
-once more with a test of the wrapper's output pins after every cycle,
-which returns as soon as one of them has moved.  A third, ``replay``
-(:func:`build_replay`), is that loop again with one input slot stored
-from a list before every cycle: the cycles a model that lagged behind
-one of its inputs owes, run at once.
+``eval()``.  :func:`build_replay` is the cycle text emitted a second
+time, beside ``tick_batch``'s, with a test of the wrapper's output pins
+after every cycle, returning as soon as one of them has moved: the
+cycles a model that lagged behind the event queue owes, run at once,
+with one input slot stored from a list before each cycle, or with the
+inputs held.
 
 Designs that need the iterative fixpoint fallback (word-level comb
 cycles) are *not* codegen-eligible —
@@ -382,16 +382,14 @@ class CodegenProgram:
     source: str           # full generated source, for inspection/debugging
     inlined: int          # processes fused by source inlining
     called: int           # processes bound as direct calls (no source)
-    #: ``run_ahead_source(params, moved)``: source of ``_run_ahead(v, m,
-    #: n<params>)`` — ``_tick_batch``'s loop, returning the cycles run,
-    #: and returning early after the first cycle for which the
-    #: expression *moved* (over ``v`` and the extra *params*) holds
-    run_ahead_source: Callable[[str, str], str] = field(repr=False)
     #: ``replay_source(store, moved)``: source of ``_replay(v, m, words,
-    #: _rest, _w)`` — the same loop over the elements of *words*, the
-    #: statement *store* (over ``_x``, the element, and ``_rest``)
-    #: driving the pins and the netlist settled before every cycle
-    replay_source: Callable[[str, str], str] = field(repr=False)
+    #: _rest, _w)`` — ``_tick_batch``'s cycle, once per element of
+    #: *words*, returning the cycles run, and returning early after the
+    #: first cycle for which the expression *moved* (over ``v`` and
+    #: ``_w``) holds; with a statement *store* (over ``_x``, the
+    #: element, and ``_rest``) driving the pins and the netlist settled
+    #: before every cycle, with None the pins held as they are
+    replay_source: Callable[[Optional[str], str], str] = field(repr=False)
     settles: bool = True     # settle does anything (the design has comb logic)
     #: globals of the generated functions; :func:`build_exchange` emits
     #: into it, beside the ``_settle`` and ``_tick_batch`` it calls
@@ -564,33 +562,15 @@ def build_program(
     else:
         em.emit("pass", 1)
 
-    def emit_tick(name: str, params: str = "", moved: str | None = None) -> None:
-        """``def name(v, m, n<params>)``: *n* cycles; with *moved*, the
-        loop counts, ends after the first cycle for which the expression
-        holds, and the function returns the cycles run."""
-        em.emit(f"def {name}(v, m, n{params}):", 0)
-        em.emit_prologue(1)
-        em.emit(f"for {'_' if moved is None else '_i'} in range(n):", 1)
-        emit_cycle(2)
-        if moved is not None:
-            em.emit(f"if {moved}:", 2)
-            em.emit("return _i + 1", 3)
-            em.emit("return n", 1)
-
-    def run_ahead_source(params: str, moved: str) -> str:
-        saved, em.lines = em.lines, []
-        emit_tick("_run_ahead", params, moved)
-        lines, em.lines = em.lines, saved
-        return "\n".join(lines)
-
-    def replay_source(store: str, moved: str) -> str:
+    def replay_source(store: Optional[str], moved: str) -> str:
         saved, em.lines = em.lines, []
         em.emit("def _replay(v, m, words, _rest, _w):", 0)
         em.emit_prologue(1)
         em.emit("for _i, _x in enumerate(words):", 1)
-        em.emit(store, 2)
-        if levelized:
-            em.emit("_settle(v, m)", 2)
+        if store is not None:
+            em.emit(store, 2)
+            if levelized:
+                em.emit("_settle(v, m)", 2)
         emit_cycle(2)
         em.emit(f"if {moved}:", 2)
         em.emit("return _i + 1", 3)
@@ -599,7 +579,10 @@ def build_program(
         return "\n".join(lines)
 
     em.emit("", 0)
-    emit_tick("_tick_batch")
+    em.emit("def _tick_batch(v, m, n):", 0)
+    em.emit_prologue(1)
+    em.emit("for _ in range(n):", 1)
+    emit_cycle(2)
 
     source = "\n".join(em.lines)
     code = _compile(source, f"<codegen:{module.name}>")
@@ -610,7 +593,6 @@ def build_program(
         source=source,
         inlined=em.inlined,
         called=em.called,
-        run_ahead_source=run_ahead_source,
         replay_source=replay_source,
         settles=bool(levelized),
         namespace=em.namespace,
@@ -661,37 +643,24 @@ def build_exchange(
     out_slots: Sequence[PinSlot],
     size_error: Callable[[int], Exception],
 ) -> Callable:
-    """Generate ``exchange(data, v, m, n, steady) -> (ran, bytes)`` for
-    *program*.
+    """Generate ``exchange(data, v, m, n) -> bytes`` for *program*.
 
     One call is one wrapper ``tick_batch``: check the length of *data*
     (raising ``size_error(len(data))``), decode it with *in_struct*,
     store slot ``i`` onto the pins at ``in_slots[i]`` (slots sharing a
     signal are OR-ed together at their shifts), settle (unless the
-    design has no comb logic to settle), advance *n*
-    cycles, and return how many ran with *out_struct* packed from the
-    pins at *out_slots*.  With *steady* None all *n* run.  Otherwise
-    *steady* is an output struct, and the cycles end after the first
-    one that leaves any pin of *out_slots* different from its slot in
-    it: that loop is the program's cycle loop emitted once more
-    (:attr:`CodegenProgram.run_ahead_source`) with the pin test inside
-    it, so a window costs no call, no pack and no compare of structs per
-    cycle.  The settle and the plain cycles are *calls* to the
-    program's own compiled functions, and every call runs the whole
-    sequence: nothing about the previous inputs is remembered, so state
-    changed behind the generated code's back (pokes, reset, restore) is
-    seen exactly as a ``poke``/``settle``/``tick`` sequence would see
-    it.
+    design has no comb logic to settle), advance *n* cycles, and return
+    *out_struct* packed from the pins at *out_slots*.  The settle and
+    the cycles are *calls* to the program's own compiled functions, and
+    every call runs the whole sequence: nothing about the previous
+    inputs is remembered, so state changed behind the generated code's
+    back (pokes, reset, restore) is seen exactly as a
+    ``poke``/``settle``/``tick`` sequence would see it.
     """
     by_signal, loads = _pin_text(in_slots, out_slots)
-    # one tuple compare per cycle, against the unpacked *steady* struct
-    run_ahead = program.run_ahead_source(
-        ", _w", f"({', '.join(loads)},) != _w" if loads else "False"
-    )
     lines = [
-        "def _bind(_decode, _encode, _steady, _size_error):",
-        *("    " + line for line in run_ahead.splitlines()),
-        "    def _exchange(data, v, m, n, steady):",
+        "def _bind(_decode, _encode, _size_error):",
+        "    def _exchange(data, v, m, n):",
         f"        if len(data) != {in_struct.size}:",
         "            raise _size_error(len(data))",
         f"        [{', '.join(f'_i{i}' for i in range(len(in_slots)))}]"
@@ -699,15 +668,12 @@ def build_exchange(
         *(f"        v[{idx}] = {' | '.join(terms)}"
           for idx, terms in by_signal.items()),
         *(["        _settle(v, m)"] if program.settles else []),
-        "        if steady is None:",
-        "            _tick_batch(v, m, n)",
-        "        else:",
-        "            n = _run_ahead(v, m, n, _steady(steady))",
-        f"        return n, _encode({', '.join(loads)})",
+        "        _tick_batch(v, m, n)",
+        f"        return _encode({', '.join(loads)})",
         "    return _exchange",
     ]
     return _bind(program, lines, in_struct.unpack, out_struct.pack,
-                 out_struct.unpack, size_error)
+                 size_error)
 
 
 def build_replay(
@@ -717,30 +683,35 @@ def build_replay(
     out_struct: struct.Struct,
     out_slots: Sequence[PinSlot],
     size_error: Callable[[int], Exception],
-    vary: int,
+    vary: Optional[int],
 ) -> Callable:
     """Generate ``replay(data, v, m, words, steady) -> (ran, bytes)``:
     one cycle per element of *words*, the input struct *data* on the
-    pins with slot *vary* replaced by that element.
+    pins with slot *vary* replaced by that element (with *vary* None,
+    *data* held and the elements unread).
 
-    The pins are stored as :func:`build_exchange` stores them; then, per
-    element, the signal of slot *vary* is stored again (its other
-    slots' terms computed once), the netlist settled, one cycle run and
-    the output pins compared with the unpacked *steady* struct: the
-    loop returns after the first cycle that moved one.  It is the
-    program's cycle text emitted a third time
-    (:attr:`CodegenProgram.replay_source`), for a model that lagged
-    behind its inputs and runs the logged cycles at once.
+    The pins are stored and settled as :func:`build_exchange` stores
+    and settles them; then, per element, the signal of slot *vary* is
+    stored again (its other slots' terms computed once) and the netlist
+    settled, one cycle run and the output pins compared with the
+    unpacked *steady* struct: the loop returns after the first cycle
+    that moved one.  It is the program's cycle text emitted a second
+    time (:attr:`CodegenProgram.replay_source`), for a model that lagged
+    behind the event queue and runs the cycles it owes at once.
     """
     by_signal, loads = _pin_text(in_slots, out_slots)
-    idx, shift, mask = in_slots[vary]
-    term = f"(_i{vary} & {mask})" + (f" << {shift}" if shift else "")
-    rest = [t for t in by_signal[idx] if t != term]
-    store = f"(_x & {mask})" + (f" << {shift}" if shift else "")
-    replay = program.replay_source(
-        f"v[{idx}] = {store} | _rest",
-        f"({', '.join(loads)},) != _w" if loads else "False",
-    )
+    moved = f"({', '.join(loads)},) != _w" if loads else "False"
+    if vary is None:
+        store = rest = None
+        settle = ["        _settle(v, m)"] if program.settles else []
+    else:
+        idx, shift, mask = in_slots[vary]
+        term = f"(_i{vary} & {mask})" + (f" << {shift}" if shift else "")
+        rest = " | ".join(t for t in by_signal[idx] if t != term)
+        store = (f"v[{idx}] = (_x & {mask})"
+                 + (f" << {shift}" if shift else "") + " | _rest")
+        settle = []
+    replay = program.replay_source(store, moved)
     lines = [
         "def _bind(_decode, _encode, _steady, _size_error):",
         *("    " + line for line in replay.splitlines()),
@@ -751,8 +722,8 @@ def build_replay(
         " = _decode(data)",
         *(f"        v[{i}] = {' | '.join(terms)}"
           for i, terms in by_signal.items()),
-        f"        n = _replay(v, m, words, {' | '.join(rest) or '0'},"
-        " _steady(steady))",
+        *settle,
+        f"        n = _replay(v, m, words, {rest or '0'}, _steady(steady))",
         f"        return n, _encode({', '.join(loads)})",
         "    return _replay_words",
     ]

@@ -142,10 +142,10 @@ class EventQueue:
         #: read-only to clients: the first tick the run() in progress
         #: will *not* execute (its ``until``); None when it has no bound
         #: and while events are stepped with service_one() outside a
-        #: run.  An object that advances its own state past ``cur_tick``
-        #: — an RTLObject running ahead, a core stepping over a stall —
-        #: stops short of it, so that whoever regains control when the
-        #: run returns finds every object at the tick the run ended on.
+        #: run.  An object that defers its own state past ``cur_tick``
+        #: — an RTLObject lagging, a core stepping over a stall — stops
+        #: short of it, so that whoever regains control when the run
+        #: returns finds every object at the tick the run ended on.
         self.until: Optional[int] = None
         self.cur_tick = 0
         #: read-only to clients: the heap entry ``(tick, priority, seq,
@@ -299,11 +299,9 @@ class EventQueue:
     def next_event_tick(self) -> Optional[int]:
         """Tick of the earliest live event, or None if the queue is empty.
 
-        Used by batching clients (e.g. an RTLObject advancing many RTL
-        cycles per event-queue pop): the earliest live entry bounds how
-        far simulated state can be advanced without missing an
-        interaction.  Dead (lazily-cancelled) entries at the top are
-        discarded on the way.
+        The earliest live entry bounds how far simulated state can be
+        advanced without missing an interaction.  Dead
+        (lazily-cancelled) entries at the top are discarded on the way.
         """
         heap = self._heap
         while heap and not heap[0][3].alive:

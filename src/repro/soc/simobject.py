@@ -269,6 +269,13 @@ class SimObject:
         """Long-lived re-armable events, keyed by a stable name."""
         return {}
 
+    def catch_up(self, end: bool = False) -> None:
+        """Bring whatever this object defers up to the event being
+        dispatched, before something looks at every edge of it (a trace
+        window opening or closing) or saves it (a checkpoint, with
+        *end*: defer nothing across it).  Nothing is deferred here; an
+        RTL model that lags behind the queue overrides it."""
+
     def ckpt_veto(self) -> Optional[str]:
         """Reason this object cannot be checkpointed right now, or None.
 

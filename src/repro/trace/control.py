@@ -113,7 +113,14 @@ class TraceWindow:
 
     # -- the switch (also usable directly, e.g. from host software) --------
 
+    def _catch_up(self) -> None:
+        # An RTL model lagging behind the queue owes edges that precede
+        # the switch: they run, and are traced, as the switch found them.
+        for obj in self.sim.objects:
+            obj.catch_up()
+
     def open(self) -> None:
+        self._catch_up()
         self.active = True
         for name in self.flag_names:
             enable(name)
@@ -127,6 +134,7 @@ class TraceWindow:
             sink.enable()
 
     def close(self) -> None:
+        self._catch_up()
         self.active = False
         for name in self.flag_names:
             disable(name)

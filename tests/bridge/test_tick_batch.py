@@ -1,5 +1,6 @@
-"""Batched ticking through the bridge: tick_batch, _batch_window and
-model-level idle_cycles — all proven against the unbatched schedule."""
+"""Batched ticking through the bridge: tick_batch, and the lagged edges
+a model runs at once (model-level lag_cycles, tick_varying) — all proven
+against the single-stepped schedule."""
 
 from __future__ import annotations
 
@@ -8,8 +9,7 @@ import random
 
 import pytest
 
-from repro.bridge.shared_library import BehavioralSharedLibrary
-from repro.bridge.structs import Field, StructSpec
+from repro.bridge.rtl_object import LAG_LIMIT, RTLObject
 from repro.models.pmu.rtl_object import PMURTLObject
 from repro.models.pmu.wrapper import (
     PMUSharedLibrary, counter_addr, threshold_addr, REG_ENABLE,
@@ -22,12 +22,14 @@ from repro.soc.packet import MemCmd, Packet
 from repro.soc.ports import RequestPort
 
 
-class CountingLibrary(BehavioralSharedLibrary):
-    input_spec = StructSpec("i", [Field("x", 8)])
-    output_spec = StructSpec("o", [Field("ticks", 32)])
+class SteppedCache(RTLCacheObject):
+    """The reference: a member of its clock domain, ticked every edge."""
 
-    def step(self, inputs):
-        return {"ticks": self.ticks}
+    lag_cycles = RTLObject.lag_cycles
+
+
+class SteppedPMU(PMURTLObject):
+    lag_cycles = RTLObject.lag_cycles
 
 
 class TestNextEventTick:
@@ -49,15 +51,8 @@ class TestNextEventTick:
 
 
 class TestSharedLibraryTickBatch:
-    def test_default_implementation_loops(self):
-        lib = CountingLibrary()
-        out = lib.tick_batch(lib.input_spec.zeros(), 5)
-        assert lib.ticks == 5
-        # last output corresponds to the 5th tick (ticks was 4 going in)
-        assert lib.output_spec.unpack(out)["ticks"] == 4
-
     def test_rejects_non_positive_counts(self):
-        lib = CountingLibrary()
+        lib = PMUSharedLibrary()
         with pytest.raises(ValueError):
             lib.tick_batch(lib.input_spec.zeros(), 0)
 
@@ -81,9 +76,10 @@ class TestSharedLibraryTickBatch:
         assert batched.sim.mems == stepped.sim.mems
 
 
-def _cache_rig(sim_obj, batch):
+def _cache_rig(sim_obj, lagging):
     clk = ClockDomain(1e9)
-    obj = RTLCacheObject(sim_obj, "cache", clock=clk, batch_cycles=batch)
+    obj = (RTLCacheObject if lagging else SteppedCache)(
+        sim_obj, "cache", clock=clk)
     mem = IdealMemory(sim_obj, "mem", latency_cycles=5)
     obj.mem_side[0].connect(mem.port)
     obj.mem_side[1].connect(IdealMemory(sim_obj, "mem2").port)
@@ -109,60 +105,56 @@ def _drive_cache(sim_obj, obj, addrs_and_ticks, until):
 class TestRTLObjectBatching:
     REQS = [(0x1000, 5_000), (0x2040, 220_000), (0x1000, 700_000)]
 
-    def _run(self, batch):
+    def _run(self, lagging):
         from repro.soc.simobject import Simulation
 
         sim = Simulation()
-        obj = _cache_rig(sim, batch)
+        obj = _cache_rig(sim, lagging)
         got = _drive_cache(sim, obj, self.REQS, until=1_000_000)
-        return got, obj
+        return got, obj, sim.eventq.executed
 
     def test_batched_run_matches_unbatched(self):
-        """Same responses, same data, same response *ticks* — batching
-        must be invisible to the rest of the SoC."""
-        got1, obj1 = self._run(batch=1)
-        gotN, objN = self._run(batch=64)
+        """Same responses, same data, same response *ticks* — lagging,
+        and running the lagged edges in one batch, must be invisible to
+        the rest of the SoC."""
+        got1, obj1, events1 = self._run(lagging=False)
+        gotN, objN, eventsN = self._run(lagging=True)
         assert len(got1) == len(self.REQS)
         assert got1 == gotN
-        assert obj1.st_batched_ticks.value() == 0
-        assert objN.st_batched_ticks.value() > 0
+        assert obj1.st_ticks.value() == objN.st_ticks.value() == 999
+        assert eventsN < events1 // 10
         # the third read re-hits the line filled by the first
         assert objN.library.sim.peek("hit_count") == 1
 
     def test_busy_cache_never_batches(self):
         from repro.soc.simobject import Simulation
 
-        sim = Simulation()
-        obj = _cache_rig(sim, batch=64)
+        obj = _cache_rig(Simulation(), lagging=True)
+        assert obj.lag_cycles() == LAG_LIMIT
         obj._waiting_fill = True
-        assert obj.idle_cycles() == 1
-
-    def test_window_clamped_by_event_horizon(self):
-        """With a foreign event 10 cycles out, the window cannot jump it."""
-        from repro.soc.simobject import Simulation
-
-        sim = Simulation()
-        obj = _cache_rig(sim, batch=64)
-        sim.startup()
-        sim.eventq.service_one()  # position time at the first tick
-        sim.eventq.schedule_fn(lambda: None,
-                               sim.eventq.cur_tick + 10 * obj.clock.period)
-        assert obj._batch_window() == 10
+        assert obj.lag_cycles() == 0
 
 
 class TestPMUIdleCycles:
+    """The PMU's idle stretches: where it lags and where it steps."""
+
     def _pmu(self, sim):
-        return PMURTLObject(sim, "pmu", PMUSharedLibrary(), batch_cycles=32)
+        return PMURTLObject(sim, "pmu", PMUSharedLibrary())
 
     def test_idle_pmu_batches(self, sim):
-        assert self._pmu(sim).idle_cycles() == 32
+        assert self._pmu(sim).lag_cycles() == LAG_LIMIT
 
-    def test_clock_lane_runs_ahead(self, sim):
-        """A clock-wired lane is the same input bit every cycle: what
-        ends its window is the bridge's test of the output pins."""
+    def test_clock_lane_lags_to_its_threshold(self, sim):
+        """A clock-wired lane counts every edge: with a threshold, the
+        edge that reaches it ends the horizon."""
         obj = self._pmu(sim)
+        obj.library.reset()
         obj.connect_clock_event(0)
-        assert obj.idle_cycles() == 32
+        assert obj.lag_cycles() == LAG_LIMIT
+        for offset, value in ((threshold_addr(0), 30), (REG_ENABLE, 1)):
+            obj.library.tick(obj.library.input_spec.pack(
+                awvalid=1, awaddr=offset, wdata=value))
+        assert obj.lag_cycles() == 29
 
     def test_consumed_pulse_pins_to_single_step(self, sim):
         """An interrupt or read response may repeat bit for bit; held
@@ -171,30 +163,31 @@ class TestPMUIdleCycles:
         spec = obj.library.output_spec
         for raised in ({"irq": 1}, {"rvalid": 1, "rdata": 7}):
             obj.last_output = obj.decode_output(spec.pack(**raised))
-            assert obj.idle_cycles() == 1
+            assert obj.lag_cycles() == 0
 
-    def test_queued_wire_pulses_pin_to_single_step(self, sim):
+    def test_queued_wire_pulses_are_tapped_not_stepped(self, sim):
+        """A pulse is an input the lag logs against its edge: it does
+        not end the horizon."""
         obj = self._pmu(sim)
         wire = EventWire("commit")
         obj.connect_event(1, wire, lanes=4)
-        assert obj.idle_cycles() == 32
+        assert obj.lag_cycles() == LAG_LIMIT
         wire.pulse()
-        assert obj.idle_cycles() == 1
+        assert obj.lag_cycles() == LAG_LIMIT
 
     def test_pending_mmio_pins_to_single_step(self, sim):
         obj = self._pmu(sim)
         obj.cpu_req_queue.append(Packet(MemCmd.ReadReq, 0x1000_0000, 4))
-        assert obj.idle_cycles() == 1
+        assert obj.lag_cycles() == 0
 
     def test_batched_counters_match_unbatched(self, sim):
         """Threshold interrupts still fire identically when idle stretches
-        between event bursts are batched."""
+        between event bursts are lagged over."""
         from repro.soc.simobject import Simulation
 
-        def run(batch):
+        def run(cls):
             s = Simulation()
-            obj = PMURTLObject(s, "pmu", PMUSharedLibrary(),
-                               clock=ClockDomain(1e9), batch_cycles=batch)
+            obj = cls(s, "pmu", PMUSharedLibrary(), clock=ClockDomain(1e9))
             wire = EventWire("ev")
             obj.connect_event(0, wire)
             irqs = []
@@ -215,16 +208,18 @@ class TestPMUIdleCycles:
                 s.eventq.schedule_fn(wire.pulse, t)
             s.startup()
             s.run(until=1_000_000)
-            return irqs, obj
+            return irqs, s.eventq.executed
 
-        irqs1, _ = run(1)
-        irqsN, objN = run(64)
+        irqs1, events1 = run(SteppedPMU)
+        irqsN, eventsN = run(PMURTLObject)
         assert irqs1 == irqsN
         assert len(irqs1) == 2  # pulses 1-3 and 4-6 each cross threshold 3
-        assert objN.st_batched_ticks.value() > 0
+        # a counter two pulses short of its threshold bounds each lag at
+        # two edges: the horizon cannot know when the next pulse comes
+        assert eventsN < events1
 
 
-def _clock_wired_pmu(batch, backend="codegen", vcd=None):
+def _clock_wired_pmu(cls, backend="codegen", vcd=None):
     """A PMU with its clock on lane 5 and wires on lanes 0 and 1, all
     three with thresholds, driven by seeded pulses, MMIO traffic and
     idle gaps.  Returns everything a single-stepped twin must equal."""
@@ -233,8 +228,7 @@ def _clock_wired_pmu(batch, backend="codegen", vcd=None):
     sim = Simulation()
     lib = PMUSharedLibrary(trace_stream=vcd, trace_enabled=vcd is not None,
                            backend=backend)
-    obj = PMURTLObject(sim, "pmu", lib, clock=ClockDomain(1e9),
-                       batch_cycles=batch)
+    obj = cls(sim, "pmu", lib, clock=ClockDomain(1e9))
     wires = [EventWire("a"), EventWire("b")]
     obj.connect_event(0, wires[0])
     obj.connect_event(1, wires[1])
@@ -283,51 +277,55 @@ def _clock_wired_pmu(batch, backend="codegen", vcd=None):
     sim.startup()
     sim.run(until=1_000_000)
     stats = sim.stats_dump()
-    stats.pop("system.pmu.batched_ticks")
     counters = [lib.peek_counter(i) for i in range(6)]
     return (irqs, responses, counters, stats), obj
 
 
-class TestRunAheadEqualsSingleStep:
-    """The run-ahead window against the schedule it replaces: the same
-    model and traffic with ``batch_cycles=1``."""
+class TestLagEqualsSingleStep:
+    """The lag against the schedule it replaces: the same model and
+    traffic, single-stepped."""
 
     @pytest.mark.parametrize("backend", ["codegen", "interp"])
     def test_clock_wired_pmu(self, backend):
-        stepped, _ = _clock_wired_pmu(1, backend)
-        ahead, obj = _clock_wired_pmu(64, backend)
-        irqs, responses, counters, stats = ahead
-        assert ahead == stepped
+        stepped, ref = _clock_wired_pmu(SteppedPMU, backend)
+        lagged, obj = _clock_wired_pmu(PMURTLObject, backend)
+        irqs, responses, counters, stats = lagged
+        assert lagged == stepped
         assert len(irqs) > 50 and counters[5] > 0
         assert any(data is not None for *_, data in responses)  # reads
-        assert obj.st_batched_ticks.value() > stats["system.pmu.ticks"] // 2
+        assert obj.sim.eventq.executed < ref.sim.eventq.executed
 
     def test_with_waveforms_vcd_is_byte_identical(self):
-        """An enabled VCD writer samples every cycle on the reference
-        path, which takes the same early exit as the generated one."""
+        """An enabled VCD writer samples every cycle: the lagged edges
+        run one by one on the reference path, each sampled."""
         vcds = [io.StringIO(), io.StringIO()]
-        stepped, _ = _clock_wired_pmu(1, vcd=vcds[0])
-        ahead, obj = _clock_wired_pmu(64, vcd=vcds[1])
-        assert ahead == stepped
-        assert obj.st_batched_ticks.value() > 0
+        stepped, ref = _clock_wired_pmu(SteppedPMU, vcd=vcds[0])
+        lagged, obj = _clock_wired_pmu(PMURTLObject, vcd=vcds[1])
+        assert lagged == stepped
+        assert obj.sim.eventq.executed < ref.sim.eventq.executed
         assert vcds[0].getvalue() == vcds[1].getvalue()
         assert len(vcds[0].getvalue()) > 10_000
 
     def test_early_exit_is_in_the_generated_loop(self):
-        """No call, pack or struct compare per cycle of a window: the
-        pin test sits inside the one generated loop."""
+        """No call, pack or struct compare per lagged cycle: the pin
+        test sits inside the one generated loop, and with the inputs
+        held, nothing is stored or settled in it."""
         lib = PMUSharedLibrary()
-        source = lib._exchange.source
-        loop = source[source.index("def _run_ahead("):
-                      source.index("def _exchange(")]
-        body = loop[loop.index("for _i in range(n):"):]
+        lib.reset()
+        zeros = lib.output_spec.zeros()
+        lib.tick_varying(lib.input_spec.zeros(), None, range(3), zeros)
+        source = lib._replays[None].source
+        loop = source[source.index("def _replay("):
+                      source.index("def _replay_words(")]
+        body = loop[loop.index("for _i, _x in enumerate(words):"):]
         assert ",) != _w:" in body and "return _i + 1" in body
         assert "_encode" not in loop and "_decode" not in loop
         assert "_tick_batch" not in loop and "_settle" not in loop
+        assert "_rest" not in body
 
     def test_plain_batch_still_runs_every_cycle(self):
-        """Without a struct to hold the outputs against, tick_batch is
-        the n ticks it always was, whatever the pins do."""
+        """tick_batch runs the n ticks it always did, whatever the pins
+        do; the held-input replay stops where an output moves."""
         lib = PMUSharedLibrary()
         lib.reset()
         for offset, value in ((threshold_addr(0), 2), (REG_ENABLE, 1)):
@@ -337,14 +335,14 @@ class TestRunAheadEqualsSingleStep:
         lib.tick_batch(lib.input_spec.pack(events=1), 9)
         assert lib.ticks - before == 9
         # held against the all-zero struct it stops where irq rises
-        out = lib.tick_batch(lib.input_spec.pack(events=1), 9,
-                             lib.output_spec.zeros())
+        out = lib.tick_varying(lib.input_spec.pack(events=1), None,
+                               range(9), lib.output_spec.zeros())
         assert lib.output_spec.unpack(out)["irq"] == 1
         assert lib.ticks - before == 9 + 1
 
 
 class TestRunEndsOnTime:
-    """A window stops short of the ``until`` of the run in progress."""
+    """A lag stops short of the ``until`` of the run in progress."""
 
     @pytest.mark.parametrize("clock_lane", [False, True])
     @pytest.mark.parametrize("k", [1, 10, 63, 65, 100, 130])
@@ -352,7 +350,7 @@ class TestRunEndsOnTime:
         from repro.soc.simobject import Simulation
 
         sim = Simulation()
-        obj = PMURTLObject(sim, "pmu", PMUSharedLibrary(), batch_cycles=64)
+        obj = PMURTLObject(sim, "pmu", PMUSharedLibrary())
         if clock_lane:
             obj.connect_clock_event(5)
         sim.startup()

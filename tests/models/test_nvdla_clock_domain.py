@@ -91,14 +91,14 @@ def test_format_3_checkpoint_is_refused(tmp_path):
     path = tmp_path / "v3.ckpt"
     saver.soc.save_checkpoint(str(path))
     doc = json.loads(gzip.open(path).read())
-    assert doc["version"] == 4
+    assert doc["version"] == 5
     assert "tick" in doc["objects"]["nvdla0"]["named_events"]
     assert doc["objects"]["nvdla1"]["named_events"] == {}
     doc["version"] = 3
     with gzip.open(path, "wb") as fh:
         fh.write(json.dumps(doc).encode())
     with pytest.raises(CheckpointError,
-                       match="version 3 != supported version 4"):
+                       match="version 3 != supported version 5"):
         system().soc.restore(str(path))
 
 
@@ -116,9 +116,8 @@ class _Quiet(BehavioralSharedLibrary):
 class _Member(RTLObject):
     """Logs every cycle it ticks."""
 
-    def __init__(self, sim, name, clock, log, batch_cycles=1):
-        super().__init__(sim, name, _Quiet(), clock=clock,
-                         batch_cycles=batch_cycles)
+    def __init__(self, sim, name, clock, log):
+        super().__init__(sim, name, _Quiet(), clock=clock)
         self.log = log
 
     def consume_output(self, outputs):
@@ -175,12 +174,17 @@ def test_a_member_stopped_by_an_earlier_one_in_the_same_edge_is_skipped():
                                                            3_000]
 
 
-def test_a_windowed_model_keeps_its_own_event():
+class _Lagging(_Member):
+    def lag_cycles(self):
+        return 0
+
+
+def test_a_lagging_model_keeps_its_own_event():
     sim, log = Simulation(), []
     clock = ClockDomain(1e9, "clk")
-    windowed = _Member(sim, "w", clock, log, batch_cycles=64)
+    lagging = _Lagging(sim, "w", clock, log)
     assert clock.members == [] and clock.event is None
-    assert windowed._tick_event.name == "w.tick"
+    assert lagging._tick_event.name == "w.tick"
 
 
 def test_a_domain_refuses_members_of_another_simulation():

@@ -1,15 +1,15 @@
 """The PMU lags the core up to its interrupt horizon (DESIGN.md "Cycles
 that are counted, not dispatched").
 
-Every case runs Fig. 5's wiring on the sort stream twice: as built
-(``batch_cycles=64``: the PMU lags whenever it can prove no output moves)
-and with ``batch_cycles=1``, the single-stepped reference.  Interrupt
+Every case runs Fig. 5's wiring on the sort stream twice: as built (the
+PMU lags whenever it can prove no output moves) and as a subclass whose
+``lag_cycles`` is ``RTLObject.lag_cycles``, the single-stepped reference
+ticked by its clock domain.  Interrupt
 ticks, per-lane counters at every interrupt, ``events_deferred``,
 ``system.pmu.ticks``, every ``stats_dump()`` taken along the way, the
 end tick and the final counters must be equal.
 """
 
-import functools
 import json
 import os
 import random
@@ -22,6 +22,7 @@ from repro.dse import pmu_experiment
 from repro.dse.pmu_experiment import (
     COMMIT_LANES, CYCLE_LANE, MISS_LANE, build_pmu_system,
 )
+from repro.bridge.rtl_object import RTLObject
 from repro.models.pmu.rtl_object import PMURTLObject
 from repro.resilience.faults import Fault, FaultInjector, FaultPlan
 from repro.soc.event import EventPriority
@@ -31,19 +32,16 @@ PRIORITIES = (EventPriority.CLOCK, EventPriority.DEFAULT, EventPriority.STATS)
 SPAN = 3_000_000  # ticks the seeded probes spread over
 
 
-def _stats(sim):
-    stats = sim.stats_dump()
-    # counts the run-ahead windows, not the model (DESIGN.md)
-    stats.pop("system.pmu.batched_ticks")
-    return stats
+class SteppedPMU(PMURTLObject):
+    lag_cycles = RTLObject.lag_cycles
 
 
-def _run(monkeypatch, batch, pmu_freq_hz=None, seed=None, flips=()):
+def _run(monkeypatch, lagging, pmu_freq_hz=None, seed=None, flips=()):
     """One Fig. 5 run; with *seed*, seeded stats dumps (at clock, default
     and stats priority), MMIO counter reads and ``run(until=)`` stops.
     Returns (what the reference must equal, events, probes mid-lag)."""
-    monkeypatch.setattr(pmu_experiment, "PMURTLObject", functools.partial(
-        PMURTLObject, batch_cycles=batch))
+    monkeypatch.setattr(pmu_experiment, "PMURTLObject",
+                        PMURTLObject if lagging else SteppedPMU)
     soc, pmu, drv = build_pmu_system(n_sort=14, sleep_cycles=1_200,
                                      pmu_freq_hz=pmu_freq_hz)
     sim = soc.sim
@@ -67,7 +65,7 @@ def _run(monkeypatch, batch, pmu_freq_hz=None, seed=None, flips=()):
 
     def dump():
         mid_lag.append(pmu._lagging)
-        seen.append(("dump", sim.now, _stats(sim)))
+        seen.append(("dump", sim.now, sim.stats_dump()))
 
     def read():
         mid_lag.append(pmu._lagging)
@@ -87,17 +85,17 @@ def _run(monkeypatch, batch, pmu_freq_hz=None, seed=None, flips=()):
     sim.startup()
     for stop in stops:
         sim.run(until=stop)
-        seen.append(("stop", sim.now, _stats(sim)))
+        seen.append(("stop", sim.now, sim.stats_dump()))
     soc.run_until_done(max_ticks=10**9)
     counters = [pmu.library.peek_counter(lane) for lane in LANES]
-    return (seen, counters, sim.now, _stats(sim)), sim.eventq.executed, \
+    return (seen, counters, sim.now, sim.stats_dump()), sim.eventq.executed, \
         sum(mid_lag)
 
 
 @pytest.mark.parametrize("pmu_freq_hz", [1e9, 2e9, 4e9])
 def test_lag_matches_single_step(monkeypatch, pmu_freq_hz):
-    stepped, stepped_events, _ = _run(monkeypatch, 1, pmu_freq_hz, seed=3)
-    lagged, events, mid_lag = _run(monkeypatch, 64, pmu_freq_hz, seed=3)
+    stepped, stepped_events, _ = _run(monkeypatch, False, pmu_freq_hz, seed=3)
+    lagged, events, mid_lag = _run(monkeypatch, True, pmu_freq_hz, seed=3)
     assert lagged == stepped
     seen = lagged[0]
     assert sum(kind == "irq" for kind, *_ in seen) > 20
@@ -116,8 +114,8 @@ def test_fault_flip_mid_lag(monkeypatch, pmu_freq_hz, signal, bit):
     (``thresholds``, ``counters``) or end it (``enable``)."""
     rng = random.Random(f"{signal}{bit}")
     flips = [(rng.randrange(100, 5_000), signal, bit) for _ in range(4)]
-    stepped, _, _ = _run(monkeypatch, 1, pmu_freq_hz, flips=flips)
-    lagged, _, _ = _run(monkeypatch, 64, pmu_freq_hz, flips=flips)
+    stepped, _, _ = _run(monkeypatch, False, pmu_freq_hz, flips=flips)
+    lagged, _, _ = _run(monkeypatch, True, pmu_freq_hz, flips=flips)
     assert lagged == stepped
     assert lagged[3]["system.faultinjector.flips"] == 4
 
@@ -129,7 +127,7 @@ def test_an_off_by_one_horizon_is_caught(monkeypatch):
     monkeypatch.setattr(PMURTLObject, "lag_cycles",
                         lambda self: proved(self) + 1)
     with pytest.raises(RuntimeError, match="inside the horizon"):
-        _run(monkeypatch, 64)
+        _run(monkeypatch, True)
 
 
 # The bench's smoke Fig. 5 body, counted by event name through the

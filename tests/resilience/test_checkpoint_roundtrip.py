@@ -138,6 +138,61 @@ def save_at(tick, path):
 """
 assert "set_threshold(CYCLE_LANE" in PMU_LAG_SETUP
 
+# The RTL caches lag while no request, fill or probe is in play; each
+# system below is saved by an event of the run inside such a lag.  The
+# template reads the simulation off ``soc``.
+SAVE_IN_LAG = """
+from repro.soc.event import EventPriority
+
+def save_at(tick, path):
+    saved = []
+
+    def save():
+        assert cache._lagging, "not inside a lag"
+        saved.append(soc.sim.save_checkpoint(path))
+        assert not cache._lagging
+
+    soc.sim.startup()
+    soc.sim.eventq.schedule_fn(save, tick, EventPriority.STATS)
+    soc.sim.run(until=tick + 100_000)
+    return saved[0]
+
+def restore(path):
+    soc.sim.restore(path)
+"""
+
+CACHE_LAG_SETUP = """
+from repro.resilience.targets import CacheRig
+
+soc = CacheRig({"idxw": 4, "requests": 48, "seed": 7, "gap_cycles": 60,
+                "span_lines": 8, "ecc": False})
+cache = soc.rtlc
+
+def run_to_end(end):
+    done_tick = soc.run(max_cycles=100_000)
+    soc.sim.run(until=end)
+    soc.finish()
+    stats = soc.sim.stats_dump()
+    stats["run_to_completion"] = done_tick
+    stats["observables"] = soc.observables()
+    return stats
+""" + SAVE_IN_LAG
+
+COHERENT_LAG_SETUP = """
+from repro.coherence.check import build_sharing_system
+from repro.coherence.check import check_coherence_invariants
+
+soc = build_sharing_system(cores=2, ops=200, seed=900, rtl=1)
+cache = soc.rtl
+
+def run_to_end(end):
+    soc.sim.startup()
+    soc.sim.run(until=end)
+    assert all(d.done for d in soc.drivers) and cache.quiet
+    check_coherence_invariants(soc)
+    return soc.sim.stats_dump()
+""" + SAVE_IN_LAG
+
 CHILD_TEMPLATE = """
 import json, sys
 {setup}
@@ -171,6 +226,9 @@ def _restore_in_fresh_process(setup, ckpt_path, end, out_path):
     [
         pytest.param(PMU_SETUP, 300_000, 80_000_000, id="pmu"),
         pytest.param(PMU_LAG_SETUP, 1_234_500, 80_000_000, id="pmu-lag"),
+        pytest.param(CACHE_LAG_SETUP, 50_250, 3_000_000, id="rtlcache-lag"),
+        pytest.param(COHERENT_LAG_SETUP, 115_250, 4_000_000,
+                     id="rtlcache-coherent-lag"),
         pytest.param(NVDLA_SETUP, 200_000, 12_000_000, id="nvdla"),
         pytest.param(NVDLA4_SETUP, 200_000, 12_000_000, id="nvdla4"),
         pytest.param(NVDLA_LOAD_SETUP, 1_000_000, 12_000_000,
@@ -204,17 +262,17 @@ def test_fresh_process_restore_is_bit_identical(tmp_path, setup,
     [
         pytest.param(
             PMU_SETUP, 300_000,
-            "3b6bd47d434697612c8d9593b75e6687607795b4161bf9cb43d01e578ce61ec0",
+            "a8976205ed851937999022eb5aa518c5d103e6e7dac7ab1e50930d3dce028be4",
             id="pmu",
         ),
         pytest.param(
             NVDLA_SETUP, 200_000,
-            "b382053d2e0050c0c10b83ffec069b9d5c96d904c183d6bf318b439d584d9e57",
+            "e3524a61c8c6613413834d9312f7286d9627cd231070d2891857b52e23c484ac",
             id="nvdla",
         ),
         pytest.param(
             NVDLA4_SETUP, 200_000,
-            "952ddfa1ffb62d92ba4700f88e77cae027f6a81d4e02bc7df49cc173d785938c",
+            "b92756822a67e47fccc63fbb00a3b8d39201c2b441142614e83748e7c860e229",
             id="nvdla4",
         ),
     ],
@@ -270,10 +328,9 @@ def test_nvdla_restore_between_irq_and_csb_drain(tmp_path):
 )
 def test_restore_among_stepped_over_cycles(tmp_path, save_tick):
     """Both ticks lie inside an 8-cycle mispredict stall the core steps
-    over, with the PMU running ahead beside it in the uninterrupted run:
-    the core's pending window crosses the restore in the checkpoint;
-    the PMU's never does (a window ends before the next queued event,
-    here the save)."""
+    over, with the PMU beside it in the uninterrupted run: the core's
+    pending window crosses the restore in the checkpoint; a PMU lag
+    never does (the save ends it)."""
     end = 80_000_000
     ref = _exec_setup(PMU_SETUP)
     expected = ref["run_to_end"](end)
@@ -288,10 +345,6 @@ def test_restore_among_stepped_over_cycles(tmp_path, save_tick):
     out = _restore_in_fresh_process(PMU_SETUP, ckpt, end,
                                     tmp_path / "out.json")
     assert out["now"] == ref["soc"].sim.now
-    # batched_ticks counts the mechanism, not the model: the save event
-    # cut a window the uninterrupted run took whole
-    for stats in (expected, out["stats"]):
-        stats.pop("system.pmu.batched_ticks")
     assert out["stats"] == expected
 
 
@@ -304,7 +357,7 @@ def test_parent_format_checkpoint_is_refused(tmp_path):
     ckpt = tmp_path / "v2.ckpt"
     saver["save_at"](300_000, ckpt)
     doc = json.loads(gzip.open(ckpt).read())
-    assert doc["version"] == 4
+    assert doc["version"] == 5
     doc["version"] = 2
     for path in ("l1d0", "llc"):
         sparse = doc["objects"][path]["state"]["tags"]
@@ -318,6 +371,27 @@ def test_parent_format_checkpoint_is_refused(tmp_path):
     from repro.resilience.serialize import CheckpointError
 
     with pytest.raises(CheckpointError,
-                       match="version 2 != supported version 4"):
+                       match="version 2 != supported version 5"):
         fresh["restore"](ckpt)
     assert fresh["soc"].llc.occupancy() == 0
+
+
+def test_format_4_checkpoint_is_refused(tmp_path):
+    """Version 4 saved every RTL model's ``batched_ticks``, the tally of
+    the run-ahead windows version 5 no longer has: the version check
+    refuses the file before the stats tree meets a stat it lacks."""
+    saver = _exec_setup(PMU_SETUP)
+    ckpt = tmp_path / "v4.ckpt"
+    saver["save_at"](300_000, ckpt)
+    doc = json.loads(gzip.open(ckpt).read())
+    assert doc["version"] == 5
+    doc["version"] = 4
+    doc["stats"]["children"]["pmu"]["stats"]["batched_ticks"] = {"value": 0}
+    with gzip.open(ckpt, "wb") as fh:
+        fh.write(json.dumps(doc).encode())
+    fresh = _exec_setup(PMU_SETUP)
+    from repro.resilience.serialize import CheckpointError
+
+    with pytest.raises(CheckpointError,
+                       match="version 4 != supported version 5"):
+        fresh["restore"](ckpt)

@@ -297,11 +297,11 @@ PROGRAM = {
     "rtlcache_ecc-instr": "913ae7080aac1b0b",
 }
 EXCHANGE = {
-    BitonicSharedLibrary: "d2dfb07999cc61d2",
-    PMUSharedLibrary: "eafe73a8d3abea66",
-    RTLCacheSharedLibrary: "32a610c7ff6e5333",
-    RTLCacheECCSharedLibrary: "4c1ac8791f769efa",
-    RTLCacheCohSharedLibrary: "2bebc1762ed930a1",
+    BitonicSharedLibrary: "6aa13aa4d2c20bd5",
+    PMUSharedLibrary: "45d142bc7d32df81",
+    RTLCacheSharedLibrary: "a5eab34ed4f7f439",
+    RTLCacheECCSharedLibrary: "37a60ebd9f46b71d",
+    RTLCacheCohSharedLibrary: "35f910e5227e81cc",
 }
 
 

@@ -20,8 +20,8 @@ option):
   a sentinel) are checked as the cycle they build: the old cycle — the
   plain print, as the interpreter runs it — and the new fused cycle step
   from the same 2 000 seeded random ``(v, m)`` states and must agree on
-  ``v``, ``m`` and the cycles run (a run-ahead window that ends when an
-  output moves).
+  ``v``, ``m`` and the cycles run (a held-input replay, as a lagging
+  model's catch-up runs it, that ends when an output moves).
 
 A disagreement is a :class:`Finding` naming the design, the process and
 the inputs.  Two seeded wrong rewrites — a dropped mask, set-bit
@@ -54,7 +54,7 @@ CELLS = [
 VECTORS = 4096
 EXHAUSTIVE_BITS = 16
 STATES = 2000
-WINDOW = 4   # cycles a run-ahead window may run from one state
+WINDOW = 4   # cycles a replay may run from one state
 
 
 @dataclass
@@ -244,9 +244,9 @@ def _cycle_findings(name: str, rtl, states: int = STATES) -> list[Finding]:
     outs = [s.index for s in rtl.signals.values() if s.is_output]
     moved = "(" + "".join(f"v[{i}], " for i in outs) + ") != _w"
     namespace = program.namespace
-    exec(compile(program.run_ahead_source(", _w", moved),  # noqa: S102
+    exec(compile(program.replay_source(None, moved),  # noqa: S102
                  "<check>", "exec"), namespace)
-    run_ahead = namespace["_run_ahead"]
+    replay = namespace["_replay"]
     processes = list(rtl.comb_procs) + list(rtl.sync_procs)
     widths = [1] * len(rtl.fresh_values())
     for sig in rtl.signals.values():
@@ -265,7 +265,7 @@ def _cycle_findings(name: str, rtl, states: int = STATES) -> list[Finding]:
             if tuple(old.values[i] for i in outs) != steady:
                 break
         v, m = list(values), [list(w) for w in mems]
-        got = run_ahead(v, m, WINDOW, steady)
+        got = replay(v, m, range(WINDOW), 0, steady)
         if (got, v, m) == (ran, old.values, old.mems):
             continue
         kind, what = _first_difference(rtl, v, m, old.values, old.mems)

@@ -239,10 +239,10 @@ class TestIntegration:
         lib.reset()
         lib.tick(lib.input_spec.pack(x=1))
         assert lib.tracing
-        lib.disable_waveforms()
+        lib.sim.trace.disable()
         size = len(lib.sim.trace.stream.getvalue())
         lib.tick(lib.input_spec.pack(x=0))
         assert len(lib.sim.trace.stream.getvalue()) == size
-        lib.enable_waveforms()
+        lib.sim.trace.enable()
         lib.tick(lib.input_spec.pack(x=1))
         assert len(lib.sim.trace.stream.getvalue()) > size

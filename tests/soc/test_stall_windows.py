@@ -178,7 +178,6 @@ class TestSameTickOrderWithAPMU:
             pmu.attach_core_handler(soc.cores[0])
             soc.run_until_done(max_ticks=10**9)
             stats = soc.sim.stats_dump()
-            stats.pop("system.pmu.batched_ticks")
             counters = [pmu.library.peek_counter(lane) for lane in lanes]
             return ((irqs, counters, stats["system.pmu.events_deferred"],
                      soc.sim.now, stats), soc.sim.eventq.executed)

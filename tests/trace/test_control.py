@@ -99,16 +99,14 @@ class TestTraceWindow:
         assert got == [("rtl busy", first * period / 1e6, n * period / 1e6, n)
                        for first, n in spans]
 
-    def test_batched_span_and_tracepoint_say_what_ran(self):
-        # A clock-wired PMU interrupting every 41 cycles asks for 64
-        # cycles per window and gets 41: the span is as long as the
-        # window ran, an instant marks the edge the interrupt is
-        # consumed at, and RTL.Batch says the window was cut.  (The
-        # PMU lags instead of running windows when it can; this one is
-        # kept from lagging, test_lagged_span_says_what_ran has the lag.)
+    def test_lagged_span_says_what_ran(self):
+        # A clock-wired PMU interrupting every 41 cycles lags: the 39
+        # edges before each interrupt's run at once in one "rtl lagged"
+        # span when the edge that raises it fires; that edge and the
+        # next, where irq falls, are stepped (one busy span); every
+        # cycle is in exactly one span, and RTL.Batch says each horizon.
         import io
 
-        from repro.bridge.rtl_object import RTLObject
         from repro.models.pmu.rtl_object import PMURTLObject
         from repro.models.pmu.wrapper import (
             REG_ENABLE,
@@ -118,18 +116,14 @@ class TestTraceWindow:
         from repro.soc.packet import MemCmd, Packet
         from repro.trace.flags import set_flags, set_sink
 
-        class WindowedPMU(PMURTLObject):
-            lag_cycles = RTLObject.lag_cycles
-
         sim = Simulation()
-        dut = WindowedPMU(sim, "dut", PMUSharedLibrary(), batch_cycles=64)
+        dut = PMURTLObject(sim, "dut", PMUSharedLibrary())
         dut.connect_clock_event(5)
         dut.respond_cpu = lambda pkt, data=None: None
         for offset, value in ((threshold_addr(5), 41), (REG_ENABLE, 1 << 5)):
             pkt = Packet(MemCmd.WriteReq, dut.mmio_base + offset, 4,
                          data=value.to_bytes(4, "little"))
-            pkt.dest_port = 0
-            dut.cpu_req_queue.append(pkt)
+            dut.cpu_side[0]._recv_timing_req(pkt)
         irqs = []
         dut.on_interrupt(irqs.append)
         tracer = ChromeTracer()
@@ -143,23 +137,24 @@ class TestTraceWindow:
         tracer.finish()
         spans = [(e["name"], round(e["ts"] * 1e6) // period,
                   e["args"]["cycles"])
-                 for e in tracer.events if e["name"].startswith("rtl b")]
-        moved = [round(e["ts"] * 1e6) for e in tracer.events
-                 if e["name"] == "rtl output moved"]
-        assert len(irqs) == 4 and moved == irqs
+                 for e in tracer.events if e["name"].startswith("rtl ")]
+        assert len(irqs) == 4
         assert sum(cycles for *_, cycles in spans) == dut.st_ticks.value()
-        # each 41-cycle period: 40 cycles in one window (the one that
-        # moved irq is its last), then the pulse's own single step
-        assert ("rtl batched", irqs[0] // period + 2, 40) in spans
-        text = log.getvalue()
-        assert "advanced 40 RTL cycles in one pop (of 64: an output " \
-               "moved at the last)" in text
+        for irq in irqs[1:]:
+            edge = irq // period
+            assert ("rtl lagged", edge - 39, 39) in spans
+            assert ("rtl busy", edge, 2) in spans
+            assert (f"outputs proven still for 39 edges: lagging to tick "
+                    f"{irq}") in log.getvalue()
 
-    def test_lagged_span_says_what_ran(self):
-        # The same PMU, lagging: the 39 edges before each interrupt's
-        # run at once in one "rtl lagged" span when the edge that raises
-        # it fires; that edge and the next, where irq falls, are stepped
-        # (one busy span); every cycle is in exactly one span.
+    def test_a_window_sees_every_edge_of_a_lagging_model(self):
+        # A window that opens and closes while the PMU lags: the edges
+        # before each switch run as the switch found them, so the VCD
+        # writer samples, and the tracer records, exactly the edges
+        # inside the window, as for the single-stepped model.
+        import io
+
+        from repro.bridge.rtl_object import RTLObject
         from repro.models.pmu.rtl_object import PMURTLObject
         from repro.models.pmu.wrapper import (
             REG_ENABLE,
@@ -168,31 +163,43 @@ class TestTraceWindow:
         )
         from repro.soc.packet import MemCmd, Packet
 
-        sim = Simulation()
-        dut = PMURTLObject(sim, "dut", PMUSharedLibrary(), batch_cycles=64)
-        dut.connect_clock_event(5)
-        dut.respond_cpu = lambda pkt, data=None: None
-        for offset, value in ((threshold_addr(5), 41), (REG_ENABLE, 1 << 5)):
-            pkt = Packet(MemCmd.WriteReq, dut.mmio_base + offset, 4,
-                         data=value.to_bytes(4, "little"))
-            dut.cpu_side[0]._recv_timing_req(pkt)
-        irqs = []
-        dut.on_interrupt(irqs.append)
-        tracer = ChromeTracer()
-        set_chrome_tracer(tracer)
-        period = sim.default_clock.period
-        sim.run(until=200 * period)
-        dut.stop()
-        tracer.finish()
-        spans = [(e["name"], round(e["ts"] * 1e6) // period,
-                  e["args"]["cycles"])
-                 for e in tracer.events if e["name"].startswith("rtl ")]
-        assert len(irqs) == 4
-        assert sum(cycles for *_, cycles in spans) == dut.st_ticks.value()
-        for irq in irqs[1:]:
-            edge = irq // period
-            assert ("rtl lagged", edge - 39, 39) in spans
-            assert ("rtl busy", edge, 2) in spans
+        class SteppedPMU(PMURTLObject):
+            lag_cycles = RTLObject.lag_cycles
+
+        def run(cls):
+            sim = Simulation()
+            stream = io.StringIO()
+            # the library registers its writer, disabled until the window
+            dut = cls(sim, "dut", PMUSharedLibrary(trace_stream=stream))
+            dut.connect_clock_event(5)
+            dut.respond_cpu = lambda pkt, data=None: None
+            for offset, value in ((threshold_addr(5), 400),
+                                  (REG_ENABLE, 1 << 5)):
+                pkt = Packet(MemCmd.WriteReq, dut.mmio_base + offset, 4,
+                             data=value.to_bytes(4, "little"))
+                dut.cpu_side[0]._recv_timing_req(pkt)
+            tracer = ChromeTracer()
+            tracer.enabled = False
+            set_chrome_tracer(tracer)
+            TraceWindow(sim, [], start_cycle=300, end_cycle=700)
+            period = sim.default_clock.period
+            sim.run(until=1_000 * period)
+            dut.stop()
+            tracer.finish()
+            spans = [(round(e["ts"] * 1e6), round(e["dur"] * 1e6))
+                     for e in tracer.events
+                     if e["name"].startswith("rtl ") and "dur" in e]
+            return stream.getvalue(), spans, period
+
+        vcd, spans, period = run(PMURTLObject)
+        stepped_vcd, stepped_spans, _ = run(SteppedPMU)
+        assert vcd == stepped_vcd and len(vcd) > 4_000
+        # lagged and stepped edges are separate spans; they cover the
+        # window as the one busy span of the stepped model does
+        assert stepped_spans == [(301 * period, 399 * period)]
+        assert sum(dur for _, dur in spans) == stepped_spans[0][1]
+        assert all(300 * period <= ts and ts + dur <= 700 * period
+                   for ts, dur in spans)
 
     def test_flips_registered_vcd_writers(self):
         sim = Simulation()
