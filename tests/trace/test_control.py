@@ -99,6 +99,60 @@ class TestTraceWindow:
         assert got == [("rtl busy", first * period / 1e6, n * period / 1e6, n)
                        for first, n in spans]
 
+    def test_batched_span_and_tracepoint_say_what_ran(self):
+        # An idle RTL cache lags, and its lagged edges run as one batch
+        # of all-zero inputs.  RTL.Batch says the horizon proven (up to
+        # the edge before the run's until); the "rtl lagged" span says
+        # how many edges ran, cut short by the read at cycle 100 that
+        # ends the first lag.  Every cycle is in exactly one span.
+        import io
+
+        from repro.models.rtlcache.wrapper import (
+            RTLCacheObject,
+            RTLCacheSharedLibrary,
+        )
+        from repro.soc.mem.ideal import IdealMemory
+        from repro.soc.packet import MemCmd, Packet
+        from repro.soc.ports import RequestPort
+        from repro.trace.flags import set_flags, set_sink
+
+        sim = Simulation()
+        cache = RTLCacheObject(sim, "cache", RTLCacheSharedLibrary(idxw=4))
+        cache.mem_side[0].connect(IdealMemory(sim, "mem",
+                                              latency_cycles=5).port)
+        cache.mem_side[1].connect(IdealMemory(sim, "mem2").port)
+        resps = []
+        drv = RequestPort(
+            "drv", recv_timing_resp=lambda pkt: resps.append(sim.now) or True,
+            recv_req_retry=lambda: None)
+        drv.connect(cache.cpu_side[0])
+        period = sim.default_clock.period
+        sim.eventq.schedule_fn(
+            lambda: drv.send_timing_req(Packet(MemCmd.ReadReq, 0x1_0000, 8)),
+            100 * period)
+        tracer = ChromeTracer()
+        set_chrome_tracer(tracer)
+        log = io.StringIO()
+        set_sink(log)
+        set_flags(["RTL.Batch"])
+        sim.run(until=400 * period)
+        cache.stop()
+        tracer.finish()
+        spans = [(e["name"], round(e["ts"] * 1e6) // period,
+                  e["args"]["cycles"])
+                 for e in tracer.events if e["name"].startswith("rtl ")]
+        assert len(resps) == 1
+        assert spans == [("rtl busy", 1, 1), ("rtl lagged", 2, 99),
+                         ("rtl busy", 101, 9), ("rtl lagged", 110, 289),
+                         ("rtl busy", 399, 1)]
+        assert sum(cycles for *_, cycles in spans) == cache.st_ticks.value()
+        last = 399 * period
+        text = log.getvalue()
+        assert (f"outputs proven still for 397 edges: lagging to tick "
+                f"{last}") in text
+        assert (f"outputs proven still for 289 edges: lagging to tick "
+                f"{last}") in text
+
     def test_lagged_span_says_what_ran(self):
         # A clock-wired PMU interrupting every 41 cycles lags: the 39
         # edges before each interrupt's run at once in one "rtl lagged"
