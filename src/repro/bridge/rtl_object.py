@@ -32,7 +32,8 @@ from typing import Optional
 from ..soc.event import ClockDomain, Event, EventPriority
 from ..soc.packet import MemCmd, Packet
 from ..soc.ports import RequestPort, ResponsePort
-from ..soc.simobject import SimObject, Simulation
+from ..soc.simobject import (DEQUE, PACKED, PORT_QUEUES, VALUE, SimObject,
+                             Simulation)
 from ..soc.stats import SettledScalar
 from ..soc.tlb import TLB
 from ..trace import flags as trace_flags
@@ -58,6 +59,16 @@ FLAG_RTL_BATCH = debug_flag(
 
 class RTLObject(SimObject):
     """Bridges one shared-library RTL model into the simulated SoC."""
+
+    ckpt_state = (
+        ("last_output", "_last_bytes", PACKED),
+        ("cpu_req_queue", DEQUE),
+        ("blocked_resps", "cpu_side", PORT_QUEUES),
+        ("mem_req_queue", "mem_side", PORT_QUEUES),
+        ("mem_resp_queue", DEQUE),
+        ("inflight", VALUE), ("running", VALUE),
+    )
+    ckpt_hooked = ("library",)
 
     def __init__(
         self,
@@ -506,33 +517,11 @@ class RTLObject(SimObject):
             return {}
         return {"tick": self._tick_event}
 
-    def serialize(self, ctx) -> dict:
-        return {
-            "last_output": ctx.pack(self._last_bytes),
-            "cpu_req_queue": [ctx.pack(p) for p in self.cpu_req_queue],
-            "blocked_resps": [p.queue_state(ctx) for p in self.cpu_side],
-            "mem_req_queue": [p.queue_state(ctx) for p in self.mem_side],
-            "mem_resp_queue": [ctx.pack(p) for p in self.mem_resp_queue],
-            "inflight": self.inflight,
-            "running": self.running,
-            "library": self.library.checkpoint_state(),
-        }
+    def ckpt_save(self, state: dict, ctx) -> None:
+        state["library"] = self.library.checkpoint_state()
 
-    def unserialize(self, state: dict, ctx) -> None:
-        self.cpu_req_queue = deque(
-            ctx.unpack(p) for p in state["cpu_req_queue"]
-        )
-        for port, queued in zip(self.cpu_side, state["blocked_resps"]):
-            port.load_queue(queued, ctx)
-        for port, queued in zip(self.mem_side, state["mem_req_queue"]):
-            port.load_queue(queued, ctx)
-        self.mem_resp_queue = deque(
-            ctx.unpack(p) for p in state["mem_resp_queue"]
-        )
-        self.inflight = state["inflight"]
-        self.running = state["running"]
+    def ckpt_load(self, state: dict, ctx) -> None:
         self.library.load_checkpoint_state(state["library"])
-        self._last_bytes = ctx.unpack(state["last_output"])
         self.last_output = self.decode_output(self._last_bytes)
         # a checkpoint ends every lag before it is taken
         if self._lagging:

@@ -347,34 +347,17 @@ class RTLSharedLibrary(SharedLibrary):
 
     # -- checkpointing (a Verilator feature the paper calls out) ------------
 
-    def save_checkpoint(self):
-        """Snapshot the RTL model's full state."""
-        ckpt = self.sim.save_checkpoint()
-        return (ckpt, self.ticks)
-
-    def restore_checkpoint(self, checkpoint) -> None:
-        ckpt, ticks = checkpoint
-        self.sim.restore_checkpoint(ckpt)
-        self.ticks = ticks
-
     def checkpoint_state(self) -> dict:
-        ckpt, ticks = self.save_checkpoint()
-        return {
-            "cycle": ckpt.cycle,
-            "values": list(ckpt.values),
-            "mems": [list(m) for m in ckpt.mems],
-            "ticks": ticks,
-        }
+        ckpt = self.sim.save_checkpoint()    # copies what it holds
+        return {"cycle": ckpt.cycle, "values": ckpt.values,
+                "mems": ckpt.mems, "ticks": self.ticks}
 
     def load_checkpoint_state(self, state: dict) -> None:
         from ..rtl.simulator import RTLCheckpoint
 
-        ckpt = RTLCheckpoint(
-            cycle=state["cycle"],
-            values=list(state["values"]),
-            mems=[list(m) for m in state["mems"]],
-        )
-        self.restore_checkpoint((ckpt, state["ticks"]))
+        self.sim.restore_checkpoint(RTLCheckpoint(
+            state["cycle"], state["values"], state["mems"]))
+        self.ticks = state["ticks"]
 
 
 class BehavioralSharedLibrary(SharedLibrary):

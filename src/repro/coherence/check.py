@@ -33,7 +33,7 @@ from ..soc.cache.sets import BLOCK
 from ..soc.event import Event
 from ..soc.packet import MemCmd, Packet
 from ..soc.ports import RequestPort
-from ..soc.simobject import SimObject, Simulation
+from ..soc.simobject import VALUE, SimObject, Simulation
 from .directory import DirectoryController
 from .l1 import CoherentL1Cache
 from .protocol import ProtocolError, State
@@ -114,6 +114,9 @@ class SharingDriver(SimObject):
     serialized state is three integers.
     """
 
+    ckpt_state = (("issued", VALUE), ("responses", VALUE),
+                  ("checksum", VALUE))
+
     def __init__(
         self,
         sim: Simulation,
@@ -188,17 +191,6 @@ class SharingDriver(SimObject):
     def ckpt_named_events(self):
         return {"step": self._event}
 
-    def serialize(self, ctx) -> dict:
-        return {
-            "issued": self.issued,
-            "responses": self.responses,
-            "checksum": self.checksum,
-        }
-
-    def unserialize(self, state: dict, ctx) -> None:
-        self.issued = state["issued"]
-        self.responses = state["responses"]
-        self.checksum = state["checksum"]
 
 
 @dataclass

@@ -32,7 +32,8 @@ from typing import Optional
 from ..soc.cache.sets import BLOCK, SparseSets
 from ..soc.packet import MemCmd, Packet
 from ..soc.ports import RequestPort, ResponsePort
-from ..soc.simobject import SimObject, Simulation
+from ..soc.simobject import (DEQUE, SORTED_PAIRS, SORTED_SET, VALUE,
+                             SimObject, Simulation)
 from ..trace import packets as pkttrace
 from ..trace.flags import tracepoint
 from .l1 import FLAG_COH
@@ -57,6 +58,13 @@ class DirEntry:
 
 class DirectoryController(SimObject):
     """Shared L2 tag array + full-map directory + snoop sequencer."""
+
+    ckpt_state = (("_known", SORTED_SET), ("_inq", DEQUE), ("_busy", VALUE),
+                  ("_waiting", SORTED_PAIRS),
+                  ("resp_q", "cpu_side.queue", DEQUE),
+                  ("downstream_q", "mem_side.queue", DEQUE),
+                  ("_need_retry", VALUE))
+    ckpt_hooked = ("_entries", "_l2")
 
     def __init__(
         self,
@@ -465,40 +473,18 @@ class DirectoryController(SimObject):
     def ckpt_handlers(self):
         return {"process": self._process}
 
-    def serialize(self, ctx) -> dict:
-        return {
-            "entries": [
-                [block, sorted(e.sharers), e.owner]
-                for block, e in sorted(self._entries.items())
-            ],
-            "known": sorted(self._known),
-            "l2": self._l2.state(lambda present: ()),
-            "inq": [ctx.pack(p) for p in self._inq],
-            "busy": self._busy,
-            "waiting": [
-                [block, [[ctx.pack(p), ctx.pack(d)] for p, d in parked]]
-                for block, parked in sorted(self._waiting.items())
-            ],
-            "resp_q": self.cpu_side.queue_state(ctx),
-            "downstream_q": self.mem_side.queue_state(ctx),
-            "need_retry": self._need_retry,
-        }
+    def ckpt_save(self, state: dict, ctx) -> None:
+        state["entries"] = [
+            [block, sorted(e.sharers), e.owner]
+            for block, e in sorted(self._entries.items())
+        ]
+        state["l2"] = self._l2.state(lambda present: ())
 
-    def unserialize(self, state: dict, ctx) -> None:
+    def ckpt_load(self, state: dict, ctx) -> None:
         self._entries = {}
         for block, sharers, owner in state["entries"]:
             entry = DirEntry()
             entry.sharers = set(sharers)
             entry.owner = owner
             self._entries[block] = entry
-        self._known = set(state["known"])
         self._l2.load(state["l2"], lambda: True, f"{self.path()}.l2")
-        self._inq = deque(ctx.unpack(p) for p in state["inq"])
-        self._busy = state["busy"]
-        self._waiting = {
-            block: [[ctx.unpack(p), ctx.unpack(d)] for p, d in parked]
-            for block, parked in state["waiting"]
-        }
-        self.cpu_side.load_queue(state["resp_q"], ctx)
-        self.mem_side.load_queue(state["downstream_q"], ctx)
-        self._need_retry = state["need_retry"]

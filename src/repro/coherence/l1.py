@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from ..soc.cache.core import MSHR, CacheCore
+from ..soc.cache.core import CacheCore
 from ..soc.cache.sets import BLOCK
 from ..soc.packet import MemCmd, Packet
-from ..soc.simobject import SimObject, Simulation
+from ..soc.simobject import PACKED, VALUE, SimObject, Simulation, named
 from ..trace.flags import debug_flag, tracepoint
 from .protocol import ProtocolError, State, next_state
 
@@ -52,6 +52,9 @@ class CacheLine:
 
 class CoherentL1Cache(CacheCore):
     """Set-associative private L1 participating in the MESI protocol."""
+
+    mshr_state = (("cmd", named(MemCmd)), ("ready", PACKED),
+                  ("granted", VALUE))
 
     def __init__(
         self,
@@ -385,19 +388,6 @@ class CoherentL1Cache(CacheCore):
     def _hit_resp(self, payload: list) -> None:
         pkt, data = payload
         self._respond(pkt, data)
-
-    def _mshr_policy_state(self, mshr: MSHR, ctx) -> dict:
-        return {
-            "cmd": mshr.cmd.name,
-            "ready": [[ctx.pack(p), ctx.pack(d)] for p, d in mshr.ready],
-            "granted": mshr.granted,
-        }
-
-    def _mshr_load_policy(self, mshr: MSHR, state: dict, ctx) -> None:
-        mshr.cmd = MemCmd[state["cmd"]]
-        mshr.ready = [[ctx.unpack(p), ctx.unpack(d)]
-                      for p, d in state["ready"]]
-        mshr.granted = state["granted"]
 
     def _line_codec(self, ctx):
         return (

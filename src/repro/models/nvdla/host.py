@@ -21,6 +21,7 @@ from typing import Callable, Optional
 from ...soc.cpu.uop import alu, store
 from ...soc.cpu.core import OoOCore
 from ...soc.iomaster import IOMaster
+from ...soc.simobject import VALUE, Checkpointed
 from .rtl_object import NVDLARTLObject
 from .trace import RegWrite, Trace, WaitIrq
 
@@ -29,8 +30,16 @@ TRACE_CMD_BASE = 0x7000_0000
 TRACE_CMD_STRIDE = 0x10_0000
 
 
-class NVDLAHostApp:
-    """Drives one accelerator instance through one trace."""
+class NVDLAHostApp(Checkpointed):
+    """Drives one accelerator instance through one trace; checkpointed
+    as a Simulation "extra"."""
+
+    ckpt_state = (
+        ("loaded", VALUE), ("done", VALUE), ("start_tick", VALUE),
+        ("finish_tick", VALUE), ("load_start_tick", VALUE),
+        ("_cmd_index", VALUE), ("_waiting_irq", VALUE),
+        ("_started_app", VALUE),
+    )
 
     def __init__(
         self,
@@ -142,30 +151,6 @@ class NVDLAHostApp:
         if self._waiting_irq:
             self._waiting_irq = False
             self._advance()
-
-    # -- checkpointing (registered as a Simulation "extra") -------------------
-
-    def serialize(self, ctx) -> dict:
-        return {
-            "loaded": self.loaded,
-            "done": self.done,
-            "start_tick": self.start_tick,
-            "finish_tick": self.finish_tick,
-            "load_start_tick": self.load_start_tick,
-            "cmd_index": self._cmd_index,
-            "waiting_irq": self._waiting_irq,
-            "started_app": self._started_app,
-        }
-
-    def unserialize(self, state: dict, ctx) -> None:
-        self.loaded = state["loaded"]
-        self.done = state["done"]
-        self.start_tick = state["start_tick"]
-        self.finish_tick = state["finish_tick"]
-        self.load_start_tick = state["load_start_tick"]
-        self._cmd_index = state["cmd_index"]
-        self._waiting_irq = state["waiting_irq"]
-        self._started_app = state["started_app"]
 
     # -- results ------------------------------------------------------------------
 

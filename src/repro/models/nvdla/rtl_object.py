@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from ...bridge.rtl_object import RTLObject
 from ...soc.event import ClockDomain
 from ...soc.packet import MemCmd, Packet
-from ...soc.simobject import SimObject, Simulation
+from ...soc.simobject import PACKED, SimObject, Simulation
 from ...soc.tlb import TLB
 from .wrapper import (
     CREDIT_ONLY_INPUT,
@@ -50,6 +50,8 @@ def output_pattern(addr: int, size: int = 64) -> bytes:
 
 class NVDLARTLObject(RTLObject):
     """Bridges one NVDLA instance into the SoC."""
+
+    ckpt_state = (("_pending_csb_read", PACKED),)
 
     def __init__(
         self,
@@ -179,18 +181,3 @@ class NVDLARTLObject(RTLObject):
                 handler(self.now)
 
     # -- checkpointing ----------------------------------------------------
-
-    def serialize(self, ctx) -> dict:
-        state = super().serialize(ctx)
-        state["pending_csb_read"] = (
-            None if self._pending_csb_read is None
-            else ctx.pack(self._pending_csb_read)
-        )
-        return state
-
-    def unserialize(self, state: dict, ctx) -> None:
-        super().unserialize(state, ctx)
-        pending = state["pending_csb_read"]
-        self._pending_csb_read = (
-            None if pending is None else ctx.unpack(pending)
-        )

@@ -20,7 +20,7 @@ from ...bridge.rtl_object import LAG_LIMIT, RTLObject
 from ...soc.cpu.core import EventWire
 from ...soc.event import ClockDomain
 from ...soc.packet import Packet
-from ...soc.simobject import SimObject, Simulation
+from ...soc.simobject import DEQUE, SimObject, Simulation
 from ...soc.stats import SettledScalar
 from .wrapper import PMU_OUTPUT, PMUSharedLibrary
 
@@ -40,6 +40,9 @@ class _EventLane:
 
 class PMURTLObject(RTLObject):
     """Bridges a :class:`PMUSharedLibrary` into the SoC."""
+
+    ckpt_state = (("_pending_reads", DEQUE),)
+    ckpt_hooked = ("_wired",)
 
     def __init__(
         self,
@@ -283,19 +286,14 @@ class PMURTLObject(RTLObject):
 
     # -- checkpointing ----------------------------------------------------
 
-    def serialize(self, ctx) -> dict:
-        state = super().serialize(ctx)
-        state["pending_reads"] = [ctx.pack(p) for p in self._pending_reads]
+    def ckpt_save(self, state: dict, ctx) -> None:
+        super().ckpt_save(state, ctx)
         # pending pulse counts per wired lane, in wiring order (wires such
         # as the external L1D-miss tap have no other serialization owner)
         state["lane_counts"] = [lane.wire.count for lane in self._wired]
-        return state
 
-    def unserialize(self, state: dict, ctx) -> None:
-        super().unserialize(state, ctx)
-        self._pending_reads = deque(
-            ctx.unpack(p) for p in state["pending_reads"]
-        )
+    def ckpt_load(self, state: dict, ctx) -> None:
+        super().ckpt_load(state, ctx)
         wired = self._wired
         counts = state["lane_counts"]
         if len(wired) != len(counts):

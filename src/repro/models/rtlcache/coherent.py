@@ -44,7 +44,8 @@ from ...bridge.structs import Field, StructSpec
 from ...coherence.protocol import ProtocolError, State
 from ...soc.event import ClockDomain
 from ...soc.packet import MemCmd, Packet
-from ...soc.simobject import SimObject, Simulation
+from ...soc.simobject import (DEQUE, PACKED, RECORDS, SORTED_PAIRS,
+                              SORTED_ROWS, VALUE, SimObject, Simulation)
 from .wrapper import (
     FILL_LANES,
     LINE_BYTES,
@@ -90,6 +91,20 @@ class RTLCoherentCacheObject(RTLCacheObject):
     probes from the mirror.
     """
 
+    ckpt_state = (
+        ("coh.mirror", "_mirror", SORTED_ROWS),
+        ("coh.rtl_tags", "_rtl_tags", SORTED_PAIRS),
+        ("coh.pending_snoops", "_pending_snoops", DEQUE),
+        ("coh.pin_snoop", "_pin_snoop", VALUE),
+        ("coh.current", "_current", PACKED),
+        ("coh.waiting_fill", "_waiting_fill", VALUE),
+        ("coh.fill_words", "_fill_words", VALUE),
+        ("coh.fill_block", "_fill_block", VALUE),
+        ("coh.expect_hit", "_current_expect_hit", VALUE),
+        ("coh.raced", "_current_raced", VALUE),
+        ("coh.inflight_wt", "_inflight_wt", RECORDS),
+    )
+
     def __init__(
         self,
         sim: Simulation,
@@ -101,7 +116,7 @@ class RTLCoherentCacheObject(RTLCacheObject):
         super().__init__(sim, name, library or RTLCacheCohSharedLibrary(),
                          clock=clock, parent=parent)
         self.lines = self.library.lines
-        # directory-visible protocol state: idx -> [block, bytearray(64)]
+        # directory-visible protocol state: idx -> [block, bytes(64)]
         self._mirror: dict[int, list] = {}
         # pin-visible state: idx -> block the RTL actually holds valid
         self._rtl_tags: dict[int, int] = {}
@@ -134,7 +149,7 @@ class RTLCoherentCacheObject(RTLCacheObject):
         posted = {wt["block"] for wt in self._inflight_wt}
         for _idx, (block, data) in sorted(self._mirror.items()):
             yield block, State.SHARED, (None if block in posted
-                                        else bytes(data))
+                                        else data)
 
     @property
     def quiet(self) -> bool:
@@ -227,7 +242,7 @@ class RTLCoherentCacheObject(RTLCacheObject):
                  "dirty": False, "data": None}
             )
             self._demote_posted(victim[0])
-        self._mirror[idx] = [block, bytearray(data)]
+        self._mirror[idx] = [block, bytes(data)]
         self._fill_block = block
 
     # -- struct exchange ---------------------------------------------------
@@ -293,7 +308,7 @@ class RTLCoherentCacheObject(RTLCacheObject):
         entry = self._mirror.get(self._idx(block))
         if entry is None or entry[0] != block:
             return None
-        word = bytes(entry[1][off:off + 8])
+        word = entry[1][off:off + 8]
         for wt in self._inflight_wt:
             if wt["block"] == block and wt["off"] == off:
                 word = wt["data"]
@@ -397,53 +412,11 @@ class RTLCoherentCacheObject(RTLCacheObject):
             )
         entry = self._mirror.get(self._idx(wt["block"]))
         if entry is not None and entry[0] == wt["block"]:
-            entry[1][wt["off"]:wt["off"] + 8] = wt["data"]
+            line, off = entry[1], wt["off"]
+            entry[1] = line[:off] + wt["data"] + line[off + 8:]
 
     # -- checkpointing ----------------------------------------------------
 
-    def serialize(self, ctx) -> dict:
-        state = super().serialize(ctx)
-        state["coh"] = {
-            "mirror": [
-                [idx, block, ctx.pack(bytes(data))]
-                for idx, (block, data) in sorted(self._mirror.items())
-            ],
-            "rtl_tags": [list(kv) for kv in sorted(self._rtl_tags.items())],
-            "pending_snoops": list(self._pending_snoops),
-            "pin_snoop": self._pin_snoop,
-            "current": ctx.pack(self._current),
-            "waiting_fill": self._waiting_fill,
-            "fill_words": self._fill_words,
-            "fill_block": self._fill_block,
-            "expect_hit": self._current_expect_hit,
-            "raced": self._current_raced,
-            "inflight_wt": [
-                {"pkt": ctx.pack(wt["pkt"]), "block": wt["block"],
-                 "off": wt["off"], "data": ctx.pack(wt["data"])}
-                for wt in self._inflight_wt
-            ],
-        }
-        return state
-
-    def unserialize(self, state: dict, ctx) -> None:
-        super().unserialize(state, ctx)
-        coh = state["coh"]
-        self._mirror = {
-            idx: [block, bytearray(ctx.unpack(data))]
-            for idx, block, data in coh["mirror"]
-        }
-        self._rtl_tags = {idx: block for idx, block in coh["rtl_tags"]}
-        self._pending_snoops = deque(coh["pending_snoops"])
-        self._pin_snoop = coh["pin_snoop"]
-        self._current = ctx.unpack(coh["current"])
-        self._waiting_fill = coh["waiting_fill"]
-        self._fill_words = coh["fill_words"]
-        self._fill_block = coh["fill_block"]
-        self._fill_installing = None
-        self._current_expect_hit = coh["expect_hit"]
-        self._current_raced = coh["raced"]
-        self._inflight_wt = [
-            {"pkt": ctx.unpack(wt["pkt"]), "block": wt["block"],
-             "off": wt["off"], "data": ctx.unpack(wt["data"])}
-            for wt in coh["inflight_wt"]
-        ]
+    # The mirror and the pins' bookkeeping are saved under "coh", so a
+    # request held at the pins is state here, not a veto.
+    ckpt_veto = SimObject.ckpt_veto

@@ -184,6 +184,14 @@ class RTLCacheObject(RTLObject):
             self._fill_words = None
         return self.library.input_spec.pack(**fields)
 
+    def ckpt_veto(self):
+        # the request held at the pins and the fill it waits for are not
+        # saved: a checkpoint waits until the response has gone out
+        if (self._current is not None or self._waiting_fill
+                or self._fill_words is not None):
+            return "a request is at the pins"
+        return None
+
     def consume_output(self, outputs: dict) -> None:
         if outputs["miss_valid"]:
             self._waiting_fill = True

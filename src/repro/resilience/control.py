@@ -21,7 +21,7 @@ import os
 from typing import Callable, Optional
 
 from ..soc.event import Event, EventPriority
-from ..soc.simobject import SimObject, Simulation
+from ..soc.simobject import VALUE, SimObject, Simulation
 from .faults import FaultInjector, FaultPlan
 from .serialize import checkpoint_document, write_checkpoint
 from .watchdog import Watchdog
@@ -109,6 +109,10 @@ class PeriodicCheckpointer(SimObject):
     its rungs), but the object, its event and its count are the same, so
     the object tree matches the run that wrote them."""
 
+    ckpt_state = (("_index", VALUE),
+                  ("last_path", "last_checkpoint_path", VALUE),
+                  ("manifest", VALUE))
+
     def __init__(
         self,
         sim: Simulation,
@@ -128,10 +132,10 @@ class PeriodicCheckpointer(SimObject):
         self._index = 0
         self._saving = False
         self.last_checkpoint_path: Optional[str] = None
-        # (path, tick-at-save) per checkpoint.  IO vetoes can slide a
+        # [path, tick-at-save] per checkpoint.  IO vetoes can slide a
         # save past its nominal cycle, so campaign restores must consult
         # the recorded tick, not ``index * every_cycles``.
-        self.manifest: list[tuple[str, int]] = []
+        self.manifest: list[list] = []
         self.st_saved = self.stats.scalar("saved", "checkpoints taken")
 
     def startup(self) -> None:
@@ -172,7 +176,7 @@ class PeriodicCheckpointer(SimObject):
             path = os.path.join(self.directory, f"ckpt-{index:04d}.ckpt")
             write_checkpoint(doc, path)
             self.last_checkpoint_path = path
-            self.manifest.append((path, doc["meta"]["tick"]))
+            self.manifest.append([path, doc["meta"]["tick"]])
         if self.on_rung is not None:
             self.on_rung(doc)
 
@@ -180,17 +184,3 @@ class PeriodicCheckpointer(SimObject):
 
     def ckpt_named_events(self):
         return {"ckpt": self._event}
-
-    def serialize(self, ctx) -> dict:
-        return {
-            "index": self._index,
-            "last_path": self.last_checkpoint_path,
-            "manifest": [list(entry) for entry in self.manifest],
-        }
-
-    def unserialize(self, state: dict, ctx) -> None:
-        self._index = state["index"]
-        self.last_checkpoint_path = state["last_path"]
-        self.manifest = [
-            (path, tick) for path, tick in state.get("manifest", [])
-        ]

@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..soc.event import EventPriority
-from ..soc.simobject import SimObject, Simulation
+from ..soc.simobject import VALUE, SimObject, Simulation
 
 SIM_FAULT_KINDS = ("dram-drop", "dram-delay", "retry-storm", "rtl-flip")
 WORKER_FAULT_KINDS = ("worker-kill", "worker-hang")
@@ -347,6 +347,8 @@ class FaultInjector(SimObject):
     injected run can itself be checkpointed and restored mid-chaos.
     """
 
+    ckpt_state = (("_read_count", VALUE), ("_storming", VALUE))
+
     def __init__(
         self,
         sim: Simulation,
@@ -537,21 +539,15 @@ class FaultInjector(SimObject):
 
     # -- checkpointing -----------------------------------------------------
 
-    def serialize(self, ctx) -> dict:
-        return {
-            "plan_digest": self.plan.schedule_digest(),
-            "read_count": self._read_count,
-            "storming": self._storming,
-        }
+    def ckpt_save(self, state: dict, ctx) -> None:
+        state["plan_digest"] = self.plan.schedule_digest()
 
-    def unserialize(self, state: dict, ctx) -> None:
+    def ckpt_load(self, state: dict, ctx) -> None:
         if state["plan_digest"] != self.plan.schedule_digest():
             raise ValueError(
                 f"{self.name}: checkpoint was taken under a different "
                 "fault plan"
             )
-        self._read_count = state["read_count"]
-        self._storming = state["storming"]
 
 
 def apply_worker_faults(

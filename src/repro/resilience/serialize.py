@@ -5,11 +5,12 @@ Format
 A checkpoint is one gzipped JSON document::
 
     {
-      "version":  4,
+      "version":  5,
       "meta":     {"tick", "structure", "next_pkt_id", "saved_name"},
       "eventq":   {"cur_tick", "seq", "executed", "compactions"},
       "stats":    <root StatGroup state_dict>,
       "objects":  {path: {"state", "named_events", "tagged_events"}},
+                  # "state": the object's declared state (Checkpointed)
       "extras":   {name: state},
       "packets":  [<encoded Packet>, ...]
     }
@@ -18,7 +19,9 @@ A checkpoint is one gzipped JSON document::
 stepped over and an RTLObject's last consumed output struct joined the
 object state; 3: tag arrays are sparse, below; 4: the single-stepped
 RTL objects of one clock domain tick from one named event, saved under
-the domain's first member; an older file is refused, not misread);
+the domain's first member; 5: RTL objects no longer save the
+``batched_ticks`` stat of the run-ahead windows; an older file is
+refused, not misread);
 ``meta.structure`` is a digest over the object tree (paths + types) so
 a checkpoint can only be restored onto an identically built system.
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..soc.event import Event
-from ..soc.simobject import SimObject, Simulation
+from ..soc.simobject import VALUE, SimObject, Simulation
 from .watchdog import Watchdog
 
 
@@ -106,6 +106,9 @@ class CacheTrafficDriver(SimObject):
     architectural observable an SDC must disturb to be counted.
     """
 
+    ckpt_state = (("issued", VALUE), ("responses", VALUE),
+                  ("checksum", VALUE))
+
     def __init__(
         self,
         sim: Simulation,
@@ -175,17 +178,6 @@ class CacheTrafficDriver(SimObject):
     def ckpt_named_events(self):
         return {"step": self._event}
 
-    def serialize(self, ctx) -> dict:
-        return {
-            "issued": self.issued,
-            "responses": self.responses,
-            "checksum": self.checksum,
-        }
-
-    def unserialize(self, state: dict, ctx) -> None:
-        self.issued = state["issued"]
-        self.responses = state["responses"]
-        self.checksum = state["checksum"]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from ..soc.event import Event, EventPriority
-from ..soc.simobject import SimObject, Simulation
+from ..soc.simobject import PACKED, VALUE, SimObject, Simulation
 
 
 @dataclass
@@ -168,6 +168,10 @@ class SimulationHang(TimeoutError):
 
 class Watchdog(SimObject):
     """Periodic progress monitor; raises :class:`SimulationHang` on trip."""
+
+    ckpt_state = (("_strikes", VALUE), ("_last_progress", PACKED),
+                  ("_last_executed", VALUE), ("_window_base", PACKED),
+                  ("_window_rejects", VALUE))
 
     def __init__(
         self,
@@ -429,19 +433,3 @@ class Watchdog(SimObject):
 
     def ckpt_named_events(self):
         return {"check": self._event}
-
-    def serialize(self, ctx) -> dict:
-        return {
-            "strikes": self._strikes,
-            "last_progress": ctx.pack(self._last_progress),
-            "last_executed": self._last_executed,
-            "window_base": ctx.pack(self._window_base),
-            "window_rejects": self._window_rejects,
-        }
-
-    def unserialize(self, state: dict, ctx) -> None:
-        self._strikes = state["strikes"]
-        self._last_progress = ctx.unpack(state["last_progress"])
-        self._last_executed = state["last_executed"]
-        self._window_base = ctx.unpack(state["window_base"])
-        self._window_rejects = state["window_rejects"]

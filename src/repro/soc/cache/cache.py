@@ -20,8 +20,9 @@ from typing import Optional
 
 from ...trace.flags import debug_flag, tracepoint
 from ..packet import MemCmd, Packet
-from ..simobject import SimObject, Simulation
-from .core import MSHR, CacheCore
+from ..simobject import (OWNED, SORTED_SET, VALUE, Checkpointed, SimObject,
+                         Simulation)
+from .core import CacheCore
 from .sets import BLOCK
 
 FLAG_CACHE = debug_flag("Cache", "cache accesses: hits, misses, fills")
@@ -29,6 +30,9 @@ FLAG_CACHE = debug_flag("Cache", "cache accesses: hits, misses, fills")
 
 class Cache(CacheCore):
     """A single cache level (used for L1I/L1D/L2 and the shared LLC)."""
+
+    ckpt_state = (("_prefetched", SORTED_SET), ("prefetcher", OWNED))
+    mshr_state = (("is_prefetch", VALUE),)
 
     def __init__(
         self,
@@ -226,43 +230,19 @@ class Cache(CacheCore):
         send = self.mem_side.send
         return {"wb_fwd": send, "fill_req": send, "hit_resp": self._respond}
 
-    def _mshr_policy_state(self, mshr: MSHR, ctx) -> dict:
-        return {"is_prefetch": mshr.is_prefetch}
-
-    def _mshr_load_policy(self, mshr: MSHR, state: dict, ctx) -> None:
-        mshr.is_prefetch = state["is_prefetch"]
-
     def _line_codec(self, ctx):
         return "tags", (lambda dirty: (dirty,)), (lambda dirty: dirty)
 
-    def serialize(self, ctx) -> dict:
-        state = super().serialize(ctx)
-        state["prefetched"] = sorted(self._prefetched)
-        if self.prefetcher is not None:
-            state["prefetcher"] = self.prefetcher.state_dict()
-        return state
 
-    def unserialize(self, state: dict, ctx) -> None:
-        super().unserialize(state, ctx)
-        self._prefetched = set(state["prefetched"])
-        if self.prefetcher is not None:
-            self.prefetcher.load_state(state["prefetcher"])
-
-
-class BasePrefetcher:
-    """Interface for prefetchers attachable to a :class:`Cache`."""
+class BasePrefetcher(Checkpointed):
+    """Interface for prefetchers attachable to a :class:`Cache`; its
+    ``ckpt_state`` is part of the cache's."""
 
     def attach(self, cache: Cache) -> None:
         self.cache = cache
 
     def notify_miss(self, addr: int) -> None:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def state_dict(self) -> dict:
-        return {}
-
-    def load_state(self, state: dict) -> None:
-        pass
 
 
 class StridePrefetcher(BasePrefetcher):
@@ -271,6 +251,9 @@ class StridePrefetcher(BasePrefetcher):
     Detects a repeated block-level stride over demand misses and issues
     ``degree`` prefetches ahead of the stream.
     """
+
+    ckpt_state = (("_last_block", VALUE), ("_stride", VALUE),
+                  ("_confidence", VALUE))
 
     def __init__(self, degree: int = 2, confidence: int = 2) -> None:
         self.degree = degree
@@ -300,15 +283,3 @@ class StridePrefetcher(BasePrefetcher):
                 target = (block + i * self._stride) * BLOCK
                 if target >= 0:
                     self.cache.issue_prefetch(target)
-
-    def state_dict(self) -> dict:
-        return {
-            "last_block": self._last_block,
-            "stride": self._stride,
-            "confidence": self._confidence,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._last_block = state["last_block"]
-        self._stride = state["stride"]
-        self._confidence = state["confidence"]

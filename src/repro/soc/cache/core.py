@@ -14,8 +14,8 @@ decides what a line holds and provides
 * ``_policy_stats(group)``: its own statistics;
 * ``_line_codec(ctx) -> (key, pack, unpack)``: the tag array's key in a
   checkpoint and how a line is written and rebuilt;
-* ``_mshr_policy_state(mshr, ctx)`` / ``_mshr_load_policy(mshr, state,
-  ctx)``: its MSHR fields in a checkpoint;
+* ``mshr_state``: the MSHR fields it adds to a checkpoint, declared as
+  a class's ``ckpt_state`` is;
 * on a snooping bus, ``_recv_snoop(pkt)``.
 """
 
@@ -27,7 +27,8 @@ from ...trace import packets as pkttrace
 from ...trace.flags import debug_flag, tracepoint
 from ..packet import Packet
 from ..ports import RequestPort, ResponsePort
-from ..simobject import SimObject, Simulation
+from ..simobject import (DEQUE, PACKED, VALUE, SimObject, Simulation,
+                         fields, load_fields, save_fields)
 from .sets import BLOCK, SparseSets
 
 FLAG_MSHR = debug_flag(
@@ -67,6 +68,19 @@ class CacheCore(SimObject):
     """Tag array, ports, MSHR file and shared stats of one cache."""
 
     _recv_snoop = None  # no snoop handler unless the policy has one
+
+    ckpt_state = (("downstream_q", "mem_side.queue", DEQUE),
+                  ("blocked_resps", "cpu_side.queue", DEQUE),
+                  ("_need_retry", VALUE))
+    ckpt_hooked = ("_tags", "_mshrs")
+    #: the policy's MSHR fields, after the ones every MSHR saves
+    mshr_state: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._mshr_fields = fields((
+            ("block_addr", VALUE), ("targets", PACKED),
+            ("issued_tick", VALUE), *cls.mshr_state))
 
     def __init__(
         self,
@@ -187,32 +201,18 @@ class CacheCore(SimObject):
 
     # -- checkpointing ---------------------------------------------------------
 
-    def serialize(self, ctx) -> dict:
-        """Every key is the one format 3 has always used."""
+    def ckpt_save(self, state: dict, ctx) -> None:
         key, pack_line, _ = self._line_codec(ctx)
-        return {
-            key: self._tags.state(pack_line),
-            "mshrs": [
-                {"block_addr": mshr.block_addr,
-                 "targets": [ctx.pack(t) for t in mshr.targets],
-                 "issued_tick": mshr.issued_tick,
-                 **self._mshr_policy_state(mshr, ctx)}
-                for mshr in self._mshrs.values()
-            ],
-            "downstream_q": self.mem_side.queue_state(ctx),
-            "blocked_resps": self.cpu_side.queue_state(ctx),
-            "need_retry": self._need_retry,
-        }
+        state[key] = self._tags.state(pack_line)
+        mshr_fields = self._mshr_fields
+        state["mshrs"] = [save_fields(mshr, mshr_fields, ctx, {})
+                          for mshr in self._mshrs.values()]
 
-    def unserialize(self, state: dict, ctx) -> None:
+    def ckpt_load(self, state: dict, ctx) -> None:
         key, _, unpack_line = self._line_codec(ctx)
         self._tags.load(state[key], unpack_line, f"{self.path()}.{key}")
         self._mshrs = {}
         for mstate in state["mshrs"]:
             mshr = MSHR(mstate["block_addr"], mstate["issued_tick"])
-            mshr.targets = [ctx.unpack(t) for t in mstate["targets"]]
-            self._mshr_load_policy(mshr, mstate, ctx)
+            load_fields(mshr, self._mshr_fields, mstate, ctx)
             self._mshrs[mshr.block_addr] = mshr
-        self.mem_side.load_queue(state["downstream_q"], ctx)
-        self.cpu_side.load_queue(state["blocked_resps"], ctx)
-        self._need_retry = state["need_retry"]

@@ -22,7 +22,7 @@ from ...trace.flags import debug_flag, tracepoint
 from ..event import Event, EventPriority
 from ..packet import MemCmd, Packet
 from ..ports import RequestPort
-from ..simobject import SimObject, Simulation
+from ..simobject import DEQUE, PACKED, VALUE, SimObject, Simulation
 from ..stats import SettledScalar
 from . import uop as U
 from .uop import UopStream
@@ -73,6 +73,16 @@ class _RobEntry:
 
 class OoOCore(SimObject):
     """One out-of-order core consuming a µop stream."""
+
+    ckpt_state = (
+        ("_ldq_used", VALUE), ("_stq_used", VALUE), ("_stall_until", VALUE),
+        ("_mem_blocked_pkt", PACKED), ("_fetch_outstanding", PACKED),
+        ("_fetch_blocked", VALUE), ("_sleeping", VALUE), ("done", VALUE),
+        ("_cycle", VALUE), ("_draining_for_irq", VALUE),
+        ("_pending_irqs", DEQUE), ("commit_wire", "commit_wire.count", VALUE),
+    )
+    ckpt_hooked = ("_rob", "_inflight", "_alu_done", "_skip_from",
+                   "_skip_end", "stream")
 
     def __init__(
         self,
@@ -500,55 +510,32 @@ class OoOCore(SimObject):
             return "mid-interrupt handler (nested µop stream)"
         return None
 
-    def serialize(self, ctx) -> dict:
+    def ckpt_save(self, state: dict, ctx) -> None:
+        # the stepped-over cycles up to now are counted before "cycle"
+        # and the stats are saved
         self._count_skipped()
         # ROB entries are shared between _rob, _inflight and _alu_done;
         # the index into _rob is the canonical reference.
         rob = list(self._rob)
         index = {id(entry): i for i, entry in enumerate(rob)}
-        return {
-            "rob": [[e.kind, e.done] for e in rob],
-            "ldq_used": self._ldq_used,
-            "stq_used": self._stq_used,
-            "inflight": {str(pkt_id): index[id(entry)]
-                         for pkt_id, entry in self._inflight.items()},
-            "alu_done": [[cyc, index[id(entry)]]
-                         for cyc, entry in self._alu_done],
-            "stall_until": self._stall_until,
-            "mem_blocked_pkt": ctx.pack(self._mem_blocked_pkt),
-            "fetch_outstanding": ctx.pack(self._fetch_outstanding),
-            "fetch_blocked": self._fetch_blocked,
-            "sleeping": self._sleeping,
-            "done": self.done,
-            "cycle": self._cycle,
-            "skip": [self._skip_from, self._skip_end],
-            "draining_for_irq": self._draining_for_irq,
-            "pending_irqs": ctx.pack([list(h) for h in self._pending_irqs]),
-            "has_stream": self.stream is not None,
-            "stream_consumed": self.stream.consumed if self.stream else 0,
-            "commit_wire": self.commit_wire.count,
-        }
+        state["rob"] = [[e.kind, e.done] for e in rob]
+        state["inflight"] = {str(pkt_id): index[id(entry)]
+                             for pkt_id, entry in self._inflight.items()}
+        state["alu_done"] = [[cyc, index[id(entry)]]
+                             for cyc, entry in self._alu_done]
+        state["skip"] = [self._skip_from, self._skip_end]
+        state["has_stream"] = self.stream is not None
+        state["stream_consumed"] = self.stream.consumed if self.stream else 0
 
-    def unserialize(self, state: dict, ctx) -> None:
+    def ckpt_load(self, state: dict, ctx) -> None:
         rob = [_RobEntry(kind) for kind, _done in state["rob"]]
         for entry, (_kind, done) in zip(rob, state["rob"]):
             entry.done = done
         self._rob = deque(rob)
-        self._ldq_used = state["ldq_used"]
-        self._stq_used = state["stq_used"]
         self._inflight = {int(pkt_id): rob[i]
                           for pkt_id, i in state["inflight"].items()}
         self._alu_done = [(cyc, rob[i]) for cyc, i in state["alu_done"]]
-        self._stall_until = state["stall_until"]
-        self._mem_blocked_pkt = ctx.unpack(state["mem_blocked_pkt"])
-        self._fetch_outstanding = ctx.unpack(state["fetch_outstanding"])
-        self._fetch_blocked = state["fetch_blocked"]
-        self._sleeping = state["sleeping"]
-        self.done = state["done"]
-        self._cycle = state["cycle"]
         self._skip_from, self._skip_end = state["skip"]
-        self._draining_for_irq = state["draining_for_irq"]
-        self._pending_irqs = deque(ctx.unpack(state["pending_irqs"]))
         self._stream_stack = []
         if state["has_stream"]:
             if self.stream is None:
@@ -562,4 +549,3 @@ class OoOCore(SimObject):
                 self.stream.pop()
         else:
             self.stream = None
-        self.commit_wire.count = state["commit_wire"]

@@ -19,7 +19,7 @@ from ...trace import packets as pkttrace
 from ...trace.flags import debug_flag, tracepoint
 from ..packet import Packet
 from ..ports import RequestPort, ResponsePort
-from ..simobject import SimObject, Simulation
+from ..simobject import DEQUE, DEQUES, VALUE, SimObject, Simulation
 
 FLAG_XBAR = debug_flag("Xbar", "crossbar routing, queueing and rejects")
 
@@ -52,6 +52,10 @@ _ALL = AddrRange(0, 1 << 64)
 
 class Crossbar(SimObject):
     """N×M coherent crossbar with queued, bandwidth-limited layers."""
+
+    ckpt_state = (("_req_q", DEQUES), ("_resp_q", DEQUES),
+                  ("_req_busy", VALUE), ("_resp_busy", VALUE),
+                  ("_pending_retries", DEQUE), ("_retry_rejected", VALUE))
 
     WIDTH_BYTES = 16  # 128-bit datapath
 
@@ -266,23 +270,3 @@ class Crossbar(SimObject):
 
     def ckpt_handlers(self):
         return {"fwd_req": self._forward_req, "fwd_resp": self._forward_resp}
-
-    def serialize(self, ctx) -> dict:
-        return {
-            "req_q": [[ctx.pack(p) for p in q] for q in self._req_q],
-            "resp_q": [[ctx.pack(p) for p in q] for q in self._resp_q],
-            "req_busy": list(self._req_busy),
-            "resp_busy": list(self._resp_busy),
-            "pending_retries": list(self._pending_retries),
-            "retry_rejected": self._retry_rejected,
-        }
-
-    def unserialize(self, state: dict, ctx) -> None:
-        self._req_q = [deque(ctx.unpack(p) for p in q)
-                       for q in state["req_q"]]
-        self._resp_q = [deque(ctx.unpack(p) for p in q)
-                        for q in state["resp_q"]]
-        self._req_busy = list(state["req_busy"])
-        self._resp_busy = list(state["resp_busy"])
-        self._pending_retries = deque(state["pending_retries"])
-        self._retry_rejected = state["retry_rejected"]

@@ -16,13 +16,15 @@ from ..trace import packets as pkttrace
 from ..trace.flags import debug_flag, tracepoint
 from .packet import MemCmd, Packet
 from .ports import RequestPort
-from .simobject import SimObject, Simulation
+from .simobject import DEQUE, PACKED, SimObject, Simulation
 
 FLAG_IO = debug_flag("IO", "IOMaster MMIO issue/completion")
 
 
 class IOMaster(SimObject):
     """Issues ordered timing requests on behalf of host software."""
+
+    ckpt_state = (("_queue", DEQUE), ("_outstanding", PACKED))
 
     def __init__(
         self, sim: Simulation, name: str, parent: Optional[SimObject] = None
@@ -33,8 +35,10 @@ class IOMaster(SimObject):
             recv_timing_resp=self._recv_resp,
             recv_req_retry=self._retry,
         )
-        self._queue: deque[tuple[Packet, Optional[Callable]]] = deque()
-        self._outstanding: Optional[tuple[Packet, Optional[Callable]]] = None
+        self._queue: deque[Packet] = deque()
+        self._outstanding: Optional[Packet] = None
+        #: pkt_id -> the completion callback of a request that has one
+        self._callbacks: dict[int, Callable[[Packet], None]] = {}
         self._drain_handlers: list[Callable[[], None]] = []
         self.st_reads = self.stats.scalar("reads", "MMIO reads issued")
         self.st_writes = self.stats.scalar("writes", "MMIO writes issued")
@@ -77,13 +81,15 @@ class IOMaster(SimObject):
     # -- internals --------------------------------------------------------
 
     def _enqueue(self, pkt: Packet, callback: Optional[Callable]) -> None:
-        self._queue.append((pkt, callback))
+        self._queue.append(pkt)
+        if callback is not None:
+            self._callbacks[pkt.pkt_id] = callback
         self._try_issue()
 
     def _try_issue(self) -> None:
         if self._outstanding is not None or not self._queue:
             return
-        pkt, callback = self._queue[0]
+        pkt = self._queue[0]
         pkt.req_tick = self.now
         if FLAG_IO.enabled:
             tracepoint(
@@ -94,16 +100,17 @@ class IOMaster(SimObject):
             pkt.record_hop(self.name, self.now)
         if self.port.send_timing_req(pkt):
             self._queue.popleft()
-            self._outstanding = (pkt, callback)
+            self._outstanding = pkt
 
     def _retry(self) -> None:
         self._try_issue()
 
     def _recv_resp(self, pkt: Packet) -> bool:
         assert self._outstanding is not None
-        out_pkt, callback = self._outstanding
-        assert out_pkt.pkt_id == pkt.pkt_id, "MMIO responses must be in order"
+        assert self._outstanding.pkt_id == pkt.pkt_id, \
+            "MMIO responses must be in order"
         self._outstanding = None
+        callback = self._callbacks.pop(pkt.pkt_id, None)
         if FLAG_IO.enabled:
             tracepoint(
                 FLAG_IO, self.name, "complete %s #%d addr=%#x",
@@ -125,22 +132,6 @@ class IOMaster(SimObject):
         # A Python completion callback cannot be serialized; wait until
         # the response lands.  Callback-free traffic (write_word streams)
         # checkpoints fine mid-flight.
-        if any(cb is not None for _pkt, cb in self._queue):
-            return "queued MMIO request carries a host callback"
-        if self._outstanding is not None and self._outstanding[1] is not None:
-            return "outstanding MMIO request carries a host callback"
+        if self._callbacks:
+            return "an MMIO request carries a host callback"
         return None
-
-    def serialize(self, ctx) -> dict:
-        return {
-            "queue": [ctx.pack(pkt) for pkt, _cb in self._queue],
-            "outstanding": (None if self._outstanding is None
-                            else ctx.pack(self._outstanding[0])),
-        }
-
-    def unserialize(self, state: dict, ctx) -> None:
-        self._queue = deque(
-            (ctx.unpack(p), None) for p in state["queue"]
-        )
-        out = state["outstanding"]
-        self._outstanding = None if out is None else (ctx.unpack(out), None)

@@ -28,7 +28,7 @@ from ...trace.flags import debug_flag, tracepoint
 from ..event import EventPriority
 from ..packet import Packet
 from ..ports import ResponsePort
-from ..simobject import SimObject, Simulation
+from ..simobject import PORT_QUEUES, VALUE, SimObject, Simulation
 from .physmem import PhysicalMemory
 
 BLOCK = 64  # interleave granularity / burst size in bytes
@@ -199,6 +199,13 @@ class _Channel:
 
 class DRAMController(SimObject):
     """Multi-channel DRAM memory controller with one response port."""
+
+    ckpt_state = (("_retry_rejected", VALUE),
+                  ("blocked_resps", "ports", PORT_QUEUES))
+    ckpt_hooked = ("channels.read_q", "channels.write_q",
+                   "channels.banks.open_row", "channels.banks.busy_until",
+                   "channels.bus_busy_until", "channels.draining_writes",
+                   "channels._scheduled", "_retry_pending")
 
     def __init__(
         self,
@@ -426,29 +433,25 @@ class DRAMController(SimObject):
             "slot_free": self.notify_slot_free,
         }
 
-    def serialize(self, ctx) -> dict:
-        return {
-            "channels": [
-                {
-                    "read_q": [ctx.pack(p) for p in ch.read_q],
-                    "write_q": [ctx.pack(p) for p in ch.write_q],
-                    "banks": [[b.open_row, b.busy_until] for b in ch.banks],
-                    "bus_busy_until": ch.bus_busy_until,
-                    "draining_writes": ch.draining_writes,
-                    "scheduled": ch._scheduled,
-                }
-                for ch in self.channels
-            ],
-            # sorted for deterministic bytes only: the pop order of a set
-            # also depends on its history (CPython's hidden pop finger),
-            # so a restored set can pop in another order than the saved
-            # one -- the restore divergence of ROADMAP item 1
-            "retry_pending": sorted(self._retry_pending),
-            "retry_rejected": self._retry_rejected,
-            "blocked_resps": [port.queue_state(ctx) for port in self.ports],
-        }
+    def ckpt_save(self, state: dict, ctx) -> None:
+        state["channels"] = [
+            {
+                "read_q": [ctx.pack(p) for p in ch.read_q],
+                "write_q": [ctx.pack(p) for p in ch.write_q],
+                "banks": [[b.open_row, b.busy_until] for b in ch.banks],
+                "bus_busy_until": ch.bus_busy_until,
+                "draining_writes": ch.draining_writes,
+                "scheduled": ch._scheduled,
+            }
+            for ch in self.channels
+        ]
+        # sorted for deterministic bytes only: the pop order of a set
+        # also depends on its history (CPython's hidden pop finger),
+        # so a restored set can pop in another order than the saved
+        # one -- the restore divergence of ROADMAP item 1
+        state["retry_pending"] = sorted(self._retry_pending)
 
-    def unserialize(self, state: dict, ctx) -> None:
+    def ckpt_load(self, state: dict, ctx) -> None:
         for ch, cstate in zip(self.channels, state["channels"]):
             ch.read_q = deque(ctx.unpack(p) for p in cstate["read_q"])
             ch.write_q = deque(ctx.unpack(p) for p in cstate["write_q"])
@@ -460,6 +463,3 @@ class DRAMController(SimObject):
             ch._scheduled = cstate["scheduled"]
             ch.rebuild_where()
         self._retry_pending = set(state["retry_pending"])
-        self._retry_rejected = state["retry_rejected"]
-        for port, queued in zip(self.ports, state["blocked_resps"]):
-            port.load_queue(queued, ctx)

@@ -11,7 +11,7 @@ from typing import Optional
 
 from ..packet import Packet
 from ..ports import ResponsePort
-from ..simobject import SimObject, Simulation
+from ..simobject import PORT_QUEUES, SimObject, Simulation
 from .physmem import PhysicalMemory
 
 
@@ -22,6 +22,8 @@ class IdealMemory(SimObject):
     baseline, it is never itself a port-bandwidth bottleneck (each
     crossbar layer still costs what it costs; the *memory* is ideal).
     """
+
+    ckpt_state = (("blocked", "ports", PORT_QUEUES),)
 
     def __init__(
         self,
@@ -96,10 +98,3 @@ class IdealMemory(SimObject):
 
     def ckpt_handlers(self):
         return {"resp": self._respond}
-
-    def serialize(self, ctx) -> dict:
-        return {"blocked": [port.queue_state(ctx) for port in self.ports]}
-
-    def unserialize(self, state: dict, ctx) -> None:
-        for port, queued in zip(self.ports, state["blocked"]):
-            port.load_queue(queued, ctx)

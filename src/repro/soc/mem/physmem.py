@@ -8,12 +8,19 @@ writes, result checking).
 
 from __future__ import annotations
 
+import base64
+
+from ..simobject import Checkpointed
+
 FRAME_BITS = 12
 FRAME_SIZE = 1 << FRAME_BITS
 
 
-class PhysicalMemory:
-    """A byte-addressable sparse memory (4 KiB frames, zero-filled)."""
+class PhysicalMemory(Checkpointed):
+    """A byte-addressable sparse memory (4 KiB frames, zero-filled),
+    checkpointed as a Simulation "extra"."""
+
+    ckpt_hooked = ("_frames",)
 
     def __init__(self, size: int = 1 << 40) -> None:
         if size <= 0:
@@ -67,22 +74,16 @@ class PhysicalMemory:
         """Bytes of backing storage actually allocated."""
         return len(self._frames) * FRAME_SIZE
 
-    # -- checkpointing (registered as a Simulation "extra") ----------------
+    # -- checkpointing ------------------------------------------------------
 
-    def serialize(self, ctx) -> dict:
-        import base64
-
-        return {
-            "size": self.size,
-            "frames": {
-                str(no): base64.b64encode(bytes(frame)).decode("ascii")
-                for no, frame in sorted(self._frames.items())
-            },
+    def ckpt_save(self, state: dict, ctx) -> None:
+        state["size"] = self.size
+        state["frames"] = {
+            str(no): base64.b64encode(bytes(frame)).decode("ascii")
+            for no, frame in sorted(self._frames.items())
         }
 
-    def unserialize(self, state: dict, ctx) -> None:
-        import base64
-
+    def ckpt_load(self, state: dict, ctx) -> None:
         if state["size"] != self.size:
             raise ValueError(
                 f"physmem size {self.size:#x} != checkpointed "

@@ -15,7 +15,7 @@ classic three-call handshake:
 A packet the peer refused waits in the port, not in each owner (gem5's
 ``QueuedPort``): ``port.send(pkt)`` delivers now or appends to
 ``port.queue``; the peer's retry drains the queue in order before the
-owner hears of it, and the owner's checkpoint carries ``queue_state``.
+owner hears of it, and the owner's checkpoint declares the queue.
 """
 
 from __future__ import annotations
@@ -93,12 +93,6 @@ class _Port:
         elif not queued:
             raise RuntimeError(f"port {self.name} has no retry handler")
 
-    def queue_state(self, ctx) -> list:
-        return [ctx.pack(pkt) for pkt in self.queue]
-
-    def load_queue(self, state: list, ctx) -> None:
-        self.queue = deque(ctx.unpack(pkt) for pkt in state)
-
     def __repr__(self) -> str:  # pragma: no cover
         peer = self.peer.name if self.peer else "unbound"
         return f"<{type(self).__name__} {self.name} <-> {peer}>"
@@ -123,7 +117,6 @@ class RequestPort(_Port):
         self._recv_timing_resp = recv_timing_resp
         self._recv_req_retry = recv_req_retry
         self._recv_snoop = recv_snoop
-        self._waiting_retry = False
         #: the peer's request handler, bound by :meth:`connect`
         self._send_req: Callable[[Packet], bool] = self._unconnected
 
@@ -148,8 +141,6 @@ class RequestPort(_Port):
 
     def send_timing_req(self, pkt: Packet) -> bool:
         accepted = self._send_req(pkt)
-        if not accepted:
-            self._waiting_retry = True
         if FLAG_PORTS.enabled:
             tracepoint(
                 FLAG_PORTS, self.name, "req %s #%d addr=%#x -> %s",
@@ -174,7 +165,6 @@ class RequestPort(_Port):
     # called by the peer ------------------------------------------------------
 
     def handle_req_retry(self) -> None:
-        self._waiting_retry = False
         handler = self._recv_req_retry
         if handler is None and self.owner is not None:
             handler = self.owner.recv_req_retry
@@ -198,10 +188,6 @@ class RequestPort(_Port):
             return
         raise RuntimeError(f"port {self.name} has no snoop handler")
 
-    @property
-    def waiting_retry(self) -> bool:
-        return self._waiting_retry
-
 
 class ResponsePort(_Port):
     """Receives requests; sends responses upstream and request-retries."""
@@ -218,7 +204,6 @@ class ResponsePort(_Port):
         self._recv_timing_req = recv_timing_req
         self._recv_resp_retry = recv_resp_retry
         self._recv_functional = recv_functional
-        self._resp_waiting_retry = False
         #: the peer's response handler, bound by :meth:`RequestPort.connect`
         self._send_resp: Callable[[Packet], bool] = self._unconnected
 
@@ -229,8 +214,6 @@ class ResponsePort(_Port):
 
     def send_timing_resp(self, pkt: Packet) -> bool:
         accepted = self._send_resp(pkt)
-        if not accepted:
-            self._resp_waiting_retry = True
         if FLAG_PORTS.enabled:
             tracepoint(
                 FLAG_PORTS, self.name, "resp %s #%d addr=%#x -> %s",
@@ -257,7 +240,6 @@ class ResponsePort(_Port):
     # called by the peer -------------------------------------------------------
 
     def handle_resp_retry(self) -> None:
-        self._resp_waiting_retry = False
         handler = self._recv_resp_retry
         if handler is None and self.owner is not None:
             handler = self.owner.recv_resp_retry
@@ -270,7 +252,3 @@ class ResponsePort(_Port):
             self.owner.recv_functional(pkt)
         else:
             raise RuntimeError(f"port {self.name} has no functional handler")
-
-    @property
-    def resp_waiting_retry(self) -> bool:
-        return self._resp_waiting_retry

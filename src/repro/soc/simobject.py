@@ -9,9 +9,11 @@ components use to schedule their first events.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
 from heapq import heappush
-from typing import Callable, Optional
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 from .event import ClockDomain, Event, EventPriority, EventQueue, new_handle
 from .stats import StatGroup
@@ -46,9 +48,10 @@ class Simulation:
     def register_extra(self, name: str, obj: object) -> None:
         """Register a non-SimObject checkpoint participant.
 
-        *obj* must expose ``serialize(ctx)``/``unserialize(state, ctx)``.
-        Registration order (like the SimObject list) must be identical in
-        the saving and restoring process.
+        *obj* is a :class:`Checkpointed`, or exposes the same
+        ``serialize(ctx)``/``unserialize(state, ctx)``.  Registration
+        order (like the SimObject list) must be identical in the saving
+        and restoring process.
         """
         if name in self.extras:
             raise ValueError(f"duplicate checkpoint extra {name!r}")
@@ -116,7 +119,157 @@ class Simulation:
         restore_checkpoint(self, path)
 
 
-class SimObject:
+# -- declared checkpoint state ------------------------------------------------
+
+
+class Codec(NamedTuple):
+    """How a declared field is written, ``save(value, ctx)`` to a JSON
+    value, and read back, ``load(data, ctx, old)`` to the attribute's
+    new value (*old*: its value in the object being restored)."""
+
+    save: Callable
+    load: Callable
+
+
+def _load_queues(data, ctx, ports):
+    for port, queued in zip(ports, data):
+        port.queue = DEQUE.load(queued, ctx, None)
+    return ports
+
+
+def _pairs(sort: bool = False, rows: bool = False) -> Codec:
+    def save(value, ctx):
+        items = sorted(value.items()) if sort else value.items()
+        if rows:
+            return [[k, *map(ctx.pack, v)] for k, v in items]
+        return [[k, ctx.pack(v)] for k, v in items]
+
+    def load(data, ctx, old):
+        if rows:
+            return type(old)((k, list(map(ctx.unpack, v))) for k, *v in data)
+        return type(old)((k, ctx.unpack(v)) for k, v in data)
+
+    return Codec(save, load)
+
+
+def named(enum_cls) -> Codec:
+    """An enum member, by name."""
+    return Codec(lambda v, ctx: v.name, lambda d, ctx, old: enum_cls[d])
+
+
+#: a JSON value: int, bool, None, str, or a list of them (copied)
+VALUE = Codec(lambda v, ctx: list(v) if type(v) is list else v,
+              lambda d, ctx, old: d)
+#: anything ``ctx.pack`` takes: Packet references, tuples, bytes
+PACKED = Codec(lambda v, ctx: ctx.pack(v), lambda d, ctx, old: ctx.unpack(d))
+#: a deque of packed values
+DEQUE = Codec(lambda v, ctx: list(map(ctx.pack, v)),
+              lambda d, ctx, old: deque(map(ctx.unpack, d)))
+#: a list of deques of packed values
+DEQUES = Codec(lambda v, ctx: [DEQUE.save(q, ctx) for q in v],
+               lambda d, ctx, old: [DEQUE.load(q, ctx, None) for q in d])
+#: a list of ports: the queue of packets each holds for its peer
+PORT_QUEUES = Codec(lambda v, ctx: [DEQUE.save(p.queue, ctx) for p in v],
+                    _load_queues)
+#: a dict as ``[key, packed value]`` pairs, in insertion order
+PAIRS = _pairs()
+#: the same, sorted by key: only for a dict that is never iterated
+SORTED_PAIRS = _pairs(sort=True)
+#: a dict of lists as sorted ``[key, *packed values]`` rows (ditto)
+SORTED_ROWS = _pairs(sort=True, rows=True)
+#: a set, sorted: only for one used for membership, never iterated or
+#: popped (its order is history a file cannot hold)
+SORTED_SET = Codec(lambda v, ctx: sorted(v), lambda d, ctx, old: set(d))
+#: a list of dicts of packed values
+RECORDS = Codec(
+    lambda v, ctx: [{k: ctx.pack(x) for k, x in r.items()} for r in v],
+    lambda d, ctx, old: [{k: ctx.unpack(x) for k, x in r.items()}
+                         for r in d])
+#: an owned :class:`Checkpointed` object, as its own state; None: no key
+OWNED = Codec(lambda v, ctx: None if v is None else v.serialize(ctx),
+              lambda d, ctx, old: old.unserialize(d, ctx) or old)
+
+
+def fields(table) -> tuple:
+    """A table's ``(attribute, codec)`` or ``(key, attribute, codec)``
+    entries (the key defaults to the attribute without its leading
+    underscore), compiled for :func:`save_fields`/:func:`load_fields`."""
+    out = []
+    for entry in table:
+        key, attr, codec = entry if len(entry) == 3 else (
+            entry[0].lstrip("_"), *entry)
+        section, _, key = key.rpartition(".")
+        owner, _, name = attr.rpartition(".")
+        out.append((section, key, attrgetter(attr),
+                    attrgetter(owner) if owner else None, name, codec))
+    return tuple(out)
+
+
+def save_fields(obj, compiled, ctx, state: dict) -> dict:
+    for section, key, get, _owner, _name, codec in compiled:
+        data = codec.save(get(obj), ctx)
+        if data is not None or codec is not OWNED:
+            (state.setdefault(section, {}) if section else state)[key] = data
+    return state
+
+
+def load_fields(obj, compiled, state: dict, ctx) -> None:
+    for section, key, get, owner, name, codec in compiled:
+        saved = state[section] if section else state
+        if key in saved or codec is not OWNED:
+            setattr(owner(obj) if owner else obj, name,
+                    codec.load(saved[key], ctx, get(obj)))
+
+
+class Checkpointed:
+    """gem5's ``serialize``/``unserialize``, derived from declared state.
+
+    A class lists the fields it adds to its bases' in ``ckpt_state``,
+    in the order they are packed (``ctx.pack`` numbers each packet it
+    meets first); the file's keys are sorted, so their order is not part
+    of the format.  A key with a dot is one level down
+    (``"coh.current"``), an attribute with one reaches into an owned object
+    (``"mem_side.queue"``).  What no codec can say (objects that share
+    entries, a stream to fast-forward, a check) goes in the
+    :meth:`ckpt_save`/:meth:`ckpt_load` hook, on the attributes that
+    ``ckpt_hooked`` names.  Anything else an object changes is a memo
+    rebuilt on load, a lag ended before every save, transient state a
+    :meth:`SimObject.ckpt_veto` guards, or a statistic (saved by the
+    engine): ``tests/resilience/test_ckpt_complete.py`` checks it.
+    """
+
+    ckpt_state: tuple = ()
+    ckpt_hooked: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._ckpt_fields = fields(
+            entry for klass in reversed(cls.__mro__)
+            for entry in klass.__dict__.get("ckpt_state", ()))
+
+    def ckpt_save(self, state: dict, ctx) -> None:
+        """Save what no table declares; runs first, so what it packs is
+        numbered before the tables' fields."""
+
+    def ckpt_load(self, state: dict, ctx) -> None:
+        """Load what :meth:`ckpt_save` saved; runs last, so it can
+        rebuild memos from the tables' fields."""
+
+    def serialize(self, ctx) -> dict:
+        """JSON-able snapshot of this object's dynamic state (*ctx*: a
+        :class:`~repro.resilience.serialize.SerializationContext`)."""
+        state: dict = {}
+        self.ckpt_save(state, ctx)
+        save_fields(self, self._ckpt_fields, ctx, state)
+        return state
+
+    def unserialize(self, state: dict, ctx) -> None:
+        """Restore a :meth:`serialize` snapshot."""
+        load_fields(self, self._ckpt_fields, state, ctx)
+        self.ckpt_load(state, ctx)
+
+
+class SimObject(Checkpointed):
     """Base class for every simulated component.
 
     Subclasses register statistics in ``__init__`` via ``self.stats`` and
@@ -284,21 +437,3 @@ class SimObject:
         until every veto clears.
         """
         return None
-
-    def serialize(self, ctx) -> dict:
-        """JSON-able snapshot of this object's dynamic state.
-
-        *ctx* is a :class:`~repro.resilience.serialize.SerializationContext`
-        — use ``ctx.pack(value)`` for anything that may contain Packets.
-        Stats are handled generically by the engine; stateless objects
-        keep this default.
-        """
-        return {}
-
-    def unserialize(self, state: dict, ctx) -> None:
-        """Restore a :meth:`serialize` snapshot."""
-        if state:
-            raise NotImplementedError(
-                f"{type(self).__name__} checkpointed state but does not "
-                "implement unserialize"
-            )

@@ -13,13 +13,17 @@ from collections import OrderedDict
 from typing import Optional
 
 from ..trace.flags import debug_flag, tracepoint
-from .simobject import SimObject, Simulation
+from .simobject import PAIRS, SORTED_PAIRS, Checkpointed, SimObject, Simulation
 
 FLAG_TLB = debug_flag("TLB", "TLB lookups: hits, walks, fallbacks")
 
 
-class PageTable:
-    """Flat virtual→physical page map (identity-mapped by default)."""
+class PageTable(Checkpointed):
+    """Flat virtual→physical page map (identity-mapped by default).
+
+    Checkpointed as a Simulation "extra"."""
+
+    ckpt_state = (("_map", SORTED_PAIRS),)
 
     def __init__(self, page_bits: int = 12) -> None:
         self.page_bits = page_bits
@@ -43,17 +47,12 @@ class PageTable:
             return None
         return (ppn << self.page_bits) | (vaddr & (self.page_size - 1))
 
-    # -- checkpointing (registered as a Simulation "extra") ----------------
-
-    def serialize(self, ctx) -> dict:
-        return {"map": [[vpn, ppn] for vpn, ppn in sorted(self._map.items())]}
-
-    def unserialize(self, state: dict, ctx) -> None:
-        self._map = {vpn: ppn for vpn, ppn in state["map"]}
-
 
 class TLB(SimObject):
     """Small fully-associative TLB with an LRU stack and a walk cost."""
+
+    # [vpn, ppn] pairs in LRU order
+    ckpt_state = (("_tlb", PAIRS),)
 
     def __init__(
         self,
@@ -109,12 +108,3 @@ class TLB(SimObject):
 
     def flush(self) -> None:
         self._tlb.clear()
-
-    # -- checkpointing ----------------------------------------------------
-
-    def serialize(self, ctx) -> dict:
-        # [vpn, ppn] pairs in LRU order (OrderedDict insertion order)
-        return {"tlb": [[vpn, ppn] for vpn, ppn in self._tlb.items()]}
-
-    def unserialize(self, state: dict, ctx) -> None:
-        self._tlb = OrderedDict((vpn, ppn) for vpn, ppn in state["tlb"])

@@ -222,11 +222,11 @@ def test_generated_bytecodes_per_pmu_cycle_stay_in_budget():
     axi_write(lib, threshold_addr(5), 4000)
     axi_write(lib, REG_ENABLE, 0b111111)
     tick(lib)
-    armed = lib.save_checkpoint()
+    armed = lib.checkpoint_state()
     quiet, steady = lib.input_spec.zeros(), lib.output_spec.zeros()
     windows = []
     for cycles in (8, 9):
-        lib.restore_checkpoint(armed)
+        lib.load_checkpoint_state(armed)
         windows.append(generated_bytecodes(lambda: lib.tick_varying(
             quiet, "events", [1 << 5] * cycles, steady)))
         assert lib.peek_counter(5) == cycles

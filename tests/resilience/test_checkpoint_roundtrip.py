@@ -193,6 +193,44 @@ def run_to_end(end):
     return soc.sim.stats_dump()
 """ + SAVE_IN_LAG
 
+# A plain RTL cache under callback-free MMIO reads, saved while a read
+# waits at its pins for a line fill: nothing the save vetoes, so only
+# the cache's own veto keeps the request from being lost.
+RTLCACHE_MMIO_SETUP = """
+from types import SimpleNamespace
+from repro.models.rtlcache.wrapper import RTLCacheObject
+from repro.soc.iomaster import IOMaster
+from repro.soc.mem.ideal import IdealMemory
+from repro.soc.simobject import Simulation
+
+soc = SimpleNamespace(sim=Simulation())
+cache = RTLCacheObject(soc.sim, "rtlc")
+mem = IdealMemory(soc.sim, "mem", latency_cycles=4)
+io = IOMaster(soc.sim, "io")
+io.port.connect(cache.cpu_side[0])
+cache.mem_side[0].connect(mem.port)
+soc.sim.register_extra("physmem", mem.physmem)
+mem.physmem.write(0x1_0000, bytes(range(256)) * 2)
+for i in range(40):
+    io.read(0x1_0000 + 8 * (i * 5 % 64), size=8)
+
+def save_at(tick, path):
+    soc.sim.startup()
+    soc.sim.run(until=tick)
+    assert cache._current is not None, "no read at the pins"
+    return soc.sim.save_checkpoint(path)
+
+def restore(path):
+    soc.sim.restore(path)
+
+def run_to_end(end):
+    soc.sim.startup()
+    soc.sim.run(until=end)
+    stats = soc.sim.stats_dump()
+    stats["memory"] = mem.physmem.read(0x1_0000, 512).hex()
+    return stats
+"""
+
 CHILD_TEMPLATE = """
 import json, sys
 {setup}
@@ -229,6 +267,8 @@ def _restore_in_fresh_process(setup, ckpt_path, end, out_path):
         pytest.param(CACHE_LAG_SETUP, 50_250, 3_000_000, id="rtlcache-lag"),
         pytest.param(COHERENT_LAG_SETUP, 115_250, 4_000_000,
                      id="rtlcache-coherent-lag"),
+        pytest.param(RTLCACHE_MMIO_SETUP, 5_250, 3_000_000,
+                     id="rtlcache-mmio"),
         pytest.param(NVDLA_SETUP, 200_000, 12_000_000, id="nvdla"),
         pytest.param(NVDLA4_SETUP, 200_000, 12_000_000, id="nvdla4"),
         pytest.param(NVDLA_LOAD_SETUP, 1_000_000, 12_000_000,

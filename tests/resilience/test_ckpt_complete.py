@@ -1,0 +1,291 @@
+"""Declared checkpoint state is complete.
+
+A class saves exactly the fields its ``ckpt_state`` table and its
+``ckpt_hooked`` hook declare (:class:`repro.soc.simobject.Checkpointed`).
+This test steps bundled systems one event at a time and, at every
+instant a checkpoint could be taken (``checkpoint_blockers`` is empty),
+compares every attribute of every SimObject and checkpoint extra with
+the previous such instant, descending into the objects each owns
+(ports, DRAM channels and banks, lanes, a prefetcher).  An attribute
+that changed must be declared state or one of the kinds listed in
+``NOT_STATE``; anything else would be lost by a save and a restore.
+
+It compares at every checkpointable instant, not at two: a field that
+is None at both ends of a window (a request held at an RTL cache's
+pins) can still be live at a save in between.
+"""
+
+import random
+import re
+from collections import deque
+
+import pytest
+
+from repro.bridge.shared_library import SharedLibrary
+from repro.resilience.serialize import checkpoint_blockers
+from repro.soc.event import ClockDomain, Event, EventQueue
+from repro.soc.packet import Packet
+from repro.soc.simobject import (OWNED, PORT_QUEUES, Checkpointed, SimObject,
+                                 Simulation)
+from repro.soc.stats import Stat, StatGroup
+from repro.soc.system import SoC
+
+# What a checkpoint need not carry, per class (inherited), with why:
+#   memo: rebuilt from declared state after a load (or on first use);
+#   lag:  an RTL model's lag, which catch_up(end=True) ends before
+#         every save.
+# (Transient state a ckpt_veto guards never differs between two
+# checkpointable instants, and statistics are Stat objects the engine
+# saves on its own; neither needs listing.)
+NOT_STATE = {
+    "SimObject": {"_ckpt_kinds": "memo"},
+    "RTLObject": {"last_output": "memo", "_lagging": "lag",
+                  "_lag_edge": "lag", "_lag_seq": "lag",
+                  "_lag_after_clock": "lag"},
+    "PMURTLObject": {"_log": "lag"},
+    # a lagging PMU's tap on the wire it counts
+    "OoOCore": {"commit_wire.lag": "lag"},
+    "DRAMController": {"channels.where": "memo"},
+}
+
+#: what is never descended into: saved by other means, or fixed
+OPAQUE = (SimObject, Simulation, Packet, Event, ClockDomain, EventQueue,
+          Stat, StatGroup, SharedLibrary, SoC)
+
+
+def _declared(cls) -> set:
+    """Attribute paths *cls*'s tables and hook declare.  An owned
+    object's fields (OWNED) are checked against its own class."""
+    out = set()
+    for klass in cls.__mro__:
+        for entry in klass.__dict__.get("ckpt_state", ()):
+            attr, codec = entry[-2:]
+            if codec is PORT_QUEUES:
+                attr += ".queue"
+            if codec is not OWNED:
+                out.add(attr)
+        out.update(klass.__dict__.get("ckpt_hooked", ()))
+    return out
+
+
+def _not_state(cls) -> dict:
+    out = {}
+    for klass in cls.__mro__:
+        out.update(NOT_STATE.get(klass.__name__, {}))
+    return out
+
+
+def _attrs(obj) -> dict:
+    if hasattr(obj, "__dict__"):
+        return vars(obj)
+    return {name: getattr(obj, name) for klass in type(obj).__mro__
+            for name in klass.__dict__.get("__slots__", ())
+            if hasattr(obj, name)}
+
+
+def _walked(value) -> bool:
+    """Whether *value* is an object whose fields are compared, not a
+    reference compared by identity."""
+    cls = type(value)
+    return (cls.__module__.startswith("repro.")
+            and not isinstance(value, OPAQUE)
+            and not getattr(getattr(cls, "__dataclass_params__", None),
+                            "frozen", False))
+
+
+class _Snapshot:
+    """Flat ``(object, path) -> value`` of everything an object tree
+    holds that its classes do not declare; objects saved elsewhere
+    (packets, SimObjects, events) are kept by identity."""
+
+    def __init__(self, roots: dict) -> None:
+        # an object held directly by a root belongs to that root; one a
+        # declared attribute holds is saved with it, however else it is
+        # reached (the PMU's wired lanes are among its lanes)
+        self.owner: dict = {id(root): name for name, root in roots.items()}
+        self.covered = set()
+        for name, root in roots.items():
+            declared = _declared(type(root))
+            for attr, value in _attrs(root).items():
+                items = (list(value.values()) if isinstance(value, dict)
+                         else value if isinstance(value, (list, tuple))
+                         else (value,))
+                for item in items:
+                    if _walked(item):
+                        self.owner.setdefault(id(item), name)
+                if attr in declared:
+                    self.covered.add(id(value))
+                    self.covered.update(map(id, items))
+        self.flat: dict = {}
+        for name, root in roots.items():
+            self._walk(name, root, "", "", frozenset())
+
+    def _walk(self, top, obj, prefix, bare_prefix, skip):
+        if isinstance(obj, Checkpointed):
+            skip = skip | {bare_prefix + d for d in _declared(type(obj))} \
+                | {bare_prefix + k for k in _not_state(type(obj))}
+        for attr, value in _attrs(obj).items():
+            bare = bare_prefix + attr
+            if bare not in skip:
+                self.flat[top, prefix + attr] = self._value(
+                    top, value, prefix + attr, bare, skip)
+
+    def _value(self, top, value, path, bare, skip):
+        if value is None or type(value) in (bool, int, float, str, bytes):
+            return value
+        if isinstance(value, bytearray):
+            return bytes(value)
+        if isinstance(value, random.Random):
+            return value.getstate()
+        if isinstance(value, (list, tuple, deque)):
+            return (type(value).__name__, tuple(
+                self._value(top, v, f"{path}[{i}]", bare, skip)
+                for i, v in enumerate(value)))
+        if isinstance(value, dict):
+            return ("dict", tuple(
+                (self._value(top, k, path, bare, skip),
+                 self._value(top, v, f"{path}[{k!r}]", bare, skip))
+                for k, v in value.items()))
+        if isinstance(value, (set, frozenset)):
+            return ("set", frozenset(
+                self._value(top, v, path, bare, skip) for v in value))
+        if (_walked(value) and id(value) not in self.covered
+                and self.owner.get(id(value), top) == top):
+            self._walk(top, value, path + ".", bare + ".", skip)
+            return ("owned", id(value))
+        return ("ref", id(value))
+
+
+def _snapshot(sim) -> dict:
+    roots = {obj.path(): obj for obj in sim.objects}
+    roots.update({f"extra:{n}": x for n, x in sim.extras.items()})
+    return _Snapshot(roots).flat
+
+
+def _undeclared_changes(sim, events: int) -> tuple[dict, int]:
+    """Step *events* events; return ``{(object, path): count}`` of the
+    undeclared attributes that changed between consecutive
+    checkpointable instants, and how many such instants there were."""
+    changed: dict = {}
+    instants = 0
+    before = None
+    for _ in range(events):
+        if not checkpoint_blockers(sim):
+            instants += 1
+            now = _snapshot(sim)
+            if before is not None:
+                for key in now.keys() | before.keys():
+                    if now.get(key) != before.get(key):
+                        bare = (key[0], re.sub(r"\[[^\]]*\]", "", key[1]))
+                        changed[bare] = changed.get(bare, 0) + 1
+            before = now
+        if not sim.eventq.service_one():
+            break
+    return changed, instants
+
+
+# -- the bundled systems -----------------------------------------------------
+
+
+def _pmu_lagging():
+    from repro.dse.pmu_experiment import (
+        COMMIT_LANES, CYCLE_LANE, MISS_LANE, build_pmu_system)
+
+    soc, pmu, drv = build_pmu_system(n_sort=60, memory="DDR4-1ch")
+    drv.enable(sum(1 << lane
+                   for lane in (*COMMIT_LANES, MISS_LANE, CYCLE_LANE)))
+    drv.set_threshold(CYCLE_LANE, 3_000)
+    soc.sim.run(until=1_000_000)
+    return soc.sim
+
+
+def _nvdla(until, **kwargs):
+    from repro.dse.nvdla_system import build_nvdla_system
+
+    system = build_nvdla_system(workload="sanity3", **kwargs)
+    for host in system.hosts:
+        host.start()
+    system.soc.sim.run(until=until)
+    return system.soc.sim
+
+
+def _sharing_rtl():
+    from repro.coherence.check import build_sharing_system
+
+    system = build_sharing_system(cores=2, ops=600, seed=900, rtl=1)
+    system.sim.run(until=50_000)
+    return system.sim
+
+
+def _ecc_cache_target():
+    from repro.resilience.targets import CacheRig
+
+    rig = CacheRig({"idxw": 4, "requests": 600, "seed": 7, "gap_cycles": 3,
+                    "span_lines": 8, "ecc": True})
+    rig.sim.run(until=2_000)
+    return rig.sim
+
+
+def _rtlcache_mmio():
+    from repro.models.rtlcache.wrapper import RTLCacheObject
+    from repro.soc.iomaster import IOMaster
+    from repro.soc.mem.ideal import IdealMemory
+    from repro.soc.simobject import Simulation
+
+    sim = Simulation()
+    rtlc = RTLCacheObject(sim, "rtlc")
+    mem = IdealMemory(sim, "mem", latency_cycles=4)
+    io = IOMaster(sim, "io")
+    io.port.connect(rtlc.cpu_side[0])
+    rtlc.mem_side[0].connect(mem.port)
+    sim.register_extra("physmem", mem.physmem)
+    for i in range(1_000):
+        io.read(0x1_0000 + 8 * (i * 5 % 48), size=8)   # no callback
+    sim.startup()
+    return sim
+
+
+#: name -> (function that builds it, events to step)
+SYSTEMS = {
+    "pmu-lag": (_pmu_lagging, 1_500),
+    # the first 800 events hold the membus's first refusal
+    "nvdla4-ddr4-4ch": (lambda: _nvdla(0, n_nvdla=4, memory="DDR4-4ch",
+                                       scale=0.2, timed_load=False), 800),
+    "nvdla-timed-load": (lambda: _nvdla(200_000, n_nvdla=1,
+                                        memory="DDR4-1ch", scale=0.2,
+                                        timed_load=True), 500),
+    "sharing-rtl": (_sharing_rtl, 4_000),
+    "ecc-cache-target": (_ecc_cache_target, 1_500),
+    "rtlcache-mmio": (_rtlcache_mmio, 1_000),
+}
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_every_changed_attribute_is_declared(name):
+    build, events = SYSTEMS[name]
+    sim = build()
+    changed, instants = _undeclared_changes(sim, events)
+    assert instants > 20, f"only {instants} checkpointable instants"
+    assert not changed, (
+        f"{name}: attributes changed between checkpointable instants but "
+        f"are not declared state (object, path: times): {changed}")
+
+
+def test_not_state_never_names_declared_state():
+    """Each attribute is in exactly one category."""
+    import repro.models.pmu.rtl_object  # noqa: F401
+    import repro.soc.mem.dram  # noqa: F401
+
+    seen = {}
+    for cls in _all_subclasses(Checkpointed):
+        overlap = _declared(cls) & set(_not_state(cls))
+        assert not overlap, f"{cls.__name__}: {overlap}"
+        seen[cls.__name__] = cls
+    for name in NOT_STATE:
+        assert name in seen, f"NOT_STATE names unknown class {name}"
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)

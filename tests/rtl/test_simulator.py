@@ -164,12 +164,10 @@ class TestCheckpoint:
         small = RTLCacheSharedLibrary(idxw=4)
         big = RTLCacheSharedLibrary(idxw=6)
         assert len(small.sim.values) == len(big.sim.values)
-        before = big.save_checkpoint()
+        before = big.checkpoint_state()
         with pytest.raises(ValueError, match="does not match"):
             big.load_checkpoint_state(small.checkpoint_state())
-        with pytest.raises(ValueError, match="does not match"):
-            big.restore_checkpoint(small.save_checkpoint())
-        assert big.sim.mems == before[0].mems
+        assert big.sim.mems == before["mems"]
         big.sim.peek_mem("tags", 40)
 
     def test_checkpoint_of_other_memory_count_rejected(self):
