@@ -85,20 +85,27 @@ class RTLObject(SimObject):
         self.tlb = tlb
         self.max_inflight = max_inflight
 
+        # A model that can lag keeps its own event, to arm for the edge
+        # that ends a lag, and a lag ends before a port delivers to it;
+        # every other is ticked by its clock domain's.
+        self._domain_member = type(self).lag_cycles is RTLObject.lag_cycles
+        bind = ((lambda handler: handler) if self._domain_member
+                else self.ends_owing)
         # CPU-side: the SoC masters us (config writes, register reads).
         self.cpu_side = [
             ResponsePort(
                 f"{name}.cpu_side{i}",
-                recv_timing_req=self._make_cpu_req_handler(i),
+                recv_timing_req=bind(self._make_cpu_req_handler(i)),
                 recv_functional=self._recv_functional,
             )
             for i in range(CPU_SIDE_PORTS)
         ]
         # Memory-side: we master the SoC memory system.
+        recv_mem_resp = bind(self._recv_mem_resp)
         self.mem_side = [
             RequestPort(
                 f"{name}.mem_side{i}",
-                recv_timing_resp=self._recv_mem_resp,
+                recv_timing_resp=recv_mem_resp,
                 recv_snoop=self.recv_snoop_mem,
             )
             for i in range(MEM_SIDE_PORTS)
@@ -110,13 +117,14 @@ class RTLObject(SimObject):
         self.mem_resp_queue: deque[Packet] = deque()
         self.inflight = 0
 
-        # A model that can lag keeps its own event, to arm for the edge
-        # that ends a lag; every other is ticked by its clock domain's.
-        self._domain_member = type(self).lag_cycles is RTLObject.lag_cycles
         if self._domain_member:
             self._tick_event = self.clock.add_member(self)
         else:
-            self._tick_event = Event(self._tick, f"{name}.tick")
+            self._tick_event = self._owed_event = Event(self._tick,
+                                                        f"{name}.tick")
+            # stepped, a core's cycle re-arms one period of its own ahead
+            # and we one of ours: at our clock or faster it fires first
+            self._owed_late = self.clock.period <= sim.default_clock.period
         #: ticked at its clock's edges until :meth:`stop`
         self.running = True
         # Last output struct consumed, packed and decoded: what a lag
@@ -127,17 +135,10 @@ class RTLObject(SimObject):
         #: decodes it; read-only, as in :meth:`consume_output`
         self.last_output = self._zero_output = self.decode_output(
             self._last_bytes)
-        # A lag (see :meth:`lag_cycles`): the last edge consumed, the
-        # seq of the event armed for the edge that ends it, and whether
-        # clock-priority events precede our edges at a shared tick.
-        self._lagging = False
-        self._lag_edge = 0
-        self._lag_seq = 0
-        self._lag_after_clock = False
 
         s = self.stats
         self.st_ticks = s.add(SettledScalar(
-            "ticks", "RTL model clock ticks executed", self.catch_up))
+            "ticks", "RTL model clock ticks executed", self))
         self.st_mem_reads = s.scalar("mem_reads", "memory-side read requests")
         self.st_mem_writes = s.scalar("mem_writes", "memory-side write requests")
         self.st_mem_resps = s.scalar("mem_resps", "memory-side responses")
@@ -194,10 +195,9 @@ class RTLObject(SimObject):
         this edge, then the next edge or a new lag."""
         eventq = self.sim.eventq
         period = self.clock.period
-        if self._lagging:
-            # The edge a lag was armed for: run the edges it owes first.
-            self._lag_to(eventq.cur_tick - period)
-            self._end_lag()
+        if self._owed:
+            # the edge a lag was armed for: the edges before it first
+            self.catch_up(end=True)
         self.clock_edge()
         if self.running:
             edge = eventq.cur_tick
@@ -226,15 +226,12 @@ class RTLObject(SimObject):
             arm = min(arm, (until - 1) // period * period)
         if arm <= last + period:
             return False
-        self._lagging = True
-        self._lag_edge = last
-        # A clock-priority event at one of our edges is a core's cycle.
-        # Single-stepped, we re-arm one period of ours ahead and the core
-        # one of its own: at our clock or faster the core's event is
-        # older and fires first, on a slower clock ours does.
-        self._lag_after_clock = period <= self.sim.default_clock.period
-        self._lag_seq = eventq.next_seq
-        eventq.schedule(self._tick_event, arm, self._lag_priority())
+        self._owed = last + period
+        # just after the clock band, or in it, ahead of every clock
+        # event armed since the lag began
+        self._owed_seq = eventq.next_seq
+        eventq.schedule(self._tick_event, arm, EventPriority.CLOCK + 1
+                        if self._owed_late else EventPriority.CLOCK)
         self.begin_lag()
         if FLAG_RTL_BATCH.enabled:
             tracepoint(
@@ -244,66 +241,11 @@ class RTLObject(SimObject):
             )
         return True
 
-    def _lag_priority(self) -> int:
-        # just after the clock band, or in it, ahead of every clock event
-        # armed since the lag began
-        if self._lag_after_clock:
-            return EventPriority.CLOCK + 1
-        return EventPriority.CLOCK
-
-    def lag_open_edge(self) -> int:
-        """While lagging: the first of our edges that has not fired yet
-        in the single-stepped schedule, as seen by the event being
-        dispatched — the edge an input arriving now is sampled at."""
-        eventq = self.sim.eventq
-        now = eventq.cur_tick
-        period = self.clock.period
-        edge = now + (-now) % period
-        if edge == now:
-            cur = eventq.current
-            if cur is not None:
-                priority = cur[1]
-                if priority != EventPriority.CLOCK:
-                    passed = priority > EventPriority.CLOCK
-                else:
-                    passed = (not self._lag_after_clock
-                              and cur[2] > self._lag_seq)
-                if passed:
-                    edge += period
-        return max(edge, self._lag_edge + period)
-
-    def catch_up(self, end: bool = False) -> None:
-        """Run the edges a lagging model owes the caller: every edge
-        that precedes the event being dispatched.  With *end*, the lag
-        ends too, and the tick is armed for the next edge, where the
-        model steps as before; the entry point for whatever changes
-        the model's inputs or state mid-lag (a CPU-side request, a
-        memory-side response, a fault flip, a checkpoint, :meth:`stop`)
-        or must see every edge before it (a trace window).  Does nothing
-        while not lagging."""
-        if not self._lagging:
-            return
-        edge = self.lag_open_edge()
-        self._lag_to(edge - self.clock.period)
-        if not end:
-            return
-        self._end_lag()
-        event = self._tick_event
-        if event.when() != edge:
-            eventq = self.sim.eventq
-            eventq.deschedule(event)
-            if self._lag_after_clock:
-                eventq.schedule(event, edge, self._lag_priority())
-            else:
-                eventq.restore_entry(event, edge, EventPriority.CLOCK,
-                                     self._lag_seq)
-
-    def _lag_to(self, last: int) -> None:
-        """Run the lagged edges up to and including *last*."""
-        cycles = (last - self._lag_edge) // self.clock.period
-        if cycles <= 0:
-            return
-        in_bytes, field, values = self.lagged_inputs(last)
+    def settle_owed(self, first: int, edge: int) -> None:
+        """Run the lagged edges from *first* to before *edge* at once, on
+        :meth:`lagged_inputs`; an output that moves in them raises."""
+        cycles = (edge - first) // self.clock.period
+        in_bytes, field, values = self.lagged_inputs(first, edge)
         library = self.library
         before = library.ticks
         out = library.tick_varying(in_bytes, field, values, self._last_bytes)
@@ -311,20 +253,30 @@ class RTLObject(SimObject):
         if ran != cycles or out != self._last_bytes:
             raise RuntimeError(
                 f"{self.name}: an output moved at lagged edge {ran} of "
-                f"{cycles} after tick {self._lag_edge}, inside the horizon "
+                f"{cycles} from tick {first}, inside the horizon "
                 "lag_cycles() proved"
             )
         self.st_ticks.inc(ran)
         tracer = get_chrome_tracer()
         if tracer is not None and tracer.enabled:
-            period = self.clock.period
-            tracer.window("rtl lagged", f"rtl:{self.name}",
-                          self._lag_edge + period, last + period, period)
-        self._lag_edge = last
+            tracer.window("rtl lagged", f"rtl:{self.name}", first, edge,
+                          self.clock.period)
 
-    def _end_lag(self) -> None:
-        self._lagging = False
+    def end_owing(self, edge: int) -> None:
+        """End the lag; the model steps from *edge*, where the tick is
+        re-armed unless it is the edge firing now."""
+        self._owed = 0
         self.end_lag()
+        event = self._tick_event
+        if event.scheduled and event.when() != edge:
+            # as the lag was: after the clock band, or in it at its seq
+            eventq = self.sim.eventq
+            eventq.deschedule(event)
+            if self._owed_late:
+                eventq.schedule(event, edge, EventPriority.CLOCK + 1)
+            else:
+                eventq.restore_entry(event, edge, EventPriority.CLOCK,
+                                     self._owed_seq)
 
     # -- hooks for model-specific subclasses ----------------------------------
 
@@ -363,27 +315,25 @@ class RTLObject(SimObject):
 
     def begin_lag(self) -> None:
         """Start logging the tapped inputs against the edges that will
-        consume them (:meth:`lag_open_edge`); by default none are."""
+        consume them (:meth:`open_edge`); by default none are."""
 
     def end_lag(self) -> None:
         """Stop logging; what is still logged belongs to the next edge."""
 
-    def lagged_inputs(self, last: int):
-        """``(input_bytes, field, values)`` for the lagged edges up to
-        *last*: one value of *field* per edge, as
+    def lagged_inputs(self, first: int, end: int):
+        """``(input_bytes, field, values)`` for the lagged edges from
+        *first* to before *end*: one value of *field* per edge, as
         :meth:`RTLSharedLibrary.tick_varying` takes them.  By default no
         input is tapped, and every lagged edge sees the all-zero struct
         (*field* None): a model whose horizon holds only while nothing
         drives its pins."""
-        cycles = (last - self._lag_edge) // self.clock.period
+        cycles = (end - first) // self.clock.period
         return self.library.input_spec.zeros(), None, range(cycles)
 
     # -- CPU-side plumbing ------------------------------------------------------
 
     def _make_cpu_req_handler(self, port_idx: int):
         def handler(pkt: Packet) -> bool:
-            if self._lagging:
-                self.catch_up(end=True)
             pkt.dest_port = port_idx
             if FLAG_RTL.enabled:
                 tracepoint(
@@ -491,9 +441,6 @@ class RTLObject(SimObject):
         )
 
     def _recv_mem_resp(self, pkt: Packet) -> bool:
-        if self._lagging:
-            # the response feeds the input struct of an edge to come
-            self.catch_up(end=True)
         now = pkt.resp_tick = self.sim.eventq.cur_tick
         self.inflight -= 1
         self.st_mem_resps.inc()
@@ -523,6 +470,5 @@ class RTLObject(SimObject):
     def ckpt_load(self, state: dict, ctx) -> None:
         self.library.load_checkpoint_state(state["library"])
         self.last_output = self.decode_output(self._last_bytes)
-        # a checkpoint ends every lag before it is taken
-        if self._lagging:
-            self._end_lag()
+        if self._owed:  # a checkpoint ends every lag before it is taken
+            self.end_owing(0)

@@ -350,7 +350,6 @@ def run_sharing_stress(
     seed: int = 0,
     rtl: bool | int = False,
     paranoid: bool = True,
-    check_every: int = 2_000,
     max_cycles: int = 4_000_000,
     **build_kwargs,
 ) -> dict:
@@ -363,7 +362,7 @@ def run_sharing_stress(
     sim.startup()
 
     clock = sim.default_clock
-    step = clock.cycles_to_ticks(check_every)
+    step = clock.cycles_to_ticks(2_000)  # an audit every 2 000 cycles
     end = clock.cycles_to_ticks(max_cycles)
 
     def quiet() -> bool:

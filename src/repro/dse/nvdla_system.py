@@ -8,7 +8,6 @@ application and workload copy, all on one 1 GHz clock domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..models.nvdla.host import NVDLAHostApp
 from ..models.nvdla.rtl_object import NVDLARTLObject
@@ -84,7 +83,6 @@ def build_nvdla_system(
     max_inflight: int = 240,
     timed_load: bool = False,
     scale: float = 1.0,
-    soc_cfg: Optional[SoCConfig] = None,
     use_sram_scratchpad: bool = False,
 ) -> NVDLASystem:
     """Assemble the DSE system.
@@ -98,7 +96,7 @@ def build_nvdla_system(
     """
     if n_nvdla < 1:
         raise ValueError("need at least one NVDLA instance")
-    cfg = soc_cfg or SoCConfig()
+    cfg = SoCConfig()
     cfg.memory = memory
     soc = SoC(cfg)
 

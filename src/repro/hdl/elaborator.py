@@ -69,6 +69,9 @@ class _Scope:
         raise ElabError(f"unknown identifier {name!r}", loc)
 
 
+#: iterations after which a generate-for is rejected as runaway
+GENERATE_LIMIT = 100_000
+
 #: unary HDL operator -> (0/1 wrapper or None, repro.rtl.ir operator)
 _UNARY = {
     "~": (None, "~"), "-": (None, "neg"),
@@ -185,7 +188,7 @@ class Elaborator:
         a scope where the genvar is a constant; names created inside get
         a ``label[i].`` prefix (matching Verilog's generate naming)."""
         value = self._const_expr(gen.init, scope)
-        for _guard in range(100_000):
+        for _guard in range(GENERATE_LIMIT):
             iter_scope = scope.nested(f"{gen.label}[{value}].",
                                       **{gen.var: value})
             if not self._const_expr(gen.cond, iter_scope):
@@ -193,7 +196,8 @@ class Elaborator:
             self._elaborate_body(gen.items, iter_scope)
             value = self._const_expr(gen.step, iter_scope)
         raise ElabError(
-            f"generate-for {gen.label!r} exceeded 100000 iterations", gen.loc
+            f"generate-for {gen.label!r} exceeded {GENERATE_LIMIT} "
+            "iterations", gen.loc
         )
 
     def _declare_net(self, decl: ast.NetDecl, scope: _Scope, is_top: bool) -> None:

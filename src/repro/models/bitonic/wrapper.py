@@ -70,17 +70,3 @@ class BitonicSharedLibrary(RTLSharedLibrary):
         super().__init__(rtl, trace_stream=trace_stream,
                          trace_enabled=trace_enabled, backend=backend)
         self.width = width
-
-    # -- convenience -------------------------------------------------------
-
-    def sort8(self, values: list[int]) -> list[int]:
-        """Push one vector through the pipeline and return it sorted."""
-        if len(values) != LANES:
-            raise ValueError(f"need exactly {LANES} values")
-        out = self.tick(self.input_spec.pack(valid_in=1, data=values))
-        for _ in range(PIPELINE_DEPTH * 2):
-            fields = self.output_spec.unpack(out)
-            if fields["valid_out"]:
-                return fields["data"]
-            out = self.tick(self.input_spec.zeros())
-        raise RuntimeError("pipeline did not produce a result")

@@ -109,22 +109,3 @@ class Trace:
                 raise TypeError(f"unknown command {cmd!r}")
         return bytes(out)
 
-    @staticmethod
-    def deserialize_commands(data: bytes) -> list:
-        magic, version, count = struct.unpack_from("<IHI", data, 0)
-        if magic != MAGIC:
-            raise ValueError(f"bad trace magic {magic:#x}")
-        if version != 1:
-            raise ValueError(f"unsupported trace version {version}")
-        cmds: list = []
-        offset = struct.calcsize("<IHI")
-        for _ in range(count):
-            op, addr, value = struct.unpack_from("<BII", data, offset)
-            offset += struct.calcsize("<BII")
-            if op == OP_REG_WRITE:
-                cmds.append(RegWrite(addr, value))
-            elif op == OP_WAIT_IRQ:
-                cmds.append(WaitIrq())
-            else:
-                raise ValueError(f"unknown opcode {op}")
-        return cmds

@@ -70,7 +70,7 @@ class PMURTLObject(RTLObject):
         self.st_events_deferred = s.add(SettledScalar(
             "events_deferred",
             "event pulses deferred to a later PMU tick (rate mismatch)",
-            self.catch_up,
+            self,
         ))
         #: while lagging: ``(edge tick, wire, pulses)`` in arrival order
         self._log: list[tuple[int, EventWire, int]] = []
@@ -230,7 +230,7 @@ class PMURTLObject(RTLObject):
             lane.wire.lag = log_pulse
 
     def _log_pulse(self, wire: EventWire, n: int) -> None:
-        self._log.append((self.lag_open_edge(), wire, n))
+        self._log.append((self.open_edge(), wire, n))
 
     def end_lag(self) -> None:
         # what is still logged is for the next edge: pulses, as before
@@ -240,16 +240,16 @@ class PMURTLObject(RTLObject):
             wire.count += n
         self._log.clear()
 
-    def lagged_inputs(self, last: int):
-        """One ``events`` word per lagged edge up to *last*: the clock
-        lanes, plus the logged pulses of that edge and those the lane
-        cap deferred to it, as :meth:`build_input` takes them."""
+    def lagged_inputs(self, first: int, end: int):
+        """One ``events`` word per lagged edge from *first* to before
+        *end*: the clock lanes, plus the logged pulses of that edge and
+        those the lane cap deferred to it, as :meth:`build_input` takes
+        them."""
         period = self.clock.period
         clock = self._clock_events
         log = self._log
         words: list[int] = []
-        edge = self._lag_edge + period
-        end = last + period
+        edge = first
         i, logged = 0, len(log)
         while edge < end:
             while i < logged and log[i][0] == edge:

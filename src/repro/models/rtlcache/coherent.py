@@ -165,8 +165,7 @@ class RTLCoherentCacheObject(RTLCacheObject):
         kind = pkt.meta.get("snoop")
         if kind == "grant":
             if pkt.meta.get("dest") == self.coh_id:
-                if self._lagging:
-                    self.catch_up(end=True)
+                self._snooped()
                 self._apply_grant(pkt)
             return
         if pkt.meta.get("origin") == self.coh_id:
@@ -191,9 +190,7 @@ class RTLCoherentCacheObject(RTLCacheObject):
                 f"{self.coh_id}: {kind} snoop targets a write-through "
                 f"participant (block {block:#x}); it never owns a line"
             )
-        if self._lagging:
-            # the probe is replayed into the pins at an edge to come
-            self.catch_up(end=True)
+        self._snooped()
         self.st_invalidations.inc()
         del self._mirror[self._idx(block)]
         self._pending_snoops.append(block)
@@ -202,6 +199,13 @@ class RTLCoherentCacheObject(RTLCacheObject):
             self._current_raced = True
         self._demote_posted(block)
         pkt.meta.setdefault("snoop_hits", []).append(self.coh_id)
+
+    def _snooped(self) -> None:
+        """A grant or probe aimed at us feeds an edge to come: the lag
+        ends first.  Not bound at the port (``ends_owing``): a snoop
+        aimed elsewhere reaches us too, and must leave the lag be."""
+        if self._owed:
+            self.catch_up(end=True)
 
     def _demote_posted(self, block: int) -> None:
         """The line just left us: posted stores to it now serialize as

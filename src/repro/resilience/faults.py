@@ -273,35 +273,24 @@ class FaultPlan:
         return cls(faults, seed=seed)
 
     @classmethod
-    def generate(
-        cls,
-        seed: int,
-        n_faults: int = 3,
-        kinds: tuple = SIM_FAULT_KINDS,
-        max_trigger: int = 50,
-        points: int = 0,
-    ) -> "FaultPlan":
-        """Seeded random plan; same seed → identical plan, always."""
+    def generate(cls, seed: int) -> "FaultPlan":
+        """Seeded random plan of three simulation faults, each armed
+        within the first 50 triggers; same seed → identical plan,
+        always."""
         rng = random.Random(seed)
         faults = []
-        for _ in range(n_faults):
-            kind = rng.choice(kinds)
-            if kind in ("dram-drop", "dram-delay"):
-                fault = Fault(kind, rng.randrange(1, max_trigger + 1),
-                              rng.randrange(50, 500) if kind == "dram-delay"
-                              else 0)
+        for _ in range(3):
+            kind = rng.choice(SIM_FAULT_KINDS)
+            trigger = rng.randrange(1, 51)
+            if kind == "dram-drop":
+                arg = 0
+            elif kind == "dram-delay":
+                arg = rng.randrange(50, 500)
             elif kind == "retry-storm":
-                fault = Fault(kind, rng.randrange(1, max_trigger + 1),
-                              rng.randrange(100, 1000))
-            elif kind == "rtl-flip":
-                fault = Fault(kind, rng.randrange(1, max_trigger + 1),
-                              rng.randrange(0, 4096))
-            else:  # worker faults need a point universe
-                if points <= 0:
-                    continue
-                fault = Fault(kind, rng.randrange(points),
-                              2 if kind == "worker-hang" else 0)
-            faults.append(fault)
+                arg = rng.randrange(100, 1000)
+            else:
+                arg = rng.randrange(0, 4096)
+            faults.append(Fault(kind, trigger, arg))
         return cls(faults, seed=seed)
 
     # -- identity ----------------------------------------------------------

@@ -5,7 +5,7 @@ Format
 A checkpoint is one gzipped JSON document::
 
     {
-      "version":  5,
+      "version":  6,
       "meta":     {"tick", "structure", "next_pkt_id", "saved_name"},
       "eventq":   {"cur_tick", "seq", "executed", "compactions"},
       "stats":    <root StatGroup state_dict>,
@@ -20,8 +20,9 @@ stepped over and an RTLObject's last consumed output struct joined the
 object state; 3: tag arrays are sparse, below; 4: the single-stepped
 RTL objects of one clock domain tick from one named event, saved under
 the domain's first member; 5: RTL objects no longer save the
-``batched_ticks`` stat of the run-ahead windows; an older file is
-refused, not misread);
+``batched_ticks`` stat of the run-ahead windows; 6: a core's ``skip``
+is the first edge it owes, without the end its cycle event holds; an
+older file is refused, not misread);
 ``meta.structure`` is a digest over the object tree (paths + types) so
 a checkpoint can only be restored onto an identically built system.
 
@@ -83,7 +84,7 @@ from typing import Any, Optional
 
 from ..soc.packet import MemCmd, Packet, peek_packet_id, set_next_packet_id
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -304,8 +305,8 @@ def checkpoint_document(sim, max_wait: int = 10**9) -> dict:
                 + "; ".join(problems[:5])
             )
 
-    # A model lagging behind the queue runs the edges it owes and steps
-    # from the next one: no lag crosses a checkpoint.
+    # Every object settles the edges it owes; no lag crosses a
+    # checkpoint (a core's stall window does, as core state).
     for obj in sim.objects:
         obj.catch_up(end=True)
 

@@ -46,15 +46,13 @@ def run_on_grid(
     done: Callable[[], bool],
     max_cycles: int,
     wall_deadline: Optional[float] = None,
-    step_cycles: int = GRID_STEP_CYCLES,
-    drain_cycles: int = GRID_DRAIN_CYCLES,
     progress: Optional[list] = None,
 ) -> int:
     """Run *sim* until ``done()``, then a fixed drain; returns the end tick.
 
-    Step boundaries sit on absolute multiples of *step_cycles* so a run
-    restored from a checkpoint observes the same boundaries (and hence
-    the same event interleavings) as an uninterrupted one.  The cycle
+    Step boundaries sit on absolute multiples of ``GRID_STEP_CYCLES`` so
+    a run restored from a checkpoint observes the same boundaries (and
+    hence the same event interleavings) as an uninterrupted one.  The cycle
     budget is likewise absolute — counted from reset, not from restore.
 
     Deliberately a polling grid and not ``Simulation.request_exit``: a
@@ -67,7 +65,7 @@ def run_on_grid(
     """
     sim.startup()
     clock = sim.default_clock
-    step = clock.cycles_to_ticks(step_cycles)
+    step = clock.cycles_to_ticks(GRID_STEP_CYCLES)
     end = clock.cycles_to_ticks(max_cycles)
     while True:
         if progress is not None:
@@ -82,8 +80,7 @@ def run_on_grid(
             raise WallClockExceeded("experiment wall-clock budget exhausted")
         boundary = (sim.now // step + 1) * step
         sim.run(until=min(boundary, end))
-    if drain_cycles:
-        sim.run(until=sim.now + clock.cycles_to_ticks(drain_cycles))
+    sim.run(until=sim.now + clock.cycles_to_ticks(GRID_DRAIN_CYCLES))
     return sim.now
 
 

@@ -275,9 +275,6 @@ class RTLModule:
     def outputs(self) -> list[Signal]:
         return [s for s in self.signals.values() if s.is_output]
 
-    def num_signals(self) -> int:
-        return len(self.signals)
-
     def fresh_values(self) -> list[int]:
         vals = [0] * len(self.signals)
         for idx, v in self.initial_values.items():

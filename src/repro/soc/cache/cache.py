@@ -255,9 +255,11 @@ class StridePrefetcher(BasePrefetcher):
     ckpt_state = (("_last_block", VALUE), ("_stride", VALUE),
                   ("_confidence", VALUE))
 
-    def __init__(self, degree: int = 2, confidence: int = 2) -> None:
+    #: times a stride must repeat before it is prefetched
+    confidence_needed = 2
+
+    def __init__(self, degree: int = 2) -> None:
         self.degree = degree
-        self.confidence_needed = confidence
         self._last_block: Optional[int] = None
         self._stride: Optional[int] = None
         self._confidence = 0

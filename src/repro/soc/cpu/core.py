@@ -80,9 +80,9 @@ class OoOCore(SimObject):
         ("_fetch_blocked", VALUE), ("_sleeping", VALUE), ("done", VALUE),
         ("_cycle", VALUE), ("_draining_for_irq", VALUE),
         ("_pending_irqs", DEQUE), ("commit_wire", "commit_wire.count", VALUE),
+        ("skip", "_owed", VALUE),  # an owed window crosses a checkpoint
     )
-    ckpt_hooked = ("_rob", "_inflight", "_alu_done", "_skip_from",
-                   "_skip_end", "stream")
+    ckpt_hooked = ("_rob", "_inflight", "_alu_done", "stream")
 
     def __init__(
         self,
@@ -142,16 +142,12 @@ class OoOCore(SimObject):
         self.commit_wire = EventWire(f"{name}.commits")
 
         self._cycle = 0
-        self._cycle_event = Event(self._do_cycle, f"{name}.cycle")
-        # Stall window being stepped over: the tick of its first edge
-        # not counted yet (0: none) and of the edge the cycle event is
-        # armed for, which ends it.
-        self._skip_from = 0
-        self._skip_end = 0
+        self._cycle_event = self._owed_event = Event(self._do_cycle,
+                                                     f"{name}.cycle")
 
         s = self.stats
         self.st_cycles = s.add(SettledScalar(
-            "cycles", "core cycles (including sleep)", self._count_skipped))
+            "cycles", "core cycles (including sleep)", self))
         self.st_committed = s.scalar("committed", "committed instructions")
         self.st_loads = s.scalar("loads", "load µops issued")
         self.st_stores = s.scalar("stores", "store µops issued")
@@ -159,8 +155,7 @@ class OoOCore(SimObject):
         self.st_mispredicts = s.scalar("mispredicts", "mispredicted branches")
         self.st_sleep_cycles = s.scalar("sleep_cycles", "cycles spent sleeping")
         self.st_issue_stalls = s.add(SettledScalar(
-            "issue_stalls", "cycles with zero issue while runnable",
-            self._count_skipped))
+            "issue_stalls", "cycles with zero issue while runnable", self))
         self.st_interrupts = s.scalar(
             "interrupts", "interrupts taken (handler activations)"
         )
@@ -191,14 +186,15 @@ class OoOCore(SimObject):
 
     @property
     def cycle(self) -> int:
-        self._count_skipped()
+        self.catch_up()
         return self._cycle
 
     # -- pipeline ------------------------------------------------------------
 
     def _do_cycle(self) -> None:
-        if self._skip_from:
-            self._count_skipped()  # what is left of the window: all < now
+        if self._owed:
+            self.catch_up()  # what is left of the window: all < now
+            self._owed = 0
         self._cycle += 1
         self.st_cycles.inc()
         self._commit()
@@ -218,14 +214,12 @@ class OoOCore(SimObject):
         if self._cycle + 1 < self._stall_until:
             skip = self._stall_window()
             if skip:
-                period = self.clock.period
-                self._skip_from = self.now + period
-                self._skip_end = self._skip_from + skip * period
+                self._owed = self.now + self.clock.period
         self.schedule_cycles(self._cycle_event, 1 + skip, EventPriority.CLOCK)
 
     def _stall_window(self) -> int:
         """Edges after this one at which nothing can happen: the cycle
-        event is armed past them, and they are counted, not dispatched.
+        event is armed past them, and they are owed, not dispatched.
 
         Inside a front-end stall (``_cycle < _stall_until``) with
         nothing in flight and no finished ROB head, a cycle commits
@@ -234,8 +228,8 @@ class OoOCore(SimObject):
         That lasts until the stall ends or an ALU µop completes.  The
         window also ends at the first edge a queued clock-priority event
         could share (:meth:`EventQueue.next_clock_tick`) and before the
-        ``until`` of the run in progress, so whoever reads this core,
-        at whatever tick, finds the edges up to that tick counted.
+        ``until`` of the run in progress, so no clock-priority event
+        queued when it begins lands inside it (``_owed_seq`` is 0).
         """
         if (
             self._inflight
@@ -261,24 +255,15 @@ class OoOCore(SimObject):
             cycles = min(cycles, (horizon - now) // self.clock.period)
         return max(0, cycles - 1)
 
-    def _count_skipped(self) -> None:
-        """Count the stepped-over edges that lie at or before now.
-
-        A reader at an edge's own tick comes after it: the cycle event
-        is armed before anything else that fires there at clock
-        priority, and everything else fires later in the tick."""
-        first = self._skip_from
-        now = self.sim.eventq.cur_tick
-        if not first or now < first:
-            return
-        period = self.clock.period
-        passed = (min(now, self._skip_end - period) - first) // period + 1
+    def settle_owed(self, first: int, edge: int) -> None:
+        """The owed edges of a stall window: each adds one to
+        ``cycles`` and, over a non-empty ROB, to ``issue_stalls``.  The
+        window has no inputs, so nothing ends it but its own edge."""
+        passed = (edge - first) // self.clock.period
         self._cycle += passed
         self.st_cycles.inc(passed)
         if self._rob:
             self.st_issue_stalls.inc(passed)
-        first += passed * period
-        self._skip_from = first if first < self._skip_end else 0
 
     def _commit(self) -> None:
         rob = self._rob
@@ -511,9 +496,6 @@ class OoOCore(SimObject):
         return None
 
     def ckpt_save(self, state: dict, ctx) -> None:
-        # the stepped-over cycles up to now are counted before "cycle"
-        # and the stats are saved
-        self._count_skipped()
         # ROB entries are shared between _rob, _inflight and _alu_done;
         # the index into _rob is the canonical reference.
         rob = list(self._rob)
@@ -523,7 +505,6 @@ class OoOCore(SimObject):
                              for pkt_id, entry in self._inflight.items()}
         state["alu_done"] = [[cyc, index[id(entry)]]
                              for cyc, entry in self._alu_done]
-        state["skip"] = [self._skip_from, self._skip_end]
         state["has_stream"] = self.stream is not None
         state["stream_consumed"] = self.stream.consumed if self.stream else 0
 
@@ -535,7 +516,6 @@ class OoOCore(SimObject):
         self._inflight = {int(pkt_id): rob[i]
                           for pkt_id, i in state["inflight"].items()}
         self._alu_done = [(cyc, rob[i]) for cyc, i in state["alu_done"]]
-        self._skip_from, self._skip_end = state["skip"]
         self._stream_stack = []
         if state["has_stream"]:
             if self.stream is None:

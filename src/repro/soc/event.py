@@ -296,18 +296,6 @@ class EventQueue:
             return None
         return (heap[0][0], heap[0][3].name)
 
-    def next_event_tick(self) -> Optional[int]:
-        """Tick of the earliest live event, or None if the queue is empty.
-
-        The earliest live entry bounds how far simulated state can be
-        advanced without missing an interaction.  Dead
-        (lazily-cancelled) entries at the top are discarded on the way.
-        """
-        heap = self._heap
-        while heap and not heap[0][3].alive:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
     def next_clock_tick(self, after: int) -> Optional[int]:
         """Tick of the earliest live event later than *after* that fires
         no later in its tick than a clock edge (priority ``CLOCK`` or
@@ -492,9 +480,6 @@ class ClockDomain:
 
     def cycles_to_ticks(self, cycles: int) -> int:
         return cycles * self.period
-
-    def ticks_to_cycles(self, ticks: int) -> int:
-        return ticks // self.period
 
     def next_edge(self, now: int) -> int:
         """First tick >= *now* aligned to a rising edge of this clock."""

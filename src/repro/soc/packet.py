@@ -39,11 +39,6 @@ class MemCmd(enum.Enum):
     #: the command that answers this one; None if it takes no response
     response: Optional["MemCmd"]
 
-    def response_for(self) -> "MemCmd":
-        if self.response is None:
-            raise ValueError(f"{self} does not take a response")
-        return self.response
-
 
 # One row per command: (is_read, is_write, is_request, needs_response,
 # response).  Every command is a request or a response.  A snoop names

@@ -156,12 +156,6 @@ class RequestPort(_Port):
         assert isinstance(peer, ResponsePort)
         peer.handle_functional(pkt)
 
-    def send_retry_resp(self) -> None:
-        """Tell the responder a previously-rejected response may be resent."""
-        peer = self._require_peer()
-        assert isinstance(peer, ResponsePort)
-        peer.handle_resp_retry()
-
     # called by the peer ------------------------------------------------------
 
     def handle_req_retry(self) -> None:

@@ -233,7 +233,8 @@ class Checkpointed:
     entries, a stream to fast-forward, a check) goes in the
     :meth:`ckpt_save`/:meth:`ckpt_load` hook, on the attributes that
     ``ckpt_hooked`` names.  Anything else an object changes is a memo
-    rebuilt on load, a lag ended before every save, transient state a
+    rebuilt on load, owed edges (:meth:`SimObject.catch_up` settles
+    them, and ends a lag, before every save), transient state a
     :meth:`SimObject.ckpt_veto` guards, or a statistic (saved by the
     engine): ``tests/resilience/test_ckpt_complete.py`` checks it.
     """
@@ -422,12 +423,78 @@ class SimObject(Checkpointed):
         """Long-lived re-armable events, keyed by a stable name."""
         return {}
 
+    # -- owed edges ---------------------------------------------------------
+    #
+    # An object that steps over edges of its clock arms ``_owed_event``
+    # for the edge after them and owes the rest (a core its counters, an
+    # RTL model the replayed edges); :meth:`catch_up` settles them.
+
+    #: the first edge owed and not settled (0: none)
+    _owed = 0
+    _owed_event: Optional[Event] = None
+    #: at a shared tick, clock-priority events older than this ``seq``
+    #: precede our edge; with ``_owed_late`` every one does
+    _owed_seq = 0
+    _owed_late = False
+
+    def open_edge(self) -> int:
+        """The first owed edge not fired yet in the single-stepped
+        schedule, as seen by the event being dispatched: an event after
+        the clock band comes after our edge at its tick, one before it
+        before, a clock-priority one as ``_owed_seq`` says.  No owed edge
+        lies at or past the armed one."""
+        eventq = self.sim.eventq
+        now = eventq.cur_tick
+        period = self.clock.period
+        edge = now + (-now) % period
+        if edge == now:
+            cur = eventq.current
+            if cur is not None:
+                priority = cur[1]
+                if priority != EventPriority.CLOCK:
+                    passed = priority > EventPriority.CLOCK
+                else:
+                    passed = not self._owed_late and cur[2] > self._owed_seq
+                if passed:
+                    edge += period
+        first = self._owed
+        if edge <= first:
+            return first
+        armed = self._owed_event._entry.tick
+        return edge if edge < armed else armed
+
     def catch_up(self, end: bool = False) -> None:
-        """Bring whatever this object defers up to the event being
-        dispatched, before something looks at every edge of it (a trace
-        window opening or closing) or saves it (a checkpoint, with
-        *end*: defer nothing across it).  Nothing is deferred here; an
-        RTL model that lags behind the queue overrides it."""
+        """Settle the owed edges the event being dispatched has passed,
+        before something reads this object or looks at each edge (a
+        stats read, a trace window); with *end*, before something
+        changes its inputs or saves it (a delivery, a flip, a
+        checkpoint), end the owing where it can (:meth:`end_owing`).
+        gem5's ``updateCycleCounters``."""
+        first = self._owed
+        if not first:
+            return
+        edge = self.open_edge()
+        if edge > first:
+            self.settle_owed(first, edge)
+            self._owed = edge
+        if end:
+            self.end_owing(edge)
+
+    def settle_owed(self, first: int, edge: int) -> None:
+        """Account for the owed edges from *first* to before *edge*."""
+
+    def end_owing(self, edge: int) -> None:
+        """End the owing and step from *edge*; by default it goes on."""
+
+    def ends_owing(self, handler: Callable) -> Callable:
+        """*handler*, a timing receive, behind the catch-up that ends an
+        owing first: what a port delivers feeds an edge to come."""
+        def deliver(pkt) -> bool:
+            if self._owed:
+                self.catch_up(end=True)
+            return handler(pkt)
+
+        return deliver
 
     def ckpt_veto(self) -> Optional[str]:
         """Reason this object cannot be checkpointed right now, or None.

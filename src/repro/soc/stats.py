@@ -76,27 +76,27 @@ class Scalar(Stat):
 
 
 class SettledScalar(Scalar):
-    """A counter whose owner may run ahead of or behind its reads.
+    """A counter its owner may owe edges to.
 
     An object that steps over cycles or lags behind the event queue
-    counts what it owes when it next runs; a read, reset or checkpoint
-    in between first calls *settle*, which brings the count up to the
-    current tick (gem5's ``updateCycleCounters``)."""
+    counts what it owes when it settles; a read, reset or checkpoint
+    first calls ``owner.catch_up()``, which brings the count up to the
+    event being dispatched (gem5's ``updateCycleCounters``)."""
 
-    def __init__(self, name: str, desc: str, settle: Callable[[], None]):
+    def __init__(self, name: str, desc: str, owner) -> None:
         super().__init__(name, desc)
-        self._settle = settle
+        self._owner = owner
 
     def value(self):
-        self._settle()
+        self._owner.catch_up()
         return self._value
 
     def reset(self) -> None:
-        self._settle()
+        self._owner.catch_up()
         self._value = 0
 
     def state_dict(self) -> dict:
-        self._settle()
+        self._owner.catch_up()
         return {"value": self._value}
 
 
@@ -345,12 +345,6 @@ class StatGroup:
             stat.reset()
         for child in self.children.values():
             child.reset()
-
-    def dump_and_reset(self) -> dict[str, Number]:
-        """Interval dump, as used for periodic stat windows (Fig. 5)."""
-        out = self.dump()
-        self.reset()
-        return out
 
     # -- checkpointing ---------------------------------------------------
 

@@ -225,7 +225,6 @@ class SoC:
         # functional state participates in checkpoints as "extras"
         self.sim.register_extra("physmem", self.physmem)
         self.sim.register_extra("page_table", self.page_table)
-        self.watchdog = None
 
     # -- RTLObject attachment ------------------------------------------------
 
@@ -257,17 +256,6 @@ class SoC:
 
     # -- resilience ----------------------------------------------------------
 
-    def attach_watchdog(self, **kwargs):
-        """Create (once) and return a hang watchdog for this system."""
-        from ..resilience.watchdog import Watchdog
-
-        if self.watchdog is None:
-            self.watchdog = Watchdog(self.sim, **kwargs)
-            if self.sim._started:
-                self.watchdog.init()
-                self.watchdog.startup()
-        return self.watchdog
-
     def save_checkpoint(self, path, max_wait: int = 10**9) -> int:
         return self.sim.save_checkpoint(path, max_wait=max_wait)
 
@@ -275,10 +263,6 @@ class SoC:
         self.sim.restore(path)
 
     # -- convenience ------------------------------------------------------------
-
-    def load_memory(self, addr: int, data: bytes) -> None:
-        """Functional (backdoor) load, e.g. program images."""
-        self.physmem.write(addr, data)
 
     def run(self, until: Optional[int] = None) -> int:
         return self.sim.run(until=until)

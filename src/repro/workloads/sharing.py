@@ -23,10 +23,11 @@ from typing import Iterator
 
 from ..soc.cpu.uop import Uop, alu, branch, load, store
 
-#: default shared window (distinct from the sorting workloads' arrays)
+#: shared window (distinct from the sorting workloads' arrays)
 SHARED_BASE = 0x4_0000
 PRIV_BASE = 0x10_0000
 PRIV_STRIDE = 0x1_0000
+PRIV_LINES = 8
 LINE = 64
 
 
@@ -35,10 +36,6 @@ def false_sharing_uops(
     cores: int,
     iters: int = 400,
     shared_lines: int = 2,
-    priv_lines: int = 8,
-    shared_base: int = SHARED_BASE,
-    priv_base: int = PRIV_BASE,
-    priv_stride: int = PRIV_STRIDE,
 ) -> Iterator[Uop]:
     """Core *core* of *cores* ping-ponging ``shared_lines`` lines.
 
@@ -52,15 +49,15 @@ def false_sharing_uops(
     neighbour = (core + 1) % max(cores, 1)
     mine = core % 8
     theirs = neighbour % 8
-    priv = priv_base + core * priv_stride
+    priv = PRIV_BASE + core * PRIV_STRIDE
     for it in range(iters):
-        line_addr = shared_base + (it % shared_lines) * LINE
+        line_addr = SHARED_BASE + (it % shared_lines) * LINE
         yield load(line_addr + theirs * 8)
         yield alu(1)
         yield store(line_addr + mine * 8)
         yield branch(False)
         # private mix: mostly hits, an occasional conflict-miss walk
-        paddr = priv + (it % priv_lines) * LINE
+        paddr = priv + (it % PRIV_LINES) * LINE
         yield load(paddr)
         if it % 4 == core % 4:
             yield store(paddr + 8)

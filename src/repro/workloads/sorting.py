@@ -146,17 +146,16 @@ def bubblesort_uops(
 
 def sort_benchmark(
     n: int = 300,
-    quick_factor: int = 10,
     sleep_cycles: int = 20_000,
     seed: int = 42,
 ) -> Iterator[Uop]:
     """The paper's three-phase PMU benchmark.
 
-    QuickSort over ``quick_factor * n`` elements, then SelectionSort and
+    QuickSort over ``10 * n`` elements, then SelectionSort and
     BubbleSort over ``n`` elements, separated by sleeps (the paper's
     1 ms pauses, scaled: see EXPERIMENTS.md).
     """
-    quick_data = make_array(n * quick_factor, seed)
+    quick_data = make_array(n * 10, seed)
     sel_data = make_array(n, seed + 1)
     bub_data = make_array(n, seed + 2)
 

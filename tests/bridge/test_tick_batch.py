@@ -1,6 +1,7 @@
 """Batched ticking through the bridge: tick_batch, and the lagged edges
 a model runs at once (model-level lag_cycles, tick_varying) — all proven
-against the single-stepped schedule."""
+against the single-stepped schedule, the stepped subclasses of the
+owing-versus-stepped harness (``tests/owing.py``)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import random
 
 import pytest
 
-from repro.bridge.rtl_object import LAG_LIMIT, RTLObject
+from repro.bridge.rtl_object import LAG_LIMIT
 from repro.models.pmu.rtl_object import PMURTLObject
 from repro.models.pmu.wrapper import (
     PMUSharedLibrary, counter_addr, threshold_addr, REG_ENABLE,
@@ -20,34 +21,28 @@ from repro.soc.event import ClockDomain, Event, EventPriority, EventQueue
 from repro.soc.mem.ideal import IdealMemory
 from repro.soc.packet import MemCmd, Packet
 from repro.soc.ports import RequestPort
-
-
-class SteppedCache(RTLCacheObject):
-    """The reference: a member of its clock domain, ticked every edge."""
-
-    lag_cycles = RTLObject.lag_cycles
-
-
-class SteppedPMU(PMURTLObject):
-    lag_cycles = RTLObject.lag_cycles
+from repro.soc.simobject import Simulation
+from tests.owing import Probes, SteppedCache, SteppedPMU, assert_owing_matches
 
 
 class TestNextEventTick:
+    """The earliest live event, as ``EventQueue.peek`` reports it."""
+
     def test_empty_queue(self):
-        assert EventQueue().next_event_tick() is None
+        assert EventQueue().peek() is None
 
     def test_earliest_live_entry(self):
         q = EventQueue()
         q.schedule_fn(lambda: None, 500)
         q.schedule_fn(lambda: None, 100)
-        assert q.next_event_tick() == 100
+        assert q.peek() == (100, "fn")
 
     def test_skips_lazily_cancelled_entries(self):
         q = EventQueue()
         ev = q.schedule(Event(lambda: None, "dead"), 100)
         q.schedule_fn(lambda: None, 700)
         q.deschedule(ev)
-        assert q.next_event_tick() == 700
+        assert q.peek() == (700, "fn")
 
 
 class TestSharedLibraryTickBatch:
@@ -76,60 +71,43 @@ class TestSharedLibraryTickBatch:
         assert batched.sim.mems == stepped.sim.mems
 
 
-def _cache_rig(sim_obj, lagging):
-    clk = ClockDomain(1e9)
-    obj = (RTLCacheObject if lagging else SteppedCache)(
-        sim_obj, "cache", clock=clk)
-    mem = IdealMemory(sim_obj, "mem", latency_cycles=5)
-    obj.mem_side[0].connect(mem.port)
-    obj.mem_side[1].connect(IdealMemory(sim_obj, "mem2").port)
-    return obj
-
-
-def _drive_cache(sim_obj, obj, addrs_and_ticks, until):
-    got = []
-    drv = RequestPort("drv",
-                      recv_timing_resp=lambda p: (got.append(
-                          (sim_obj.eventq.cur_tick, p.addr, p.data)), True)[1],
-                      recv_req_retry=lambda: None)
+def _cache_run(stepped):
+    """Three reads of an RTL cache behind an ideal memory, 1 GHz, with
+    long idle gaps: (responses, ticks, hits), events, reads mid-lag."""
+    sim = Simulation()
+    obj = (SteppedCache if stepped else RTLCacheObject)(
+        sim, "cache", clock=ClockDomain(1e9))
+    obj.mem_side[0].connect(IdealMemory(sim, "mem", latency_cycles=5).port)
+    obj.mem_side[1].connect(IdealMemory(sim, "mem2").port)
+    probes = Probes(sim, obj, None, 1_000_000)
+    drv = RequestPort("drv", recv_timing_resp=lambda p: probes.seen.append(
+        (sim.now, p.addr, p.data)) or True, recv_req_retry=lambda: None)
     drv.connect(obj.cpu_side[0])
-    for addr, tick in addrs_and_ticks:
-        sim_obj.eventq.schedule_fn(
-            lambda a=addr: drv.send_timing_req(Packet(MemCmd.ReadReq, a, 8)),
-            tick)
-    sim_obj.startup()
-    sim_obj.run(until=until)
-    return got
+
+    def read(addr):
+        probes.note()
+        drv.send_timing_req(Packet(MemCmd.ReadReq, addr, 8))
+
+    for addr, tick in ((0x1000, 5_000), (0x2040, 220_000),
+                       (0x1000, 700_000)):
+        probes.at(lambda a=addr: read(a), tick, EventPriority.DEFAULT)
+    probes.run()
+    sim.run(until=1_000_000)
+    return (probes.seen, obj.st_ticks.value(),
+            obj.library.sim.peek("hit_count")), sim.eventq.executed, probes.mid
 
 
 class TestRTLObjectBatching:
-    REQS = [(0x1000, 5_000), (0x2040, 220_000), (0x1000, 700_000)]
-
-    def _run(self, lagging):
-        from repro.soc.simobject import Simulation
-
-        sim = Simulation()
-        obj = _cache_rig(sim, lagging)
-        got = _drive_cache(sim, obj, self.REQS, until=1_000_000)
-        return got, obj, sim.eventq.executed
-
     def test_batched_run_matches_unbatched(self):
         """Same responses, same data, same response *ticks* — lagging,
         and running the lagged edges in one batch, must be invisible to
         the rest of the SoC."""
-        got1, obj1, events1 = self._run(lagging=False)
-        gotN, objN, eventsN = self._run(lagging=True)
-        assert len(got1) == len(self.REQS)
-        assert got1 == gotN
-        assert obj1.st_ticks.value() == objN.st_ticks.value() == 999
-        assert eventsN < events1 // 10
-        # the third read re-hits the line filled by the first
-        assert objN.library.sim.peek("hit_count") == 1
+        got, ticks, hits = assert_owing_matches(_cache_run, 2, 0.1)
+        assert len(got) == 3 and ticks == 999
+        assert hits == 1  # the third read re-hits the line the first filled
 
     def test_busy_cache_never_batches(self):
-        from repro.soc.simobject import Simulation
-
-        obj = _cache_rig(Simulation(), lagging=True)
+        obj = RTLCacheObject(Simulation(), "cache")
         assert obj.lag_cycles() == LAG_LIMIT
         obj._waiting_fill = True
         assert obj.lag_cycles() == 0
@@ -183,15 +161,14 @@ class TestPMUIdleCycles:
     def test_batched_counters_match_unbatched(self, sim):
         """Threshold interrupts still fire identically when idle stretches
         between event bursts are lagged over."""
-        from repro.soc.simobject import Simulation
-
-        def run(cls):
+        def run(stepped):
             s = Simulation()
-            obj = cls(s, "pmu", PMUSharedLibrary(), clock=ClockDomain(1e9))
+            obj = (SteppedPMU if stepped else PMURTLObject)(
+                s, "pmu", PMUSharedLibrary(), clock=ClockDomain(1e9))
             wire = EventWire("ev")
             obj.connect_event(0, wire)
-            irqs = []
-            obj.on_interrupt(lambda t: irqs.append(t))
+            probes = Probes(s, obj, None, 1_000_000)
+            obj.on_interrupt(probes.seen.append)
             obj.respond_cpu = lambda pkt, data=None: None  # sink write acks
 
             def configure():
@@ -203,28 +180,27 @@ class TestPMUIdleCycles:
                     pkt.dest_port = 0
                     obj.cpu_req_queue.append(pkt)
 
-            s.eventq.schedule_fn(configure, 100)
-            for t in (10_000, 50_000, 400_000, 410_000, 420_000, 800_000):
-                s.eventq.schedule_fn(wire.pulse, t)
-            s.startup()
-            s.run(until=1_000_000)
-            return irqs, s.eventq.executed
+            def pulse():
+                probes.note()
+                wire.pulse()
 
-        irqs1, events1 = run(SteppedPMU)
-        irqsN, eventsN = run(PMURTLObject)
-        assert irqs1 == irqsN
-        assert len(irqs1) == 2  # pulses 1-3 and 4-6 each cross threshold 3
+            probes.at(configure, 100, EventPriority.DEFAULT)
+            for t in (10_000, 50_000, 400_000, 410_000, 420_000, 800_000):
+                probes.at(pulse, t, EventPriority.DEFAULT)
+            probes.run()
+            s.run(until=1_000_000)
+            return probes.seen, s.eventq.executed, probes.mid
+
         # a counter two pulses short of its threshold bounds each lag at
         # two edges: the horizon cannot know when the next pulse comes
-        assert eventsN < events1
+        irqs = assert_owing_matches(run, 1)
+        assert len(irqs) == 2  # pulses 1-3 and 4-6 each cross threshold 3
 
 
 def _clock_wired_pmu(cls, backend="codegen", vcd=None):
     """A PMU with its clock on lane 5 and wires on lanes 0 and 1, all
     three with thresholds, driven by seeded pulses, MMIO traffic and
     idle gaps.  Returns everything a single-stepped twin must equal."""
-    from repro.soc.simobject import Simulation
-
     sim = Simulation()
     lib = PMUSharedLibrary(trace_stream=vcd, trace_enabled=vcd is not None,
                            backend=backend)
@@ -347,8 +323,6 @@ class TestRunEndsOnTime:
     @pytest.mark.parametrize("clock_lane", [False, True])
     @pytest.mark.parametrize("k", [1, 10, 63, 65, 100, 130])
     def test_ticks_match_the_cycles_run(self, k, clock_lane):
-        from repro.soc.simobject import Simulation
-
         sim = Simulation()
         obj = PMURTLObject(sim, "pmu", PMUSharedLibrary())
         if clock_lane:

@@ -4,6 +4,7 @@ arm, naming, nesting."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.hdl import elaborator
 from repro.hdl.common import ElabError
 from repro.hdl.verilog import compile_verilog
 from repro.rtl import ir
@@ -130,7 +131,11 @@ class TestGenerateFor:
         sim.tick()
         assert sim.peek("q") == 0b1100
 
-    def test_runaway_generate_rejected(self):
+    def test_runaway_generate_rejected(self, monkeypatch):
+        """Rejected after GENERATE_LIMIT iterations: 100 000, lowered
+        here so the test does not unroll them all."""
+        assert elaborator.GENERATE_LIMIT == 100_000
+        monkeypatch.setattr(elaborator, "GENERATE_LIMIT", 50)
         src = """
         module t (output y);
             genvar i;
@@ -139,7 +144,7 @@ class TestGenerateFor:
             assign y = 0;
         endmodule
         """
-        with pytest.raises(ElabError, match="iterations"):
+        with pytest.raises(ElabError, match="'g' exceeded 50 iterations"):
             compile_verilog(src)
 
 

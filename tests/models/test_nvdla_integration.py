@@ -6,15 +6,10 @@ import pytest
 from repro.dse.nvdla_system import build_nvdla_system
 from repro.models.nvdla.rtl_object import output_pattern
 from repro.models.nvdla.workloads import sanity3
-from repro.models.nvdla.trace import RegWrite, Trace, WaitIrq
+from repro.models.nvdla.trace import RegWrite, WaitIrq
 
 
 class TestTrace:
-    def test_serialize_roundtrip(self):
-        trace = sanity3(scale=0.1)
-        cmds = Trace.deserialize_commands(trace.serialize())
-        assert cmds == trace.commands()
-
     def test_command_stream_shape(self):
         trace = sanity3(scale=0.1)
         cmds = trace.commands()
@@ -26,10 +21,6 @@ class TestTrace:
         layer = trace.layers[0]
         assert trace.total_read_blocks() == layer.in_blocks + layer.w_blocks
         assert trace.total_write_blocks() >= 1
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            Trace.deserialize_commands(b"\0" * 16)
 
 
 class TestEndToEnd:

@@ -1,21 +1,18 @@
 """The RTL caches lag behind the event queue while nothing is in play
 (DESIGN.md "Cycles that are counted, not dispatched").
 
-Every case runs one cache twice: as built (it lags while no request,
-fill or probe is in play) and as a subclass whose ``lag_cycles`` is
-``RTLObject.lag_cycles``, the single-stepped reference ticked by its
-clock domain.  Seeded traffic, seeded ``stats_dump()`` probes at clock,
-default and stats priority, ``run(until=)`` stops and state flips that
-land inside lags; the responses, every dump, the memory image, the end
-tick and the final ``stats_dump()`` must be equal.
+Every case runs one cache twice through the owing-versus-stepped
+harness (``tests/owing.py``): as built (it lags while no request, fill
+or probe is in play) and single-stepped.  Seeded traffic, the harness's
+seeded ``stats_dump()`` probes, ``run(until=)`` stops and state flips
+that land inside lags; the responses, every dump, the memory image, the
+end tick and the final ``stats_dump()`` must be equal.
 """
 
 import hashlib
-import random
 
 import pytest
 
-from repro.bridge.rtl_object import RTLObject
 from repro.coherence import check
 from repro.models.rtlcache import coherent
 from repro.models.rtlcache.coherent import RTLCoherentCacheObject
@@ -24,55 +21,17 @@ from repro.models.rtlcache.wrapper import (
     RTLCacheObject,
     RTLCacheSharedLibrary,
 )
-from repro.resilience.faults import Fault, FaultInjector, FaultPlan
-from repro.soc.event import ClockDomain, EventPriority
+from repro.soc.event import ClockDomain
 from repro.soc.mem.ideal import IdealMemory
 from repro.soc.packet import MemCmd, Packet
 from repro.soc.ports import RequestPort
 from repro.soc.simobject import Simulation
+from tests.owing import (Probes, SteppedCache, SteppedCoherentCache,
+                         assert_owing_matches)
 
-PRIORITIES = (EventPriority.CLOCK, EventPriority.DEFAULT, EventPriority.STATS)
 FREQS = [1e9, 2e9, 4e9]
 BASE = 0x1_0000
 LINES = 32  # twice the 16 sets of IDXW=4: conflicts and evictions
-
-
-class SteppedCache(RTLCacheObject):
-    lag_cycles = RTLObject.lag_cycles
-
-
-class SteppedCoherentCache(RTLCoherentCacheObject):
-    lag_cycles = RTLObject.lag_cycles
-
-
-def _probes(sim, rng, cache, span, seen, mid_lag, flips, observe):
-    """Seeded stats dumps (with what *observe* returns), flips and run
-    stops over *span* ticks; the flips are probed a tick early, to count
-    the ones that land mid-lag.  Returns the stops."""
-    def dump():
-        mid_lag.append(cache._lagging)
-        seen.append(("dump", sim.now, sim.stats_dump(), observe()))
-
-    for _ in range(20):
-        sim.eventq.schedule_fn(dump, rng.randrange(1_000, span),
-                               rng.choice(PRIORITIES))
-    period = sim.default_clock.period
-    faults = []
-    for signal, bit in flips:
-        cycle = rng.randrange(10, span // period)
-        faults.append(Fault("rtl-flip", cycle, bit, signal))
-        sim.eventq.schedule_fn(lambda: mid_lag.append(cache._lagging),
-                               cycle * period - 1, EventPriority.STATS)
-    FaultInjector(sim, FaultPlan(faults), absolute_cycles=True)
-    return sorted(rng.randrange(1_000, span) for _ in range(6))
-
-
-def _run_to(sim, stops, end, seen):
-    sim.startup()
-    for stop in stops:
-        sim.run(until=stop)
-        seen.append(("stop", sim.now, sim.stats_dump()))
-    sim.run(until=end)
 
 
 def _cache_run(cls, library, freq, seed):
@@ -85,7 +44,10 @@ def _cache_run(cls, library, freq, seed):
     cache.mem_side[1].connect(IdealMemory(sim, "mem2").port)
     mem.physmem.write(BASE, bytes((i * 37 + 11) & 0xFF
                                   for i in range(LINES * 64)))
-    seen, mid_lag = [], []
+    span = 3_000_000
+    probes = Probes(sim, cache, f"{seed}-{freq}", span,
+                    observe=lambda: cache.inflight)
+    seen = probes.seen
     drv = RequestPort(
         "drv",
         recv_timing_resp=lambda pkt: seen.append(
@@ -97,26 +59,24 @@ def _cache_run(cls, library, freq, seed):
         cmd = MemCmd.ReadReq if data is None else MemCmd.WriteReq
         drv.send_timing_req(Packet(cmd, addr, 8, data=data))
 
-    rng = random.Random(f"{seed}-{freq}")
-    span = 3_000_000
+    rng = probes.rng
     tick = 5_000
     while tick < span:
         for _ in range(rng.randrange(1, 5)):
             addr = BASE + 8 * rng.randrange(LINES * 8)
             data = (rng.randrange(1 << 64).to_bytes(8, "little")
                     if rng.randrange(4) == 0 else None)
-            sim.eventq.schedule_fn(lambda a=addr, d=data: send(a, d), tick,
-                                   rng.choice(PRIORITIES))
+            probes.at(lambda a=addr, d=data: send(a, d), tick)
             tick += rng.randrange(0, 4_000)
         tick += rng.randrange(0, 150_000)
     flips = [("hits", 6)] + [(f"data[{line}]", 64 * (line % 8) + 5)
                              for line in range(16)]
-    stops = _probes(sim, rng, cache, span, seen, mid_lag, flips,
-                    lambda: cache.inflight)
-    _run_to(sim, stops, span + 200_000, seen)
+    probes.dumps(20).flips(flips, sim.default_clock.period).stop_at(6)
+    probes.run()
+    sim.run(until=span + 200_000)
     image = hashlib.sha256(mem.physmem.read(BASE, LINES * 64)).hexdigest()
     return (seen, image, sim.now, sim.stats_dump()), sim.eventq.executed, \
-        sum(mid_lag)
+        probes.mid
 
 
 @pytest.mark.parametrize("freq", FREQS)
@@ -124,17 +84,14 @@ def _cache_run(cls, library, freq, seed):
                                      RTLCacheECCSharedLibrary],
                          ids=["plain", "ecc"])
 def test_cache_lag_matches_single_step(library, freq):
-    stepped, stepped_events, _ = _cache_run(SteppedCache, library, freq, 11)
-    lagged, events, mid_lag = _cache_run(RTLCacheObject, library, freq, 11)
-    assert lagged == stepped
-    seen = lagged[0]
+    seen, _image, _now, stats = assert_owing_matches(
+        lambda stepped: _cache_run(SteppedCache if stepped
+                                   else RTLCacheObject, library, freq, 11),
+        10, 0.5)
     assert sum(kind == "resp" for kind, *_ in seen) > 50
-    stats = lagged[3]
     assert stats["system.faultinjector.flips"] == 17
     if library is RTLCacheECCSharedLibrary:
         assert stats["system.cache.rtl_corrections"] > 0
-    assert mid_lag >= 10  # probes and flips did land inside lags
-    assert events < 0.5 * stepped_events
 
 
 def _coherent_run(monkeypatch, cls, freq, seed):
@@ -146,12 +103,6 @@ def _coherent_run(monkeypatch, cls, freq, seed):
         lambda *args, **kwargs: cls(*args, clock=ClockDomain(freq), **kwargs))
     system = check.build_sharing_system(cores=2, ops=150, seed=seed, rtl=1)
     sim = system.sim
-    seen, mid_lag = [], []
-    rng = random.Random(f"{seed}-{freq}")
-    span = 1_500_000
-    # flips on the design's counters only: a flipped tag or valid bit
-    # is a lockstep divergence, which the campaign tests cover
-    flips = [("hits", 4), ("snoops", 9)]
     cache = system.rtl
 
     def observe():
@@ -160,29 +111,30 @@ def _coherent_run(monkeypatch, cls, freq, seed):
         check.check_coherence_invariants(system)
         return cache.quiet, list(cache.iter_lines())
 
-    stops = _probes(sim, rng, cache, span, seen, mid_lag, flips, observe)
-    _run_to(sim, stops, 4_000_000, seen)
+    probes = Probes(sim, cache, f"{seed}-{freq}", 1_500_000, observe)
+    # flips on the design's counters only: a flipped tag or valid bit
+    # is a lockstep divergence, which the campaign tests cover
+    probes.dumps(20).flips([("hits", 4), ("snoops", 9)],
+                           sim.default_clock.period).stop_at(6)
+    seen = probes.run()
+    sim.run(until=4_000_000)
     assert all(d.done for d in system.drivers) and cache.quiet
     check.check_coherence_invariants(system)
     layout = system.layout
     image = hashlib.sha256(system.mem.physmem.read(
         layout.shared_base, layout.shared_lines * 64)).hexdigest()
     return (seen, image, sim.now, sim.stats_dump()), sim.eventq.executed, \
-        sum(mid_lag)
+        probes.mid
 
 
 @pytest.mark.parametrize("freq", FREQS)
 def test_coherent_cache_lag_matches_single_step(monkeypatch, freq):
-    stepped, stepped_events, _ = _coherent_run(
-        monkeypatch, SteppedCoherentCache, freq, 900)
-    lagged, events, mid_lag = _coherent_run(
-        monkeypatch, RTLCoherentCacheObject, freq, 900)
-    assert lagged == stepped
-    stats = lagged[3]
+    stats = assert_owing_matches(
+        lambda stepped: _coherent_run(
+            monkeypatch, SteppedCoherentCache if stepped
+            else RTLCoherentCacheObject, freq, 900), 5)[3]
     assert stats["system.rtl_l1.invalidations"] > 10
     assert stats["system.faultinjector.flips"] == 2
-    assert mid_lag >= 5
-    assert events < stepped_events
 
 
 def test_sharing_stress_event_count_is_pinned():

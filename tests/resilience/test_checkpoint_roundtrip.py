@@ -127,9 +127,9 @@ def save_at(tick, path):
     saved = []
 
     def save():
-        assert pmu._lagging, "not inside a lag"
+        assert bool(pmu._owed), "not inside a lag"
         saved.append(soc.save_checkpoint(path))
-        assert not pmu._lagging
+        assert not bool(pmu._owed)
 
     soc.sim.startup()
     soc.sim.eventq.schedule_fn(save, tick, EventPriority.STATS)
@@ -148,9 +148,9 @@ def save_at(tick, path):
     saved = []
 
     def save():
-        assert cache._lagging, "not inside a lag"
+        assert bool(cache._owed), "not inside a lag"
         saved.append(soc.sim.save_checkpoint(path))
-        assert not cache._lagging
+        assert not bool(cache._owed)
 
     soc.sim.startup()
     soc.sim.eventq.schedule_fn(save, tick, EventPriority.STATS)
@@ -302,17 +302,17 @@ def test_fresh_process_restore_is_bit_identical(tmp_path, setup,
     [
         pytest.param(
             PMU_SETUP, 300_000,
-            "a8976205ed851937999022eb5aa518c5d103e6e7dac7ab1e50930d3dce028be4",
+            "8a7d18d3490d50c113e7e39e33665645aab08d34a6fd671fac1f067d8a95dd7d",
             id="pmu",
         ),
         pytest.param(
             NVDLA_SETUP, 200_000,
-            "e3524a61c8c6613413834d9312f7286d9627cd231070d2891857b52e23c484ac",
+            "659da3dde233ed70999650ae77085c7c7f9350cb5a5ac4dcd9178c04f7822e7e",
             id="nvdla",
         ),
         pytest.param(
             NVDLA4_SETUP, 200_000,
-            "b92756822a67e47fccc63fbb00a3b8d39201c2b441142614e83748e7c860e229",
+            "f782edf94931b79282b4d11a31347429d5eba67b7b6c9bae256c77acc45600da",
             id="nvdla4",
         ),
     ],
@@ -379,8 +379,9 @@ def test_restore_among_stepped_over_cycles(tmp_path, save_tick):
     ckpt = tmp_path / "inside.ckpt"
     assert saver["save_at"](save_tick, ckpt) == save_tick
     doc = json.loads(gzip.open(ckpt).read())
-    skip_from, skip_end = doc["objects"]["cpu0"]["state"]["skip"]
-    assert save_tick < skip_from < skip_end, "not inside a window"
+    owed = doc["objects"]["cpu0"]["state"]["skip"]
+    armed = doc["objects"]["cpu0"]["named_events"]["cycle"][0]
+    assert save_tick < owed < armed, "not inside a window"
 
     out = _restore_in_fresh_process(PMU_SETUP, ckpt, end,
                                     tmp_path / "out.json")
@@ -397,7 +398,7 @@ def test_parent_format_checkpoint_is_refused(tmp_path):
     ckpt = tmp_path / "v2.ckpt"
     saver["save_at"](300_000, ckpt)
     doc = json.loads(gzip.open(ckpt).read())
-    assert doc["version"] == 5
+    assert doc["version"] == 6
     doc["version"] = 2
     for path in ("l1d0", "llc"):
         sparse = doc["objects"][path]["state"]["tags"]
@@ -411,20 +412,20 @@ def test_parent_format_checkpoint_is_refused(tmp_path):
     from repro.resilience.serialize import CheckpointError
 
     with pytest.raises(CheckpointError,
-                       match="version 2 != supported version 5"):
+                       match="version 2 != supported version 6"):
         fresh["restore"](ckpt)
     assert fresh["soc"].llc.occupancy() == 0
 
 
 def test_format_4_checkpoint_is_refused(tmp_path):
     """Version 4 saved every RTL model's ``batched_ticks``, the tally of
-    the run-ahead windows version 5 no longer has: the version check
+    the run-ahead windows later versions no longer have: the version check
     refuses the file before the stats tree meets a stat it lacks."""
     saver = _exec_setup(PMU_SETUP)
     ckpt = tmp_path / "v4.ckpt"
     saver["save_at"](300_000, ckpt)
     doc = json.loads(gzip.open(ckpt).read())
-    assert doc["version"] == 5
+    assert doc["version"] == 6
     doc["version"] = 4
     doc["stats"]["children"]["pmu"]["stats"]["batched_ticks"] = {"value": 0}
     with gzip.open(ckpt, "wb") as fh:
@@ -433,5 +434,23 @@ def test_format_4_checkpoint_is_refused(tmp_path):
     from repro.resilience.serialize import CheckpointError
 
     with pytest.raises(CheckpointError,
-                       match="version 4 != supported version 5"):
+                       match="version 4 != supported version 6"):
         fresh["restore"](ckpt)
+
+
+def test_format_5_checkpoint_is_refused(tmp_path):
+    """Version 5 saved a core's ``skip`` as two ticks, the window's first
+    uncounted edge and its end; version 6 saves the first owed edge."""
+    ckpt = tmp_path / "v5.ckpt"
+    _exec_setup(PMU_SETUP)["save_at"](300_000, ckpt)
+    doc = json.loads(gzip.open(ckpt).read())
+    assert (doc["version"], doc["objects"]["cpu0"]["state"]["skip"]) == (6, 0)
+    doc["version"] = 5
+    doc["objects"]["cpu0"]["state"]["skip"] = [0, 6_500]
+    with gzip.open(ckpt, "wb") as fh:
+        fh.write(json.dumps(doc).encode())
+    from repro.resilience.serialize import CheckpointError
+
+    with pytest.raises(CheckpointError,
+                       match="version 5 != supported version 6"):
+        _exec_setup(PMU_SETUP)["restore"](ckpt)

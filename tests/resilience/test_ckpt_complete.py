@@ -32,19 +32,20 @@ from repro.soc.system import SoC
 
 # What a checkpoint need not carry, per class (inherited), with why:
 #   memo: rebuilt from declared state after a load (or on first use);
-#   lag:  an RTL model's lag, which catch_up(end=True) ends before
-#         every save.
+#   owed: edges a lagging RTL model owes (SimObject.catch_up), which
+#         catch_up(end=True) settles and ends before every save: the
+#         owing record, and the pulses a lagging PMU logs.
 # (Transient state a ckpt_veto guards never differs between two
 # checkpointable instants, and statistics are Stat objects the engine
-# saves on its own; neither needs listing.)
+# saves on its own; neither needs listing.  A core's owed stall window
+# crosses a save: the core declares it.)
+OWED = dict.fromkeys(("_owed", "_owed_seq"), "owed")
 NOT_STATE = {
     "SimObject": {"_ckpt_kinds": "memo"},
-    "RTLObject": {"last_output": "memo", "_lagging": "lag",
-                  "_lag_edge": "lag", "_lag_seq": "lag",
-                  "_lag_after_clock": "lag"},
-    "PMURTLObject": {"_log": "lag"},
+    "RTLObject": {"last_output": "memo", **OWED},
+    "PMURTLObject": {"_log": "owed"},
     # a lagging PMU's tap on the wire it counts
-    "OoOCore": {"commit_wire.lag": "lag"},
+    "OoOCore": {"commit_wire.lag": "owed"},
     "DRAMController": {"channels.where": "memo"},
 }
 

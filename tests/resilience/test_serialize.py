@@ -353,7 +353,7 @@ class TestFormatThreeKeys:
             soc.sim.startup()
             soc.sim.run(until=tick)
             doc = json.loads(_checkpoint_json(soc, tmp_path / f"{i}.ckpt"))
-            assert doc["version"] == 5
+            assert doc["version"] == 6
             for obj in soc.sim.objects:
                 kind = type(obj).__name__
                 if kind not in self.STATE:

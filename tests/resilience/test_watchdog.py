@@ -24,7 +24,8 @@ def _build(plan=None, check_cycles=2_000, stall_checks=3, **cfg):
         core.run_stream(iter(_mem_heavy_workload()))
     if plan is not None:
         FaultInjector(soc.sim, plan)  # registers itself on soc.sim
-    soc.attach_watchdog(check_cycles=check_cycles, stall_checks=stall_checks)
+    soc.watchdog = Watchdog(soc.sim, check_cycles=check_cycles,
+                            stall_checks=stall_checks)
     return soc
 
 
@@ -116,11 +117,6 @@ class TestConfig:
             Watchdog(sim, check_cycles=0)
         with pytest.raises(ValueError):
             Watchdog(sim, stall_checks=0)
-
-    def test_attach_watchdog_is_idempotent(self):
-        soc = SoC(SoCConfig(num_cores=1, memory="DDR4-1ch"))
-        first = soc.attach_watchdog(check_cycles=5_000)
-        assert soc.attach_watchdog() is first
 
     def test_timeout_error_subclass(self):
         """run_until_done callers catching TimeoutError also see hangs."""

@@ -11,7 +11,7 @@ class TestConstruction:
         a = m.add_signal("a", 8)
         b = m.add_signal("b", 16)
         assert a.index == 0 and b.index == 1
-        assert m.num_signals() == 2
+        assert len(m.signals) == 2
 
     def test_duplicate_signal_rejected(self):
         m = RTLModule("m")

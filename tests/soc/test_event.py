@@ -542,7 +542,6 @@ class TestClockDomain:
     def test_cycle_tick_roundtrip(self):
         clk = ClockDomain(2e9)
         assert clk.cycles_to_ticks(7) == 3500
-        assert clk.ticks_to_cycles(3500) == 7
 
     def test_next_edge_alignment(self):
         clk = ClockDomain(1e9)

@@ -5,6 +5,11 @@ import pytest
 from repro.soc.packet import MemCmd, Packet
 
 
+def _turned(cmd):
+    """The command a request of *cmd* is turned around into."""
+    return Packet(cmd, 0x40, 8).make_response().cmd
+
+
 class TestMemCmd:
     def test_read_classification(self):
         assert MemCmd.ReadReq.is_read and MemCmd.ReadReq.is_request
@@ -16,15 +21,15 @@ class TestMemCmd:
         assert not MemCmd.WritebackDirty.needs_response
 
     def test_response_mapping(self):
-        assert MemCmd.ReadReq.response_for() is MemCmd.ReadResp
-        assert MemCmd.WriteReq.response_for() is MemCmd.WriteResp
-        assert MemCmd.PrefetchReq.response_for() is MemCmd.PrefetchResp
+        assert _turned(MemCmd.ReadReq) is MemCmd.ReadResp
+        assert _turned(MemCmd.WriteReq) is MemCmd.WriteResp
+        assert _turned(MemCmd.PrefetchReq) is MemCmd.PrefetchResp
 
     def test_response_for_nonrequest_rejected(self):
         with pytest.raises(ValueError):
-            MemCmd.ReadResp.response_for()
+            _turned(MemCmd.ReadResp)
         with pytest.raises(ValueError):
-            MemCmd.WritebackDirty.response_for()
+            _turned(MemCmd.WritebackDirty)
 
 
 class TestMemCmdTable:
@@ -61,10 +66,10 @@ class TestMemCmdTable:
     @pytest.mark.parametrize("cmd", list(MemCmd), ids=lambda c: c.name)
     def test_response_for(self, cmd):
         if cmd in self.RESPONSES:
-            assert cmd.response_for() is self.RESPONSES[cmd]
+            assert _turned(cmd) is self.RESPONSES[cmd]
         else:
             with pytest.raises(ValueError, match="does not take a response"):
-                cmd.response_for()
+                _turned(cmd)
 
 
 class TestPacket:

@@ -123,7 +123,7 @@ class TestProtocol:
     def test_rejected_response_and_retry(self):
         req, resp, log = self._pair(accept_resp=False)
         assert not resp.send_timing_resp(_pkt())
-        req.send_retry_resp()
+        resp.handle_resp_retry()
         assert ("resp_retry", None) in log
 
     def test_functional_bypasses_timing(self):
@@ -167,7 +167,7 @@ def _response_side(gate, retry=None):
     port = ResponsePort("sender", recv_resp_retry=retry)
     peer = RequestPort("gate", recv_timing_resp=gate.recv)
     port.connect(peer)
-    return port, peer.send_retry_resp
+    return port, port.handle_resp_retry
 
 
 @pytest.mark.parametrize("side", [_request_side, _response_side],

@@ -142,9 +142,10 @@ class TestStatGroup:
         g = StatGroup("g")
         s = g.scalar("events")
         s.inc(5)
-        first = g.dump_and_reset()
+        first = g.dump()
+        g.reset()
         s.inc(3)
-        second = g.dump_and_reset()
+        second = g.dump()
         assert first["g.events"] == 5
         assert second["g.events"] == 3
 

@@ -97,7 +97,7 @@ class TestExecution:
 
     def test_load_memory_backdoor(self, small_soc):
         soc = small_soc
-        soc.load_memory(0x8000, b"\x11\x22\x33")
+        soc.physmem.write(0x8000, b"\x11\x22\x33")
         assert soc.physmem.read(0x8000, 3) == b"\x11\x22\x33"
 
     def test_stats_dump_has_component_entries(self, small_soc):

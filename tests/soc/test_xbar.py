@@ -158,7 +158,7 @@ class TestFlowControl:
         sim.run(until=10**6)
         assert got == []  # response rejected
         accept["ok"] = True
-        drv.send_retry_resp()
+        cpu_port.handle_resp_retry()
         assert len(got) == 1
 
     def test_functional_routes_through(self):
