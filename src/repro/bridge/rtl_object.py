@@ -32,8 +32,8 @@ from typing import Optional
 from ..soc.event import ClockDomain, Event, EventPriority
 from ..soc.packet import MemCmd, Packet
 from ..soc.ports import RequestPort, ResponsePort
-from ..soc.simobject import (DEQUE, PACKED, PORT_QUEUES, VALUE, SimObject,
-                             Simulation)
+from ..soc.simobject import (DEQUE, OWNED, PACKED, PORT_QUEUES, VALUE,
+                             SimObject, Simulation)
 from ..soc.stats import SettledScalar
 from ..soc.tlb import TLB
 from ..trace import flags as trace_flags
@@ -66,9 +66,9 @@ class RTLObject(SimObject):
         ("blocked_resps", "cpu_side", PORT_QUEUES),
         ("mem_req_queue", "mem_side", PORT_QUEUES),
         ("mem_resp_queue", DEQUE),
-        ("inflight", VALUE), ("running", VALUE),
+        ("inflight", VALUE), ("running", VALUE), ("library", OWNED),
     )
-    ckpt_hooked = ("library",)
+    ckpt_events = {"tick": "_tick_event"}
 
     def __init__(
         self,
@@ -458,17 +458,7 @@ class RTLObject(SimObject):
 
     # -- checkpointing ----------------------------------------------------
 
-    def ckpt_named_events(self):
-        # a domain's event is saved once, under its first member
-        if self._domain_member and self.clock.members[0] is not self:
-            return {}
-        return {"tick": self._tick_event}
-
-    def ckpt_save(self, state: dict, ctx) -> None:
-        state["library"] = self.library.checkpoint_state()
-
     def ckpt_load(self, state: dict, ctx) -> None:
-        self.library.load_checkpoint_state(state["library"])
         self.last_output = self.decode_output(self._last_bytes)
         if self._owed:  # a checkpoint ends every lag before it is taken
             self.end_owing(0)

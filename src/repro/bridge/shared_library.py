@@ -21,8 +21,10 @@ generated from it.
 from __future__ import annotations
 
 import abc
+import copy
 from typing import TYPE_CHECKING, Optional, Sequence, TextIO, Union
 
+from ..soc.simobject import VALUE, Checkpointed, Codec
 from .structs import StructSpec
 
 if TYPE_CHECKING:
@@ -34,8 +36,12 @@ if TYPE_CHECKING:
     _Wiring = list[tuple[str, int, list[PinSlot]]]
 
 
-class SharedLibrary(abc.ABC):
-    """The two-function boundary between gem5 and any RTL model."""
+class SharedLibrary(Checkpointed, abc.ABC):
+    """The two-function boundary between gem5 and any RTL model; its
+    checkpoint (a Verilator feature the paper calls out) is its
+    ``ckpt_state`` table, saved as its RTL object's ``library``."""
+
+    ckpt_state = (("ticks", VALUE),)
 
     #: struct layouts; subclasses must define both.
     input_spec: StructSpec
@@ -55,19 +61,17 @@ class SharedLibrary(abc.ABC):
     def reset(self) -> None:
         """Reset the modelled hardware."""
 
-    # -- checkpointing (a Verilator feature the paper calls out) ------------
 
-    def checkpoint_state(self) -> dict:
-        """JSON-able snapshot of the model's full state."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpointing"
-        )
+def _load_kernel(data, ctx, built):
+    # the kernel loads with the first RTL model
+    from ..rtl.simulator import same_shape
 
-    def load_checkpoint_state(self, state: dict) -> None:
-        """Restore a :meth:`checkpoint_state` snapshot."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpointing"
-        )
+    return same_shape(data, built)
+
+
+#: an RTL kernel's ``values`` or ``mems``, copied; a load refuses one not
+#: shaped like the built design's
+KERNEL = Codec(lambda v, ctx: copy.deepcopy(v), _load_kernel)
 
 
 class RTLSharedLibrary(SharedLibrary):
@@ -104,6 +108,10 @@ class RTLSharedLibrary(SharedLibrary):
 
     #: struct field -> RTL signal name(s); default: the field's own name
     pins: dict[str, Union[str, Sequence[str]]] = {}
+
+    ckpt_state = (("cycle", "sim.cycle", VALUE),
+                  ("values", "sim.values", KERNEL),
+                  ("mems", "sim.mems", KERNEL))
 
     def __init__(
         self,
@@ -345,20 +353,6 @@ class RTLSharedLibrary(SharedLibrary):
         self.sim.reset(self.reset_signal)
         self.ticks = 0
 
-    # -- checkpointing (a Verilator feature the paper calls out) ------------
-
-    def checkpoint_state(self) -> dict:
-        ckpt = self.sim.save_checkpoint()    # copies what it holds
-        return {"cycle": ckpt.cycle, "values": ckpt.values,
-                "mems": ckpt.mems, "ticks": self.ticks}
-
-    def load_checkpoint_state(self, state: dict) -> None:
-        from ..rtl.simulator import RTLCheckpoint
-
-        self.sim.restore_checkpoint(RTLCheckpoint(
-            state["cycle"], state["values"], state["mems"]))
-        self.ticks = state["ticks"]
-
 
 class BehavioralSharedLibrary(SharedLibrary):
     """Wrapper base for cycle-level behavioural models (no HDL kernel).
@@ -393,23 +387,3 @@ class BehavioralSharedLibrary(SharedLibrary):
 
     def reset(self) -> None:
         self.ticks = 0
-
-    # -- checkpointing ------------------------------------------------------
-
-    def model_state(self) -> dict:
-        """JSON-able model-specific state (override per model)."""
-        return {}
-
-    def load_model_state(self, state: dict) -> None:
-        if state:
-            raise NotImplementedError(
-                f"{type(self).__name__} checkpointed model state but "
-                "does not implement load_model_state"
-            )
-
-    def checkpoint_state(self) -> dict:
-        return {"ticks": self.ticks, "model": self.model_state()}
-
-    def load_checkpoint_state(self, state: dict) -> None:
-        self.ticks = state["ticks"]
-        self.load_model_state(state["model"])

@@ -116,6 +116,7 @@ class SharingDriver(SimObject):
 
     ckpt_state = (("issued", VALUE), ("responses", VALUE),
                   ("checksum", VALUE))
+    ckpt_events = {"step": "_event"}
 
     def __init__(
         self,
@@ -187,9 +188,6 @@ class SharingDriver(SimObject):
         if self._outstanding:
             return f"{self.name}: access in flight"
         return None
-
-    def ckpt_named_events(self):
-        return {"step": self._event}
 
 
 

@@ -65,6 +65,7 @@ class DirectoryController(SimObject):
                   ("downstream_q", "mem_side.queue", DEQUE),
                   ("_need_retry", VALUE))
     ckpt_hooked = ("_entries", "_l2")
+    ckpt_kinds = {"process": "_process"}
 
     def __init__(
         self,
@@ -469,9 +470,6 @@ class DirectoryController(SimObject):
         return True
 
     # -- checkpointing --------------------------------------------------------
-
-    def ckpt_handlers(self):
-        return {"process": self._process}
 
     def ckpt_save(self, state: dict, ctx) -> None:
         state["entries"] = [

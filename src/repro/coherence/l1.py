@@ -55,6 +55,7 @@ class CoherentL1Cache(CacheCore):
 
     mshr_state = (("cmd", named(MemCmd)), ("ready", PACKED),
                   ("granted", VALUE))
+    ckpt_kinds = {"miss_req": "mem_side.send", "hit_resp": "_hit_resp"}
 
     def __init__(
         self,
@@ -381,9 +382,6 @@ class CoherentL1Cache(CacheCore):
         return flushed
 
     # -- checkpointing -------------------------------------------------------
-
-    def ckpt_handlers(self):
-        return {"miss_req": self.mem_side.send, "hit_resp": self._hit_resp}
 
     def _hit_resp(self, payload: list) -> None:
         pkt, data = payload

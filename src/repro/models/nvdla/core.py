@@ -26,8 +26,10 @@ on the RTLObject shapes the traffic exactly as the paper describes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
+
+from ...soc.simobject import DEQUE, SORTED_SET, VALUE, Checkpointed, Codec
 
 # -- CSB register map (byte offsets) ----------------------------------------
 
@@ -86,8 +88,23 @@ class LayerConfig:
         return self.in_blocks + self.w_blocks
 
 
-class NVDLACore:
+#: a layer's configuration, as its fields
+_LAYER = Codec(lambda v, ctx: asdict(v), lambda d, ctx, old: LayerConfig(**d))
+
+
+class NVDLACore(Checkpointed):
     """The accelerator engine; stepped once per accelerator clock."""
+
+    # _arrived is only tested and updated, never iterated
+    ckpt_state = (
+        ("cfg", _LAYER), ("busy", VALUE), ("irq_pending", VALUE),
+        ("_next_read_seq", VALUE), ("_arrived", SORTED_SET),
+        ("_consumed", VALUE), ("_compute_credit", VALUE),
+        ("_compute_debt", VALUE), ("_writes_pending", DEQUE),
+        ("_writes_issued", VALUE), ("_writes_acked", VALUE),
+        ("_outputs_total", VALUE), ("_blocks_since_out", VALUE),
+        ("perf_cycles", VALUE), ("perf_stalls", VALUE),
+    )
 
     # internal write-queue depth before compute stalls on writes
     WRITE_QUEUE_DEPTH = 8
@@ -192,46 +209,6 @@ class NVDLACore:
     def consumed(self) -> int:
         """Blocks of the current layer the MAC pipeline has consumed."""
         return self._consumed
-
-    # -- checkpointing -----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        from dataclasses import asdict
-
-        return {
-            "cfg": asdict(self.cfg),
-            "busy": self.busy,
-            "irq_pending": self.irq_pending,
-            "next_read_seq": self._next_read_seq,
-            "arrived": sorted(self._arrived),
-            "consumed": self._consumed,
-            "compute_credit": self._compute_credit,
-            "compute_debt": self._compute_debt,
-            "writes_pending": list(self._writes_pending),
-            "writes_issued": self._writes_issued,
-            "writes_acked": self._writes_acked,
-            "outputs_total": self._outputs_total,
-            "blocks_since_out": self._blocks_since_out,
-            "perf_cycles": self.perf_cycles,
-            "perf_stalls": self.perf_stalls,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.cfg = LayerConfig(**state["cfg"])
-        self.busy = state["busy"]
-        self.irq_pending = state["irq_pending"]
-        self._next_read_seq = state["next_read_seq"]
-        self._arrived = set(state["arrived"])
-        self._consumed = state["consumed"]
-        self._compute_credit = state["compute_credit"]
-        self._compute_debt = state["compute_debt"]
-        self._writes_pending = deque(state["writes_pending"])
-        self._writes_issued = state["writes_issued"]
-        self._writes_acked = state["writes_acked"]
-        self._outputs_total = state["outputs_total"]
-        self._blocks_since_out = state["blocks_since_out"]
-        self.perf_cycles = state["perf_cycles"]
-        self.perf_stalls = state["perf_stalls"]
 
     # -- address generation -----------------------------------------------------
 

@@ -170,9 +170,3 @@ class NVDLAHostApp(Checkpointed):
         if self.start_tick is None or self.finish_tick is None:
             raise RuntimeError("application has not completed")
         return self.finish_tick - self.start_tick
-
-    def total_ticks(self) -> int:
-        """Whole-application time including the trace load."""
-        if self.load_start_tick is None or self.finish_tick is None:
-            raise RuntimeError("application has not completed")
-        return self.finish_tick - self.load_start_tick

@@ -83,17 +83,6 @@ class Trace:
             out.extend(layer.commands())
         return out
 
-    # -- size accounting -----------------------------------------------------
-
-    def total_read_blocks(self) -> int:
-        return sum(l.in_blocks + l.w_blocks for l in self.layers)
-
-    def total_write_blocks(self) -> int:
-        return sum(
-            -(-(l.in_blocks + l.w_blocks) // l.blocks_per_out)
-            for l in self.layers
-        )
-
     # -- binary serialisation ---------------------------------------------------
 
     def serialize(self) -> bytes:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from ...bridge.shared_library import BehavioralSharedLibrary
 from ...bridge.structs import Field, StructSpec
+from ...soc.simobject import OWNED
 from .core import NVDLACore, REQ_LANES
 
 #: max read responses / write acks the bridge delivers per accelerator cycle
@@ -66,6 +67,7 @@ class NVDLASharedLibrary(BehavioralSharedLibrary):
 
     input_spec = NVDLA_INPUT
     output_spec = NVDLA_OUTPUT
+    ckpt_state = (("model", "core", OWNED),)
 
     def __init__(self) -> None:
         super().__init__()
@@ -74,12 +76,6 @@ class NVDLASharedLibrary(BehavioralSharedLibrary):
     def reset(self) -> None:
         super().reset()
         self.core.reset()
-
-    def model_state(self) -> dict:
-        return self.core.state_dict()
-
-    def load_model_state(self, state: dict) -> None:
-        self.core.load_state(state)
 
     def tick(self, input_bytes: bytes) -> bytes:
         """One cycle, bytes to bytes with no dict in between: a

@@ -112,6 +112,7 @@ class PeriodicCheckpointer(SimObject):
     ckpt_state = (("_index", VALUE),
                   ("last_path", "last_checkpoint_path", VALUE),
                   ("manifest", VALUE))
+    ckpt_events = {"ckpt": "_event"}
 
     def __init__(
         self,
@@ -179,8 +180,3 @@ class PeriodicCheckpointer(SimObject):
             self.manifest.append([path, doc["meta"]["tick"]])
         if self.on_rung is not None:
             self.on_rung(doc)
-
-    # -- checkpointing (of the checkpointer itself) ------------------------
-
-    def ckpt_named_events(self):
-        return {"ckpt": self._event}

@@ -337,6 +337,9 @@ class FaultInjector(SimObject):
     """
 
     ckpt_state = (("_read_count", VALUE), ("_storming", VALUE))
+    ckpt_kinds = {"dram_redo": "_dram_redo", "storm_on": "_storm_on",
+                  "storm_kick": "_storm_kick", "storm_off": "_storm_off",
+                  "flip": "_flip"}
 
     def __init__(
         self,
@@ -404,15 +407,6 @@ class FaultInjector(SimObject):
         return False
 
     # -- tagged events ---------------------------------------------------
-
-    def ckpt_handlers(self):
-        return {
-            "dram_redo": self._dram_redo,
-            "storm_on": self._storm_on,
-            "storm_kick": self._storm_kick,
-            "storm_off": self._storm_off,
-            "flip": self._flip,
-        }
 
     def _dram_redo(self, payload) -> None:
         ctrl_path, pkt = payload

@@ -10,7 +10,7 @@ A checkpoint is one gzipped JSON document::
       "eventq":   {"cur_tick", "seq", "executed", "compactions"},
       "stats":    <root StatGroup state_dict>,
       "objects":  {path: {"state", "named_events", "tagged_events"}},
-                  # "state": the object's declared state (Checkpointed)
+                  # "state": the object's declared state (below)
       "extras":   {name: state},
       "packets":  [<encoded Packet>, ...]
     }
@@ -49,19 +49,30 @@ The engine does **not** drain the system first — draining would change
 timing relative to an uninterrupted run.  Instead every in-flight event
 is serialized with its original ``(tick, priority, seq)`` heap key, so
 the restored queue replays the exact same-tick ordering.  Components
-make their transient events visible through two SimObject hooks:
+make their transient events visible through two class declarations
+(:class:`~repro.soc.simobject.Checkpointed`):
 
-* ``ckpt_named_events()`` — long-lived re-armable events (cycle/tick
-  events), re-scheduled as the same objects on restore;
-* ``sched_ckpt(kind, payload, ...)`` — tagged one-shots.  Each is its
+* ``ckpt_events`` — long-lived re-armable events (cycle/tick events),
+  re-scheduled as the same objects on restore.  An event several
+  objects declare (a clock domain's, by each member) is saved under
+  the first of them in registration order;
+* ``ckpt_kinds`` — the handler of each kind of tagged one-shot that
+  ``sched_ckpt(kind, payload, ...)`` schedules.  Each one-shot is its
   heap entry and nothing else: the engine reads ``(owner, kind,
   payload)`` off ``eventq.live_entries()``, which it walks anyway (the
   handle's ``owner`` and ``kind``, and the payload as the last argument
   of its callback), and restore pushes the same entry back through
   ``sched_ckpt`` with its checkpointed ``seq``.
 
-An event the engine cannot attribute to either hook (a bare closure),
-or a component veto (``ckpt_veto``), makes the current instant
+An object's ``"state"`` is what its ``ckpt_state`` table declares, an
+``OWNED`` entry nested as the owned object's own state (an RTL object's
+``"library"``: an RTL kernel's ``cycle``, ``values``, ``mems`` and
+``ticks``, or a behavioural model's ``ticks`` and ``model``), plus what
+the ``ckpt_save``/``ckpt_load`` hook adds for the attributes that
+``ckpt_hooked`` names.
+
+An event the engine cannot attribute to either declaration (a bare
+closure), or a component veto (``ckpt_veto``), makes the current instant
 non-checkpointable; :func:`save_checkpoint` then single-steps the
 simulation until the blocker clears.  The uninterrupted run passes
 through the same states, so stepping forward preserves bit-identity.
@@ -246,6 +257,11 @@ def structure_digest(sim) -> str:
 # -- checkpointability -------------------------------------------------------
 
 
+def declared_events(obj) -> dict:
+    """The events *obj*'s class declares in ``ckpt_events``, by name."""
+    return {name: get(obj) for name, get in obj._ckpt_events.items()}
+
+
 def checkpoint_blockers(sim) -> list[str]:
     """Why the simulation cannot be checkpointed *right now* (empty if
     it can): component vetoes plus unclaimed in-flight events."""
@@ -257,7 +273,7 @@ def checkpoint_blockers(sim) -> list[str]:
     named = {
         id(ev._entry)
         for obj in sim.objects
-        for ev in obj.ckpt_named_events().values()
+        for ev in declared_events(obj).values()
         if ev.scheduled
     }
     for tick, _pri, _seq, handle in sim.eventq.live_entries():
@@ -324,9 +340,15 @@ def checkpoint_document(sim, max_wait: int = 10**9) -> dict:
             tagged_of.setdefault(id(owner), []).append(entry)
 
     objects: dict[str, dict] = {}
+    # an event several objects declare (a clock domain's, by each
+    # member) is saved once, under the first of them registered
+    saved_events: set = set()
     for obj in sim.objects:
         named: dict[str, Optional[list]] = {}
-        for name, ev in obj.ckpt_named_events().items():
+        for name, ev in declared_events(obj).items():
+            if id(ev) in saved_events:
+                continue
+            saved_events.add(id(ev))
             if ev.scheduled:
                 named[name] = list(entries[id(ev._entry)])
             else:
@@ -540,7 +562,7 @@ def restore_checkpoint(sim, path) -> None:
     for obj_path, section in doc["objects"].items():
         obj = by_path[obj_path]
         obj.unserialize(section["state"], ctx)
-        named = obj.ckpt_named_events()
+        named = declared_events(obj)
         for name, entry in section["named_events"].items():
             if name not in named:
                 raise CheckpointError(

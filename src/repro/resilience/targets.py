@@ -103,8 +103,12 @@ class CacheTrafficDriver(SimObject):
     architectural observable an SDC must disturb to be counted.
     """
 
+    # The IOMaster vetoes saves while a callback-carrying request is in
+    # flight, so at every committed checkpoint issued == responses and
+    # no host callback needs serializing.
     ckpt_state = (("issued", VALUE), ("responses", VALUE),
                   ("checksum", VALUE))
+    ckpt_events = {"step": "_event"}
 
     def __init__(
         self,
@@ -166,15 +170,6 @@ class CacheTrafficDriver(SimObject):
             for b in pkt.data:
                 c = ((c ^ b) * _FNV_PRIME) & _MASK64
             self.checksum = c
-
-    # -- checkpointing ----------------------------------------------------
-    # The IOMaster vetoes saves while a callback-carrying request is in
-    # flight, so at every committed checkpoint issued == responses and
-    # no host callback needs serializing.
-
-    def ckpt_named_events(self):
-        return {"step": self._event}
-
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,7 @@ class Watchdog(SimObject):
     ckpt_state = (("_strikes", VALUE), ("_last_progress", PACKED),
                   ("_last_executed", VALUE), ("_window_base", PACKED),
                   ("_window_rejects", VALUE))
+    ckpt_events = {"check": "_event"}
 
     def __init__(
         self,
@@ -428,8 +429,3 @@ class Watchdog(SimObject):
             events_fired_in_window=other_events,
             rejects_in_window=rejects_in_window,
         )
-
-    # -- checkpointing -----------------------------------------------------
-
-    def ckpt_named_events(self):
-        return {"check": self._event}

@@ -314,9 +314,18 @@ class RTLSimulator:
         )
 
     def restore_checkpoint(self, ckpt: RTLCheckpoint) -> None:
-        if len(ckpt.values) != len(self.values) \
-                or list(map(len, ckpt.mems)) != list(map(len, self.mems)):
-            raise ValueError("checkpoint does not match this design")
-        self.cycle = ckpt.cycle
-        self.values = list(ckpt.values)
-        self.mems = copy.deepcopy(ckpt.mems)
+        values = same_shape(ckpt.values, self.values)
+        mems = same_shape(ckpt.mems, self.mems)
+        self.cycle, self.values, self.mems = ckpt.cycle, values, mems
+
+
+def same_shape(saved: list, built: list) -> list:
+    """A copy of *saved*, a kernel's ``values`` or ``mems`` as a
+    checkpoint holds them; a ValueError unless it is shaped like
+    *built*, the design's own (a file from another design, or from this
+    one at another size, would be misread)."""
+    if len(saved) != len(built) or any(
+            type(b) is list and len(s) != len(b)
+            for s, b in zip(saved, built)):
+        raise ValueError("checkpoint does not match this design")
+    return copy.deepcopy(saved)

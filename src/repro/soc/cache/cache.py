@@ -32,6 +32,8 @@ class Cache(CacheCore):
     """A single cache level (used for L1I/L1D/L2 and the shared LLC)."""
 
     ckpt_state = (("_prefetched", SORTED_SET), ("prefetcher", OWNED))
+    ckpt_kinds = {"wb_fwd": "mem_side.send", "fill_req": "mem_side.send",
+                  "hit_resp": "_respond"}
     mshr_state = (("is_prefetch", VALUE),)
 
     def __init__(
@@ -225,10 +227,6 @@ class Cache(CacheCore):
         return sum(len(ways) for _, ways in self._tags.occupied())
 
     # -- checkpointing -------------------------------------------------------------------------
-
-    def ckpt_handlers(self):
-        send = self.mem_side.send
-        return {"wb_fwd": send, "fill_req": send, "hit_resp": self._respond}
 
     def _line_codec(self, ctx):
         return "tags", (lambda dirty: (dirty,)), (lambda dirty: dirty)

@@ -143,7 +143,7 @@ class CacheCore(SimObject):
         return self._access(pkt)
 
     def _sched_after_lookup(self, kind: str, payload) -> None:
-        """Run *kind* (see ``ckpt_handlers``) one lookup latency on."""
+        """Run *kind* (see ``ckpt_kinds``) one lookup latency on."""
         when = self.now + self.clock.cycles_to_ticks(self.latency_cycles)
         self.sched_ckpt(kind, payload, when)
 

@@ -83,6 +83,8 @@ class OoOCore(SimObject):
         ("skip", "_owed", VALUE),  # an owed window crosses a checkpoint
     )
     ckpt_hooked = ("_rob", "_inflight", "_alu_done", "stream")
+    ckpt_events = {"cycle": "_cycle_event"}
+    ckpt_kinds = {"wake": "_wake"}
 
     def __init__(
         self,
@@ -480,15 +482,9 @@ class OoOCore(SimObject):
 
     # -- checkpointing -----------------------------------------------------
 
-    def ckpt_handlers(self):
-        return {"wake": self._wake}
-
     def _wake(self, _payload) -> None:
         self._sleeping = False
         self.schedule_cycles(self._cycle_event, 1, EventPriority.CLOCK)
-
-    def ckpt_named_events(self):
-        return {"cycle": self._cycle_event}
 
     def ckpt_veto(self):
         if self._stream_stack:

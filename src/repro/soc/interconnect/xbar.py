@@ -56,6 +56,7 @@ class Crossbar(SimObject):
     ckpt_state = (("_req_q", DEQUES), ("_resp_q", DEQUES),
                   ("_req_busy", VALUE), ("_resp_busy", VALUE),
                   ("_pending_retries", DEQUE), ("_retry_rejected", VALUE))
+    ckpt_kinds = {"fwd_req": "_forward_req", "fwd_resp": "_forward_resp"}
 
     WIDTH_BYTES = 16  # 128-bit datapath
 
@@ -101,7 +102,6 @@ class Crossbar(SimObject):
         port = ResponsePort(
             f"{self.name}.cpu{idx}",
             recv_timing_req=partial(self._recv_req, idx),
-            recv_resp_retry=partial(self._drain_resp, idx),
             recv_functional=self._functional,
         )
         self.cpu_ports.append(port)
@@ -248,25 +248,11 @@ class Crossbar(SimObject):
         queue = self._resp_q[cpu_idx]
         if not queue:
             return
-        pkt = queue[0]
-        if self.cpu_ports[cpu_idx].send_timing_resp(pkt):
-            queue.popleft()
-            self._kick_resp(cpu_idx)
-
-    def _drain_resp(self, cpu_idx: int) -> None:
-        queue = self._resp_q[cpu_idx]
-        while queue:
-            pkt = queue[0]
-            if not self.cpu_ports[cpu_idx].send_timing_resp(pkt):
-                return
-            queue.popleft()
+        self.cpu_ports[cpu_idx].send_timing_resp(queue[0])
+        queue.popleft()
+        self._kick_resp(cpu_idx)
 
     # -- functional -----------------------------------------------------------------
 
     def _functional(self, pkt: Packet) -> None:
         self.mem_ports[self.route(pkt.addr)].send_functional(pkt)
-
-    # -- checkpointing -----------------------------------------------------------------
-
-    def ckpt_handlers(self):
-        return {"fwd_req": self._forward_req, "fwd_resp": self._forward_resp}

@@ -19,7 +19,7 @@ read/write turnaround interference.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -61,14 +61,6 @@ class DRAMConfig:
     def burst_ns(self) -> float:
         """Data-bus occupancy of one 64 B burst."""
         return BLOCK / self.peak_bw_per_channel  # B / (GB/s) == ns
-
-    @property
-    def peak_bw(self) -> float:
-        return self.peak_bw_per_channel * self.channels
-
-    def with_channels(self, channels: int) -> "DRAMConfig":
-        return replace(self, name=f"{self.name.split('-')[0]}-{channels}ch",
-                       channels=channels)
 
 
 def ddr4_2400(channels: int = 1) -> DRAMConfig:
@@ -206,6 +198,8 @@ class DRAMController(SimObject):
                    "channels.banks.open_row", "channels.banks.busy_until",
                    "channels.bus_busy_until", "channels.draining_writes",
                    "channels._scheduled", "_retry_pending")
+    ckpt_kinds = {"ch_service": "_service", "rd_done": "complete_read",
+                  "slot_free": "notify_slot_free"}
 
     def __init__(
         self,
@@ -255,9 +249,6 @@ class DRAMController(SimObject):
     def port(self) -> ResponsePort:
         """Single-port convenience accessor (ports[0])."""
         return self.ports[0]
-
-    def channel_of(self, addr: int) -> _Channel:
-        return self.channels[(addr // BLOCK) % self.cfg.channels]
 
     def connect_xbar(self, xbar) -> None:
         """Attach every channel port to *xbar* with interleaved ranges."""
@@ -425,13 +416,6 @@ class DRAMController(SimObject):
             self.physmem.write(pkt.addr, pkt.data)
 
     # -- checkpointing ------------------------------------------------------------
-
-    def ckpt_handlers(self):
-        return {
-            "ch_service": self._service,
-            "rd_done": self.complete_read,
-            "slot_free": self.notify_slot_free,
-        }
 
     def ckpt_save(self, state: dict, ctx) -> None:
         state["channels"] = [

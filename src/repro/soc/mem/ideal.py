@@ -24,6 +24,7 @@ class IdealMemory(SimObject):
     """
 
     ckpt_state = (("blocked", "ports", PORT_QUEUES),)
+    ckpt_kinds = {"resp": "_respond"}
 
     def __init__(
         self,
@@ -93,8 +94,3 @@ class IdealMemory(SimObject):
             pkt.data = self.physmem.read(pkt.addr, pkt.size)
         elif pkt.data is not None:
             self.physmem.write(pkt.addr, pkt.data)
-
-    # -- checkpointing ------------------------------------------------------
-
-    def ckpt_handlers(self):
-        return {"resp": self._respond}

@@ -70,10 +70,6 @@ class PhysicalMemory(Checkpointed):
     def write_word(self, addr: int, value: int, size: int = 8) -> None:
         self.write(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
 
-    def footprint(self) -> int:
-        """Bytes of backing storage actually allocated."""
-        return len(self._frames) * FRAME_SIZE
-
     # -- checkpointing ------------------------------------------------------
 
     def ckpt_save(self, state: dict, ctx) -> None:

@@ -8,11 +8,13 @@ classic three-call handshake:
   returning ``False`` means *busy*: the responder promises to call
   ``send_retry_req()`` later, upon which the requester's owner gets
   ``recv_req_retry()`` and may resend.
-* Symmetrically for responses via ``send_timing_resp``/``recv_resp_retry``.
+* ``resp.send_timing_resp(pkt)`` → peer's owner ``recv_timing_resp(pkt)``,
+  which always takes it: every requester sinks its responses, so a
+  refused one is an error (raised here), not a retry.
 * ``send_functional(pkt)`` performs an immediate, timing-free access
   (used for loading NVDLA traces into memory, debugging, etc.).
 
-A packet the peer refused waits in the port, not in each owner (gem5's
+A request the peer refused waits in the port, not in each owner (gem5's
 ``QueuedPort``): ``port.send(pkt)`` delivers now or appends to
 ``port.queue``; the peer's retry drains the queue in order before the
 owner hears of it, and the owner's checkpoint declares the queue.
@@ -191,12 +193,10 @@ class ResponsePort(_Port):
         name: str,
         owner=None,
         recv_timing_req: Optional[Callable[[Packet], bool]] = None,
-        recv_resp_retry: Optional[Callable[[], None]] = None,
         recv_functional: Optional[Callable[[Packet], None]] = None,
     ) -> None:
         super().__init__(name, owner)
         self._recv_timing_req = recv_timing_req
-        self._recv_resp_retry = recv_resp_retry
         self._recv_functional = recv_functional
         #: the peer's response handler, bound by :meth:`RequestPort.connect`
         self._send_resp: Callable[[Packet], bool] = self._unconnected
@@ -207,14 +207,18 @@ class ResponsePort(_Port):
     # responder-side API ------------------------------------------------------
 
     def send_timing_resp(self, pkt: Packet) -> bool:
-        accepted = self._send_resp(pkt)
+        """Deliver a response; the requester must take it (True)."""
+        if not self._send_resp(pkt):
+            raise RuntimeError(
+                f"{self.peer.name} refused response {pkt.cmd.name} "
+                f"#{pkt.pkt_id} from {self.name}: a response is never retried"
+            )
         if FLAG_PORTS.enabled:
             tracepoint(
-                FLAG_PORTS, self.name, "resp %s #%d addr=%#x -> %s",
+                FLAG_PORTS, self.name, "resp %s #%d addr=%#x -> accepted",
                 pkt.cmd.name, pkt.pkt_id, pkt.addr,
-                "accepted" if accepted else "REJECTED",
             )
-        return accepted
+        return True
 
     _deliver = send_timing_resp
 
@@ -232,12 +236,6 @@ class ResponsePort(_Port):
         peer.handle_snoop(pkt)
 
     # called by the peer -------------------------------------------------------
-
-    def handle_resp_retry(self) -> None:
-        handler = self._recv_resp_retry
-        if handler is None and self.owner is not None:
-            handler = self.owner.recv_resp_retry
-        self._retried(handler)
 
     def handle_functional(self, pkt: Packet) -> None:
         if self._recv_functional is not None:

@@ -224,29 +224,55 @@ def load_fields(obj, compiled, state: dict, ctx) -> None:
 class Checkpointed:
     """gem5's ``serialize``/``unserialize``, derived from declared state.
 
-    A class lists the fields it adds to its bases' in ``ckpt_state``,
-    in the order they are packed (``ctx.pack`` numbers each packet it
-    meets first); the file's keys are sorted, so their order is not part
-    of the format.  A key with a dot is one level down
-    (``"coh.current"``), an attribute with one reaches into an owned object
-    (``"mem_side.queue"``).  What no codec can say (objects that share
-    entries, a stream to fast-forward, a check) goes in the
-    :meth:`ckpt_save`/:meth:`ckpt_load` hook, on the attributes that
-    ``ckpt_hooked`` names.  Anything else an object changes is a memo
-    rebuilt on load, owed edges (:meth:`SimObject.catch_up` settles
-    them, and ends a lag, before every save), transient state a
-    :meth:`SimObject.ckpt_veto` guards, or a statistic (saved by the
-    engine): ``tests/resilience/test_ckpt_complete.py`` checks it.
+    A class declares its whole checkpoint at class level, each table
+    adding to its bases':
+
+    * ``ckpt_state`` lists its fields in the order they are packed
+      (``ctx.pack`` numbers each packet it meets first); the file's keys
+      are sorted, so their order is not part of the format.  A key with
+      a dot is one level down (``"coh.current"``), an attribute with one
+      reaches into an owned object (``"mem_side.queue"``), and an
+      ``OWNED`` entry is an owned :class:`Checkpointed` saved as its own
+      state (an RTL object's shared library, the NVDLA library's core);
+    * ``ckpt_events`` names the long-lived re-armable events, name ->
+      attribute; an event two objects declare (a clock domain's, by
+      every member) is saved once, under the first in registration
+      order;
+    * ``ckpt_kinds`` maps each kind of :meth:`SimObject.sched_ckpt`
+      one-shot to the attribute path that runs it
+      (``"fill_req": "mem_side.send"``), resolved on the kind's first
+      use.
+
+    What no codec can say (objects that share entries, a stream to
+    fast-forward) goes in the :meth:`ckpt_save`/:meth:`ckpt_load` hook,
+    on the attributes that ``ckpt_hooked`` names, and a check in
+    :meth:`SimObject.ckpt_veto`.  Anything else an object changes is a
+    memo rebuilt on load, owed edges (:meth:`SimObject.catch_up` settles
+    them, and ends a lag, before every save), transient state a veto
+    guards, or a statistic: the engine saves statistics, not their
+    owners, so a :class:`~repro.soc.stats.Stat` keeps its own
+    ``state_dict``/``load_state``.
+    ``tests/resilience/test_ckpt_complete.py`` checks that nothing else
+    changes.
     """
 
     ckpt_state: tuple = ()
     ckpt_hooked: tuple = ()
+    ckpt_events: dict = {}
+    ckpt_kinds: dict = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        mro = cls.__mro__[::-1]
         cls._ckpt_fields = fields(
-            entry for klass in reversed(cls.__mro__)
+            entry for klass in mro
             for entry in klass.__dict__.get("ckpt_state", ()))
+        cls._ckpt_events = {
+            name: attrgetter(attr) for klass in mro
+            for name, attr in klass.__dict__.get("ckpt_events", {}).items()}
+        cls._ckpt_handlers = {
+            kind: attrgetter(path) for klass in mro
+            for kind, path in klass.__dict__.get("ckpt_kinds", {}).items()}
 
     def ckpt_save(self, state: dict, ctx) -> None:
         """Save what no table declares; runs first, so what it packs is
@@ -339,13 +365,13 @@ class SimObject(Checkpointed):
     # Two kinds of events survive a checkpoint:
     #
     # * *named* events — long-lived Event objects the component re-arms
-    #   itself (a core's cycle event, an RTL tick).  Expose them via
-    #   :meth:`ckpt_named_events`; the engine records tick/priority/seq
-    #   and re-schedules the same objects on restore.
+    #   itself (a core's cycle event, an RTL tick), declared in
+    #   ``ckpt_events``; the engine records tick/priority/seq and
+    #   re-schedules the same objects on restore.
     # * *tagged* one-shots — transient callbacks that would otherwise be
     #   closures (a cache fill completing, a DRAM read returning).
     #   Schedule them with :meth:`sched_ckpt`, naming a kind that
-    #   :meth:`ckpt_handlers` maps to the method that runs it; the engine
+    #   ``ckpt_kinds`` maps to the method that runs it; the engine
     #   reads the (owner, kind, payload) of each off the event queue's
     #   live entries, and restore pushes the same entry back.
     #
@@ -363,11 +389,12 @@ class SimObject(Checkpointed):
     ) -> None:
         """Schedule a checkpoint-aware one-shot event.
 
-        At *when* it calls ``self.ckpt_handlers()[kind](payload)``;
-        *payload* must be serializable by the checkpoint engine (JSON
-        scalars, lists, dicts, and Packet references).  *name* (default
-        ``<self.name>.<kind>``) is serialized and is what host-time
-        profilers aggregate by: pass a constant, not one built per call.
+        At *when* it calls the handler ``ckpt_kinds`` names for *kind*
+        with *payload*, which must be serializable by the checkpoint
+        engine (JSON scalars, lists, dicts, and Packet references).
+        *name* (default ``<self.name>.<kind>``) is serialized and is what
+        host-time profilers aggregate by: pass a constant, not one built
+        per call.
         With *seq* (checkpoint restore) the entry takes its checkpointed
         position, as :meth:`EventQueue.restore_entry` does for a named
         event.
@@ -404,24 +431,14 @@ class SimObject(Checkpointed):
 
     def _ckpt_kind(self, kind: str) -> tuple[str, Callable]:
         """Resolve *kind* on its first use (see :meth:`sched_ckpt`)."""
-        handler = self.ckpt_handlers().get(kind)
-        if handler is None:
+        get = self._ckpt_handlers.get(kind)
+        if get is None:
             raise KeyError(
                 f"{type(self).__name__} {self.name} has no handler for "
-                f"tagged event kind {kind!r} (see ckpt_handlers)"
+                f"tagged event kind {kind!r} (see ckpt_kinds)"
             )
-        entry = self._ckpt_kinds[kind] = (f"{self.name}.{kind}", handler)
+        entry = self._ckpt_kinds[kind] = (f"{self.name}.{kind}", get(self))
         return entry
-
-    def ckpt_handlers(self) -> dict[str, Callable]:
-        """Kind -> the callable that runs a :meth:`sched_ckpt` one-shot
-        of that kind, called with its payload.  Read once per kind, on
-        its first use."""
-        return {}
-
-    def ckpt_named_events(self) -> dict[str, Event]:
-        """Long-lived re-armable events, keyed by a stable name."""
-        return {}
 
     # -- owed edges ---------------------------------------------------------
     #

@@ -119,12 +119,6 @@ class CoverageCollector:
                 self._fsm_edges[f.signal].add((last, state))
             self._fsm_prev[f.signal] = state
 
-    def run_and_sample(self, cycles: int) -> None:
-        """Tick cycle-by-cycle, sampling after each edge."""
-        for _ in range(cycles):
-            self.sim.tick()
-            self.sample()
-
     # -- results -----------------------------------------------------------
 
     def statement_hits(self) -> list[int]:

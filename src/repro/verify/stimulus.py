@@ -148,12 +148,6 @@ class FuzzResult:
     runs: int
     summary: dict
 
-    def replay_keys(self) -> set:
-        out: set = set()
-        for keys in self.corpus_keys:
-            out |= keys
-        return out
-
 
 def _aggregate_summary(module, keys: set) -> dict:
     """Roll a key set up into the same covered/total shape as a report."""

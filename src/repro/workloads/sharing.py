@@ -62,16 +62,3 @@ def false_sharing_uops(
         if it % 4 == core % 4:
             yield store(paddr + 8)
         yield alu(1)
-
-
-def sharing_benchmark(
-    cores: int,
-    iters: int = 400,
-    shared_lines: int = 2,
-) -> list:
-    """One µop generator per core for a ``cores``-way ping-pong run."""
-    return [
-        false_sharing_uops(core, cores, iters=iters,
-                           shared_lines=shared_lines)
-        for core in range(cores)
-    ]

@@ -28,6 +28,8 @@ from repro.models.rtlcache.wrapper import (
     RTLCacheSharedLibrary,
 )
 from repro.resilience.faults import FaultInjector, flip_targets
+from repro.resilience.serialize import (DeserializationContext,
+                                        SerializationContext)
 
 WRAPPERS = [
     PMUSharedLibrary,
@@ -74,7 +76,7 @@ def _random_struct(rng: random.Random, spec) -> bytes:
 def _state(lib) -> tuple:
     sim = lib.sim
     return (list(sim.values), [list(m) for m in sim.mems], sim.cycle,
-            lib.ticks, lib.checkpoint_state())
+            lib.ticks, lib.serialize(SerializationContext()))
 
 
 def _assert_same(libs, what: str) -> None:
@@ -93,13 +95,13 @@ def _lockstep(libs, rng: random.Random, flops: list, others: list) -> None:
     saved = None
     for step in range(STEPS):
         if step == 130:
-            saved = libs[1].checkpoint_state()      # the interpreter's
+            saved = libs[1].serialize(SerializationContext())  # interp's
         elif step == 200:
             for lib in libs:
                 lib.reset()
         elif step == 260:
             for lib in libs:
-                lib.load_checkpoint_state(saved)
+                lib.unserialize(saved, DeserializationContext([]))
         elif step in (320, 321, 400):
             # an upset between two ticks
             targets = others if step == 321 and others else flops

@@ -13,7 +13,7 @@ import pytest
 
 from repro.soc.stats import StatGroup
 from repro.soc.system import SoC, SoCConfig
-from repro.workloads.sharing import sharing_benchmark
+from repro.workloads.sharing import false_sharing_uops
 
 L1D_STATS = (
     "evictions",
@@ -34,8 +34,8 @@ L1D_STATS = (
 
 def _run_coherent(cores: int, iters: int = 60) -> dict:
     soc = SoC(SoCConfig(num_cores=cores, memory="DDR4-1ch", coherent=True))
-    for core, stream in zip(soc.cores, sharing_benchmark(cores, iters=iters)):
-        core.run_stream(stream)
+    for i, core in enumerate(soc.cores):
+        core.run_stream(false_sharing_uops(i, cores, iters=iters))
     soc.run_until_done()
     return soc.sim.stats_dump()
 

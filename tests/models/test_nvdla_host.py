@@ -38,8 +38,6 @@ class TestLifecycle:
         host = system.hosts[0]
         with pytest.raises(RuntimeError):
             host.exec_ticks()
-        with pytest.raises(RuntimeError):
-            host.total_ticks()
 
     def test_doorbell_after_load(self):
         system = build_nvdla_system("sanity3", 1, "ideal", scale=0.1,

@@ -5,6 +5,8 @@ import pytest
 
 from repro.dse.nvdla_system import build_nvdla_system
 from repro.models.nvdla.rtl_object import output_pattern
+from repro.models.nvdla.core import (REG_BLOCKS_PER_OUT, REG_IN_BLOCKS,
+                                     REG_W_BLOCKS)
 from repro.models.nvdla.workloads import sanity3
 from repro.models.nvdla.trace import RegWrite, WaitIrq
 
@@ -17,10 +19,14 @@ class TestTrace:
         assert any(isinstance(c, WaitIrq) for c in cmds)
 
     def test_block_accounting(self):
+        """The commands program the layer's block counts."""
         trace = sanity3(scale=0.25)
-        layer = trace.layers[0]
-        assert trace.total_read_blocks() == layer.in_blocks + layer.w_blocks
-        assert trace.total_write_blocks() >= 1
+        (layer,) = trace.layers
+        regs = {c.addr: c.value for c in trace.commands()
+                if isinstance(c, RegWrite)}
+        assert (regs[REG_IN_BLOCKS], regs[REG_W_BLOCKS],
+                regs[REG_BLOCKS_PER_OUT]) == (
+            layer.in_blocks, layer.w_blocks, layer.blocks_per_out)
 
 
 class TestEndToEnd:
@@ -31,11 +37,13 @@ class TestEndToEnd:
         host = system.hosts[0]
         assert host.done
         assert host.exec_ticks() > 0
-        assert host.total_ticks() >= host.exec_ticks()
+        assert host.load_start_tick <= host.start_tick
         rtl = system.rtls[0]
-        trace = host.trace
-        assert rtl.st_mem_reads.value() == trace.total_read_blocks()
-        assert rtl.st_mem_writes.value() == trace.total_write_blocks()
+        # every block read once, one output burst per blocks_per_out
+        (layer,) = host.trace.layers
+        blocks = layer.in_blocks + layer.w_blocks
+        assert rtl.st_mem_reads.value() == blocks
+        assert rtl.st_mem_writes.value() == -(-blocks // layer.blocks_per_out)
         assert rtl.st_irqs.value() == 1
 
     def test_outputs_written_with_pattern(self):
@@ -84,7 +92,10 @@ class TestEndToEnd:
         slow = build_nvdla_system("sanity3", 1, "HBM", max_inflight=64,
                                   scale=0.1, timed_load=True)
         slow.run_to_completion()
-        assert slow.hosts[0].total_ticks() > 2 * quick.hosts[0].total_ticks()
+        # the doorbell waits for a load longer than the whole quick run
+        slow_host, quick_host = slow.hosts[0], quick.hosts[0]
+        assert slow_host.start_tick - slow_host.load_start_tick > \
+            quick_host.finish_tick - quick_host.load_start_tick
         # the host core actually executed the loader stores
         assert slow.soc.cores[0].st_stores.value() > 1000
 
@@ -135,6 +146,9 @@ class TestMultiLayerPipeline:
         from repro.models.nvdla.workloads import googlenet_pipeline
 
         trace = googlenet_pipeline(scale=0.05)
-        assert trace.total_read_blocks() == sum(
+        programmed = sum(c.value for c in trace.commands()
+                         if isinstance(c, RegWrite)
+                         and c.addr in (REG_IN_BLOCKS, REG_W_BLOCKS))
+        assert programmed == sum(
             l.in_blocks + l.w_blocks for l in trace.layers
         )

@@ -13,6 +13,8 @@ from repro.models.pmu.wrapper import (
     threshold_addr,
     REG_ENABLE,
 )
+from repro.resilience.serialize import (DeserializationContext,
+                                        SerializationContext)
 
 
 @pytest.fixture
@@ -222,11 +224,11 @@ def test_generated_bytecodes_per_pmu_cycle_stay_in_budget():
     axi_write(lib, threshold_addr(5), 4000)
     axi_write(lib, REG_ENABLE, 0b111111)
     tick(lib)
-    armed = lib.checkpoint_state()
+    armed = lib.serialize(SerializationContext())
     quiet, steady = lib.input_spec.zeros(), lib.output_spec.zeros()
     windows = []
     for cycles in (8, 9):
-        lib.load_checkpoint_state(armed)
+        lib.unserialize(armed, DeserializationContext([]))
         windows.append(generated_bytecodes(lambda: lib.tick_varying(
             quiet, "events", [1 << 5] * cycles, steady)))
         assert lib.peek_counter(5) == cycles

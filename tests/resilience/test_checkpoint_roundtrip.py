@@ -193,6 +193,20 @@ def run_to_end(end):
     return soc.sim.stats_dump()
 """ + SAVE_IN_LAG
 
+# Two coherent L1s and a coherent RTL cache behind the directory, saved
+# at a plain tick: the directory's entries and L2 tags, the L1s' sets and
+# the RTL cache's coherence state and kernel arrays are all in the file.
+SHARING_RTL_SETUP = """
+from repro.coherence.check import build_sharing_system
+
+soc = build_sharing_system(cores=2, rtl=1)
+
+def save_at(tick, path):
+    soc.sim.startup()
+    soc.sim.run(until=tick)
+    return soc.sim.save_checkpoint(path)
+"""
+
 # A plain RTL cache under callback-free MMIO reads, saved while a read
 # waits at its pins for a line fill: nothing the save vetoes, so only
 # the cache's own veto keeps the request from being lost.
@@ -315,11 +329,16 @@ def test_fresh_process_restore_is_bit_identical(tmp_path, setup,
             "f782edf94931b79282b4d11a31347429d5eba67b7b6c9bae256c77acc45600da",
             id="nvdla4",
         ),
+        pytest.param(
+            SHARING_RTL_SETUP, 1_000_000,
+            "d47eb34b952f88ec4a33100b52d1cc2b086fbe57ac2146d61998ba2ca101b6e5",
+            id="sharing-rtl",
+        ),
     ],
 )
 def test_mid_run_checkpoint_bytes_are_pinned(tmp_path, setup, save_tick,
                                              digest):
-    """The three mid-run checkpoints above, byte for byte: every event
+    """The mid-run checkpoints above, byte for byte: every event
     name, ``seq``, ``executed`` and packet number in them is part of the
     format, so a change to how events are scheduled or named shows here
     (or bumps ``CHECKPOINT_VERSION``).  Hashed uncompressed — the gzip

@@ -6,25 +6,39 @@ This test steps bundled systems one event at a time and, at every
 instant a checkpoint could be taken (``checkpoint_blockers`` is empty),
 compares every attribute of every SimObject and checkpoint extra with
 the previous such instant, descending into the objects each owns
-(ports, DRAM channels and banks, lanes, a prefetcher).  An attribute
+(ports, DRAM channels and banks, lanes, a prefetcher, an RTL object's
+shared library and its kernel, the NVDLA library's core).  An attribute
 that changed must be declared state or one of the kinds listed in
-``NOT_STATE``; anything else would be lost by a save and a restore.
+``NOT_STATE``; anything else would be lost by a save and a restore.  An
+event that is scheduled and not declared (``ckpt_events``, or a
+``sched_ckpt`` one-shot) leaves no checkpointable instant at all.
 
 It compares at every checkpointable instant, not at two: a field that
 is None at both ends of a window (a request held at an RTL cache's
-pins) can still be live at a save in between.
+pins) can still be live at a save in between.  And every checkpointed
+class under ``src/`` is built by one of the systems.
 """
 
+import importlib
+import pkgutil
 import random
 import re
 from collections import deque
 
 import pytest
 
-from repro.bridge.shared_library import SharedLibrary
 from repro.resilience.serialize import checkpoint_blockers
+from repro.rtl.codegen import CodegenProgram
+from repro.rtl.kernel import CombProcess, Memory, RTLModule, Signal, SyncProcess
+from repro.rtl.vcd import VCDWriter
 from repro.soc.event import ClockDomain, Event, EventQueue
 from repro.soc.packet import Packet
+import repro
+from repro.bridge.rtl_object import RTLObject
+from repro.bridge.shared_library import (BehavioralSharedLibrary,
+                                         RTLSharedLibrary, SharedLibrary)
+from repro.soc.cache.cache import BasePrefetcher
+from repro.soc.cache.core import CacheCore
 from repro.soc.simobject import (OWNED, PORT_QUEUES, Checkpointed, SimObject,
                                  Simulation)
 from repro.soc.stats import Stat, StatGroup
@@ -47,11 +61,15 @@ NOT_STATE = {
     # a lagging PMU's tap on the wire it counts
     "OoOCore": {"commit_wire.lag": "owed"},
     "DRAMController": {"channels.where": "memo"},
+    # the generated replay of each varied field, built on its first use
+    "RTLSharedLibrary": {"_replays": "memo"},
 }
 
-#: what is never descended into: saved by other means, or fixed
+#: what is never descended into: saved by other means, or fixed (an RTL
+#: design and the code generated for it)
 OPAQUE = (SimObject, Simulation, Packet, Event, ClockDomain, EventQueue,
-          Stat, StatGroup, SharedLibrary, SoC)
+          Stat, StatGroup, SoC, RTLModule, Signal, Memory, CombProcess,
+          SyncProcess, CodegenProgram, VCDWriter)
 
 
 def _declared(cls) -> set:
@@ -118,10 +136,13 @@ class _Snapshot:
                     self.covered.add(id(value))
                     self.covered.update(map(id, items))
         self.flat: dict = {}
+        #: the class of every object compared field by field
+        self.types: set = set()
         for name, root in roots.items():
             self._walk(name, root, "", "", frozenset())
 
     def _walk(self, top, obj, prefix, bare_prefix, skip):
+        self.types.add(type(obj))
         if isinstance(obj, Checkpointed):
             skip = skip | {bare_prefix + d for d in _declared(type(obj))} \
                 | {bare_prefix + k for k in _not_state(type(obj))}
@@ -157,13 +178,17 @@ class _Snapshot:
         return ("ref", id(value))
 
 
-def _snapshot(sim) -> dict:
+def _snapshot(sim) -> _Snapshot:
     roots = {obj.path(): obj for obj in sim.objects}
     roots.update({f"extra:{n}": x for n, x in sim.extras.items()})
-    return _Snapshot(roots).flat
+    return _Snapshot(roots)
 
 
-def _undeclared_changes(sim, events: int) -> tuple[dict, int]:
+#: system name -> the classes its snapshots compared
+BUILT: dict = {}
+
+
+def _undeclared_changes(name, sim, events: int) -> tuple[dict, int]:
     """Step *events* events; return ``{(object, path): count}`` of the
     undeclared attributes that changed between consecutive
     checkpointable instants, and how many such instants there were."""
@@ -173,7 +198,9 @@ def _undeclared_changes(sim, events: int) -> tuple[dict, int]:
     for _ in range(events):
         if not checkpoint_blockers(sim):
             instants += 1
-            now = _snapshot(sim)
+            snapshot = _snapshot(sim)
+            BUILT.setdefault(name, set()).update(snapshot.types)
+            now = snapshot.flat
             if before is not None:
                 for key in now.keys() | before.keys():
                     if now.get(key) != before.get(key):
@@ -246,6 +273,84 @@ def _rtlcache_mmio():
     return sim
 
 
+def _campaign_faults():
+    """A campaign target armed as a campaign experiment arms it: flips
+    at absolute cycles, and a retry storm's one-shots around them."""
+    from repro.resilience.faults import Fault, FaultInjector, FaultPlan
+    from repro.resilience.targets import CacheRig
+
+    rig = CacheRig({"idxw": 4, "requests": 600, "seed": 7, "gap_cycles": 3,
+                    "span_lines": 8, "ecc": False})
+    plan = FaultPlan([Fault("rtl-flip", 40, 3), Fault("retry-storm", 60, 20),
+                      Fault("rtl-flip", 150, 11)])
+    rig.sim.startup()
+    injector = FaultInjector(rig.sim, plan, absolute_cycles=True)
+    injector.init()
+    injector.startup()
+    return rig.sim
+
+
+def _pmu_armed():
+    """Fig. 5's system with ``--watchdog`` and ``--checkpoint-every``
+    attached the way the CLI attaches them."""
+    from repro.dse.pmu_experiment import build_pmu_system
+    from repro.resilience.control import arm
+
+    soc, _pmu, _drv = build_pmu_system(n_sort=60, memory="DDR4-1ch")
+    soc.sim.startup()
+    arm(soc.sim, None, {"check_cycles": 200}, (400, None), None)
+    soc.sim.run(until=100_000)
+    return soc.sim
+
+
+def _nvdla_translated():
+    """An NVDLA whose DMA goes through a small TLB (``translate=True``),
+    wired as ``tests/bridge/test_rtl_object.py`` wires one, with one
+    layer programmed over its CSB port."""
+    from repro.models.nvdla import core as regs
+    from repro.models.nvdla.rtl_object import NVDLARTLObject
+    from repro.soc.iomaster import IOMaster
+    from repro.soc.mem.ideal import IdealMemory
+    from repro.soc.tlb import TLB, PageTable
+
+    sim = Simulation()
+    table = PageTable()
+    table.map(0x10_0000, 0x80_0000, 0x10_0000)
+    tlb = TLB(sim, "tlb", page_table=table, entries=4)
+    rtl = NVDLARTLObject(sim, "nvdla", tlb=tlb, translate=True, mmio_base=0)
+    mem = IdealMemory(sim, "mem")
+    rtl.mem_side[0].connect(mem.port)
+    rtl.mem_side[1].connect(IdealMemory(sim, "mem2", physmem=mem.physmem).port)
+    sim.register_extra("physmem", mem.physmem)
+    io = IOMaster(sim, "io")
+    io.port.connect(rtl.cpu_side[0])
+    for reg, value in ((regs.REG_IN_ADDR_LO, 0x10_0000),
+                       (regs.REG_W_ADDR_LO, 0x14_0000),
+                       (regs.REG_OUT_ADDR_LO, 0x18_0000),
+                       (regs.REG_IN_BLOCKS, 512), (regs.REG_W_BLOCKS, 64),
+                       (regs.REG_OP_ENABLE, 1)):
+        io.write_word(reg, value)
+    sim.startup()
+    return sim
+
+
+def _bitonic():
+    """The VHDL sorter's library in an RTL object, fed a new vector
+    every cycle (a function of the tick: the driver holds no state)."""
+    from repro.models.bitonic.wrapper import BitonicSharedLibrary
+
+    class Sorter(RTLObject):
+        def build_input(self):
+            n = self.now // self.clock.period
+            return self.library.input_spec.pack(
+                valid_in=1, data=[(n * 7 + i * 13) % 0xFFFF for i in range(8)])
+
+    sim = Simulation()
+    Sorter(sim, "sorter", BitonicSharedLibrary(width=16))
+    sim.startup()
+    return sim
+
+
 #: name -> (function that builds it, events to step)
 SYSTEMS = {
     "pmu-lag": (_pmu_lagging, 1_500),
@@ -258,6 +363,10 @@ SYSTEMS = {
     "sharing-rtl": (_sharing_rtl, 4_000),
     "ecc-cache-target": (_ecc_cache_target, 1_500),
     "rtlcache-mmio": (_rtlcache_mmio, 1_000),
+    "campaign-faults": (_campaign_faults, 1_500),
+    "pmu-armed": (_pmu_armed, 1_500),
+    "nvdla-translated": (_nvdla_translated, 800),
+    "bitonic": (_bitonic, 100),
 }
 
 
@@ -265,11 +374,34 @@ SYSTEMS = {
 def test_every_changed_attribute_is_declared(name):
     build, events = SYSTEMS[name]
     sim = build()
-    changed, instants = _undeclared_changes(sim, events)
-    assert instants > 20, f"only {instants} checkpointable instants"
+    changed, instants = _undeclared_changes(name, sim, events)
+    assert instants > 20, (
+        f"only {instants} checkpointable instants; now: "
+        f"{checkpoint_blockers(sim)}")
     assert not changed, (
         f"{name}: attributes changed between checkpointable instants but "
         f"are not declared state (object, path: times): {changed}")
+
+
+#: classes only ever built as a subclass
+BASES = {SimObject, CacheCore, BasePrefetcher, RTLObject, SharedLibrary,
+         RTLSharedLibrary, BehavioralSharedLibrary}
+
+
+def test_every_checkpointed_class_is_built():
+    """The systems above build every checkpointed class under ``src/``
+    (those whose test ran first are not built again)."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+    built = set()
+    for name, (build, _events) in SYSTEMS.items():
+        built |= BUILT.get(name) or _snapshot(build()).types
+    classes = {cls for cls in _all_subclasses(Checkpointed)
+               if cls.__module__.startswith("repro.")}
+    assert BASES <= classes
+    missing = sorted(cls.__name__ for cls in classes - BASES - built)
+    assert not missing, f"no system builds {missing}"
 
 
 def test_not_state_never_names_declared_state():

@@ -17,7 +17,7 @@ from repro.soc.cache.sets import SparseSets
 from repro.soc.cpu.uop import alu, load, store
 from repro.soc.event import Event
 from repro.soc.system import CacheConfig, SoC, SoCConfig
-from repro.workloads.sharing import sharing_benchmark
+from repro.workloads.sharing import false_sharing_uops
 from repro.workloads.sorting import sort_benchmark
 
 
@@ -47,8 +47,8 @@ def _build_pmu():
 def _build_coherent(**caches):
     soc = SoC(SoCConfig(num_cores=2, memory="DDR4-1ch", coherent=True,
                         **caches))
-    for core, stream in zip(soc.cores, sharing_benchmark(2, iters=60)):
-        core.run_stream(stream)
+    for i, core in enumerate(soc.cores):
+        core.run_stream(false_sharing_uops(i, 2, iters=60))
     return soc
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.models.rtlcache.wrapper import RTLCacheSharedLibrary
 from repro.rtl.kernel import Edge, RTLModule
+from repro.resilience.serialize import (DeserializationContext,
+                                        SerializationContext)
 from repro.rtl.simulator import RTLSimulator
 
 
@@ -164,9 +166,10 @@ class TestCheckpoint:
         small = RTLCacheSharedLibrary(idxw=4)
         big = RTLCacheSharedLibrary(idxw=6)
         assert len(small.sim.values) == len(big.sim.values)
-        before = big.checkpoint_state()
+        before = big.serialize(SerializationContext())
         with pytest.raises(ValueError, match="does not match"):
-            big.load_checkpoint_state(small.checkpoint_state())
+            big.unserialize(small.serialize(SerializationContext()),
+                            DeserializationContext([]))
         assert big.sim.mems == before["mems"]
         big.sim.peek_mem("tags", 40)
 

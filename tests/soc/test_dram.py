@@ -50,10 +50,14 @@ class Driver:
 
 class TestPresets:
     def test_table1_bandwidths(self):
-        assert ddr4_2400(1).peak_bw == pytest.approx(18.75)
-        assert ddr4_2400(4).peak_bw == pytest.approx(75.0)
-        assert gddr5().peak_bw == pytest.approx(112.0)
-        assert hbm().peak_bw == pytest.approx(128.0)
+        """Aggregate peak GB/s: a 64 B burst per channel per burst time."""
+        def peak(cfg):
+            return cfg.channels * BLOCK / cfg.burst_ns
+
+        assert peak(ddr4_2400(1)) == pytest.approx(18.75)
+        assert peak(ddr4_2400(4)) == pytest.approx(75.0)
+        assert peak(gddr5()) == pytest.approx(112.0)
+        assert peak(hbm()) == pytest.approx(128.0)
 
     def test_table1_geometry(self):
         assert ddr4_2400().row_buffer_bytes == 8192
@@ -72,9 +76,9 @@ class TestPresets:
         }
 
     def test_with_channels(self):
-        cfg = ddr4_2400(1).with_channels(4)
+        cfg = MEMORY_PRESETS["DDR4-4ch"]()
         assert cfg.channels == 4
-        assert "4ch" in cfg.name
+        assert cfg == ddr4_2400(4) and "4ch" in cfg.name
 
     def test_burst_time(self):
         # 64B at 18.75 GB/s = 3.41ns
@@ -85,9 +89,10 @@ class TestGeometryDecode:
     def test_channel_interleave_by_block(self):
         sim = Simulation()
         ctrl = DRAMController(sim, "m", ddr4_2400(4))
-        assert ctrl.channel_of(0).index == 0
-        assert ctrl.channel_of(BLOCK).index == 1
-        assert ctrl.channel_of(4 * BLOCK).index == 0
+        drv = Driver(sim, ctrl.port)
+        for addr in (0, BLOCK, 4 * BLOCK):
+            assert drv.read(addr)
+        assert [len(ch.read_q) for ch in ctrl.channels] == [2, 1, 0, 0]
 
     def test_bank_and_row_decode(self):
         sim = Simulation()

@@ -407,12 +407,13 @@ class TestTaggedEvents:
         pass
 
     class Recorder(SimObject):
+        ckpt_kinds = {kind: f"fire_{kind}" for kind in "abk"}
+
         def __init__(self, sim, name):
             super().__init__(sim, name)
             self.fired = []
-
-        def ckpt_handlers(self):
-            return {kind: partial(self.fire, kind) for kind in "abk"}
+            for kind in "abk":
+                setattr(self, f"fire_{kind}", partial(self.fire, kind))
 
         def fire(self, kind, payload):
             self.fired.append((kind, payload, self.now))

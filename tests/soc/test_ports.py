@@ -1,5 +1,5 @@
 """Timing ports: binding, the three-call retry protocol, functional path,
-and the queue a refused packet waits in."""
+and the queue a refused request waits in."""
 
 import pytest
 
@@ -62,14 +62,14 @@ class TestBinding:
 
             def recv_timing_resp(self, pkt):
                 self.got.append(("resp", pkt))
-                return False
+                return True
 
         owner = Owner()
         req, resp = RequestPort("r", owner=owner), ResponsePort("s", owner=owner)
         req.connect(resp)
         pkt = _pkt()
         assert req.send_timing_req(pkt)
-        assert not resp.send_timing_resp(pkt)
+        assert resp.send_timing_resp(pkt)
         assert owner.got == [("req", pkt), ("resp", pkt)]
 
     def test_a_port_with_no_handler_raises_when_used(self):
@@ -87,7 +87,6 @@ class TestProtocol:
         resp = ResponsePort(
             "resp",
             recv_timing_req=lambda pkt: (log.append(("req", pkt)), accept_req)[1],
-            recv_resp_retry=lambda: log.append(("resp_retry", None)),
             recv_functional=lambda pkt: log.append(("func", pkt)),
         )
         req = RequestPort(
@@ -120,11 +119,14 @@ class TestProtocol:
         assert resp.send_timing_resp(pkt)
         assert ("resp", pkt) in log
 
-    def test_rejected_response_and_retry(self):
+    def test_refused_response_raises(self):
+        """Every requester sinks its responses: one refused is a bug in
+        the requester, never a wait for a retry that nothing sends."""
         req, resp, log = self._pair(accept_resp=False)
-        assert not resp.send_timing_resp(_pkt())
-        resp.handle_resp_retry()
-        assert ("resp_retry", None) in log
+        for send in (resp.send_timing_resp, resp.send):
+            with pytest.raises(RuntimeError, match="refused response"):
+                send(_pkt())
+        assert not resp.queue
 
     def test_functional_bypasses_timing(self):
         req, resp, log = self._pair()
@@ -162,17 +164,22 @@ def _request_side(gate, retry=None):
     return port, peer.send_retry_req
 
 
-def _response_side(gate, retry=None):
-    """(sending port, the peer's retry) with *gate* receiving responses."""
-    port = ResponsePort("sender", recv_resp_retry=retry)
-    peer = RequestPort("gate", recv_timing_resp=gate.recv)
-    port.connect(peer)
-    return port, port.handle_resp_retry
+def _response_side(gate):
+    """(sending port, None) with *gate* receiving responses: a response
+    is taken at once or refused loudly, so it has no retry."""
+    port = ResponsePort("sender")
+    port.connect(RequestPort("gate", recv_timing_resp=gate.recv))
+    return port, None
 
 
-@pytest.mark.parametrize("side", [_request_side, _response_side],
-                         ids=["requests", "responses"])
+#: what only requests do: wait in the port for the peer's retry
+requests_only = pytest.mark.parametrize("side", [_request_side],
+                                        ids=["requests"])
+
+
 class TestQueuedSend:
+    @pytest.mark.parametrize("side", [_request_side, _response_side],
+                             ids=["requests", "responses"])
     def test_accepted_at_once_queues_nothing(self, side):
         gate = _Gate(budget=1)
         port, _ = side(gate)
@@ -180,6 +187,7 @@ class TestQueuedSend:
         assert port.send(pkt) is True
         assert gate.accepted == [pkt] and not port.queue
 
+    @requests_only
     def test_no_overtaking_and_order_survives_the_drain(self, side):
         gate = _Gate(budget=0)
         port, retry = side(gate)
@@ -192,6 +200,7 @@ class TestQueuedSend:
         retry()
         assert gate.accepted == [a, b, c] and not port.queue
 
+    @requests_only
     def test_drain_stops_at_a_re_rejection(self, side):
         gate = _Gate(budget=0)
         port, retry = side(gate)
@@ -207,6 +216,7 @@ class TestQueuedSend:
         retry()
         assert gate.accepted == [a, b, c]
 
+    @requests_only
     def test_owner_hears_the_retry_only_once_the_queue_is_empty(self, side):
         gate = _Gate(budget=0)
         heard = []
@@ -222,6 +232,7 @@ class TestQueuedSend:
         retry()                     # nothing queued: straight through
         assert heard == [0, 0]
 
+    @requests_only
     def test_send_from_inside_a_drain_lands_behind_the_queue(self, side):
         gate = _Gate(budget=0)
         port, retry = side(gate)
@@ -236,11 +247,13 @@ class TestQueuedSend:
         assert gate.accepted == [a, b, late]
         assert not port.queue
 
+    @requests_only
     def test_retry_with_nothing_queued_and_no_handler_raises(self, side):
         port, retry = side(_Gate())
         with pytest.raises(RuntimeError, match="retry handler"):
             retry()
 
+    @requests_only
     def test_drained_queue_needs_no_handler(self, side):
         gate = _Gate(budget=0)
         port, retry = side(gate)

@@ -134,3 +134,18 @@ class TestSameTickOrderWithAPMU:
                                      pmu_freq_hz=pmu_freq_hz, seed=4,
                                      owner="core"), 5)[0]
         assert sum(kind == "irq" for kind, *_ in seen) > 20
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a flip that ends the slower PMU's lag inside a core's stall "
+        "window re-arms its tick there, one core edge ahead: the "
+        "interrupts at ticks 1 095 000 and 2 445 000 read core.cycle "
+        "2190 and 4890 with the owing core, 2189 and 4889 stepped"))
+    def test_a_flip_inside_a_window_leaves_the_slower_pmu_in_step(
+            self, monkeypatch):
+        irqs = [
+            [entry for entry in fig5_run(
+                monkeypatch, stepped_core=stepped, pmu_freq_hz=1e9,
+                seed="counters[5]8", flips=[("counters[5]", 8)] * 4,
+                owner="core")[0][0] if entry[0] == "irq"]
+            for stepped in (False, True)]
+        assert irqs[0] == irqs[1]

@@ -80,8 +80,6 @@ class TestExecution:
         soc = small_soc
         soc.cores[0].run_stream([store(0x4000 + i * 8) for i in range(10)])
         soc.run_until_done()
-        # store µops write zero payloads; functional image must have frames
-        assert soc.physmem.footprint() >= 0  # no crash; data path exercised
         assert soc.cores[0].st_stores.value() == 10
 
     def test_timeout_raises(self, small_soc):

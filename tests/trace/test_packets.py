@@ -98,13 +98,13 @@ class TestEndToEnd:
         accept prologue) and the L1's miss by the directory — and with
         the flag off nothing about the run moves."""
         from repro.soc.system import SoC, SoCConfig
-        from repro.workloads.sharing import sharing_benchmark
+        from repro.workloads.sharing import false_sharing_uops
 
         def run():
             soc = SoC(SoCConfig(num_cores=2, memory="DDR4-1ch",
                                 coherent=True))
-            for core, stream in zip(soc.cores, sharing_benchmark(2, iters=20)):
-                core.run_stream(stream)
+            for i, core in enumerate(soc.cores):
+                core.run_stream(false_sharing_uops(i, 2, iters=20))
             soc.run_until_done()
             return soc.sim.stats_dump()
 

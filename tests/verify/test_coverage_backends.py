@@ -121,7 +121,9 @@ class TestFSMCoverage:
         sim.reset()
         collector.sample()
         sim.poke("go", 1)
-        collector.run_and_sample(8)
+        for _ in range(8):
+            sim.tick()
+            collector.sample()
         report = collector.report()
         (entry,) = report.fsm
         assert entry["visited_states"] == [0, 1, 2]
@@ -173,7 +175,9 @@ class TestEnableDisable:
         sim.tick(20)           # counters tick in the kernel regardless
         collector.enable()
         hits_after_blind_window = sum(collector.statement_hits())
-        collector.run_and_sample(10)
+        for _ in range(10):
+            sim.tick()
+            collector.sample()
         hits_final = sum(collector.statement_hits())
         # the blind window contributed nothing; the live window did
         blind = hits_after_blind_window

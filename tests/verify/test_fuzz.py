@@ -49,7 +49,7 @@ class TestCoverageGuidance:
         result = fuzz(make_sim, seed=3, runs=12, cycles=24)
         assert 0 < len(result.corpus) <= result.runs
         # every kept entry contributed keys; their union is the replayable set
-        assert result.replay_keys() <= result.total_keys
+        assert set().union(*result.corpus_keys) <= result.total_keys
 
     def test_minimized_corpus_preserves_coverage(self):
         result = fuzz(make_sim, seed=3, runs=12, cycles=24, minimize=False)
