@@ -62,16 +62,22 @@ class SharedLibrary(Checkpointed, abc.ABC):
         """Reset the modelled hardware."""
 
 
-def _load_kernel(data, ctx, built):
-    # the kernel loads with the first RTL model
-    from ..rtl.simulator import same_shape
-
-    return same_shape(data, built)
+def same_shape(saved: list, built: list) -> list:
+    """A copy of *saved*, a kernel's ``values`` or ``mems`` as a
+    checkpoint holds them; a ValueError unless it is shaped like
+    *built*, the design's own (a file from another design, or from this
+    one at another size, would be misread)."""
+    if len(saved) != len(built) or any(
+            type(b) is list and len(s) != len(b)
+            for s, b in zip(saved, built)):
+        raise ValueError("checkpoint does not match this design")
+    return copy.deepcopy(saved)
 
 
 #: an RTL kernel's ``values`` or ``mems``, copied; a load refuses one not
 #: shaped like the built design's
-KERNEL = Codec(lambda v, ctx: copy.deepcopy(v), _load_kernel)
+KERNEL = Codec(lambda v, ctx: copy.deepcopy(v),
+               lambda d, ctx, built: same_shape(d, built))
 
 
 class RTLSharedLibrary(SharedLibrary):

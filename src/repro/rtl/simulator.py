@@ -11,9 +11,11 @@ Evaluation model (mirrors a Verilated model's ``eval()`` loop):
    settled state, non-blocking assignments are staged and applied
    atomically, then combinational logic settles again.
 
-The simulator also provides checkpoint save/restore (the paper notes
-Verilator checkpointing as an enabled feature) and optional VCD tracing
-with runtime enable/disable.
+The simulator also provides optional VCD tracing with runtime
+enable/disable.  Its checkpoint (the paper notes Verilator checkpointing
+as an enabled feature) is ``cycle``, ``values`` and ``mems``, declared
+by the shared library that owns it
+(:class:`~repro.bridge.shared_library.RTLSharedLibrary`).
 
 Execution backends
 ------------------
@@ -30,8 +32,6 @@ Two backends share these semantics bit-for-bit:
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .codegen import (
@@ -41,15 +41,6 @@ from .kernel import CombLoopError, Edge, RTLModule, Signal
 from .vcd import VCDWriter
 
 BACKENDS = ("codegen", "interp")
-
-
-@dataclass
-class RTLCheckpoint:
-    """A resumable snapshot of simulator state."""
-
-    cycle: int
-    values: list[int]
-    mems: list[list[int]]
 
 
 class RTLSimulator:
@@ -303,29 +294,3 @@ class RTLSimulator:
             else:
                 idx, bits, mask = entry
                 v[idx] = (v[idx] & ~mask) | (bits & mask)
-
-    # -- checkpointing -------------------------------------------------------
-
-    def save_checkpoint(self) -> RTLCheckpoint:
-        return RTLCheckpoint(
-            cycle=self.cycle,
-            values=list(self.values),
-            mems=copy.deepcopy(self.mems),
-        )
-
-    def restore_checkpoint(self, ckpt: RTLCheckpoint) -> None:
-        values = same_shape(ckpt.values, self.values)
-        mems = same_shape(ckpt.mems, self.mems)
-        self.cycle, self.values, self.mems = ckpt.cycle, values, mems
-
-
-def same_shape(saved: list, built: list) -> list:
-    """A copy of *saved*, a kernel's ``values`` or ``mems`` as a
-    checkpoint holds them; a ValueError unless it is shaped like
-    *built*, the design's own (a file from another design, or from this
-    one at another size, would be misread)."""
-    if len(saved) != len(built) or any(
-            type(b) is list and len(s) != len(b)
-            for s, b in zip(saved, built)):
-        raise ValueError("checkpoint does not match this design")
-    return copy.deepcopy(saved)

@@ -246,8 +246,6 @@ class Crossbar(SimObject):
     def _forward_resp(self, cpu_idx: int) -> None:
         self._resp_busy[cpu_idx] = False
         queue = self._resp_q[cpu_idx]
-        if not queue:
-            return
         self.cpu_ports[cpu_idx].send_timing_resp(queue[0])
         queue.popleft()
         self._kick_resp(cpu_idx)

@@ -207,7 +207,9 @@ class ResponsePort(_Port):
     # responder-side API ------------------------------------------------------
 
     def send_timing_resp(self, pkt: Packet) -> bool:
-        """Deliver a response; the requester must take it (True)."""
+        """Deliver a response; the requester must take it.  A refusal
+        raises, so this returns only True: the ``bool`` is
+        :meth:`_Port.send`'s contract for :attr:`_deliver`."""
         if not self._send_resp(pkt):
             raise RuntimeError(
                 f"{self.peer.name} refused response {pkt.cmd.name} "

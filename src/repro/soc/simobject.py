@@ -214,11 +214,15 @@ def save_fields(obj, compiled, ctx, state: dict) -> dict:
 
 
 def load_fields(obj, compiled, state: dict, ctx) -> None:
-    for section, key, get, owner, name, codec in compiled:
-        saved = state[section] if section else state
-        if key in saved or codec is not OWNED:
-            setattr(owner(obj) if owner else obj, name,
-                    codec.load(saved[key], ctx, get(obj)))
+    # decode every field before setting any: a codec that refuses its
+    # data (an RTL kernel of another shape) leaves the fields as they were
+    loaded = [(owner(obj) if owner else obj, name,
+               codec.load(saved[key], ctx, get(obj)))
+              for section, key, get, owner, name, codec in compiled
+              for saved in (state[section] if section else state,)
+              if key in saved or codec is not OWNED]
+    for target, name, value in loaded:
+        setattr(target, name, value)
 
 
 class Checkpointed:

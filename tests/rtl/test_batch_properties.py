@@ -17,9 +17,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.bridge.shared_library import RTLSharedLibrary
+from repro.bridge.structs import Field, StructSpec
 from repro.hdl.verilog import compile_verilog
-from repro.rtl.simulator import RTLSimulator
-from repro.rtl.vcd import VCDWriter
+from repro.resilience.serialize import (DeserializationContext,
+                                        SerializationContext)
 
 LCG_V = """
 module lcg(
@@ -53,11 +55,16 @@ endmodule
 MODULE = compile_verilog(LCG_V, top="lcg")
 
 
-def _fresh(seed, backend="codegen", trace_stream=None):
-    trace = None
-    if trace_stream is not None:
-        trace = VCDWriter(MODULE, stream=trace_stream, enabled=True)
-    sim = RTLSimulator(MODULE, backend=backend, trace=trace)
+class LCGLibrary(RTLSharedLibrary):
+    input_spec = StructSpec("lcg_in", [Field("seed", 16), Field("load", 1)])
+    output_spec = StructSpec("lcg_out", [Field("state", 16),
+                                         Field("byte_out", 8)])
+
+
+def _library(seed, backend="codegen", trace_stream=None):
+    lib = LCGLibrary(MODULE, trace_stream=trace_stream,
+                     trace_enabled=trace_stream is not None, backend=backend)
+    sim = lib.sim
     sim.reset("rst")
     rng = random.Random(seed)
     sim.poke("seed", rng.getrandbits(16))
@@ -66,7 +73,11 @@ def _fresh(seed, backend="codegen", trace_stream=None):
     sim.tick()
     sim.poke("load", 0)
     sim.settle()
-    return sim
+    return lib
+
+
+def _fresh(seed, backend="codegen"):
+    return _library(seed, backend).sim
 
 
 def _state(sim):
@@ -103,13 +114,14 @@ def test_split_matches_interp_singles(a, b, seed):
 @given(pre=st.integers(0, 40), post=st.integers(1, 40),
        seed=st.integers(0, 2**16 - 1))
 def test_checkpoint_mid_batch_roundtrip(pre, post, seed):
-    sim = _fresh(seed)
+    lib = _library(seed)
+    sim = lib.sim
     sim.run_cycles(pre)
-    ckpt = sim.save_checkpoint()
+    ckpt = lib.serialize(SerializationContext())
     sim.run_cycles(post)
     first = _state(sim)
-    sim.restore_checkpoint(ckpt)
-    assert _state(sim) == (ckpt.cycle, ckpt.values, ckpt.mems)
+    lib.unserialize(ckpt, DeserializationContext([]))
+    assert _state(sim) == (ckpt["cycle"], ckpt["values"], ckpt["mems"])
     sim.run_cycles(post)
     assert _state(sim) == first
 
@@ -120,13 +132,14 @@ def test_checkpoint_mid_batch_roundtrip(pre, post, seed):
 def test_checkpoint_roundtrip_with_tracing(pre, post, seed):
     """Tracing forces the per-cycle path; checkpoints must still be exact,
     and the traced run must end in the same state as an untraced one."""
-    sim = _fresh(seed, trace_stream=io.StringIO())
+    lib = _library(seed, trace_stream=io.StringIO())
+    sim = lib.sim
     plain = _fresh(seed)
     sim.run_cycles(pre)
-    ckpt = sim.save_checkpoint()
+    ckpt = lib.serialize(SerializationContext())
     sim.run_cycles(post)
     first = _state(sim)
-    sim.restore_checkpoint(ckpt)
+    lib.unserialize(ckpt, DeserializationContext([]))
     sim.run_cycles(post)
     assert _state(sim) == first
     plain.run_cycles(pre + post)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.bridge.shared_library import RTLSharedLibrary, same_shape
+from repro.bridge.structs import Field, StructSpec
 from repro.models.rtlcache.wrapper import RTLCacheSharedLibrary
 from repro.rtl.kernel import Edge, RTLModule
 from repro.resilience.serialize import (DeserializationContext,
@@ -128,30 +130,54 @@ class TestNBASemantics:
         assert sim.peek("c") == 3
 
 
+def _library(module, inputs, outputs):
+    """*module* wrapped as a shared library: its checkpoint is the
+    library's table."""
+
+    class Lib(RTLSharedLibrary):
+        input_spec = StructSpec("i", inputs)
+        output_spec = StructSpec("o", outputs)
+
+    return Lib(module)
+
+
+def _save(lib):
+    return lib.serialize(SerializationContext())
+
+
+def _load(lib, state):
+    lib.unserialize(state, DeserializationContext([]))
+
+
 class TestCheckpoint:
     def test_save_restore_roundtrip(self):
-        sim = RTLSimulator(make_counter_module())
+        lib = _library(make_counter_module(), [Field("en", 1)],
+                       [Field("out", 8)])
+        sim = lib.sim
         sim.reset()
         sim.poke("en", 1); sim.settle(); sim.tick(5)
-        ckpt = sim.save_checkpoint()
+        ckpt = _save(lib)
         sim.tick(10)
         assert sim.peek("out") == 15
-        sim.restore_checkpoint(ckpt)
+        _load(lib, ckpt)
         assert sim.peek("out") == 5
-        assert sim.cycle == ckpt.cycle
+        assert sim.cycle == ckpt["cycle"]
         sim.tick(2)
         assert sim.peek("out") == 7
 
     def test_checkpoint_deep_copies_memories(self):
         m = RTLModule("m")
         m.add_signal("clk", 1, is_input=True)
+        m.add_signal("x", 1, is_input=True)
         m.add_memory("ram", 8, 4)
-        sim = RTLSimulator(m)
-        sim.poke_mem("ram", 1, 42)
-        ckpt = sim.save_checkpoint()
-        sim.poke_mem("ram", 1, 99)
-        sim.restore_checkpoint(ckpt)
-        assert sim.peek_mem("ram", 1) == 42
+        lib = _library(m, [Field("x", 1)], [Field("x", 1)])
+        lib.sim.poke_mem("ram", 1, 42)
+        ckpt = _save(lib)
+        lib.sim.poke_mem("ram", 1, 99)
+        _load(lib, ckpt)
+        assert lib.sim.peek_mem("ram", 1) == 42
+        lib.sim.poke_mem("ram", 1, 7)
+        assert ckpt["mems"][0][1] == 42
 
     def test_mismatched_checkpoint_rejected(self):
         sim1 = RTLSimulator(make_counter_module())
@@ -159,18 +185,21 @@ class TestCheckpoint:
         m2.add_signal("x", 1)
         sim2 = RTLSimulator(m2)
         with pytest.raises(ValueError):
-            sim2.restore_checkpoint(sim1.save_checkpoint())
+            same_shape(sim1.values, sim2.values)
 
     def test_checkpoint_of_other_memory_geometry_rejected(self):
         # idxw sizes the tag and data arrays, not the signal count
         small = RTLCacheSharedLibrary(idxw=4)
         big = RTLCacheSharedLibrary(idxw=6)
         assert len(small.sim.values) == len(big.sim.values)
-        before = big.serialize(SerializationContext())
+        small.reset()
+        small.tick(small.input_spec.zeros())
+        assert small.sim.values != big.sim.values
+        assert (small.sim.cycle, small.ticks) != (big.sim.cycle, big.ticks)
+        before = _save(big)
         with pytest.raises(ValueError, match="does not match"):
-            big.unserialize(small.serialize(SerializationContext()),
-                            DeserializationContext([]))
-        assert big.sim.mems == before["mems"]
+            _load(big, _save(small))
+        assert _save(big) == before
         big.sim.peek_mem("tags", 40)
 
     def test_checkpoint_of_other_memory_count_rejected(self):
@@ -179,8 +208,7 @@ class TestCheckpoint:
             m.add_memory("ram", 8, 4)
         m2.add_memory("rom", 8, 4)
         with pytest.raises(ValueError, match="does not match"):
-            RTLSimulator(m1).restore_checkpoint(
-                RTLSimulator(m2).save_checkpoint())
+            same_shape(RTLSimulator(m2).mems, RTLSimulator(m1).mems)
 
 
 class TestMemoryPokes:
