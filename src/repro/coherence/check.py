@@ -26,7 +26,7 @@ layer cache stress points content-addressed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..soc.cache.sets import BLOCK
@@ -205,11 +205,18 @@ class SharingSystem:
     layout: SharingLayout
     ops: int
     seed: int
-    rtls: list = field(default_factory=list)
 
     @property
     def n_drivers(self) -> int:
         return len(self.drivers)
+
+    @property
+    def quiet(self) -> bool:
+        """Every driver done and nothing in flight (an RTL cache's
+        ``quiet`` covers its bridge's requests)."""
+        return (all(d.done for d in self.drivers)
+                and all(c.quiet for c in self.caches)
+                and self.directory.quiet)
 
 
 def build_sharing_system(
@@ -287,7 +294,7 @@ def build_sharing_system(
     return SharingSystem(sim=sim, xbar=xbar, directory=directory, mem=mem,
                          caches=caches, drivers=drivers,
                          rtl=rtl_objs[0] if rtl_objs else None,
-                         layout=layout, ops=ops, seed=seed, rtls=rtl_objs)
+                         layout=layout, ops=ops, seed=seed)
 
 
 def check_coherence_invariants(system: SharingSystem) -> None:
@@ -357,31 +364,10 @@ def run_sharing_stress(
     system = build_sharing_system(cores=cores, ops=ops, seed=seed, rtl=rtl,
                                   paranoid=paranoid, **build_kwargs)
     sim = system.sim
-    sim.startup()
-
-    clock = sim.default_clock
-    step = clock.cycles_to_ticks(2_000)  # an audit every 2 000 cycles
-    end = clock.cycles_to_ticks(max_cycles)
-
-    def quiet() -> bool:
-        if not all(d.done for d in system.drivers):
-            return False
-        if not all(getattr(c, "quiet", True) for c in system.caches):
-            return False
-        if any(r.inflight for r in system.rtls):
-            return False
-        return system.directory.quiet
-
-    while not quiet():
-        if sim.now >= end:
-            raise TimeoutError(
-                f"sharing stress did not converge within {max_cycles} "
-                f"cycles "
-                f"({sum(d.responses for d in system.drivers)} responses)"
-            )
-        sim.run(until=sim.now + step)
-        check_coherence_invariants(system)
-    check_coherence_invariants(system)
+    # an invariant audit at every 2 000-cycle boundary, the last one on
+    # the quiet system
+    sim.run_on_grid(lambda: system.quiet, 2_000, max_cycles,
+                    on_step=lambda: check_coherence_invariants(system))
 
     # golden data-integrity: sync dirty lines, then the memory image
     # must equal the replayed write sets exactly

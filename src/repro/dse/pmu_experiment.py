@@ -186,20 +186,19 @@ def run_fig5(
     # Quiesce: let an interval sample that just fired run to completion,
     # then ignore further interrupts so the final drain is the only
     # reader (otherwise a late interrupt would re-sample the same
-    # counts the tail read is about to take).
-    step = soc.sim.default_clock.cycles_to_ticks(500)
-    soc.sim.run(until=soc.sim.now + 4 * step)
+    # counts the tail read is about to take).  The quiesce polls every
+    # 500 cycles, and raises if a sample has not landed in 100 000.
+    sim = soc.sim
+    sim.run_cycles(2_000)
     state["finishing"] = True
-    for _ in range(200):
-        if not state["sampling"] and not soc.iomaster.busy:
-            break
-        soc.sim.run(until=soc.sim.now + step)
+    sim.run_on_grid(lambda: not state["sampling"] and not soc.iomaster.busy,
+                    500, sim.now // sim.default_clock.period + 100_000)
 
     # final drain: read whatever accumulated after the last interrupt
     # (the tail of the program), like software dumping counters at exit
     tail: dict[int, int] = {}
     drv.read_counters(list(COMMIT_LANES), lambda v: tail.update(v))
-    soc.sim.run(until=soc.sim.now + soc.sim.default_clock.cycles_to_ticks(2000))
+    sim.run_cycles(2_000)
     result.pmu_total_commits += sum(tail.values())
     pmu.stop()
 

@@ -53,6 +53,7 @@ from typing import Callable, Optional
 
 from ..experiment import Experiment, Params, run
 from ..parallel.cache import code_version
+from ..soc.simobject import CycleBudgetExceeded, WallClockExceeded
 from .control import PeriodicCheckpointer
 from .faults import Fault, FaultInjector, FaultPlan, flip_targets
 from .serialize import canonical_digest
@@ -60,8 +61,6 @@ from .targets import (
     GRID_DRAIN_CYCLES,
     GRID_STEP_CYCLES,
     CampaignTarget,
-    CycleBudgetExceeded,
-    WallClockExceeded,
     get_target,
     normalize_params,
 )

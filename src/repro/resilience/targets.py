@@ -14,12 +14,15 @@ checksums, memory digests).  Micro-architectural counters that a
 *detected-and-corrected* fault may legitimately move (cache hit/miss
 counts under an ECC refetch) are excluded; detection counters are
 reported separately via ``detection()``.
+
+A rig runs (``run``) on :meth:`~repro.soc.simobject.Simulation.run_on_grid`
+with a ``GRID_STEP_CYCLES`` grid until its ``done()``, then a
+``GRID_DRAIN_CYCLES`` drain; the budget is the target's ``max_cycles``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -28,60 +31,9 @@ from ..soc.simobject import VALUE, SimObject, Simulation
 from .watchdog import Watchdog
 
 
-class CycleBudgetExceeded(TimeoutError):
-    """The experiment's simulated-cycle budget ran out (livelock)."""
-
-
-class WallClockExceeded(TimeoutError):
-    """The experiment's host wall-clock backstop ran out."""
-
-
-#: cycles between the polls of :func:`run_on_grid`, and after completion
+#: cycles between the polls of a rig's run, and after completion
 GRID_STEP_CYCLES = 2_000
 GRID_DRAIN_CYCLES = 500
-
-
-def run_on_grid(
-    sim: Simulation,
-    done: Callable[[], bool],
-    max_cycles: int,
-    wall_deadline: Optional[float] = None,
-    progress: Optional[list] = None,
-) -> int:
-    """Run *sim* until ``done()``, then a fixed drain; returns the end tick.
-
-    Step boundaries sit on absolute multiples of ``GRID_STEP_CYCLES`` so
-    a run restored from a checkpoint observes the same boundaries (and
-    hence the same event interleavings) as an uninterrupted one.  The cycle
-    budget is likewise absolute — counted from reset, not from restore.
-
-    Deliberately a polling grid and not ``Simulation.request_exit``: a
-    campaign classifies an experiment by state read after the run (the
-    PMU's cycle counter among it), so the cycles between completion and
-    the next boundary are part of every pinned report.
-
-    *progress*, if given, receives ``[tick, Watchdog.progress_vector]``
-    at the start and at every boundary up to completion.
-    """
-    sim.startup()
-    clock = sim.default_clock
-    step = clock.cycles_to_ticks(GRID_STEP_CYCLES)
-    end = clock.cycles_to_ticks(max_cycles)
-    while True:
-        if progress is not None:
-            progress.append([sim.now, Watchdog.progress_vector(sim)])
-        if done():
-            break
-        if sim.now >= end:
-            raise CycleBudgetExceeded(
-                f"no completion within {max_cycles} cycles"
-            )
-        if wall_deadline is not None and time.monotonic() >= wall_deadline:
-            raise WallClockExceeded("experiment wall-clock budget exhausted")
-        boundary = (sim.now // step + 1) * step
-        sim.run(until=min(boundary, end))
-    sim.run(until=sim.now + clock.cycles_to_ticks(GRID_DRAIN_CYCLES))
-    return sim.now
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +130,19 @@ class CacheTrafficDriver(SimObject):
 
 
 class _GridRig:
-    """A rig's run: its ``sim`` on the grid until its ``done()``."""
+    """A rig's run (module text); *progress*, if given, receives ``[tick,
+    Watchdog.progress_vector]`` at the start and at every boundary."""
 
     def run(self, max_cycles: int, wall_deadline: Optional[float] = None,
             progress: Optional[list] = None) -> int:
-        return run_on_grid(self.sim, self.done, max_cycles, wall_deadline,
-                           progress=progress)
+        sim = self.sim
+        record = None
+        if progress is not None:
+            def record() -> None:
+                progress.append([sim.now, Watchdog.progress_vector(sim)])
+        sim.run_on_grid(self.done, GRID_STEP_CYCLES, max_cycles,
+                        wall_deadline, record)
+        return sim.run_cycles(GRID_DRAIN_CYCLES)
 
 
 class PMURig(_GridRig):
@@ -331,14 +290,7 @@ class CoherenceRig(_GridRig):
         self.sim = self.system.sim
 
     def done(self) -> bool:
-        system = self.system
-        if not all(d.done for d in system.drivers):
-            return False
-        if not all(getattr(c, "quiet", True) for c in system.caches):
-            return False
-        if system.rtl is not None and system.rtl.inflight:
-            return False
-        return system.directory.quiet
+        return self.system.quiet
 
     def observables(self) -> dict:
         system = self.system

@@ -355,10 +355,9 @@ class EventQueue:
             return True
         return False
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, *until* is reached, an
-        event calls :meth:`request_exit`, or *max_events* callbacks have
-        executed.  Returns the current tick.
+    def run(self, until: Optional[int] = None) -> int:
+        """Run events until the queue drains, *until* is reached, or an
+        event calls :meth:`request_exit`.  Returns the current tick.
 
         When ``until`` is given, events scheduled exactly at ``until`` are
         *not* executed; the queue is left positioned at ``until`` so the
@@ -367,12 +366,11 @@ class EventQueue:
         outer = self.until
         self.until = until
         try:
-            return self._run(until, max_events)
+            return self._run(until)
         finally:
             self.until = outer
 
-    def _run(self, until: Optional[int], max_events: Optional[int]) -> int:
-        executed = 0
+    def _run(self, until: Optional[int]) -> int:
         heap = self._heap
         while heap:
             tick, _priority, _seq, handle = heap[0]
@@ -388,14 +386,11 @@ class EventQueue:
                     self.current = None
                 self.cur_tick = until
                 return self.cur_tick
-            if max_events is not None and executed >= max_events:
-                return self.cur_tick
             self.current = heapq.heappop(heap)
             handle.alive = False
             self._live -= 1
             self.cur_tick = tick
             self.executed += 1
-            executed += 1
             prof = self.profiler
             if prof is None:
                 handle.callback()

@@ -9,6 +9,7 @@ components use to schedule their first events.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from functools import partial
 from heapq import heappush
@@ -24,6 +25,14 @@ from .stats import StatGroup
 #: them in order, after every object's ``startup()``, and empties the
 #: list; forked pool workers inherit whatever is left in it.
 startup_hooks: list = []
+
+
+class CycleBudgetExceeded(TimeoutError):
+    """A run's simulated-cycle budget ran out (livelock)."""
+
+
+class WallClockExceeded(TimeoutError):
+    """A run's host wall-clock backstop ran out."""
 
 
 class Simulation:
@@ -85,9 +94,36 @@ class Simulation:
         for hook in hooks:
             hook(self)
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
+    def run(self, until: Optional[int] = None) -> int:
         self.startup()
-        return self.eventq.run(until=until, max_events=max_events)
+        return self.eventq.run(until=until)
+
+    def run_on_grid(self, done: Callable[[], bool], step_cycles: int,
+                    max_cycles: int, wall_deadline: Optional[float] = None,
+                    on_step: Optional[Callable[[], None]] = None) -> int:
+        """Run until ``done()``, polled every *step_cycles*; returns the
+        end tick.  The polls sit on absolute multiples of *step_cycles*
+        and the budget counts from reset, so a restored run sees the
+        uninterrupted run's boundaries.  ``on_step()`` runs after startup
+        and at each boundary, before ``done()`` is asked.  A grid, not
+        :meth:`request_exit`, on purpose: DESIGN.md "Ending a run"."""
+        self.startup()
+        clock = self.default_clock
+        step = clock.cycles_to_ticks(step_cycles)
+        end = clock.cycles_to_ticks(max_cycles)
+        eventq = self.eventq
+        while True:
+            if on_step is not None:
+                on_step()
+            if done():
+                return eventq.cur_tick
+            now = eventq.cur_tick
+            if now >= end:
+                raise CycleBudgetExceeded(
+                    f"no completion within {max_cycles} cycles")
+            if wall_deadline is not None and time.monotonic() >= wall_deadline:
+                raise WallClockExceeded("wall-clock budget exhausted")
+            eventq.run(until=min((now // step + 1) * step, end))
 
     def request_exit(self) -> None:
         """Let the workload end the run: :meth:`run` returns once the

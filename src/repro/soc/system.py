@@ -31,7 +31,7 @@ from .iomaster import IOMaster
 from .mem.dram import DRAMConfig, DRAMController, MEMORY_PRESETS
 from .mem.ideal import IdealMemory
 from .mem.physmem import PhysicalMemory
-from .simobject import Simulation
+from .simobject import CycleBudgetExceeded, Simulation
 from .tlb import PageTable
 
 
@@ -264,36 +264,26 @@ class SoC:
 
     # -- convenience ------------------------------------------------------------
 
-    def run(self, until: Optional[int] = None) -> int:
-        return self.sim.run(until=until)
-
     def run_until_done(self, cores=None, max_ticks: int = 10**12) -> int:
-        """Run until every core in *cores* finished its µop stream."""
+        """Run until every core in *cores* finished its µop stream, on a
+        10 000-cycle grid (the PMU samples on to the boundary)."""
         watch = cores if cores is not None else [
             c for c in self.cores if c.stream is not None
         ]
-        self.sim.startup()
-        step = self.sim.default_clock.cycles_to_ticks(10_000)
-        deadline = self.sim.now + max_ticks
-        # Step boundaries are aligned to absolute multiples of *step* so
-        # a run resumed from a checkpoint observes the same boundaries
-        # (and hence the same stop ticks) as an uninterrupted run.
-        # Deliberately a polling grid and not Simulation.request_exit
-        # (which the NVDLA system uses): the cycles between a core's
-        # last µop and the next boundary are observable — the PMU keeps
-        # sampling through them, so Fig. 5's window count and the pinned
-        # result digests include them.
-        while not all(c.done for c in watch):
-            if self.sim.now >= deadline:
-                progress = "; ".join(
-                    f"{c.name}: {'done' if c.done else 'running'}, "
-                    f"{int(c.st_committed.value())} committed"
-                    for c in watch
-                )
-                raise TimeoutError(
-                    f"workload did not finish within {max_ticks} ticks "
-                    f"({progress})"
-                )
-            boundary = (self.sim.now // step + 1) * step
-            self.sim.run(until=min(boundary, deadline))
-        return self.sim.now
+        sim = self.sim
+        sim.startup()   # a startup hook may restore: the budget counts from there
+        # *max_ticks* from here, as whole cycles from reset (rounded up)
+        max_cycles = -(-(sim.now + max_ticks) // sim.default_clock.period)
+        try:
+            return sim.run_on_grid(lambda: all(c.done for c in watch),
+                                   10_000, max_cycles)
+        except CycleBudgetExceeded:
+            progress = "; ".join(
+                f"{c.name}: {'done' if c.done else 'running'}, "
+                f"{int(c.st_committed.value())} committed"
+                for c in watch
+            )
+            raise CycleBudgetExceeded(
+                f"workload did not finish within {max_ticks} ticks "
+                f"({progress})"
+            ) from None

@@ -58,7 +58,7 @@ class TestInjection:
 
     def test_dir_state_flip_reaches_the_directory(self, target):
         from repro.coherence.protocol import ProtocolError
-        from repro.resilience.targets import (
+        from repro.soc.simobject import (
             CycleBudgetExceeded, WallClockExceeded,
         )
 

@@ -55,11 +55,7 @@ class TestLockstep:
             sim.startup()
             sim.run(until=until)
             ckpt_tick = sim.save_checkpoint(str(ckpt_path))
-            step = sim.default_clock.cycles_to_ticks(2_000)
-            while not (all(d.done for d in system.drivers)
-                       and all(c.quiet for c in system.caches)
-                       and system.directory.quiet):
-                sim.run(until=sim.now + step)
+            sim.run_on_grid(lambda: system.quiet, 2_000, 4_000_000)
             digest = hashlib.sha256(ckpt_path.read_bytes()).hexdigest()
             return sim.now, sim.stats_dump(), ckpt_tick, digest
 

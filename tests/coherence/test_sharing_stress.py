@@ -9,6 +9,8 @@ and the worker-pool fan-out is bit-identical to the serial runs.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -46,6 +48,28 @@ class TestGoldenStress:
         a = run_sharing_stress(cores=2, ops=150, seed=4)
         b = run_sharing_stress(cores=2, ops=150, seed=5)
         assert a["checksums"] != b["checksums"]
+
+
+#: ``run_sharing_stress(cores=2, ops=300, seed=7, rtl=...)``, whole:
+#: end tick, memory digest, driver checksums and a sha256 of the
+#: sort-keyed stats JSON.  Its 2 000-cycle audit grid is part of it: the
+#: end tick is the first grid boundary at which the system is quiet.
+STRESS_PINS = {
+    1: (5_000_000, "e8932e9be3dcd82b",
+        [13558447956667373503, 16683648812983820868, 7254293059964997811],
+        "dd58ecd37f8f2696e728ac7d34f21f8e7d85407fc458691247b4d7eb69d1c41b"),
+    False: (4_000_000, "7fbfb7fafece6607",
+            [10285671764146310211, 9815692317596808079],
+            "6f7ecee4661c0009eb46b4a5e67758809813842d8e4012affcc81c16eb91d179"),
+}
+
+
+@pytest.mark.parametrize("rtl", list(STRESS_PINS), ids=["rtl", "sw"])
+def test_stress_result_is_pinned(rtl):
+    result = run_sharing_stress(cores=2, ops=300, seed=7, rtl=rtl)
+    stats = json.dumps(result["stats"], sort_keys=True).encode()
+    assert (result["ticks"], result["memory"], result["checksums"],
+            hashlib.sha256(stats).hexdigest()) == STRESS_PINS[rtl]
 
 
 class TestPoolIdentity:

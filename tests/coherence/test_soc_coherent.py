@@ -13,7 +13,7 @@ import pytest
 
 from repro.soc.stats import StatGroup
 from repro.soc.system import SoC, SoCConfig
-from repro.workloads.sharing import false_sharing_uops
+from tests.sharing_uops import false_sharing_uops
 
 L1D_STATS = (
     "evictions",

@@ -17,7 +17,7 @@ from repro.soc.cache.sets import SparseSets
 from repro.soc.cpu.uop import alu, load, store
 from repro.soc.event import Event
 from repro.soc.system import CacheConfig, SoC, SoCConfig
-from repro.workloads.sharing import false_sharing_uops
+from tests.sharing_uops import false_sharing_uops
 from repro.workloads.sorting import sort_benchmark
 
 

@@ -1,4 +1,4 @@
-"""Multi-core sharing µop workloads (repro.coherence).
+"""A multi-core sharing µop workload for the coherent-SoC tests.
 
 Two classic coherence traffic shapes:
 
@@ -7,8 +7,7 @@ Two classic coherence traffic shapes:
   but the line-granular protocol bounces each line M→I→M between the
   cores: every store is an upgrade or ReadEx miss, every neighbour read
   an intervention.  Per-core MPKI rises with the number of sharers even
-  though each core's working set is constant — the signature the
-  coherence benchmark gate pins.
+  though each core's working set is constant.
 * **Private mix** — interleaved accesses to a per-core private window,
   giving the protocol E/M fast paths so the stress is not 100 %
   pathological.
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..soc.cpu.uop import Uop, alu, branch, load, store
+from repro.soc.cpu.uop import Uop, alu, branch, load, store
 
 #: shared window (distinct from the sorting workloads' arrays)
 SHARED_BASE = 0x4_0000

@@ -264,14 +264,6 @@ class TestRunUntil:
         q.run(until=500)
         assert q.cur_tick == 500
 
-    def test_max_events_limit(self):
-        q = EventQueue()
-        fired = []
-        for t in range(10):
-            q.schedule_fn(lambda t=t: fired.append(t), t + 1)
-        q.run(max_events=3)
-        assert fired == [0, 1, 2]
-
     def test_run_resumable(self):
         q = EventQueue()
         fired = []
@@ -338,17 +330,6 @@ class TestExitRequest:
         assert fired == [] and len(q) == 2
         assert q.run(until=100) == 100
         assert fired == [20, 30]
-
-    def test_request_survives_a_max_events_return(self):
-        q = EventQueue()
-        fired = []
-        q.schedule_fn(q.request_exit, 10)
-        q.schedule_fn(lambda: fired.append("same"), 10)
-        q.schedule_fn(lambda: fired.append("later"), 20)
-        q.run(max_events=1)
-        assert fired == []
-        assert q.run(until=100) == 10
-        assert fired == ["same"]
 
     def test_request_inside_nested_service_one_ends_the_enclosing_run(self):
         # the checkpoint engine steps the queue with service_one from

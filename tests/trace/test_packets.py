@@ -98,7 +98,7 @@ class TestEndToEnd:
         accept prologue) and the L1's miss by the directory — and with
         the flag off nothing about the run moves."""
         from repro.soc.system import SoC, SoCConfig
-        from repro.workloads.sharing import false_sharing_uops
+        from tests.sharing_uops import false_sharing_uops
 
         def run():
             soc = SoC(SoCConfig(num_cores=2, memory="DDR4-1ch",
