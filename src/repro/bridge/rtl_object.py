@@ -15,8 +15,8 @@ exposes the paper's connectivity surface:
   :class:`~repro.soc.event.ClockDomain`, ticked by the domain's one
   event per edge; a model that lags behind the event queue
   (:meth:`RTLObject.lag_cycles`) keeps its own event;
-* the **struct exchange**: every tick the object packs an input struct,
-  calls ``library.tick``, and consumes the output struct.
+* the **struct exchange**: every tick the object builds an input
+  struct, calls ``library.tick``, and consumes the output struct.
 
 Model-specific subclasses implement :meth:`build_input` and
 :meth:`consume_output` — exactly the paper's "the gem5 RTLObject and the
@@ -32,7 +32,7 @@ from typing import Optional
 from ..soc.event import ClockDomain, Event, EventPriority
 from ..soc.packet import MemCmd, Packet
 from ..soc.ports import RequestPort, ResponsePort
-from ..soc.simobject import (DEQUE, OWNED, PACKED, PORT_QUEUES, VALUE,
+from ..soc.simobject import (DEQUE, OWNED, PORT_QUEUES, VALUE,
                              SimObject, Simulation)
 from ..soc.stats import SettledScalar
 from ..soc.tlb import TLB
@@ -61,13 +61,14 @@ class RTLObject(SimObject):
     """Bridges one shared-library RTL model into the simulated SoC."""
 
     ckpt_state = (
-        ("last_output", "_last_bytes", PACKED),
         ("cpu_req_queue", DEQUE),
         ("blocked_resps", "cpu_side", PORT_QUEUES),
         ("mem_req_queue", "mem_side", PORT_QUEUES),
         ("mem_resp_queue", DEQUE),
         ("inflight", VALUE), ("running", VALUE), ("library", OWNED),
     )
+    #: the last output struct, saved as its bytes whatever its form
+    ckpt_hooked = ("_last_out",)
     ckpt_events = {"tick": "_tick_event"}
 
     def __init__(
@@ -127,14 +128,14 @@ class RTLObject(SimObject):
             self._owed_late = self.clock.period <= sim.default_clock.period
         #: ticked at its clock's edges until :meth:`stop`
         self.running = True
-        # Last output struct consumed, packed and decoded: what a lag
-        # holds the pins against.  All-zero (nothing valid, nothing
-        # raised) until the first one is.
-        self._last_bytes = self._zero_bytes = library.output_spec.zeros()
+        # Last output struct consumed, as the library returned it and
+        # decoded: what a lag holds the pins against.  All-zero (nothing
+        # valid, nothing raised) until the first one is.
+        spec = library.output_spec
+        self._last_out = library.struct_of(spec, spec.zeros())
         #: the output struct consumed last, as :meth:`decode_output`
         #: decodes it; read-only, as in :meth:`consume_output`
-        self.last_output = self._zero_output = self.decode_output(
-            self._last_bytes)
+        self.last_output = self.decode_output(self._last_out)
 
         s = self.stats
         self.st_ticks = s.add(SettledScalar(
@@ -169,9 +170,9 @@ class RTLObject(SimObject):
     # -- the tick ----------------------------------------------------------
 
     def clock_edge(self) -> None:
-        """One cycle of the model, at an edge of its clock: pack the
+        """One cycle of the model, at an edge of its clock: build the
         inputs, tick the library, consume the outputs."""
-        out_bytes = self.library.tick(self.build_input())
+        out = self.library.tick(self.build_input())
         self.st_ticks.inc()
         # the tracer as get_chrome_tracer() returns it, read, not called
         tracer = trace_flags._chrome
@@ -179,15 +180,12 @@ class RTLObject(SimObject):
             now, period = self.now, self.clock.period
             tracer.window("rtl busy", f"rtl:{self.name}", now, now + period,
                           period)
-        # Decoding is a pure function of the bytes, and a quiet model
+        # Decoding is a pure function of the struct, and a quiet model
         # returns the same struct for thousands of ticks: keep the last
-        # bytes and fields.  Consumers must not modify the fields.
-        if out_bytes != self._last_bytes:
-            self._last_bytes = out_bytes
-            # a quiet cycle's struct was decoded once, at construction
-            self.last_output = (
-                self._zero_output if out_bytes == self._zero_bytes
-                else self.decode_output(out_bytes))
+        # struct and fields.  Consumers must not modify the fields.
+        if out != self._last_out:
+            self._last_out = out
+            self.last_output = self.decode_output(out)
         self.consume_output(self.last_output)
 
     def _tick(self) -> None:
@@ -248,9 +246,9 @@ class RTLObject(SimObject):
         in_bytes, field, values = self.lagged_inputs(first, edge)
         library = self.library
         before = library.ticks
-        out = library.tick_varying(in_bytes, field, values, self._last_bytes)
+        out = library.tick_varying(in_bytes, field, values, self._last_out)
         ran = library.ticks - before
-        if ran != cycles or out != self._last_bytes:
+        if ran != cycles or out != self._last_out:
             raise RuntimeError(
                 f"{self.name}: an output moved at lagged edge {ran} of "
                 f"{cycles} from tick {first}, inside the horizon "
@@ -280,14 +278,15 @@ class RTLObject(SimObject):
 
     # -- hooks for model-specific subclasses ----------------------------------
 
-    def build_input(self) -> bytes:
-        """Pack the input struct for this tick (override per model)."""
-        return self.library.input_spec.zeros()
+    def build_input(self):
+        """The input struct for this tick (override per model)."""
+        spec = self.library.input_spec
+        return self.library.struct_of(spec, spec.zeros())
 
-    def decode_output(self, out_bytes: bytes):
-        """Decode an output struct for :meth:`consume_output`: the field
-        dict, unless the model overrides both with its own form."""
-        return self.library.output_spec.unpack(out_bytes)
+    def decode_output(self, out):
+        """Decode an output struct for :meth:`consume_output`: the
+        library's ``fields_of``, unless the model overrides both."""
+        return self.library.fields_of(out)
 
     def consume_output(self, outputs) -> None:
         """Act on the output struct from this tick (override per model).
@@ -458,7 +457,15 @@ class RTLObject(SimObject):
 
     # -- checkpointing ----------------------------------------------------
 
+    def ckpt_save(self, state: dict, ctx) -> None:
+        library = self.library
+        state["last_output"] = ctx.pack(
+            library.bytes_of(library.output_spec, self._last_out))
+
     def ckpt_load(self, state: dict, ctx) -> None:
-        self.last_output = self.decode_output(self._last_bytes)
+        library = self.library
+        self._last_out = library.struct_of(
+            library.output_spec, ctx.unpack(state["last_output"]))
+        self.last_output = self.decode_output(self._last_out)
         if self._owed:  # a checkpoint ends every lag before it is taken
             self.end_owing(0)

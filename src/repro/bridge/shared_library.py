@@ -3,14 +3,15 @@
 A shared library bundles the Verilator/GHDL-generated model with a
 wrapper exposing exactly two entry points to gem5:
 
-* ``tick(input_bytes) -> output_bytes`` — advance the model one of *its*
-  clock cycles, fed by a packed input struct, producing a packed output
-  struct;
+* ``tick(inputs) -> outputs`` — advance the model one of *its* clock
+  cycles, fed by an input struct, producing an output struct;
 * ``reset()`` — reset the modelled hardware.
 
-:class:`SharedLibrary` is that contract.  :class:`RTLSharedLibrary` is
-the common implementation for models compiled by our HDL frontends: it
-owns the :class:`~repro.rtl.simulator.RTLSimulator`, supports waveform tracing
+:class:`SharedLibrary` is that contract; the form a struct takes at
+``tick`` is the library class's (:meth:`SharedLibrary.struct_of`).
+:class:`RTLSharedLibrary` is the common implementation for models
+compiled by our HDL frontends: it owns the
+:class:`~repro.rtl.simulator.RTLSimulator`, supports waveform tracing
 with runtime enable/disable (Table 2's knob), and moves struct fields
 onto RTL pins and back.  What a Verilator wrapper writes by hand around
 ``eval()`` — one assignment per struct member — the model-specific
@@ -54,12 +55,27 @@ class SharedLibrary(Checkpointed, abc.ABC):
     ticks: int = 0
 
     @abc.abstractmethod
-    def tick(self, input_bytes: bytes) -> bytes:
+    def tick(self, inputs):
         """Advance the model one cycle of its own clock."""
 
     @abc.abstractmethod
     def reset(self) -> None:
         """Reset the modelled hardware."""
+
+    @staticmethod
+    def struct_of(spec: StructSpec, data: bytes):
+        """A struct of *spec* packed in *data*, in :meth:`tick`'s form:
+        the bytes themselves, here."""
+        return data
+
+    @staticmethod
+    def bytes_of(spec: StructSpec, struct) -> bytes:
+        """:meth:`struct_of` inverted: what a checkpoint holds."""
+        return struct
+
+    def fields_of(self, outputs):
+        """An output struct decoded for an RTL object: the field dict."""
+        return self.output_spec.unpack(outputs)
 
 
 def same_shape(saved: list, built: list) -> list:
@@ -364,32 +380,24 @@ class BehavioralSharedLibrary(SharedLibrary):
     """Wrapper base for cycle-level behavioural models (no HDL kernel).
 
     Used for large IP where gate-level simulation is impractical in this
-    substrate (our NVDLA-class accelerator).  Subclasses implement
-    :meth:`step` with the same tick-in/tick-out semantics: a step names
-    the output fields it sets, the rest of the struct is zero, and a
-    step that sets nothing costs no packing at all.  A model that ticks
-    often enough for the two dicts to show overrides :meth:`tick` itself
-    around the spec's generated ``values`` decode and positional
-    ``pack``, as :class:`~repro.models.nvdla.wrapper.NVDLASharedLibrary`
-    does.
+    substrate (our NVDLA-class accelerator).  With no pins to fill from
+    packed bytes, a struct crosses ``tick`` as its fields: the spec's
+    ``values`` tuple (array fields as lane tuples), what positional
+    ``pack`` takes.  :meth:`tick` masks an input field narrower than
+    its slot to its width, as ``unpack`` did.
     """
 
-    def __init__(self) -> None:
-        self.ticks = 0
+    @staticmethod
+    def struct_of(spec: StructSpec, data: bytes) -> tuple:
+        return spec.values(data)
 
-    def tick(self, input_bytes: bytes) -> bytes:
-        inputs = self.input_spec.unpack(input_bytes)
-        outputs = self.step(inputs)
-        self.ticks += 1
-        if not outputs:
-            return self.output_spec.zeros()
-        return self.output_spec.pack(**outputs)
+    @staticmethod
+    def bytes_of(spec: StructSpec, struct: tuple) -> bytes:
+        return spec.pack(*struct)
 
-    def step(self, inputs: dict) -> dict:
-        """Advance one cycle; return the output-struct fields it set."""
-        raise NotImplementedError(
-            f"{type(self).__name__} implements neither step nor tick"
-        )
+    @staticmethod
+    def fields_of(outputs: tuple) -> tuple:
+        return outputs
 
     def reset(self) -> None:
         self.ticks = 0

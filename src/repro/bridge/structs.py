@@ -4,8 +4,9 @@ The paper's wrapper contract passes "a void pointer to a predefined data
 structure" into ``tick`` and returns results "on another data structure".
 We reproduce that contract faithfully: both sides agree on a
 :class:`StructSpec` (an ordered set of fixed-width fields), and the data
-actually crosses the boundary as *packed bytes* — the gem5 side never
-reaches into the RTL model's state, and vice versa.
+crosses the boundary as *packed bytes* (a behavioural model, with no pins
+to fill, takes the spec's ``values`` tuple) — the gem5 side never
+reaches into the model's state, and vice versa.
 
 Like a C struct, every field occupies a power-of-two slot (1/2/4/8
 bytes per element) so the layout is one :class:`struct.Struct` format.

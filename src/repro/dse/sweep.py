@@ -267,30 +267,27 @@ def run_standalone(workload: str, scale: float) -> float:
     trace = WORKLOADS[workload](scale=scale)
     lib = NVDLASharedLibrary()
     lib.reset()
-    in_spec, out_spec = lib.input_spec, lib.output_spec
+    no_seqs = (0,) * RESP_LANES
 
     t0 = time.perf_counter()
     pending: list[int] = []
     unacked = 0
     for cmd in trace.commands():
         if isinstance(cmd, RegWrite):
-            lib.tick(in_spec.pack(csb_valid=1, csb_write=1,
-                                  csb_addr=cmd.addr, csb_wdata=cmd.value))
+            # the library's struct form: NVDLA_INPUT's fields in order
+            lib.tick((1, 1, cmd.addr, cmd.value, 0, 0, no_seqs, 0))
         elif isinstance(cmd, WaitIrq):
             # the testbench memory: every request completes next cycle
             for _ in range(10_000_000):  # bounded spin
                 seqs = pending[:RESP_LANES]
                 pending = pending[RESP_LANES:]
-                out = out_spec.unpack(lib.tick(in_spec.pack(
-                    credit=255,
-                    rd_resp_count=len(seqs),
-                    rd_resp_seqs=seqs + [0] * (RESP_LANES - len(seqs)),
-                    wr_acks=min(unacked, 7),
-                )))
-                unacked -= min(unacked, 7)
-                pending.extend(out["rd_seqs"][: out["rd_count"]])
-                unacked += out["wr_count"]
-                if out["irq"]:
+                acks = min(unacked, 7)
+                (_, _, rd_count, rd_seqs, _, _, wr_count, _, irq) = lib.tick(
+                    (0, 0, 0, 0, 255, len(seqs),
+                     (*seqs, *no_seqs[len(seqs):]), acks))
+                unacked += wr_count - acks
+                pending.extend(rd_seqs[:rd_count])
+                if irq:
                     break
             else:  # pragma: no cover - defensive
                 raise RuntimeError("standalone run did not complete")

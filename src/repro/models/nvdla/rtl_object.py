@@ -19,6 +19,7 @@ payloads are a deterministic function of address (see DESIGN.md).
 
 from __future__ import annotations
 
+import struct
 from typing import Callable, Optional
 
 from ...bridge.rtl_object import RTLObject
@@ -26,26 +27,27 @@ from ...soc.event import ClockDomain
 from ...soc.packet import MemCmd, Packet
 from ...soc.simobject import PACKED, SimObject, Simulation
 from ...soc.tlb import TLB
-from .wrapper import (
-    CREDIT_ONLY_INPUT,
-    MAX_WR_ACKS,
-    NVDLA_OUTPUT,
-    NVDLASharedLibrary,
-    RESP_LANES,
-)
+from .wrapper import MAX_WR_ACKS, NVDLA_OUTPUT, NVDLASharedLibrary, RESP_LANES
 
 DBBIF_PORT = 0
 SRAMIF_PORT = 1
 
+#: the output masks of a tag and an address (from 64-bit registers)
+_SEQ, _ADDR = (NVDLA_OUTPUT.fields[i].mask for i in (3, 4))
+_NO_SEQS = (0,) * RESP_LANES
+_M64 = (1 << 64) - 1
+_PATTERN = struct.Struct("<8Q").pack
 
-def output_pattern(addr: int, size: int = 64) -> bytes:
-    """Deterministic output payload for a write at *addr*."""
-    word = (addr * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    out = bytearray()
-    while len(out) < size:
-        word = (word * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        out += word.to_bytes(8, "little")
-    return bytes(out[:size])
+
+def output_pattern(addr: int) -> bytes:
+    """Deterministic 64-byte output payload for a write at *addr*: eight
+    little-endian words of a 64-bit LCG seeded from the address."""
+    word = addr * 0x9E3779B97F4A7C15 & _M64
+    words = []
+    for _ in range(8):
+        word = word * 6364136223846793005 + 1442695040888963407 & _M64
+        words.append(word)
+    return _PATTERN(*words)
 
 
 class NVDLARTLObject(RTLObject):
@@ -88,7 +90,7 @@ class NVDLARTLObject(RTLObject):
 
     # -- struct exchange ------------------------------------------------------
 
-    def build_input(self) -> bytes:
+    def build_input(self) -> tuple:
         # in-flight budget
         credit = (
             self.max_inflight - self.inflight
@@ -101,7 +103,7 @@ class NVDLARTLObject(RTLObject):
         elif credit > 255:
             credit = 255
         if not self.cpu_req_queue and not self.mem_resp_queue:
-            return CREDIT_ONLY_INPUT[credit]
+            return (0, 0, 0, 0, credit, 0, _NO_SEQS, 0)
 
         # CSB: one operation per tick.
         csb_valid = csb_write = csb_addr = csb_wdata = 0
@@ -135,17 +137,11 @@ class NVDLARTLObject(RTLObject):
                 remaining.append(pkt)
         queue.extendleft(reversed(remaining))
         count = len(seqs)
-        return self.library.input_spec.pack(
-            csb_valid, csb_write, csb_addr, csb_wdata, credit,
-            count, seqs + [0] * (RESP_LANES - count), wr_acks,
-        )
-
-    #: no dict: the generated tuple of the struct's fields, in order
-    decode_output = staticmethod(NVDLA_OUTPUT.values)
-    _QUIET = NVDLA_OUTPUT.values(NVDLA_OUTPUT.zeros())
+        return (csb_valid, csb_write, csb_addr, csb_wdata, credit,
+                count, (*seqs, *_NO_SEQS[count:]), wr_acks)
 
     def consume_output(self, outputs: tuple) -> None:
-        if outputs == self._QUIET:
+        if outputs == self.library.quiet:
             return
         (csb_rvalid, csb_rdata, rd_count, seqs, addrs, ports,
          wr_count, wr_addrs, irq) = outputs
@@ -157,19 +153,19 @@ class NVDLARTLObject(RTLObject):
             data = csb_rdata.to_bytes(4, "little")[: pkt.size]
             self.respond_cpu(pkt, data.ljust(pkt.size, b"\0"))
 
-        # one output struct's burst: lanes straight to packets
+        # one struct's burst: lanes to packets, tags and addresses masked
         for i in range(rd_count):
-            pkt = Packet(MemCmd.ReadReq, addrs[i], 64, requestor=self.name)
-            pkt.meta["seq"] = seqs[i]
+            pkt = Packet(MemCmd.ReadReq, addrs[i] & _ADDR, 64,
+                         requestor=self.name)
+            pkt.meta["seq"] = seqs[i] & _SEQ
             if not self._issue_mem(pkt, ports[i], self.translate):
                 raise RuntimeError(
                     f"{self.name}: engine exceeded its credit (read)"
                 )
         for addr in wr_addrs[:wr_count]:
-            pkt = Packet(
-                MemCmd.WriteReq, addr, 64, data=output_pattern(addr),
-                requestor=self.name,
-            )
+            addr &= _ADDR
+            pkt = Packet(MemCmd.WriteReq, addr, 64,
+                         data=output_pattern(addr), requestor=self.name)
             if not self._issue_mem(pkt, DBBIF_PORT, self.translate):
                 raise RuntimeError(
                     f"{self.name}: engine exceeded its credit (write)"

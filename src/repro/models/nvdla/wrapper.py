@@ -32,13 +32,6 @@ NVDLA_INPUT = StructSpec(
     ],
 )
 
-#: The input struct of a cycle with no CSB operation, response or ack,
-#: indexed by its credit: most cycles' input.  An encoding table — the
-#: bytes are a pure function of the credit — not a memo of model state.
-CREDIT_ONLY_INPUT = tuple(NVDLA_INPUT.pack(credit=c) for c in range(256))
-#: its inverse: the credit of such a struct, which needs no decode
-CREDIT_OF_INPUT = {data: c for c, data in enumerate(CREDIT_ONLY_INPUT)}
-
 NVDLA_OUTPUT = StructSpec(
     "nvdla_out",
     [
@@ -55,11 +48,14 @@ NVDLA_OUTPUT = StructSpec(
 )
 
 
+#: the masks ``unpack`` applied: the input fields narrower than a slot
+_VALID, _WRITE, _ADDR, _COUNT, _ACKS = (
+    field.mask for field in NVDLA_INPUT if field.name in (
+        "csb_valid", "csb_write", "csb_addr", "rd_resp_count", "wr_acks"))
+
 #: the unused lanes of a cycle's reads (seq, addr, port) and writes
 _NO_READS = ((0, 0, 0),) * REQ_LANES
 _NO_WRITES = (0,) * REQ_LANES
-#: the output of a cycle that produced nothing
-_QUIET_OUTPUT = NVDLA_OUTPUT.zeros()
 
 
 class NVDLASharedLibrary(BehavioralSharedLibrary):
@@ -69,47 +65,42 @@ class NVDLASharedLibrary(BehavioralSharedLibrary):
     output_spec = NVDLA_OUTPUT
     ckpt_state = (("model", "core", OWNED),)
 
+    #: what a cycle that produced nothing answers
+    quiet = NVDLA_OUTPUT.values(NVDLA_OUTPUT.zeros())
+
     def __init__(self) -> None:
-        super().__init__()
         self.core = NVDLACore()
 
     def reset(self) -> None:
         super().reset()
         self.core.reset()
 
-    def tick(self, input_bytes: bytes) -> bytes:
-        """One cycle, bytes to bytes with no dict in between: a
-        credit-only struct looked up, any other decoded by the generated
-        ``values``, positional ``pack`` out, and a cycle that produced
-        nothing answers the cached all-zero struct."""
+    def tick(self, inputs: tuple) -> tuple:
+        """One cycle, fields in and fields out; an input narrower than
+        its slot is masked to its width as ``unpack`` did, and a
+        response count is cut to the lanes by the slice."""
+        (valid, write, addr, wdata, credit, resp_count, resp_seqs,
+         wr_acks) = inputs
         core = self.core
         rvalid = rdata = 0
-        credit = CREDIT_OF_INPUT.get(input_bytes)
-        if credit is None:
-            (valid, write, addr, wdata, credit, resp_count, resp_seqs,
-             wr_acks) = self.input_spec.values(input_bytes)
-            # CSB wrapper: one operation per cycle, same-cycle read data.
-            if valid:
-                if write:
-                    core.csb_write(addr, wdata)
-                else:
-                    rvalid = 1
-                    rdata = core.csb_read(addr)
-            resps = resp_seqs[:resp_count]
-        else:
-            resps, wr_acks = (), 0
+        # CSB wrapper: one operation per cycle, same-cycle read data.
+        if valid & _VALID:
+            if write & _WRITE:
+                core.csb_write(addr & _ADDR, wdata)
+            else:
+                rvalid = 1
+                rdata = core.csb_read(addr & _ADDR)
         # AXI responder wrapper: deliver responses, collect requests.
-        reads, writes, irq = core.step(credit, resps, wr_acks)
+        reads, writes, irq = core.step(
+            credit, resp_seqs[:resp_count & _COUNT], wr_acks & _ACKS)
         self.ticks += 1
         if not (reads or writes or irq or rvalid):
-            return _QUIET_OUTPUT
+            return self.quiet
         if len(reads) > REQ_LANES or len(writes) > REQ_LANES:
             raise RuntimeError(
                 f"engine emitted {len(reads)} reads and {len(writes)} writes "
                 f"in one cycle; the output struct has {REQ_LANES} lanes each"
             )
         seqs, addrs, ports = zip(*reads, *_NO_READS[len(reads):])
-        return self.output_spec.pack(
-            rvalid, rdata, len(reads), seqs, addrs, ports,
-            len(writes), (*writes, *_NO_WRITES[len(writes):]), irq,
-        )
+        return (rvalid, rdata, len(reads), seqs, addrs, ports,
+                len(writes), (*writes, *_NO_WRITES[len(writes):]), irq)

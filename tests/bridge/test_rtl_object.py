@@ -4,7 +4,7 @@ memory-side issue with in-flight caps, TLB hookup."""
 import pytest
 
 from repro.bridge.rtl_object import CPU_SIDE_PORTS, MEM_SIDE_PORTS, RTLObject
-from repro.bridge.shared_library import BehavioralSharedLibrary
+from repro.bridge.shared_library import BehavioralSharedLibrary, SharedLibrary
 from repro.bridge.structs import Field, StructSpec
 from repro.soc.event import ClockDomain
 from repro.soc.mem.ideal import IdealMemory
@@ -15,7 +15,8 @@ from repro.soc.tlb import TLB, PageTable
 
 
 class EchoLibrary(BehavioralSharedLibrary):
-    """Counts its own ticks; echoes an input field."""
+    """Counts its own ticks; echoes an input field (fields in, fields
+    out)."""
 
     input_spec = StructSpec("i", [Field("x", 8)])
     output_spec = StructSpec("o", [Field("x", 8), Field("ticks", 32)])
@@ -28,12 +29,16 @@ class EchoLibrary(BehavioralSharedLibrary):
         super().reset()
         self.reset_calls += 1
 
-    def step(self, inputs):
-        return {"x": inputs["x"], "ticks": self.ticks}
+    def tick(self, inputs):
+        (x,) = inputs
+        out = (x & 0xFF, self.ticks)
+        self.ticks += 1
+        return out
 
 
 class Probe(RTLObject):
-    """RTLObject that records consumed outputs."""
+    """RTLObject that records consumed outputs; packs its input at its
+    own edge and hands the library the struct in the library's form."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -41,7 +46,8 @@ class Probe(RTLObject):
         self.x_in = 0
 
     def build_input(self):
-        return self.library.input_spec.pack(x=self.x_in)
+        spec = self.library.input_spec
+        return self.library.struct_of(spec, spec.pack(x=self.x_in))
 
     def consume_output(self, outputs):
         self.seen.append(outputs)
@@ -79,34 +85,50 @@ class TestLifecycle:
         obj.x_in = 0x5A
         sim.run(until=5_000)
         assert obj.seen
-        assert all(o["x"] == 0x5A for o in obj.seen)
+        assert all(o == (0x5A, n) for n, o in enumerate(obj.seen))
 
     def test_output_decoded_only_when_its_bytes_change(self, sim):
-        """Decoding is a pure function of the bytes: a model that holds
-        its outputs is decoded once, one that moves them every time —
-        and the consumer runs on every tick either way."""
+        """Decoding is a pure function of the output struct, whatever
+        its form: a model that holds its outputs is decoded once, one
+        that moves them every time — and the consumer runs on every
+        tick either way."""
         class Steady(BehavioralSharedLibrary):
             input_spec = StructSpec("i", [Field("x", 8)])
             output_spec = StructSpec("o", [Field("x", 8)])
 
-            def step(self, inputs):
-                return {"x": inputs["x"]}
+            def tick(self, inputs):
+                self.ticks += 1
+                return inputs
 
-        for library, moves in ((Steady(), False), (EchoLibrary(), True)):
+        class PackedSteady(SharedLibrary):
+            """The same model on packed bytes, the form of a library
+            on pins: the output struct's layout is the input's."""
+            input_spec, output_spec = Steady.input_spec, Steady.output_spec
+
+            def tick(self, input_bytes):
+                self.ticks += 1
+                return input_bytes
+
+            def reset(self):
+                self.ticks = 0
+
+        for library, moves in ((Steady(), False), (PackedSteady(), False),
+                               (EchoLibrary(), True)):
             obj = Probe(Simulation(), "rtl", library)
-            spec, decodes = library.output_spec, []
-            library.output_spec = StructSpec(spec.name, spec.fields)
-            library.output_spec.unpack = (
-                lambda data: decodes.append(data) or spec.unpack(data))
+            decodes = []
+            decode = obj.decode_output
+            obj.decode_output = lambda out: decodes.append(out) or decode(out)
+            x = (lambda o: o["x"]) if type(library) is PackedSteady else (
+                lambda o: o[0])
             obj.x_in = 7
             obj.sim.run(until=10_000)
             ticks = obj.st_ticks.value()
             assert ticks >= 10 and len(obj.seen) == ticks
             assert len(decodes) == (ticks if moves else 1)
-            obj.x_in = 9            # the bytes move: decoded again, once
+            obj.x_in = 9            # the struct moves: decoded again, once
             obj.sim.run(until=20_000)
             assert len(obj.seen) == obj.st_ticks.value() > ticks
-            assert obj.seen[-1]["x"] == 9 and obj.seen[ticks - 1]["x"] == 7
+            assert x(obj.seen[-1]) == 9 and x(obj.seen[ticks - 1]) == 7
             assert len(decodes) == (obj.st_ticks.value() if moves else 2)
 
     def test_port_counts_match_paper(self, sim):
