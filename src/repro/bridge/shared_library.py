@@ -289,8 +289,8 @@ class RTLSharedLibrary(SharedLibrary):
         behind the event queue and runs the cycles it owes at once
         (:meth:`RTLObject.lag_cycles
         <repro.bridge.rtl_object.RTLObject.lag_cycles>`).  On the
-        codegen backend one generated loop
-        (:func:`repro.rtl.codegen.build_replay`), otherwise
+        codegen backend one generated loop, folded on the pins the
+        replay holds (:func:`repro.rtl.codegen.build_replay`), otherwise
         :meth:`drive`/``settle``/``tick``/:meth:`collect` per cycle, on
         the paths :meth:`tick_batch` takes: an enabled VCD writer
         samples every cycle.

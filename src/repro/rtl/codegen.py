@@ -15,7 +15,7 @@ sync processes into two functions compiled once per design:
 Processes elaborated from HDL carry their body as a tree
 (:attr:`~repro.rtl.kernel.CombProcess.body`, :mod:`repro.rtl.ir`), signal
 indices and masks already constants in it.  Each body is lowered tree
-to tree, once (:func:`_fused`), and its print inlined at every depth.
+to tree, once (:func:`_lowered`), and its print inlined at every depth.
 The lowerings are codegen's alone; the fused cycle then pays for what
 the netlist does:
 
@@ -33,13 +33,23 @@ the netlist does:
   its operand's value (the operand's width says so) is dropped, double
   masks merge, and a memory index provably below the depth loses its
   modulo;
-* (d) **memory NBAs** append ``(addr, value)`` to a per-edge list,
-  committed in order (the final state is the interpreter's: last write
+* (d) **memory NBAs** append ``(addr, value)`` to a per-edge list
+  (unless (h) stores them in place), committed in order (the final state is the interpreter's: last write
   wins); full-register NBAs stage in locals committed after sampling
   (no tuples, no apply loop);
 * (e) a staged register assigned on every path commits without a
   sentinel test;
-* (f) the struct exchange does not call an empty ``settle``.
+* (f) the struct exchange does not call an empty ``settle``;
+* (g) **held pins** — in a replay (below), every read of a module input
+  the replay holds is its value, an operator over constants is the
+  constant, and an ``if`` on a constant is its live branch.  This runs
+  before staging is decided, so a register or memory stored only in a
+  dead branch gets no sentinel, no list and no commit;
+* (h) **in-place memory NBAs** — a memory whose staged stores in an edge
+  section (all its processes, in emission order) no read of it can
+  follow on any path is stored in place (``_m0[k] = x``), with no list
+  and no commit.  Two constant indices that differ are disjoint, and so
+  are the words a set-bit loop's variable names in two iterations.
 
 Memory base lists are hoisted into locals (``_m0 = m[0]``).  The
 interpreter-shaped lists remain for two structural reasons: a
@@ -63,7 +73,9 @@ time, beside ``tick_batch``'s, with a test of the wrapper's output pins
 after every cycle, returning as soon as one of them has moved: the
 cycles a model that lagged behind the event queue owes, run at once,
 with one input slot stored from a list before each cycle, or with the
-inputs held.
+inputs held.  That text is folded on the inputs the replay holds (g):
+one text per tuple of held values, generated on first use and cached
+per process.
 
 Designs that need the iterative fixpoint fallback (word-level comb
 cycles) are *not* codegen-eligible —
@@ -76,7 +88,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import ir
 from .kernel import CombProcess, Edge, RTLModule, SyncProcess
@@ -333,11 +345,14 @@ def _unroll(loop: ir.Loop) -> ir.Suite:
     return tuple(out)
 
 
+@lru_cache(maxsize=1024)
 def _lowered(body: ir.Suite,
              list_regs: Optional[frozenset[int]]) -> ir.Suite:
     """*body* as it enters the fused program: with *list_regs* (a staged
     section's registers that keep the ordered list) every other NBA is
-    staged, then every expression and statement is lowered."""
+    staged, then every expression and statement is lowered.  A pure
+    function of the tree, so — like :func:`_compile` — shared by every
+    program a rig or sweep builds from one design; bounded."""
     def stage(s: ir.Stmt) -> ir.Suite:
         if (
             type(s) is ir.Store and s.index not in list_regs
@@ -348,14 +363,6 @@ def _lowered(body: ir.Suite,
 
     return ir.rewrite(body, expr=_simplify,
                       stmt=_lower if list_regs is None else stage)
-
-
-@lru_cache(maxsize=1024)
-def _fused(body: ir.Suite, list_regs: frozenset[int] | None) -> tuple[str, ...]:
-    """:func:`_lowered`, printed at depth 1.  A pure function of the
-    tree, so — like :func:`_compile` — shared by every program a rig or
-    sweep builds from one design; bounded."""
-    return tuple(ir.render(_lowered(body, list_regs), 1, "_m%d"))
 
 
 @lru_cache(maxsize=64)
@@ -373,80 +380,249 @@ def _compile(source: str, filename: str):
     return compile(source, filename, "exec")
 
 
-@dataclass
-class CodegenProgram:
-    """The fused evaluation functions for one design."""
+# -- (g) fold held pins ---------------------------------------------------
 
-    settle: Callable      # settle(v, m) -> None
-    tick_batch: Callable  # tick_batch(v, m, n) -> None
-    source: str           # full generated source, for inspection/debugging
-    inlined: int          # processes fused by source inlining
-    called: int           # processes bound as direct calls (no source)
-    #: ``replay_source(store, moved)``: source of ``_replay(v, m, words,
-    #: _rest, _w)`` — ``_tick_batch``'s cycle, once per element of
-    #: *words*, returning the cycles run, and returning early after the
-    #: first cycle for which the expression *moved* (over ``v`` and
-    #: ``_w``) holds; with a statement *store* (over ``_x``, the
-    #: element, and ``_rest``) driving the pins and the netlist settled
-    #: before every cycle, with None the pins held as they are
-    replay_source: Callable[[Optional[str], str], str] = field(repr=False)
-    settles: bool = True     # settle does anything (the design has comb logic)
-    #: globals of the generated functions; :func:`build_exchange` emits
-    #: into it, beside the ``_settle`` and ``_tick_batch`` it calls
-    namespace: dict = field(default_factory=dict, repr=False)
+#: a shift wider than this is left to run time: folding it would build
+#: the number even where only a dead branch computes it
+_MAX_FOLD_SHIFT = 1 << 12
 
 
-class _Emitter:
-    """Accumulates fused source and the namespace of bound callables."""
+def _decided(e: ir.Expr) -> ir.Expr:
+    """One node whose operands are folded: an operator over constants is
+    the constant its print computes."""
+    if type(e) is not ir.Op or any(type(a) is not ir.Const for a in e.args) \
+            or e.op == "<<" and e.args[1].value > _MAX_FOLD_SHIFT:
+        return e
+    value = int(ir.evaluate(e))
+    return ir.Const(value, e.width, folded=value < 0)
 
-    def __init__(self, nmem: int) -> None:
+
+def _live(s: ir.Stmt) -> ir.Suite:
+    """One statement whose parts are folded: an ``if`` on a constant is
+    its live branch, and an ``elif`` chain whose next link went stays a
+    plain ``else``."""
+    if type(s) is not ir.If:
+        return (s,)
+    if type(s.cond) is ir.Const:
+        live = s.then if s.cond.value else s.other or ()
+        _report(s, live, "stmt")
+        return live
+    other = s.other or None
+    chain = s.chain and other is not None and len(other) == 1 \
+        and type(other[0]) is ir.If
+    if (other, chain) != (s.other, s.chain):
+        new = s._replace(other=other, chain=chain)
+        _report(s, (new,), "stmt")
+        return (new,)
+    return (s,)
+
+
+@lru_cache(maxsize=1024)
+def _held(body: ir.Suite, held: tuple[tuple[int, int], ...]) -> ir.Suite:
+    """(g): *body* with each signal of *held* (``(index, value)`` pairs)
+    read as its value, and every ``if`` that then decides on a constant
+    cut to its live branch; bounded, as :func:`_lowered`."""
+    if not held:
+        return body
+    fold = ir.folding(dict(held))
+
+    def expr(e: ir.Expr) -> ir.Expr:
+        new = _decided(fold(e))
+        if new is not e:
+            test = type(e) is ir.Op and e.op in ir.TESTS
+            _report(e, new, "truth" if test else "value")
+        return new
+
+    return ir.rewrite(body, expr=expr, stmt=_live)
+
+
+# -- (h) in-place memory NBAs ---------------------------------------------
+
+
+def _where(access: Union[ir.MemRead, ir.MemStore],
+           loops: frozenset[str]) -> object:
+    """The word *access* touches, as far as the text says: its index for
+    a constant address, the name of an enclosing set-bit loop's variable
+    (a word no other iteration touches), else None."""
+    addr = access.addr
+    if type(addr) is ir.Const:
+        return addr.value % access.depth if access.wrap else addr.value
+    if type(addr) is ir.Temp and addr.name in loops and not access.wrap:
+        return addr.name
+    return None
+
+
+def _disjoint(read: object, stored: object) -> bool:
+    """A read of word *read* cannot see a store to word *stored*
+    (``(name,)``: a store in an earlier iteration of loop *name*)."""
+    if type(read) is int and type(stored) is int:
+        return read != stored
+    return type(stored) is tuple and stored[0] == read
+
+
+def _unseen(exprs: Sequence[ir.Expr], mem: int, stored: frozenset,
+            loops: frozenset[str]) -> bool:
+    """No read of memory *mem* in *exprs* can see a word of *stored*."""
+    return all(
+        _disjoint(_where(leaf, loops), w)
+        for e in exprs for leaf in ir.leaves(e)
+        if type(leaf) is ir.MemRead and leaf.mem == mem
+        for w in stored
+    )
+
+
+def _stored(stmts: Sequence[ir.Stmt], mem: int, stored: frozenset,
+            loops: frozenset[str]) -> Optional[frozenset]:
+    """The words of memory *mem* that staged stores may have written once
+    *stmts* have run, *stored* written before them; None if a read of
+    *mem* in them can follow one of those stores (or a store to it does
+    not stage)."""
+    for s in stmts:
+        t = type(s)
+        if not _unseen([getattr(s, name) for name in s.EXPRS],
+                       mem, stored, loops):
+            return None
+        if t is ir.MemStore and s.mem == mem:
+            if s.mode != ir.STAGED:
+                return None
+            stored = stored | {_where(s, loops)}
+        elif t is ir.If:
+            then = _stored(s.then, mem, stored, loops)
+            other = _stored(s.other or (), mem, stored, loops)
+            if then is None or other is None:
+                return None
+            stored = then | other
+        elif t is ir.Bits:
+            # once, then again after itself: a word the variable named
+            # in one iteration is no other iteration's
+            inner = loops | {s.name}
+            once = _stored(s.body, mem, stored, inner)
+            if once is None:
+                return None
+            again = _stored(s.body, mem, frozenset(
+                (w,) if w == s.name else w for w in once), inner)
+            if again is None:
+                return None
+            stored = frozenset(
+                None if w in (s.name, (s.name,)) else w for w in again)
+        elif t is ir.Loop and any(
+                type(x) in (ir.MemRead, ir.MemStore) and x.mem == mem
+                for x in (*ir.walk(s.body), *ir.operands(s.body))):
+            return None   # a loop not unrolled: not followed through
+    return stored
+
+
+def _in_place(bodies: Sequence[ir.Suite]) -> frozenset[int]:
+    """(h): the memories whose staged stores in one edge section (its
+    bodies lowered, in emission order) no read of them can follow on any
+    path: written in place, they need no list and no commit."""
+    section = tuple(s for body in bodies for s in body)
+    mems = {s.mem for s in ir.walk(section)
+            if type(s) is ir.MemStore and s.mode == ir.STAGED}
+    return frozenset(mi for mi in mems
+                     if _stored(section, mi, frozenset(), frozenset())
+                     is not None)
+
+
+def _stores_in_place(body: ir.Suite, mems: frozenset[int]) -> ir.Suite:
+    """*body* with the staged stores to *mems* made in place."""
+    def stmt(s: ir.Stmt) -> ir.Suite:
+        if type(s) is ir.MemStore and s.mem in mems \
+                and s.mode == ir.STAGED:
+            new = s._replace(mode=ir.BLOCKING)
+            _report(s, (new,), "stmt")
+            return (new,)
+        return (s,)
+
+    return ir.rewrite(body, stmt=stmt) if mems else body
+
+
+# -- the fused text -------------------------------------------------------
+
+
+#: a process in the fused text: its body, or (handwritten, no body) the
+#: name its function is bound under in the program's namespace
+_Part = Union[ir.Suite, str]
+
+
+class _Design(NamedTuple):
+    """What a program's text is a pure function of, hashable: the
+    levelized comb processes and each edge's sync processes, in the
+    order the cycle runs them, and the number of memories."""
+
+    comb: tuple[_Part, ...]
+    pos: tuple[_Part, ...]
+    neg: tuple[_Part, ...]
+    nmem: int
+
+
+class _Text:
+    """Lines of fused source; *held* (``(index, value)`` pairs) the
+    module inputs every body is folded on (g)."""
+
+    def __init__(self, design: _Design,
+                 held: tuple[tuple[int, int], ...] = ()) -> None:
+        self.design = design
+        self.held = held
         self.lines: list[str] = []
-        self.namespace: dict = {"_S": object()}  # NBA staging sentinel
-        self.nmem = nmem
-        self.inlined = 0
-        self.called = 0
-        self._next_ref = 0
 
     def emit(self, line: str, depth: int) -> None:
         self.lines.append("    " * depth + line)
 
-    def emit_proc(self, proc: _Proc, call_args: str, depth: int,
-                  list_regs: frozenset[int] | None = None) -> None:
-        """Inline *proc*'s body (:func:`_fused`) at *depth*, or bind and
-        call its fn."""
-        if proc.body is not None:
-            pad = "    " * (depth - 1)
-            self.lines.extend(
-                [pad + line for line in _fused(proc.body, list_regs)])
-            self.inlined += 1
-            return
-        ref = f"_fn{self._next_ref}"
-        self._next_ref += 1
-        self.namespace[ref] = proc.fn
-        self.emit(f"{ref}{call_args}", depth)
-        self.called += 1
+    def emit_body(self, tree: ir.Suite, depth: int) -> None:
+        self.lines.extend(ir.render(tree, depth, "_m%d"))
 
     def emit_prologue(self, depth: int) -> None:
         """Hoist memory base lists (and the sentinel) into locals."""
         self.emit("_sent = _S", depth)
-        for mi in range(self.nmem):
+        for mi in range(self.design.nmem):
             self.emit(f"_m{mi} = m[{mi}]", depth)
+
+    def emit_part(self, part: _Part, args: str, depth: int) -> None:
+        """Inline a body, lowered, or call a handwritten process's
+        function with *args*."""
+        if type(part) is str:
+            self.emit(f"{part}{args}", depth)
+        else:
+            self.emit_body(_lowered(part, None), depth)
+
+    def emit_comb(self, depth: int) -> None:
+        for part in self.design.comb:
+            self.emit_part(self.fold(part), "(v, m)", depth)
+
+    def fold(self, part: _Part) -> _Part:
+        return part if type(part) is str else _held(part, self.held)
+
+    def emit_cycle(self, depth: int) -> None:
+        """One clock cycle: posedge section, settle, negedge section and
+        settle again."""
+        design = self.design
+        if not (design.pos or design.neg or design.comb):
+            self.emit("pass", depth)
+        if design.pos:
+            self.emit_sync_section(design.pos, depth)
+        self.emit_comb(depth)
+        if design.neg:
+            self.emit_sync_section(design.neg, depth)
+            self.emit_comb(depth)
 
     # -- clock-edge sections ---------------------------------------------
 
-    def emit_sync_section(self, procs: Sequence[SyncProcess], depth: int) -> None:
+    def emit_sync_section(self, parts: Sequence[_Part], depth: int) -> None:
         """One edge: sample all procs, commit NBAs/NBMs.
 
-        Staged (locals + per-memory lists) when every process has a
-        body; the interpreter-shaped list path when one is handwritten.
+        Staged (locals + per-memory lists, or in place (h)) when every
+        process has a body; the interpreter-shaped list path when one is
+        handwritten.
         """
-        if all(p.body is not None for p in procs):
-            self._emit_staged_section(procs, depth)
+        parts = [self.fold(part) for part in parts]
+        if all(type(part) is not str for part in parts):
+            self._emit_staged_section(parts, depth)
             return
         self.emit("nba = []", depth)
         self.emit("nbm = []", depth)
-        for proc in procs:
-            self.emit_proc(proc, "(v, m, nba, nbm)", depth)
+        for part in parts:
+            self.emit_part(part, "(v, m, nba, nbm)", depth)
         self._emit_list_apply(depth, regs=None)
 
     def _emit_list_apply(self, depth: int, regs) -> None:
@@ -467,19 +643,22 @@ class _Emitter:
             self.emit("m[_me[0]][_me[1]] = _me[2]", depth + 1)
 
     def _emit_staged_section(
-        self, procs: Sequence[SyncProcess], depth: int
+        self, bodies: Sequence[ir.Suite], depth: int
     ) -> None:
-        list_regs = _list_regs(procs)
+        list_regs = _list_regs(bodies)
         staged_regs = sorted({
-            s.index for p in procs for s in ir.walk(p.body)
+            s.index for body in bodies for s in ir.walk(body)
             if type(s) is ir.Store and s.mode == ir.NBA
         } - list_regs)
-        mems = sorted({s.mem for p in procs for s in ir.walk(p.body)
-                       if type(s) is ir.MemStore and s.mode == ir.NBA})
+        lowered = [_lowered(body, list_regs) for body in bodies]
+        in_place = _in_place(lowered)
+        mems = sorted({s.mem for body in bodies for s in ir.walk(body)
+                       if type(s) is ir.MemStore and s.mode == ir.NBA}
+                      - in_place)
         # (e) a register some process assigns on every path needs no
         # sentinel: its local is set before the commit in every cycle
         always = {idx for idx in staged_regs
-                  if any(_always(p.body, idx) for p in procs)}
+                  if any(_always(body, idx) for body in bodies)}
         if list_regs:
             self.emit("nba = []", depth)
         for idx in staged_regs:
@@ -487,8 +666,8 @@ class _Emitter:
                 self.emit(f"_r{idx} = _sent", depth)
         for mi in mems:
             self.emit(f"_nbm{mi} = []", depth)
-        for p in procs:
-            self.emit_proc(p, "(v, m, nba, nbm)", depth, list_regs)
+        for tree in lowered:
+            self.emit_body(_stores_in_place(tree, in_place), depth)
 
         # Commit.  Staged registers, list-class registers and memories
         # are disjoint, so commit order between the groups is free;
@@ -506,11 +685,11 @@ class _Emitter:
             self.emit(f"_m{mi}[_a] = _x", depth + 1)
 
 
-def _list_regs(procs: Sequence[SyncProcess]) -> frozenset[int]:
+def _list_regs(bodies: Sequence[ir.Suite]) -> frozenset[int]:
     """The registers of one edge's staged section that keep the ordered
     ``nba`` list: those taking a partial (bit/part-select) NBA."""
     return frozenset(
-        s.index for p in procs for s in ir.walk(p.body)
+        s.index for body in bodies for s in ir.walk(body)
         if type(s) in (ir.BitStore, ir.SliceStore) and s.mode == ir.NBA
     )
 
@@ -527,75 +706,118 @@ def _always(stmts: Sequence[ir.Stmt], idx: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=64)
+def _program_text(design: _Design) -> str:
+    """``_settle`` and ``_tick_batch`` for *design*; bounded, as
+    :func:`_compile`."""
+    text = _Text(design)
+    text.emit("def _settle(v, m):", 0)
+    if design.comb:
+        text.emit_prologue(1)
+        text.emit_comb(1)
+    else:
+        text.emit("pass", 1)
+    text.emit("", 0)
+    text.emit("def _tick_batch(v, m, n):", 0)
+    text.emit_prologue(1)
+    text.emit("for _ in range(n):", 1)
+    text.emit_cycle(2)
+    return "\n".join(text.lines)
+
+
+@lru_cache(maxsize=64)
+def _replay_text(design: _Design, store: Optional[str], moved: str,
+                 held: tuple[tuple[int, int], ...]) -> str:
+    """``_replay(v, m, words, _rest, _w)`` for *design*: the cycle folded
+    on *held* (g), once per element of *words*, returning the cycles run
+    and returning early after the first for which the expression *moved*
+    (over ``v`` and ``_w``) holds; with a statement *store* (over ``_x``,
+    the element, and ``_rest``) driving the pins and the netlist settled
+    before every cycle, with None the pins held as they are.  A pure
+    function of its arguments, so one text per process; bounded, as
+    :func:`_compile`."""
+    text = _Text(design, held)
+    text.emit("def _replay(v, m, words, _rest, _w):", 0)
+    text.emit_prologue(1)
+    text.emit("for _i, _x in enumerate(words):", 1)
+    if store is not None:
+        text.emit(store, 2)
+        if design.comb:
+            text.emit("_settle(v, m)", 2)
+    text.emit_cycle(2)
+    text.emit(f"if {moved}:", 2)
+    text.emit("return _i + 1", 3)
+    text.emit("return len(words)", 1)
+    return "\n".join(text.lines)
+
+
+@dataclass
+class CodegenProgram:
+    """The fused evaluation functions for one design."""
+
+    settle: Callable      # settle(v, m) -> None
+    tick_batch: Callable  # tick_batch(v, m, n) -> None
+    source: str           # full generated source, for inspection/debugging
+    inlined: int          # processes fused by source inlining
+    called: int           # processes bound as direct calls (no source)
+    settles: bool = True     # settle does anything (the design has comb logic)
+    #: globals of the generated functions; :func:`build_exchange` emits
+    #: into it, beside the ``_settle`` and ``_tick_batch`` it calls
+    namespace: dict = field(default_factory=dict, repr=False)
+    #: what the text is generated from (:func:`_replay_text`)
+    design: Optional[_Design] = field(default=None, repr=False)
+    #: the module inputs no process writes: what a replay can hold
+    inputs: tuple[int, ...] = ()
+
+    def replay_source(self, store: Optional[str], moved: str,
+                      held: tuple[tuple[int, int], ...] = ()) -> str:
+        """:func:`_replay_text` of this program's design."""
+        return _replay_text(self.design, store, moved, held)
+
+
 def build_program(
     module: RTLModule, levelized: Sequence[CombProcess]
 ) -> CodegenProgram:
     """Fuse *module*'s processes (comb order given by *levelized*)."""
-    em = _Emitter(len(module.memories))
-    pos = [p for p in module.sync_procs if p.edge == Edge.POS]
-    neg = [p for p in module.sync_procs if p.edge == Edge.NEG]
+    namespace: dict = {"_S": object()}  # NBA staging sentinel
 
-    def emit_comb(depth: int) -> None:
-        for proc in levelized:
-            em.emit_proc(proc, "(v, m)", depth)
+    def parts(procs: Sequence[_Proc]) -> tuple[_Part, ...]:
+        out: list[_Part] = []
+        for proc in procs:
+            if proc.body is None:
+                ref = f"_fn{len(namespace) - 1}"
+                namespace[ref] = proc.fn
+                out.append(ref)
+            else:
+                out.append(proc.body)
+        return tuple(out)
 
-    cycles: dict[int, list[str]] = {}  # depth -> one cycle, as emitted
-
-    def emit_cycle(depth: int) -> None:
-        if depth not in cycles:
-            saved, em.lines = em.lines, []
-            if not (pos or neg or levelized):
-                em.emit("pass", depth)
-            if pos:
-                em.emit_sync_section(pos, depth)
-            emit_comb(depth)
-            if neg:
-                em.emit_sync_section(neg, depth)
-                emit_comb(depth)
-            cycles[depth], em.lines = em.lines, saved
-        em.lines.extend(cycles[depth])
-
-    em.emit("def _settle(v, m):", 0)
-    if levelized:
-        em.emit_prologue(1)
-        emit_comb(1)
-    else:
-        em.emit("pass", 1)
-
-    def replay_source(store: Optional[str], moved: str) -> str:
-        saved, em.lines = em.lines, []
-        em.emit("def _replay(v, m, words, _rest, _w):", 0)
-        em.emit_prologue(1)
-        em.emit("for _i, _x in enumerate(words):", 1)
-        if store is not None:
-            em.emit(store, 2)
-            if levelized:
-                em.emit("_settle(v, m)", 2)
-        emit_cycle(2)
-        em.emit(f"if {moved}:", 2)
-        em.emit("return _i + 1", 3)
-        em.emit("return len(words)", 1)
-        lines, em.lines = em.lines, saved
-        return "\n".join(lines)
-
-    em.emit("", 0)
-    em.emit("def _tick_batch(v, m, n):", 0)
-    em.emit_prologue(1)
-    em.emit("for _ in range(n):", 1)
-    emit_cycle(2)
-
-    source = "\n".join(em.lines)
+    design = _Design(
+        parts(levelized),
+        parts([p for p in module.sync_procs if p.edge == Edge.POS]),
+        parts([p for p in module.sync_procs if p.edge == Edge.NEG]),
+        len(module.memories),
+    )
+    source = _program_text(design)
     code = _compile(source, f"<codegen:{module.name}>")
-    exec(code, em.namespace)  # noqa: S102 - executing our own generated code
+    exec(code, namespace)  # noqa: S102 - executing our own generated code
+    # processes as emitted: settle's comb, then the cycle's
+    emitted = design.comb * 2 + design.pos \
+        + (design.neg + design.comb if design.neg else ())
+    called = sum(type(p) is str for p in emitted)
+    written = frozenset().union(
+        *(p.writes for p in (*module.comb_procs, *module.sync_procs)))
     return CodegenProgram(
-        settle=em.namespace["_settle"],
-        tick_batch=em.namespace["_tick_batch"],
+        settle=namespace["_settle"],
+        tick_batch=namespace["_tick_batch"],
         source=source,
-        inlined=em.inlined,
-        called=em.called,
-        replay_source=replay_source,
+        inlined=len(emitted) - called,
+        called=called,
         settles=bool(levelized),
-        namespace=em.namespace,
+        namespace=namespace,
+        design=design,
+        inputs=tuple(s.index for s in module.signals.values()
+                     if s.is_input and s.index not in written),
     )
 
 
@@ -676,6 +898,11 @@ def build_exchange(
                  size_error)
 
 
+#: specialisations one replay keeps; past it they are dropped and
+#: rebuilt from the process-wide text cache as they are met again
+_MAX_CASES = 64
+
+
 def build_replay(
     program: CodegenProgram,
     in_struct: struct.Struct,
@@ -696,25 +923,44 @@ def build_replay(
     settled, one cycle run and the output pins compared with the
     unpacked *steady* struct: the loop returns after the first cycle
     that moved one.  It is the program's cycle text emitted a second
-    time (:attr:`CodegenProgram.replay_source`), for a model that lagged
-    behind the event queue and runs the cycles it owes at once.
+    time (:func:`_replay_text`), for a model that lagged behind the
+    event queue and runs the cycles it owes at once — folded on the
+    pins the replay holds (g): every module input no process writes but
+    the signal of slot *vary*, read from ``v`` once the pins are stored.
+    Each tuple of held values met is specialised once (``.cases``).
     """
     by_signal, loads = _pin_text(in_slots, out_slots)
     moved = f"({', '.join(loads)},) != _w" if loads else "False"
     if vary is None:
         store = rest = None
         settle = ["        _settle(v, m)"] if program.settles else []
+        held = program.inputs
     else:
         idx, shift, mask = in_slots[vary]
         term = f"(_i{vary} & {mask})" + (f" << {shift}" if shift else "")
         rest = " | ".join(t for t in by_signal[idx] if t != term)
         store = (f"v[{idx}] = (_x & {mask})"
-                 + (f" << {shift}" if shift else "") + " | _rest")
+                 + (f" << {shift}" if shift else "")
+                 + (" | _rest" if rest else ""))
         settle = []
-    replay = program.replay_source(store, moved)
+        held = tuple(i for i in program.inputs if i != idx)
+    cases: dict = {}
+
+    def specialise(values: tuple) -> Callable:
+        if len(cases) >= _MAX_CASES:
+            cases.clear()
+        source = program.replay_source(store, moved,
+                                       tuple(zip(held, values)))
+        cases[values] = replay = _bind(program, [
+            "def _bind():",
+            *("    " + line for line in source.splitlines()),
+            "    return _replay",
+        ])
+        return replay
+
     lines = [
-        "def _bind(_decode, _encode, _steady, _size_error):",
-        *("    " + line for line in replay.splitlines()),
+        "def _bind(_decode, _encode, _steady, _size_error, _cases,"
+        " _specialise):",
         "    def _replay_words(data, v, m, words, steady):",
         f"        if len(data) != {in_struct.size}:",
         "            raise _size_error(len(data))",
@@ -723,9 +969,15 @@ def build_replay(
         *(f"        v[{i}] = {' | '.join(terms)}"
           for i, terms in by_signal.items()),
         *settle,
+        f"        _held = ({''.join(f'v[{i}], ' for i in held)})",
+        "        _replay = _cases.get(_held)",
+        "        if _replay is None:",
+        "            _replay = _specialise(_held)",
         f"        n = _replay(v, m, words, {rest or '0'}, _steady(steady))",
         f"        return n, _encode({', '.join(loads)})",
         "    return _replay_words",
     ]
-    return _bind(program, lines, in_struct.unpack, out_struct.pack,
-                 out_struct.unpack, size_error)
+    replay_words = _bind(program, lines, in_struct.unpack, out_struct.pack,
+                         out_struct.unpack, size_error, cases, specialise)
+    replay_words.cases = cases
+    return replay_words

@@ -290,9 +290,9 @@ class TestLagEqualsSingleStep:
         lib.reset()
         zeros = lib.output_spec.zeros()
         lib.tick_varying(lib.input_spec.zeros(), None, range(3), zeros)
-        source = lib._replays[None].source
-        loop = source[source.index("def _replay("):
-                      source.index("def _replay_words(")]
+        # the one tuple of held pins met: everything at 0
+        source = lib._replays[None].cases[(0,) * 8].source
+        loop = source[source.index("def _replay("):]
         body = loop[loop.index("for _i, _x in enumerate(words):"):]
         assert ",) != _w:" in body and "return _i + 1" in body
         assert "_encode" not in loop and "_decode" not in loop

@@ -89,7 +89,7 @@ def test_format_3_checkpoint_is_refused(tmp_path):
     saver = system()
     saver.soc.sim.run(until=200_000)
     path = tmp_path / "v3.ckpt"
-    saver.soc.save_checkpoint(str(path))
+    saver.soc.sim.save_checkpoint(str(path))
     doc = json.loads(gzip.open(path).read())
     assert doc["version"] == 6
     assert "tick" in doc["objects"]["nvdla0"]["named_events"]
@@ -99,7 +99,7 @@ def test_format_3_checkpoint_is_refused(tmp_path):
         fh.write(json.dumps(doc).encode())
     with pytest.raises(CheckpointError,
                        match="version 3 != supported version 6"):
-        system().soc.restore(str(path))
+        system().soc.sim.restore(str(path))
 
 
 # -- the domain ---------------------------------------------------------------

@@ -189,12 +189,14 @@ def test_generated_bytecodes_per_pmu_cycle_stay_in_budget():
     """A count, not a timer: bytecodes run inside the PMU's generated
     code (``<codegen:...>``), wired as Fig. 5 wires it (lanes 0-5
     enabled, the clock lane's threshold armed).  One lagged edge with
-    only the clock lane set, replayed, is 128 (137 in the run-ahead loop
-    it replaced, 335 when every lane was tested as ``(v[11] >> k) & 1``
-    and the memories staged in dicts); one single tick with four commits
-    and the clock is 411 (541).  The bounds are 5 % over 133 and 423,
-    the counts when codegen still had a common-subexpression pass, so
-    neither can quietly grow back."""
+    only the clock lane set, replayed, is 63: the replay is folded on
+    its held pins, so the reset, write and read branches are gone and
+    ``counters`` is written in place (128 unfolded, 137 in the
+    run-ahead loop before it, 335 when every lane was tested as
+    ``(v[11] >> k) & 1`` and the memories staged in dicts); one single
+    tick with four commits and the clock is 406 (541).  The bounds are
+    5 % over 63 and over 423, the tick's count when codegen still had a
+    common-subexpression pass, so neither can quietly grow back."""
     def generated_bytecodes(call) -> int:
         count = 0
 
@@ -235,5 +237,5 @@ def test_generated_bytecodes_per_pmu_cycle_stay_in_budget():
     busy = pack(events=0b101111)
     single = generated_bytecodes(lambda: lib.tick(busy))
     assert [lib.peek_counter(i) for i in range(6)] == [1, 1, 1, 1, 0, 10]
-    assert windows[1] - windows[0] <= 133 * 1.05, windows
+    assert windows[1] - windows[0] <= 63 * 1.05, windows
     assert single <= 423 * 1.05, single

@@ -28,10 +28,10 @@ soc, pmu, drv = build_pmu_system(n_sort=60, memory="DDR4-1ch")
 def save_at(tick, path):
     soc.sim.startup()
     soc.sim.run(until=tick)
-    return soc.save_checkpoint(path)
+    return soc.sim.save_checkpoint(path)
 
 def restore(path):
-    soc.restore(path)
+    soc.sim.restore(path)
 
 def run_to_end(end):
     soc.run_until_done(max_ticks=10**9)
@@ -52,7 +52,7 @@ def save_at(tick, path):
         h.start()
     soc.sim.startup()
     soc.sim.run(until=tick)
-    return soc.save_checkpoint(path)
+    return soc.sim.save_checkpoint(path)
 
 def restore(path):
     # restore protocol: rebuild identically, re-attach the workload
@@ -60,7 +60,7 @@ def restore(path):
     for h in system.hosts:
         h.start()
     soc.sim.startup()
-    soc.restore(path)
+    soc.sim.restore(path)
 
 def run_to_end(end):
     # where the workload ended the run is part of the contract: the
@@ -88,7 +88,7 @@ def save_at(tick, path):
     soc.sim.startup()
     soc.sim.run(until=tick)
     assert not any(h.loaded for h in system.hosts), "the load is over"
-    return soc.save_checkpoint(path)
+    return soc.sim.save_checkpoint(path)
 """
 assert "timed_load=True" in NVDLA_LOAD_SETUP
 
@@ -103,7 +103,7 @@ def save_at(tick, path):
     saved = []
     soc.sim.startup()
     soc.sim.eventq.schedule_fn(
-        lambda: saved.append(soc.save_checkpoint(path)), tick,
+        lambda: saved.append(soc.sim.save_checkpoint(path)), tick,
         EventPriority.STATS)
     soc.sim.run(until=tick + 100_000)
     return saved[0]
@@ -128,7 +128,7 @@ def save_at(tick, path):
 
     def save():
         assert bool(pmu._owed), "not inside a lag"
-        saved.append(soc.save_checkpoint(path))
+        saved.append(soc.sim.save_checkpoint(path))
         assert not bool(pmu._owed)
 
     soc.sim.startup()

@@ -114,10 +114,10 @@ class TestInjection:
         saver.sim.startup()
         saver.sim.run(until=120_000)   # inside the 30k-cycle hold window
         path = tmp_path / "chaos.ckpt"
-        saver.save_checkpoint(path)
+        saver.sim.save_checkpoint(path)
 
         resumed = build()
-        resumed.restore(path)
+        resumed.sim.restore(path)
         resumed.run_until_done(max_ticks=10**9)
         resumed.sim.run(until=end)
         ref.sim.run(until=end)
@@ -136,10 +136,10 @@ class TestInjection:
         saver.sim.startup()
         saver.sim.run(until=50_000)
         path = tmp_path / "p.ckpt"
-        saver.save_checkpoint(path)
+        saver.sim.save_checkpoint(path)
         other = build(FaultPlan.parse(["dram-delay@11:300"]))
         with pytest.raises(ValueError, match="different\\s+fault plan"):
-            other.restore(path)
+            other.sim.restore(path)
 
 
 class TestRtlFlip:

@@ -69,7 +69,7 @@ class TestPeriodicCheckpointer:
         resumed = _build()
         ckpt_b = PeriodicCheckpointer(resumed.sim, every_cycles=5_000,
                                       directory=tmp_path / "a")
-        resumed.restore(control.latest_checkpoint(tmp_path / "a"))
+        resumed.sim.restore(control.latest_checkpoint(tmp_path / "a"))
         resumed.sim.run(until=4 * step + 1)
         assert ckpt_b._index > 2
         assert (tmp_path / "a" / "ckpt-0003.ckpt").exists()
@@ -125,7 +125,7 @@ class TestPendingHooks:
         saver.sim.startup()
         saver.sim.run(until=100_000)
         path = tmp_path / "r.ckpt"
-        saver.save_checkpoint(path)
+        saver.sim.save_checkpoint(path)
 
         _park(restore=str(path))
         resumed = _build()

@@ -70,7 +70,7 @@ def _tag_arrays(soc):
 
 
 def _checkpoint_json(soc, path) -> bytes:
-    soc.save_checkpoint(path)
+    soc.sim.save_checkpoint(path)
     return gzip.open(path).read()
 
 
@@ -90,10 +90,10 @@ class TestRoundTrip:
         saver.sim.startup()
         saver.sim.run(until=150_000)
         path = tmp_path / "mid.ckpt"
-        saver.save_checkpoint(path)
+        saver.sim.save_checkpoint(path)
 
         resumed = _build()
-        resumed.restore(path)
+        resumed.sim.restore(path)
         assert resumed.sim.now == saver.sim.now
         resumed.run_until_done(max_ticks=10**9)
         resumed.sim.run(until=END)
@@ -120,17 +120,17 @@ class TestRoundTrip:
         saver = build()
         saver.sim.startup()
         saver.sim.run(until=t1)
-        saver.save_checkpoint(tmp_path / "a.ckpt")
+        saver.sim.save_checkpoint(tmp_path / "a.ckpt")
         saver.sim.run(until=t2)
-        saver.save_checkpoint(tmp_path / "b.ckpt")
+        saver.sim.save_checkpoint(tmp_path / "b.ckpt")
 
         resumed = build()
-        resumed.restore(tmp_path / "a.ckpt")
+        resumed.sim.restore(tmp_path / "a.ckpt")
         for store in _tag_arrays(resumed):
             for set_idx in range(store.num_sets - 1, 0, -7):
                 assert not store[set_idx].get(-1)
         resumed.sim.run(until=t2)
-        resumed.save_checkpoint(tmp_path / "b2.ckpt")
+        resumed.sim.save_checkpoint(tmp_path / "b2.ckpt")
 
         assert all(len(store) > len(store.occupied())
                    for store in _tag_arrays(resumed))
@@ -143,7 +143,7 @@ class TestRoundTrip:
         soc = _build()
         soc.sim.startup()
         soc.sim.run(until=100_000)
-        tick = soc.save_checkpoint(tmp_path / "a.ckpt")
+        tick = soc.sim.save_checkpoint(tmp_path / "a.ckpt")
         assert tick >= 100_000  # may step past blockers, never back
 
     def test_same_state_same_bytes(self, tmp_path):
@@ -152,8 +152,8 @@ class TestRoundTrip:
         soc = _build()
         soc.sim.startup()
         soc.sim.run(until=100_000)
-        soc.save_checkpoint(tmp_path / "a.ckpt")
-        soc.save_checkpoint(tmp_path / "b.ckpt")
+        soc.sim.save_checkpoint(tmp_path / "a.ckpt")
+        soc.sim.save_checkpoint(tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == \
             (tmp_path / "b.ckpt").read_bytes()
 
@@ -202,10 +202,10 @@ class TestValidation:
         saver = _build(num_cores=1)
         saver.sim.startup()
         path = tmp_path / "one.ckpt"
-        saver.save_checkpoint(path)
+        saver.sim.save_checkpoint(path)
         other = _build(num_cores=2)
         with pytest.raises(CheckpointError, match="differently built"):
-            other.restore(path)
+            other.sim.restore(path)
 
     def test_restore_rejects_different_cache_geometry(self, tmp_path):
         """The structure digest sees paths and types, not sizes: a
@@ -215,13 +215,13 @@ class TestValidation:
         saver.sim.startup()
         saver.sim.run(until=CYCLE_6000)
         path = tmp_path / "big.ckpt"
-        saver.save_checkpoint(path)
+        saver.sim.save_checkpoint(path)
         assert saver.llc.occupancy() > 0
         other = _build_sort(1 << 20)
         with pytest.raises(CheckpointError,
                            match=r"llc\.tags: checkpoint holds 16384 sets "
                                  r"x 16 ways.* 1024 x 16"):
-            other.restore(path)
+            other.sim.restore(path)
         assert other.llc.num_sets == 1024
         assert other.llc.occupancy() == 0
 
@@ -242,46 +242,46 @@ class TestValidation:
         saver.sim.startup()
         saver.sim.run(until=1_500_000)
         path = tmp_path / "coh.ckpt"
-        saver.save_checkpoint(path)
+        saver.sim.save_checkpoint(path)
         other = _build_coherent(**caches)
         with pytest.raises(CheckpointError,
                            match=where + ": checkpoint holds"):
-            other.restore(path)
+            other.sim.restore(path)
 
     def test_restore_rejects_unknown_version(self, tmp_path):
         soc = _build()
         soc.sim.startup()
         path = tmp_path / "v.ckpt"
-        soc.save_checkpoint(path)
+        soc.sim.save_checkpoint(path)
         doc = json.loads(gzip.open(path).read())
         doc["version"] = CHECKPOINT_VERSION + 1
         with gzip.open(path, "wb") as fh:
             fh.write(json.dumps(doc).encode())
         with pytest.raises(CheckpointError, match="version"):
-            _build().restore(path)
+            _build().sim.restore(path)
 
     def test_restore_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"\x00\x01 this is not a checkpoint")
         with pytest.raises(CheckpointError, match="cannot read"):
-            _build().restore(path)
+            _build().sim.restore(path)
 
     def test_restore_rejects_non_checkpoint_json(self, tmp_path):
         path = tmp_path / "list.ckpt"
         with gzip.open(path, "wb") as fh:
             fh.write(json.dumps([1, 2, 3]).encode())
         with pytest.raises(CheckpointError, match="not a checkpoint"):
-            _build().restore(path)
+            _build().sim.restore(path)
 
     def test_truncated_checkpoint_is_an_error(self, tmp_path):
         soc = _build()
         soc.sim.startup()
         path = tmp_path / "t.ckpt"
-        soc.save_checkpoint(path)
+        soc.sim.save_checkpoint(path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
-            _build().restore(path)
+            _build().sim.restore(path)
 
 
 class TestBlockers:

@@ -289,12 +289,12 @@ O0_LISTING = {
 PROGRAM = {
     "bitonic-plain": "7208c38e2f6a6f2d", "bitonic-instr": "6c8b22dbd7e54511",
     "pmu-plain": "453f694c22cb44c4", "pmu-instr": "f77a65e3171091ed",
-    "rtlcache-plain": "1d3e230060004655",
-    "rtlcache-instr": "8b732c209031dc42",
-    "rtlcache_coh-plain": "50f5cab022b73b89",
-    "rtlcache_coh-instr": "7e8194658f0426cd",
-    "rtlcache_ecc-plain": "3b972d2cbf24e2c4",
-    "rtlcache_ecc-instr": "913ae7080aac1b0b",
+    "rtlcache-plain": "4da6213426ef0c2b",
+    "rtlcache-instr": "f17747d955982361",
+    "rtlcache_coh-plain": "40809b99308ac595",
+    "rtlcache_coh-instr": "16f991657e3dc19e",
+    "rtlcache_ecc-plain": "3a836c2497273d6e",
+    "rtlcache_ecc-instr": "bc99b87f067bbb83",
 }
 EXCHANGE = {
     BitonicSharedLibrary: "6aa13aa4d2c20bd5",

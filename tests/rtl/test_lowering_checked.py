@@ -2,7 +2,7 @@
 
 The interpreter runs the plain print of a body; the fused program runs
 its lowering (:mod:`repro.rtl.codegen`, lowerings (a), (b) and
-(d)–(f)).  The differential suites compare the two on the states their
+(d)–(h)).  The differential suites compare the two on the states their
 stimulus reaches.  This file checks the rewrites themselves, for the
 five bundled designs x {plain, instrumented}, with
 :data:`repro.rtl.codegen.REWRITE_HOOK` installed (a test hook, not an
@@ -17,12 +17,15 @@ option):
   must agree as Python truth values, a ``"value"`` pair as numbers of
   one type;
 * the statement rewrites (set bits, list staging, the commits without
-  a sentinel) are checked as the cycle they build: the old cycle — the
-  plain print, as the interpreter runs it — and the new fused cycle step
+  a sentinel, stores made in place, branches cut) are checked as the
+  cycle they build: the old cycle — the plain print, as the
+  interpreter runs it — and the new fused cycle step
   from the same 2 000 seeded random ``(v, m)`` states and must agree on
   ``v``, ``m`` and the cycles run (a held-input replay, as a lagging
   model's catch-up runs it, that ends when an output moves).
 
+Held pins (g) are checked the same way, each pair wherever the pins hold
+their values and each cycle from states whose pins are set to them.
 A disagreement is a :class:`Finding` naming the design, the process and
 the inputs.  Two seeded wrong rewrites — a dropped mask, set-bit
 iteration over ``a | b`` instead of ``a & b`` — must each produce one.
@@ -55,6 +58,11 @@ VECTORS = 4096
 EXHAUSTIVE_BITS = 16
 STATES = 2000
 WINDOW = 4   # cycles a replay may run from one state
+HELD_STATES = 400   # states per design a replay on held pins runs from
+HELD_TUPLES = 6     # tuples of held pins per design
+#: what codegen keeps of a lowering, per process
+MEMOS = (codegen._held, codegen._lowered, codegen._program_text,
+         codegen._replay_text)
 
 
 @dataclass
@@ -75,33 +83,48 @@ def fresh_lowering(monkeypatch):
     """Lower from scratch (nothing served from the memo) and forget what
     was lowered afterwards: a seeded wrong rewrite must not outlive its
     test."""
-    codegen._fused.cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()
     yield monkeypatch
     monkeypatch.undo()
-    codegen._fused.cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 # -- the rewrites of one design ------------------------------------------
 
 
-def _rewrites(rtl, monkeypatch) -> list[tuple[str, object, object, str]]:
+def _rewrites(rtl, monkeypatch, held: tuple = ()
+              ) -> list[tuple[str, object, object, str]]:
     """``(process, old, new, how)`` for every rewrite lowering *rtl*
     reports, processes lowered as :func:`codegen.build_program` lowers
-    them."""
+    them — with *held* (``(index, value)`` pairs), folded on those pins
+    first, as a replay that holds them lowers them."""
     pairs: list = []
     current = [""]
     monkeypatch.setattr(
         codegen, "REWRITE_HOOK",
         lambda old, new, how: pairs.append((current[0], old, new, how)))
-    for proc in rtl.comb_procs:
-        current[0] = _label(rtl, proc)
-        codegen._lowered(proc.body, None)
+
+    def each(procs, step) -> list:
+        """``step(i)`` for the *i*-th of *procs*, its rewrites labelled
+        with that process."""
+        out = []
+        for i, proc in enumerate(procs):
+            current[0] = _label(rtl, proc)
+            out.append(step(i))
+        return out
+
+    comb = rtl.comb_procs
+    each(comb, lambda i: codegen._lowered(
+        codegen._held(comb[i].body, held), None))
     for edge in (Edge.POS, Edge.NEG):
         procs = [p for p in rtl.sync_procs if p.edge == edge]
-        regs = codegen._list_regs(procs)
-        for proc in procs:
-            current[0] = _label(rtl, proc)
-            codegen._lowered(proc.body, regs)
+        bodies = each(procs, lambda i: codegen._held(procs[i].body, held))
+        regs = codegen._list_regs(bodies)
+        trees = each(procs, lambda i: codegen._lowered(bodies[i], regs))
+        in_place = codegen._in_place(trees)
+        each(procs, lambda i: codegen._stores_in_place(trees[i], in_place))
     monkeypatch.setattr(codegen, "REWRITE_HOOK", None)
     return pairs
 
@@ -198,13 +221,19 @@ def _check_expr(old: ir.Expr, new: ir.Expr, how: str, widths: list,
 _VERDICTS: dict = {}
 
 
-def _expression_findings(name: str, rtl, pairs) -> list[Finding]:
+def _expression_findings(name: str, rtl, pairs,
+                         held: tuple = ()) -> list[Finding]:
+    """The expression pairs of *pairs* that do not hold; with *held*,
+    wherever those pins hold those values (the old side folded on
+    them)."""
     names = {s.index: s.name for s in rtl.signals.values()}
     memories = {mem.index: mem.name for mem in rtl.memories.values()}
+    fold = ir.folding(dict(held))
     findings = []
     for process, old, new, how in pairs:
         if how == "stmt":
             continue
+        old = ir.map_expr(old, fold)
         (cold, cnew), reads, mems = _canonical(old, new)
         key = (cold, cnew, how)
         if key not in _VERDICTS:
@@ -235,8 +264,11 @@ def _random_state(widths, depths, rng: random.Random) -> tuple[list, list]:
     return values, mems
 
 
-def _cycle_findings(name: str, rtl, states: int = STATES) -> list[Finding]:
-    """Old (interpreter) and new (fused) cycles from random states."""
+def _cycle_findings(name: str, rtl, states: int = STATES,
+                    pool: tuple = ((),)) -> list[Finding]:
+    """Old (interpreter) and new (fused) cycles from random states; each
+    state's pins set to one tuple of *pool* (``(index, value)`` pairs,
+    in turn), which the new cycle is folded on."""
     new = RTLSimulator(rtl)
     old = RTLSimulator(rtl, backend="interp")
     assert new.backend == "codegen"
@@ -244,9 +276,12 @@ def _cycle_findings(name: str, rtl, states: int = STATES) -> list[Finding]:
     outs = [s.index for s in rtl.signals.values() if s.is_output]
     moved = "(" + "".join(f"v[{i}], " for i in outs) + ") != _w"
     namespace = program.namespace
-    exec(compile(program.replay_source(None, moved),  # noqa: S102
-                 "<check>", "exec"), namespace)
-    replay = namespace["_replay"]
+    replays = []
+    for held in pool:
+        exec(compile(  # noqa: S102
+            program.replay_source(None, moved, held), "<check>", "exec"),
+            namespace)
+        replays.append(namespace["_replay"])
     processes = list(rtl.comb_procs) + list(rtl.sync_procs)
     widths = [1] * len(rtl.fresh_values())
     for sig in rtl.signals.values():
@@ -256,6 +291,9 @@ def _cycle_findings(name: str, rtl, states: int = STATES) -> list[Finding]:
     rng = random.Random(f"{name}-cycles")
     for trial in range(states):
         values, mems = _random_state(widths, depths, rng)
+        held = pool[trial % len(pool)]
+        for index, value in held:
+            values[index] = value
         steady = tuple(values[i] for i in outs)
         old.values, old.mems = list(values), [list(w) for w in mems]
         ran = 0
@@ -265,7 +303,7 @@ def _cycle_findings(name: str, rtl, states: int = STATES) -> list[Finding]:
             if tuple(old.values[i] for i in outs) != steady:
                 break
         v, m = list(values), [list(w) for w in mems]
-        got = replay(v, m, range(WINDOW), 0, steady)
+        got = replays[trial % len(pool)](v, m, range(WINDOW), 0, steady)
         if (got, v, m) == (ran, old.values, old.mems):
             continue
         kind, what = _first_difference(rtl, v, m, old.values, old.mems)
@@ -316,6 +354,108 @@ def test_every_lowering_holds(name, instr, fresh_lowering):
                 if how == "stmt" and type(old) is ir.Loop]
     assert bool(set_bits) == (name == "pmu" and instr is None)
     assert all(type(new[0]) is ir.Bits for new in set_bits)
+
+
+def _held_pool(name: str, rtl, inputs) -> tuple:
+    """Pins to hold, as ``(index, value)`` tuples over *inputs*: all 0,
+    then seeded values — reset low in all but the last, so that most
+    fold onto the working branch."""
+    rng = random.Random(f"{name}-held")
+    rst = rtl.signals["rst"].index
+    widths = {s.index: s.width for s in rtl.signals.values()}
+    pool = [tuple((i, 0) for i in inputs)]
+    for k in range(HELD_TUPLES - 1):
+        pool.append(tuple(
+            (i, 0 if i == rst and k < HELD_TUPLES - 2
+             else _biased(widths[i], rng)) for i in inputs))
+    return tuple(pool)
+
+
+@pytest.mark.parametrize("name,instr", CELLS)
+def test_every_lowering_holds_on_held_pins(name, instr, fresh_lowering):
+    """(g) and (h) as a replay holding every input lowers a design: each
+    expression pair wherever the pins hold their values, and the cycle
+    against the interpreter's from states with the pins at them."""
+    rtl = DESIGNS[name].compile(instrument=instr)
+    pool = _held_pool(name, rtl, RTLSimulator(rtl)._codegen.inputs)
+    pairs, findings = [], []
+    for held in pool:
+        some = _rewrites(rtl, fresh_lowering, held)
+        findings += _expression_findings(name, rtl, some, held)
+        pairs += some
+    findings += _cycle_findings(name, rtl, HELD_STATES, pool)
+    assert not findings, "\n".join(map(str, findings))
+    # (g): a held pin reads as its value, an if on one is its live branch
+    assert any(how == "value" and type(old) is ir.Sig
+               and type(new) is ir.Const for _, old, new, how in pairs)
+    assert any(how == "stmt" and type(old) is ir.If
+               and type(old.cond) is ir.Const for _, old, new, how in pairs)
+    # (h): a staged memory store no read follows is made in place
+    in_place = [old for _, old, new, how in pairs
+                if how == "stmt" and type(old) is ir.MemStore]
+    assert all(old.mode == ir.STAGED for old in in_place)
+    assert bool(in_place) == bool(rtl.memories)
+
+
+def test_a_read_after_a_store_keeps_the_list(fresh_lowering):
+    """(h) refused: with ``arvalid`` held at 1 the PMU reads ``counters``
+    (``rdata <= counters[araddr]``) after its counting loop stores them,
+    so the replay stages them through ``_nbm0``; with it held at 0
+    nothing reads them after a store, and the loop stores in place."""
+    rtl = DESIGNS["pmu"].compile()
+    program = RTLSimulator(rtl)._codegen
+    events, arvalid = (rtl.signals[n].index for n in ("events", "arvalid"))
+
+    def replay(value: int) -> str:
+        held = tuple((i, value if i == arvalid else 0)
+                     for i in program.inputs if i != events)
+        return program.replay_source(f"v[{events}] = _x", "False", held)
+
+    read = replay(1)
+    assert "_nbm0 = []" in read and "for _a, _x in _nbm0:" in read
+    assert "_nbm0.append((_k12, " in read and "_m0[_k12] = " not in read
+    quiet = replay(0)
+    assert "_nbm0" not in quiet and "_m0[_k12] = " in quiet
+
+
+def test_a_case_chain_whose_next_item_folds_runs_as_before():
+    """An ``elif`` whose test folds leaves the chain a plain ``else``
+    holding the live branch, and the body computes what the plain print
+    computes wherever the pin holds; a shift too wide to build now is
+    left to run time."""
+    a, sel, out = ir.Sig(0, 1), ir.Sig(1, 2), 2
+
+    def store(x: int) -> ir.Stmt:
+        return ir.Store(out, ir.Const(x, 8))
+
+    item = ir.If(ir.Op("is", (sel, ir.Const(1, 2)), 1), (store(2),),
+                 (store(3),))
+    case = (ir.If(a, (store(1),), (item,), chain=True),)
+    plain = ir.compile_fn(case, "v, m")
+    for held in (0, 1):
+        body = codegen._held(case, ((sel.index, held),))
+        assert not body[0].chain
+        folded = ir.compile_fn(body, "v, m")
+        for x in (0, 1):
+            v, w = [x, held, 0], [x, held, 0]
+            plain(v, [])
+            folded(w, [])
+            assert v == w
+    wide = (ir.Store(out, ir.Op("<<", (ir.Const(1, 1), sel), 8)),)
+    assert codegen._held(wide, ((sel.index, 1 << 20),)) == (
+        ir.Store(out, ir.Op("<<", (ir.Const(1, 1),
+                                   ir.Const(1 << 20, 2, folded=True)), 8)),)
+
+
+def test_a_loop_that_touches_a_memory_keeps_its_list():
+    """(h) follows no loop it did not unroll: a store inside one keeps
+    its memory staged, though nothing reads it."""
+    i, n = ir.Sig(0, 4), ir.Sig(1, 4)
+    store = ir.MemStore(0, 16, i, ir.Const(1, 8), ir.STAGED, wrap=False)
+    loop = ir.Loop(i.index, 15, ir.Const(0, 4), ir.Op("<", (i, n), 1),
+                   ir.Op("+", (i, ir.Const(1, 4)), 4, (15,)), (store,))
+    assert codegen._in_place([(store,)]) == {0}
+    assert codegen._in_place([(loop,)]) == frozenset()
 
 
 def test_a_dropped_mask_is_caught(fresh_lowering):
