@@ -241,12 +241,14 @@ class RTLObject(SimObject):
 
     def settle_owed(self, first: int, edge: int) -> None:
         """Run the lagged edges from *first* to before *edge* at once, on
-        :meth:`lagged_inputs`; an output that moves in them raises."""
+        the runs of :meth:`lagged_inputs`: every one of them, or an
+        output that moves in them raises (the horizon is checked, not
+        assumed), and each counts in ``ticks``."""
         cycles = (edge - first) // self.clock.period
-        in_bytes, field, values = self.lagged_inputs(first, edge)
+        in_bytes, field, runs = self.lagged_inputs(first, edge)
         library = self.library
         before = library.ticks
-        out = library.tick_varying(in_bytes, field, values, self._last_out)
+        out = library.tick_varying(in_bytes, field, runs, self._last_out)
         ran = library.ticks - before
         if ran != cycles or out != self._last_out:
             raise RuntimeError(
@@ -275,6 +277,22 @@ class RTLObject(SimObject):
             else:
                 eventq.restore_entry(event, edge, EventPriority.CLOCK,
                                      self._owed_seq)
+
+    def input_changes(self) -> None:
+        """End the lag before a delivery or a flip changes the inputs.
+        A model slower than the cores steps again from an edge that may
+        lie among edges another object owes (a core's stall window),
+        where the single-stepped core would have armed its edge after
+        ours: that object steps from there too
+        (:meth:`SimObject.edge_armed`)."""
+        if not self._owed:
+            return
+        self.catch_up(end=True)
+        if not self._owed_late:
+            edge = self._tick_event.when()
+            for obj in self.sim.objects:
+                if obj._owed:
+                    obj.edge_armed(edge)
 
     # -- hooks for model-specific subclasses ----------------------------------
 
@@ -320,14 +338,15 @@ class RTLObject(SimObject):
         """Stop logging; what is still logged belongs to the next edge."""
 
     def lagged_inputs(self, first: int, end: int):
-        """``(input_bytes, field, values)`` for the lagged edges from
-        *first* to before *end*: one value of *field* per edge, as
+        """``(input_bytes, field, runs)`` for the lagged edges from
+        *first* to before *end*: ``(value, n)`` pairs, *field* at
+        *value* for the next n edges, as
         :meth:`RTLSharedLibrary.tick_varying` takes them.  By default no
-        input is tapped, and every lagged edge sees the all-zero struct
-        (*field* None): a model whose horizon holds only while nothing
-        drives its pins."""
+        input is tapped, and the lagged edges are one run of the
+        all-zero struct (*field* None): a model whose horizon holds only
+        while nothing drives its pins."""
         cycles = (end - first) // self.clock.period
-        return self.library.input_spec.zeros(), None, range(cycles)
+        return self.library.input_spec.zeros(), None, ((0, cycles),)
 
     # -- CPU-side plumbing ------------------------------------------------------
 

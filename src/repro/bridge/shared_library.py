@@ -276,13 +276,13 @@ class RTLSharedLibrary(SharedLibrary):
         return out
 
     def tick_varying(
-        self, input_bytes: bytes, field: Optional[str], values: Sequence[int],
-        steady: bytes,
+        self, input_bytes: bytes, field: Optional[str],
+        runs: Sequence[tuple[int, int]], steady: bytes,
     ) -> bytes:
-        """One cycle per element of *values*, on the input struct
-        *input_bytes* with its scalar *field* set to that element (with
-        *field* None, *input_bytes* held and the elements unread);
-        returns the last output (*steady* if *values* is empty).
+        """Per ``(value, n)`` of *runs* (n at least 1), n cycles on the
+        input struct *input_bytes* with its scalar *field* set to
+        *value* (with *field* None, *input_bytes* held and the values
+        unread); returns the last output (*steady* if *runs* is empty).
 
         Ends after the first cycle whose output differs from *steady*;
         :attr:`ticks` tells how many ran.  For a model that lagged
@@ -290,10 +290,12 @@ class RTLSharedLibrary(SharedLibrary):
         (:meth:`RTLObject.lag_cycles
         <repro.bridge.rtl_object.RTLObject.lag_cycles>`).  On the
         codegen backend one generated loop, folded on the pins the
-        replay holds (:func:`repro.rtl.codegen.build_replay`), otherwise
-        :meth:`drive`/``settle``/``tick``/:meth:`collect` per cycle, on
-        the paths :meth:`tick_batch` takes: an enabled VCD writer
-        samples every cycle.
+        replay holds, where a run whose cycle (i) reads as one step
+        costs that step, not n cycles
+        (:func:`repro.rtl.codegen.build_replay`); otherwise
+        :meth:`drive`/``settle``/``tick``/:meth:`collect` per cycle of
+        each run, on the paths :meth:`tick_batch` takes: an enabled VCD
+        writer samples every cycle.
         """
         sim = self.sim
         trace = sim.trace
@@ -301,23 +303,24 @@ class RTLSharedLibrary(SharedLibrary):
             replay = self._replays.get(field)
             if replay is None:
                 replay = self._replays[field] = self._build_replay(field)
-            ran, out = replay(input_bytes, sim.values, sim.mems, values,
+            ran, out = replay(input_bytes, sim.values, sim.mems, runs,
                               steady)
             sim.cycle += ran
             self.ticks += ran
             return out
         fields = self.input_spec.unpack(input_bytes)
         out = steady
-        for value in values:
+        for value, n in runs:
             if field is not None:
                 fields[field] = value
-            self.drive(fields)
-            sim.settle()
-            sim.tick()
-            self.ticks += 1
-            out = self.output_spec.pack(**self.collect())
-            if out != steady:
-                break
+            for _ in range(n):
+                self.drive(fields)
+                sim.settle()
+                sim.tick()
+                self.ticks += 1
+                out = self.output_spec.pack(**self.collect())
+                if out != steady:
+                    return out
         return out
 
     def _build_replay(self, field: Optional[str]):

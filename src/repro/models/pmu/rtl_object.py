@@ -241,14 +241,15 @@ class PMURTLObject(RTLObject):
         self._log.clear()
 
     def lagged_inputs(self, first: int, end: int):
-        """One ``events`` word per lagged edge from *first* to before
-        *end*: the clock lanes, plus the logged pulses of that edge and
-        those the lane cap deferred to it, as :meth:`build_input` takes
-        them."""
+        """The ``events`` word of the lagged edges from *first* to before
+        *end*, as runs of equal words: the clock lanes, plus the logged
+        pulses of each edge and those the lane cap deferred to it, as
+        :meth:`build_input` takes them.  An edge that takes no pulse
+        runs on, clock lanes alone, to the next logged edge."""
         period = self.clock.period
         clock = self._clock_events
         log = self._log
-        words: list[int] = []
+        runs: list[list[int]] = []
         edge = first
         i, logged = 0, len(log)
         while edge < end:
@@ -257,17 +258,18 @@ class PMURTLObject(RTLObject):
                 wire.count += n
                 i += 1
             word = self._events()
-            words.append(word)
-            edge += period
+            n = 1
             if word == clock:
-                # nothing pulsed, nothing carried: the clock lanes alone
-                # until the next logged edge
-                quiet = (min(log[i][0] if i < logged else end, end)
-                         - edge) // period
-                words += [clock] * quiet
-                edge += quiet * period
+                # nothing pulsed, nothing carried
+                n = (min(log[i][0] if i < logged else end, end)
+                     - edge) // period
+            edge += n * period
+            if runs and runs[-1][0] == word:
+                runs[-1][1] += n
+            else:
+                runs.append([word, n])
         del log[:i]
-        return self._quiet_input, "events", words
+        return self._quiet_input, "events", runs
 
     def consume_output(self, outputs: tuple) -> None:
         rvalid, rdata, irq = outputs

@@ -205,7 +205,7 @@ class RTLCoherentCacheObject(RTLCacheObject):
         ends first.  Not bound at the port (``ends_owing``): a snoop
         aimed elsewhere reaches us too, and must leave the lag be."""
         if self._owed:
-            self.catch_up(end=True)
+            self.input_changes()
 
     def _demote_posted(self, block: int) -> None:
         """The line just left us: posted stores to it now serialize as

@@ -491,7 +491,7 @@ class FaultInjector(SimObject):
                 continue  # behavioural model: no flop state to corrupt
             # a lagging model runs the edges before the flip and steps
             # from the next one, which proves a horizon from the new state
-            obj.catch_up(end=True)
+            obj.input_changes()
             if self._flip_on(rtl_sim, signal, bit):
                 self.st_flips.inc()
 

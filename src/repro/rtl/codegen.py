@@ -2,80 +2,62 @@
 
 The interpreter backend evaluates one small Python function per process
 per cycle — faithful, but call dispatch and non-blocking-assignment
-staging (tuple allocation, append, a generic apply loop) dominate
-runtime for real designs.  Following GSIM/Manticore's static-scheduling
-insight, this module fuses the *levelized* combinational order and all
-sync processes into two functions compiled once per design:
-
-* ``settle(v, m)`` — the whole combinational netlist as straight-line
-  code in levelized order;
-* ``tick_batch(v, m, n)`` — ``n`` full clock cycles (posedge sample,
-  NBA/NBM commit, settle, negedge section) in one compiled loop.
+staging dominate runtime for real designs.  Following GSIM/Manticore's
+static scheduling, this module fuses the *levelized* combinational
+order and all sync processes into two functions compiled once per
+design: ``settle(v, m)``, the combinational netlist as straight-line
+code, and ``tick_batch(v, m, n)``, ``n`` full clock cycles (posedge
+sample, NBA/NBM commit, settle, negedge section) in one loop.
 
 Processes elaborated from HDL carry their body as a tree
 (:attr:`~repro.rtl.kernel.CombProcess.body`, :mod:`repro.rtl.ir`), signal
 indices and masks already constants in it.  Each body is lowered tree
-to tree, once (:func:`_lowered`), and its print inlined at every depth.
-The lowerings are codegen's alone; the fused cycle then pays for what
-the netlist does:
+to tree, once (:func:`_lowered`), and its print inlined at every depth:
 
 * (a) **set bits** — a literal-bound for-loop whose body is one ``if``
   without ``else``, guarded by a conjunction of ``sig[i]`` bits of
-  signals the body does not write, becomes one word AND (masked to the
-  iteration range) whose set bits are visited lowest first, the loop
-  variable a local.  A ``Cover``, a blocking store, an ``else`` or a
-  guard term that does not depend on the variable refuses it; such a
-  loop unrolls as every other literal-bound loop does, the variable a
-  constant in each copy;
+  signals the body does not write, visits the set bits of one word AND
+  (masked to the iteration range), lowest first.  A ``Cover``, a
+  blocking store, an ``else`` or a guard term free of the variable
+  refuses it; such a loop unrolls, the variable a constant per copy;
 * (b) **truth and bits** — a 0/1 wrapper is dropped wherever Python
-  truth suffices (an ``if``/``while`` condition, under ``and``/``or``,
-  the test of ``?:``); a mask, slice or bit-select that cannot change
-  its operand's value (the operand's width says so) is dropped, double
-  masks merge, and a memory index provably below the depth loses its
-  modulo;
+  truth suffices; a mask, slice or bit-select that cannot change its
+  operand (its width says so) is dropped, double masks merge, and a
+  memory index provably below the depth loses its modulo;
 * (d) **memory NBAs** append ``(addr, value)`` to a per-edge list
-  (unless (h) stores them in place), committed in order (the final state is the interpreter's: last write
-  wins); full-register NBAs stage in locals committed after sampling
-  (no tuples, no apply loop);
+  committed in order (last write wins), unless (h); full-register NBAs
+  stage in locals committed after sampling;
 * (e) a staged register assigned on every path commits without a
   sentinel test;
 * (f) the struct exchange does not call an empty ``settle``;
 * (g) **held pins** — in a replay (below), every read of a module input
   the replay holds is its value, an operator over constants is the
-  constant, and an ``if`` on a constant is its live branch.  This runs
-  before staging is decided, so a register or memory stored only in a
-  dead branch gets no sentinel, no list and no commit;
+  constant, and an ``if`` on a constant is its live branch, before
+  staging is decided: a store only in a dead branch stages nothing;
 * (h) **in-place memory NBAs** — a memory whose staged stores in an edge
-  section (all its processes, in emission order) no read of it can
-  follow on any path is stored in place (``_m0[k] = x``), with no list
-  and no commit.  Two constant indices that differ are disjoint, and so
-  are the words a set-bit loop's variable names in two iterations.
+  section no read of it can follow on any path is stored in place
+  (``_m0[k] = x``).  Two constant indices that differ are disjoint, and
+  so are the words a set-bit loop's variable names in two iterations;
+* (i) **runs** — in a replay, a held cycle whose stores add a constant
+  to a memory word once a step (a *counter*) or store what every step
+  stores, and whose tests of counters can only turn true as they grow,
+  is one step over a run of ``n`` equal input words: counters stored
+  ``x + k*n``, after a precheck that steps the run cycle by cycle where
+  a test turns true by its last step or a counter wraps (:class:`_Run`).
 
-Memory base lists are hoisted into locals (``_m0 = m[0]``).  The
-interpreter-shaped lists remain for two structural reasons: a
-register that also receives *partial* (bit/part-select) NBAs keeps the
-ordered list so apply-time merging stays exact, and a handwritten
-kernel-level process (no body) is bound as a constant in the generated
-namespace and called, its edge staging through ``nba``/``nbm``.
-Equivalence with the interpreter, which runs the plain print of the
-un-rewritten bodies, is enforced by the differential test suite
-(``tests/rtl/test_differential.py``), and every rewrite a lowering makes
-is checked on its own (:data:`REWRITE_HOOK`,
-``tests/rtl/test_lowering_checked.py``).
+Memory base lists are hoisted into locals (``_m0 = m[0]``).  A register
+taking *partial* NBAs keeps the ordered ``nba`` list, and a handwritten
+process (no body) is called, staging through ``nba``/``nbm``.  The
+differential suite (``tests/rtl/test_differential.py``) holds codegen to
+the interpreter's plain print, and each rewrite is checked on its own
+(:data:`REWRITE_HOOK`, ``tests/rtl/test_lowering_checked.py``).
 
-Two more functions are generated on request for the bridge.
-:func:`build_exchange` is the per-cycle struct exchange of a
-shared-library wrapper — packed bytes in, pin stores, ``settle``,
-``tick_batch``, output pins packed back to bytes — the direct
-struct-member <-> pin assignments a Verilator wrapper makes around
-``eval()``.  :func:`build_replay` is the cycle text emitted a second
-time, beside ``tick_batch``'s, with a test of the wrapper's output pins
-after every cycle, returning as soon as one of them has moved: the
-cycles a model that lagged behind the event queue owes, run at once,
-with one input slot stored from a list before each cycle, or with the
-inputs held.  That text is folded on the inputs the replay holds (g):
-one text per tuple of held values, generated on first use and cached
-per process.
+For the bridge, :func:`build_exchange` generates a shared-library
+wrapper's struct exchange (the assignments a Verilator wrapper makes
+around ``eval()``), and :func:`build_replay` the cycles a model that
+lagged behind the event queue owes, on runs of one input slot's values
+or with the inputs held: the cycle text again, folded (g), a run one
+step (i), one text per tuple of held values, built on first use.
 
 Designs that need the iterative fixpoint fallback (word-level comb
 cycles) are *not* codegen-eligible —
@@ -292,17 +274,11 @@ def _set_bits(loop: ir.Loop, ks: Sequence[int]) -> Optional[ir.Suite]:
 
 
 def _unroll(loop: ir.Loop) -> ir.Suite:
-    """A literal-bound for-loop as set-bit iteration (:func:`_set_bits`)
-    or unrolled, folding the loop variable.
-
-    The shape is the one a Verilog/VHDL ``for (i = K; i < N; i = i + S)``
-    elaborates to.  Unrolled, each iteration's body is emitted with the
-    variable's reads replaced by that iteration's constant — CPython's
-    AST optimizer then folds the surrounding arithmetic, so memory
-    indexing and shift amounts become constants and the loop-variable
-    bookkeeping disappears.  Either way the loop signal's final value is
-    stored once at the end (it is architectural state the differential
-    suite checks).
+    """A literal-bound for-loop (a Verilog/VHDL ``for (i = K; i < N;
+    i = i + S)``) as set-bit iteration (:func:`_set_bits`) or unrolled,
+    each copy's variable reads its constant (CPython's AST optimizer then
+    folds indexing and shifts).  Either way the loop signal's final value
+    is stored once at the end: it is state the differential suite checks.
     """
     var, init, cond, step = loop.index, loop.init, loop.cond, loop.step
 
@@ -367,16 +343,11 @@ def _lowered(body: ir.Suite,
 
 @lru_cache(maxsize=64)
 def _compile(source: str, filename: str):
-    """``compile()`` once per process per generated text.
-
-    A campaign rig or a DSE point rebuilds the same design again and
-    again and generates byte-identical source each time.  Code objects
-    are immutable, so sharing one is invisible: every program still
-    ``exec``s it into its own namespace, where bound codecs live.  The
-    key is the text itself, so two parameterisations or two
-    instrumentations of a design cannot meet; bounded, as ``repro
-    serve`` is long-lived.
-    """
+    """``compile()`` once per process per generated text: a rig or a DSE
+    point rebuilds one design to byte-identical source, and a code object
+    is immutable, each program ``exec``-ing it into its own namespace.
+    Keyed by the text, so two parameterisations cannot meet; bounded, as
+    ``repro serve`` is long-lived."""
     return compile(source, filename, "exec")
 
 
@@ -565,12 +536,16 @@ class _Text:
         self.design = design
         self.held = held
         self.lines: list[str] = []
+        #: (i): the trees emitted, ``"commit"`` ending a staged section,
+        #: ``"call"`` a handwritten process or ``nba`` list; and swaps
+        self.trees, self.swap = [], {}
 
     def emit(self, line: str, depth: int) -> None:
         self.lines.append("    " * depth + line)
 
     def emit_body(self, tree: ir.Suite, depth: int) -> None:
-        self.lines.extend(ir.render(tree, depth, "_m%d"))
+        self.trees.append(tree)
+        self.lines.extend(ir.render(self.swap.get(tree, tree), depth, "_m%d"))
 
     def emit_prologue(self, depth: int) -> None:
         """Hoist memory base lists (and the sentinel) into locals."""
@@ -582,6 +557,7 @@ class _Text:
         """Inline a body, lowered, or call a handwritten process's
         function with *args*."""
         if type(part) is str:
+            self.trees.append("call")
             self.emit(f"{part}{args}", depth)
         else:
             self.emit_body(_lowered(part, None), depth)
@@ -609,12 +585,8 @@ class _Text:
     # -- clock-edge sections ---------------------------------------------
 
     def emit_sync_section(self, parts: Sequence[_Part], depth: int) -> None:
-        """One edge: sample all procs, commit NBAs/NBMs.
-
-        Staged (locals + per-memory lists, or in place (h)) when every
-        process has a body; the interpreter-shaped list path when one is
-        handwritten.
-        """
+        """One edge: sample all procs, commit NBAs/NBMs — staged when
+        every process has a body, through ``nba``/``nbm`` when not."""
         parts = [self.fold(part) for part in parts]
         if all(type(part) is not str for part in parts):
             self._emit_staged_section(parts, depth)
@@ -626,13 +598,9 @@ class _Text:
         self._emit_list_apply(depth, regs=None)
 
     def _emit_list_apply(self, depth: int, regs) -> None:
-        """The generic ordered apply of a residual nba/nbm list.
-
-        With *regs* (the list-class register set of a staged section) the
-        nbm loop is skipped — staged sections route all memory writes
-        through per-memory lists.  3-tuple entries are masked partial
-        writes that merge in program order.
-        """
+        """The ordered apply of an ``nba`` list (3-tuples: masked partial
+        writes, merged in order) and, without *regs* (a staged section's
+        list registers), of ``nbm``."""
         self.emit("for _e in nba:", depth)
         self.emit("if len(_e) == 2:", depth + 1)
         self.emit("v[_e[0]] = _e[1]", depth + 2)
@@ -660,6 +628,7 @@ class _Text:
         always = {idx for idx in staged_regs
                   if any(_always(body, idx) for body in bodies)}
         if list_regs:
+            self.trees.append("call")
             self.emit("nba = []", depth)
         for idx in staged_regs:
             if idx not in always:
@@ -668,10 +637,10 @@ class _Text:
             self.emit(f"_nbm{mi} = []", depth)
         for tree in lowered:
             self.emit_body(_stores_in_place(tree, in_place), depth)
+        self.trees.append("commit")
 
-        # Commit.  Staged registers, list-class registers and memories
-        # are disjoint, so commit order between the groups is free;
-        # within each group program order is preserved.
+        # Commit: the groups are disjoint, so their order is free;
+        # within each group program order is kept.
         if list_regs:
             self._emit_list_apply(depth, regs=list_regs)
         for idx in staged_regs:
@@ -706,6 +675,152 @@ def _always(stmts: Sequence[ir.Stmt], idx: int) -> bool:
     return False
 
 
+# -- (i) a run of equal input words, one step --------------------------
+
+#: the precheck's verdict (step the run cycle by cycle); the run's
+#: length and its last step's index, as the step's text reads them
+_STEP = (ir.SetTemp("_f", ir.Const(1, 1)),)
+_N = ir.Temp("_n", 32)
+_N1 = ir.Op("-", (_N, ir.Const(1, 32)), 32, (-1,))
+
+
+class _Run:
+    """(i) on a held cycle's :attr:`_Text.trees`, where ``ok``: ``check``
+    sets ``_f`` before a run to step; ``swap``: each tree as the step."""
+
+    def __init__(self, trees: list) -> None:
+        flat = tuple(s for t in trees if type(t) is tuple for s in t)
+        self.written = ir.writes(flat)
+        self.mems = {s.mem for s in ir.walk(flat) if type(s) is ir.MemStore}
+        self.defined, self.staged, self.temps = set(), set(), set()
+        self.loops, self.stored = [], {}   # key -> the words counted
+        #: counter read -> (k, store value); value -> read; the tests of
+        #: counters (their live branch the else)
+        self.counters, self.sums, self.tests = {}, {}, set()
+        self.ok = "call" not in trees and all(map(self.suite, trees))
+        if self.ok:
+            self.check = ir.rewrite(flat, stmt=self.precheck)
+            self.swap = {t: ir.rewrite(t, stmt=self.step)
+                         for t in trees if type(t) is tuple}
+        if self.ok:
+            _report(flat, self.check + ir.rewrite(flat, stmt=self.step),
+                    "stmt")
+
+    def fixed(self, e: ir.Expr, strict: bool = False) -> bool:
+        """*e* reads the same at every step (*strict*: before it too)."""
+        return all(
+            (type(x) is not ir.Sig or x.index not in self.written
+             or not strict and x.index in self.defined)
+            and (type(x) is not ir.MemRead or x.mem not in self.mems)
+            and (type(x) is not ir.Temp or x.name in self.temps)
+            or strict and x in self.counters for x in ir.leaves(e))
+
+    def suite(self, stmts) -> bool:   # or a section's "commit"
+        if stmts == "commit":
+            self.defined |= self.staged
+        for s in stmts if type(stmts) is tuple else ():
+            t = type(s)
+            if t is ir.If and not self.fixed(s.cond):
+                terms: list = []
+                self.tests.add(s.cond)
+                if not (self.rises(s.cond, terms) and self.suite(s.other or ())
+                        and all(term in self.counters or term in self.sums
+                                for term in terms)):
+                    return False
+            elif t is ir.Bits and self.fixed(s.word):
+                self.temps.add(s.name)
+                self.loops.append(s.name)
+                if not self.suite(s.body):
+                    return False
+                self.loops.pop()
+            elif not (t is ir.If and self.suite(s.then)
+                      and self.suite(s.other or ()) or t is ir.Pass
+                      or t is ir.SetTemp and self.fixed(s.value)
+                      and not self.temps.add(s.name)
+                      or t in (ir.Store, ir.MemStore) and self.store(s)):
+                return False
+        return True
+
+    def store(self, s: Union[ir.Store, ir.MemStore]) -> bool:
+        mem, v = type(s) is ir.MemStore, s.value
+        key = ("m", s.mem) if mem else s.index
+        got = self.stored.get(key)   # the words counted; False: none
+        if not got and self.fixed(v) and (not mem or self.fixed(s.addr)):
+            self.stored[key] = False
+            if not mem:
+                (self.staged if s.mode == ir.STAGED else self.defined).add(
+                    s.index)
+            return True
+        # a counter: x + k to a word no other store takes this step
+        x = v.args[0] if type(v) is ir.Op and v.op == "+" \
+            and type(v.args[1]) is ir.Const else None
+        if not mem or got is False or type(x) is not ir.MemRead \
+                or (x.mem, x.addr, x.wrap) != (s.mem, s.addr, s.wrap) \
+                or not self.fixed(s.addr):
+            return False
+        word = _where(s, frozenset())
+        if got and (word is None or None in got or word in got) \
+                or self.loops != [getattr(s.addr, "name", None)] \
+                and (self.loops or word is None):
+            return False
+        self.stored[key] = (got or frozenset()) | {word}
+        self.counters[x], self.sums[v] = (v.args[1].value, v), x
+        return True
+
+    def rises(self, e: ir.Expr, terms: list) -> bool:
+        """*e* compares each counter it reads (*terms*: ``x`` or ``x + k``)
+        ``>``/``>=`` fixed state, under ``and``/``or``: it can only rise."""
+        if type(e) is ir.Op and e.op in ("and", "or"):
+            return all(self.fixed(a) or self.rises(a, terms)
+                       for a in e.args)
+        if type(e) is not ir.Op or e.op not in (">", ">=", "<", "<="):
+            return False
+        term, other = e.args if e.op[0] == ">" else e.args[::-1]
+        x = term.args[0] if type(term) is ir.Op else term
+        terms.append(term)
+        return self.fixed(other) and x not in self.counters
+
+    def times(self, x: ir.Expr, n: ir.Expr) -> ir.Expr:
+        """Counter *x* after *n* steps, unmasked."""
+        k = self.counters[x][0]
+        kn = n if k == 1 else ir.Op("*", (ir.Const(k, 32), n), 32, (-1,))
+        return ir.Op("+", (x, kn), x.width, (-1,))
+
+    def last(self, e: ir.Expr) -> ir.Expr:
+        """Test *e* as at the run's last step."""
+        for x, (_, v) in self.counters.items():
+            if e in (x, v):
+                return self.times(x, _N if e == v else _N1)
+        if type(e) is ir.Op:
+            return e._replace(args=tuple(self.last(a) for a in e.args))
+        return e
+
+    def precheck(self, s: ir.Stmt) -> ir.Suite:
+        """*s* as what tells, before a run, that it must be stepped."""
+        t, new = type(s), s
+        if t is ir.If and s.cond in self.tests:
+            new = ir.If(self.last(s.cond), _STEP, s.other or None)
+        elif t is ir.If and (s.then or s.other):
+            new = ir.If(s.cond, s.then or (ir.Pass(),), s.other or None)
+        elif t is ir.MemStore and s.value in self.sums:
+            new = ir.If(ir.Op(">", (self.times(self.sums[s.value], _N),
+                                    ir.Const(s.value.imm[0], 1)), 1), _STEP)
+        elif t is not ir.SetTemp and (t is not ir.Bits or not s.body):
+            return ()
+        self.ok &= all(self.fixed(getattr(s, name), strict=True)
+                       for name in s.EXPRS)
+        return (new,)
+
+    def step(self, s: ir.Stmt) -> ir.Suite:
+        """*s* in the step over ``_n`` cycles."""
+        if type(s) is ir.If and s.cond in self.tests:
+            return s.other or ()
+        if type(s) is ir.MemStore and s.value in self.sums:
+            new = self.times(self.sums[s.value], _N)
+            return (s._replace(value=new._replace(imm=s.value.imm)),)
+        return (s,)
+
+
 @lru_cache(maxsize=64)
 def _program_text(design: _Design) -> str:
     """``_settle`` and ``_tick_batch`` for *design*; bounded, as
@@ -728,26 +843,45 @@ def _program_text(design: _Design) -> str:
 @lru_cache(maxsize=64)
 def _replay_text(design: _Design, store: Optional[str], moved: str,
                  held: tuple[tuple[int, int], ...]) -> str:
-    """``_replay(v, m, words, _rest, _w)`` for *design*: the cycle folded
-    on *held* (g), once per element of *words*, returning the cycles run
-    and returning early after the first for which the expression *moved*
-    (over ``v`` and ``_w``) holds; with a statement *store* (over ``_x``,
-    the element, and ``_rest``) driving the pins and the netlist settled
-    before every cycle, with None the pins held as they are.  A pure
-    function of its arguments, so one text per process; bounded, as
-    :func:`_compile`."""
+    """``_replay(v, m, runs, _rest, _w)``: per ``(_x, _n)`` of *runs*,
+    *design*'s cycle folded on *held* (g) ``_n`` times, returning the
+    cycles run, early after the first for which *moved* (over ``v`` and
+    ``_w``) holds; *store* (over ``_x`` and ``_rest``, or None) drives
+    the pins, settled, before each run.  Where (i) holds a run is one
+    step, unless its precheck steps it; a step that moved an output is
+    run again back to its first cycle (``_n = 1 - _n``).  One text per
+    process; bounded, as :func:`_compile`."""
+    scratch = _Text(design, held)
+    scratch.emit_cycle(0)
+    run = _Run(scratch.trees)
     text = _Text(design, held)
-    text.emit("def _replay(v, m, words, _rest, _w):", 0)
+    text.emit("def _replay(v, m, runs, _rest, _w):", 0)
     text.emit_prologue(1)
-    text.emit("for _i, _x in enumerate(words):", 1)
+    text.emit("_i = 0", 1)
+    text.emit("for _x, _n in runs:", 1)
     if store is not None:
         text.emit(store, 2)
         if design.comb:
             text.emit("_settle(v, m)", 2)
-    text.emit_cycle(2)
-    text.emit(f"if {moved}:", 2)
-    text.emit("return _i + 1", 3)
-    text.emit("return len(words)", 1)
+    if run.ok:   # a run of one is its cycle
+        text.emit("if _n > 1:", 2)
+        text.emit("_f = 0", 3)
+        text.lines.extend(ir.render(run.check, 3, "_m%d"))
+        text.emit("if not _f:", 3)
+        text.swap = run.swap
+        text.emit("while True:", 4)
+        text.emit_cycle(5)
+        text.emit(f"if not ({moved}): break", 5)
+        text.emit("if _n < 2: return _i + 1", 5)
+        text.emit("_n = 1 - _n", 5)
+        text.swap = {}
+        text.emit("_i += _n", 4)
+        text.emit("continue", 4)
+    text.emit("for _j in range(_i + 1, _i + _n + 1):", 2)
+    text.emit_cycle(3)
+    text.emit(f"if {moved}: return _j", 3)
+    text.emit("_i += _n", 2)
+    text.emit("return _i", 1)
     return "\n".join(text.lines)
 
 
@@ -821,9 +955,8 @@ def build_program(
     )
 
 
-#: where one struct slot lives on the pins: (signal index, bit shift,
-#: mask) — the slot's value occupies ``mask`` bits of the signal
-#: starting at ``shift``; mask -1 on an output slot: all of the signal
+#: a struct slot on the pins: (signal index, bit shift, mask) — ``mask``
+#: bits from ``shift``; mask -1 on an output slot: all of the signal
 PinSlot = tuple[int, int, int]
 
 
@@ -865,20 +998,14 @@ def build_exchange(
     out_slots: Sequence[PinSlot],
     size_error: Callable[[int], Exception],
 ) -> Callable:
-    """Generate ``exchange(data, v, m, n) -> bytes`` for *program*.
-
-    One call is one wrapper ``tick_batch``: check the length of *data*
-    (raising ``size_error(len(data))``), decode it with *in_struct*,
-    store slot ``i`` onto the pins at ``in_slots[i]`` (slots sharing a
-    signal are OR-ed together at their shifts), settle (unless the
-    design has no comb logic to settle), advance *n* cycles, and return
-    *out_struct* packed from the pins at *out_slots*.  The settle and
-    the cycles are *calls* to the program's own compiled functions, and
-    every call runs the whole sequence: nothing about the previous
-    inputs is remembered, so state changed behind the generated code's
-    back (pokes, reset, restore) is seen exactly as a
-    ``poke``/``settle``/``tick`` sequence would see it.
-    """
+    """Generate ``exchange(data, v, m, n) -> bytes`` for *program*: one
+    wrapper ``tick_batch``.  Check *data*'s length (else raise
+    ``size_error(len(data))``), decode it with *in_struct*, store slot
+    ``i`` onto the pins at ``in_slots[i]`` (slots on one signal OR-ed at
+    their shifts), settle (if there is comb logic), run *n* cycles and
+    return *out_struct* packed from *out_slots*.  Nothing about earlier
+    inputs is remembered, so pokes, reset and restore are seen as a
+    ``poke``/``settle``/``tick`` sequence sees them."""
     by_signal, loads = _pin_text(in_slots, out_slots)
     lines = [
         "def _bind(_decode, _encode, _size_error):",
@@ -898,8 +1025,7 @@ def build_exchange(
                  size_error)
 
 
-#: specialisations one replay keeps; past it they are dropped and
-#: rebuilt from the process-wide text cache as they are met again
+#: specialisations one replay keeps before dropping them all
 _MAX_CASES = 64
 
 
@@ -912,23 +1038,17 @@ def build_replay(
     size_error: Callable[[int], Exception],
     vary: Optional[int],
 ) -> Callable:
-    """Generate ``replay(data, v, m, words, steady) -> (ran, bytes)``:
-    one cycle per element of *words*, the input struct *data* on the
-    pins with slot *vary* replaced by that element (with *vary* None,
-    *data* held and the elements unread).
-
-    The pins are stored and settled as :func:`build_exchange` stores
-    and settles them; then, per element, the signal of slot *vary* is
-    stored again (its other slots' terms computed once) and the netlist
-    settled, one cycle run and the output pins compared with the
-    unpacked *steady* struct: the loop returns after the first cycle
-    that moved one.  It is the program's cycle text emitted a second
-    time (:func:`_replay_text`), for a model that lagged behind the
-    event queue and runs the cycles it owes at once — folded on the
-    pins the replay holds (g): every module input no process writes but
-    the signal of slot *vary*, read from ``v`` once the pins are stored.
-    Each tuple of held values met is specialised once (``.cases``).
-    """
+    """Generate ``replay(data, v, m, runs, steady) -> (ran, bytes)``:
+    per ``(value, n)`` of *runs* (n at least 1), n cycles on the struct
+    *data*, slot *vary* replaced by *value* (*vary* None: held), each
+    followed by a test of the output pins against the unpacked *steady*
+    struct, returning after the first that moved one: the cycles a model
+    that lagged behind the event queue owes, at once.  The pins are
+    stored and settled as :func:`build_exchange` does, slot *vary*'s
+    signal again per run.  The text (:func:`_replay_text`) is folded on
+    the pins the replay holds (g), every module input no process writes
+    but *vary*'s, read from ``v``; each tuple met is specialised once
+    (``.cases``), and a run is one step where (i) holds."""
     by_signal, loads = _pin_text(in_slots, out_slots)
     moved = f"({', '.join(loads)},) != _w" if loads else "False"
     if vary is None:
@@ -961,7 +1081,7 @@ def build_replay(
     lines = [
         "def _bind(_decode, _encode, _steady, _size_error, _cases,"
         " _specialise):",
-        "    def _replay_words(data, v, m, words, steady):",
+        "    def _replay_runs(data, v, m, runs, steady):",
         f"        if len(data) != {in_struct.size}:",
         "            raise _size_error(len(data))",
         f"        [{', '.join(f'_i{i}' for i in range(len(in_slots)))}]"
@@ -973,11 +1093,11 @@ def build_replay(
         "        _replay = _cases.get(_held)",
         "        if _replay is None:",
         "            _replay = _specialise(_held)",
-        f"        n = _replay(v, m, words, {rest or '0'}, _steady(steady))",
+        f"        n = _replay(v, m, runs, {rest or '0'}, _steady(steady))",
         f"        return n, _encode({', '.join(loads)})",
-        "    return _replay_words",
+        "    return _replay_runs",
     ]
-    replay_words = _bind(program, lines, in_struct.unpack, out_struct.pack,
-                         out_struct.unpack, size_error, cases, specialise)
-    replay_words.cases = cases
-    return replay_words
+    replay_runs = _bind(program, lines, in_struct.unpack, out_struct.pack,
+                        out_struct.unpack, size_error, cases, specialise)
+    replay_runs.cases = cases
+    return replay_runs

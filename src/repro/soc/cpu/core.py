@@ -257,6 +257,22 @@ class OoOCore(SimObject):
             cycles = min(cycles, (horizon - now) // self.clock.period)
         return max(0, cycles - 1)
 
+    def edge_armed(self, edge: int) -> None:
+        """A window holds no clock-priority event queued when it began;
+        one armed inside it since — a slower RTL model stepping again —
+        would meet edges the window owes in an order the single-stepped
+        core does not: the core settles the edges before the open one
+        (:meth:`catch_up`) and dispatches its edges from there."""
+        event = self._cycle_event
+        if not self._owed or event.when() <= edge:
+            return
+        self.catch_up()
+        if self._owed < event.when():
+            eventq = self.sim.eventq
+            eventq.deschedule(event)
+            eventq.schedule(event, self._owed, EventPriority.CLOCK)
+            self._owed = 0
+
     def settle_owed(self, first: int, edge: int) -> None:
         """The owed edges of a stall window: each adds one to
         ``cycles`` and, over a non-empty ROB, to ``issue_stalls``.  The

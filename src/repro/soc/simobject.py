@@ -543,12 +543,22 @@ class SimObject(Checkpointed):
     def end_owing(self, edge: int) -> None:
         """End the owing and step from *edge*; by default it goes on."""
 
+    def edge_armed(self, edge: int) -> None:
+        """Another object ended its owing for an input and armed its edge
+        event at tick *edge*, maybe among the edges this one owes; by
+        default the same-tick rule of :meth:`open_edge` orders the two."""
+
+    def input_changes(self) -> None:
+        """Before a delivery or a flip changes this object's inputs: end
+        the owing where it can (:meth:`catch_up`)."""
+        self.catch_up(end=True)
+
     def ends_owing(self, handler: Callable) -> Callable:
         """*handler*, a timing receive, behind the catch-up that ends an
         owing first: what a port delivers feeds an edge to come."""
         def deliver(pkt) -> bool:
             if self._owed:
-                self.catch_up(end=True)
+                self.input_changes()
             return handler(pkt)
 
         return deliver

@@ -289,12 +289,13 @@ class TestLagEqualsSingleStep:
         lib = PMUSharedLibrary()
         lib.reset()
         zeros = lib.output_spec.zeros()
-        lib.tick_varying(lib.input_spec.zeros(), None, range(3), zeros)
+        lib.tick_varying(lib.input_spec.zeros(), None, [(0, 3)], zeros)
         # the one tuple of held pins met: everything at 0
         source = lib._replays[None].cases[(0,) * 8].source
         loop = source[source.index("def _replay("):]
-        body = loop[loop.index("for _i, _x in enumerate(words):"):]
-        assert ",) != _w:" in body and "return _i + 1" in body
+        body = loop[loop.index("for _x, _n in runs:"):]
+        assert ",) != _w:" in body and "return _j" in body
+        assert "return _i + 1" in body
         assert "_encode" not in loop and "_decode" not in loop
         assert "_tick_batch" not in loop and "_settle" not in loop
         assert "_rest" not in body
@@ -312,7 +313,7 @@ class TestLagEqualsSingleStep:
         assert lib.ticks - before == 9
         # held against the all-zero struct it stops where irq rises
         out = lib.tick_varying(lib.input_spec.pack(events=1), None,
-                               range(9), lib.output_spec.zeros())
+                               [(0, 9)], lib.output_spec.zeros())
         assert lib.output_spec.unpack(out)["irq"] == 1
         assert lib.ticks - before == 9 + 1
 

@@ -1,7 +1,6 @@
 """PMU: RTL-level behaviour of pmu.v and the wrapper contract."""
 
 import io
-import sys
 
 import pytest
 
@@ -15,6 +14,7 @@ from repro.models.pmu.wrapper import (
 )
 from repro.resilience.serialize import (DeserializationContext,
                                         SerializationContext)
+from tests.bytecodes import PINNED_PYTHON, generated_bytecodes
 
 
 @pytest.fixture
@@ -168,6 +168,27 @@ class TestWaveforms:
         tick(lib, events=0)
         assert "$enddefinitions" in stream.getvalue()
 
+    def test_table2_waveform_bytes_are_pinned(self, tmp_path):
+        """Table 2's waveform run (``n_sort=32``, every lane enabled, run
+        to done): the lagged edges run one by one on the traced path,
+        each run of equal words expanded and sampled, and the VCD is
+        the bytes it was when every lagged edge was its own word."""
+        import hashlib
+
+        from repro.dse.pmu_experiment import build_pmu_system
+
+        path = tmp_path / "table2.vcd"
+        soc, pmu, drv = build_pmu_system(n_sort=32, waveform_path=str(path))
+        drv.enable(0x3F)
+        soc.run_until_done(cores=[soc.cores[0]], max_ticks=10**12)
+        pmu.stop()
+        trace = pmu.library.sim.trace
+        trace.close()
+        trace.stream.close()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "bf9316b900a1095e19371c2a7e4142ab"
+            "53142dbac3038271b1127d57162c4a83")
+
     def test_waveform_toggle(self):
         stream = io.StringIO()
         lib = PMUSharedLibrary(trace_stream=stream, trace_enabled=True)
@@ -180,46 +201,23 @@ class TestWaveforms:
         assert len(stream.getvalue()) == size
 
 
-@pytest.mark.skipif(
-    sys.version_info[:2] != (3, 11),
-    reason="bytecode counts are pinned on CPython 3.11; another "
-           "interpreter compiles the generated code to other bytecode",
-)
+@PINNED_PYTHON
 def test_generated_bytecodes_per_pmu_cycle_stay_in_budget():
     """A count, not a timer: bytecodes run inside the PMU's generated
     code (``<codegen:...>``), wired as Fig. 5 wires it (lanes 0-5
-    enabled, the clock lane's threshold armed).  One lagged edge with
-    only the clock lane set, replayed, is 63: the replay is folded on
-    its held pins, so the reset, write and read branches are gone and
-    ``counters`` is written in place (128 unfolded, 137 in the
-    run-ahead loop before it, 335 when every lane was tested as
-    ``(v[11] >> k) & 1`` and the memories staged in dicts); one single
-    tick with four commits and the clock is 406 (541).  The bounds are
-    5 % over 63 and over 423, the tick's count when codegen still had a
-    common-subexpression pass, so neither can quietly grow back."""
-    def generated_bytecodes(call) -> int:
-        count = 0
-
-        def trace(frame, event, arg):
-            if not frame.f_code.co_filename.startswith("<codegen:"):
-                return None
-            frame.f_trace_lines = False
-            frame.f_trace_opcodes = True
-            return opcode
-
-        def opcode(frame, event, arg):
-            nonlocal count
-            count += event == "opcode"
-            return opcode
-
-        outer = sys.gettrace()
-        sys.settrace(trace)
-        try:
-            call()
-        finally:
-            sys.settrace(outer)
-        return count
-
+    enabled, the clock lane's threshold armed at 4 000), the replay
+    built first.  A run of lagged edges with only the clock lane set is
+    one step of lowering (i): runs of 8, 9 and 3 999 edges (the longest
+    such a threshold lets a lag be) cost the same 281, the call
+    included.  A run (i) must step, the clock lane counting up to its
+    wrap with no threshold, costs 76 an edge.  The word-per-edge replay
+    before cost 96 an edge with the call's 166 beside (its pin read 63:
+    a first call that built the replay against a second that did not),
+    128 unfolded, 137 in the run-ahead loop before it, 335 when every
+    lane was tested as ``(v[11] >> k) & 1``.  One single tick with four
+    commits and the clock is 406 (541).  The bounds are 5 % over 281,
+    76 and 423, the tick's count when codegen still had a
+    common-subexpression pass, so none can quietly grow back."""
     lib = PMUSharedLibrary()
     lib.reset()
     pack = lib.input_spec.pack
@@ -228,14 +226,46 @@ def test_generated_bytecodes_per_pmu_cycle_stay_in_budget():
     tick(lib)
     armed = lib.serialize(SerializationContext())
     quiet, steady = lib.input_spec.zeros(), lib.output_spec.zeros()
-    windows = []
-    for cycles in (8, 9):
+    lib.tick_varying(quiet, "events", [(1 << 5, 1)], steady)  # built
+    runs = []
+    for cycles in (8, 9, 3999):
         lib.unserialize(armed, DeserializationContext([]))
-        windows.append(generated_bytecodes(lambda: lib.tick_varying(
-            quiet, "events", [1 << 5] * cycles, steady)))
+        runs.append(generated_bytecodes(lambda: lib.tick_varying(
+            quiet, "events", [(1 << 5, cycles)], steady)))
         assert lib.peek_counter(5) == cycles
+    assert runs[0] == runs[1] == runs[2] <= 281 * 1.05, runs
+    axi_write(lib, threshold_addr(5), 0)
+    axi_write(lib, counter_addr(5), (1 << 32) - 3)
+    tick(lib)
+    wrapping = lib.serialize(SerializationContext())
+    stepped = []
+    for cycles in (8, 9):
+        lib.unserialize(wrapping, DeserializationContext([]))
+        stepped.append(generated_bytecodes(lambda: lib.tick_varying(
+            quiet, "events", [(1 << 5, cycles)], steady)))
+        assert lib.peek_counter(5) == cycles - 3
+    assert stepped[1] - stepped[0] <= 76 * 1.05, stepped
+    lib.unserialize(armed, DeserializationContext([]))
     busy = pack(events=0b101111)
     single = generated_bytecodes(lambda: lib.tick(busy))
-    assert [lib.peek_counter(i) for i in range(6)] == [1, 1, 1, 1, 0, 10]
-    assert windows[1] - windows[0] <= 63 * 1.05, windows
+    assert [lib.peek_counter(i) for i in range(6)] == [1, 1, 1, 1, 0, 1]
     assert single <= 423 * 1.05, single
+
+
+@PINNED_PYTHON
+def test_smoke_fig5_replay_bytecodes_are_pinned():
+    """The bytecodes of every lagged replay in a smoke-size Fig. 5 body
+    (``run_fig5(n_sort=12, interval_cycles=2000, sleep_cycles=2000)``,
+    110 replays): 493 686 with runs, where the word-per-edge replay
+    before ran 2 513 789.  The bound is 5 % over; the figure itself
+    must not move."""
+    from repro.dse.pmu_experiment import run_fig5
+
+    result = []
+    count = generated_bytecodes(
+        lambda: result.append(run_fig5(n_sort=12, interval_cycles=2000,
+                                       sleep_cycles=2000)),
+        lambda code: code.co_name in ("_replay", "_replay_runs"))
+    assert (result[0].total_cycles, result[0].total_committed,
+            result[0].pmu_total_commits) == (14_677, 6_042, 6_003)
+    assert count <= 493_686 * 1.05, count

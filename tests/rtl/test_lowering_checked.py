@@ -2,7 +2,7 @@
 
 The interpreter runs the plain print of a body; the fused program runs
 its lowering (:mod:`repro.rtl.codegen`, lowerings (a), (b) and
-(d)–(h)).  The differential suites compare the two on the states their
+(d)–(i)).  The differential suites compare the two on the states their
 stimulus reaches.  This file checks the rewrites themselves, for the
 five bundled designs x {plain, instrumented}, with
 :data:`repro.rtl.codegen.REWRITE_HOOK` installed (a test hook, not an
@@ -17,12 +17,12 @@ option):
   must agree as Python truth values, a ``"value"`` pair as numbers of
   one type;
 * the statement rewrites (set bits, list staging, the commits without
-  a sentinel, stores made in place, branches cut) are checked as the
-  cycle they build: the old cycle — the plain print, as the
-  interpreter runs it — and the new fused cycle step
-  from the same 2 000 seeded random ``(v, m)`` states and must agree on
-  ``v``, ``m`` and the cycles run (a held-input replay, as a lagging
-  model's catch-up runs it, that ends when an output moves).
+  a sentinel, stores made in place, branches cut, a run made one step)
+  are checked as the cycle they build: the old cycle — the plain print,
+  as the interpreter runs it — and the new fused cycle step from the
+  same 2 000 seeded random ``(v, m)`` states and must agree on ``v``,
+  ``m`` and the cycles run (a held-input replay of one run, as a
+  lagging model's catch-up runs it, that ends when an output moves).
 
 Held pins (g) are checked the same way, each pair wherever the pins hold
 their values and each cycle from states whose pins are set to them.
@@ -303,7 +303,7 @@ def _cycle_findings(name: str, rtl, states: int = STATES,
             if tuple(old.values[i] for i in outs) != steady:
                 break
         v, m = list(values), [list(w) for w in mems]
-        got = replays[trial % len(pool)](v, m, range(WINDOW), 0, steady)
+        got = replays[trial % len(pool)](v, m, [(0, WINDOW)], 0, steady)
         if (got, v, m) == (ran, old.values, old.mems):
             continue
         kind, what = _first_difference(rtl, v, m, old.values, old.mems)
@@ -416,6 +416,41 @@ def test_a_read_after_a_store_keeps_the_list(fresh_lowering):
     assert "_nbm0.append((_k12, " in read and "_m0[_k12] = " not in read
     quiet = replay(0)
     assert "_nbm0" not in quiet and "_m0[_k12] = " in quiet
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_a_run_is_one_step_where_it_can_be(name, fresh_lowering):
+    """(i) reports each n-step body (``"stmt"``: the cycle's statements,
+    and the precheck and the step standing in their place) on the texts
+    the bridge replays: the PMU's with ``events`` varied and every other
+    pin at 0 (Fig. 5's lags: ``counters`` counts, the threshold test is
+    made at the run's last step), and every design's with every pin at
+    0 (the RTL caches' idle text: nothing counts, a run is one edge).
+    The bitonic sorter's stage registers read what they store: no
+    step.  The replays themselves are checked against the interpreter
+    above (``_cycle_findings``, one run of ``WINDOW`` cycles)."""
+    rtl = DESIGNS[name].compile()
+    program = RTLSimulator(rtl)._codegen
+    texts = [(None, tuple((i, 0) for i in program.inputs))]
+    if name == "pmu":
+        events = rtl.signals["events"].index
+        texts.append((f"v[{events}] = _x", tuple(
+            (i, 0) for i in program.inputs if i != events)))
+    steps = []
+    fresh_lowering.setattr(codegen, "REWRITE_HOOK", lambda old, new, how:
+                           steps.append((old, new, how))
+                           if type(old) is tuple else None)
+    for store, held in texts:
+        program.replay_source(store, "False", held)
+    assert all(how == "stmt" for *_, how in steps)
+    assert len(steps) == (0 if name == "bitonic" else len(texts))
+    counted = [new for _, new, _ in steps if any(
+        type(s) is ir.SetTemp and s.name == "_f" for s in ir.walk(new))]
+    assert len(counted) == (2 if name == "pmu" else 0)
+    for new in counted:
+        summed = [s for s in ir.walk(new) if type(s) is ir.MemStore]
+        assert summed and all(ir.Temp("_n", 32) in ir.leaves(s.value)
+                              for s in summed)
 
 
 def test_a_case_chain_whose_next_item_folds_runs_as_before():
