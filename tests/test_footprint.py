@@ -27,6 +27,27 @@ def _report():
 """
 
 
+#: what ``repro serve`` holds when it announces its port: the simulator
+#: core it pre-imports, the scheduler and the pool, and no experiment
+SERVE_MODULES = {
+    "multiprocessing", "repro", "repro.bridge", "repro.bridge.rtl_object",
+    "repro.bridge.shared_library", "repro.bridge.structs", "repro.cli",
+    "repro.experiment", "repro.parallel", "repro.parallel.cache",
+    "repro.parallel.runner", "repro.rtl", "repro.rtl.codegen", "repro.rtl.ir",
+    "repro.rtl.kernel", "repro.rtl.simulator", "repro.rtl.vcd", "repro.serve",
+    "repro.serve.client", "repro.serve.scheduler", "repro.serve.server",
+    "repro.serve.tenants", "repro.soc", "repro.soc.cache",
+    "repro.soc.cache.cache", "repro.soc.cache.core", "repro.soc.cache.sets",
+    "repro.soc.cpu", "repro.soc.cpu.core", "repro.soc.cpu.uop",
+    "repro.soc.event", "repro.soc.interconnect", "repro.soc.interconnect.xbar",
+    "repro.soc.iomaster", "repro.soc.mem", "repro.soc.mem.dram",
+    "repro.soc.mem.ideal", "repro.soc.mem.physmem", "repro.soc.packet",
+    "repro.soc.ports", "repro.soc.simobject", "repro.soc.stats",
+    "repro.soc.system", "repro.soc.tlb", "repro.trace", "repro.trace.flags",
+    "repro.trace.packets",
+}
+
+
 def _loaded(code: str, tmp_path, timeout: float = 120.0) -> set[str]:
     """The ``repro.*``/``multiprocessing`` modules *code* leaves loaded,
     or holds at its first own ``_report()`` call."""
@@ -115,5 +136,18 @@ def test_server_holds_the_simulator_core_when_it_listens(tmp_path):
         sys.stderr = Tap(sys.stderr)
         main(["serve", "--port", "0", "--no-cache"])
     """, tmp_path)
-    assert {"repro.soc.system", "repro.bridge.rtl_object",
-            "repro.rtl.simulator"} <= mods
+    # exactly: a module more is import time inside every benchmark
+    # repeat that spawns a server, a module less is paid by its first job
+    assert mods == SERVE_MODULES
+
+
+def test_experiment_help_loads_no_other_experiments_stack(tmp_path):
+    mods = _loaded("""
+        from repro.cli import main
+        try:
+            main(["fig5", "--help"])
+        except SystemExit:
+            pass
+    """, tmp_path)
+    assert not _under(mods, "repro.resilience", "repro.models.nvdla",
+                      "repro.parallel", "multiprocessing")
