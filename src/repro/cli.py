@@ -8,16 +8,19 @@ Commands
 ``table2``    PMU / waveform simulation-time overheads (paper Table 2)
 ``dse``       one NVDLA design-space-exploration subfigure (Figs. 6/7)
 ``table3``    full-system vs standalone overheads (paper Table 3)
+``campaign``  fault-injection campaign: golden run, triaged experiments,
+              per-signal vulnerability report (repro.resilience.campaign)
 ``verify``    RTL verification: ``lint`` / ``cover`` / ``fuzz`` /
               ``equiv`` over the bundled designs, plus ``coherence``
               (MESI invariants under random sharing; repro.verify)
-``campaign``  fault-injection campaign: golden run, triaged experiments,
-              per-signal vulnerability report (repro.resilience.campaign)
 ``serve``     run the simulation-as-a-service job server (repro.serve)
 ``submit``    submit a job to a running server and optionally wait
 
-``fig5``, ``table2``, ``dse``, ``table3`` and ``campaign`` are parse →
-:func:`_run_experiment` (over :func:`repro.experiment.run`) → render.
+An experiment command's flags are its record's ``params`` rows, with
+their defaults and checks, and their values are the request ``normalize``
+reads, as a served job's are; the command adds its own flags and renders
+the payload.  A subcommand adds its arguments when it is named, so only
+the named record's module is imported.
 
 The experiments build their :class:`~repro.soc.simobject.Simulation`
 internally, so the tracing and resilience flags cannot attach to it
@@ -69,19 +72,6 @@ def _name_int(pair: str) -> tuple[str, int]:
             f"bad --param {pair!r}; expected NAME=INT") from None
 
 
-def _memory_list(text: str) -> tuple[str, ...]:
-    """Comma-separated memory preset names, each checked."""
-    from .soc.mem.dram import MEMORY_PRESETS
-
-    names = tuple(text.split(","))
-    for name in names:
-        if name not in MEMORY_PRESETS:
-            raise argparse.ArgumentTypeError(
-                f"unknown memory {name!r}; presets: "
-                f"{', '.join(MEMORY_PRESETS)}")
-    return names
-
-
 def _json_object(text: str) -> dict:
     import json
 
@@ -92,6 +82,42 @@ def _json_object(text: str) -> dict:
     if not isinstance(value, dict):
         raise argparse.ArgumentTypeError(f"{text!r} is not a JSON object")
     return value
+
+
+class _Command(argparse.ArgumentParser):
+    """A subcommand that adds its arguments, ``add_arguments(parser)``,
+    when it is named: an experiment's come from its record's module."""
+
+    add_arguments = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.add_arguments is not None:
+            add, self.add_arguments = self.add_arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_param(parser: argparse.ArgumentParser, row) -> None:
+    """*row*'s flag: a ``dict`` row repeats ``NAME=VALUE``, a choice is
+    argparse's, any other value is checked as ``normalize`` checks it
+    (a ``many`` row's as a comma list)."""
+    def parse(text: str):
+        items = [item.strip() for item in text.split(",") if item.strip()]
+        try:
+            value = row.check(items if row.many else text, "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be {row.want}, got {text!r}") from None
+        return tuple(value) if row.many else value
+
+    kw = {"default": row.default, "type": parse}
+    if row.kind is dict:
+        kw = {"action": "append", "default": [], "type": _name_value}
+    elif row.choices is not None and not row.many:
+        kw = {"default": row.default, "choices": row.choices}
+    if not row.flags[0].startswith("-"):
+        kw["nargs"] = "?"
+    parser.add_argument(*row.flags, help=row.help, metavar=row.metavar, **kw)
 
 
 class _DesignArg(argparse.Action):
@@ -189,55 +215,23 @@ def _list_debug_flags() -> None:
 
 
 def _setup_tracing(args: argparse.Namespace):
-    """Arm the repro.trace layer from ``--debug-flags``/``--trace-*``.
-
-    Returns the installed :class:`~repro.trace.chrome.ChromeTracer`, if any, so
-    the caller can ``finish()`` it once the command completes.
-    """
-    flag_spec = getattr(args, "debug_flags", None)
-    trace_out = getattr(args, "trace_out", None)
-    start = getattr(args, "trace_start", None)
-    end = getattr(args, "trace_end", None)
-    if flag_spec and flag_spec.strip() == "?":
+    """Arm the repro.trace layer from ``--debug-flags``/``--trace-*``
+    (:func:`repro.trace.control.arm`); returns its Chrome tracer, if any."""
+    spec, out, start, end = (getattr(args, name, None) for name in (
+        "debug_flags", "trace_out", "trace_start", "trace_end"))
+    if spec and spec.strip() == "?":
         _list_debug_flags()
         raise SystemExit(0)
-    if not flag_spec and not trace_out and start is None and end is None:
+    if not spec and not out and start is None and end is None:
         return None
-    from .trace.chrome import ChromeTracer
-    from .trace.flags import (
-        parse_flags,
-        set_chrome_tracer,
-        set_default_profiler,
-        set_flags,
-    )
+    from .trace.control import arm
 
-    names = parse_flags(flag_spec) if flag_spec else []
-    tracer = None
-    if trace_out:
-        tracer = ChromeTracer(path=trace_out)
-        set_chrome_tracer(tracer)
-        set_default_profiler(tracer)
-        # packet journeys are the headline spans of the JSON trace
-        if "Packet" not in names:
-            names.append("Packet")
-    if start is not None or end is not None:
-        if tracer is not None and start is not None:
-            tracer.enabled = False  # the window's open() flips it on
-        from .soc.simobject import startup_hooks
-        from .trace.control import TraceWindow
-
-        startup_hooks.append(lambda sim: TraceWindow(sim, names, start, end))
-    else:
-        set_flags(names)
-    return tracer
+    return arm(spec, out, start, end)
 
 
 def _setup_resilience(args: argparse.Namespace) -> None:
     """Park ``--inject``/``--watchdog``/``--checkpoint-*``/``--restore-from``
-    as one :func:`repro.resilience.control.arm` hook on
-    :data:`~repro.soc.simobject.startup_hooks`; the first simulation that
-    starts (per process — workers inherit the list on fork) runs it.
-    """
+    as one :func:`repro.resilience.control.arm` hook."""
     seed = args.inject_seed
     plan = watchdog = checkpoints = None
     if args.inject or seed is not None:
@@ -262,43 +256,34 @@ def _setup_resilience(args: argparse.Namespace) -> None:
         checkpoints = (args.checkpoint_every, args.checkpoint_dir)
     if (plan is not None or watchdog is not None or checkpoints
             or args.restore_from):
-        import functools
+        from .resilience.control import park
 
-        from .resilience import control
-        from .soc.simobject import startup_hooks
-
-        control.worker_plan = plan
-        startup_hooks.append(functools.partial(
-            control.arm, plan=plan, watchdog=watchdog,
-            checkpoints=checkpoints, restore=args.restore_from or None))
+        park(plan, watchdog=watchdog, checkpoints=checkpoints,
+             restore=args.restore_from or None)
 
 
-def _report_run_stats(stats) -> None:
-    """One stderr line when a sweep had to retry, kill or skip points."""
-    if not (stats.failed or stats.timeout_kills or stats.pool_restarts
-            or stats.soft_retries):
-        return
-    requeued = sum(stats.requeues.values())
-    print(f"sweep resilience: {stats.completed}/{stats.points} completed, "
-          f"{stats.failed} failed, {stats.soft_retries} soft retries, "
-          f"{stats.timeout_kills} timeout kills, "
-          f"{stats.pool_restarts} pool restarts, "
-          f"{requeued} innocent requeues", file=sys.stderr)
+def _params(args: argparse.Namespace):
+    """The command's record, and the canonical params its flags name."""
+    from .experiment import get
+
+    exp, request = get(args.record), {}
+    for row in exp.params:
+        if row.flags:
+            value = getattr(args, row.dest)
+            request[row.name] = dict(value) if row.kind is dict else value
+    return exp, exp.normalize(request)
 
 
-def _run_experiment(args: argparse.Namespace, name: str, params: dict,
-                    points: int, cache: bool = False):
-    """Run experiment *name* for an experiment command; returns the
-    payload and the :class:`~repro.parallel.cache.ResultCache` it went
-    through (None: none).
+def _run_experiment(args: argparse.Namespace, cache: bool = False,
+                    total=None):
+    """Run the command's record; returns the canonical params, the
+    payload and the ResultCache it went through (None: none).
 
-    Parks the resilience hooks, paints a progress line over *points*
-    points and summarises retries on stderr.  *cache* is the command's
-    default, which ``--no-cache`` turns off.  A run that parked a hook
-    on :data:`~repro.soc.simobject.startup_hooks` (``--inject``,
-    ``--restore-from``, the watchdog, checkpoints, a trace window) is
-    not the clean run its points' cache keys name, so it neither reads
-    nor writes the cache.
+    Parks the resilience hooks, paints progress over the record's points
+    (or ``total(params)``) and summarises retries on stderr.  *cache* is
+    the command's default, which ``--no-cache`` turns off; a run that
+    parked a hook (``--inject``, the watchdog, a trace window, ...) is
+    not the clean run its cache keys name, so it does not use the cache.
     """
     from . import experiment
     from .parallel.cache import ResultCache
@@ -306,42 +291,40 @@ def _run_experiment(args: argparse.Namespace, name: str, params: dict,
     from .parallel.runner import RunStats
     from .soc.simobject import startup_hooks
 
+    exp, params = _params(args)
     if hasattr(args, "inject"):  # campaign's --checkpoint-every is its own
         _setup_resilience(args)
     store = None
     if cache and not args.no_cache and not startup_hooks:
         store = ResultCache()
     stats = RunStats()
+    points = total(params) if total else len(exp.points(params))
     payload = experiment.run(
-        experiment.get(name), params, jobs=args.jobs, cache=store,
+        exp, params, jobs=args.jobs, cache=store,
         point_timeout=args.point_timeout,
         # campaign has no --keep-going: a failed experiment is an infra row
         keep_going=getattr(args, "keep_going", True),
         progress=ProgressReporter(points, label=args.command), stats=stats)
-    _report_run_stats(stats)
-    return payload, store
+    if stats.summary() is not None:
+        print(stats.summary(), file=sys.stderr)
+    return params, payload, store
 
 
 def cmd_fig5(args: argparse.Namespace) -> int:
-    from .dse.pmu_experiment import Fig5Result, run_fig5
+    from .dse.pmu_experiment import Fig5Result
     from .dse.render import render_fig5
 
-    intervals = args.intervals
-    if len(intervals) == 1:
+    exp, p = _params(args)
+    if len(p["intervals"]) == 1:
         # in-process: a SimulationHang reaches main() as itself
         _setup_resilience(args)
-        results = {intervals[0]: run_fig5(n_sort=args.n,
-                                          interval_cycles=intervals[0])}
+        series = [exp.worker(point) for point in exp.points(p)]
     else:
-        payload, _ = _run_experiment(
-            args, "pmu_fig5", {"n": args.n, "intervals": intervals},
-            len(intervals))
-        results = {int(interval): Fig5Result.from_dict(series)
-                   for interval, series in payload["series"].items()}
-    for interval, result in results.items():
-        if len(results) > 1:
-            print(f"\n== sampling interval: {interval} cycles ==")
-        print(render_fig5(result, max_rows=args.rows))
+        series = list(_run_experiment(args)[1]["series"].values())
+    for one in series:
+        if len(series) > 1:
+            print(f"\n== sampling interval: {one['interval']} cycles ==")
+        print(render_fig5(Fig5Result.from_dict(one), max_rows=args.rows))
     return 0
 
 
@@ -349,8 +332,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
     from .dse.pmu_experiment import Table2Row
     from .dse.render import render_table2
 
-    rows, _ = _run_experiment(args, "table2", {"sizes": args.sizes},
-                              len(args.sizes))
+    _, rows, _ = _run_experiment(args)
     print(render_table2(Table2Row(**row) for row in rows))
     return 0
 
@@ -361,19 +343,14 @@ def cmd_dse(args: argparse.Namespace) -> int:
     from .dse.render import render_dse
     from .dse.sweep import DSEResult
 
-    inflight, memories = args.inflight, args.memories
-    n_points = len(inflight) * len(memories) + 1
     t0 = time.perf_counter()
-    payload, cache = _run_experiment(
-        args, "dse", {"workload": args.workload, "n_nvdla": args.nvdla,
-                      "inflight": inflight, "memories": memories,
-                      "scale": args.scale}, n_points, cache=True)
+    p, payload, cache = _run_experiment(args, cache=True)
     result = DSEResult.from_payload(
         payload, wall_seconds=time.perf_counter() - t0, jobs=args.jobs,
         cache_hits=cache.stats.hits if cache is not None else 0)
-    print(render_dse(result, inflight_sweep=inflight))
-    line = (f"\n({result.wall_seconds:.1f}s wall for {n_points} simulations "
-            f"at jobs={args.jobs}")
+    print(render_dse(result, inflight_sweep=p["inflight"]))
+    line = (f"\n({result.wall_seconds:.1f}s wall for {result.points} "
+            f"simulations at jobs={args.jobs}")
     if cache is not None:
         line += (f"; cache: {cache.stats.hits} hit(s), "
                  f"{cache.stats.misses} miss(es) under {cache.root}")
@@ -385,26 +362,22 @@ def cmd_table3(args: argparse.Namespace) -> int:
     from .dse.render import render_table3
     from .dse.sweep import Table3Result
 
-    workloads = ["sanity3", "googlenet"]
-    rows, _ = _run_experiment(args, "table3", {"workloads": workloads},
-                              len(workloads))
+    _, rows, _ = _run_experiment(args)
     print(render_table3(Table3Result(**row) for row in rows))
     return 0
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    from .resilience.campaign import render_report
+    from .resilience.campaign import render_report, render_summary
     from .resilience.targets import TARGETS
 
     if args.list_targets:
-        width = max(len(name) for name in TARGETS)
-        for name in sorted(TARGETS):
-            target = TARGETS[name]
-            defaults = ", ".join(
-                f"{k}={v}" for k, v in sorted(target.defaults.items())
-            )
-            print(f"{name:<{width}}  {target.description}")
-            print(f"{'':<{width}}  defaults: {defaults}")
+        width = max(map(len, TARGETS))
+        for name, target in sorted(TARGETS.items()):
+            defaults = ", ".join(f"{k}={v}" for k, v in
+                                 sorted(target.defaults.items()))
+            print(f"{name:<{width}}  {target.description}\n"
+                  f"{'':<{width}}  defaults: {defaults}")
         return 0
     if not args.target:
         print("repro: campaign: a TARGET is required "
@@ -412,38 +385,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        report, _ = _run_experiment(args, "campaign", {
-            "target": args.target, "params": dict(args.param),
-            "budget": args.budget, "seed": args.seed,
-            "checkpoint_every": args.checkpoint_every,
-            "max_cycles": args.max_cycles,
-            "watchdog_interval": args.watchdog_interval,
-            "wall_timeout": args.wall_timeout,
-        }, args.budget, cache=True)
+        _, report, _ = _run_experiment(
+            args, cache=True, total=lambda cfg: cfg["budget"])
     except ValueError as err:
         print(f"repro: campaign: {err}", file=sys.stderr)
         return 2
-
-    hist = report["histogram"]
-    parts = ", ".join(f"{name} {hist[name]}" for name in hist if hist[name])
-    print(f"campaign: {args.target} seed={args.seed} "
-          f"budget={report['campaign']['budget']}")
-    print(f"outcomes: {parts or 'none'}")
-    avf = report["avf"]
-    low, high = report["avf_ci95"]
-    if avf is not None:
-        print(f"AVF: {avf:.4f} (95% CI [{low:.4f}, {high:.4f}] "
-              f"over {report['valid_samples']} experiments)")
-    width = max((len(name) for name in report["signals"]), default=6)
-    print(f"{'signal':<{width}}  {'n':>4}  {'vuln':>4}  "
-          f"{'avf':>7}  ci95")
-    for name, entry in report["signals"].items():
-        savf = entry["avf"]
-        slo, shi = entry["avf_ci95"]
-        print(f"{name:<{width}}  {entry['valid_samples']:>4}  "
-              f"{entry['vulnerable']:>4}  "
-              f"{'-' if savf is None else f'{savf:>7.4f}'}  "
-              f"[{slo:.4f}, {shi:.4f}]")
+    print(render_summary(report))
     if args.report:
         os.makedirs(os.path.dirname(args.report) or ".", exist_ok=True)
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -747,7 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="gem5+rtl reproduction: RTL models inside a "
                     "full-system simulator",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Command)
 
     p = sub.add_parser("compile", help="compile an HDL file")
     p.add_argument("file", help=".v/.sv or .vhd/.vhdl source")
@@ -823,90 +771,51 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record failed sweep points and continue "
                             "instead of aborting the whole sweep")
 
-    p = sub.add_parser("fig5", help="PMU vs gem5 IPC series")
-    p.add_argument("--n", type=int, default=200, help="sort size")
-    p.add_argument("--intervals", "--interval", default="10000",
-                   type=_int_list, dest="intervals", metavar="CYC[,CYC...]",
-                   help="sampling interval(s); several run in parallel")
-    p.add_argument("--rows", type=int, default=40)
-    add_jobs(p)
-    add_trace_opts(p)
-    add_resilience_opts(p)
-    p.set_defaults(fn=cmd_fig5)
+    def add_experiment(name: str, help: str, fn, record: str = "",
+                       flags=(), sweep: bool = True) -> None:
+        """Command *name* runs *record* (default: *name*): its table's
+        flags, then its own ``(flag, keywords)``, jobs and, for a sweep,
+        tracing and resilience."""
+        def add_arguments(p: argparse.ArgumentParser) -> None:
+            from .experiment import get
 
-    p = sub.add_parser("table2", help="PMU/waveform overheads")
-    p.add_argument("--sizes", default="60,150,300", type=_int_list)
-    add_jobs(p)
-    add_trace_opts(p)
-    add_resilience_opts(p)
-    p.set_defaults(fn=cmd_table2)
+            for row in get(record or name).params:
+                if row.flags:
+                    _add_param(p, row)
+            for flag, kw in flags:
+                p.add_argument(flag, **kw)
+            add_jobs(p)
+            if sweep:
+                add_trace_opts(p)
+                add_resilience_opts(p)
+            p.set_defaults(fn=fn, record=record or name)
 
-    p = sub.add_parser("dse", help="NVDLA design-space exploration")
-    p.add_argument("--workload", choices=("sanity3", "googlenet"),
-                   default="sanity3")
-    p.add_argument("--nvdla", type=int, default=1)
-    p.add_argument("--inflight", default="1,4,8,16,32,64,128,240",
-                   type=_int_list)
-    p.add_argument("--memories",
-                   default="DDR4-1ch,DDR4-2ch,DDR4-4ch,GDDR5,HBM",
-                   type=_memory_list)
-    p.add_argument("--scale", type=float, default=None)
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and do not write the on-disk point cache "
-                        "(benchmarks/out/cache)")
-    add_jobs(p)
-    add_trace_opts(p)
-    add_resilience_opts(p)
-    p.set_defaults(fn=cmd_dse)
+        sub.add_parser(name, help=help).add_arguments = add_arguments
 
-    p = sub.add_parser("table3", help="full-system vs standalone overhead")
-    add_jobs(p)
-    add_trace_opts(p)
-    add_resilience_opts(p)
-    p.set_defaults(fn=cmd_table3)
-
-    p = sub.add_parser(
-        "campaign",
-        help="fault-injection campaign with triage and AVF report",
-    )
-    p.add_argument("target", nargs="?", default=None,
-                   help="campaign target name (see --list-targets)")
-    p.add_argument("--list-targets", action="store_true",
-                   help="list registered campaign targets and exit")
-    p.add_argument("--budget", type=int, default=32, metavar="N",
-                   help="number of fault-injection experiments "
-                        "(default 32)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="sampling seed (same seed => same faults => "
-                        "byte-identical report)")
-    p.add_argument("--param", action="append", default=[],
-                   type=_name_value, metavar="NAME=VALUE",
-                   help="target parameter override (repeatable)")
-    p.add_argument("--report", default=None, metavar="PATH",
-                   help="write the full JSON vulnerability report here")
-    p.add_argument("--checkpoint-every", type=int, default=None,
-                   metavar="CYC",
-                   help="golden checkpoint cadence "
-                        "(default: per-target)")
-    p.add_argument("--max-cycles", type=int, default=None, metavar="CYC",
-                   help="per-experiment cycle budget "
-                        "(default: per-target)")
-    p.add_argument("--watchdog-interval", type=int, default=2_000,
-                   metavar="CYC",
-                   help="hang-watchdog check interval (default 2000)")
-    p.add_argument("--wall-timeout", type=float, default=600.0,
-                   metavar="SEC",
-                   help="per-experiment wall-clock budget "
-                        "(default 600)")
-    p.add_argument("--point-timeout", type=float, default=None,
-                   metavar="SEC",
-                   help="with --jobs > 1: kill and retry any "
-                        "experiment exceeding this wall clock")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and do not write the shared result "
-                        "cache (experiments always re-run)")
-    add_jobs(p)
-    p.set_defaults(fn=cmd_campaign)
+    add_experiment("fig5", "PMU vs gem5 IPC series", cmd_fig5, "pmu_fig5",
+                   [("--rows", {"type": int, "default": 40})])
+    add_experiment("table2", "PMU/waveform overheads", cmd_table2)
+    add_experiment("dse", "NVDLA design-space exploration", cmd_dse, flags=[
+        ("--no-cache", {"action": "store_true", "help": "ignore and do not "
+                        "write the on-disk point cache (benchmarks/out/cache)"})])
+    add_experiment("table3", "full-system vs standalone overhead", cmd_table3)
+    add_experiment(
+        "campaign", "fault-injection campaign with triage and AVF report",
+        cmd_campaign, sweep=False, flags=[
+            ("--list-targets", {
+                "action": "store_true",
+                "help": "list registered campaign targets and exit"}),
+            ("--report", {
+                "metavar": "PATH",
+                "help": "write the full JSON vulnerability report here"}),
+            ("--point-timeout", {
+                "type": float, "metavar": "SEC",
+                "help": "with --jobs > 1: kill and retry any experiment "
+                        "exceeding this wall clock"}),
+            ("--no-cache", {
+                "action": "store_true",
+                "help": "ignore and do not write the shared result cache "
+                        "(experiments always re-run)"})])
 
     p = sub.add_parser(
         "verify",

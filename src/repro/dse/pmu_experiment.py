@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from ..experiment import Experiment, Params
+from ..experiment import Experiment, Param
 from ..models.pmu.driver import PMUDriver
 from ..models.pmu.rtl_object import PMURTLObject
 from ..models.pmu.wrapper import PMUSharedLibrary
@@ -217,22 +217,20 @@ def fig5_point(point: tuple) -> dict:
     return {"interval": interval, **asdict(result)}
 
 
-def _fig5_params(params: dict) -> dict:
-    p = Params("pmu_fig5", params, n=200, intervals=[10_000],
-               memory="DDR4-2ch", sleep_cycles=20_000)
-    return {"n": p.number("n"),
-            "intervals": p.number("intervals", many=True),
-            "memory": p.choice("memory", MEMORIES),
-            "sleep_cycles": p.number("sleep_cycles", above=-1)}
-
-
 #: Fig. 5 at several sampling intervals; each series is an independent
 #: full-system run.  The payload's ``series`` maps each interval that
 #: ran to its :func:`fig5_point` dict (a failed one, under
 #: ``keep_going``, is left out).
 FIG5 = Experiment(
     name="pmu_fig5",
-    normalize=_fig5_params,
+    params=(
+        Param("n", 200, help="sort size", flags=("--n",)),
+        Param("intervals", [10_000], many=True,
+              help="sampling interval(s); several run in parallel",
+              flags=("--intervals", "--interval"), metavar="CYC[,CYC...]"),
+        Param("memory", "DDR4-2ch", str, choices=MEMORIES),
+        Param("sleep_cycles", 20_000, above=-1),
+    ),
     points=lambda p: [(p["n"], iv, p["memory"], p["sleep_cycles"])
                       for iv in p["intervals"]],
     worker=fig5_point,
@@ -306,12 +304,6 @@ def _table2_row(point: tuple) -> dict:
     return asdict(Table2Row(n, t_plain, t_pmu, t_wave))
 
 
-def _table2_params(params: dict) -> dict:
-    p = Params("table2", params, sizes=[60, 150, 300], memory="DDR4-2ch")
-    return {"sizes": p.number("sizes", many=True),
-            "memory": p.choice("memory", MEMORIES)}
-
-
 #: Table 2: wall-clock overhead of gem5+PMU and +waveform.  Sizes are
 #: the sort-benchmark N (the paper uses 3k/30k/60k on a C++ simulator;
 #: scaled here — the *ratios* are the result).  Rows are wall-clock
@@ -319,7 +311,10 @@ def _table2_params(params: dict) -> dict:
 #: :class:`Table2Row` fields of every row that ran.
 TABLE2 = Experiment(
     name="table2",
-    normalize=_table2_params,
+    params=(
+        Param("sizes", [60, 150, 300], many=True, flags=("--sizes",)),
+        Param("memory", "DDR4-2ch", str, choices=MEMORIES),
+    ),
     points=lambda p: [(n, p["memory"]) for n in p["sizes"]],
     worker=_table2_row,
     point_fields=lambda p, point: {"experiment": "table2_row",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 
-from ..experiment import Experiment, Params, run
+from ..experiment import Experiment, Param, checked, run
 from ..models.nvdla.workloads import WORKLOADS
 from ..soc.mem.dram import MEMORY_PRESETS
 from .nvdla_system import build_nvdla_system
@@ -30,8 +30,9 @@ MEMORIES = ("DDR4-1ch", "DDR4-2ch", "DDR4-4ch", "GDDR5", "HBM")
 #: NVDLA instance counts of the (a)/(b)/(c) subfigures
 NVDLA_COUNTS = (1, 2, 4)
 
-#: default workload scales: full-size sanity3; GoogleNet shrunk for
-#: wall-clock (the stream is still ~19x the 240-deep in-flight window)
+#: the workloads a DSE sweeps (the paper's Figs. 7 and 6) and their
+#: default scales: full-size sanity3; GoogleNet shrunk for wall-clock
+#: (the stream is still ~19x the 240-deep in-flight window)
 DEFAULT_SCALES = {"sanity3": 1.0, "googlenet": 0.35}
 
 
@@ -109,17 +110,11 @@ def _dse_point(point: tuple) -> dict:
     return {"ticks": ticks, "seconds": time.perf_counter() - t0}
 
 
-def _dse_params(params: dict) -> dict:
-    p = Params("dse", params, workload="sanity3", n_nvdla=1,
-               inflight=list(INFLIGHT_SWEEP), memories=list(MEMORIES),
-               scale=None)
-    workload = p.choice("workload", WORKLOADS)
-    scale = p.number("scale", float)
-    return {"workload": workload, "n_nvdla": p.number("n_nvdla"),
-            "inflight": p.number("inflight", many=True),
-            "memories": p.choice("memories", MEMORY_PRESETS, many=True),
-            "scale": DEFAULT_SCALES.get(workload, 1.0) if scale is None
-            else scale}
+def _dse_scale(p: dict) -> dict:
+    """No scale given: the workload's default one."""
+    if p["scale"] is None:
+        p["scale"] = DEFAULT_SCALES[p["workload"]]
+    return p
 
 
 def _dse_points(p: dict) -> list[tuple]:
@@ -156,7 +151,17 @@ def _dse_payload(p: dict, measured: list) -> dict:
 #: points' measured wall time, as first simulated.
 DSE = Experiment(
     name="dse",
-    normalize=_dse_params,
+    params=(
+        Param("workload", "sanity3", str, choices=tuple(DEFAULT_SCALES),
+              flags=("--workload",)),
+        Param("n_nvdla", 1, flags=("--nvdla",)),
+        Param("inflight", list(INFLIGHT_SWEEP), many=True,
+              flags=("--inflight",)),
+        Param("memories", list(MEMORIES), str, many=True,
+              choices=tuple(MEMORY_PRESETS), flags=("--memories",)),
+        Param("scale", None, float, flags=("--scale",)),
+    ),
+    rules=_dse_scale,
     points=_dse_points,
     worker=_dse_point,
     point_fields=lambda p, point: {"experiment": "dse_point", **dict(zip(
@@ -207,14 +212,6 @@ def _coherence_point(point: tuple) -> dict:
     return result
 
 
-def _coherence_params(params: dict) -> dict:
-    p = Params("coherence", params, sharers=list(SHARERS_SWEEP), ops=400,
-               seed=0, rtl=False)
-    return {"sharers": p.number("sharers", many=True), "ops": p.number("ops"),
-            "seed": p.number("seed", above=None),
-            "rtl": bool(p.choice("rtl", (False, True)))}
-
-
 #: The sharer count swept through the MESI sharing stress.  Each point
 #: is one :func:`repro.coherence.check.run_sharing_stress` run (protocol
 #: invariants audited throughout, golden memory compared at the end).
@@ -222,7 +219,12 @@ def _coherence_params(params: dict) -> dict:
 #: None for a point that failed under ``keep_going``.
 COHERENCE = Experiment(
     name="coherence",
-    normalize=_coherence_params,
+    params=(
+        Param("sharers", list(SHARERS_SWEEP), many=True),
+        Param("ops", 400),
+        Param("seed", 0, above=None),
+        Param("rtl", False, bool, choices=(False, True)),
+    ),
     points=lambda p: [(n, p["ops"], p["seed"], p["rtl"])
                       for n in p["sharers"]],
     worker=_coherence_point,
@@ -317,17 +319,13 @@ def _table3_row(point: tuple) -> dict:
                                            t_ddr4))
 
 
-def _table3_params(params: dict) -> dict:
-    p = Params("table3", params, workloads=["sanity3", "googlenet"],
-               scales={})
-    workloads = p.choice("workloads", WORKLOADS, many=True)
-    if not isinstance(p["scales"], dict):
-        raise ValueError(f"table3: scales must be an object, got "
-                         f"{p['scales']!r}")
-    scales = Params("table3 scales", p["scales"], **{
-        w: DEFAULT_SCALES.get(w, 1.0) for w in workloads})
-    return {"workloads": workloads,
-            "scales": {w: scales.number(w, float) for w in workloads}}
+def _table3_scales(p: dict) -> dict:
+    """``scales`` holds a scale for each named workload, by default the
+    workload's own."""
+    p["scales"] = checked("table3 scales", [
+        Param(w, DEFAULT_SCALES.get(w, 1.0), float) for w in p["workloads"]
+    ], p["scales"])
+    return p
 
 
 #: Table 3: full-system overhead vs standalone simulation.  Rows are
@@ -337,7 +335,12 @@ def _table3_params(params: dict) -> dict:
 #: :class:`Table3Result` fields of every row that ran.
 TABLE3 = Experiment(
     name="table3",
-    normalize=_table3_params,
+    params=(
+        Param("workloads", ["sanity3", "googlenet"], str, many=True,
+              choices=tuple(WORKLOADS)),
+        Param("scales", {}, dict),
+    ),
+    rules=_table3_scales,
     points=lambda p: [(w, p["scales"][w]) for w in p["workloads"]],
     worker=_table3_row,
     point_fields=lambda p, point: {"experiment": "table3_row",

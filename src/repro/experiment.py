@@ -7,6 +7,10 @@ serve scheduler runs the same records shard by shard.  Both key a point
 by the record's ``point_fields`` alone, so a point simulated by one is a
 cache hit for the other.
 
+A record declares each request key once, as a :class:`Param` row: its
+default, its check and its CLI flag.  ``normalize`` and the CLI's
+subcommand are both built from the rows, so the two cannot disagree.
+
 The registry maps names to ``"module:attr"`` strings: :func:`names`
 imports nothing and :func:`get` imports only the record's module.  This
 module imports only the standard library.
@@ -16,16 +20,92 @@ from __future__ import annotations
 
 import functools
 import importlib
-from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
-__all__ = ["Experiment", "Params", "UnknownExperiment", "get", "names",
-           "register", "run"]
+__all__ = ["Experiment", "Param", "UnknownExperiment", "checked", "get",
+           "names", "register", "run"]
 
 
 class UnknownExperiment(ValueError):
     """A request named no registered experiment."""
+
+
+@dataclass(frozen=True)
+class Param:
+    """One request key of a record.  A value must be one of ``choices``;
+    without them, a number must exceed ``above`` (None: any) and a
+    ``str`` or ``dict`` must be one.  ``many`` takes a non-empty list of
+    values (a lone value is a list of one).  A None default lets None
+    stand.  ``flags`` are the CLI's option strings, the first naming the
+    argparse dest, or a positional's bare name; ``help`` (which may quote
+    ``%(default)s``) and ``metavar`` are argparse's."""
+
+    name: str
+    default: Any = None
+    kind: type = int
+    many: bool = False
+    choices: Optional[tuple] = None
+    above: Optional[float] = 0
+    help: Optional[str] = None
+    flags: tuple[str, ...] = ()
+    metavar: Optional[str] = None
+
+    @property
+    def dest(self) -> str:
+        return self.flags[0].lstrip("-").replace("-", "_")
+
+    @property
+    def want(self) -> str:
+        """What a value must be, as the error message says it."""
+        if self.choices is not None:
+            want = f"one of {sorted(self.choices)}"
+        elif self.kind is dict:
+            want = "an object"
+        elif self.kind is str or self.above is None:
+            want = self.kind.__name__
+        else:
+            want = f"{self.kind.__name__} > {self.above}"
+        return f"a list of {want}" if self.many else want
+
+    def _one(self, value):
+        if self.choices is not None:
+            if value not in self.choices:
+                raise ValueError
+            return self.kind(value)  # a bool choice: 1 is True
+        if self.kind in (str, dict):
+            if not isinstance(value, self.kind):
+                raise ValueError
+            return value
+        out = self.kind(value)
+        if self.above is not None and out <= self.above:
+            raise ValueError
+        return out
+
+    def check(self, value, record: str):
+        """*value* in canonical form, or a ``ValueError`` naming *record*."""
+        if value is None and self.default is None:
+            return None
+        values = value if self.many and isinstance(value, (list, tuple)) \
+            else [value]
+        try:
+            out = [self._one(v) for v in values]
+            if not out:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError(f"{record}: {self.name} must be {self.want}, "
+                             f"got {value!r}") from None
+        return out if self.many else out[0]
+
+
+def checked(name: str, table, request: dict) -> dict:
+    """*request* over *table*'s defaults, every value checked; a key the
+    table lacks raises ``ValueError``."""
+    extra = sorted(set(request) - {param.name for param in table})
+    if extra:
+        raise ValueError(f"{name}: unknown params {extra}")
+    return {param.name: param.check(request.get(param.name, param.default),
+                                    name) for param in table}
 
 
 @dataclass(frozen=True)
@@ -34,9 +114,10 @@ class Experiment:
 
     ``normalize`` fills defaults and raises ``ValueError`` on an unknown
     key or an out-of-range value (serve feeds it HTTP input); the other
-    callables see its canonical dict.  ``points`` is a pure function of
-    it.  ``worker`` is module-level (it pickles into pool workers) and
-    returns a JSON-encodable dict.  ``point_fields`` are a point's cache
+    callables see its canonical dict.  By default it is :func:`checked`
+    over ``params``, then the ``rules`` no row can state.  ``points`` is
+    a pure function of it.  ``worker`` is module-level (it pickles into
+    pool workers) and returns a JSON-encodable dict.  ``point_fields`` are a point's cache
     key, with the source hash :meth:`ResultCache.key` adds.  ``assemble``
     folds the results, in point order, into the JSON-encodable payload;
     a slot that is not a dict holds a
@@ -44,17 +125,27 @@ class Experiment:
     """
 
     name: str
-    normalize: Callable[[dict], dict]
     points: Callable[[dict], list]
     worker: Callable[[Any], Any]
     point_fields: Callable[[dict, Any], dict]
     assemble: Callable[[dict, list], Any]
+    params: tuple[Param, ...] = ()
+    rules: Optional[Callable[[dict], dict]] = None
+    normalize: Optional[Callable[[dict], dict]] = None
     #: wall-clock measurements must never be cached (see ResultCache)
     cacheable: bool = True
     #: optional ``(params, point, result) -> dict | None``; when set,
     #: the scheduler streams one ``triage`` event per resolved point
     #: (cache hits included) over the job's NDJSON event log
     point_event: Optional[Callable[[dict, Any, Any], Optional[dict]]] = None
+
+    def __post_init__(self) -> None:
+        if self.normalize is None:
+            object.__setattr__(self, "normalize", self._normalize)
+
+    def _normalize(self, request: dict) -> dict:
+        params = checked(self.name, self.params, request)
+        return self.rules(params) if self.rules else params
 
 
 _REGISTRY: dict[str, Union[str, Experiment]] = {
@@ -108,56 +199,3 @@ def run(exp: Experiment, params: dict, *, jobs: int = 1, cache=None,
     )
     return exp.assemble(params, found.results)
 
-
-class Params:
-    """A request's params over a record's defaults.  A key the defaults
-    lack, or a value a check rejects, raises ``ValueError``."""
-
-    def __init__(self, name: str, request: dict, /, **defaults: Any) -> None:
-        extra = sorted(set(request) - set(defaults))
-        if extra:
-            raise ValueError(f"{name}: unknown params {extra}")
-        self.name, self.defaults = name, defaults
-        self.values = {**defaults, **request}
-
-    def __getitem__(self, key: str) -> Any:
-        return self.values[key]
-
-    def _each(self, key: str, many: bool, check: Callable, want: str):
-        """*check* over the value (with *many*: over a value or a
-        non-empty list of them); a None default stays None."""
-        value = self.values[key]
-        if value is None and self.defaults[key] is None:
-            return None
-        values = value if many and isinstance(value, (list, tuple)) \
-            else [value]
-        try:
-            out = [check(v) for v in values]
-            if not out:
-                raise ValueError
-        except (TypeError, ValueError):
-            want = f"a list of {want}" if many else want
-            raise ValueError(f"{self.name}: {key} must be {want}, "
-                             f"got {value!r}") from None
-        return out if many else out[0]
-
-    def number(self, key: str, kind: type = int,
-               above: Optional[float] = 0, many: bool = False):
-        """The value as *kind*, greater than *above* (None: any)."""
-        def check(value):
-            out = kind(value)
-            if above is not None and out <= above:
-                raise ValueError
-            return out
-
-        bound = "" if above is None else f" > {above}"
-        return self._each(key, many, check, f"{kind.__name__}{bound}")
-
-    def choice(self, key: str, options, many: bool = False):
-        """The value, which must be one of *options*."""
-        def check(value):
-            if not isinstance(value, Hashable) or value not in options:
-                raise ValueError
-            return value
-
-        return self._each(key, many, check, f"one of {sorted(options)}")

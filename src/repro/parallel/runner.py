@@ -97,6 +97,17 @@ class RunStats:
     #: (pool crash or a neighbour's timeout) — visible in hang reports
     requeues: dict[int, int] = field(default_factory=dict)
 
+    def summary(self) -> Optional[str]:
+        """One line when the sweep had to retry, kill or skip points."""
+        if not (self.failed or self.timeout_kills or self.pool_restarts
+                or self.soft_retries):
+            return None
+        return (f"sweep resilience: {self.completed}/{self.points} "
+                f"completed, {self.failed} failed, {self.soft_retries} soft "
+                f"retries, {self.timeout_kills} timeout kills, "
+                f"{self.pool_restarts} pool restarts, "
+                f"{sum(self.requeues.values())} innocent requeues")
+
 
 def _guarded(worker: Callable, point, env: Optional[dict] = None,
              index: Optional[int] = None,

@@ -51,7 +51,7 @@ import tempfile
 import time
 from typing import Callable, Optional
 
-from ..experiment import Experiment, Params, run
+from ..experiment import Experiment, Param, run
 from ..parallel.cache import code_version
 from ..soc.simobject import CycleBudgetExceeded, WallClockExceeded
 from .control import PeriodicCheckpointer
@@ -405,26 +405,19 @@ def run_experiment(point: tuple) -> dict:
 def campaign_config(target: Optional[str] = None, **request) -> dict:
     """Canonical campaign configuration: :data:`CAMPAIGN`'s normalize,
     so the CLI, serve and direct callers name a campaign one way."""
-    p = Params("campaign", request, params=None, budget=32, seed=0,
-               checkpoint_every=None, max_cycles=None,
-               watchdog_interval=2_000, wall_timeout=600.0)
-    if target is None:
+    return CAMPAIGN.normalize({"target": target, **request})
+
+
+def _target_rules(cfg: dict) -> dict:
+    """The target is required; its own defaults fill ``params`` and an
+    unset checkpoint cadence or cycle budget."""
+    if cfg["target"] is None:
         raise ValueError("campaign: 'target' is required")
-    if not isinstance(p["params"], (dict, type(None))):
-        raise ValueError(f"campaign: params must be an object, got "
-                         f"{p['params']!r}")
-    spec = get_target(target)
-    return {
-        "target": target,
-        "params": normalize_params(spec, p["params"]),
-        "budget": p.number("budget"),
-        "seed": p.number("seed", above=None),
-        "checkpoint_every": (p.number("checkpoint_every")
-                             or spec.checkpoint_every),
-        "max_cycles": p.number("max_cycles") or spec.max_cycles,
-        "watchdog_interval": p.number("watchdog_interval"),
-        "wall_timeout": p.number("wall_timeout", float),
-    }
+    spec = get_target(cfg["target"])
+    cfg["params"] = normalize_params(spec, cfg["params"])
+    cfg["checkpoint_every"] = cfg["checkpoint_every"] or spec.checkpoint_every
+    cfg["max_cycles"] = cfg["max_cycles"] or spec.max_cycles
+    return cfg
 
 
 def _golden(cfg: dict) -> tuple[str, dict]:
@@ -541,6 +534,29 @@ def render_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def render_summary(report: dict) -> str:
+    """The report as text: outcomes, the AVF and one row per signal."""
+    cfg, hist = report["campaign"], report["histogram"]
+    parts = ", ".join(f"{name} {hist[name]}" for name in hist if hist[name])
+    lines = [f"campaign: {cfg['target']} seed={cfg['seed']} "
+             f"budget={cfg['budget']}", f"outcomes: {parts or 'none'}"]
+    low, high = report["avf_ci95"]
+    if report["avf"] is not None:
+        lines.append(f"AVF: {report['avf']:.4f} (95% CI [{low:.4f}, "
+                     f"{high:.4f}] over {report['valid_samples']} "
+                     "experiments)")
+    width = max((len(name) for name in report["signals"]), default=6)
+    lines.append(f"{'signal':<{width}}  {'n':>4}  {'vuln':>4}  "
+                 f"{'avf':>7}  ci95")
+    for name, entry in report["signals"].items():
+        avf, (low, high) = entry["avf"], entry["avf_ci95"]
+        lines.append(f"{name:<{width}}  {entry['valid_samples']:>4}  "
+                     f"{entry['vulnerable']:>4}  "
+                     f"{'-' if avf is None else f'{avf:>7.4f}'}  "
+                     f"[{low:.4f}, {high:.4f}]")
+    return "\n".join(lines)
+
+
 def _campaign_report(cfg: dict, results: list) -> dict:
     return vulnerability_report(cfg, _golden(cfg)[1], [
         # a failure the runner's retries could not heal is infra
@@ -558,7 +574,30 @@ def _campaign_report(cfg: dict, results: list) -> dict:
 #: cached.
 CAMPAIGN = Experiment(
     name="campaign",
-    normalize=lambda request: campaign_config(**request),
+    params=(
+        Param("target", None, str, flags=("target",),
+              help="campaign target name (see --list-targets)"),
+        Param("budget", 32, flags=("--budget",), metavar="N",
+              help="number of fault-injection experiments "
+                   "(default %(default)s)"),
+        Param("seed", 0, above=None, flags=("--seed",),
+              help="sampling seed (same seed => same faults => "
+                   "byte-identical report)"),
+        Param("params", None, dict, flags=("--param",), metavar="NAME=VALUE",
+              help="target parameter override (repeatable)"),
+        Param("checkpoint_every", None, flags=("--checkpoint-every",),
+              metavar="CYC", help="golden checkpoint cadence "
+                                  "(default: per-target)"),
+        Param("max_cycles", None, flags=("--max-cycles",), metavar="CYC",
+              help="per-experiment cycle budget (default: per-target)"),
+        Param("watchdog_interval", 2_000, flags=("--watchdog-interval",),
+              metavar="CYC",
+              help="hang-watchdog check interval (default %(default)s)"),
+        Param("wall_timeout", 600.0, float, flags=("--wall-timeout",),
+              metavar="SEC", help="per-experiment wall-clock budget "
+                                  "(default %(default)g)"),
+    ),
+    rules=_target_rules,
     points=campaign_points,
     worker=run_experiment,
     point_fields=campaign_point_fields,

@@ -1,7 +1,7 @@
 """CLI glue for the resilience subsystem.
 
 The CLI parses ``--inject`` / ``--watchdog`` / ``--checkpoint-every`` /
-``--restore-from`` before any system exists, so it parks
+``--restore-from`` before any system exists, so :func:`park` parks
 ``functools.partial(arm, ...)`` on
 :data:`repro.soc.simobject.startup_hooks`; the first simulation that
 starts runs it.  The parsed fault plan is also kept in
@@ -17,17 +17,27 @@ structure digest matches as long as the same flags are passed.
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Callable, Optional
 
 from ..soc.event import Event, EventPriority
-from ..soc.simobject import VALUE, SimObject, Simulation
+from ..soc.simobject import VALUE, SimObject, Simulation, startup_hooks
 from .faults import FaultInjector, FaultPlan
 from .serialize import checkpoint_document, write_checkpoint
 from .watchdog import Watchdog
 
 #: the ``--inject`` plan, read by pool workers for worker-side faults
 worker_plan: Optional[FaultPlan] = None
+
+
+def park(plan: Optional[FaultPlan], **hooks) -> None:
+    """:func:`arm` for the first simulation that starts (per process:
+    pool workers inherit the list on fork), with *plan* as the
+    :data:`worker_plan`."""
+    global worker_plan
+    worker_plan = plan
+    startup_hooks.append(functools.partial(arm, plan=plan, **hooks))
 
 
 def arm(sim: Simulation, plan: Optional[FaultPlan],

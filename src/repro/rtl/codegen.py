@@ -309,12 +309,21 @@ def _unroll(loop: ir.Loop) -> ir.Suite:
     if bits is not None:
         _report(loop, bits + (done,), "stmt")
         return bits + (done,)
+
+    def decided(e: ir.Expr) -> ir.Expr:
+        new = _decided(e)
+        if new is not e:
+            _report(e, new, "value")
+        return new
+
     out: list[ir.Stmt] = []
     for kval in ks:
-        # a nested loop bounded by this variable is literal-bound now
+        # a nested loop bounded by this variable is literal-bound now,
+        # and a test the constant decides goes, as a held pin's does (g)
         fold = ir.folding({var: kval})
-        out.extend(ir.rewrite(loop.body, expr=lambda e: _simplify(fold(e)),
-                              stmt=_lower))
+        out.extend(ir.rewrite(
+            loop.body, expr=lambda e: decided(_simplify(fold(e))),
+            stmt=lambda s: [x for t in _lower(s) for x in _live(t)]))
     out.append(done)
     if len(ir.render(out)) > _MAX_UNROLL_LINES:
         return (loop,)
@@ -360,7 +369,11 @@ _MAX_FOLD_SHIFT = 1 << 12
 
 def _decided(e: ir.Expr) -> ir.Expr:
     """One node whose operands are folded: an operator over constants is
-    the constant its print computes."""
+    the constant its print computes, and an ``and`` with a zero operand
+    is zero."""
+    if type(e) is ir.Op and e.op == "and" \
+            and any(type(a) is ir.Const and not a.value for a in e.args):
+        return ir.Const(0, e.width)
     if type(e) is not ir.Op or any(type(a) is not ir.Const for a in e.args) \
             or e.op == "<<" and e.args[1].value > _MAX_FOLD_SHIFT:
         return e

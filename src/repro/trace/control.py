@@ -15,9 +15,10 @@ waveforms, reproducing the runtime enable/disable flow whose cost
 Table 2 quantifies.
 
 The CLI cannot build the window itself (experiment harnesses create
-their :class:`~repro.soc.simobject.Simulation` internally), so it parks
-a hook that builds one on :data:`repro.soc.simobject.startup_hooks`;
-the first simulation that starts runs it.
+their :class:`~repro.soc.simobject.Simulation` internally), so
+:func:`arm` parks a hook that builds one on
+:data:`repro.soc.simobject.startup_hooks`; the first simulation that
+starts runs it.
 """
 
 from __future__ import annotations
@@ -30,10 +31,15 @@ from .flags import (
     disable,
     enable,
     get_chrome_tracer,
+    parse_flags,
+    set_chrome_tracer,
+    set_default_profiler,
+    set_flags,
 )
 
 __all__ = [
     "TraceWindow",
+    "arm",
     "register_coverage",
     "register_vcd",
     "registered_coverage",
@@ -66,6 +72,36 @@ def register_coverage(collector) -> None:
 
 def registered_coverage() -> list:
     return list(_coverage_sinks)
+
+
+def arm(flag_spec: Optional[str], trace_out: Optional[str] = None,
+        start: Optional[int] = None, end: Optional[int] = None):
+    """The CLI's ``--debug-flags``/``--trace-*``: enable the flags of
+    *flag_spec*, write a Chrome trace to *trace_out*, and with *start* or
+    *end* park a :class:`TraceWindow` for the first simulation that
+    starts.  Returns the installed
+    :class:`~repro.trace.chrome.ChromeTracer`, if any, to ``finish()``
+    once the command completes."""
+    names = parse_flags(flag_spec) if flag_spec else []
+    tracer = None
+    if trace_out:
+        from .chrome import ChromeTracer
+
+        tracer = ChromeTracer(path=trace_out)
+        set_chrome_tracer(tracer)
+        set_default_profiler(tracer)
+        # packet journeys are the headline spans of the JSON trace
+        if "Packet" not in names:
+            names.append("Packet")
+    if start is not None or end is not None:
+        if tracer is not None and start is not None:
+            tracer.enabled = False  # the window's open() flips it on
+        from ..soc.simobject import startup_hooks
+
+        startup_hooks.append(lambda sim: TraceWindow(sim, names, start, end))
+    else:
+        set_flags(names)
+    return tracer
 
 
 class TraceWindow:

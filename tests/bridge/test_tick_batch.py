@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import io
 import random
+import re
 
 import pytest
 
@@ -299,6 +300,18 @@ class TestLagEqualsSingleStep:
         assert "_encode" not in loop and "_decode" not in loop
         assert "_tick_batch" not in loop and "_settle" not in loop
         assert "_rest" not in body
+
+    def test_unrolled_lane_tests_on_held_pins_are_cut(self):
+        """With ``events`` held at 0, each unrolled copy of the lane loop
+        tests ``… and 0 >> k``: a branch the held pin decides, cut as a
+        held pin's own test is.  The text held 57 of them."""
+        lib = PMUSharedLibrary()
+        lib.reset()
+        zeros = lib.output_spec.zeros()
+        lib.tick_varying(lib.input_spec.zeros(), None, [(0, 3)], zeros)
+        source = lib._replays[None].cases[(0,) * 8].source
+        assert not re.search(r"and \(+0\)+ >> \(+\d+\)+", source)
+        assert not re.search(r"and \(+0\)+:", source)
 
     def test_plain_batch_still_runs_every_cycle(self):
         """tick_batch runs the n ticks it always did, whatever the pins
