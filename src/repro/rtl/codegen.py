@@ -310,19 +310,14 @@ def _unroll(loop: ir.Loop) -> ir.Suite:
         _report(loop, bits + (done,), "stmt")
         return bits + (done,)
 
-    def decided(e: ir.Expr) -> ir.Expr:
-        new = _decided(e)
-        if new is not e:
-            _report(e, new, "value")
-        return new
-
+    decide = _deciding(lambda e: e)
     out: list[ir.Stmt] = []
     for kval in ks:
         # a nested loop bounded by this variable is literal-bound now,
         # and a test the constant decides goes, as a held pin's does (g)
         fold = ir.folding({var: kval})
         out.extend(ir.rewrite(
-            loop.body, expr=lambda e: decided(_simplify(fold(e))),
+            loop.body, expr=lambda e: decide(_simplify(fold(e))),
             stmt=lambda s: [x for t in _lower(s) for x in _live(t)]))
     out.append(done)
     if len(ir.render(out)) > _MAX_UNROLL_LINES:
@@ -381,6 +376,19 @@ def _decided(e: ir.Expr) -> ir.Expr:
     return ir.Const(value, e.width, folded=value < 0)
 
 
+def _deciding(fold: Callable[[ir.Expr], ir.Expr]):
+    """For :func:`ir.rewrite`: *fold*, then :func:`_decided`, each
+    change reported."""
+    def expr(e: ir.Expr) -> ir.Expr:
+        new = _decided(fold(e))
+        if new is not e:
+            test = type(e) is ir.Op and e.op in ir.TESTS
+            _report(e, new, "truth" if test else "value")
+        return new
+
+    return expr
+
+
 def _live(s: ir.Stmt) -> ir.Suite:
     """One statement whose parts are folded: an ``if`` on a constant is
     its live branch, and an ``elif`` chain whose next link went stays a
@@ -408,16 +416,8 @@ def _held(body: ir.Suite, held: tuple[tuple[int, int], ...]) -> ir.Suite:
     cut to its live branch; bounded, as :func:`_lowered`."""
     if not held:
         return body
-    fold = ir.folding(dict(held))
-
-    def expr(e: ir.Expr) -> ir.Expr:
-        new = _decided(fold(e))
-        if new is not e:
-            test = type(e) is ir.Op and e.op in ir.TESTS
-            _report(e, new, "truth" if test else "value")
-        return new
-
-    return ir.rewrite(body, expr=expr, stmt=_live)
+    return ir.rewrite(body, expr=_deciding(ir.folding(dict(held))),
+                      stmt=_live)
 
 
 # -- (h) in-place memory NBAs ---------------------------------------------
