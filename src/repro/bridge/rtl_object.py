@@ -62,12 +62,12 @@ class RTLObject(SimObject):
 
     ckpt_state = (
         ("cpu_req_queue", DEQUE),
-        ("blocked_resps", "cpu_side", PORT_QUEUES),
         ("mem_req_queue", "mem_side", PORT_QUEUES),
         ("mem_resp_queue", DEQUE),
         ("inflight", VALUE), ("running", VALUE), ("library", OWNED),
     )
-    #: the last output struct, saved as its bytes whatever its form
+    #: the hook: the last output struct is in the library's form, saved
+    #: as its bytes, and loading it rebuilds its decoded memo
     ckpt_hooked = ("_last_out",)
     ckpt_events = {"tick": "_tick_event"}
 
@@ -384,7 +384,7 @@ class RTLObject(SimObject):
                 "cpu_side%d respond %s #%d addr=%#x",
                 port_idx, pkt.cmd.name, pkt.pkt_id, pkt.addr, tick=self.now,
             )
-        self.cpu_side[port_idx].send(pkt)
+        self.cpu_side[port_idx].send_timing_resp(pkt)
 
     # -- memory-side plumbing -------------------------------------------------------
 

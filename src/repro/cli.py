@@ -41,18 +41,6 @@ from typing import Optional
 # argparse ``type=`` converters: a malformed value exits 2 with a usage
 # line instead of a traceback from inside a command.
 
-def _int_list(text: str) -> tuple[int, ...]:
-    """``"60,150,300"`` -> ``(60, 150, 300)``; blank items are skipped."""
-    try:
-        values = tuple(int(item) for item in text.split(",") if item.strip())
-    except ValueError:
-        values = ()
-    if not values:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma-separated list of integers")
-    return values
-
-
 def _name_value(pair: str) -> tuple[str, str]:
     """``"W=0x10"`` -> ``("W", "0x10")``."""
     name, sep, value = pair.partition("=")
@@ -885,23 +873,24 @@ def build_parser() -> argparse.ArgumentParser:
                     help="replay persisted fuzz corpora from here")
     vp.set_defaults(fn=cmd_verify_equiv)
 
-    vp = vsub.add_parser(
+    def add_coherence_arguments(vp: argparse.ArgumentParser) -> None:
+        from .experiment import get
+
+        for row in get("coherence").params:
+            if row.flags:
+                _add_param(vp, row)
+        vp.add_argument("--rtl", action="store_true",
+                        help="include the RTL cache as an extra coherence "
+                             "participant (lockstep-checked)")
+        vp.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="also fan the sweep over N pool workers and "
+                             "require bit-identical results")
+        vp.set_defaults(fn=cmd_verify_coherence)
+
+    vsub.add_parser(
         "coherence",
         help="MESI protocol invariants under seeded random sharing",
-    )
-    vp.add_argument("--sharers", default="2,4", type=_int_list,
-                    metavar="LIST",
-                    help="comma-separated sharer counts (default 2,4)")
-    vp.add_argument("--ops", type=int, default=400,
-                    help="random sharing ops per driver")
-    vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--rtl", action="store_true",
-                    help="include the RTL cache as an extra coherence "
-                         "participant (lockstep-checked)")
-    vp.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="also fan the sweep over N pool workers and "
-                         "require bit-identical results")
-    vp.set_defaults(fn=cmd_verify_coherence)
+    ).add_arguments = add_coherence_arguments
 
     p = sub.add_parser(
         "serve",

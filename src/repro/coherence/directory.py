@@ -33,7 +33,7 @@ from ..soc.cache.sets import BLOCK, SparseSets
 from ..soc.packet import MemCmd, Packet
 from ..soc.ports import RequestPort, ResponsePort
 from ..soc.simobject import (DEQUE, SORTED_PAIRS, SORTED_SET, VALUE,
-                             SimObject, Simulation)
+                             SimObject, Simulation, objects, tags)
 from ..trace import packets as pkttrace
 from ..trace.flags import tracepoint
 from .l1 import FLAG_COH
@@ -59,12 +59,13 @@ class DirEntry:
 class DirectoryController(SimObject):
     """Shared L2 tag array + full-map directory + snoop sequencer."""
 
-    ckpt_state = (("_known", SORTED_SET), ("_inq", DEQUE), ("_busy", VALUE),
+    ckpt_state = (("_entries", objects(DirEntry, (("sharers", SORTED_SET),
+                                                  ("owner", VALUE)))),
+                  ("_l2", tags(lambda ctx, present: (), lambda ctx: True)),
+                  ("_known", SORTED_SET), ("_inq", DEQUE), ("_busy", VALUE),
                   ("_waiting", SORTED_PAIRS),
-                  ("resp_q", "cpu_side.queue", DEQUE),
                   ("downstream_q", "mem_side.queue", DEQUE),
                   ("_need_retry", VALUE))
-    ckpt_hooked = ("_entries", "_l2")
     ckpt_kinds = {"process": "_process"}
 
     def __init__(
@@ -288,7 +289,7 @@ class DirectoryController(SimObject):
             self._entries[block] = fresh
             self._grant(pkt, origin, "M", self._read_mem(block))
         self._touch_l2(block)
-        self.cpu_side.send(pkt.make_response())
+        self.cpu_side.send_timing_resp(pkt.make_response())
 
     def _handle_wt_write(self, pkt: Packet) -> None:
         """Write-through store from an RTL participant (8 bytes)."""
@@ -325,7 +326,7 @@ class DirectoryController(SimObject):
         self.st_wt_writes.inc()
         self._known.add(origin)
         self._touch_l2(block)  # write-no-allocate: touch, never fill
-        self.cpu_side.send(pkt.make_response())
+        self.cpu_side.send_timing_resp(pkt.make_response())
 
     # -- express snoop / grant machinery ------------------------------------
 
@@ -402,7 +403,7 @@ class DirectoryController(SimObject):
         if tag in tags and block not in self._waiting:
             tags.move_to_end(tag)
             self.st_l2_hits.inc()
-            self.cpu_side.send(pkt.make_response(data))
+            self.cpu_side.send_timing_resp(pkt.make_response(data))
             return
         self.st_l2_misses.inc()
         if tag not in tags:
@@ -421,7 +422,7 @@ class DirectoryController(SimObject):
             raise RuntimeError(f"{self.name}: unexpected response {pkt!r}")
         block = pkt.block_addr(BLOCK)
         for req, data in self._waiting.pop(block, ()):
-            self.cpu_side.send(req.make_response(data))
+            self.cpu_side.send_timing_resp(req.make_response(data))
         return True
 
     def _functional(self, pkt: Packet) -> None:
@@ -430,7 +431,7 @@ class DirectoryController(SimObject):
     @property
     def quiet(self) -> bool:
         return (not self._inq and not self._busy and not self._waiting
-                and not self.cpu_side.queue and not self.mem_side.queue)
+                and not self.mem_side.queue)
 
     # -- fault-campaign hook --------------------------------------------------
 
@@ -468,21 +469,3 @@ class DirectoryController(SimObject):
         else:
             entry.owner = known[bit % len(known)]
         return True
-
-    # -- checkpointing --------------------------------------------------------
-
-    def ckpt_save(self, state: dict, ctx) -> None:
-        state["entries"] = [
-            [block, sorted(e.sharers), e.owner]
-            for block, e in sorted(self._entries.items())
-        ]
-        state["l2"] = self._l2.state(lambda present: ())
-
-    def ckpt_load(self, state: dict, ctx) -> None:
-        self._entries = {}
-        for block, sharers, owner in state["entries"]:
-            entry = DirEntry()
-            entry.sharers = set(sharers)
-            entry.owner = owner
-            self._entries[block] = entry
-        self._l2.load(state["l2"], lambda: True, f"{self.path()}.l2")

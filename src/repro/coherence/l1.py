@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from ..soc.cache.core import CacheCore
+from ..soc.cache.core import CacheCore, mshr_file
 from ..soc.cache.sets import BLOCK
 from ..soc.packet import MemCmd, Packet
-from ..soc.simobject import PACKED, VALUE, SimObject, Simulation, named
+from ..soc.simobject import (PACKED, VALUE, SimObject, Simulation, named,
+                              tags)
 from ..trace.flags import debug_flag, tracepoint
 from .protocol import ProtocolError, State, next_state
 
@@ -53,8 +54,13 @@ class CacheLine:
 class CoherentL1Cache(CacheCore):
     """Set-associative private L1 participating in the MESI protocol."""
 
-    mshr_state = (("cmd", named(MemCmd)), ("ready", PACKED),
-                  ("granted", VALUE))
+    ckpt_state = (
+        ("sets", "_tags", tags(
+            lambda ctx, line: (line.state.value, ctx.pack(bytes(line.data))),
+            lambda ctx, st, data: CacheLine(State(st), ctx.unpack(data)))),
+        ("_mshrs", mshr_file(("cmd", named(MemCmd)), ("ready", PACKED),
+                             ("granted", VALUE))),
+    )
     ckpt_kinds = {"miss_req": "mem_side.send", "hit_resp": "_hit_resp"}
 
     def __init__(
@@ -346,7 +352,7 @@ class CoherentL1Cache(CacheCore):
         if not pkt.needs_response:
             return
         pkt.make_response(data)
-        self.cpu_side.send(pkt)
+        self.cpu_side.send_timing_resp(pkt)
 
     def _functional(self, pkt: Packet) -> None:
         """Functional accesses stay coherent with resident dirty lines."""
@@ -367,8 +373,7 @@ class CoherentL1Cache(CacheCore):
 
     @property
     def quiet(self) -> bool:
-        return (not self._mshrs and not self.mem_side.queue
-                and not self.cpu_side.queue)
+        return not self._mshrs and not self.mem_side.queue
 
     def flush_dirty(self) -> int:
         """Functionally write every M line back to memory (golden compare)."""
@@ -386,10 +391,3 @@ class CoherentL1Cache(CacheCore):
     def _hit_resp(self, payload: list) -> None:
         pkt, data = payload
         self._respond(pkt, data)
-
-    def _line_codec(self, ctx):
-        return (
-            "sets",
-            lambda line: (line.state.value, ctx.pack(bytes(line.data))),
-            lambda st, data: CacheLine(State(st), ctx.unpack(data)),
-        )

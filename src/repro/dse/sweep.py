@@ -220,9 +220,12 @@ def _coherence_point(point: tuple) -> dict:
 COHERENCE = Experiment(
     name="coherence",
     params=(
-        Param("sharers", list(SHARERS_SWEEP), many=True),
-        Param("ops", 400),
-        Param("seed", 0, above=None),
+        Param("sharers", list(SHARERS_SWEEP), many=True,
+              help="comma-separated sharer counts (default 1,2,4)",
+              flags=("--sharers",), metavar="LIST"),
+        Param("ops", 400, help="random sharing ops per driver",
+              flags=("--ops",)),
+        Param("seed", 0, above=None, flags=("--seed",)),
         Param("rtl", False, bool, choices=(False, True)),
     ),
     points=lambda p: [(n, p["ops"], p["seed"], p["rtl"])

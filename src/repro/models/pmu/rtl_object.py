@@ -20,16 +20,20 @@ from ...bridge.rtl_object import LAG_LIMIT, RTLObject
 from ...soc.cpu.core import EventWire
 from ...soc.event import ClockDomain
 from ...soc.packet import Packet
-from ...soc.simobject import DEQUE, SimObject, Simulation
+from ...soc.simobject import (DEQUE, EACH, VALUE, Checkpointed, SimObject,
+                              Simulation, fixed)
 from ...soc.stats import SettledScalar
 from .wrapper import PMU_OUTPUT, PMUSharedLibrary
 
 
-class _EventLane:
+class _EventLane(Checkpointed):
     """Event inputs [base, base+lanes) tapping one wire, or the clock
     (no wire, one lane)."""
 
     __slots__ = ("wire", "lanes", "base")
+    #: a wired lane's pulses not consumed yet (a wire such as the
+    #: external L1D-miss tap has no other owner to save them)
+    ckpt_state = (("count", "wire.count", VALUE),)
 
     def __init__(self, base: int, wire: Optional[EventWire],
                  lanes: int) -> None:
@@ -41,8 +45,13 @@ class _EventLane:
 class PMURTLObject(RTLObject):
     """Bridges a :class:`PMUSharedLibrary` into the SoC."""
 
-    ckpt_state = (("_pending_reads", DEQUE),)
-    ckpt_hooked = ("_wired",)
+    ckpt_state = (
+        ("_pending_reads", DEQUE),
+        ("wired_lanes", "_wired", fixed(
+            "{obj.name}: checkpoint has {saved} wired lanes, system has "
+            "{built} — event wiring must match", len)),
+        ("lane_counts", "_wired", EACH),
+    )
 
     def __init__(
         self,
@@ -285,23 +294,3 @@ class PMURTLObject(RTLObject):
             self.st_interrupts.inc()
             for handler in self._interrupt_handlers:
                 handler(self.now)
-
-    # -- checkpointing ----------------------------------------------------
-
-    def ckpt_save(self, state: dict, ctx) -> None:
-        super().ckpt_save(state, ctx)
-        # pending pulse counts per wired lane, in wiring order (wires such
-        # as the external L1D-miss tap have no other serialization owner)
-        state["lane_counts"] = [lane.wire.count for lane in self._wired]
-
-    def ckpt_load(self, state: dict, ctx) -> None:
-        super().ckpt_load(state, ctx)
-        wired = self._wired
-        counts = state["lane_counts"]
-        if len(wired) != len(counts):
-            raise ValueError(
-                f"{self.name}: checkpoint has {len(counts)} wired lanes, "
-                f"system has {len(wired)} — event wiring must match"
-            )
-        for lane, count in zip(wired, counts):
-            lane.wire.count = count

@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..soc.event import EventPriority
-from ..soc.simobject import VALUE, SimObject, Simulation
+from ..soc.simobject import VALUE, SimObject, Simulation, fixed
 
 SIM_FAULT_KINDS = ("dram-drop", "dram-delay", "retry-storm", "rtl-flip")
 WORKER_FAULT_KINDS = ("worker-kill", "worker-hang")
@@ -336,7 +336,10 @@ class FaultInjector(SimObject):
     injected run can itself be checkpointed and restored mid-chaos.
     """
 
-    ckpt_state = (("_read_count", VALUE), ("_storming", VALUE))
+    ckpt_state = (("_read_count", VALUE), ("_storming", VALUE),
+                  ("plan_digest", "plan", fixed(
+                      "{obj.name}: checkpoint was taken under a different "
+                      "fault plan", FaultPlan.schedule_digest)))
     ckpt_kinds = {"dram_redo": "_dram_redo", "storm_on": "_storm_on",
                   "storm_kick": "_storm_kick", "storm_off": "_storm_off",
                   "flip": "_flip"}
@@ -519,18 +522,6 @@ class FaultInjector(SimObject):
             return False
         rtl_sim.poke(signal, rtl_sim.peek(signal) ^ (1 << bit))
         return True
-
-    # -- checkpointing -----------------------------------------------------
-
-    def ckpt_save(self, state: dict, ctx) -> None:
-        state["plan_digest"] = self.plan.schedule_digest()
-
-    def ckpt_load(self, state: dict, ctx) -> None:
-        if state["plan_digest"] != self.plan.schedule_digest():
-            raise ValueError(
-                f"{self.name}: checkpoint was taken under a different "
-                "fault plan"
-            )
 
 
 def apply_worker_faults(

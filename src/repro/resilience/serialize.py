@@ -5,7 +5,7 @@ Format
 A checkpoint is one gzipped JSON document::
 
     {
-      "version":  6,
+      "version":  7,
       "meta":     {"tick", "structure", "next_pkt_id", "saved_name"},
       "eventq":   {"cur_tick", "seq", "executed", "compactions"},
       "stats":    <root StatGroup state_dict>,
@@ -21,8 +21,9 @@ object state; 3: tag arrays are sparse, below; 4: the single-stepped
 RTL objects of one clock domain tick from one named event, saved under
 the domain's first member; 5: RTL objects no longer save the
 ``batched_ticks`` stat of the run-ahead windows; 6: a core's ``skip``
-is the first edge it owes, without the end its cycle event holds; an
-older file is refused, not misread);
+is the first edge it owes, without the end its cycle event holds; 7:
+response ports save no queue, and what hooks wrote is declared in the
+tables; an older file is refused, not misread);
 ``meta.structure`` is a digest over the object tree (paths + types) so
 a checkpoint can only be restored onto an identically built system.
 
@@ -68,8 +69,8 @@ An object's ``"state"`` is what its ``ckpt_state`` table declares, an
 ``OWNED`` entry nested as the owned object's own state (an RTL object's
 ``"library"``: an RTL kernel's ``cycle``, ``values``, ``mems`` and
 ``ticks``, or a behavioural model's ``ticks`` and ``model``), plus what
-the ``ckpt_save``/``ckpt_load`` hook adds for the attributes that
-``ckpt_hooked`` names.
+the ``ckpt_save``/``ckpt_load`` hook of the few classes that keep one
+adds for the attributes that ``ckpt_hooked`` names.
 
 An event the engine cannot attribute to either declaration (a bare
 closure), or a component veto (``ckpt_veto``), makes the current instant
@@ -95,7 +96,7 @@ from typing import Any, Optional
 
 from ..soc.packet import MemCmd, Packet, peek_packet_id, set_next_packet_id
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 __all__ = [
     "CHECKPOINT_VERSION",

@@ -21,8 +21,8 @@ from typing import Optional
 from ...trace.flags import debug_flag, tracepoint
 from ..packet import MemCmd, Packet
 from ..simobject import (OWNED, SORTED_SET, VALUE, Checkpointed, SimObject,
-                         Simulation)
-from .core import CacheCore
+                         Simulation, tags)
+from .core import CacheCore, mshr_file
 from .sets import BLOCK
 
 FLAG_CACHE = debug_flag("Cache", "cache accesses: hits, misses, fills")
@@ -31,10 +31,12 @@ FLAG_CACHE = debug_flag("Cache", "cache accesses: hits, misses, fills")
 class Cache(CacheCore):
     """A single cache level (used for L1I/L1D/L2 and the shared LLC)."""
 
-    ckpt_state = (("_prefetched", SORTED_SET), ("prefetcher", OWNED))
+    ckpt_state = (("_tags", tags(lambda ctx, dirty: (dirty,),
+                                 lambda ctx, dirty: dirty)),
+                  ("_mshrs", mshr_file(("is_prefetch", VALUE))),
+                  ("_prefetched", SORTED_SET), ("prefetcher", OWNED))
     ckpt_kinds = {"wb_fwd": "mem_side.send", "fill_req": "mem_side.send",
                   "hit_resp": "_respond"}
-    mshr_state = (("is_prefetch", VALUE),)
 
     def __init__(
         self,
@@ -165,7 +167,7 @@ class Cache(CacheCore):
         mshr = self._mshr_pop(pkt)
         if mshr is None:
             # A response to a forwarded (uncacheable/writeback) request.
-            self.cpu_side.send(pkt)
+            self.cpu_side.send_timing_resp(pkt)
             return True
         block_addr = mshr.block_addr
         if FLAG_CACHE.enabled:
@@ -219,17 +221,12 @@ class Cache(CacheCore):
             pkt.make_response(data_pkt.data)
         else:
             pkt.make_response()
-        self.cpu_side.send(pkt)
+        self.cpu_side.send_timing_resp(pkt)
 
     # -- introspection ------------------------------------------------------------------------
 
     def occupancy(self) -> int:
         return sum(len(ways) for _, ways in self._tags.occupied())
-
-    # -- checkpointing -------------------------------------------------------------------------
-
-    def _line_codec(self, ctx):
-        return "tags", (lambda dirty: (dirty,)), (lambda dirty: dirty)
 
 
 class BasePrefetcher(Checkpointed):

@@ -12,10 +12,9 @@ decides what a line holds and provides
 * ``_access(pkt) -> bool``: what a request means — or ``False``, refused;
 * ``_recv_resp(pkt) -> bool``: what a response from below completes;
 * ``_policy_stats(group)``: its own statistics;
-* ``_line_codec(ctx) -> (key, pack, unpack)``: the tag array's key in a
-  checkpoint and how a line is written and rebuilt;
-* ``mshr_state``: the MSHR fields it adds to a checkpoint, declared as
-  a class's ``ckpt_state`` is;
+* in its ``ckpt_state``, the tag array (a ``tags`` codec: how a line is
+  written and rebuilt) and the MSHR file (:func:`mshr_file`, with the MSHR
+  fields it adds);
 * on a snooping bus, ``_recv_snoop(pkt)``.
 """
 
@@ -27,8 +26,8 @@ from ...trace import packets as pkttrace
 from ...trace.flags import debug_flag, tracepoint
 from ..packet import Packet
 from ..ports import RequestPort, ResponsePort
-from ..simobject import (DEQUE, PACKED, VALUE, SimObject, Simulation,
-                         fields, load_fields, save_fields)
+from ..simobject import (DEQUE, PACKED, VALUE, Codec, SimObject,
+                         Simulation, objects)
 from .sets import BLOCK, SparseSets
 
 FLAG_MSHR = debug_flag(
@@ -64,23 +63,21 @@ class MSHR:
         return self.targets + [pkt for pkt, _data in self.ready]
 
 
+def mshr_file(*policy_fields) -> Codec:
+    """The MSHR file, each miss saved as the fields every MSHR has and
+    then the policy's *policy_fields* (declared as ``ckpt_state`` is)."""
+    return objects(lambda: MSHR(0, 0), (
+        ("block_addr", VALUE), ("targets", PACKED), ("issued_tick", VALUE),
+        *policy_fields))
+
+
 class CacheCore(SimObject):
     """Tag array, ports, MSHR file and shared stats of one cache."""
 
     _recv_snoop = None  # no snoop handler unless the policy has one
 
     ckpt_state = (("downstream_q", "mem_side.queue", DEQUE),
-                  ("blocked_resps", "cpu_side.queue", DEQUE),
                   ("_need_retry", VALUE))
-    ckpt_hooked = ("_tags", "_mshrs")
-    #: the policy's MSHR fields, after the ones every MSHR saves
-    mshr_state: tuple = ()
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls._mshr_fields = fields((
-            ("block_addr", VALUE), ("targets", PACKED),
-            ("issued_tick", VALUE), *cls.mshr_state))
 
     def __init__(
         self,
@@ -198,21 +195,3 @@ class CacheCore(SimObject):
         if self._need_retry:
             self._need_retry = False
             self.cpu_side.send_retry_req()
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def ckpt_save(self, state: dict, ctx) -> None:
-        key, pack_line, _ = self._line_codec(ctx)
-        state[key] = self._tags.state(pack_line)
-        mshr_fields = self._mshr_fields
-        state["mshrs"] = [save_fields(mshr, mshr_fields, ctx, {})
-                          for mshr in self._mshrs.values()]
-
-    def ckpt_load(self, state: dict, ctx) -> None:
-        key, _, unpack_line = self._line_codec(ctx)
-        self._tags.load(state[key], unpack_line, f"{self.path()}.{key}")
-        self._mshrs = {}
-        for mstate in state["mshrs"]:
-            mshr = MSHR(mstate["block_addr"], mstate["issued_tick"])
-            load_fields(mshr, self._mshr_fields, mstate, ctx)
-            self._mshrs[mshr.block_addr] = mshr

@@ -82,6 +82,8 @@ class OoOCore(SimObject):
         ("_pending_irqs", DEQUE), ("commit_wire", "commit_wire.count", VALUE),
         ("skip", "_owed", VALUE),  # an owed window crosses a checkpoint
     )
+    #: the hook: ROB entries that three containers share, saved once as
+    #: indices, and the µop stream, which a load fast-forwards
     ckpt_hooked = ("_rob", "_inflight", "_alu_done", "stream")
     ckpt_events = {"cycle": "_cycle_event"}
     ckpt_kinds = {"wake": "_wake"}

@@ -28,7 +28,8 @@ from ...trace.flags import debug_flag, tracepoint
 from ..event import EventPriority
 from ..packet import Packet
 from ..ports import ResponsePort
-from ..simobject import PORT_QUEUES, VALUE, SimObject, Simulation
+from ..simobject import (DEQUE, EACH, VALUE, Checkpointed, SimObject,
+                         Simulation, rows)
 from .physmem import PhysicalMemory
 
 BLOCK = 64  # interleave granularity / burst size in bytes
@@ -118,9 +119,13 @@ class _Bank:
         self.busy_until = 0
 
 
-class _Channel:
+class _Channel(Checkpointed):
     """One DRAM channel: queues, banks, data bus; the controller's
     ``_service`` is its scheduler."""
+
+    ckpt_state = (("read_q", DEQUE), ("write_q", DEQUE), ("banks", rows("open_row", "busy_until")),
+                  ("bus_busy_until", VALUE), ("draining_writes", VALUE),
+                  ("_scheduled", VALUE))
 
     def __init__(self, ctrl: "DRAMController", index: int) -> None:
         self.ctrl = ctrl
@@ -192,12 +197,9 @@ class _Channel:
 class DRAMController(SimObject):
     """Multi-channel DRAM memory controller with one response port."""
 
-    ckpt_state = (("_retry_rejected", VALUE),
-                  ("blocked_resps", "ports", PORT_QUEUES))
-    ckpt_hooked = ("channels.read_q", "channels.write_q",
-                   "channels.banks.open_row", "channels.banks.busy_until",
-                   "channels.bus_busy_until", "channels.draining_writes",
-                   "channels._scheduled", "_retry_pending")
+    ckpt_state = (("channels", EACH), ("_retry_rejected", VALUE))
+    #: the hook: a set drained by ``pop()``, whose order is history
+    ckpt_hooked = ("_retry_pending",)
     ckpt_kinds = {"ch_service": "_service", "rd_done": "complete_read",
                   "slot_free": "notify_slot_free"}
 
@@ -307,7 +309,7 @@ class DRAMController(SimObject):
             if pkt.cmd.needs_response:
                 pkt.make_response()
                 pkt.resp_tick = now
-                self.ports[port_idx].send(pkt)
+                self.ports[port_idx].send_timing_resp(pkt)
         return True
 
     def _service(self, index: int) -> None:
@@ -391,7 +393,7 @@ class DRAMController(SimObject):
         if pkt.cmd.needs_response:
             pkt.make_response()
             pkt.resp_tick = now
-            self.ports[meta.get("dram_port", 0)].send(pkt)
+            self.ports[meta.get("dram_port", 0)].send_timing_resp(pkt)
 
     def notify_slot_free(self, _payload=None) -> None:
         """A queue slot freed; let rejected requesters retry.
@@ -418,17 +420,6 @@ class DRAMController(SimObject):
     # -- checkpointing ------------------------------------------------------------
 
     def ckpt_save(self, state: dict, ctx) -> None:
-        state["channels"] = [
-            {
-                "read_q": [ctx.pack(p) for p in ch.read_q],
-                "write_q": [ctx.pack(p) for p in ch.write_q],
-                "banks": [[b.open_row, b.busy_until] for b in ch.banks],
-                "bus_busy_until": ch.bus_busy_until,
-                "draining_writes": ch.draining_writes,
-                "scheduled": ch._scheduled,
-            }
-            for ch in self.channels
-        ]
         # sorted for deterministic bytes only: the pop order of a set
         # also depends on its history (CPython's hidden pop finger),
         # so a restored set can pop in another order than the saved
@@ -436,14 +427,6 @@ class DRAMController(SimObject):
         state["retry_pending"] = sorted(self._retry_pending)
 
     def ckpt_load(self, state: dict, ctx) -> None:
-        for ch, cstate in zip(self.channels, state["channels"]):
-            ch.read_q = deque(ctx.unpack(p) for p in cstate["read_q"])
-            ch.write_q = deque(ctx.unpack(p) for p in cstate["write_q"])
-            for bank, (open_row, busy_until) in zip(ch.banks, cstate["banks"]):
-                bank.open_row = open_row
-                bank.busy_until = busy_until
-            ch.bus_busy_until = cstate["bus_busy_until"]
-            ch.draining_writes = cstate["draining_writes"]
-            ch._scheduled = cstate["scheduled"]
-            ch.rebuild_where()
         self._retry_pending = set(state["retry_pending"])
+        for ch in self.channels:
+            ch.rebuild_where()

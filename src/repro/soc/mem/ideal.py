@@ -11,7 +11,7 @@ from typing import Optional
 
 from ..packet import Packet
 from ..ports import ResponsePort
-from ..simobject import PORT_QUEUES, SimObject, Simulation
+from ..simobject import SimObject, Simulation
 from .physmem import PhysicalMemory
 
 
@@ -23,7 +23,6 @@ class IdealMemory(SimObject):
     crossbar layer still costs what it costs; the *memory* is ideal).
     """
 
-    ckpt_state = (("blocked", "ports", PORT_QUEUES),)
     ckpt_kinds = {"resp": "_respond"}
 
     def __init__(
@@ -85,7 +84,7 @@ class IdealMemory(SimObject):
         if not pkt.cmd.needs_response:
             return
         pkt.make_response()
-        self.ports[self._port_of(pkt)].send(pkt)
+        self.ports[self._port_of(pkt)].send_timing_resp(pkt)
 
     # -- functional --------------------------------------------------------
 

@@ -8,9 +8,7 @@ writes, result checking).
 
 from __future__ import annotations
 
-import base64
-
-from ..simobject import Checkpointed
+from ..simobject import FRAMES, Checkpointed, fixed
 
 FRAME_BITS = 12
 FRAME_SIZE = 1 << FRAME_BITS
@@ -20,7 +18,9 @@ class PhysicalMemory(Checkpointed):
     """A byte-addressable sparse memory (4 KiB frames, zero-filled),
     checkpointed as a Simulation "extra"."""
 
-    ckpt_hooked = ("_frames",)
+    ckpt_state = (("size", fixed("physmem size {built:#x} != checkpointed "
+                                 "{saved:#x}")),
+                  ("_frames", FRAMES))
 
     def __init__(self, size: int = 1 << 40) -> None:
         if size <= 0:
@@ -69,23 +69,3 @@ class PhysicalMemory(Checkpointed):
 
     def write_word(self, addr: int, value: int, size: int = 8) -> None:
         self.write(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
-
-    # -- checkpointing ------------------------------------------------------
-
-    def ckpt_save(self, state: dict, ctx) -> None:
-        state["size"] = self.size
-        state["frames"] = {
-            str(no): base64.b64encode(bytes(frame)).decode("ascii")
-            for no, frame in sorted(self._frames.items())
-        }
-
-    def ckpt_load(self, state: dict, ctx) -> None:
-        if state["size"] != self.size:
-            raise ValueError(
-                f"physmem size {self.size:#x} != checkpointed "
-                f"{state['size']:#x}"
-            )
-        self._frames = {
-            int(no): bytearray(base64.b64decode(data))
-            for no, data in state["frames"].items()
-        }

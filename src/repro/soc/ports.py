@@ -14,10 +14,12 @@ classic three-call handshake:
 * ``send_functional(pkt)`` performs an immediate, timing-free access
   (used for loading NVDLA traces into memory, debugging, etc.).
 
-A request the peer refused waits in the port, not in each owner (gem5's
-``QueuedPort``): ``port.send(pkt)`` delivers now or appends to
-``port.queue``; the peer's retry drains the queue in order before the
-owner hears of it, and the owner's checkpoint declares the queue.
+Only a request port queues.  A request the peer refused waits in the
+port, not in each owner (gem5's ``QueuedPort``): ``port.send(pkt)``
+delivers now or appends to ``port.queue``; the peer's retry drains the
+queue in order before the owner hears of it, and the owner's checkpoint
+declares the queue.  A response is never refused, so a response port
+has nothing to hold.
 """
 
 from __future__ import annotations
@@ -32,15 +34,12 @@ FLAG_PORTS = debug_flag("Ports", "timing-port handshake (send/reject/retry)")
 
 
 class _Port:
-    """Binding and the refused-packet queue, common to both directions."""
+    """Binding, common to both directions."""
 
     def __init__(self, name: str, owner=None) -> None:
         self.name = name
         self.owner = owner
         self.peer: Optional[_Port] = None
-        #: packets the peer refused, or that arrived behind one; oldest
-        #: first.  Part of the owner's checkpoint.
-        self.queue: deque[Packet] = deque()
 
     @property
     def connected(self) -> bool:
@@ -69,32 +68,6 @@ class _Port:
 
         return missing
 
-    def send(self, pkt: Packet) -> bool:
-        """Deliver *pkt* now, or queue it behind what already waits for
-        the peer's retry.  ``True`` iff it went out at once."""
-        if self.queue or not self._deliver(pkt):
-            self.queue.append(pkt)
-            return False
-        return True
-
-    def _retried(self, handler: Optional[Callable[[], None]]) -> None:
-        """The peer takes packets again: resend :attr:`queue` in order,
-        stopping if it refuses once more; only when nothing waits does
-        the owner's *handler*, if it has one, hear the retry.  The head
-        is peeked, not popped: while it is being delivered the queue is
-        not empty, so a handler that sends on this port from inside the
-        delivery lines up behind what waits instead of overtaking it."""
-        queue = self.queue
-        queued = bool(queue)
-        while queue:
-            if not self._deliver(queue[0]):
-                return
-            queue.popleft()
-        if handler is not None:
-            handler()
-        elif not queued:
-            raise RuntimeError(f"port {self.name} has no retry handler")
-
     def __repr__(self) -> str:  # pragma: no cover
         peer = self.peer.name if self.peer else "unbound"
         return f"<{type(self).__name__} {self.name} <-> {peer}>"
@@ -116,6 +89,9 @@ class RequestPort(_Port):
         recv_snoop: Optional[Callable[[Packet], None]] = None,
     ) -> None:
         super().__init__(name, owner)
+        #: requests the peer refused, or that arrived behind one; oldest
+        #: first.  Part of the owner's checkpoint.
+        self.queue: deque[Packet] = deque()
         self._recv_timing_resp = recv_timing_resp
         self._recv_req_retry = recv_req_retry
         self._recv_snoop = recv_snoop
@@ -151,7 +127,31 @@ class RequestPort(_Port):
             )
         return accepted
 
-    _deliver = send_timing_req
+    def send(self, pkt: Packet) -> bool:
+        """Deliver *pkt* now, or queue it behind what already waits for
+        the peer's retry.  ``True`` iff it went out at once."""
+        if self.queue or not self.send_timing_req(pkt):
+            self.queue.append(pkt)
+            return False
+        return True
+
+    def _retried(self, handler: Optional[Callable[[], None]]) -> None:
+        """The peer takes packets again: resend :attr:`queue` in order,
+        stopping if it refuses once more; only when nothing waits does
+        the owner's *handler*, if it has one, hear the retry.  The head
+        is peeked, not popped: while it is being delivered the queue is
+        not empty, so a handler that sends on this port from inside the
+        delivery lines up behind what waits instead of overtaking it."""
+        queue = self.queue
+        queued = bool(queue)
+        while queue:
+            if not self.send_timing_req(queue[0]):
+                return
+            queue.popleft()
+        if handler is not None:
+            handler()
+        elif not queued:
+            raise RuntimeError(f"port {self.name} has no retry handler")
 
     def send_functional(self, pkt: Packet) -> None:
         peer = self._require_peer()
@@ -206,10 +206,9 @@ class ResponsePort(_Port):
 
     # responder-side API ------------------------------------------------------
 
-    def send_timing_resp(self, pkt: Packet) -> bool:
-        """Deliver a response; the requester must take it.  A refusal
-        raises, so this returns only True: the ``bool`` is
-        :meth:`_Port.send`'s contract for :attr:`_deliver`."""
+    def send_timing_resp(self, pkt: Packet) -> None:
+        """Deliver a response; the requester must take it, so a refusal
+        raises instead of waiting for a retry."""
         if not self._send_resp(pkt):
             raise RuntimeError(
                 f"{self.peer.name} refused response {pkt.cmd.name} "
@@ -220,9 +219,6 @@ class ResponsePort(_Port):
                 FLAG_PORTS, self.name, "resp %s #%d addr=%#x -> accepted",
                 pkt.cmd.name, pkt.pkt_id, pkt.addr,
             )
-        return True
-
-    _deliver = send_timing_resp
 
     def send_retry_req(self) -> None:
         """Tell the requester a previously-rejected request may be resent."""

@@ -9,6 +9,7 @@ components use to schedule their first events.
 
 from __future__ import annotations
 
+import base64
 import time
 from collections import deque
 from functools import partial
@@ -161,16 +162,38 @@ class Simulation:
 class Codec(NamedTuple):
     """How a declared field is written, ``save(value, ctx)`` to a JSON
     value, and read back, ``load(data, ctx, old)`` to the attribute's
-    new value (*old*: its value in the object being restored)."""
+    new value (*old*: its value in the object being restored).  A
+    ``named`` codec's load also takes the object and the field's key,
+    ``load(data, ctx, old, obj, key)``, to name them in a refusal."""
 
     save: Callable
     load: Callable
+    named: bool = False
 
 
 def _load_queues(data, ctx, ports):
     for port, queued in zip(ports, data):
         port.queue = DEQUE.load(queued, ctx, None)
     return ports
+
+
+def _load_each(data, ctx, objs):
+    for obj, state in zip(objs, data):
+        obj.unserialize(state, ctx)
+    return objs
+
+
+def rows(*attrs: str) -> Codec:
+    """A list of objects fixed by the build, each as the row of its
+    *attrs*; loaded into the same objects."""
+    def load(data, ctx, objs):
+        for obj, row in zip(objs, data):
+            for attr, value in zip(attrs, row):
+                setattr(obj, attr, value)
+        return objs
+
+    return Codec(lambda v, ctx: [[getattr(obj, attr) for attr in attrs]
+                                 for obj in v], load)
 
 
 def _pairs(sort: bool = False, rows: bool = False) -> Codec:
@@ -193,6 +216,51 @@ def named(enum_cls) -> Codec:
     return Codec(lambda v, ctx: v.name, lambda d, ctx, old: enum_cls[d])
 
 
+def tags(pack_line: Callable, unpack_line: Callable) -> Codec:
+    """A :class:`~repro.soc.cache.sets.SparseSets` tag array, each line
+    written as the fields ``pack_line(ctx, line)`` and rebuilt by
+    ``unpack_line(ctx, *fields)``.  A file of another geometry is
+    refused, naming the object's path and the key."""
+    return Codec(
+        lambda v, ctx: v.state(partial(pack_line, ctx)),
+        lambda d, ctx, old, obj, key: old.load(
+            d, partial(unpack_line, ctx), f"{obj.path()}.{key}") or old,
+        named=True)
+
+
+def objects(new: Callable, table) -> Codec:
+    """A dict of objects as ``[key, fields]`` pairs in insertion order,
+    each object's fields declared by *table* as a class's ``ckpt_state``
+    is; ``new()`` makes the blank object a pair loads into."""
+    compiled = fields(table)
+
+    def load(data, ctx, old):
+        out = {}
+        for key, state in data:
+            obj = out[key] = new()
+            load_fields(obj, compiled, state, ctx)
+        return out
+
+    return Codec(lambda v, ctx: [[k, save_fields(o, compiled, ctx, {})]
+                                 for k, o in v.items()], load)
+
+
+def fixed(refusal: str, value: Callable = None) -> Codec:
+    """A value fixed by the build: the attribute's, or ``value(attribute)``.
+    It is saved, and a file holding another is refused with
+    ``ValueError(refusal)``, formatted with ``obj``, ``saved`` and
+    ``built``; a load keeps the built value."""
+    def get(v):
+        return v if value is None else value(v)
+
+    def load(d, ctx, old, obj, key):
+        if d != get(old):
+            raise ValueError(refusal.format(obj=obj, saved=d, built=get(old)))
+        return old
+
+    return Codec(lambda v, ctx: get(v), load, named=True)
+
+
 #: a JSON value: int, bool, None, str, or a list of them (copied)
 VALUE = Codec(lambda v, ctx: list(v) if type(v) is list else v,
               lambda d, ctx, old: d)
@@ -207,6 +275,9 @@ DEQUES = Codec(lambda v, ctx: [DEQUE.save(q, ctx) for q in v],
 #: a list of ports: the queue of packets each holds for its peer
 PORT_QUEUES = Codec(lambda v, ctx: [DEQUE.save(p.queue, ctx) for p in v],
                     _load_queues)
+#: a list of owned :class:`Checkpointed` objects fixed by the build,
+#: each as its own state
+EACH = Codec(lambda v, ctx: [obj.serialize(ctx) for obj in v], _load_each)
 #: a dict as ``[key, packed value]`` pairs, in insertion order
 PAIRS = _pairs()
 #: the same, sorted by key: only for a dict that is never iterated
@@ -224,6 +295,13 @@ RECORDS = Codec(
 #: an owned :class:`Checkpointed` object, as its own state; None: no key
 OWNED = Codec(lambda v, ctx: None if v is None else v.serialize(ctx),
               lambda d, ctx, old: old.unserialize(d, ctx) or old)
+#: physical memory's frames, ``{frame number: bytearray}``, as base64
+#: text by number (sorted: a frame is looked up, never iterated)
+FRAMES = Codec(
+    lambda v, ctx: {str(no): base64.b64encode(frame).decode("ascii")
+                    for no, frame in sorted(v.items())},
+    lambda d, ctx, old: {int(no): bytearray(base64.b64decode(text))
+                         for no, text in d.items()})
 
 
 def fields(table) -> tuple:
@@ -252,11 +330,16 @@ def save_fields(obj, compiled, ctx, state: dict) -> dict:
 def load_fields(obj, compiled, state: dict, ctx) -> None:
     # decode every field before setting any: a codec that refuses its
     # data (an RTL kernel of another shape) leaves the fields as they were
-    loaded = [(owner(obj) if owner else obj, name,
-               codec.load(saved[key], ctx, get(obj)))
-              for section, key, get, owner, name, codec in compiled
-              for saved in (state[section] if section else state,)
-              if key in saved or codec is not OWNED]
+    loaded = []
+    for section, key, get, owner, name, codec in compiled:
+        saved = state[section] if section else state
+        if key not in saved and codec is OWNED:
+            continue
+        if codec.named:
+            value = codec.load(saved[key], ctx, get(obj), obj, key)
+        else:
+            value = codec.load(saved[key], ctx, get(obj))
+        loaded.append((owner(obj) if owner else obj, name, value))
     for target, name, value in loaded:
         setattr(target, name, value)
 
@@ -283,18 +366,21 @@ class Checkpointed:
       (``"fill_req": "mem_side.send"``), resolved on the kind's first
       use.
 
-    What no codec can say (objects that share entries, a stream to
-    fast-forward) goes in the :meth:`ckpt_save`/:meth:`ckpt_load` hook,
-    on the attributes that ``ckpt_hooked`` names, and a check in
-    :meth:`SimObject.ckpt_veto`.  Anything else an object changes is a
-    memo rebuilt on load, owed edges (:meth:`SimObject.catch_up` settles
-    them, and ends a lag, before every save), transient state a veto
-    guards, or a statistic: the engine saves statistics, not their
-    owners, so a :class:`~repro.soc.stats.Stat` keeps its own
+    What no codec above can say (objects that share entries, a stream
+    to fast-forward, a set whose pop order is history) goes in the
+    :meth:`ckpt_save`/:meth:`ckpt_load` hook, on the attributes that
+    ``ckpt_hooked`` names, and a check in :meth:`SimObject.ckpt_veto`.
+    Anything else an object changes is a memo rebuilt on load, owed
+    edges (:meth:`SimObject.catch_up` settles them, and ends a lag,
+    before every save), transient state a veto guards, or a statistic:
+    the engine saves statistics, not their owners, so a
+    :class:`~repro.soc.stats.Stat` keeps its own
     ``state_dict``/``load_state``.
     ``tests/resilience/test_ckpt_complete.py`` checks that nothing else
     changes.
     """
+
+    __slots__ = ()
 
     ckpt_state: tuple = ()
     ckpt_hooked: tuple = ()

@@ -91,14 +91,14 @@ def test_format_3_checkpoint_is_refused(tmp_path):
     path = tmp_path / "v3.ckpt"
     saver.soc.sim.save_checkpoint(str(path))
     doc = json.loads(gzip.open(path).read())
-    assert doc["version"] == 6
+    assert doc["version"] == 7
     assert "tick" in doc["objects"]["nvdla0"]["named_events"]
     assert doc["objects"]["nvdla1"]["named_events"] == {}
     doc["version"] = 3
     with gzip.open(path, "wb") as fh:
         fh.write(json.dumps(doc).encode())
     with pytest.raises(CheckpointError,
-                       match="version 3 != supported version 6"):
+                       match="version 3 != supported version 7"):
         system().soc.sim.restore(str(path))
 
 

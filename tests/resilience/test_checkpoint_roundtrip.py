@@ -316,22 +316,22 @@ def test_fresh_process_restore_is_bit_identical(tmp_path, setup,
     [
         pytest.param(
             PMU_SETUP, 300_000,
-            "8a7d18d3490d50c113e7e39e33665645aab08d34a6fd671fac1f067d8a95dd7d",
+            "a708f5acacf3b6a160b37d47f934363f609d41451a3bd1f924db60442921821c",
             id="pmu",
         ),
         pytest.param(
             NVDLA_SETUP, 200_000,
-            "659da3dde233ed70999650ae77085c7c7f9350cb5a5ac4dcd9178c04f7822e7e",
+            "04f41ee5733d335091fa5d8d134aeb293f0cb371ea0489729d8825bbf5338f4d",
             id="nvdla",
         ),
         pytest.param(
             NVDLA4_SETUP, 200_000,
-            "f782edf94931b79282b4d11a31347429d5eba67b7b6c9bae256c77acc45600da",
+            "490b7a342fc3dc2390cfceb133297a9fb355840d78636a501f0a48dd272c334f",
             id="nvdla4",
         ),
         pytest.param(
             SHARING_RTL_SETUP, 1_000_000,
-            "d47eb34b952f88ec4a33100b52d1cc2b086fbe57ac2146d61998ba2ca101b6e5",
+            "9e25c6182eab4c7301973a8bc7ee5cef77cc1346e9386db261c3fd0593c716a1",
             id="sharing-rtl",
         ),
     ],
@@ -417,7 +417,7 @@ def test_parent_format_checkpoint_is_refused(tmp_path):
     ckpt = tmp_path / "v2.ckpt"
     saver["save_at"](300_000, ckpt)
     doc = json.loads(gzip.open(ckpt).read())
-    assert doc["version"] == 6
+    assert doc["version"] == 7
     doc["version"] = 2
     for path in ("l1d0", "llc"):
         sparse = doc["objects"][path]["state"]["tags"]
@@ -431,7 +431,7 @@ def test_parent_format_checkpoint_is_refused(tmp_path):
     from repro.resilience.serialize import CheckpointError
 
     with pytest.raises(CheckpointError,
-                       match="version 2 != supported version 6"):
+                       match="version 2 != supported version 7"):
         fresh["restore"](ckpt)
     assert fresh["soc"].llc.occupancy() == 0
 
@@ -444,7 +444,7 @@ def test_format_4_checkpoint_is_refused(tmp_path):
     ckpt = tmp_path / "v4.ckpt"
     saver["save_at"](300_000, ckpt)
     doc = json.loads(gzip.open(ckpt).read())
-    assert doc["version"] == 6
+    assert doc["version"] == 7
     doc["version"] = 4
     doc["stats"]["children"]["pmu"]["stats"]["batched_ticks"] = {"value": 0}
     with gzip.open(ckpt, "wb") as fh:
@@ -453,7 +453,7 @@ def test_format_4_checkpoint_is_refused(tmp_path):
     from repro.resilience.serialize import CheckpointError
 
     with pytest.raises(CheckpointError,
-                       match="version 4 != supported version 6"):
+                       match="version 4 != supported version 7"):
         fresh["restore"](ckpt)
 
 
@@ -463,7 +463,7 @@ def test_format_5_checkpoint_is_refused(tmp_path):
     ckpt = tmp_path / "v5.ckpt"
     _exec_setup(PMU_SETUP)["save_at"](300_000, ckpt)
     doc = json.loads(gzip.open(ckpt).read())
-    assert (doc["version"], doc["objects"]["cpu0"]["state"]["skip"]) == (6, 0)
+    assert (doc["version"], doc["objects"]["cpu0"]["state"]["skip"]) == (7, 0)
     doc["version"] = 5
     doc["objects"]["cpu0"]["state"]["skip"] = [0, 6_500]
     with gzip.open(ckpt, "wb") as fh:
@@ -471,5 +471,31 @@ def test_format_5_checkpoint_is_refused(tmp_path):
     from repro.resilience.serialize import CheckpointError
 
     with pytest.raises(CheckpointError,
-                       match="version 5 != supported version 6"):
+                       match="version 5 != supported version 7"):
         _exec_setup(PMU_SETUP)["restore"](ckpt)
+
+
+def test_format_6_checkpoint_is_refused(tmp_path):
+    """Version 6 saved the always-empty queue of every response port
+    (``blocked_resps``, ``blocked``) and a cache's MSHRs as a bare list;
+    version 7 saves only request queues, and MSHRs as ``[block,
+    fields]`` pairs."""
+    ckpt = tmp_path / "v6.ckpt"
+    _exec_setup(PMU_SETUP)["save_at"](300_000, ckpt)
+    doc = json.loads(gzip.open(ckpt).read())
+    assert doc["version"] == 7
+    doc["version"] = 6
+    for path in ("l1d0", "llc"):
+        state = doc["objects"][path]["state"]
+        assert "blocked_resps" not in state
+        state["blocked_resps"] = []
+        state["mshrs"] = [fields for _block, fields in state["mshrs"]]
+    with gzip.open(ckpt, "wb") as fh:
+        fh.write(json.dumps(doc).encode())
+    from repro.resilience.serialize import CheckpointError
+
+    fresh = _exec_setup(PMU_SETUP)
+    with pytest.raises(CheckpointError,
+                       match="version 6 != supported version 7"):
+        fresh["restore"](ckpt)
+    assert fresh["soc"].llc.occupancy() == 0

@@ -318,24 +318,22 @@ class TestFormatThreeKeys:
     refused packet waits in its port, both caches stand on one core),
     never what the file calls it."""
 
-    CACHE_CORE = {"mshrs", "downstream_q", "blocked_resps", "need_retry"}
+    CACHE_CORE = {"mshrs", "downstream_q", "need_retry"}
     STATE = {
         "Cache": CACHE_CORE | {"tags", "prefetched"},
         "CoherentL1Cache": CACHE_CORE | {"sets"},
         "DirectoryController": {
-            "entries", "known", "l2", "inq", "busy", "waiting", "resp_q",
+            "entries", "known", "l2", "inq", "busy", "waiting",
             "downstream_q", "need_retry",
         },
-        "DRAMController": {
-            "channels", "retry_pending", "retry_rejected", "blocked_resps",
-        },
-        "IdealMemory": {"blocked"},
-        # RTLObject's own; the PMU subclass adds its two on top
+        "DRAMController": {"channels", "retry_pending", "retry_rejected"},
+        # only a request port queues: nothing of a responder's is saved
+        "IdealMemory": set(),
+        # RTLObject's own; the PMU subclass adds its three on top
         "PMURTLObject": {
-            "last_output", "cpu_req_queue", "blocked_resps",
-            "mem_req_queue", "mem_resp_queue", "inflight", "running",
-            "library",
-        } | {"pending_reads", "lane_counts"},
+            "last_output", "cpu_req_queue", "mem_req_queue",
+            "mem_resp_queue", "inflight", "running", "library",
+        } | {"pending_reads", "wired_lanes", "lane_counts"},
     }
     MSHR = {
         "Cache": {"block_addr", "targets", "is_prefetch", "issued_tick"},
@@ -353,7 +351,7 @@ class TestFormatThreeKeys:
             soc.sim.startup()
             soc.sim.run(until=tick)
             doc = json.loads(_checkpoint_json(soc, tmp_path / f"{i}.ckpt"))
-            assert doc["version"] == 6
+            assert doc["version"] == 7
             for obj in soc.sim.objects:
                 kind = type(obj).__name__
                 if kind not in self.STATE:
@@ -363,8 +361,9 @@ class TestFormatThreeKeys:
                 assert set(state) - {"prefetcher"} == self.STATE[kind], \
                     obj.path()
                 seen.add(kind)
-                for mshr in state.get("mshrs", ()):
-                    assert set(mshr) == self.MSHR[kind], obj.path()
+                for block, mshr in state.get("mshrs", ()):
+                    assert (set(mshr), mshr["block_addr"]) == \
+                        (self.MSHR[kind], block), obj.path()
                     mshrs_seen.add(kind)
         assert seen == set(self.STATE)
         assert mshrs_seen == set(self.MSHR)

@@ -30,6 +30,10 @@ class TestMalformedArguments:
         ["dse", "--inflight", "1,x"],
         ["dse", "--memories", "BOGUS"],
         ["verify", "coherence", "--sharers", "x"],
+        pytest.param(["verify", "coherence", "--sharers", "0"],
+                     id="verify--sharers-zero"),
+        pytest.param(["verify", "coherence", "--ops", "0"],
+                     id="verify--ops-zero"),
         ["submit", "--tenant", "t", "--kind", "pmu_fig5",
          "--params-json", "{bad"],
         ["submit", "--tenant", "t", "--kind", "pmu_fig5",
