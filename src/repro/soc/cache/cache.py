@@ -78,7 +78,7 @@ class Cache(CacheCore):
     def _access(self, pkt: Packet) -> bool:
         """Tag/MSHR decisions happen at accept time; the lookup latency
         applies to when the response (or downstream fill) is sent."""
-        block_addr = pkt.block_addr(BLOCK)
+        block_addr = pkt.addr & -BLOCK
         set_idx, tag = self._tags.split(pkt.addr)
         tags = self._tags[set_idx]
 
@@ -98,7 +98,8 @@ class Cache(CacheCore):
             return self._mshr_reject(pkt, "all MSHRs busy")
 
         # Writes update the functional image as soon as they are seen.
-        if pkt.is_write and pkt.data is not None:
+        is_write = pkt.cmd.is_write
+        if is_write and pkt.data is not None:
             self.mem_side.send_functional(
                 Packet(MemCmd.WriteReq, pkt.addr, pkt.size, data=pkt.data,
                        requestor=self.name)
@@ -115,7 +116,7 @@ class Cache(CacheCore):
             if block_addr in self._prefetched:
                 self._prefetched.discard(block_addr)
                 self.st_prefetch_hits.inc()
-            if pkt.is_write:
+            if is_write:
                 tags[tag] = True
             self._sched_after_lookup("hit_resp", pkt)
             return True
@@ -212,9 +213,10 @@ class Cache(CacheCore):
     # -- upstream responses ----------------------------------------------------------------
 
     def _respond(self, pkt: Packet) -> None:
-        if not pkt.needs_response:
+        cmd = pkt.cmd
+        if not cmd.needs_response:
             return
-        if pkt.is_read and self.cpu_side.peer.reads_data:
+        if cmd.is_read and self.cpu_side.peer.reads_data:
             data_pkt = Packet(MemCmd.ReadReq, pkt.addr, pkt.size,
                               requestor=self.name)
             self.mem_side.send_functional(data_pkt)

@@ -141,8 +141,8 @@ class CacheCore(SimObject):
 
     def _sched_after_lookup(self, kind: str, payload) -> None:
         """Run *kind* (see ``ckpt_kinds``) one lookup latency on."""
-        when = self.now + self.clock.cycles_to_ticks(self.latency_cycles)
-        self.sched_ckpt(kind, payload, when)
+        self.sched_ckpt(kind, payload, self.sim.eventq.cur_tick
+                        + self.latency_cycles * self.clock.period)
 
     # -- the MSHR file ---------------------------------------------------------
 

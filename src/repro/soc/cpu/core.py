@@ -66,9 +66,9 @@ class EventWire:
 class _RobEntry:
     __slots__ = ("kind", "done")
 
-    def __init__(self, kind: int) -> None:
+    def __init__(self, kind: int, done: bool = False) -> None:
         self.kind = kind
-        self.done = False
+        self.done = done
 
 
 class OoOCore(SimObject):
@@ -214,12 +214,14 @@ class OoOCore(SimObject):
             return
         if self._sleeping:
             return  # wake event will restart cycling
+        eventq = self.sim.eventq  # this runs on an edge: no alignment
         skip = 0
         if self._cycle + 1 < self._stall_until:
             skip = self._stall_window()
             if skip:
-                self._owed = self.now + self.clock.period
-        self.schedule_cycles(self._cycle_event, 1 + skip, EventPriority.CLOCK)
+                self._owed = eventq.cur_tick + self.clock.period
+        eventq.schedule(self._cycle_event, eventq.cur_tick
+                        + (1 + skip) * self.clock.period, EventPriority.CLOCK)
 
     def _stall_window(self) -> int:
         """Edges after this one at which nothing can happen: the cycle
@@ -302,14 +304,18 @@ class OoOCore(SimObject):
             self.st_committed.inc(committed)
             self.commit_wire.pulse(committed)
         # ALU completion bookkeeping (mark entries whose latency elapsed)
-        if self._alu_done:
-            still = []
-            for cyc, entry in self._alu_done:
-                if cyc <= self._cycle:
+        alu_done = self._alu_done
+        if alu_done:
+            cycle = self._cycle
+            due = 0
+            for cyc, entry in alu_done:
+                if cyc <= cycle:
                     entry.done = True
-                else:
-                    still.append((cyc, entry))
-            self._alu_done = still
+                    due += 1
+            if due == len(alu_done):
+                alu_done.clear()
+            elif due:
+                alu_done[:] = [item for item in alu_done if item[0] > cycle]
 
     def raise_interrupt(self, handler_uops) -> None:
         """Deliver an interrupt: once the ROB drains (precise state), the
@@ -348,9 +354,13 @@ class OoOCore(SimObject):
             return 0  # front-end starved until the i-line arrives
         if self._pending_irqs and self._enter_irq_if_ready():
             return 0
+        stream = self.stream  # its block is read in place
+        block, pos = stream.block, stream.pos
         issued = 0
         while issued < self.issue_width:
-            kind, arg = self.stream.peek()
+            if pos == len(block):
+                block, pos = stream.refill(), 0
+            kind, arg = block[pos]
             if kind == U.END:
                 if not self._rob and not self.done:
                     if self._stream_stack:
@@ -367,7 +377,7 @@ class OoOCore(SimObject):
                 # emits a FETCH only for a line it wants timed)
                 if self._fetch_outstanding is not None:
                     break
-                self.stream.pop()
+                pos += 1
                 if self.icache_port.connected:
                     self.st_fetches.inc()
                     pkt = Packet(MemCmd.ReadReq, arg, 8,
@@ -380,7 +390,7 @@ class OoOCore(SimObject):
             if kind == U.SLEEP:
                 if self._rob:
                     break  # drain before sleeping
-                self.stream.pop()
+                pos += 1
                 self._enter_sleep(arg)
                 break
             if len(self._rob) >= self.rob_size:
@@ -389,7 +399,7 @@ class OoOCore(SimObject):
                 break
             if kind == U.STORE and self._stq_used >= self.stq_size:
                 break
-            self.stream.pop()
+            pos += 1
             entry = _RobEntry(kind)
             self._rob.append(entry)
             issued += 1
@@ -412,6 +422,7 @@ class OoOCore(SimObject):
                 self._stq_used += 1
                 if not self._send_mem(entry, MemCmd.WriteReq, arg):
                     break
+        stream.pos = pos
         return issued
 
     def _send_mem(self, entry: _RobEntry, cmd: MemCmd, addr: int) -> bool:
@@ -523,9 +534,7 @@ class OoOCore(SimObject):
         state["stream_consumed"] = self.stream.consumed if self.stream else 0
 
     def ckpt_load(self, state: dict, ctx) -> None:
-        rob = [_RobEntry(kind) for kind, _done in state["rob"]]
-        for entry, (_kind, done) in zip(rob, state["rob"]):
-            entry.done = done
+        rob = [_RobEntry(kind, done) for kind, done in state["rob"]]
         self._rob = deque(rob)
         self._inflight = {int(pkt_id): rob[i]
                           for pkt_id, i in state["inflight"].items()}
@@ -539,7 +548,6 @@ class OoOCore(SimObject):
                 )
             # The builder re-attached the same deterministic stream;
             # fast-forward it to the checkpointed position.
-            for _ in range(state["stream_consumed"]):
-                self.stream.pop()
+            self.stream.skip(state["stream_consumed"])
         else:
             self.stream = None

@@ -13,10 +13,17 @@ plain ``(kind, arg)`` tuple for speed:
   and idles for *cycles* cycles (used for the 1 ms separators in the
   paper's Fig. 5);
 * ``(END, 0)`` — end of program.
+
+A core reads its source up to one :data:`CHUNK` of µops ahead
+(:class:`UopStream`) and a restore replays it from its start, so a
+source must be a pure function of its parameters.  Every in-tree one is:
+``sort_benchmark``, the NVDLA host's ``_loader_stream`` and the
+interrupt-handler lists.  A kernel ``assert`` fires at read-ahead time.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator
 
 ALU = 0
@@ -55,29 +62,49 @@ def fetch(line_addr: int) -> Uop:
 
 
 END_UOP: Uop = (END, 0)
+CHUNK = 256  # µops a stream reads from its source at once
 
 
 class UopStream:
-    """Buffered iterator over µops with one-element lookahead."""
+    """A µop source read a block at a time: ``block[pos]`` is the next
+    µop, and a reader may take µops in place and store ``pos`` back.  A
+    source ends by running out; the block is then ``[END_UOP]`` for good."""
 
     def __init__(self, source: Iterable[Uop]) -> None:
         self._it: Iterator[Uop] = iter(source)
-        self._next: Uop | None = None
-        self.consumed = 0
+        self._base = 0  # µops before ``block``
+        self.block: list[Uop] = []
+        self.pos = 0
+
+    @property
+    def consumed(self) -> int:  # µops taken, not the ones read ahead
+        return self._base + self.pos
+
+    def refill(self) -> list[Uop]:
+        """Move past the whole block and read the next."""
+        self._base += len(self.block)
+        self.block = list(islice(self._it, CHUNK)) or [END_UOP]
+        self.pos = 0
+        return self.block
 
     def peek(self) -> Uop:
-        if self._next is None:
-            self._next = next(self._it, END_UOP)
-        return self._next
+        if self.pos == len(self.block):
+            self.refill()
+        return self.block[self.pos]
 
     def pop(self) -> Uop:
         uop = self.peek()
-        self._next = None
         if uop[0] != END:
-            self.consumed += 1
+            self.pos += 1
         return uop
+
+    def skip(self, n: int) -> None:
+        """Move past *n* µops, or to the end of the source."""
+        while n > 0 and self.peek()[0] != END:
+            step = min(n, len(self.block) - self.pos)
+            self.pos += step
+            n -= step
 
     @property
     def exhausted(self) -> bool:
         return self.peek()[0] == END
-

@@ -20,7 +20,11 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from ..soc.cpu.uop import Uop, alu, branch, load, sleep, store
+from ..soc.cpu.uop import ALU, BRANCH, LOAD, STORE, Uop, sleep
+
+# shared µops, not a helper call per simulated instruction
+_ALU = (ALU, 1)
+_BRANCH = ((BRANCH, 0), (BRANCH, 1))  # by the predictor's answer
 
 
 class BranchPredictor:
@@ -31,22 +35,13 @@ class BranchPredictor:
 
     def mispredicted(self, site: str, taken: bool) -> bool:
         state = self._state.get(site, 1)  # weakly not-taken
-        predict_taken = state >= 2
-        if taken:
-            state = min(state + 1, 3)
-        else:
-            state = max(state - 1, 0)
-        self._state[site] = state
-        return predict_taken != taken
+        self._state[site] = min(state + 1, 3) if taken else max(state - 1, 0)
+        return (state >= 2) != taken
 
 
 def make_array(n: int, seed: int = 42) -> list[int]:
     rng = random.Random(seed)
     return [rng.randrange(0, 1 << 30) for _ in range(n)]
-
-
-def _addr(base: int, index: int) -> int:
-    return base + 8 * index
 
 
 def quicksort_uops(
@@ -57,42 +52,42 @@ def quicksort_uops(
     stack = [(0, len(data) - 1)]
     while stack:
         lo, hi = stack.pop()
-        yield alu(1)  # stack pop / range check
+        yield _ALU  # stack pop / range check
         taken = lo < hi
-        yield branch(bp.mispredicted("qs_range", taken))
+        yield _BRANCH[bp.mispredicted("qs_range", taken)]
         if not taken:
             continue
         pivot = data[(lo + hi) // 2]
-        yield load(_addr(base, (lo + hi) // 2))
+        yield (LOAD, base + 8 * ((lo + hi) // 2))
         i, j = lo - 1, hi + 1
         while True:
             while True:
                 i += 1
-                yield alu(1)
-                yield load(_addr(base, i))
+                yield _ALU
+                yield (LOAD, base + 8 * i)
                 taken = data[i] < pivot
-                yield branch(bp.mispredicted("qs_left", taken))
+                yield _BRANCH[bp.mispredicted("qs_left", taken)]
                 if not taken:
                     break
             while True:
                 j -= 1
-                yield alu(1)
-                yield load(_addr(base, j))
+                yield _ALU
+                yield (LOAD, base + 8 * j)
                 taken = data[j] > pivot
-                yield branch(bp.mispredicted("qs_right", taken))
+                yield _BRANCH[bp.mispredicted("qs_right", taken)]
                 if not taken:
                     break
             taken = i >= j
-            yield branch(bp.mispredicted("qs_cross", taken))
+            yield _BRANCH[bp.mispredicted("qs_cross", taken)]
             if taken:
                 break
             data[i], data[j] = data[j], data[i]
-            yield store(_addr(base, i))
-            yield store(_addr(base, j))
+            yield (STORE, base + 8 * i)
+            yield (STORE, base + 8 * j)
         stack.append((lo, j))
         stack.append((j + 1, hi))
-        yield alu(1)
-        yield alu(1)
+        yield _ALU
+        yield _ALU
 
 
 def selectionsort_uops(
@@ -104,20 +99,20 @@ def selectionsort_uops(
     for i in range(n - 1):
         min_idx = i
         min_val = data[i]
-        yield load(_addr(base, i))
+        yield (LOAD, base + 8 * i)
         for j in range(i + 1, n):
-            yield alu(1)               # index increment
-            yield load(_addr(base, j))
+            yield _ALU  # index increment
+            yield (LOAD, base + 8 * j)
             taken = data[j] < min_val
-            yield branch(bp.mispredicted("ss_min", taken))
+            yield _BRANCH[bp.mispredicted("ss_min", taken)]
             if taken:
                 min_idx, min_val = j, data[j]
-                yield alu(1)
+                yield _ALU
         if min_idx != i:
             data[i], data[min_idx] = data[min_idx], data[i]
-            yield store(_addr(base, i))
-            yield store(_addr(base, min_idx))
-        yield branch(bp.mispredicted("ss_outer", i + 1 < n - 1))
+            yield (STORE, base + 8 * i)
+            yield (STORE, base + 8 * min_idx)
+        yield _BRANCH[bp.mispredicted("ss_outer", i + 1 < n - 1)]
 
 
 def bubblesort_uops(
@@ -129,17 +124,17 @@ def bubblesort_uops(
     while True:
         swapped = False
         for j in range(n - 1):
-            yield alu(1)
-            yield load(_addr(base, j))
-            yield load(_addr(base, j + 1))
+            yield _ALU
+            yield (LOAD, base + 8 * j)
+            yield (LOAD, base + 8 * (j + 1))
             taken = data[j] > data[j + 1]
-            yield branch(bp.mispredicted("bs_cmp", taken))
+            yield _BRANCH[bp.mispredicted("bs_cmp", taken)]
             if taken:
                 data[j], data[j + 1] = data[j + 1], data[j]
-                yield store(_addr(base, j))
-                yield store(_addr(base, j + 1))
+                yield (STORE, base + 8 * j)
+                yield (STORE, base + 8 * (j + 1))
                 swapped = True
-        yield branch(bp.mispredicted("bs_pass", swapped))
+        yield _BRANCH[bp.mispredicted("bs_pass", swapped)]
         if not swapped:
             break
 

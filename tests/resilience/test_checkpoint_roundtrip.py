@@ -408,6 +408,30 @@ def test_restore_among_stepped_over_cycles(tmp_path, save_tick):
     assert out["stats"] == expected
 
 
+def test_restore_inside_a_uop_block(tmp_path):
+    """Saved at cycle 3 000, where the core has taken a number of µops
+    that is not a multiple of its stream's block: the restore skips
+    whole blocks and stops inside the next, and the resumed run must
+    match the straight run bit for bit."""
+    from repro.soc.cpu.uop import CHUNK
+
+    end = 80_000_000
+    ref = _exec_setup(PMU_SETUP)
+    expected = ref["run_to_end"](end)
+
+    saver = _exec_setup(PMU_SETUP)
+    ckpt = tmp_path / "mid-block.ckpt"
+    saver["save_at"](3_000 * saver["soc"].sim.default_clock.period, ckpt)
+    doc = json.loads(gzip.open(ckpt).read())
+    consumed = doc["objects"]["cpu0"]["state"]["stream_consumed"]
+    assert consumed > CHUNK and consumed % CHUNK, consumed
+
+    out = _restore_in_fresh_process(PMU_SETUP, ckpt, end,
+                                    tmp_path / "out.json")
+    assert out["now"] == ref["soc"].sim.now
+    assert out["stats"] == expected
+
+
 def test_parent_format_checkpoint_is_refused(tmp_path):
     """Version 2 wrote every tag array densely, one list per set; read
     as version 3 its ``tags`` would be taken for ``[set_idx, ways]``

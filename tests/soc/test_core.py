@@ -1,9 +1,14 @@
 """OoO core model: issue/commit behaviour, queues, sleep, event wires."""
 
+import random
+import sys
+
 import pytest
 
 from repro.soc.cpu.core import EventWire, OoOCore
-from repro.soc.cpu.uop import UopStream, alu, branch, load, sleep, store
+from repro.soc.cpu.uop import (
+    CHUNK, END, END_UOP, UopStream, alu, branch, load, sleep, store,
+)
 from repro.soc.mem.ideal import IdealMemory
 from repro.soc.simobject import Simulation
 
@@ -167,3 +172,165 @@ class TestDone:
         assert s.pop() == (0, 2)
         assert s.exhausted
         assert s.consumed == 2
+
+
+class _OneAtATime:
+    """The reference reader: one µop taken from the source per pop."""
+
+    def __init__(self, source):
+        self._it, self._next, self.consumed = iter(source), None, 0
+
+    def peek(self):
+        if self._next is None:
+            self._next = next(self._it, END_UOP)
+        return self._next
+
+    def pop(self):
+        uop = self.peek()
+        if uop[0] != END:
+            self._next, self.consumed = None, self.consumed + 1
+        return uop
+
+    def skip(self, n):
+        for _ in range(n):
+            self.pop()
+
+
+LENGTHS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+
+
+def _source(n):
+    return (load(8 * i) for i in range(n))
+
+
+class TestBlockBuffer:
+    """``UopStream`` reads its source a block at a time; what comes out
+    is what a reader taking one µop at a time would give."""
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_pops_match_the_reference(self, n):
+        got, ref = UopStream(_source(n)), _OneAtATime(_source(n))
+        while ref.peek()[0] != END:
+            assert got.peek() == ref.peek()
+            assert got.pop() == ref.pop()
+            assert got.consumed == ref.consumed
+        for _ in range(3):              # END for ever after the end
+            assert got.pop() == got.peek() == END_UOP
+            assert got.exhausted
+        assert got.consumed == ref.consumed == n
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_interleavings_match_the_reference(self, n, seed):
+        rng = random.Random(seed)
+        got, ref = UopStream(_source(n)), _OneAtATime(_source(n))
+        for _ in range(60):
+            op = rng.choice(("peek", "pop", "skip"))
+            if op == "skip":
+                k = rng.choice((0, 1, rng.randrange(2 * CHUNK + 3)))
+                got.skip(k)
+                ref.skip(k)
+            else:
+                assert getattr(got, op)() == getattr(ref, op)()
+            assert got.consumed == ref.consumed
+            assert got.exhausted == (ref.peek()[0] == END)
+        assert got.peek() == ref.peek()
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_skip_past_the_end_stops_at_end(self, n):
+        s = UopStream(_source(n))
+        s.skip(n + CHUNK + 5)
+        assert s.consumed == n
+        assert s.peek() == END_UOP
+        s.skip(3)
+        assert s.consumed == n
+
+    def test_a_handler_over_a_part_read_block_returns_to_the_next_uop(self):
+        class Recorder(IdealMemory):
+            def _recv_req(self, pkt):
+                seen.append(pkt.addr)
+                return super()._recv_req(pkt)
+
+        seen = []
+        sim = Simulation()
+        core = OoOCore(sim, "cpu")
+        core.dcache_port.connect(Recorder(sim, "mem").port)
+        main = [8 * i for i in range(3 * CHUNK + 7)]
+        handler = [0x10_0000 + 8 * j for j in range(5)]
+        core.run_stream([load(addr) for addr in main])
+        sim.startup()
+        while core.stream.consumed < CHUNK + CHUNK // 2:
+            sim.run(until=sim.now + 500)
+        core.raise_interrupt([load(addr) for addr in handler])
+        run_to_done(sim, core)
+        k = seen.index(handler[0])
+        assert 0 < k < len(main) and k % CHUNK, "not inside a block"
+        assert seen == main[:k] + handler + main[k:]
+        assert core.st_interrupts.value() == 1
+
+
+def _count_calls(fn):
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(outer)
+    return calls
+
+
+def test_python_calls_per_core_cycle_stay_in_budget():
+    """A count, not a timer: Python-level calls of the smoke-size plain
+    Fig. 5 body (the sort on the bare SoC, ``n_sort=12``, 2 000-cycle
+    sleeps), on the second of two identical runs (the first pays the
+    lazy imports).  The count is exact: the same under any
+    ``PYTHONHASHSEED``.  Pinned when the core read its µop stream a
+    block at a time, the sort kernels yielded shared µops, commit
+    stopped rebuilding its ALU list, the cycle re-armed from its clock's
+    period and the L1 hit path read the tick, period and command
+    directly: 93 152 calls for 14 677 cycles (6.3 per cycle), against
+    153 196 (10.4) before; 5 % headroom, so none of the paths can
+    quietly grow back."""
+    from repro.dse.pmu_experiment import build_pmu_system
+
+    def body():
+        soc = build_pmu_system(n_sort=12, with_pmu=False,
+                               sleep_cycles=2_000)[0]
+        return soc, soc.cores[0]
+
+    soc, core = body()
+    soc.run_until_done(cores=[core], max_ticks=10**12)
+    soc, core = body()
+    calls = _count_calls(
+        lambda: soc.run_until_done(cores=[core], max_ticks=10**12))
+    cycles = core.st_cycles.value()
+    assert cycles == 14_677
+    assert calls <= 93_152 * 1.05, f"{calls / cycles:.2f} calls per cycle"
+
+
+def test_python_calls_per_restore_stay_in_budget(tmp_path):
+    """One ``sim.restore`` of ``build_pmu_system(n_sort=60)`` saved at
+    cycle 3 000 (2 556 µops taken), counted on the second of two
+    restores.  A restore skips the re-attached stream to its place a
+    block at a time; what is left is the sort generator producing the
+    skipped µops.  Pinned at 8 713 calls, against 17 319 when the
+    restore popped the stream one µop at a time; 5 % headroom.  The
+    count is the same under any ``PYTHONHASHSEED``."""
+    from repro.dse.pmu_experiment import build_pmu_system
+
+    soc = build_pmu_system(n_sort=60)[0]
+    soc.sim.startup()
+    soc.sim.run(until=3_000 * soc.sim.default_clock.period)
+    path = tmp_path / "mid.ckpt"
+    soc.sim.save_checkpoint(path)
+    build_pmu_system(n_sort=60)[0].sim.restore(path)
+    soc = build_pmu_system(n_sort=60)[0]
+    calls = _count_calls(lambda: soc.sim.restore(path))
+    assert soc.cores[0].stream.consumed == 2_556
+    assert calls <= 8_713 * 1.05, calls
