@@ -60,6 +60,11 @@ FLAG_RTL_BATCH = debug_flag(
 class RTLObject(SimObject):
     """Bridges one shared-library RTL model into the simulated SoC."""
 
+    #: the input field :meth:`begin_lag` taps, None if none is; the bits
+    #: of it that may be set while lagging are :attr:`_tapped`
+    tapped_field: Optional[str] = None
+    _tapped = 0
+
     ckpt_state = (
         ("cpu_req_queue", DEQUE),
         ("mem_req_queue", "mem_side", PORT_QUEUES),
@@ -128,6 +133,9 @@ class RTLObject(SimObject):
             self._owed_late = self.clock.period <= sim.default_clock.period
         #: ticked at its clock's edges until :meth:`stop`
         self.running = True
+        #: the input struct of every lagged edge, :attr:`tapped_field`
+        #: aside: a lag lasts while nothing else drives the pins
+        self._quiet_input = library.input_spec.zeros()
         # Last output struct consumed, as the library returned it and
         # decoded: what a lag holds the pins against.  All-zero (nothing
         # valid, nothing raised) until the first one is.
@@ -330,6 +338,13 @@ class RTLObject(SimObject):
         """
         return 0
 
+    def bridge_quiet(self) -> bool:
+        """Whether the bridge holds nothing for the pins and waits on no
+        output: no request queued or at the pins, no read pending, and
+        the output consumed last announced nothing.  False here: a
+        model that overrides this lags."""
+        return False
+
     def begin_lag(self) -> None:
         """Start logging the tapped inputs against the edges that will
         consume them (:meth:`open_edge`); by default none are."""
@@ -346,7 +361,7 @@ class RTLObject(SimObject):
         all-zero struct (*field* None): a model whose horizon holds only
         while nothing drives its pins."""
         cycles = (end - first) // self.clock.period
-        return self.library.input_spec.zeros(), None, ((0, cycles),)
+        return self._quiet_input, None, ((0, cycles),)
 
     # -- CPU-side plumbing ------------------------------------------------------
 

@@ -300,11 +300,8 @@ class RTLSharedLibrary(SharedLibrary):
         sim = self.sim
         trace = sim.trace
         if self._exchange is not None and (trace is None or not trace.enabled):
-            replay = self._replays.get(field)
-            if replay is None:
-                replay = self._replays[field] = self._build_replay(field)
-            ran, out = replay(input_bytes, sim.values, sim.mems, runs,
-                              steady)
+            ran, out = self._replay_for(field)(input_bytes, sim.values, sim.mems,
+                                           runs, steady)
             sim.cycle += ran
             self.ticks += ran
             return out
@@ -322,6 +319,34 @@ class RTLSharedLibrary(SharedLibrary):
                 if out != steady:
                     return out
         return out
+
+    def horizon(self, input_bytes: bytes, field: Optional[str],
+                word: int) -> int:
+        """Cycles from now on the input struct *input_bytes*, its scalar
+        *field* (None: none) taking any values whose set bits are among
+        *word*'s, before a test of a counter could turn true or a counter
+        wrap: the edges a model that lags on those inputs can skip
+        (:meth:`RTLObject.lag_cycles
+        <repro.bridge.rtl_object.RTLObject.lag_cycles>`).  Read off the
+        replay :meth:`tick_varying` runs, from the same analysis
+        (lowering (i), :func:`repro.rtl.codegen.build_replay`), on
+        either backend; the state is left as found.  0 where the design
+        derives none: (i) fails on its cycle, or *field* is read other
+        than as an AND factor of a set-bit loop's word that only
+        counts."""
+        replay = self._replay_for(field)
+        if replay is None:
+            return 0
+        sim = self.sim
+        return replay(input_bytes, sim.values, sim.mems, word, None)
+
+    def _replay_for(self, field: Optional[str]):
+        """The generated replay varying *field*, built on first use."""
+        try:
+            return self._replays[field]
+        except KeyError:
+            replay = self._replays[field] = self._build_replay(field)
+            return replay
 
     def _build_replay(self, field: Optional[str]):
         slot = None

@@ -45,6 +45,8 @@ class _EventLane(Checkpointed):
 class PMURTLObject(RTLObject):
     """Bridges a :class:`PMUSharedLibrary` into the SoC."""
 
+    tapped_field = "events"
+
     ckpt_state = (
         ("_pending_reads", DEQUE),
         ("wired_lanes", "_wired", fixed(
@@ -83,7 +85,6 @@ class PMURTLObject(RTLObject):
         ))
         #: while lagging: ``(edge tick, wire, pulses)`` in arrival order
         self._log: list[tuple[int, EventWire, int]] = []
-        self._quiet_input = library.input_spec.zeros()
 
     # -- wiring ------------------------------------------------------------
 
@@ -195,6 +196,15 @@ class PMURTLObject(RTLObject):
 
     # -- lagging behind the core ---------------------------------------
 
+    def bridge_quiet(self) -> bool:
+        """No MMIO request queued or waiting for its read data, and the
+        output consumed last raised neither ``rvalid`` nor ``irq``: a
+        repeat would go unnoticed."""
+        if self.cpu_req_queue or self._pending_reads:
+            return False
+        rvalid, _, irq = self.last_output
+        return not (rvalid or irq)
+
     def lag_cycles(self) -> int:
         """The horizon: edges after the one just consumed at which no
         output can move while only the event lanes change.
@@ -213,10 +223,7 @@ class PMURTLObject(RTLObject):
         pending request: no lag.  An enabled VCD writer does not stop
         one: the lagged edges then run one by one, each sampled.
         """
-        if self.cpu_req_queue or self._pending_reads:
-            return 0
-        rvalid, _, irq = self.last_output
-        if rvalid or irq:
+        if not self.bridge_quiet():
             return 0
         library = self.library
         sim = library.sim
@@ -278,7 +285,7 @@ class PMURTLObject(RTLObject):
             else:
                 runs.append([word, n])
         del log[:i]
-        return self._quiet_input, "events", runs
+        return self._quiet_input, self.tapped_field, runs
 
     def consume_output(self, outputs: tuple) -> None:
         rvalid, rdata, irq = outputs

@@ -39,7 +39,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator, Optional, Tuple
 
-from ...bridge.rtl_object import LAG_LIMIT
 from ...bridge.structs import Field, StructSpec
 from ...coherence.protocol import ProtocolError, State
 from ...soc.event import ClockDomain
@@ -251,20 +250,14 @@ class RTLCoherentCacheObject(RTLCacheObject):
 
     # -- struct exchange ---------------------------------------------------
 
-    def lag_cycles(self) -> int:
+    def bridge_quiet(self) -> bool:
         """As the plain cache's, with ``snoop_valid`` low too: no probe
         queued or at the pins, and the last output did not ack one.  A
         probe or a grant ends the lag before it lands
         (:meth:`recv_snoop_mem`)."""
-        if (self._current is None and not self.cpu_req_queue
-                and not self._waiting_fill and self._fill_words is None
-                and not self.mem_resp_queue and not self._pending_snoops
-                and self._pin_snoop is None):
-            last = self.last_output
-            if not (last["resp_valid"] or last["miss_valid"]
-                    or last["wt_valid"] or last["snoop_ack"]):
-                return LAG_LIMIT
-        return 0
+        return (super().bridge_quiet() and not self._pending_snoops
+                and self._pin_snoop is None
+                and not self.last_output["snoop_ack"])
 
     def build_input(self) -> bytes:
         fields: dict = {}

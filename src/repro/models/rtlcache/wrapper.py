@@ -145,6 +145,18 @@ class RTLCacheObject(RTLObject):
 
     # -- struct exchange ---------------------------------------------------
 
+    def bridge_quiet(self) -> bool:
+        """No request, fill or response in play, so the input struct
+        stays all-zero, and the output consumed last announced nothing:
+        a repeat would go unnoticed.  A CPU-side request and a
+        memory-side response each end the lag before they land."""
+        last = self.last_output
+        return (self._current is None and not self.cpu_req_queue
+                and not self._waiting_fill and self._fill_words is None
+                and not self.mem_resp_queue
+                and not (last["resp_valid"] or last["miss_valid"]
+                         or last["wt_valid"]))
+
     def lag_cycles(self) -> int:
         """Lag while no request, fill or response is in play: the input
         struct stays all-zero (``req_valid`` and ``fill_valid`` low), and
@@ -152,14 +164,7 @@ class RTLCacheObject(RTLObject):
         consumed must have announced nothing, or it could repeat
         unnoticed.  A CPU-side request and a memory-side response each
         end the lag before they land."""
-        if (self._current is None and not self.cpu_req_queue
-                and not self._waiting_fill and self._fill_words is None
-                and not self.mem_resp_queue):
-            last = self.last_output
-            if not (last["resp_valid"] or last["miss_valid"]
-                    or last["wt_valid"]):
-                return LAG_LIMIT
-        return 0
+        return LAG_LIMIT if self.bridge_quiet() else 0
 
     def build_input(self) -> bytes:
         fields: dict = {}

@@ -690,34 +690,48 @@ def _always(stmts: Sequence[ir.Stmt], idx: int) -> bool:
 
 # -- (i) a run of equal input words, one step --------------------------
 
-#: the precheck's verdict (step the run cycle by cycle); the run's
-#: length and its last step's index, as the step's text reads them
-_STEP = (ir.SetTemp("_f", ir.Const(1, 1)),)
+#: the run's length, as the step's text reads it; the steps a run may
+#: take, as its run test and the horizon read it, and no bound on them
 _N = ir.Temp("_n", 32)
-_N1 = ir.Op("-", (_N, ir.Const(1, 32)), 32, (-1,))
+_B = ir.Temp("_b", 64)
+_NONE = ir.Const(1 << 64, 65)
 
 
 class _Run:
     """(i) on a held cycle's :attr:`_Text.trees`, where ``ok``: ``check``
-    sets ``_f`` before a run to step; ``swap``: each tree as the step."""
+    sets ``_b`` to the steps a run may take before a test of a counter
+    can turn true or a counter wraps; ``swap``: each tree as the step.
+    Where ``tapped``, input *free* is read only as an AND factor of
+    set-bit loops' words, and no loop stores what does not count: more
+    bits set count more, nothing else, so ``check`` over a word bounds
+    the runs of every word whose bits are among its own."""
 
-    def __init__(self, trees: list) -> None:
+    def __init__(self, trees: list, free: frozenset = frozenset()) -> None:
         flat = tuple(s for t in trees if type(t) is tuple for s in t)
         self.written = ir.writes(flat)
         self.mems = {s.mem for s in ir.walk(flat) if type(s) is ir.MemStore}
         self.defined, self.staged, self.temps = set(), set(), set()
         self.loops, self.stored = [], {}   # key -> the words counted
         #: counter read -> (k, store value); value -> read; the tests of
-        #: counters (their live branch the else)
+        #: counters (their live branch the else); no store in a loop but
+        #: counters'
         self.counters, self.sums, self.tests = {}, {}, set()
+        self.tapped = True
         self.ok = "call" not in trees and all(map(self.suite, trees))
         if self.ok:
-            self.check = ir.rewrite(flat, stmt=self.precheck)
+            self.check = (ir.SetTemp("_b", _NONE),) \
+                + ir.rewrite(flat, stmt=self.bound)
             self.swap = {t: ir.rewrite(t, stmt=self.step)
                          for t in trees if type(t) is tuple}
         if self.ok:
             _report(flat, self.check + ir.rewrite(flat, stmt=self.step),
                     "stmt")
+        # (a) builds a word as the AND of its guard's signals
+        reads = [x for x in ir.operands(flat)
+                 if type(x) is ir.Sig and x.index in free]
+        self.tapped &= self.ok and len(reads) == sum(
+            x in reads for s in ir.walk(flat) if type(s) is ir.Bits
+            for x in ir.leaves(s.word))
 
     def fixed(self, e: ir.Expr, strict: bool = False) -> bool:
         """*e* reads the same at every step (*strict*: before it too)."""
@@ -734,11 +748,10 @@ class _Run:
         for s in stmts if type(stmts) is tuple else ():
             t = type(s)
             if t is ir.If and not self.fixed(s.cond):
-                terms: list = []
+                # a test of counters (:meth:`first`) before their stores
                 self.tests.add(s.cond)
-                if not (self.rises(s.cond, terms) and self.suite(s.other or ())
-                        and all(term in self.counters or term in self.sums
-                                for term in terms)):
+                if any(x in self.counters for x in ir.leaves(s.cond)) \
+                        or not self.suite(s.other or ()):
                     return False
             elif t is ir.Bits and self.fixed(s.word):
                 self.temps.add(s.name)
@@ -760,13 +773,14 @@ class _Run:
         got = self.stored.get(key)   # the words counted; False: none
         if not got and self.fixed(v) and (not mem or self.fixed(s.addr)):
             self.stored[key] = False
+            self.tapped &= not self.loops
             if not mem:
                 (self.staged if s.mode == ir.STAGED else self.defined).add(
                     s.index)
             return True
-        # a counter: x + k to a word no other store takes this step
+        # a counter: x + k, k > 0, to a word no other store takes this step
         x = v.args[0] if type(v) is ir.Op and v.op == "+" \
-            and type(v.args[1]) is ir.Const else None
+            and type(v.args[1]) is ir.Const and v.args[1].value > 0 else None
         if not mem or got is False or type(x) is not ir.MemRead \
                 or (x.mem, x.addr, x.wrap) != (s.mem, s.addr, s.wrap) \
                 or not self.fixed(s.addr):
@@ -780,57 +794,70 @@ class _Run:
         self.counters[x], self.sums[v] = (v.args[1].value, v), x
         return True
 
-    def rises(self, e: ir.Expr, terms: list) -> bool:
-        """*e* compares each counter it reads (*terms*: ``x`` or ``x + k``)
-        ``>``/``>=`` fixed state, under ``and``/``or``: it can only rise."""
-        if type(e) is ir.Op and e.op in ("and", "or"):
-            return all(self.fixed(a) or self.rises(a, terms)
-                       for a in e.args)
-        if type(e) is not ir.Op or e.op not in (">", ">=", "<", "<="):
-            return False
+    def first(self, e: ir.Expr) -> Optional[ir.Expr]:
+        """The first step at which test *e* can hold, if it compares each
+        counter it reads ``>``/``>=`` fixed state under ``and`` (its
+        rising terms' last; a fixed term false: never) and ``or`` (their
+        first; a fixed term true: at once)."""
+        if type(e) is not ir.Op:
+            return None
+        if e.op in ("and", "or"):
+            bounds = [self.first(a) for a in e.args if not self.fixed(a)]
+            if not bounds or None in bounds:
+                return None
+            b, both = bounds[0], e.op == "and"
+            for a in bounds[1:]:
+                b = ir.Op("max" if both else "min", (b, a), 64)
+            for a in filter(self.fixed, e.args):
+                b = ir.Op("?:", (a, b, _NONE) if both
+                          else (a, ir.Const(0, 1), b), 64)
+            return b
+        # x + k*j at step j (+ k, the sum) reaching other (+ 1 if
+        # strict): a ceiling
         term, other = e.args if e.op[0] == ">" else e.args[::-1]
-        x = term.args[0] if type(term) is ir.Op else term
-        terms.append(term)
-        return self.fixed(other) and x not in self.counters
-
-    def times(self, x: ir.Expr, n: ir.Expr) -> ir.Expr:
-        """Counter *x* after *n* steps, unmasked."""
+        x = self.sums.get(term, term)
+        if e.op not in (">", ">=", "<", "<=") or x not in self.counters \
+                or not self.fixed(other):
+            return None
         k = self.counters[x][0]
-        kn = n if k == 1 else ir.Op("*", (ir.Const(k, 32), n), 32, (-1,))
-        return ir.Op("+", (x, kn), x.width, (-1,))
+        at = ir.Op("-", (other, x), 64, (-1,))
+        off = (e.op in (">", "<")) + k - 1 - k * (term is not x)
+        if off:
+            at = ir.Op("+", (at, ir.Const(off, 64)), 64, (-1,))
+        return at if k == 1 else ir.Op("/", (at, ir.Const(k, 64)), 64)
 
-    def last(self, e: ir.Expr) -> ir.Expr:
-        """Test *e* as at the run's last step."""
-        for x, (_, v) in self.counters.items():
-            if e in (x, v):
-                return self.times(x, _N if e == v else _N1)
-        if type(e) is ir.Op:
-            return e._replace(args=tuple(self.last(a) for a in e.args))
-        return e
-
-    def precheck(self, s: ir.Stmt) -> ir.Suite:
-        """*s* as what tells, before a run, that it must be stepped."""
-        t, new = type(s), s
+    def bound(self, s: ir.Stmt) -> ir.Suite:
+        """*s* as what lowers ``_b`` to the steps before its test could
+        turn true, or its counter wrap."""
+        t, new = type(s), (s,)
         if t is ir.If and s.cond in self.tests:
-            new = ir.If(self.last(s.cond), _STEP, s.other or None)
+            at, rest = (self.first(s.cond),), s.other or ()
+            self.ok &= at[0] is not None
+            if rest and type(rest[0]) is ir.SetTemp and rest[0].name == "_b":
+                at, rest = at + rest[0].value.args[1:], rest[1:]   # one min
+            new = (ir.SetTemp("_b", ir.Op("min", (_B, *at), 64)), *rest)
         elif t is ir.If and (s.then or s.other):
-            new = ir.If(s.cond, s.then or (ir.Pass(),), s.other or None)
+            new = (ir.If(s.cond, s.then or (ir.Pass(),), s.other or None),)
         elif t is ir.MemStore and s.value in self.sums:
-            new = ir.If(ir.Op(">", (self.times(self.sums[s.value], _N),
-                                    ir.Const(s.value.imm[0], 1)), 1), _STEP)
+            wraps = ir.Op(">", (s.value, ir.Const(s.value.imm[0], 64)), 1)
+            new = (ir.SetTemp("_b", ir.Op("min", (_B, self.first(wraps)),
+                                          64)),)
         elif t is not ir.SetTemp and (t is not ir.Bits or not s.body):
             return ()
         self.ok &= all(self.fixed(getattr(s, name), strict=True)
                        for name in s.EXPRS)
-        return (new,)
+        return new
 
     def step(self, s: ir.Stmt) -> ir.Suite:
         """*s* in the step over ``_n`` cycles."""
         if type(s) is ir.If and s.cond in self.tests:
             return s.other or ()
         if type(s) is ir.MemStore and s.value in self.sums:
-            new = self.times(self.sums[s.value], _N)
-            return (s._replace(value=new._replace(imm=s.value.imm)),)
+            x = self.sums[s.value]
+            k = self.counters[x][0]
+            kn = _N if k == 1 else ir.Op("*", (ir.Const(k, 32), _N), 32,
+                                         (-1,))
+            return (s._replace(value=s.value._replace(args=(x, kn))),)
         return (s,)
 
 
@@ -855,19 +882,28 @@ def _program_text(design: _Design) -> str:
 
 @lru_cache(maxsize=64)
 def _replay_text(design: _Design, store: Optional[str], moved: str,
-                 held: tuple[tuple[int, int], ...]) -> str:
+                 held: tuple[tuple[int, int], ...], free: frozenset) -> str:
     """``_replay(v, m, runs, _rest, _w)``: per ``(_x, _n)`` of *runs*,
     *design*'s cycle folded on *held* (g) ``_n`` times, returning the
     cycles run, early after the first for which *moved* (over ``v`` and
     ``_w``) holds; *store* (over ``_x`` and ``_rest``, or None) drives
-    the pins, settled, before each run.  Where (i) holds a run is one
-    step, unless its precheck steps it; a step that moved an output is
-    run again back to its first cycle (``_n = 1 - _n``).  One text per
-    process; bounded, as :func:`_compile`."""
+    input *free*, settled, before each run.  Where (i) holds a run is
+    one step, unless it is longer than its bound; a step that moved an
+    output is run again back to its first cycle (``_n = 1 - _n``).
+    ``_horizon(v, m, _x, _rest)``, first: that bound with *store*
+    driving ``_x``, ``v`` left as found; 0 where (i) fails, or *free* is
+    not ``tapped``.  One text per process; bounded, as
+    :func:`_compile`."""
     scratch = _Text(design, held)
     scratch.emit_cycle(0)
-    run = _Run(scratch.trees)
+    run = _Run(scratch.trees, free)
     text = _Text(design, held)
+    text.emit("def _horizon(v, m, _x, _rest):", 0)
+    if run.tapped:   # v as found: the store undone
+        text.emit_prologue(1)
+        text.lines += ["    _s = v[:]", f"    {store or 'pass'}",
+                       *ir.render(run.check, 1, "_m%d"), "    v[:] = _s"]
+    text.emit("return _b" if run.tapped else "return 0", 1)
     text.emit("def _replay(v, m, runs, _rest, _w):", 0)
     text.emit_prologue(1)
     text.emit("_i = 0", 1)
@@ -878,9 +914,8 @@ def _replay_text(design: _Design, store: Optional[str], moved: str,
             text.emit("_settle(v, m)", 2)
     if run.ok:   # a run of one is its cycle
         text.emit("if _n > 1:", 2)
-        text.emit("_f = 0", 3)
         text.lines.extend(ir.render(run.check, 3, "_m%d"))
-        text.emit("if not _f:", 3)
+        text.emit("if not _n > _b:", 3)
         text.swap = run.swap
         text.emit("while True:", 4)
         text.emit_cycle(5)
@@ -918,8 +953,10 @@ class CodegenProgram:
 
     def replay_source(self, store: Optional[str], moved: str,
                       held: tuple[tuple[int, int], ...] = ()) -> str:
-        """:func:`_replay_text` of this program's design."""
-        return _replay_text(self.design, store, moved, held)
+        """:func:`_replay_text` of this program's design; *store*, if
+        any, drives the input not *held*."""
+        free = frozenset(self.inputs) - {i for i, _ in held}
+        return _replay_text(self.design, store, moved, held, free)
 
 
 def build_program(
@@ -1061,7 +1098,9 @@ def build_replay(
     signal again per run.  The text (:func:`_replay_text`) is folded on
     the pins the replay holds (g), every module input no process writes
     but *vary*'s, read from ``v``; each tuple met is specialised once
-    (``.cases``), and a run is one step where (i) holds."""
+    (``.cases``), and a run is one step where (i) holds.  With *steady*
+    None, *runs* is a value of slot *vary*, and the case's run bound with
+    the slot at that value is returned, ``v`` and ``m`` left as found."""
     by_signal, loads = _pin_text(in_slots, out_slots)
     moved = f"({', '.join(loads)},) != _w" if loads else "False"
     if vary is None:
@@ -1087,6 +1126,7 @@ def build_replay(
         cases[values] = replay = _bind(program, [
             "def _bind():",
             *("    " + line for line in source.splitlines()),
+            "    _replay.horizon = _horizon",
             "    return _replay",
         ])
         return replay
@@ -1099,13 +1139,17 @@ def build_replay(
         "            raise _size_error(len(data))",
         f"        [{', '.join(f'_i{i}' for i in range(len(in_slots)))}]"
         " = _decode(data)",
-        *(f"        v[{i}] = {' | '.join(terms)}"
-          for i, terms in by_signal.items()),
-        *settle,
-        f"        _held = ({''.join(f'v[{i}], ' for i in held)})",
+        "        _held = (" + "".join(
+            f"({' | '.join(by_signal[i])}), " if i in by_signal
+            else f"v[{i}], " for i in held) + ")",
         "        _replay = _cases.get(_held)",
         "        if _replay is None:",
         "            _replay = _specialise(_held)",
+        "        if steady is None:",
+        f"            return _replay.horizon(v, m, runs, {rest or '0'})",
+        *(f"        v[{i}] = {' | '.join(terms)}"
+          for i, terms in by_signal.items()),
+        *settle,
         f"        n = _replay(v, m, runs, {rest or '0'}, _steady(steady))",
         f"        return n, _encode({', '.join(loads)})",
         "    return _replay_runs",

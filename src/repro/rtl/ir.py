@@ -13,8 +13,8 @@ cheap to define — and the set is closed.  An expression carries the
 ``width`` the elaborator worked out for it.  Equal nodes print the same
 Python and therefore compute the same value.  Always tell kinds apart
 by ``type(node) is Kind``: a node is a tuple, a suite is a tuple of
-nodes.  Only codegen's lowering makes a :class:`Bits` loop, a ``not``
-or a memory access without ``wrap``; what the elaborator builds, and so
+nodes.  Only codegen's lowering makes a :class:`Bits` loop, a ``not``,
+a ``min``/``max`` or a memory access without ``wrap``; what the elaborator builds, and so
 the plain print the interpreter runs, never holds one.
 """
 
@@ -61,7 +61,9 @@ class MemRead(NamedTuple):
 
 class Op(NamedTuple):
     """Operator *op* of :data:`_FMT` over *args*, with the integers
-    (masks, shifts) its template takes after them in *imm*."""
+    (masks, shifts) its template takes after them in *imm*; or ``min``
+    or ``max`` of all *args*.  A mask of -1 keeps every bit: it is not
+    printed."""
 
     op: str
     args: tuple[Expr, ...]
@@ -116,6 +118,10 @@ def text(e: Expr, mem: str = "m[%d]") -> str:
         args = [text(a, mem) for a in e.args]
         if e.op == "any":      # case item: any of its matches
             return " or ".join(args)
+        if e.op in ("min", "max"):
+            return f"{e.op}({', '.join(args)})"
+        if e.imm == (-1,) and e.op in ("+", "-", "*", "<<"):   # a mask keeping all
+            return f"(({args[0]}) {e.op} ({args[1]}))"
         if e.op == "rep":      # replication: imm = (count, width)
             count, w = e.imm
             return "(" + " | ".join(

@@ -269,14 +269,16 @@ class RTLSimulator:
         self, in_struct, in_slots, out_struct, out_slots, size_error, vary
     ) -> Optional[Callable]:
         """Generated replay over this design's compiled code (as
-        :func:`repro.rtl.codegen.build_replay`), or None on the
-        interpreter backend; :attr:`cycle` is the caller's, as in
-        :meth:`build_exchange`."""
-        if self._codegen is None:
+        :func:`repro.rtl.codegen.build_replay`), or None for a design
+        that settles iteratively; :attr:`cycle` is the caller's, as in
+        :meth:`build_exchange`.  The interpreter backend gets one too,
+        for its ``horizon``: the analysis is the design's, not the
+        backend's."""
+        if self._iterative:
             return None
         return build_replay(
-            self._codegen, in_struct, in_slots, out_struct, out_slots,
-            size_error, vary,
+            self._codegen or build_program(self.module, self._levelized),
+            in_struct, in_slots, out_struct, out_slots, size_error, vary,
         )
 
     @staticmethod

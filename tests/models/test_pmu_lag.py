@@ -17,7 +17,9 @@ import sys
 import pytest
 
 from repro.models.pmu.rtl_object import PMURTLObject
-from tests.owing import assert_owing_matches, fig5_run
+from tests.owing import horizon_pin, assert_owing_matches, fig5_run
+
+pytestmark = pytest.mark.usefixtures("horizon_pin")
 
 
 @pytest.mark.parametrize("pmu_freq_hz", [1e9, 2e9, 4e9])

@@ -421,10 +421,10 @@ def test_a_read_after_a_store_keeps_the_list(fresh_lowering):
 @pytest.mark.parametrize("name", sorted(DESIGNS))
 def test_a_run_is_one_step_where_it_can_be(name, fresh_lowering):
     """(i) reports each n-step body (``"stmt"``: the cycle's statements,
-    and the precheck and the step standing in their place) on the texts
+    and the bound and the step standing in their place) on the texts
     the bridge replays: the PMU's with ``events`` varied and every other
-    pin at 0 (Fig. 5's lags: ``counters`` counts, the threshold test is
-    made at the run's last step), and every design's with every pin at
+    pin at 0 (Fig. 5's lags: ``counters`` counts, the threshold test
+    bounds the run), and every design's with every pin at
     0 (the idle text: nothing counts, a run is one edge; the PMU's
     unrolled lane tests on its held ``events`` are cut, so it counts
     nothing either).  The bitonic sorter's stage registers read what
@@ -446,7 +446,8 @@ def test_a_run_is_one_step_where_it_can_be(name, fresh_lowering):
     assert all(how == "stmt" for *_, how in steps)
     assert len(steps) == (0 if name == "bitonic" else len(texts))
     counted = [new for _, new, _ in steps if any(
-        type(s) is ir.SetTemp and s.name == "_f" for s in ir.walk(new))]
+        type(s) is ir.SetTemp and s.name == "_b" and type(s.value) is ir.Op
+        for s in ir.walk(new))]
     assert len(counted) == (1 if name == "pmu" else 0)
     for new in counted:
         summed = [s for s in ir.walk(new) if type(s) is ir.MemStore]
