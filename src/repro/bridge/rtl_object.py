@@ -13,8 +13,8 @@ exposes the paper's connectivity surface:
   from the cores' (the PMU runs at 1 GHz under 2 GHz cores in the
   paper's Table 1): a single-stepped model is a member of its
   :class:`~repro.soc.event.ClockDomain`, ticked by the domain's one
-  event per edge; a model that lags behind the event queue
-  (:meth:`RTLObject.lag_cycles`) keeps its own event;
+  event per edge; a model that lags behind the event queue (it has a
+  :meth:`RTLObject.bridge_quiet` test) keeps its own event;
 * the **struct exchange**: every tick the object builds an input
   struct, calls ``library.tick``, and consumes the output struct.
 
@@ -60,8 +60,7 @@ FLAG_RTL_BATCH = debug_flag(
 class RTLObject(SimObject):
     """Bridges one shared-library RTL model into the simulated SoC."""
 
-    #: the input field :meth:`begin_lag` taps, None if none is; the bits
-    #: of it that may be set while lagging are :attr:`_tapped`
+    #: the input field a lag taps, and its bits that may be set meanwhile
     tapped_field: Optional[str] = None
     _tapped = 0
 
@@ -94,7 +93,7 @@ class RTLObject(SimObject):
         # A model that can lag keeps its own event, to arm for the edge
         # that ends a lag, and a lag ends before a port delivers to it;
         # every other is ticked by its clock domain's.
-        self._domain_member = type(self).lag_cycles is RTLObject.lag_cycles
+        self._domain_member = type(self).bridge_quiet is RTLObject.bridge_quiet
         bind = ((lambda handler: handler) if self._domain_member
                 else self.ends_owing)
         # CPU-side: the SoC masters us (config writes, register reads).
@@ -226,7 +225,7 @@ class RTLObject(SimObject):
             return False
         eventq = self.sim.eventq
         period = self.clock.period
-        arm = last + (min(h, LAG_LIMIT) + 1) * period
+        arm = last + (h + 1) * period
         until = eventq.until
         if until is not None:
             arm = min(arm, (until - 1) // period * period)
@@ -253,10 +252,11 @@ class RTLObject(SimObject):
         output that moves in them raises (the horizon is checked, not
         assumed), and each counts in ``ticks``."""
         cycles = (edge - first) // self.clock.period
-        in_bytes, field, runs = self.lagged_inputs(first, edge)
         library = self.library
         before = library.ticks
-        out = library.tick_varying(in_bytes, field, runs, self._last_out)
+        out = library.tick_varying(self._quiet_input, self.tapped_field,
+                                   self.lagged_inputs(first, edge),
+                                   self._last_out)
         ran = library.ticks - before
         if ran != cycles or out != self._last_out:
             raise RuntimeError(
@@ -323,26 +323,26 @@ class RTLObject(SimObject):
 
     def lag_cycles(self) -> int:
         """Edges after the one just consumed at which provably no output
-        moves, given that the only inputs that change meanwhile are the
-        ones :meth:`begin_lag` taps (0: none, do not lag).
-
-        A model that overrides this lags; every other is a member of its
-        clock domain.  The bridge arms the model's own tick for the edge
-        after the horizon and lets it lag behind the event queue until
-        then: nothing is dispatched for the edges in between, and
-        whatever must see the model at an edge in between calls
-        :meth:`catch_up` first.  The lagged edges run at once on
-        :meth:`lagged_inputs` through
-        :meth:`RTLSharedLibrary.tick_varying`, and an output that moves
-        in them raises: the horizon is checked, not assumed.
-        """
-        return 0
+        moves while only the bits :attr:`_tapped` of :attr:`tapped_field`
+        change (0: do not lag): :meth:`bridge_quiet`, then the design's
+        :meth:`RTLSharedLibrary.horizon` on the all-zero struct with
+        those bits set, capped at :data:`LAG_LIMIT`.  The model's tick
+        is armed for the edge after it; whatever must see the model
+        sooner calls :meth:`catch_up`.  The lagged edges run at once on
+        :meth:`lagged_inputs`, and an output that moves in them raises:
+        the horizon is checked, not assumed."""
+        if not self.bridge_quiet():
+            return 0
+        h = self.library.horizon(self._quiet_input, self.tapped_field,
+                                 self._tapped)
+        return h if h < LAG_LIMIT else LAG_LIMIT
 
     def bridge_quiet(self) -> bool:
         """Whether the bridge holds nothing for the pins and waits on no
         output: no request queued or at the pins, no read pending, and
         the output consumed last announced nothing.  False here: a
-        model that overrides this lags."""
+        model that overrides this lags (:meth:`lag_cycles`), keeping
+        its own event; every other is a member of its clock domain."""
         return False
 
     def begin_lag(self) -> None:
@@ -353,15 +353,12 @@ class RTLObject(SimObject):
         """Stop logging; what is still logged belongs to the next edge."""
 
     def lagged_inputs(self, first: int, end: int):
-        """``(input_bytes, field, runs)`` for the lagged edges from
-        *first* to before *end*: ``(value, n)`` pairs, *field* at
-        *value* for the next n edges, as
-        :meth:`RTLSharedLibrary.tick_varying` takes them.  By default no
-        input is tapped, and the lagged edges are one run of the
-        all-zero struct (*field* None): a model whose horizon holds only
-        while nothing drives its pins."""
-        cycles = (end - first) // self.clock.period
-        return self._quiet_input, None, ((0, cycles),)
+        """The runs of the lagged edges from *first* to before *end*:
+        ``(value, n)`` pairs, :attr:`tapped_field` at *value* for the
+        next n edges, as :meth:`RTLSharedLibrary.tick_varying` takes
+        them.  By default no input is tapped: one run of the all-zero
+        struct."""
+        return ((0, (end - first) // self.clock.period),)
 
     # -- CPU-side plumbing ------------------------------------------------------
 

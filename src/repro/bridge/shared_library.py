@@ -300,8 +300,8 @@ class RTLSharedLibrary(SharedLibrary):
         sim = self.sim
         trace = sim.trace
         if self._exchange is not None and (trace is None or not trace.enabled):
-            ran, out = self._replay_for(field)(input_bytes, sim.values, sim.mems,
-                                           runs, steady)
+            ran, out = self._replay_of(field)(input_bytes, sim.values,
+                                              sim.mems, runs, steady)
             sim.cycle += ran
             self.ticks += ran
             return out
@@ -322,33 +322,23 @@ class RTLSharedLibrary(SharedLibrary):
 
     def horizon(self, input_bytes: bytes, field: Optional[str],
                 word: int) -> int:
-        """Cycles from now on the input struct *input_bytes*, its scalar
-        *field* (None: none) taking any values whose set bits are among
-        *word*'s, before a test of a counter could turn true or a counter
-        wrap: the edges a model that lags on those inputs can skip
-        (:meth:`RTLObject.lag_cycles
-        <repro.bridge.rtl_object.RTLObject.lag_cycles>`).  Read off the
-        replay :meth:`tick_varying` runs, from the same analysis
-        (lowering (i), :func:`repro.rtl.codegen.build_replay`), on
-        either backend; the state is left as found.  0 where the design
-        derives none: (i) fails on its cycle, or *field* is read other
-        than as an AND factor of a set-bit loop's word that only
-        counts."""
-        replay = self._replay_for(field)
-        if replay is None:
-            return 0
-        sim = self.sim
-        return replay(input_bytes, sim.values, sim.mems, word, None)
-
-    def _replay_for(self, field: Optional[str]):
-        """The generated replay varying *field*, built on first use."""
+        """Cycles on the struct *input_bytes*, its scalar *field* (None:
+        none) at any values with no bit outside *word*, before a test of
+        a counter could turn true or a counter wrap: lowering (i)'s bound
+        in the replay :meth:`tick_varying` runs, on either backend, the
+        state left as found; 0 where the design derives none."""
         try:
-            return self._replays[field]
+            replay = self._replays[field]
         except KeyError:
-            replay = self._replays[field] = self._build_replay(field)
-            return replay
+            replay = self._replay_of(field)
+        sim = self.sim
+        return 0 if replay is None else replay.horizon(
+            input_bytes, sim.values, sim.mems, word)
 
-    def _build_replay(self, field: Optional[str]):
+    def _replay_of(self, field: Optional[str]):
+        """The generated replay varying *field*, built on first use."""
+        if field in self._replays:
+            return self._replays[field]
         slot = None
         if field is not None:
             slot = 0
@@ -363,7 +353,7 @@ class RTLSharedLibrary(SharedLibrary):
                 slot += len(lanes)
             else:
                 raise KeyError(f"no input field {field!r}")
-        return self.sim.build_replay(
+        replay = self._replays[field] = self.sim.build_replay(
             self.input_spec.struct,
             [pin for _, _, lanes in self._driven for pin in lanes],
             self.output_spec.struct,
@@ -371,6 +361,7 @@ class RTLSharedLibrary(SharedLibrary):
             self.input_spec.size_error,
             slot,
         )
+        return replay
 
     def drive(self, inputs: dict) -> None:
         """Apply unpacked input fields to the RTL model's input signals

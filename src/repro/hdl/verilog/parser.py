@@ -74,7 +74,11 @@ def _parse_port_list(ts: TokenStream, mod: ast.ModuleDecl) -> None:
         tok = ts.peek()
         if tok.is_kw("input", "output"):
             direction = ts.next().text
-            ts.accept_kw("wire", "reg", "signed")
+            ts.accept_kw("wire", "reg")
+            signed = ts.accept_kw("signed")
+            if signed is not None:
+                raise ParseError("signed arithmetic is not supported",
+                                 signed.loc)
             rng = _parse_optional_range(ts)
         if direction is None:
             raise ParseError("port list must start with input/output", tok.loc)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from ...bridge.rtl_object import LAG_LIMIT, RTLObject
+from ...bridge.rtl_object import RTLObject
 from ...soc.cpu.core import EventWire
 from ...soc.event import ClockDomain
 from ...soc.packet import Packet
@@ -199,46 +199,13 @@ class PMURTLObject(RTLObject):
     def bridge_quiet(self) -> bool:
         """No MMIO request queued or waiting for its read data, and the
         output consumed last raised neither ``rvalid`` nor ``irq``: a
-        repeat would go unnoticed."""
+        repeat would go unnoticed.  How far the counters of the lanes
+        wired to something stay below their thresholds is ``pmu.v``'s
+        own, derived by the library."""
         if self.cpu_req_queue or self._pending_reads:
             return False
         rvalid, _, irq = self.last_output
         return not (rvalid or irq)
-
-    def lag_cycles(self) -> int:
-        """The horizon: edges after the one just consumed at which no
-        output can move while only the event lanes change.
-
-        ``rvalid`` follows ``arvalid``, which only an MMIO request sets
-        (and a request ends a lag).  ``irq`` rises only at an edge where
-        an enabled lane with a non-zero threshold counts its way to it,
-        and a counter gains at most one per edge (``pmu.v``): a lane at
-        ``counter`` of ``threshold`` cannot raise it in the next
-        ``threshold - counter - 1`` edges.  Only lanes that can see an
-        event — wired to a wire or to the clock — count; with none
-        thresholded the horizon is unbounded.  It is read off the
-        kernel's ``counters``, ``thresholds`` and ``enable`` after every
-        stepped edge, so a write or a fault flip (both end a lag first)
-        is seen.  An output consumed last that was not inert, or a
-        pending request: no lag.  An enabled VCD writer does not stop
-        one: the lagged edges then run one by one, each sampled.
-        """
-        if not self.bridge_quiet():
-            return 0
-        library = self.library
-        sim = library.sim
-        memories = library.module.memories
-        counters = sim.mems[memories["counters"].index]
-        thresholds = sim.mems[memories["thresholds"].index]
-        lanes = sim.peek("enable") & self._tapped
-        horizon = LAG_LIMIT
-        while lanes:
-            i = (lanes & -lanes).bit_length() - 1
-            lanes &= lanes - 1
-            threshold = thresholds[i]
-            if threshold:
-                horizon = min(horizon, threshold - counters[i] - 1)
-        return horizon
 
     def begin_lag(self) -> None:
         log_pulse = self._log_pulse
@@ -285,7 +252,7 @@ class PMURTLObject(RTLObject):
             else:
                 runs.append([word, n])
         del log[:i]
-        return self._quiet_input, self.tapped_field, runs
+        return runs
 
     def consume_output(self, outputs: tuple) -> None:
         rvalid, rdata, irq = outputs

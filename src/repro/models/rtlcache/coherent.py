@@ -255,9 +255,9 @@ class RTLCoherentCacheObject(RTLCacheObject):
         queued or at the pins, and the last output did not ack one.  A
         probe or a grant ends the lag before it lands
         (:meth:`recv_snoop_mem`)."""
-        return (super().bridge_quiet() and not self._pending_snoops
-                and self._pin_snoop is None
-                and not self.last_output["snoop_ack"])
+        return (not self._pending_snoops and self._pin_snoop is None
+                and not self.last_output["snoop_ack"]
+                and super().bridge_quiet())
 
     def build_input(self) -> bytes:
         fields: dict = {}

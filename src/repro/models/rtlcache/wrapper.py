@@ -11,7 +11,7 @@ from __future__ import annotations
 import importlib.resources
 from typing import Optional, TextIO
 
-from ...bridge.rtl_object import LAG_LIMIT, RTLObject
+from ...bridge.rtl_object import RTLObject
 from ...bridge.shared_library import RTLSharedLibrary
 from ...bridge.structs import Field, StructSpec
 from ...hdl.verilog import compile_verilog
@@ -149,22 +149,15 @@ class RTLCacheObject(RTLObject):
         """No request, fill or response in play, so the input struct
         stays all-zero, and the output consumed last announced nothing:
         a repeat would go unnoticed.  A CPU-side request and a
-        memory-side response each end the lag before they land."""
+        memory-side response each end the lag before they land.  That
+        with ``req_valid`` and ``fill_valid`` low nothing moves is
+        ``rtl_cache.v``'s own, derived by the library."""
         last = self.last_output
         return (self._current is None and not self.cpu_req_queue
                 and not self._waiting_fill and self._fill_words is None
                 and not self.mem_resp_queue
                 and not (last["resp_valid"] or last["miss_valid"]
                          or last["wt_valid"]))
-
-    def lag_cycles(self) -> int:
-        """Lag while no request, fill or response is in play: the input
-        struct stays all-zero (``req_valid`` and ``fill_valid`` low), and
-        with them low the design's outputs cannot move.  The last output
-        consumed must have announced nothing, or it could repeat
-        unnoticed.  A CPU-side request and a memory-side response each
-        end the lag before they land."""
-        return LAG_LIMIT if self.bridge_quiet() else 0
 
     def build_input(self) -> bytes:
         fields: dict = {}

@@ -413,7 +413,7 @@ class FaultInjector(SimObject):
 
     def _dram_redo(self, payload) -> None:
         ctrl_path, pkt = payload
-        ctrl = self._find_object(ctrl_path)
+        ctrl = self.sim.find(ctrl_path)
         # re-deliver without re-counting the completion
         hook, ctrl.fault_hook = ctrl.fault_hook, None
         try:
@@ -453,9 +453,8 @@ class FaultInjector(SimObject):
             xbar._issue_retries()
 
     def _flip(self, payload) -> None:
-        if isinstance(payload, int):  # checkpoint from an older plan
-            payload = (None, payload)
-        self._flip_bit(payload[1], signal=payload[0])
+        signal, bit = payload
+        self._flip_bit(bit, signal=signal)
 
     # -- helpers -----------------------------------------------------------
 
@@ -463,9 +462,6 @@ class FaultInjector(SimObject):
         from ..soc.interconnect.xbar import Crossbar
 
         return [o for o in self.sim.objects if isinstance(o, Crossbar)]
-
-    def _find_object(self, path: str):
-        return self.sim.find(path)
 
     def _flip_bit(self, bit: int, signal: Optional[str] = None) -> None:
         """Flip one state bit of every RTL-backed model.

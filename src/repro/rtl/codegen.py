@@ -41,9 +41,10 @@ to tree, once (:func:`_lowered`), and its print inlined at every depth:
 * (i) **runs** — in a replay, a held cycle whose stores add a constant
   to a memory word once a step (a *counter*) or store what every step
   stores, and whose tests of counters can only turn true as they grow,
-  is one step over a run of ``n`` equal input words: counters stored
-  ``x + k*n``, after a precheck that steps the run cycle by cycle where
-  a test turns true by its last step or a counter wraps (:class:`_Run`).
+  is one step over a run of ``n`` equal input words, counters stored
+  ``x + k*n``, if ``n`` is within a bound: the steps before a test could
+  turn true or a counter wrap.  The bound at a worst-case word of the
+  varied input is a lagging model's horizon (:class:`_Run`).
 
 Memory base lists are hoisted into locals (``_m0 = m[0]``).  A register
 taking *partial* NBAs keeps the ordered ``nba`` list, and a handwritten
@@ -699,12 +700,10 @@ _NONE = ir.Const(1 << 64, 65)
 
 class _Run:
     """(i) on a held cycle's :attr:`_Text.trees`, where ``ok``: ``check``
-    sets ``_b`` to the steps a run may take before a test of a counter
-    can turn true or a counter wraps; ``swap``: each tree as the step.
-    Where ``tapped``, input *free* is read only as an AND factor of
-    set-bit loops' words, and no loop stores what does not count: more
-    bits set count more, nothing else, so ``check`` over a word bounds
-    the runs of every word whose bits are among its own."""
+    sets ``_b``, the steps a run may take (:meth:`bound`); ``swap``: each
+    tree as the step.  Where ``tapped``, the *free* input is read only
+    as an AND factor of set-bit loops' words, and no loop stores but a
+    counter: ``check`` over a word bounds every word with fewer bits."""
 
     def __init__(self, trees: list, free: frozenset = frozenset()) -> None:
         flat = tuple(s for t in trees if type(t) is tuple for s in t)
@@ -713,10 +712,9 @@ class _Run:
         self.defined, self.staged, self.temps = set(), set(), set()
         self.loops, self.stored = [], {}   # key -> the words counted
         #: counter read -> (k, store value); value -> read; the tests of
-        #: counters (their live branch the else); no store in a loop but
-        #: counters'
+        #: counters (their live branch the else)
         self.counters, self.sums, self.tests = {}, {}, set()
-        self.tapped = True
+        self.tapped = True   # until a loop stores other than a counter
         self.ok = "call" not in trees and all(map(self.suite, trees))
         if self.ok:
             self.check = (ir.SetTemp("_b", _NONE),) \
@@ -795,25 +793,23 @@ class _Run:
         return True
 
     def first(self, e: ir.Expr) -> Optional[ir.Expr]:
-        """The first step at which test *e* can hold, if it compares each
-        counter it reads ``>``/``>=`` fixed state under ``and`` (its
-        rising terms' last; a fixed term false: never) and ``or`` (their
-        first; a fixed term true: at once)."""
+        """The first step test *e* can hold at, if it compares counters
+        ``>``/``>=`` fixed state under ``and`` (the last of its rising
+        terms'; never for a fixed term false) and ``or`` (the first)."""
         if type(e) is not ir.Op:
             return None
         if e.op in ("and", "or"):
             bounds = [self.first(a) for a in e.args if not self.fixed(a)]
             if not bounds or None in bounds:
                 return None
-            b, both = bounds[0], e.op == "and"
-            for a in bounds[1:]:
-                b = ir.Op("max" if both else "min", (b, a), 64)
+            both = e.op == "and"
+            b = ir.Op("max" if both else "min", (*bounds,), 64) \
+                if bounds[1:] else bounds[0]
             for a in filter(self.fixed, e.args):
                 b = ir.Op("?:", (a, b, _NONE) if both
                           else (a, ir.Const(0, 1), b), 64)
             return b
-        # x + k*j at step j (+ k, the sum) reaching other (+ 1 if
-        # strict): a ceiling
+        # x + k*j at step j (+ k, the sum) reaching other (+ 1 if strict)
         term, other = e.args if e.op[0] == ">" else e.args[::-1]
         x = self.sums.get(term, term)
         if e.op not in (">", ">=", "<", "<=") or x not in self.counters \
@@ -827,8 +823,7 @@ class _Run:
         return at if k == 1 else ir.Op("/", (at, ir.Const(k, 64)), 64)
 
     def bound(self, s: ir.Stmt) -> ir.Suite:
-        """*s* as what lowers ``_b`` to the steps before its test could
-        turn true, or its counter wrap."""
+        """*s* lowering ``_b`` to the steps before its test or wrap."""
         t, new = type(s), (s,)
         if t is ir.If and s.cond in self.tests:
             at, rest = (self.first(s.cond),), s.other or ()
@@ -853,10 +848,8 @@ class _Run:
         if type(s) is ir.If and s.cond in self.tests:
             return s.other or ()
         if type(s) is ir.MemStore and s.value in self.sums:
-            x = self.sums[s.value]
-            k = self.counters[x][0]
-            kn = _N if k == 1 else ir.Op("*", (ir.Const(k, 32), _N), 32,
-                                         (-1,))
+            x, k = s.value.args
+            kn = _N if k.value == 1 else ir.Op("*", (k, _N), 32, (-1,))
             return (s._replace(value=s.value._replace(args=(x, kn))),)
         return (s,)
 
@@ -887,22 +880,20 @@ def _replay_text(design: _Design, store: Optional[str], moved: str,
     *design*'s cycle folded on *held* (g) ``_n`` times, returning the
     cycles run, early after the first for which *moved* (over ``v`` and
     ``_w``) holds; *store* (over ``_x`` and ``_rest``, or None) drives
-    input *free*, settled, before each run.  Where (i) holds a run is
-    one step, unless it is longer than its bound; a step that moved an
-    output is run again back to its first cycle (``_n = 1 - _n``).
-    ``_horizon(v, m, _x, _rest)``, first: that bound with *store*
-    driving ``_x``, ``v`` left as found; 0 where (i) fails, or *free* is
-    not ``tapped``.  One text per process; bounded, as
-    :func:`_compile`."""
+    the *free* input, settled, before each run.  Where (i) holds a run
+    within its bound is one step; a step that moved an output is run
+    again back to its first cycle (``_n = 1 - _n``).  Before it,
+    ``_horizon(v, m, _x, _rest)``: the bound at ``_x``, ``v`` as found
+    (0: none).  One text per process; bounded, as :func:`_compile`."""
     scratch = _Text(design, held)
     scratch.emit_cycle(0)
     run = _Run(scratch.trees, free)
     text = _Text(design, held)
     text.emit("def _horizon(v, m, _x, _rest):", 0)
-    if run.tapped:   # v as found: the store undone
+    if run.tapped:   # v as found: a store undone
         text.emit_prologue(1)
-        text.lines += ["    _s = v[:]", f"    {store or 'pass'}",
-                       *ir.render(run.check, 1, "_m%d"), "    v[:] = _s"]
+        text.lines += ["    _s = v[:]", f"    {store}"] * bool(store) \
+            + ir.render(run.check, 1, "_m%d") + ["    v[:] = _s"] * bool(store)
     text.emit("return _b" if run.tapped else "return 0", 1)
     text.emit("def _replay(v, m, runs, _rest, _w):", 0)
     text.emit_prologue(1)
@@ -1097,10 +1088,11 @@ def build_replay(
     stored and settled as :func:`build_exchange` does, slot *vary*'s
     signal again per run.  The text (:func:`_replay_text`) is folded on
     the pins the replay holds (g), every module input no process writes
-    but *vary*'s, read from ``v``; each tuple met is specialised once
-    (``.cases``), and a run is one step where (i) holds.  With *steady*
-    None, *runs* is a value of slot *vary*, and the case's run bound with
-    the slot at that value is returned, ``v`` and ``m`` left as found."""
+    but *vary*'s, read off the struct (``v`` for one no field drives);
+    each tuple met is specialised once (``.cases``), and a run is one
+    step where (i) holds.  ``.horizon(data, v, m, word)`` is the same
+    case's run bound with slot *vary* at *word*, ``v`` and ``m`` left as
+    found."""
     by_signal, loads = _pin_text(in_slots, out_slots)
     moved = f"({', '.join(loads)},) != _w" if loads else "False"
     if vary is None:
@@ -1131,10 +1123,7 @@ def build_replay(
         ])
         return replay
 
-    lines = [
-        "def _bind(_decode, _encode, _steady, _size_error, _cases,"
-        " _specialise):",
-        "    def _replay_runs(data, v, m, runs, steady):",
+    find = [  # the held tuple's case, found or made
         f"        if len(data) != {in_struct.size}:",
         "            raise _size_error(len(data))",
         f"        [{', '.join(f'_i{i}' for i in range(len(in_slots)))}]"
@@ -1145,13 +1134,19 @@ def build_replay(
         "        _replay = _cases.get(_held)",
         "        if _replay is None:",
         "            _replay = _specialise(_held)",
-        "        if steady is None:",
-        f"            return _replay.horizon(v, m, runs, {rest or '0'})",
+    ]
+    lines = [
+        "def _bind(_decode, _encode, _steady, _size_error, _cases,"
+        " _specialise):",
+        "    def _replay_runs(data, v, m, runs, steady):", *find,
         *(f"        v[{i}] = {' | '.join(terms)}"
           for i, terms in by_signal.items()),
         *settle,
         f"        n = _replay(v, m, runs, {rest or '0'}, _steady(steady))",
         f"        return n, _encode({', '.join(loads)})",
+        "    def _horizon(data, v, m, word):", *find,
+        f"        return _replay.horizon(v, m, word, {rest or '0'})",
+        "    _replay_runs.horizon = _horizon",
         "    return _replay_runs",
     ]
     replay_runs = _bind(program, lines, in_struct.unpack, out_struct.pack,

@@ -14,8 +14,9 @@ cheap to define — and the set is closed.  An expression carries the
 Python and therefore compute the same value.  Always tell kinds apart
 by ``type(node) is Kind``: a node is a tuple, a suite is a tuple of
 nodes.  Only codegen's lowering makes a :class:`Bits` loop, a ``not``,
-a ``min``/``max`` or a memory access without ``wrap``; what the elaborator builds, and so
-the plain print the interpreter runs, never holds one.
+a ``min``/``max`` or a memory access without ``wrap``; what the
+elaborator builds, and so the plain print the interpreter runs, never
+holds one.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def text(e: Expr, mem: str = "m[%d]") -> str:
             return " or ".join(args)
         if e.op in ("min", "max"):
             return f"{e.op}({', '.join(args)})"
-        if e.imm == (-1,) and e.op in ("+", "-", "*", "<<"):   # a mask keeping all
+        if e.imm == (-1,) and e.op in ("+", "-", "*", "<<"):   # keeps all
             return f"(({args[0]}) {e.op} ({args[1]}))"
         if e.op == "rep":      # replication: imm = (count, width)
             count, w = e.imm

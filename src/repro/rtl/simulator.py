@@ -271,9 +271,8 @@ class RTLSimulator:
         """Generated replay over this design's compiled code (as
         :func:`repro.rtl.codegen.build_replay`), or None for a design
         that settles iteratively; :attr:`cycle` is the caller's, as in
-        :meth:`build_exchange`.  The interpreter backend gets one too,
-        for its ``horizon``: the analysis is the design's, not the
-        backend's."""
+        :meth:`build_exchange`.  On the interpreter backend too, for its
+        ``horizon``: that is the design's, not the backend's."""
         if self._iterative:
             return None
         return build_replay(

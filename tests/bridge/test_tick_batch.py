@@ -23,9 +23,7 @@ from repro.soc.mem.ideal import IdealMemory
 from repro.soc.packet import MemCmd, Packet
 from repro.soc.ports import RequestPort
 from repro.soc.simobject import Simulation
-from tests.owing import horizon_pin, Probes, SteppedCache, SteppedPMU, assert_owing_matches
-
-pytestmark = pytest.mark.usefixtures("horizon_pin")
+from tests.owing import Probes, SteppedCache, SteppedPMU, assert_owing_matches
 
 
 class TestNextEventTick:

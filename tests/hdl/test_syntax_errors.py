@@ -33,6 +33,20 @@ class TestVerilog:
             compile_verilog("module m; ` endmodule", filename="lex.v")
         assert exc.value.loc is not None
 
+    @pytest.mark.parametrize("kind", ["", "wire ", "reg "])
+    def test_a_signed_port_is_refused_not_dropped(self, kind):
+        """``signed`` would make the port unsigned if it were skipped:
+        it is refused where it stands."""
+        direction = "output" if kind == "reg " else "input"
+        src = (f"module m(input clk,\n  {direction} {kind}signed [7:0] a);\n"
+               "endmodule\n")
+        with pytest.raises(HDLSyntaxError) as exc:
+            compile_verilog(src, filename="signed.v")
+        err = exc.value
+        assert "signed arithmetic is not supported" in err.message
+        col = 4 + len(direction) + len(kind)
+        assert (err.loc.line, err.loc.col) == (2, col)
+
 
 class TestVHDL:
     def test_parse_error_is_syntax_error(self):

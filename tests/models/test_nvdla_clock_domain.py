@@ -176,8 +176,8 @@ def test_a_member_stopped_by_an_earlier_one_in_the_same_edge_is_skipped():
 
 
 class _Lagging(_Member):
-    def lag_cycles(self):
-        return 0
+    def bridge_quiet(self):
+        return False
 
 
 def test_a_lagging_model_keeps_its_own_event():

@@ -26,10 +26,8 @@ from repro.soc.mem.ideal import IdealMemory
 from repro.soc.packet import MemCmd, Packet
 from repro.soc.ports import RequestPort
 from repro.soc.simobject import Simulation
-from tests.owing import (horizon_pin, Probes, SteppedCache, SteppedCoherentCache,
+from tests.owing import (Probes, SteppedCache, SteppedCoherentCache,
                          assert_owing_matches)
-
-pytestmark = pytest.mark.usefixtures("horizon_pin")
 
 FREQS = [1e9, 2e9, 4e9]
 BASE = 0x1_0000

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-from repro.bridge.rtl_object import LAG_LIMIT, RTLObject
+from repro.bridge.rtl_object import RTLObject
 from repro.dse import pmu_experiment
 from repro.dse.pmu_experiment import (COMMIT_LANES, CYCLE_LANE, MISS_LANE,
                                       build_pmu_system)
@@ -33,33 +31,15 @@ class SteppedCore(OoOCore):
 
 
 class SteppedPMU(PMURTLObject):
-    lag_cycles = RTLObject.lag_cycles
+    bridge_quiet = RTLObject.bridge_quiet
 
 
 class SteppedCache(RTLCacheObject):
-    lag_cycles = RTLObject.lag_cycles
+    bridge_quiet = RTLObject.bridge_quiet
 
 
 class SteppedCoherentCache(RTLCoherentCacheObject):
-    lag_cycles = RTLObject.lag_cycles
-
-
-@pytest.fixture
-def horizon_pin(monkeypatch):
-    """At every ``lag_cycles`` call of a quiet bridge the hand-written
-    horizon equals the one the library derives from the design."""
-    calls = []
-    for cls in (PMURTLObject, RTLCacheObject):
-        def pinned(self, hand=cls.lag_cycles):
-            got = hand(self)
-            if self.bridge_quiet():
-                calls.append(got)
-                assert got == min(LAG_LIMIT, self.library.horizon(
-                    self._quiet_input, self.tapped_field, self._tapped))
-            return got
-
-        monkeypatch.setattr(cls, "lag_cycles", pinned)
-    yield calls
+    bridge_quiet = RTLObject.bridge_quiet
 
 
 class Probes:

@@ -15,9 +15,7 @@ from repro.soc.event import EventPriority
 from repro.soc.mem.ideal import IdealMemory
 from repro.soc.simobject import Simulation
 from repro.workloads.sorting import sort_benchmark
-from tests.owing import horizon_pin, Probes, SteppedCore, assert_owing_matches, fig5_run
-
-pytestmark = pytest.mark.usefixtures("horizon_pin")
+from tests.owing import Probes, SteppedCore, assert_owing_matches, fig5_run
 
 
 class RecordingWire(EventWire):

@@ -218,7 +218,7 @@ class TestTraceWindow:
         from repro.soc.packet import MemCmd, Packet
 
         class SteppedPMU(PMURTLObject):
-            lag_cycles = RTLObject.lag_cycles
+            bridge_quiet = RTLObject.bridge_quiet
 
         def run(cls):
             sim = Simulation()
